@@ -144,19 +144,18 @@ func (sh Shape) Validate() error {
 		if !validOp(sh.Op) {
 			return badShape("%s: reduction op %v", sh.Kind, sh.Op)
 		}
-	case KindReduceScatter:
-		// The chunked kinds need a real split: the core builders reject a
-		// single PE, so Validate does too (typed, instead of the untyped
-		// compile error).
+	case KindReduceScatter, KindScatter, KindGather, KindAllGather:
+		// The chunked kinds need a real split into non-empty chunks: the
+		// comm builders reject a single PE and B < P, so Validate does too
+		// (typed, instead of the untyped compile error).
 		if sh.P < 2 {
 			return badShape("%s: P = %d PEs, want >= 2", sh.Kind, sh.P)
 		}
-		if !validOp(sh.Op) {
+		if sh.B < sh.P {
+			return badShape("%s: B = %d split over P = %d PEs leaves empty chunks, want B >= P", sh.Kind, sh.B, sh.P)
+		}
+		if sh.Kind == KindReduceScatter && !validOp(sh.Op) {
 			return badShape("%s: reduction op %v", sh.Kind, sh.Op)
-		}
-	case KindScatter, KindGather, KindAllGather:
-		if sh.P < 2 {
-			return badShape("%s: P = %d PEs, want >= 2", sh.Kind, sh.P)
 		}
 	case KindBroadcast:
 		if sh.P < 1 {

@@ -256,6 +256,10 @@ func TestShapeValidateTyped(t *testing.T) {
 		{Kind: KindScatter, P: 1, B: 4},                                         // (the core builders reject one PE)
 		{Kind: KindReduceScatter, P: 1, B: 4, Op: Sum},
 		{Kind: KindAllGather, P: 1, B: 4},
+		{Kind: KindScatter, P: 8, B: 7}, // B < P leaves empty chunks
+		{Kind: KindGather, P: 8, B: 7},  // (the comm builders reject them)
+		{Kind: KindReduceScatter, P: 8, B: 7, Op: Sum},
+		{Kind: KindAllGather, P: 8, B: 1},
 		{Kind: "transpose", P: 4, B: 4}, // unknown kind
 	}
 	for _, sh := range bad {
@@ -300,6 +304,14 @@ func TestBadInputsTyped(t *testing.T) {
 		"batch entry": func() error {
 			_, err := s.RunBatch(ctx, Shape{Kind: KindReduce, Alg: Auto, P: 3, B: 2, Op: Sum},
 				[][][]float32{constVectors(3, 2), ragged})
+			return err
+		},
+		"run scatter with empty chunks": func() error {
+			_, err := Run(ctx, Shape{Kind: KindScatter, P: 4, B: 3}, [][]float32{{1, 2, 3}})
+			return err
+		},
+		"session reduce-scatter with empty chunks": func() error {
+			_, err := s.Run(ctx, Shape{Kind: KindReduceScatter, P: 4, B: 3, Op: Sum}, constVectors(4, 3))
 			return err
 		},
 		"submit future": func() error {

@@ -221,9 +221,6 @@ func replayInputs(req plan.Request) [][]float32 {
 // pays only input binding and result assembly). The guard is relative so
 // it tracks the shape rather than a brittle absolute count.
 func TestPooledReplayAllocGuard(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector randomises sync.Pool and inflates alloc counts")
-	}
 	pl, err := plan.Compile(planBenchReq())
 	if err != nil {
 		t.Fatal(err)
@@ -244,6 +241,19 @@ func TestPooledReplayAllocGuard(t *testing.T) {
 	})
 	if pooled > fresh/4 {
 		t.Fatalf("pooled replay allocates %.0f allocs/op vs %.0f fresh — the pool is not eliding fabric construction", pooled, fresh)
+	}
+	// The plan's free list must survive garbage collection (two cycles
+	// empty a sync.Pool, victim cache included): a replay under allocation
+	// pressure is still a pooled replay.
+	afterGC := testing.AllocsPerRun(20, func() {
+		runtime.GC()
+		runtime.GC()
+		if _, err := pl.Execute(inputs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if afterGC > fresh/4 {
+		t.Fatalf("replay after GC allocates %.0f allocs/op vs %.0f fresh, %.0f pooled — a collection emptied the instance pool", afterGC, fresh, pooled)
 	}
 }
 

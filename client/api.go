@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -47,10 +48,11 @@ type FabricStats struct {
 }
 
 // Report is the result of a run: measured cycles, the model estimate,
-// the root vector and the fabric cost metrics.
+// the root vector and the fabric cost metrics. Predicted is nil when the
+// daemon's model has no finite estimate for the shape (null on the wire).
 type Report struct {
 	Cycles    int64       `json:"cycles"`
-	Predicted float64     `json:"predicted"`
+	Predicted *float64    `json:"predicted"`
 	Root      []float32   `json:"root,omitempty"`
 	Stats     FabricStats `json:"stats"`
 }
@@ -95,22 +97,27 @@ func (c *Client) Run(ctx context.Context, sh Shape, inputs [][]float32) (*Report
 	return &rep, nil
 }
 
-// Predict returns the daemon's analytical cycle estimate for a shape.
+// Predict returns the daemon's analytical cycle estimate for a shape,
+// NaN when the model has no finite one.
 func (c *Client) Predict(ctx context.Context, sh Shape) (float64, error) {
 	return c.estimate(ctx, "/v1/predict", "predicted_cycles", sh)
 }
 
-// Bound returns the daemon's runtime lower bound for a shape.
+// Bound returns the daemon's runtime lower bound for a shape, NaN when
+// there is no finite one.
 func (c *Client) Bound(ctx context.Context, sh Shape) (float64, error) {
 	return c.estimate(ctx, "/v1/bound", "bound_cycles", sh)
 }
 
 func (c *Client) estimate(ctx context.Context, path, field string, sh Shape) (float64, error) {
-	var out map[string]float64
+	var out map[string]*float64
 	if err := c.do(ctx, "POST", path, runRequest{Shape: sh}, nil, true, &out); err != nil {
 		return 0, err
 	}
-	return out[field], nil
+	if v := out[field]; v != nil {
+		return *v, nil
+	}
+	return math.NaN(), nil // null on the wire: JSON cannot spell ±Inf or NaN
 }
 
 // Submit enqueues an async run and returns the job id to poll. A

@@ -15,9 +15,31 @@
 // holds was reduced with contention ≤ C−1 because one more message is
 // still to arrive.
 //
+// Building the table. For fixed (D, C) the recursion over P is a min-plus
+// convolution: with a[i] = e(i,D,C−1)+i and b[j] = e(j,D−1,C),
+//
+//	e(P,D,C) = min_{i+j=P, i,j≥1} a[i] + b[j]      (P ≥ 2).
+//
+// Lemma (convexity). Every row e(·,D,C) is finite on a prefix 1..L and
+// convex there (its increments never decrease). Proof by induction over
+// (D, C): the base rows e(·,0,C) and e(·,D,0) are finite only at P = 1. A
+// convex sequence plus a linear term is convex, so a and b are convex on
+// their prefixes; the min-plus convolution of two convex sequences is
+// convex on 2..L_a+L_b and is obtained by merging their increments in
+// sorted order; and the anchor e(1) = 0 joins on convexly because
+// e(2) = a[1]+b[1] = 1 while e(3) ≥ 2 (each of the two senders pays at
+// least one hop), so e(3)−e(2) ≥ 1 = e(2)−e(1). ∎
+//
+// Build therefore walks the two increment sequences once per row — O(P)
+// instead of the O(P²) scan over i, O(D·C·P) for the table — and the
+// entries are the scan's exactly (integer arithmetic, same minimum).
+//
 // Reconstructing the arg-min yields the tree itself, which the comm
 // package compiles to router configurations and PE programs — the Go
-// equivalent of the paper's Python code generator.
+// equivalent of the paper's Python code generator. The merge computes
+// values only; reconstruct re-derives each split by scanning i upward and
+// taking the first that attains the entry, and that smallest-i tie-break
+// is what fixes the generated tree among equal-energy ones.
 package autogen
 
 import (
@@ -108,29 +130,36 @@ func Build(maxP int, caps Caps) *Table {
 	}
 	for d := 1; d <= maxD; d++ {
 		for c := 1; c <= maxC; c++ {
-			cur := e[d][c]
-			left := e[d][c-1]
-			down := e[d-1][c]
-			for p := 2; p <= maxP; p++ {
-				best := inf
-				for i := 1; i < p; i++ {
-					l := left[i]
-					if l >= inf {
-						continue
-					}
-					r := down[p-i]
-					if r >= inf {
-						continue
-					}
-					if v := l + r + int64(i); v < best {
-						best = v
-					}
-				}
-				cur[p] = best
-			}
+			mergeRow(e[d][c], e[d][c-1], e[d-1][c])
 		}
 	}
 	return &Table{maxP: maxP, caps: caps, e: e}
+}
+
+// mergeRow fills cur[p] = min_{i+j=p, i,j≥1} (left[i]+i) + down[j] for every
+// p ≥ 2, given cur preset to inf there. Both operands are convex on their
+// finite prefix (see the package comment), so the minimum moves along the
+// two slope sequences in sorted order: each step of p extends whichever of
+// i, j has the cheaper next increment, and the pair reached is optimal.
+func mergeRow(cur, left, down []int64) {
+	if len(cur) < 3 {
+		return
+	}
+	i, j := 1, 1
+	cur[2] = left[1] + 1 + down[1]
+	for p := 3; p < len(cur); p++ {
+		// i+j = p−1 with i,j ≥ 1, so i+1 and j+1 stay below p.
+		canI, canJ := left[i+1] < inf, down[j+1] < inf
+		switch {
+		case canI && (!canJ || left[i+1]-left[i]+1 <= down[j+1]-down[j]):
+			i++
+		case canJ:
+			j++
+		default:
+			return // both prefixes exhausted: no tree this large fits (d, c)
+		}
+		cur[p] = left[i] + int64(i) + down[j]
+	}
 }
 
 // Energy returns e(p, d, c) with d and c clamped into the table.

@@ -1,6 +1,8 @@
 package autogen
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -159,5 +161,158 @@ func TestTreeRunsOnSimulatorViaComm(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
+	}
+}
+
+// referenceBuild is the energy recursion as §5.5 writes it — every split i
+// scanned for every (d, c, p) — kept as the oracle for Build's slope merge.
+// It borrows Build's clamped caps so only the recursion itself is restated.
+func referenceBuild(maxP int, caps Caps) *Table {
+	t := Build(maxP, caps)
+	ref := &Table{maxP: t.maxP, caps: t.caps, e: make([][][]int64, len(t.e))}
+	for d := range ref.e {
+		ref.e[d] = make([][]int64, len(t.e[d]))
+		for c := range ref.e[d] {
+			ref.e[d][c] = make([]int64, len(t.e[d][c]))
+			for p := 2; p <= ref.maxP; p++ {
+				ref.e[d][c][p] = inf
+			}
+		}
+	}
+	for d := 1; d < len(ref.e); d++ {
+		for c := 1; c < len(ref.e[d]); c++ {
+			cur, left, down := ref.e[d][c], ref.e[d][c-1], ref.e[d-1][c]
+			for p := 2; p <= ref.maxP; p++ {
+				best := inf
+				for i := 1; i < p; i++ {
+					l, r := left[i], down[p-i]
+					if l >= inf || r >= inf {
+						continue
+					}
+					if v := l + r + int64(i); v < best {
+						best = v
+					}
+				}
+				cur[p] = best
+			}
+		}
+	}
+	return ref
+}
+
+// checkAgainstReference asserts got is bit-identical to the reference table
+// and that every row is convex from p = 1 over a finite prefix — the
+// invariant the merge's exactness rests on.
+func checkAgainstReference(t *testing.T, got, ref *Table) {
+	t.Helper()
+	if got.maxP != ref.maxP || got.caps != ref.caps || len(got.e) != len(ref.e) {
+		t.Fatalf("table shape: got maxP %d caps %+v, reference maxP %d caps %+v", got.maxP, got.caps, ref.maxP, ref.caps)
+	}
+	for d := range ref.e {
+		if len(got.e[d]) != len(ref.e[d]) {
+			t.Fatalf("d=%d: %d contention rows, reference %d", d, len(got.e[d]), len(ref.e[d]))
+		}
+		for c := range ref.e[d] {
+			row := got.e[d][c]
+			if !slices.Equal(row, ref.e[d][c]) {
+				t.Fatalf("maxP=%d caps=%+v: row e[%d][%d] differs from the reference scan", ref.maxP, ref.caps, d, c)
+			}
+			for p := 2; p < len(row); p++ {
+				if row[p] >= inf {
+					if p+1 < len(row) && row[p+1] < inf {
+						t.Fatalf("e[%d][%d]: finite entry at p=%d after an infinite one", d, c, p+1)
+					}
+					continue
+				}
+				if p >= 3 && row[p]-row[p-1] < row[p-1]-row[p-2] {
+					t.Fatalf("e[%d][%d] not convex at p=%d: %d, %d, %d", d, c, p, row[p-2], row[p-1], row[p])
+				}
+			}
+		}
+	}
+}
+
+func TestBuildMatchesReferenceScan(t *testing.T) {
+	uncapped := Caps{DepthCap: 1 << 30, ContentionCap: 1 << 30}
+	type buildCase struct {
+		maxP int
+		caps Caps
+	}
+	cases := []buildCase{
+		{0, DefaultCaps()}, {1, DefaultCaps()}, {2, DefaultCaps()}, {3, DefaultCaps()},
+		{1, uncapped}, {2, uncapped}, {3, uncapped}, {48, uncapped},
+		{3, Caps{DepthCap: 1, ContentionCap: 1}}, {40, Caps{DepthCap: 0, ContentionCap: 0}},
+		{97, Caps{DepthCap: 3, ContentionCap: 2}}, {200, DefaultCaps()},
+	}
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 24; i++ {
+		maxP := 1 + rng.Intn(160)
+		caps := Caps{DepthCap: 1 + rng.Intn(40), ContentionCap: 1 + rng.Intn(12)}
+		if i%6 == 0 {
+			maxP, caps = 1+rng.Intn(64), uncapped
+		}
+		cases = append(cases, buildCase{maxP, caps})
+	}
+	for _, c := range cases {
+		checkAgainstReference(t, Build(c.maxP, c.caps), referenceBuild(c.maxP, c.caps))
+	}
+}
+
+// TestPaperGridUnchangedByMerge pins what every caller sees: over the
+// paper's grid the merged table yields the same plan and, through
+// reconstruct's smallest-i tie-break, the same generated tree as the
+// reference scan's table.
+func TestPaperGridUnchangedByMerge(t *testing.T) {
+	maxP := 512
+	if testing.Short() {
+		maxP = 64
+	}
+	got, ref := Build(maxP, DefaultCaps()), referenceBuild(maxP, DefaultCaps())
+	checkAgainstReference(t, got, ref)
+	tr := model.Default().TR
+	for _, p := range []int{16, 64, 256, 512} {
+		if p > maxP {
+			continue
+		}
+		for _, b := range []int{1, 16, 256, 1024, 4096} {
+			if g, r := got.Optimize(p, b, tr), ref.Optimize(p, b, tr); g != r {
+				t.Errorf("Optimize(%d,%d) = %+v, reference %+v", p, b, g, r)
+			}
+			if g, r := got.Tree(p, b, tr).Parent, ref.Tree(p, b, tr).Parent; !slices.Equal(g, r) {
+				t.Errorf("Tree(%d,%d) differs from the reference tree", p, b)
+			}
+		}
+	}
+}
+
+// TestForGrowsConsistently: the shared table is rebuilt when a larger p
+// arrives; the small table's entries must be the large one's.
+func TestForGrowsConsistently(t *testing.T) {
+	mu.Lock()
+	cached = nil
+	mu.Unlock()
+	small := For(64)
+	grown := For(512)
+	if grown == small || grown.maxP < 512 {
+		t.Fatalf("For(512) after For(64) returned a table for maxP=%d", grown.maxP)
+	}
+	direct := Build(512, DefaultCaps())
+	checkAgainstReference(t, grown, direct)
+	for d := range small.e {
+		for c := range small.e[d] {
+			if !slices.Equal(small.e[d][c], direct.e[d][c][:small.maxP+1]) {
+				t.Fatalf("For(64) row e[%d][%d] disagrees with For(512)", d, c)
+			}
+		}
+	}
+}
+
+var sinkTable *Table
+
+// BenchmarkBuild times the table every auto choice, Predict and generated
+// tree first waits for: the default-caps build at the paper's largest P.
+func BenchmarkBuild(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sinkTable = Build(512, DefaultCaps())
 	}
 }

@@ -170,7 +170,47 @@ type Plan struct {
 	// plan differ only in their Init vectors, so a pooled instance is
 	// re-armed with Reset instead of paying fabric.New per run; results
 	// are bit-identical either way (Reset restores the RNG chain exactly).
-	pool sync.Pool
+	pool instancePool
+}
+
+// maxFreeInstances bounds a plan's free list. An instance is only ever
+// built for a replay that found the list empty, so the list grows to the
+// number of replays of this one plan that were in flight together; beyond
+// the bound the extra instances are dropped on return, as a pool miss
+// always cost a fabric.New.
+const maxFreeInstances = 8
+
+// instancePool is a plan's free list of fabric instances. It is a plain
+// bounded stack rather than a sync.Pool because a sync.Pool is emptied by
+// every garbage collection: under allocation pressure a "pooled" replay
+// then pays fabric.New again, which is the cost the pool exists to elide.
+// The list lives and dies with its plan.
+type instancePool struct {
+	mu   sync.Mutex
+	free []*pooledFabric
+}
+
+// Get returns a free instance, or nil when there is none.
+func (ip *instancePool) Get() *pooledFabric {
+	ip.mu.Lock()
+	defer ip.mu.Unlock()
+	n := len(ip.free)
+	if n == 0 {
+		return nil
+	}
+	pf := ip.free[n-1]
+	ip.free[n-1] = nil
+	ip.free = ip.free[:n-1]
+	return pf
+}
+
+// Put returns a healthy instance to the list, dropping it when full.
+func (ip *instancePool) Put(pf *pooledFabric) {
+	ip.mu.Lock()
+	defer ip.mu.Unlock()
+	if len(ip.free) < maxFreeInstances {
+		ip.free = append(ip.free, pf)
+	}
 }
 
 // tr is the normalised ramp latency used throughout compilation.
@@ -625,7 +665,7 @@ func (p *Plan) ExecuteBatch(ctx context.Context, batches [][][]float32, eo ExecO
 // instance re-armed in place when one is free, a freshly constructed one
 // otherwise.
 func (p *Plan) checkout(inputs [][]float32) (*pooledFabric, error) {
-	pf, _ := p.pool.Get().(*pooledFabric)
+	pf := p.pool.Get()
 	if pf == nil {
 		s, err := p.bind(inputs)
 		if err != nil {

@@ -253,3 +253,27 @@ func TestSharded2DGridCompletes(t *testing.T) {
 	}
 	t.Logf("512x512 reduce2d: %d cycles, %d hops", rep.Cycles, rep.Stats.Hops)
 }
+
+// TestInstancePoolIsBounded: the free list hands instances back most
+// recent first, reports empty as nil, and drops what does not fit — a
+// burst of concurrent replays must not pin a fabric each for the plan's
+// lifetime.
+func TestInstancePoolIsBounded(t *testing.T) {
+	var ip instancePool
+	if ip.Get() != nil {
+		t.Fatal("empty pool returned an instance")
+	}
+	made := make([]*pooledFabric, maxFreeInstances+3)
+	for i := range made {
+		made[i] = &pooledFabric{}
+		ip.Put(made[i])
+	}
+	for i := maxFreeInstances - 1; i >= 0; i-- {
+		if got := ip.Get(); got != made[i] {
+			t.Fatalf("Get #%d returned instance %p, want the %d-th put %p", maxFreeInstances-i, got, i, made[i])
+		}
+	}
+	if ip.Get() != nil {
+		t.Fatalf("pool kept more than %d instances", maxFreeInstances)
+	}
+}

@@ -25,6 +25,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -463,10 +464,19 @@ func (s *Server) writeVerbError(w http.ResponseWriter, err error) {
 	s.writeError(w, errorCode(err), err.Error())
 }
 
+// writeJSON encodes before it commits the status: a value JSON cannot
+// carry (a non-finite float, say) becomes a typed 500 the client can read,
+// never a success header over an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		json.NewEncoder(&buf).Encode(errorResponse{Error: "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 }
 
 // decode parses a JSON request body, mapping malformed JSON to 400.
@@ -531,7 +541,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, field st
 		s.writeVerbError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{field: f(sh)})
+	writeJSON(w, http.StatusOK, map[string]*float64{field: finiteOrNil(f(sh))})
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {

@@ -11,13 +11,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	wse "repro"
+	"repro/client"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -85,6 +88,15 @@ func vectorsJSON(p, b int) string {
 	return "[" + strings.Join(vecs, ",") + "]"
 }
 
+// onesInputs is vectorsJSON's payload as the in-process verbs take it.
+func onesInputs(p, b int) [][]float32 {
+	out := make([][]float32, p)
+	for i := range out {
+		out[i] = slices.Repeat([]float32{1}, b)
+	}
+	return out
+}
+
 func runBody(kind string, p, b int) string {
 	return fmt.Sprintf(`{"shape":{"kind":%q,"p":%d,"b":%d,"op":"sum"},"inputs":%s}`,
 		kind, p, b, vectorsJSON(p, b))
@@ -105,20 +117,16 @@ func TestRunBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inputs := make([][]float32, p)
-	for i := range inputs {
-		inputs[i] = []float32{1, 1, 1, 1}
-	}
 	want, err := wse.Run(context.Background(), wse.Shape{
 		Kind: wse.KindReduce, Alg: wse.Auto, P: p, B: b, Op: wse.Sum,
-	}, inputs)
+	}, onesInputs(p, b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Cycles != want.Cycles {
 		t.Errorf("wire cycles %d, in-process %d", got.Cycles, want.Cycles)
 	}
-	if got.Predicted != want.Predicted {
+	if got.Predicted == nil || *got.Predicted != want.Predicted {
 		t.Errorf("wire predicted %v, in-process %v", got.Predicted, want.Predicted)
 	}
 	if len(got.Root) != len(want.Root) {
@@ -166,6 +174,63 @@ func TestPredictBound(t *testing.T) {
 	}
 }
 
+// TestNonFinitePredictedStillAnswers: allreduce-midroot under auto has no
+// finite model estimate (Predicted = +Inf), which JSON cannot spell. The
+// run's measured half must still reach the caller — predicted null, 200
+// with a body — through the handler and through the retrying client, in
+// one attempt; and the estimate endpoints answer null, not an empty 200.
+func TestNonFinitePredictedStillAnswers(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const p, b = 8, 4
+	want, err := wse.Run(context.Background(), wse.Shape{Kind: wse.KindAllReduceMidRoot, Alg: wse.Auto, P: p, B: b, Op: wse.Sum}, onesInputs(p, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(want.Predicted, 1) {
+		t.Fatalf("in-process Predicted = %v; this test needs a shape the model cannot estimate", want.Predicted)
+	}
+
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/run", strings.NewReader(runBody("allreduce-midroot", p, b))))
+	if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
+		t.Fatalf("handler answered %d with %d body bytes", rec.Code, rec.Body.Len())
+	}
+	var got ReportWire
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatalf("body %q: %v", rec.Body, err)
+	}
+	if got.Predicted != nil || got.Cycles != want.Cycles || !slices.Equal(got.Root, want.Root) {
+		t.Errorf("wire report %+v, want predicted null, cycles %d, root %v", got, want.Cycles, want.Root)
+	}
+
+	c := client.New(client.Config{BaseURL: ts.URL})
+	sh := client.Shape{Kind: "allreduce-midroot", P: p, B: b, Op: "sum"}
+	rep, err := c.Run(context.Background(), sh, onesInputs(p, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Predicted != nil || rep.Cycles != want.Cycles || !slices.Equal(rep.Root, want.Root) {
+		t.Errorf("client report %+v, want predicted nil, cycles %d, root %v", rep, want.Cycles, want.Root)
+	}
+	if v, err := c.Predict(context.Background(), sh); err != nil || !math.IsNaN(v) {
+		t.Errorf("client Predict = %v, %v; want NaN for a shape without a finite estimate", v, err)
+	}
+	if m := c.Metrics(); m.Attempts != 2 || m.Retries != 0 {
+		t.Errorf("client made %d attempts, %d retries for 2 calls", m.Attempts, m.Retries)
+	}
+}
+
+// TestUnencodableResponseIsTyped500: a value JSON cannot carry must
+// surface as a JSON error under a 500, never a 200 header over nothing.
+func TestUnencodableResponseIsTyped500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	var e errorResponse
+	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "" {
+		t.Fatalf("unencodable value answered %d %q, want a JSON error under 500", rec.Code, rec.Body)
+	}
+}
+
 // TestBadShape400: malformed shapes and ragged inputs come back 400 with
 // a JSON error body — never a 500, never a hang.
 func TestBadShape400(t *testing.T) {
@@ -178,6 +243,10 @@ func TestBadShape400(t *testing.T) {
 		{"unknown kind", `{"shape":{"kind":"transmogrify","p":4,"b":2},"inputs":[[1,1]]}`},
 		{"unknown op", `{"shape":{"kind":"reduce1d","p":4,"b":2,"op":"xor"},"inputs":[[1,1]]}`},
 		{"malformed json", `{"shape":`},
+		{"scatter with empty chunks", `{"shape":{"kind":"scatter","p":4,"b":3},"inputs":[[1,2,3]]}`},
+		{"gather with empty chunks", `{"shape":{"kind":"gather","p":4,"b":3},"inputs":[[1],[2],[3],[]]}`},
+		{"reducescatter with empty chunks", runBody("reducescatter", 4, 3)},
+		{"allgather with empty chunks", `{"shape":{"kind":"allgather","p":4,"b":3},"inputs":[[1],[2],[3],[]]}`},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts.URL+"/v1/run", tc.body, nil)

@@ -9,6 +9,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -75,9 +76,11 @@ type StatsWire struct {
 // cycles, the model estimate, the root vector and the cost metrics. The
 // per-PE maps stay server-side — they are a debugging surface, and
 // shipping W×H vectors per request would drown the result that matters.
+// Predicted is null when the model has no finite estimate (JSON has no
+// spelling for ±Inf or NaN): the measured half of the report still travels.
 type ReportWire struct {
 	Cycles    int64     `json:"cycles"`
-	Predicted float64   `json:"predicted"`
+	Predicted *float64  `json:"predicted"`
 	Root      []float32 `json:"root,omitempty"`
 	Stats     StatsWire `json:"stats"`
 }
@@ -85,7 +88,7 @@ type ReportWire struct {
 func reportWire(rep *wse.Report) ReportWire {
 	return ReportWire{
 		Cycles:    rep.Cycles,
-		Predicted: rep.Predicted,
+		Predicted: finiteOrNil(rep.Predicted),
 		Root:      rep.Root,
 		Stats: StatsWire{
 			Hops:        rep.Stats.Hops,
@@ -96,6 +99,14 @@ func reportWire(rep *wse.Report) ReportWire {
 			Steps:       rep.Stats.Steps,
 		},
 	}
+}
+
+// finiteOrNil is how a model estimate goes on the wire: itself, or null.
+func finiteOrNil(v float64) *float64 {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return nil
+	}
+	return &v
 }
 
 // TenantSpec is one parsed tenant of a -tenants flag.
