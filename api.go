@@ -144,6 +144,16 @@ func (sh Shape) Validate() error {
 		if !validOp(sh.Op) {
 			return badShape("%s: reduction op %v", sh.Kind, sh.Op)
 		}
+		// The ring is a chunked algorithm underneath (reduce-scatter then
+		// allgather): same builder, same need for a real split.
+		if sh.Alg == Ring || sh.Alg == RingDP {
+			if sh.P < 2 {
+				return badShape("%s: ring over P = %d PEs, want >= 2", sh.Kind, sh.P)
+			}
+			if sh.B < sh.P {
+				return badShape("%s: ring splits B = %d over P = %d PEs into empty chunks, want B >= P", sh.Kind, sh.B, sh.P)
+			}
+		}
 	case KindReduceScatter, KindScatter, KindGather, KindAllGather:
 		// The chunked kinds need a real split into non-empty chunks: the
 		// comm builders reject a single PE and B < P, so Validate does too

@@ -260,6 +260,9 @@ func TestShapeValidateTyped(t *testing.T) {
 		{Kind: KindGather, P: 8, B: 7},  // (the comm builders reject them)
 		{Kind: KindReduceScatter, P: 8, B: 7, Op: Sum},
 		{Kind: KindAllGather, P: 8, B: 1},
+		{Kind: KindAllReduce, P: 8, B: 7, Alg: Ring, Op: Sum},   // the ring is chunked underneath
+		{Kind: KindAllReduce, P: 8, B: 1, Alg: RingDP, Op: Sum}, // (same builder, same B >= P)
+		{Kind: KindAllReduce, P: 1, B: 4, Alg: Ring, Op: Sum},
 		{Kind: "transpose", P: 4, B: 4}, // unknown kind
 	}
 	for _, sh := range bad {
@@ -312,6 +315,10 @@ func TestBadInputsTyped(t *testing.T) {
 		},
 		"session reduce-scatter with empty chunks": func() error {
 			_, err := s.Run(ctx, Shape{Kind: KindReduceScatter, P: 4, B: 3, Op: Sum}, constVectors(4, 3))
+			return err
+		},
+		"session ring allreduce with empty chunks": func() error {
+			_, err := s.Run(ctx, Shape{Kind: KindAllReduce, Alg: Ring, P: 4, B: 3, Op: Sum}, constVectors(4, 3))
 			return err
 		},
 		"submit future": func() error {

@@ -216,10 +216,12 @@ func replayInputs(req plan.Request) [][]float32 {
 }
 
 // TestPooledReplayAllocGuard is the allocs/op regression guard run by CI:
-// a cache-hit pooled replay must not construct a fabric (fabric.New for
-// the benchmark shape costs thousands of allocations; a pooled replay
-// pays only input binding and result assembly). The guard is relative so
-// it tracks the shape rather than a brittle absolute count.
+// a cache-hit pooled replay must not construct a fabric. Since the program
+// image went dense, fabric.New is a fixed few dozen allocations rather than
+// thousands, so construction no longer dwarfs a replay; it still costs
+// several times what a pooled replay does (input binding and result
+// assembly only), and the guard sits halfway between the two. It is
+// relative so it tracks the shape rather than a brittle absolute count.
 func TestPooledReplayAllocGuard(t *testing.T) {
 	pl, err := plan.Compile(planBenchReq())
 	if err != nil {
@@ -239,7 +241,7 @@ func TestPooledReplayAllocGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if pooled > fresh/4 {
+	if pooled > fresh/2 {
 		t.Fatalf("pooled replay allocates %.0f allocs/op vs %.0f fresh — the pool is not eliding fabric construction", pooled, fresh)
 	}
 	// The plan's free list must survive garbage collection (two cycles
@@ -252,7 +254,7 @@ func TestPooledReplayAllocGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if afterGC > fresh/4 {
+	if afterGC > fresh/2 {
 		t.Fatalf("replay after GC allocates %.0f allocs/op vs %.0f fresh, %.0f pooled — a collection emptied the instance pool", afterGC, fresh, pooled)
 	}
 }

@@ -95,7 +95,7 @@ func addRingEdge(spec *fabric.Spec, path mesh.Path, a, b int, color mesh.Color) 
 	}
 	add := func(i int, cfg fabric.RouterConfig) error {
 		pe := spec.PE(path[i])
-		if _, exists := pe.Configs[color]; exists {
+		if pe.ConfigsFor(color) != nil {
 			return fmt.Errorf("comm: ring color %d collides at path index %d", color, i)
 		}
 		pe.AddConfig(color, cfg)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/measure"
+	"repro/internal/mesh"
 	"repro/internal/plan"
 )
 
@@ -91,14 +92,14 @@ func Full() Config {
 // onesInit fills every programmed PE with a constant vector so measured
 // runs also validate the reduction result.
 func onesInit(spec *fabric.Spec, b int) {
-	for _, pe := range spec.PEs {
+	spec.Each(func(_ mesh.Coord, pe *fabric.PESpec) {
 		if pe.Init == nil {
 			pe.Init = make([]float32, b)
 			for i := range pe.Init {
 				pe.Init[i] = 1
 			}
 		}
-	}
+	})
 }
 
 // planSess is the shared compiled-plan session of the harness. The

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
 	"strings"
 
 	"repro/internal/mesh"
@@ -128,15 +127,33 @@ func (o Options) Canonical() Options {
 // colors of one router contend for a wire in the same cycle, the lower
 // color wins — in every execution mode, whatever order routers are visited
 // in (cross-router interactions all defer to the next cycle).
+//
+// Everything stepColor would otherwise look up per hop is resolved here
+// ahead of time. accept and forward mirror configs[idx] and are refreshed
+// whenever idx moves. peer never changes for a program: for a link
+// direction d it is the color state of the same color at the neighbour
+// across d (-1 when there is none) — the downstream target when forwarding
+// towards d and the upstream waker when accepting from d; peer[Ramp] is the
+// index of the local processor's inbox for the color (-1 when no
+// configuration delivers to the ramp).
 type colorState struct {
-	configs     []RouterConfig
-	idx         int
-	times       int
-	queues      [mesh.NumDirections]waveQueue
+	accept      mesh.Direction
+	forward     mesh.DirSet
 	color       mesh.Color
-	router      int32
 	active      bool // flagged to step next cycle
 	wakePending bool
+	router      int32
+	peer        [mesh.NumDirections]int32
+	queues      [mesh.NumDirections]waveQueue
+	idx         int
+	times       int
+	configs     []RouterConfig
+}
+
+// route loads the resolved route of the active configuration.
+func (cs *colorState) route() {
+	cfg := &cs.configs[cs.idx]
+	cs.accept, cs.forward = cfg.Accept, cfg.Forward
 }
 
 func (cs *colorState) advance() {
@@ -147,6 +164,7 @@ func (cs *colorState) advance() {
 	if cs.times == 0 && cs.idx < len(cs.configs)-1 {
 		cs.idx++
 		cs.times = cs.configs[cs.idx].Times
+		cs.route()
 	}
 }
 
@@ -181,6 +199,7 @@ type proc struct {
 	actLeft     int  // remaining task-activation stall cycles
 	actDone     bool // activation already paid for the current op
 	acc         []float32
+	accNeed     int                   // accumulator length the ops address (resolved from the program)
 	inbox       [mesh.NumColors]int32 // index+1 into Fabric.inboxes (0 = no deliveries on color)
 	inboxTotal  int
 	latchVal    float32
@@ -237,7 +256,8 @@ type Result struct {
 // wavelet movement (the paper's energy metric) rather than PEs×cycles.
 //
 // All runtime state lives in flat preallocated arrays (routers, procs,
-// color states, inbox queues), which buys three things: the per-cycle hot
+// color states, inbox queues, one ring slab under every queue, one arena
+// under every accumulator), which buys three things: the per-cycle hot
 // loop performs no allocation, Reset can re-arm an instance for a fresh
 // run without reallocating anything, and the state partitions cleanly into
 // contiguous row-major bands for the sharded engine (Options.Shards).
@@ -259,12 +279,16 @@ type Fabric struct {
 	procs       []proc
 	colorStates []colorState
 	inboxes     []waveQueue
+	ring        []waveEntry // the slab every queue's window lives in
+	ringMask    uint32      // window size - 1 (a power of two ≥ QueueCap)
+	accArena    []float32   // backing store of every proc's accumulator
+	clockArena  []int64     // backing store of every proc's clock slots
 	cycle       int64
 
-	// lastSpec/peRefs cache the spec the fabric was last armed from: a
-	// Reset with the very same *Spec (the pooled replay path rebinds Init
-	// in place and reuses one spec object) skips structural re-validation
-	// and all per-PE map lookups.
+	// lastSpec is the spec the fabric was last resolved against and peRefs
+	// its programmed PEs in unit order. A Reset with the very same *Spec
+	// (the pooled replay path rebinds Init in place and reuses one spec
+	// object) skips validation and resolve and only re-arms.
 	lastSpec *Spec
 	peRefs   []*PESpec
 
@@ -331,95 +355,189 @@ type shardState struct {
 
 // New instantiates a fabric for the given program. The spec is validated
 // first; routing tables and processor state are laid out densely over the
-// programmed PEs.
+// programmed PEs, in the spec's own row-major order.
 func New(s *Spec, opt Options) (*Fabric, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	opt = opt.withDefaults()
-	coords := make([]mesh.Coord, 0, len(s.PEs))
-	for c := range s.PEs {
-		coords = append(coords, c)
-	}
-	sort.Slice(coords, func(i, j int) bool {
-		if coords[i].Y != coords[j].Y {
-			return coords[i].Y < coords[j].Y
-		}
-		return coords[i].X < coords[j].X
-	})
+	n := s.Len()
 	f := &Fabric{
 		opt:     opt,
 		width:   s.Width,
 		height:  s.Height,
-		coords:  coords,
-		grid:    make([]int32, s.Width*s.Height),
-		routers: make([]router, len(coords)),
-		procs:   make([]proc, len(coords)),
+		coords:  make([]mesh.Coord, 0, n),
+		grid:    make([]int32, len(s.pes)),
+		nbrs:    make([][mesh.NumDirections]int32, n),
+		routers: make([]router, n),
+		procs:   make([]proc, n),
+		peRefs:  make([]*PESpec, 0, n),
 	}
-	for i := range f.grid {
-		f.grid[i] = -1
+	totalCS := 0
+	for idx, pe := range s.pes {
+		f.grid[idx] = -1
+		if pe != nil {
+			f.grid[idx] = int32(len(f.coords))
+			f.coords = append(f.coords, s.coord(idx))
+			f.peRefs = append(f.peRefs, pe)
+			totalCS += len(pe.Configs)
+		}
 	}
-	for i, c := range coords {
-		f.grid[c.Y*f.width+c.X] = int32(i)
-	}
-	f.nbrs = make([][mesh.NumDirections]int32, len(coords))
-	for i, c := range coords {
+	for i, c := range f.coords {
 		for d := mesh.Direction(0); d < mesh.NumDirections; d++ {
 			f.nbrs[i][d] = -1
 			if d == mesh.Ramp {
 				continue
 			}
-			if n := c.Add(d); n.X >= 0 && n.X < f.width && n.Y >= 0 && n.Y < f.height {
-				f.nbrs[i][d] = f.grid[n.Y*f.width+n.X]
+			if nb := c.Add(d); nb.X >= 0 && nb.X < f.width && nb.Y >= 0 && nb.Y < f.height {
+				f.nbrs[i][d] = f.grid[nb.Y*f.width+nb.X]
 			}
 		}
 	}
 
-	// Lay out the color states flat, grouped by router, colors ascending,
-	// and pre-create an inbox queue for every (PE, color) with a ramp
-	// delivery anywhere in its config list.
-	totalCS := 0
-	for _, c := range coords {
-		totalCS += len(s.PEs[c].Configs)
-	}
+	// Lay out the color states flat, grouped by router, colors ascending —
+	// the order the routing tables are held in.
 	f.colorStates = make([]colorState, 0, totalCS)
-	var colors []mesh.Color
-	for i, c := range coords {
-		pe := s.PEs[c]
+	for i, pe := range f.peRefs {
 		r := &f.routers[i]
 		r.csBase = int32(len(f.colorStates))
-		colors = colors[:0]
-		for color := range pe.Configs {
-			colors = append(colors, color)
+		for k := range pe.Configs {
+			color := pe.Configs[k].Color
+			r.csOff[color] = int16(k) + 1
+			f.colorStates = append(f.colorStates, colorState{color: color, router: int32(i)})
 		}
-		sort.Slice(colors, func(a, b int) bool { return colors[a] < colors[b] })
-		for _, color := range colors {
-			cfgs := pe.Configs[color]
-			r.csOff[color] = int16(len(f.colorStates)-int(r.csBase)) + 1
-			f.colorStates = append(f.colorStates, colorState{
-				configs: cfgs,
-				times:   cfgs[0].Times,
-				color:   color,
-				router:  int32(i),
-			})
-			rampDelivery := false
-			for _, cfg := range cfgs {
-				if cfg.Forward.Has(mesh.Ramp) {
-					rampDelivery = true
-					break
-				}
-			}
-			if rampDelivery && f.procs[i].inbox[color] == 0 {
-				f.inboxes = append(f.inboxes, waveQueue{})
-				f.procs[i].inbox[color] = int32(len(f.inboxes))
-			}
-		}
-		r.nCS = int32(len(f.colorStates)) - r.csBase
+		r.nCS = int32(len(pe.Configs))
 	}
+	f.inboxes = make([]waveQueue, 0, totalCS) // at most one inbox per color state
+	ringSize := uint32(1)
+	for int(ringSize) < opt.QueueCap {
+		ringSize <<= 1
+	}
+	f.ringMask = ringSize - 1
 
 	f.initShards()
-	f.arm(s)
+	f.lastSpec = s
+	f.resolve()
+	f.arm()
 	return f, nil
+}
+
+// resolve binds the fabric to the program in f.peRefs: everything that
+// depends on the program but not on a run. It points every color state at
+// its configuration list and at its peers, gives every queue that anything
+// in the program can push to a window in the ring slab, and carves the
+// accumulator and clock arenas. New runs it once; Reset runs it again only
+// when handed a different spec.
+func (f *Fabric) resolve() {
+	accTotal, clockTotal := 0, 0
+	for i, pe := range f.peRefs {
+		r := &f.routers[i]
+		for k := range pe.Configs {
+			cs := &f.colorStates[int(r.csBase)+k]
+			cs.configs = pe.Configs[k].Cfgs
+			for d := mesh.Direction(0); d < mesh.Ramp; d++ {
+				cs.peer[d] = -1
+				if nb := f.nbrs[i][d]; nb >= 0 {
+					cs.peer[d] = f.csIndex(nb, cs.color)
+				}
+			}
+		}
+		p := &f.procs[i]
+		p.ops = pe.Ops
+		// Ops address acc[Off..Off+N); the buffer must span them even when
+		// the PE contributes no input of its own.
+		p.accNeed = 0
+		for _, op := range pe.Ops {
+			n := 0
+			switch op.Kind {
+			case OpSend, OpRecvReduce, OpRecvReduceSend, OpRecvStore:
+				n = op.Off + op.N
+			case OpSendRecvReduce, OpSendRecvStore:
+				n = max(op.Off+op.N, op.Off2+op.N2)
+			}
+			p.accNeed = max(p.accNeed, n)
+		}
+		accTotal += max(p.accNeed, len(pe.Init))
+		clockTotal += pe.ClockSlots
+	}
+
+	// A queue gets a window when something can push to it: an inbox when a
+	// configuration of its color delivers to the ramp, a link queue when
+	// the upstream router forwards the color across that link, a ramp queue
+	// when the processor sends on the color. What the consuming side
+	// accepts plays no part, so a wavelet nobody will route still queues up
+	// and surfaces as a deadlock.
+	windows := int32(0)
+	window := func() int32 {
+		base := windows * int32(f.ringMask+1)
+		windows++
+		return base
+	}
+	f.inboxes = f.inboxes[:0]
+	for i, pe := range f.peRefs {
+		r := &f.routers[i]
+		p := &f.procs[i]
+		p.inbox = [mesh.NumColors]int32{}
+		for k := r.csBase; k < r.csBase+r.nCS; k++ {
+			cs := &f.colorStates[k]
+			cs.peer[mesh.Ramp] = -1
+			if forwardsTo(cs.configs, mesh.Ramp) {
+				cs.peer[mesh.Ramp] = int32(len(f.inboxes))
+				f.inboxes = append(f.inboxes, waveQueue{base: window()})
+				p.inbox[cs.color] = int32(len(f.inboxes))
+			}
+			for d := mesh.Direction(0); d < mesh.Ramp; d++ {
+				cs.queues[d].base = noRing
+				if up := cs.peer[d]; up >= 0 && forwardsTo(f.colorStates[up].configs, d.Opposite()) {
+					cs.queues[d].base = window()
+				}
+			}
+			cs.queues[mesh.Ramp].base = noRing
+		}
+		for _, op := range pe.Ops {
+			var out mesh.Color
+			switch op.Kind {
+			case OpSend, OpSendTrigger:
+				out = op.Color
+			case OpRecvReduceSend, OpSendRecvReduce, OpSendRecvStore:
+				out = op.OutColor
+			default:
+				continue
+			}
+			if csI := f.csIndex(int32(i), out); csI >= 0 {
+				if q := &f.colorStates[csI].queues[mesh.Ramp]; q.base == noRing {
+					q.base = window()
+				}
+			}
+		}
+	}
+	if need := int(windows) * int(f.ringMask+1); need > len(f.ring) {
+		f.ring = make([]waveEntry, need)
+	}
+
+	if accTotal > len(f.accArena) {
+		f.accArena = make([]float32, accTotal)
+	}
+	if clockTotal > len(f.clockArena) {
+		f.clockArena = make([]int64, clockTotal)
+	}
+	acc, clock := f.accArena, f.clockArena
+	for i, pe := range f.peRefs {
+		p := &f.procs[i]
+		n := max(p.accNeed, len(pe.Init))
+		p.acc, acc = acc[:0:n], acc[n:]
+		p.clock, clock = clock[:pe.ClockSlots:pe.ClockSlots], clock[pe.ClockSlots:]
+	}
+}
+
+// forwardsTo reports whether any configuration of the list forwards to d.
+func forwardsTo(cfgs []RouterConfig, d mesh.Direction) bool {
+	for i := range cfgs {
+		if cfgs[i].Forward.Has(d) {
+			return true
+		}
+	}
+	return false
 }
 
 // autoShardProcs reports the parallelism auto-sharding divides the fabric
@@ -481,14 +599,18 @@ func (f *Fabric) initShards() {
 		sh.id = si
 		sh.outCS = make([][]int32, n)
 		sh.outP = make([][]int32, n)
+		// A band's active lists never outgrow its unit count.
+		units := len(f.procs)/n + 1
+		sh.curR, sh.nextR = make([]int32, 0, units), make([]int32, 0, units)
+		sh.curP, sh.nextP = make([]int32, 0, units), make([]int32, 0, units)
 	}
 }
 
-// arm stamps the per-run state of a validated, structurally matching spec
-// into the preallocated fabric: accumulators from Init, router configs at
-// their first entry, empty queues, the deterministic RNG chain, and the
-// initial processor wake list. It is the shared tail of New and Reset.
-func (f *Fabric) arm(s *Spec) {
+// arm stamps the per-run state of the resolved program into the
+// preallocated fabric: accumulators from Init, router configs at their
+// first entry, empty queues, the deterministic RNG chain, and the initial
+// processor wake list. It is the shared tail of New and Reset.
+func (f *Fabric) arm() {
 	f.cycle = 0
 	for i := range f.inboxes {
 		f.inboxes[i].reset()
@@ -512,68 +634,32 @@ func (f *Fabric) arm(s *Spec) {
 		sh.stats = Stats{}
 		sh.err = nil
 	}
-
-	sameSpec := s == f.lastSpec
-	if !sameSpec {
-		if f.peRefs == nil {
-			f.peRefs = make([]*PESpec, len(f.coords))
+	for k := range f.colorStates {
+		cs := &f.colorStates[k]
+		cs.idx = 0
+		cs.times = cs.configs[0].Times
+		cs.route()
+		cs.active = false
+		cs.wakePending = false
+		for d := range cs.queues {
+			cs.queues[d].reset()
 		}
-		for i, c := range f.coords {
-			f.peRefs[i] = s.PEs[c]
-		}
-		f.lastSpec = s
 	}
+
 	rng := f.opt.Seed | 1
-	for i := range f.coords {
-		pe := f.peRefs[i]
+	for i, pe := range f.peRefs {
 		r := &f.routers[i]
 		r.outUsed = [mesh.NumDirections]int64{}
 		r.inList = false
-		for k := r.csBase; k < r.csBase+r.nCS; k++ {
-			cs := &f.colorStates[k]
-			if !sameSpec {
-				cs.configs = pe.Configs[cs.color]
-			}
-			cs.idx = 0
-			cs.times = cs.configs[0].Times
-			cs.active = false
-			cs.wakePending = false
-			for d := range cs.queues {
-				cs.queues[d].reset()
-			}
-		}
 
 		p := &f.procs[i]
-		p.ops = pe.Ops
+		// Init is rebound between runs; a vector longer than the one the
+		// arena was carved for simply moves this accumulator off the arena.
 		p.acc = append(p.acc[:0], pe.Init...)
-		// Ops address acc[Off..Off+N); make sure the buffer exists even
-		// when the PE contributed no input of its own.
-		need := len(p.acc)
-		for _, op := range pe.Ops {
-			n := 0
-			switch op.Kind {
-			case OpSend, OpRecvReduce, OpRecvReduceSend, OpRecvStore:
-				n = op.Off + op.N
-			case OpSendRecvReduce, OpSendRecvStore:
-				n = op.Off + op.N
-				if n2 := op.Off2 + op.N2; n2 > n {
-					n = n2
-				}
-			}
-			if n > need {
-				need = n
-			}
-		}
-		for len(p.acc) < need {
+		for len(p.acc) < p.accNeed {
 			p.acc = append(p.acc, 0)
 		}
-		if len(p.clock) == pe.ClockSlots {
-			for j := range p.clock {
-				p.clock[j] = 0
-			}
-		} else {
-			p.clock = make([]int64, pe.ClockSlots)
-		}
+		clear(p.clock)
 		rng = splitmix(rng)
 		p.rng = rng
 		p.skew = 0
@@ -600,36 +686,49 @@ func (f *Fabric) arm(s *Spec) {
 }
 
 // Reset re-arms the fabric for a fresh run of a spec with the same
-// structure (same PE set, op-list lengths and routing-table shapes) as the
-// one it was built from — typically a per-replay binding of the same
-// compiled plan with new Init vectors. Nothing is reallocated: queue
-// buffers, accumulators, active lists and routing state are all reused,
-// and the deterministic RNG chain (clock skew, thermal no-ops) is restored
-// exactly, so a Reset fabric reproduces a fresh New bit for bit.
+// structure (same PE set and the same routing colors per PE) as the one it
+// was built from — typically a per-replay binding of the same compiled
+// plan with new Init vectors. Handed the very spec object it was last
+// resolved against, it assumes only Init vectors were rebound and
+// reallocates nothing: queue windows, accumulators, active lists and
+// routing state are all reused. Any other spec is validated and resolved
+// afresh (programs, routes and queue windows may all differ) on the same
+// flat arrays. Either way the deterministic RNG chain (clock skew, thermal
+// no-ops) is restored exactly, so a Reset fabric reproduces a fresh New bit
+// for bit.
 func (f *Fabric) Reset(s *Spec) error {
-	if s != f.lastSpec { // a re-armed identical spec object needs no re-checking
+	if s != f.lastSpec {
 		if s.Width != f.width || s.Height != f.height {
 			return fmt.Errorf("fabric: reset with %dx%d spec, fabric is %dx%d", s.Width, s.Height, f.width, f.height)
 		}
-		if len(s.PEs) != len(f.coords) {
-			return fmt.Errorf("fabric: reset with %d PEs, fabric has %d", len(s.PEs), len(f.coords))
+		if s.Len() != len(f.coords) {
+			return fmt.Errorf("fabric: reset with %d PEs, fabric has %d", s.Len(), len(f.coords))
+		}
+		if err := s.Validate(); err != nil {
+			return err
 		}
 		for i, c := range f.coords {
-			pe := s.PEs[c]
+			pe := s.At(c)
 			if pe == nil {
 				return fmt.Errorf("fabric: reset spec lacks PE %v", c)
 			}
-			if len(pe.Configs) != int(f.routers[i].nCS) {
-				return fmt.Errorf("fabric: reset PE %v has %d colors, fabric has %d", c, len(pe.Configs), f.routers[i].nCS)
+			r := &f.routers[i]
+			if len(pe.Configs) != int(r.nCS) {
+				return fmt.Errorf("fabric: reset PE %v has %d colors, fabric has %d", c, len(pe.Configs), r.nCS)
 			}
-			for k := f.routers[i].csBase; k < f.routers[i].csBase+f.routers[i].nCS; k++ {
-				if pe.Configs[f.colorStates[k].color] == nil {
-					return fmt.Errorf("fabric: reset PE %v lacks color %d", c, f.colorStates[k].color)
+			for k := range pe.Configs {
+				if want := f.colorStates[int(r.csBase)+k].color; pe.Configs[k].Color != want {
+					return fmt.Errorf("fabric: reset PE %v lacks color %d", c, want)
 				}
 			}
 		}
+		for i, c := range f.coords {
+			f.peRefs[i] = s.At(c)
+		}
+		f.lastSpec = s
+		f.resolve()
 	}
-	f.arm(s)
+	f.arm()
 	return nil
 }
 
@@ -640,8 +739,6 @@ func splitmix(x uint64) uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
-
-func (f *Fabric) neighbor(i int32, d mesh.Direction) int32 { return f.nbrs[i][d] }
 
 // csIndex returns the flat color-state index of (unit, color), or -1.
 func (f *Fabric) csIndex(unit int32, c mesh.Color) int32 {
@@ -992,9 +1089,9 @@ func (f *Fabric) result() (*Result, error) {
 func (sh *shardState) stepColor(csI int32) bool {
 	f := sh.f
 	cs := &f.colorStates[csI]
-	cfg := &cs.configs[cs.idx]
-	q := &cs.queues[cfg.Accept]
-	e, ok := q.peek()
+	accept, forward := cs.accept, cs.forward
+	q := &cs.queues[accept]
+	e, ok := f.peek(q)
 	if !ok {
 		return false // nothing visible on the accepted side; a push or config advance will wake us
 	}
@@ -1005,58 +1102,47 @@ func (sh *shardState) stepColor(csI int32) bool {
 	r := &f.routers[i]
 	qcap := f.opt.QueueCap
 	stamp := f.cycle + 1
-	nbrs := &f.nbrs[i]
 	// Check every forward target; multicast moves atomically or not at all.
-	// Iterating set bits touches only the actual targets (usually one). The
-	// resolved targets are cached so the commit pass below neither re-walks
-	// the tables nor re-checks capacity (this unit is the only producer of
-	// its target queues, so the feasibility result cannot change mid-step).
-	var targets [mesh.NumDirections]*waveQueue // non-ramp forward queues
-	var targetCS [mesh.NumDirections]int32
-	for set := cfg.Forward; set != 0; set &= set - 1 {
+	// Iterating set bits touches only the actual targets (usually one), each
+	// already resolved in cs.peer. This unit is the only producer of its
+	// target queues, so the feasibility result cannot change before the
+	// commit pass below.
+	for set := forward; set != 0; set &= set - 1 {
 		d := mesh.Direction(bits.TrailingZeros8(uint8(set)))
 		if r.outUsed[d] == stamp {
 			return true // wire contention: retry next cycle
 		}
+		t := cs.peer[d]
+		if t < 0 {
+			return false // off-grid or unroutable color downstream: surfaces as deadlock
+		}
 		if d == mesh.Ramp {
-			if f.inboxQ(i, cs.color).prodLen() >= qcap {
+			if f.inboxes[t].prodLen() >= qcap {
 				return false // sleep until the processor drains its inbox
 			}
-			continue
-		}
-		nb := nbrs[d]
-		if nb < 0 {
-			return false // off-grid (caught by Validate; defensive)
-		}
-		ncsI := f.csIndex(nb, cs.color)
-		if ncsI < 0 {
-			return false // unroutable color downstream: surfaces as deadlock
-		}
-		nq := &f.colorStates[ncsI].queues[d.Opposite()]
-		if !nq.hasSpace(qcap) {
+		} else if !f.colorStates[t].queues[d.Opposite()].hasSpace(qcap) {
 			return false // sleep until downstream pops
 		}
-		targets[d] = nq
-		targetCS[d] = ncsI
 	}
-	q.pop()
+	f.pop(q)
 	sh.poppedQ = append(sh.poppedQ, q)
 	sh.qPops++
 	if f.opt.Tracer != nil {
-		f.opt.Tracer.record(TraceEvent{Cycle: f.cycle, PE: f.coords[i], Kind: EvRoute, Color: cs.color, Forward: cfg.Forward, Ctl: e.w.Ctl})
+		f.opt.Tracer.record(TraceEvent{Cycle: f.cycle, PE: f.coords[i], Kind: EvRoute, Color: cs.color, Forward: forward, Ctl: e.w.Ctl})
 	}
 	// Popping frees space: wake whoever fills this queue.
-	if cfg.Accept == mesh.Ramp {
+	if accept == mesh.Ramp {
 		sh.wakeProc(i)
-	} else if up := nbrs[cfg.Accept]; up >= 0 {
-		sh.wakeCS(f.csIndex(up, cs.color))
+	} else {
+		sh.wakeCS(cs.peer[accept])
 	}
-	for set := cfg.Forward; set != 0; set &= set - 1 {
+	for set := forward; set != 0; set &= set - 1 {
 		d := mesh.Direction(bits.TrailingZeros8(uint8(set)))
 		r.outUsed[d] = stamp
+		t := cs.peer[d]
 		if d == mesh.Ramp {
-			iq := f.inboxQ(i, cs.color)
-			iq.push(waveEntry{w: e.w, readyAt: f.cycle + int64(f.opt.TR)}, qcap)
+			iq := &f.inboxes[t]
+			f.push(iq, waveEntry{w: e.w, readyAt: f.cycle + int64(f.opt.TR)})
 			sh.pushedQ = append(sh.pushedQ, iq)
 			f.procs[i].inboxTotal++
 			sh.stats.RampMoves++
@@ -1066,15 +1152,15 @@ func (sh *shardState) stepColor(csI int32) bool {
 			}
 			continue
 		}
-		nq := targets[d]
-		nq.push(waveEntry{w: e.w, readyAt: stamp}, qcap)
+		nq := &f.colorStates[t].queues[d.Opposite()]
+		f.push(nq, waveEntry{w: e.w, readyAt: stamp})
 		sh.pushedQ = append(sh.pushedQ, nq)
 		sh.qPushes++
 		sh.stats.Hops++
 		if l := nq.prodLen(); l > sh.stats.MaxQueueLen {
 			sh.stats.MaxQueueLen = l
 		}
-		sh.wakeCS(targetCS[d])
+		sh.wakeCS(t)
 	}
 	if e.w.Ctl {
 		cs.advance()
@@ -1097,7 +1183,7 @@ func (sh *shardState) pushRamp(i int32, w Wavelet) bool {
 		return false
 	}
 	q := &f.colorStates[csI].queues[mesh.Ramp]
-	if !q.push(waveEntry{w: w, readyAt: f.cycle + int64(f.opt.TR)}, f.opt.QueueCap) {
+	if !f.push(q, waveEntry{w: w, readyAt: f.cycle + int64(f.opt.TR)}) {
 		return false
 	}
 	sh.pushedQ = append(sh.pushedQ, q)
@@ -1124,11 +1210,11 @@ func (sh *shardState) popInbox(i int32, c mesh.Color) (Wavelet, popState) {
 	if q == nil || q.visLen() == 0 {
 		return Wavelet{}, popEmpty
 	}
-	e, _ := q.peek()
+	e, _ := f.peek(q)
 	if e.readyAt > f.cycle {
 		return Wavelet{}, popNotReady
 	}
-	q.pop()
+	f.pop(q)
 	sh.poppedQ = append(sh.poppedQ, q)
 	f.procs[i].inboxTotal--
 	// Draining the inbox may unblock the router's ramp delivery.
@@ -1387,7 +1473,7 @@ func (sh *shardState) activationStall(i int32, color mesh.Color) (bool, bool) {
 	if q == nil || q.visLen() == 0 {
 		return false, true // nothing arrived yet: sleep until a push
 	}
-	if e, _ := q.peek(); e.readyAt > f.cycle {
+	if e, _ := f.peek(q); e.readyAt > f.cycle {
 		return true, true // in ramp transit: retry next cycle
 	}
 	if p.actLeft == 0 {

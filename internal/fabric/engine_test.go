@@ -116,11 +116,42 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestSendOnColorRouterNeverAccepts: queue windows are laid out for what
+// the program can push, not for what routers accept. A processor sending on
+// a color its router only ever accepts from the east still fills its ramp
+// queue and blocks there, and one sending on a color its router has no
+// table for blocks at once; both must end in the deadlock diagnostic naming
+// the PE.
+func TestSendOnColorRouterNeverAccepts(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		color mesh.Color
+	}{
+		{"accepted from the east only", 0},
+		{"no routing table", 7},
+	} {
+		s := twoPE(8)
+		lost := s.PE(mesh.Coord{})
+		lost.Init = make([]float32, 8)
+		lost.Ops = []Op{{Kind: OpSend, Color: tc.color, N: 8}}
+		for _, opt := range []Options{{}, {QueueCap: 1}, {Shards: 2}} {
+			f, err := New(s, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.Run()
+			if err == nil || !strings.Contains(err.Error(), "deadlock") || !strings.Contains(err.Error(), "PE (0,0) blocked on op 0 send") {
+				t.Errorf("%s, %+v: want a deadlock naming PE (0,0), got %v", tc.name, opt, err)
+			}
+		}
+	}
+}
+
 func TestProtocolViolationDetected(t *testing.T) {
 	// Receiver expects fewer elements than the sender ships: the excess
 	// data wavelet must fail the run with a protocol error.
 	s := twoPE(8)
-	s.PEs[mesh.Coord{}].Ops = []Op{{Kind: OpRecvStore, Color: 0, N: 4}}
+	s.PE(mesh.Coord{}).Ops = []Op{{Kind: OpRecvStore, Color: 0, N: 4}}
 	f, err := New(s, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -264,10 +295,10 @@ func TestThermalNoopsSlowRun(t *testing.T) {
 
 func TestClockSkewSampling(t *testing.T) {
 	s := twoPE(4)
-	for _, pe := range s.PEs {
+	s.Each(func(_ mesh.Coord, pe *PESpec) {
 		pe.ClockSlots = 1
 		pe.Ops = append([]Op{{Kind: OpSampleClock, Slot: 0}}, pe.Ops...)
-	}
+	})
 	f, err := New(s, Options{ClockSkewMax: 1 << 20, Seed: 99})
 	if err != nil {
 		t.Fatal(err)

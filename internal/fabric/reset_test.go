@@ -85,8 +85,8 @@ func TestResetRebindsInputs(t *testing.T) {
 	if _, err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range spec.PEs[mesh.Coord{X: 1, Y: 0}].Init {
-		spec.PEs[mesh.Coord{X: 1, Y: 0}].Init[i] = float32(10 * i)
+	for i := range spec.At(mesh.Coord{X: 1, Y: 0}).Init {
+		spec.At(mesh.Coord{X: 1, Y: 0}).Init[i] = float32(10 * i)
 	}
 	if err := f.Reset(spec); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestResetRebindsInputs(t *testing.T) {
 // violation) must be fully re-armable.
 func TestResetSurvivesFailedRun(t *testing.T) {
 	bad := twoPE(8)
-	bad.PEs[mesh.Coord{}].Ops = []Op{{Kind: OpRecvStore, Color: 0, N: 4}}
+	bad.PE(mesh.Coord{}).Ops = []Op{{Kind: OpRecvStore, Color: 0, N: 4}}
 	f, err := New(bad, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -151,5 +151,70 @@ func TestResetRejectsStructuralMismatch(t *testing.T) {
 	moved.PE(mesh.Coord{X: 1, Y: 0}).AddConfig(3, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
 	if err := f.Reset(moved); err == nil {
 		t.Error("accepted spec with different routing colors")
+	}
+}
+
+// rowStream builds a three-PE row on color 0 streaming b wavelets from one
+// end to the other. Westward, PE 2 sends, PE 1 passes through and PE 0
+// stores; eastward, PE 0 sends, PE 1 both stores a copy and forwards
+// (multicast) and PE 2 stores. The two programs have the same shape — the
+// same PEs, each with color 0 alone — and share no route, no inbox and no
+// sender.
+func rowStream(b int, eastward bool) *Spec {
+	s := NewSpec(3, 1)
+	src, dst, toward, from := 2, 0, mesh.West, mesh.East
+	mid := RouterConfig{Accept: from, Forward: mesh.Dirs(toward)}
+	if eastward {
+		src, dst, toward, from = 0, 2, mesh.East, mesh.West
+		mid = RouterConfig{Accept: from, Forward: mesh.Dirs(toward, mesh.Ramp)}
+		s.PE(mesh.Coord{X: 1}).Ops = []Op{{Kind: OpRecvStore, Color: 0, N: b}}
+	}
+	s.PE(mesh.Coord{X: 1}).AddConfig(0, mid)
+	send := s.PE(mesh.Coord{X: src})
+	send.Init = make([]float32, b)
+	for i := range send.Init {
+		send.Init[i] = float32(i + src)
+	}
+	send.Ops = []Op{{Kind: OpSend, Color: 0, N: b}}
+	send.AddConfig(0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(toward)})
+	recv := s.PE(mesh.Coord{X: dst})
+	recv.Ops = []Op{{Kind: OpRecvStore, Color: 0, N: b}}
+	recv.AddConfig(0, RouterConfig{Accept: from, Forward: mesh.Dirs(mesh.Ramp)})
+	return s
+}
+
+// TestResetResolvesNewRoutes: the fabric resolves routes, inboxes and queue
+// windows once per program, so a Reset with a different spec of the same
+// shape must resolve them again — Accept sides, Forward sets, which PEs
+// own an inbox and which ramps carry traffic all differ here — and then
+// reproduce a fresh New bit for bit, in both directions.
+func TestResetResolvesNewRoutes(t *testing.T) {
+	for _, opt := range []Options{{}, {ThermalNoopRate: 0.1, Seed: 5, ClockSkewMax: 64}, {QueueCap: 1, Shards: 2}} {
+		west, east := rowStream(40, false), rowStream(40, true)
+		f, err := New(west, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for rep, spec := range []*Spec{east, west, east} {
+			fresh, err := New(spec, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Reset(spec); err != nil {
+				t.Fatalf("reset %d: %v", rep, err)
+			}
+			got, err := f.Run()
+			if err != nil {
+				t.Fatalf("run after reset %d: %v", rep, err)
+			}
+			sameResult(t, want, got, "reset onto new routes")
+		}
 	}
 }

@@ -178,7 +178,7 @@ func TestShardedWorkerPathBitIdentical(t *testing.T) {
 // must surface as ordinary run errors.
 func TestShardedErrorPropagates(t *testing.T) {
 	spec := twoPE(8)
-	spec.PEs[mesh.Coord{}].Ops = []Op{{Kind: OpRecvStore, Color: 0, N: 4}}
+	spec.PE(mesh.Coord{}).Ops = []Op{{Kind: OpRecvStore, Color: 0, N: 4}}
 	f, err := New(spec, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)

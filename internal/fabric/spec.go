@@ -133,6 +133,13 @@ type Op struct {
 	Reduce   ReduceOp
 }
 
+// ColorConfig is one row of a PE's routing table: the configuration list
+// its router cycles through for one color.
+type ColorConfig struct {
+	Color mesh.Color
+	Cfgs  []RouterConfig
+}
+
 // PESpec describes one processing element of a program: its initial local
 // vector, its processor program, and its router's per-color configuration
 // lists.
@@ -142,11 +149,13 @@ type PESpec struct {
 	Init []float32
 	// Ops is the processor program.
 	Ops []Op
-	// Configs holds the router configuration list for each color the PE's
-	// router participates in. Colors without an entry drop into a
-	// "no route" state: wavelets of such colors arriving at the router
-	// stall forever, which the deadlock detector reports.
-	Configs map[mesh.Color][]RouterConfig
+	// Configs is the routing table: one configuration list for each color
+	// the PE's router participates in, in strictly ascending color order
+	// (AddConfig keeps it so; Validate rejects anything else). Colors
+	// without an entry drop into a "no route" state: wavelets of such
+	// colors arriving at the router stall forever, which the deadlock
+	// detector reports.
+	Configs []ColorConfig
 	// ClockSlots is the number of local-clock sample slots the program
 	// uses (indexed by Op.Slot).
 	ClockSlots int
@@ -154,24 +163,54 @@ type PESpec struct {
 
 // AddConfig appends a configuration to the PE's list for a color.
 func (p *PESpec) AddConfig(c mesh.Color, cfg RouterConfig) {
-	if p.Configs == nil {
-		p.Configs = make(map[mesh.Color][]RouterConfig)
+	i := 0
+	for i < len(p.Configs) && p.Configs[i].Color < c {
+		i++
 	}
-	p.Configs[c] = append(p.Configs[c], cfg)
+	if i == len(p.Configs) || p.Configs[i].Color != c {
+		p.Configs = append(p.Configs, ColorConfig{})
+		copy(p.Configs[i+1:], p.Configs[i:])
+		p.Configs[i] = ColorConfig{Color: c}
+	}
+	p.Configs[i].Cfgs = append(p.Configs[i].Cfgs, cfg)
+}
+
+// ConfigsFor returns the PE's configuration list for a color, nil when its
+// router does not participate in the color.
+func (p *PESpec) ConfigsFor(c mesh.Color) []RouterConfig {
+	for i := range p.Configs {
+		if p.Configs[i].Color >= c {
+			if p.Configs[i].Color == c {
+				return p.Configs[i].Cfgs
+			}
+			break
+		}
+	}
+	return nil
 }
 
 // Spec is a complete fabric program: a rectangular region of PEs, each
-// with a program and routing tables. PEs absent from the map are idle
-// pass-nothing PEs; routing a wavelet towards one is a compile bug that
-// Build reports.
+// with a program and routing tables — one dense image, the shape the
+// hardware holds it in. The PEs sit in a row-major table with a nil entry
+// for every unprogrammed PE; those are idle pass-nothing PEs, and routing
+// a wavelet towards one is a compile bug that Validate reports. Every
+// layer that reads a program (codec, Validate, plan binding, New) walks the
+// table in order, so row-major is also the order of the encoded frame and
+// of the fabric's units.
 type Spec struct {
 	Width, Height int
-	PEs           map[mesh.Coord]*PESpec
+
+	pes []*PESpec // row-major, len Width*Height; nil = unprogrammed
+	n   int       // programmed PEs
+	// free is the backing store PE carves fresh entries from, a row's worth
+	// at a time (the decoder sizes it to the frame's PE count instead), so
+	// building a program costs one allocation per row rather than per PE.
+	free []PESpec
 }
 
 // NewSpec allocates an empty program for a Width×Height PE region.
 func NewSpec(width, height int) *Spec {
-	return &Spec{Width: width, Height: height, PEs: make(map[mesh.Coord]*PESpec)}
+	return &Spec{Width: width, Height: height, pes: make([]*PESpec, width*height)}
 }
 
 // PE returns the spec for the PE at c, allocating it on first use.
@@ -179,37 +218,95 @@ func (s *Spec) PE(c mesh.Coord) *PESpec {
 	if c.X < 0 || c.X >= s.Width || c.Y < 0 || c.Y >= s.Height {
 		panic(fmt.Sprintf("fabric: PE %v outside %dx%d region", c, s.Width, s.Height))
 	}
-	pe := s.PEs[c]
-	if pe == nil {
-		pe = &PESpec{}
-		s.PEs[c] = pe
+	i := c.Y*s.Width + c.X
+	if s.pes[i] == nil {
+		s.pes[i] = s.alloc()
 	}
+	return s.pes[i]
+}
+
+// alloc carves one zeroed PESpec out of the backing store.
+func (s *Spec) alloc() *PESpec {
+	if len(s.free) == 0 {
+		s.free = make([]PESpec, s.Width)
+	}
+	pe := &s.free[0]
+	s.free = s.free[1:]
+	s.n++
 	return pe
 }
 
-// Validate checks structural properties of the program: configurations
-// never forward off-grid, every non-final configuration has a positive
+// At returns the spec of the PE at c, or nil when c is unprogrammed or
+// outside the region.
+func (s *Spec) At(c mesh.Coord) *PESpec {
+	if c.X < 0 || c.X >= s.Width || c.Y < 0 || c.Y >= s.Height {
+		return nil
+	}
+	return s.pes[c.Y*s.Width+c.X]
+}
+
+// Len returns the number of programmed PEs.
+func (s *Spec) Len() int { return s.n }
+
+// Each calls fn for every programmed PE in row-major order.
+func (s *Spec) Each(fn func(c mesh.Coord, pe *PESpec)) {
+	for i, pe := range s.pes {
+		if pe != nil {
+			fn(s.coord(i), pe)
+		}
+	}
+}
+
+// coord is the coordinate of table index i.
+func (s *Spec) coord(i int) mesh.Coord { return mesh.Coord{X: i % s.Width, Y: i / s.Width} }
+
+// Validate checks structural properties of the program: routing tables are
+// in strictly ascending color order, configurations never forward off-grid
+// or to an unprogrammed PE, every non-final configuration has a positive
 // Times, and op element counts are sane.
 func (s *Spec) Validate() error {
-	for c, pe := range s.PEs {
-		for color, cfgs := range pe.Configs {
+	if len(s.pes) != s.Width*s.Height {
+		return fmt.Errorf("fabric: %dx%d spec holds a %d-entry PE table", s.Width, s.Height, len(s.pes))
+	}
+	// Table offset of the neighbour in each link direction.
+	step := [mesh.NumDirections]int{mesh.East: 1, mesh.West: -1, mesh.North: -s.Width, mesh.South: s.Width}
+	for idx, pe := range s.pes {
+		if pe == nil {
+			continue
+		}
+		c := s.coord(idx)
+		// Link directions that stay on the grid from c.
+		onGrid := [mesh.NumDirections]bool{
+			mesh.East: c.X+1 < s.Width, mesh.West: c.X > 0,
+			mesh.North: c.Y > 0, mesh.South: c.Y+1 < s.Height,
+		}
+		for k := range pe.Configs {
+			color, cfgs := pe.Configs[k].Color, pe.Configs[k].Cfgs
 			if int(color) >= mesh.NumColors {
 				return fmt.Errorf("fabric: PE %v uses color %d ≥ %d", c, color, mesh.NumColors)
+			}
+			if k > 0 && color <= pe.Configs[k-1].Color {
+				return fmt.Errorf("fabric: PE %v lists color %d after color %d; routing tables are color-ascending", c, color, pe.Configs[k-1].Color)
 			}
 			if len(cfgs) == 0 {
 				return fmt.Errorf("fabric: PE %v has empty config list for color %d", c, color)
 			}
 			for i, cfg := range cfgs {
-				for d := mesh.Direction(0); d < mesh.NumDirections; d++ {
-					if !cfg.Forward.Has(d) || d == mesh.Ramp {
+				if cfg.Accept >= mesh.NumDirections {
+					return fmt.Errorf("fabric: PE %v color %d config %d accepts from %v", c, color, i, cfg.Accept)
+				}
+				if cfg.Forward>>mesh.NumDirections != 0 {
+					return fmt.Errorf("fabric: PE %v color %d config %d forwards to %v", c, color, i, cfg.Forward)
+				}
+				for d := mesh.Direction(0); d < mesh.Ramp; d++ {
+					if !cfg.Forward.Has(d) {
 						continue
 					}
-					n := c.Add(d)
-					if n.X < 0 || n.X >= s.Width || n.Y < 0 || n.Y >= s.Height {
+					if !onGrid[d] {
 						return fmt.Errorf("fabric: PE %v color %d config %d forwards %v off-grid", c, color, i, d)
 					}
-					if s.PEs[n] == nil {
-						return fmt.Errorf("fabric: PE %v color %d config %d forwards %v to unprogrammed PE %v", c, color, i, d, n)
+					if s.pes[idx+step[d]] == nil {
+						return fmt.Errorf("fabric: PE %v color %d config %d forwards %v to unprogrammed PE %v", c, color, i, d, c.Add(d))
 					}
 				}
 				if cfg.Times < 0 {
@@ -220,9 +317,15 @@ func (s *Spec) Validate() error {
 				}
 			}
 		}
+		if pe.ClockSlots < 0 {
+			return fmt.Errorf("fabric: PE %v has %d clock slots", c, pe.ClockSlots)
+		}
 		for i, op := range pe.Ops {
 			if op.Off < 0 || op.Off2 < 0 {
 				return fmt.Errorf("fabric: PE %v op %d (%v) has negative offset", c, i, op.Kind)
+			}
+			if int(op.Color) >= mesh.NumColors || int(op.OutColor) >= mesh.NumColors {
+				return fmt.Errorf("fabric: PE %v op %d (%v) uses color %d/%d ≥ %d", c, i, op.Kind, op.Color, op.OutColor, mesh.NumColors)
 			}
 			switch op.Kind {
 			case OpSend, OpRecvReduce, OpRecvReduceSend, OpRecvStore:

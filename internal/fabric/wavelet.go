@@ -12,7 +12,11 @@
 // from the architectural description in §2.2 of the paper.
 package fabric
 
-import "repro/internal/mesh"
+import (
+	"math"
+
+	"repro/internal/mesh"
+)
 
 // Wavelet is a single 32-bit fabric packet. Reduction payloads are float32
 // values (the paper's experiments use 32-bit floats). A control wavelet
@@ -53,13 +57,25 @@ type waveEntry struct {
 // cursors are written between cycles.
 // Cursors are uint32 and wrap; every derived quantity is a difference
 // bounded by the queue capacity, which wraparound arithmetic preserves.
+//
+// A queue owns no storage: its entries live in the fabric's ring slab
+// (Fabric.ring), every queue a power-of-two window of ringMask+1 slots
+// starting at base. New lays the windows out once for the queues the
+// program can ever push to; a queue nothing pushes to keeps base noRing and
+// is only ever found empty.
 type waveQueue struct {
-	buf      []waveEntry // allocated on first push, reused by Reset
-	head     uint32      // consumer cursor (monotonic mod 2^32)
-	tail     uint32      // producer cursor (monotonic mod 2^32)
-	headSeen uint32      // head as seen by the producer (synced at cycle barrier)
-	tailSeen uint32      // tail as seen by the consumer (synced at cycle barrier)
+	base     int32  // first slot of this queue's window in the ring slab
+	head     uint32 // consumer cursor (monotonic mod 2^32)
+	tail     uint32 // producer cursor (monotonic mod 2^32)
+	headSeen uint32 // head as seen by the producer (synced at cycle barrier)
+	tailSeen uint32 // tail as seen by the consumer (synced at cycle barrier)
 }
+
+// noRing is the base of a queue without a window. It is far enough below
+// zero that base+offset stays negative for any offset, so a push the layout
+// did not foresee fails the slab's bounds check instead of landing in a
+// neighbour's window.
+const noRing = math.MinInt32
 
 // visLen is the consumer-visible occupancy.
 func (q *waveQueue) visLen() int { return int(q.tailSeen - q.head) }
@@ -71,33 +87,32 @@ func (q *waveQueue) prodLen() int { return int(q.tail - q.headSeen) }
 // hasSpace reports whether the producer may push another entry.
 func (q *waveQueue) hasSpace(capacity int) bool { return int(q.tail-q.headSeen) < capacity }
 
-func (q *waveQueue) push(e waveEntry, capacity int) bool {
-	if int(q.tail-q.headSeen) >= capacity {
+// slot addresses the ring entry under a cursor of q.
+func (f *Fabric) slot(q *waveQueue, cursor uint32) *waveEntry {
+	return &f.ring[int(q.base)+int(cursor&f.ringMask)]
+}
+
+// push appends e to q unless the producer sees it at capacity. The ring
+// window is a power of two so the index is a mask, not a divide; the
+// capacity bound keeps occupancy at the configured depth.
+func (f *Fabric) push(q *waveQueue, e waveEntry) bool {
+	if int(q.tail-q.headSeen) >= f.opt.QueueCap {
 		return false
 	}
-	if q.buf == nil {
-		// Power-of-two ring so the hot-path index is a mask, not a divide;
-		// the capacity bound above keeps occupancy at the configured depth.
-		n := 1
-		for n < capacity {
-			n <<= 1
-		}
-		q.buf = make([]waveEntry, n)
-	}
-	q.buf[int(q.tail)&(len(q.buf)-1)] = e
+	*f.slot(q, q.tail) = e
 	q.tail++
 	return true
 }
 
-func (q *waveQueue) peek() (waveEntry, bool) {
+func (f *Fabric) peek(q *waveQueue) (waveEntry, bool) {
 	if q.tailSeen == q.head {
 		return waveEntry{}, false
 	}
-	return q.buf[int(q.head)&(len(q.buf)-1)], true
+	return *f.slot(q, q.head), true
 }
 
-func (q *waveQueue) pop() waveEntry {
-	e := q.buf[int(q.head)&(len(q.buf)-1)]
+func (f *Fabric) pop(q *waveQueue) waveEntry {
+	e := *f.slot(q, q.head)
 	q.head++
 	return e
 }
@@ -108,7 +123,7 @@ func (q *waveQueue) pop() waveEntry {
 func (q *waveQueue) syncProducer() { q.tailSeen = q.tail }
 func (q *waveQueue) syncConsumer() { q.headSeen = q.head }
 
-// reset re-arms the queue for a fresh run, keeping the allocated buffer.
+// reset re-arms the queue for a fresh run, keeping its window.
 func (q *waveQueue) reset() {
 	q.head, q.tail, q.headSeen, q.tailSeen = 0, 0, 0, 0
 }

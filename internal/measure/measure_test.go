@@ -17,12 +17,12 @@ func reduceCollective(p, b int) Collective {
 			if err := core.BuildReduce1DInto(spec, core.TwoPhase, p, b, fabric.DefaultTR, fabric.OpSum); err != nil {
 				return err
 			}
-			for _, pe := range spec.PEs {
+			spec.Each(func(_ mesh.Coord, pe *fabric.PESpec) {
 				pe.Init = make([]float32, b)
 				for i := range pe.Init {
 					pe.Init[i] = 1
 				}
-			}
+			})
 			return nil
 		},
 	}
@@ -36,9 +36,9 @@ func reduce2DCollective(side, b int) Collective {
 			if err := core.BuildReduce2DInto(spec, core.XYTwoPhase, side, side, b, fabric.DefaultTR, fabric.OpSum); err != nil {
 				return err
 			}
-			for _, pe := range spec.PEs {
+			spec.Each(func(_ mesh.Coord, pe *fabric.PESpec) {
 				pe.Init = make([]float32, b)
-			}
+			})
 			return nil
 		},
 	}

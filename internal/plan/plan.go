@@ -13,7 +13,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/comm"
@@ -352,39 +351,36 @@ func (p *Plan) recordTrees(tr int) error {
 	return err
 }
 
-// specColors collects the distinct routing colors a program occupies.
+// specColors collects the distinct routing colors a program occupies, in
+// ascending order.
 func specColors(s *fabric.Spec) []mesh.Color {
 	var seen [mesh.NumColors]bool
-	for _, pe := range s.PEs {
-		for c := range pe.Configs {
-			seen[c] = true
+	s.Each(func(_ mesh.Coord, pe *fabric.PESpec) {
+		for i := range pe.Configs {
+			seen[pe.Configs[i].Color] = true
 		}
-	}
+	})
 	var out []mesh.Color
 	for c, ok := range seen {
 		if ok {
 			out = append(out, mesh.Color(c))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// bind produces a per-run spec: fresh PESpec headers sharing the plan's
-// immutable programs and routing tables, with Init set from inputs. The
-// fabric engine copies Init and never writes through Ops or Configs, so
-// concurrent replays of one plan are race-free.
+// bind produces a per-run spec: fresh PESpec headers (carved a row at a
+// time, so a cache-miss replay stays at a handful of allocations) sharing
+// the plan's immutable programs and routing tables, with Init set from
+// inputs. The fabric engine copies Init and never writes through Ops or
+// Configs, so concurrent replays of one plan are race-free.
 func (p *Plan) bind(inputs [][]float32) (*fabric.Spec, error) {
 	s := fabric.NewSpec(p.Spec.Width, p.Spec.Height)
-	// One backing array for all per-run PESpec headers keeps a cache-hit
-	// replay down to a handful of allocations.
-	headers := make([]fabric.PESpec, 0, len(p.Spec.PEs))
-	for c, pe := range p.Spec.PEs {
-		cp := *pe
-		cp.Init = nil
-		headers = append(headers, cp)
-		s.PEs[c] = &headers[len(headers)-1]
-	}
+	p.Spec.Each(func(c mesh.Coord, pe *fabric.PESpec) {
+		d := s.PE(c)
+		*d = *pe
+		d.Init = nil
+	})
 	if err := p.setInits(s, inputs); err != nil {
 		return nil, err
 	}
@@ -678,8 +674,8 @@ func (p *Plan) checkout(inputs [][]float32) (*pooledFabric, error) {
 		return &pooledFabric{f: f, s: s}, nil
 	}
 	// Rebind the inputs into the pooled spec in place: the fabric sees
-	// the same spec object it was armed from and takes its fast Reset
-	// path (no per-PE map lookups or structural re-validation).
+	// the same spec object it was resolved against and takes its fast
+	// Reset path (re-arm only: no validation, no route resolution).
 	if err := p.setInits(pf.s, inputs); err != nil {
 		p.pool.Put(pf)
 		return nil, err
@@ -782,16 +778,17 @@ func (p *Plan) Stamp(dst *fabric.Spec) error {
 		return fmt.Errorf("plan: stamp into %dx%d region, plan is %dx%d",
 			dst.Width, dst.Height, p.Spec.Width, p.Spec.Height)
 	}
-	for c, pe := range p.Spec.PEs {
+	p.Spec.Each(func(c mesh.Coord, pe *fabric.PESpec) {
 		d := dst.PE(c)
 		d.Ops = append([]fabric.Op(nil), pe.Ops...)
 		d.ClockSlots = pe.ClockSlots
-		if pe.Configs != nil {
-			d.Configs = make(map[mesh.Color][]fabric.RouterConfig, len(pe.Configs))
-			for col, cfgs := range pe.Configs {
-				d.Configs[col] = append([]fabric.RouterConfig(nil), cfgs...)
+		d.Configs = nil
+		if len(pe.Configs) > 0 {
+			d.Configs = make([]fabric.ColorConfig, len(pe.Configs))
+			for i, row := range pe.Configs {
+				d.Configs[i] = fabric.ColorConfig{Color: row.Color, Cfgs: append([]fabric.RouterConfig(nil), row.Cfgs...)}
 			}
 		}
-	}
+	})
 	return nil
 }

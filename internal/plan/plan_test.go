@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/measure"
+	"repro/internal/mesh"
 )
 
 func vectors(p, b int, seed float32) [][]float32 {
@@ -133,7 +134,7 @@ func TestPlanMetadata(t *testing.T) {
 	if pl.Predicted <= 0 {
 		t.Fatalf("Predicted = %g", pl.Predicted)
 	}
-	if pl.Spec == nil || len(pl.Spec.PEs) != 64 {
+	if pl.Spec == nil || pl.Spec.Len() != 64 {
 		t.Fatal("spec missing or wrong size")
 	}
 
@@ -316,11 +317,11 @@ func TestStampIsolation(t *testing.T) {
 	if err := measure.Instrument(dst, 16, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	for _, pe := range dst.PEs {
+	dst.Each(func(_ mesh.Coord, pe *fabric.PESpec) {
 		if pe.Init == nil {
 			pe.Init = make([]float32, 8)
 		}
-	}
+	})
 	f, err := fabric.New(dst, fabric.Options{})
 	if err != nil {
 		t.Fatal(err)

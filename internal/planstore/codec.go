@@ -5,9 +5,10 @@
 // by letting a staging run compile the workload once and a serving fleet
 // warm its caches from disk (Session.Warm) before taking traffic.
 //
-// The codec is deterministic end to end: the spec codec emits PEs and
-// router colors in sorted order, plans carry canonical options, and every
-// integer and float has exactly one encoding. Encoding the same logical
+// The codec is deterministic end to end: the spec codec emits PEs in
+// row-major and router colors in ascending order, plans carry canonical
+// options, and every integer and float has exactly one encoding (which
+// the decoder enforces). Encoding the same logical
 // plan in any process therefore yields identical bytes, and the SHA-256
 // of those bytes doubles as the plan's durable address — the CID-style
 // content addressing of IPFS blockstores applied to fabric programs. A
@@ -59,7 +60,7 @@ func Encode(p *plan.Plan) ([]byte, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("planstore: encode spec: %w", err)
 	}
-	e := &enc{}
+	e := &enc{buf: make([]byte, 0, len(specBytes)+512)} // the spec is nearly all of the payload
 	putKey(e, p.Key)
 	e.str(string(p.Kind))
 	e.str(string(p.Alg))
@@ -80,7 +81,13 @@ func Encode(p *plan.Plan) ([]byte, string, error) {
 		e.byte(byte(c))
 	}
 
-	payload := e.buf
+	out, sum := seal(e.buf)
+	return out, sum, nil
+}
+
+// seal frames a payload: the fixed header carrying its length and SHA-256,
+// then the payload itself. It returns the blob and the hex digest.
+func seal(payload []byte) ([]byte, string) {
 	sum := sha256.Sum256(payload)
 	out := make([]byte, 0, headerLen+len(payload))
 	out = append(out, magic[:]...)
@@ -89,7 +96,7 @@ func Encode(p *plan.Plan) ([]byte, string, error) {
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	out = append(out, sum[:]...)
 	out = append(out, payload...)
-	return out, hex.EncodeToString(sum[:]), nil
+	return out, hex.EncodeToString(sum[:])
 }
 
 // Decode reconstructs a plan from its encoded form, returning the plan
@@ -349,9 +356,12 @@ func (d *dec) byte() byte {
 	return b
 }
 
+// uvarint reads an unsigned varint in its shortest encoding; a padded one
+// (final byte zero) is a decode error, so every value has one byte form
+// and a decoded plan re-encodes to the bytes it came from.
 func (d *dec) uvarint() uint64 {
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
 		d.fail()
 		return 0
 	}
@@ -359,13 +369,14 @@ func (d *dec) uvarint() uint64 {
 	return v
 }
 
+// varint reads a zig-zag signed varint, as binary.Varint does, on top of
+// the canonical uvarint.
 func (d *dec) varint() int64 {
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
+	u := d.uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	d.off += n
 	return v
 }
 

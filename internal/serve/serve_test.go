@@ -247,6 +247,7 @@ func TestBadShape400(t *testing.T) {
 		{"gather with empty chunks", `{"shape":{"kind":"gather","p":4,"b":3},"inputs":[[1],[2],[3],[]]}`},
 		{"reducescatter with empty chunks", runBody("reducescatter", 4, 3)},
 		{"allgather with empty chunks", `{"shape":{"kind":"allgather","p":4,"b":3},"inputs":[[1],[2],[3],[]]}`},
+		{"ring allreduce with empty chunks", fmt.Sprintf(`{"shape":{"kind":"allreduce1d","alg":"ring","p":4,"b":3,"op":"sum"},"inputs":%s}`, vectorsJSON(4, 3))},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts.URL+"/v1/run", tc.body, nil)

@@ -2,12 +2,15 @@ package workload
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	wse "repro"
+	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -217,17 +220,21 @@ func TestStepInputsDeterministic(t *testing.T) {
 // An erroring step fails the run and names the step; dependents report
 // the root cause through wrapping rather than hanging.
 func TestExecPropagatesStepError(t *testing.T) {
-	// Ring wants B >= P: P=8 B=4 compiles nowhere, so the step errors.
 	w, err := New("boom").
-		StepShape("bad", wse.Shape{Kind: wse.KindAllReduce, Alg: wse.Ring, P: 8, B: 4}).
+		StepShape("bad", wse.Shape{Kind: wse.KindAllReduce, Alg: wse.Tree, P: 8, B: 4}).
 		StepShape("child", wse.Shape{Kind: wse.KindBroadcast, P: 4, B: 8}, "bad").
 		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both shapes are valid, so the failure has to come from below: the
+	// first compile — the root step's — hits an armed failpoint.
+	faults.Set("plan.compile", faults.Point{Count: 1})
+	defer faults.Reset()
 	s := wse.NewSession(wse.SessionConfig{PlanCacheCapacity: 8})
 	defer s.Close()
-	if _, err := Exec(context.Background(), s, w); err == nil {
-		t.Fatal("want step failure, got nil")
+	_, err = Exec(context.Background(), s, w)
+	if !errors.Is(err, faults.ErrInjected) || !strings.Contains(err.Error(), `"bad"`) {
+		t.Fatalf("want the injected compile failure naming step \"bad\", got %v", err)
 	}
 }
