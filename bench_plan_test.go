@@ -144,7 +144,12 @@ func replayModes() []replayMode {
 // every (shape, mode) pair to BENCH_fabric.json so the replay-path
 // trajectory is comparable across PRs. Sharding is expected to lose on
 // the 1D shape (its per-cycle wavefront is a handful of PEs, below the
-// barrier cost) and pay on wide 2D wavefronts.
+// barrier cost) and pay on wide 2D wavefronts. Since plans replay from a
+// tape after their second execution, the two pooled modes time the engine
+// only at -benchtime 1x (the recording run); at higher counts they time the
+// tape walk, which is the same for both. The engine modes proper are
+// measured by the repository's benchmark (bench/: fabric.serial_ns_per_step,
+// fabric.sharded_ns_per_step).
 func BenchmarkFabricReplayModes(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -215,47 +220,74 @@ func replayInputs(req plan.Request) [][]float32 {
 	return out
 }
 
-// TestPooledReplayAllocGuard is the allocs/op regression guard run by CI:
-// a cache-hit pooled replay must not construct a fabric. Since the program
-// image went dense, fabric.New is a fixed few dozen allocations rather than
-// thousands, so construction no longer dwarfs a replay; it still costs
-// several times what a pooled replay does (input binding and result
-// assembly only), and the guard sits halfway between the two. It is
-// relative so it tracks the shape rather than a brittle absolute count.
+// TestPooledReplayAllocGuard is the allocs/op regression guard run by CI,
+// over the two ways a cache-hit replay runs. A plan that stays on the engine
+// (here: one carrying a tracer, saturated so that it records nothing) must
+// not construct a fabric per replay. Since the program image went dense,
+// fabric.New is a fixed few dozen allocations rather than thousands, so
+// construction no longer dwarfs a replay; it still costs several times what
+// a pooled replay does (input binding and result assembly only), and the
+// guard sits halfway between the two. It is relative so it tracks the shape
+// rather than a brittle absolute count. A plan replaying from its tape
+// allocates its result and nothing else — no per-replay Spec, no bound
+// headers — so it must not allocate more than the pooled engine replay.
 func TestPooledReplayAllocGuard(t *testing.T) {
-	pl, err := plan.Compile(planBenchReq())
+	inputs := replayInputs(planBenchReq())
+	traced := planBenchReq()
+	traced.Opt.Tracer = &fabric.Tracer{Cap: 1}
+	engine, err := plan.Compile(traced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := replayInputs(planBenchReq())
-	if _, err := pl.Execute(inputs); err != nil { // warm the pool
+	cache := plan.NewCache(0) // counts what the plan it holds does with its tape
+	taped, err := cache.Get(planBenchReq())
+	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := testing.AllocsPerRun(20, func() {
-		if _, err := pl.ExecuteUnpooled(inputs); err != nil {
-			t.Fatal(err)
+	for warm := 0; warm < 2; warm++ { // fill the engine plan's pool, record the other's tape
+		for _, pl := range []*plan.Plan{engine, taped} {
+			if _, err := pl.Execute(inputs); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	pooled := testing.AllocsPerRun(20, func() {
-		if _, err := pl.Execute(inputs); err != nil {
-			t.Fatal(err)
-		}
-	})
+	}
+	allocs := func(pl *plan.Plan, gc bool, run func(*plan.Plan) error) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if gc {
+				runtime.GC()
+				runtime.GC()
+			}
+			if err := run(pl); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	execute := func(pl *plan.Plan) error { _, err := pl.Execute(inputs); return err }
+	fresh := allocs(engine, false, func(pl *plan.Plan) error { _, err := pl.ExecuteUnpooled(inputs); return err })
+	pooled := allocs(engine, false, execute)
 	if pooled > fresh/2 {
 		t.Fatalf("pooled replay allocates %.0f allocs/op vs %.0f fresh — the pool is not eliding fabric construction", pooled, fresh)
 	}
 	// The plan's free list must survive garbage collection (two cycles
 	// empty a sync.Pool, victim cache included): a replay under allocation
 	// pressure is still a pooled replay.
-	afterGC := testing.AllocsPerRun(20, func() {
-		runtime.GC()
-		runtime.GC()
-		if _, err := pl.Execute(inputs); err != nil {
-			t.Fatal(err)
-		}
-	})
+	afterGC := allocs(engine, true, execute)
 	if afterGC > fresh/2 {
 		t.Fatalf("replay after GC allocates %.0f allocs/op vs %.0f fresh, %.0f pooled — a collection emptied the instance pool", afterGC, fresh, pooled)
+	}
+	// The tape's wave buffer is parked on the plan, not in a sync.Pool, so
+	// the same holds for a tape replay (the collections themselves allocate
+	// a little: like is compared with like).
+	for _, c := range []struct {
+		gc     bool
+		engine float64
+	}{{false, pooled}, {true, afterGC}} {
+		if tape := allocs(taped, c.gc, execute); tape > c.engine {
+			t.Fatalf("tape replay (after GC: %v) allocates %.0f allocs/op vs %.0f for a pooled engine replay", c.gc, tape, c.engine)
+		}
+	}
+	if st := cache.Stats(); st.TapeRecords != 1 || st.TapeReplays < 40 {
+		t.Fatalf("the taped plan recorded %d tapes and replayed %d times: the guard did not measure tape replays", st.TapeRecords, st.TapeReplays)
 	}
 }
 

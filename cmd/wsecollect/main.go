@@ -682,6 +682,7 @@ func runCmd(c *config) error {
 		st := sess.PlanStats()
 		fmt.Printf("  plan cache %10d hits, %d misses (cold %v, warm %v/op)\n",
 			st.Hits, st.Misses, cold.Round(time.Microsecond), warm.Round(time.Microsecond))
+		fmt.Printf("  replay tape %9d recorded, %d replays, %d declined\n", st.TapeRecords, st.TapeReplays, st.TapeDeclined)
 		if c.store != "" {
 			fmt.Printf("  plan store %10d loads, %d errors\n", st.StoreHits, st.StoreErrors)
 		}

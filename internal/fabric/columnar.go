@@ -10,7 +10,6 @@ package fabric
 // order) never pay for maps they would not read.
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/mesh"
@@ -49,34 +48,34 @@ type ColumnarResult struct {
 // At returns the final accumulator of the PE at c, or nil when c is not
 // programmed. Lookup is a binary search over the row-major Coords.
 func (r *ColumnarResult) At(c mesh.Coord) []float32 {
-	i := sort.Search(len(r.Coords), func(i int) bool {
-		ci := r.Coords[i]
-		if ci.Y != c.Y {
-			return ci.Y > c.Y
-		}
-		return ci.X >= c.X
-	})
-	if i >= len(r.Coords) || r.Coords[i] != c {
+	i, ok := searchCoords(r.Coords, c)
+	if !ok {
 		return nil
 	}
 	return r.Acc[r.Off[i]:r.Off[i+1]:r.Off[i+1]]
 }
 
+// searchCoords finds c in a row-major sorted coordinate list.
+func searchCoords(coords []mesh.Coord, c mesh.Coord) (int, bool) {
+	i := sort.Search(len(coords), func(i int) bool {
+		ci := coords[i]
+		if ci.Y != c.Y {
+			return ci.Y > c.Y
+		}
+		return ci.X >= c.X
+	})
+	return i, i < len(coords) && coords[i] == c
+}
+
 // resultColumnar assembles the run outcome into res, reusing its Off and
 // Acc storage. It performs the same terminal checks as result.
 func (f *Fabric) resultColumnar(res *ColumnarResult) error {
-	res.Cycles = f.cycle
-	res.Stats = Stats{}
-	for si := range f.shards {
-		sh := &f.shards[si]
-		res.Stats.Hops += sh.stats.Hops
-		res.Stats.RampMoves += sh.stats.RampMoves
-		res.Stats.Noops += sh.stats.Noops
-		res.Stats.Steps += sh.stats.Steps
-		if sh.stats.MaxQueueLen > res.Stats.MaxQueueLen {
-			res.Stats.MaxQueueLen = sh.stats.MaxQueueLen
-		}
+	stats, err := f.finalStats()
+	if err != nil {
+		return err
 	}
+	res.Cycles = f.cycle
+	res.Stats = stats
 	total := 0
 	for i := range f.procs {
 		total += len(f.procs[i].acc)
@@ -91,16 +90,9 @@ func (f *Fabric) resultColumnar(res *ColumnarResult) error {
 	}
 	res.Acc = res.Acc[:0]
 	res.Root = nil
-	for i, c := range f.coords {
-		p := &f.procs[i]
-		if p.inboxTotal > 0 {
-			return fmt.Errorf("fabric: PE %v finished with %d unconsumed inbox wavelets", c, p.inboxTotal)
-		}
+	for i := range f.procs {
 		res.Off = append(res.Off, len(res.Acc))
-		res.Acc = append(res.Acc, p.acc...)
-		if p.received > res.Stats.MaxReceived {
-			res.Stats.MaxReceived = p.received
-		}
+		res.Acc = append(res.Acc, f.procs[i].acc...)
 	}
 	res.Off = append(res.Off, len(res.Acc))
 	if f.width > 0 && f.height > 0 {

@@ -304,6 +304,10 @@ type Fabric struct {
 	// seam: the plan layer points it at the request context so a stuck
 	// replay is cut at its deadline instead of spinning to MaxCycles.
 	interrupt func() error
+
+	// rec, non-nil only inside Record, switches the processors to symbolic
+	// data: wavelets carry wave ids and accumulator touches go to the tape.
+	rec *recorder
 }
 
 type phaseToken uint8
@@ -971,7 +975,9 @@ func (f *Fabric) runToCompletion() error {
 		if f.cycle >= f.opt.MaxCycles {
 			return fmt.Errorf("fabric: exceeded %d cycles; %s", f.opt.MaxCycles, f.describeStall())
 		}
-		if len(f.shards) > 1 && active >= shardDispatchThreshold {
+		// A recording run steps every band on this goroutine: one recorder,
+		// one event order, and the schedule is the same either way.
+		if len(f.shards) > 1 && active >= shardDispatchThreshold && f.rec == nil {
 			f.dispatch(phaseStep)
 			f.dispatch(phaseSync)
 		} else {
@@ -1036,23 +1042,41 @@ func (f *Fabric) stopWorkers() {
 	f.workersUp = false
 }
 
+// finalStats is the terminal step every kind of completed run shares: it
+// refuses a run that left wavelets in a processor's inbox and sums the
+// per-shard counters into the run's Stats.
+func (f *Fabric) finalStats() (Stats, error) {
+	var st Stats
+	for si := range f.shards {
+		sh := &f.shards[si]
+		st.Hops += sh.stats.Hops
+		st.RampMoves += sh.stats.RampMoves
+		st.Noops += sh.stats.Noops
+		st.Steps += sh.stats.Steps
+		st.MaxQueueLen = max(st.MaxQueueLen, sh.stats.MaxQueueLen)
+	}
+	for i := range f.procs {
+		p := &f.procs[i]
+		if p.inboxTotal > 0 {
+			return Stats{}, fmt.Errorf("fabric: PE %v finished with %d unconsumed inbox wavelets", f.coords[i], p.inboxTotal)
+		}
+		st.MaxReceived = max(st.MaxReceived, p.received)
+	}
+	return st, nil
+}
+
 // result builds the Result, deep-copying accumulator and clock state out
 // of the fabric so the caller's data survives a Reset of this instance.
 func (f *Fabric) result() (*Result, error) {
+	stats, err := f.finalStats()
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		Cycles: f.cycle,
 		Acc:    make(map[mesh.Coord][]float32, len(f.coords)),
 		Clocks: make(map[mesh.Coord][]int64, len(f.coords)),
-	}
-	for si := range f.shards {
-		sh := &f.shards[si]
-		res.Stats.Hops += sh.stats.Hops
-		res.Stats.RampMoves += sh.stats.RampMoves
-		res.Stats.Noops += sh.stats.Noops
-		res.Stats.Steps += sh.stats.Steps
-		if sh.stats.MaxQueueLen > res.Stats.MaxQueueLen {
-			res.Stats.MaxQueueLen = sh.stats.MaxQueueLen
-		}
+		Stats:  stats,
 	}
 	totalAcc, totalClk := 0, 0
 	for i := range f.procs {
@@ -1063,9 +1087,6 @@ func (f *Fabric) result() (*Result, error) {
 	clkBuf := make([]int64, 0, totalClk)
 	for i, c := range f.coords {
 		p := &f.procs[i]
-		if p.inboxTotal > 0 {
-			return nil, fmt.Errorf("fabric: PE %v finished with %d unconsumed inbox wavelets", c, p.inboxTotal)
-		}
 		start := len(accBuf)
 		accBuf = append(accBuf, p.acc...)
 		res.Acc[c] = accBuf[start:len(accBuf):len(accBuf)]
@@ -1073,9 +1094,6 @@ func (f *Fabric) result() (*Result, error) {
 			start := len(clkBuf)
 			clkBuf = append(clkBuf, p.clock...)
 			res.Clocks[c] = clkBuf[start:len(clkBuf):len(clkBuf)]
-		}
-		if p.received > res.Stats.MaxReceived {
-			res.Stats.MaxReceived = p.received
 		}
 	}
 	return res, nil
@@ -1258,7 +1276,14 @@ func (sh *shardState) stepProc(i int32) (bool, error) {
 	switch op.Kind {
 	case OpSend:
 		if !p.ctlPhase {
-			if sh.pushRamp(i, Wavelet{Val: p.acc[op.Off+p.elem], Color: op.Color}) {
+			val := p.acc[op.Off+p.elem]
+			if f.rec != nil {
+				val = f.rec.wave()
+			}
+			if sh.pushRamp(i, Wavelet{Val: val, Color: op.Color}) {
+				if f.rec != nil {
+					f.rec.load(i, op.Off+p.elem)
+				}
 				p.elem++
 				if p.elem == op.N {
 					p.ctlPhase = true
@@ -1301,9 +1326,12 @@ func (sh *shardState) stepProc(i int32) (bool, error) {
 		if p.elem >= op.N {
 			return false, f.failf(i, "%v: data wavelet beyond %d elements", op.Kind, op.N)
 		}
-		if op.Kind == OpRecvReduce {
+		switch {
+		case f.rec != nil:
+			f.rec.recv(i, op.Off+p.elem, op, w)
+		case op.Kind == OpRecvReduce:
 			p.acc[op.Off+p.elem] = op.Reduce.Apply(p.acc[op.Off+p.elem], w.Val)
-		} else {
+		default:
 			p.acc[op.Off+p.elem] = w.Val
 		}
 		p.elem++
@@ -1347,9 +1375,17 @@ func (sh *shardState) stepProc(i int32) (bool, error) {
 					if p.elem >= op.N {
 						return false, f.failf(i, "recv-reduce-send: data wavelet beyond %d elements", op.N)
 					}
-					v := op.Reduce.Apply(p.acc[op.Off+p.elem], w.Val)
-					p.acc[op.Off+p.elem] = v
-					p.latchVal = v
+					if f.rec != nil {
+						// The latch forwards the element as reduced: a new
+						// wave loaded from it.
+						f.rec.recv(i, op.Off+p.elem, op, w)
+						p.latchVal = f.rec.wave()
+						f.rec.load(i, op.Off+p.elem)
+					} else {
+						v := op.Reduce.Apply(p.acc[op.Off+p.elem], w.Val)
+						p.acc[op.Off+p.elem] = v
+						p.latchVal = v
+					}
 					p.latchFull = true
 					p.elem++
 					p.received++
@@ -1400,7 +1436,14 @@ func (sh *shardState) stepSendRecv(i int32, op *Op) (bool, error) {
 	if !p.sDone {
 		switch {
 		case p.elem < op.N:
-			if sh.pushRamp(i, Wavelet{Val: p.acc[op.Off+p.elem], Color: op.OutColor}) {
+			val := p.acc[op.Off+p.elem]
+			if f.rec != nil {
+				val = f.rec.wave()
+			}
+			if sh.pushRamp(i, Wavelet{Val: val, Color: op.OutColor}) {
+				if f.rec != nil {
+					f.rec.load(i, op.Off+p.elem)
+				}
 				p.elem++
 				progress = true
 			}
@@ -1426,9 +1469,12 @@ func (sh *shardState) stepSendRecv(i int32, op *Op) (bool, error) {
 				if p.rElem >= op.N2 {
 					return false, f.failf(i, "%v: data wavelet beyond %d elements", op.Kind, op.N2)
 				}
-				if op.Kind == OpSendRecvReduce {
+				switch {
+				case f.rec != nil:
+					f.rec.recv(i, op.Off2+p.rElem, op, w)
+				case op.Kind == OpSendRecvReduce:
 					p.acc[op.Off2+p.rElem] = op.Reduce.Apply(p.acc[op.Off2+p.rElem], w.Val)
-				} else {
+				default:
 					p.acc[op.Off2+p.rElem] = w.Val
 				}
 				p.rElem++

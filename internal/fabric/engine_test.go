@@ -98,15 +98,20 @@ func TestQueueMustCoverRampLatency(t *testing.T) {
 	}
 }
 
-func TestDeadlockDetection(t *testing.T) {
-	// A receiver waiting on a color nobody sends must be reported as a
-	// deadlock, not spin forever.
+// starved builds a receiver waiting on a color nobody sends.
+func starved() *Spec {
 	s := NewSpec(2, 1)
 	recv := s.PE(mesh.Coord{X: 0, Y: 0})
 	recv.Ops = []Op{{Kind: OpRecvStore, Color: 3, N: 4}}
 	recv.AddConfig(3, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
 	s.PE(mesh.Coord{X: 1, Y: 0}).AddConfig(3, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
-	f, err := New(s, Options{})
+	return s
+}
+
+func TestDeadlockDetection(t *testing.T) {
+	// A receiver waiting on a color nobody sends must be reported as a
+	// deadlock, not spin forever.
+	f, err := New(starved(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,241 @@
+package fabric
+
+import (
+	"errors"
+	"math"
+	"sync/atomic"
+
+	"repro/internal/mesh"
+)
+
+// A run of the engine does two jobs at once: it decides the timing (cycles,
+// Stats, clock samples) and it moves the data. No branch of the cycle loop
+// reads a wavelet's value, so the timing — and with it the order in which
+// the processors touch their accumulators — is a function of the program
+// and the options alone. Record runs the engine once with symbolic data and
+// writes that order down; Tape.Run then reproduces a run of the same program
+// on new inputs by walking the recording, without the cycle loop.
+
+// MaxTapeEvents caps a tape: a program whose processors would touch their
+// accumulators more often than this is not recorded (ErrTapeTooLong). At
+// 8 bytes an event that bounds a tape at 16 MiB.
+const MaxTapeEvents = 1 << 21
+
+// ErrTapeTooLong is returned by Record, before anything runs, for a program
+// whose dataflow does not fit MaxTapeEvents. The fabric stays armed.
+var ErrTapeTooLong = errors.New("fabric: program's dataflow exceeds the tape cap")
+
+// tapeEvent is one processor-side touch of an accumulator element, on the
+// flat image that concatenates every PE's accumulator in unit order.
+type tapeEvent struct {
+	acc uint32 // flat accumulator index
+	op  uint32 // kind<<tapeKindShift | wave id
+}
+
+// The event kinds. A load defines a wave (the payload of one data wavelet,
+// multicast included) from an accumulator element; a store or a reduce
+// consumes one. Wave ids stay below MaxTapeEvents, well inside the low bits.
+const (
+	tapeLoad   uint32 = iota // tmp[w] = acc[a]
+	tapeStore                // acc[a] = tmp[w]
+	tapeReduce               // + ReduceOp: acc[a] = op(acc[a], tmp[w])
+
+	tapeKindShift = 24
+	tapeWaveMask  = 1<<tapeKindShift - 1
+)
+
+// recorder collects the tape of a recording run. The run is stepped on one
+// goroutine, so events land in an order the engine could have executed them
+// in serially: within a cycle units do not see each other's effects, across
+// cycles the order is the engine's own.
+type recorder struct {
+	base   []uint32 // flat index of each unit's first accumulator element
+	events []tapeEvent
+	waves  uint32
+}
+
+// wave is the payload a data wavelet carries while recording: the id of the
+// wave the next load defines, in the bits of the value it stands for.
+func (r *recorder) wave() float32 { return math.Float32frombits(r.waves) }
+
+// load records that unit i sent element k of its accumulator.
+func (r *recorder) load(i int32, k int) {
+	r.events = append(r.events, tapeEvent{acc: r.base[i] + uint32(k), op: tapeLoad<<tapeKindShift | r.waves})
+	r.waves++
+}
+
+// recv records that unit i consumed data wavelet w into element k of its
+// accumulator under op: stored, or combined by op.Reduce.
+func (r *recorder) recv(i int32, k int, op *Op, w Wavelet) {
+	kind := tapeStore
+	if op.Kind == OpRecvReduce || op.Kind == OpRecvReduceSend || op.Kind == OpSendRecvReduce {
+		kind = tapeReduce + uint32(op.Reduce)
+	}
+	r.events = append(r.events, tapeEvent{acc: r.base[i] + uint32(k), op: kind<<tapeKindShift | math.Float32bits(w.Val)})
+}
+
+// Tape is the recorded dataflow of one completed run, with the run's timing.
+// It is immutable and safe for concurrent use; it holds no reference to the
+// fabric it was recorded on beyond the coordinate list.
+type Tape struct {
+	cycles int64
+	stats  Stats
+	coords []mesh.Coord
+	off    []int   // len(coords)+1 prefix offsets of the PEs' accumulators in the flat image
+	clkOff []int   // likewise for the clock samples
+	clocks []int64 // every PE's sampled clock slots, concatenated
+	events []tapeEvent
+	waves  int
+
+	// spare parks the wave buffer between runs, so that a plan replayed by
+	// one caller at a time allocates it once. Concurrent runs that find the
+	// slot empty make their own.
+	spare atomic.Pointer[[]float32]
+}
+
+// Record runs the armed fabric to completion like Run, but on symbolic data:
+// instead of a result it returns the tape of the run. Every check of the
+// engine applies, so a program that deadlocks, violates the wavelet protocol,
+// overruns MaxCycles or is interrupted fails exactly as under Run, and
+// yields no tape. A sharded fabric is stepped band by band on the calling
+// goroutine, which the engine's semantics make equivalent.
+func (f *Fabric) Record() (*Tape, error) {
+	events, total := 0, 0
+	base := make([]uint32, len(f.procs))
+	for i := range f.procs {
+		p := &f.procs[i]
+		base[i] = uint32(total)
+		total += len(p.acc)
+		for k := range p.ops {
+			events += p.ops[k].tapeEvents()
+		}
+	}
+	if events > MaxTapeEvents || total > math.MaxUint32 {
+		return nil, ErrTapeTooLong
+	}
+	f.rec = &recorder{base: base, events: make([]tapeEvent, 0, events)}
+	err := f.runToCompletion()
+	rec := f.rec
+	f.rec = nil
+	if err != nil {
+		return nil, err
+	}
+	stats, err := f.finalStats()
+	if err != nil {
+		return nil, err
+	}
+	t := &Tape{
+		cycles: f.cycle,
+		stats:  stats,
+		coords: f.coords,
+		off:    make([]int, 0, len(f.procs)+1),
+		clkOff: make([]int, 0, len(f.procs)+1),
+		events: rec.events,
+		waves:  int(rec.waves),
+	}
+	for i := range f.procs {
+		p := &f.procs[i]
+		t.off = append(t.off, int(base[i]))
+		t.clkOff = append(t.clkOff, len(t.clocks))
+		t.clocks = append(t.clocks, p.clock...)
+	}
+	t.off = append(t.off, total)
+	t.clkOff = append(t.clkOff, len(t.clocks))
+	return t, nil
+}
+
+// tapeEvents is the number of events a completed op leaves on a tape. The
+// wavelet protocol makes it a property of the program: an op finishes only
+// after exactly its N (and N2) data elements went through.
+func (op *Op) tapeEvents() int {
+	switch op.Kind {
+	case OpSend, OpRecvReduce, OpRecvStore:
+		return op.N
+	case OpRecvReduceSend:
+		return 2 * op.N // each element is reduced, then reloaded into the latch
+	case OpSendRecvReduce, OpSendRecvStore:
+		return op.N + op.N2
+	}
+	return 0
+}
+
+// AccLen is the length of the flat accumulator image Run expects.
+func (t *Tape) AccLen() int { return t.off[len(t.coords)] }
+
+// Base returns where the accumulator of the PE at c starts in the flat
+// image, and how long it is; ok is false when c was not programmed.
+func (t *Tape) Base(c mesh.Coord) (base, n int, ok bool) {
+	i, ok := searchCoords(t.coords, c)
+	if !ok {
+		return 0, 0, false
+	}
+	return t.off[i], t.off[i+1] - t.off[i], true
+}
+
+// apply walks the tape over the image. Each element sees the operations the
+// engine applied to it, in the engine's order, so floating-point results are
+// bit-identical to the recorded program run on the same inputs.
+func (t *Tape) apply(acc []float32) {
+	if len(acc) != t.AccLen() {
+		panic("fabric: tape run on an accumulator image of the wrong length")
+	}
+	sp := t.spare.Swap(nil)
+	if sp == nil {
+		buf := make([]float32, t.waves)
+		sp = &buf
+	}
+	tmp := *sp // every wave is loaded before it is consumed: no clearing between runs
+	for _, e := range t.events {
+		w := e.op & tapeWaveMask
+		switch kind := e.op >> tapeKindShift; kind {
+		case tapeLoad:
+			tmp[w] = acc[e.acc]
+		case tapeStore:
+			acc[e.acc] = tmp[w]
+		default:
+			acc[e.acc] = ReduceOp(kind-tapeReduce).Apply(acc[e.acc], tmp[w])
+		}
+	}
+	t.spare.Store(sp)
+}
+
+// Run reproduces the recorded run on new data. acc is the flat image of the
+// PEs' initial accumulators (AccLen elements: PE c's at Base(c), zero where
+// the PE binds none); Run transforms it in place and returns a Result whose
+// accumulators alias it, so the caller hands acc over. The Result equals, bit
+// for bit, what Fabric.Run returns for the same program, options and data.
+func (t *Tape) Run(acc []float32) *Result {
+	t.apply(acc)
+	res := &Result{
+		Cycles: t.cycles,
+		Acc:    make(map[mesh.Coord][]float32, len(t.coords)),
+		Clocks: make(map[mesh.Coord][]int64),
+		Stats:  t.stats,
+	}
+	var clocks []int64
+	if len(t.clocks) > 0 {
+		clocks = append(clocks, t.clocks...)
+	}
+	for i, c := range t.coords {
+		res.Acc[c] = acc[t.off[i]:t.off[i+1]:t.off[i+1]]
+		if lo, hi := t.clkOff[i], t.clkOff[i+1]; hi > lo {
+			res.Clocks[c] = clocks[lo:hi:hi]
+		}
+	}
+	return res
+}
+
+// RunColumnar is Run with the map-free layout of Fabric.RunColumnar: res.Acc
+// becomes acc, res.Off is refilled (its storage reused when large enough).
+func (t *Tape) RunColumnar(res *ColumnarResult, acc []float32) {
+	t.apply(acc)
+	res.Cycles = t.cycles
+	res.Stats = t.stats
+	res.Coords = t.coords
+	res.Off = append(res.Off[:0], t.off...)
+	res.Acc = acc
+	res.Root = nil
+	if len(t.coords) > 0 && t.coords[0] == (mesh.Coord{}) { // row-major: the root sorts first
+		res.Root = acc[:t.off[1]:t.off[1]]
+	}
+}

@@ -19,7 +19,11 @@ const DefaultCacheCapacity = 128
 // counts the misses that were satisfied by decoding a stored plan instead
 // of compiling, and StoreErrors the store operations (load or write-
 // through save) that failed — store failures never fail a lookup, they
-// just fall back to the compiler.
+// just fall back to the compiler. The Tape counters follow the replay tapes
+// of the plans the cache holds or ever held (tape.go): TapeRecords counts
+// the plans that recorded one, TapeReplays the reports produced by walking
+// a tape instead of running the simulator, TapeDeclined the plans found
+// untapeable (a Tracer attached, or a program over the tape cap).
 type CacheStats struct {
 	Hits        int64
 	Misses      int64
@@ -32,6 +36,9 @@ type CacheStats struct {
 	// store is visible only as a bare counter.
 	LastStoreError string
 	Size           int
+	TapeRecords    int64
+	TapeReplays    int64
+	TapeDeclined   int64
 }
 
 // PlanStore is plan persistence as the cache and session consume it: a
@@ -75,6 +82,7 @@ type Cache struct {
 	store     PlanStore
 	resolver  Resolver
 	stats     CacheStats
+	tape      tapeCounters // of every plan inserted here first
 	// storeErrLogged dedupes the store-failure log line: one warning per
 	// attached store, not one per degraded request. SetStore resets it, so
 	// swapping in a replacement store re-arms the warning.
@@ -292,6 +300,7 @@ func (c *Cache) noteStoreError(err error) {
 // insert adds a plan under key, evicting from the cold end at capacity.
 // The caller holds c.mu.
 func (c *Cache) insert(key Key, p *Plan) {
+	p.replay.shared.CompareAndSwap(nil, &c.tape)
 	if el, ok := c.entries[key]; ok { // racing insert of the same key
 		c.lru.MoveToFront(el)
 		el.Value = p
@@ -312,6 +321,9 @@ func (c *Cache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	st := c.stats
 	st.Size = c.lru.Len()
+	st.TapeRecords = c.tape.records.Load()
+	st.TapeReplays = c.tape.replays.Load()
+	st.TapeDeclined = c.tape.declined.Load()
 	return st
 }
 

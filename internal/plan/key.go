@@ -90,8 +90,10 @@ func ParseKey(s string) (Key, error) {
 	if k.Opt.ClockSkewMax, err = strconv.ParseInt(vals["skew"], 10, 64); err != nil {
 		return k, fmt.Errorf("plan: bad key %q: skew=%q", s, vals["skew"])
 	}
-	// ParseFloat accepts the hexadecimal notation String emits.
-	if k.Opt.ThermalNoopRate, err = strconv.ParseFloat(vals["noop"], 64); err != nil {
+	// ParseFloat accepts the hexadecimal notation String emits — and NaN,
+	// which no key may carry: a key that does not equal itself addresses
+	// nothing.
+	if k.Opt.ThermalNoopRate, err = strconv.ParseFloat(vals["noop"], 64); err != nil || k.Opt.ThermalNoopRate != k.Opt.ThermalNoopRate {
 		return k, fmt.Errorf("plan: bad key %q: noop=%q", s, vals["noop"])
 	}
 	if k.Opt.Seed, err = strconv.ParseUint(vals["seed"], 10, 64); err != nil {

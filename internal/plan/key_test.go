@@ -161,6 +161,7 @@ func TestParseKeyRejects(t *testing.T) {
 		{"bad-op", replaceOnce(good, "op=sum", "op=avg")},
 		{"bad-int", replaceOnce(good, "p=8", "p=eight")},
 		{"bad-float", replaceOnce(good, "noop=0x0p+00", "noop=zero")},
+		{"nan-float", replaceOnce(good, "noop=0x0p+00", "noop=NaN")},
 	}
 	for _, tc := range bad {
 		if _, err := ParseKey(tc.key); err == nil {
@@ -174,4 +175,36 @@ func TestParseKeyRejects(t *testing.T) {
 
 func replaceOnce(s, old, new string) string {
 	return strings.Replace(s, old, new, 1)
+}
+
+// FuzzParseKey: ParseKey takes its input from the network (the blob
+// endpoint's path) and from store manifests. It must never panic, and every
+// key it accepts must survive its own rendering: ParseKey(k.String()) == k,
+// or a peer would address a different plan than the one it was asked for.
+func FuzzParseKey(f *testing.F) {
+	for _, req := range []Request{ // the keys TestKeyEncodingPinned pins
+		{Kind: Reduce1D, Alg: core.Auto, P: 512, B: 16, Op: fabric.OpSum},
+		{Kind: AllReduce2D, Alg2D: core.XYTree, Width: 8, Height: 4, B: 32, Op: fabric.OpMax,
+			Opt: fabric.Options{TR: -1, QueueCap: 2, MaxCycles: 1 << 28, ClockSkewMax: 5,
+				ThermalNoopRate: 0.25, TaskActivation: 3, Seed: 9, Shards: 4}},
+		{Kind: Gather, Alg: core.Chain, Alg2D: core.Snake, P: 16, Width: 3, Height: 3, B: 64},
+	} {
+		f.Add(KeyOf(req).String())
+	}
+	f.Add("")
+	f.Add(replaceOnce(KeyOf(Request{Kind: Reduce1D, P: 8, B: 4}).String(), "noop=0x0p+00", "noop=nan")) // must be rejected: NaN != NaN
+	f.Add("k1;reduce1d;alg==;alg2d=;p=+1;w=-0;h=0;b=1;op=min;tr=0;qcap=0;maxcyc=-1;skew=0;noop=-Inf;act=0;seed=18446744073709551615;shards=0")
+	f.Fuzz(func(t *testing.T, s string) {
+		k, err := ParseKey(s)
+		if err != nil {
+			return
+		}
+		again, err := ParseKey(k.String())
+		if err != nil {
+			t.Fatalf("ParseKey accepted %q but rejects its rendering %q: %v", s, k.String(), err)
+		}
+		if again != k {
+			t.Fatalf("ParseKey(%q) = %#v, whose rendering %q parses to %#v", s, k, k.String(), again)
+		}
+	})
 }

@@ -170,6 +170,11 @@ type Plan struct {
 	// re-armed with Reset instead of paying fabric.New per run; results
 	// are bit-identical either way (Reset restores the RNG chain exactly).
 	pool instancePool
+
+	// replay is the plan's record-once replay tape (tape.go): from its
+	// second execution on, a plan walks a recording of its dataflow instead
+	// of running the cycle loop, and the pool above is released.
+	replay replayState
 }
 
 // maxFreeInstances bounds a plan's free list. An instance is only ever
@@ -185,8 +190,9 @@ const maxFreeInstances = 8
 // then pays fabric.New again, which is the cost the pool exists to elide.
 // The list lives and dies with its plan.
 type instancePool struct {
-	mu   sync.Mutex
-	free []*pooledFabric
+	mu     sync.Mutex
+	free   []*pooledFabric
+	closed bool // the plan replays from its tape: instances are dropped on return
 }
 
 // Get returns a free instance, or nil when there is none.
@@ -207,9 +213,16 @@ func (ip *instancePool) Get() *pooledFabric {
 func (ip *instancePool) Put(pf *pooledFabric) {
 	ip.mu.Lock()
 	defer ip.mu.Unlock()
-	if len(ip.free) < maxFreeInstances {
+	if !ip.closed && len(ip.free) < maxFreeInstances {
 		ip.free = append(ip.free, pf)
 	}
+}
+
+// Close releases the free instances and keeps the list empty from then on.
+func (ip *instancePool) Close() {
+	ip.mu.Lock()
+	defer ip.mu.Unlock()
+	ip.free, ip.closed = nil, true
 }
 
 // tr is the normalised ramp latency used throughout compilation.
@@ -392,54 +405,40 @@ func (p *Plan) bind(inputs [][]float32) (*fabric.Spec, error) {
 // the fabric sees the same spec object every run and takes its fast Reset
 // path.
 func (p *Plan) setInits(s *fabric.Spec, inputs [][]float32) error {
-	switch p.Kind {
-	case Broadcast1D, Broadcast2D, Scatter:
-		if len(inputs) != 1 || len(inputs[0]) != p.B {
-			return fmt.Errorf("plan: %s wants one %d-element vector", p.Kind, p.B)
-		}
-		s.PE(mesh.Coord{}).Init = inputs[0]
-	case Gather, AllGather:
-		if len(inputs) != p.P {
-			return fmt.Errorf("plan: %s wants %d chunks, got %d", p.Kind, p.P, len(inputs))
-		}
-		if b, err := core.CheckChunks(inputs); err != nil {
-			return err
-		} else if b != p.B {
-			return fmt.Errorf("plan: chunks total %d elements, plan wants %d", b, p.B)
-		}
-		off, _ := core.Chunks(p.P, p.B)
-		for j, c := range mesh.Row(0, 0, p.P) {
-			if p.Kind == AllGather {
-				s.PE(c).Init = core.AllGatherInit(inputs[j], off[j], p.B)
-			} else {
-				s.PE(c).Init = inputs[j]
-			}
-		}
-	case Reduce1D, AllReduce1D, ReduceScatter, AllReduceMidRoot:
-		if err := checkVectors(inputs, p.P, p.B); err != nil {
-			return err
-		}
-		for i, c := range mesh.Row(0, 0, p.P) {
-			s.PE(c).Init = inputs[i]
-		}
-	case Reduce2D, AllReduce2D:
-		n := p.Width * p.Height
-		if err := checkVectors(inputs, n, p.B); err != nil {
-			return err
-		}
-		i := 0
-		for y := 0; y < p.Height; y++ {
-			for x := 0; x < p.Width; x++ {
-				s.PE(mesh.Coord{X: x, Y: y}).Init = inputs[i]
-				i++
-			}
+	if err := p.checkInputs(inputs); err != nil {
+		return err
+	}
+	chunkOff := p.chunkOffsets()
+	for j, v := range inputs {
+		pe := s.PE(p.inputCoord(j))
+		if chunkOff != nil {
+			pe.Init = core.AllGatherInit(v, chunkOff[j], p.B)
+		} else {
+			pe.Init = v
 		}
 	}
 	return nil
 }
 
+// inputCoord is the PE input j of a run belongs to: inputs go to the PEs in
+// row-major order, which for the one-vector kinds is the root alone.
+func (p *Plan) inputCoord(j int) mesh.Coord {
+	return mesh.Coord{X: j % p.Spec.Width, Y: j / p.Spec.Width}
+}
+
+// chunkOffsets is non-nil for the one kind whose inputs do not start their
+// PE's accumulator: allgather chunk j sits at its Chunks offset of the
+// B-length image every PE ends up holding.
+func (p *Plan) chunkOffsets() []int {
+	if p.Kind != AllGather {
+		return nil
+	}
+	off, _ := core.Chunks(p.P, p.B)
+	return off
+}
+
 // checkInputs validates one replay's input arity without binding it —
-// the validation half of setInits, for callers (the batch path) that
+// the validation half of setInits, also for callers (the batch path) that
 // want every entry vetted before any simulation runs.
 func (p *Plan) checkInputs(inputs [][]float32) error {
 	switch p.Kind {
@@ -487,15 +486,18 @@ type ExecOptions struct {
 	Columnar bool
 }
 
-// Execute replays the plan with fresh inputs on the fabric simulator.
-// For broadcast and scatter kinds, inputs is the single root vector
-// wrapped in a one-element slice; for chunked kinds, the per-PE chunks;
-// otherwise one vector per PE. Execute is safe to call concurrently.
+// Execute replays the plan with fresh inputs. For broadcast and scatter
+// kinds, inputs is the single root vector wrapped in a one-element slice; for
+// chunked kinds, the per-PE chunks; otherwise one vector per PE. Execute is
+// safe to call concurrently.
 //
-// Replays draw fabric instances from a per-plan pool: a cache-hit replay
-// re-arms a pooled instance with fabric.Reset instead of allocating a new
-// simulator, which is the difference between the compile-once promise and
-// actually being fast end-to-end. Concurrent replays each get their own
+// The first execution of a plan runs the fabric simulator. The second — the
+// first moment the plan is observably replayed — runs it once more on
+// symbolic data to record the plan's replay tape, and every execution from
+// there on walks the tape instead of the cycle loop, with bit-identical
+// results (see tape.go for when a plan stays on the simulator). Simulator
+// runs draw fabric instances from a per-plan pool and re-arm them with
+// fabric.Reset instead of allocating; concurrent runs each get their own
 // instance (or a fresh one when the pool is empty).
 func (p *Plan) Execute(inputs [][]float32) (*core.Report, error) {
 	return p.ExecuteOpts(inputs, ExecOptions{})
@@ -506,58 +508,74 @@ func (p *Plan) ExecuteOpts(inputs [][]float32, eo ExecOptions) (*core.Report, er
 	return p.ExecuteCtx(nil, inputs, eo)
 }
 
-// ExecuteCtx is ExecuteOpts under a watchdog: while the replay runs, the
+// ExecuteCtx is ExecuteOpts under a watchdog: while the simulator runs, the
 // fabric polls ctx every few thousand cycles and aborts with a typed
 // deadline/cancellation error (sched.CtxError) instead of simulating to
-// MaxCycles for a caller that already left. A nil ctx — or one that can
-// never fire, like context.Background() — runs without the hook.
+// MaxCycles for a caller that already left; a tape replay checks ctx once,
+// before it starts. A nil ctx — or one that can never fire, like
+// context.Background() — runs without the hook.
 func (p *Plan) ExecuteCtx(ctx context.Context, inputs [][]float32, eo ExecOptions) (*core.Report, error) {
-	// The span brackets the whole replay; cycles/steps land as attributes
-	// after the run, so tracing never reaches inside the cycle loop.
+	// The span brackets the whole replay; mode/cycles/steps land as
+	// attributes after the run, so tracing never reaches inside the cycle
+	// loop. On a tape replay cycles and steps are the recorded engine run's,
+	// not work this host did.
 	_, span := obs.Start(ctx, "fabric.exec")
-	if err := faults.Inject("fabric.exec"); err != nil {
-		span.SetError(err)
-		span.End()
-		return nil, err
-	}
-	pf, err := p.checkout(inputs)
+	defer span.End()
+	rep, mode, err := p.execute(ctx, inputs, eo)
 	if err != nil {
 		span.SetError(err)
-		span.End()
 		return nil, err
 	}
-	if ctx != nil && ctx.Done() != nil {
-		pf.f.SetInterrupt(func() error { return sched.CtxError(ctx) })
-	}
-	rep, err := p.runOn(pf, eo)
-	// Clear the hook before the instance can be pooled: a pooled fabric
-	// outlives this request and must not poll its dead context.
-	pf.f.SetInterrupt(nil)
-	if err != nil {
-		// Keep failed instances out of the pool: the error path is cold
-		// and a fresh New is the conservative restart.
-		span.SetError(err)
-		span.End()
-		return nil, err
-	}
-	p.pool.Put(pf)
+	span.SetAttr("mode", mode)
 	span.SetAttr("cycles", rep.Cycles)
 	span.SetAttr("steps", rep.Stats.Steps)
-	span.End()
 	return rep, nil
 }
 
-// ExecuteBatch replays the plan once per entry of batches, all on one
-// fabric instance held across the whole batch. Replaying N inputs this
-// way pays the pool checkout once and, with Columnar set, shares one
-// offset table across the batch and skips every per-run result map — the
-// amortisation that collapses the fixed bind+assembly cost of small
-// plans. Reports are returned in batch order; results never alias each
-// other. ctx (nil means none) is observed between entries: cancellation
-// mid-batch stops before the next replay and returns ctx.Err(), so an
-// abandoned batch does not pin a worker for its full length. Concurrent
-// ExecuteBatch calls (or batch racing single Execute) are safe — each
-// holds its own instance.
+func (p *Plan) execute(ctx context.Context, inputs [][]float32, eo ExecOptions) (*core.Report, string, error) {
+	if err := faults.Inject("fabric.exec"); err != nil {
+		return nil, "", err
+	}
+	bt, pf, mode, err := p.acquire(ctx, inputs)
+	if err != nil {
+		return nil, mode, err
+	}
+	if bt != nil {
+		if err := ctxErr(ctx); err != nil {
+			return nil, mode, err
+		}
+		return p.replayTape(bt, inputs, eo.Columnar, nil, nil), mode, nil
+	}
+	rep, err := p.runOn(pf, eo)
+	if err != nil {
+		// Keep failed instances out of the pool: the error path is cold
+		// and a fresh New is the conservative restart.
+		return nil, mode, err
+	}
+	p.release(pf)
+	return rep, mode, nil
+}
+
+// ctxErr is the typed form of ctx's error, nil for a nil or live ctx.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil || ctx.Err() == nil {
+		return nil
+	}
+	return sched.CtxError(ctx)
+}
+
+// ExecuteBatch replays the plan once per entry of batches, all in one call:
+// on the simulator, one fabric instance is held across the whole batch, so
+// replaying N inputs pays the pool checkout once; either way, with Columnar
+// set the batch shares one offset table and skips every per-run result map,
+// and the accumulators of all N reports are carved from one allocation — the
+// amortisation that collapses the fixed bind+assembly cost of small plans.
+// A batch is one execution of the plan as far as the replay tape goes.
+// Reports are returned in batch order; results never alias each other. ctx
+// (nil means none) is observed between entries: cancellation mid-batch stops
+// before the next replay and returns ctx.Err(), so an abandoned batch does
+// not pin a worker for its full length. Concurrent ExecuteBatch calls (or
+// batch racing single Execute) are safe.
 func (p *Plan) ExecuteBatch(ctx context.Context, batches [][][]float32, eo ExecOptions) ([]*core.Report, error) {
 	if len(batches) == 0 {
 		return nil, nil
@@ -577,9 +595,33 @@ func (p *Plan) ExecuteBatch(ctx context.Context, batches [][][]float32, eo ExecO
 			return nil, fmt.Errorf("plan: batch entry %d: %w", i, err)
 		}
 	}
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	bt, pf, mode, err := p.acquire(ctx, batches[0])
+	if err != nil {
+		return nil, fmt.Errorf("plan: batch run 0: %w", err)
+	}
+	span.SetAttr("mode", mode)
 	reports := make([]*core.Report, len(batches))
+	if bt != nil {
+		// Every entry passed the same checkInputs as the first, which fits
+		// the tape, so all of them do: one zeroed image holds the batch.
+		var off []int
+		n := bt.tape.AccLen()
+		arena := make([]float32, len(batches)*n)
+		for i, inputs := range batches {
+			if err := ctxErr(ctx); err != nil {
+				return nil, err
+			}
+			reports[i] = p.replayTape(bt, inputs, eo.Columnar, arena[i*n:(i+1)*n:(i+1)*n], off)
+			if eo.Columnar {
+				off = reports[i].Columnar.Off
+			}
+		}
+		return reports, nil
+	}
 	var (
-		pf     *pooledFabric
 		off    []int // offset table shared across the batch's columnar results
 		colRes []fabric.ColumnarResult
 		arena  []float32 // per-batch Acc arena; one allocation serves every run
@@ -589,25 +631,13 @@ func (p *Plan) ExecuteBatch(ctx context.Context, batches [][][]float32, eo ExecO
 		colRes = make([]fabric.ColumnarResult, len(batches))
 	}
 	for i, inputs := range batches {
-		if ctx != nil && ctx.Err() != nil {
-			if pf != nil {
-				pf.f.SetInterrupt(nil)
-				p.pool.Put(pf) // the instance is healthy; only the caller left
+		if i > 0 {
+			if err := ctxErr(ctx); err != nil {
+				p.release(pf) // the instance is healthy; only the caller left
+				return nil, err
 			}
-			return nil, sched.CtxError(ctx)
-		}
-		if pf == nil {
-			var err error
-			if pf, err = p.checkout(inputs); err != nil {
-				return nil, fmt.Errorf("plan: batch run %d: %w", i, err)
-			}
-			if ctx != nil && ctx.Done() != nil {
-				pf.f.SetInterrupt(func() error { return sched.CtxError(ctx) })
-			}
-		} else {
 			if err := p.setInits(pf.s, inputs); err != nil {
-				pf.f.SetInterrupt(nil)
-				p.pool.Put(pf)
+				p.release(pf)
 				return nil, fmt.Errorf("plan: batch run %d: %w", i, err)
 			}
 			if err := pf.f.Reset(pf.s); err != nil {
@@ -652,8 +682,7 @@ func (p *Plan) ExecuteBatch(ctx context.Context, batches [][][]float32, eo ExecO
 		}
 		reports[i] = rep
 	}
-	pf.f.SetInterrupt(nil)
-	p.pool.Put(pf)
+	p.release(pf)
 	return reports, nil
 }
 
@@ -745,6 +774,9 @@ func (p *Plan) zeroInputs() [][]float32 {
 // A replay that races the prewarm simply builds its own instance, exactly
 // as a pool miss always does.
 func (p *Plan) Prewarm() error {
+	if p.replay.tape.Load() != nil {
+		return nil // replays walk the tape: an instance would only be dropped
+	}
 	s, err := p.bind(p.zeroInputs())
 	if err != nil {
 		return err

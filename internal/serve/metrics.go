@@ -64,6 +64,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	emit("wse_plan_cache_store_hits_total", "counter", c("wse_plan_cache_store_hits_total", ps.StoreHits))
 	emit("wse_plan_cache_store_errors_total", "counter", c("wse_plan_cache_store_errors_total", ps.StoreErrors))
 	emit("wse_plan_cache_resident", "gauge", c("wse_plan_cache_resident", int64(ps.Size)))
+	emit("wse_plan_tape_records_total", "counter", c("wse_plan_tape_records_total", ps.TapeRecords))
+	emit("wse_plan_tape_replays_total", "counter", c("wse_plan_tape_replays_total", ps.TapeReplays))
+	emit("wse_plan_tape_declined_total", "counter", c("wse_plan_tape_declined_total", ps.TapeDeclined))
 
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()

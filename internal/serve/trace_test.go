@@ -129,6 +129,47 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 }
 
+// TestReplayTapeIsObservable: three runs of one shape are an engine run, a
+// recording and a tape replay. The fabric.exec spans say which, all three
+// carrying the one cycle count and step count the engine decided, and
+// /metrics counts the tape's life.
+func TestReplayTapeIsObservable(t *testing.T) {
+	tracer := obs.NewTracer(obs.Config{Sample: 1})
+	defer tracer.Close()
+	_, ts := newTestServer(t, Config{Tracer: tracer})
+	for run := 1; run <= 3; run++ {
+		if resp, body := post(t, ts.URL+"/v1/run", runBody("allreduce1d", 8, 4), nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %d: status %d: %s", run, resp.StatusCode, body)
+		}
+		waitTraces(t, tracer, run) // commit order is request order
+	}
+	modes := map[any]int{}
+	var first obs.SpanRecord
+	for i, tr := range tracer.Traces(0, 0) {
+		sp := spanByName(t, tr, "fabric.exec")
+		modes[sp.Attrs["mode"]]++
+		if i == 0 {
+			first = sp
+		}
+		if sp.Attrs["cycles"] != first.Attrs["cycles"] || sp.Attrs["steps"] != first.Attrs["steps"] {
+			t.Errorf("fabric.exec %v reports cycles %v steps %v, another run %v %v", sp.Attrs["mode"], sp.Attrs["cycles"], sp.Attrs["steps"], first.Attrs["cycles"], first.Attrs["steps"])
+		}
+	}
+	if modes["engine"] != 1 || modes["record"] != 1 || modes["tape"] != 1 {
+		t.Errorf("fabric.exec modes over three runs: %v, want one each of engine, record, tape", modes)
+	}
+	_, body := get(t, ts.URL+"/metrics")
+	for _, line := range []string{
+		"wse_plan_tape_records_total 1",
+		"wse_plan_tape_replays_total 2", // the recording run's own report, and the third run's
+		"wse_plan_tape_declined_total 0",
+	} {
+		if !strings.Contains(string(body), line) {
+			t.Errorf("metrics output missing %q", line)
+		}
+	}
+}
+
 // TestTraceFleetSingleID: a request through the front produces traces
 // on both tiers under ONE trace id — the front's root span mints it, the
 // forward injects the traceparent, and the worker's root span joins it.
