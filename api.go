@@ -17,11 +17,8 @@ package wse
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 
-	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/plan"
 )
@@ -31,7 +28,7 @@ import (
 // accept, and input slices whose arity does not match the Shape (ragged
 // vectors, wrong PE count, mis-sized chunks). Test with
 // errors.Is(err, wse.ErrBadShape).
-var ErrBadShape = errors.New("wse: bad shape")
+var ErrBadShape = plan.ErrBadShape
 
 // Option configures a single Run, Predict, Bound, Submit or RunBatch
 // call.
@@ -90,146 +87,28 @@ type Columnar = fabric.ColumnarResult
 // Future leaks nothing.
 type Future = plan.Async
 
-func badShape(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrBadShape, fmt.Sprintf(format, args...))
-}
-
-// algs1D lists what each 1D reduce-family kind accepts: the tree-family
-// patterns everywhere, the ring mappings only where a ring program
-// exists (AllReduce, §6.2).
-func valid1DAlg(kind Collective, alg Algorithm) bool {
-	switch alg {
-	case Star, Chain, Tree, TwoPhase, AutoGen, Auto:
-		return true
-	case Ring, RingDP:
-		return kind == KindAllReduce
-	}
-	return false
-}
-
-func valid2DAlg(alg Algorithm2D) bool {
-	switch alg {
-	case XYStar, XYChain, XYTree, XYTwoPhase, XYAutoGen, Snake, Auto2D:
-		return true
-	}
-	return false
-}
-
-func validOp(op ReduceOp) bool {
-	switch op {
-	case Sum, Max, Min:
-		return true
-	}
-	return false
-}
-
 // Validate reports whether the Shape names a runnable collective: a
 // known kind, positive geometry and vector length, an algorithm the kind
-// accepts, and a known reduction operator where one applies. Fields a
+// accepts, and a known reduction operator where one applies — each read
+// off the kind's row of the table in internal/plan/kinds.go. Fields a
 // kind never consults (the 2D algorithm of a 1D reduce, say) are ignored,
 // mirroring how plan keys canonicalise them. All failures wrap
 // ErrBadShape.
-func (sh Shape) Validate() error {
-	if sh.B < 1 {
-		return badShape("%s: vector length B = %d, want >= 1", sh.Kind, sh.B)
-	}
-	switch sh.Kind {
-	case KindReduce, KindAllReduce, KindAllReduceMidRoot:
-		if sh.P < 1 {
-			return badShape("%s: P = %d PEs, want >= 1", sh.Kind, sh.P)
-		}
-		if !valid1DAlg(sh.Kind, sh.Alg) {
-			return badShape("%s: algorithm %q", sh.Kind, sh.Alg)
-		}
-		if !validOp(sh.Op) {
-			return badShape("%s: reduction op %v", sh.Kind, sh.Op)
-		}
-		// The ring is a chunked algorithm underneath (reduce-scatter then
-		// allgather): same builder, same need for a real split.
-		if sh.Alg == Ring || sh.Alg == RingDP {
-			if sh.P < 2 {
-				return badShape("%s: ring over P = %d PEs, want >= 2", sh.Kind, sh.P)
-			}
-			if sh.B < sh.P {
-				return badShape("%s: ring splits B = %d over P = %d PEs into empty chunks, want B >= P", sh.Kind, sh.B, sh.P)
-			}
-		}
-	case KindReduceScatter, KindScatter, KindGather, KindAllGather:
-		// The chunked kinds need a real split into non-empty chunks: the
-		// comm builders reject a single PE and B < P, so Validate does too
-		// (typed, instead of the untyped compile error).
-		if sh.P < 2 {
-			return badShape("%s: P = %d PEs, want >= 2", sh.Kind, sh.P)
-		}
-		if sh.B < sh.P {
-			return badShape("%s: B = %d split over P = %d PEs leaves empty chunks, want B >= P", sh.Kind, sh.B, sh.P)
-		}
-		if sh.Kind == KindReduceScatter && !validOp(sh.Op) {
-			return badShape("%s: reduction op %v", sh.Kind, sh.Op)
-		}
-	case KindBroadcast:
-		if sh.P < 1 {
-			return badShape("%s: P = %d PEs, want >= 1", sh.Kind, sh.P)
-		}
-	case KindReduce2D, KindAllReduce2D:
-		if sh.Width < 1 || sh.Height < 1 {
-			return badShape("%s: %dx%d grid, want >= 1x1", sh.Kind, sh.Width, sh.Height)
-		}
-		if !valid2DAlg(sh.Alg2D) {
-			return badShape("%s: 2D algorithm %q", sh.Kind, sh.Alg2D)
-		}
-		if !validOp(sh.Op) {
-			return badShape("%s: reduction op %v", sh.Kind, sh.Op)
-		}
-	case KindBroadcast2D:
-		if sh.Width < 1 || sh.Height < 1 {
-			return badShape("%s: %dx%d grid, want >= 1x1", sh.Kind, sh.Width, sh.Height)
-		}
-	default:
-		return badShape("unknown kind %q", sh.Kind)
-	}
-	return nil
-}
+func (sh Shape) Validate() error { return sh.request(Options{}).Validate() }
 
-// checkInputs validates that inputs matches the Shape's arity — the
-// check that used to happen piecemeal (or not at all: ragged vectors
-// once reached the core layers unvalidated) and now guards every
-// execution verb with a typed error.
+// checkInputs validates that inputs matches the layout of the Shape's
+// kind, guarding every execution verb with a typed error.
 func (sh Shape) checkInputs(inputs [][]float32) error {
-	switch sh.Kind {
-	case KindBroadcast, KindBroadcast2D, KindScatter:
-		if len(inputs) != 1 || len(inputs[0]) != sh.B {
-			return badShape("%s wants one %d-element vector, got %d vector(s)", sh.Kind, sh.B, len(inputs))
-		}
-	case KindGather, KindAllGather:
-		if len(inputs) != sh.P {
-			return badShape("%s wants %d chunks, got %d", sh.Kind, sh.P, len(inputs))
-		}
-		// core.CheckChunks is the one source of the canonical chunk-split
-		// rule; this layer only adds the typed wrap.
-		if b, err := core.CheckChunks(inputs); err != nil {
-			return badShape("%s: %v", sh.Kind, err)
-		} else if b != sh.B {
-			return badShape("%s: chunks total %d elements, want %d", sh.Kind, b, sh.B)
-		}
-	case KindReduce2D, KindAllReduce2D:
-		return sh.checkVectors(inputs, sh.Width*sh.Height)
-	default:
-		return sh.checkVectors(inputs, sh.P)
-	}
-	return nil
+	return sh.request(Options{}).CheckInputs(inputs)
 }
 
-func (sh Shape) checkVectors(inputs [][]float32, n int) error {
-	if len(inputs) != n {
-		return badShape("%s wants %d input vectors, got %d", sh.Kind, n, len(inputs))
-	}
-	for i, v := range inputs {
-		if len(v) != sh.B {
-			return badShape("%s: vector %d has length %d, want %d", sh.Kind, i, len(v), sh.B)
-		}
-	}
-	return nil
+// Inputs builds one run's worth of inputs for sh in the layout its kind
+// takes — the root vector wrapped in a one-element slice for broadcast and
+// scatter kinds, the per-PE chunks (sized per Chunks) for gather kinds,
+// otherwise one length-B vector per PE in row-major order — asking fill
+// for each vector in turn. sh must be valid.
+func (sh Shape) Inputs(fill func(n int) []float32) [][]float32 {
+	return sh.request(Options{}).Inputs(fill)
 }
 
 // checkRun bundles the validation every execution verb performs before
@@ -330,34 +209,7 @@ func RunBatch(ctx context.Context, sh Shape, batches [][][]float32, opts ...RunO
 // is total: shapes naming unknown kinds or algorithms estimate to NaN or
 // 0 rather than erroring — Validate is the place to vet a Shape.
 func Predict(sh Shape, opts ...Option) float64 {
-	c := resolveOpts(opts)
-	pr := params(c.opt)
-	tr := pr.TR
-	switch sh.Kind {
-	case KindReduce:
-		return core.PredictReduce1D(sh.Alg, sh.P, sh.B, tr)
-	case KindAllReduce:
-		return core.PredictAllReduce1D(sh.Alg, sh.P, sh.B, tr)
-	case KindBroadcast:
-		return pr.Broadcast1D(sh.P, sh.B)
-	case KindReduce2D:
-		return core.PredictReduce2D(sh.Alg2D, sh.Width, sh.Height, sh.B, tr)
-	case KindAllReduce2D:
-		return core.PredictAllReduce2D(sh.Alg2D, sh.Width, sh.Height, sh.B, tr)
-	case KindBroadcast2D:
-		return pr.Broadcast2D(sh.Height, sh.Width, sh.B)
-	case KindScatter:
-		return pr.Scatter(sh.P, sh.B)
-	case KindGather:
-		return pr.Gather(sh.P, sh.B)
-	case KindReduceScatter:
-		return pr.ReduceScatter(sh.P, sh.B)
-	case KindAllGather:
-		return pr.AllGather(sh.P, sh.B)
-	case KindAllReduceMidRoot:
-		return pr.MidRootAllReduce(string(sh.Alg), sh.P, sh.B)
-	}
-	return math.NaN()
+	return sh.request(resolveOpts(opts).opt).Predict()
 }
 
 // Bound returns a runtime lower bound for sh in cycles — the floor every
@@ -375,23 +227,5 @@ func Predict(sh Shape, opts ...Option) float64 {
 //
 // Unknown kinds bound to NaN.
 func Bound(sh Shape, opts ...Option) float64 {
-	c := resolveOpts(opts)
-	pr := params(c.opt)
-	tr := pr.TR
-	switch sh.Kind {
-	case KindReduce, KindAllReduce, KindAllReduceMidRoot:
-		return core.LowerBound1D(sh.P, sh.B, tr)
-	case KindReduce2D, KindAllReduce2D:
-		return pr.LowerBound2D(sh.Height, sh.Width, sh.B)
-	case KindBroadcast:
-		return pr.Broadcast1D(sh.P, sh.B)
-	case KindBroadcast2D:
-		return pr.Broadcast2D(sh.Height, sh.Width, sh.B)
-	case KindScatter, KindGather, KindReduceScatter, KindAllGather:
-		if sh.P <= 1 {
-			return 0
-		}
-		return float64(sh.B)*float64(sh.P-1)/float64(sh.P) + float64(2*tr) + 1
-	}
-	return math.NaN()
+	return sh.request(resolveOpts(opts).opt).Bound()
 }

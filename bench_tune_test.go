@@ -55,7 +55,7 @@ func tuneBenchWorkload(b *testing.B) *workload.Workload {
 func BenchmarkTune(b *testing.B) {
 	ctx := context.Background()
 	w := tuneBenchWorkload(b)
-	cfg := tune.Config{Repeat: 2}
+	cfg := tune.Config{}
 
 	var tunings []tune.Tuning
 	var tuneWall time.Duration
@@ -114,7 +114,6 @@ func BenchmarkTune(b *testing.B) {
 			"b":                 t.Shape.B,
 			"alg":               alg,
 			"queue_cap":         t.Options.QueueCap,
-			"shards":            t.Options.Shards,
 			"default_cycles":    t.DefaultCycles,
 			"tuned_cycles":      t.Cycles,
 			"bound_cycles":      t.Bound,

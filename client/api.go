@@ -1,11 +1,11 @@
 package client
 
-// The verb surface and its wire types. The types mirror the daemon's
-// JSON exactly (internal/serve's ShapeWire/ReportWire), restated here so
-// the client package stands alone — importing it pulls in nothing but
-// the standard library (internal/obs, the one internal import, is
-// itself stdlib-only), which is what makes it embeddable in tools that
-// never link the simulator.
+// The verb surface and its wire types. The types are the daemon's JSON
+// exactly: aliases of internal/wire, which internal/serve aliases too.
+// Importing this package pulls in nothing but the standard library
+// (internal/wire and internal/obs, the internal imports, are themselves
+// stdlib-only), which is what makes it embeddable in tools that never link
+// the simulator.
 
 import (
 	"bytes"
@@ -21,41 +21,21 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Shape is a collective shape as the daemon's wire format spells it:
 // kind and algorithm names are the same strings the CLI flags take, and
 // zero-valued fields mean auto-selection or not-applicable.
-type Shape struct {
-	Kind   string `json:"kind"`
-	Alg    string `json:"alg,omitempty"`
-	Alg2D  string `json:"alg2d,omitempty"`
-	P      int    `json:"p,omitempty"`
-	Width  int    `json:"width,omitempty"`
-	Height int    `json:"height,omitempty"`
-	B      int    `json:"b"`
-	Op     string `json:"op,omitempty"`
-}
+type Shape = wire.Shape
 
 // FabricStats is the cost-metrics slice of a run report.
-type FabricStats struct {
-	Hops        int64 `json:"hops"`
-	RampMoves   int64 `json:"ramp_moves"`
-	MaxReceived int64 `json:"max_received"`
-	MaxQueueLen int   `json:"max_queue_len"`
-	Noops       int64 `json:"noops,omitempty"`
-	Steps       int64 `json:"steps,omitempty"`
-}
+type FabricStats = wire.Stats
 
 // Report is the result of a run: measured cycles, the model estimate,
 // the root vector and the fabric cost metrics. Predicted is nil when the
 // daemon's model has no finite estimate for the shape (null on the wire).
-type Report struct {
-	Cycles    int64       `json:"cycles"`
-	Predicted *float64    `json:"predicted"`
-	Root      []float32   `json:"root,omitempty"`
-	Stats     FabricStats `json:"stats"`
-}
+type Report = wire.Report
 
 // Job is one poll of an async submit: pending, done (Result set) or
 // failed (Error set).

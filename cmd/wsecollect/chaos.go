@@ -52,9 +52,7 @@ func chaosCmd(c *config) error {
 	if err != nil {
 		return err
 	}
-	sw := wireShape(c, sh)
-	wsh := client.Shape{Kind: sw.Kind, Alg: sw.Alg, Alg2D: sw.Alg2D,
-		P: sw.P, Width: sw.Width, Height: sw.Height, B: sw.B, Op: sw.Op}
+	wsh := serve.WireShape(sh)
 	inputs := inputsFor(sh)
 
 	baseURL := c.url

@@ -28,31 +28,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	wse "repro"
 	"repro/internal/serve"
 )
 
-// wireShape spells a wse.Shape in the daemon's wire format.
-func wireShape(c *config, sh wse.Shape) serve.ShapeWire {
-	return serve.ShapeWire{
-		Kind:   string(sh.Kind),
-		Alg:    string(sh.Alg),
-		Alg2D:  string(sh.Alg2D),
-		P:      sh.P,
-		Width:  sh.Width,
-		Height: sh.Height,
-		B:      sh.B,
-		Op:     strings.ToLower(c.opName),
-	}
-}
-
 // tenantMix expands the -tenants weights into a request-assignment ring:
 // request i goes to ring[i%len(ring)].
-func tenantMix(specs []tenantSpec) []string {
+func tenantMix(specs []serve.TenantSpec) []string {
 	var ring []string
 	for _, ts := range specs {
-		for i := 0; i < ts.cfg.Weight; i++ {
-			ring = append(ring, ts.name)
+		for i := 0; i < ts.Cfg.Weight; i++ {
+			ring = append(ring, ts.Name)
 		}
 	}
 	return ring
@@ -63,13 +48,13 @@ func loadCmd(c *config) error {
 	if err != nil {
 		return err
 	}
-	specs, err := parseTenants(c.tenants)
+	specs, err := c.tenantSpecs()
 	if err != nil {
 		return err
 	}
 	ring := tenantMix(specs)
 	body, err := json.Marshal(map[string]any{
-		"shape":  wireShape(c, sh),
+		"shape":  serve.WireShape(sh),
 		"inputs": inputsFor(sh),
 	})
 	if err != nil {

@@ -34,7 +34,7 @@
 //	    -trace-file JSONL, and pretty-print each span tree with per-span
 //	    self-times — the "where did the milliseconds go" view.
 //	wsecollect tune [-file FILE.wl | shape flags] [-tunings OUT.json] [-store DIR]
-//	    autotune the plan parameters (algorithm, queue depth, shards) of a
+//	    autotune the plan parameters (algorithm, queue depth) of a
 //	    workload's shapes — or the single flag shape — scoring every winner
 //	    against the paper's lower bound; -tunings writes the winners as a
 //	    sidecar, -store exports their compiled plans so a fleet inherits
@@ -68,8 +68,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,7 +77,9 @@ import (
 
 	wse "repro"
 	"repro/client"
-	"repro/internal/core"
+	"repro/internal/fabric"
+	"repro/internal/plan"
+	"repro/internal/serve"
 )
 
 func main() { os.Exit(realMain()) }
@@ -120,12 +122,35 @@ type config struct {
 	set map[string]bool
 }
 
+// flagHelp builds the -collective, -alg and -alg2d help strings from the
+// kind table: every kind's short name, and every algorithm some kind accepts.
+func flagHelp() (kinds, algs, algs2d string) {
+	var names, a, a2 []string
+	for _, ki := range plan.Kinds {
+		names = append(names, ki.Name)
+		for _, alg := range ki.Algs {
+			if !slices.Contains(a, string(alg)) {
+				a = append(a, string(alg))
+			}
+		}
+		for _, alg := range ki.Algs2D {
+			if !slices.Contains(a2, string(alg)) {
+				a2 = append(a2, string(alg))
+			}
+		}
+	}
+	return strings.Join(names, ", "),
+		strings.Join(append(a, string(wse.Auto)), ", "),
+		strings.Join(append(a2, string(wse.Auto2D)), ", ")
+}
+
 func parseFlags(cmd string, args []string) (*config, error) {
 	c := &config{}
 	fs := flag.NewFlagSet("wsecollect "+cmd, flag.ContinueOnError)
-	fs.StringVar(&c.collective, "collective", "reduce", "reduce, allreduce, broadcast, reduce2d, allreduce2d, broadcast2d, scatter, gather, reducescatter, allgather, allreduce-midroot")
-	fs.StringVar(&c.alg, "alg", "auto", "1D algorithm: star, chain, tree, twophase, autogen, auto")
-	fs.StringVar(&c.alg2d, "alg2d", "auto", "2D algorithm: xy-star, xy-chain, xy-tree, xy-twophase, xy-autogen, snake, auto")
+	kinds, algs, algs2d := flagHelp()
+	fs.StringVar(&c.collective, "collective", "reduce", kinds+" (or the key name, e.g. reduce1d)")
+	fs.StringVar(&c.alg, "alg", "auto", "1D algorithm: "+algs)
+	fs.StringVar(&c.alg2d, "alg2d", "auto", "2D algorithm: "+algs2d)
 	fs.IntVar(&c.p, "p", 64, "row length for 1D collectives")
 	fs.StringVar(&c.grid, "grid", "16x16", "grid WxH for 2D collectives")
 	fs.IntVar(&c.bytes, "bytes", 1024, "vector length in bytes (4 bytes per float32 wavelet)")
@@ -232,21 +257,14 @@ func (c *config) options() wse.Options {
 		Seed: c.seed, Shards: c.shards, MaxCycles: c.maxCycles}
 }
 
-func (c *config) reduceOp() (wse.ReduceOp, error) {
-	switch c.opName {
-	case "sum":
-		return wse.Sum, nil
-	case "max":
-		return wse.Max, nil
-	case "min":
-		return wse.Min, nil
-	}
-	return wse.Sum, fmt.Errorf("unknown op %q", c.opName)
-}
-
-// shape resolves the flag spelling of a collective into a wse.Shape.
+// shape resolves the flag spelling of a collective into a wse.Shape,
+// filling the fields its row of the kind table says the kind consults.
 func (c *config) shape() (wse.Shape, error) {
-	op, err := c.reduceOp()
+	ki, ok := plan.LookupKind(c.collective)
+	if !ok {
+		return wse.Shape{}, fmt.Errorf("%w: unknown collective %q", wse.ErrBadShape, c.collective)
+	}
+	op, err := fabric.ParseReduceOp(c.opName)
 	if err != nil {
 		return wse.Shape{}, err
 	}
@@ -258,52 +276,53 @@ func (c *config) shape() (wse.Shape, error) {
 	if n, err := fmt.Sscanf(c.grid, "%dx%d", &w, &h); n != 2 || err != nil {
 		return wse.Shape{}, fmt.Errorf("bad -grid %q (want WxH)", c.grid)
 	}
-	sh := wse.Shape{B: b, Op: op}
-	switch strings.ToLower(c.collective) {
-	case "reduce":
-		sh.Kind, sh.Alg, sh.P = wse.KindReduce, wse.Algorithm(c.alg), c.p
-	case "allreduce":
-		sh.Kind, sh.Alg, sh.P = wse.KindAllReduce, wse.Algorithm(c.alg), c.p
-	case "allreduce-midroot":
-		sh.Kind, sh.Alg, sh.P = wse.KindAllReduceMidRoot, wse.Algorithm(c.alg), c.p
-	case "broadcast":
-		sh.Kind, sh.P = wse.KindBroadcast, c.p
-	case "scatter":
-		sh.Kind, sh.P = wse.KindScatter, c.p
-	case "gather":
-		sh.Kind, sh.P = wse.KindGather, c.p
-	case "reducescatter":
-		sh.Kind, sh.P = wse.KindReduceScatter, c.p
-	case "allgather":
-		sh.Kind, sh.P = wse.KindAllGather, c.p
-	case "reduce2d":
-		sh.Kind, sh.Alg2D, sh.Width, sh.Height = wse.KindReduce2D, wse.Algorithm2D(c.alg2d), w, h
-	case "allreduce2d":
-		sh.Kind, sh.Alg2D, sh.Width, sh.Height = wse.KindAllReduce2D, wse.Algorithm2D(c.alg2d), w, h
-	case "broadcast2d":
-		sh.Kind, sh.Width, sh.Height = wse.KindBroadcast2D, w, h
-	default:
-		return wse.Shape{}, fmt.Errorf("unknown collective %q", c.collective)
+	sh := wse.Shape{Kind: ki.Kind, B: b, Op: op}
+	if ki.Grid {
+		sh.Width, sh.Height = w, h
+	} else {
+		sh.P = c.p
+	}
+	if ki.Algs != nil {
+		sh.Alg = wse.Algorithm(c.alg)
+	}
+	if ki.Algs2D != nil {
+		sh.Alg2D = wse.Algorithm2D(c.alg2d)
 	}
 	return sh, nil
 }
 
 // describe renders the PE geometry of a shape for the report line.
-func describe(sh wse.Shape, alg, alg2d string) string {
-	switch sh.Kind {
-	case wse.KindReduce2D, wse.KindAllReduce2D:
-		return fmt.Sprintf("%dx%d PEs, alg=%s", sh.Width, sh.Height, alg2d)
-	case wse.KindBroadcast2D:
-		return fmt.Sprintf("%dx%d PEs", sh.Width, sh.Height)
-	case wse.KindReduce, wse.KindAllReduce, wse.KindAllReduceMidRoot:
-		return fmt.Sprintf("%dx1 PEs, alg=%s", sh.P, alg)
+func describe(sh wse.Shape) string {
+	ki := plan.InfoOf(sh.Kind)
+	w, h := sh.P, 1
+	if ki.Grid {
+		w, h = sh.Width, sh.Height
 	}
-	return fmt.Sprintf("%dx1 PEs", sh.P)
+	switch {
+	case ki.Algs != nil:
+		return fmt.Sprintf("%dx%d PEs, alg=%s", w, h, sh.Alg)
+	case ki.Algs2D != nil:
+		return fmt.Sprintf("%dx%d PEs, alg=%s", w, h, sh.Alg2D)
+	}
+	return fmt.Sprintf("%dx%d PEs", w, h)
+}
+
+// tenantSpecs parses the -tenants spec; the CLI needs at least one tenant.
+func (c *config) tenantSpecs() ([]serve.TenantSpec, error) {
+	specs, err := serve.ParseTenants(c.tenants)
+	if err == nil && len(specs) == 0 {
+		err = fmt.Errorf("-tenants spec is empty")
+	}
+	return specs, err
+}
+
+// inputsFor builds all-ones inputs in the layout the shape's kind takes.
+func inputsFor(sh wse.Shape) [][]float32 {
+	return sh.Inputs(func(n int) []float32 { return slices.Repeat([]float32{1}, n) })
 }
 
 // once builds the run closure for a shape: the inputs and the session
-// call that serves it. Both run and serve mode build inputs through
-// inputsFor, so a kind's arity is encoded exactly once. With -batch N
+// call that serves it. With -batch N
 // each call replays the shape N times through RunBatch (one scheduled
 // request, one held simulator instance); -columnar skips the per-PE
 // result maps either way.
@@ -407,16 +426,8 @@ func remoteWarmCmd(c *config) error {
 			return err
 		}
 		for _, k := range store.Keys() {
-			shapes = append(shapes, client.Shape{
-				Kind:   string(k.Kind),
-				Alg:    string(k.Alg),
-				Alg2D:  string(k.Alg2D),
-				P:      k.P,
-				Width:  k.Width,
-				Height: k.Height,
-				B:      k.B,
-				Op:     k.Op.String(),
-			})
+			shapes = append(shapes, serve.WireShape(wse.Shape{Kind: k.Kind, Alg: k.Alg, Alg2D: k.Alg2D,
+				P: k.P, Width: k.Width, Height: k.Height, B: k.B, Op: k.Op}))
 		}
 		if len(shapes) == 0 {
 			return fmt.Errorf("store %s holds no plans to warm from", c.store)
@@ -426,11 +437,7 @@ func remoteWarmCmd(c *config) error {
 		if err != nil {
 			return err
 		}
-		shapes = append(shapes, client.Shape{
-			Kind: string(sh.Kind), Alg: string(sh.Alg), Alg2D: string(sh.Alg2D),
-			P: sh.P, Width: sh.Width, Height: sh.Height, B: sh.B,
-			Op: strings.ToLower(c.opName),
-		})
+		shapes = append(shapes, serve.WireShape(sh))
 	}
 	cl := client.New(client.Config{BaseURL: c.url})
 	start := time.Now()
@@ -449,62 +456,6 @@ func remoteWarmCmd(c *config) error {
 	return nil
 }
 
-// tenantSpec is one parsed -tenants entry.
-type tenantSpec struct {
-	name string
-	cfg  wse.TenantConfig
-}
-
-// parseTenants parses the -tenants spec: comma-separated
-// name:class:weight[:maxqueue] entries.
-func parseTenants(spec string) ([]tenantSpec, error) {
-	var out []tenantSpec
-	for _, item := range strings.Split(spec, ",") {
-		parts := strings.Split(strings.TrimSpace(item), ":")
-		if len(parts) < 3 || len(parts) > 4 {
-			return nil, fmt.Errorf("bad tenant %q (want name:class:weight[:maxqueue])", item)
-		}
-		ts := tenantSpec{name: parts[0]}
-		switch strings.ToLower(parts[1]) {
-		case "interactive":
-			ts.cfg.Priority = wse.Interactive
-		case "batch":
-			ts.cfg.Priority = wse.Batch
-		case "background":
-			ts.cfg.Priority = wse.Background
-		default:
-			return nil, fmt.Errorf("bad tenant class %q (interactive, batch, background)", parts[1])
-		}
-		var err error
-		if ts.cfg.Weight, err = strconv.Atoi(parts[2]); err != nil || ts.cfg.Weight < 1 {
-			return nil, fmt.Errorf("bad tenant weight %q", parts[2])
-		}
-		if len(parts) == 4 {
-			if ts.cfg.MaxQueue, err = strconv.Atoi(parts[3]); err != nil || ts.cfg.MaxQueue < 1 {
-				return nil, fmt.Errorf("bad tenant maxqueue %q", parts[3])
-			}
-		}
-		out = append(out, ts)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-tenants spec is empty")
-	}
-	return out, nil
-}
-
-// inputsFor builds all-ones inputs of the right arity for a shape.
-func inputsFor(sh wse.Shape) [][]float32 {
-	switch sh.Kind {
-	case wse.KindBroadcast, wse.KindScatter, wse.KindBroadcast2D:
-		return [][]float32{constVec(sh.B, 1)}
-	case wse.KindGather, wse.KindAllGather:
-		return chunks(sh.P, sh.B)
-	case wse.KindReduce2D, wse.KindAllReduce2D:
-		return constVectors(sh.Width*sh.Height, sh.B)
-	}
-	return constVectors(sh.P, sh.B)
-}
-
 // serveCmd is the multi-tenant serving demo: every -tenants tenant
 // bursts -repeat copies of the flag shape at the session at once, so the
 // worker pool saturates and the QoS scheduler decides who runs when.
@@ -513,7 +464,7 @@ func inputsFor(sh wse.Shape) [][]float32 {
 // ErrOverloaded rejections for tenants with a tight maxqueue bound —
 // followed by the raw SchedStats dumped as JSON for dashboards.
 func serveCmd(c *config) error {
-	specs, err := parseTenants(c.tenants)
+	specs, err := c.tenantSpecs()
 	if err != nil {
 		return err
 	}
@@ -545,7 +496,7 @@ func serveCmd(c *config) error {
 	var rejected, cancelled, failed atomic.Int64
 	ctx := context.Background()
 	for _, ts := range specs {
-		tn := sess.WithTenant(ts.name, ts.cfg)
+		tn := sess.WithTenant(ts.Name, ts.Cfg)
 		for i := 0; i < repeat; i++ {
 			wg.Add(1)
 			go func() {
@@ -666,7 +617,7 @@ func runCmd(c *config) error {
 		warm = time.Since(warmStart) / time.Duration(repeat-1)
 	}
 
-	fmt.Printf("%s of %d bytes on %s\n", c.collective, c.bytes, describe(sh, c.alg, c.alg2d))
+	fmt.Printf("%s of %d bytes on %s\n", c.collective, c.bytes, describe(sh))
 	fmt.Printf("  measured   %10d cycles (%.2f us at 850 MHz)\n", rep.Cycles, float64(rep.Cycles)/850)
 	fmt.Printf("  predicted  %10.0f cycles (%.1f%% relative error)\n", rep.Predicted,
 		100*abs(float64(rep.Cycles)-rep.Predicted)/float64(rep.Cycles))
@@ -688,34 +639,6 @@ func runCmd(c *config) error {
 		}
 	}
 	return nil
-}
-
-func constVec(n int, v float32) []float32 {
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
-func constVectors(p, b int) [][]float32 {
-	out := make([][]float32, p)
-	for i := range out {
-		out[i] = constVec(b, 1)
-	}
-	return out
-}
-
-// chunks splits an all-ones b-element vector into the per-PE chunks a
-// compiled gather/allgather program expects, using the canonical split
-// rule the compiler itself validates inputs against.
-func chunks(p, b int) [][]float32 {
-	_, sz := core.Chunks(p, b)
-	out := make([][]float32, p)
-	for i, n := range sz {
-		out[i] = constVec(n, 1)
-	}
-	return out
 }
 
 func abs(x float64) float64 {

@@ -1,0 +1,56 @@
+package main
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"testing"
+
+	wse "repro"
+	"repro/internal/plan"
+)
+
+// TestKindTableConformance: the -collective flag is the kind table — every
+// row resolves under its short name and its key name, the resulting shape
+// validates and gets inputs of its layout, and the flag help lists every
+// kind and every algorithm some kind accepts.
+func TestKindTableConformance(t *testing.T) {
+	for i := range plan.Kinds {
+		ki := &plan.Kinds[i]
+		for _, name := range []string{ki.Name, string(ki.Kind), strings.ToUpper(ki.Name)} {
+			c, err := parseFlags("run", []string{"-collective", name, "-p", "8", "-grid", "3x2", "-bytes", "64", "-op", "max"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh, err := c.shape()
+			if err != nil || sh.Kind != ki.Kind || sh.Validate() != nil {
+				t.Errorf("-collective %s: shape %+v, %v", name, sh, err)
+				continue
+			}
+			if _, err := wse.Run(context.Background(), sh, inputsFor(sh)); err != nil {
+				t.Errorf("-collective %s: run on inputsFor: %v", name, err)
+			}
+			if !strings.Contains(describe(sh), " PEs") {
+				t.Errorf("-collective %s: describe = %q", name, describe(sh))
+			}
+		}
+	}
+	c, _ := parseFlags("run", []string{"-collective", "transpose"})
+	if _, err := c.shape(); !errors.Is(err, wse.ErrBadShape) {
+		t.Errorf("-collective transpose: %v, want ErrBadShape", err)
+	}
+	kinds, algs, algs2d := flagHelp()
+	for _, want := range []string{"allreduce-midroot", "reducescatter"} {
+		if !strings.Contains(kinds, want) {
+			t.Errorf("-collective help %q lacks %s", kinds, want)
+		}
+	}
+	for _, want := range []string{"ring", "ring-dp", "autogen", "auto"} {
+		if !strings.Contains(algs, want) {
+			t.Errorf("-alg help %q lacks %s", algs, want)
+		}
+	}
+	if !strings.Contains(algs2d, "snake") {
+		t.Errorf("-alg2d help %q lacks snake", algs2d)
+	}
+}

@@ -29,7 +29,7 @@ func tuneShapes(c *config) ([]wse.Shape, string, error) {
 }
 
 // tuneCmd searches each shape's plan parameters (algorithm grid, router
-// queue depth, engine shards), prints the winners against the paper's
+// queue depth), prints the winners against the paper's
 // lower bound, and persists them: -tunings writes the sidecar workloads
 // apply, -store exports the compiled winning plans so cold sessions and
 // the fleet replay them without compiling.
@@ -38,18 +38,14 @@ func tuneCmd(c *config) error {
 	if err != nil {
 		return err
 	}
-	cfg := tune.Config{Options: c.options()}
-	if c.shards > 0 {
-		cfg.MaxShards = c.shards
-	}
 	start := time.Now()
-	tunings, err := tune.Tune(context.Background(), shapes, cfg)
+	tunings, err := tune.Tune(context.Background(), shapes, tune.Config{Options: c.options()})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("tuned %d shapes in %v\n", len(tunings), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("%-20s %-12s %6s %7s %10s %10s %10s %10s\n",
-		"kind", "alg", "queue", "shards", "default", "tuned", "vs bound", "speedup")
+	fmt.Printf("%-20s %-12s %6s %10s %10s %10s %10s\n",
+		"kind", "alg", "queue", "default", "tuned", "vs bound", "speedup")
 	for _, t := range tunings {
 		alg := string(t.Tuned().Alg)
 		if a2 := string(t.Tuned().Alg2D); a2 != "" {
@@ -58,8 +54,8 @@ func tuneCmd(c *config) error {
 		if alg == "" {
 			alg = "-"
 		}
-		fmt.Printf("%-20s %-12s %6d %7d %10d %10d %9.2fx %9.2fx\n",
-			t.Shape.Kind, alg, t.Options.QueueCap, t.Options.Shards,
+		fmt.Printf("%-20s %-12s %6d %10d %10d %9.2fx %9.2fx\n",
+			t.Shape.Kind, alg, t.Options.QueueCap,
 			t.DefaultCycles, t.Cycles, t.AchievedVsBound, t.TunedVsDefault)
 	}
 	if c.tunings != "" {

@@ -11,7 +11,6 @@ import (
 	"context"
 
 	"repro/internal/core"
-	"repro/internal/model"
 )
 
 // Chunks returns the balanced chunk offsets and sizes the chunked
@@ -77,5 +76,3 @@ func PredictAllGather(p, b int, opt Options) float64 {
 func PredictAllReduceMidRoot(alg Algorithm, p, b int, opt Options) float64 {
 	return Predict(Shape{Kind: KindAllReduceMidRoot, Alg: alg, P: p, B: b}, WithOptions(opt))
 }
-
-func params(opt Options) model.Params { return core.Params(opt) }

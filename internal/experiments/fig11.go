@@ -9,7 +9,7 @@ import (
 
 // seriesPatterns are the measured 1D patterns in the paper's legend
 // order; chain is the vendor baseline.
-var seriesPatterns = []core.Pattern{core.Star, core.Chain, core.Tree, core.TwoPhase, core.AutoGen}
+var seriesPatterns = core.Patterns1D
 
 // Fig11a regenerates Figure 11a: 1D Broadcast on a row of P1D PEs with
 // increasing vector length, measured (simulator, §8.3 harness) against

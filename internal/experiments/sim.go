@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -143,24 +144,9 @@ func (cfg Config) runPlanned(req plan.Request) (float64, error) {
 	return float64(rep.Cycles), nil
 }
 
-// onesInputs builds the all-ones input vectors of a request.
+// onesInputs builds the all-ones inputs of a request, in its kind's layout.
 func onesInputs(req plan.Request) [][]float32 {
-	n := req.P
-	switch req.Kind {
-	case plan.Broadcast1D, plan.Broadcast2D:
-		n = 1
-	case plan.Reduce2D, plan.AllReduce2D:
-		n = req.Width * req.Height
-	}
-	out := make([][]float32, n)
-	for i := range out {
-		v := make([]float32, req.B)
-		for j := range v {
-			v[j] = 1
-		}
-		out[i] = v
-	}
-	return out
+	return req.Inputs(func(n int) []float32 { return slices.Repeat([]float32{1}, n) })
 }
 
 func (cfg Config) tr() int { return core.Params(cfg.Opt).TR }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/mesh"
 )
@@ -68,6 +69,18 @@ func (o ReduceOp) String() string {
 	default:
 		return "sum"
 	}
+}
+
+// ParseReduceOp is the inverse of ReduceOp.String, ignoring case: the one
+// place the operator names are read back, for the CLI, the wire, workload
+// files and plan keys alike.
+func ParseReduceOp(name string) (ReduceOp, error) {
+	for op := OpSum; op <= OpMin; op++ {
+		if strings.EqualFold(name, op.String()) {
+			return op, nil
+		}
+	}
+	return OpSum, fmt.Errorf("unknown reduction op %q (sum, max, min)", name)
 }
 
 // OpKind enumerates the processor program operations.

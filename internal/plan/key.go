@@ -74,15 +74,8 @@ func ParseKey(s string) (Key, error) {
 	if err != nil {
 		return k, err
 	}
-	switch vals["op"] {
-	case "sum":
-		k.Op = fabric.OpSum
-	case "max":
-		k.Op = fabric.OpMax
-	case "min":
-		k.Op = fabric.OpMin
-	default:
-		return k, fmt.Errorf("plan: bad key %q: op=%q (sum, max, min)", s, vals["op"])
+	if k.Op, err = fabric.ParseReduceOp(vals["op"]); err != nil {
+		return k, fmt.Errorf("plan: bad key %q: %v", s, err)
 	}
 	if k.Opt.MaxCycles, err = strconv.ParseInt(vals["maxcyc"], 10, 64); err != nil {
 		return k, fmt.Errorf("plan: bad key %q: maxcyc=%q", s, vals["maxcyc"])

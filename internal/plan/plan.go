@@ -121,17 +121,23 @@ func KeyOf(req Request) Key {
 			Shards:          opt.Shards,
 		},
 	}
-	switch req.Kind {
-	case Reduce1D, AllReduce1D, AllReduceMidRoot:
-		k.Alg2D, k.Width, k.Height = "", 0, 0
-	case Reduce2D, AllReduce2D:
-		k.Alg, k.P = "", 0
-	case Broadcast2D:
-		k.Alg, k.Alg2D, k.P, k.Op = "", "", 0, 0
-	case ReduceScatter:
-		k.Alg, k.Alg2D, k.Width, k.Height = "", "", 0, 0
-	case Broadcast1D, Scatter, Gather, AllGather:
-		k.Alg, k.Alg2D, k.Width, k.Height, k.Op = "", "", 0, 0, 0
+	ki := InfoOf(req.Kind)
+	if ki == nil {
+		return k
+	}
+	if ki.Grid {
+		k.P = 0
+	} else {
+		k.Width, k.Height = 0, 0
+	}
+	if ki.Algs == nil {
+		k.Alg = ""
+	}
+	if ki.Algs2D == nil {
+		k.Alg2D = ""
+	}
+	if !ki.HasOp {
+		k.Op = 0
 	}
 	return k
 }
@@ -231,19 +237,8 @@ func (r Request) tr() int { return core.Params(r.Opt).TR }
 // resolve replaces Auto algorithm selections with the concrete choice of
 // the performance model, exactly as the one-shot Run* functions do.
 func (r Request) resolve() Request {
-	switch r.Kind {
-	case Reduce1D, AllReduce1D:
-		if r.Alg == core.Auto {
-			r.Alg, _ = core.BestReduce1D(r.P, r.B, r.tr())
-		}
-	case AllReduceMidRoot:
-		if r.Alg == core.Auto {
-			r.Alg, _ = core.BestReduce1D(r.P/2+1, r.B, r.tr())
-		}
-	case Reduce2D, AllReduce2D:
-		if r.Alg2D == core.Auto2D {
-			r.Alg2D, _ = core.BestReduce2D(r.Width, r.Height, r.B, r.tr())
-		}
+	if ki := InfoOf(r.Kind); ki != nil && ki.auto != nil {
+		ki.auto(&r, r.tr())
 	}
 	return r
 }
@@ -256,6 +251,10 @@ func Compile(req Request) (*Plan, error) {
 	if err := faults.Inject("plan.compile"); err != nil {
 		return nil, err
 	}
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	ki := InfoOf(req.Kind)
 	key := KeyOf(req)
 	req = req.resolve()
 	tr := req.tr()
@@ -277,89 +276,41 @@ func Compile(req Request) (*Plan, error) {
 		Alg2D:  req.Alg2D,
 		Opt:    opt,
 	}
-	if req.B < 1 {
-		return nil, fmt.Errorf("plan: vector length %d", req.B)
-	}
-	switch req.Kind {
-	case Reduce1D, AllReduce1D, Broadcast1D, Scatter, Gather,
-		ReduceScatter, AllGather, AllReduceMidRoot:
-		if req.P < 1 {
-			return nil, fmt.Errorf("plan: %d PEs", req.P)
-		}
-		p.Spec = fabric.NewSpec(req.P, 1)
-	case Reduce2D, AllReduce2D, Broadcast2D:
-		if req.Width < 1 || req.Height < 1 {
-			return nil, fmt.Errorf("plan: %dx%d grid", req.Width, req.Height)
-		}
+	if ki.Grid {
 		p.Spec = fabric.NewSpec(req.Width, req.Height)
-	default:
-		return nil, fmt.Errorf("plan: unknown kind %q", req.Kind)
+	} else {
+		p.Spec = fabric.NewSpec(req.P, 1)
 	}
-
-	var err error
-	switch req.Kind {
-	case Reduce1D:
-		err = core.BuildReduce1DInto(p.Spec, req.Alg, req.P, req.B, tr, req.Op)
-		p.Predicted = core.PredictReduce1D(req.Alg, req.P, req.B, tr)
-	case AllReduce1D:
-		err = core.BuildAllReduce1DInto(p.Spec, req.Alg, req.P, req.B, tr, req.Op)
-		p.Predicted = core.PredictAllReduce1D(req.Alg, req.P, req.B, tr)
-	case Broadcast1D:
-		err = core.BuildBroadcast1DInto(p.Spec, req.P, req.B)
-		p.Predicted = core.Params(req.Opt).Broadcast1D(req.P, req.B)
-	case Reduce2D:
-		err = core.BuildReduce2DInto(p.Spec, req.Alg2D, req.Width, req.Height, req.B, tr, req.Op)
-		p.Predicted = core.PredictReduce2D(req.Alg2D, req.Width, req.Height, req.B, tr)
-	case AllReduce2D:
-		err = core.BuildAllReduce2DInto(p.Spec, req.Alg2D, req.Width, req.Height, req.B, tr, req.Op)
-		p.Predicted = core.PredictAllReduce2D(req.Alg2D, req.Width, req.Height, req.B, tr)
-	case Broadcast2D:
-		err = core.BuildBroadcast2DInto(p.Spec, req.Width, req.Height, req.B)
-		p.Predicted = core.Params(req.Opt).Broadcast2D(req.Height, req.Width, req.B)
-	case Scatter:
-		err = core.BuildScatterInto(p.Spec, req.P, req.B)
-		p.Predicted = core.Params(req.Opt).Scatter(req.P, req.B)
-	case Gather:
-		err = core.BuildGatherInto(p.Spec, req.P, req.B)
-		p.Predicted = core.Params(req.Opt).Gather(req.P, req.B)
-	case ReduceScatter:
-		err = core.BuildReduceScatterInto(p.Spec, req.P, req.B, req.Op)
-		p.Predicted = core.Params(req.Opt).ReduceScatter(req.P, req.B)
-	case AllGather:
-		err = core.BuildAllGatherInto(p.Spec, req.P, req.B)
-		p.Predicted = core.Params(req.Opt).AllGather(req.P, req.B)
-	case AllReduceMidRoot:
-		err = core.BuildAllReduceMidRootInto(p.Spec, req.Alg, req.P, req.B, tr, req.Op)
-		p.Predicted = core.Params(req.Opt).MidRootAllReduce(string(req.Alg), req.P, req.B)
-	}
-	if err != nil {
+	if err := ki.build(p.Spec, req, tr); err != nil {
 		return nil, err
 	}
+	p.Predicted = ki.predict(req, core.Params(req.Opt))
 	if err := p.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	if err := p.recordTrees(tr); err != nil {
-		return nil, err
+	if ki.trees {
+		if err := p.recordTrees(ki.Grid, tr); err != nil {
+			return nil, err
+		}
 	}
 	p.Colors = specColors(p.Spec)
 	return p, nil
 }
 
-// recordTrees stores the reduction-tree metadata of tree-based kinds.
-func (p *Plan) recordTrees(tr int) error {
+// recordTrees stores the reduction-tree metadata of a tree-based plan: the
+// X-Y trees on a grid (Snake has none), the row's tree in 1D (the ring has
+// none).
+func (p *Plan) recordTrees(grid bool, tr int) error {
 	var err error
-	switch p.Kind {
-	case Reduce1D, AllReduce1D:
+	if !grid {
 		if p.Alg != core.Ring && p.Alg != core.RingDP {
 			p.Tree, err = core.TreeFor(p.Alg, p.P, p.B, tr)
 		}
-	case Reduce2D, AllReduce2D:
-		if base, ok := p.Alg2D.Base1D(); ok {
-			if p.RowTree, err = core.TreeFor(base, p.Width, p.B, tr); err != nil {
-				return err
-			}
-			p.ColTree, err = core.TreeFor(base, p.Height, p.B, tr)
+	} else if base, ok := p.Alg2D.Base1D(); ok {
+		if p.RowTree, err = core.TreeFor(base, p.Width, p.B, tr); err != nil {
+			return err
 		}
+		p.ColTree, err = core.TreeFor(base, p.Height, p.B, tr)
 	}
 	return err
 }
@@ -430,7 +381,7 @@ func (p *Plan) inputCoord(j int) mesh.Coord {
 // PE's accumulator: allgather chunk j sits at its Chunks offset of the
 // B-length image every PE ends up holding.
 func (p *Plan) chunkOffsets() []int {
-	if p.Kind != AllGather {
+	if ki := InfoOf(p.Kind); ki == nil || !ki.placed {
 		return nil
 	}
 	off, _ := core.Chunks(p.P, p.B)
@@ -441,38 +392,13 @@ func (p *Plan) chunkOffsets() []int {
 // the validation half of setInits, also for callers (the batch path) that
 // want every entry vetted before any simulation runs.
 func (p *Plan) checkInputs(inputs [][]float32) error {
-	switch p.Kind {
-	case Broadcast1D, Broadcast2D, Scatter:
-		if len(inputs) != 1 || len(inputs[0]) != p.B {
-			return fmt.Errorf("plan: %s wants one %d-element vector", p.Kind, p.B)
-		}
-	case Gather, AllGather:
-		if len(inputs) != p.P {
-			return fmt.Errorf("plan: %s wants %d chunks, got %d", p.Kind, p.P, len(inputs))
-		}
-		if b, err := core.CheckChunks(inputs); err != nil {
-			return err
-		} else if b != p.B {
-			return fmt.Errorf("plan: chunks total %d elements, plan wants %d", b, p.B)
-		}
-	case Reduce2D, AllReduce2D:
-		return checkVectors(inputs, p.Width*p.Height, p.B)
-	default:
-		return checkVectors(inputs, p.P, p.B)
-	}
-	return nil
+	return p.shape().CheckInputs(inputs)
 }
 
-func checkVectors(inputs [][]float32, n, b int) error {
-	if len(inputs) != n {
-		return fmt.Errorf("plan: %d input vectors, want %d", len(inputs), n)
-	}
-	for i, v := range inputs {
-		if len(v) != b {
-			return fmt.Errorf("plan: vector %d has length %d, want %d", i, len(v), b)
-		}
-	}
-	return nil
+// shape is the plan's kind, geometry and vector length as a request: what
+// the kind table's input layout is asked about.
+func (p *Plan) shape() Request {
+	return Request{Kind: p.Kind, P: p.P, Width: p.Width, Height: p.Height, B: p.B}
 }
 
 // ExecOptions tune one replay. The zero value is the default map-shaped
@@ -739,34 +665,6 @@ type pooledFabric struct {
 	s *fabric.Spec
 }
 
-// zeroInputs synthesises zero-valued inputs of the plan's arity, for
-// constructing a fabric before any real request arrives.
-func (p *Plan) zeroInputs() [][]float32 {
-	switch p.Kind {
-	case Broadcast1D, Broadcast2D, Scatter:
-		return [][]float32{make([]float32, p.B)}
-	case Gather, AllGather:
-		_, sz := core.Chunks(p.P, p.B)
-		out := make([][]float32, p.P)
-		for j := range out {
-			out[j] = make([]float32, sz[j])
-		}
-		return out
-	case Reduce2D, AllReduce2D:
-		out := make([][]float32, p.Width*p.Height)
-		for i := range out {
-			out[i] = make([]float32, p.B)
-		}
-		return out
-	default:
-		out := make([][]float32, p.P)
-		for i := range out {
-			out[i] = make([]float32, p.B)
-		}
-		return out
-	}
-}
-
 // Prewarm stocks the plan's instance pool with one ready fabric, so the
 // first replay resets it instead of paying fabric construction — the
 // finishing touch of a warm start: with the plan decoded from a store and
@@ -777,7 +675,8 @@ func (p *Plan) Prewarm() error {
 	if p.replay.tape.Load() != nil {
 		return nil // replays walk the tape: an instance would only be dropped
 	}
-	s, err := p.bind(p.zeroInputs())
+	// Zero-valued inputs of the plan's layout: a fabric before any request.
+	s, err := p.bind(p.shape().Inputs(func(n int) []float32 { return make([]float32, n) }))
 	if err != nil {
 		return err
 	}

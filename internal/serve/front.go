@@ -163,7 +163,7 @@ func (f *Front) routingKey(endpoint string, body []byte) (string, error) {
 		if err := json.Unmarshal(body, &wr); err != nil || len(wr.Shapes) == 0 {
 			return "", fmt.Errorf("bad warm body: want {\"shapes\": [...]}")
 		}
-		sh, err := wr.Shapes[0].Shape()
+		sh, err := ShapeOf(wr.Shapes[0])
 		if err != nil {
 			return "", err
 		}
@@ -173,7 +173,7 @@ func (f *Front) routingKey(endpoint string, body []byte) (string, error) {
 	if err := json.Unmarshal(body, &probe); err != nil {
 		return "", fmt.Errorf("bad request body: %v", err)
 	}
-	sh, err := probe.Shape.Shape()
+	sh, err := ShapeOf(probe.Shape)
 	if err != nil {
 		return "", err
 	}

@@ -56,7 +56,7 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp warmResponse
 	for _, sw := range req.Shapes {
-		sh, err := sw.Shape()
+		sh, err := ShapeOf(sw)
 		if err == nil {
 			var fetched bool
 			if fetched, err = s.cfg.Session.Prefetch(r.Context(), sh); err == nil {

@@ -508,7 +508,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	sh, err := req.Shape.Shape()
+	sh, err := ShapeOf(req.Shape)
 	if err != nil {
 		s.writeVerbError(w, err)
 		return
@@ -533,7 +533,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, field st
 	if !s.decode(w, r, &req) {
 		return
 	}
-	sh, err := req.Shape.Shape()
+	sh, err := ShapeOf(req.Shape)
 	if err == nil {
 		err = sh.Validate()
 	}
@@ -569,7 +569,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	sh, err := req.Shape.Shape()
+	sh, err := ShapeOf(req.Shape)
 	if err != nil {
 		s.writeVerbError(w, err)
 		return

@@ -1,7 +1,8 @@
 package serve
 
 // The daemon's JSON wire format. Shapes travel as the same strings the
-// CLI flags use (kind names are the plan-key kind strings, so a wire
+// CLI flags use (a kind under either of its names, resolved by
+// plan.LookupKind; WireShape writes the plan-key kind strings, so a wire
 // shape round-trips through the plan cache and store unchanged), vectors
 // as JSON arrays of numbers. float32 values round-trip exactly through
 // JSON's float64 numbers, which is what lets the acceptance check
@@ -14,28 +15,42 @@ import (
 	"strings"
 
 	wse "repro"
+	"repro/internal/fabric"
+	"repro/internal/plan"
+	"repro/internal/wire"
 )
 
-// ShapeWire is a wse.Shape as it appears on the wire. Zero-valued fields
-// may be omitted; an empty algorithm selects auto-selection exactly as
-// the CLI flag defaults do.
-type ShapeWire struct {
-	Kind   string `json:"kind"`
-	Alg    string `json:"alg,omitempty"`
-	Alg2D  string `json:"alg2d,omitempty"`
-	P      int    `json:"p,omitempty"`
-	Width  int    `json:"width,omitempty"`
-	Height int    `json:"height,omitempty"`
-	B      int    `json:"b"`
-	Op     string `json:"op,omitempty"`
+// The wire types live in internal/wire, shared with the client.
+type (
+	ShapeWire  = wire.Shape
+	StatsWire  = wire.Stats
+	ReportWire = wire.Report
+)
+
+// WireShape spells a wse.Shape in the daemon's wire format.
+func WireShape(sh wse.Shape) ShapeWire {
+	return ShapeWire{
+		Kind:   string(sh.Kind),
+		Alg:    string(sh.Alg),
+		Alg2D:  string(sh.Alg2D),
+		P:      sh.P,
+		Width:  sh.Width,
+		Height: sh.Height,
+		B:      sh.B,
+		Op:     sh.Op.String(),
+	}
 }
 
-// Shape resolves the wire spelling into a wse.Shape. Failures wrap
+// ShapeOf resolves the wire spelling into a wse.Shape. Failures wrap
 // wse.ErrBadShape so the transport maps them to 400 like any other
 // validation error; the full Shape.Validate still runs inside the verbs.
-func (sw ShapeWire) Shape() (wse.Shape, error) {
+func ShapeOf(sw ShapeWire) (wse.Shape, error) {
+	ki, ok := plan.LookupKind(sw.Kind)
+	if !ok {
+		return wse.Shape{}, fmt.Errorf("%w: unknown kind %q", wse.ErrBadShape, sw.Kind)
+	}
 	sh := wse.Shape{
-		Kind:   wse.Collective(sw.Kind),
+		Kind:   ki.Kind,
 		Alg:    wse.Algorithm(sw.Alg),
 		Alg2D:  wse.Algorithm2D(sw.Alg2D),
 		P:      sw.P,
@@ -49,40 +64,13 @@ func (sw ShapeWire) Shape() (wse.Shape, error) {
 	if sw.Alg2D == "" {
 		sh.Alg2D = wse.Auto2D
 	}
-	switch strings.ToLower(sw.Op) {
-	case "", "sum":
-		sh.Op = wse.Sum
-	case "max":
-		sh.Op = wse.Max
-	case "min":
-		sh.Op = wse.Min
-	default:
-		return wse.Shape{}, fmt.Errorf("%w: unknown op %q (sum, max, min)", wse.ErrBadShape, sw.Op)
+	if sw.Op != "" {
+		var err error
+		if sh.Op, err = fabric.ParseReduceOp(sw.Op); err != nil {
+			return wse.Shape{}, fmt.Errorf("%w: %v", wse.ErrBadShape, err)
+		}
 	}
 	return sh, nil
-}
-
-// StatsWire is the fabric cost metrics slice of a report.
-type StatsWire struct {
-	Hops        int64 `json:"hops"`
-	RampMoves   int64 `json:"ramp_moves"`
-	MaxReceived int64 `json:"max_received"`
-	MaxQueueLen int   `json:"max_queue_len"`
-	Noops       int64 `json:"noops,omitempty"`
-	Steps       int64 `json:"steps,omitempty"`
-}
-
-// ReportWire is the result of a run as it appears on the wire: measured
-// cycles, the model estimate, the root vector and the cost metrics. The
-// per-PE maps stay server-side — they are a debugging surface, and
-// shipping W×H vectors per request would drown the result that matters.
-// Predicted is null when the model has no finite estimate (JSON has no
-// spelling for ±Inf or NaN): the measured half of the report still travels.
-type ReportWire struct {
-	Cycles    int64     `json:"cycles"`
-	Predicted *float64  `json:"predicted"`
-	Root      []float32 `json:"root,omitempty"`
-	Stats     StatsWire `json:"stats"`
 }
 
 func reportWire(rep *wse.Report) ReportWire {

@@ -1,0 +1,45 @@
+// Package wire holds the JSON shapes the daemon and its clients exchange,
+// spelled once: internal/serve and client both alias these types, so the
+// two sides of the wire cannot drift. It imports nothing but the standard
+// library, which keeps the client embeddable in tools that never link the
+// simulator.
+package wire
+
+// Shape is a collective shape as it appears on the wire. Kind is either
+// name of a collective kind ("reduce1d" or "reduce", case ignored), the
+// algorithms are the strings the CLI flags take, and zero-valued fields may
+// be omitted: an empty algorithm selects auto-selection exactly as the CLI
+// flag defaults do, an empty op means sum.
+type Shape struct {
+	Kind   string `json:"kind"`
+	Alg    string `json:"alg,omitempty"`
+	Alg2D  string `json:"alg2d,omitempty"`
+	P      int    `json:"p,omitempty"`
+	Width  int    `json:"width,omitempty"`
+	Height int    `json:"height,omitempty"`
+	B      int    `json:"b"`
+	Op     string `json:"op,omitempty"`
+}
+
+// Stats is the fabric cost-metrics slice of a report.
+type Stats struct {
+	Hops        int64 `json:"hops"`
+	RampMoves   int64 `json:"ramp_moves"`
+	MaxReceived int64 `json:"max_received"`
+	MaxQueueLen int   `json:"max_queue_len"`
+	Noops       int64 `json:"noops,omitempty"`
+	Steps       int64 `json:"steps,omitempty"`
+}
+
+// Report is the result of a run as it appears on the wire: measured
+// cycles, the model estimate, the root vector and the cost metrics. The
+// per-PE maps stay server-side — they are a debugging surface, and
+// shipping W×H vectors per request would drown the result that matters.
+// Predicted is null when the model has no finite estimate (JSON has no
+// spelling for ±Inf or NaN): the measured half of the report still travels.
+type Report struct {
+	Cycles    int64     `json:"cycles"`
+	Predicted *float64  `json:"predicted"`
+	Root      []float32 `json:"root,omitempty"`
+	Stats     Stats     `json:"stats"`
+}

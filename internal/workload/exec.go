@@ -208,8 +208,8 @@ func stepInputs(st *Step, parents []*wse.Report) [][]float32 {
 }
 
 // BaseInputs builds the deterministic input set for sh seeded by seed:
-// the right arity per kind (one root vector, per-PE vectors, or the
-// canonical balanced chunks), filled from a seeded PRNG. The autotuner
+// the layout its kind takes (Shape.Inputs), filled from a seeded PRNG in
+// input order. The autotuner
 // uses it too, so tuning measures the same data workloads run.
 func BaseInputs(sh wse.Shape, seed string) [][]float32 {
 	h := fnv.New64a()
@@ -219,35 +219,11 @@ func BaseInputs(sh wse.Shape, seed string) [][]float32 {
 		x = x*6364136223846793005 + 1442695040888963407
 		return float32(int32(uint32(x>>32))) / (1 << 31)
 	}
-	fill := func(n int) []float32 {
+	return sh.Inputs(func(n int) []float32 {
 		v := make([]float32, n)
 		for i := range v {
 			v[i] = next()
 		}
 		return v
-	}
-	switch sh.Kind {
-	case wse.KindBroadcast, wse.KindBroadcast2D, wse.KindScatter:
-		return [][]float32{fill(sh.B)}
-	case wse.KindGather, wse.KindAllGather:
-		full := fill(sh.B)
-		off, sz := wse.Chunks(sh.P, sh.B)
-		out := make([][]float32, sh.P)
-		for j := range out {
-			out[j] = full[off[j] : off[j]+sz[j]]
-		}
-		return out
-	case wse.KindReduce2D, wse.KindAllReduce2D:
-		out := make([][]float32, sh.Width*sh.Height)
-		for i := range out {
-			out[i] = fill(sh.B)
-		}
-		return out
-	default:
-		out := make([][]float32, sh.P)
-		for i := range out {
-			out[i] = fill(sh.B)
-		}
-		return out
-	}
+	})
 }

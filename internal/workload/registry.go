@@ -30,6 +30,8 @@ import (
 	"sync"
 
 	wse "repro"
+	"repro/internal/fabric"
+	"repro/internal/plan"
 )
 
 // Params carries one step's key=value parameters, keys lowercased. The
@@ -101,11 +103,18 @@ func Register(name string, fn StepFunc, doc string) {
 	registry[name] = Func{Name: name, Fn: fn, Doc: doc}
 }
 
-// LookupFunc returns the registered step function for name.
+// LookupFunc returns the registered step function for name. A collective
+// kind answers to either of its names, whatever the case (plan.LookupKind):
+// "reduce", "reduce1d" and "Reduce" are the same step function.
 func LookupFunc(name string) (Func, bool) {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	f, ok := registry[name]
+	if !ok {
+		if ki, isKind := plan.LookupKind(name); isKind {
+			f, ok = registry[ki.Name]
+		}
+	}
 	return f, ok
 }
 
@@ -120,19 +129,6 @@ func Funcs() []Func {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// paramOp resolves the op= parameter.
-func paramOp(p Params) (wse.ReduceOp, error) {
-	switch strings.ToLower(p.Str("op", "sum")) {
-	case "sum":
-		return wse.Sum, nil
-	case "max":
-		return wse.Max, nil
-	case "min":
-		return wse.Min, nil
-	}
-	return wse.Sum, fmt.Errorf("param op=%q: want sum, max or min", p["op"])
 }
 
 // checkKeys rejects parameter keys a step function does not consume, so
@@ -154,104 +150,63 @@ func checkKeys(p Params, allowed ...string) error {
 	return nil
 }
 
-// rowFunc builds the StepFunc of a 1D kind: p= PEs, b= vector length,
-// alg= where the kind takes one, op= where one applies.
-func rowFunc(kind wse.Collective, hasAlg, hasOp bool) StepFunc {
+// kindFunc builds the StepFunc of a collective kind from its row of the
+// kind table: p= PEs or grid=WxH by geometry, b= vector length, alg= where
+// the kind takes one, op= where one applies.
+func kindFunc(ki *plan.KindInfo) StepFunc {
+	allowed := []string{"p", "b"}
+	if ki.Grid {
+		allowed[0] = "grid"
+	}
+	if ki.Algs != nil || ki.Algs2D != nil {
+		allowed = append(allowed, "alg")
+	}
+	if ki.HasOp {
+		allowed = append(allowed, "op")
+	}
 	return func(pr Params) (wse.Shape, error) {
-		allowed := []string{"p", "b"}
-		if hasAlg {
-			allowed = append(allowed, "alg")
-		}
-		if hasOp {
-			allowed = append(allowed, "op")
-		}
 		if err := checkKeys(pr, allowed...); err != nil {
 			return wse.Shape{}, err
 		}
-		p, err := pr.Int("p", 64)
+		sh := wse.Shape{Kind: ki.Kind}
+		var err error
+		if ki.Grid {
+			sh.Width, sh.Height, err = pr.Grid("grid", 16, 16)
+		} else {
+			sh.P, err = pr.Int("p", 64)
+		}
 		if err != nil {
 			return wse.Shape{}, err
 		}
-		b, err := pr.Int("b", 64)
-		if err != nil {
+		if sh.B, err = pr.Int("b", 64); err != nil {
 			return wse.Shape{}, err
 		}
-		sh := wse.Shape{Kind: kind, P: p, B: b}
-		if hasAlg {
+		if ki.Algs != nil {
 			sh.Alg = wse.Algorithm(pr.Str("alg", string(wse.Auto)))
 		}
-		if hasOp {
-			if sh.Op, err = paramOp(pr); err != nil {
-				return wse.Shape{}, err
-			}
-		}
-		return sh, nil
-	}
-}
-
-// gridFunc builds the StepFunc of a 2D kind: grid=WxH, b=, alg= and op=
-// where they apply.
-func gridFunc(kind wse.Collective, hasAlg, hasOp bool) StepFunc {
-	return func(pr Params) (wse.Shape, error) {
-		allowed := []string{"grid", "b"}
-		if hasAlg {
-			allowed = append(allowed, "alg")
-		}
-		if hasOp {
-			allowed = append(allowed, "op")
-		}
-		if err := checkKeys(pr, allowed...); err != nil {
-			return wse.Shape{}, err
-		}
-		w, h, err := pr.Grid("grid", 16, 16)
-		if err != nil {
-			return wse.Shape{}, err
-		}
-		b, err := pr.Int("b", 64)
-		if err != nil {
-			return wse.Shape{}, err
-		}
-		sh := wse.Shape{Kind: kind, Width: w, Height: h, B: b}
-		if hasAlg {
+		if ki.Algs2D != nil {
 			sh.Alg2D = wse.Algorithm2D(pr.Str("alg", string(wse.Auto2D)))
 		}
-		if hasOp {
-			if sh.Op, err = paramOp(pr); err != nil {
-				return wse.Shape{}, err
+		if ki.HasOp {
+			if sh.Op, err = fabric.ParseReduceOp(pr.Str("op", "sum")); err != nil {
+				return wse.Shape{}, fmt.Errorf("param op: %v", err)
 			}
 		}
 		return sh, nil
 	}
 }
 
-// The built-in step vocabulary: one function per collective kind, plus
-// domain-named aliases (gemv's inner reduction, the halo broadcast of a
-// stencil sweep) so workload files read as the scenario they model.
+// The built-in step vocabulary: one function per row of the kind table,
+// under the row's short name and doc line, plus domain-named aliases
+// (gemv's inner reduction, the halo broadcast of a stencil sweep) so
+// workload files read as the scenario they model.
 func init() {
-	Register("reduce", rowFunc(wse.KindReduce, true, true),
-		"1D Reduce of p vectors of b wavelets into the leftmost PE (alg=, op=)")
-	Register("allreduce", rowFunc(wse.KindAllReduce, true, true),
-		"1D AllReduce: every PE ends with the combined vector (alg=, op=)")
-	Register("allreduce-midroot", rowFunc(wse.KindAllReduceMidRoot, true, true),
-		"AllReduce rooted at the middle PE with a bidirectional flood (alg=, op=)")
-	Register("broadcast", rowFunc(wse.KindBroadcast, false, false),
-		"1D flooding broadcast of b wavelets across p PEs")
-	Register("scatter", rowFunc(wse.KindScatter, false, false),
-		"deliver balanced chunks of a b-element vector to p PEs")
-	Register("gather", rowFunc(wse.KindGather, false, false),
-		"assemble per-PE chunks into the full vector at the leftmost PE")
-	Register("reducescatter", rowFunc(wse.KindReduceScatter, false, true),
-		"combine p vectors and leave chunk j on PE j (op=)")
-	Register("allgather", rowFunc(wse.KindAllGather, false, false),
-		"distribute per-PE chunks so every PE ends with the full vector")
-	Register("reduce2d", gridFunc(wse.KindReduce2D, true, true),
-		"2D Reduce on a grid=WxH mesh into PE (0,0) (alg=, op=)")
-	Register("allreduce2d", gridFunc(wse.KindAllReduce2D, true, true),
-		"2D AllReduce on a grid=WxH mesh (alg=, op=)")
-	Register("broadcast2d", gridFunc(wse.KindBroadcast2D, false, false),
-		"2D flooding broadcast across a grid=WxH mesh")
-	Register("gemv", rowFunc(wse.KindReduce, true, true),
+	for i := range plan.Kinds {
+		ki := &plan.Kinds[i]
+		Register(ki.Name, kindFunc(ki), ki.Doc)
+	}
+	Register("gemv", kindFunc(plan.InfoOf(wse.KindReduce)),
 		"matrix-vector product: the row-wise inner reduction of a GEMV (alias of reduce)")
-	Register("halo", rowFunc(wse.KindBroadcast, false, false),
+	Register("halo", kindFunc(plan.InfoOf(wse.KindBroadcast)),
 		"stencil halo exchange: flood the boundary vector across the row (alias of broadcast)")
 }

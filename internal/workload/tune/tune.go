@@ -1,8 +1,7 @@
 // Package tune is the plan autotuner: for each Shape of a workload it
 // searches the plan parameters a deployment can actually choose — the
-// algorithm (grid over every pattern the kind accepts), the router
-// queue depth (neighborhood around the hardware default) and the engine
-// shard count (wall-clock, cycles are shard-invariant) — and scores
+// algorithm (grid over every pattern the kind accepts) and the router
+// queue depth (neighborhood around the hardware default) — and scores
 // every candidate's measured cost against the performance model's
 // Predict and the paper's Bound lower bound. The winners close the loop
 // the paper opens: how close does the fabric actually get to its own
@@ -21,10 +20,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	wse "repro"
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -32,20 +30,13 @@ import (
 // under WSE-2 fabric options.
 type Config struct {
 	// Options is the baseline fabric configuration every candidate
-	// starts from (the zero value models the WSE-2). QueueCap and Shards
-	// are overwritten by the search; the other fields (TR, skew, seed,
+	// starts from (the zero value models the WSE-2). QueueCap is
+	// overwritten by the search; the other fields (TR, skew, seed, shards,
 	// ...) are held fixed.
 	Options wse.Options
 	// QueueCaps is the router queue depth neighborhood to explore around
 	// the winning algorithm (default 2, 4, 8).
 	QueueCaps []int
-	// MaxShards bounds the shard-count candidates (default GOMAXPROCS,
-	// capped at 8). Shards never change cycles — they are picked by
-	// measured wall-clock alone.
-	MaxShards int
-	// Repeat is how many replays each shard candidate is timed over; the
-	// minimum is kept (default 3).
-	Repeat int
 	// Session, when non-nil, is the session candidates run through;
 	// otherwise Tune builds (and closes) its own. A supplied session
 	// needs a plan cache large enough for the whole candidate grid.
@@ -59,20 +50,6 @@ func (c Config) queueCaps() []int {
 	return []int{2, 4, 8}
 }
 
-func (c Config) maxShards() int {
-	if c.MaxShards > 0 {
-		return c.MaxShards
-	}
-	return min(runtime.GOMAXPROCS(0), 8)
-}
-
-func (c Config) repeat() int {
-	if c.Repeat > 0 {
-		return c.Repeat
-	}
-	return 3
-}
-
 // Tuning is one shape's search outcome: the winning parameters and the
 // achieved-vs-model scores. Shape keeps the open (Auto) spelling the
 // workload asked with; Tuned() is the concrete winner.
@@ -84,7 +61,7 @@ type Tuning struct {
 	Alg   wse.Algorithm   `json:"alg,omitempty"`
 	Alg2D wse.Algorithm2D `json:"alg2d,omitempty"`
 	// Options are the fabric options the winner replays under — the
-	// baseline with the tuned QueueCap and Shards applied.
+	// baseline with the tuned QueueCap applied.
 	Options wse.Options `json:"options"`
 	// Cycles is the winner's measured simulated runtime; DefaultCycles
 	// what the untuned request (model-picked algorithm, default queue
@@ -101,9 +78,6 @@ type Tuning struct {
 	// is itself a candidate).
 	AchievedVsBound float64 `json:"achieved_vs_bound"`
 	TunedVsDefault  float64 `json:"tuned_vs_default"`
-	// ReplayNs is the winner's fastest measured wall-clock per replay,
-	// the score that picked Shards.
-	ReplayNs float64 `json:"replay_ns"`
 }
 
 // Tuned returns the winner as a runnable Shape: the open algorithm
@@ -123,40 +97,35 @@ func (t Tuning) Tuned() wse.Shape {
 // spelling workloads default to, and the identity tunings are matched
 // under.
 func Normalize(sh wse.Shape) wse.Shape {
-	switch sh.Kind {
-	case wse.KindReduce, wse.KindAllReduce, wse.KindAllReduceMidRoot:
-		if sh.Alg == "" {
+	if ki := plan.InfoOf(sh.Kind); ki != nil {
+		if ki.Algs != nil && sh.Alg == "" {
 			sh.Alg = wse.Auto
 		}
-	case wse.KindReduce2D, wse.KindAllReduce2D:
-		if sh.Alg2D == "" {
+		if ki.Algs2D != nil && sh.Alg2D == "" {
 			sh.Alg2D = wse.Auto2D
 		}
 	}
 	return sh
 }
 
-// algCandidates enumerates the concrete algorithm grid a kind accepts.
-// Kinds without an algorithm choice search only the queue/shard axes.
+// algCandidates enumerates the concrete algorithm grid a kind accepts: its
+// row of the kind table. Kinds without an algorithm choice search only the
+// queue axis.
 func algCandidates(sh wse.Shape) []wse.Shape {
+	ki := plan.InfoOf(sh.Kind)
+	if ki == nil {
+		return nil
+	}
 	var out []wse.Shape
-	switch sh.Kind {
-	case wse.KindReduce, wse.KindAllReduce, wse.KindAllReduceMidRoot:
-		algs := []wse.Algorithm{wse.Star, wse.Chain, wse.Tree, wse.TwoPhase, wse.AutoGen}
-		if sh.Kind == wse.KindAllReduce {
-			algs = append(algs, wse.Ring, wse.RingDP)
-		}
-		for _, a := range algs {
-			c := sh
-			c.Alg = a
-			out = append(out, c)
-		}
-	case wse.KindReduce2D, wse.KindAllReduce2D:
-		for _, a := range []wse.Algorithm2D{wse.XYStar, wse.XYChain, wse.XYTree, wse.XYTwoPhase, wse.XYAutoGen, wse.Snake} {
-			c := sh
-			c.Alg2D = a
-			out = append(out, c)
-		}
+	for _, a := range ki.Algs {
+		c := sh
+		c.Alg = a
+		out = append(out, c)
+	}
+	for _, a := range ki.Algs2D {
+		c := sh
+		c.Alg2D = a
+		out = append(out, c)
 	}
 	return out
 }
@@ -164,8 +133,7 @@ func algCandidates(sh wse.Shape) []wse.Shape {
 // Tune searches the parameter space of every shape and returns one
 // Tuning per shape, in input order. Shapes are deduplicated by
 // canonical plan key. The measured cycles are deterministic (the
-// simulator is); only the Shards axis, scored by wall-clock, can differ
-// between hosts — which is the point of tuning on the deployment box.
+// simulator is), so a tuning pass gives the same winners on every host.
 func Tune(ctx context.Context, shapes []wse.Shape, cfg Config) ([]Tuning, error) {
 	s := cfg.Session
 	if s == nil {
@@ -191,7 +159,7 @@ func Tune(ctx context.Context, shapes []wse.Shape, cfg Config) ([]Tuning, error)
 }
 
 // tuneShape runs the search for one shape: algorithm grid, then queue
-// depth neighborhood around the winner, then shard count by wall-clock.
+// depth neighborhood around the winner.
 func tuneShape(ctx context.Context, s *wse.Session, sh wse.Shape, cfg Config) (Tuning, error) {
 	inputs := workload.BaseInputs(sh, "tune:"+string(sh.Kind))
 	baseOpt := cfg.Options
@@ -231,36 +199,6 @@ func tuneShape(ctx context.Context, s *wse.Session, sh wse.Shape, cfg Config) (T
 		}
 	}
 
-	// Shards never change cycles (the sharded engine is bit-identical),
-	// so the axis is scored by measured wall-clock per replay: serial,
-	// auto, and powers of two up to MaxShards.
-	shardCands := []int{1, 0}
-	for n := 2; n <= cfg.maxShards(); n *= 2 {
-		shardCands = append(shardCands, n)
-	}
-	bestNs := 0.0
-	for _, n := range shardCands {
-		opt := bestOpt
-		opt.Shards = n
-		if _, err := s.Run(ctx, bestShape, inputs, wse.WithOptions(opt)); err != nil {
-			continue // warm the plan; skip candidates that fail outright
-		}
-		ns := 0.0
-		for r := 0; r < cfg.repeat(); r++ {
-			start := time.Now()
-			if _, err := s.Run(ctx, bestShape, inputs, wse.WithOptions(opt)); err != nil {
-				ns = 0
-				break
-			}
-			if el := float64(time.Since(start).Nanoseconds()); ns == 0 || el < ns {
-				ns = el
-			}
-		}
-		if ns > 0 && (bestNs == 0 || ns < bestNs) {
-			bestOpt.Shards, bestNs = n, ns
-		}
-	}
-
 	t := Tuning{
 		Shape:         sh,
 		Options:       bestOpt,
@@ -268,7 +206,6 @@ func tuneShape(ctx context.Context, s *wse.Session, sh wse.Shape, cfg Config) (T
 		DefaultCycles: defRep.Cycles,
 		Bound:         s.Bound(sh, wse.WithOptions(bestOpt)),
 		Predicted:     s.Predict(bestShape, wse.WithOptions(bestOpt)),
-		ReplayNs:      bestNs,
 	}
 	if bestShape.Alg != sh.Alg {
 		t.Alg = bestShape.Alg
@@ -374,12 +311,12 @@ func Apply(w *workload.Workload, tunings []Tuning) int {
 
 // choiceOpen reports whether a step left its algorithm to the model —
 // the only steps a tuning may rewrite. Algorithm-free kinds are always
-// open (their tunings carry queue/shard options only).
+// open (their tunings carry queue options only).
 func choiceOpen(sh wse.Shape) bool {
-	switch sh.Kind {
-	case wse.KindReduce, wse.KindAllReduce, wse.KindAllReduceMidRoot:
+	switch ki := plan.InfoOf(sh.Kind); {
+	case ki != nil && ki.Algs != nil:
 		return sh.Alg == "" || sh.Alg == wse.Auto
-	case wse.KindReduce2D, wse.KindAllReduce2D:
+	case ki != nil && ki.Algs2D != nil:
 		return sh.Alg2D == "" || sh.Alg2D == wse.Auto2D
 	}
 	return true

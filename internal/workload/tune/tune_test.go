@@ -15,7 +15,7 @@ import (
 // fastCfg keeps the search grid small so the tests stay quick; the axes
 // themselves are still exercised.
 func fastCfg() Config {
-	return Config{Repeat: 1, QueueCaps: []int{2, 4}, MaxShards: 1}
+	return Config{QueueCaps: []int{2, 4}}
 }
 
 func TestTuneScoresAndWinner(t *testing.T) {
@@ -25,7 +25,9 @@ func TestTuneScoresAndWinner(t *testing.T) {
 		{Kind: wse.KindAllReduce2D, Width: 4, Height: 3, B: 8},
 		{Kind: wse.KindAllReduce, P: 16, B: 32}, // duplicate: must dedup
 	}
-	tunings, err := Tune(context.Background(), shapes, fastCfg())
+	cfg := fastCfg()
+	cfg.Options.Shards = 2 // not a search axis: tunings keep the baseline's
+	tunings, err := Tune(context.Background(), shapes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,6 +35,9 @@ func TestTuneScoresAndWinner(t *testing.T) {
 		t.Fatalf("want 3 tunings (duplicate deduped), got %d", len(tunings))
 	}
 	for _, tn := range tunings {
+		if tn.Options.Shards != 2 {
+			t.Fatalf("%s: tuned options carry Shards %d, baseline 2", tn.Shape.Kind, tn.Options.Shards)
+		}
 		if tn.Cycles <= 0 || tn.DefaultCycles <= 0 {
 			t.Fatalf("%s: non-positive cycles %+v", tn.Shape.Kind, tn)
 		}
@@ -84,6 +89,16 @@ func TestSidecarRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sc.Tunings, tunings) {
 		t.Fatalf("tunings did not round-trip:\n got %+v\nwant %+v", sc.Tunings, tunings)
+	}
+
+	// A sidecar written before the Shards axis was dropped still loads: its
+	// replay_ns field is ignored.
+	old := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(old, []byte(`{"version":1,"tunings":[{"shape":{"Kind":"gather","P":8,"B":64},"options":{"QueueCap":4,"Shards":2},"cycles":90,"default_cycles":100,"replay_ns":51234.5}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if sc, err := LoadSidecar(old); err != nil || len(sc.Tunings) != 1 || sc.Tunings[0].Cycles != 90 || sc.Tunings[0].Options.Shards != 2 {
+		t.Fatalf("sidecar carrying replay_ns: %+v, %v", sc, err)
 	}
 
 	// A sidecar from the future is rejected, not misread.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	wse "repro"
+	"repro/internal/plan"
 )
 
 // Every Validate failure mode must wrap the ErrBadWorkload sentinel and
@@ -219,5 +220,31 @@ func TestShapesDedup(t *testing.T) {
 	}
 	if got := len(w.Shapes()); got != 2 {
 		t.Fatalf("want 2 distinct shapes, got %d", got)
+	}
+}
+
+// TestKindTableConformance: the step vocabulary is the kind table — every
+// row answers to its short name, its key name and any casing of either, with
+// the row's doc line, and builds a Shape of the row's kind that validates.
+func TestKindTableConformance(t *testing.T) {
+	for i := range plan.Kinds {
+		ki := &plan.Kinds[i]
+		for _, name := range []string{ki.Name, string(ki.Kind), strings.ToUpper(ki.Name)} {
+			f, ok := LookupFunc(name)
+			if !ok || f.Name != ki.Name || f.Doc != ki.Doc {
+				t.Errorf("LookupFunc(%q) = %+v, %v; want the %s function", name, f, ok, ki.Name)
+				continue
+			}
+			sh, err := f.Fn(Params{"b": "80"})
+			if err != nil || sh.Kind != ki.Kind || sh.Validate() != nil {
+				t.Errorf("%s: step function built %+v, %v", name, sh, err)
+			}
+		}
+	}
+	if len(Funcs()) != len(plan.Kinds)+2 {
+		t.Errorf("registry holds %d functions, want the %d kinds plus gemv and halo", len(Funcs()), len(plan.Kinds))
+	}
+	if _, err := New("w").Step("reduce1d", Params{"op": "xor"}).Build(); !errors.Is(err, ErrBadWorkload) {
+		t.Errorf("op=xor: %v, want ErrBadWorkload", err)
 	}
 }
