@@ -369,9 +369,9 @@ func exportCmd(c *config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("exported %s to %s in %v (%d compiled, %d already stored); store holds %d plans\n",
+	fmt.Printf("exported %s to %s in %v: %d plans (%d with tape; %d compiled, %d already stored); store holds %d plans\n",
 		c.collective, c.store, time.Since(start).Round(time.Millisecond),
-		st.Compiled, st.Loaded+st.Resident, store.Len())
+		st.Compiled+st.Loaded+st.Resident, st.Taped, st.Compiled, st.Loaded+st.Resident, store.Len())
 	return nil
 }
 
@@ -399,8 +399,8 @@ func warmCmd(c *config) error {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wsecollect: warm (continuing):", err)
 	}
-	fmt.Printf("warmed %d plans from %s in %v (%d decoded, %d compiled)\n",
-		st.Loaded+st.Compiled+st.Resident, c.store, elapsed.Round(time.Millisecond), st.Loaded, st.Compiled)
+	fmt.Printf("warmed %d plans (%d with tape) from %s in %v (%d decoded, %d compiled)\n",
+		st.Loaded+st.Compiled+st.Resident, st.Taped, c.store, elapsed.Round(time.Millisecond), st.Loaded, st.Compiled)
 	keys := store.Keys()
 	names := make([]string, 0, len(keys))
 	for _, k := range keys {
@@ -633,7 +633,7 @@ func runCmd(c *config) error {
 		st := sess.PlanStats()
 		fmt.Printf("  plan cache %10d hits, %d misses (cold %v, warm %v/op)\n",
 			st.Hits, st.Misses, cold.Round(time.Microsecond), warm.Round(time.Microsecond))
-		fmt.Printf("  replay tape %9d recorded, %d replays, %d declined\n", st.TapeRecords, st.TapeReplays, st.TapeDeclined)
+		fmt.Printf("  replay tape %9d recorded, %d loaded, %d replays, %d declined\n", st.TapeRecords, st.TapeLoaded, st.TapeReplays, st.TapeDeclined)
 		if c.store != "" {
 			fmt.Printf("  plan store %10d loads, %d errors\n", st.StoreHits, st.StoreErrors)
 		}

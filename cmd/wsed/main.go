@@ -68,7 +68,7 @@ func realMain() int {
 	shards := fs.Int("shards", 0, "row-band shards per fabric simulation (0 = auto-tune from GOMAXPROCS)")
 	mode := fs.String("mode", "serve", "serve (worker daemon) or front (consistent-hash router over -peers)")
 	peers := fs.String("peers", "", "comma-separated peer wsed base URLs (worker: resolve plans from them; front: route across them)")
-	verifyStore := fs.Bool("verify-store", false, "run the plan store corruption sweep at startup, quarantining bad blobs (requires -store)")
+	verifyStore := fs.Bool("verify-store", false, "run the plan store corruption sweep at startup: check every blob's hash and re-simulate every stored replay tape, quarantining bad blobs (requires -store)")
 	traceOn := fs.Bool("trace", true, "enable request tracing (spans, GET /debug/traces)")
 	traceSample := fs.Float64("trace-sample", 1, "head-sampling probability in [0,1]; errored and slow traces are kept regardless")
 	traceSlow := fs.Duration("trace-slow", 0, "keep any trace at least this slow even when not head-sampled (0 = off)")
@@ -185,7 +185,7 @@ func realMain() int {
 		if err != nil {
 			logger.Println("warm (continuing):", err)
 		}
-		logger.Printf("warmed %d plans from %s (%d decoded, %d compiled)", st.Loaded+st.Compiled+st.Resident, *storeDir, st.Loaded, st.Compiled)
+		logger.Printf("warmed %d plans (%d with tape) from %s (%d decoded, %d compiled)", st.Loaded+st.Compiled+st.Resident, st.Taped, *storeDir, st.Loaded, st.Compiled)
 	}
 
 	srv := serve.New(serve.Config{

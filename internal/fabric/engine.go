@@ -448,19 +448,7 @@ func (f *Fabric) resolve() {
 		}
 		p := &f.procs[i]
 		p.ops = pe.Ops
-		// Ops address acc[Off..Off+N); the buffer must span them even when
-		// the PE contributes no input of its own.
-		p.accNeed = 0
-		for _, op := range pe.Ops {
-			n := 0
-			switch op.Kind {
-			case OpSend, OpRecvReduce, OpRecvReduceSend, OpRecvStore:
-				n = op.Off + op.N
-			case OpSendRecvReduce, OpSendRecvStore:
-				n = max(op.Off+op.N, op.Off2+op.N2)
-			}
-			p.accNeed = max(p.accNeed, n)
-		}
+		p.accNeed = pe.AccNeed()
 		accTotal += max(p.accNeed, len(pe.Init))
 		clockTotal += pe.ClockSlots
 	}
@@ -532,6 +520,22 @@ func (f *Fabric) resolve() {
 		p.acc, acc = acc[:0:n], acc[n:]
 		p.clock, clock = clock[:pe.ClockSlots:pe.ClockSlots], clock[pe.ClockSlots:]
 	}
+}
+
+// AccNeed is the accumulator length the PE's ops address: they touch
+// acc[Off..Off+N), and the buffer must span that even when the PE
+// contributes no input of its own.
+func (pe *PESpec) AccNeed() int {
+	need := 0
+	for _, op := range pe.Ops {
+		switch op.Kind {
+		case OpSend, OpRecvReduce, OpRecvReduceSend, OpRecvStore:
+			need = max(need, op.Off+op.N)
+		case OpSendRecvReduce, OpSendRecvStore:
+			need = max(need, op.Off+op.N, op.Off2+op.N2)
+		}
+	}
+	return need
 }
 
 // forwardsTo reports whether any configuration of the list forwards to d.

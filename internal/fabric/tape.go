@@ -159,17 +159,24 @@ func (op *Op) tapeEvents() int {
 	return 0
 }
 
+// Events is the number of accumulator touches on the tape; 0 for a nil tape.
+func (t *Tape) Events() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.events)
+}
+
 // AccLen is the length of the flat accumulator image Run expects.
 func (t *Tape) AccLen() int { return t.off[len(t.coords)] }
 
-// Base returns where the accumulator of the PE at c starts in the flat
-// image, and how long it is; ok is false when c was not programmed.
-func (t *Tape) Base(c mesh.Coord) (base, n int, ok bool) {
-	i, ok := searchCoords(t.coords, c)
-	if !ok {
-		return 0, 0, false
-	}
-	return t.off[i], t.off[i+1] - t.off[i], true
+// Units is the number of programmed PEs; Unit returns the i-th of them, in
+// row-major order, with where its accumulator starts in the flat image and
+// how long it is.
+func (t *Tape) Units() int { return len(t.coords) }
+
+func (t *Tape) Unit(i int) (c mesh.Coord, base, n int) {
+	return t.coords[i], t.off[i], t.off[i+1] - t.off[i]
 }
 
 // apply walks the tape over the image. Each element sees the operations the

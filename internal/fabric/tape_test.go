@@ -26,10 +26,15 @@ func scramble(s *Spec, seed int64) {
 func tapeImage(t *testing.T, tape *Tape, s *Spec) []float32 {
 	t.Helper()
 	acc := make([]float32, tape.AccLen())
+	if tape.Units() != s.Len() {
+		t.Fatalf("the tape lays out %d PEs, the program has %d", tape.Units(), s.Len())
+	}
+	u := 0 // both walk the programmed PEs in row-major order
 	s.Each(func(c mesh.Coord, pe *PESpec) {
-		base, n, ok := tape.Base(c)
-		if !ok || len(pe.Init) > n {
-			t.Fatalf("PE %v: no room for %d initial elements in the image (base %d, %d, %v)", c, len(pe.Init), base, n, ok)
+		at, base, n := tape.Unit(u)
+		u++
+		if at != c || len(pe.Init) > n {
+			t.Fatalf("PE %v: no room for %d initial elements in the image (unit at %v, base %d, %d)", c, len(pe.Init), at, base, n)
 		}
 		copy(acc[base:], pe.Init)
 	})

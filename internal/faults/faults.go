@@ -28,6 +28,8 @@
 //
 //	planstore.load   Store.Load fails before touching disk
 //	planstore.save   Store.Save fails before touching disk
+//	planstore.write  Store.Save fails (or, in delay mode, stalls) at the
+//	                 blob write, after encoding and outside the store's lock
 //	plan.compile     plan.Compile fails before lowering
 //	fabric.exec      Plan replay fails (or panics) inside the worker
 //	sched.dispatch   the scheduler worker fails the request at dispatch

@@ -23,7 +23,9 @@ const DefaultCacheCapacity = 128
 // of the plans the cache holds or ever held (tape.go): TapeRecords counts
 // the plans that recorded one, TapeReplays the reports produced by walking
 // a tape instead of running the simulator, TapeDeclined the plans found
-// untapeable (a Tracer attached, or a program over the tape cap).
+// untapeable (a Tracer attached, or a program over the tape cap), TapeLoaded
+// the plans that arrived with a tape in their stored frame and so never ran
+// the simulator here at all.
 type CacheStats struct {
 	Hits        int64
 	Misses      int64
@@ -39,6 +41,7 @@ type CacheStats struct {
 	TapeRecords    int64
 	TapeReplays    int64
 	TapeDeclined   int64
+	TapeLoaded     int64
 }
 
 // PlanStore is plan persistence as the cache and session consume it: a
@@ -71,8 +74,10 @@ type Resolver interface {
 // key that race an in-flight compile coalesce onto it (and count as hits)
 // instead of compiling twice. With a store attached (SetStore), misses
 // try the store before the compiler and freshly compiled plans are
-// written through, so a serving process transparently accumulates and
-// reuses a durable plan warehouse.
+// written through (WriteBack: once their first execution has settled the
+// replay tape the frame carries), so a serving process transparently
+// accumulates and reuses a durable plan warehouse. A plan the cache holds
+// records its tape on its first execution (tape.go).
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int
@@ -141,14 +146,22 @@ func (c *Cache) Get(req Request) (*Plan, error) {
 // that coalesce onto an in-flight miss share the first caller's fill
 // (and its context), exactly as they share its compile.
 func (c *Cache) GetCtx(ctx context.Context, req Request) (*Plan, error) {
+	return c.get(ctx, req, false)
+}
+
+// get is GetCtx. executes reports that the caller executes the plan next,
+// which lets the cache's own write-through leave a compiled plan's save to
+// that execution (writeback.go); a resolver chain's stages save on their own.
+func (c *Cache) get(ctx context.Context, req Request, executes bool) (*Plan, error) {
 	key := KeyOf(req)
-	p, _, err := c.acquire(key, true, c.fill(ctx, key, req))
+	p, _, err := c.acquire(key, true, c.fill(ctx, key, req, executes))
 	return p, err
 }
 
 // fill builds the miss path for key: the attached resolver chain when
-// one is set, else the legacy store-load → compile → write-through.
-func (c *Cache) fill(ctx context.Context, key Key, req Request) func() (*Plan, error) {
+// one is set, else the legacy store-load → compile → write-through
+// (made by the plan's first execution when executes says one follows).
+func (c *Cache) fill(ctx context.Context, key Key, req Request, executes bool) func() (*Plan, error) {
 	if r := c.resolverHandle(); r != nil {
 		return func() (*Plan, error) { return r.Resolve(ctx, key) }
 	}
@@ -158,6 +171,7 @@ func (c *Cache) fill(ctx context.Context, key Key, req Request) func() (*Plan, e
 			_, lspan := obs.Start(ctx, "planstore.load")
 			p, ok, err := ps.Load(key)
 			lspan.SetAttr("hit", ok)
+			lspan.SetAttr("tape", ok && p.replay.tape.Load() != nil)
 			lspan.SetError(err)
 			lspan.End()
 			switch {
@@ -165,6 +179,7 @@ func (c *Cache) fill(ctx context.Context, key Key, req Request) func() (*Plan, e
 				c.noteStoreError(err)
 			case ok:
 				c.noteStoreHit()
+				WriteBack(ctx, p, ps, true, c.noteStoreError) // saves nothing now: cannot fail
 				return p, nil
 			}
 		}
@@ -173,12 +188,9 @@ func (c *Cache) fill(ctx context.Context, key Key, req Request) func() (*Plan, e
 		cspan.SetError(err)
 		cspan.End()
 		if err == nil && ps != nil {
-			_, sspan := obs.Start(ctx, "planstore.save")
-			if serr := ps.Save(p); serr != nil {
-				sspan.SetError(serr)
+			if serr := p.writeBack(ctx, ps, false, executes, c.noteStoreError); serr != nil {
 				c.noteStoreError(serr)
 			}
-			sspan.End()
 		}
 		return p, err
 	}
@@ -300,7 +312,11 @@ func (c *Cache) noteStoreError(err error) {
 // insert adds a plan under key, evicting from the cold end at capacity.
 // The caller holds c.mu.
 func (c *Cache) insert(key Key, p *Plan) {
-	p.replay.shared.CompareAndSwap(nil, &c.tape)
+	if p.replay.shared.CompareAndSwap(nil, &c.tape) && p.replay.loaded {
+		c.tape.loaded.Add(1)
+	}
+	// A cached plan is there to be replayed: its first execution records.
+	p.replay.state.CompareAndSwap(tapeCold, tapeWarm)
 	if el, ok := c.entries[key]; ok { // racing insert of the same key
 		c.lru.MoveToFront(el)
 		el.Value = p
@@ -324,6 +340,7 @@ func (c *Cache) Stats() CacheStats {
 	st.TapeRecords = c.tape.records.Load()
 	st.TapeReplays = c.tape.replays.Load()
 	st.TapeDeclined = c.tape.declined.Load()
+	st.TapeLoaded = c.tape.loaded.Load()
 	return st
 }
 

@@ -321,6 +321,16 @@ func (r Request) Validate() error {
 // CheckInputs validates one run's inputs against the kind's layout.
 // Failures wrap ErrBadShape.
 func (r Request) CheckInputs(inputs [][]float32) error {
+	return checkInputs(r, inputs, func(v []float32) int { return len(v) })
+}
+
+// CheckInputLens is CheckInputs on the vectors' lengths alone: what a stored
+// replay tape says it was recorded under.
+func (r Request) CheckInputLens(lens []int) error {
+	return checkInputs(r, lens, func(n int) int { return n })
+}
+
+func checkInputs[T any](r Request, inputs []T, size func(T) int) error {
 	ki := InfoOf(r.Kind)
 	if ki == nil {
 		return badShape("unknown kind %q", r.Kind)
@@ -334,8 +344,8 @@ func (r Request) CheckInputs(inputs [][]float32) error {
 		if sizes != nil {
 			want = sizes[j]
 		}
-		if len(v) != want {
-			return badShape("%s: input %d has %d elements, want %d", r.Kind, j, len(v), want)
+		if size(v) != want {
+			return badShape("%s: input %d has %d elements, want %d", r.Kind, j, size(v), want)
 		}
 	}
 	return nil

@@ -177,9 +177,10 @@ type Plan struct {
 	// are bit-identical either way (Reset restores the RNG chain exactly).
 	pool instancePool
 
-	// replay is the plan's record-once replay tape (tape.go): from its
-	// second execution on, a plan walks a recording of its dataflow instead
-	// of running the cycle loop, and the pool above is released.
+	// replay is the plan's record-once replay tape (tape.go): once it is
+	// recorded, or when the plan was stored with it, the plan walks a
+	// recording of its dataflow instead of running the cycle loop, and the
+	// pool above is released.
 	replay replayState
 }
 
@@ -417,14 +418,15 @@ type ExecOptions struct {
 // chunked kinds, the per-PE chunks; otherwise one vector per PE. Execute is
 // safe to call concurrently.
 //
-// The first execution of a plan runs the fabric simulator. The second — the
-// first moment the plan is observably replayed — runs it once more on
-// symbolic data to record the plan's replay tape, and every execution from
-// there on walks the tape instead of the cycle loop, with bit-identical
-// results (see tape.go for when a plan stays on the simulator). Simulator
-// runs draw fabric instances from a per-plan pool and re-arm them with
-// fabric.Reset instead of allocating; concurrent runs each get their own
-// instance (or a fresh one when the pool is empty).
+// The first execution of a plan a Cache holds runs the fabric simulator on
+// symbolic data to record the plan's replay tape (a plan nothing caches runs
+// it plainly first and records on its second execution; a plan stored with
+// its tape never runs it), and every execution from there on walks the tape
+// instead of the cycle loop, with bit-identical results (see tape.go for
+// when a plan stays on the simulator). Simulator runs draw fabric instances
+// from a per-plan pool and re-arm them with fabric.Reset instead of
+// allocating; concurrent runs each get their own instance (or a fresh one
+// when the pool is empty).
 func (p *Plan) Execute(inputs [][]float32) (*core.Report, error) {
 	return p.ExecuteOpts(inputs, ExecOptions{})
 }
@@ -693,11 +695,24 @@ func (p *Plan) Prewarm() error {
 // against the allocate-per-run baseline and for verifying the two produce
 // bit-identical results; serving paths should use Execute.
 func (p *Plan) ExecuteUnpooled(inputs [][]float32) (*core.Report, error) {
+	res, err := p.simulate(inputs)
+	if err != nil {
+		return nil, err
+	}
+	return core.ReportOf(res, p.Predicted), nil
+}
+
+// simulate runs the plan on a fabric built for this one run.
+func (p *Plan) simulate(inputs [][]float32) (*fabric.Result, error) {
 	s, err := p.bind(inputs)
 	if err != nil {
 		return nil, err
 	}
-	return core.ExecSpec(s, p.Opt, p.Predicted)
+	f, err := fabric.New(s, p.Opt)
+	if err != nil {
+		return nil, err
+	}
+	return f.Run()
 }
 
 // Stamp deep-copies the plan's program into dst, which must span the same

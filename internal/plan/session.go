@@ -95,10 +95,7 @@ func (s *Session) SubmitOpts(ctx context.Context, tenant string, req Request, in
 // scheduled replay (whose Submit re-runs the authoritative queue-time
 // admission check).
 func (s *Session) submitAdmitted(ctx context.Context, tenant string, req Request, inputs [][]float32, eo ExecOptions) (*core.Report, error) {
-	rctx, rspan := obs.Start(ctx, "plan.resolve")
-	p, err := s.cache.GetCtx(rctx, req)
-	rspan.SetError(err)
-	rspan.End()
+	p, err := s.resolve(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -111,9 +108,21 @@ func (s *Session) submitAdmitted(ctx context.Context, tenant string, req Request
 		rep = r
 		return e
 	}); err != nil {
+		p.settle(ctx)
 		return nil, err
 	}
 	return rep, nil
+}
+
+// resolve is the plan acquisition of a request that executes next: a miss
+// under it may leave its store write to that execution (WriteBack). A caller
+// whose execution then fails to happen settles the plan itself.
+func (s *Session) resolve(ctx context.Context, req Request) (*Plan, error) {
+	rctx, rspan := obs.Start(ctx, "plan.resolve")
+	p, err := s.cache.get(rctx, req, true)
+	rspan.SetError(err)
+	rspan.End()
+	return p, err
 }
 
 // SubmitAsync is Submit that returns immediately with a future instead
@@ -144,10 +153,7 @@ func (s *Session) SubmitBatch(ctx context.Context, tenant string, req Request, b
 	if err := s.sch.Admit(ctx, tenant); err != nil {
 		return nil, err
 	}
-	rctx, rspan := obs.Start(ctx, "plan.resolve")
-	p, err := s.cache.GetCtx(rctx, req)
-	rspan.SetError(err)
-	rspan.End()
+	p, err := s.resolve(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -157,6 +163,7 @@ func (s *Session) SubmitBatch(ctx context.Context, tenant string, req Request, b
 		reps = r
 		return e
 	}); err != nil {
+		p.settle(ctx)
 		return nil, err
 	}
 	return reps, nil
@@ -215,7 +222,7 @@ func (s *Session) Plans() []*Plan { return s.cache.Plans() }
 // the plan was already resident or being fetched by someone else).
 func (s *Session) Prefetch(ctx context.Context, req Request) (bool, error) {
 	key := KeyOf(req)
-	fill := s.cache.fill(ctx, key, req)
+	fill := s.cache.fill(ctx, key, req, false)
 	_, fetched, err := s.cache.acquire(key, false, func() (*Plan, error) {
 		p, err := fill()
 		if err != nil {
@@ -230,10 +237,12 @@ func (s *Session) Prefetch(ctx context.Context, req Request) (bool, error) {
 }
 
 // WarmStats reports what a Warm pass did: how many plans it decoded from
-// the store, how many it had to compile (and, when a store was given,
+// the store (Taped of them with their replay tape, so they will never run
+// the simulator), how many it had to compile (and, when a store was given,
 // saved back), and how many were already resident and left untouched.
 type WarmStats struct {
 	Loaded   int
+	Taped    int
 	Compiled int
 	Resident int
 }
@@ -260,7 +269,7 @@ func (s *Session) Warm(ps PlanStore, reqs []Request) (WarmStats, error) {
 	for _, req := range reqs {
 		key := KeyOf(req)
 		var loaded bool
-		_, fetched, err := s.cache.acquire(key, false, func() (*Plan, error) {
+		p, fetched, err := s.cache.acquire(key, false, func() (*Plan, error) {
 			var p *Plan
 			if ps != nil {
 				switch lp, ok, lerr := ps.Load(key); {
@@ -276,10 +285,12 @@ func (s *Session) Warm(ps PlanStore, reqs []Request) (WarmStats, error) {
 					return nil, cerr
 				}
 				p = cp
-				if ps != nil {
-					if serr := ps.Save(p); serr != nil {
-						errs = append(errs, serr)
-					}
+			}
+			if ps != nil {
+				// Saved here and now when Warm compiled it; the save of a tape
+				// recorded later reports to the cache's store errors instead.
+				if serr := WriteBack(context.Background(), p, ps, loaded, s.cache.noteStoreError); serr != nil {
+					errs = append(errs, serr)
 				}
 			}
 			// Pre-build one fabric instance per warmed plan: the first
@@ -297,6 +308,9 @@ func (s *Session) Warm(ps PlanStore, reqs []Request) (WarmStats, error) {
 			st.Resident++
 		case loaded:
 			st.Loaded++
+			if tape, _ := p.Tape(); tape != nil {
+				st.Taped++
+			}
 		default:
 			st.Compiled++
 		}

@@ -252,3 +252,62 @@ func TestWarmRacesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriteBackSettles: under a session the write-through of a compiled plan
+// waits for the plan's first execution and then happens once, whatever
+// became of the tape — recorded, declined, or the run failed — and a save
+// that fails there is still a counted store error.
+func TestWriteBackSettles(t *testing.T) {
+	run := func(ms *memStore, req Request) (CacheStats, error) {
+		s := NewSession(4, 1)
+		defer s.Close()
+		s.SetStore(ms)
+		_, err := s.Run(req, onesVectors(req.P, req.B))
+		return s.Stats(), err
+	}
+	savedTape := func(ms *memStore, req Request) bool {
+		ms.mu.Lock()
+		defer ms.mu.Unlock()
+		p := ms.m[KeyOf(req)]
+		if p == nil {
+			t.Fatalf("%v was not saved", KeyOf(req))
+		}
+		return p.replay.tape.Load() != nil
+	}
+
+	ms := newMemStore()
+	if st, err := run(ms, warmReq(4)); err != nil || st.TapeRecords != 1 || st.StoreErrors != 0 {
+		t.Fatalf("recording run: %+v, %v", st, err)
+	}
+	if ms.saves != 1 || !savedTape(ms, warmReq(4)) {
+		t.Fatalf("recorded plan: %d saves, tape saved %v; want one save carrying the tape", ms.saves, savedTape(ms, warmReq(4)))
+	}
+
+	traced := warmReq(5)
+	traced.Opt.Tracer = &fabric.Tracer{Cap: 1}
+	if st, err := run(ms, traced); err != nil || st.TapeDeclined != 1 {
+		t.Fatalf("traced run: %+v, %v", st, err)
+	}
+	if ms.saves != 2 || savedTape(ms, traced) {
+		t.Fatalf("untapeable plan: %d saves in all, tape saved %v; want it saved once, bare", ms.saves, savedTape(ms, traced))
+	}
+
+	wedged := warmReq(6)
+	wedged.Opt.MaxCycles = 3
+	if _, err := run(ms, wedged); err == nil {
+		t.Fatal("a run capped at 3 cycles completed")
+	}
+	if ms.saves != 3 || savedTape(ms, wedged) {
+		t.Fatalf("plan whose run failed: %d saves in all, tape saved %v; want it saved once, bare", ms.saves, savedTape(ms, wedged))
+	}
+
+	failing := newMemStore()
+	failing.failSave = true
+	st, err := run(failing, warmReq(7))
+	if err != nil {
+		t.Fatalf("a failing store failed the run: %v", err)
+	}
+	if failing.saves != 1 || st.StoreErrors != 1 || st.LastStoreError == "" {
+		t.Fatalf("failing store: %d save attempts, %+v; want one attempt, counted", failing.saves, st)
+	}
+}

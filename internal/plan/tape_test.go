@@ -459,9 +459,10 @@ func TestTapeHonoursCancelledContext(t *testing.T) {
 	}
 }
 
-// TestTapeRecordsOnceUnderConcurrency: 32 goroutines hammering one cold plan
-// record exactly one tape between them — the others stay on the engine
-// meanwhile — and every report, from whichever path, is the engine's.
+// TestTapeRecordsOnceUnderConcurrency: 32 goroutines hammering one cached,
+// never-run plan record exactly one tape between them — the others stay on
+// the engine meanwhile — and every report, from whichever path, is the
+// engine's.
 func TestTapeRecordsOnceUnderConcurrency(t *testing.T) {
 	req := Request{Kind: AllReduce2D, Alg2D: core.XYTree, Width: 5, Height: 4, B: 9,
 		Opt: fabric.Options{ThermalNoopRate: 0.05, Seed: 3}}
@@ -506,7 +507,7 @@ func TestTapeRecordsOnceUnderConcurrency(t *testing.T) {
 		}
 	}
 	st := cache.Stats()
-	if st.TapeRecords != 1 || st.TapeDeclined != 0 || st.TapeReplays == 0 || st.TapeReplays > goroutines*runs-1 {
+	if st.TapeRecords != 1 || st.TapeDeclined != 0 || st.TapeReplays == 0 || st.TapeReplays > goroutines*runs {
 		t.Fatalf("cache counted %d records, %d declined, %d replays over %d executions", st.TapeRecords, st.TapeDeclined, st.TapeReplays, goroutines*runs)
 	}
 	if pl.replay.tape.Load() == nil {

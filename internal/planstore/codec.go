@@ -31,10 +31,24 @@ import (
 	"repro/internal/plan"
 )
 
-// FormatVersion is the current plan blob layout version. Decoders reject
-// blobs from future versions; layout changes that cannot be decoded under
-// the old reader must bump it.
-const FormatVersion = 1
+// FormatVersion is the newest plan blob layout version this build reads
+// and writes. Decoders reject blobs from future versions; layout changes
+// that cannot be decoded under the old reader must bump it.
+//
+// Version 2 added the tape section: a frame whose plan holds a replay tape
+// (plan/tape.go) sets flagTape in the header's flags byte and appends, after
+// the version-1 payload, the lengths of the inputs the tape was recorded
+// under and the tape itself (fabric/tapecodec.go). Nothing else changed, so
+// a plan without a tape is still written as the version-1 frame it always
+// was, byte for byte, and old stores, old readers and the content addresses
+// of tapeless plans are untouched; the two versions are told apart by
+// exactly that flag, which keeps every plan at one encoding.
+const FormatVersion = 2
+
+const (
+	tapelessVersion = 1    // the layout of a frame without a tape section
+	flagTape        = 0x01 // header flags: a tape section follows the plan
+)
 
 // magic opens every encoded plan. The trailing newline and NUL catch
 // text-mode corruption the way PNG's magic does.
@@ -60,7 +74,11 @@ func Encode(p *plan.Plan) ([]byte, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("planstore: encode spec: %w", err)
 	}
-	e := &enc{buf: make([]byte, 0, len(specBytes)+512)} // the spec is nearly all of the payload
+	tape, lens := p.Tape()
+	// One buffer holds the frame: the header's room first, then the payload —
+	// the spec, a few bytes a PE for the trees and the tape's accumulator
+	// lengths, and two to three bytes an event of the tape.
+	e := &enc{buf: make([]byte, headerLen, headerLen+len(specBytes)+512+4*p.Spec.Len()+3*tape.Events())}
 	putKey(e, p.Key)
 	e.str(string(p.Kind))
 	e.str(string(p.Alg))
@@ -80,23 +98,33 @@ func Encode(p *plan.Plan) ([]byte, string, error) {
 	for _, c := range p.Colors {
 		e.byte(byte(c))
 	}
-
-	out, sum := seal(e.buf)
-	return out, sum, nil
+	if tape != nil {
+		e.uvarint(uint64(len(lens)))
+		for _, n := range lens {
+			e.uvarint(uint64(n))
+		}
+		e.buf = tape.AppendBinary(e.buf)
+	}
+	return e.buf, seal(e.buf, tape != nil), nil
 }
 
-// seal frames a payload: the fixed header carrying its length and SHA-256,
-// then the payload itself. It returns the blob and the hex digest.
-func seal(payload []byte) ([]byte, string) {
+// seal completes a frame whose payload follows headerLen reserved bytes: it
+// fills in the fixed header carrying the version (set by whether a tape
+// section ends the payload), the payload's length and its SHA-256, and
+// returns the hex digest.
+func seal(frame []byte, tape bool) string {
+	version, flags := uint16(tapelessVersion), byte(0)
+	if tape {
+		version, flags = FormatVersion, flagTape
+	}
+	payload := frame[headerLen:]
 	sum := sha256.Sum256(payload)
-	out := make([]byte, 0, headerLen+len(payload))
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint16(out, FormatVersion)
-	out = append(out, endianLittle, 0)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, sum[:]...)
-	out = append(out, payload...)
-	return out, hex.EncodeToString(sum[:])
+	hdr := append(frame[:0], magic[:]...)
+	hdr = binary.LittleEndian.AppendUint16(hdr, version)
+	hdr = append(hdr, endianLittle, flags)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(payload)))
+	copy(hdr[len(hdr):headerLen], sum[:])
+	return hex.EncodeToString(sum[:])
 }
 
 // Decode reconstructs a plan from its encoded form, returning the plan
@@ -109,6 +137,7 @@ func Decode(data []byte) (*plan.Plan, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
+	hasTape := data[11] == flagTape
 	d := &dec{buf: payload}
 	key, err := getKey(d)
 	if err != nil {
@@ -155,13 +184,50 @@ func Decode(data []byte) (*plan.Plan, string, error) {
 	if d.err != nil {
 		return nil, "", fmt.Errorf("planstore: decode: %v", d.err)
 	}
-	if d.remaining() != 0 {
+	if !hasTape && d.remaining() != 0 {
 		return nil, "", fmt.Errorf("planstore: decode: %d trailing payload bytes", d.remaining())
 	}
 	if err := p.Spec.Validate(); err != nil {
 		return nil, "", fmt.Errorf("planstore: decoded spec invalid: %w", err)
 	}
+	if hasTape { // the rest of the payload, held to the spec just validated
+		if err := getTape(d, p); err != nil {
+			return nil, "", err
+		}
+	}
 	return p, hex.EncodeToString(sum), nil
+}
+
+// getTape reads the tape section — the input lengths, then the tape, to the
+// end of the payload — and hands the plan its tape. The section is held to
+// the decoded program throughout: fabric.DecodeTape takes the image layout
+// from the spec and range-checks every event against it, Plan.SetTape
+// requires the lengths to be the plan's own input layout and the image to be
+// what the program lays out for them.
+func getTape(d *dec, p *plan.Plan) error {
+	n := d.uvarint()
+	if d.err != nil || n > uint64(d.remaining()) {
+		return fmt.Errorf("planstore: decode tape: input lengths truncated")
+	}
+	lens := make([]int, n)
+	for j := range lens {
+		v := d.uvarint()
+		if v > math.MaxInt32 {
+			return fmt.Errorf("planstore: decode tape: input %d of %d elements", j, v)
+		}
+		lens[j] = int(v)
+	}
+	if d.err != nil {
+		return fmt.Errorf("planstore: decode tape: %v", d.err)
+	}
+	tape, err := fabric.DecodeTape(p.Spec, d.buf[d.off:])
+	if err != nil {
+		return fmt.Errorf("planstore: decode tape: %w", err)
+	}
+	if err := p.SetTape(tape, lens); err != nil {
+		return fmt.Errorf("planstore: decode tape: %w", err)
+	}
+	return nil
 }
 
 // DecodeKey reads just the plan key from an encoded blob, after header
@@ -187,14 +253,21 @@ func checkHeader(data []byte) (payload, sum []byte, err error) {
 	if !bytes.Equal(data[:8], magic[:]) {
 		return nil, nil, fmt.Errorf("planstore: bad magic %q", data[:8])
 	}
-	if v := binary.LittleEndian.Uint16(data[8:10]); v != FormatVersion {
-		return nil, nil, fmt.Errorf("planstore: format version %d, this build reads %d", v, FormatVersion)
+	// A version-1 frame sets no flag, a version-2 frame exactly flagTape (a
+	// plan without a tape is a version-1 frame): one encoding per plan.
+	wantFlags := byte(0)
+	switch v := binary.LittleEndian.Uint16(data[8:10]); v {
+	case tapelessVersion:
+	case FormatVersion:
+		wantFlags = flagTape
+	default:
+		return nil, nil, fmt.Errorf("planstore: format version %d, this build reads up to %d", v, FormatVersion)
 	}
 	if data[10] != endianLittle {
 		return nil, nil, fmt.Errorf("planstore: unknown endianness marker %#x", data[10])
 	}
-	if data[11] != 0 {
-		return nil, nil, fmt.Errorf("planstore: reserved flags byte %#x is set", data[11])
+	if data[11] != wantFlags {
+		return nil, nil, fmt.Errorf("planstore: flags byte %#x on a version-%d frame, want %#x", data[11], binary.LittleEndian.Uint16(data[8:10]), wantFlags)
 	}
 	plen := binary.LittleEndian.Uint64(data[12:20])
 	if plen != uint64(len(data)-headerLen) {

@@ -23,16 +23,18 @@ func allocBytes(fn func()) uint64 {
 // blob, and whatever it accepts re-encodes to the very same bytes. The
 // content hash would stop every mutated blob at the header, so each input
 // is tried twice: as it stands, and with its payload sealed afresh under a
-// matching header — the blob an attacker who can write the store, or a
-// bit flip that happens before hashing, would produce. Seeds are the
-// per-kind golden plans.
+// matching header of either version — the blob an attacker who can write
+// the store, or a bit flip that happens before hashing, would produce. Seeds
+// are the per-kind golden plans, without and with their replay tape.
 func FuzzDecode(f *testing.F) {
 	for _, req := range goldenCases() {
-		data, err := os.ReadFile(goldenPath(req.Kind))
-		if err != nil {
-			f.Fatal(err)
+		for _, taped := range []bool{false, true} {
+			data, err := os.ReadFile(goldenPath(req.Kind, taped))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
 		}
-		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data)
@@ -40,8 +42,11 @@ func FuzzDecode(f *testing.F) {
 		if len(data) >= headerLen {
 			payload = data[headerLen:]
 		}
-		sealed, _ := seal(payload)
-		checkDecode(t, sealed)
+		frame := append(make([]byte, headerLen), payload...)
+		for _, tape := range []bool{false, true} {
+			seal(frame, tape)
+			checkDecode(t, frame)
+		}
 	})
 }
 

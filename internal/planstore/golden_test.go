@@ -33,69 +33,103 @@ func goldenCases() []plan.Request {
 	}
 }
 
-func goldenPath(kind plan.Kind) string {
+// goldenPath names the committed frame of a kind: the version-1 frame of the
+// freshly compiled plan, or the version-2 frame the same plan is stored as
+// once its first execution has recorded its replay tape.
+func goldenPath(kind plan.Kind, taped bool) string {
+	if taped {
+		return filepath.Join("testdata", string(kind)+".v2"+blobExt)
+	}
 	return filepath.Join("testdata", string(kind)+blobExt)
 }
 
-// TestGoldenPlans is the forward-compatibility guard of the codec: one
-// committed encoded plan per collective kind must keep decoding, keep its
-// key derivation (or stored plans would silently miss after an upgrade),
-// and keep producing correct collective results. Run with -update after a
-// deliberate format-version bump to regenerate the files.
+// goldenPlan compiles a golden case the way its frame was made: taped plans
+// have run once in a cache, which records the tape.
+func goldenPlan(t *testing.T, req plan.Request, taped bool) *plan.Plan {
+	t.Helper()
+	if !taped {
+		return mustCompile(t, req)
+	}
+	p, err := plan.NewCache(0).Get(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Execute(inputsFor(p)); err != nil {
+		t.Fatal(err)
+	}
+	if tape, _ := p.Tape(); tape == nil {
+		t.Fatal("a cached plan's first execution recorded no tape")
+	}
+	return p
+}
+
+// TestGoldenPlans is the forward-compatibility guard of the codec: two
+// committed encoded plans per collective kind — the version-1 frame without
+// a replay tape and the version-2 frame with one — must keep decoding, keep
+// their key derivation (or stored plans would silently miss after an
+// upgrade), and keep producing correct collective results. A stored tape
+// must also still be what the simulator decides (Plan.CheckTape): it fails
+// together with internal/fabric's stats.golden when engine semantics are
+// retuned. Run with -update after a deliberate format-version bump or engine
+// change to regenerate the files.
 func TestGoldenPlans(t *testing.T) {
 	for _, req := range goldenCases() {
-		req := req
-		t.Run(string(req.Kind), func(t *testing.T) {
-			path := goldenPath(req.Kind)
-			if *updateGolden {
-				p, err := plan.Compile(req)
+		for _, taped := range []bool{false, true} {
+			name := string(req.Kind)
+			if taped {
+				name += ".v2"
+			}
+			t.Run(name, func(t *testing.T) {
+				path := goldenPath(req.Kind, taped)
+				if *updateGolden {
+					data, _, err := Encode(goldenPlan(t, req, taped))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.MkdirAll("testdata", 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("%v (run `go test ./internal/planstore -run TestGoldenPlans -update` to generate)", err)
+				}
+				decoded, _, err := Decode(data)
+				if err != nil {
+					t.Fatalf("golden plan no longer decodes — bump FormatVersion and regenerate deliberately, do not ship silently: %v", err)
+				}
+				// The stored key must still be the key this build derives for
+				// the same request, or lookups would miss every stored plan.
+				if want := plan.KeyOf(req); decoded.Key != want {
+					t.Fatalf("key derivation drifted:\n stored %v\n derived %v", decoded.Key, want)
+				}
+				if tape, _ := decoded.Tape(); (tape != nil) != taped {
+					t.Fatalf("golden frame decodes with a tape: %v, want %v", tape != nil, taped)
+				}
+				if err := decoded.CheckTape(); err != nil {
+					t.Fatalf("golden tape is no longer what the simulator decides — regenerate deliberately: %v", err)
+				}
+				// The decoded program must still execute and agree with a
+				// fresh compile of the same concrete request on the result
+				// contents (cycle counts may legitimately shift when engine
+				// semantics are retuned; results may not).
+				fresh := mustCompile(t, req)
+				inputs := inputsFor(decoded)
+				got, err := decoded.Execute(inputs)
+				if err != nil {
+					t.Fatalf("golden plan no longer executes: %v", err)
+				}
+				want, err := fresh.Execute(inputs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				data, _, err := Encode(p)
-				if err != nil {
-					t.Fatal(err)
+				if !reflect.DeepEqual(got.Root, want.Root) || !reflect.DeepEqual(got.All, want.All) {
+					t.Fatalf("golden plan results diverged:\n got %v\nwant %v", got.Root, want.Root)
 				}
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run `go test ./internal/planstore -run TestGoldenPlans -update` to generate)", err)
-			}
-			decoded, _, err := Decode(data)
-			if err != nil {
-				t.Fatalf("golden plan no longer decodes — bump FormatVersion and regenerate deliberately, do not ship silently: %v", err)
-			}
-			// The stored key must still be the key this build derives for
-			// the same request, or lookups would miss every stored plan.
-			if want := plan.KeyOf(req); decoded.Key != want {
-				t.Fatalf("key derivation drifted:\n stored %v\n derived %v", decoded.Key, want)
-			}
-			// The decoded program must still execute and agree with a
-			// fresh compile of the same concrete request on the result
-			// contents (cycle counts may legitimately shift when engine
-			// semantics are retuned; results may not).
-			fresh, err := plan.Compile(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inputs := inputsFor(decoded)
-			got, err := decoded.Execute(inputs)
-			if err != nil {
-				t.Fatalf("golden plan no longer executes: %v", err)
-			}
-			want, err := fresh.Execute(inputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Root, want.Root) || !reflect.DeepEqual(got.All, want.All) {
-				t.Fatalf("golden plan results diverged:\n got %v\nwant %v", got.Root, want.Root)
-			}
-		})
+			})
+		}
 	}
 }

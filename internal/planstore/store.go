@@ -158,25 +158,31 @@ func (s *Store) Save(p *plan.Plan) error {
 	return err
 }
 
-// Put is Save returning the plan's content address.
+// Put is Save returning the plan's content address. The encoding and the
+// temp file are made outside the store's lock, which is held only to rename
+// the file onto its address and to update the index and the manifest: a
+// write-back in flight does not stall the index lookup of a concurrent Load.
 func (s *Store) Put(p *plan.Plan) (string, error) {
 	start := time.Now()
 	defer func() {
 		s.note(func(st *Stats) { st.SaveLatency += time.Since(start) })
 	}()
-	if err := faults.Inject("planstore.save"); err != nil {
+	hash, err := s.put(p)
+	if err != nil {
 		s.note(func(st *Stats) { st.SaveErrors++ })
+	}
+	return hash, err
+}
+
+func (s *Store) put(p *plan.Plan) (string, error) {
+	if err := faults.Inject("planstore.save"); err != nil {
 		return "", err
 	}
 	data, hash, err := Encode(p)
 	if err != nil {
-		s.note(func(st *Stats) { st.SaveErrors++ })
 		return "", err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old, existed := s.index[p.Key]
-	if existed && old == hash {
+	if old, ok := s.HashOf(p.Key); ok && old == hash {
 		// Identical content already indexed — but only skip the write if
 		// the blob really is on disk, so a Save after an out-of-band
 		// deletion restores durability instead of reporting stale success.
@@ -184,15 +190,23 @@ func (s *Store) Put(p *plan.Plan) (string, error) {
 			return hash, nil
 		}
 	}
-	if err := s.writeBlob(hash, data); err != nil {
-		s.stats.SaveErrors++
+	tmp, err := s.writeTemp(data)
+	if err != nil {
 		return "", err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := os.Rename(tmp, s.blobPath(hash)); err != nil {
+		os.Remove(tmp)
+		return "", fmt.Errorf("planstore: %w", err)
+	}
 	s.stats.Saves++
+	old, existed := s.index[p.Key]
 	s.index[p.Key] = hash
 	if existed && old != hash {
-		// The key moved to new content (e.g. the compiler changed between
-		// releases); drop the orphaned old blob.
+		// The key moved to new content (the plan recorded its replay tape,
+		// or the compiler changed between releases); drop the orphaned old
+		// blob.
 		os.Remove(s.blobPath(old))
 	}
 	return hash, s.writeManifest()
@@ -212,24 +226,9 @@ func (s *Store) Load(key plan.Key) (*plan.Plan, bool, error) {
 		s.note(func(st *Stats) { st.LoadErrors++ })
 		return nil, false, err
 	}
-	s.mu.Lock()
-	hash, ok := s.index[key]
+	data, hash, ok, err := s.readBlob(key)
 	if !ok {
-		s.stats.Misses++
-		s.mu.Unlock()
-		return nil, false, nil
-	}
-	s.mu.Unlock()
-	data, err := os.ReadFile(s.blobPath(hash))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			// Blob vanished under us (manual deletion); drop the entry.
-			s.drop(key, hash)
-			s.note(func(st *Stats) { st.Misses++ })
-			return nil, false, nil
-		}
-		s.note(func(st *Stats) { st.LoadErrors++ })
-		return nil, false, fmt.Errorf("planstore: %w", err)
+		return nil, false, err
 	}
 	p, gotHash, err := Decode(data)
 	if err != nil {
@@ -261,23 +260,9 @@ func (s *Store) LoadBlob(key plan.Key) ([]byte, bool, error) {
 		s.note(func(st *Stats) { st.LoadErrors++ })
 		return nil, false, err
 	}
-	s.mu.Lock()
-	hash, ok := s.index[key]
+	data, hash, ok, err := s.readBlob(key)
 	if !ok {
-		s.stats.Misses++
-		s.mu.Unlock()
-		return nil, false, nil
-	}
-	s.mu.Unlock()
-	data, err := os.ReadFile(s.blobPath(hash))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			s.drop(key, hash)
-			s.note(func(st *Stats) { st.Misses++ })
-			return nil, false, nil
-		}
-		s.note(func(st *Stats) { st.LoadErrors++ })
-		return nil, false, fmt.Errorf("planstore: %w", err)
+		return nil, false, err
 	}
 	gotKey, err := DecodeKey(data)
 	if err != nil {
@@ -292,19 +277,59 @@ func (s *Store) LoadBlob(key plan.Key) ([]byte, bool, error) {
 	return data, true, nil
 }
 
+// readBlob reads the blob key is indexed under, outside the store's lock.
+// ok=false without an error is a miss: no entry, or an entry whose blob is
+// gone (manual deletion; the entry is dropped). A Put that moves the key to
+// new content — a plan saved again with its replay tape — removes the old
+// blob, possibly between the index lookup here and the read; the key is then
+// read again under its new address instead of being reported missing.
+func (s *Store) readBlob(key plan.Key) (data []byte, hash string, ok bool, err error) {
+	for {
+		s.mu.Lock()
+		hash, ok = s.index[key]
+		if !ok {
+			s.stats.Misses++
+		}
+		s.mu.Unlock()
+		if !ok {
+			return nil, "", false, nil
+		}
+		data, err = os.ReadFile(s.blobPath(hash))
+		if err == nil {
+			return data, hash, true, nil
+		}
+		if !errors.Is(err, os.ErrNotExist) {
+			s.note(func(st *Stats) { st.LoadErrors++ })
+			return nil, "", false, fmt.Errorf("planstore: %w", err)
+		}
+		if s.drop(key, hash) {
+			s.note(func(st *Stats) { st.Misses++ })
+			return nil, "", false, nil
+		}
+	}
+}
+
 // Verify loads and checks every indexed plan, quarantining the ones that
-// fail. It returns the number of healthy plans and the content addresses
-// that were quarantined.
+// fail. After the hash sweep's own checks (Load) it re-earns the trust a
+// stored replay tape is served on: a plan that carries one is simulated
+// once and the tape walk must agree with the simulator bit for bit
+// (Plan.CheckTape). It returns the number of healthy plans and the content
+// addresses that were quarantined.
 func (s *Store) Verify() (ok int, quarantined []string, err error) {
 	var errs []error
 	for _, key := range s.Keys() {
-		s.mu.Lock()
-		hash, present := s.index[key]
-		s.mu.Unlock()
+		hash, present := s.HashOf(key)
 		if !present {
 			continue
 		}
-		if _, loaded, lerr := s.Load(key); lerr != nil {
+		p, loaded, lerr := s.Load(key)
+		if lerr == nil && loaded {
+			if lerr = p.CheckTape(); lerr != nil {
+				s.quarantineEntry(key, hash)
+				lerr = fmt.Errorf("planstore: %s quarantined: %w", hash+blobExt, lerr)
+			}
+		}
+		if lerr != nil {
 			quarantined = append(quarantined, hash)
 			errs = append(errs, lerr)
 		} else if loaded {
@@ -318,37 +343,47 @@ func (s *Store) blobPath(hash string) string {
 	return filepath.Join(s.dir, plansDir, hash+blobExt)
 }
 
-// writeBlob writes data to the blob for hash via temp file + rename.
-// The caller holds s.mu.
-func (s *Store) writeBlob(hash string, data []byte) error {
+// writeTemp writes data to a fresh temp file beside the blobs, for the
+// caller to rename onto a content address, and returns its path.
+func (s *Store) writeTemp(data []byte) (string, error) {
+	if err := faults.Inject("planstore.write"); err != nil {
+		return "", err
+	}
 	tmp, err := os.CreateTemp(filepath.Join(s.dir, plansDir), ".tmp-*")
 	if err != nil {
-		return fmt.Errorf("planstore: %w", err)
+		return "", fmt.Errorf("planstore: %w", err)
 	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("planstore: %w", err)
+		return "", fmt.Errorf("planstore: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("planstore: %w", err)
+		return "", fmt.Errorf("planstore: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), s.blobPath(hash)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("planstore: %w", err)
-	}
-	return nil
+	return tmp.Name(), nil
 }
 
-// drop removes an index entry whose blob is gone.
-func (s *Store) drop(key plan.Key, hash string) {
+// drop removes key's index entry if it still names hash and that blob is
+// gone, and reports whether it did. Put renames and removes blobs under the
+// lock, so a false here means the key has a readable blob again.
+func (s *Store) drop(key plan.Key, hash string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.index[key] == hash {
-		delete(s.index, key)
-		s.writeManifest()
+	now, ok := s.index[key]
+	if !ok {
+		return true
 	}
+	if now != hash {
+		return false
+	}
+	if _, err := os.Stat(s.blobPath(hash)); err == nil {
+		return false
+	}
+	delete(s.index, key)
+	s.writeManifest()
+	return true
 }
 
 // quarantineEntry moves a failing blob into quarantine/ and drops its

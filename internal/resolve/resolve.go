@@ -205,6 +205,13 @@ func (s *storeStage) Resolve(ctx context.Context, key plan.Key) (*plan.Plan, err
 		err = ErrNotFound
 	}
 	s.observe(start, err)
+	if err == nil {
+		tape, _ := p.Tape()
+		sp.SetAttr("tape", tape != nil)
+		// A frame stored without its replay tape is rewritten once the plan
+		// has recorded one (nothing is saved before that: no error here).
+		plan.WriteBack(ctx, p, s.ps, true, s.noteSaveError)
+	}
 	outcome(sp, err)
 	if err != nil {
 		return nil, err
@@ -242,9 +249,11 @@ type writeBackStage struct {
 // WriteBack decorates a stage so its successes are saved to ps — the
 // write-back that makes a fleet converge to zero recompiles: a plan a
 // worker had to compile (or fetched from a peer) lands in the shared
-// store for every other worker to resolve cheaply. Save failures are
-// absorbed into the stage's SaveErrors counter, never failing the
-// lookup.
+// store for every other worker to resolve cheaply. The save is made
+// before Resolve returns (plan.WriteBack), and made again when the plan's
+// first execution has recorded its replay tape, so the frame the store
+// ends up with carries it. Save failures are absorbed into the stage's
+// SaveErrors counter, never failing the lookup.
 func WriteBack(inner Resolver, ps PlanStore) Resolver {
 	return &writeBackStage{inner: inner, ps: ps, m: &meter{name: inner.Name()}}
 }
@@ -254,12 +263,9 @@ func (s *writeBackStage) Name() string { return s.inner.Name() }
 func (s *writeBackStage) Resolve(ctx context.Context, key plan.Key) (*plan.Plan, error) {
 	p, err := s.inner.Resolve(ctx, key)
 	if err == nil {
-		_, sp := obs.Start(ctx, "planstore.save")
-		if serr := s.ps.Save(p); serr != nil {
-			sp.SetError(serr)
+		if serr := plan.WriteBack(ctx, p, s.ps, false, s.m.noteSaveError); serr != nil {
 			s.m.noteSaveError(serr)
 		}
-		sp.End()
 	}
 	return p, err
 }

@@ -439,3 +439,75 @@ func TestCacheResolverIntegration(t *testing.T) {
 		t.Errorf("chain consulted %d times, want 1 (second lookup was resident)", st.Lookups)
 	}
 }
+
+// TestWriteBackCarriesTheTape: a chain's write-back saves a compiled plan
+// before Resolve returns and once more when the plan's first execution has
+// recorded its replay tape; the next session's store stage hands the plan
+// over ready to replay and writes nothing; and a frame stored without a tape
+// (an older store, or a plan nothing has run yet) is rewritten with one after
+// its first run.
+func TestWriteBackCarriesTheTape(t *testing.T) {
+	store, err := planstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chainOver := func() Resolver {
+		return Sequential(Optional(Store(store)), WriteBack(Compiler(), store))
+	}
+	req := testKey(6).Request()
+	inputs := req.Inputs(func(n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = 0.5 + float32(i)
+		}
+		return v
+	})
+	run := func() plan.CacheStats {
+		t.Helper()
+		s := plan.NewSession(4, 1)
+		defer s.Close()
+		s.SetResolver(chainOver())
+		if _, err := s.Run(req, inputs); err != nil {
+			t.Fatal(err)
+		}
+		return s.Stats()
+	}
+	stored := func() *plan.Plan {
+		t.Helper()
+		p, ok, err := store.Load(plan.KeyOf(req))
+		if err != nil || !ok {
+			t.Fatalf("stored plan: ok=%v err=%v", ok, err)
+		}
+		return p
+	}
+
+	if st := run(); st.TapeRecords != 1 || st.TapeLoaded != 0 {
+		t.Fatalf("compiling session: %+v; want one tape recorded", st)
+	}
+	if tape, _ := stored().Tape(); tape == nil || store.Stats().Saves != 2 {
+		t.Fatalf("after the compiling session the store holds a tape: %v, after %d saves; want the program saved, then the tape", tape != nil, store.Stats().Saves)
+	}
+	if st := run(); st.TapeRecords != 0 || st.TapeLoaded != 1 || st.TapeReplays != 1 {
+		t.Fatalf("loading session: %+v; want the tape loaded and replayed, nothing recorded", st)
+	}
+	if saves := store.Stats().Saves; saves != 2 {
+		t.Fatalf("a plan loaded with its tape was written again: %d saves", saves)
+	}
+
+	// A chain resolved on its own executes nothing: the bare frame stays.
+	other := testKey(7)
+	req = other.Request()
+	inputs = append(inputs, inputs[0])
+	if _, err := chainOver().Resolve(context.Background(), other); err != nil {
+		t.Fatal(err)
+	}
+	if tape, _ := stored().Tape(); tape != nil || store.Stats().Saves != 3 {
+		t.Fatalf("a chain resolved on its own stored a tape: %v, %d saves", tape != nil, store.Stats().Saves)
+	}
+	if st := run(); st.TapeRecords != 1 || st.TapeLoaded != 0 {
+		t.Fatalf("healing session: %+v; want the bare frame loaded and its tape recorded", st)
+	}
+	if tape, _ := stored().Tape(); tape == nil || store.Stats().Saves != 4 {
+		t.Fatalf("after its first run the bare frame holds a tape: %v, after %d saves; want it rewritten once", tape != nil, store.Stats().Saves)
+	}
+}

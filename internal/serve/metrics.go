@@ -67,6 +67,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	emit("wse_plan_tape_records_total", "counter", c("wse_plan_tape_records_total", ps.TapeRecords))
 	emit("wse_plan_tape_replays_total", "counter", c("wse_plan_tape_replays_total", ps.TapeReplays))
 	emit("wse_plan_tape_declined_total", "counter", c("wse_plan_tape_declined_total", ps.TapeDeclined))
+	emit("wse_plan_tape_loaded_total", "counter", c("wse_plan_tape_loaded_total", ps.TapeLoaded))
 
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()

@@ -21,6 +21,7 @@ import (
 
 	wse "repro"
 	"repro/client"
+	"repro/internal/fabric"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -283,8 +284,11 @@ func TestOverloaded429(t *testing.T) {
 	for i := range blockInputs {
 		blockInputs[i] = make([]float32, blockShape.B)
 	}
+	// The blockers' plan carries a fabric.Tracer, so it never runs from a
+	// replay tape: every one of the 64 is a full engine run on the worker.
+	onEngine := wse.WithOptions(wse.Options{Tracer: &fabric.Tracer{Cap: 1}})
 	for i := 0; i < 64; i++ {
-		blocker.Submit(context.Background(), blockShape, blockInputs)
+		blocker.Submit(context.Background(), blockShape, blockInputs, onEngine)
 	}
 	waitTenant := func(name string, queued func(wse.TenantStats) bool) {
 		t.Helper()

@@ -129,10 +129,11 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReplayTapeIsObservable: three runs of one shape are an engine run, a
-// recording and a tape replay. The fabric.exec spans say which, all three
-// carrying the one cycle count and step count the engine decided, and
-// /metrics counts the tape's life.
+// TestReplayTapeIsObservable: three runs of one shape through a session are
+// a recording (the plan is cached, so its first execution records) and two
+// tape replays. The fabric.exec spans say which, all three carrying the one
+// cycle count and step count the engine decided, and /metrics counts the
+// tape's life.
 func TestReplayTapeIsObservable(t *testing.T) {
 	tracer := obs.NewTracer(obs.Config{Sample: 1})
 	defer tracer.Close()
@@ -155,14 +156,15 @@ func TestReplayTapeIsObservable(t *testing.T) {
 			t.Errorf("fabric.exec %v reports cycles %v steps %v, another run %v %v", sp.Attrs["mode"], sp.Attrs["cycles"], sp.Attrs["steps"], first.Attrs["cycles"], first.Attrs["steps"])
 		}
 	}
-	if modes["engine"] != 1 || modes["record"] != 1 || modes["tape"] != 1 {
-		t.Errorf("fabric.exec modes over three runs: %v, want one each of engine, record, tape", modes)
+	if len(modes) != 2 || modes["record"] != 1 || modes["tape"] != 2 {
+		t.Errorf("fabric.exec modes over three runs: %v, want record, tape, tape", modes)
 	}
 	_, body := get(t, ts.URL+"/metrics")
 	for _, line := range []string{
 		"wse_plan_tape_records_total 1",
-		"wse_plan_tape_replays_total 2", // the recording run's own report, and the third run's
+		"wse_plan_tape_replays_total 3", // the recording run's own report, and the two after it
 		"wse_plan_tape_declined_total 0",
+		"wse_plan_tape_loaded_total 0", // nothing came from a store
 	} {
 		if !strings.Contains(string(body), line) {
 			t.Errorf("metrics output missing %q", line)

@@ -130,7 +130,8 @@ const DefaultSessionMaxCycles = 1 << 28
 
 // PlanStats is the plan cache accounting: hits, misses, evictions and
 // resident plan count, and what the cached plans did with their replay
-// tapes (TapeRecords, TapeReplays, TapeDeclined; README "Replay tape").
+// tapes (TapeRecords, TapeLoaded, TapeReplays, TapeDeclined; README "Replay
+// tape").
 type PlanStats = plan.CacheStats
 
 // Session executes collectives against cached compiled plans.

@@ -5,9 +5,11 @@ package wse
 // SessionConfig.Store, and corruption handling end to end.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -193,5 +195,52 @@ func TestCorruptStoreFallsBackToCompile(t *testing.T) {
 	// The recompile wrote through: the store healed itself.
 	if store2.Len() != 1 {
 		t.Fatalf("store did not heal: holds %d plans", store2.Len())
+	}
+}
+
+// TestTapedStoreHitBuildsNoFabric: a plan stored after its first run carries
+// its replay tape, so a fresh session's first Run of it binds inputs and walks:
+// the ledger shows a tape that was loaded and replayed, nothing recorded and
+// no engine run. The allocation of that first run is logged, not bounded: for
+// reduce1d P=512 B=4 it fell from ~1 MB (nearly all fabric.New) to ~400 KB —
+// the spec decode (~220 KB), the tape decode (~70 KB), the map-shaped report
+// (~110 KB) — and the 256 KB the guard was asked to hold needs the first and
+// the last of those to shrink (ROADMAP, engine memory).
+func TestTapedStoreHitBuildsNoFabric(t *testing.T) {
+	ctx := context.Background()
+	sh := Shape{Kind: KindReduce, Alg: Auto, P: 512, B: 4}
+	inputs := sh.Inputs(func(n int) []float32 { return []float32{1, 0.5, 0.25, 0.125}[:n] })
+	store, err := OpenPlanStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer := NewSession(SessionConfig{Store: store})
+	want, err := writer.Run(ctx, sh, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ws := writer.PlanStats(); ws.TapeRecords != 1 || store.Stats().Saves != 1 {
+		t.Fatalf("writing side: %+v, %d saves; want one recording written once", ws, store.Stats().Saves)
+	}
+
+	s := NewSession(SessionConfig{Store: store})
+	defer s.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := s.Run(ctx, sh, inputs)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != want.Cycles || !reflect.DeepEqual(got.Root, want.Root) {
+		t.Fatalf("store hit reports %d cycles root %v, the recording run %d %v", got.Cycles, got.Root, want.Cycles, want.Root)
+	}
+	t.Logf("first Run of a taped store hit allocated %d KB", (after.TotalAlloc-before.TotalAlloc)>>10)
+	st := s.PlanStats()
+	if st.Misses != 1 || st.StoreHits != 1 || st.StoreErrors != 0 || st.TapeReplays != 1 || st.TapeRecords != 0 || st.TapeLoaded != 1 {
+		t.Errorf("plan ledger %+v; want 1 miss, 1 store hit, 0 store errors, 1 tape replay, 0 tape records, 1 tape loaded", st)
 	}
 }
