@@ -5,8 +5,7 @@ package wse
 // codec decode + hash verification) versus recompiling it locally, and
 // what a cold worker joining a warm fleet pays on its first request.
 // The headline numbers are written to BENCH_fleet.json as a trajectory
-// point; compare compile_ns_per_op against BENCH_store.json's — they
-// measure the same compile.
+// point.
 
 import (
 	"context"

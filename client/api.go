@@ -39,32 +39,26 @@ type Report = wire.Report
 
 // Job is one poll of an async submit: pending, done (Result set) or
 // failed (Error set).
-type Job struct {
-	ID     string  `json:"id"`
-	State  string  `json:"state"`
-	Result *Report `json:"result,omitempty"`
-	Error  string  `json:"error,omitempty"`
-}
+type Job = wire.Job
+
+// WarmResult reports what a remote warm did: how many shapes were
+// freshly materialised into the daemon's cache, how many were already
+// resident, and per-shape errors for the ones that failed.
+type WarmResult = wire.WarmResult
+
+// The request and response envelopes, as internal/wire spells them.
+type (
+	runRequest     = wire.RunRequest
+	submitResponse = wire.SubmitResponse
+	errorResponse  = wire.ErrorResponse
+	warmRequest    = wire.WarmRequest
+)
 
 const (
 	tenantHeader      = "X-WSE-Tenant"
 	deadlineHeader    = "X-WSE-Deadline-Ms"
 	idempotencyHeader = "X-WSE-Idempotency-Key"
 )
-
-type runRequest struct {
-	Shape  Shape       `json:"shape"`
-	Inputs [][]float32 `json:"inputs,omitempty"`
-}
-
-type submitResponse struct {
-	ID  string `json:"id"`
-	URL string `json:"status_url"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
 
 // Run executes a collective synchronously and returns its report.
 // Retryable: run is a pure function of the shape and inputs.
@@ -168,20 +162,6 @@ func (c *Client) PlanBlob(ctx context.Context, key string) ([]byte, bool, error)
 		return nil, false, err
 	}
 	return blob, true, nil
-}
-
-// WarmResult reports what a remote warm did: how many shapes were
-// freshly materialised into the daemon's cache, how many were already
-// resident, and per-shape errors for the ones that failed.
-type WarmResult struct {
-	Warmed   int      `json:"warmed"`
-	Resident int      `json:"resident"`
-	Failed   int      `json:"failed"`
-	Errors   []string `json:"errors,omitempty"`
-}
-
-type warmRequest struct {
-	Shapes []Shape `json:"shapes"`
 }
 
 // Warm asks the daemon to pre-materialise plans for the given shapes

@@ -141,40 +141,8 @@ func realMain() int {
 		}
 		logger.Printf("verify-store: %d plans intact, %d quarantined", ok, len(quarantined))
 	}
-	// A worker with a store or peers resolves misses through a composed
-	// chain instead of the cache's built-in store→compile path: store
-	// and peers are optional stages (their failures degrade to the next
-	// stage, never a 5xx), compile is the mandatory last resort, and
-	// write-back pushes fetched/compiled plans into the store so the
-	// fleet converges to zero recompiles.
-	var chain resolve.Resolver
-	if store != nil || len(peerList) > 0 {
-		var stages []resolve.Resolver
-		if store != nil {
-			stages = append(stages, resolve.Optional(resolve.Store(store)))
-		}
-		if len(peerList) > 0 {
-			peerStages := make([]resolve.Resolver, len(peerList))
-			for i, u := range peerList {
-				peerStages[i] = resolve.Peer(u, client.Config{})
-			}
-			peerStage := peerStages[0]
-			if len(peerStages) > 1 {
-				peerStage = resolve.Parallel(peerStages...)
-			}
-			if store != nil {
-				peerStage = resolve.WriteBack(peerStage, store)
-			}
-			stages = append(stages, resolve.Optional(peerStage))
-		}
-		comp := resolve.Compiler()
-		if store != nil {
-			comp = resolve.WriteBack(comp, store)
-		}
-		stages = append(stages, comp)
-		chain = resolve.Sequential(stages...)
-		cfg.Resolver = chain
-	}
+	chain := buildChain(store, peerList)
+	cfg.Resolver = chain
 	sess := wse.NewSession(cfg)
 	if *warm {
 		if store == nil {
@@ -237,6 +205,41 @@ func realMain() int {
 	}
 	<-done // ListenAndServe returns as soon as Shutdown starts; let it finish
 	return 0
+}
+
+// buildChain composes the miss path of a worker with a store or peers (nil
+// with neither: the session compiles). Store and peers are optional stages
+// — their failures degrade to the next stage, never a 5xx — compile is the
+// mandatory last resort, and write-back pushes fetched and compiled plans
+// into the store so the fleet converges to zero recompiles. With peers left
+// out it is the chain SessionConfig.Store alone would attach, built here so
+// /metrics can read its stages.
+func buildChain(store *wse.PlanStore, peers []string) resolve.Resolver {
+	if store == nil && len(peers) == 0 {
+		return nil
+	}
+	saved := func(r resolve.Resolver) resolve.Resolver {
+		if store == nil {
+			return r
+		}
+		return resolve.WriteBack(r, store)
+	}
+	var stages []resolve.Resolver
+	if store != nil {
+		stages = append(stages, resolve.Optional(resolve.Store(store)))
+	}
+	if len(peers) > 0 {
+		fetch := make([]resolve.Resolver, len(peers))
+		for i, u := range peers {
+			fetch[i] = resolve.Peer(u, client.Config{})
+		}
+		peer := fetch[0]
+		if len(fetch) > 1 {
+			peer = resolve.Parallel(fetch...)
+		}
+		stages = append(stages, resolve.Optional(saved(peer)))
+	}
+	return resolve.Sequential(append(stages, saved(resolve.Compiler()))...)
 }
 
 // runFront serves -mode front: a sessionless consistent-hash router

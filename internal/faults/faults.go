@@ -11,7 +11,7 @@
 // arms "planstore.load=error:p=0.05" and asserts accounting still
 // balances. Production code never pays for that provability — Inject
 // compiles to a single atomic load and a predicted-not-taken branch while
-// the registry is empty, which BenchmarkPlanColdVsReplay guards.
+// the registry is empty.
 //
 // Activation is programmatic (Enable, or Set for tests that want exact
 // control) or environmental: the WSE_FAILPOINTS variable is parsed at

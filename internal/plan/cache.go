@@ -5,27 +5,27 @@ import (
 	"context"
 	"log"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // DefaultCacheCapacity bounds a Cache when the caller passes no capacity.
 const DefaultCacheCapacity = 128
 
 // CacheStats reports a cache's accounting: Hits counts lookups served
-// from a resident or in-flight plan, Misses the lookups that left the
-// cache (store load or compile), Evictions the plans dropped at capacity,
-// and Size the resident plan count. When a store is attached, StoreHits
-// counts the misses that were satisfied by decoding a stored plan instead
-// of compiling, and StoreErrors the store operations (load or write-
-// through save) that failed — store failures never fail a lookup, they
-// just fall back to the compiler. The Tape counters follow the replay tapes
-// of the plans the cache holds or ever held (tape.go): TapeRecords counts
-// the plans that recorded one, TapeReplays the reports produced by walking
-// a tape instead of running the simulator, TapeDeclined the plans found
-// untapeable (a Tracer attached, or a program over the tape cap), TapeLoaded
-// the plans that arrived with a tape in their stored frame and so never ran
-// the simulator here at all.
+// from a resident or in-flight plan, Misses the lookups that went to the
+// resolver chain, Evictions the plans dropped at capacity, and Size the
+// resident plan count. The store fields are a view over the attached
+// chain's per-stage stats (Resolver.Stats), not counters of the cache's own,
+// so they read the same under SetStore, under a hand-built chain and on
+// /metrics: StoreHits is the misses a store stage satisfied by decoding a
+// stored plan instead of compiling, StoreErrors the store operations that
+// failed — loads, and write-back saves — none of which fails a lookup; both
+// start over when a chain is attached. The Tape counters follow the replay
+// tapes of the plans the cache holds or ever held (tape.go): TapeRecords
+// counts the plans that recorded one, TapeReplays the reports produced by
+// walking a tape instead of running the simulator, TapeDeclined the plans
+// found untapeable (a Tracer attached, or a program over the tape cap),
+// TapeLoaded the plans that arrived with a tape in their stored frame and so
+// never ran the simulator here at all.
 type CacheStats struct {
 	Hits        int64
 	Misses      int64
@@ -33,9 +33,9 @@ type CacheStats struct {
 	StoreHits   int64
 	StoreErrors int64
 	// LastStoreError is the message of the most recent failed store
-	// operation ("" while none has failed). Store failures are absorbed —
-	// lookups fall back to the compiler — so without this field a dying
-	// store is visible only as a bare counter.
+	// operation under the attached chain ("" while none has failed). Store
+	// failures are absorbed — lookups fall back to the compiler — so
+	// without this field a dying store is visible only as a bare counter.
 	LastStoreError string
 	Size           int
 	TapeRecords    int64
@@ -44,53 +44,25 @@ type CacheStats struct {
 	TapeLoaded     int64
 }
 
-// PlanStore is plan persistence as the cache and session consume it: a
-// durable keyed collection of encoded plans. The concrete implementation
-// is internal/planstore.Store (a content-addressed directory of blobs);
-// the interface lives here so the plan subsystem stays free of the
-// persistence dependency and tests can substitute in-memory stores.
-type PlanStore interface {
-	// Load returns the stored plan for key, with ok=false (and no error)
-	// when the store has no entry. An error means an entry existed but
-	// could not be used (unreadable, corrupt, version-incompatible).
-	Load(key Key) (*Plan, bool, error)
-	// Save persists a compiled plan, overwriting any entry with the same
-	// key.
-	Save(p *Plan) error
-	// Keys lists the keys of every stored plan.
-	Keys() []Key
-}
-
-// Resolver materialises the plan for a key: the pluggable miss path of a
-// cache (and therefore a Session). The concrete implementation is a
-// composable stage chain in internal/resolve — local store, remote peer,
-// compile-as-last-resort — but the plan subsystem only sees this one
-// method, so it stays free of the network and persistence dependencies.
-type Resolver interface {
-	Resolve(ctx context.Context, key Key) (*Plan, error)
-}
-
 // Cache is a content-keyed LRU of compiled plans. Lookups for the same
-// key that race an in-flight compile coalesce onto it (and count as hits)
-// instead of compiling twice. With a store attached (SetStore), misses
-// try the store before the compiler and freshly compiled plans are
-// written through (WriteBack: once their first execution has settled the
-// replay tape the frame carries), so a serving process transparently
+// key that race an in-flight miss coalesce onto it (and count as hits)
+// instead of resolving twice. A miss is one call of the attached resolver
+// chain (stage.go): the bare compiler until SetStore or SetResolver attach
+// something longer, so a serving process over a store transparently
 // accumulates and reuses a durable plan warehouse. A plan the cache holds
-// records its tape on its first execution (tape.go).
+// records its tape on its first execution (tape.go), and the chain's
+// write-backs wait for it (writeback.go).
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int
 	entries   map[Key]*list.Element
 	lru       list.List // front = most recently used; values are *Plan
 	compiling map[Key]*inflight
-	store     PlanStore
 	resolver  Resolver
-	stats     CacheStats
+	stats     CacheStats   // Hits, Misses, Evictions, LastStoreError
 	tape      tapeCounters // of every plan inserted here first
 	// storeErrLogged dedupes the store-failure log line: one warning per
-	// attached store, not one per degraded request. SetStore resets it, so
-	// swapping in a replacement store re-arms the warning.
+	// attached chain, not one per degraded request.
 	storeErrLogged bool
 }
 
@@ -110,33 +82,32 @@ func NewCache(capacity int) *Cache {
 		capacity:  capacity,
 		entries:   make(map[Key]*list.Element),
 		compiling: make(map[Key]*inflight),
+		resolver:  Compiler(),
 	}
 }
 
-// SetStore attaches (or, with nil, detaches) a plan store. Subsequent
-// misses read through it and subsequent compiles write through to it.
-func (c *Cache) SetStore(ps PlanStore) {
+// SetResolver attaches r as the cache's miss path (nil: the bare compiler
+// again). The cache owns the chain from here on: its write-back stages leave
+// the save of a plan whose tape is still open to the execution that settles
+// it (writeback.go), every store failure it absorbs is logged once and kept
+// as LastStoreError, and the store fields of Stats read its stages. A chain
+// is owned by one cache at a time. Call before taking traffic, or
+// concurrently — attachment is atomic with respect to lookups.
+func (c *Cache) SetResolver(r Resolver) {
+	if r == nil {
+		r = Compiler()
+	}
+	attach(c.resolverHandle(), nil)
+	attach(r, &attachment{storeErr: c.noteStoreError})
 	c.mu.Lock()
-	c.store = ps
+	c.resolver = r
+	c.stats.LastStoreError = ""
 	c.storeErrLogged = false
 	c.mu.Unlock()
 }
 
-// SetResolver attaches (or, with nil, detaches) a resolver chain as the
-// cache's miss path, replacing the built-in store-load → compile →
-// write-through fill. The chain owns its own store/peer/compile policy
-// and stats; with a resolver attached, the cache's StoreHits/StoreErrors
-// counters stay flat (the equivalent accounting lives per stage in the
-// chain). Call before taking traffic, or concurrently — attachment is
-// atomic with respect to lookups.
-func (c *Cache) SetResolver(r Resolver) {
-	c.mu.Lock()
-	c.resolver = r
-	c.mu.Unlock()
-}
-
-// Get returns the plan for req, loading it from the attached store or
-// compiling it on a miss.
+// Get returns the plan for req, resolving it through the attached chain on
+// a miss.
 func (c *Cache) Get(req Request) (*Plan, error) {
 	return c.GetCtx(context.Background(), req)
 }
@@ -144,53 +115,36 @@ func (c *Cache) Get(req Request) (*Plan, error) {
 // GetCtx is Get with the caller's context threaded into the miss path,
 // where a resolver chain's remote stages honour its deadline. Lookups
 // that coalesce onto an in-flight miss share the first caller's fill
-// (and its context), exactly as they share its compile.
+// (and its context), exactly as they share its compile. Nothing says the
+// caller executes the plan, so what a miss left pending for a store is
+// saved before GetCtx returns.
 func (c *Cache) GetCtx(ctx context.Context, req Request) (*Plan, error) {
-	return c.get(ctx, req, false)
-}
-
-// get is GetCtx. executes reports that the caller executes the plan next,
-// which lets the cache's own write-through leave a compiled plan's save to
-// that execution (writeback.go); a resolver chain's stages save on their own.
-func (c *Cache) get(ctx context.Context, req Request, executes bool) (*Plan, error) {
-	key := KeyOf(req)
-	p, _, err := c.acquire(key, true, c.fill(ctx, key, req, executes))
+	p, missed, err := c.lookup(ctx, req)
+	if missed && err == nil {
+		p.settle(ctx)
+	}
 	return p, err
 }
 
-// fill builds the miss path for key: the attached resolver chain when
-// one is set, else the legacy store-load → compile → write-through
-// (made by the plan's first execution when executes says one follows).
-func (c *Cache) fill(ctx context.Context, key Key, req Request, executes bool) func() (*Plan, error) {
-	if r := c.resolverHandle(); r != nil {
-		return func() (*Plan, error) { return r.Resolve(ctx, key) }
-	}
+// lookup is a counted lookup; the bool reports that it was the miss that
+// resolved the plan. A caller that executes the plan next leaves pending
+// saves to that execution.
+func (c *Cache) lookup(ctx context.Context, req Request) (*Plan, bool, error) {
+	key := KeyOf(req)
+	return c.acquire(key, true, c.fill(ctx, c.resolverHandle(), key, req))
+}
+
+// fill is the miss path for key: one Resolve of r. A chain sees the key
+// alone, so the request is validated here and its Tracer — a debug
+// attachment no key carries — rides along onto the plan.
+func (c *Cache) fill(ctx context.Context, r Resolver, key Key, req Request) func() (*Plan, error) {
 	return func() (*Plan, error) {
-		ps := c.storeHandle()
-		if ps != nil {
-			_, lspan := obs.Start(ctx, "planstore.load")
-			p, ok, err := ps.Load(key)
-			lspan.SetAttr("hit", ok)
-			lspan.SetAttr("tape", ok && p.replay.tape.Load() != nil)
-			lspan.SetError(err)
-			lspan.End()
-			switch {
-			case err != nil:
-				c.noteStoreError(err)
-			case ok:
-				c.noteStoreHit()
-				WriteBack(ctx, p, ps, true, c.noteStoreError) // saves nothing now: cannot fail
-				return p, nil
-			}
+		if err := req.Validate(); err != nil {
+			return nil, err
 		}
-		_, cspan := obs.Start(ctx, "plan.compile")
-		p, err := Compile(req)
-		cspan.SetError(err)
-		cspan.End()
-		if err == nil && ps != nil {
-			if serr := p.writeBack(ctx, ps, false, executes, c.noteStoreError); serr != nil {
-				c.noteStoreError(serr)
-			}
+		p, err := r.Resolve(ctx, key)
+		if err == nil && req.Opt.Tracer != nil {
+			p.Opt.Tracer = req.Opt.Tracer
 		}
 		return p, err
 	}
@@ -240,12 +194,6 @@ func (c *Cache) acquire(key Key, count bool, fetch func() (*Plan, error)) (*Plan
 	return fl.plan, true, fl.err
 }
 
-func (c *Cache) storeHandle() PlanStore {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.store
-}
-
 func (c *Cache) resolverHandle() Resolver {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -253,10 +201,7 @@ func (c *Cache) resolverHandle() Resolver {
 }
 
 // Lookup returns the resident plan for key, refreshing its recency,
-// without counting a hit or miss and without triggering any fill. This
-// is the memory stage of a resolver chain: the chain consults residency
-// here and owns its own per-stage accounting, so a chain-driven lookup
-// must not double-count against the cache's serving stats.
+// without counting a hit or miss and without triggering any fill.
 func (c *Cache) Lookup(key Key) (*Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -291,21 +236,16 @@ func (c *Cache) Plans() []*Plan {
 	return out
 }
 
-func (c *Cache) noteStoreHit() {
-	c.mu.Lock()
-	c.stats.StoreHits++
-	c.mu.Unlock()
-}
-
+// noteStoreError is where the attached chain reports a store failure it
+// absorbed.
 func (c *Cache) noteStoreError(err error) {
 	c.mu.Lock()
-	c.stats.StoreErrors++
 	c.stats.LastStoreError = err.Error()
 	logIt := !c.storeErrLogged
 	c.storeErrLogged = true
 	c.mu.Unlock()
 	if logIt {
-		log.Printf("plan: store degraded (falling back to compile; logged once per store): %v", err)
+		log.Printf("plan: store degraded (falling back to compile; logged once per attached chain): %v", err)
 	}
 }
 
@@ -334,9 +274,10 @@ func (c *Cache) insert(key Key, p *Plan) {
 // Stats returns a snapshot of the cache accounting.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.stats
+	st, r := c.stats, c.resolver
 	st.Size = c.lru.Len()
+	c.mu.Unlock()
+	st.StoreHits, st.StoreErrors = storeView(r.Stats())
 	st.TapeRecords = c.tape.records.Load()
 	st.TapeReplays = c.tape.replays.Load()
 	st.TapeDeclined = c.tape.declined.Load()

@@ -1,15 +1,13 @@
-package resolve
+package plan
 
 import (
 	"context"
 	"errors"
 	"time"
-
-	"repro/internal/plan"
 )
 
 type sequentialStage struct {
-	meter
+	*meter
 	children []Resolver
 }
 
@@ -22,7 +20,7 @@ func Sequential(children ...Resolver) Resolver {
 	return &sequentialStage{meter: newMeter("sequential"), children: children}
 }
 
-func (s *sequentialStage) Resolve(ctx context.Context, key plan.Key) (*plan.Plan, error) {
+func (s *sequentialStage) Resolve(ctx context.Context, key Key) (*Plan, error) {
 	start := time.Now()
 	for _, child := range s.children {
 		if err := ctx.Err(); err != nil {
@@ -46,16 +44,28 @@ func (s *sequentialStage) Resolve(ctx context.Context, key plan.Key) (*plan.Plan
 	return nil, ErrNotFound
 }
 
-func (s *sequentialStage) Stats() []Stats {
-	out := s.meter.Stats()
-	for _, child := range s.children {
+func (s *sequentialStage) Stats() []StageStats { return statsOver(s.meter, s.children) }
+
+func (s *sequentialStage) attach(a *attachment) { attachOver(s.meter, s.children, a) }
+
+// statsOver is a combinator's entry followed by its children's.
+func statsOver(m *meter, children []Resolver) []StageStats {
+	out := m.Stats()
+	for _, child := range children {
 		out = append(out, child.Stats()...)
 	}
 	return out
 }
 
+func attachOver(m *meter, children []Resolver, a *attachment) {
+	m.attach(a)
+	for _, child := range children {
+		attach(child, a)
+	}
+}
+
 type parallelStage struct {
-	meter
+	*meter
 	children []Resolver
 }
 
@@ -70,11 +80,11 @@ func Parallel(children ...Resolver) Resolver {
 }
 
 type raceResult struct {
-	p   *plan.Plan
+	p   *Plan
 	err error
 }
 
-func (s *parallelStage) Resolve(ctx context.Context, key plan.Key) (*plan.Plan, error) {
+func (s *parallelStage) Resolve(ctx context.Context, key Key) (*Plan, error) {
 	start := time.Now()
 	if len(s.children) == 0 {
 		s.observe(start, ErrNotFound)
@@ -124,10 +134,6 @@ func (s *parallelStage) Resolve(ctx context.Context, key plan.Key) (*plan.Plan, 
 	return nil, ErrNotFound
 }
 
-func (s *parallelStage) Stats() []Stats {
-	out := s.meter.Stats()
-	for _, child := range s.children {
-		out = append(out, child.Stats()...)
-	}
-	return out
-}
+func (s *parallelStage) Stats() []StageStats { return statsOver(s.meter, s.children) }
+
+func (s *parallelStage) attach(a *attachment) { attachOver(s.meter, s.children, a) }

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -115,11 +116,11 @@ func (s *Session) submitAdmitted(ctx context.Context, tenant string, req Request
 }
 
 // resolve is the plan acquisition of a request that executes next: a miss
-// under it may leave its store write to that execution (WriteBack). A caller
+// under it leaves its store write to that execution (writeback.go). A caller
 // whose execution then fails to happen settles the plan itself.
 func (s *Session) resolve(ctx context.Context, req Request) (*Plan, error) {
 	rctx, rspan := obs.Start(ctx, "plan.resolve")
-	p, err := s.cache.get(rctx, req, true)
+	p, _, err := s.cache.lookup(rctx, req)
 	rspan.SetError(err)
 	rspan.End()
 	return p, err
@@ -195,13 +196,13 @@ func (s *Session) Workers() int { return s.sch.Workers() }
 func (s *Session) Close() error { return s.sch.Close() }
 
 // SetStore attaches a plan store to the session's cache: misses read
-// through it and compiles write through to it. Call before taking
-// traffic, or concurrently — attachment is atomic with respect to
+// through it and compiles write through to it (Cache.SetStore). Call before
+// taking traffic, or concurrently — attachment is atomic with respect to
 // lookups.
 func (s *Session) SetStore(ps PlanStore) { s.cache.SetStore(ps) }
 
-// SetResolver attaches a resolver chain as the cache's miss path,
-// replacing the built-in store→compile fill. See Cache.SetResolver.
+// SetResolver attaches a resolver chain as the cache's miss path. See
+// Cache.SetResolver.
 func (s *Session) SetResolver(r Resolver) { s.cache.SetResolver(r) }
 
 // Resident returns the cached plan for key when resident, refreshing its
@@ -214,26 +215,35 @@ func (s *Session) Resident(key Key) (*Plan, bool) { return s.cache.Lookup(key) }
 func (s *Session) Plans() []*Plan { return s.cache.Plans() }
 
 // Prefetch materialises the plan for req into the cache ahead of
-// traffic, through the attached resolver chain (or the legacy
-// store→compile path), and pre-builds one pooled fabric instance so the
-// first real request lands at steady-state replay latency. Like Warm it
-// stays out of the hit/miss accounting and coalesces with in-flight
-// fills. The returned bool reports whether a fill actually ran (false:
+// traffic, through the attached resolver chain, and pre-builds one pooled
+// fabric instance so the first real request lands at steady-state replay
+// latency. Like Warm it stays out of the hit/miss accounting, coalesces
+// with in-flight fills and saves what the chain left pending before it
+// returns. The returned bool reports whether a fill actually ran (false:
 // the plan was already resident or being fetched by someone else).
 func (s *Session) Prefetch(ctx context.Context, req Request) (bool, error) {
+	_, fetched, err := s.cache.prefetch(ctx, s.cache.resolverHandle(), req)
+	return fetched, err
+}
+
+// prefetch resolves req through r into the cache outside the hit/miss
+// accounting. Nothing executes behind it, so pending saves are made here;
+// then one fabric instance is built, so the first real request resets a
+// pooled simulator instead of constructing one.
+func (c *Cache) prefetch(ctx context.Context, r Resolver, req Request) (*Plan, bool, error) {
 	key := KeyOf(req)
-	fill := s.cache.fill(ctx, key, req, false)
-	_, fetched, err := s.cache.acquire(key, false, func() (*Plan, error) {
+	fill := c.fill(ctx, r, key, req)
+	return c.acquire(key, false, func() (*Plan, error) {
 		p, err := fill()
 		if err != nil {
 			return nil, err
 		}
-		if perr := p.Prewarm(); perr != nil {
-			return nil, perr
+		p.settle(ctx)
+		if err := p.Prewarm(); err != nil {
+			return nil, err
 		}
 		return p, nil
 	})
-	return fetched, err
 }
 
 // WarmStats reports what a Warm pass did: how many plans it decoded from
@@ -249,72 +259,63 @@ type WarmStats struct {
 
 // Warm pre-populates the session's plan cache before it takes traffic,
 // so no request pays a compile on the serving path. Every requested shape
-// is loaded from ps when stored there, compiled otherwise; plans Warm had
-// to compile are saved back to ps, which is also how a shape list is
-// compiled into a store ahead of deployment. A nil reqs warms every plan
-// ps holds. Warm does not disturb the hit/miss accounting (its loads and
-// compiles are reported in WarmStats, not CacheStats) and is safe to run
-// while the session serves: it coalesces with in-flight request compiles
-// for the same key rather than duplicating them, and a shape that fails
-// to warm is recorded in the joined error and skipped, never blocking the
-// rest of the list.
-func (s *Session) Warm(ps PlanStore, reqs []Request) (WarmStats, error) {
-	var st WarmStats
-	var errs []error
-	if reqs == nil && ps != nil {
-		for _, k := range ps.Keys() {
-			reqs = append(reqs, k.Request())
+// is resolved through the chain attaching ps would give the cache
+// (Cache.SetStore; the bare compiler when ps is nil): loaded from ps when
+// stored there, compiled and saved back otherwise, which is also how a
+// shape list is compiled into a store ahead of deployment. A nil reqs warms
+// every plan ps holds. Warm does not disturb the hit/miss accounting (its
+// loads and compiles are reported in WarmStats, not CacheStats) and is safe
+// to run while the session serves: it coalesces with in-flight request
+// compiles for the same key rather than duplicating them, and a shape that
+// fails to warm — or a load or save ps failed — is recorded in the joined
+// error and skipped, never blocking the rest of the list. A plan saved here
+// without a tape is saved once more when a later run records one; a failure
+// of that save is logged and kept as the cache's LastStoreError.
+func (s *Session) Warm(ps KeyedStore, reqs []Request) (WarmStats, error) {
+	var (
+		st   WarmStats
+		mu   sync.Mutex // a plan Warm inserted may run, and fail to save its tape, while Warm goes on
+		errs []error
+	)
+	failed := func(err error) {
+		mu.Lock()
+		errs = append(errs, err)
+		mu.Unlock()
+	}
+	chain := Compiler()
+	if ps != nil {
+		chain = storeChain(ps)
+		if reqs == nil {
+			for _, k := range ps.Keys() {
+				reqs = append(reqs, k.Request())
+			}
 		}
 	}
+	attach(chain, &attachment{storeErr: failed})
+	// A tape one of these plans records later is saved under the claim laid
+	// here; a failure of that save is the cache's to log and remember.
+	defer attach(chain, &attachment{storeErr: s.cache.noteStoreError})
 	for _, req := range reqs {
-		key := KeyOf(req)
-		var loaded bool
-		p, fetched, err := s.cache.acquire(key, false, func() (*Plan, error) {
-			var p *Plan
-			if ps != nil {
-				switch lp, ok, lerr := ps.Load(key); {
-				case lerr != nil:
-					errs = append(errs, lerr)
-				case ok:
-					p, loaded = lp, true
-				}
-			}
-			if p == nil {
-				cp, cerr := Compile(req)
-				if cerr != nil {
-					return nil, cerr
-				}
-				p = cp
-			}
-			if ps != nil {
-				// Saved here and now when Warm compiled it; the save of a tape
-				// recorded later reports to the cache's store errors instead.
-				if serr := WriteBack(context.Background(), p, ps, loaded, s.cache.noteStoreError); serr != nil {
-					errs = append(errs, serr)
-				}
-			}
-			// Pre-build one fabric instance per warmed plan: the first
-			// real request then resets a pooled simulator instead of
-			// constructing one, landing at steady-state replay latency.
-			if perr := p.Prewarm(); perr != nil {
-				return nil, perr
-			}
-			return p, nil
-		})
+		p, fetched, err := s.cache.prefetch(context.Background(), chain, req)
 		switch {
 		case err != nil:
-			errs = append(errs, err)
+			failed(err)
 		case !fetched:
 			st.Resident++
-		case loaded:
-			st.Loaded++
-			if tape, _ := p.Tape(); tape != nil {
-				st.Taped++
-			}
-		default:
-			st.Compiled++
+		case p.replay.loaded:
+			st.Taped++
 		}
 	}
+	for _, stage := range chain.Stats() {
+		switch stage.Stage {
+		case "store":
+			st.Loaded = int(stage.Hits)
+		case "compile":
+			st.Compiled = int(stage.Hits)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
 	return st, errors.Join(errs...)
 }
 

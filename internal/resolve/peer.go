@@ -12,24 +12,17 @@ import (
 	"repro/internal/planstore"
 )
 
-// peerStage resolves plans from a remote daemon's blob endpoint: GET
+// Peer returns a stage resolving plans from the daemon at baseURL: GET
 // /v1/plans/{key} through the retrying client (backoff, breaker,
 // deadline forwarding), then the planstore codec decodes and
 // hash-verifies the blob. Compile-once-serve-everywhere: a plan any
 // fleet member holds is a few hundred microseconds of wire+decode away,
-// versus recompiling it.
-type peerStage struct {
-	meter
-	url string
-	c   *client.Client
-}
-
-// Peer returns a stage resolving from the daemon at baseURL. cfg.BaseURL
-// is overwritten with baseURL; zero-valued knobs get in-fleet defaults
-// snappier than the client package's serving-grade ones (2 attempts,
-// 50ms base backoff, 2s per attempt, breaker at 3) — a fleet peer is on
-// the same network segment and the compiler is always available behind
-// it, so failing fast into the next stage beats patient retrying.
+// versus recompiling it. cfg.BaseURL is overwritten with baseURL;
+// zero-valued knobs get in-fleet defaults snappier than the client
+// package's serving-grade ones (2 attempts, 50ms base backoff, 2s per
+// attempt, breaker at 3) — a fleet peer is on the same network segment and
+// the compiler is always available behind it, so failing fast into the next
+// stage beats patient retrying.
 func Peer(baseURL string, cfg client.Config) Resolver {
 	cfg.BaseURL = baseURL
 	if cfg.MaxAttempts <= 0 {
@@ -44,47 +37,33 @@ func Peer(baseURL string, cfg client.Config) Resolver {
 	if cfg.BreakerThreshold == 0 {
 		cfg.BreakerThreshold = 3
 	}
-	return &peerStage{
-		meter: newMeter("peer " + baseURL),
-		url:   baseURL,
-		c:     client.New(cfg),
-	}
+	c := client.New(cfg)
+	return plan.Leaf("peer "+baseURL, func(ctx context.Context, key plan.Key, sp *obs.Span) (*plan.Plan, error) {
+		sp.SetAttr("peer", baseURL)
+		return fetch(ctx, c, baseURL, key)
+	})
 }
 
-func (s *peerStage) Resolve(ctx context.Context, key plan.Key) (*plan.Plan, error) {
-	start := time.Now()
-	_, sp := obs.Start(ctx, "resolve.peer")
-	sp.SetAttr("peer", s.url)
-	p, err := s.fetch(ctx, key)
-	s.observe(start, err)
-	outcome(sp, err)
-	return p, err
-}
-
-func (s *peerStage) fetch(ctx context.Context, key plan.Key) (*plan.Plan, error) {
+func fetch(ctx context.Context, c *client.Client, url string, key plan.Key) (*plan.Plan, error) {
 	if err := faults.Inject("resolve.peer"); err != nil {
-		return nil, fmt.Errorf("peer %s: %w", s.url, err)
+		return nil, fmt.Errorf("peer %s: %w", url, err)
 	}
-	blob, ok, err := s.c.PlanBlob(ctx, key.String())
+	blob, ok, err := c.PlanBlob(ctx, key.String())
 	if err != nil {
-		return nil, fmt.Errorf("peer %s: %w", s.url, err)
+		return nil, fmt.Errorf("peer %s: %w", url, err)
 	}
 	if !ok {
 		return nil, ErrNotFound
 	}
 	p, _, err := planstore.Decode(blob)
 	if err != nil {
-		return nil, fmt.Errorf("peer %s: bad blob: %w", s.url, err)
+		return nil, fmt.Errorf("peer %s: bad blob: %w", url, err)
 	}
 	// The codec verified the blob's integrity; this verifies its
 	// identity — a peer answering with a well-formed blob for the wrong
 	// key must not poison the cache.
 	if p.Key != key {
-		return nil, fmt.Errorf("peer %s: key mismatch: asked %s, got %s", s.url, key, p.Key)
+		return nil, fmt.Errorf("peer %s: key mismatch: asked %s, got %s", url, key, p.Key)
 	}
 	return p, nil
 }
-
-// Metrics exposes the underlying client's retry counters (attempts,
-// retries, breaker opens) for the daemon's /metrics surface.
-func (s *peerStage) Metrics() client.Metrics { return s.c.Metrics() }

@@ -2,7 +2,7 @@ package resolve
 
 // The resolver-chain contract under -race: sequential fallthrough and
 // mandatory/optional semantics, parallel first-success-cancels-losers,
-// singleflight dedup, the per-stage stats invariant
+// the per-stage stats invariant
 // (hits+misses+errors = lookups), and bit-identical plans regardless of
 // which stage resolved.
 
@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/planstore"
 )
@@ -60,7 +61,7 @@ func (s *memStore) Save(p *plan.Plan) error {
 
 // fakeStage is a scriptable Resolver for combinator tests.
 type fakeStage struct {
-	meter
+	Resolver
 	delay   time.Duration
 	plan    *plan.Plan
 	err     error
@@ -70,14 +71,15 @@ type fakeStage struct {
 }
 
 func fake(name string, delay time.Duration, p *plan.Plan, err error) *fakeStage {
-	return &fakeStage{meter: newMeter(name), delay: delay, plan: p, err: err, honours: true}
+	s := &fakeStage{delay: delay, plan: p, err: err, honours: true}
+	s.Resolver = plan.Leaf(name, s.resolve)
+	return s
 }
 
-func (s *fakeStage) Resolve(ctx context.Context, key plan.Key) (*plan.Plan, error) {
+func (s *fakeStage) resolve(ctx context.Context, _ plan.Key, _ *obs.Span) (*plan.Plan, error) {
 	s.mu2.Lock()
 	s.calls++
 	s.mu2.Unlock()
-	start := time.Now()
 	if s.delay > 0 {
 		t := time.NewTimer(s.delay)
 		defer t.Stop()
@@ -85,14 +87,11 @@ func (s *fakeStage) Resolve(ctx context.Context, key plan.Key) (*plan.Plan, erro
 		case <-t.C:
 		case <-ctx.Done():
 			if s.honours {
-				err := ctx.Err()
-				s.observe(start, err)
-				return nil, err
+				return nil, ctx.Err()
 			}
 			<-t.C
 		}
 	}
-	s.observe(start, s.err)
 	return s.plan, s.err
 }
 
@@ -233,41 +232,6 @@ func TestParallelMandatoryFailureNamesStage(t *testing.T) {
 	checkInvariant(t, par)
 }
 
-// TestSingleflightDedup fires N concurrent lookups for one key through a
-// slow inner stage and asserts the inner stage ran once.
-func TestSingleflightDedup(t *testing.T) {
-	key := testKey(4)
-	p := mustCompile(t, key)
-	slow := fake("inner", 20*time.Millisecond, p, nil)
-	sf := Singleflight(slow)
-
-	const n = 16
-	var wg sync.WaitGroup
-	results := make([]*plan.Plan, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = sf.Resolve(context.Background(), key)
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if errs[i] != nil || results[i] != p {
-			t.Fatalf("caller %d: %v, %v", i, results[i], errs[i])
-		}
-	}
-	if calls := slow.callCount(); calls != 1 {
-		t.Errorf("inner stage ran %d times for %d concurrent lookups, want 1", calls, n)
-	}
-	st := sf.Stats()
-	if st[0].Lookups != n || st[1].Lookups != 1 {
-		t.Errorf("stats = outer %d lookups, inner %d; want %d and 1", st[0].Lookups, st[1].Lookups, n)
-	}
-	checkInvariant(t, sf)
-}
-
 // TestStatsInvariantUnderConcurrency hammers a mixed-outcome chain from
 // many goroutines and checks the accounting still balances per stage.
 func TestStatsInvariantUnderConcurrency(t *testing.T) {
@@ -302,8 +266,8 @@ func TestStatsInvariantUnderConcurrency(t *testing.T) {
 }
 
 // TestBitIdenticalAcrossStages resolves one key through every stage kind
-// — compiler, store, memory — and asserts the encoded plan bytes are
-// identical: it must not matter where a plan came from.
+// — compiler, store, a cache's residency — and asserts the encoded plan
+// bytes are identical: it must not matter where a plan came from.
 func TestBitIdenticalAcrossStages(t *testing.T) {
 	key := testKey(6)
 
@@ -321,9 +285,9 @@ func TestBitIdenticalAcrossStages(t *testing.T) {
 	if _, err := cache.Get(key.Request()); err != nil {
 		t.Fatalf("cache fill: %v", err)
 	}
-	cached, err := Memory(cache).Resolve(context.Background(), key)
-	if err != nil {
-		t.Fatalf("memory stage: %v", err)
+	cached, ok := cache.Lookup(key)
+	if !ok {
+		t.Fatal("plan not resident after the fill")
 	}
 
 	enc := func(p *plan.Plan) []byte {
@@ -380,31 +344,9 @@ func TestWriteBack(t *testing.T) {
 	}
 }
 
-// TestMemoryStage checks the memory stage consults residency only: a
-// miss does not populate the cache or touch its serving stats.
-func TestMemoryStage(t *testing.T) {
-	cache := plan.NewCache(4)
-	mem := Memory(cache)
-	key := testKey(4)
-	if _, err := mem.Resolve(context.Background(), key); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("cold cache = %v, want ErrNotFound", err)
-	}
-	if st := cache.Stats(); st.Hits != 0 || st.Misses != 0 || st.Size != 0 {
-		t.Errorf("memory stage disturbed the cache: %+v", st)
-	}
-	if _, err := cache.Get(key.Request()); err != nil {
-		t.Fatal(err)
-	}
-	p, err := mem.Resolve(context.Background(), key)
-	if err != nil || p == nil {
-		t.Fatalf("resident lookup = %v, %v", p, err)
-	}
-	checkInvariant(t, mem)
-}
-
 // TestCacheResolverIntegration wires a chain into a plan.Cache via
 // SetResolver and checks the miss path goes through the chain (store
-// hit: no compile) while the legacy counters stay flat.
+// hit: no compile) and the cache's store counters read the chain's.
 func TestCacheResolverIntegration(t *testing.T) {
 	key := testKey(4)
 	ms := newMemStore()
@@ -428,8 +370,8 @@ func TestCacheResolverIntegration(t *testing.T) {
 			}
 		}
 	}
-	if st := cache.Stats(); st.StoreHits != 0 || st.StoreErrors != 0 {
-		t.Errorf("legacy store counters moved under a resolver: %+v", st)
+	if st := cache.Stats(); st.StoreHits != 1 || st.StoreErrors != 0 {
+		t.Errorf("cache store counters = %+v, want the chain's one store hit", st)
 	}
 	// Second lookup: resident, chain not consulted again.
 	if _, err := cache.Get(key.Request()); err != nil {
@@ -440,12 +382,12 @@ func TestCacheResolverIntegration(t *testing.T) {
 	}
 }
 
-// TestWriteBackCarriesTheTape: a chain's write-back saves a compiled plan
-// before Resolve returns and once more when the plan's first execution has
-// recorded its replay tape; the next session's store stage hands the plan
-// over ready to replay and writes nothing; and a frame stored without a tape
-// (an older store, or a plan nothing has run yet) is rewritten with one after
-// its first run.
+// TestWriteBackCarriesTheTape: under a session a chain's compiled plan is
+// saved once, when the first execution has recorded the tape; the next
+// session's store stage hands the plan over ready to replay and writes
+// nothing; a chain resolved on its own saves before Resolve returns; and a
+// frame stored without a tape (an older store, or a plan nothing has run
+// yet) is rewritten with one after its first run.
 func TestWriteBackCarriesTheTape(t *testing.T) {
 	store, err := planstore.Open(t.TempDir())
 	if err != nil {
@@ -484,13 +426,13 @@ func TestWriteBackCarriesTheTape(t *testing.T) {
 	if st := run(); st.TapeRecords != 1 || st.TapeLoaded != 0 {
 		t.Fatalf("compiling session: %+v; want one tape recorded", st)
 	}
-	if tape, _ := stored().Tape(); tape == nil || store.Stats().Saves != 2 {
-		t.Fatalf("after the compiling session the store holds a tape: %v, after %d saves; want the program saved, then the tape", tape != nil, store.Stats().Saves)
+	if tape, _ := stored().Tape(); tape == nil || store.Stats().Saves != 1 {
+		t.Fatalf("after the compiling session the store holds a tape: %v, after %d saves; want it saved once, with the tape", tape != nil, store.Stats().Saves)
 	}
 	if st := run(); st.TapeRecords != 0 || st.TapeLoaded != 1 || st.TapeReplays != 1 {
 		t.Fatalf("loading session: %+v; want the tape loaded and replayed, nothing recorded", st)
 	}
-	if saves := store.Stats().Saves; saves != 2 {
+	if saves := store.Stats().Saves; saves != 1 {
 		t.Fatalf("a plan loaded with its tape was written again: %d saves", saves)
 	}
 
@@ -501,13 +443,13 @@ func TestWriteBackCarriesTheTape(t *testing.T) {
 	if _, err := chainOver().Resolve(context.Background(), other); err != nil {
 		t.Fatal(err)
 	}
-	if tape, _ := stored().Tape(); tape != nil || store.Stats().Saves != 3 {
+	if tape, _ := stored().Tape(); tape != nil || store.Stats().Saves != 2 {
 		t.Fatalf("a chain resolved on its own stored a tape: %v, %d saves", tape != nil, store.Stats().Saves)
 	}
 	if st := run(); st.TapeRecords != 1 || st.TapeLoaded != 0 {
 		t.Fatalf("healing session: %+v; want the bare frame loaded and its tape recorded", st)
 	}
-	if tape, _ := stored().Tape(); tape == nil || store.Stats().Saves != 4 {
+	if tape, _ := stored().Tape(); tape == nil || store.Stats().Saves != 3 {
 		t.Fatalf("after its first run the bare frame holds a tape: %v, after %d saves; want it rewritten once", tape != nil, store.Stats().Saves)
 	}
 }

@@ -34,17 +34,6 @@ func (s *Server) handlePlanBlob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-type warmRequest struct {
-	Shapes []ShapeWire `json:"shapes"`
-}
-
-type warmResponse struct {
-	Warmed   int      `json:"warmed"`   // fetched or compiled into the cache
-	Resident int      `json:"resident"` // already cached (or coalesced)
-	Failed   int      `json:"failed"`
-	Errors   []string `json:"errors,omitempty"`
-}
-
 // handleWarm materialises each listed shape through the session's
 // resolver chain. Partial failure is the normal case for a long list,
 // so the response is always 200 with per-shape accounting; a shape that

@@ -375,15 +375,6 @@ func (s *Server) verbsFor(r *http.Request) verbs {
 	return t
 }
 
-type runRequest struct {
-	Shape  ShapeWire   `json:"shape"`
-	Inputs [][]float32 `json:"inputs"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	if code == http.StatusTooManyRequests {
@@ -521,15 +512,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSONCtx(r.Context(), w, http.StatusOK, reportWire(rep))
 }
 
-type estimateRequest struct {
-	Shape ShapeWire `json:"shape"`
-}
-
 // handleEstimate is the shared shape->number tail of /v1/predict and
 // /v1/bound. Both model verbs are total (unknown shapes estimate to
 // NaN), so the daemon validates first to keep the 400 contract.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, field string, f func(wse.Shape) float64) {
-	var req estimateRequest
+	var req runRequest // inputs, if any were sent, are not read
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -550,11 +537,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBound(w http.ResponseWriter, r *http.Request) {
 	s.handleEstimate(w, r, "bound_cycles", func(sh wse.Shape) float64 { return s.cfg.Session.Bound(sh) })
-}
-
-type submitResponse struct {
-	ID  string `json:"id"`
-	URL string `json:"status_url"`
 }
 
 // idempotencyHeader carries a client-generated key that makes submit
@@ -597,13 +579,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	id := s.jobs.add(fut, name, key)
 	writeJSON(w, http.StatusAccepted, submitResponse{ID: id, URL: "/v1/jobs/" + id})
-}
-
-type jobResponse struct {
-	ID     string      `json:"id"`
-	State  string      `json:"state"` // pending | done | failed
-	Result *ReportWire `json:"result,omitempty"`
-	Error  string      `json:"error,omitempty"`
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

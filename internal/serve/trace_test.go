@@ -6,6 +6,7 @@ package serve
 // trace id; failures mark the failing span and ride up to the root.
 
 import (
+	"context"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	wse "repro"
+	"repro/client"
 	"repro/internal/faults"
 	"repro/internal/obs"
 )
@@ -216,6 +218,51 @@ func TestTraceFleetSingleID(t *testing.T) {
 	// The worker's spans carry the shared trace id too — the whole
 	// request is reconstructible by joining the two rings on trace id.
 	spanByName(t, wtrace, "fabric.exec")
+}
+
+// TestTraceClientJoinsFleetID: a request the client sends under a root span
+// of its own is one trace across all three tiers — the client mints the id,
+// its per-attempt span carries it over the wire, and the front and the
+// worker both commit under it.
+func TestTraceClientJoinsFleetID(t *testing.T) {
+	var tracers [3]*obs.Tracer // client, front, worker
+	for i := range tracers {
+		tracers[i] = obs.NewTracer(obs.Config{Sample: 1})
+		defer tracers[i].Close()
+	}
+	ctr, ftr, wtr := tracers[0], tracers[1], tracers[2]
+
+	sess := wse.NewSession(wse.SessionConfig{})
+	s := New(Config{Session: sess, Tracer: wtr})
+	wts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		wts.Close()
+		s.stopSweeper()
+		sess.Close()
+	})
+	fts := httptest.NewServer(NewFront(FrontConfig{Workers: []string{wts.URL}, Cooldown: time.Minute, Tracer: ftr}).Handler())
+	t.Cleanup(fts.Close)
+
+	ctx, root := ctr.Root(context.Background(), "test client", "")
+	_, err := client.New(client.Config{BaseURL: fts.URL}).Run(ctx, client.Shape{Kind: "reduce1d", Alg: "chain", P: 4, B: 2, Op: "sum"},
+		[][]float32{{1, 1}, {1, 1}, {1, 1}, {1, 1}})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrace := waitTraces(t, ctr, 1)[0]
+	if ftrace, wtrace := waitTraces(t, ftr, 1)[0], waitTraces(t, wtr, 1)[0]; ftrace.TraceID != ctrace.TraceID || wtrace.TraceID != ctrace.TraceID {
+		t.Fatalf("trace id split across tiers: client %s, front %s, worker %s", ctrace.TraceID, ftrace.TraceID, wtrace.TraceID)
+	}
+	attempts := 0
+	for _, sp := range ctrace.Spans {
+		if strings.HasPrefix(sp.Name, "client ") {
+			attempts++
+		}
+	}
+	if attempts != 1 {
+		t.Errorf("client trace has %d per-attempt spans, want 1 (spans: %v)", attempts, spanNames(ctrace))
+	}
 }
 
 // TestTraceExecFailpointError: an injected fabric.exec fault must mark

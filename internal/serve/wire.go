@@ -25,6 +25,13 @@ type (
 	ShapeWire  = wire.Shape
 	StatsWire  = wire.Stats
 	ReportWire = wire.Report
+
+	runRequest     = wire.RunRequest
+	errorResponse  = wire.ErrorResponse
+	submitResponse = wire.SubmitResponse
+	jobResponse    = wire.Job
+	warmRequest    = wire.WarmRequest
+	warmResponse   = wire.WarmResult
 )
 
 // WireShape spells a wse.Shape in the daemon's wire format.

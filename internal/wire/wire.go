@@ -43,3 +43,47 @@ type Report struct {
 	Root      []float32 `json:"root,omitempty"`
 	Stats     Stats     `json:"stats"`
 }
+
+// RunRequest is the body of /v1/run and /v1/submit, and — without inputs —
+// of /v1/predict and /v1/bound.
+type RunRequest struct {
+	Shape  Shape       `json:"shape"`
+	Inputs [][]float32 `json:"inputs,omitempty"`
+}
+
+// SubmitResponse answers an accepted /v1/submit: the job's id and where to
+// poll it.
+type SubmitResponse struct {
+	ID  string `json:"id"`
+	URL string `json:"status_url"`
+}
+
+// ErrorResponse is the body of every non-2xx answer.
+type ErrorResponse struct {
+	Error string `json:"error"`
+}
+
+// Job is one poll of an async submit (GET /v1/jobs/{id}): State is
+// pending, done (Result set) or failed (Error set).
+type Job struct {
+	ID     string  `json:"id"`
+	State  string  `json:"state"`
+	Result *Report `json:"result,omitempty"`
+	Error  string  `json:"error,omitempty"`
+}
+
+// WarmRequest is the body of /v1/warm: the shapes to materialise.
+type WarmRequest struct {
+	Shapes []Shape `json:"shapes"`
+}
+
+// WarmResult answers /v1/warm, always with 200: how many shapes were
+// freshly fetched or compiled into the daemon's cache, how many were
+// already resident (or coalesced), and per-shape errors for the ones that
+// failed.
+type WarmResult struct {
+	Warmed   int      `json:"warmed"`
+	Resident int      `json:"resident"`
+	Failed   int      `json:"failed"`
+	Errors   []string `json:"errors,omitempty"`
+}

@@ -2,8 +2,8 @@ package wse
 
 // Distributed plan resolution: the fleet-facing slice of the Session
 // surface. A resolver chain (internal/resolve, plugged in through
-// SessionConfig.Resolver) generalises the cache's miss path —
-// local store, remote peers, compile as last resort — and the methods
+// SessionConfig.Resolver) is the cache's miss path — local store,
+// remote peers, compile as last resort — and the methods
 // here are what the serving layer builds fleet features from: PlanBlob
 // serves a session's plans to peers by canonical key, Prefetch warms a
 // plan over the wire, KeyString is the consistent-hash routing key.
@@ -17,10 +17,9 @@ import (
 	"repro/internal/planstore"
 )
 
-// Resolver materialises the plan for a key: the pluggable miss path of
-// the session's plan cache. Build one from internal/resolve's stages
-// and combinators; its richer interface (per-stage stats) satisfies
-// this minimal one.
+// Resolver materialises the plan for a key: the miss path of the
+// session's plan cache, with per-stage stats. Build one from
+// internal/resolve's stages and combinators.
 type Resolver = plan.Resolver
 
 // Key is a plan's canonical content identity — the cache key, the plan

@@ -42,15 +42,19 @@ type SessionConfig struct {
 	// cache misses first try to decode the stored plan (no compile), and
 	// plans the session does compile are persisted back, so a fleet of
 	// sessions over one store compiles each distinct shape once ever, not
-	// once per process. Store failures never fail a request — the session
-	// falls back to compiling — and are counted in PlanStats.StoreErrors.
+	// once per process. It is a preset over Resolver — the chain
+	// Sequential(Optional(Store(s)), WriteBack(Compiler(), s)) — so store
+	// failures never fail a request (the session falls back to compiling)
+	// and are counted in PlanStats.StoreErrors, and a compiled plan is
+	// written once, when its first run has recorded the replay tape the
+	// frame carries (README "Plan persistence").
 	Store *PlanStore
-	// Resolver, when non-nil, replaces the cache's built-in store→compile
-	// miss path with a composed resolver chain (internal/resolve via the
-	// wse.Resolver alias): local store, remote fleet peers, compile as
-	// last resort, in whatever composition the caller built. Store may
-	// still be set alongside it — the session then serves its plan-blob
-	// surface from the store even though the chain owns the fill path.
+	// Resolver, when non-nil, is the session's plan miss path: a chain
+	// composed from internal/resolve's stages (through the wse.Resolver
+	// alias) — local store, remote fleet peers, compile as last resort, in
+	// whatever composition the caller built. PlanStats' store fields read
+	// its stages. Store may still be set alongside it: the chain owns every
+	// miss, and the session serves its plan-blob surface from the store.
 	Resolver Resolver
 	// Scheduler tunes the multi-tenant QoS layer in front of the worker
 	// pool; the zero value serves everything as one weight-1 Batch tenant
@@ -158,12 +162,11 @@ func NewSession(cfg SessionConfig) *Session {
 			DefaultTenant: cfg.Scheduler.DefaultTenant,
 		}),
 	}
-	if cfg.Store != nil {
-		s.store = cfg.Store
-		s.s.SetStore(cfg.Store)
-	}
-	if cfg.Resolver != nil {
+	switch s.store = cfg.Store; {
+	case cfg.Resolver != nil:
 		s.s.SetResolver(cfg.Resolver)
+	case cfg.Store != nil:
+		s.s.SetStore(cfg.Store)
 	}
 	s.def = Tenant{s: s} // empty name: the scheduler's default tenant
 	return s

@@ -104,7 +104,7 @@ func (s *Session) Warm(store *PlanStore, shapes []Shape) (WarmStats, error) {
 			reqs[i] = sh.request(s.opt)
 		}
 	}
-	var ps plan.PlanStore
+	var ps plan.KeyedStore
 	if store != nil { // keep a nil *PlanStore out of the interface
 		ps = store
 	}
