@@ -66,7 +66,7 @@ func statsLine(kind plan.Kind, variant string, res *fabric.Result) string {
 
 // stampedSpec copies the plan's program into a spec of its own. Inputs stay
 // unbound: every counter pinned here depends on the program alone.
-func stampedSpec(t *testing.T, pl *plan.Plan) *fabric.Spec {
+func stampedSpec(t testing.TB, pl *plan.Plan) *fabric.Spec {
 	t.Helper()
 	s := fabric.NewSpec(pl.Spec.Width, pl.Spec.Height)
 	if err := pl.Stamp(s); err != nil {

@@ -10,6 +10,58 @@ import (
 	"repro/internal/mesh"
 )
 
+// referenceWalk is the tape's walk as it was before a tape held runs: the
+// recorded events applied one at a time, in the engine's own order. It is
+// what the run walk is held to, bit for bit.
+func referenceWalk(events []tapeEvent, waves uint32, acc []float32) {
+	tmp := make([]float32, waves)
+	for _, e := range events {
+		w := e.op & tapeWaveMask
+		switch kind := e.op >> tapeKindShift; kind {
+		case tapeLoad:
+			tmp[w] = acc[e.acc]
+		case tapeStore:
+			acc[e.acc] = tmp[w]
+		default:
+			acc[e.acc] = ReduceOp(kind-tapeReduce).Apply(acc[e.acc], tmp[w])
+		}
+	}
+}
+
+// sameWalk holds the walk of the tape formed from a recording to the
+// reference walk of the recording's events, on whole images of non-integer
+// values, and returns the tape.
+func sameWalk(t *testing.T, r *Recording, label string) *Tape {
+	t.Helper()
+	tape, err := r.Tape()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	sum := 0
+	for _, n := range tape.RunLens() {
+		sum += n
+	}
+	if sum != r.Events() || tape.Events() != r.Events() {
+		t.Fatalf("%s: %d runs move %d elements, Events() says %d, the recording has %d events", label, tape.Runs(), sum, tape.Events(), r.Events())
+	}
+	rng := rand.New(rand.NewSource(int64(r.Events())))
+	for round := 0; round < 2; round++ { // the second reuses the parked wave buffer
+		want, got := make([]float32, tape.AccLen()), make([]float32, tape.AccLen())
+		for i := range want {
+			want[i] = float32(rng.NormFloat64()) * 3.7
+		}
+		copy(got, want)
+		r.ReferenceWalk(want)
+		tape.Walk(got)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: image[%d] = %x after the run walk, %x after the reference walk", label, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+	return tape
+}
+
 // scramble rebinds every Init of the spec to non-integer values, so a reduce
 // applied in another order, or to another element, shows in the low bits.
 func scramble(s *Spec, seed int64) {
@@ -95,7 +147,8 @@ func duplex(b int) *Spec {
 // recorded on one set of inputs and run on another equals the engine's
 // result on those — cycles, full Stats, clock samples and every accumulator
 // bit — in the map and the columnar layout, also when the reference engine
-// is the parallel one and the recording fabric is sharded.
+// is the parallel one and the recording fabric is sharded; and its walk
+// equals the reference walk of the events it was formed from.
 func TestTapeReproducesRun(t *testing.T) {
 	old := shardDispatchThreshold
 	shardDispatchThreshold = 1
@@ -126,10 +179,11 @@ func TestTapeReproducesRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			tape, err := f.Record()
+			raw, err := f.RecordRaw()
 			if err != nil {
 				t.Fatalf("%s: record: %v", label, err)
 			}
+			tape := sameWalk(t, raw, label)
 			for seed := int64(2); seed < 4; seed++ {
 				scramble(spec, seed)
 				if err := f.Reset(spec); err != nil {
@@ -221,5 +275,66 @@ func TestRecordDeclinesLongPrograms(t *testing.T) {
 	}
 	if got := res.Acc[mesh.Coord{}]; len(got) != b || got[b-1] != float32(b-1) {
 		t.Fatalf("run after a declined recording stored %d elements ending in %v", len(got), got[len(got)-1])
+	}
+}
+
+// pingPong builds two PEs that exchange element k before either sends k+1:
+// PE 0 sends a[k], PE 1 folds it into b[k] and sends that back, PE 0 stores
+// it as a[k+1] and sends it on the next round — a[k+1] = a[k] + b[k], every
+// element waiting for the one before it to cross the link twice.
+func pingPong(b int) *Spec {
+	s := NewSpec(2, 1)
+	l, r := s.PE(mesh.Coord{}), s.PE(mesh.Coord{X: 1})
+	l.Init, r.Init = make([]float32, b+1), make([]float32, b)
+	for k := 0; k < b; k++ {
+		l.Ops = append(l.Ops, Op{Kind: OpSend, Color: 0, Off: k, N: 1}, Op{Kind: OpRecvStore, Color: 1, Off: k + 1, N: 1})
+		r.Ops = append(r.Ops, Op{Kind: OpRecvReduce, Color: 0, Off: k, N: 1}, Op{Kind: OpSend, Color: 1, Off: k, N: 1})
+	}
+	l.AddConfig(0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East)})
+	l.AddConfig(1, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
+	r.AddConfig(0, RouterConfig{Accept: mesh.West, Forward: mesh.Dirs(mesh.Ramp)})
+	r.AddConfig(1, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
+	return s
+}
+
+// TestFormRunsSplitsPingPong: where the dataflow itself is element by
+// element, the former has nothing to merge. Neighbouring elements of both
+// PEs see events of one kind — the stores of a[1], a[2], …, the folds into
+// b[0], b[1], … — but each consumes a wave that is loaded only after the
+// one before it was consumed, so merging any two would put a consume ahead
+// of its load. The former must emit runs of one, in an order that still
+// replays: neither a deadlock nor a reordering.
+func TestFormRunsSplitsPingPong(t *testing.T) {
+	const b = 9
+	spec := pingPong(b)
+	scramble(spec, 1)
+	f, err := New(spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := f.RecordRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tape := sameWalk(t, raw, "ping-pong")
+	if tape.Events() != 4*b || tape.Runs() != 4*b {
+		t.Fatalf("ping-pong of %d elements: %d events in %d runs, want %d runs of one", b, tape.Events(), tape.Runs(), 4*b)
+	}
+	scramble(spec, 2)
+	if err := f.Reset(spec); err != nil {
+		t.Fatal(err)
+	}
+	want, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, want, tape.Run(tapeImage(t, tape, spec)), "ping-pong")
+	// The prefix sums did cross the link: a[b] = a[0] + b[0] + … + b[b-1].
+	sum := spec.PE(mesh.Coord{}).Init[0]
+	for _, v := range spec.PE(mesh.Coord{X: 1}).Init {
+		sum += v
+	}
+	if got := want.Acc[mesh.Coord{}][b]; math.Abs(float64(got-sum)) > 1e-3 {
+		t.Fatalf("ping-pong left a[%d] = %v, want about %v", b, got, sum)
 	}
 }

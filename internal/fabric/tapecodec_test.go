@@ -2,7 +2,7 @@ package fabric
 
 import (
 	"bytes"
-	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
@@ -29,13 +29,12 @@ func tapeCodecSpec(t *testing.T) *Spec {
 	return s
 }
 
-// handEvent is one event of a hand-built tape section, field by field as
-// the section spells it.
-type handEvent struct {
-	where uint64 // 0: the PE of the event before; else 1 + zigzag(PE - guessed PE)
-	kind  uint64
-	elem  uint64 // 0: the guessed element, nothing written; else zigzag(element - guess)
-	wave  uint64 // zigzag(wave - guess), written for every kind but a load
+// handRun is one run of a hand-built tape section, field by field as the
+// section spells it.
+type handRun struct {
+	kind, n uint64
+	acc     int64 // its first element, from where the run before ended
+	wave    int64 // its first wave, from where the consume before ended; written for every kind but a load
 }
 
 // handTape is a tape section written out by hand, in the layout of
@@ -46,9 +45,9 @@ type handTape struct {
 	stats    [6]uint64
 	accLens  []uint64
 	clocks   []int64
-	events   []handEvent
+	runs     []handRun
 	nClocks  *uint64 // written in place of len(clocks)
-	nEvents  *uint64 // written in place of len(events)
+	nRuns    *uint64 // written in place of len(runs)
 	trailing []byte
 }
 
@@ -69,41 +68,35 @@ func (h handTape) bytes() []byte {
 	for _, v := range h.clocks {
 		e.varint(v)
 	}
-	if h.nEvents != nil {
-		e.uvarint(*h.nEvents)
+	if h.nRuns != nil {
+		e.uvarint(*h.nRuns)
 	} else {
-		e.uvarint(uint64(len(h.events)))
+		e.uvarint(uint64(len(h.runs)))
 	}
-	for _, ev := range h.events {
-		head := ev.where<<tapeWhereShift | ev.kind
-		if ev.elem != 0 {
-			head |= tapeExplicitElem
-		}
-		e.uvarint(head)
-		if ev.elem != 0 {
-			e.uvarint(ev.elem)
-		}
-		if ev.kind != uint64(tapeLoad) {
-			e.uvarint(ev.wave)
+	for _, r := range h.runs {
+		e.uvarint(r.n<<tapeKindBits | r.kind)
+		e.varint(r.acc)
+		if r.kind != uint64(tapeLoad) {
+			e.varint(r.wave)
 		}
 	}
 	return append(e.buf, h.trailing...)
 }
 
+var maxKind = uint64(tapeReduce) + uint64(OpMax)
+
 // goodHandTape is the section of tapeCodecSpec's recording, by hand: PE 1
-// loads its two elements (waves 0 and 1), then PE 0 folds them in by max.
+// loads its two elements (image 2 and 3, waves 0 and 1) in one run, then
+// PE 0 folds them into its own (image 0 and 1) by max in another.
 func goodHandTape() handTape {
-	maxKind := uint64(tapeReduce) + uint64(OpMax)
 	return handTape{
 		cycles:  9,
 		stats:   [6]uint64{3, 6, 2, 2, 0, 22},
 		accLens: []uint64{2, 2},
 		clocks:  []int64{8},
-		events: []handEvent{
-			{where: 1 + zigzag(1), kind: uint64(tapeLoad)}, // PE 0 is guessed to follow itself: +1
-			{kind: uint64(tapeLoad)},
-			{where: 1 + zigzag(-1), kind: maxKind}, // PE 1 likewise: -1
-			{kind: maxKind},
+		runs: []handRun{
+			{kind: uint64(tapeLoad), n: 2, acc: 2},
+			{kind: maxKind, n: 2, acc: -4},
 		},
 	}
 }
@@ -131,6 +124,10 @@ func TestTapeCodecRoundTrip(t *testing.T) {
 	}
 	if again := decoded.AppendBinary(nil); !bytes.Equal(again, section) {
 		t.Fatalf("decode→encode is not byte-identical:\n  % x\n  % x", section, again)
+	}
+	if decoded.Events() != 4 || decoded.Runs() != 2 || recorded.Events() != 4 || recorded.Runs() != 2 {
+		t.Fatalf("decoded tape holds %d events in %d runs, recorded %d in %d; want 4 in 2",
+			decoded.Events(), decoded.Runs(), recorded.Events(), recorded.Runs())
 	}
 	image := func() []float32 { return []float32{1.5, -2.25, 3.125, -4} }
 	want, got := recorded.Run(image()), decoded.Run(image())
@@ -162,44 +159,63 @@ func TestTapeCodecRejectsHostileSections(t *testing.T) {
 	}
 	good := goodHandTape().bytes()
 	padded := append([]byte{0x89, 0x00}, good[1:]...) // cycles 9 as a two-byte varint
-	overCap := binary.AppendUvarint(nil, MaxTapeEvents+1)
+	// The same four events as runs of one are as good a tape, and the split
+	// is kept: decode→encode is the identity on it too.
+	split := edit(func(h *handTape) {
+		h.runs = []handRun{
+			{kind: uint64(tapeLoad), n: 1, acc: 2}, {kind: uint64(tapeLoad), n: 1},
+			{kind: maxKind, n: 1, acc: -4}, {kind: maxKind, n: 1},
+		}
+	})
+	if tape, err := DecodeTape(s, split); err != nil || tape.Runs() != 4 || !bytes.Equal(tape.AppendBinary(nil), split) {
+		t.Fatalf("the good section split into runs of one: %v", err)
+	}
 	for _, c := range []struct {
 		name, want string
 		section    []byte
 	}{
-		{"acc index past its PE", "element 2 of PE",
-			edit(func(h *handTape) { h.events[1].elem = zigzag(1) })},
-		{"acc index before its PE", "element -1 of PE",
-			edit(func(h *handTape) { h.events[0].elem = zigzag(-1) })},
-		{"wave consumed before its load", "consumes wave 0, 0 loaded so far",
+		{"empty run", "kind 0, 0 elements",
+			edit(func(h *handTape) { h.runs[0].n = 0 })},
+		{"run past the image end", "elements 3 to 5 of an image of 4",
+			edit(func(h *handTape) { h.runs[0].acc = 3 })},
+		{"run before the image", "elements -1 to 1 of an image of 4",
+			edit(func(h *handTape) { h.runs[0].acc = -1 })},
+		{"element delta wider than any image", "elements",
+			edit(func(h *handTape) { h.runs[1].acc = math.MinInt64 })},
+		{"waves consumed before their load", "consumes waves 0 to 2, 0 loaded so far",
 			edit(func(h *handTape) { // PE 0 folds first, PE 1 loads after
-				h.events = []handEvent{{kind: h.events[3].kind}, h.events[0], h.events[1], h.events[2]}
+				h.runs = []handRun{{kind: maxKind, n: 2}, {kind: uint64(tapeLoad), n: 2}}
 			})},
-		{"wave id past the waves", "consumes wave 2, 2 loaded so far",
-			edit(func(h *handTape) { h.events[3].wave = zigzag(1) })},
-		{"negative wave id", "consumes wave -1",
-			edit(func(h *handTape) { h.events[2].wave = zigzag(-1) })},
+		{"consume running past the waves", "consumes waves 1 to 3, 2 loaded so far",
+			edit(func(h *handTape) { h.runs[1].wave = 1 })},
+		{"consume past the waves loaded so far", "consumes waves 1 to 2, 1 loaded so far",
+			edit(func(h *handTape) { // load one, fold the next one, load it after
+				h.runs = []handRun{
+					{kind: uint64(tapeLoad), n: 1, acc: 2}, {kind: maxKind, n: 1, acc: -3, wave: 1},
+					{kind: uint64(tapeLoad), n: 1, acc: 2}, {kind: maxKind, n: 1, acc: -3, wave: -2},
+				}
+			})},
+		{"negative wave id", "consumes waves -1 to 1",
+			edit(func(h *handTape) { h.runs[1].wave = -1 })},
 		{"unknown reduce kind", "kind 5",
-			edit(func(h *handTape) { h.events[3].kind = uint64(tapeReduce) + uint64(OpMin) + 1 })},
-		{"PE past the program", "PE index 2 of 2",
-			edit(func(h *handTape) { h.events[0].where = 1 + zigzag(2) })},
-		{"same PE spelled as a move", "PE index 0 of 2 after 0",
-			edit(func(h *handTape) { h.events[0].where = 1 + zigzag(0) })},
-		{"event count over the cap", "2097153 events in",
-			edit(func(h *handTape) { h.nEvents = u(MaxTapeEvents + 1); h.trailing = bytes.Repeat(overCap, 1<<20) })},
-		{"event count over the bytes left", "1000 events in",
-			edit(func(h *handTape) { h.nEvents = u(1000) })},
-		{"event count not the program's", "5 events, the program leaves 4",
-			edit(func(h *handTape) { h.events = append(h.events, h.events[3]) })},
+			edit(func(h *handTape) { h.runs[1].kind = uint64(tapeKinds) })},
+		{"run count over the program's events", "5 runs in",
+			edit(func(h *handTape) { h.nRuns = u(5); h.trailing = make([]byte, 64) })},
+		{"run count over the bytes left", "3 runs in 5 bytes",
+			edit(func(h *handTape) { h.nRuns = u(3) })},
+		{"runs moving more than the program", "kind 3, 2 elements of the 0 left",
+			edit(func(h *handTape) { h.runs = append(h.runs, handRun{kind: maxKind, n: 2, acc: -2, wave: -2}) })},
+		{"runs moving less than the program", "the runs move 3 elements, the program leaves 4",
+			edit(func(h *handTape) { h.runs[1].n = 1 })},
 		{"accumulator shorter than the ops address", "accumulator of 1 elements, its program addresses 2",
 			edit(func(h *handTape) { h.accLens[0] = 1 })},
 		{"clock count not the program's slots", "2 clock samples, the program has 1",
 			edit(func(h *handTape) { h.clocks = []int64{8, 8} })},
 		{"clock samples truncated", "truncated",
-			edit(func(h *handTape) { h.clocks, h.nClocks, h.events = nil, u(1), nil })},
+			edit(func(h *handTape) { h.clocks, h.nClocks, h.runs = nil, u(1), nil })},
 		{"non-shortest varint", "truncated", padded},
-		{"explicit element spelling the guess", "element code 0",
-			append(append([]byte(nil), good[:len(good)-6]...), 0x30|tapeExplicitElem, 0x00, 0x00, 0x23, 0x00, 0x03, 0x00)},
+		{"non-shortest element delta", "truncated",
+			append(append([]byte(nil), good[:len(good)-2]...), 0x87, 0x00, 0x00)},
 		{"trailing bytes", "1 trailing bytes",
 			edit(func(h *handTape) { h.trailing = []byte{0} })},
 		{"empty section", "truncated", nil},

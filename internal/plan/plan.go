@@ -457,6 +457,10 @@ func (p *Plan) ExecuteCtx(ctx context.Context, inputs [][]float32, eo ExecOption
 	span.SetAttr("mode", mode)
 	span.SetAttr("cycles", rep.Cycles)
 	span.SetAttr("steps", rep.Stats.Steps)
+	if span != nil && mode != modeEngine {
+		tape, _ := p.Tape()
+		span.SetAttr("tape_runs", tape.Runs())
+	}
 	return rep, nil
 }
 

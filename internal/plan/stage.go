@@ -242,6 +242,7 @@ func Store(ps PlanStore) Resolver {
 		}
 		tape, _ := p.Tape()
 		sp.SetAttr("tape", tape != nil)
+		sp.SetAttr("tape_runs", tape.Runs())
 		p.claim(ps, true, s.noteSaveError)
 		return p, nil
 	})

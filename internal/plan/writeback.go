@@ -53,6 +53,7 @@ func (p *Plan) saveTo(ctx context.Context, ps PlanStore) error {
 	defer sp.End()
 	tape, _ := p.Tape()
 	sp.SetAttr("tape_events", tape.Events())
+	sp.SetAttr("tape_runs", tape.Runs())
 	err := ps.Save(p)
 	sp.SetError(err)
 	return err

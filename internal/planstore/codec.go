@@ -32,21 +32,21 @@ import (
 )
 
 // FormatVersion is the newest plan blob layout version this build reads
-// and writes. Decoders reject blobs from future versions; layout changes
-// that cannot be decoded under the old reader must bump it.
-//
-// Version 2 added the tape section: a frame whose plan holds a replay tape
-// (plan/tape.go) sets flagTape in the header's flags byte and appends, after
-// the version-1 payload, the lengths of the inputs the tape was recorded
-// under and the tape itself (fabric/tapecodec.go). Nothing else changed, so
-// a plan without a tape is still written as the version-1 frame it always
-// was, byte for byte, and old stores, old readers and the content addresses
-// of tapeless plans are untouched; the two versions are told apart by
-// exactly that flag, which keeps every plan at one encoding.
-const FormatVersion = 2
+// and writes; decoders reject blobs from future versions.
+// A frame whose plan holds a replay tape (plan/tape.go) sets flagTape in the
+// header's flags byte and appends, after the version-1 payload, the lengths
+// of the inputs the tape was recorded under and the tape itself
+// (fabric/tapecodec.go). Nothing else differs, so a plan without a tape is
+// still written as the version-1 frame it always was, byte for byte, and the
+// versions are told apart by exactly that flag: one encoding per plan.
+// Version 2 spelled the tape one event per wavelet, version 3 spells it as
+// runs. This build writes no version-2 frame and reads one for its program
+// alone: the plan loads without a tape and heals like a version-1 frame.
+const FormatVersion = 3
 
 const (
 	tapelessVersion = 1    // the layout of a frame without a tape section
+	eventsVersion   = 2    // a tape section of events: skipped, never written
 	flagTape        = 0x01 // header flags: a tape section follows the plan
 )
 
@@ -77,8 +77,8 @@ func Encode(p *plan.Plan) ([]byte, string, error) {
 	tape, lens := p.Tape()
 	// One buffer holds the frame: the header's room first, then the payload —
 	// the spec, a few bytes a PE for the trees and the tape's accumulator
-	// lengths, and two to three bytes an event of the tape.
-	e := &enc{buf: make([]byte, headerLen, headerLen+len(specBytes)+512+4*p.Spec.Len()+3*tape.Events())}
+	// lengths, and two or three short varints a run of the tape.
+	e := &enc{buf: make([]byte, headerLen, headerLen+len(specBytes)+512+4*p.Spec.Len()+8*tape.Runs())}
 	putKey(e, p.Key)
 	e.str(string(p.Kind))
 	e.str(string(p.Alg))
@@ -137,7 +137,7 @@ func Decode(data []byte) (*plan.Plan, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	hasTape := data[11] == flagTape
+	version := binary.LittleEndian.Uint16(data[8:10])
 	d := &dec{buf: payload}
 	key, err := getKey(d)
 	if err != nil {
@@ -184,13 +184,13 @@ func Decode(data []byte) (*plan.Plan, string, error) {
 	if d.err != nil {
 		return nil, "", fmt.Errorf("planstore: decode: %v", d.err)
 	}
-	if !hasTape && d.remaining() != 0 {
+	if version == tapelessVersion && d.remaining() != 0 {
 		return nil, "", fmt.Errorf("planstore: decode: %d trailing payload bytes", d.remaining())
 	}
 	if err := p.Spec.Validate(); err != nil {
 		return nil, "", fmt.Errorf("planstore: decoded spec invalid: %w", err)
 	}
-	if hasTape { // the rest of the payload, held to the spec just validated
+	if version == FormatVersion { // the rest of the payload, held to the spec just validated
 		if err := getTape(d, p); err != nil {
 			return nil, "", err
 		}
@@ -201,7 +201,7 @@ func Decode(data []byte) (*plan.Plan, string, error) {
 // getTape reads the tape section — the input lengths, then the tape, to the
 // end of the payload — and hands the plan its tape. The section is held to
 // the decoded program throughout: fabric.DecodeTape takes the image layout
-// from the spec and range-checks every event against it, Plan.SetTape
+// from the spec and range-checks every run against it, Plan.SetTape
 // requires the lengths to be the plan's own input layout and the image to be
 // what the program lays out for them.
 func getTape(d *dec, p *plan.Plan) error {
@@ -253,12 +253,12 @@ func checkHeader(data []byte) (payload, sum []byte, err error) {
 	if !bytes.Equal(data[:8], magic[:]) {
 		return nil, nil, fmt.Errorf("planstore: bad magic %q", data[:8])
 	}
-	// A version-1 frame sets no flag, a version-2 frame exactly flagTape (a
-	// plan without a tape is a version-1 frame): one encoding per plan.
+	// A version-1 frame sets no flag, a later one exactly flagTape (a plan
+	// without a tape is a version-1 frame): one encoding per plan.
 	wantFlags := byte(0)
 	switch v := binary.LittleEndian.Uint16(data[8:10]); v {
 	case tapelessVersion:
-	case FormatVersion:
+	case eventsVersion, FormatVersion:
 		wantFlags = flagTape
 	default:
 		return nil, nil, fmt.Errorf("planstore: format version %d, this build reads up to %d", v, FormatVersion)

@@ -33,14 +33,24 @@ func goldenCases() []plan.Request {
 	}
 }
 
-// goldenPath names the committed frame of a kind: the version-1 frame of the
-// freshly compiled plan, or the version-2 frame the same plan is stored as
-// once its first execution has recorded its replay tape.
-func goldenPath(kind plan.Kind, taped bool) string {
-	if taped {
-		return filepath.Join("testdata", string(kind)+".v2"+blobExt)
-	}
-	return filepath.Join("testdata", string(kind)+blobExt)
+// goldenFrames are the committed frames of every kind: the version-1 frame
+// of the freshly compiled plan, the version-3 frame the same plan is stored
+// as once its first execution has recorded its replay tape, and the
+// version-2 frame an earlier build stored it as then — a fixture no build
+// writes any more, read for its program alone.
+var goldenFrames = []struct {
+	suffix  string
+	version uint16
+	taped   bool // decodes with a tape
+}{
+	{"", 1, false},
+	{".v2", 2, false},
+	{".v3", 3, true},
+}
+
+// goldenPath names the committed frame of a kind, by its suffix.
+func goldenPath(kind plan.Kind, suffix string) string {
+	return filepath.Join("testdata", string(kind)+suffix+blobExt)
 }
 
 // goldenPlan compiles a golden case the way its frame was made: taped plans
@@ -63,26 +73,21 @@ func goldenPlan(t *testing.T, req plan.Request, taped bool) *plan.Plan {
 	return p
 }
 
-// TestGoldenPlans is the forward-compatibility guard of the codec: two
-// committed encoded plans per collective kind — the version-1 frame without
-// a replay tape and the version-2 frame with one — must keep decoding, keep
-// their key derivation (or stored plans would silently miss after an
-// upgrade), and keep producing correct collective results. A stored tape
-// must also still be what the simulator decides (Plan.CheckTape): it fails
-// together with internal/fabric's stats.golden when engine semantics are
-// retuned. Run with -update after a deliberate format-version bump or engine
-// change to regenerate the files.
+// TestGoldenPlans is the forward-compatibility guard of the codec: the
+// committed encoded plans of every collective kind (goldenFrames) must keep
+// decoding, keep their key derivation (or stored plans would silently miss
+// after an upgrade), and keep producing correct collective results. A stored
+// tape must also still be what the simulator decides (Plan.CheckTape): it
+// fails together with internal/fabric's stats.golden when engine semantics
+// are retuned. Run with -update after a deliberate format-version bump or
+// engine change to regenerate the files this build can write.
 func TestGoldenPlans(t *testing.T) {
 	for _, req := range goldenCases() {
-		for _, taped := range []bool{false, true} {
-			name := string(req.Kind)
-			if taped {
-				name += ".v2"
-			}
-			t.Run(name, func(t *testing.T) {
-				path := goldenPath(req.Kind, taped)
-				if *updateGolden {
-					data, _, err := Encode(goldenPlan(t, req, taped))
+		for _, gf := range goldenFrames {
+			t.Run(string(req.Kind)+gf.suffix, func(t *testing.T) {
+				path := goldenPath(req.Kind, gf.suffix)
+				if *updateGolden && gf.version != eventsVersion {
+					data, _, err := Encode(goldenPlan(t, req, gf.taped))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -97,6 +102,9 @@ func TestGoldenPlans(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v (run `go test ./internal/planstore -run TestGoldenPlans -update` to generate)", err)
 				}
+				if v, _ := frameVersion(data); v != gf.version {
+					t.Fatalf("committed frame is version %d, want %d", v, gf.version)
+				}
 				decoded, _, err := Decode(data)
 				if err != nil {
 					t.Fatalf("golden plan no longer decodes — bump FormatVersion and regenerate deliberately, do not ship silently: %v", err)
@@ -106,8 +114,8 @@ func TestGoldenPlans(t *testing.T) {
 				if want := plan.KeyOf(req); decoded.Key != want {
 					t.Fatalf("key derivation drifted:\n stored %v\n derived %v", decoded.Key, want)
 				}
-				if tape, _ := decoded.Tape(); (tape != nil) != taped {
-					t.Fatalf("golden frame decodes with a tape: %v, want %v", tape != nil, taped)
+				if tape, _ := decoded.Tape(); (tape != nil) != gf.taped {
+					t.Fatalf("golden frame decodes with a tape: %v, want %v", tape != nil, gf.taped)
 				}
 				if err := decoded.CheckTape(); err != nil {
 					t.Fatalf("golden tape is no longer what the simulator decides — regenerate deliberately: %v", err)

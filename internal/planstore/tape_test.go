@@ -187,25 +187,34 @@ func frameVersion(frame []byte) (version uint16, flags byte) {
 // TestOldFrameStillLoads: a store of version-1 frames — the committed
 // goldens, written before frames could carry a tape — loads under this
 // build, serves, and heals: the first execution of each plan records its
-// tape and the store then holds the version-2 frame, which the next process
+// tape and the store then holds the version-3 frame, which the next process
 // loads ready to replay.
-func TestOldFrameStillLoads(t *testing.T) {
+func TestOldFrameStillLoads(t *testing.T) { oldFramesHeal(t, "", tapelessVersion) }
+
+// TestV2FrameLoadsProgramAndHeals: so does a store of version-2 frames, whose
+// tape sections spell events this build no longer reads. Each loads for its
+// program alone, without a tape, and from there on is a version-1 frame in
+// all but name: first run records, the store holds a version-3 frame
+// afterwards, and a reopened store loads every plan with its tape.
+func TestV2FrameLoadsProgramAndHeals(t *testing.T) { oldFramesHeal(t, ".v2", eventsVersion) }
+
+func oldFramesHeal(t *testing.T, suffix string, version uint16) {
 	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, plansDir), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	oldHash := make(map[plan.Kind]string)
 	for _, req := range goldenCases() {
-		frame, err := os.ReadFile(goldenPath(req.Kind, false))
+		frame, err := os.ReadFile(goldenPath(req.Kind, suffix))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v, flags := frameVersion(frame); v != 1 || flags != 0 {
-			t.Fatalf("%s: committed golden is version %d flags %#x, want the version-1 frame", req.Kind, v, flags)
+		if v, _ := frameVersion(frame); v != version {
+			t.Fatalf("%s: committed golden is version %d, want the version-%d frame", req.Kind, v, version)
 		}
 		_, hash, err := Decode(frame)
 		if err != nil {
-			t.Fatalf("%s: version-1 frame refused: %v", req.Kind, err)
+			t.Fatalf("%s: version-%d frame refused: %v", req.Kind, version, err)
 		}
 		oldHash[req.Kind] = hash
 		if err := os.WriteFile(filepath.Join(dir, plansDir, hash+blobExt), frame, 0o644); err != nil {
@@ -224,7 +233,7 @@ func TestOldFrameStillLoads(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tape, _ := p.Tape(); tape != nil {
-			t.Fatalf("%s: a version-1 frame loaded with a tape", req.Kind)
+			t.Fatalf("%s: a version-%d frame loaded with a tape", req.Kind, version)
 		}
 		inputs := noisyInputs(p, 1)
 		want, err := p.ExecuteUnpooled(inputs)
@@ -241,11 +250,11 @@ func TestOldFrameStillLoads(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("%s: healed frame: ok=%v err=%v", req.Kind, ok, err)
 		}
-		if v, flags := frameVersion(frame); v != 2 || flags != flagTape {
-			t.Fatalf("%s: after its first run the store holds version %d flags %#x, want the version-2 frame", req.Kind, v, flags)
+		if v, flags := frameVersion(frame); v != FormatVersion || flags != flagTape {
+			t.Fatalf("%s: after its first run the store holds version %d flags %#x, want the version-%d frame", req.Kind, v, flags, FormatVersion)
 		}
 		if _, err := os.Stat(filepath.Join(dir, plansDir, oldHash[req.Kind]+blobExt)); !os.IsNotExist(err) {
-			t.Fatalf("%s: the version-1 blob outlived its heal: %v", req.Kind, err)
+			t.Fatalf("%s: the version-%d blob outlived its heal: %v", req.Kind, version, err)
 		}
 	}
 	n := int64(len(goldenCases()))
@@ -256,6 +265,9 @@ func TestOldFrameStillLoads(t *testing.T) {
 		t.Fatalf("store counts %d saves healing %d plans", ss.Saves, n)
 	}
 
+	if store, err = Open(dir); err != nil { // the next process
+		t.Fatal(err)
+	}
 	next := plan.NewCache(0)
 	next.SetStore(store)
 	for _, req := range goldenCases() {
@@ -290,11 +302,71 @@ func tapeSectionOf(t *testing.T, p *plan.Plan, frame []byte) int {
 	return len(frame) - len(section)
 }
 
-// TestVerifyCatchesLyingTape: a frame whose tape claims one cycle more than
-// the simulator takes, re-sealed under a correct SHA-256, is well-formed —
-// it loads and would be served — and is what the -verify-store sweep
-// exists for: the sweep re-simulates, quarantines the blob like a hash
-// failure, and the plan recompiles.
+// spelledRun is one run of a tape section as the frame spells it
+// (fabric/tapecodec.go): head n<<3|kind, the first element from where the
+// run before ended, and for a consume the first wave from where the consume
+// before ended. Kind 0 loads, 1 stores, 2 onwards reduces (sum, max, min).
+type spelledRun struct {
+	kind, n   uint64
+	acc, wave int64
+}
+
+// splitSection cuts the tape section of a plan of pes PEs into everything
+// before its run count and the runs themselves.
+func splitSection(t *testing.T, section []byte, pes int) (head []byte, runs []spelledRun) {
+	t.Helper()
+	at := 0
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(section[at:])
+		if n <= 0 {
+			t.Fatalf("tape section unreadable at byte %d", at)
+		}
+		at += n
+		return v
+	}
+	varint := func() int64 {
+		u := uvarint()
+		return int64(u>>1) ^ -int64(u&1)
+	}
+	for i := 0; i < 7+pes; i++ { // cycles, six Stats counters, one accumulator length per PE
+		uvarint()
+	}
+	for clocks := uvarint(); clocks > 0; clocks-- {
+		varint()
+	}
+	head = section[:at]
+	runs = make([]spelledRun, uvarint())
+	for i := range runs {
+		h := uvarint()
+		runs[i] = spelledRun{kind: h & 7, n: h >> 3, acc: varint()}
+		if runs[i].kind != 0 {
+			runs[i].wave = varint()
+		}
+	}
+	if at != len(section) {
+		t.Fatalf("tape section has %d bytes after its runs", len(section)-at)
+	}
+	return head, runs
+}
+
+// joinSection is the section of head and runs, under the run count given.
+func joinSection(head []byte, count int, runs []spelledRun) []byte {
+	out := binary.AppendUvarint(append([]byte(nil), head...), uint64(count))
+	for _, r := range runs {
+		out = binary.AppendUvarint(out, r.n<<3|r.kind)
+		out = binary.AppendVarint(out, r.acc)
+		if r.kind != 0 {
+			out = binary.AppendVarint(out, r.wave)
+		}
+	}
+	return out
+}
+
+// TestVerifyCatchesLyingTape: a frame whose tape stores where the program
+// reduces, re-sealed under a correct SHA-256, is well-formed — it loads and
+// would be served — and is what the -verify-store sweep exists for: the
+// sweep re-simulates, quarantines the blob like a hash failure, and the plan
+// recompiles.
 func TestVerifyCatchesLyingTape(t *testing.T) {
 	dir := t.TempDir()
 	store, err := Open(dir)
@@ -312,11 +384,18 @@ func TestVerifyCatchesLyingTape(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := tapeSectionOf(t, honest, frame)
-	cycles, n := binary.Uvarint(frame[at:])
-	lying := append([]byte(nil), frame[headerLen:at]...)
-	lying = binary.AppendUvarint(lying, cycles+1)
-	lying = append(lying, frame[at+n:]...)
-	forged := reframe(lying, true)
+	head, runs := splitSection(t, frame[at:], honest.Spec.Len())
+	lie := -1
+	for i, r := range runs {
+		if r.kind == 2 { // a sum run into the root: told as a store
+			lie = i
+		}
+	}
+	if lie < 0 {
+		t.Fatal("the tape of a sum reduce has no sum run")
+	}
+	runs[lie].kind = 1
+	forged := reframe(append(append([]byte(nil), frame[headerLen:at]...), joinSection(head, len(runs), runs)...), true)
 	p, hash, err := Decode(forged)
 	if err != nil {
 		t.Fatalf("the forged frame is malformed, not lying: %v", err)
@@ -334,12 +413,12 @@ func TestVerifyCatchesLyingTape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if served, err := p.Execute(noisyInputs(p, 1)); err != nil || served.Cycles != want.Cycles+1 {
-		t.Fatalf("the forged tape serves %v cycles (err %v), the simulator takes %d", served, err, want.Cycles)
+	if served, err := p.Execute(noisyInputs(p, 1)); err != nil || served.Cycles != want.Cycles || served.Root[0] == want.Root[0] {
+		t.Fatalf("the forged tape serves %v (err %v), the simulator computes %v: no lie told", served, err, want.Root)
 	}
 
 	ok, quarantined, err := store.Verify()
-	if err == nil || !strings.Contains(err.Error(), "cycles") {
+	if err == nil || !strings.Contains(err.Error(), "accumulators") {
 		t.Fatalf("verify let the lying tape pass: %v", err)
 	}
 	if ok != 1 || len(quarantined) != 1 || quarantined[0] != hash {
@@ -369,9 +448,10 @@ func TestVerifyCatchesLyingTape(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsHostileTapeFrames holds the frame around the tape section
-// (fabric's TestTapeCodecRejectsHostileSections holds the section itself):
-// every frame here carries a correct digest and is one decode error.
+// TestDecodeRejectsHostileTapeFrames holds the frame and its tape section to
+// the decoded program (fabric's TestTapeCodecRejectsHostileSections holds
+// the section on a two-PE program): every frame here carries a correct
+// digest and is one decode error.
 func TestDecodeRejectsHostileTapeFrames(t *testing.T) {
 	p := tapedPlan(t, plan.Request{Kind: plan.AllGather, P: 3, B: 7})
 	taped, _, err := Encode(p)
@@ -385,7 +465,7 @@ func TestDecodeRejectsHostileTapeFrames(t *testing.T) {
 	at := tapeSectionOf(t, p, taped)
 	lensAt := len(bare) // the tape part starts where the version-1 payload ends
 	if !bytes.Equal(taped[headerLen:lensAt], bare[headerLen:]) {
-		t.Fatal("a version-2 payload does not start with the version-1 payload")
+		t.Fatal("a version-3 payload does not start with the version-1 payload")
 	}
 	if want := []byte{3, 3, 2, 2}; !bytes.Equal(taped[lensAt:at], want) { // 3 inputs: chunks of 3, 2, 2
 		t.Fatalf("input lengths are spelled % x, want % x", taped[lensAt:at], want)
@@ -407,17 +487,39 @@ func TestDecodeRejectsHostileTapeFrames(t *testing.T) {
 	}
 	longerAcc := append([]byte(nil), section...)
 	longerAcc[accAt+2] = 8
+	// The runs: the PEs pass their chunks (3, 2 and 2 elements of the
+	// 21-element image) along the row, a load run a send and a store run a
+	// receive.
+	head, runs := splitSection(t, section, 3)
+	events, firstStore := uint64(0), -1
+	for i, r := range runs {
+		events += r.n
+		if r.kind == 1 && firstStore < 0 {
+			firstStore = i
+		}
+	}
+	if tape, _ := p.Tape(); events != uint64(tape.Events()) || len(runs) != tape.Runs() || firstStore < 1 || runs[0].kind != 0 {
+		t.Fatalf("the tape's %d events in %d runs are spelled %+v; want a load run first and a store run after it", tape.Events(), tape.Runs(), runs)
+	}
+	withRuns := func(count int, edit func(r []spelledRun) []spelledRun) []byte {
+		return reframe(splice([]byte{3, 3, 2, 2}, joinSection(head, count, edit(append([]spelledRun(nil), runs...)))), true)
+	}
+	same := len(runs)
+	padded := joinSection(head, same, runs)
+	padded = append(padded[:len(padded)-1], padded[len(padded)-1]|0x80, 0x00) // the last varint, one byte longer
 
 	v1WithFlag := append([]byte(nil), bare...)
 	v1WithFlag[11] = flagTape
-	v2WithoutFlag := append([]byte(nil), taped...)
-	v2WithoutFlag[11] = 0
+	v3WithoutFlag := append([]byte(nil), taped...)
+	v3WithoutFlag[11] = 0
 	unknownFlag := append([]byte(nil), taped...)
 	unknownFlag[11] = flagTape | 0x02
-	v3 := append([]byte(nil), taped...)
-	binary.LittleEndian.PutUint16(v3[8:10], 3)
+	v4 := append([]byte(nil), taped...)
+	binary.LittleEndian.PutUint16(v4[8:10], FormatVersion+1)
+	v2WithoutFlag := append([]byte(nil), bare...)
+	binary.LittleEndian.PutUint16(v2WithoutFlag[8:10], eventsVersion)
 
-	if _, _, err := Decode(reframe(splice([]byte{3, 3, 2, 2}, section), true)); err != nil {
+	if _, _, err := Decode(withRuns(same, func(r []spelledRun) []spelledRun { return r })); err != nil {
 		t.Fatalf("the frame reassembled from its own parts is refused: %v", err)
 	}
 	for _, c := range []struct {
@@ -426,16 +528,48 @@ func TestDecodeRejectsHostileTapeFrames(t *testing.T) {
 	}{
 		{"flags bit set on a version-1 frame", "flags byte 0x1 on a version-1 frame", v1WithFlag},
 		{"version-2 frame without the tape flag", "flags byte 0x0 on a version-2 frame", v2WithoutFlag},
+		{"version-3 frame without the tape flag", "flags byte 0x0 on a version-3 frame", v3WithoutFlag},
 		{"unknown flags bit", "flags byte 0x3", unknownFlag},
-		{"future version", "format version 3", v3},
+		{"future version", "format version 4", v4},
 		{"version-1 frame with a tape appended", "trailing payload bytes", reframe(taped[headerLen:], false)},
-		{"version-2 frame with no tape section", "decode tape", reframe(bare[headerLen:], true)},
+		{"version-3 frame with no tape section", "decode tape", reframe(bare[headerLen:], true)},
 		{"trailing bytes after the tape", "trailing bytes", reframe(append(append([]byte(nil), taped[headerLen:]...), 0), true)},
 		{"one input length too many", "wants 3 input vector(s), got 4", reframe(splice([]byte{4, 3, 2, 2, 0}, section), true)},
 		{"input lengths not the kind's chunks", "input 1 has 3 elements, want 2", reframe(splice([]byte{3, 3, 3, 1}, section), true)},
 		{"input count over the bytes left", "input lengths truncated", reframe(splice([]byte{0xff, 0x7f}, nil), true)},
 		{"non-shortest input length", "decode tape", reframe(splice([]byte{3, 0x83, 0x00, 2, 2}, section), true)},
 		{"accumulator longer than the program lays out", "accumulator of 8 elements, the program lays out 7", reframe(splice([]byte{3, 3, 2, 2}, longerAcc), true)},
+
+		{"run of no elements", "0 elements", withRuns(same, func(r []spelledRun) []spelledRun {
+			r[0].n = 0
+			return r
+		})},
+		{"run past the image end", "of an image of 21", withRuns(same, func(r []spelledRun) []spelledRun {
+			r[0].acc += 21
+			return r
+		})},
+		{"consume past the waves loaded so far", "loaded so far", withRuns(same, func(r []spelledRun) []spelledRun {
+			r[firstStore].wave += 7 // the walk would read a wave of an earlier run's
+			return r
+		})},
+		{"unknown kind", "kind 5", withRuns(same, func(r []spelledRun) []spelledRun {
+			r[firstStore].kind = 5
+			return r
+		})},
+		{"runs moving more than the program's events", "elements of the", withRuns(same+1, func(r []spelledRun) []spelledRun {
+			return append(r, spelledRun{kind: 0, n: 1, acc: -1})
+		})},
+		{"runs moving fewer than the program's events", fmt.Sprintf("the program leaves %d", events), withRuns(same-1, func(r []spelledRun) []spelledRun {
+			return r[:len(r)-1]
+		})},
+		{"run count over the program's events", fmt.Sprintf("%d runs in", events+1), withRuns(int(events)+1, func(r []spelledRun) []spelledRun { return r })},
+		{"run count over the runs", "truncated", withRuns(same+1, func(r []spelledRun) []spelledRun { return r })},
+		{"run count under the runs", "trailing bytes", withRuns(same-1, func(r []spelledRun) []spelledRun {
+			last := r[len(r)-1]
+			r[len(r)-2].n += last.n // Σn right, one run left over
+			return r
+		})},
+		{"non-shortest varint in a run", "truncated", reframe(splice([]byte{3, 3, 2, 2}, padded), true)},
 	} {
 		_, _, err := Decode(c.frame)
 		if err == nil {
@@ -443,6 +577,17 @@ func TestDecodeRejectsHostileTapeFrames(t *testing.T) {
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: refused with %q, want it to say %q", c.name, err, c.want)
 		}
+	}
+
+	// A version-2 frame is read for its program alone, whatever follows it.
+	v2 := reframe(append(append([]byte(nil), bare[headerLen:]...), 0xde, 0xad), true)
+	binary.LittleEndian.PutUint16(v2[8:10], eventsVersion)
+	old, _, err := Decode(v2)
+	if err != nil {
+		t.Fatalf("version-2 frame refused: %v", err)
+	}
+	if tape, _ := old.Tape(); tape != nil {
+		t.Fatal("a version-2 frame decoded with a tape")
 	}
 }
 

@@ -134,8 +134,8 @@ func TestTraceEndToEnd(t *testing.T) {
 // TestReplayTapeIsObservable: three runs of one shape through a session are
 // a recording (the plan is cached, so its first execution records) and two
 // tape replays. The fabric.exec spans say which, all three carrying the one
-// cycle count and step count the engine decided, and /metrics counts the
-// tape's life.
+// cycle count and step count the engine decided and the number of runs the
+// tape keeps the dataflow as, and /metrics counts the tape's life.
 func TestReplayTapeIsObservable(t *testing.T) {
 	tracer := obs.NewTracer(obs.Config{Sample: 1})
 	defer tracer.Close()
@@ -156,6 +156,9 @@ func TestReplayTapeIsObservable(t *testing.T) {
 		}
 		if sp.Attrs["cycles"] != first.Attrs["cycles"] || sp.Attrs["steps"] != first.Attrs["steps"] {
 			t.Errorf("fabric.exec %v reports cycles %v steps %v, another run %v %v", sp.Attrs["mode"], sp.Attrs["cycles"], sp.Attrs["steps"], first.Attrs["cycles"], first.Attrs["steps"])
+		}
+		if runs, ok := sp.Attrs["tape_runs"].(int); !ok || runs < 1 || runs != first.Attrs["tape_runs"] {
+			t.Errorf("fabric.exec %v reports tape_runs %v, the recording run %v", sp.Attrs["mode"], sp.Attrs["tape_runs"], first.Attrs["tape_runs"])
 		}
 	}
 	if len(modes) != 2 || modes["record"] != 1 || modes["tape"] != 2 {

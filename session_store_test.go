@@ -6,11 +6,16 @@ package wse
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/fabric"
+	"repro/internal/planstore"
 )
 
 // storeShapes is a small mixed workload: 1D, 2D and chunked kinds.
@@ -198,15 +203,28 @@ func TestCorruptStoreFallsBackToCompile(t *testing.T) {
 	}
 }
 
+// allocKB reports how many KB of heap fn allocated.
+func allocKB(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) >> 10
+}
+
 // TestTapedStoreHitBuildsNoFabric: a plan stored after its first run carries
 // its replay tape, so a fresh session's first Run of it binds inputs and walks:
 // the ledger shows a tape that was loaded and replayed, nothing recorded and
-// no engine run. The allocation of that first run is logged, not bounded: for
-// reduce1d P=512 B=4 it fell from ~1 MB (nearly all fabric.New) to ~400 KB —
-// the spec decode (~220 KB), the tape decode (~70 KB), the map-shaped report
-// (~110 KB) — and the 256 KB the guard was asked to hold needs the first and
-// the last of those to shrink (ROADMAP, engine memory).
+// no engine run. What that first run allocates is held at what it measured
+// when the tape became runs, rounded up to the next 16 KB: for reduce1d P=512
+// B=4, ~1 MB when it built a fabric, 391 KB with a tape of events, 364 KB
+// now — the spec decode (221 KB), the map-shaped report with its image and
+// wave buffer (64 KB), the tape decode (31 KB: coordinates, offset tables
+// and 14 KB of runs), and the frame read, the key and the session around
+// them (49 KB). The 256 KB first asked of it needs the spec decode to
+// shrink (ROADMAP, engine memory).
 func TestTapedStoreHitBuildsNoFabric(t *testing.T) {
+	const boundKB = 368
 	ctx := context.Background()
 	sh := Shape{Kind: KindReduce, Alg: Auto, P: 512, B: 4}
 	inputs := sh.Inputs(func(n int) []float32 { return []float32{1, 0.5, 0.25, 0.125}[:n] })
@@ -228,19 +246,48 @@ func TestTapedStoreHitBuildsNoFabric(t *testing.T) {
 
 	s := NewSession(SessionConfig{Store: store})
 	defer s.Close()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	got, err := s.Run(ctx, sh, inputs)
-	runtime.ReadMemStats(&after)
+	var got *Report
+	grew := allocKB(func() { got, err = s.Run(ctx, sh, inputs) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Cycles != want.Cycles || !reflect.DeepEqual(got.Root, want.Root) {
 		t.Fatalf("store hit reports %d cycles root %v, the recording run %d %v", got.Cycles, got.Root, want.Cycles, want.Root)
 	}
-	t.Logf("first Run of a taped store hit allocated %d KB", (after.TotalAlloc-before.TotalAlloc)>>10)
 	st := s.PlanStats()
 	if st.Misses != 1 || st.StoreHits != 1 || st.StoreErrors != 0 || st.TapeReplays != 1 || st.TapeRecords != 0 || st.TapeLoaded != 1 {
 		t.Errorf("plan ledger %+v; want 1 miss, 1 store hit, 0 store errors, 1 tape replay, 0 tape records, 1 tape loaded", st)
+	}
+
+	// The parts, each measured on its own, so that a failure names the one
+	// that grew.
+	frame, err := s.PlanBlob(s.Keys()[0].String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := planstore.Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specBytes, err := p.Spec.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tape, _ := p.Tape()
+	section := tape.AppendBinary(nil)
+	specKB := allocKB(func() { err = fabric.NewSpec(1, 1).UnmarshalBinary(specBytes) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	tapeKB := allocKB(func() { tape, err = fabric.DecodeTape(p.Spec, section) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportKB := allocKB(func() { core.ReportOf(tape.Run(make([]float32, tape.AccLen())), 0) })
+	parts := fmt.Sprintf("Spec decode %d KB (221 when the bound was set), tape decode %d KB (31: %d events in %d runs), image, walk and report %d KB (64), the rest %d KB (49)",
+		specKB, tapeKB, tape.Events(), tape.Runs(), reportKB, int64(grew)-int64(specKB+tapeKB+reportKB))
+	t.Logf("first Run of a taped store hit allocated %d KB: %s", grew, parts)
+	if grew > boundKB {
+		t.Errorf("first Run of a taped store hit allocated %d KB, over the %d KB it is held to: %s", grew, boundKB, parts)
 	}
 }
