@@ -174,10 +174,11 @@ func Submit(ctx context.Context, sh Shape, inputs [][]float32, opts ...RunOption
 
 // RunBatch executes the collective named by sh once per entry of
 // batches — batches[i] is one Run's worth of inputs — compiling the
-// program once and holding one simulator instance across the whole
-// batch, so the per-run fixed cost (input binding, result assembly) is
-// amortised. Combine with WithColumnarResult to also skip every per-run
-// result map. Reports come back in batch order.
+// program once and, for more than one entry, simulating it once: the first
+// entry records the replay tape and every entry walks it, so the per-run
+// fixed cost (input binding, result assembly) is amortised and the cycle
+// loop is paid once. Combine with WithColumnarResult to also skip every
+// per-run result map. Reports come back in batch order.
 func RunBatch(ctx context.Context, sh Shape, batches [][][]float32, opts ...RunOption) ([]*Report, error) {
 	c := resolveOpts(opts)
 	if err := sh.Validate(); err != nil {

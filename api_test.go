@@ -9,10 +9,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/mesh"
+	"repro/internal/obs"
 )
 
 // apiVectors builds deterministic pseudo-random input vectors.
@@ -386,6 +388,45 @@ func TestRunBatchMatchesSingleRuns(t *testing.T) {
 	// Empty batch: no reports, no error.
 	if reps, err := s.RunBatch(ctx, sh, nil); err != nil || len(reps) != 0 {
 		t.Fatalf("empty batch: %v, %v", reps, err)
+	}
+}
+
+// TestOneShotRunBatchRecordsOnce: a one-shot RunBatch simulates its plan
+// once — the fabric.batch span says the first entry recorded, and no
+// fabric.exec span sits beside it — and walks the tape for every entry, with
+// reports bit-identical to as many one-shot Runs.
+func TestOneShotRunBatchRecordsOnce(t *testing.T) {
+	sh := Shape{Kind: KindReduce, Alg: Auto, P: planBenchP, B: planBenchB, Op: Sum}
+	batches := make([][][]float32, 16)
+	for i := range batches {
+		batches[i] = apiVectors(sh.P, sh.B, float32(i+1))
+	}
+	tracer := obs.NewTracer(obs.Config{Sample: 1})
+	defer tracer.Close()
+	for _, mode := range [][]RunOption{nil, {WithColumnarResult()}} {
+		ctx, root := tracer.Root(context.Background(), "test", "")
+		reps, err := RunBatch(ctx, sh, batches, mode...)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rep := range reps {
+			single, err := Run(context.Background(), sh, batches[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameReport(t, "batch entry", rep, single)
+		}
+		var names []string
+		for _, sp := range tracer.Traces(0, 1)[0].Spans {
+			names = append(names, sp.Name)
+			if sp.Name == "fabric.batch" && (sp.Attrs["mode"] != "record" || sp.Attrs["entries"] != len(batches)) {
+				t.Fatalf("fabric.batch span %v, want mode record over %d entries", sp.Attrs, len(batches))
+			}
+		}
+		if !slices.Equal(names, []string{"fabric.batch", "test"}) {
+			t.Fatalf("spans %v, want the batch alone under the root", names)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ package wse
 // reduce1d p=512 B=16 shape costs as a single Session.Run versus as one
 // entry of a RunBatch, in both result layouts. The per-run fixed cost of
 // a single replay is input binding plus result-map assembly (~100µs at
-// p=512); batching amortises the pool checkout and scheduling, and the
+// p=512); batching amortises the scheduling and plan lookup, and the
 // columnar layout removes the maps entirely. The headline numbers are
 // written to BENCH_api.json as a trajectory point.
 

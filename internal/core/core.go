@@ -268,8 +268,8 @@ func runSpec(spec *fabric.Spec, opt fabric.Options) (*fabric.Result, error) {
 }
 
 // ReportOf wraps a raw fabric result in a Report carrying the given model
-// prediction. The plan subsystem's pooled replay path runs the fabric
-// itself (to reuse instances across runs) and reports through here.
+// prediction. The plan subsystem runs the fabric (or walks a replay tape)
+// itself and reports through here.
 func ReportOf(res *fabric.Result, predicted float64) *Report {
 	return report(res, predicted)
 }

@@ -13,7 +13,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -73,8 +72,8 @@ type OptKey struct {
 	TaskActivation  int
 	Seed            uint64
 	// Shards does not change results (the sharded engine is bit-identical
-	// to the serial one) but is part of the key so a plan's pooled fabric
-	// instances are all built for the requested execution mode.
+	// to the serial one) but is part of the key so a plan's engine runs
+	// are all built for the requested execution mode.
 	Shards int
 }
 
@@ -171,65 +170,10 @@ type Plan struct {
 	// Colors lists the routing colors the program occupies.
 	Colors []mesh.Color
 
-	// pool holds reset-able fabric instances for this plan. Replays of one
-	// plan differ only in their Init vectors, so a pooled instance is
-	// re-armed with Reset instead of paying fabric.New per run; results
-	// are bit-identical either way (Reset restores the RNG chain exactly).
-	pool instancePool
-
 	// replay is the plan's record-once replay tape (tape.go): once it is
 	// recorded, or when the plan was stored with it, the plan walks a
-	// recording of its dataflow instead of running the cycle loop, and the
-	// pool above is released.
+	// recording of its dataflow instead of running the cycle loop.
 	replay replayState
-}
-
-// maxFreeInstances bounds a plan's free list. An instance is only ever
-// built for a replay that found the list empty, so the list grows to the
-// number of replays of this one plan that were in flight together; beyond
-// the bound the extra instances are dropped on return, as a pool miss
-// always cost a fabric.New.
-const maxFreeInstances = 8
-
-// instancePool is a plan's free list of fabric instances. It is a plain
-// bounded stack rather than a sync.Pool because a sync.Pool is emptied by
-// every garbage collection: under allocation pressure a "pooled" replay
-// then pays fabric.New again, which is the cost the pool exists to elide.
-// The list lives and dies with its plan.
-type instancePool struct {
-	mu     sync.Mutex
-	free   []*pooledFabric
-	closed bool // the plan replays from its tape: instances are dropped on return
-}
-
-// Get returns a free instance, or nil when there is none.
-func (ip *instancePool) Get() *pooledFabric {
-	ip.mu.Lock()
-	defer ip.mu.Unlock()
-	n := len(ip.free)
-	if n == 0 {
-		return nil
-	}
-	pf := ip.free[n-1]
-	ip.free[n-1] = nil
-	ip.free = ip.free[:n-1]
-	return pf
-}
-
-// Put returns a healthy instance to the list, dropping it when full.
-func (ip *instancePool) Put(pf *pooledFabric) {
-	ip.mu.Lock()
-	defer ip.mu.Unlock()
-	if !ip.closed && len(ip.free) < maxFreeInstances {
-		ip.free = append(ip.free, pf)
-	}
-}
-
-// Close releases the free instances and keeps the list empty from then on.
-func (ip *instancePool) Close() {
-	ip.mu.Lock()
-	defer ip.mu.Unlock()
-	ip.free, ip.closed = nil, true
 }
 
 // tr is the normalised ramp latency used throughout compilation.
@@ -335,31 +279,21 @@ func specColors(s *fabric.Spec) []mesh.Color {
 }
 
 // bind produces a per-run spec: fresh PESpec headers (carved a row at a
-// time, so a cache-miss replay stays at a handful of allocations) sharing
-// the plan's immutable programs and routing tables, with Init set from
-// inputs. The fabric engine copies Init and never writes through Ops or
-// Configs, so concurrent replays of one plan are race-free.
+// time, so an engine run stays at a handful of allocations) sharing the
+// plan's immutable programs and routing tables, with Init set from inputs
+// after their arity is validated. The fabric engine copies Init and never
+// writes through Ops or Configs, so concurrent runs of one plan are
+// race-free.
 func (p *Plan) bind(inputs [][]float32) (*fabric.Spec, error) {
+	if err := p.checkInputs(inputs); err != nil {
+		return nil, err
+	}
 	s := fabric.NewSpec(p.Spec.Width, p.Spec.Height)
 	p.Spec.Each(func(c mesh.Coord, pe *fabric.PESpec) {
 		d := s.PE(c)
 		*d = *pe
 		d.Init = nil
 	})
-	if err := p.setInits(s, inputs); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// setInits validates the input arity and binds the input vectors into the
-// spec's PESpec headers. A pooled replay calls it on the pooled spec, so
-// the fabric sees the same spec object every run and takes its fast Reset
-// path.
-func (p *Plan) setInits(s *fabric.Spec, inputs [][]float32) error {
-	if err := p.checkInputs(inputs); err != nil {
-		return err
-	}
 	chunkOff := p.chunkOffsets()
 	for j, v := range inputs {
 		pe := s.PE(p.inputCoord(j))
@@ -369,7 +303,7 @@ func (p *Plan) setInits(s *fabric.Spec, inputs [][]float32) error {
 			pe.Init = v
 		}
 	}
-	return nil
+	return s, nil
 }
 
 // inputCoord is the PE input j of a run belongs to: inputs go to the PEs in
@@ -389,9 +323,9 @@ func (p *Plan) chunkOffsets() []int {
 	return off
 }
 
-// checkInputs validates one replay's input arity without binding it —
-// the validation half of setInits, also for callers (the batch path) that
-// want every entry vetted before any simulation runs.
+// checkInputs validates one run's input arity without binding it, also for
+// callers (the batch path) that want every entry vetted before any
+// simulation runs.
 func (p *Plan) checkInputs(inputs [][]float32) error {
 	return p.shape().CheckInputs(inputs)
 }
@@ -423,10 +357,8 @@ type ExecOptions struct {
 // it plainly first and records on its second execution; a plan stored with
 // its tape never runs it), and every execution from there on walks the tape
 // instead of the cycle loop, with bit-identical results (see tape.go for
-// when a plan stays on the simulator). Simulator runs draw fabric instances
-// from a per-plan pool and re-arm them with fabric.Reset instead of
-// allocating; concurrent runs each get their own instance (or a fresh one
-// when the pool is empty).
+// when a plan stays on the simulator). Every simulator run builds its own
+// fabric, so concurrent runs share nothing but the plan's read-only program.
 func (p *Plan) Execute(inputs [][]float32) (*core.Report, error) {
 	return p.ExecuteOpts(inputs, ExecOptions{})
 }
@@ -468,7 +400,7 @@ func (p *Plan) execute(ctx context.Context, inputs [][]float32, eo ExecOptions) 
 	if err := faults.Inject("fabric.exec"); err != nil {
 		return nil, "", err
 	}
-	bt, pf, mode, err := p.acquire(ctx, inputs)
+	bt, f, mode, err := p.acquire(ctx, inputs)
 	if err != nil {
 		return nil, mode, err
 	}
@@ -478,14 +410,8 @@ func (p *Plan) execute(ctx context.Context, inputs [][]float32, eo ExecOptions) 
 		}
 		return p.replayTape(bt, inputs, eo.Columnar, nil, nil), mode, nil
 	}
-	rep, err := p.runOn(pf, eo)
-	if err != nil {
-		// Keep failed instances out of the pool: the error path is cold
-		// and a fresh New is the conservative restart.
-		return nil, mode, err
-	}
-	p.release(pf)
-	return rep, mode, nil
+	rep, err := p.runOn(f, eo)
+	return rep, mode, err
 }
 
 // ctxErr is the typed form of ctx's error, nil for a nil or live ctx.
@@ -496,27 +422,30 @@ func ctxErr(ctx context.Context) error {
 	return sched.CtxError(ctx)
 }
 
-// ExecuteBatch replays the plan once per entry of batches, all in one call:
-// on the simulator, one fabric instance is held across the whole batch, so
-// replaying N inputs pays the pool checkout once; either way, with Columnar
-// set the batch shares one offset table and skips every per-run result map,
-// and the accumulators of all N reports are carved from one allocation — the
+// ExecuteBatch replays the plan once per entry of batches, all in one call.
+// Every entry executes as a single Execute does, and a batch of more than one
+// entry is there to be replayed: like a cached plan's first execution, its
+// first entry records the tape (unless the plan has one, or cannot), so N
+// entries cost one simulator run and N tape walks. The accumulators of the
+// tape-walked reports are carved from one allocation, and with Columnar set
+// they share one offset table and skip every per-run result map — the
 // amortisation that collapses the fixed bind+assembly cost of small plans.
-// A batch is one execution of the plan as far as the replay tape goes.
 // Reports are returned in batch order; results never alias each other. ctx
 // (nil means none) is observed between entries: cancellation mid-batch stops
 // before the next replay and returns ctx.Err(), so an abandoned batch does
 // not pin a worker for its full length. Concurrent ExecuteBatch calls (or
 // batch racing single Execute) are safe.
-func (p *Plan) ExecuteBatch(ctx context.Context, batches [][][]float32, eo ExecOptions) ([]*core.Report, error) {
+func (p *Plan) ExecuteBatch(ctx context.Context, batches [][][]float32, eo ExecOptions) (reports []*core.Report, err error) {
 	if len(batches) == 0 {
 		return nil, nil
 	}
 	_, span := obs.Start(ctx, "fabric.batch")
 	span.SetAttr("entries", len(batches))
-	defer span.End()
-	if err := faults.Inject("fabric.exec"); err != nil {
+	defer func() {
 		span.SetError(err)
+		span.End()
+	}()
+	if err := faults.Inject("fabric.exec"); err != nil {
 		return nil, err
 	}
 	// Validate every batch entry before simulating any: a malformed entry
@@ -527,177 +456,88 @@ func (p *Plan) ExecuteBatch(ctx context.Context, batches [][][]float32, eo ExecO
 			return nil, fmt.Errorf("plan: batch entry %d: %w", i, err)
 		}
 	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
+	if len(batches) > 1 {
+		// Like a cache insert: what is replayed records on its first run.
+		p.replay.state.CompareAndSwap(tapeCold, tapeWarm)
 	}
-	bt, pf, mode, err := p.acquire(ctx, batches[0])
-	if err != nil {
-		return nil, fmt.Errorf("plan: batch run 0: %w", err)
-	}
-	span.SetAttr("mode", mode)
-	reports := make([]*core.Report, len(batches))
-	if bt != nil {
-		// Every entry passed the same checkInputs as the first, which fits
-		// the tape, so all of them do: one zeroed image holds the batch.
-		var off []int
-		n := bt.tape.AccLen()
-		arena := make([]float32, len(batches)*n)
-		for i, inputs := range batches {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
+	reports = make([]*core.Report, len(batches))
+	var (
+		arena []float32 // zeroed images of the tape walks still to come
+		off   []int     // offset table the columnar tape reports share
+	)
+	for i, inputs := range batches {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
+		bt, f, mode, err := p.acquire(ctx, inputs)
+		if i == 0 {
+			span.SetAttr("mode", mode)
+		}
+		switch {
+		case err != nil:
+		case bt == nil:
+			reports[i], err = p.runOn(f, eo)
+		default:
+			n := bt.tape.AccLen()
+			if len(arena) < n {
+				arena = make([]float32, (len(batches)-i)*n)
 			}
-			reports[i] = p.replayTape(bt, inputs, eo.Columnar, arena[i*n:(i+1)*n:(i+1)*n], off)
+			reports[i] = p.replayTape(bt, inputs, eo.Columnar, arena[:n:n], off)
+			arena = arena[n:]
 			if eo.Columnar {
 				off = reports[i].Columnar.Off
-			}
-		}
-		return reports, nil
-	}
-	var (
-		off    []int // offset table shared across the batch's columnar results
-		colRes []fabric.ColumnarResult
-		arena  []float32 // per-batch Acc arena; one allocation serves every run
-		accLen int       // per-run accumulator total, known after run 0
-	)
-	if eo.Columnar {
-		colRes = make([]fabric.ColumnarResult, len(batches))
-	}
-	for i, inputs := range batches {
-		if i > 0 {
-			if err := ctxErr(ctx); err != nil {
-				p.release(pf) // the instance is healthy; only the caller left
-				return nil, err
-			}
-			if err := p.setInits(pf.s, inputs); err != nil {
-				p.release(pf)
-				return nil, fmt.Errorf("plan: batch run %d: %w", i, err)
-			}
-			if err := pf.f.Reset(pf.s); err != nil {
-				return nil, fmt.Errorf("plan: batch run %d: %w", i, err)
-			}
-		}
-		var rep *core.Report
-		var err error
-		if eo.Columnar {
-			// Seeding each run's result with the previous offsets shares
-			// one backing array: the offsets depend only on the program,
-			// so every report in the batch sees identical values. The Acc
-			// buffers cannot be shared (each report owns its values), but
-			// their sizes are identical across the batch, so runs after the
-			// first carve zero-length, full-capacity slices out of one
-			// arena sized at run 0 — one allocation for all N runs instead
-			// of one per run.
-			res := &colRes[i]
-			res.Off = off
-			if accLen > 0 && len(arena) >= accLen {
-				res.Acc = arena[:0:accLen]
-				arena = arena[accLen:]
-			}
-			if err = pf.f.RunColumnar(res); err == nil {
-				off = res.Off
-				if i == 0 {
-					accLen = len(res.Acc)
-					if rem := len(batches) - 1; rem > 0 && accLen > 0 {
-						arena = make([]float32, rem*accLen)
-					}
-				}
-				rep = core.ReportOfColumnar(res, p.Predicted)
-			}
-		} else {
-			var raw *fabric.Result
-			if raw, err = pf.f.Run(); err == nil {
-				rep = core.ReportOf(raw, p.Predicted)
 			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("plan: batch run %d: %w", i, err)
 		}
-		reports[i] = rep
 	}
-	p.release(pf)
 	return reports, nil
 }
 
-// checkout produces a run-ready fabric instance bound to inputs: a pooled
-// instance re-armed in place when one is free, a freshly constructed one
-// otherwise.
-func (p *Plan) checkout(inputs [][]float32) (*pooledFabric, error) {
-	pf := p.pool.Get()
-	if pf == nil {
-		s, err := p.bind(inputs)
-		if err != nil {
-			return nil, err
-		}
-		f, err := fabric.New(s, p.Opt)
-		if err != nil {
-			return nil, err
-		}
-		return &pooledFabric{f: f, s: s}, nil
-	}
-	// Rebind the inputs into the pooled spec in place: the fabric sees
-	// the same spec object it was resolved against and takes its fast
-	// Reset path (re-arm only: no validation, no route resolution).
-	if err := p.setInits(pf.s, inputs); err != nil {
-		p.pool.Put(pf)
-		return nil, err
-	}
-	if err := pf.f.Reset(pf.s); err != nil {
-		return nil, err
-	}
-	return pf, nil
-}
-
-// runOn executes one replay on a checked-out instance and assembles the
-// report in the requested layout.
-func (p *Plan) runOn(pf *pooledFabric, eo ExecOptions) (*core.Report, error) {
-	if eo.Columnar {
-		res := &fabric.ColumnarResult{}
-		if err := pf.f.RunColumnar(res); err != nil {
-			return nil, err
-		}
-		return core.ReportOfColumnar(res, p.Predicted), nil
-	}
-	res, err := pf.f.Run()
+// arm builds the fabric of one simulator run: inputs bound into a per-run
+// spec, watched by ctx when it can fire.
+func (p *Plan) arm(ctx context.Context, inputs [][]float32) (*fabric.Fabric, error) {
+	s, err := p.bind(inputs)
 	if err != nil {
 		return nil, err
-	}
-	return core.ReportOf(res, p.Predicted), nil
-}
-
-// pooledFabric pairs a reset-able fabric instance with the spec object it
-// was armed from; replays mutate only the spec's Init bindings.
-type pooledFabric struct {
-	f *fabric.Fabric
-	s *fabric.Spec
-}
-
-// Prewarm stocks the plan's instance pool with one ready fabric, so the
-// first replay resets it instead of paying fabric construction — the
-// finishing touch of a warm start: with the plan decoded from a store and
-// the fabric pre-built, request one runs at steady-state replay latency.
-// A replay that races the prewarm simply builds its own instance, exactly
-// as a pool miss always does.
-func (p *Plan) Prewarm() error {
-	if p.replay.tape.Load() != nil {
-		return nil // replays walk the tape: an instance would only be dropped
-	}
-	// Zero-valued inputs of the plan's layout: a fabric before any request.
-	s, err := p.bind(p.shape().Inputs(func(n int) []float32 { return make([]float32, n) }))
-	if err != nil {
-		return err
 	}
 	f, err := fabric.New(s, p.Opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	p.pool.Put(&pooledFabric{f: f, s: s})
-	return nil
+	if ctx != nil && ctx.Done() != nil {
+		f.SetInterrupt(func() error { return sched.CtxError(ctx) })
+	}
+	return f, nil
 }
 
-// ExecuteUnpooled replays the plan on a freshly allocated fabric,
-// bypassing the instance pool. It exists for benchmarking the pooled path
-// against the allocate-per-run baseline and for verifying the two produce
-// bit-identical results; serving paths should use Execute.
+// runOn runs an armed fabric and assembles the report in the requested
+// layout. A run that completes is also what makes a cold plan due for
+// recording.
+func (p *Plan) runOn(f *fabric.Fabric, eo ExecOptions) (*core.Report, error) {
+	var rep *core.Report
+	if eo.Columnar {
+		res := &fabric.ColumnarResult{}
+		if err := f.RunColumnar(res); err != nil {
+			return nil, err
+		}
+		rep = core.ReportOfColumnar(res, p.Predicted)
+	} else {
+		res, err := f.Run()
+		if err != nil {
+			return nil, err
+		}
+		rep = core.ReportOf(res, p.Predicted)
+	}
+	p.replay.state.CompareAndSwap(tapeCold, tapeWarm)
+	return rep, nil
+}
+
+// ExecuteUnpooled runs the plan on the simulator whatever its tape says: the
+// engine reference the tape is verified against bit for bit, and what
+// benchmarks time as an engine run. It leaves the plan's replay state alone;
+// serving paths should use Execute.
 func (p *Plan) ExecuteUnpooled(inputs [][]float32) (*core.Report, error) {
 	res, err := p.simulate(inputs)
 	if err != nil {
@@ -708,11 +548,7 @@ func (p *Plan) ExecuteUnpooled(inputs [][]float32) (*core.Report, error) {
 
 // simulate runs the plan on a fabric built for this one run.
 func (p *Plan) simulate(inputs [][]float32) (*fabric.Result, error) {
-	s, err := p.bind(inputs)
-	if err != nil {
-		return nil, err
-	}
-	f, err := fabric.New(s, p.Opt)
+	f, err := p.arm(nil, inputs)
 	if err != nil {
 		return nil, err
 	}

@@ -66,13 +66,14 @@ func sameReport(t *testing.T, want, got *core.Report, label string) {
 	}
 }
 
-// TestPooledReplayConcurrentBitIdentical hammers one cached plan from many
-// goroutines — the Session worker-pool pattern — and asserts every pooled
-// replay is bit-identical to a fresh fabric.New run. The options enable
-// clock skew and thermal no-ops, so the test also proves Reset restores
-// the per-PE RNG streams exactly. Run under -race in CI, it doubles as the
-// proof that pool handoff and the sharded engine are data-race free.
-func TestPooledReplayConcurrentBitIdentical(t *testing.T) {
+// TestReplayConcurrentBitIdentical hammers one plan from many goroutines —
+// the Session worker-pool pattern — and asserts every replay, whether it
+// ran the engine, recorded or walked the tape, is bit-identical to the
+// ExecuteUnpooled reference. The options enable clock skew and thermal
+// no-ops, so the per-PE RNG streams are part of what must match. Run under
+// -race in CI, it doubles as the proof that concurrent engine runs, the
+// recording hand-over and the sharded engine are data-race free.
+func TestReplayConcurrentBitIdentical(t *testing.T) {
 	reqs := []Request{
 		{Kind: Reduce1D, Alg: core.Tree, P: 24, B: 12, Op: fabric.OpSum,
 			Opt: fabric.Options{ClockSkewMax: 512, ThermalNoopRate: 0.05, Seed: 31}},
@@ -98,15 +99,26 @@ func TestPooledReplayConcurrentBitIdentical(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for rep := 0; rep < 6; rep++ {
-					got, err := pl.Execute(inputs)
+					// Every other goroutine goes in through the batch path,
+					// racing the single executions for the recording.
+					var got []*core.Report
+					var err error
+					if g%2 == 1 {
+						got, err = pl.ExecuteBatch(nil, [][][]float32{inputs, inputs}, ExecOptions{})
+					} else {
+						got = make([]*core.Report, 1)
+						got[0], err = pl.Execute(inputs)
+					}
 					if err != nil {
 						errs <- err
 						return
 					}
-					if got.Cycles != want.Cycles || got.Stats != want.Stats {
-						errs <- fmt.Errorf("%s: pooled replay diverged: cycles %d vs %d, stats %+v vs %+v",
-							req.Kind, got.Cycles, want.Cycles, got.Stats, want.Stats)
-						return
+					for _, got := range got {
+						if got.Cycles != want.Cycles || got.Stats != want.Stats {
+							errs <- fmt.Errorf("%s: replay diverged: cycles %d vs %d, stats %+v vs %+v",
+								req.Kind, got.Cycles, want.Cycles, got.Stats, want.Stats)
+							return
+						}
 					}
 				}
 			}()
@@ -116,7 +128,7 @@ func TestPooledReplayConcurrentBitIdentical(t *testing.T) {
 		for err := range errs {
 			t.Fatal(err)
 		}
-		// One more pooled replay, deep-compared.
+		// One more replay, deep-compared.
 		got, err := pl.Execute(inputs)
 		if err != nil {
 			t.Fatal(err)
@@ -125,10 +137,10 @@ func TestPooledReplayConcurrentBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPooledReplayThroughSession: the public Session path (bounded worker
-// pool + plan cache + fabric pool) replays concurrently with bit-identical
-// results to the first run.
-func TestPooledReplayThroughSession(t *testing.T) {
+// TestReplayThroughSession: the public Session path (bounded worker pool +
+// plan cache) replays concurrently with bit-identical results to the first
+// run.
+func TestReplayThroughSession(t *testing.T) {
 	sess := NewSession(16, 4)
 	req := Request{Kind: Reduce1D, Alg: core.TwoPhase, P: 32, B: 16, Op: fabric.OpSum,
 		Opt: fabric.Options{ClockSkewMax: 128, ThermalNoopRate: 0.03, Seed: 77}}
@@ -252,28 +264,4 @@ func TestSharded2DGridCompletes(t *testing.T) {
 		t.Fatal("no cycles measured")
 	}
 	t.Logf("512x512 reduce2d: %d cycles, %d hops", rep.Cycles, rep.Stats.Hops)
-}
-
-// TestInstancePoolIsBounded: the free list hands instances back most
-// recent first, reports empty as nil, and drops what does not fit — a
-// burst of concurrent replays must not pin a fabric each for the plan's
-// lifetime.
-func TestInstancePoolIsBounded(t *testing.T) {
-	var ip instancePool
-	if ip.Get() != nil {
-		t.Fatal("empty pool returned an instance")
-	}
-	made := make([]*pooledFabric, maxFreeInstances+3)
-	for i := range made {
-		made[i] = &pooledFabric{}
-		ip.Put(made[i])
-	}
-	for i := maxFreeInstances - 1; i >= 0; i-- {
-		if got := ip.Get(); got != made[i] {
-			t.Fatalf("Get #%d returned instance %p, want the %d-th put %p", maxFreeInstances-i, got, i, made[i])
-		}
-	}
-	if ip.Get() != nil {
-		t.Fatalf("pool kept more than %d instances", maxFreeInstances)
-	}
 }

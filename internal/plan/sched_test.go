@@ -177,8 +177,8 @@ func waitTenant(t *testing.T, s *Session, name string, cond func(sched.TenantSta
 // cache with five distinct shapes submitted by five tenants of mixed
 // weight and priority, so plans are constantly evicted while replays of
 // them are still in flight. Every report must stay bit-identical to a
-// fresh single-threaded run: an evicted plan's pooled fabrics must never
-// be re-armed for a different plan's replay. Run under -race in CI.
+// fresh single-threaded run: an evicted plan's replays must never pick up
+// another plan's program or tape. Run under -race in CI.
 func TestEvictionUnderConcurrentMixedTenantLoad(t *testing.T) {
 	reqs := []Request{
 		{Kind: Reduce1D, Alg: core.Chain, P: 12, B: 6, Op: fabric.OpSum},

@@ -144,9 +144,9 @@ func (s *Session) SubmitAsync(ctx context.Context, tenant string, req Request, i
 
 // SubmitBatch compiles (or fetches) the plan for req once and replays it
 // across every entry of batches as a single scheduled request: one queue
-// slot, one dispatch, one fabric instance held across the batch (see
-// Plan.ExecuteBatch). The whole batch is one unit of scheduling — QoS
-// weight accounting sees one request. Cancelling ctx mid-batch returns
+// slot, one dispatch, at most one simulator run (see Plan.ExecuteBatch).
+// The whole batch is one unit of scheduling — QoS weight accounting sees
+// one request. Cancelling ctx mid-batch returns
 // immediately; the worker finishes the replay in flight, observes the
 // cancellation at the next entry boundary and abandons the rest of the
 // batch, so a cancelled batch does not pin a worker for its full length.
@@ -215,9 +215,9 @@ func (s *Session) Resident(key Key) (*Plan, bool) { return s.cache.Lookup(key) }
 func (s *Session) Plans() []*Plan { return s.cache.Plans() }
 
 // Prefetch materialises the plan for req into the cache ahead of
-// traffic, through the attached resolver chain, and pre-builds one pooled
-// fabric instance so the first real request lands at steady-state replay
-// latency. Like Warm it stays out of the hit/miss accounting, coalesces
+// traffic, through the attached resolver chain, so the first real request
+// pays no compile (and, when the plan arrived with its tape, no simulator
+// run). Like Warm it stays out of the hit/miss accounting, coalesces
 // with in-flight fills and saves what the chain left pending before it
 // returns. The returned bool reports whether a fill actually ran (false:
 // the plan was already resident or being fetched by someone else).
@@ -227,22 +227,16 @@ func (s *Session) Prefetch(ctx context.Context, req Request) (bool, error) {
 }
 
 // prefetch resolves req through r into the cache outside the hit/miss
-// accounting. Nothing executes behind it, so pending saves are made here;
-// then one fabric instance is built, so the first real request resets a
-// pooled simulator instead of constructing one.
+// accounting. Nothing executes behind it, so pending saves are made here.
 func (c *Cache) prefetch(ctx context.Context, r Resolver, req Request) (*Plan, bool, error) {
 	key := KeyOf(req)
 	fill := c.fill(ctx, r, key, req)
 	return c.acquire(key, false, func() (*Plan, error) {
 		p, err := fill()
-		if err != nil {
-			return nil, err
+		if err == nil {
+			p.settle(ctx)
 		}
-		p.settle(ctx)
-		if err := p.Prewarm(); err != nil {
-			return nil, err
-		}
-		return p, nil
+		return p, err
 	})
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/sched"
 )
 
 // The replay tape. A plan's cycles, Stats and the order in which its
@@ -26,12 +25,14 @@ import (
 // accumulator image, walk the tape over it and assemble the same report, bit
 // for bit. A plan nothing caches (a one-shot wse.Run) runs the simulator
 // plainly the first time and records on its second execution, so one-shot
-// callers never pay for a recording. A plan decoded from a frame that carries
-// its tape (planstore) starts ready: it never builds a fabric at all.
+// callers never pay for a recording; a batch of several entries is there to
+// be replayed as well, so its first entry records (Plan.ExecuteBatch). A plan
+// decoded from a frame that carries its tape (planstore) starts ready: it
+// never builds a fabric at all.
 //
 // The simulator stays the only thing that ever decides a cycle count — a
 // stored tape is one it decided earlier — and it stays the path for:
-//   - the first execution of a plan no cache holds;
+//   - the first single execution of a plan no cache holds;
 //   - plans that carry a fabric.Tracer (they exist to watch the engine);
 //   - programs whose tape would exceed fabric.MaxTapeEvents;
 //   - inputs whose lengths differ from the ones the tape was recorded under
@@ -44,7 +45,7 @@ import (
 // The record-once states of a plan.
 const (
 	tapeCold      int32 = iota // uncached and never completed a run: executions stay on the engine
-	tapeWarm                   // cached, or completed a run: the next execution records
+	tapeWarm                   // cached, batched, or completed a run: the next execution records
 	tapeRecording              // one execution is recording, the others stay on the engine
 	tapeReady                  // replayState.tape is set
 	tapeDeclined               // cannot be taped: the engine for good
@@ -109,9 +110,9 @@ func (bt *boundTape) fits(inputs [][]float32) bool {
 
 // acquire decides how one call executes, and readies it: it returns the
 // plan's tape when the call replays (or has just recorded) it, and otherwise
-// a fabric instance armed with inputs and watched by ctx, to be handed back
-// through release. mode names the choice for the trace.
-func (p *Plan) acquire(ctx context.Context, inputs [][]float32) (bt *boundTape, pf *pooledFabric, mode string, err error) {
+// a fabric armed with inputs and watched by ctx, for the caller to run. mode
+// names the choice for the trace.
+func (p *Plan) acquire(ctx context.Context, inputs [][]float32) (bt *boundTape, f *fabric.Fabric, mode string, err error) {
 	if bt := p.replay.tape.Load(); bt != nil && bt.fits(inputs) {
 		return bt, nil, modeTape, nil
 	}
@@ -123,19 +124,16 @@ func (p *Plan) acquire(ctx context.Context, inputs [][]float32) (bt *boundTape, 
 		// plan's stored frame can say about its tape.
 		defer p.settle(ctx)
 	}
-	if pf, err = p.checkout(inputs); err != nil {
+	if f, err = p.arm(ctx, inputs); err != nil {
 		if record {
 			p.replay.state.Store(tapeWarm)
 		}
 		return nil, nil, mode, err
 	}
-	if ctx != nil && ctx.Done() != nil {
-		pf.f.SetInterrupt(func() error { return sched.CtxError(ctx) })
-	}
 	if !record {
-		return nil, pf, mode, nil
+		return nil, f, mode, nil
 	}
-	bt, err = p.record(pf, inputs)
+	bt, err = p.record(f, inputs)
 	switch {
 	case err != nil:
 		p.replay.state.Store(tapeWarm) // nothing recorded: the failure recurs from the engine
@@ -143,25 +141,21 @@ func (p *Plan) acquire(ctx context.Context, inputs [][]float32) (bt *boundTape, 
 	case bt == nil:
 		p.replay.state.Store(tapeDeclined)
 		p.replay.counters().declined.Add(1)
-		return nil, pf, modeEngine, nil // Record ran nothing: pf is still armed
+		return nil, f, modeEngine, nil // Record ran nothing: f is still armed
 	}
 	p.replay.tape.Store(bt)
 	p.replay.state.Store(tapeReady)
 	p.replay.counters().records.Add(1)
-	// The tape replaces the fabric instances: this one and the pooled ones
-	// go, and engine runs still in flight drop theirs on return.
-	p.pool.Close()
 	return bt, nil, mode, nil
 }
 
-// record runs the armed instance on symbolic data and binds the plan's
-// inputs against the tape. It returns nil, nil for a plan that cannot be
-// taped.
-func (p *Plan) record(pf *pooledFabric, inputs [][]float32) (*boundTape, error) {
+// record runs the armed fabric on symbolic data and binds the plan's inputs
+// against the tape. It returns nil, nil for a plan that cannot be taped.
+func (p *Plan) record(f *fabric.Fabric, inputs [][]float32) (*boundTape, error) {
 	if p.Opt.Tracer != nil {
 		return nil, nil
 	}
-	tape, err := pf.f.Record()
+	tape, err := f.Record()
 	if errors.Is(err, fabric.ErrTapeTooLong) {
 		return nil, nil
 	}
@@ -252,7 +246,6 @@ func (p *Plan) SetTape(tape *fabric.Tape, lens []int) error {
 	p.replay.loaded = true
 	p.replay.tape.Store(bt)
 	p.replay.state.Store(tapeReady)
-	p.pool.Close()
 	return nil
 }
 
@@ -301,16 +294,6 @@ func (p *Plan) CheckTape() error {
 // to themselves and the two zeros differ.
 func sameBits(a, b []float32) bool {
 	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
-}
-
-// release hands a healthy instance back after an engine run that completed,
-// which is also what makes a cold plan due for recording.
-func (p *Plan) release(pf *pooledFabric) {
-	// Clear the hook before the instance can be pooled: a pooled fabric
-	// outlives this request and must not poll its dead context.
-	pf.f.SetInterrupt(nil)
-	p.pool.Put(pf)
-	p.replay.state.CompareAndSwap(tapeCold, tapeWarm)
 }
 
 // replayTape produces the report of one run from the tape. inputs must fit

@@ -244,33 +244,8 @@ func TestTapeCarriesClockSamples(t *testing.T) {
 	}
 }
 
-// TestTapeReleasesFabricInstances: once the tape is ready the plan holds no
-// fabric instance, and takes none back from engine runs that finish later.
-func TestTapeReleasesFabricInstances(t *testing.T) {
-	req := Request{Kind: AllReduce1D, Alg: core.Tree, P: 9, B: 5}
-	pl, err := Compile(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.Prewarm(); err != nil {
-		t.Fatal(err)
-	}
-	late, err := pl.checkout(randomInputs(req, 1)) // an engine run still in flight when the tape lands
-	if err != nil {
-		t.Fatal(err)
-	}
-	taped(t, pl, randomInputs(req, 1))
-	pl.release(late)
-	if err := pl.Prewarm(); err != nil {
-		t.Fatal(err)
-	}
-	if pf := pl.pool.Get(); pf != nil {
-		t.Fatal("a taped plan still pools a fabric instance")
-	}
-}
-
 // TestTapeTracerStaysOnEngine: a plan carrying a Tracer exists to watch the
-// engine; it is declined once, keeps emitting events and still pools.
+// engine; it is declined once and keeps emitting events.
 func TestTapeTracerStaysOnEngine(t *testing.T) {
 	tr := &fabric.Tracer{}
 	req := Request{Kind: Reduce1D, Alg: core.Chain, P: 6, B: 4, Opt: fabric.Options{Tracer: tr}}
@@ -299,9 +274,6 @@ func TestTapeTracerStaysOnEngine(t *testing.T) {
 	}
 	if pl.replay.tape.Load() != nil || pl.replay.own.declined.Load() != 1 || pl.replay.own.replays.Load() != 0 {
 		t.Fatalf("traced plan: tape %v, declined %d, replays %d", pl.replay.tape.Load() != nil, pl.replay.own.declined.Load(), pl.replay.own.replays.Load())
-	}
-	if pf := pl.pool.Get(); pf == nil {
-		t.Fatal("a declined plan must keep pooling its fabric instances")
 	}
 }
 

@@ -116,7 +116,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 			}
 
 			inputs := inputsFor(compiled)
-			for rep := 0; rep < 2; rep++ { // replay twice: pooled path too
+			for rep := 0; rep < 2; rep++ { // replay twice: the recording run too
 				want, err := compiled.Execute(inputs)
 				if err != nil {
 					t.Fatal(err)

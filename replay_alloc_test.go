@@ -43,73 +43,46 @@ func replayInputs(req plan.Request) [][]float32 {
 	return out
 }
 
-// TestPooledReplayAllocGuard is the allocs/op regression guard run by CI,
-// over the two ways a cache-hit replay runs. A plan that stays on the engine
-// (here: one carrying a tracer, saturated so that it records nothing) must
-// not construct a fabric per replay. Since the program image went dense,
-// fabric.New is a fixed few dozen allocations rather than thousands, so
-// construction no longer dwarfs a replay; it still costs several times what
-// a pooled replay does (input binding and result assembly only), and the
-// guard sits halfway between the two. It is relative so it tracks the shape
-// rather than a brittle absolute count. A plan replaying from its tape
-// allocates its result and nothing else — no per-replay Spec, no bound
-// headers — so it must not allocate more than the pooled engine replay.
-func TestPooledReplayAllocGuard(t *testing.T) {
+// TestReplayAllocGuard is the allocs/op regression guard run by CI: a
+// cache-hit replay walks the plan's tape, so it allocates its result and
+// nothing else — no per-run Spec, no bound headers, no fabric. An engine run
+// (ExecuteUnpooled) builds all three; since the program image went dense
+// fabric.New is a fixed few dozen allocations rather than thousands, so it no
+// longer dwarfs a replay but still costs several times one, and the guard sits
+// halfway between the two. It is relative so it tracks the shape rather than a
+// brittle absolute count.
+func TestReplayAllocGuard(t *testing.T) {
 	inputs := replayInputs(planBenchReq())
-	traced := planBenchReq()
-	traced.Opt.Tracer = &fabric.Tracer{Cap: 1}
-	engine, err := plan.Compile(traced)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cache := plan.NewCache(0) // counts what the plan it holds does with its tape
-	taped, err := cache.Get(planBenchReq())
+	pl, err := cache.Get(planBenchReq())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for warm := 0; warm < 2; warm++ { // fill the engine plan's pool, record the other's tape
-		for _, pl := range []*plan.Plan{engine, taped} {
-			if _, err := pl.Execute(inputs); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if _, err := pl.Execute(inputs); err != nil { // the recording run
+		t.Fatal(err)
 	}
-	allocs := func(pl *plan.Plan, gc bool, run func(*plan.Plan) error) float64 {
+	allocs := func(gc bool, run func() error) float64 {
 		return testing.AllocsPerRun(20, func() {
 			if gc {
 				runtime.GC()
 				runtime.GC()
 			}
-			if err := run(pl); err != nil {
+			if err := run(); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	execute := func(pl *plan.Plan) error { _, err := pl.Execute(inputs); return err }
-	fresh := allocs(engine, false, func(pl *plan.Plan) error { _, err := pl.ExecuteUnpooled(inputs); return err })
-	pooled := allocs(engine, false, execute)
-	if pooled > fresh/2 {
-		t.Fatalf("pooled replay allocates %.0f allocs/op vs %.0f fresh — the pool is not eliding fabric construction", pooled, fresh)
-	}
-	// The plan's free list must survive garbage collection (two cycles
-	// empty a sync.Pool, victim cache included): a replay under allocation
-	// pressure is still a pooled replay.
-	afterGC := allocs(engine, true, execute)
-	if afterGC > fresh/2 {
-		t.Fatalf("replay after GC allocates %.0f allocs/op vs %.0f fresh, %.0f pooled — a collection emptied the instance pool", afterGC, fresh, pooled)
-	}
-	// The tape's wave buffer is parked on the plan, not in a sync.Pool, so
-	// the same holds for a tape replay (the collections themselves allocate
-	// a little: like is compared with like).
-	for _, c := range []struct {
-		gc     bool
-		engine float64
-	}{{false, pooled}, {true, afterGC}} {
-		if tape := allocs(taped, c.gc, execute); tape > c.engine {
-			t.Fatalf("tape replay (after GC: %v) allocates %.0f allocs/op vs %.0f for a pooled engine replay", c.gc, tape, c.engine)
+	fresh := allocs(false, func() error { _, err := pl.ExecuteUnpooled(inputs); return err })
+	// The tape's wave buffer is parked on the plan, not in a sync.Pool (two
+	// collections empty one, victim cache included), so a replay under
+	// allocation pressure is still a bare tape walk.
+	for _, gc := range []bool{false, true} {
+		replay := allocs(gc, func() error { _, err := pl.Execute(inputs); return err })
+		if replay > fresh/2 {
+			t.Fatalf("tape replay (after GC: %v) allocates %.0f allocs/op vs %.0f for an engine run", gc, replay, fresh)
 		}
 	}
 	if st := cache.Stats(); st.TapeRecords != 1 || st.TapeReplays < 40 {
-		t.Fatalf("the taped plan recorded %d tapes and replayed %d times: the guard did not measure tape replays", st.TapeRecords, st.TapeReplays)
+		t.Fatalf("the plan recorded %d tapes and replayed %d times: the guard did not measure tape replays", st.TapeRecords, st.TapeReplays)
 	}
 }

@@ -89,12 +89,12 @@ func (s *Session) PlanBlob(keyStr string) ([]byte, error) {
 }
 
 // Prefetch materialises the plan for sh into the session's cache —
-// through the resolver chain when one is attached — and pre-builds a
-// pooled fabric instance, so the shape's first real request replays at
-// steady state. It reports whether a fetch actually ran (false: already
-// resident or coalesced onto an in-flight fill). This is what the
-// daemon's /v1/warm endpoint calls per shape: remote warming without
-// filesystem access.
+// through the resolver chain when one is attached — so the shape's first
+// real request pays no compile, and no simulator run either when the plan
+// arrived with its replay tape. It reports whether a fetch actually ran
+// (false: already resident or coalesced onto an in-flight fill). This is
+// what the daemon's /v1/warm endpoint calls per shape: remote warming
+// without filesystem access.
 func (s *Session) Prefetch(ctx context.Context, sh Shape) (bool, error) {
 	if err := sh.Validate(); err != nil {
 		return false, err

@@ -267,11 +267,11 @@ func (t *Tenant) Submit(ctx context.Context, sh Shape, inputs [][]float32, opts 
 
 // RunBatch replays one Shape across every entry of batches (batches[i]
 // is one Run's worth of inputs) as a single scheduled request: one queue
-// slot, one plan acquisition, one pooled simulator instance held across
-// the batch — so the per-run fixed cost of binding inputs and
-// assembling results is amortised batch-wide. Reports come back in
-// batch order. Combine with WithColumnarResult to skip the per-run
-// result maps as well.
+// slot, one plan acquisition, at most one simulator run (the recording;
+// every entry then walks the replay tape) — so the per-run fixed cost of
+// binding inputs and assembling results is amortised batch-wide. Reports
+// come back in batch order. Combine with WithColumnarResult to skip the
+// per-run result maps as well.
 func (t *Tenant) RunBatch(ctx context.Context, sh Shape, batches [][][]float32, opts ...RunOption) ([]*Report, error) {
 	c := t.s.call(opts)
 	if err := sh.Validate(); err != nil {
