@@ -63,12 +63,24 @@ const (
 // Run executes a collective synchronously and returns its report.
 // Retryable: run is a pure function of the shape and inputs.
 func (c *Client) Run(ctx context.Context, sh Shape, inputs [][]float32) (*Report, error) {
-	var rep Report
-	err := c.do(ctx, "POST", "/v1/run", runRequest{Shape: sh, Inputs: inputs}, nil, true, &rep)
+	payload, err := runPayload(sh, inputs)
 	if err != nil {
 		return nil, err
 	}
+	var rep Report
+	if err := c.do(ctx, "POST", "/v1/run", payload, nil, true, &rep); err != nil {
+		return nil, err
+	}
 	return &rep, nil
+}
+
+// runPayload encodes the body of run, submit, predict and bound.
+func runPayload(sh Shape, inputs [][]float32) ([]byte, error) {
+	payload, err := wire.AppendRunRequest(nil, &runRequest{Shape: sh, Inputs: inputs})
+	if err != nil {
+		return nil, fmt.Errorf("client: encode request: %w", err)
+	}
+	return payload, nil
 }
 
 // Predict returns the daemon's analytical cycle estimate for a shape,
@@ -84,8 +96,12 @@ func (c *Client) Bound(ctx context.Context, sh Shape) (float64, error) {
 }
 
 func (c *Client) estimate(ctx context.Context, path, field string, sh Shape) (float64, error) {
+	payload, err := runPayload(sh, nil)
+	if err != nil {
+		return 0, err
+	}
 	var out map[string]*float64
-	if err := c.do(ctx, "POST", path, runRequest{Shape: sh}, nil, true, &out); err != nil {
+	if err := c.do(ctx, "POST", path, payload, nil, true, &out); err != nil {
 		return 0, err
 	}
 	if v := out[field]; v != nil {
@@ -100,13 +116,16 @@ func (c *Client) estimate(ctx context.Context, path, field string, sh Shape) (fl
 // retryable; with an empty key the client sends exactly one attempt,
 // because retrying an unkeyed submit could enqueue the work twice.
 func (c *Client) Submit(ctx context.Context, sh Shape, inputs [][]float32, key string) (string, error) {
+	payload, err := runPayload(sh, inputs)
+	if err != nil {
+		return "", err
+	}
 	var hdr map[string]string
 	if key != "" {
 		hdr = map[string]string{idempotencyHeader: key}
 	}
 	var resp submitResponse
-	err := c.do(ctx, "POST", "/v1/submit", runRequest{Shape: sh, Inputs: inputs}, hdr, key != "", &resp)
-	if err != nil {
+	if err := c.do(ctx, "POST", "/v1/submit", payload, hdr, key != "", &resp); err != nil {
 		return "", err
 	}
 	return resp.ID, nil
@@ -170,8 +189,12 @@ func (c *Client) PlanBlob(ctx context.Context, key string) ([]byte, bool, error)
 // Retryable: warming is idempotent — an already-resident plan is a
 // no-op.
 func (c *Client) Warm(ctx context.Context, shapes []Shape) (*WarmResult, error) {
+	payload, err := json.Marshal(warmRequest{Shapes: shapes})
+	if err != nil {
+		return nil, fmt.Errorf("client: encode request: %w", err)
+	}
 	var res WarmResult
-	if err := c.do(ctx, "POST", "/v1/warm", warmRequest{Shapes: shapes}, nil, true, &res); err != nil {
+	if err := c.do(ctx, "POST", "/v1/warm", payload, nil, true, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
@@ -194,17 +217,10 @@ func (c *Client) Healthy(ctx context.Context) bool {
 }
 
 // do is the retry core every verb funnels through: breaker gate, one
-// HTTP attempt, outcome classification, backoff, repeat. body is
-// marshalled once and replayed per attempt; out receives the decoded
-// 2xx JSON.
-func (c *Client) do(ctx context.Context, method, path string, body any, hdr map[string]string, idempotent bool, out any) error {
-	var payload []byte
-	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
-			return fmt.Errorf("client: encode request: %w", err)
-		}
-	}
+// HTTP attempt, outcome classification, backoff, repeat. payload is the
+// request body, encoded once by the caller (nil for none) and replayed per
+// attempt; out receives the decoded 2xx JSON.
+func (c *Client) do(ctx context.Context, method, path string, payload []byte, hdr map[string]string, idempotent bool, out any) error {
 	attempts := 1
 	if idempotent {
 		attempts = c.cfg.MaxAttempts

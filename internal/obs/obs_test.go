@@ -2,7 +2,9 @@ package obs
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -182,6 +184,37 @@ func TestParseTraceparent(t *testing.T) {
 	if _, _, sampled, ok := parseTraceparent("00-0123456789abcdef0123456789abcdef-00f067aa0ba902b7-00"); !ok || sampled {
 		t.Error("flags 00 parsed as sampled")
 	}
+}
+
+// FuzzParseTraceparent: the header comes off the network. Whatever it
+// holds the parser does not panic, and a header it accepts is exactly the
+// four fields it returns, re-spelled.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-0123456789abcdef0123456789abcdef-00f067aa0ba902b7-01",
+		"00-0123456789abcdef0123456789abcdef-00f067aa0ba902b7-00",
+		"00-00000000000000000000000000000000-0123456789abcdef-01",
+		"01-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
+		"00-0123456789ABCDEF0123456789abcdef-0123456789abcdef-fe",
+		"00-abc-def-01",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		tid, pid, sampled, ok := parseTraceparent(v)
+		if !ok {
+			if tid != "" || pid != "" || sampled {
+				t.Fatalf("parseTraceparent(%q) rejected it with fields %q %q %v", v, tid, pid, sampled)
+			}
+			return
+		}
+		flags, err := strconv.ParseUint(v[len(v)-2:], 16, 8)
+		if err != nil || sampled != (flags&1 == 1) || v != fmt.Sprintf("00-%s-%s-%02x", tid, pid, flags) ||
+			len(tid) != 32 || len(pid) != 16 || allZero(tid) {
+			t.Fatalf("parseTraceparent(%q) = %q %q %v: not the header re-spelled", v, tid, pid, sampled)
+		}
+	})
 }
 
 func TestRingBoundAndFilter(t *testing.T) {

@@ -139,9 +139,10 @@ func (f *Front) route(endpoint string) http.HandlerFunc {
 			span.End()
 		}()
 		r.Body = http.MaxBytesReader(sw, r.Body, f.cfg.MaxBody)
-		body, err := io.ReadAll(r.Body)
+		body, err := readBody(r)
 		if err != nil {
-			f.writeError(sw, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
+			code, msg := bodyError(err)
+			f.writeError(sw, code, msg)
 			return
 		}
 		key, err := f.routingKey(endpoint, body)

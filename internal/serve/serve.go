@@ -43,6 +43,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/resolve"
+	"repro/internal/wire"
 )
 
 // Config assembles a Server. Session is required; everything else has a
@@ -470,19 +471,75 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(buf.Bytes())
 }
 
-// decode parses a JSON request body, mapping malformed JSON to 400.
-// The span makes wire-side work visible in traces: on big inputs the
-// JSON decode is a real phase of the request, not tracer dark matter.
+// decode parses a JSON request body, mapping malformed JSON to 400 and a
+// body over MaxBody to 413. The span makes wire-side work visible in
+// traces: on big inputs the JSON decode is a real phase of the request, not
+// tracer dark matter.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	_, sp := obs.Start(r.Context(), "serve.decode")
 	err := json.NewDecoder(r.Body).Decode(v)
 	sp.SetError(err)
 	sp.End()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
+	return s.bodyOK(w, err)
+}
+
+// decodeRun is decode for the bodies that carry a shape and vectors (run,
+// submit, predict, bound): the body is read whole and goes through the
+// wire codec, which walks the plain spelling itself and delegates any
+// other to encoding/json. The span says how many bytes came and which of
+// the two the client's spelling took.
+func (s *Server) decodeRun(w http.ResponseWriter, r *http.Request, req *runRequest) bool {
+	_, sp := obs.Start(r.Context(), "serve.decode")
+	body, err := readBody(r)
+	sp.SetAttr("bytes", len(body))
+	if err == nil {
+		var walked bool
+		walked, err = wire.DecodeRunRequest(body, req)
+		envelope := "delegated"
+		if walked {
+			envelope = "walked"
+		}
+		sp.SetAttr("envelope", envelope)
 	}
-	return true
+	sp.SetError(err)
+	sp.End()
+	return s.bodyOK(w, err)
+}
+
+func (s *Server) bodyOK(w http.ResponseWriter, err error) bool {
+	if err != nil {
+		code, msg := bodyError(err)
+		s.writeError(w, code, msg)
+	}
+	return err == nil
+}
+
+// bodyError is the answer to a request body that could not be read or
+// parsed: 413 when it ran into the MaxBytesReader's limit, 400 otherwise.
+func bodyError(err error) (code int, msg string) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", tooLarge.Limit)
+	}
+	return http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err)
+}
+
+// maxBodyPresize caps what a request's Content-Length may make readBody
+// allocate before a byte of the body has arrived.
+const maxBodyPresize = 1 << 20
+
+// readBody reads a request body whole, in one allocation when the
+// Content-Length header is honest: the buffer is sized from it, up to
+// maxBodyPresize whatever it claims, and doubles from there. The caller's
+// MaxBytesReader still bounds the total.
+func readBody(r *http.Request) ([]byte, error) {
+	size := bytes.MinRead // ReadFrom wants this much room before each read, the one that finds EOF too
+	if n := r.ContentLength; n > 0 {
+		size += int(min(n, maxBodyPresize))
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	_, err := buf.ReadFrom(r.Body)
+	return buf.Bytes(), err
 }
 
 // writeJSONCtx is writeJSON under a "serve.encode" span — used on the
@@ -496,7 +553,7 @@ func writeJSONCtx(ctx context.Context, w http.ResponseWriter, code int, v any) {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
-	if !s.decode(w, r, &req) {
+	if !s.decodeRun(w, r, &req) {
 		return
 	}
 	sh, err := ShapeOf(req.Shape)
@@ -516,8 +573,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // /v1/bound. Both model verbs are total (unknown shapes estimate to
 // NaN), so the daemon validates first to keep the 400 contract.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, field string, f func(wse.Shape) float64) {
-	var req runRequest // inputs, if any were sent, are not read
-	if !s.decode(w, r, &req) {
+	var req runRequest // inputs, if any were sent, are not used
+	if !s.decodeRun(w, r, &req) {
 		return
 	}
 	sh, err := ShapeOf(req.Shape)
@@ -548,7 +605,7 @@ const idempotencyHeader = "X-WSE-Idempotency-Key"
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
-	if !s.decode(w, r, &req) {
+	if !s.decodeRun(w, r, &req) {
 		return
 	}
 	sh, err := ShapeOf(req.Shape)

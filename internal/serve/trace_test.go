@@ -131,6 +131,33 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDecodeSpanSaysWhichEnvelope: the serve.decode span carries the body's
+// length and whether the client's spelling took the codec's own walk or was
+// handed to encoding/json — the check that real traffic is on the fast path.
+func TestDecodeSpanSaysWhichEnvelope(t *testing.T) {
+	tracer := obs.NewTracer(obs.Config{Sample: 1})
+	defer tracer.Close()
+	_, ts := newTestServer(t, Config{Tracer: tracer})
+
+	canonical := runBody("reduce1d", 4, 2)
+	for i, tc := range []struct{ body, envelope string }{
+		{canonical, "walked"},
+		{" " + canonical + "\n", "walked"},
+		{strings.Replace(canonical, `"inputs"`, `"Inputs"`, 1), "delegated"},
+		{strings.Replace(canonical, `}`, `,"alg":"\u0063hain"}`, 1), "walked"}, // the shape is encoding/json's either way
+		{canonical + "trailing", "delegated"},
+	} {
+		resp, out := post(t, ts.URL+"/v1/run", tc.body, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.body, resp.StatusCode, out)
+		}
+		sp := spanByName(t, waitTraces(t, tracer, i+1)[0], "serve.decode")
+		if sp.Attrs["bytes"] != len(tc.body) || sp.Attrs["envelope"] != tc.envelope {
+			t.Errorf("%s: serve.decode attrs %v, want bytes %d and envelope %s", tc.body, sp.Attrs, len(tc.body), tc.envelope)
+		}
+	}
+}
+
 // TestReplayTapeIsObservable: three runs of one shape through a session are
 // a recording (the plan is cached, so its first execution records) and two
 // tape replays. The fabric.exec spans say which, all three carrying the one

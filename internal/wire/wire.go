@@ -38,17 +38,17 @@ type Stats struct {
 // Predicted is null when the model has no finite estimate (JSON has no
 // spelling for ±Inf or NaN): the measured half of the report still travels.
 type Report struct {
-	Cycles    int64     `json:"cycles"`
-	Predicted *float64  `json:"predicted"`
-	Root      []float32 `json:"root,omitempty"`
-	Stats     Stats     `json:"stats"`
+	Cycles    int64    `json:"cycles"`
+	Predicted *float64 `json:"predicted"`
+	Root      Vector   `json:"root,omitempty"`
+	Stats     Stats    `json:"stats"`
 }
 
 // RunRequest is the body of /v1/run and /v1/submit, and — without inputs —
 // of /v1/predict and /v1/bound.
 type RunRequest struct {
-	Shape  Shape       `json:"shape"`
-	Inputs [][]float32 `json:"inputs,omitempty"`
+	Shape  Shape   `json:"shape"`
+	Inputs Vectors `json:"inputs,omitempty"`
 }
 
 // SubmitResponse answers an accepted /v1/submit: the job's id and where to
