@@ -11,14 +11,12 @@ package wse
 // without rewriting call sites. Submit is Run's asynchronous twin,
 // returning a Future; RunBatch replays one Shape over many input sets
 // with the fixed per-run costs amortised across the batch.
-//
-// The legacy named functions (Reduce, AllReduce2D, PredictGather, ...)
-// are thin wrappers over these verbs and remain bit-identical.
 
 import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/plan"
 )
@@ -33,9 +31,6 @@ var ErrBadShape = plan.ErrBadShape
 // Option configures a single Run, Predict, Bound, Submit or RunBatch
 // call.
 type Option func(*callOpts)
-
-// RunOption is Option under the name the execution verbs use.
-type RunOption = Option
 
 type callOpts struct {
 	opt      Options
@@ -111,6 +106,23 @@ func (sh Shape) Inputs(fill func(n int) []float32) [][]float32 {
 	return sh.request(Options{}).Inputs(fill)
 }
 
+// Chunks returns the balanced chunk offsets and sizes the chunked kinds
+// (Scatter, Gather, ReduceScatter, AllGather) use for b elements over p
+// PEs: chunk j spans [off[j], off[j]+sz[j]) and belongs to PE j.
+func Chunks(p, b int) (off, sz []int) { return core.Chunks(p, b) }
+
+// Resolve returns sh with an Auto or Auto2D algorithm replaced by what
+// the kind's row of the table picks under the call's options — the same
+// function the compiler calls, so sh.Resolve() names the algorithm a Run
+// of sh executes and Predict(sh.Resolve()) is that Run's Report.Predicted.
+// A Shape naming a concrete algorithm, or a kind without algorithms,
+// comes back unchanged.
+func (sh Shape) Resolve(opts ...Option) Shape {
+	r := sh.request(resolveOpts(opts).opt).Resolve()
+	sh.Alg, sh.Alg2D = r.Alg, r.Alg2D
+	return sh
+}
+
 // checkRun bundles the validation every execution verb performs before
 // touching the compiler.
 func (sh Shape) checkRun(inputs [][]float32) error {
@@ -129,7 +141,7 @@ func (sh Shape) checkRun(inputs [][]float32) error {
 // is never abandoned on this one-shot path (Session and Tenant verbs
 // have full cancellation). Use a Session (or Tenant) Run to compile
 // once and replay.
-func Run(ctx context.Context, sh Shape, inputs [][]float32, opts ...RunOption) (*Report, error) {
+func Run(ctx context.Context, sh Shape, inputs [][]float32, opts ...Option) (*Report, error) {
 	c := resolveOpts(opts)
 	if err := sh.checkRun(inputs); err != nil {
 		return nil, err
@@ -162,7 +174,7 @@ func runValidated(ctx context.Context, sh Shape, inputs [][]float32, c callOpts)
 // has the same one-shot semantics as Run: it short-circuits before the
 // compile and before the simulation, but cannot abandon a simulation
 // mid-flight — use Session.Submit or Tenant.Submit for that.
-func Submit(ctx context.Context, sh Shape, inputs [][]float32, opts ...RunOption) *Future {
+func Submit(ctx context.Context, sh Shape, inputs [][]float32, opts ...Option) *Future {
 	c := resolveOpts(opts)
 	if err := sh.checkRun(inputs); err != nil {
 		return plan.Fail(err)
@@ -179,7 +191,7 @@ func Submit(ctx context.Context, sh Shape, inputs [][]float32, opts ...RunOption
 // fixed cost (input binding, result assembly) is amortised and the cycle
 // loop is paid once. Combine with WithColumnarResult to also skip every
 // per-run result map. Reports come back in batch order.
-func RunBatch(ctx context.Context, sh Shape, batches [][][]float32, opts ...RunOption) ([]*Report, error) {
+func RunBatch(ctx context.Context, sh Shape, batches [][][]float32, opts ...Option) ([]*Report, error) {
 	c := resolveOpts(opts)
 	if err := sh.Validate(); err != nil {
 		return nil, err

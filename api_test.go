@@ -1,9 +1,9 @@
 package wse
 
-// Tests of the Shape-first surface: the property that every legacy named
-// function is bit-identical to its Shape-first equivalent (same Report,
-// same RNG chain) across all 11 kinds and all three serving levels,
-// typed ErrBadShape validation, columnar results, and batch replay.
+// Tests of the Shape-first surface: the property that every verb, at all
+// three serving levels, is bit-identical to the pre-plan core.Run*
+// reference (same Report, same RNG chain) across all 11 kinds, typed
+// ErrBadShape validation, columnar results, and batch replay.
 
 import (
 	"context"
@@ -47,16 +47,14 @@ func apiChunks(p, b int) [][]float32 {
 	return out
 }
 
-// apiCase is one collective kind spelled three ways: the Shape + inputs
-// of the new surface, the legacy one-shot call, and the internal core
-// path that predates the Shape-first redesign (the ground truth the
-// wrappers must still match bit for bit).
+// apiCase is one collective kind spelled two ways: the Shape + inputs of
+// the public surface, and the internal core.Run* path that predates the
+// plan layer — the ground truth every verb must match bit for bit.
 type apiCase struct {
-	name   string
-	shape  Shape
-	inputs [][]float32
-	legacy func(opt Options) (*Report, error)
-	ground func(opt Options) (*Report, error)
+	name    string
+	shape   Shape
+	inputs  [][]float32
+	coreRun func(opt Options) (*Report, error)
 }
 
 func apiCases() []apiCase {
@@ -67,40 +65,28 @@ func apiCases() []apiCase {
 	chunks := apiChunks(7, 23)
 	return []apiCase{
 		{"reduce", Shape{Kind: KindReduce, Alg: TwoPhase, P: 12, B: 9, Op: Sum}, vecs,
-			func(o Options) (*Report, error) { return Reduce(vecs, TwoPhase, Sum, o) },
 			func(o Options) (*Report, error) { return core.RunReduce1D(TwoPhase, vecs, Sum, o) }},
 		{"allreduce", Shape{Kind: KindAllReduce, Alg: Tree, P: 12, B: 9, Op: Max}, vecs,
-			func(o Options) (*Report, error) { return AllReduce(vecs, Tree, Max, o) },
 			func(o Options) (*Report, error) { return core.RunAllReduce1D(Tree, vecs, Max, o) }},
 		{"allreduce-ring", Shape{Kind: KindAllReduce, Alg: Ring, P: 6, B: 13, Op: Sum}, rsVecs,
-			func(o Options) (*Report, error) { return AllReduce(rsVecs, Ring, Sum, o) },
 			func(o Options) (*Report, error) { return core.RunAllReduce1D(Ring, rsVecs, Sum, o) }},
 		{"allreduce-midroot", Shape{Kind: KindAllReduceMidRoot, Alg: Auto, P: 12, B: 9, Op: Sum}, vecs,
-			func(o Options) (*Report, error) { return AllReduceMidRoot(vecs, Auto, Sum, o) },
 			func(o Options) (*Report, error) { return core.RunAllReduceMidRoot(Auto, vecs, Sum, o) }},
 		{"broadcast", Shape{Kind: KindBroadcast, P: 9, B: 17}, [][]float32{data},
-			func(o Options) (*Report, error) { return Broadcast(data, 9, o) },
 			func(o Options) (*Report, error) { return core.RunBroadcast1D(data, 9, o) }},
 		{"reduce2d", Shape{Kind: KindReduce2D, Alg2D: XYTree, Width: 4, Height: 3, B: 5, Op: Sum}, grid,
-			func(o Options) (*Report, error) { return Reduce2D(grid, 4, 3, XYTree, Sum, o) },
 			func(o Options) (*Report, error) { return core.RunReduce2D(XYTree, 4, 3, grid, Sum, o) }},
 		{"allreduce2d", Shape{Kind: KindAllReduce2D, Alg2D: Snake, Width: 4, Height: 3, B: 5, Op: Min}, grid,
-			func(o Options) (*Report, error) { return AllReduce2D(grid, 4, 3, Snake, Min, o) },
 			func(o Options) (*Report, error) { return core.RunAllReduce2D(Snake, 4, 3, grid, Min, o) }},
 		{"broadcast2d", Shape{Kind: KindBroadcast2D, Width: 4, Height: 3, B: 17}, [][]float32{data},
-			func(o Options) (*Report, error) { return Broadcast2D(data, 4, 3, o) },
 			func(o Options) (*Report, error) { return core.RunBroadcast2D(data, 4, 3, o) }},
 		{"scatter", Shape{Kind: KindScatter, P: 7, B: 17}, [][]float32{data},
-			func(o Options) (*Report, error) { return Scatter(data, 7, o) },
 			func(o Options) (*Report, error) { return core.RunScatter(data, 7, o) }},
 		{"gather", Shape{Kind: KindGather, P: 7, B: 23}, chunks,
-			func(o Options) (*Report, error) { return Gather(chunks, o) },
 			func(o Options) (*Report, error) { return core.RunGather(chunks, o) }},
 		{"reducescatter", Shape{Kind: KindReduceScatter, P: 6, B: 13, Op: Sum}, rsVecs,
-			func(o Options) (*Report, error) { return ReduceScatter(rsVecs, Sum, o) },
 			func(o Options) (*Report, error) { return core.RunReduceScatter(rsVecs, Sum, o) }},
 		{"allgather", Shape{Kind: KindAllGather, P: 7, B: 23}, chunks,
-			func(o Options) (*Report, error) { return AllGather(chunks, o) },
 			func(o Options) (*Report, error) { return core.RunAllGather(chunks, o) }},
 	}
 }
@@ -126,13 +112,13 @@ func sameReport(t *testing.T, label string, got, want *Report) {
 	}
 }
 
-// TestLegacyBitIdenticalToShapeFirst is the redesign's conservation law:
-// for every collective kind, the legacy named function, the package
-// Run(ctx, Shape), Session.Run and Tenant.Run all produce bit-identical
-// reports — and all of them match the pre-redesign internal core path.
-// The options turn on clock skew and thermal no-ops, so equality of
-// Cycles and Stats.Noops also proves the deterministic RNG chain
-// survived every path.
+// TestLegacyBitIdenticalToShapeFirst is the plan layer's conservation
+// law: for every collective kind, the package Run(ctx, Shape),
+// Session.Run, Tenant.Run, Submit and the columnar layout all produce
+// reports bit-identical to the legacy pre-plan path, core.Run*. The
+// options turn on clock skew and thermal no-ops, so equality of Cycles
+// and Stats.Noops also proves the deterministic RNG chain survived every
+// path.
 func TestLegacyBitIdenticalToShapeFirst(t *testing.T) {
 	opt := Options{ClockSkewMax: 24, ThermalNoopRate: 0.03, Seed: 11}
 	s := NewSession(SessionConfig{Options: opt})
@@ -142,15 +128,10 @@ func TestLegacyBitIdenticalToShapeFirst(t *testing.T) {
 
 	for _, tc := range apiCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := tc.ground(opt)
+			want, err := tc.coreRun(opt)
 			if err != nil {
 				t.Fatalf("core ground truth: %v", err)
 			}
-			legacy, err := tc.legacy(opt)
-			if err != nil {
-				t.Fatalf("legacy: %v", err)
-			}
-			sameReport(t, "legacy vs core", legacy, want)
 
 			shaped, err := Run(ctx, tc.shape, tc.inputs, WithOptions(opt))
 			if err != nil {
@@ -190,34 +171,10 @@ func TestLegacyBitIdenticalToShapeFirst(t *testing.T) {
 	}
 }
 
-// TestPredictBoundMatchLegacy: the Predict and Bound verbs agree with
-// the legacy estimate functions, and the bound is never above the
-// estimate for the kinds where both are defined.
+// TestPredictBoundMatchLegacy: Predict and Bound are total (NaN for an
+// unknown kind), the bound is never above the estimate for the kinds
+// where both are defined, and a session's verbs default to its options.
 func TestPredictBoundMatchLegacy(t *testing.T) {
-	opt := Options{TR: 3}
-	type pair struct {
-		name         string
-		verb, legacy float64
-	}
-	p, b := 64, 48
-	pairs := []pair{
-		{"reduce", Predict(Shape{Kind: KindReduce, Alg: Chain, P: p, B: b}, WithOptions(opt)), PredictReduce(Chain, p, b, opt)},
-		{"allreduce", Predict(Shape{Kind: KindAllReduce, Alg: AutoGen, P: p, B: b}, WithOptions(opt)), PredictAllReduce(AutoGen, p, b, opt)},
-		{"broadcast", Predict(Shape{Kind: KindBroadcast, P: p, B: b}, WithOptions(opt)), PredictBroadcast(p, b, opt)},
-		{"reduce2d", Predict(Shape{Kind: KindReduce2D, Alg2D: XYChain, Width: 8, Height: 8, B: b}, WithOptions(opt)), PredictReduce2D(XYChain, 8, 8, b, opt)},
-		{"allreduce2d", Predict(Shape{Kind: KindAllReduce2D, Alg2D: Auto2D, Width: 8, Height: 8, B: b}, WithOptions(opt)), PredictAllReduce2D(Auto2D, 8, 8, b, opt)},
-		{"scatter", Predict(Shape{Kind: KindScatter, P: p, B: b}, WithOptions(opt)), PredictScatter(p, b, opt)},
-		{"gather", Predict(Shape{Kind: KindGather, P: p, B: b}, WithOptions(opt)), PredictGather(p, b, opt)},
-		{"reducescatter", Predict(Shape{Kind: KindReduceScatter, P: p, B: b}, WithOptions(opt)), PredictReduceScatter(p, b, opt)},
-		{"allgather", Predict(Shape{Kind: KindAllGather, P: p, B: b}, WithOptions(opt)), PredictAllGather(p, b, opt)},
-		{"midroot", Predict(Shape{Kind: KindAllReduceMidRoot, Alg: Tree, P: p, B: b}, WithOptions(opt)), PredictAllReduceMidRoot(Tree, p, b, opt)},
-		{"bound-reduce", Bound(Shape{Kind: KindReduce, P: p, B: b}, WithOptions(opt)), LowerBoundReduce(p, b, opt)},
-	}
-	for _, pr := range pairs {
-		if pr.verb != pr.legacy {
-			t.Errorf("%s: verb %g, legacy %g", pr.name, pr.verb, pr.legacy)
-		}
-	}
 	if math.IsNaN(Predict(Shape{Kind: "nope", B: 1})) != true {
 		t.Error("Predict of an unknown kind must be NaN")
 	}
@@ -230,14 +187,19 @@ func TestPredictBoundMatchLegacy(t *testing.T) {
 			t.Errorf("%s: bound %g vs predict %g — bound must be positive and <= estimate", tc.name, bd, pd)
 		}
 	}
-	// A session Predict/Bound defaults to the session's options.
+	// A session Predict/Bound defaults to the session's options, and an
+	// explicit WithOptions overrides them.
+	opt := Options{TR: 3}
 	s := NewSession(SessionConfig{Options: opt})
-	sh := Shape{Kind: KindReduce, Alg: Chain, P: p, B: b}
-	if got, want := s.Predict(sh), PredictReduce(Chain, p, b, opt); got != want {
-		t.Errorf("Session.Predict %g, want %g", got, want)
+	sh := Shape{Kind: KindReduce, Alg: Chain, P: 64, B: 48}
+	if got, want := s.Predict(sh), Predict(sh, WithOptions(opt)); got != want || got == Predict(sh) {
+		t.Errorf("Session.Predict %g, want %g (and not the default-options %g)", got, want, Predict(sh))
 	}
-	if got, want := s.Bound(sh), LowerBoundReduce(p, b, opt); got != want {
-		t.Errorf("Session.Bound %g, want %g", got, want)
+	if got, want := s.Bound(sh), Bound(sh, WithOptions(opt)); got != want || got == Bound(sh) {
+		t.Errorf("Session.Bound %g, want %g (and not the default-options %g)", got, want, Bound(sh))
+	}
+	if got, want := s.Predict(sh, WithOptions(Options{})), Predict(sh); got != want {
+		t.Errorf("Session.Predict under WithOptions %g, want %g", got, want)
 	}
 }
 
@@ -283,32 +245,34 @@ func TestShapeValidateTyped(t *testing.T) {
 	}
 }
 
-// TestBadInputsTyped: ragged, empty or mis-sized inputs — which once
-// reached the dims/core paths unvalidated — surface as ErrBadShape from
-// the verbs and from every legacy wrapper.
+// TestBadInputsTyped: ragged, empty or mis-sized inputs surface as
+// ErrBadShape from every verb, at every serving level.
 func TestBadInputsTyped(t *testing.T) {
 	s := NewSession(SessionConfig{})
 	defer s.Close()
 	tn := s.WithTenant("edge", TenantConfig{})
 	ctx := context.Background()
 	ragged := [][]float32{{1, 2}, {3}, {4, 5}}
+	reduce3 := Shape{Kind: KindReduce, Alg: Auto, P: 3, B: 2, Op: Sum}
 	cases := map[string]func() error{
-		"one-shot ragged":          func() error { _, err := Reduce(ragged, Auto, Sum, Options{}); return err },
-		"one-shot empty":           func() error { _, err := AllReduce(nil, Auto, Sum, Options{}); return err },
-		"one-shot empty broadcast": func() error { _, err := Broadcast(nil, 4, Options{}); return err },
-		"one-shot bad chunks": func() error {
-			_, err := Gather([][]float32{{1}, {2, 3, 4, 5, 6}}, Options{})
+		"one-shot ragged": func() error { _, err := Run(ctx, reduce3, ragged); return err },
+		"one-shot empty":  func() error { _, err := Run(ctx, reduce3, nil); return err },
+		"one-shot empty broadcast": func() error {
+			_, err := Run(ctx, Shape{Kind: KindBroadcast, P: 4}, [][]float32{nil})
 			return err
 		},
-		"session ragged": func() error { _, err := s.Reduce(ragged, Auto, Sum); return err },
-		"tenant ragged":  func() error { _, err := tn.Reduce(ctx, ragged, Auto, Sum); return err },
+		"one-shot bad chunks": func() error {
+			_, err := Run(ctx, Shape{Kind: KindGather, P: 2, B: 6}, [][]float32{{1}, {2, 3, 4, 5, 6}})
+			return err
+		},
+		"session ragged": func() error { _, err := s.Run(ctx, reduce3, ragged); return err },
+		"tenant ragged":  func() error { _, err := tn.Run(ctx, reduce3, ragged); return err },
 		"run arity": func() error {
 			_, err := Run(ctx, Shape{Kind: KindReduce, Alg: Auto, P: 4, B: 2, Op: Sum}, ragged)
 			return err
 		},
 		"batch entry": func() error {
-			_, err := s.RunBatch(ctx, Shape{Kind: KindReduce, Alg: Auto, P: 3, B: 2, Op: Sum},
-				[][][]float32{constVectors(3, 2), ragged})
+			_, err := s.RunBatch(ctx, reduce3, [][][]float32{constVectors(3, 2), ragged})
 			return err
 		},
 		"run scatter with empty chunks": func() error {
@@ -324,7 +288,7 @@ func TestBadInputsTyped(t *testing.T) {
 			return err
 		},
 		"submit future": func() error {
-			return Submit(ctx, Shape{Kind: KindReduce, Alg: Auto, P: 3, B: 2, Op: Sum}, ragged).Err()
+			return Submit(ctx, reduce3, ragged).Err()
 		},
 	}
 	for name, f := range cases {
@@ -358,8 +322,8 @@ func TestRunBatchMatchesSingleRuns(t *testing.T) {
 
 	for _, mode := range []struct {
 		name string
-		opts []RunOption
-	}{{"map", nil}, {"columnar", []RunOption{WithColumnarResult()}}} {
+		opts []Option
+	}{{"map", nil}, {"columnar", []Option{WithColumnarResult()}}} {
 		t.Run(mode.name, func(t *testing.T) {
 			for _, runner := range []struct {
 				name string
@@ -403,7 +367,7 @@ func TestOneShotRunBatchRecordsOnce(t *testing.T) {
 	}
 	tracer := obs.NewTracer(obs.Config{Sample: 1})
 	defer tracer.Close()
-	for _, mode := range [][]RunOption{nil, {WithColumnarResult()}} {
+	for _, mode := range [][]Option{nil, {WithColumnarResult()}} {
 		ctx, root := tracer.Root(context.Background(), "test", "")
 		reps, err := RunBatch(ctx, sh, batches, mode...)
 		root.End()
@@ -439,7 +403,8 @@ func TestSessionRemoveTenant(t *testing.T) {
 	ctx := context.Background()
 	vecs := constVectors(8, 4)
 	user := s.WithTenant("user-17", TenantConfig{Weight: 4, Priority: Interactive})
-	if _, err := user.Reduce(ctx, vecs, Chain, Sum); err != nil {
+	sh := Shape{Kind: KindReduce, Alg: Chain, P: 8, B: 4, Op: Sum}
+	if _, err := user.Run(ctx, sh, vecs); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.SchedStats().Tenants["user-17"]; !ok {
@@ -456,7 +421,7 @@ func TestSessionRemoveTenant(t *testing.T) {
 	}
 	// The stale handle still works; it resubmits under a fresh
 	// default-config tenant of the same name.
-	if _, err := user.Reduce(ctx, vecs, Chain, Sum); err != nil {
+	if _, err := user.Run(ctx, sh, vecs); err != nil {
 		t.Fatalf("stale handle after removal: %v", err)
 	}
 	if ts := s.SchedStats().Tenants["user-17"]; ts.Served != 1 || ts.Weight != 1 {

@@ -72,10 +72,10 @@ func BenchmarkBatchReplay(b *testing.B) {
 	perRun := map[string]float64{}
 	modes := []struct {
 		name string
-		opts []RunOption
+		opts []Option
 	}{
 		{"map", nil},
-		{"columnar", []RunOption{WithColumnarResult()}},
+		{"columnar", []Option{WithColumnarResult()}},
 	}
 	for _, mode := range modes {
 		b.Run("single-"+mode.name, func(b *testing.B) {

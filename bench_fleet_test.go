@@ -111,7 +111,7 @@ func BenchmarkFleetResolve(b *testing.B) {
 			)
 			sess := NewSession(SessionConfig{Resolver: chain})
 			b.StartTimer()
-			if _, err := sess.Reduce(vectors, Auto, Sum); err != nil {
+			if _, err := sess.Run(context.Background(), shape, vectors); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()

@@ -59,12 +59,13 @@ func fairnessTrial(b *testing.B) map[string]any {
 	// with each feeder re-submitting only after its own completion,
 	// throughput is capped by feeder counts, not weights. The shape is
 	// small: the point is dispatch behaviour, not simulation.
-	vectors := constVectors(64, 16)
-	if _, err := sess.Reduce(vectors, Chain, Sum); err != nil { // compile outside the window
+	ctx := context.Background()
+	small := Shape{Kind: KindReduce, Alg: Chain, P: 64, B: 16, Op: Sum}
+	vectors := constVectors(small.P, small.B)
+	if _, err := sess.Run(ctx, small, vectors); err != nil { // compile outside the window
 		b.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	ctx := context.Background()
 
 	// Occupy every worker with a long 2D collective under a separate
 	// warm-up tenant while the backlog accumulates. Without this the
@@ -77,7 +78,7 @@ func fairnessTrial(b *testing.B) map[string]any {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := warm.Reduce2D(ctx, big, 48, 48, Auto2D, Sum); err != nil {
+			if _, err := warm.Run(ctx, bigReduce2D, big); err != nil {
 				b.Errorf("warmup blocker: %v", err)
 			}
 		}()
@@ -94,7 +95,7 @@ func fairnessTrial(b *testing.B) map[string]any {
 			wg.Add(1)
 			go func(t *Tenant) {
 				defer wg.Done()
-				if _, err := t.Reduce(ctx, vectors, Chain, Sum); err != nil {
+				if _, err := t.Run(ctx, small, vectors); err != nil {
 					b.Errorf("submit %s: %v", t.Name(), err)
 				}
 			}(t)

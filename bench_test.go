@@ -11,6 +11,7 @@ package wse
 // headline speedups, reported via b.ReportMetric.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -196,7 +197,8 @@ func BenchmarkHeadlineSpeedups(b *testing.B) {
 // simulated chain runtime shifts by exactly 2(P-1) cycles per unit of T_R,
 // matching Lemma 5.2's (2T_R+2)(P-1) term.
 func BenchmarkAblationTR(b *testing.B) {
-	vectors := constVectors(128, 256)
+	sh := Shape{Kind: KindReduce, Alg: Chain, P: 128, B: 256, Op: Sum}
+	vectors := constVectors(sh.P, sh.B)
 	for _, tr := range []int{-1, 1, 2, 4} {
 		name := "TR=0"
 		if tr > 0 {
@@ -204,7 +206,7 @@ func BenchmarkAblationTR(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := Reduce(vectors, Chain, Sum, Options{TR: tr})
+				rep, err := Run(context.Background(), sh, vectors, WithOptions(Options{TR: tr}))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -219,11 +221,12 @@ func BenchmarkAblationTR(b *testing.B) {
 // nothing — the collectives are backpressure-synchronised, not
 // buffer-synchronised.
 func BenchmarkAblationQueueCap(b *testing.B) {
-	vectors := constVectors(128, 256)
+	sh := Shape{Kind: KindReduce, Alg: Chain, P: 128, B: 256, Op: Sum}
+	vectors := constVectors(sh.P, sh.B)
 	for _, qc := range []int{1, 2, 4, 16} {
 		b.Run("cap="+string(rune('0'+min(qc, 9)))+"", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := Reduce(vectors, Chain, Sum, Options{QueueCap: qc})
+				rep, err := Run(context.Background(), sh, vectors, WithOptions(Options{QueueCap: qc}))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -252,11 +255,12 @@ func BenchmarkAblationTwoPhaseGroupSize(b *testing.B) {
 // (§8.1) inflate a measured reduce, the effect the §8.3 calibration
 // methodology absorbs.
 func BenchmarkAblationThermalNoise(b *testing.B) {
-	vectors := constVectors(64, 256)
+	sh := Shape{Kind: KindReduce, Alg: TwoPhase, P: 64, B: 256, Op: Sum}
+	vectors := constVectors(sh.P, sh.B)
 	for _, rate := range []float64{0, 0.01, 0.05} {
 		b.Run("rate="+ftoa(rate), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := Reduce(vectors, TwoPhase, Sum, Options{ThermalNoopRate: rate, Seed: uint64(i) + 1})
+				rep, err := Run(context.Background(), sh, vectors, WithOptions(Options{ThermalNoopRate: rate, Seed: uint64(i) + 1}))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -274,17 +278,19 @@ func BenchmarkAblationThermalNoise(b *testing.B) {
 // chain/AutoGen ratio grows with the activation cost — model-driven
 // generation matters even more on a fabric with expensive task wake-ups.
 func BenchmarkAblationTaskActivation(b *testing.B) {
-	p, vec := 256, 64
-	vectors := constVectors(p, vec)
+	sh := Shape{Kind: KindReduce, Alg: Chain, P: 256, B: 64, Op: Sum}
+	gen := sh
+	gen.Alg = AutoGen
+	vectors := constVectors(sh.P, sh.B)
 	for _, act := range []int{0, 25, 50, 100} {
 		b.Run("act="+itoa(act), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opt := Options{TaskActivation: act}
-				chain, err := Reduce(vectors, Chain, Sum, opt)
+				opt := WithOptions(Options{TaskActivation: act})
+				chain, err := Run(context.Background(), sh, vectors, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
-				auto, err := Reduce(vectors, AutoGen, Sum, opt)
+				auto, err := Run(context.Background(), gen, vectors, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -302,7 +308,7 @@ func BenchmarkAblationRingMapping(b *testing.B) {
 	for _, alg := range []Algorithm{Ring, RingDP} {
 		b.Run(string(alg), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := AllReduce(vectors, alg, Sum, Options{})
+				rep, err := Run(context.Background(), Shape{Kind: KindAllReduce, Alg: alg, P: p, B: vec, Op: Sum}, vectors)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -317,20 +323,13 @@ func BenchmarkAblationRingMapping(b *testing.B) {
 func BenchmarkAblationRootPlacement(b *testing.B) {
 	p, vec := 257, 64
 	vectors := constVectors(p, vec)
-	for _, mid := range []bool{false, true} {
-		name := "end-root"
-		if mid {
-			name = "mid-root"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, root := range []struct {
+		name string
+		kind Collective
+	}{{"end-root", KindAllReduce}, {"mid-root", KindAllReduceMidRoot}} {
+		b.Run(root.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				var rep *Report
-				var err error
-				if mid {
-					rep, err = AllReduceMidRoot(vectors, TwoPhase, Sum, Options{})
-				} else {
-					rep, err = AllReduce(vectors, TwoPhase, Sum, Options{})
-				}
+				rep, err := Run(context.Background(), Shape{Kind: root.kind, Alg: TwoPhase, P: p, B: vec, Op: Sum}, vectors)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -359,11 +358,12 @@ func BenchmarkRingValidation(b *testing.B) {
 // wavelet-hops per second on a pipelined chain (the dominant cost of
 // every measured figure).
 func BenchmarkFabricChainThroughput(b *testing.B) {
-	vectors := constVectors(256, 1024)
+	sh := Shape{Kind: KindReduce, Alg: Chain, P: 256, B: 1024, Op: Sum}
+	vectors := constVectors(sh.P, sh.B)
 	b.ResetTimer()
 	hops := int64(0)
 	for i := 0; i < b.N; i++ {
-		rep, err := Reduce(vectors, Chain, Sum, Options{})
+		rep, err := Run(context.Background(), sh, vectors)
 		if err != nil {
 			b.Fatal(err)
 		}

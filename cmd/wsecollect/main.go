@@ -291,20 +291,28 @@ func (c *config) shape() (wse.Shape, error) {
 	return sh, nil
 }
 
-// describe renders the PE geometry of a shape for the report line.
-func describe(sh wse.Shape) string {
+// describe renders the PE geometry and algorithm of a shape for the report
+// line; an Auto algorithm is followed by what the model chose under opt.
+func describe(sh wse.Shape, opt wse.Options) string {
 	ki := plan.InfoOf(sh.Kind)
 	w, h := sh.P, 1
 	if ki.Grid {
 		w, h = sh.Width, sh.Height
 	}
+	out := fmt.Sprintf("%dx%d PEs", w, h)
+	res := sh.Resolve(wse.WithOptions(opt))
+	alg, chosen := string(sh.Alg), string(res.Alg)
 	switch {
-	case ki.Algs != nil:
-		return fmt.Sprintf("%dx%d PEs, alg=%s", w, h, sh.Alg)
 	case ki.Algs2D != nil:
-		return fmt.Sprintf("%dx%d PEs, alg=%s", w, h, sh.Alg2D)
+		alg, chosen = string(sh.Alg2D), string(res.Alg2D)
+	case ki.Algs == nil:
+		return out
 	}
-	return fmt.Sprintf("%dx%d PEs", w, h)
+	out += ", alg=" + alg
+	if chosen != alg {
+		out += " (→ " + chosen + ")"
+	}
+	return out
 }
 
 // tenantSpecs parses the -tenants spec; the CLI needs at least one tenant.
@@ -322,13 +330,12 @@ func inputsFor(sh wse.Shape) [][]float32 {
 }
 
 // once builds the run closure for a shape: the inputs and the session
-// call that serves it. With -batch N
-// each call replays the shape N times through RunBatch (one scheduled
-// request, one held simulator instance); -columnar skips the per-PE
-// result maps either way.
+// call that serves it. With -batch N each call replays the shape N times
+// through RunBatch (one scheduled request, at most one simulator run);
+// -columnar skips the per-PE result maps either way.
 func once(c *config, sess *wse.Session, sh wse.Shape) func() (*wse.Report, error) {
 	inputs := inputsFor(sh)
-	var opts []wse.RunOption
+	var opts []wse.Option
 	if c.columnar {
 		opts = append(opts, wse.WithColumnarResult())
 	}
@@ -617,7 +624,7 @@ func runCmd(c *config) error {
 		warm = time.Since(warmStart) / time.Duration(repeat-1)
 	}
 
-	fmt.Printf("%s of %d bytes on %s\n", c.collective, c.bytes, describe(sh))
+	fmt.Printf("%s of %d bytes on %s\n", c.collective, c.bytes, describe(sh, c.options()))
 	fmt.Printf("  measured   %10d cycles (%.2f us at 850 MHz)\n", rep.Cycles, float64(rep.Cycles)/850)
 	fmt.Printf("  predicted  %10.0f cycles (%.1f%% relative error)\n", rep.Predicted,
 		100*abs(float64(rep.Cycles)-rep.Predicted)/float64(rep.Cycles))

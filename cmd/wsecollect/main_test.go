@@ -30,8 +30,8 @@ func TestKindTableConformance(t *testing.T) {
 			if _, err := wse.Run(context.Background(), sh, inputsFor(sh)); err != nil {
 				t.Errorf("-collective %s: run on inputsFor: %v", name, err)
 			}
-			if !strings.Contains(describe(sh), " PEs") {
-				t.Errorf("-collective %s: describe = %q", name, describe(sh))
+			if !strings.Contains(describe(sh, c.options()), " PEs") {
+				t.Errorf("-collective %s: describe = %q", name, describe(sh, c.options()))
 			}
 		}
 	}
@@ -52,5 +52,31 @@ func TestKindTableConformance(t *testing.T) {
 	}
 	if !strings.Contains(algs2d, "snake") {
 		t.Errorf("-alg2d help %q lacks snake", algs2d)
+	}
+}
+
+// TestDescribeSaysWhatAutoChose: the report line of an Auto run names the
+// algorithm the model resolved it to under the run's options; a concrete
+// algorithm and an algorithm-free kind are printed as given.
+func TestDescribeSaysWhatAutoChose(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-collective allreduce -alg auto -p 64 -bytes 4096", "64x1 PEs, alg=auto (→ autogen)"},
+		{"-collective allreduce -p 16 -bytes 4", "16x1 PEs, alg=auto (→ star)"},
+		{"-collective allreduce-midroot -p 64 -bytes 4096", "64x1 PEs, alg=auto (→ autogen)"},
+		{"-collective reduce2d -grid 8x8 -bytes 64", "8x8 PEs, alg=auto (→ xy-autogen)"},
+		{"-collective reduce -alg chain -p 8", "8x1 PEs, alg=chain"},
+		{"-collective broadcast -p 8", "8x1 PEs"},
+	} {
+		c, err := parseFlags("run", strings.Fields(tc.args))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := c.shape()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := describe(sh, c.options()); got != tc.want {
+			t.Errorf("%s: describe = %q, want %q", tc.args, got, tc.want)
+		}
 	}
 }

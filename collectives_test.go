@@ -1,6 +1,7 @@
 package wse
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -14,7 +15,7 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 			for i := range data {
 				data[i] = float32(i) * 0.5
 			}
-			rep, err := Scatter(data, p, Options{})
+			rep, err := Run(context.Background(), Shape{Kind: KindScatter, P: p, B: b}, [][]float32{data})
 			if err != nil {
 				t.Fatalf("scatter p=%d b=%d: %v", p, b, err)
 			}
@@ -31,7 +32,7 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 				chunks[j] = append([]float32(nil), chunk...)
 			}
 			// Gather the scattered chunks back: identity round trip.
-			rep2, err := Gather(chunks, Options{})
+			rep2, err := Run(context.Background(), Shape{Kind: KindGather, P: p, B: b}, chunks)
 			if err != nil {
 				t.Fatalf("gather p=%d b=%d: %v", p, b, err)
 			}
@@ -49,7 +50,7 @@ func TestReduceScatterThenAllGatherEqualsAllReduce(t *testing.T) {
 	for _, p := range []int{4, 8, 13} {
 		b := 4*p + 3
 		vecs, want := vectorsFor(p, b, int64(p))
-		rs, err := ReduceScatter(vecs, Sum, Options{})
+		rs, err := Run(context.Background(), Shape{Kind: KindReduceScatter, P: p, B: b, Op: Sum}, vecs)
 		if err != nil {
 			t.Fatalf("reduce-scatter p=%d: %v", p, err)
 		}
@@ -65,7 +66,7 @@ func TestReduceScatterThenAllGatherEqualsAllReduce(t *testing.T) {
 				}
 			}
 		}
-		ag, err := AllGather(chunks, Options{})
+		ag, err := Run(context.Background(), Shape{Kind: KindAllGather, P: p, B: b}, chunks)
 		if err != nil {
 			t.Fatalf("allgather p=%d: %v", p, err)
 		}
@@ -80,7 +81,7 @@ func TestAllReduceMidRoot(t *testing.T) {
 		for _, p := range []int{2, 3, 9, 32} {
 			b := 24
 			vecs, want := vectorsFor(p, b, int64(p*7))
-			rep, err := AllReduceMidRoot(vecs, alg, Sum, Options{})
+			rep, err := Run(context.Background(), Shape{Kind: KindAllReduceMidRoot, Alg: alg, P: p, B: b, Op: Sum}, vecs)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", alg, p, err)
 			}
@@ -97,11 +98,13 @@ func TestMidRootBeatsEndRootForWideRows(t *testing.T) {
 	// beat the end-rooted one with the same base pattern.
 	p, b := 129, 64
 	vecs, _ := vectorsFor(p, b, 3)
-	end, err := AllReduce(vecs, TwoPhase, Sum, Options{})
+	sh := Shape{Kind: KindAllReduce, Alg: TwoPhase, P: p, B: b, Op: Sum}
+	end, err := Run(context.Background(), sh, vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := AllReduceMidRoot(vecs, TwoPhase, Sum, Options{})
+	sh.Kind = KindAllReduceMidRoot
+	mid, err := Run(context.Background(), sh, vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +117,7 @@ func TestRingAllReducePublicAPI(t *testing.T) {
 	for _, alg := range []Algorithm{Ring, RingDP} {
 		p, b := 8, 64
 		vecs, want := vectorsFor(p, b, 11)
-		rep, err := AllReduce(vecs, alg, Sum, Options{})
+		rep, err := Run(context.Background(), Shape{Kind: KindAllReduce, Alg: alg, P: p, B: b, Op: Sum}, vecs)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -126,8 +129,8 @@ func TestRingAllReducePublicAPI(t *testing.T) {
 		}
 	}
 	// Ring is AllReduce-only.
-	if _, err := Reduce([][]float32{{1}, {2}}, Ring, Sum, Options{}); err == nil {
-		t.Error("Reduce accepted the ring pattern")
+	if _, err := Run(context.Background(), Shape{Kind: KindReduce, Alg: Ring, P: 2, B: 1, Op: Sum}, [][]float32{{1}, {2}}); err == nil {
+		t.Error("reduce accepted the ring pattern")
 	}
 }
 
@@ -154,19 +157,16 @@ func TestChunksProperty(t *testing.T) {
 }
 
 func TestExtensionPredictions(t *testing.T) {
-	for _, fn := range []func() float64{
-		func() float64 { return PredictScatter(64, 512, Options{}) },
-		func() float64 { return PredictGather(64, 512, Options{}) },
-		func() float64 { return PredictReduceScatter(64, 512, Options{}) },
-		func() float64 { return PredictAllGather(64, 512, Options{}) },
-		func() float64 { return PredictAllReduceMidRoot(TwoPhase, 64, 512, Options{}) },
-	} {
-		if v := fn(); v <= 0 || math.IsNaN(v) {
-			t.Errorf("prediction %v", v)
+	for _, kind := range []Collective{KindScatter, KindGather, KindReduceScatter, KindAllGather, KindAllReduceMidRoot} {
+		if v := Predict(Shape{Kind: kind, Alg: TwoPhase, P: 64, B: 512}); v <= 0 || math.IsNaN(v) {
+			t.Errorf("%s: prediction %v", kind, v)
 		}
 	}
 	// Mid-root should predict better than end-root for wide rows.
-	if PredictAllReduceMidRoot(TwoPhase, 257, 64, Options{}) >= PredictAllReduce(TwoPhase, 257, 64, Options{}) {
+	wide := Shape{Kind: KindAllReduce, Alg: TwoPhase, P: 257, B: 64}
+	mid := wide
+	mid.Kind = KindAllReduceMidRoot
+	if Predict(mid) >= Predict(wide) {
 		t.Error("mid-root prediction not better for wide rows")
 	}
 }

@@ -50,7 +50,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		alg, _ := wse.BestAlgorithm(peCount, m, wse.Options{})
+		alg := sh.Resolve().Alg
 
 		// Verify against a serial GEMV.
 		want := serialGEMV(a, x)

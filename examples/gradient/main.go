@@ -58,7 +58,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		alg, _ := wse.BestAlgorithm2D(side, side, b, wse.Options{})
+		alg := sh.Resolve().Alg2D
 
 		// Every worker applies the averaged gradient; verify agreement
 		// against a serial sum on a few sampled coordinates.

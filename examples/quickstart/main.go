@@ -1,7 +1,7 @@
 // Quickstart for the Shape-first API: one Shape, three verbs — Run
 // (execute on the simulated fabric), Predict (the paper's performance
 // model) and Bound (the runtime lower bound) — plus the async Submit and
-// the amortised RunBatch, all without touching a single legacy function.
+// the amortised RunBatch.
 package main
 
 import (

@@ -80,7 +80,7 @@ func main() {
 		vendorCycles += vendor.Cycles
 
 		if rep.Root[0] < tolerance || iter >= 200 {
-			alg, _ := wse.BestAlgorithm(peCount, 1, wse.Options{})
+			alg := resShape.Resolve().Alg
 			fmt.Printf("converged after %d iterations (residual %.2e)\n", iter, rep.Root[0])
 			fmt.Printf("scalar AllReduce per iteration: %s %d cycles vs vendor chain %d cycles (%.2fx)\n",
 				alg, rep.Cycles, vendor.Cycles, float64(vendor.Cycles)/float64(rep.Cycles))

@@ -96,20 +96,3 @@ func BuildReduceSnake(spec *fabric.Spec, width, height, b int, op fabric.ReduceO
 	path := mesh.Snake(height, width)
 	return BuildTreeReduce(spec, path, Chain(len(path)), b, ColorPair{ColorTreeA, ColorTreeB}, op)
 }
-
-// BuildAllReduceXY compiles the 2D AllReduce of §7.4 in its efficient
-// form: 2D X-Y Reduce to (0,0) followed by the 2D flooding broadcast.
-func BuildAllReduceXY(spec *fabric.Spec, width, height int, rowTree, colTree Tree, b int, op fabric.ReduceOp) error {
-	if err := BuildReduceXY(spec, width, height, rowTree, colTree, b, op); err != nil {
-		return err
-	}
-	return BuildBroadcast2D(spec, width, height, b, ColorBcast2)
-}
-
-// BuildAllReduceSnake compiles Snake Reduce followed by the 2D broadcast.
-func BuildAllReduceSnake(spec *fabric.Spec, width, height, b int, op fabric.ReduceOp) error {
-	if err := BuildReduceSnake(spec, width, height, b, op); err != nil {
-		return err
-	}
-	return BuildBroadcast2D(spec, width, height, b, ColorBcast2)
-}

@@ -223,7 +223,11 @@ func TestReduce2DCorrectness(t *testing.T) {
 func TestAllReduce2DCorrectness(t *testing.T) {
 	w, h, b := 6, 4, 8
 	spec := fabric.NewSpec(w, h)
-	if err := BuildAllReduceXY(spec, w, h, TwoPhase(w, 0), TwoPhase(h, 0), b, fabric.OpSum); err != nil {
+	// The 2D AllReduce of §7.4: X-Y Reduce to (0,0), then the 2D flood.
+	if err := BuildReduceXY(spec, w, h, TwoPhase(w, 0), TwoPhase(h, 0), b, fabric.OpSum); err != nil {
+		t.Fatal(err)
+	}
+	if err := BuildBroadcast2D(spec, w, h, b, ColorBcast2); err != nil {
 		t.Fatal(err)
 	}
 	vecs, want := inputs(w*h, b, 42)

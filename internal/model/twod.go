@@ -47,6 +47,9 @@ func (pr Params) AllReduceXYTwice(pattern string, m, n, b int) float64 {
 // least B; energy is at least P·B over at most 8P directed links; the
 // distance from the far corner is M+N-2 plus one ramp.)
 func (pr Params) LowerBound2D(m, n, b int) float64 {
+	if m*n <= 1 {
+		return 0
+	}
 	bw := math.Max(float64(b), float64(b)/8+float64(m)+float64(n)-1)
 	return bw + float64(2*pr.TR) + 1
 }

@@ -147,7 +147,7 @@ func engineReports(t *testing.T, pl *Plan, batches [][][]float32) []*core.Report
 // bit, in storage of its own.
 func TestExecuteBatchRecordsOnce(t *testing.T) {
 	for i := range Kinds {
-		req := requestsOf(&Kinds[i])[0]
+		req := requestsOf(&Kinds[i], smallRow)[0]
 		batches := distinctBatches(req, 5)
 		for _, columnar := range []bool{false, true} {
 			label := fmt.Sprintf("%s columnar=%v", req.Kind, columnar)

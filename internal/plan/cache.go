@@ -213,18 +213,6 @@ func (c *Cache) Lookup(key Key) (*Plan, bool) {
 	return el.Value.(*Plan), true
 }
 
-// Peek reports whether a plan for req is resident, without compiling or
-// touching the stats and recency order.
-func (c *Cache) Peek(req Request) (*Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[KeyOf(req)]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*Plan), true
-}
-
 // Plans snapshots the resident plans, most recently used first.
 func (c *Cache) Plans() []*Plan {
 	c.mu.Lock()
@@ -284,6 +272,3 @@ func (c *Cache) Stats() CacheStats {
 	st.TapeLoaded = c.tape.loaded.Load()
 	return st
 }
-
-// Capacity returns the maximum resident plan count.
-func (c *Cache) Capacity() int { return c.capacity }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -28,10 +29,13 @@ var canonicalKeys = map[Kind]string{
 	AllReduceMidRoot: "k1;allreduce-midroot;alg=chain;alg2d=;p=16;w=0;h=0;b=64;op=max;tr=3;qcap=2;maxcyc=1048576;skew=5;noop=0x1p-02;act=3;seed=9;shards=4",
 }
 
-// requestsOf lists one small runnable request per algorithm ki accepts,
-// Auto included; a single one for the algorithm-free kinds.
-func requestsOf(ki *KindInfo) []Request {
-	base := Request{Kind: ki.Kind, P: 6, Width: 3, Height: 2, B: 14, Op: fabric.OpMax}
+// smallRow is the geometry the table walks run at: 6 PEs in 1D, 3x2 in 2D.
+var smallRow = Request{P: 6, Width: 3, Height: 2, B: 14, Op: fabric.OpMax}
+
+// requestsOf lists base under each algorithm ki accepts, Auto included; base
+// alone for the algorithm-free kinds.
+func requestsOf(ki *KindInfo, base Request) []Request {
+	base.Kind = ki.Kind
 	var out []Request
 	for _, a := range append([]core.Pattern{core.Auto}, ki.Algs...) {
 		if ki.Algs != nil {
@@ -108,7 +112,7 @@ func TestKindTableConformance(t *testing.T) {
 			}
 		}
 
-		for _, req := range requestsOf(ki) {
+		for _, req := range requestsOf(ki, smallRow) {
 			name := string(ki.Kind) + "/" + string(req.Alg) + string(req.Alg2D)
 			if err := req.Validate(); err != nil {
 				t.Errorf("%s: Validate: %v", name, err)
@@ -149,7 +153,7 @@ func TestKindTableConformance(t *testing.T) {
 				continue
 			}
 			// Compile predicts on the resolved request.
-			want := req.resolve().Predict()
+			want := req.Resolve().Predict()
 			if rep.Predicted != want && !(math.IsNaN(rep.Predicted) && math.IsNaN(want)) {
 				t.Errorf("%s: Report.Predicted = %v, the row's predict on the resolved request %v", name, rep.Predicted, want)
 			}
@@ -158,6 +162,43 @@ func TestKindTableConformance(t *testing.T) {
 			}
 			if err := p.checkInputs(long); !errors.Is(err, ErrBadShape) {
 				t.Errorf("%s: Plan.checkInputs of a mis-sized input: %v", name, err)
+			}
+		}
+
+		// The smallest geometry a row runs on — one PE, two for the chunked
+		// kinds — keeps the triad ordered: bound <= predict and bound <=
+		// measured, with nothing to move (0 cycles) on a single PE.
+		small := Request{P: 1, Width: 1, Height: 1, B: 14, Op: fabric.OpMax}
+		if ki.Chunked {
+			small.P = 2
+		}
+		for _, req := range requestsOf(ki, small) {
+			name := fmt.Sprintf("%s/%s%s at %d PE(s)", ki.Kind, req.Alg, req.Alg2D, small.P)
+			if err := req.Validate(); err != nil {
+				if req.Alg != core.Ring && req.Alg != core.RingDP { // the ring needs a real split
+					t.Errorf("%s: Validate: %v", name, err)
+				}
+				continue
+			}
+			p, err := Compile(req)
+			if err != nil {
+				t.Errorf("%s: Compile: %v", name, err)
+				continue
+			}
+			rep, err := p.Execute(req.Inputs(ramp))
+			if err != nil {
+				t.Errorf("%s: Execute: %v", name, err)
+				continue
+			}
+			bound, predict := req.Bound(), rep.Predicted
+			if math.IsNaN(bound) || bound < 0 || float64(rep.Cycles) < bound {
+				t.Errorf("%s: bound %v against %d measured cycles", name, bound, rep.Cycles)
+			}
+			if !math.IsInf(predict, 0) && !math.IsNaN(predict) && bound > predict {
+				t.Errorf("%s: bound %v above the prediction %v", name, bound, predict)
+			}
+			if !ki.Chunked && (rep.Cycles != 0 || bound != 0) {
+				t.Errorf("%s: %d cycles under a bound of %v, want 0 and 0 on one PE", name, rep.Cycles, bound)
 			}
 		}
 	}

@@ -179,9 +179,9 @@ type Plan struct {
 // tr is the normalised ramp latency used throughout compilation.
 func (r Request) tr() int { return core.Params(r.Opt).TR }
 
-// resolve replaces Auto algorithm selections with the concrete choice of
-// the performance model, exactly as the one-shot Run* functions do.
-func (r Request) resolve() Request {
+// Resolve replaces an Auto algorithm selection with the choice the kind's
+// row makes from the performance model; the public Shape.Resolve is this.
+func (r Request) Resolve() Request {
 	if ki := InfoOf(r.Kind); ki != nil && ki.auto != nil {
 		ki.auto(&r, r.tr())
 	}
@@ -201,7 +201,7 @@ func Compile(req Request) (*Plan, error) {
 	}
 	ki := InfoOf(req.Kind)
 	key := KeyOf(req)
-	req = req.resolve()
+	req = req.Resolve()
 	tr := req.tr()
 	// Plans carry canonical options (defaults resolved) so compiling the
 	// same logical request in two processes yields byte-identical encoded

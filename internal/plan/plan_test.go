@@ -174,10 +174,10 @@ func TestCacheHitMissEviction(t *testing.T) {
 	if st.Evictions != 1 || st.Size != 2 {
 		t.Fatalf("after eviction: %+v", st)
 	}
-	if _, ok := c.Peek(req(8)); ok {
+	if _, ok := c.Lookup(KeyOf(req(8))); ok {
 		t.Fatal("p=8 should have been evicted")
 	}
-	if _, ok := c.Peek(req(4)); !ok {
+	if _, ok := c.Lookup(KeyOf(req(4))); !ok {
 		t.Fatal("p=4 should be resident")
 	}
 	// Same shape under different fabric options is a different plan.

@@ -21,8 +21,8 @@ func TestRunContextPreCancelled(t *testing.T) {
 	req := Request{Kind: Reduce1D, Alg: core.Chain, P: 8, B: 4, Op: fabric.OpSum}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.RunContext(ctx, req, poolTestInputs(req)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext with dead context: %v, want context.Canceled", err)
+	if _, err := s.Submit(ctx, "", req, poolTestInputs(req)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Submit with dead context: %v, want context.Canceled", err)
 	}
 	st := s.SchedStats().Tenants[sched.DefaultTenantName]
 	if st.Cancelled != 1 || st.Served != 0 {
@@ -144,7 +144,7 @@ func TestRunContextAbandonsQueuedRequest(t *testing.T) {
 			}
 		}
 	}()
-	_, err := s.RunContext(ctx, small, poolTestInputs(small))
+	_, err := s.Submit(ctx, "", small, poolTestInputs(small))
 	close(returned)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned queued request: %v, want context.Canceled", err)

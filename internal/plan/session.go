@@ -57,13 +57,6 @@ func (s *Session) Run(req Request, inputs [][]float32) (*core.Report, error) {
 	return s.Submit(context.Background(), "", req, inputs)
 }
 
-// RunContext is Run with a cancellation path: a caller abandoning a
-// request that is still queued for a worker unqueues it and returns
-// ctx.Err() immediately — no goroutine is left waiting on the pool.
-func (s *Session) RunContext(ctx context.Context, req Request, inputs [][]float32) (*core.Report, error) {
-	return s.Submit(ctx, "", req, inputs)
-}
-
 // Submit compiles (or fetches) the plan for req and replays it with the
 // given inputs under the named tenant's QoS ("" selects the default
 // tenant). Plan acquisition happens in the caller's goroutine — compiles

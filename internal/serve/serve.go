@@ -339,8 +339,8 @@ func (w *statusWriter) code() int {
 // verbs is the slice of the Session/Tenant surface the daemon serves;
 // both *wse.Session (the default tenant) and *wse.Tenant satisfy it.
 type verbs interface {
-	Run(ctx context.Context, sh wse.Shape, inputs [][]float32, opts ...wse.RunOption) (*wse.Report, error)
-	Submit(ctx context.Context, sh wse.Shape, inputs [][]float32, opts ...wse.RunOption) *wse.Future
+	Run(ctx context.Context, sh wse.Shape, inputs [][]float32, opts ...wse.Option) (*wse.Report, error)
+	Submit(ctx context.Context, sh wse.Shape, inputs [][]float32, opts ...wse.Option) *wse.Future
 }
 
 // tenantName extracts the caller's tenant identity: the X-WSE-Tenant

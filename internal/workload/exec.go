@@ -16,8 +16,8 @@ import (
 // tenant or any QoS tenant without the executor knowing; OneShot adapts
 // the package-level verbs for sessionless reference runs.
 type Runner interface {
-	Run(ctx context.Context, sh wse.Shape, inputs [][]float32, opts ...wse.RunOption) (*wse.Report, error)
-	Submit(ctx context.Context, sh wse.Shape, inputs [][]float32, opts ...wse.RunOption) *wse.Future
+	Run(ctx context.Context, sh wse.Shape, inputs [][]float32, opts ...wse.Option) (*wse.Report, error)
+	Submit(ctx context.Context, sh wse.Shape, inputs [][]float32, opts ...wse.Option) *wse.Future
 }
 
 // OneShot is a Runner over the package-level verbs: every step compiles
@@ -28,12 +28,12 @@ func OneShot(opt wse.Options) Runner { return oneShot{opt: opt} }
 
 type oneShot struct{ opt wse.Options }
 
-func (o oneShot) Run(ctx context.Context, sh wse.Shape, inputs [][]float32, opts ...wse.RunOption) (*wse.Report, error) {
-	return wse.Run(ctx, sh, inputs, append([]wse.RunOption{wse.WithOptions(o.opt)}, opts...)...)
+func (o oneShot) Run(ctx context.Context, sh wse.Shape, inputs [][]float32, opts ...wse.Option) (*wse.Report, error) {
+	return wse.Run(ctx, sh, inputs, append([]wse.Option{wse.WithOptions(o.opt)}, opts...)...)
 }
 
-func (o oneShot) Submit(ctx context.Context, sh wse.Shape, inputs [][]float32, opts ...wse.RunOption) *wse.Future {
-	return wse.Submit(ctx, sh, inputs, append([]wse.RunOption{wse.WithOptions(o.opt)}, opts...)...)
+func (o oneShot) Submit(ctx context.Context, sh wse.Shape, inputs [][]float32, opts ...wse.Option) *wse.Future {
+	return wse.Submit(ctx, sh, inputs, append([]wse.Option{wse.WithOptions(o.opt)}, opts...)...)
 }
 
 // StepResult is one executed step: its Report plus the wall-clock the
@@ -135,7 +135,7 @@ func exec(ctx context.Context, r Runner, w *Workload, sequential bool) (*Result,
 			span.SetAttr("func", st.Func)
 		}
 		inputs := stepInputs(st, parents)
-		var opts []wse.RunOption
+		var opts []wse.Option
 		if st.Opt != nil {
 			opts = append(opts, wse.WithOptions(*st.Opt))
 		}

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"bufio"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -247,4 +249,47 @@ func TestKindTableConformance(t *testing.T) {
 	if _, err := New("w").Step("reduce1d", Params{"op": "xor"}).Build(); !errors.Is(err, ErrBadWorkload) {
 		t.Errorf("op=xor: %v, want ErrBadWorkload", err)
 	}
+}
+
+// FuzzParse: workload files come from users and from the tuner's callers.
+// Parse must never panic; every rejection wraps ErrBadWorkload (the
+// scanner's own line-length limit aside); and whatever it accepts is a
+// workload Validate passes, each step a runnable Shape under a unique name.
+func FuzzParse(f *testing.F) {
+	example, err := os.ReadFile("../../examples/workloads/trainstep.wl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(example))
+	for _, fn := range Funcs() { // one step line per registered function
+		f.Add("step " + fn.Name)
+		f.Add("workload w\nstep " + fn.Name + " P=8 grid=3x2 B=16 alg=auto op=max name=a\nstep " + fn.Name + " after=a # twice")
+	}
+	f.Add("workload a b")
+	f.Add("workload a\nworkload b")
+	f.Add("step reduce p=x")
+	f.Add("step reduce =1 name= after=,,")
+	f.Add("step reduce name=a after=b\nstep reduce name=b after=a")
+	f.Add("step scatter p=8 b=4")
+	f.Add("walk")
+	f.Fuzz(func(t *testing.T, text string) {
+		w, err := Parse(strings.NewReader(text), "fuzz")
+		if err != nil {
+			if !errors.Is(err, ErrBadWorkload) && !errors.Is(err, bufio.ErrTooLong) {
+				t.Fatalf("Parse(%q) rejects with %v, which does not wrap ErrBadWorkload", text, err)
+			}
+			return
+		}
+		if err := w.Validate(); err != nil {
+			t.Fatalf("Parse accepted %q but Validate rejects it: %v", text, err)
+		}
+		for _, st := range w.Steps() {
+			if err := st.Shape.Validate(); err != nil {
+				t.Fatalf("Parse accepted %q with step %q of a bad shape: %v", text, st.Name, err)
+			}
+			if w.Step(st.Name) != st {
+				t.Fatalf("Parse accepted %q with step name %q taken twice", text, st.Name)
+			}
+		}
+	})
 }

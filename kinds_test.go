@@ -3,6 +3,8 @@ package wse
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -13,8 +15,9 @@ import (
 // (internal/plan/kinds.go): every row, under every algorithm it accepts,
 // validates, rejects an algorithm outside its family as ErrBadShape, takes
 // inputs built from the row's layout, and runs with Report.Predicted equal
-// to Predict of the same concrete shape. The key, layout and compile side
-// of the same walk is the plan package's test of the same name.
+// to Predict of the resolved shape — Auto and the middle root included. The
+// key, layout and compile side of the same walk is the plan package's test
+// of the same name.
 func TestKindTableConformance(t *testing.T) {
 	ctx := context.Background()
 	ones := func(n int) []float32 { return slices.Repeat([]float32{1}, n) }
@@ -60,9 +63,63 @@ func TestKindTableConformance(t *testing.T) {
 				continue
 			}
 			// Compile predicts on the resolved request and Predict on the
-			// shape as spelled, so the two meet on concrete algorithms.
-			if auto := ki.Algs != nil && sh.Alg == Auto || ki.Algs2D != nil && sh.Alg2D == Auto2D; !auto && rep.Predicted != Predict(sh) {
-				t.Errorf("%s: Report.Predicted %v, Predict %v", name, rep.Predicted, Predict(sh))
+			// shape as spelled: the two meet, bit for bit, on sh.Resolve().
+			if want := Predict(sh.Resolve()); math.Float64bits(rep.Predicted) != math.Float64bits(want) {
+				t.Errorf("%s: Report.Predicted %v, Predict(sh.Resolve()) %v", name, rep.Predicted, want)
+			}
+		}
+	}
+}
+
+// TestShapeResolve: Resolve is the compiler's own algorithm choice made
+// public. For every row of the kind table, spelled Auto and under each
+// algorithm the row accepts, at a few geometries and ramp latencies, it
+// names what plan.Compile builds, is idempotent, never leaves Auto on a
+// kind that has algorithms, and leaves algorithm-free kinds untouched.
+func TestShapeResolve(t *testing.T) {
+	for i := range plan.Kinds {
+		ki := &plan.Kinds[i]
+		algs := append([]Algorithm{Auto}, ki.Algs...)
+		algs2D := append([]Algorithm2D{Auto2D}, ki.Algs2D...)
+		for _, g := range []struct{ p, w, h, b int }{{2, 2, 1, 2}, {6, 3, 2, 14}, {33, 5, 7, 1}, {64, 8, 8, 512}} {
+			for _, tr := range []int{-1, 0, 7} {
+				opt := WithOptions(Options{TR: tr})
+				for _, alg := range algs {
+					for _, alg2D := range algs2D {
+						sh := Shape{Kind: ki.Kind, Alg: alg, Alg2D: alg2D, P: g.p, Width: g.w, Height: g.h, B: g.b, Op: Sum}
+						if sh.Validate() != nil {
+							continue // chunked kinds and the ring need B >= P
+						}
+						name := fmt.Sprintf("%s/%s/%s p=%d %dx%d b=%d tr=%d", sh.Kind, alg, alg2D, g.p, g.w, g.h, g.b, tr)
+						res := sh.Resolve(opt)
+						if again := res.Resolve(opt); again != res {
+							t.Errorf("%s: Resolve is not idempotent: %+v then %+v", name, res, again)
+						}
+						if ki.Algs != nil && res.Alg == Auto || ki.Algs2D != nil && res.Alg2D == Auto2D {
+							t.Errorf("%s: Resolve left Auto in %+v", name, res)
+						}
+						if concrete := ki.Algs == nil || alg != Auto; concrete && res.Alg != sh.Alg {
+							t.Errorf("%s: Resolve changed Alg %q to %q", name, sh.Alg, res.Alg)
+						}
+						if concrete := ki.Algs2D == nil || alg2D != Auto2D; concrete && res.Alg2D != sh.Alg2D {
+							t.Errorf("%s: Resolve changed Alg2D %q to %q", name, sh.Alg2D, res.Alg2D)
+						}
+						rest := res
+						rest.Alg, rest.Alg2D = sh.Alg, sh.Alg2D
+						if rest != sh {
+							t.Errorf("%s: Resolve touched more than the algorithm: %+v", name, res)
+						}
+						p, err := plan.Compile(sh.request(Options{TR: tr}))
+						if err != nil {
+							t.Errorf("%s: Compile: %v", name, err)
+							continue
+						}
+						// A plan carries the algorithm fields its kind consults.
+						if ki.Algs != nil && p.Alg != res.Alg || ki.Algs2D != nil && p.Alg2D != res.Alg2D {
+							t.Errorf("%s: Resolve says %q/%q, Compile built %q/%q", name, res.Alg, res.Alg2D, p.Alg, p.Alg2D)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -1,12 +1,12 @@
 package wse
 
 // Session is the compiled-plan executor: the paper's model-driven
-// deployment (§5.5) turned into a serving engine. The one-shot functions
-// (Reduce, AllReduce2D, ...) re-derive the reduction tree, re-lower it to
-// a fabric program and re-validate it on every call; a Session does that
-// work once per distinct collective shape, keeps the lowered plan in a
-// content-keyed LRU cache, and replays it for every subsequent call —
-// cold-path compile once, hot-path replay many. Sessions are safe for
+// deployment (§5.5) turned into a serving engine. The package-level Run
+// re-derives the reduction tree, re-lowers it to a fabric program and
+// re-validates it on every call; a Session does that work once per
+// distinct collective shape, keeps the lowered plan in a content-keyed
+// LRU cache, and replays it for every subsequent call — cold-path
+// compile once, hot-path replay many. Sessions are safe for
 // concurrent use: independent collectives run in parallel on a bounded
 // worker pool, fronted by a multi-tenant QoS scheduler — WithTenant
 // serves callers under weighted-fair shares and strict priority classes,
@@ -212,8 +212,8 @@ func (s *Session) WithTenant(name string, cfg TenantConfig) *Tenant {
 func (s *Session) RemoveTenant(name string) bool { return s.s.RemoveTenant(name) }
 
 // Tenant serves collectives on its Session under one tenant's QoS. Its
-// methods mirror the Session's, plus a context: cancelling it unqueues a
-// request still waiting for a worker (returning ctx.Err() immediately) or
+// verbs are the Session's: cancelling a call's context unqueues a request
+// still waiting for a worker (returning ctx.Err() immediately) or
 // abandons a running one, which the accounting then counts as cancelled
 // rather than served.
 type Tenant struct {
@@ -239,13 +239,12 @@ func (s *Session) call(opts []Option) callOpts {
 	return c
 }
 
-// Run serves any collective named by a Shape under the tenant's QoS —
-// the Shape-first entry point the typed methods below wrap. The plan is
-// compiled on the first call for a shape and replayed from the session's
-// cache afterwards. Cancelling ctx unqueues a request still waiting for
-// a worker (returning ctx.Err() immediately) or abandons a running one,
-// which the accounting counts as cancelled rather than served.
-func (t *Tenant) Run(ctx context.Context, sh Shape, inputs [][]float32, opts ...RunOption) (*Report, error) {
+// Run serves any collective named by a Shape under the tenant's QoS. The
+// plan is compiled on the first call for a shape and replayed from the
+// session's cache afterwards. Cancelling ctx unqueues a request still
+// waiting for a worker (returning ctx.Err() immediately) or abandons a
+// running one, which the accounting counts as cancelled rather than served.
+func (t *Tenant) Run(ctx context.Context, sh Shape, inputs [][]float32, opts ...Option) (*Report, error) {
 	c := t.s.call(opts)
 	if err := sh.checkRun(inputs); err != nil {
 		return nil, err
@@ -257,7 +256,7 @@ func (t *Tenant) Run(ctx context.Context, sh Shape, inputs [][]float32, opts ...
 // runs synchronously — an overloaded tenant or closed session comes back
 // as an already-resolved Future — and the replay is then scheduled under
 // the tenant's QoS like any blocking Run.
-func (t *Tenant) Submit(ctx context.Context, sh Shape, inputs [][]float32, opts ...RunOption) *Future {
+func (t *Tenant) Submit(ctx context.Context, sh Shape, inputs [][]float32, opts ...Option) *Future {
 	c := t.s.call(opts)
 	if err := sh.checkRun(inputs); err != nil {
 		return plan.Fail(err)
@@ -272,7 +271,7 @@ func (t *Tenant) Submit(ctx context.Context, sh Shape, inputs [][]float32, opts 
 // binding inputs and assembling results is amortised batch-wide. Reports
 // come back in batch order. Combine with WithColumnarResult to skip the
 // per-run result maps as well.
-func (t *Tenant) RunBatch(ctx context.Context, sh Shape, batches [][][]float32, opts ...RunOption) ([]*Report, error) {
+func (t *Tenant) RunBatch(ctx context.Context, sh Shape, batches [][][]float32, opts ...Option) ([]*Report, error) {
 	c := t.s.call(opts)
 	if err := sh.Validate(); err != nil {
 		return nil, err
@@ -295,17 +294,17 @@ func (t *Tenant) Bound(sh Shape, opts ...Option) float64 { return t.s.Bound(sh, 
 
 // Run is the session-level counterpart of Tenant.Run: it serves any
 // collective named by a Shape under the default tenant.
-func (s *Session) Run(ctx context.Context, sh Shape, inputs [][]float32, opts ...RunOption) (*Report, error) {
+func (s *Session) Run(ctx context.Context, sh Shape, inputs [][]float32, opts ...Option) (*Report, error) {
 	return s.def.Run(ctx, sh, inputs, opts...)
 }
 
 // Submit is the session-level counterpart of Tenant.Submit.
-func (s *Session) Submit(ctx context.Context, sh Shape, inputs [][]float32, opts ...RunOption) *Future {
+func (s *Session) Submit(ctx context.Context, sh Shape, inputs [][]float32, opts ...Option) *Future {
 	return s.def.Submit(ctx, sh, inputs, opts...)
 }
 
 // RunBatch is the session-level counterpart of Tenant.RunBatch.
-func (s *Session) RunBatch(ctx context.Context, sh Shape, batches [][][]float32, opts ...RunOption) ([]*Report, error) {
+func (s *Session) RunBatch(ctx context.Context, sh Shape, batches [][][]float32, opts ...Option) ([]*Report, error) {
 	return s.def.RunBatch(ctx, sh, batches, opts...)
 }
 
@@ -319,146 +318,4 @@ func (s *Session) Predict(sh Shape, opts ...Option) float64 {
 // Options (or an explicit WithOptions).
 func (s *Session) Bound(sh Shape, opts ...Option) float64 {
 	return Bound(sh, WithOptions(s.call(opts).opt))
-}
-
-// Reduce is the tenant counterpart of Session.Reduce.
-func (t *Tenant) Reduce(ctx context.Context, vectors [][]float32, alg Algorithm, op ReduceOp) (*Report, error) {
-	return t.Run(ctx, reduceShape(KindReduce, vectors, alg, op), vectors)
-}
-
-// AllReduce is the tenant counterpart of Session.AllReduce.
-func (t *Tenant) AllReduce(ctx context.Context, vectors [][]float32, alg Algorithm, op ReduceOp) (*Report, error) {
-	return t.Run(ctx, reduceShape(KindAllReduce, vectors, alg, op), vectors)
-}
-
-// AllReduceMidRoot is the tenant counterpart of Session.AllReduceMidRoot.
-func (t *Tenant) AllReduceMidRoot(ctx context.Context, vectors [][]float32, alg Algorithm, op ReduceOp) (*Report, error) {
-	return t.Run(ctx, reduceShape(KindAllReduceMidRoot, vectors, alg, op), vectors)
-}
-
-// Broadcast is the tenant counterpart of Session.Broadcast.
-func (t *Tenant) Broadcast(ctx context.Context, data []float32, p int) (*Report, error) {
-	return t.Run(ctx, Shape{Kind: KindBroadcast, P: p, B: len(data)}, [][]float32{data})
-}
-
-// Reduce2D is the tenant counterpart of Session.Reduce2D.
-func (t *Tenant) Reduce2D(ctx context.Context, vectors [][]float32, width, height int, alg Algorithm2D, op ReduceOp) (*Report, error) {
-	return t.Run(ctx, gridShape(KindReduce2D, vectors, width, height, alg, op), vectors)
-}
-
-// AllReduce2D is the tenant counterpart of Session.AllReduce2D.
-func (t *Tenant) AllReduce2D(ctx context.Context, vectors [][]float32, width, height int, alg Algorithm2D, op ReduceOp) (*Report, error) {
-	return t.Run(ctx, gridShape(KindAllReduce2D, vectors, width, height, alg, op), vectors)
-}
-
-// Broadcast2D is the tenant counterpart of Session.Broadcast2D.
-func (t *Tenant) Broadcast2D(ctx context.Context, data []float32, width, height int) (*Report, error) {
-	return t.Run(ctx, Shape{Kind: KindBroadcast2D, Width: width, Height: height, B: len(data)}, [][]float32{data})
-}
-
-// Scatter is the tenant counterpart of Session.Scatter.
-func (t *Tenant) Scatter(ctx context.Context, data []float32, p int) (*Report, error) {
-	return t.Run(ctx, Shape{Kind: KindScatter, P: p, B: len(data)}, [][]float32{data})
-}
-
-// Gather is the tenant counterpart of Session.Gather.
-func (t *Tenant) Gather(ctx context.Context, chunks [][]float32) (*Report, error) {
-	return t.Run(ctx, chunkShape(KindGather, chunks), chunks)
-}
-
-// ReduceScatter is the tenant counterpart of Session.ReduceScatter.
-func (t *Tenant) ReduceScatter(ctx context.Context, vectors [][]float32, op ReduceOp) (*Report, error) {
-	return t.Run(ctx, reduceShape(KindReduceScatter, vectors, "", op), vectors)
-}
-
-// AllGather is the tenant counterpart of Session.AllGather.
-func (t *Tenant) AllGather(ctx context.Context, chunks [][]float32) (*Report, error) {
-	return t.Run(ctx, chunkShape(KindAllGather, chunks), chunks)
-}
-
-func dims(vectors [][]float32) (p, b int) {
-	p = len(vectors)
-	if p > 0 {
-		b = len(vectors[0])
-	}
-	return p, b
-}
-
-// reduceShape, gridShape and chunkShape derive a Shape from legacy
-// argument spellings; the verb layer re-validates whatever they produce.
-func reduceShape(kind Collective, vectors [][]float32, alg Algorithm, op ReduceOp) Shape {
-	p, b := dims(vectors)
-	return Shape{Kind: kind, Alg: alg, P: p, B: b, Op: op}
-}
-
-func gridShape(kind Collective, vectors [][]float32, width, height int, alg Algorithm2D, op ReduceOp) Shape {
-	_, b := dims(vectors)
-	return Shape{Kind: kind, Alg2D: alg, Width: width, Height: height, B: b, Op: op}
-}
-
-func chunkShape(kind Collective, chunks [][]float32) Shape {
-	b := 0
-	for _, c := range chunks {
-		b += len(c)
-	}
-	return Shape{Kind: kind, P: len(chunks), B: b}
-}
-
-// Reduce is the session counterpart of wse.Reduce: identical semantics
-// and bit-identical results, but the compiled plan is cached and
-// replayed. The Session-level collective methods serve under the default
-// tenant with no cancellation; use WithTenant for per-caller QoS and
-// context support.
-func (s *Session) Reduce(vectors [][]float32, alg Algorithm, op ReduceOp) (*Report, error) {
-	return s.def.Reduce(context.Background(), vectors, alg, op)
-}
-
-// AllReduce is the session counterpart of wse.AllReduce.
-func (s *Session) AllReduce(vectors [][]float32, alg Algorithm, op ReduceOp) (*Report, error) {
-	return s.def.AllReduce(context.Background(), vectors, alg, op)
-}
-
-// AllReduceMidRoot is the session counterpart of wse.AllReduceMidRoot.
-func (s *Session) AllReduceMidRoot(vectors [][]float32, alg Algorithm, op ReduceOp) (*Report, error) {
-	return s.def.AllReduceMidRoot(context.Background(), vectors, alg, op)
-}
-
-// Broadcast is the session counterpart of wse.Broadcast.
-func (s *Session) Broadcast(data []float32, p int) (*Report, error) {
-	return s.def.Broadcast(context.Background(), data, p)
-}
-
-// Reduce2D is the session counterpart of wse.Reduce2D.
-func (s *Session) Reduce2D(vectors [][]float32, width, height int, alg Algorithm2D, op ReduceOp) (*Report, error) {
-	return s.def.Reduce2D(context.Background(), vectors, width, height, alg, op)
-}
-
-// AllReduce2D is the session counterpart of wse.AllReduce2D.
-func (s *Session) AllReduce2D(vectors [][]float32, width, height int, alg Algorithm2D, op ReduceOp) (*Report, error) {
-	return s.def.AllReduce2D(context.Background(), vectors, width, height, alg, op)
-}
-
-// Broadcast2D is the session counterpart of wse.Broadcast2D.
-func (s *Session) Broadcast2D(data []float32, width, height int) (*Report, error) {
-	return s.def.Broadcast2D(context.Background(), data, width, height)
-}
-
-// Scatter is the session counterpart of wse.Scatter.
-func (s *Session) Scatter(data []float32, p int) (*Report, error) {
-	return s.def.Scatter(context.Background(), data, p)
-}
-
-// Gather is the session counterpart of wse.Gather.
-func (s *Session) Gather(chunks [][]float32) (*Report, error) {
-	return s.def.Gather(context.Background(), chunks)
-}
-
-// ReduceScatter is the session counterpart of wse.ReduceScatter.
-func (s *Session) ReduceScatter(vectors [][]float32, op ReduceOp) (*Report, error) {
-	return s.def.ReduceScatter(context.Background(), vectors, op)
-}
-
-// AllGather is the session counterpart of wse.AllGather.
-func (s *Session) AllGather(chunks [][]float32) (*Report, error) {
-	return s.def.AllGather(context.Background(), chunks)
 }

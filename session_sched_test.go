@@ -13,8 +13,16 @@ import (
 	"time"
 )
 
+// The two shapes the scheduling tests serve: a chain reduce that drains at
+// once, and a grid reduce (over constVectors(48*48, 64)) big enough to
+// hold a worker while the test looks at the queues.
+var (
+	smallReduce = Shape{Kind: KindReduce, Alg: Chain, P: 8, B: 4, Op: Sum}
+	bigReduce2D = Shape{Kind: KindReduce2D, Alg2D: Auto2D, Width: 48, Height: 48, B: 64, Op: Sum}
+)
+
 // TestTenantServingBitIdentical: the same collective served through two
-// tenant handles and the session's own methods produces bit-identical
+// tenant handles and the session's own Run produces bit-identical
 // reports, shares one cached plan, and is accounted per tenant.
 func TestTenantServingBitIdentical(t *testing.T) {
 	s := NewSession(SessionConfig{})
@@ -22,14 +30,15 @@ func TestTenantServingBitIdentical(t *testing.T) {
 	fg := s.WithTenant("fg", TenantConfig{Weight: 3, Priority: Interactive})
 	bg := s.WithTenant("bg", TenantConfig{Weight: 1, Priority: Background})
 
+	ctx := context.Background()
+	sh := Shape{Kind: KindReduce, Alg: Chain, P: 16, B: 8, Op: Sum}
 	vectors := constVectors(16, 8)
-	want, err := s.Reduce(vectors, Chain, Sum)
+	want, err := s.Run(ctx, sh, vectors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	for _, tn := range []*Tenant{fg, bg} {
-		got, err := tn.Reduce(ctx, vectors, Chain, Sum)
+		got, err := tn.Run(ctx, sh, vectors)
 		if err != nil {
 			t.Fatalf("%s: %v", tn.Name(), err)
 		}
@@ -51,8 +60,8 @@ func TestTenantServingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTenantShapeRun: the dynamic Shape entry point serves every kind
-// the typed methods do.
+// TestTenantShapeRun: a tenant handle serves reducing and algorithm-free
+// kinds alike through Run.
 func TestTenantShapeRun(t *testing.T) {
 	s := NewSession(SessionConfig{})
 	defer s.Close()
@@ -90,7 +99,7 @@ func TestTenantOverloadSurfaces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := blocker.Reduce2D(ctx, big, 48, 48, Auto2D, Sum); err != nil {
+			if _, err := blocker.Run(ctx, bigReduce2D, big); err != nil {
 				t.Errorf("blocker: %v", err)
 			}
 		}()
@@ -99,13 +108,13 @@ func TestTenantOverloadSurfaces(t *testing.T) {
 
 	queued := make(chan error, 1)
 	go func() {
-		_, err := bounded.Reduce(ctx, constVectors(8, 4), Chain, Sum)
+		_, err := bounded.Run(ctx, smallReduce, constVectors(8, 4))
 		queued <- err
 	}()
 	waitFor(t, func() bool { return s.SchedStats().Tenants["bounded"].Depth == 1 })
 
 	start := time.Now()
-	_, err := bounded.Reduce(ctx, constVectors(8, 4), Chain, Sum)
+	_, err := bounded.Run(ctx, smallReduce, constVectors(8, 4))
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("submit over the bound: %v, want ErrOverloaded", err)
 	}
@@ -127,16 +136,16 @@ func TestTenantOverloadSurfaces(t *testing.T) {
 func TestSessionCloseRejects(t *testing.T) {
 	s := NewSession(SessionConfig{})
 	tn := s.WithTenant("t", TenantConfig{})
-	if _, err := tn.Reduce(context.Background(), constVectors(8, 4), Chain, Sum); err != nil {
+	if _, err := tn.Run(context.Background(), smallReduce, constVectors(8, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Reduce(constVectors(8, 4), Chain, Sum); !errors.Is(err, ErrSessionClosed) {
+	if _, err := s.Run(context.Background(), smallReduce, constVectors(8, 4)); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("session method after close: %v, want ErrSessionClosed", err)
 	}
-	if _, err := tn.Reduce(context.Background(), constVectors(8, 4), Chain, Sum); !errors.Is(err, ErrSessionClosed) {
+	if _, err := tn.Run(context.Background(), smallReduce, constVectors(8, 4)); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("tenant method after close: %v, want ErrSessionClosed", err)
 	}
 }
@@ -156,7 +165,7 @@ func TestTenantCancellation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := blocker.Reduce2D(ctx, big, 48, 48, Auto2D, Sum); err != nil {
+			if _, err := blocker.Run(ctx, bigReduce2D, big); err != nil {
 				t.Errorf("blocker: %v", err)
 			}
 		}()
@@ -165,7 +174,7 @@ func TestTenantCancellation(t *testing.T) {
 
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := victim.Reduce(cctx, constVectors(8, 4), Chain, Sum); !errors.Is(err, context.Canceled) {
+	if _, err := victim.Run(cctx, smallReduce, constVectors(8, 4)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled request: %v, want context.Canceled", err)
 	}
 	wg.Wait()

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -29,40 +30,7 @@ func storeShapes() []Shape {
 
 func runStoreShape(t *testing.T, s *Session, sh Shape) *Report {
 	t.Helper()
-	ones := func(n, b int) [][]float32 {
-		out := make([][]float32, n)
-		for i := range out {
-			out[i] = make([]float32, b)
-			for j := range out[i] {
-				out[i][j] = 1
-			}
-		}
-		return out
-	}
-	var rep *Report
-	var err error
-	switch sh.Kind {
-	case KindReduce:
-		rep, err = s.Reduce(ones(sh.P, sh.B), sh.Alg, sh.Op)
-	case KindAllReduce2D:
-		rep, err = s.AllReduce2D(ones(sh.Width*sh.Height, sh.B), sh.Width, sh.Height, sh.Alg2D, sh.Op)
-	case KindAllGather:
-		chunks := ones(sh.P, 0)
-		q, r := sh.B/sh.P, sh.B%sh.P
-		for i := range chunks {
-			n := q
-			if i < r {
-				n++
-			}
-			chunks[i] = make([]float32, n)
-			for j := range chunks[i] {
-				chunks[i][j] = 1
-			}
-		}
-		rep, err = s.AllGather(chunks)
-	default:
-		t.Fatalf("unhandled shape kind %q", sh.Kind)
-	}
+	rep, err := s.Run(context.Background(), sh, sh.Inputs(func(n int) []float32 { return slices.Repeat([]float32{1}, n) }))
 	if err != nil {
 		t.Fatal(err)
 	}

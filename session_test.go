@@ -1,6 +1,7 @@
 package wse
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -29,8 +30,8 @@ func sameFloats(t *testing.T, what string, got, want []float32) {
 	}
 }
 
-// TestSessionMatchesOneShot replays every Session collective and compares
-// bit-for-bit with the one-shot API.
+// TestSessionMatchesOneShot replays every collective kind through a
+// Session and compares bit-for-bit with the one-shot package Run.
 func TestSessionMatchesOneShot(t *testing.T) {
 	s := NewSession(SessionConfig{})
 	vecs := sessVectors(16, 12)
@@ -45,43 +46,32 @@ func TestSessionMatchesOneShot(t *testing.T) {
 	grid := sessVectors(4*3, 6)
 	rsVecs := sessVectors(10, 16) // the ring needs B >= P for non-empty chunks
 
-	type run struct {
-		name    string
-		session func() (*Report, error)
-		oneShot func() (*Report, error)
+	runs := []struct {
+		name   string
+		shape  Shape
+		inputs [][]float32
+	}{
+		{"reduce", Shape{Kind: KindReduce, Alg: Auto, P: 16, B: 12, Op: Sum}, vecs},
+		{"allreduce", Shape{Kind: KindAllReduce, Alg: TwoPhase, P: 16, B: 12, Op: Sum}, vecs},
+		{"allreduce-midroot", Shape{Kind: KindAllReduceMidRoot, Alg: Auto, P: 16, B: 12, Op: Sum}, vecs},
+		{"broadcast", Shape{Kind: KindBroadcast, P: 16, B: 12}, vecs[2:3]},
+		{"reduce2d", Shape{Kind: KindReduce2D, Alg2D: Auto2D, Width: 4, Height: 3, B: 6, Op: Sum}, grid},
+		{"allreduce2d", Shape{Kind: KindAllReduce2D, Alg2D: Snake, Width: 4, Height: 3, B: 6, Op: Sum}, grid},
+		{"broadcast2d", Shape{Kind: KindBroadcast2D, Width: 4, Height: 3, B: 6}, grid[:1]},
+		{"scatter", Shape{Kind: KindScatter, P: 6, B: 12}, vecs[:1]},
+		{"gather", Shape{Kind: KindGather, P: 8, B: 20}, chunks},
+		{"reducescatter", Shape{Kind: KindReduceScatter, P: 10, B: 16, Op: Sum}, rsVecs},
+		{"allgather", Shape{Kind: KindAllGather, P: 8, B: 20}, chunks},
 	}
-	runs := []run{
-		{"reduce", func() (*Report, error) { return s.Reduce(vecs, Auto, Sum) },
-			func() (*Report, error) { return Reduce(vecs, Auto, Sum, Options{}) }},
-		{"allreduce", func() (*Report, error) { return s.AllReduce(vecs, TwoPhase, Sum) },
-			func() (*Report, error) { return AllReduce(vecs, TwoPhase, Sum, Options{}) }},
-		{"allreduce-midroot", func() (*Report, error) { return s.AllReduceMidRoot(vecs, Auto, Sum) },
-			func() (*Report, error) { return AllReduceMidRoot(vecs, Auto, Sum, Options{}) }},
-		{"broadcast", func() (*Report, error) { return s.Broadcast(vecs[2], 16) },
-			func() (*Report, error) { return Broadcast(vecs[2], 16, Options{}) }},
-		{"reduce2d", func() (*Report, error) { return s.Reduce2D(grid, 4, 3, Auto2D, Sum) },
-			func() (*Report, error) { return Reduce2D(grid, 4, 3, Auto2D, Sum, Options{}) }},
-		{"allreduce2d", func() (*Report, error) { return s.AllReduce2D(grid, 4, 3, Snake, Sum) },
-			func() (*Report, error) { return AllReduce2D(grid, 4, 3, Snake, Sum, Options{}) }},
-		{"broadcast2d", func() (*Report, error) { return s.Broadcast2D(grid[0], 4, 3) },
-			func() (*Report, error) { return Broadcast2D(grid[0], 4, 3, Options{}) }},
-		{"scatter", func() (*Report, error) { return s.Scatter(vecs[0], 6) },
-			func() (*Report, error) { return Scatter(vecs[0], 6, Options{}) }},
-		{"gather", func() (*Report, error) { return s.Gather(chunks) },
-			func() (*Report, error) { return Gather(chunks, Options{}) }},
-		{"reducescatter", func() (*Report, error) { return s.ReduceScatter(rsVecs, Sum) },
-			func() (*Report, error) { return ReduceScatter(rsVecs, Sum, Options{}) }},
-		{"allgather", func() (*Report, error) { return s.AllGather(chunks) },
-			func() (*Report, error) { return AllGather(chunks, Options{}) }},
-	}
+	ctx := context.Background()
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
-			want, err := r.oneShot()
+			want, err := Run(ctx, r.shape, r.inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for rep := 0; rep < 2; rep++ { // second call replays the cached plan
-				got, err := r.session()
+				got, err := s.Run(ctx, r.shape, r.inputs)
 				if err != nil {
 					t.Fatalf("replay %d: %v", rep, err)
 				}
@@ -123,7 +113,7 @@ func TestSessionConcurrent(t *testing.T) {
 				vecs[i] = v
 			}
 			for r := 0; r < 4; r++ {
-				rep, err := s.AllReduce(vecs, Tree, Sum)
+				rep, err := s.Run(context.Background(), Shape{Kind: KindAllReduce, Alg: Tree, P: p, B: 16, Op: Sum}, vecs)
 				if err != nil {
 					t.Error(err)
 					return
@@ -146,9 +136,10 @@ func TestSessionConcurrent(t *testing.T) {
 // negative TR means a literal zero-latency ramp, which must flow through
 // core.Params exactly like every other predictor.
 func TestPredictBroadcastUsesParams(t *testing.T) {
-	def := PredictBroadcast(64, 256, Options{})
-	zero := PredictBroadcast(64, 256, Options{TR: -1})
-	if def != PredictBroadcast(64, 256, Options{TR: 2}) {
+	sh := Shape{Kind: KindBroadcast, P: 64, B: 256}
+	def := Predict(sh)
+	zero := Predict(sh, WithOptions(Options{TR: -1}))
+	if def != Predict(sh, WithOptions(Options{TR: 2})) {
 		t.Fatal("TR=0 should select the WSE-2 default of 2")
 	}
 	if zero >= def {

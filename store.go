@@ -56,11 +56,12 @@ const (
 	KindAllReduceMidRoot = plan.AllReduceMidRoot
 )
 
-// Shape names a collective for pre-deployment warm-up: the kind, the
-// algorithm (Alg for 1D kinds, Alg2D for 2D kinds; leave zero for the
-// algorithm-free kinds), the PE geometry (P for 1D, Width×Height for 2D),
-// the vector length B in wavelets, and the reduction operator. The
-// session's own Options complete the plan identity.
+// Shape names a collective — what Run executes, Predict estimates, Bound
+// bounds and Warm pre-compiles: the kind, the algorithm (Alg for 1D kinds,
+// Alg2D for 2D kinds; leave zero for the algorithm-free kinds), the PE
+// geometry (P for 1D, Width×Height for 2D), the vector length B in
+// wavelets, and the reduction operator. The call's (or the session's)
+// Options complete the plan identity.
 type Shape struct {
 	Kind          Collective
 	Alg           Algorithm

@@ -25,12 +25,10 @@
 //	// rep.Root == []float32{16, 20}; rep.Cycles is the simulated runtime,
 //	// wse.Predict(sh) the model's estimate, wse.Bound(sh) the floor.
 //
-// The named functions (AllReduce, Reduce2D, PredictGather, ...) are thin
-// wrappers over the same verbs, bit-identical to them. Algorithms: Star,
-// Chain (the vendor baseline), Tree, TwoPhase and AutoGen from the
-// paper's §5, or Auto to let the performance model pick — the
-// model-driven deployment the paper advocates. 2D grids use the X-Y and
-// Snake mappings of §7.
+// Algorithms: Star, Chain (the vendor baseline), Tree, TwoPhase and
+// AutoGen from the paper's §5, or Auto to let the performance model pick
+// — the model-driven deployment the paper advocates; sh.Resolve() says
+// what it picked. 2D grids use the X-Y and Snake mappings of §7.
 //
 // For repeated collectives, use a Session: it compiles each distinct
 // collective shape once into a cached plan and replays the plan on every
@@ -54,8 +52,6 @@
 package wse
 
 import (
-	"context"
-
 	"repro/internal/autogen"
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -126,97 +122,9 @@ type Coord = mesh.Coord
 // one from AutoGenTree to inspect what the generator builds.
 type ReductionTree = comm.Tree
 
-// The named functions below are the legacy spelling of the Shape-first
-// verbs in api.go: each is a one-line wrapper deriving a Shape from its
-// arguments and delegating to Run, Predict or Bound. They remain
-// bit-identical to the verbs (property-tested) and inherit their typed
-// ErrBadShape validation.
-
-// Reduce sums (or max/min-combines) one vector per PE along a row of
-// len(vectors) PEs into the leftmost PE, running the chosen algorithm on
-// the fabric simulator. The result vector is Report.Root.
-func Reduce(vectors [][]float32, alg Algorithm, op ReduceOp, opt Options) (*Report, error) {
-	return Run(context.Background(), reduceShape(KindReduce, vectors, alg, op), vectors, WithOptions(opt))
-}
-
-// AllReduce leaves the combined vector on every PE of the row
-// (Reduce-then-Broadcast, §6.1).
-func AllReduce(vectors [][]float32, alg Algorithm, op ReduceOp, opt Options) (*Report, error) {
-	return Run(context.Background(), reduceShape(KindAllReduce, vectors, alg, op), vectors, WithOptions(opt))
-}
-
-// Broadcast floods data from the leftmost PE across a row of p PEs
-// (§4.2); multicast makes it cost the same as one message.
-func Broadcast(data []float32, p int, opt Options) (*Report, error) {
-	return Run(context.Background(), Shape{Kind: KindBroadcast, P: p, B: len(data)}, [][]float32{data}, WithOptions(opt))
-}
-
-// Reduce2D reduces one vector per PE (row-major order) on a width×height
-// grid into PE (0,0).
-func Reduce2D(vectors [][]float32, width, height int, alg Algorithm2D, op ReduceOp, opt Options) (*Report, error) {
-	return Run(context.Background(), gridShape(KindReduce2D, vectors, width, height, alg, op), vectors, WithOptions(opt))
-}
-
-// AllReduce2D leaves the combined vector on every PE of the grid
-// (2D Reduce plus the 2D flooding broadcast, §7.4).
-func AllReduce2D(vectors [][]float32, width, height int, alg Algorithm2D, op ReduceOp, opt Options) (*Report, error) {
-	return Run(context.Background(), gridShape(KindAllReduce2D, vectors, width, height, alg, op), vectors, WithOptions(opt))
-}
-
-// Broadcast2D floods data from (0,0) across a width×height grid (§7.1).
-func Broadcast2D(data []float32, width, height int, opt Options) (*Report, error) {
-	return Run(context.Background(), Shape{Kind: KindBroadcast2D, Width: width, Height: height, B: len(data)}, [][]float32{data}, WithOptions(opt))
-}
-
-// trOf resolves the effective ramp latency of an Options value.
-func trOf(opt Options) int { return core.Params(opt).TR }
-
-// PredictReduce returns the performance model's cycle estimate for a 1D
-// Reduce (Eq. 1 instantiated per §5's lemmas).
-func PredictReduce(alg Algorithm, p, b int, opt Options) float64 {
-	return Predict(Shape{Kind: KindReduce, Alg: alg, P: p, B: b}, WithOptions(opt))
-}
-
-// PredictAllReduce returns the model estimate for Reduce-then-Broadcast.
-func PredictAllReduce(alg Algorithm, p, b int, opt Options) float64 {
-	return Predict(Shape{Kind: KindAllReduce, Alg: alg, P: p, B: b}, WithOptions(opt))
-}
-
-// PredictBroadcast returns Lemma 4.1's estimate B + P + 2·T_R.
-func PredictBroadcast(p, b int, opt Options) float64 {
-	return Predict(Shape{Kind: KindBroadcast, P: p, B: b}, WithOptions(opt))
-}
-
-// PredictReduce2D and PredictAllReduce2D estimate the 2D mappings of §7.
-func PredictReduce2D(alg Algorithm2D, width, height, b int, opt Options) float64 {
-	return Predict(Shape{Kind: KindReduce2D, Alg2D: alg, Width: width, Height: height, B: b}, WithOptions(opt))
-}
-
-// PredictAllReduce2D estimates 2D Reduce plus 2D broadcast.
-func PredictAllReduce2D(alg Algorithm2D, width, height, b int, opt Options) float64 {
-	return Predict(Shape{Kind: KindAllReduce2D, Alg2D: alg, Width: width, Height: height, B: b}, WithOptions(opt))
-}
-
-// LowerBoundReduce is the paper's 1D Reduce runtime lower bound T*(P,B)
-// (§5.6); Figure 1 reports every algorithm's ratio to it.
-func LowerBoundReduce(p, b int, opt Options) float64 {
-	return Bound(Shape{Kind: KindReduce, P: p, B: b}, WithOptions(opt))
-}
-
-// BestAlgorithm returns the 1D algorithm the model predicts fastest for a
-// Reduce of p PEs and b wavelets, with its predicted cycle count.
-func BestAlgorithm(p, b int, opt Options) (Algorithm, float64) {
-	return core.BestReduce1D(p, b, trOf(opt))
-}
-
-// BestAlgorithm2D is the 2D counterpart of BestAlgorithm.
-func BestAlgorithm2D(width, height, b int, opt Options) (Algorithm2D, float64) {
-	return core.BestReduce2D(width, height, b, trOf(opt))
-}
-
 // AutoGenTree returns the reduction tree the Auto-Gen generator builds
 // for p PEs and b wavelets (§5.5): the tree minimising the model estimate
 // over all pre-order trees, reconstructed from the dynamic program.
 func AutoGenTree(p, b int, opt Options) ReductionTree {
-	return autogen.For(p).Tree(p, b, trOf(opt))
+	return autogen.For(p).Tree(p, b, core.Params(opt).TR)
 }

@@ -1,6 +1,7 @@
 package wse
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -40,7 +41,7 @@ func TestReduceAllAlgorithms(t *testing.T) {
 		for _, p := range []int{1, 2, 9, 32} {
 			for _, b := range []int{1, 5, 128} {
 				vecs, want := vectorsFor(p, b, int64(p*b))
-				rep, err := Reduce(vecs, alg, Sum, Options{})
+				rep, err := Run(context.Background(), Shape{Kind: KindReduce, Alg: alg, P: p, B: b, Op: Sum}, vecs)
 				if err != nil {
 					t.Fatalf("%s p=%d b=%d: %v", alg, p, b, err)
 				}
@@ -55,7 +56,7 @@ func TestReduceAllAlgorithms(t *testing.T) {
 
 func TestAllReduceLeavesResultEverywhere(t *testing.T) {
 	vecs, want := vectorsFor(17, 33, 5)
-	rep, err := AllReduce(vecs, Auto, Sum, Options{})
+	rep, err := Run(context.Background(), Shape{Kind: KindAllReduce, Alg: Auto, P: 17, B: 33, Op: Sum}, vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +70,14 @@ func TestAllReduceLeavesResultEverywhere(t *testing.T) {
 
 func TestMaxAndMinOps(t *testing.T) {
 	vecs := [][]float32{{3, -8, 2}, {1, 5, 2}, {-4, 0, 9}}
-	repMax, err := Reduce(vecs, Tree, Max, Options{})
+	sh := Shape{Kind: KindReduce, Alg: Tree, P: 3, B: 3, Op: Max}
+	repMax, err := Run(context.Background(), sh, vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireClose(t, repMax.Root, []float32{3, 5, 9}, "max")
-	repMin, err := Reduce(vecs, Tree, Min, Options{})
+	sh.Op = Min
+	repMin, err := Run(context.Background(), sh, vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +88,7 @@ func TestReduce2DAllAlgorithms(t *testing.T) {
 	for _, alg := range []Algorithm2D{XYStar, XYChain, XYTree, XYTwoPhase, XYAutoGen, Snake, Auto2D} {
 		w, h, b := 5, 4, 16
 		vecs, want := vectorsFor(w*h, b, 99)
-		rep, err := Reduce2D(vecs, w, h, alg, Sum, Options{})
+		rep, err := Run(context.Background(), Shape{Kind: KindReduce2D, Alg2D: alg, Width: w, Height: h, B: b, Op: Sum}, vecs)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -96,7 +99,7 @@ func TestReduce2DAllAlgorithms(t *testing.T) {
 func TestAllReduce2D(t *testing.T) {
 	w, h, b := 8, 8, 32
 	vecs, want := vectorsFor(w*h, b, 123)
-	rep, err := AllReduce2D(vecs, w, h, Auto2D, Sum, Options{})
+	rep, err := Run(context.Background(), Shape{Kind: KindAllReduce2D, Alg2D: Auto2D, Width: w, Height: h, B: b, Op: Sum}, vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +110,14 @@ func TestAllReduce2D(t *testing.T) {
 
 func TestBroadcasts(t *testing.T) {
 	data := []float32{1, 2, 3, 4, 5}
-	rep, err := Broadcast(data, 12, Options{})
+	rep, err := Run(context.Background(), Shape{Kind: KindBroadcast, P: 12, B: len(data)}, [][]float32{data})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c, v := range rep.All {
 		requireClose(t, v, data, c.String())
 	}
-	rep2, err := Broadcast2D(data, 6, 3, Options{})
+	rep2, err := Run(context.Background(), Shape{Kind: KindBroadcast2D, Width: 6, Height: 3, B: len(data)}, [][]float32{data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,7 @@ func TestReducePropertySum(t *testing.T) {
 		b := int(bRaw%48) + 1
 		vecs, want := vectorsFor(p, b, seed)
 		for _, alg := range []Algorithm{Star, Chain, Tree, TwoPhase, AutoGen} {
-			rep, err := Reduce(vecs, alg, Sum, Options{})
+			rep, err := Run(context.Background(), Shape{Kind: KindReduce, Alg: alg, P: p, B: b, Op: Sum}, vecs)
 			if err != nil {
 				t.Logf("%s p=%d b=%d: %v", alg, p, b, err)
 				return false
@@ -159,10 +162,11 @@ func TestPredictionConsistency(t *testing.T) {
 	f := func(pRaw, bRaw uint16) bool {
 		p := int(pRaw%511) + 2
 		b := int(bRaw%4096) + 1
-		_, bestT := BestAlgorithm(p, b, Options{})
-		lb := LowerBoundReduce(p, b, Options{})
+		sh := Shape{Kind: KindReduce, Alg: Auto, P: p, B: b}
+		bestT, lb := Predict(sh.Resolve()), Bound(sh)
 		for _, alg := range []Algorithm{Star, Chain, Tree, TwoPhase, AutoGen} {
-			pred := PredictReduce(alg, p, b, Options{})
+			sh.Alg = alg
+			pred := Predict(sh)
 			if bestT > pred+1e-6 {
 				t.Logf("best %v worse than %s %v (p=%d b=%d)", bestT, alg, pred, p, b)
 				return false
