@@ -113,10 +113,9 @@ func Chunks(p, b int) (off, sz []int) { return core.Chunks(p, b) }
 
 // Resolve returns sh with an Auto or Auto2D algorithm replaced by what
 // the kind's row of the table picks under the call's options — the same
-// function the compiler calls, so sh.Resolve() names the algorithm a Run
-// of sh executes and Predict(sh.Resolve()) is that Run's Report.Predicted.
-// A Shape naming a concrete algorithm, or a kind without algorithms,
-// comes back unchanged.
+// function the compiler and Predict call, so sh.Resolve() names the
+// algorithm a Run of sh executes. A Shape naming a concrete algorithm, or a
+// kind without algorithms, comes back unchanged.
 func (sh Shape) Resolve(opts ...Option) Shape {
 	r := sh.request(resolveOpts(opts).opt).Resolve()
 	sh.Alg, sh.Alg2D = r.Alg, r.Alg2D
@@ -216,11 +215,14 @@ func RunBatch(ctx context.Context, sh Shape, batches [][][]float32, opts ...Opti
 	return p.ExecuteBatch(ctx, batches, c.execOpts())
 }
 
-// Predict returns the performance model's cycle estimate for sh (Eq. 1
-// instantiated per kind: §5's lemmas in 1D, §7's compositions in 2D, the
-// extension estimates for the chunked kinds). Like the model itself it
-// is total: shapes naming unknown kinds or algorithms estimate to NaN or
-// 0 rather than erroring — Validate is the place to vet a Shape.
+// Predict returns the performance model's cycle estimate for a Run of sh
+// under the call's options (Eq. 1 instantiated per kind: §5's forms and the
+// trees' critical paths in 1D, §7's compositions in 2D, the extension
+// estimates for the chunked kinds). An Auto algorithm is resolved first,
+// exactly as the compiler resolves it, so Predict(sh) is that Run's
+// Report.Predicted bit for bit. Like the model itself it is total: shapes
+// naming unknown kinds or algorithms estimate to NaN or 0 rather than
+// erroring — Validate is the place to vet a Shape.
 func Predict(sh Shape, opts ...Option) float64 {
 	return sh.request(resolveOpts(opts).opt).Predict()
 }

@@ -96,8 +96,8 @@ func sameReport(t *testing.T, label string, got, want *Report) {
 	if got.Cycles != want.Cycles {
 		t.Fatalf("%s: cycles %d, want %d", label, got.Cycles, want.Cycles)
 	}
-	if got.Predicted != want.Predicted {
-		t.Fatalf("%s: predicted %g, want %g", label, got.Predicted, want.Predicted)
+	if got.Predicted != want.Predicted || math.IsInf(got.Predicted, 0) {
+		t.Fatalf("%s: predicted %g, want %g (and finite)", label, got.Predicted, want.Predicted)
 	}
 	if got.Stats != want.Stats {
 		t.Fatalf("%s: stats %+v, want %+v", label, got.Stats, want.Stats)

@@ -410,7 +410,7 @@ func BenchmarkAutoGenTreeGeneration(b *testing.B) {
 // choice (what wse.Auto pays per call).
 func BenchmarkModelSelection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		core.BestReduce1D(512, 256, fabric.DefaultTR)
+		core.BestReduce1D(512, 256, core.Params(fabric.Options{}))
 	}
 }
 

@@ -4,13 +4,15 @@
 //
 // Usage:
 //
-//	wsefigures [-fig all|fig1|fig8|fig10|fig11a|...|headline] [-full] [-csv dir]
+//	wsefigures [-fig all|fig1|fig8|fig10|fig11a|...|headline|conformance] [-full] [-csv dir]
 //
 // The default -quick profile runs the 1D sweeps at the paper's full 512-PE
 // scale with a thinned vector-length grid and the 2D sweeps at 16×16; -full
 // uses the complete 4 B..16 KB grid and 64×64 measured 2D runs (slower).
 // Model-only figures (1, 8, 10, the 512×512 projections) always run at
-// paper scale.
+// paper scale. -fig conformance is not a figure of the paper: it runs the
+// conformance lattice and prints, per collective kind, the model's error,
+// the measured optimality ratio of Auto and Auto against the best algorithm.
 package main
 
 import (
@@ -24,7 +26,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (all, fig1, fig8, fig10, fig11a..fig13c, headline)")
+	fig := flag.String("fig", "all", "figure to regenerate (all, fig1, fig8, fig10, fig11a..fig13c, ring, headline, conformance)")
 	full := flag.Bool("full", false, "use the paper-scale sweep grid (slower)")
 	csvDir := flag.String("csv", "", "also write per-figure CSV files into this directory")
 	flag.Parse()
@@ -57,6 +59,15 @@ func run(cfg experiments.Config, fig, csvDir string) error {
 				}
 			}
 		}
+		return nil
+	}
+
+	if fig == "conformance" {
+		rows, err := experiments.Conformance()
+		if err != nil {
+			return err
+		}
+		fmt.Print(experiments.RenderConformance(rows))
 		return nil
 	}
 

@@ -15,6 +15,12 @@
 // holds was reduced with contention ≤ C−1 because one more message is
 // still to arrive.
 //
+// B is the length of one transfer in wavelets, which is all the objective
+// knows of it. A caller pricing transfers that carry more than the vector —
+// this repository's fabric programs trail each with a control wavelet —
+// passes that length (core.TreeFor does), and the search then builds the
+// tree that is best for the transfers the fabric moves.
+//
 // Building the table. For fixed (D, C) the recursion over P is a min-plus
 // convolution: with a[i] = e(i,D,C−1)+i and b[j] = e(j,D−1,C),
 //
@@ -179,7 +185,8 @@ func (t *Table) Energy(p, d, c int) int64 {
 	return t.e[d][c][p]
 }
 
-// Plan is the outcome of the optimisation for one (P, B) point.
+// Plan is the outcome of the optimisation for one (P, B) point, B being the
+// transfer length the search was run for.
 type Plan struct {
 	P, B    int
 	Cycles  float64 // predicted runtime T_AutoGen(P,B)
@@ -188,8 +195,8 @@ type Plan struct {
 	IsChain bool    // the explicit chain candidate won
 }
 
-// Optimize evaluates T_AutoGen(p, b) for ramp latency tr and returns the
-// winning plan.
+// Optimize evaluates T_AutoGen(p, b) for transfers of b wavelets and ramp
+// latency tr and returns the winning plan.
 func (t *Table) Optimize(p, b, tr int) Plan {
 	ramp := float64(2*tr + 1)
 	if p <= 1 {

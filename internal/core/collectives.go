@@ -16,6 +16,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/fabric"
 	"repro/internal/mesh"
+	"repro/internal/model"
 )
 
 // ScatterColor is the dedicated color of the scatter/gather streams.
@@ -160,10 +161,10 @@ func RunAllGather(chunks [][]float32, opt fabric.Options) (*Report, error) {
 }
 
 // BuildAllReduceMidRootInto compiles the middle-root AllReduce for a
-// concrete pattern (resolve Auto with BestReduce1D(p/2+1, b, tr) first).
-func BuildAllReduceMidRootInto(spec *fabric.Spec, pattern Pattern, p, b, tr int, op fabric.ReduceOp) error {
+// concrete pattern (resolve Auto with BestAllReduceMidRoot first).
+func BuildAllReduceMidRootInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Params, op fabric.ReduceOp) error {
 	path := mesh.Row(0, 0, p)
-	treeFor := func(n int) (comm.Tree, error) { return TreeFor(pattern, n, b, tr) }
+	treeFor := func(n int) (comm.Tree, error) { return TreeFor(pattern, n, b, pr) }
 	return comm.BuildAllReduceMidRoot(spec, path, b, treeFor, op)
 }
 
@@ -176,16 +177,16 @@ func RunAllReduceMidRoot(pattern Pattern, vectors [][]float32, op fabric.ReduceO
 		return nil, err
 	}
 	p := len(vectors)
-	tr := Params(opt).TR
+	pr := Params(opt)
 	if pattern == Auto {
-		pattern, _ = BestReduce1D(p/2+1, b, tr)
+		pattern, _ = BestAllReduceMidRoot(p, b, pr)
 	}
 	spec := fabric.NewSpec(p, 1)
-	if err := BuildAllReduceMidRootInto(spec, pattern, p, b, tr, op); err != nil {
+	if err := BuildAllReduceMidRootInto(spec, pattern, p, b, pr, op); err != nil {
 		return nil, err
 	}
 	for i, c := range mesh.Row(0, 0, p) {
 		spec.PE(c).Init = vectors[i]
 	}
-	return ExecSpec(spec, opt, Params(opt).MidRootAllReduce(string(pattern), p, b))
+	return ExecSpec(spec, opt, PredictAllReduceMidRoot(pattern, p, b, pr))
 }

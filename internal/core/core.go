@@ -41,7 +41,11 @@ const (
 // Patterns1D lists the concrete (runnable) 1D patterns.
 var Patterns1D = []Pattern{Star, Chain, Tree, TwoPhase, AutoGen}
 
-// Params bundles the model parameterisation used for predictions.
+// Params is the model parameterisation of a run under opt: the fabric's
+// ramp latency, and the one control wavelet comm.BuildTreeReduce appends to
+// every transfer. Every prediction of a run, every Auto choice and every
+// generated tree is made under these; model.Default() is the paper's
+// control-free parameterisation, which only the figure harness uses.
 func Params(opt fabric.Options) model.Params {
 	tr := opt.TR
 	switch {
@@ -50,13 +54,13 @@ func Params(opt fabric.Options) model.Params {
 	case tr < 0:
 		tr = 0
 	}
-	return model.Params{TR: tr}
+	return model.Params{TR: tr, Ctl: 1}
 }
 
 // TreeFor returns the reduction tree of a concrete pattern for p PEs and
 // vector length b (b matters only for AutoGen, whose tree is optimised
 // per input size, and Auto).
-func TreeFor(pattern Pattern, p, b, tr int) (comm.Tree, error) {
+func TreeFor(pattern Pattern, p, b int, pr model.Params) (comm.Tree, error) {
 	if p < 1 {
 		return comm.Tree{}, fmt.Errorf("core: %d PEs", p)
 	}
@@ -67,24 +71,30 @@ func TreeFor(pattern Pattern, p, b, tr int) (comm.Tree, error) {
 	case Star, Chain, Tree, TwoPhase:
 		return comm.TreeOf(string(pattern), p)
 	case AutoGen:
-		return autogen.For(p).Tree(p, b, tr), nil
+		// The DP prices transfers, and a transfer is b+Ctl wavelets long.
+		return autogen.For(p).Tree(p, b+pr.Ctl, pr.TR), nil
 	case Auto:
-		best, _ := BestReduce1D(p, b, tr)
-		return TreeFor(best, p, b, tr)
+		best, _ := BestReduce1D(p, b, pr)
+		return TreeFor(best, p, b, pr)
 	}
 	return comm.Tree{}, fmt.Errorf("core: unknown pattern %q", pattern)
 }
 
-// PredictReduce1D returns the model's runtime estimate in cycles.
-func PredictReduce1D(pattern Pattern, p, b, tr int) float64 {
-	pr := model.Params{TR: tr}
+// PredictReduce1D returns the model's runtime estimate in cycles of the
+// program BuildReduce1DInto compiles: the closed forms of Star and Chain,
+// and for the other trees — the binomial and Two-Phase ones, and whatever
+// the Auto-Gen search returned — the critical path of the tree itself.
+func PredictReduce1D(pattern Pattern, p, b int, pr model.Params) float64 {
 	switch pattern {
-	case Star, Chain, Tree, TwoPhase:
-		return pr.Reduce1D(string(pattern), p, b)
-	case AutoGen:
-		return autogen.For(p).Time(p, b, tr)
+	case Star:
+		return pr.StarReduce(p, b)
+	case Chain:
+		return pr.ChainReduce(p, b)
+	case Tree, TwoPhase, AutoGen:
+		tree, _ := TreeFor(pattern, p, b, pr) // fails for p < 1 only: no tree, no cycles
+		return pr.CriticalPath(tree.Parent, b)
 	case Auto:
-		_, t := BestReduce1D(p, b, tr)
+		_, t := BestReduce1D(p, b, pr)
 		return t
 	}
 	return 0
@@ -93,23 +103,58 @@ func PredictReduce1D(pattern Pattern, p, b, tr int) float64 {
 // PredictAllReduce1D is the Reduce-then-Broadcast estimate, or Lemma
 // 6.1's ring estimate for the ring patterns (the model assigns both
 // mappings the same cost).
-func PredictAllReduce1D(pattern Pattern, p, b, tr int) float64 {
+func PredictAllReduce1D(pattern Pattern, p, b int, pr model.Params) float64 {
 	if pattern == Ring || pattern == RingDP {
-		return model.Params{TR: tr}.RingAllReduce(p, b)
+		return pr.RingAllReduce(p, b)
 	}
-	return PredictReduce1D(pattern, p, b, tr) + model.Params{TR: tr}.Broadcast1D(p, b)
+	return PredictReduce1D(pattern, p, b, pr) + pr.Broadcast1D(p, b)
 }
 
 // BestReduce1D picks the concrete pattern with the lowest predicted
 // Reduce runtime, the choice the paper's code generator deploys.
-func BestReduce1D(p, b, tr int) (Pattern, float64) {
-	best, bestT := AutoGen, PredictReduce1D(AutoGen, p, b, tr)
+func BestReduce1D(p, b int, pr model.Params) (Pattern, float64) {
+	return best1D(func(pat Pattern) float64 { return PredictReduce1D(pat, p, b, pr) })
+}
+
+// best1D returns the concrete tree pattern predict prices lowest; Auto-Gen
+// wins ties, as the paper's generator deploys it unless a fixed pattern is
+// strictly better.
+func best1D(predict func(Pattern) float64) (Pattern, float64) {
+	best, bestT := AutoGen, predict(AutoGen)
 	for _, pat := range []Pattern{Star, Chain, Tree, TwoPhase} {
-		if t := PredictReduce1D(pat, p, b, tr); t < bestT {
+		if t := predict(pat); t < bestT {
 			best, bestT = pat, t
 		}
 	}
 	return best, bestT
+}
+
+// PredictAllReduceMidRoot is the middle-root lemma (model.MidRootAllReduce)
+// over the trees the builder runs on the halves: the larger half's Reduce
+// estimate and the root degree of its tree, for any tree pattern. Auto is
+// priced as the pattern that minimises this lemma.
+func PredictAllReduceMidRoot(pattern Pattern, p, b int, pr model.Params) float64 {
+	if pattern == Auto {
+		_, t := BestAllReduceMidRoot(p, b, pr)
+		return t
+	}
+	h := p/2 + 1
+	tree, _ := TreeFor(pattern, h, b, pr)
+	cRoot := 0
+	for _, parent := range tree.Parent {
+		if parent == 0 {
+			cRoot++
+		}
+	}
+	return pr.MidRootAllReduce(PredictReduce1D(pattern, h, b, pr), cRoot, p, b)
+}
+
+// BestAllReduceMidRoot picks the tree pattern with the lowest predicted
+// middle-root AllReduce runtime. It is not BestReduce1D of a half: the
+// root serialises the second half's transfers, so a wide tree that wins a
+// lone Reduce can lose here.
+func BestAllReduceMidRoot(p, b int, pr model.Params) (Pattern, float64) {
+	return best1D(func(pat Pattern) float64 { return PredictAllReduceMidRoot(pat, p, b, pr) })
 }
 
 // LowerBound1D is the paper's Reduce runtime lower bound T*(p,b).
@@ -155,8 +200,8 @@ func vecLen(vectors [][]float32) (int, error) {
 
 // BuildReduce1DInto compiles a 1D Reduce for p PEs into spec (a p×1
 // region) without initial data; callers set Init per PE afterwards.
-func BuildReduce1DInto(spec *fabric.Spec, pattern Pattern, p, b, tr int, op fabric.ReduceOp) error {
-	tree, err := TreeFor(pattern, p, b, tr)
+func BuildReduce1DInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Params, op fabric.ReduceOp) error {
+	tree, err := TreeFor(pattern, p, b, pr)
 	if err != nil {
 		return err
 	}
@@ -165,14 +210,14 @@ func BuildReduce1DInto(spec *fabric.Spec, pattern Pattern, p, b, tr int, op fabr
 
 // BuildAllReduce1DInto compiles a 1D Reduce-then-Broadcast into spec, or
 // the ring algorithm for the ring patterns.
-func BuildAllReduce1DInto(spec *fabric.Spec, pattern Pattern, p, b, tr int, op fabric.ReduceOp) error {
+func BuildAllReduce1DInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Params, op fabric.ReduceOp) error {
 	switch pattern {
 	case Ring:
 		return comm.BuildRingAllReduce(spec, mesh.Row(0, 0, p), b, comm.RingSimple, op)
 	case RingDP:
 		return comm.BuildRingAllReduce(spec, mesh.Row(0, 0, p), b, comm.RingDistancePreserving, op)
 	}
-	tree, err := TreeFor(pattern, p, b, tr)
+	tree, err := TreeFor(pattern, p, b, pr)
 	if err != nil {
 		return err
 	}
@@ -187,15 +232,15 @@ func RunReduce1D(pattern Pattern, vectors [][]float32, op fabric.ReduceOp, opt f
 		return nil, err
 	}
 	p := len(vectors)
-	tr := Params(opt).TR
+	pr := Params(opt)
 	spec := fabric.NewSpec(p, 1)
-	if err := BuildReduce1DInto(spec, pattern, p, b, tr, op); err != nil {
+	if err := BuildReduce1DInto(spec, pattern, p, b, pr, op); err != nil {
 		return nil, err
 	}
 	for i, c := range mesh.Row(0, 0, p) {
 		spec.PE(c).Init = vectors[i]
 	}
-	return ExecSpec(spec, opt, PredictReduce1D(pattern, p, b, tr))
+	return ExecSpec(spec, opt, PredictReduce1D(pattern, p, b, pr))
 }
 
 // RunAllReduce1D runs Reduce-then-Broadcast AllReduce along a row.
@@ -205,15 +250,15 @@ func RunAllReduce1D(pattern Pattern, vectors [][]float32, op fabric.ReduceOp, op
 		return nil, err
 	}
 	p := len(vectors)
-	tr := Params(opt).TR
+	pr := Params(opt)
 	spec := fabric.NewSpec(p, 1)
-	if err := BuildAllReduce1DInto(spec, pattern, p, b, tr, op); err != nil {
+	if err := BuildAllReduce1DInto(spec, pattern, p, b, pr, op); err != nil {
 		return nil, err
 	}
 	for i, c := range mesh.Row(0, 0, p) {
 		spec.PE(c).Init = vectors[i]
 	}
-	return ExecSpec(spec, opt, PredictAllReduce1D(pattern, p, b, tr))
+	return ExecSpec(spec, opt, PredictAllReduce1D(pattern, p, b, pr))
 }
 
 // BuildBroadcast1DInto compiles a 1D flooding broadcast for p PEs into

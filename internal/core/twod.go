@@ -52,34 +52,32 @@ func (p Pattern2D) base1D() (Pattern, bool) {
 // PredictReduce2D estimates a 2D Reduce on a width×height grid: X-Y
 // patterns cost a row reduce plus a column reduce (§7.2); Snake costs a
 // chain over all PEs (§7.3).
-func PredictReduce2D(pattern Pattern2D, width, height, b, tr int) float64 {
-	pr := model.Params{TR: tr}
+func PredictReduce2D(pattern Pattern2D, width, height, b int, pr model.Params) float64 {
 	if pattern == Snake {
 		return pr.SnakeReduce(height, width, b)
 	}
 	if pattern == Auto2D {
-		_, t := BestReduce2D(width, height, b, tr)
+		_, t := BestReduce2D(width, height, b, pr)
 		return t
 	}
 	base, ok := pattern.base1D()
 	if !ok {
 		return 0
 	}
-	return PredictReduce1D(base, width, b, tr) + PredictReduce1D(base, height, b, tr)
+	return PredictReduce1D(base, width, b, pr) + PredictReduce1D(base, height, b, pr)
 }
 
 // PredictAllReduce2D adds the 2D flooding broadcast (§7.4).
-func PredictAllReduce2D(pattern Pattern2D, width, height, b, tr int) float64 {
-	return PredictReduce2D(pattern, width, height, b, tr) +
-		model.Params{TR: tr}.Broadcast2D(height, width, b)
+func PredictAllReduce2D(pattern Pattern2D, width, height, b int, pr model.Params) float64 {
+	return PredictReduce2D(pattern, width, height, b, pr) + pr.Broadcast2D(height, width, b)
 }
 
 // BestReduce2D picks the concrete 2D pattern with the lowest predicted
 // runtime.
-func BestReduce2D(width, height, b, tr int) (Pattern2D, float64) {
+func BestReduce2D(width, height, b int, pr model.Params) (Pattern2D, float64) {
 	best, bestT := Pattern2D(""), 0.0
 	for _, pat := range Patterns2D {
-		t := PredictReduce2D(pat, width, height, b, tr)
+		t := PredictReduce2D(pat, width, height, b, pr)
 		if best == "" || t < bestT {
 			best, bestT = pat, t
 		}
@@ -88,13 +86,13 @@ func BestReduce2D(width, height, b, tr int) (Pattern2D, float64) {
 }
 
 // BuildReduce2DInto compiles a 2D Reduce into spec without initial data.
-func BuildReduce2DInto(spec *fabric.Spec, pattern Pattern2D, width, height, b, tr int, op fabric.ReduceOp) error {
-	return buildReduce2D(spec, pattern, width, height, b, tr, op)
+func BuildReduce2DInto(spec *fabric.Spec, pattern Pattern2D, width, height, b int, pr model.Params, op fabric.ReduceOp) error {
+	return buildReduce2D(spec, pattern, width, height, b, pr, op)
 }
 
 // BuildAllReduce2DInto compiles a 2D Reduce plus 2D broadcast into spec.
-func BuildAllReduce2DInto(spec *fabric.Spec, pattern Pattern2D, width, height, b, tr int, op fabric.ReduceOp) error {
-	if err := buildReduce2D(spec, pattern, width, height, b, tr, op); err != nil {
+func BuildAllReduce2DInto(spec *fabric.Spec, pattern Pattern2D, width, height, b int, pr model.Params, op fabric.ReduceOp) error {
+	if err := buildReduce2D(spec, pattern, width, height, b, pr, op); err != nil {
 		return err
 	}
 	return comm.BuildBroadcast2D(spec, width, height, b, comm.ColorBcast2)
@@ -118,7 +116,7 @@ func BuildBroadcast2DInto(spec *fabric.Spec, width, height, b int) error {
 }
 
 // buildReduce2D compiles a 2D reduce into spec.
-func buildReduce2D(spec *fabric.Spec, pattern Pattern2D, width, height, b, tr int, op fabric.ReduceOp) error {
+func buildReduce2D(spec *fabric.Spec, pattern Pattern2D, width, height, b int, pr model.Params, op fabric.ReduceOp) error {
 	if pattern == Snake {
 		return comm.BuildReduceSnake(spec, width, height, b, op)
 	}
@@ -126,11 +124,11 @@ func buildReduce2D(spec *fabric.Spec, pattern Pattern2D, width, height, b, tr in
 	if !ok {
 		return fmt.Errorf("core: unknown 2D pattern %q", pattern)
 	}
-	rowTree, err := TreeFor(base, width, b, tr)
+	rowTree, err := TreeFor(base, width, b, pr)
 	if err != nil {
 		return err
 	}
-	colTree, err := TreeFor(base, height, b, tr)
+	colTree, err := TreeFor(base, height, b, pr)
 	if err != nil {
 		return err
 	}
@@ -158,18 +156,18 @@ func RunReduce2D(pattern Pattern2D, width, height int, vectors [][]float32, op f
 	if err != nil {
 		return nil, err
 	}
-	tr := Params(opt).TR
+	pr := Params(opt)
 	if pattern == Auto2D {
-		pattern, _ = BestReduce2D(width, height, b, tr)
+		pattern, _ = BestReduce2D(width, height, b, pr)
 	}
 	spec := fabric.NewSpec(width, height)
-	if err := buildReduce2D(spec, pattern, width, height, b, tr, op); err != nil {
+	if err := buildReduce2D(spec, pattern, width, height, b, pr, op); err != nil {
 		return nil, err
 	}
 	if err := gridInit(spec, width, height, vectors); err != nil {
 		return nil, err
 	}
-	return ExecSpec(spec, opt, PredictReduce2D(pattern, width, height, b, tr))
+	return ExecSpec(spec, opt, PredictReduce2D(pattern, width, height, b, pr))
 }
 
 // RunAllReduce2D runs a 2D Reduce followed by the 2D flooding broadcast.
@@ -178,12 +176,12 @@ func RunAllReduce2D(pattern Pattern2D, width, height int, vectors [][]float32, o
 	if err != nil {
 		return nil, err
 	}
-	tr := Params(opt).TR
+	pr := Params(opt)
 	if pattern == Auto2D {
-		pattern, _ = BestReduce2D(width, height, b, tr)
+		pattern, _ = BestReduce2D(width, height, b, pr)
 	}
 	spec := fabric.NewSpec(width, height)
-	if err := buildReduce2D(spec, pattern, width, height, b, tr, op); err != nil {
+	if err := buildReduce2D(spec, pattern, width, height, b, pr, op); err != nil {
 		return nil, err
 	}
 	if err := comm.BuildBroadcast2D(spec, width, height, b, comm.ColorBcast2); err != nil {
@@ -192,7 +190,7 @@ func RunAllReduce2D(pattern Pattern2D, width, height int, vectors [][]float32, o
 	if err := gridInit(spec, width, height, vectors); err != nil {
 		return nil, err
 	}
-	return ExecSpec(spec, opt, PredictAllReduce2D(pattern, width, height, b, tr))
+	return ExecSpec(spec, opt, PredictAllReduce2D(pattern, width, height, b, pr))
 }
 
 // RunBroadcast2D floods data from (0,0) across a width×height grid.

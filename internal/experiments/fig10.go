@@ -36,10 +36,10 @@ func Fig10() *Heatmap {
 		h.Regions[i] = make([]string, len(bytesCols))
 		for j, bytes := range bytesCols {
 			b := bytes / 4
-			vendor := core.PredictAllReduce2D(core.XYChain, side, side, b, pr.TR)
+			vendor := core.PredictAllReduce2D(core.XYChain, side, side, b, pr)
 			bestName, bestT := "", 0.0
 			for _, pat := range []core.Pattern2D{core.XYStar, core.XYChain, core.XYTree, core.XYTwoPhase, core.Snake} {
-				if t := core.PredictAllReduce2D(pat, side, side, b, pr.TR); bestName == "" || t < bestT {
+				if t := core.PredictAllReduce2D(pat, side, side, b, pr); bestName == "" || t < bestT {
 					bestName, bestT = string(pat), t
 				}
 			}

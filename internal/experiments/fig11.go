@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/model"
 )
 
 // seriesPatterns are the measured 1D patterns in the paper's legend
@@ -15,7 +14,7 @@ var seriesPatterns = core.Patterns1D
 // increasing vector length, measured (simulator, §8.3 harness) against
 // the model prediction of Lemma 4.1.
 func (cfg Config) Fig11a() (*Figure, error) {
-	pr := model.Params{TR: cfg.tr()}
+	pr := cfg.params()
 	s := Series{Name: "broadcast"}
 	for _, b := range cfg.Bs {
 		m, err := cfg.measureBroadcast1D(cfg.P1D, b)
@@ -48,7 +47,7 @@ func (cfg Config) Fig11b() (*Figure, error) {
 			pt := Point{
 				X:         4 * b,
 				Measured:  math.NaN(),
-				Predicted: core.PredictReduce1D(pat, cfg.P1D, b, cfg.tr()),
+				Predicted: core.PredictReduce1D(pat, cfg.P1D, b, cfg.params()),
 			}
 			if pat != core.Star || b <= cfg.StarBCap {
 				m, err := cfg.measureReduce1D(pat, cfg.P1D, b)
@@ -77,14 +76,14 @@ func (cfg Config) Fig11c() (*Figure, error) {
 			"ring and butterfly are model-only, as in the paper (§8.6: the model shows they never win, saving the engineering effort)",
 		},
 	}
-	pr := model.Params{TR: cfg.tr()}
+	pr := cfg.params()
 	for _, pat := range seriesPatterns {
 		s := Series{Name: string(pat) + "+bcast"}
 		for _, b := range cfg.Bs {
 			pt := Point{
 				X:         4 * b,
 				Measured:  math.NaN(),
-				Predicted: core.PredictAllReduce1D(pat, cfg.P1D, b, cfg.tr()),
+				Predicted: core.PredictAllReduce1D(pat, cfg.P1D, b, cfg.params()),
 			}
 			if pat != core.Star || b <= cfg.StarBCap {
 				m, err := cfg.measureAllReduce1D(pat, cfg.P1D, b)

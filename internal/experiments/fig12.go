@@ -4,13 +4,12 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/model"
 )
 
 // Fig12a regenerates Figure 12a: 1D Broadcast of a fixed 1 KB vector
 // across an increasing number of PEs.
 func (cfg Config) Fig12a() (*Figure, error) {
-	pr := model.Params{TR: cfg.tr()}
+	pr := cfg.params()
 	s := Series{Name: "broadcast"}
 	for _, p := range cfg.Ps {
 		m, err := cfg.measureBroadcast1D(p, cfg.FixedB)
@@ -40,7 +39,7 @@ func (cfg Config) Fig12b() (*Figure, error) {
 			pt := Point{
 				X:         p,
 				Measured:  math.NaN(),
-				Predicted: core.PredictReduce1D(pat, p, cfg.FixedB, cfg.tr()),
+				Predicted: core.PredictReduce1D(pat, p, cfg.FixedB, cfg.params()),
 			}
 			if pat != core.Star || p*cfg.FixedB <= 512*cfg.StarBCap {
 				m, err := cfg.measureReduce1D(pat, p, cfg.FixedB)
@@ -65,14 +64,14 @@ func (cfg Config) Fig12c() (*Figure, error) {
 		Title:  "1D AllReduce, 1 KB vector, increasing number of PEs (measured/predicted cycles)",
 		XLabel: "PEs",
 	}
-	pr := model.Params{TR: cfg.tr()}
+	pr := cfg.params()
 	for _, pat := range seriesPatterns {
 		s := Series{Name: string(pat) + "+bcast"}
 		for _, p := range cfg.Ps {
 			pt := Point{
 				X:         p,
 				Measured:  math.NaN(),
-				Predicted: core.PredictAllReduce1D(pat, p, cfg.FixedB, cfg.tr()),
+				Predicted: core.PredictAllReduce1D(pat, p, cfg.FixedB, cfg.params()),
 			}
 			if pat != core.Star || p*cfg.FixedB <= 512*cfg.StarBCap {
 				m, err := cfg.measureAllReduce1D(pat, p, cfg.FixedB)

@@ -31,7 +31,7 @@ func (cfg Config) Fig13a() (*Figure, error) {
 			pt := Point{
 				X:         4 * b,
 				Measured:  math.NaN(),
-				Predicted: core.PredictReduce2D(pat, cfg.Side2D, cfg.Side2D, b, cfg.tr()),
+				Predicted: core.PredictReduce2D(pat, cfg.Side2D, cfg.Side2D, b, cfg.params()),
 			}
 			if pat != core.XYStar || b <= cfg.StarBCap {
 				m, err := cfg.measureReduce2D(pat, cfg.Side2D, b)
@@ -63,7 +63,7 @@ func (cfg Config) Fig13b() (*Figure, error) {
 			pt := Point{
 				X:         4 * b,
 				Measured:  math.NaN(),
-				Predicted: core.PredictAllReduce2D(pat, cfg.Side2D, cfg.Side2D, b, cfg.tr()),
+				Predicted: core.PredictAllReduce2D(pat, cfg.Side2D, cfg.Side2D, b, cfg.params()),
 			}
 			if pat != core.XYStar || b <= cfg.StarBCap {
 				m, err := cfg.measureAllReduce2D(pat, cfg.Side2D, b)
@@ -102,7 +102,7 @@ func (cfg Config) Fig13c() (*Figure, error) {
 			pt := Point{
 				X:         side,
 				Measured:  math.NaN(),
-				Predicted: core.PredictReduce2D(pat, side, side, cfg.FixedB, cfg.tr()),
+				Predicted: core.PredictReduce2D(pat, side, side, cfg.FixedB, cfg.params()),
 			}
 			// Snake on big grids is Θ(B·P) simulation work and dominated
 			// by its linear depth anyway; measure it on the smaller grids.
@@ -134,9 +134,9 @@ func (cfg Config) Fig13Model512(allreduce bool) *Figure {
 		for _, b := range cfg.Bs {
 			var t float64
 			if allreduce {
-				t = core.PredictAllReduce2D(pat, 512, 512, b, cfg.tr())
+				t = core.PredictAllReduce2D(pat, 512, 512, b, cfg.params())
 			} else {
-				t = core.PredictReduce2D(pat, 512, 512, b, cfg.tr())
+				t = core.PredictReduce2D(pat, 512, 512, b, cfg.params())
 			}
 			s.Points = append(s.Points, Point{X: 4 * b, Measured: math.NaN(), Predicted: t})
 		}

@@ -92,7 +92,7 @@ func BestAllReduce1D(p, b int) (string, float64) {
 	if t := pr.RingAllReduce(p, b); t < bestT {
 		bestName, bestT = "ring", t
 	}
-	if t := core.PredictAllReduce1D(core.AutoGen, p, b, pr.TR); t < bestT {
+	if t := core.PredictAllReduce1D(core.AutoGen, p, b, pr); t < bestT {
 		bestName, bestT = "autogen+bcast", t
 	}
 	return bestName, bestT

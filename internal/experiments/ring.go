@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/model"
 )
 
 // RingValidation is an extension beyond the paper: the paper analyses the
@@ -29,7 +28,7 @@ func (cfg Config) RingValidation() (*Figure, error) {
 	ring := Series{Name: "ring-simple"}
 	ringDP := Series{Name: "ring-distpres"}
 	cb := Series{Name: "chain+bcast"}
-	pr := model.Params{TR: cfg.tr()}
+	pr := cfg.params()
 	for _, p := range cfg.Ps {
 		if p > 128 {
 			break // ring's 2(P-1) rounds make large-P runs slow and pointless

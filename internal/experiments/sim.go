@@ -8,6 +8,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/measure"
 	"repro/internal/mesh"
+	"repro/internal/model"
 	"repro/internal/plan"
 )
 
@@ -149,7 +150,8 @@ func onesInputs(req plan.Request) [][]float32 {
 	return req.Inputs(func(n int) []float32 { return slices.Repeat([]float32{1}, n) })
 }
 
-func (cfg Config) tr() int { return core.Params(cfg.Opt).TR }
+// params is the model parameterisation the measured runs are predicted under.
+func (cfg Config) params() model.Params { return core.Params(cfg.Opt) }
 
 // measureReduce1D runs one measured 1D Reduce point.
 func (cfg Config) measureReduce1D(pattern core.Pattern, p, b int) (float64, error) {

@@ -14,7 +14,7 @@ func reduceCollective(p, b int) Collective {
 		Width:  p,
 		Height: 1,
 		Build: func(spec *fabric.Spec) error {
-			if err := core.BuildReduce1DInto(spec, core.TwoPhase, p, b, fabric.DefaultTR, fabric.OpSum); err != nil {
+			if err := core.BuildReduce1DInto(spec, core.TwoPhase, p, b, core.Params(fabric.Options{}), fabric.OpSum); err != nil {
 				return err
 			}
 			spec.Each(func(_ mesh.Coord, pe *fabric.PESpec) {
@@ -33,7 +33,7 @@ func reduce2DCollective(side, b int) Collective {
 		Width:  side,
 		Height: side,
 		Build: func(spec *fabric.Spec) error {
-			if err := core.BuildReduce2DInto(spec, core.XYTwoPhase, side, side, b, fabric.DefaultTR, fabric.OpSum); err != nil {
+			if err := core.BuildReduce2DInto(spec, core.XYTwoPhase, side, side, b, core.Params(fabric.Options{}), fabric.OpSum); err != nil {
 				return err
 			}
 			spec.Each(func(_ mesh.Coord, pe *fabric.PESpec) {

@@ -37,14 +37,16 @@ func (pr Params) AllGather(p, b int) float64 {
 	return pr.ReduceScatter(p, b)
 }
 
-// MidRootAllReduce estimates the middle-root AllReduce: both halves of
-// size ~P/2 reduce into the middle concurrently (the root serialises the
-// second half's stream: +B), then one bidirectional flood of distance
-// ~P/2 distributes the result.
-func (pr Params) MidRootAllReduce(pattern string, p, b int) float64 {
+// MidRootAllReduce is the middle-root lemma (derivation in the package
+// comment): T = T_half + C_root·(B+Ctl) + T_bcast(⌊P/2⌋+1, B), where T_half
+// is the Reduce estimate of the larger half — ⌊P/2⌋+1 PEs, the middle one
+// included — and C_root the number of transfers that half's tree sends into
+// its root. The caller supplies both because the halves may run any
+// reduction tree, the generated ones included, and only the caller knows the
+// tree.
+func (pr Params) MidRootAllReduce(tHalf float64, cRoot, p, b int) float64 {
 	if p <= 1 {
 		return 0
 	}
-	h := p/2 + 1
-	return pr.Reduce1D(pattern, h, b) + float64(b) + pr.Broadcast1D(h, b)
+	return tHalf + float64(cRoot)*pr.transfer(b) + pr.Broadcast1D(p/2+1, b)
 }

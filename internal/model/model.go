@@ -8,20 +8,133 @@
 // AllReduce algorithm analysed in §4–§7 (Lemmas 4.1, 5.1–5.4, 6.1, 7.1).
 // All vector lengths B are measured in wavelets (32-bit elements), as in
 // Table 1.
+//
+// # The control wavelet
+//
+// The paper's lemmas price a transfer as B wavelets. The fabric programs of
+// this repository (comm.BuildTreeReduce, after the paper's Figure 3) end
+// every transfer with one control wavelet, which advances the configuration
+// of each router it crosses, so a transfer occupies B + Ctl slots of every
+// link and ramp on its way. Ctl is a hardware parameter beside T_R: 0 in
+// Default(), which reproduces the published figures, 1 in core.Params, under
+// which every run is predicted, every Auto choice made and every Auto-Gen
+// tree searched. Every tree-reduce form below reads B + Ctl where the paper
+// reads B.
+//
+// # Star and the bound T*
+//
+// Lemma 5.1 is Eq. 1 on the star: T ≤ max(B(P−1), P·B/2 + P−1) + 2·T_R + 1
+// (StarReduceUpper). §5.1 then refines it: the P−1 transfers arrive back to
+// back, the root's ramp never idles, so T = B(P−1) + 2·T_R + 1. That form
+// drops the energy term, and at B = 1 it lands under the lower bound of
+// §5.6 — 516 against T*(512,1) = 518 — because T* keeps E/N + L for every
+// tree: min over D of B·E*(P,1,D)/(P−1) + P−1 + D(2·T_R+1). Neither is wrong
+// about what it counts; the refined form just counts a fabric that moves no
+// control wavelets. With them the stream into the root is (B+Ctl)(P−1)
+// wavelets long, its first wavelet is consumed 2·T_R + 2 cycles in (down
+// the leaf's ramp, one hop, up the root's, one cycle to store), and the
+// root is done when it has consumed the last control:
+//
+//	T_star = (B+Ctl)(P−1) + 2·T_R + 1 + Ctl.
+//
+// The simulator runs exactly this at every point tried (1028 cycles at
+// P = 512, B = 1; 8693 at B = 16). It never dips under the bound: T* is at
+// most its D = 1 candidate B·P/2 + P−1 + 2·T_R+1, and (B+1)(P−1) + 2·T_R + 2
+// exceeds that by B(P/2−1) + 1 > 0. T* itself is left as the paper states
+// it, in B: a bound on control-free transfers bounds longer ones a
+// fortiori, it stays the denominator of Figure 1, and every run measured
+// sits above it.
+//
+// # Eq. 1 vertex by vertex: the critical path
+//
+// Eq. 1 takes one maximum over a whole pattern: its busiest vertex against
+// its average link, plus its deepest chain of ramps. A reduction tree built
+// by comm.BuildTreeReduce lets the same three terms be charged where they
+// occur. A vertex v receives its children c_1 < … < c_k in index order, one
+// transfer of B+Ctl wavelets after the other on its one ramp, and streams
+// the last through to its parent. Child i's first wavelet reaches v's
+// processor (c_i − v) hops and one ramp (2·T_R+1) after c_i began to send,
+// and cannot be taken before the i−1 transfers ahead of it are in. So with
+// begin(leaf) = 0,
+//
+//	begin(v) = max_i [ begin(c_i) + (c_i − v) + 2·T_R + 1 + (k−i)(B+Ctl) ]
+//	T_tree   = begin(root) + B + Ctl
+//
+// (CriticalPath): contention is the (k−i)(B+Ctl) queue at a vertex,
+// distance and depth accumulate along the path below it, and the maximum is
+// taken per vertex. On the star this is T_star and on the chain Lemma 5.2
+// plus Ctl, which is why those two keep their closed forms. It is exact on
+// the simulator whenever no two transfers want a link in the same cycle —
+// every star, chain, power-of-two binomial and Auto-Gen tree tried (P = 2…300,
+// B = 1…256), to the cycle — and a lower estimate otherwise: a sibling's stream that is ready
+// early runs ahead into the queues (four deep) of the routers it will cross
+// and, on the lower colour, takes their links from the transfers still
+// working there. Two-Phase pays 2(S−2) cycles for it at large B (at most
+// 8 % over that range), a binomial tree on a few PEs more than a power of
+// two up to 17 %, because the root's last children are far leaves.
+//
+// That accounts for what Eq. 1 misses on these trees, term by term. The
+// binomial lemma charges all log2 P ramps on top of max(C, E/N + L); the
+// fabric hides the depth of a subtree behind the receives queued ahead of
+// it, T = 2·T_R + 2 + Σ_{0<i<log2 P} max(2^i + 2·T_R + 1, B+Ctl) + B + Ctl,
+// so Lemma 5.3 over-prices Tree by up to 22 % at B = 4…64 (56 against 46
+// cycles at P = 16, B = 8; 632.6 against 595 at P = 512, B = 16). The
+// Auto-Gen objective spreads a tree's energy over all P−1 links, where the
+// tree queues it at a few vertices: it under-prices its own trees by up to
+// 15 % there (67.4 against 79 at P = 16, B = 16; 134.4 against 153 at
+// P = 64, B = 16). Two-Phase at P = 64, B = 256 is 589.9 by Lemma 5.4,
+// max(2(B+1), E/N + L) + 14 ramps; its critical path is 634 — a leader
+// takes in its own group's whole transfer before it starts on the next
+// leader's, and the root takes the leader stream in whole, so two transfer
+// lengths add to the hops and ramps on the way (2·257 + 7·6 + 6·13) instead
+// of being maxed against them — and the fabric's 646 is that
+// plus the 12 cycles of link sharing. The searches keep Eq. 1 (the Auto-Gen
+// DP and T* optimise over all trees, which only aggregate metrics allow);
+// what a search returns is priced, like every other tree, by its path.
+//
+// # The middle-root lemma
+//
+// The middle-root AllReduce (§6.1's remark; comm.BuildAllReduceMidRoot)
+// reduces both halves of the row into the middle PE and floods the result
+// out both ways. The halves run concurrently on disjoint colours and links,
+// but they share the root: its program takes the west half's C_root
+// transfers first and the east half's C_root after them, all over one ramp.
+// The west half (⌊P/2⌋+1 PEs, the middle one included) is an ordinary Reduce
+// and ends after T_half; the east half's last transfers have been waiting in
+// the routers since before that, so they go in back to back, C_root
+// transfers of B+Ctl; then the flood covers ⌊P/2⌋ hops:
+//
+//	T_mid = T_half(⌊P/2⌋+1, B) + C_root·(B+Ctl) + T_bcast(⌊P/2⌋+1, B)
+//
+// (MidRootAllReduce). C_root is the root degree of the half's tree — P/2
+// for Star, 1 for Chain — so the choice among trees differs from a lone
+// Reduce's: wide trees pay their width twice. The form is an upper estimate
+// when the east half is not ready by T_half (a binomial half at large B,
+// +12 %); it is within 1.5 % on average over the conformance lattice.
 package model
 
 import "math"
 
-// Params hold the hardware parameters of the model. The only free
-// parameter is the ramp latency T_R, which the paper determines to be 2 on
-// the WSE-2 (any other choice "would lead to significantly worse
-// predictions", §8.7).
+// Params hold the hardware parameters of the model. The paper's only free
+// parameter is the ramp latency T_R, which it determines to be 2 on the
+// WSE-2 (any other choice "would lead to significantly worse predictions",
+// §8.7). Ctl is the number of control wavelets that trail every transfer of
+// a tree reduction to advance the router configurations behind it (see "The
+// control wavelet" in the package comment): 0 prices the paper's idealised
+// transfer of B wavelets, 1 the transfer comm.BuildTreeReduce emits.
 type Params struct {
-	TR int
+	TR  int
+	Ctl int
 }
 
-// Default returns the WSE-2 parameterisation.
+// Default returns the WSE-2 parameterisation of the paper's analytical
+// artifact (Figures 1, 8, 10): T_R = 2 and control-free transfers. Anything
+// that predicts a run of this repository's fabric programs takes its
+// parameters from core.Params instead, which sets Ctl to the builder's 1.
 func Default() Params { return Params{TR: 2} }
+
+// transfer is the number of link slots one B-wavelet transfer occupies.
+func (pr Params) transfer(b int) float64 { return float64(b + pr.Ctl) }
 
 // ramp returns the per-depth-unit cost 2·T_R+1: a wavelet pays T_R down
 // and up the ramp plus one cycle to store the received element.
@@ -68,12 +181,15 @@ func (pr Params) Broadcast1D(p, b int) float64 {
 }
 
 // StarReduce is the refined Star Reduce estimate of §5.1: the direct
-// pattern pipelines perfectly, so T = B(P-1) + 2·T_R + 1.
+// pattern pipelines perfectly, so the root's ramp is busy from the first
+// wavelet to the last and T = (B+Ctl)(P-1) + 2·T_R + 1 + Ctl — the paper's
+// B(P-1) + 2·T_R + 1 for control-free transfers (derivation and the
+// relation to T* in the package comment).
 func (pr Params) StarReduce(p, b int) float64 {
 	if p <= 1 {
 		return 0
 	}
-	return float64(b)*float64(p-1) + float64(2*pr.TR) + 1
+	return pr.transfer(b)*float64(p-1) + float64(2*pr.TR+1+pr.Ctl)
 }
 
 // StarReduceUpper is Lemma 5.1's un-refined Star Reduce bound,
@@ -85,19 +201,20 @@ func (pr Params) StarReduceUpper(p, b int) float64 {
 	if p <= 1 {
 		return 0
 	}
-	cont := float64(b) * float64(p-1)
-	energy := float64(p)*float64(b)/2 + float64(p-1)
+	cont := pr.transfer(b) * float64(p-1)
+	energy := float64(p)*pr.transfer(b)/2 + float64(p-1)
 	return math.Max(cont, energy) + float64(2*pr.TR) + 1
 }
 
-// ChainReduce is Lemma 5.2: T = B + (2·T_R+2)(P-1). This is the vendor's
-// pattern (used by the SDK collectives library and the matrix-multiply
-// kernel) and is optimal for B >> T_R·P.
+// ChainReduce is Lemma 5.2: T = B + Ctl + (2·T_R+2)(P-1) — the one transfer
+// in flight, and a hop and a ramp per PE. This is the vendor's pattern (used
+// by the SDK collectives library and the matrix-multiply kernel) and is
+// optimal for B >> T_R·P.
 func (pr Params) ChainReduce(p, b int) float64 {
 	if p <= 1 {
 		return 0
 	}
-	return float64(b) + float64(2*pr.TR+2)*float64(p-1)
+	return pr.transfer(b) + float64(2*pr.TR+2)*float64(p-1)
 }
 
 // TreeReduce is Lemma 5.3 for the binomial tree:
@@ -107,8 +224,8 @@ func (pr Params) TreeReduce(p, b int) float64 {
 		return 0
 	}
 	lg := log2(p)
-	cont := float64(b) * lg
-	energy := float64(b)*float64(p)*lg/(2*float64(p-1)) + float64(p-1)
+	cont := pr.transfer(b) * lg
+	energy := pr.transfer(b)*float64(p)*lg/(2*float64(p-1)) + float64(p-1)
 	return math.Max(cont, energy) + pr.ramp()*lg
 }
 
@@ -135,10 +252,11 @@ func (pr Params) TwoPhaseReduceS(p, b, s int) float64 {
 	}
 	groups := (p + s - 1) / s
 	depth := float64(s-1) + float64(groups-1)
-	energy := float64(s-1)*float64(b)*float64(groups) + float64(s)*float64(b)*float64(groups-1)
-	cont := 2 * float64(b)
+	w := pr.transfer(b)
+	energy := float64(s-1)*w*float64(groups) + float64(s)*w*float64(groups-1)
+	cont := 2 * w
 	if groups == 1 || s == 1 {
-		cont = float64(b)
+		cont = w
 	}
 	bw := math.Max(cont, energy/float64(p-1)+float64(p-1))
 	return bw + pr.ramp()*depth
@@ -172,6 +290,36 @@ func (pr Params) ButterflyAllReduce(p, b int) float64 {
 	cont := float64(b) * lg
 	energy := float64(p)*float64(b)/2 + float64(p-1)
 	return math.Max(cont, energy) + pr.ramp()*lg
+}
+
+// CriticalPath is Eq. 1 evaluated vertex by vertex on one reduction tree
+// instead of once on its aggregate metrics (derivation in the package
+// comment). parent is a pre-order tree over a row of PEs — parent[0] = -1,
+// every other vertex's parent has a lower index — whose vertices receive
+// their children in index order and stream the last one through, the
+// discipline of comm.BuildTreeReduce. With begin(leaf) = 0,
+//
+//	begin(v) = max_i [ begin(c_i) + (c_i − v) + 2·T_R + 1 + (k−i)·(B+Ctl) ]
+//
+// over v's children c_1 < … < c_k is the cycle v starts on its last
+// transfer: child i's first wavelet arrives one distance and one ramp after
+// the child started, and the k−i transfers behind it queue on v's ramp. The
+// reduce ends when the root has consumed its last transfer, at
+// begin(0) + B + Ctl.
+func (pr Params) CriticalPath(parent []int, b int) float64 {
+	if len(parent) <= 1 {
+		return 0
+	}
+	w := pr.transfer(b)
+	begin := make([]float64, len(parent))
+	later := make([]int, len(parent)) // children of v already folded: the later siblings
+	for c := len(parent) - 1; c > 0; c-- {
+		v := parent[c]
+		arrive := begin[c] + float64(c-v) + pr.ramp() + float64(later[v])*w
+		begin[v] = math.Max(begin[v], arrive)
+		later[v]++
+	}
+	return begin[0] + w
 }
 
 // ReduceNames lists the fixed 1D Reduce patterns in the order the paper

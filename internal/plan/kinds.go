@@ -74,9 +74,9 @@ type KindInfo struct {
 	trees bool
 	// auto replaces an Auto algorithm by the model's choice; nil when the
 	// kind has nothing to choose.
-	auto func(r *Request, tr int)
+	auto func(r *Request, pr model.Params)
 	// build lowers a resolved request into spec.
-	build func(spec *fabric.Spec, r Request, tr int) error
+	build func(spec *fabric.Spec, r Request, pr model.Params) error
 	// predict is the kind's model lemma and bound its runtime lower bound,
 	// both in cycles.
 	predict, bound func(r Request, pr model.Params) float64
@@ -85,15 +85,15 @@ type KindInfo struct {
 // patterns1DRing is the 1D family of the one kind with a ring program.
 var patterns1DRing = append(slices.Clone(core.Patterns1D), core.Ring, core.RingDP)
 
-func auto1D(r *Request, tr int) {
+func auto1D(r *Request, pr model.Params) {
 	if r.Alg == core.Auto {
-		r.Alg, _ = core.BestReduce1D(r.P, r.B, tr)
+		r.Alg, _ = core.BestReduce1D(r.P, r.B, pr)
 	}
 }
 
-func auto2D(r *Request, tr int) {
+func auto2D(r *Request, pr model.Params) {
 	if r.Alg2D == core.Auto2D {
-		r.Alg2D, _ = core.BestReduce2D(r.Width, r.Height, r.B, tr)
+		r.Alg2D, _ = core.BestReduce2D(r.Width, r.Height, r.B, pr)
 	}
 }
 
@@ -125,27 +125,27 @@ var Kinds = []KindInfo{
 		Kind: Reduce1D, Name: "reduce",
 		Doc:  "1D Reduce of p vectors of b wavelets into the leftmost PE (alg=, op=)",
 		Algs: core.Patterns1D, HasOp: true, Inputs: VectorPerPE, trees: true, auto: auto1D,
-		build: func(s *fabric.Spec, r Request, tr int) error {
-			return core.BuildReduce1DInto(s, r.Alg, r.P, r.B, tr, r.Op)
+		build: func(s *fabric.Spec, r Request, pr model.Params) error {
+			return core.BuildReduce1DInto(s, r.Alg, r.P, r.B, pr, r.Op)
 		},
-		predict: func(r Request, pr model.Params) float64 { return core.PredictReduce1D(r.Alg, r.P, r.B, pr.TR) },
+		predict: func(r Request, pr model.Params) float64 { return core.PredictReduce1D(r.Alg, r.P, r.B, pr) },
 		bound:   bound1D,
 	},
 	{
 		Kind: AllReduce1D, Name: "allreduce",
 		Doc:  "1D AllReduce: every PE ends with the combined vector (alg=, op=)",
 		Algs: patterns1DRing, HasOp: true, Inputs: VectorPerPE, trees: true, auto: auto1D,
-		build: func(s *fabric.Spec, r Request, tr int) error {
-			return core.BuildAllReduce1DInto(s, r.Alg, r.P, r.B, tr, r.Op)
+		build: func(s *fabric.Spec, r Request, pr model.Params) error {
+			return core.BuildAllReduce1DInto(s, r.Alg, r.P, r.B, pr, r.Op)
 		},
-		predict: func(r Request, pr model.Params) float64 { return core.PredictAllReduce1D(r.Alg, r.P, r.B, pr.TR) },
+		predict: func(r Request, pr model.Params) float64 { return core.PredictAllReduce1D(r.Alg, r.P, r.B, pr) },
 		bound:   bound1D,
 	},
 	{
 		Kind: Broadcast1D, Name: "broadcast",
 		Doc:    "1D flooding broadcast of b wavelets across p PEs",
 		Inputs: RootVector,
-		build: func(s *fabric.Spec, r Request, _ int) error {
+		build: func(s *fabric.Spec, r Request, _ model.Params) error {
 			return core.BuildBroadcast1DInto(s, r.P, r.B)
 		},
 		predict: predictBroadcast1D,
@@ -155,11 +155,11 @@ var Kinds = []KindInfo{
 		Kind: Reduce2D, Name: "reduce2d",
 		Doc:  "2D Reduce on a grid=WxH mesh into PE (0,0) (alg=, op=)",
 		Grid: true, Algs2D: core.Patterns2D, HasOp: true, Inputs: VectorPerPE, trees: true, auto: auto2D,
-		build: func(s *fabric.Spec, r Request, tr int) error {
-			return core.BuildReduce2DInto(s, r.Alg2D, r.Width, r.Height, r.B, tr, r.Op)
+		build: func(s *fabric.Spec, r Request, pr model.Params) error {
+			return core.BuildReduce2DInto(s, r.Alg2D, r.Width, r.Height, r.B, pr, r.Op)
 		},
 		predict: func(r Request, pr model.Params) float64 {
-			return core.PredictReduce2D(r.Alg2D, r.Width, r.Height, r.B, pr.TR)
+			return core.PredictReduce2D(r.Alg2D, r.Width, r.Height, r.B, pr)
 		},
 		bound: bound2D,
 	},
@@ -167,11 +167,11 @@ var Kinds = []KindInfo{
 		Kind: AllReduce2D, Name: "allreduce2d",
 		Doc:  "2D AllReduce on a grid=WxH mesh (alg=, op=)",
 		Grid: true, Algs2D: core.Patterns2D, HasOp: true, Inputs: VectorPerPE, trees: true, auto: auto2D,
-		build: func(s *fabric.Spec, r Request, tr int) error {
-			return core.BuildAllReduce2DInto(s, r.Alg2D, r.Width, r.Height, r.B, tr, r.Op)
+		build: func(s *fabric.Spec, r Request, pr model.Params) error {
+			return core.BuildAllReduce2DInto(s, r.Alg2D, r.Width, r.Height, r.B, pr, r.Op)
 		},
 		predict: func(r Request, pr model.Params) float64 {
-			return core.PredictAllReduce2D(r.Alg2D, r.Width, r.Height, r.B, pr.TR)
+			return core.PredictAllReduce2D(r.Alg2D, r.Width, r.Height, r.B, pr)
 		},
 		bound: bound2D,
 	},
@@ -179,7 +179,7 @@ var Kinds = []KindInfo{
 		Kind: Broadcast2D, Name: "broadcast2d",
 		Doc:  "2D flooding broadcast across a grid=WxH mesh",
 		Grid: true, Inputs: RootVector,
-		build: func(s *fabric.Spec, r Request, _ int) error {
+		build: func(s *fabric.Spec, r Request, _ model.Params) error {
 			return core.BuildBroadcast2DInto(s, r.Width, r.Height, r.B)
 		},
 		predict: predictBroadcast2D,
@@ -189,7 +189,7 @@ var Kinds = []KindInfo{
 		Kind: Scatter, Name: "scatter",
 		Doc:     "deliver balanced chunks of a b-element vector to p PEs",
 		Chunked: true, Inputs: RootVector,
-		build:   func(s *fabric.Spec, r Request, _ int) error { return core.BuildScatterInto(s, r.P, r.B) },
+		build:   func(s *fabric.Spec, r Request, _ model.Params) error { return core.BuildScatterInto(s, r.P, r.B) },
 		predict: func(r Request, pr model.Params) float64 { return pr.Scatter(r.P, r.B) },
 		bound:   boundChunked,
 	},
@@ -197,7 +197,7 @@ var Kinds = []KindInfo{
 		Kind: Gather, Name: "gather",
 		Doc:     "assemble per-PE chunks into the full vector at the leftmost PE",
 		Chunked: true, Inputs: ChunkPerPE,
-		build:   func(s *fabric.Spec, r Request, _ int) error { return core.BuildGatherInto(s, r.P, r.B) },
+		build:   func(s *fabric.Spec, r Request, _ model.Params) error { return core.BuildGatherInto(s, r.P, r.B) },
 		predict: func(r Request, pr model.Params) float64 { return pr.Gather(r.P, r.B) },
 		bound:   boundChunked,
 	},
@@ -205,7 +205,7 @@ var Kinds = []KindInfo{
 		Kind: ReduceScatter, Name: "reducescatter",
 		Doc:   "combine p vectors and leave chunk j on PE j (op=)",
 		HasOp: true, Chunked: true, Inputs: VectorPerPE,
-		build: func(s *fabric.Spec, r Request, _ int) error {
+		build: func(s *fabric.Spec, r Request, _ model.Params) error {
 			return core.BuildReduceScatterInto(s, r.P, r.B, r.Op)
 		},
 		predict: func(r Request, pr model.Params) float64 { return pr.ReduceScatter(r.P, r.B) },
@@ -215,7 +215,7 @@ var Kinds = []KindInfo{
 		Kind: AllGather, Name: "allgather",
 		Doc:     "distribute per-PE chunks so every PE ends with the full vector",
 		Chunked: true, Inputs: ChunkPerPE, placed: true,
-		build:   func(s *fabric.Spec, r Request, _ int) error { return core.BuildAllGatherInto(s, r.P, r.B) },
+		build:   func(s *fabric.Spec, r Request, _ model.Params) error { return core.BuildAllGatherInto(s, r.P, r.B) },
 		predict: func(r Request, pr model.Params) float64 { return pr.AllGather(r.P, r.B) },
 		bound:   boundChunked,
 	},
@@ -223,17 +223,18 @@ var Kinds = []KindInfo{
 		Kind: AllReduceMidRoot, Name: "allreduce-midroot",
 		Doc:  "AllReduce rooted at the middle PE with a bidirectional flood (alg=, op=)",
 		Algs: core.Patterns1D, HasOp: true, Inputs: VectorPerPE,
-		// Each half is a reduce over P/2+1 PEs: that is the row the model picks for.
-		auto: func(r *Request, tr int) {
+		auto: func(r *Request, pr model.Params) {
 			if r.Alg == core.Auto {
-				r.Alg, _ = core.BestReduce1D(r.P/2+1, r.B, tr)
+				r.Alg, _ = core.BestAllReduceMidRoot(r.P, r.B, pr)
 			}
 		},
-		build: func(s *fabric.Spec, r Request, tr int) error {
-			return core.BuildAllReduceMidRootInto(s, r.Alg, r.P, r.B, tr, r.Op)
+		build: func(s *fabric.Spec, r Request, pr model.Params) error {
+			return core.BuildAllReduceMidRootInto(s, r.Alg, r.P, r.B, pr, r.Op)
 		},
-		predict: func(r Request, pr model.Params) float64 { return pr.MidRootAllReduce(string(r.Alg), r.P, r.B) },
-		bound:   bound1D,
+		predict: func(r Request, pr model.Params) float64 {
+			return core.PredictAllReduceMidRoot(r.Alg, r.P, r.B, pr)
+		},
+		bound: bound1D,
 	},
 }
 
@@ -370,12 +371,13 @@ func (r Request) Inputs(fill func(n int) []float32) [][]float32 {
 	return out
 }
 
-// Predict is the performance model's cycle estimate for r as spelled: an
-// Auto request is estimated as Auto, not as the algorithm Compile would
-// resolve it to. Like the model it is total — NaN for an unknown kind.
+// Predict is the performance model's cycle estimate for r: the kind's lemma
+// on the resolved request, so an Auto request is estimated as the algorithm
+// Compile lowers it to and Predict is a plan's Predicted by construction.
+// Like the model it is total — NaN for an unknown kind.
 func (r Request) Predict() float64 {
 	if ki := InfoOf(r.Kind); ki != nil {
-		return ki.predict(r, core.Params(r.Opt))
+		return ki.predict(r.Resolve(), core.Params(r.Opt))
 	}
 	return math.NaN()
 }

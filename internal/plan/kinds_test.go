@@ -32,31 +32,6 @@ var canonicalKeys = map[Kind]string{
 // smallRow is the geometry the table walks run at: 6 PEs in 1D, 3x2 in 2D.
 var smallRow = Request{P: 6, Width: 3, Height: 2, B: 14, Op: fabric.OpMax}
 
-// requestsOf lists base under each algorithm ki accepts, Auto included; base
-// alone for the algorithm-free kinds.
-func requestsOf(ki *KindInfo, base Request) []Request {
-	base.Kind = ki.Kind
-	var out []Request
-	for _, a := range append([]core.Pattern{core.Auto}, ki.Algs...) {
-		if ki.Algs != nil {
-			r := base
-			r.Alg = a
-			out = append(out, r)
-		}
-	}
-	for _, a := range append([]core.Pattern2D{core.Auto2D}, ki.Algs2D...) {
-		if ki.Algs2D != nil {
-			r := base
-			r.Alg2D = a
-			out = append(out, r)
-		}
-	}
-	if out == nil {
-		out = []Request{base}
-	}
-	return out
-}
-
 func ramp(n int) []float32 {
 	v := make([]float32, n)
 	for i := range v {
@@ -69,8 +44,10 @@ func ramp(n int) []float32 {
 // algorithm it accepts, validates, keys canonically and round-trips, takes
 // inputs of the row's layout, and compiles and runs with the row's own
 // prediction — so a new row that is inconsistent with itself fails here
-// before any other layer reads it.
+// before any other layer reads it. Then it holds every row to the model and
+// the bound over the conformance lattice (conformLattice).
 func TestKindTableConformance(t *testing.T) {
+	t.Run("lattice", conformLattice)
 	if len(Kinds) != len(canonicalKeys) {
 		t.Fatalf("table holds %d kinds, the canonical-key pin %d", len(Kinds), len(canonicalKeys))
 	}
@@ -152,10 +129,9 @@ func TestKindTableConformance(t *testing.T) {
 				t.Errorf("%s: Execute: %v", name, err)
 				continue
 			}
-			// Compile predicts on the resolved request.
-			want := req.Resolve().Predict()
-			if rep.Predicted != want && !(math.IsNaN(rep.Predicted) && math.IsNaN(want)) {
-				t.Errorf("%s: Report.Predicted = %v, the row's predict on the resolved request %v", name, rep.Predicted, want)
+			// Predict resolves before it predicts, as Compile does.
+			if want := req.Predict(); math.Float64bits(rep.Predicted) != math.Float64bits(want) {
+				t.Errorf("%s: Report.Predicted = %v, Predict of the request as spelled %v", name, rep.Predicted, want)
 			}
 			if b := req.Bound(); math.IsNaN(b) || b <= 0 || float64(rep.Cycles) < b {
 				t.Errorf("%s: bound %v against %d measured cycles", name, b, rep.Cycles)

@@ -19,6 +19,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/mesh"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -176,14 +177,11 @@ type Plan struct {
 	replay replayState
 }
 
-// tr is the normalised ramp latency used throughout compilation.
-func (r Request) tr() int { return core.Params(r.Opt).TR }
-
 // Resolve replaces an Auto algorithm selection with the choice the kind's
 // row makes from the performance model; the public Shape.Resolve is this.
 func (r Request) Resolve() Request {
 	if ki := InfoOf(r.Kind); ki != nil && ki.auto != nil {
-		ki.auto(&r, r.tr())
+		ki.auto(&r, core.Params(r.Opt))
 	}
 	return r
 }
@@ -202,7 +200,7 @@ func Compile(req Request) (*Plan, error) {
 	ki := InfoOf(req.Kind)
 	key := KeyOf(req)
 	req = req.Resolve()
-	tr := req.tr()
+	pr := core.Params(req.Opt)
 	// Plans carry canonical options (defaults resolved) so compiling the
 	// same logical request in two processes yields byte-identical encoded
 	// plans; the Tracer is a debug attachment, not part of the canonical
@@ -226,15 +224,15 @@ func Compile(req Request) (*Plan, error) {
 	} else {
 		p.Spec = fabric.NewSpec(req.P, 1)
 	}
-	if err := ki.build(p.Spec, req, tr); err != nil {
+	if err := ki.build(p.Spec, req, pr); err != nil {
 		return nil, err
 	}
-	p.Predicted = ki.predict(req, core.Params(req.Opt))
+	p.Predicted = ki.predict(req, pr)
 	if err := p.Spec.Validate(); err != nil {
 		return nil, err
 	}
 	if ki.trees {
-		if err := p.recordTrees(ki.Grid, tr); err != nil {
+		if err := p.recordTrees(ki.Grid, pr); err != nil {
 			return nil, err
 		}
 	}
@@ -245,17 +243,17 @@ func Compile(req Request) (*Plan, error) {
 // recordTrees stores the reduction-tree metadata of a tree-based plan: the
 // X-Y trees on a grid (Snake has none), the row's tree in 1D (the ring has
 // none).
-func (p *Plan) recordTrees(grid bool, tr int) error {
+func (p *Plan) recordTrees(grid bool, pr model.Params) error {
 	var err error
 	if !grid {
 		if p.Alg != core.Ring && p.Alg != core.RingDP {
-			p.Tree, err = core.TreeFor(p.Alg, p.P, p.B, tr)
+			p.Tree, err = core.TreeFor(p.Alg, p.P, p.B, pr)
 		}
 	} else if base, ok := p.Alg2D.Base1D(); ok {
-		if p.RowTree, err = core.TreeFor(base, p.Width, p.B, tr); err != nil {
+		if p.RowTree, err = core.TreeFor(base, p.Width, p.B, pr); err != nil {
 			return err
 		}
-		p.ColTree, err = core.TreeFor(base, p.Height, p.B, tr)
+		p.ColTree, err = core.TreeFor(base, p.Height, p.B, pr)
 	}
 	return err
 }

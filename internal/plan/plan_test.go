@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -108,8 +109,8 @@ func TestReplayMatchesOneShot(t *testing.T) {
 				if got.Cycles != want.Cycles {
 					t.Fatalf("replay %d: Cycles = %d, one-shot %d", rep, got.Cycles, want.Cycles)
 				}
-				if got.Predicted != want.Predicted {
-					t.Fatalf("replay %d: Predicted = %g, one-shot %g", rep, got.Predicted, want.Predicted)
+				if got.Predicted != want.Predicted || math.IsInf(got.Predicted, 0) {
+					t.Fatalf("replay %d: Predicted = %g, one-shot %g (and finite)", rep, got.Predicted, want.Predicted)
 				}
 			}
 		})

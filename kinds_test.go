@@ -15,7 +15,7 @@ import (
 // (internal/plan/kinds.go): every row, under every algorithm it accepts,
 // validates, rejects an algorithm outside its family as ErrBadShape, takes
 // inputs built from the row's layout, and runs with Report.Predicted equal
-// to Predict of the resolved shape — Auto and the middle root included. The
+// to Predict of the shape as spelled — Auto and the middle root included. The
 // key, layout and compile side of the same walk is the plan package's test
 // of the same name.
 func TestKindTableConformance(t *testing.T) {
@@ -62,10 +62,10 @@ func TestKindTableConformance(t *testing.T) {
 				t.Errorf("%s: Run: %v", name, err)
 				continue
 			}
-			// Compile predicts on the resolved request and Predict on the
-			// shape as spelled: the two meet, bit for bit, on sh.Resolve().
-			if want := Predict(sh.Resolve()); math.Float64bits(rep.Predicted) != math.Float64bits(want) {
-				t.Errorf("%s: Report.Predicted %v, Predict(sh.Resolve()) %v", name, rep.Predicted, want)
+			// Predict resolves Auto exactly as Compile does: one path, one
+			// number, bit for bit — and a finite one.
+			if want := Predict(sh); math.Float64bits(rep.Predicted) != math.Float64bits(want) || math.IsInf(want, 0) || math.IsNaN(want) {
+				t.Errorf("%s: Report.Predicted %v, Predict(sh) %v", name, rep.Predicted, want)
 			}
 		}
 	}
@@ -75,7 +75,8 @@ func TestKindTableConformance(t *testing.T) {
 // public. For every row of the kind table, spelled Auto and under each
 // algorithm the row accepts, at a few geometries and ramp latencies, it
 // names what plan.Compile builds, is idempotent, never leaves Auto on a
-// kind that has algorithms, and leaves algorithm-free kinds untouched.
+// kind that has algorithms, leaves algorithm-free kinds untouched, and
+// changes nothing about the estimate: Predict resolves by itself.
 func TestShapeResolve(t *testing.T) {
 	for i := range plan.Kinds {
 		ki := &plan.Kinds[i]
@@ -117,6 +118,10 @@ func TestShapeResolve(t *testing.T) {
 						// A plan carries the algorithm fields its kind consults.
 						if ki.Algs != nil && p.Alg != res.Alg || ki.Algs2D != nil && p.Alg2D != res.Alg2D {
 							t.Errorf("%s: Resolve says %q/%q, Compile built %q/%q", name, res.Alg, res.Alg2D, p.Alg, p.Alg2D)
+						}
+						// Spelled Auto or resolved, a shape has one estimate: the plan's.
+						if got, want := Predict(sh, opt), Predict(res, opt); math.Float64bits(got) != math.Float64bits(want) || got != p.Predicted {
+							t.Errorf("%s: Predict %v as spelled, %v resolved, the plan's %v", name, got, want, p.Predicted)
 						}
 					}
 				}

@@ -52,7 +52,6 @@
 package wse
 
 import (
-	"repro/internal/autogen"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -124,7 +123,12 @@ type ReductionTree = comm.Tree
 
 // AutoGenTree returns the reduction tree the Auto-Gen generator builds
 // for p PEs and b wavelets (§5.5): the tree minimising the model estimate
-// over all pre-order trees, reconstructed from the dynamic program.
+// over all pre-order trees, reconstructed from the dynamic program. It is
+// the tree a run of the autogen algorithm deploys under opt.
 func AutoGenTree(p, b int, opt Options) ReductionTree {
-	return autogen.For(p).Tree(p, b, core.Params(opt).TR)
+	if p < 1 {
+		p = 1
+	}
+	tree, _ := core.TreeFor(core.AutoGen, p, b, core.Params(opt))
+	return tree
 }

@@ -163,7 +163,7 @@ func TestPredictionConsistency(t *testing.T) {
 		p := int(pRaw%511) + 2
 		b := int(bRaw%4096) + 1
 		sh := Shape{Kind: KindReduce, Alg: Auto, P: p, B: b}
-		bestT, lb := Predict(sh.Resolve()), Bound(sh)
+		bestT, lb := Predict(sh), Bound(sh)
 		for _, alg := range []Algorithm{Star, Chain, Tree, TwoPhase, AutoGen} {
 			sh.Alg = alg
 			pred := Predict(sh)
@@ -171,9 +171,7 @@ func TestPredictionConsistency(t *testing.T) {
 				t.Logf("best %v worse than %s %v (p=%d b=%d)", bestT, alg, pred, p, b)
 				return false
 			}
-			if alg != Star && pred < lb-1e-6 {
-				// The refined star estimate may dip below the energy-based
-				// bound at B=1 (see model.StarReduceUpper).
+			if pred < lb-1e-6 { // Star included, now that its control wavelets are priced
 				t.Logf("%s prediction %v below bound %v (p=%d b=%d)", alg, pred, lb, p, b)
 				return false
 			}
