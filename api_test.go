@@ -35,6 +35,15 @@ func apiVectors(p, b int, seed float32) [][]float32 {
 	return out
 }
 
+// constVectors builds p all-ones vectors of b elements.
+func constVectors(p, b int) [][]float32 {
+	out := make([][]float32, p)
+	for i := range out {
+		out[i] = slices.Repeat([]float32{1}, b)
+	}
+	return out
+}
+
 // apiChunks splits a deterministic vector into the canonical per-PE
 // chunks for the gather kinds.
 func apiChunks(p, b int) [][]float32 {

@@ -2,11 +2,15 @@
 // evaluation (§5.7, §6.3, §7.6, §8): the optimality-ratio heatmaps of
 // Figure 1, the algorithm-selection region maps of Figures 8 and 10, the
 // measured-versus-predicted sweeps of Figures 11-13, and the headline
-// speedup numbers. Model-only figures are computed at the paper's full
-// scale; simulated ("measured") figures run on the fabric simulator, at
-// full scale in 1D and at a documented reduced scale in 2D (simulating
-// 512×512 = 262k PEs cycle-by-cycle is not feasible on a workstation; the
-// model, which the paper validates the same way, covers the full scale).
+// speedup numbers. The figure set is one table, Catalogue: a row per figure,
+// a measured line figure being a declarative Sweep that one loop
+// (Config.Run) prices through the kind table (plan.Request.Predict) and
+// measures under the §8.3 harness. Model-only figures are computed at the
+// paper's full scale; simulated ("measured") figures run on the fabric
+// simulator, at full scale in 1D and at a documented reduced scale in 2D
+// (simulating 512×512 = 262k PEs cycle-by-cycle is not feasible on a
+// workstation; the model, which the paper validates the same way, covers the
+// full scale).
 package experiments
 
 import (
@@ -53,6 +57,18 @@ type Figure struct {
 	XLabel string
 	Series []Series
 	Notes  []string
+}
+
+// WorstRelError is the largest MeanRelError over the figure's series, 0 for
+// a figure that measures nothing.
+func (f *Figure) WorstRelError() float64 {
+	worst := 0.0
+	for _, s := range f.Series {
+		if e := s.MeanRelError(); e > worst { // a NaN never compares greater
+			worst = e
+		}
+	}
+	return worst
 }
 
 // Table renders the figure as an aligned text table (cycles).
@@ -136,6 +152,23 @@ type Heatmap struct {
 	// Regions optionally labels each cell with the winning algorithm.
 	Regions [][]string
 	Notes   []string
+}
+
+// fill computes the heatmap cell by cell: cell prices one row value and one
+// vector length in wavelets (the columns are bytes) and, for a region map,
+// names the winner there.
+func (h Heatmap) fill(cell func(n, b int) (v float64, region string)) *Heatmap {
+	for _, n := range h.Rows {
+		cells, regions := make([]float64, len(h.Cols)), make([]string, len(h.Cols))
+		for j, bytes := range h.Cols {
+			cells[j], regions[j] = cell(n, bytes/4)
+		}
+		h.Cells = append(h.Cells, cells)
+		if regions[0] != "" {
+			h.Regions = append(h.Regions, regions)
+		}
+	}
+	return &h
 }
 
 // Render draws the heatmap as an aligned text grid, largest row first to

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestFig1ReproducesPaperRatios(t *testing.T) {
@@ -78,44 +80,52 @@ func TestFig10Regions(t *testing.T) {
 	}
 }
 
-func TestFig11SweepTiny(t *testing.T) {
-	cfg := Tiny()
-	fa, err := cfg.Fig11a()
+// figures builds the named sweep rows of the catalogue under cfg.
+func figures(t *testing.T, cfg Config, ids ...string) []*Figure {
+	t.Helper()
+	arts, err := cfg.Run(ids...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := fa.Series[0].MeanRelError(); e > 0.25 {
-		t.Errorf("broadcast mean relative error %.1f%%, paper reports ≤21%%", 100*e)
-	}
-	fb, err := cfg.Fig11b()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range fb.Series {
-		if e := s.MeanRelError(); math.IsNaN(e) || e > 0.40 {
-			t.Errorf("reduce %s mean relative error %.1f%%, paper reports 12-35%%", s.Name, 100*e)
+	figs := make([]*Figure, len(arts))
+	for i, a := range arts {
+		if figs[i] = a.Figure; figs[i] == nil {
+			t.Fatalf("%s built no line figure", a.ID)
 		}
 	}
-	fc, err := cfg.Fig11c()
-	if err != nil {
-		t.Fatal(err)
+	return figs
+}
+
+// holdToModel fails for every measured series of fig whose mean relative
+// error exceeds limit: the abstract claims the model predicts "with less
+// than 4 % error".
+func holdToModel(t *testing.T, fig *Figure, limit float64) {
+	t.Helper()
+	for _, s := range fig.Series {
+		if e := s.MeanRelError(); e > limit {
+			t.Errorf("%s/%s: mean relative error %.2f%%, want <= %.0f%%", fig.ID, s.Name, 100*e, 100*limit)
+		}
 	}
-	if len(fc.Series) != len(seriesPatterns)+2 {
-		t.Fatalf("%d series in fig11c", len(fc.Series))
+}
+
+func TestFig11SweepTiny(t *testing.T) {
+	figs := figures(t, Tiny(), "fig11a", "fig11b", "fig11c")
+	for _, f := range figs {
+		holdToModel(t, f, 0.05)
+	}
+	for _, s := range figs[1].Series {
+		if math.IsNaN(s.MeanRelError()) {
+			t.Errorf("fig11b/%s measured nothing", s.Name)
+		}
+	}
+	if len(figs[2].Series) != len(core.Patterns1D)+2 {
+		t.Fatalf("%d series in fig11c", len(figs[2].Series))
 	}
 }
 
 func TestFig12SweepTiny(t *testing.T) {
-	cfg := Tiny()
-	fb, err := cfg.Fig12b()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range fb.Series {
-		if e := s.MeanRelError(); math.IsNaN(e) || e > 0.40 {
-			t.Errorf("reduce %s mean relative error %.1f%%, paper reports 13-28%%", s.Name, 100*e)
-		}
-	}
+	fb := figures(t, Tiny(), "fig12b")[0]
+	holdToModel(t, fb, 0.05)
 	// The model must predict the right winner transitions: chain best at
 	// few PEs, two-phase / autogen at many (§8.5).
 	chain := seriesByName(fb, "chain")
@@ -132,24 +142,17 @@ func TestFig12SweepTiny(t *testing.T) {
 }
 
 func TestFig13SweepTiny(t *testing.T) {
-	cfg := Tiny()
-	fa, err := cfg.Fig13a()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range fa.Series {
-		if e := s.MeanRelError(); math.IsNaN(e) || e > 0.45 {
-			t.Errorf("2D reduce %s mean relative error %.1f%%", s.Name, 100*e)
+	figs := figures(t, Tiny(), "fig13a", "fig13c")
+	holdToModel(t, figs[0], 0.05)
+	for _, s := range figs[0].Series {
+		if math.IsNaN(s.MeanRelError()) {
+			t.Errorf("fig13a/%s measured nothing", s.Name)
 		}
-	}
-	fcFig, err := cfg.Fig13c()
-	if err != nil {
-		t.Fatal(err)
 	}
 	// Snake wins on tiny grids with 1 KB vectors, loses badly at scale
 	// (its predicted 512x512 value is the paper's ~2 ms outlier).
-	snake := seriesByName(fcFig, "snake")
-	chain := seriesByName(fcFig, "xy-chain")
+	snake := seriesByName(figs[1], "snake")
+	chain := seriesByName(figs[1], "xy-chain")
 	if snake.Points[0].Predicted > chain.Points[0].Predicted {
 		t.Errorf("4x4: snake %.0f should beat xy-chain %.0f",
 			snake.Points[0].Predicted, chain.Points[0].Predicted)
@@ -164,15 +167,13 @@ func TestFig13SweepTiny(t *testing.T) {
 func TestHeadlineClaims(t *testing.T) {
 	cfg := Tiny()
 	cfg.Bs = []int{64, 256, 1024, 4096} // span the crossover region
-	fb, err := cfg.Fig11b()
+	claims, err := Headline(func(id string) (*Figure, error) { return figures(t, cfg, id)[0], nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := cfg.Fig11c()
-	if err != nil {
-		t.Fatal(err)
+	if len(claims) != 6 {
+		t.Fatalf("%d claims, the paper makes 6", len(claims))
 	}
-	claims := Headline(fb, fc, cfg.Fig13Model512(false), cfg.Fig13Model512(true))
 	for _, c := range claims {
 		if math.IsNaN(c.Ours) {
 			t.Errorf("%s: no value", c.Name)
@@ -199,10 +200,7 @@ func TestRenderers(t *testing.T) {
 	cfg := Tiny()
 	cfg.Bs = []int{1, 16}
 	cfg.Ps = []int{4, 16}
-	fa, err := cfg.Fig12a()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fa := figures(t, cfg, "fig12a")[0]
 	if s := fa.Table(); !strings.Contains(s, "fig12a") {
 		t.Error("table render missing ID")
 	}

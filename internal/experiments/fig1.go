@@ -24,33 +24,25 @@ func Fig1() []*Heatmap {
 	ag := autogen.For(512)
 	var maps []*Heatmap
 	for _, pattern := range Fig1Patterns {
-		h := &Heatmap{
+		maps = append(maps, Heatmap{
 			ID:       "fig1-" + pattern,
 			Title:    fmt.Sprintf("optimality ratio of %s 1D Reduce (1.0 = matches lower bound)", pattern),
 			RowLabel: "PEs",
 			ColLabel: "bytes",
 			Rows:     ps,
 			Cols:     bytesCols,
-			Cells:    make([][]float64, len(ps)),
-		}
-		for i, p := range ps {
-			h.Cells[i] = make([]float64, len(bytesCols))
-			for j, bytes := range bytesCols {
-				b := bytes / 4 // 32-bit wavelets
-				bound := lb.Time(p, b, pr.TR)
-				var t float64
-				switch pattern {
-				case "star":
-					t = pr.StarReduceUpper(p, b)
-				case "autogen":
-					t = ag.Time(p, b, pr.TR)
-				default:
-					t = pr.Reduce1D(pattern, p, b)
-				}
-				h.Cells[i][j] = t / bound
+		}.fill(func(p, b int) (float64, string) {
+			var t float64
+			switch pattern {
+			case "star":
+				t = pr.StarReduceUpper(p, b)
+			case "autogen":
+				t = ag.Time(p, b, pr.TR)
+			default:
+				t = pr.Reduce1D(pattern, p, b)
 			}
-		}
-		maps = append(maps, h)
+			return t / lb.Time(p, b, pr.TR), ""
+		}))
 	}
 	return maps
 }

@@ -11,41 +11,25 @@ import (
 // Chain, the vendor baseline. Rows are total PE counts of √P×√P grids
 // from 4×4 up to 512×512.
 func Fig10() *Heatmap {
-	var sides []int
-	for s := 4; s <= 512; s *= 2 {
-		sides = append(sides, s)
-	}
-	bytesCols := PowersOfTwo(4, 1<<20)
 	pr := model.Default()
-	h := &Heatmap{
+	return Heatmap{
 		ID:       "fig10",
 		Title:    "2D AllReduce: speedup of best algorithm over X-Y Chain (vendor)",
 		RowLabel: "side",
 		ColLabel: "bytes",
-		Rows:     sides,
-		Cols:     bytesCols,
-		Cells:    make([][]float64, len(sides)),
-		Regions:  make([][]string, len(sides)),
+		Rows:     PowersOfTwo(4, 512),
+		Cols:     PowersOfTwo(4, 1<<20),
 		Notes: []string{
 			"rows are square grids: side 512 means 512x512 = 262144 PEs",
 			"as in the paper's Figure 10, the bandwidth-limited region is held by Snake instead of the 1D ring",
 		},
-	}
-	for i, side := range sides {
-		h.Cells[i] = make([]float64, len(bytesCols))
-		h.Regions[i] = make([]string, len(bytesCols))
-		for j, bytes := range bytesCols {
-			b := bytes / 4
-			vendor := core.PredictAllReduce2D(core.XYChain, side, side, b, pr)
-			bestName, bestT := "", 0.0
-			for _, pat := range []core.Pattern2D{core.XYStar, core.XYChain, core.XYTree, core.XYTwoPhase, core.Snake} {
-				if t := core.PredictAllReduce2D(pat, side, side, b, pr); bestName == "" || t < bestT {
-					bestName, bestT = string(pat), t
-				}
+	}.fill(func(side, b int) (float64, string) {
+		bestName, bestT := "", 0.0
+		for _, pat := range []core.Pattern2D{core.XYStar, core.XYChain, core.XYTree, core.XYTwoPhase, core.Snake} {
+			if t := core.PredictAllReduce2D(pat, side, side, b, pr); bestName == "" || t < bestT {
+				bestName, bestT = string(pat), t
 			}
-			h.Cells[i][j] = vendor / bestT
-			h.Regions[i][j] = bestName
 		}
-	}
-	return h
+		return core.PredictAllReduce2D(core.XYChain, side, side, b, pr) / bestT, bestName
+	})
 }

@@ -12,15 +12,13 @@ import (
 	"repro/internal/plan"
 )
 
-// Config governs the simulated ("measured") experiments.
+// Config governs the simulated ("measured") experiments. Every measured
+// point runs under the §8.3 measurement harness (trigger broadcast,
+// α-calibrated staggered starts, calibrated clocks).
 type Config struct {
 	// Opt parameterises the fabric. The default enables per-PE clock skew
 	// so the §8.3 calibration has real work to do.
 	Opt fabric.Options
-	// Calibrate selects the §8.3 measurement harness (trigger broadcast,
-	// α-calibrated staggered starts, calibrated clocks). When false the
-	// raw synchronous-start cycle count of the simulator is used.
-	Calibrate bool
 	// P1D is the row length of the Figure 11 sweeps (the paper uses 512,
 	// the largest power-of-two row).
 	P1D int
@@ -34,7 +32,7 @@ type Config struct {
 	// Side2D is the square grid side for the measured Figure 13 a/b runs.
 	// The paper measures 512×512 on hardware; simulating 262k PEs
 	// cycle-by-cycle is infeasible, so measured runs use this side and
-	// the model covers 512 (see EXPERIMENTS.md).
+	// the model covers 512 (rows fig13a-model and fig13b-model).
 	Side2D int
 	// Sides2D are the measured grid sides of the Figure 13c sweep.
 	Sides2D []int
@@ -42,36 +40,21 @@ type Config struct {
 	// simulation work is its energy Θ(B·P²), which dominates everything
 	// else in the sweep. Predictions still cover all B.
 	StarBCap int
-	// Shards, when > 1, runs every measured fabric simulation on the
-	// sharded engine with that many row bands. Results are bit-identical
-	// to serial runs (the engine guarantees it); sharding exists to make
-	// wide 2D grids — up to the paper's 512×512 — wall-clock feasible.
-	Shards int
 }
 
-// opt returns the fabric options of a measured run with the sharding
-// knob applied.
-func (cfg Config) opt() fabric.Options {
-	o := cfg.Opt
-	if cfg.Shards > 1 {
-		o.Shards = cfg.Shards
-	}
-	return o
-}
-
-// Quick returns the configuration used by tests and the default bench
-// harness: full 1D scale with a thinned B grid, 2D at 16×16.
+// Quick returns the configuration used by the default wsefigures profile
+// and the catalogue benchmark: full 1D scale with a thinned B grid, 2D at
+// 16×16.
 func Quick() Config {
 	return Config{
-		Opt:       fabric.Options{ClockSkewMax: 1024, Seed: 7},
-		Calibrate: true,
-		P1D:       512,
-		Bs:        []int{1, 4, 16, 64, 256, 1024},
-		FixedB:    256,
-		Ps:        PowersOfTwo(4, 512),
-		Side2D:    16,
-		Sides2D:   []int{4, 8, 16},
-		StarBCap:  256,
+		Opt:      fabric.Options{ClockSkewMax: 1024, Seed: 7},
+		P1D:      512,
+		Bs:       []int{1, 4, 16, 64, 256, 1024},
+		FixedB:   256,
+		Ps:       PowersOfTwo(4, 512),
+		Side2D:   16,
+		Sides2D:  []int{4, 8, 16},
+		StarBCap: 256,
 	}
 }
 
@@ -79,16 +62,59 @@ func Quick() Config {
 // -full): the complete B grid 4 B..16 KB and 2D measurements at 64×64.
 func Full() Config {
 	return Config{
-		Opt:       fabric.Options{ClockSkewMax: 1024, Seed: 7},
-		Calibrate: true,
-		P1D:       512,
-		Bs:        PowersOfTwo(1, 4096),
-		FixedB:    256,
-		Ps:        PowersOfTwo(4, 512),
-		Side2D:    64,
-		Sides2D:   []int{4, 8, 16, 32, 64},
-		StarBCap:  4096,
+		Opt:      fabric.Options{ClockSkewMax: 1024, Seed: 7},
+		P1D:      512,
+		Bs:       PowersOfTwo(1, 4096),
+		FixedB:   256,
+		Ps:       PowersOfTwo(4, 512),
+		Side2D:   64,
+		Sides2D:  []int{4, 8, 16, 32, 64},
+		StarBCap: 4096,
 	}
+}
+
+// Tiny returns a scaled-down configuration for unit tests: shapes small
+// enough to run the whole catalogue in seconds while still exercising
+// every code path.
+func Tiny() Config {
+	cfg := Quick()
+	cfg.P1D = 128
+	cfg.Bs = []int{1, 16, 128}
+	cfg.FixedB = 64
+	cfg.Ps = []int{4, 16, 64, 128}
+	cfg.Side2D = 8
+	cfg.Sides2D = []int{4, 8}
+	cfg.StarBCap = 128
+	return cfg
+}
+
+// params is the model parameterisation the measured runs are predicted under.
+func (cfg Config) params() model.Params { return core.Params(cfg.Opt) }
+
+// measured runs one collective point under the §8.3 measurement harness and
+// returns its calibrated cycles: the compiled program is stamped into a fresh
+// spec for the instrumenter to rewrite, once per value of α it tries.
+func measured(req plan.Request) (float64, error) {
+	pl, err := plan.Compile(req)
+	if err != nil {
+		return math.NaN(), err
+	}
+	col := measure.Collective{
+		Width:  pl.Spec.Width,
+		Height: pl.Spec.Height,
+		Build: func(spec *fabric.Spec) error {
+			if err := pl.Stamp(spec); err != nil {
+				return err
+			}
+			onesInit(spec, req.B)
+			return nil
+		},
+	}
+	res, err := measure.Measure(col, req.Opt, measure.Config{})
+	if err != nil {
+		return math.NaN(), err
+	}
+	return float64(res.Cycles), nil
 }
 
 // onesInit fills every programmed PE with a constant vector so measured
@@ -104,76 +130,7 @@ func onesInit(spec *fabric.Spec, b int) {
 	})
 }
 
-// planSess is the shared compiled-plan session of the harness. The
-// figure sweeps revisit shapes (and the §8.3 calibration loop re-runs
-// each point for up to 8 values of α), so compiling each point once and
-// replaying the cached plan removes the per-run lowering cost.
-var planSess = plan.NewSession(512, 0)
-
-// runPlanned executes one collective point through the plan cache and
-// returns its measured cycles. Calibrated runs stamp the cached program
-// into a fresh spec for the measurement instrumenter to rewrite;
-// uncalibrated runs replay the plan directly.
-func (cfg Config) runPlanned(req plan.Request) (float64, error) {
-	req.Opt = cfg.opt()
-	pl, err := planSess.Plan(req)
-	if err != nil {
-		return math.NaN(), err
-	}
-	if cfg.Calibrate {
-		col := measure.Collective{
-			Width:  pl.Spec.Width,
-			Height: pl.Spec.Height,
-			Build: func(spec *fabric.Spec) error {
-				if err := pl.Stamp(spec); err != nil {
-					return err
-				}
-				onesInit(spec, req.B)
-				return nil
-			},
-		}
-		res, err := measure.Measure(col, cfg.opt(), measure.Config{})
-		if err != nil {
-			return math.NaN(), err
-		}
-		return float64(res.Cycles), nil
-	}
-	rep, err := planSess.Run(req, onesInputs(req))
-	if err != nil {
-		return math.NaN(), err
-	}
-	return float64(rep.Cycles), nil
-}
-
 // onesInputs builds the all-ones inputs of a request, in its kind's layout.
 func onesInputs(req plan.Request) [][]float32 {
 	return req.Inputs(func(n int) []float32 { return slices.Repeat([]float32{1}, n) })
-}
-
-// params is the model parameterisation the measured runs are predicted under.
-func (cfg Config) params() model.Params { return core.Params(cfg.Opt) }
-
-// measureReduce1D runs one measured 1D Reduce point.
-func (cfg Config) measureReduce1D(pattern core.Pattern, p, b int) (float64, error) {
-	return cfg.runPlanned(plan.Request{Kind: plan.Reduce1D, Alg: pattern, P: p, B: b, Op: fabric.OpSum})
-}
-
-// measureAllReduce1D runs one measured 1D AllReduce point.
-func (cfg Config) measureAllReduce1D(pattern core.Pattern, p, b int) (float64, error) {
-	return cfg.runPlanned(plan.Request{Kind: plan.AllReduce1D, Alg: pattern, P: p, B: b, Op: fabric.OpSum})
-}
-
-// measureBroadcast1D runs one measured 1D Broadcast point.
-func (cfg Config) measureBroadcast1D(p, b int) (float64, error) {
-	return cfg.runPlanned(plan.Request{Kind: plan.Broadcast1D, P: p, B: b})
-}
-
-// measureReduce2D runs one measured 2D Reduce point on a side×side grid.
-func (cfg Config) measureReduce2D(pattern core.Pattern2D, side, b int) (float64, error) {
-	return cfg.runPlanned(plan.Request{Kind: plan.Reduce2D, Alg2D: pattern, Width: side, Height: side, B: b, Op: fabric.OpSum})
-}
-
-// measureAllReduce2D runs one measured 2D AllReduce point.
-func (cfg Config) measureAllReduce2D(pattern core.Pattern2D, side, b int) (float64, error) {
-	return cfg.runPlanned(plan.Request{Kind: plan.AllReduce2D, Alg2D: pattern, Width: side, Height: side, B: b, Op: fabric.OpSum})
 }
