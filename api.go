@@ -111,14 +111,20 @@ func (sh Shape) Inputs(fill func(n int) []float32) [][]float32 {
 // PEs: chunk j spans [off[j], off[j]+sz[j]) and belongs to PE j.
 func Chunks(p, b int) (off, sz []int) { return core.Chunks(p, b) }
 
-// Resolve returns sh with an Auto or Auto2D algorithm replaced by what
-// the kind's row of the table picks under the call's options — the same
-// function the compiler and Predict call, so sh.Resolve() names the
-// algorithm a Run of sh executes. A Shape naming a concrete algorithm, or a
-// kind without algorithms, comes back unchanged.
+// Resolve returns the Shape a Run of sh executes under the call's options:
+// an Auto or Auto2D algorithm replaced by what the kind's row of the table
+// picks from the model — the same function the compiler and Predict call.
+// The choice ranges over every schedule that computes the kind, so the Kind
+// can move too: an Auto AllReduce the model roots in the middle resolves to
+// KindAllReduceMidRoot with its tree (or stays KindAllReduce with Ring), and
+// the algorithm-free ReduceScatter and AllGather come back with Alg saying
+// which of their two schedules runs — Ring, or the tree that carries the
+// data through the root (a reduce tree before the Scatter; Star for the
+// Gather before the Broadcast). The resolved Shape is valid and runs the
+// same program; a Shape naming a concrete algorithm comes back unchanged.
 func (sh Shape) Resolve(opts ...Option) Shape {
 	r := sh.request(resolveOpts(opts).opt).Resolve()
-	sh.Alg, sh.Alg2D = r.Alg, r.Alg2D
+	sh.Kind, sh.Alg, sh.Alg2D = r.Kind, r.Alg, r.Alg2D
 	return sh
 }
 
@@ -218,9 +224,9 @@ func RunBatch(ctx context.Context, sh Shape, batches [][][]float32, opts ...Opti
 // Predict returns the performance model's cycle estimate for a Run of sh
 // under the call's options (Eq. 1 instantiated per kind: §5's forms and the
 // trees' critical paths in 1D, §7's compositions in 2D, the extension
-// estimates for the chunked kinds). An Auto algorithm is resolved first,
-// exactly as the compiler resolves it, so Predict(sh) is that Run's
-// Report.Predicted bit for bit. Like the model itself it is total: shapes
+// estimates for the chunked kinds). The Shape is resolved first, exactly as
+// the compiler resolves it — Auto over every schedule of the kind — so
+// Predict(sh) is that Run's Report.Predicted bit for bit. Like the model itself it is total: shapes
 // naming unknown kinds or algorithms estimate to NaN or 0 rather than
 // erroring — Validate is the place to vet a Shape.
 func Predict(sh Shape, opts ...Option) float64 {
@@ -235,8 +241,9 @@ func Predict(sh Shape, opts ...Option) float64 {
 //     the paper's T*(P,B) bound (§5.6); an AllReduce contains a reduce,
 //     so T* bounds it too;
 //   - the 2D reduce family uses Lemma 7.2;
-//   - broadcasts use Lemma 4.1 / 7.1, which the flooding broadcast
-//     achieves exactly — for them Bound equals Predict;
+//   - broadcasts use Lemma 4.1 / 7.1 as the paper states them; the
+//     flooding broadcast achieves them but for the control wavelet behind
+//     the data, so Predict is one cycle above Bound;
 //   - the chunked kinds use the root-serialisation bound: B·(P-1)/P
 //     wavelets must cross one ramp, plus the 2·T_R+1 latency floor.
 //

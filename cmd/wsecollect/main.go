@@ -292,7 +292,9 @@ func (c *config) shape() (wse.Shape, error) {
 }
 
 // describe renders the PE geometry and algorithm of a shape for the report
-// line; an Auto algorithm is followed by what the model chose under opt.
+// line, followed by what the model chose under opt where it had a choice:
+// the algorithm an Auto resolved to — with the kind whose program runs it,
+// when that is another row's — or the schedule of an algorithm-free kind.
 func describe(sh wse.Shape, opt wse.Options) string {
 	ki := plan.InfoOf(sh.Kind)
 	w, h := sh.P, 1
@@ -306,9 +308,14 @@ func describe(sh wse.Shape, opt wse.Options) string {
 	case ki.Algs2D != nil:
 		alg, chosen = string(sh.Alg2D), string(res.Alg2D)
 	case ki.Algs == nil:
-		return out
+		alg = ""
 	}
-	out += ", alg=" + alg
+	if alg != "" {
+		out += ", alg=" + alg
+	}
+	if res.Kind != sh.Kind {
+		chosen = plan.InfoOf(res.Kind).Name + "/" + chosen
+	}
 	if chosen != alg {
 		out += " (→ " + chosen + ")"
 	}

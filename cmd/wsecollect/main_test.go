@@ -56,15 +56,23 @@ func TestKindTableConformance(t *testing.T) {
 }
 
 // TestDescribeSaysWhatAutoChose: the report line of an Auto run names the
-// algorithm the model resolved it to under the run's options; a concrete
-// algorithm and an algorithm-free kind are printed as given.
+// algorithm the model resolved it to under the run's options — and the kind
+// whose program runs it when Auto rooted an AllReduce in the middle; the
+// chunked kinds, which take no algorithm, say which schedule runs; a concrete
+// algorithm and a kind with one schedule are printed as given.
 func TestDescribeSaysWhatAutoChose(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-collective allreduce -alg auto -p 64 -bytes 4096", "64x1 PEs, alg=auto (→ autogen)"},
-		// One wavelet per PE: Star's 15 transfers are 2 wavelets each with
-		// their control, and the generated tree beats it, 31 cycles to 36.
-		{"-collective allreduce -p 16 -bytes 4", "16x1 PEs, alg=auto (→ autogen)"},
+		// One wavelet per PE: distance is all there is, and the middle root
+		// halves it — 46 cycles under binomial halves, 52 from the end.
+		{"-collective allreduce -p 16 -bytes 4", "16x1 PEs, alg=auto (→ allreduce-midroot/tree)"},
+		{"-collective allreduce -p 512 -bytes 4", "512x1 PEs, alg=auto (→ allreduce-midroot/autogen)"},
+		// 16 PEs, 16 KB: the ring moves 2B(P-1)/P wavelets a PE, the trees 2B.
+		{"-collective allreduce -p 16 -bytes 16384", "16x1 PEs, alg=auto (→ ring)"},
 		{"-collective allreduce-midroot -p 64 -bytes 4096", "64x1 PEs, alg=auto (→ autogen)"},
+		{"-collective reducescatter -p 16 -bytes 1024", "16x1 PEs (→ ring)"},
+		{"-collective reducescatter -p 256 -bytes 1024", "256x1 PEs (→ autogen)"},
+		{"-collective allgather -p 16 -bytes 64", "16x1 PEs (→ star)"},
 		{"-collective reduce2d -grid 8x8 -bytes 64", "8x8 PEs, alg=auto (→ xy-twophase)"},
 		{"-collective reduce -alg chain -p 8", "8x1 PEs, alg=chain"},
 		{"-collective broadcast -p 8", "8x1 PEs"},

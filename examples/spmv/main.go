@@ -57,7 +57,8 @@ func main() {
 		return rep
 	}
 	auto, star, chain := runDot(wse.Auto), runDot(wse.Star), runDot(wse.Chain)
-	alg := dot.Resolve(wse.WithOptions(opts)).Alg
+	res := dot.Resolve(wse.WithOptions(opts)) // the kind too: Auto may root the AllReduce in the middle
+	alg := fmt.Sprintf("%s/%s", res.Kind, res.Alg)
 	fmt.Printf("scalar dot-product AllReduce on %d PEs:\n", peCount)
 	fmt.Printf("  model pick (%s): %4d cycles (bound %.0f)\n", alg, auto.Cycles, wse.Bound(dot))
 	fmt.Printf("  star  (as in Rocki et al.): %4d cycles\n", star.Cycles)

@@ -80,7 +80,8 @@ func main() {
 		vendorCycles += vendor.Cycles
 
 		if rep.Root[0] < tolerance || iter >= 200 {
-			alg := resShape.Resolve().Alg
+			res := resShape.Resolve() // Auto may root the AllReduce in the middle, as the stencil codes of [25] do
+			alg := fmt.Sprintf("%s/%s", res.Kind, res.Alg)
 			fmt.Printf("converged after %d iterations (residual %.2e)\n", iter, rep.Root[0])
 			fmt.Printf("scalar AllReduce per iteration: %s %d cycles vs vendor chain %d cycles (%.2fx)\n",
 				alg, rep.Cycles, vendor.Cycles, float64(vendor.Cycles)/float64(rep.Cycles))

@@ -80,7 +80,19 @@ type Table struct {
 	caps Caps
 	// e[d][c][p], d ≤ DepthCap, c ≤ ContentionCap, p ≤ maxP.
 	e [][][]int64
+
+	// plans remembers what Optimize returned per (p, b, tr). The scan is
+	// DepthCap × ContentionCap cells whatever p is, and one compile asks for
+	// the same point several times over: the Auto search that ranks the
+	// schedules, then the builder, the estimate and the plan's tree metadata
+	// of the one it picked.
+	mu    sync.Mutex
+	plans map[[3]int]Plan
 }
+
+// maxPlans bounds Table.plans; a sweep over more points than this starts the
+// memo over.
+const maxPlans = 1 << 12
 
 var (
 	mu     sync.Mutex
@@ -198,10 +210,29 @@ type Plan struct {
 // Optimize evaluates T_AutoGen(p, b) for transfers of b wavelets and ramp
 // latency tr and returns the winning plan.
 func (t *Table) Optimize(p, b, tr int) Plan {
-	ramp := float64(2*tr + 1)
 	if p <= 1 {
 		return Plan{P: p, B: b, Cycles: 0, IsChain: true}
 	}
+	key := [3]int{p, b, tr}
+	t.mu.Lock()
+	plan, ok := t.plans[key]
+	t.mu.Unlock()
+	if ok {
+		return plan
+	}
+	plan = t.optimize(p, b, tr)
+	t.mu.Lock()
+	if t.plans == nil || len(t.plans) >= maxPlans {
+		t.plans = make(map[[3]int]Plan)
+	}
+	t.plans[key] = plan
+	t.mu.Unlock()
+	return plan
+}
+
+// optimize is the scan behind Optimize, for p ≥ 2.
+func (t *Table) optimize(p, b, tr int) Plan {
+	ramp := float64(2*tr + 1)
 	// Explicit chain candidate: C=1, D=P−1, scalar energy P−1. Within the
 	// model this is exactly Lemma 5.2's B + (2T_R+2)(P−1).
 	best := Plan{

@@ -3,6 +3,7 @@ package autogen
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/comm"
@@ -315,4 +316,27 @@ func BenchmarkBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkTable = Build(512, DefaultCaps())
 	}
+}
+
+// TestOptimizeMemoIsTheScan: a remembered plan is the one the scan returns,
+// the first time and every time after, from any goroutine.
+func TestOptimizeMemoIsTheScan(t *testing.T) {
+	tab := Build(64, DefaultCaps())
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := 2; p <= 64; p += 7 {
+				for _, b := range []int{1, 17, 256} {
+					for _, tr := range []int{0, 2} {
+						if got, want := tab.Optimize(p, b, tr), tab.optimize(p, b, tr); got != want {
+							t.Errorf("Optimize(%d, %d, %d) = %+v, the scan says %+v", p, b, tr, got, want)
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -118,10 +118,11 @@ func addRingEdge(spec *fabric.Spec, path mesh.Path, a, b int, color mesh.Color) 
 // over the bidirectional ramp. Requires b >= len(path) so every chunk is
 // non-empty.
 //
-// The paper analyses this algorithm and shows the model predicts it never
-// to be the best choice on the WSE (§8.6), so — unlike us — it skips the
-// implementation. Building it anyway lets the reproduction verify that
-// verdict experimentally; see TestRingNeverWins.
+// The paper analyses this algorithm, finds the model picks it only for few
+// PEs with long vectors (§8.6) and skips the implementation. Built and run,
+// it is what the model says: the best 1D AllReduce at 16 PEs from 4 KB up,
+// never at 64 PEs and beyond — core's TestRingCrossover measures the
+// crossover, and Auto deploys the ring where it wins.
 func BuildRingAllReduce(spec *fabric.Spec, path mesh.Path, b int, mapping RingMapping, op fabric.ReduceOp) error {
 	return buildRingPhases(spec, path, b, mapping, op, true, true)
 }

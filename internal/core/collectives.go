@@ -1,9 +1,16 @@
 package core
 
 // Extension collectives beyond the paper's Reduce/AllReduce/Broadcast
-// set: Scatter, Gather, ReduceScatter, AllGather (chunked, ring-based)
-// and the middle-root AllReduce of §6.1's root-placement remark. They
-// complete the MPI-style collective suite on the same fabric substrate.
+// set: Scatter, Gather, ReduceScatter, AllGather (chunked) and the
+// middle-root AllReduce of §6.1's root-placement remark. They complete the
+// MPI-style collective suite on the same fabric substrate.
+//
+// ReduceScatter and AllGather each have two schedules — a phase of the ring
+// AllReduce (§6.2), or a composition through the leftmost PE, Reduce then
+// Scatter and Gather then Broadcast — and run whichever the model prices
+// lower. A Pattern names the schedule: Ring, or the tree that carries the
+// data to the root (any reduce tree for ReduceScatter; Star for AllGather,
+// whose Gather sends every chunk straight to the root).
 //
 // Each collective is split into a Build*Into compile half (program and
 // routing tables only, no initial data) and a Run* convenience that
@@ -93,13 +100,63 @@ func RunGather(chunks [][]float32, opt fabric.Options) (*Report, error) {
 	return ExecSpec(spec, opt, Params(opt).Gather(p, b))
 }
 
-// BuildReduceScatterInto compiles a ring reduce-scatter of b elements
-// over a row of p PEs into spec.
-func BuildReduceScatterInto(spec *fabric.Spec, p, b int, op fabric.ReduceOp) error {
+// placeChunks moves the chunk every PE but the root sends or receives in its
+// last op — the one comm.BuildScatter or comm.BuildGather just appended —
+// from the front of its accumulator to its Chunks offset: where a
+// composition through the root keeps chunk j of the B-element image.
+func placeChunks(spec *fabric.Spec, p, b int) error {
+	off, _ := comm.Chunks(p, b)
+	for v, c := range mesh.Row(0, 0, p)[1:] {
+		ops := spec.PE(c).Ops
+		if len(ops) == 0 {
+			return fmt.Errorf("core: PE %v has no chunk op to place", c)
+		}
+		op := &ops[len(ops)-1]
+		if op.Color != scatterColor || op.Kind != fabric.OpSend && op.Kind != fabric.OpRecvStore {
+			return fmt.Errorf("core: PE %v ends in %v on color %d, not its chunk's send or receive", c, op.Kind, op.Color)
+		}
+		op.Off = off[v+1]
+	}
+	return nil
+}
+
+// BestReduceScatter picks what a ReduceScatter runs: Ring, the first phase
+// of the ring AllReduce, or a tree pattern — Reduce over that tree, then
+// Scatter the result from the root. The ring wins ties.
+func BestReduceScatter(p, b int, pr model.Params) (Pattern, float64) {
+	pat, reduce := BestReduce1D(p, b, pr)
+	if t := pr.Then(reduce, pr.Scatter(p, b)); t < pr.ReduceScatter(p, b) {
+		return pat, t
+	}
+	return Ring, pr.ReduceScatter(p, b)
+}
+
+// PredictReduceScatter estimates a ReduceScatter under a schedule
+// BestReduceScatter can pick.
+func PredictReduceScatter(pattern Pattern, p, b int, pr model.Params) float64 {
+	if pattern == Ring {
+		return pr.ReduceScatter(p, b)
+	}
+	return pr.Then(PredictReduce1D(pattern, p, b, pr), pr.Scatter(p, b))
+}
+
+// BuildReduceScatterInto compiles a reduce-scatter of b elements over a row
+// of p PEs into spec under the given schedule. Either way chunk j of the
+// combination ends at its Chunks offset of PE j's accumulator.
+func BuildReduceScatterInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Params, op fabric.ReduceOp) error {
 	if p < 2 {
 		return fmt.Errorf("core: reduce-scatter needs at least 2 PEs")
 	}
-	return comm.BuildReduceScatter(spec, mesh.Row(0, 0, p), b, comm.RingSimple, op)
+	if pattern == Ring {
+		return comm.BuildReduceScatter(spec, mesh.Row(0, 0, p), b, comm.RingSimple, op)
+	}
+	if err := BuildReduce1DInto(spec, pattern, p, b, pr, op); err != nil {
+		return err
+	}
+	if err := comm.BuildScatter(spec, mesh.Row(0, 0, p), b, scatterColor); err != nil {
+		return err
+	}
+	return placeChunks(spec, p, b)
 }
 
 // RunReduceScatter combines one vector per PE elementwise and leaves
@@ -111,23 +168,55 @@ func RunReduceScatter(vectors [][]float32, op fabric.ReduceOp, opt fabric.Option
 		return nil, err
 	}
 	p := len(vectors)
+	pr := Params(opt)
 	spec := fabric.NewSpec(p, 1)
-	if err := BuildReduceScatterInto(spec, p, b, op); err != nil {
+	pattern, predicted := BestReduceScatter(p, b, pr)
+	if err := BuildReduceScatterInto(spec, pattern, p, b, pr, op); err != nil {
 		return nil, err
 	}
 	for i, c := range mesh.Row(0, 0, p) {
 		spec.PE(c).Init = vectors[i]
 	}
-	return ExecSpec(spec, opt, Params(opt).ReduceScatter(p, b))
+	return ExecSpec(spec, opt, predicted)
 }
 
-// BuildAllGatherInto compiles a ring allgather of b total elements over a
-// row of p PEs into spec.
-func BuildAllGatherInto(spec *fabric.Spec, p, b int) error {
+// BestAllGather picks what an AllGather runs: Ring, the second phase of the
+// ring AllReduce, or Star — Gather every chunk straight to the root, then
+// Broadcast the assembled vector. The ring wins ties.
+func BestAllGather(p, b int, pr model.Params) (Pattern, float64) {
+	if t := PredictAllGather(Star, p, b, pr); t < pr.AllGather(p, b) {
+		return Star, t
+	}
+	return Ring, pr.AllGather(p, b)
+}
+
+// PredictAllGather estimates an AllGather under a schedule BestAllGather can
+// pick.
+func PredictAllGather(pattern Pattern, p, b int, pr model.Params) float64 {
+	if pattern == Ring {
+		return pr.AllGather(p, b)
+	}
+	return pr.Then(pr.Gather(p, b), pr.Broadcast1D(p, b))
+}
+
+// BuildAllGatherInto compiles an allgather of b total elements over a row
+// of p PEs into spec under the given schedule. Either way PE j starts with
+// chunk j at its Chunks offset and every PE ends with the full vector.
+func BuildAllGatherInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Params) error {
 	if p < 2 {
 		return fmt.Errorf("core: allgather needs at least 2 PEs")
 	}
-	return comm.BuildAllGather(spec, mesh.Row(0, 0, p), b, comm.RingSimple)
+	path := mesh.Row(0, 0, p)
+	if pattern == Ring {
+		return comm.BuildAllGather(spec, path, b, comm.RingSimple)
+	}
+	if err := comm.BuildGather(spec, path, b, scatterColor); err != nil {
+		return err
+	}
+	if err := placeChunks(spec, p, b); err != nil {
+		return err
+	}
+	return comm.BuildBroadcast(spec, path, b, comm.ColorBcast)
 }
 
 // AllGatherInit returns the b-length initial accumulator of a PE for an
@@ -149,15 +238,17 @@ func RunAllGather(chunks [][]float32, opt fabric.Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	pr := Params(opt)
 	spec := fabric.NewSpec(p, 1)
-	if err := BuildAllGatherInto(spec, p, b); err != nil {
+	pattern, predicted := BestAllGather(p, b, pr)
+	if err := BuildAllGatherInto(spec, pattern, p, b, pr); err != nil {
 		return nil, err
 	}
 	off, _ := comm.Chunks(p, b)
 	for j, c := range mesh.Row(0, 0, p) {
 		spec.PE(c).Init = AllGatherInit(chunks[j], off[j], b)
 	}
-	return ExecSpec(spec, opt, Params(opt).AllGather(p, b))
+	return ExecSpec(spec, opt, predicted)
 }
 
 // BuildAllReduceMidRootInto compiles the middle-root AllReduce for a

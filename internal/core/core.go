@@ -33,7 +33,7 @@ const (
 	// (§6.2) in its simple and distance-preserving mappings (Figure 7).
 	// The paper models ring and shows it only wins for tiny PE counts
 	// with huge vectors, so it skips the implementation; this
-	// reproduction implements it to verify that verdict experimentally.
+	// reproduction implements it, and Auto deploys it where it wins.
 	Ring   Pattern = "ring"
 	RingDP Pattern = "ring-dp"
 )
@@ -100,14 +100,15 @@ func PredictReduce1D(pattern Pattern, p, b int, pr model.Params) float64 {
 	return 0
 }
 
-// PredictAllReduce1D is the Reduce-then-Broadcast estimate, or Lemma
-// 6.1's ring estimate for the ring patterns (the model assigns both
-// mappings the same cost).
+// PredictAllReduce1D is the Reduce-then-Broadcast estimate of a tree
+// pattern from the end root, or Lemma 6.1's ring estimate for the ring
+// patterns (the model assigns both mappings the same cost). What an Auto
+// AllReduce runs is BestAllReduce1D's to say.
 func PredictAllReduce1D(pattern Pattern, p, b int, pr model.Params) float64 {
 	if pattern == Ring || pattern == RingDP {
 		return pr.RingAllReduce(p, b)
 	}
-	return PredictReduce1D(pattern, p, b, pr) + pr.Broadcast1D(p, b)
+	return pr.Then(PredictReduce1D(pattern, p, b, pr), pr.Broadcast1D(p, b))
 }
 
 // BestReduce1D picks the concrete pattern with the lowest predicted
@@ -129,30 +130,51 @@ func best1D(predict func(Pattern) float64) (Pattern, float64) {
 	return best, bestT
 }
 
-// PredictAllReduceMidRoot is the middle-root lemma (model.MidRootAllReduce)
-// over the trees the builder runs on the halves: the larger half's Reduce
-// estimate and the root degree of its tree, for any tree pattern. Auto is
-// priced as the pattern that minimises this lemma.
+// BestAllReduce1D picks what an Auto AllReduce along a row runs, over every
+// schedule that computes it: Reduce-then-Broadcast rooted at the end of the
+// row or (midRoot) at its middle, under the tree that prices each lowest,
+// and the ring where it has a program — a real split into non-empty chunks.
+// The model prices both ring mappings alike, so the simple one, which also
+// runs on odd rows, stands for both. The end root wins ties, then the middle
+// root.
+func BestAllReduce1D(p, b int, pr model.Params) (best Pattern, midRoot bool, bestT float64) {
+	best, bestT = best1D(func(pat Pattern) float64 { return PredictAllReduce1D(pat, p, b, pr) })
+	if pat, t := BestAllReduceMidRoot(p, b, pr); t < bestT {
+		best, midRoot, bestT = pat, true, t
+	}
+	if t := pr.RingAllReduce(p, b); p >= 2 && b >= p && t < bestT {
+		best, midRoot, bestT = Ring, false, t
+	}
+	return best, midRoot, bestT
+}
+
+// MidRootHalves returns the reduction trees comm.BuildAllReduceMidRoot runs
+// on the two halves of a row of p PEs, each rooted at the middle PE: the
+// west one over ⌊p/2⌋+1 PEs, the east one over ⌈p/2⌉.
+func MidRootHalves(pattern Pattern, p, b int, pr model.Params) (west, east comm.Tree, err error) {
+	if west, err = TreeFor(pattern, p/2+1, b, pr); err != nil {
+		return west, east, err
+	}
+	east, err = TreeFor(pattern, p-p/2, b, pr)
+	return west, east, err
+}
+
+// PredictAllReduceMidRoot is the middle root priced as one path
+// (model.MidRootAllReduce) over the trees the builder runs on the halves,
+// for any tree pattern. Auto is priced as the pattern that minimises it.
 func PredictAllReduceMidRoot(pattern Pattern, p, b int, pr model.Params) float64 {
 	if pattern == Auto {
 		_, t := BestAllReduceMidRoot(p, b, pr)
 		return t
 	}
-	h := p/2 + 1
-	tree, _ := TreeFor(pattern, h, b, pr)
-	cRoot := 0
-	for _, parent := range tree.Parent {
-		if parent == 0 {
-			cRoot++
-		}
-	}
-	return pr.MidRootAllReduce(PredictReduce1D(pattern, h, b, pr), cRoot, p, b)
+	west, east, _ := MidRootHalves(pattern, p, b, pr) // fails for p < 1 or no tree pattern: no trees, no cycles
+	return pr.MidRootAllReduce(west.Parent, east.Parent, b)
 }
 
 // BestAllReduceMidRoot picks the tree pattern with the lowest predicted
 // middle-root AllReduce runtime. It is not BestReduce1D of a half: the
-// root serialises the second half's transfers, so a wide tree that wins a
-// lone Reduce can lose here.
+// root queues both halves' transfers, so a wide tree that wins a lone
+// Reduce can lose here.
 func BestAllReduceMidRoot(p, b int, pr model.Params) (Pattern, float64) {
 	return best1D(func(pat Pattern) float64 { return PredictAllReduceMidRoot(pat, p, b, pr) })
 }
@@ -208,8 +230,9 @@ func BuildReduce1DInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Pa
 	return comm.BuildReduce1D(spec, mesh.Row(0, 0, p), tree, b, op)
 }
 
-// BuildAllReduce1DInto compiles a 1D Reduce-then-Broadcast into spec, or
-// the ring algorithm for the ring patterns.
+// BuildAllReduce1DInto compiles a 1D Reduce-then-Broadcast from the end
+// root into spec, or the ring algorithm for the ring patterns (resolve Auto
+// with BestAllReduce1D first: its pick may be the middle root's program).
 func BuildAllReduce1DInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Params, op fabric.ReduceOp) error {
 	switch pattern {
 	case Ring:
@@ -243,7 +266,9 @@ func RunReduce1D(pattern Pattern, vectors [][]float32, op fabric.ReduceOp, opt f
 	return ExecSpec(spec, opt, PredictReduce1D(pattern, p, b, pr))
 }
 
-// RunAllReduce1D runs Reduce-then-Broadcast AllReduce along a row.
+// RunAllReduce1D runs an AllReduce along a row: Reduce-then-Broadcast from
+// the end root, the ring, or under Auto whichever schedule BestAllReduce1D
+// picks — the middle root included.
 func RunAllReduce1D(pattern Pattern, vectors [][]float32, op fabric.ReduceOp, opt fabric.Options) (*Report, error) {
 	b, err := vecLen(vectors)
 	if err != nil {
@@ -251,6 +276,12 @@ func RunAllReduce1D(pattern Pattern, vectors [][]float32, op fabric.ReduceOp, op
 	}
 	p := len(vectors)
 	pr := Params(opt)
+	if pattern == Auto {
+		var midRoot bool
+		if pattern, midRoot, _ = BestAllReduce1D(p, b, pr); midRoot {
+			return RunAllReduceMidRoot(pattern, vectors, op, opt)
+		}
+	}
 	spec := fabric.NewSpec(p, 1)
 	if err := BuildAllReduce1DInto(spec, pattern, p, b, pr, op); err != nil {
 		return nil, err

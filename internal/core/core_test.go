@@ -199,8 +199,8 @@ func TestPredictIsTheFabric(t *testing.T) {
 
 // TestMidRootAutoMinimisesItsOwnLemma: the middle root's Auto is the
 // pattern with the lowest middle-root estimate — not the best lone Reduce of
-// a half, which at one wavelet is a wide tree that pays its width twice at
-// the shared root — every pattern the builder accepts has a finite estimate,
+// a half, which at one wavelet is a wide tree whose two halves queue at the
+// shared root — every pattern the builder accepts has a finite estimate,
 // and a run reports the estimate Auto was chosen by.
 func TestMidRootAutoMinimisesItsOwnLemma(t *testing.T) {
 	pr := Params(fabric.Options{})
@@ -230,5 +230,54 @@ func TestMidRootAutoMinimisesItsOwnLemma(t *testing.T) {
 	}
 	if e := math.Abs(float64(rep.Cycles)-rep.Predicted) / float64(rep.Cycles); e > 0.05 {
 		t.Errorf("middle root at 64 PEs: %d cycles, predicted %v", rep.Cycles, rep.Predicted)
+	}
+	// Priced as one path the pick is exact where its halves share no link:
+	// binomial halves at 16 PEs and one wavelet, 46 cycles (the half-plus-
+	// width form said 48), and the generated halves at 512, 562.
+	for _, tc := range []struct {
+		p      int
+		cycles int64
+	}{{16, 46}, {512, 562}} {
+		rep, err := RunAllReduceMidRoot(Auto, ones(tc.p, 1), fabric.OpSum, fabric.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Cycles != tc.cycles || rep.Predicted != float64(tc.cycles) {
+			t.Errorf("middle root at %d PEs, one wavelet: %d cycles, predicted %v, want %d for both", tc.p, rep.Cycles, rep.Predicted, tc.cycles)
+		}
+	}
+}
+
+// TestRingCrossover measures where the ring AllReduce wins, which is where
+// Auto deploys it: it moves 2B(P-1)/P wavelets through every PE where
+// Reduce-then-Broadcast moves 2B through the root, and pays 2(P-1) dependent
+// rounds for it. At 16 PEs the rounds are repaid from 4 KB up (2129 against
+// 2159 cycles, 7889 against 8303 at 16 KB) and not at 1 KB; at 64 PEs not
+// anywhere a vector fits — the paper's §8.6 verdict, run.
+func TestRingCrossover(t *testing.T) {
+	pr := Params(fabric.Options{})
+	for _, tc := range []struct {
+		p, b     int
+		ringWins bool
+	}{{16, 256, false}, {16, 1024, true}, {16, 4096, true}, {64, 1024, false}, {64, 2048, false}} {
+		vecs := ones(tc.p, tc.b)
+		ring, err := RunAllReduce1D(Ring, vecs, fabric.OpSum, fabric.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, _ := best1D(func(pat Pattern) float64 { return PredictAllReduce1D(pat, tc.p, tc.b, pr) })
+		rooted, err := RunAllReduce1D(tree, vecs, fabric.OpSum, fabric.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ring.Cycles < rooted.Cycles; got != tc.ringWins {
+			t.Errorf("p=%d b=%d: ring %d cycles, %s+broadcast %d: ring wins = %v, want %v", tc.p, tc.b, ring.Cycles, tree, rooted.Cycles, got, tc.ringWins)
+		}
+		if best, midRoot, _ := BestAllReduce1D(tc.p, tc.b, pr); (best == Ring) != tc.ringWins || midRoot && tc.ringWins {
+			t.Errorf("p=%d b=%d: Auto picks %s (middle root: %v), ring wins = %v", tc.p, tc.b, best, midRoot, tc.ringWins)
+		}
+		if float64(ring.Cycles) != ring.Predicted {
+			t.Errorf("p=%d b=%d: ring ran %d cycles, Lemma 6.1 with its controls says %v", tc.p, tc.b, ring.Cycles, ring.Predicted)
+		}
 	}
 }

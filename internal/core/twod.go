@@ -50,7 +50,7 @@ func (p Pattern2D) base1D() (Pattern, bool) {
 }
 
 // PredictReduce2D estimates a 2D Reduce on a width×height grid: X-Y
-// patterns cost a row reduce plus a column reduce (§7.2); Snake costs a
+// patterns cost a row reduce then a column reduce (§7.2); Snake costs a
 // chain over all PEs (§7.3).
 func PredictReduce2D(pattern Pattern2D, width, height, b int, pr model.Params) float64 {
 	if pattern == Snake {
@@ -64,12 +64,12 @@ func PredictReduce2D(pattern Pattern2D, width, height, b int, pr model.Params) f
 	if !ok {
 		return 0
 	}
-	return PredictReduce1D(base, width, b, pr) + PredictReduce1D(base, height, b, pr)
+	return pr.Then(PredictReduce1D(base, width, b, pr), PredictReduce1D(base, height, b, pr))
 }
 
 // PredictAllReduce2D adds the 2D flooding broadcast (§7.4).
 func PredictAllReduce2D(pattern Pattern2D, width, height, b int, pr model.Params) float64 {
-	return PredictReduce2D(pattern, width, height, b, pr) + pr.Broadcast2D(height, width, b)
+	return pr.Then(PredictReduce2D(pattern, width, height, b, pr), pr.Broadcast2D(height, width, b))
 }
 
 // BestReduce2D picks the concrete 2D pattern with the lowest predicted

@@ -10,9 +10,9 @@ import (
 // TestConformanceMeetsThePaper: §8.7 reports the model within ~4 % of the
 // measurement; over the conformance lattice every kind's mean error is under
 // that, and the model's choice is never more than 6 % behind the best
-// algorithm there was (the one cell above 1 is the ring, which Auto, like
-// the paper, does not deploy). Cell by cell the same lattice is asserted by
-// the plan package's TestKindTableConformance.
+// algorithm there was — under either root and the ring, for a 1D AllReduce.
+// Cell by cell the same lattice is asserted by the plan package's
+// TestKindTableConformance.
 func TestConformanceMeetsThePaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole lattice")

@@ -22,7 +22,7 @@ func Fig8() *Heatmap {
 		Cols:     bytesCols,
 		Notes: []string{
 			"regions: reduce-then-broadcast per pattern, plus the analytic ring model (Lemma 6.1)",
-			"the ring is modelled but, as in the paper (§8.6), never implemented: it only wins for tiny PE counts with huge vectors",
+			"the ring is model-only here, as in the paper (§8.6): it only wins for tiny PE counts with huge vectors",
 		},
 	}.fill(func(p, b int) (float64, string) {
 		bestName, bestT := "", 0.0

@@ -1,7 +1,8 @@
 // Package measure implements the paper's time-measurement methodology for
 // collectives (§8.3). PEs on the wafer have independent clocks and cannot
 // be started simultaneously, so the paper: (1) broadcasts a trigger from
-// PE (0,0), on whose arrival each PE samples its local reference clock
+// PE (0,0), on whose arrival each PE — PE (0,0) too, whose router turns the
+// trigger back down its own ramp — samples its local reference clock
 // T_R(i,j); (2) has PE (i,j) perform α·(M+N−i−j) memory writes so that
 // PEs the trigger reached early wait proportionally longer; (3) samples a
 // start clock, runs the collective, and samples an end clock; (4)
@@ -137,13 +138,18 @@ func Instrument(spec *fabric.Spec, width, height, alpha int) error {
 	for y := 0; y < height; y++ {
 		for x := 0; x < width; x++ {
 			pe := spec.PE(mesh.Coord{X: x, Y: y})
+			// The root's router hands the trigger back down its own ramp, so
+			// the root samples its reference on arrival like every other PE
+			// and i+j+2 calibrates all of them onto one timebase. A root that
+			// sampled on sending would sit two ramp latencies ahead of the
+			// rest: every root-to-leaves collective measured 2·T_R short,
+			// every leaves-to-root one 2·T_R long.
 			var prologue []fabric.Op
 			if x == 0 && y == 0 {
 				prologue = append(prologue, fabric.Op{Kind: fabric.OpSendTrigger, Color: comm.TriggerColor})
-			} else {
-				prologue = append(prologue, fabric.Op{Kind: fabric.OpRecvTrigger, Color: comm.TriggerColor})
 			}
 			prologue = append(prologue,
+				fabric.Op{Kind: fabric.OpRecvTrigger, Color: comm.TriggerColor},
 				fabric.Op{Kind: fabric.OpSampleClock, Slot: slotRef},
 				fabric.Op{Kind: fabric.OpBusyWrite, N: alpha * (width + height - x - y)},
 				fabric.Op{Kind: fabric.OpSampleClock, Slot: slotStart},
@@ -157,6 +163,7 @@ func Instrument(spec *fabric.Spec, width, height, alpha int) error {
 			switch {
 			case x == 0 && y == 0:
 				accept = mesh.Ramp
+				fwd = mesh.Dirs(mesh.Ramp)
 				if width > 1 {
 					fwd = fwd.Set(mesh.East)
 				}

@@ -70,33 +70,50 @@ func TestCalibrationSpread2D(t *testing.T) {
 	}
 }
 
-// TestCalibratedMatchesRaw: with no skew and no thermal noise, the
-// calibrated measurement should be close to the raw synchronous-start
-// cycle count of the collective alone.
+func broadcastCollective(p, b int) Collective {
+	return Collective{
+		Width:  p,
+		Height: 1,
+		Build: func(spec *fabric.Spec) error {
+			if err := comm.BuildBroadcast(spec, mesh.Row(0, 0, p), b, comm.ColorBcast); err != nil {
+				return err
+			}
+			spec.PE(mesh.Coord{}).Init = make([]float32, b)
+			return nil
+		},
+	}
+}
+
+// TestCalibratedMatchesRaw: with no thermal noise the calibrated measurement
+// is the synchronous-start cycle count of the collective alone, less the one
+// cycle the fabric spends retiring the last op after its end sample — whether
+// the critical path runs from the leaves to the root (a Reduce) or from the
+// root to the leaves (a Broadcast), so the root shares the timebase of the
+// PEs its trigger reached.
 func TestCalibratedMatchesRaw(t *testing.T) {
 	p, b := 64, 128
-	res, err := Measure(reduceCollective(p, b), fabric.Options{}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := fabric.NewSpec(p, 1)
-	if err := reduceCollective(p, b).Build(spec); err != nil {
-		t.Fatal(err)
-	}
-	f, err := fabric.New(spec, fabric.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := res.Cycles - raw.Cycles
-	if diff < -diff {
-		diff = -diff
-	}
-	if diff > raw.Cycles/5+20 {
-		t.Errorf("calibrated %d vs raw %d cycles", res.Cycles, raw.Cycles)
+	for name, col := range map[string]Collective{"reduce": reduceCollective(p, b), "broadcast": broadcastCollective(p, b)} {
+		for _, opt := range []fabric.Options{{}, {ClockSkewMax: 4096, Seed: 3}} {
+			res, err := Measure(col, opt, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := fabric.NewSpec(p, 1)
+			if err := col.Build(spec); err != nil {
+				t.Fatal(err)
+			}
+			f, err := fabric.New(spec, fabric.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := f.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cycles != raw.Cycles-1 {
+				t.Errorf("%s, skew %d: calibrated %d vs raw %d cycles", name, opt.ClockSkewMax, res.Cycles, raw.Cycles)
+			}
+		}
 	}
 }
 

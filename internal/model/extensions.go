@@ -7,14 +7,14 @@ package model
 // All follow Eq. 1 with the metrics read off the compiled patterns.
 
 // Scatter estimates delivering per-PE chunks from the row root: the root
-// serialises B(P-1)/P wavelets (contention) and the farthest chunk
-// travels P-1 hops.
+// serialises B(P-1)/P wavelets (contention), the farthest chunk travels
+// P-1 hops, and the last chunk ends with its control.
 func (pr Params) Scatter(p, b int) float64 {
 	if p <= 1 {
 		return 0
 	}
 	cont := float64(b) * float64(p-1) / float64(p)
-	return cont + float64(p-1) + float64(2*pr.TR) + 1
+	return cont + float64(p-1) + float64(2*pr.TR) + 1 + float64(pr.Ctl)
 }
 
 // Gather is Scatter's mirror: root contention B(P-1)/P, distance P-1.
@@ -24,12 +24,12 @@ func (pr Params) Gather(p, b int) float64 {
 
 // ReduceScatter estimates the first ring phase: P-1 rounds, each moving
 // a B/P chunk one logical hop with (2T_R+1)-cycle ramp handling per
-// dependent round.
+// dependent round, and the last round's control.
 func (pr Params) ReduceScatter(p, b int) float64 {
 	if p <= 1 {
 		return 0
 	}
-	return float64(p-1)*float64(b)/float64(p) + 2*float64(p) - 3 + float64(p-1)*pr.ramp()
+	return float64(p-1)*float64(b)/float64(p) + 2*float64(p) - 3 + float64(p-1)*pr.ramp() + float64(pr.Ctl)
 }
 
 // AllGather estimates the second ring phase, which has the same shape.
@@ -37,16 +37,18 @@ func (pr Params) AllGather(p, b int) float64 {
 	return pr.ReduceScatter(p, b)
 }
 
-// MidRootAllReduce is the middle-root lemma (derivation in the package
-// comment): T = T_half + C_root·(B+Ctl) + T_bcast(⌊P/2⌋+1, B), where T_half
-// is the Reduce estimate of the larger half — ⌊P/2⌋+1 PEs, the middle one
-// included — and C_root the number of transfers that half's tree sends into
-// its root. The caller supplies both because the halves may run any
-// reduction tree, the generated ones included, and only the caller knows the
-// tree.
-func (pr Params) MidRootAllReduce(tHalf float64, cRoot, p, b int) float64 {
-	if p <= 1 {
+// MidRootAllReduce prices the middle-root AllReduce as the one path it is
+// (derivation in the package comment). west and east are the reduction trees
+// of the two halves, each rooted at the middle PE and indexed by distance
+// from it — ⌊P/2⌋+1 and ⌈P/2⌉ vertices, either possibly the single root. The
+// middle PE takes the west tree's root children and then the east tree's
+// over one ramp, each arriving as the critical path of its own half has it,
+// and floods the result over the longer half.
+func (pr Params) MidRootAllReduce(west, east []int, b int) float64 {
+	arrivals := append(pr.rootArrivals(west, b), pr.rootArrivals(east, b)...)
+	if len(arrivals) == 0 {
 		return 0
 	}
-	return tHalf + float64(cRoot)*pr.transfer(b) + pr.Broadcast1D(p/2+1, b)
+	reduce := pr.queued(arrivals, b) + pr.transfer(b)
+	return pr.Then(reduce, pr.Broadcast1D(max(len(west), len(east)), b))
 }

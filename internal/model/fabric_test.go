@@ -61,15 +61,33 @@ func TestCriticalPathClosedForms(t *testing.T) {
 	}
 }
 
-// TestMidRootLemma: T_half + C_root·(B+Ctl) + T_bcast over ⌊P/2⌋+1 PEs.
+// TestMidRootLemma: the middle PE is one vertex that takes the west tree's
+// root children and then the east tree's, and floods over the longer half.
 func TestMidRootLemma(t *testing.T) {
-	// Star halves at 512 PEs, one wavelet: 257-PE star (518), 256 queued
-	// transfers of 2 wavelets, a 257-PE flood (262). The fabric runs 1290.
-	half := run.StarReduce(257, 1)
-	if got := run.MidRootAllReduce(half, 256, 512, 1); got != 518+512+262 {
-		t.Errorf("midroot star (512,1) = %v, want 1292", got)
+	// Star halves at 512 PEs, one wavelet: 256 + 255 transfers of 2 wavelets
+	// queue on the root's ramp behind the nearest leaf's first wavelet (cycle
+	// 6), the last is in at 1028, and the 257-PE flood (263) starts in that
+	// cycle. The fabric runs 1290; T_half + C_root·(B+Ctl) + T_bcast said 1292.
+	if got := run.MidRootAllReduce(comm.Star(257).Parent, comm.Star(256).Parent, 1); got != 1290 {
+		t.Errorf("midroot star (512,1) = %v, the fabric runs 1290", got)
 	}
-	if run.MidRootAllReduce(0, 0, 1, 8) != 0 {
+	// Binomial halves at 16 PEs: 46 cycles on the fabric, to the cycle.
+	if got := run.MidRootAllReduce(comm.Binomial(9).Parent, comm.Binomial(8).Parent, 1); got != 46 {
+		t.Errorf("midroot tree (16,1) = %v, the fabric runs 46", got)
+	}
+	// A late east half delays the root by as long as it is late, not by its
+	// whole width: chains on both sides end one transfer after a lone chain
+	// over the longer half — not two — and a west half of the root alone
+	// costs exactly the east half's Reduce.
+	b := 256
+	west, east := comm.Chain(9).Parent, comm.Chain(8).Parent
+	if got, want := run.MidRootAllReduce(west, east, b), run.Then(run.ChainReduce(9, b)+run.transfer(b), run.Broadcast1D(9, b)); got != want {
+		t.Errorf("midroot chain (16,%d) = %v, want %v", b, got, want)
+	}
+	if got, want := run.MidRootAllReduce(comm.Single().Parent, east, b), run.Then(run.ChainReduce(8, b), run.Broadcast1D(8, b)); got != want {
+		t.Errorf("midroot with an empty west half = %v, want the east half's AllReduce %v", got, want)
+	}
+	if run.MidRootAllReduce(comm.Single().Parent, comm.Single().Parent, 8) != 0 {
 		t.Error("a one-PE middle-root AllReduce should be free")
 	}
 }

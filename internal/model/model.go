@@ -12,14 +12,27 @@
 // # The control wavelet
 //
 // The paper's lemmas price a transfer as B wavelets. The fabric programs of
-// this repository (comm.BuildTreeReduce, after the paper's Figure 3) end
-// every transfer with one control wavelet, which advances the configuration
+// this repository (package comm, after the paper's Figure 3) end every
+// transfer — a tree reduce's, a flood's, a scattered or gathered chunk's, a
+// ring round's — with one control wavelet, which advances the configuration
 // of each router it crosses, so a transfer occupies B + Ctl slots of every
 // link and ramp on its way. Ctl is a hardware parameter beside T_R: 0 in
 // Default(), which reproduces the published figures, 1 in core.Params, under
 // which every run is predicted, every Auto choice made and every Auto-Gen
 // tree searched. Every tree-reduce form below reads B + Ctl where the paper
-// reads B.
+// reads B; a flood (Lemmas 4.1 and 7.1) is over when its farthest PE has
+// taken the control behind the data, Ctl cycles after the paper's count, and
+// so are the chunked forms (Scatter, Gather, the two ring phases and Lemma
+// 6.1), whose last chunk is the one that ends them.
+//
+// Every form counts its phase up to and including the cycle in which its
+// last control is retired. When one phase follows another in the same
+// program — Reduce then Broadcast, the rows of an X-Y Reduce then its
+// column, Reduce then Scatter — the root's first wavelet of the next phase
+// goes down its ramp in that very cycle, so a composition of k phases costs
+// the sum of their forms less (k−1)·Ctl (Then). The bounds of §5.6, Lemma
+// 7.2 and the flood lemmas as bounds stay control-free: a bound on shorter
+// transfers bounds longer ones a fortiori.
 //
 // # Star and the bound T*
 //
@@ -92,28 +105,34 @@
 // DP and T* optimise over all trees, which only aggregate metrics allow);
 // what a search returns is priced, like every other tree, by its path.
 //
-// # The middle-root lemma
+// # The middle root
 //
 // The middle-root AllReduce (§6.1's remark; comm.BuildAllReduceMidRoot)
 // reduces both halves of the row into the middle PE and floods the result
 // out both ways. The halves run concurrently on disjoint colours and links,
-// but they share the root: its program takes the west half's C_root
-// transfers first and the east half's C_root after them, all over one ramp.
-// The west half (⌊P/2⌋+1 PEs, the middle one included) is an ordinary Reduce
-// and ends after T_half; the east half's last transfers have been waiting in
-// the routers since before that, so they go in back to back, C_root
-// transfers of B+Ctl; then the flood covers ⌊P/2⌋ hops:
+// but they share the root, and the root is one vertex: its program takes the
+// west tree's root children in index order and the east tree's after them,
+// all over one ramp. So it is priced as that vertex. Both halves are trees
+// over distances from the middle; below the root each follows the begin()
+// recurrence of the critical path on its own, child c of the root puts its
+// first wavelet at the root's processor at begin(c) + |c − mid| + 2·T_R + 1,
+// and the k_w + k_e transfers queue in program order:
 //
-//	T_mid = T_half(⌊P/2⌋+1, B) + C_root·(B+Ctl) + T_bcast(⌊P/2⌋+1, B)
+//	begin(mid) = max_i [ arrive(c_i) + (k_w + k_e − i)(B+Ctl) ]
+//	T_mid      = begin(mid) + B + Ctl  then  T_bcast(⌊P/2⌋+1, B)
 //
-// (MidRootAllReduce). C_root is the root degree of the half's tree — P/2
-// for Star, 1 for Chain — so the choice among trees differs from a lone
-// Reduce's: wide trees pay their width twice. The form is an upper estimate
-// when the east half is not ready by T_half (a binomial half at large B,
-// +12 %); it is within 1.5 % on average over the conformance lattice.
+// (MidRootAllReduce), the flood covering the longer half. A late east half
+// delays the root exactly as long as it is late, and a wide tree pays its
+// width twice — P−1 queued transfers for Star — so the choice among trees
+// differs from a lone Reduce's. The form inherits the critical path's
+// exactness: to the cycle wherever no two transfers share a link, a lower
+// estimate by the shared cycles elsewhere (Two-Phase and binomial halves).
 package model
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Params hold the hardware parameters of the model. The paper's only free
 // parameter is the ramp latency T_R, which it determines to be 2 on the
@@ -139,6 +158,25 @@ func (pr Params) transfer(b int) float64 { return float64(b + pr.Ctl) }
 // ramp returns the per-depth-unit cost 2·T_R+1: a wavelet pays T_R down
 // and up the ramp plus one cycle to store the received element.
 func (pr Params) ramp() float64 { return float64(2*pr.TR + 1) }
+
+// Then is the cost of phases that follow one another in one program: their
+// sum, less the Ctl cycles by which each hand-off overlaps (the next phase
+// starts in the cycle that retires the last control of the one before; see
+// "The control wavelet" in the package comment). A phase of zero cycles — a
+// reduce over one PE — is no phase and hands nothing off.
+func (pr Params) Then(phases ...float64) float64 {
+	t, n := 0.0, 0
+	for _, ph := range phases {
+		if ph > 0 {
+			t += ph
+			n++
+		}
+	}
+	if n > 1 {
+		t -= float64((n - 1) * pr.Ctl)
+	}
+	return t
+}
 
 // Cost is a set of spatial metrics for a communication pattern.
 type Cost struct {
@@ -172,12 +210,12 @@ func (pr Params) Message(p, b int) float64 {
 }
 
 // Broadcast1D is the flooding broadcast of §4.2. Multicast makes it cost
-// exactly a message (Lemma 4.1).
+// exactly a message (Lemma 4.1), and the control behind the data Ctl more.
 func (pr Params) Broadcast1D(p, b int) float64 {
 	if p <= 1 {
 		return 0
 	}
-	return pr.Message(p, b)
+	return pr.Message(p, b) + float64(pr.Ctl)
 }
 
 // StarReduce is the refined Star Reduce estimate of §5.1: the direct
@@ -265,15 +303,14 @@ func (pr Params) TwoPhaseReduceS(p, b, s int) float64 {
 // RingAllReduce is Lemma 6.1: reduce-scatter plus allgather over a ring
 // mapped onto the row (both the simple and the distance-preserving mapping
 // of Figure 7 yield the same model cost):
-// T = 2(P-1)·B/P + 4P - 6 + 2(P-1)(2·T_R+1).
-// The paper evaluates ring analytically and shows it is never the best
-// choice on this fabric (§8.6), so — like the paper — we model it but do
-// not implement it.
+// T = 2(P-1)·B/P + 4P - 6 + 2(P-1)(2·T_R+1) + Ctl,
+// its two phases (ReduceScatter, AllGather) one after the other. The paper
+// evaluates ring analytically only and finds it the best choice for few PEs
+// and long vectors (§8.6); comm.BuildRingAllReduce runs it, the form is the
+// simulator's count to the cycle on every cell tried, and Auto deploys it
+// where it wins — 16 PEs from 4 KB up.
 func (pr Params) RingAllReduce(p, b int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	return 2*float64(p-1)*float64(b)/float64(p) + 4*float64(p) - 6 + 2*float64(p-1)*pr.ramp()
+	return pr.Then(pr.ReduceScatter(p, b), pr.AllGather(p, b))
 }
 
 // ButterflyAllReduce models the recursive-doubling butterfly (§2.1) on the
@@ -310,16 +347,40 @@ func (pr Params) CriticalPath(parent []int, b int) float64 {
 	if len(parent) <= 1 {
 		return 0
 	}
+	return pr.queued(pr.rootArrivals(parent, b), b) + pr.transfer(b)
+}
+
+// rootArrivals runs the begin() recurrence over every vertex below the root
+// and returns, for the root's children in index order, the cycle each one's
+// first wavelet reaches the root's processor.
+func (pr Params) rootArrivals(parent []int, b int) []float64 {
 	w := pr.transfer(b)
 	begin := make([]float64, len(parent))
 	later := make([]int, len(parent)) // children of v already folded: the later siblings
+	var arrivals []float64
 	for c := len(parent) - 1; c > 0; c-- {
 		v := parent[c]
-		arrive := begin[c] + float64(c-v) + pr.ramp() + float64(later[v])*w
-		begin[v] = math.Max(begin[v], arrive)
+		arrive := begin[c] + float64(c-v) + pr.ramp()
+		if v == 0 {
+			arrivals = append(arrivals, arrive)
+			continue
+		}
+		begin[v] = math.Max(begin[v], arrive+float64(later[v])*w)
 		later[v]++
 	}
-	return begin[0] + w
+	slices.Reverse(arrivals)
+	return arrivals
+}
+
+// queued is begin() of a vertex whose transfers arrive at the given cycles
+// and are taken in that order: each waits for the ones behind it in the
+// program to go in after it, max_i [ arrive_i + (k−i)·(B+Ctl) ].
+func (pr Params) queued(arrivals []float64, b int) float64 {
+	begin := 0.0
+	for i, arrive := range arrivals {
+		begin = math.Max(begin, arrive+float64(len(arrivals)-1-i)*pr.transfer(b))
+	}
+	return begin
 }
 
 // ReduceNames lists the fixed 1D Reduce patterns in the order the paper
@@ -342,7 +403,7 @@ func (pr Params) Reduce1D(pattern string, p, b int) float64 {
 }
 
 // AllReduce1D is the Reduce-then-Broadcast AllReduce of §6.1 for a fixed
-// reduce pattern: T = T_reduce + T_bcast.
+// reduce pattern: T = T_reduce then T_bcast.
 func (pr Params) AllReduce1D(pattern string, p, b int) float64 {
-	return pr.Reduce1D(pattern, p, b) + pr.Broadcast1D(p, b)
+	return pr.Then(pr.Reduce1D(pattern, p, b), pr.Broadcast1D(p, b))
 }

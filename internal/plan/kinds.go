@@ -56,7 +56,8 @@ type KindInfo struct {
 	// Grid kinds run on a Width×Height grid; the others on a row of P PEs.
 	Grid bool
 	// Algs / Algs2D list the concrete algorithms the kind accepts besides
-	// Auto / Auto2D; both nil for the algorithm-free kinds.
+	// Auto / Auto2D; both nil for the algorithm-free kinds, whose request
+	// names no algorithm and whose resolved one says which schedule runs.
 	Algs   []core.Pattern
 	Algs2D []core.Pattern2D
 	// HasOp kinds combine values with Request.Op.
@@ -70,9 +71,12 @@ type KindInfo struct {
 	// placed kinds bind chunk j at its core.Chunks offset of the B-element
 	// image every PE ends up holding, not at the start of PE j's accumulator.
 	placed bool
-	// trees kinds record the reduction tree(s) of the resolved algorithm.
-	trees bool
-	// auto replaces an Auto algorithm by the model's choice; nil when the
+	// trees records the reduction tree(s) of a compiled plan's resolved
+	// algorithm; nil when no schedule of the kind reduces over a tree.
+	trees func(p *Plan, pr model.Params) error
+	// auto replaces an Auto algorithm — for the algorithm-free kinds, none —
+	// by the model's choice over every schedule that computes the kind, and
+	// may move the request to the row whose program that is; nil when the
 	// kind has nothing to choose.
 	auto func(r *Request, pr model.Params)
 	// build lowers a resolved request into spec.
@@ -91,17 +95,50 @@ func auto1D(r *Request, pr model.Params) {
 	}
 }
 
+// autoAllReduce1D ranges over the end root, the middle root — which is the
+// allreduce-midroot row's program, so the request moves there — and the ring.
+func autoAllReduce1D(r *Request, pr model.Params) {
+	if r.Alg != core.Auto {
+		return
+	}
+	alg, midRoot, _ := core.BestAllReduce1D(r.P, r.B, pr)
+	if midRoot {
+		r.Kind = AllReduceMidRoot
+	}
+	r.Alg = alg
+}
+
 func auto2D(r *Request, pr model.Params) {
 	if r.Alg2D == core.Auto2D {
 		r.Alg2D, _ = core.BestReduce2D(r.Width, r.Height, r.B, pr)
 	}
 }
 
+// tree1D records the one tree of an end-rooted row: the reduce of a Reduce,
+// of a Reduce-then-Broadcast or of a Reduce-then-Scatter. The ring has none.
+func tree1D(p *Plan, pr model.Params) (err error) {
+	if p.Alg != core.Ring && p.Alg != core.RingDP {
+		p.Tree, err = core.TreeFor(p.Alg, p.P, p.B, pr)
+	}
+	return err
+}
+
+// treesXY records the row and column trees of an X-Y plan; Snake has none.
+func treesXY(p *Plan, pr model.Params) (err error) {
+	if base, ok := p.Alg2D.Base1D(); ok {
+		if p.RowTree, err = core.TreeFor(base, p.Width, p.B, pr); err == nil {
+			p.ColTree, err = core.TreeFor(base, p.Height, p.B, pr)
+		}
+	}
+	return err
+}
+
 // The bounds: T*(P,B) of §5.6 for the 1D reduce family (an AllReduce
 // contains a reduce), Lemma 7.2 in 2D, and for the chunked kinds the
 // root-serialisation bound — B·(P-1)/P wavelets must cross one ramp, plus
-// the 2·T_R+1 latency floor. Broadcasts achieve Lemma 4.1 / 7.1 exactly, so
-// their bound is their prediction.
+// the 2·T_R+1 latency floor. A broadcast's bound is Lemma 4.1 / 7.1 as the
+// paper states it, control-free: the flood achieves it but for the control
+// behind the data.
 func bound1D(r Request, pr model.Params) float64 { return core.LowerBound1D(r.P, r.B, pr.TR) }
 
 func bound2D(r Request, pr model.Params) float64 { return pr.LowerBound2D(r.Height, r.Width, r.B) }
@@ -113,10 +150,12 @@ func boundChunked(r Request, pr model.Params) float64 {
 	return float64(r.B)*float64(r.P-1)/float64(r.P) + float64(2*pr.TR) + 1
 }
 
-func predictBroadcast1D(r Request, pr model.Params) float64 { return pr.Broadcast1D(r.P, r.B) }
+func boundBroadcast1D(r Request, pr model.Params) float64 {
+	return model.Params{TR: pr.TR}.Broadcast1D(r.P, r.B)
+}
 
-func predictBroadcast2D(r Request, pr model.Params) float64 {
-	return pr.Broadcast2D(r.Height, r.Width, r.B)
+func boundBroadcast2D(r Request, pr model.Params) float64 {
+	return model.Params{TR: pr.TR}.Broadcast2D(r.Height, r.Width, r.B)
 }
 
 // Kinds is the table, in the order the CLI and the docs list the kinds.
@@ -124,7 +163,7 @@ var Kinds = []KindInfo{
 	{
 		Kind: Reduce1D, Name: "reduce",
 		Doc:  "1D Reduce of p vectors of b wavelets into the leftmost PE (alg=, op=)",
-		Algs: core.Patterns1D, HasOp: true, Inputs: VectorPerPE, trees: true, auto: auto1D,
+		Algs: core.Patterns1D, HasOp: true, Inputs: VectorPerPE, trees: tree1D, auto: auto1D,
 		build: func(s *fabric.Spec, r Request, pr model.Params) error {
 			return core.BuildReduce1DInto(s, r.Alg, r.P, r.B, pr, r.Op)
 		},
@@ -134,7 +173,7 @@ var Kinds = []KindInfo{
 	{
 		Kind: AllReduce1D, Name: "allreduce",
 		Doc:  "1D AllReduce: every PE ends with the combined vector (alg=, op=)",
-		Algs: patterns1DRing, HasOp: true, Inputs: VectorPerPE, trees: true, auto: auto1D,
+		Algs: patterns1DRing, HasOp: true, Inputs: VectorPerPE, trees: tree1D, auto: autoAllReduce1D,
 		build: func(s *fabric.Spec, r Request, pr model.Params) error {
 			return core.BuildAllReduce1DInto(s, r.Alg, r.P, r.B, pr, r.Op)
 		},
@@ -148,13 +187,13 @@ var Kinds = []KindInfo{
 		build: func(s *fabric.Spec, r Request, _ model.Params) error {
 			return core.BuildBroadcast1DInto(s, r.P, r.B)
 		},
-		predict: predictBroadcast1D,
-		bound:   predictBroadcast1D,
+		predict: func(r Request, pr model.Params) float64 { return pr.Broadcast1D(r.P, r.B) },
+		bound:   boundBroadcast1D,
 	},
 	{
 		Kind: Reduce2D, Name: "reduce2d",
 		Doc:  "2D Reduce on a grid=WxH mesh into PE (0,0) (alg=, op=)",
-		Grid: true, Algs2D: core.Patterns2D, HasOp: true, Inputs: VectorPerPE, trees: true, auto: auto2D,
+		Grid: true, Algs2D: core.Patterns2D, HasOp: true, Inputs: VectorPerPE, trees: treesXY, auto: auto2D,
 		build: func(s *fabric.Spec, r Request, pr model.Params) error {
 			return core.BuildReduce2DInto(s, r.Alg2D, r.Width, r.Height, r.B, pr, r.Op)
 		},
@@ -166,7 +205,7 @@ var Kinds = []KindInfo{
 	{
 		Kind: AllReduce2D, Name: "allreduce2d",
 		Doc:  "2D AllReduce on a grid=WxH mesh (alg=, op=)",
-		Grid: true, Algs2D: core.Patterns2D, HasOp: true, Inputs: VectorPerPE, trees: true, auto: auto2D,
+		Grid: true, Algs2D: core.Patterns2D, HasOp: true, Inputs: VectorPerPE, trees: treesXY, auto: auto2D,
 		build: func(s *fabric.Spec, r Request, pr model.Params) error {
 			return core.BuildAllReduce2DInto(s, r.Alg2D, r.Width, r.Height, r.B, pr, r.Op)
 		},
@@ -182,8 +221,8 @@ var Kinds = []KindInfo{
 		build: func(s *fabric.Spec, r Request, _ model.Params) error {
 			return core.BuildBroadcast2DInto(s, r.Width, r.Height, r.B)
 		},
-		predict: predictBroadcast2D,
-		bound:   predictBroadcast2D,
+		predict: func(r Request, pr model.Params) float64 { return pr.Broadcast2D(r.Height, r.Width, r.B) },
+		bound:   boundBroadcast2D,
 	},
 	{
 		Kind: Scatter, Name: "scatter",
@@ -204,25 +243,35 @@ var Kinds = []KindInfo{
 	{
 		Kind: ReduceScatter, Name: "reducescatter",
 		Doc:   "combine p vectors and leave chunk j on PE j (op=)",
-		HasOp: true, Chunked: true, Inputs: VectorPerPE,
-		build: func(s *fabric.Spec, r Request, _ model.Params) error {
-			return core.BuildReduceScatterInto(s, r.P, r.B, r.Op)
+		HasOp: true, Chunked: true, Inputs: VectorPerPE, trees: tree1D,
+		auto: func(r *Request, pr model.Params) { r.Alg, _ = core.BestReduceScatter(r.P, r.B, pr) },
+		build: func(s *fabric.Spec, r Request, pr model.Params) error {
+			return core.BuildReduceScatterInto(s, r.Alg, r.P, r.B, pr, r.Op)
 		},
-		predict: func(r Request, pr model.Params) float64 { return pr.ReduceScatter(r.P, r.B) },
+		predict: func(r Request, pr model.Params) float64 { return core.PredictReduceScatter(r.Alg, r.P, r.B, pr) },
 		bound:   boundChunked,
 	},
 	{
 		Kind: AllGather, Name: "allgather",
 		Doc:     "distribute per-PE chunks so every PE ends with the full vector",
 		Chunked: true, Inputs: ChunkPerPE, placed: true,
-		build:   func(s *fabric.Spec, r Request, _ model.Params) error { return core.BuildAllGatherInto(s, r.P, r.B) },
-		predict: func(r Request, pr model.Params) float64 { return pr.AllGather(r.P, r.B) },
+		auto: func(r *Request, pr model.Params) { r.Alg, _ = core.BestAllGather(r.P, r.B, pr) },
+		build: func(s *fabric.Spec, r Request, pr model.Params) error {
+			return core.BuildAllGatherInto(s, r.Alg, r.P, r.B, pr)
+		},
+		predict: func(r Request, pr model.Params) float64 { return core.PredictAllGather(r.Alg, r.P, r.B, pr) },
 		bound:   boundChunked,
 	},
 	{
 		Kind: AllReduceMidRoot, Name: "allreduce-midroot",
 		Doc:  "AllReduce rooted at the middle PE with a bidirectional flood (alg=, op=)",
 		Algs: core.Patterns1D, HasOp: true, Inputs: VectorPerPE,
+		// The halves reduce in two parts like the rows and column of a grid:
+		// RowTree is the west half's tree, ColTree the east half's.
+		trees: func(p *Plan, pr model.Params) (err error) {
+			p.RowTree, p.ColTree, err = core.MidRootHalves(p.Alg, p.P, p.B, pr)
+			return err
+		},
 		auto: func(r *Request, pr model.Params) {
 			if r.Alg == core.Auto {
 				r.Alg, _ = core.BestAllReduceMidRoot(r.P, r.B, pr)
@@ -376,8 +425,9 @@ func (r Request) Inputs(fill func(n int) []float32) [][]float32 {
 // Compile lowers it to and Predict is a plan's Predicted by construction.
 // Like the model it is total — NaN for an unknown kind.
 func (r Request) Predict() float64 {
+	r = r.Resolve()
 	if ki := InfoOf(r.Kind); ki != nil {
-		return ki.predict(r.Resolve(), core.Params(r.Opt))
+		return ki.predict(r, core.Params(r.Opt))
 	}
 	return math.NaN()
 }

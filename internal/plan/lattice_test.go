@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/auto_cycles.golden")
@@ -19,7 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/auto_cycles.gold
 // latticeCell is one lattice request with what its one run returned.
 type latticeCell struct {
 	req       Request
-	alg       string // the algorithm the plan lowered, "" for algorithm-free kinds
+	alg       string // what the plan lowered: its algorithm ("" for a kind with one schedule), after its kind where Auto moved it
 	cycles    int64
 	predicted float64
 }
@@ -34,11 +35,14 @@ func runCell(req Request) (latticeCell, error) {
 		return latticeCell{}, fmt.Errorf("%v: Execute: %w", KeyOf(req), err)
 	}
 	c := latticeCell{req: req, cycles: rep.Cycles, predicted: rep.Predicted}
-	switch ki := InfoOf(req.Kind); {
-	case ki.Algs != nil:
-		c.alg = string(p.Alg)
+	switch ki := InfoOf(p.Kind); {
 	case ki.Algs2D != nil:
 		c.alg = string(p.Alg2D)
+	case ki.auto != nil: // every other kind that chooses names its schedule in Alg
+		c.alg = string(p.Alg)
+	}
+	if p.Kind != req.Kind {
+		c.alg = string(p.Kind) + "/" + c.alg
 	}
 	return c, nil
 }
@@ -67,38 +71,56 @@ var latticeRuns = sync.OnceValues(func() ([]latticeCell, error) {
 
 // modelTolerancePct is how far a kind's measured cycles may sit from its
 // prediction anywhere on the lattice, in percent of the measurement: the
-// worst cell measured when the entry was written, rounded up. The 1D and 2D
-// reduce families are priced by the critical path of their trees and are
-// exact on most cells; their worst are the Two-Phase cells at 16 PEs, four
-// cycles of link sharing on a 74-cycle run. The middle root's is the upper
-// estimate of its lemma on a binomial half at large B. Everything else is
-// one cycle on a run of twenty to forty.
+// worst cell measured when the entry was written, rounded up. The reduce
+// families are priced by the critical path of their trees and are exact on
+// most cells; their worst are Two-Phase cells, a few cycles of link sharing
+// on a short run — 4 of 74 at 16 PEs in 1D, 7 of 196 on the middle root's
+// halves at 64, and the same in the Reduce under a 16-PE ReduceScatter. In 2D
+// the sharing happens twice, rows then column: xy-twophase at 16×16, B = 16
+// is 7 cycles under on a 129-cycle Reduce and on the 173-cycle AllReduce
+// around it — a cycle more than before the hand-off was priced, when the one
+// cycle every X-Y form was over hid one of the seven. Floods, Scatter, Gather
+// and the ring phases are exact.
 var modelTolerancePct = map[Kind]float64{
-	Reduce1D:         6,  // 5.41
-	AllReduce1D:      4,  // 3.64
-	AllReduceMidRoot: 13, // 12.49
-	Reduce2D:         5,  // 4.76
-	AllReduce2D:      4,  // 3.54
-	Broadcast1D:      5,  // 4.55
-	Broadcast2D:      5,  // 4.76
-	Scatter:          3,  // 2.78
-	Gather:           3,  // 2.78
-	ReduceScatter:    1,  // 0.83
-	AllGather:        1,  // 0.83
+	Reduce1D:         6, // 5.41
+	AllReduce1D:      4, // 3.64
+	AllReduceMidRoot: 6, // 5.81
+	Reduce2D:         6, // 5.44
+	AllReduce2D:      5, // 4.04
+	Broadcast1D:      0,
+	Broadcast2D:      0,
+	Scatter:          0,
+	Gather:           0,
+	ReduceScatter:    4, // 3.67, the tree through the root; its ring is exact (tolerancePct)
+	AllGather:        0,
 }
 
-// autoSlack is how much longer than the best pinned algorithm of the same
-// kind, geometry and vector length an Auto run may take. Over the tree
-// algorithms Auto chooses among it is the best on every cell of the lattice;
-// the one cell above 1 is the 16-PE, 16 KB AllReduce, where the ring — which
-// Auto, like the paper, does not deploy — wins by 5.3 %.
+// autoSlack is how much longer than the best pinned schedule of the same
+// collective, geometry and vector length an Auto run may take. Auto ranks by
+// the model, and the model is a lower estimate where transfers share links,
+// so a Two-Phase tree priced a few cycles under its run can take a cell from
+// a tree that would have run those few cycles faster.
 const autoSlack = 0.06
+
+// tolerancePct is the cell's entry of modelTolerancePct — unless it ran the
+// ring, whose phases share no link and are exact under every kind: the
+// entries of ReduceScatter and AllReduce1D are for their trees (and ring-dp,
+// the mapping that runs one cycle under the cost the two share).
+func tolerancePct(c latticeCell) float64 {
+	if c.alg == string(core.Ring) {
+		return 0
+	}
+	return modelTolerancePct[c.req.Kind]
+}
 
 // conformLattice holds every row × algorithm × (P, B) of the lattice to the
 // model and the bound: the prediction is finite, is the plan's Predicted bit
 // for bit without resolving first, sits at or above the bound and within the
 // kind's tolerance of the measurement; the measurement sits at or above the
-// bound; and Auto is within autoSlack of the best pinned algorithm.
+// bound; and Auto is within autoSlack of the best pinned schedule — for an
+// AllReduce along a row that is every tree under either root and both rings,
+// for ReduceScatter and AllGather (conformChunked) the ring phase and the
+// composition through the root.
 func conformLattice(t *testing.T) {
 	cells, err := latticeRuns()
 	if err != nil {
@@ -124,14 +146,25 @@ func conformLattice(t *testing.T) {
 		if math.IsNaN(bound) || bound <= 0 || bound > predict || bound > cycles {
 			t.Errorf("%s: bound %v, predicted %v, measured %d cycles", name, bound, predict, c.cycles)
 		}
-		if e := 100 * math.Abs(cycles-predict) / cycles; e > modelTolerancePct[c.req.Kind] {
-			t.Errorf("%s: predicted %v, measured %d cycles: off by %.2f%%, the kind's tolerance is %v%%",
-				name, predict, c.cycles, e, modelTolerancePct[c.req.Kind])
+		if e := 100 * math.Abs(cycles-predict) / cycles; e > tolerancePct(c) {
+			t.Errorf("%s under %q: predicted %v, measured %d cycles: off by %.2f%%, the tolerance is %v%%",
+				name, c.alg, predict, c.cycles, e, tolerancePct(c))
 		}
 		if ki := InfoOf(c.req.Kind); ki.Algs == nil && ki.Algs2D == nil {
+			if ki.auto != nil {
+				conformChunked(t, c)
+			}
 			continue
 		}
 		at := site{c.req.Kind, c.req.P, c.req.Width, c.req.Height, c.req.B}
+		if c.req.Kind == AllReduceMidRoot && !c.req.Auto() {
+			// A pinned middle root is also a schedule of the row's AllReduce.
+			ar := at
+			ar.kind = AllReduce1D
+			if best, ok := pinned[ar]; !ok || c.cycles < best {
+				pinned[ar] = c.cycles
+			}
+		}
 		if c.req.Auto() {
 			auto[at] = c.cycles
 		} else if best, ok := pinned[at]; !ok || c.cycles < best {
@@ -146,6 +179,43 @@ func conformLattice(t *testing.T) {
 	for i := range Kinds {
 		if !seen[Kinds[i].Kind] {
 			t.Errorf("the lattice holds no cell of %s", Kinds[i].Kind)
+		}
+	}
+}
+
+// conformChunked holds a ReduceScatter or AllGather cell to both its
+// schedules, each built directly through core and run on the simulator: the
+// run took no longer than the faster of the ring phase and the composition
+// through the root.
+func conformChunked(t *testing.T, c latticeCell) {
+	t.Helper()
+	req := c.req
+	pr := core.Params(req.Opt)
+	var build func(s *fabric.Spec, alg core.Pattern) error
+	var viaRoot core.Pattern
+	switch req.Kind {
+	case ReduceScatter:
+		viaRoot, _ = core.BestReduce1D(req.P, req.B, pr)
+		build = func(s *fabric.Spec, alg core.Pattern) error {
+			return core.BuildReduceScatterInto(s, alg, req.P, req.B, pr, req.Op)
+		}
+	case AllGather:
+		viaRoot = core.Star
+		build = func(s *fabric.Spec, alg core.Pattern) error { return core.BuildAllGatherInto(s, alg, req.P, req.B, pr) }
+	default:
+		t.Fatalf("%s chooses a schedule this test does not know", req.Kind)
+	}
+	for _, alg := range []core.Pattern{core.Ring, viaRoot} {
+		p := &Plan{Kind: req.Kind, P: req.P, B: req.B, Opt: req.Opt.Canonical(), Spec: fabric.NewSpec(req.P, 1)}
+		if err := build(p.Spec, alg); err != nil {
+			t.Fatalf("%s p=%d b=%d under %s: %v", req.Kind, req.P, req.B, alg, err)
+		}
+		rep, err := p.ExecuteUnpooled(req.Inputs(ramp))
+		if err != nil {
+			t.Fatalf("%s p=%d b=%d under %s: %v", req.Kind, req.P, req.B, alg, err)
+		}
+		if c.cycles > rep.Cycles {
+			t.Errorf("%s p=%d b=%d: ran %s in %d cycles, %s takes %d", req.Kind, req.P, req.B, c.alg, c.cycles, alg, rep.Cycles)
 		}
 	}
 }

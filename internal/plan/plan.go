@@ -19,7 +19,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/mesh"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -148,14 +147,17 @@ func KeyOf(req Request) Key {
 type Plan struct {
 	// Key is the content key the plan was compiled under.
 	Key Key
-	// Kind, P, Width, Height, B, Op echo the request.
-	Kind          Kind
+	// P, Width, Height, B, Op echo the request.
 	P             int
 	Width, Height int
 	B             int
 	Op            fabric.ReduceOp
-	// Alg / Alg2D are the concrete algorithms the plan lowered: Auto
-	// requests arrive here resolved by the performance model.
+	// Kind and Alg / Alg2D name the program the plan lowered: Auto requests
+	// arrive here resolved by the performance model, so Kind is the row
+	// whose builder ran — allreduce-midroot under an allreduce1d key when
+	// Auto rooted the AllReduce in the middle — and Alg the schedule it ran,
+	// for the algorithm-free chunked kinds too.
+	Kind  Kind
 	Alg   core.Pattern
 	Alg2D core.Pattern2D
 	// Opt are the fabric options replays execute under.
@@ -165,8 +167,10 @@ type Plan struct {
 	// Spec is the lowered fabric program, without initial data. It must
 	// be treated as read-only; Execute binds inputs into per-run copies.
 	Spec *fabric.Spec
-	// Tree is the reduction tree of tree-based 1D kinds; RowTree and
-	// ColTree are the X-Y trees of tree-based 2D kinds.
+	// Tree is the reduction tree of an end-rooted row. RowTree and ColTree
+	// are the trees of a plan that reduces in two parts: the rows and then
+	// column 0 of an X-Y grid, the west and then the east half of a
+	// middle-rooted row. All empty for a ring, Snake and the treeless kinds.
 	Tree, RowTree, ColTree comm.Tree
 	// Colors lists the routing colors the program occupies.
 	Colors []mesh.Color
@@ -178,7 +182,12 @@ type Plan struct {
 }
 
 // Resolve replaces an Auto algorithm selection with the choice the kind's
-// row makes from the performance model; the public Shape.Resolve is this.
+// row makes from the performance model, and returns the request a run of r
+// executes: its Kind is the row whose program runs (an Auto allreduce1d
+// rooted in the middle resolves to allreduce-midroot) and its Alg the
+// schedule, which for ReduceScatter and AllGather — whose requests name none
+// — is Ring or the tree through the root. Resolving is idempotent, and the
+// key of a request is taken before it. The public Shape.Resolve is this.
 func (r Request) Resolve() Request {
 	if ki := InfoOf(r.Kind); ki != nil && ki.auto != nil {
 		ki.auto(&r, core.Params(r.Opt))
@@ -197,9 +206,9 @@ func Compile(req Request) (*Plan, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	ki := InfoOf(req.Kind)
 	key := KeyOf(req)
 	req = req.Resolve()
+	ki := InfoOf(req.Kind)
 	pr := core.Params(req.Opt)
 	// Plans carry canonical options (defaults resolved) so compiling the
 	// same logical request in two processes yields byte-identical encoded
@@ -231,31 +240,13 @@ func Compile(req Request) (*Plan, error) {
 	if err := p.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	if ki.trees {
-		if err := p.recordTrees(ki.Grid, pr); err != nil {
+	if ki.trees != nil {
+		if err := ki.trees(p, pr); err != nil {
 			return nil, err
 		}
 	}
 	p.Colors = specColors(p.Spec)
 	return p, nil
-}
-
-// recordTrees stores the reduction-tree metadata of a tree-based plan: the
-// X-Y trees on a grid (Snake has none), the row's tree in 1D (the ring has
-// none).
-func (p *Plan) recordTrees(grid bool, pr model.Params) error {
-	var err error
-	if !grid {
-		if p.Alg != core.Ring && p.Alg != core.RingDP {
-			p.Tree, err = core.TreeFor(p.Alg, p.P, p.B, pr)
-		}
-	} else if base, ok := p.Alg2D.Base1D(); ok {
-		if p.RowTree, err = core.TreeFor(base, p.Width, p.B, pr); err != nil {
-			return err
-		}
-		p.ColTree, err = core.TreeFor(base, p.Height, p.B, pr)
-	}
-	return err
 }
 
 // specColors collects the distinct routing colors a program occupies, in

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/plan"
@@ -16,7 +17,9 @@ import (
 var noisyOpt = fabric.Options{ClockSkewMax: 3, ThermalNoopRate: 0.01, Seed: 7}
 
 // kindRequests returns one request per collective kind, parameterised by
-// the fabric options.
+// the fabric options, and last an Auto AllReduce the model roots in the
+// middle: a plan whose key says allreduce1d and whose program is the
+// allreduce-midroot row's.
 func kindRequests(opt fabric.Options) []plan.Request {
 	return []plan.Request{
 		{Kind: plan.Reduce1D, Alg: core.AutoGen, P: 12, B: 9, Op: fabric.OpSum, Opt: opt},
@@ -30,6 +33,7 @@ func kindRequests(opt fabric.Options) []plan.Request {
 		{Kind: plan.ReduceScatter, P: 6, B: 13, Op: fabric.OpSum, Opt: opt},
 		{Kind: plan.AllGather, P: 4, B: 10, Opt: opt},
 		{Kind: plan.AllReduceMidRoot, Alg: core.Tree, P: 9, B: 8, Op: fabric.OpMin, Opt: opt},
+		{Kind: plan.AllReduce1D, Alg: core.Auto, P: 33, B: 1, Op: fabric.OpSum, Opt: opt},
 	}
 }
 
@@ -104,6 +108,15 @@ func TestRoundTripAllKinds(t *testing.T) {
 			}
 			if key, err := DecodeKey(data); err != nil || key != compiled.Key {
 				t.Fatalf("DecodeKey = %v, %v; want %v", key, err, compiled.Key)
+			}
+			// The key is the request as spelled; what the plan lowered — the
+			// row, the algorithm, its trees — travels beside it.
+			if req.Alg == core.Auto && (compiled.Key.Kind != plan.AllReduce1D || compiled.Kind != plan.AllReduceMidRoot || compiled.ColTree.Len() == 0) {
+				t.Fatalf("the Auto AllReduce compiled to %s/%s with an east tree of %d under a %s key, want the middle root", compiled.Kind, compiled.Alg, compiled.ColTree.Len(), compiled.Key.Kind)
+			}
+			if decoded.Kind != compiled.Kind || decoded.Alg != compiled.Alg || decoded.Alg2D != compiled.Alg2D ||
+				!reflect.DeepEqual([]comm.Tree{decoded.Tree, decoded.RowTree, decoded.ColTree}, []comm.Tree{compiled.Tree, compiled.RowTree, compiled.ColTree}) {
+				t.Fatalf("decoded plan lowers %s/%s/%s, compiled %s/%s/%s (or their trees differ)", decoded.Kind, decoded.Alg, decoded.Alg2D, compiled.Kind, compiled.Alg, compiled.Alg2D)
 			}
 			// Decode→encode is byte-identical: the canonical form is a
 			// fixed point, so re-saving a loaded plan never rewrites it.

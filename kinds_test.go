@@ -71,13 +71,18 @@ func TestKindTableConformance(t *testing.T) {
 	}
 }
 
-// TestShapeResolve: Resolve is the compiler's own algorithm choice made
-// public. For every row of the kind table, spelled Auto and under each
-// algorithm the row accepts, at a few geometries and ramp latencies, it
-// names what plan.Compile builds, is idempotent, never leaves Auto on a
-// kind that has algorithms, leaves algorithm-free kinds untouched, and
-// changes nothing about the estimate: Predict resolves by itself.
+// TestShapeResolve: Resolve is the compiler's own choice made public. For
+// every row of the kind table, spelled Auto and under each algorithm the row
+// accepts, at a few geometries and ramp latencies, it names the row and the
+// algorithm plan.Compile builds, is idempotent and valid, never leaves Auto
+// on a kind that has algorithms, and leaves a concrete spelling alone. The
+// choice ranges over every schedule of the kind: an Auto AllReduce may move to
+// the middle-root row (nothing else moves), ReduceScatter and AllGather — which
+// take no algorithm — come back saying ring or through the root, and the kinds
+// with one schedule come back untouched. It changes nothing about the
+// estimate: Predict resolves by itself.
 func TestShapeResolve(t *testing.T) {
+	moved := 0
 	for i := range plan.Kinds {
 		ki := &plan.Kinds[i]
 		algs := append([]Algorithm{Auto}, ki.Algs...)
@@ -96,28 +101,51 @@ func TestShapeResolve(t *testing.T) {
 						if again := res.Resolve(opt); again != res {
 							t.Errorf("%s: Resolve is not idempotent: %+v then %+v", name, res, again)
 						}
-						if ki.Algs != nil && res.Alg == Auto || ki.Algs2D != nil && res.Alg2D == Auto2D {
+						if err := res.Validate(); err != nil {
+							t.Errorf("%s: Resolve returned %+v: %v", name, res, err)
+						}
+						rki := plan.InfoOf(res.Kind)
+						if rki.Algs != nil && res.Alg == Auto || rki.Algs2D != nil && res.Alg2D == Auto2D {
 							t.Errorf("%s: Resolve left Auto in %+v", name, res)
 						}
-						if concrete := ki.Algs == nil || alg != Auto; concrete && res.Alg != sh.Alg {
-							t.Errorf("%s: Resolve changed Alg %q to %q", name, sh.Alg, res.Alg)
+						switch {
+						case ki.Chunked && ki.HasOp: // ReduceScatter: the ring phase, or a reduce tree and the Scatter
+							if res.Alg != Ring && !slices.Contains(plan.InfoOf(KindReduce).Algs, res.Alg) {
+								t.Errorf("%s: Resolve names schedule %q", name, res.Alg)
+							}
+						case ki.Kind == KindAllGather: // the ring phase, or the Gather's star and the Broadcast
+							if res.Alg != Ring && res.Alg != Star {
+								t.Errorf("%s: Resolve names schedule %q", name, res.Alg)
+							}
+						case ki.Algs == nil || alg != Auto:
+							if res.Alg != sh.Alg {
+								t.Errorf("%s: Resolve changed Alg %q to %q", name, sh.Alg, res.Alg)
+							}
 						}
 						if concrete := ki.Algs2D == nil || alg2D != Auto2D; concrete && res.Alg2D != sh.Alg2D {
 							t.Errorf("%s: Resolve changed Alg2D %q to %q", name, sh.Alg2D, res.Alg2D)
 						}
+						if res.Kind != sh.Kind {
+							moved++
+							if sh.Kind != KindAllReduce || alg != Auto || res.Kind != KindAllReduceMidRoot {
+								t.Errorf("%s: Resolve moved the shape to %s", name, res.Kind)
+							}
+						}
 						rest := res
-						rest.Alg, rest.Alg2D = sh.Alg, sh.Alg2D
+						rest.Kind, rest.Alg, rest.Alg2D = sh.Kind, sh.Alg, sh.Alg2D
 						if rest != sh {
-							t.Errorf("%s: Resolve touched more than the algorithm: %+v", name, res)
+							t.Errorf("%s: Resolve touched more than kind and algorithm: %+v", name, res)
 						}
 						p, err := plan.Compile(sh.request(Options{TR: tr}))
 						if err != nil {
 							t.Errorf("%s: Compile: %v", name, err)
 							continue
 						}
-						// A plan carries the algorithm fields its kind consults.
-						if ki.Algs != nil && p.Alg != res.Alg || ki.Algs2D != nil && p.Alg2D != res.Alg2D {
-							t.Errorf("%s: Resolve says %q/%q, Compile built %q/%q", name, res.Alg, res.Alg2D, p.Alg, p.Alg2D)
+						// A plan is keyed as spelled and carries what it lowered.
+						if p.Key.Kind != sh.Kind || p.Kind != res.Kind || p.Alg2D != res.Alg2D ||
+							(rki.Algs != nil || rki.Chunked) && p.Alg != res.Alg {
+							t.Errorf("%s: Resolve says %s %q/%q, Compile built %s %q/%q under a %s key",
+								name, res.Kind, res.Alg, res.Alg2D, p.Kind, p.Alg, p.Alg2D, p.Key.Kind)
 						}
 						// Spelled Auto or resolved, a shape has one estimate: the plan's.
 						if got, want := Predict(sh, opt), Predict(res, opt); math.Float64bits(got) != math.Float64bits(want) || got != p.Predicted {
@@ -127,5 +155,8 @@ func TestShapeResolve(t *testing.T) {
 				}
 			}
 		}
+	}
+	if moved == 0 {
+		t.Error("no Auto AllReduce of the walk resolved to the middle root")
 	}
 }

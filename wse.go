@@ -73,8 +73,10 @@ const (
 	AutoGen  = core.AutoGen
 	Auto     = core.Auto
 	// Ring and RingDP (the distance-preserving mapping of Figure 7b) are
-	// valid for AllReduce only; they exist to verify experimentally the
-	// paper's model-only conclusion that ring rarely wins on this fabric.
+	// valid for AllReduce only. The paper models the ring and concludes it
+	// rarely wins on this fabric; run, it wins where the model says — few
+	// PEs, long vectors — and Auto deploys it there. A resolved
+	// ReduceScatter or AllGather names Ring for its ring phase.
 	Ring   = core.Ring
 	RingDP = core.RingDP
 )
