@@ -142,10 +142,10 @@ func (sh Shape) checkRun(inputs [][]float32) error {
 // broadcast and scatter kinds inputs is the root vector wrapped in a
 // one-element slice; for gather kinds the per-PE chunks (sized per
 // Chunks); otherwise one length-B vector per PE. ctx is observed before
-// the compile and before the simulation — a simulation already running
-// is never abandoned on this one-shot path (Session and Tenant verbs
-// have full cancellation). Use a Session (or Tenant) Run to compile
-// once and replay.
+// the compile, and a simulation it outlives is abandoned with ctx's error
+// (a deadline's still matches context.DeadlineExceeded), as on the Session
+// and Tenant verbs. Use a Session (or Tenant) Run to compile once and
+// replay.
 func Run(ctx context.Context, sh Shape, inputs [][]float32, opts ...Option) (*Report, error) {
 	c := resolveOpts(opts)
 	if err := sh.checkRun(inputs); err != nil {
@@ -170,15 +170,13 @@ func runValidated(ctx context.Context, sh Shape, inputs [][]float32, c callOpts)
 	if err := ctx.Err(); err != nil { // the compile can be the slow part
 		return nil, err
 	}
-	return p.ExecuteOpts(inputs, c.execOpts())
+	return p.ExecuteCtx(ctx, inputs, c.execOpts())
 }
 
 // Submit is Run returning immediately with a Future. Validation happens
 // synchronously (a malformed shape comes back already resolved); the
-// one-shot compile and simulation then run on their own goroutine. ctx
-// has the same one-shot semantics as Run: it short-circuits before the
-// compile and before the simulation, but cannot abandon a simulation
-// mid-flight — use Session.Submit or Tenant.Submit for that.
+// one-shot compile and simulation then run on their own goroutine, under
+// ctx exactly as Run is.
 func Submit(ctx context.Context, sh Shape, inputs [][]float32, opts ...Option) *Future {
 	c := resolveOpts(opts)
 	if err := sh.checkRun(inputs); err != nil {

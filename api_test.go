@@ -1,9 +1,10 @@
 package wse
 
-// Tests of the Shape-first surface: the property that every verb, at all
-// three serving levels, is bit-identical to the pre-plan core.Run*
-// reference (same Report, same RNG chain) across all 11 kinds, typed
-// ErrBadShape validation, columnar results, and batch replay.
+// Tests of the Shape-first surface: the property that every serving path —
+// Session, Tenant, Submit, the columnar layout — is bit-identical to the
+// one-shot Run (same Report, same RNG chain) across all 11 kinds, typed
+// ErrBadShape validation, columnar results, batch replay, and the one-shot
+// watchdog.
 
 import (
 	"context"
@@ -11,8 +12,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 
-	"repro/internal/core"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 )
@@ -56,14 +57,11 @@ func apiChunks(p, b int) [][]float32 {
 	return out
 }
 
-// apiCase is one collective kind spelled two ways: the Shape + inputs of
-// the public surface, and the internal core.Run* path that predates the
-// plan layer — the ground truth every verb must match bit for bit.
+// apiCase is one collective kind: a Shape and one run's inputs.
 type apiCase struct {
-	name    string
-	shape   Shape
-	inputs  [][]float32
-	coreRun func(opt Options) (*Report, error)
+	name   string
+	shape  Shape
+	inputs [][]float32
 }
 
 func apiCases() []apiCase {
@@ -73,30 +71,18 @@ func apiCases() []apiCase {
 	data := apiVectors(1, 17, 5)[0]
 	chunks := apiChunks(7, 23)
 	return []apiCase{
-		{"reduce", Shape{Kind: KindReduce, Alg: TwoPhase, P: 12, B: 9, Op: Sum}, vecs,
-			func(o Options) (*Report, error) { return core.RunReduce1D(TwoPhase, vecs, Sum, o) }},
-		{"allreduce", Shape{Kind: KindAllReduce, Alg: Tree, P: 12, B: 9, Op: Max}, vecs,
-			func(o Options) (*Report, error) { return core.RunAllReduce1D(Tree, vecs, Max, o) }},
-		{"allreduce-ring", Shape{Kind: KindAllReduce, Alg: Ring, P: 6, B: 13, Op: Sum}, rsVecs,
-			func(o Options) (*Report, error) { return core.RunAllReduce1D(Ring, rsVecs, Sum, o) }},
-		{"allreduce-midroot", Shape{Kind: KindAllReduceMidRoot, Alg: Auto, P: 12, B: 9, Op: Sum}, vecs,
-			func(o Options) (*Report, error) { return core.RunAllReduceMidRoot(Auto, vecs, Sum, o) }},
-		{"broadcast", Shape{Kind: KindBroadcast, P: 9, B: 17}, [][]float32{data},
-			func(o Options) (*Report, error) { return core.RunBroadcast1D(data, 9, o) }},
-		{"reduce2d", Shape{Kind: KindReduce2D, Alg2D: XYTree, Width: 4, Height: 3, B: 5, Op: Sum}, grid,
-			func(o Options) (*Report, error) { return core.RunReduce2D(XYTree, 4, 3, grid, Sum, o) }},
-		{"allreduce2d", Shape{Kind: KindAllReduce2D, Alg2D: Snake, Width: 4, Height: 3, B: 5, Op: Min}, grid,
-			func(o Options) (*Report, error) { return core.RunAllReduce2D(Snake, 4, 3, grid, Min, o) }},
-		{"broadcast2d", Shape{Kind: KindBroadcast2D, Width: 4, Height: 3, B: 17}, [][]float32{data},
-			func(o Options) (*Report, error) { return core.RunBroadcast2D(data, 4, 3, o) }},
-		{"scatter", Shape{Kind: KindScatter, P: 7, B: 17}, [][]float32{data},
-			func(o Options) (*Report, error) { return core.RunScatter(data, 7, o) }},
-		{"gather", Shape{Kind: KindGather, P: 7, B: 23}, chunks,
-			func(o Options) (*Report, error) { return core.RunGather(chunks, o) }},
-		{"reducescatter", Shape{Kind: KindReduceScatter, P: 6, B: 13, Op: Sum}, rsVecs,
-			func(o Options) (*Report, error) { return core.RunReduceScatter(rsVecs, Sum, o) }},
-		{"allgather", Shape{Kind: KindAllGather, P: 7, B: 23}, chunks,
-			func(o Options) (*Report, error) { return core.RunAllGather(chunks, o) }},
+		{"reduce", Shape{Kind: KindReduce, Alg: TwoPhase, P: 12, B: 9, Op: Sum}, vecs},
+		{"allreduce", Shape{Kind: KindAllReduce, Alg: Tree, P: 12, B: 9, Op: Max}, vecs},
+		{"allreduce-ring", Shape{Kind: KindAllReduce, Alg: Ring, P: 6, B: 13, Op: Sum}, rsVecs},
+		{"allreduce-midroot", Shape{Kind: KindAllReduceMidRoot, Alg: Auto, P: 12, B: 9, Op: Sum}, vecs},
+		{"broadcast", Shape{Kind: KindBroadcast, P: 9, B: 17}, [][]float32{data}},
+		{"reduce2d", Shape{Kind: KindReduce2D, Alg2D: XYTree, Width: 4, Height: 3, B: 5, Op: Sum}, grid},
+		{"allreduce2d", Shape{Kind: KindAllReduce2D, Alg2D: Snake, Width: 4, Height: 3, B: 5, Op: Min}, grid},
+		{"broadcast2d", Shape{Kind: KindBroadcast2D, Width: 4, Height: 3, B: 17}, [][]float32{data}},
+		{"scatter", Shape{Kind: KindScatter, P: 7, B: 17}, [][]float32{data}},
+		{"gather", Shape{Kind: KindGather, P: 7, B: 23}, chunks},
+		{"reducescatter", Shape{Kind: KindReduceScatter, P: 6, B: 13, Op: Sum}, rsVecs},
+		{"allgather", Shape{Kind: KindAllGather, P: 7, B: 23}, chunks},
 	}
 }
 
@@ -121,13 +107,14 @@ func sameReport(t *testing.T, label string, got, want *Report) {
 	}
 }
 
-// TestLegacyBitIdenticalToShapeFirst is the plan layer's conservation
-// law: for every collective kind, the package Run(ctx, Shape),
-// Session.Run, Tenant.Run, Submit and the columnar layout all produce
-// reports bit-identical to the legacy pre-plan path, core.Run*. The
-// options turn on clock skew and thermal no-ops, so equality of Cycles
-// and Stats.Noops also proves the deterministic RNG chain survived every
-// path.
+// TestLegacyBitIdenticalToShapeFirst is the plan layer's conservation law:
+// for every collective kind, every serving path — the package Submit,
+// Session.Run, Tenant.Run, Session.Submit and the columnar layout — produces
+// a report bit-identical to the one-shot Run of the same Shape, which
+// compiles a plan for that call alone and runs it on the engine where the
+// session paths record a tape and walk it. The options turn on clock skew
+// and thermal no-ops, so equality of Cycles and the full Stats also proves
+// the deterministic RNG chain survived every path.
 func TestLegacyBitIdenticalToShapeFirst(t *testing.T) {
 	opt := Options{ClockSkewMax: 24, ThermalNoopRate: 0.03, Seed: 11}
 	s := NewSession(SessionConfig{Options: opt})
@@ -137,35 +124,35 @@ func TestLegacyBitIdenticalToShapeFirst(t *testing.T) {
 
 	for _, tc := range apiCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := tc.coreRun(opt)
+			want, err := Run(ctx, tc.shape, tc.inputs, WithOptions(opt))
 			if err != nil {
-				t.Fatalf("core ground truth: %v", err)
+				t.Fatalf("one-shot Run: %v", err)
 			}
 
-			shaped, err := Run(ctx, tc.shape, tc.inputs, WithOptions(opt))
+			async, err := Submit(ctx, tc.shape, tc.inputs, WithOptions(opt)).Wait()
 			if err != nil {
-				t.Fatalf("Run: %v", err)
+				t.Fatalf("Submit: %v", err)
 			}
-			sameReport(t, "Run vs core", shaped, want)
+			sameReport(t, "Submit vs Run", async, want)
 
 			sess, err := s.Run(ctx, tc.shape, tc.inputs)
 			if err != nil {
 				t.Fatalf("Session.Run: %v", err)
 			}
-			sameReport(t, "Session.Run vs core", sess, want)
+			sameReport(t, "Session.Run vs Run", sess, want)
 
 			ten, err := tn.Run(ctx, tc.shape, tc.inputs)
 			if err != nil {
 				t.Fatalf("Tenant.Run: %v", err)
 			}
-			sameReport(t, "Tenant.Run vs core", ten, want)
+			sameReport(t, "Tenant.Run vs Run", ten, want)
 
-			// The async verb resolves to the same report.
+			// The async session verb resolves to the same report.
 			fut, err := s.Submit(ctx, tc.shape, tc.inputs).Wait()
 			if err != nil {
-				t.Fatalf("Submit: %v", err)
+				t.Fatalf("Session.Submit: %v", err)
 			}
-			sameReport(t, "Submit vs core", fut, want)
+			sameReport(t, "Session.Submit vs Run", fut, want)
 
 			// The columnar layout carries the same values.
 			col, err := s.Run(ctx, tc.shape, tc.inputs, WithColumnarResult())
@@ -175,8 +162,23 @@ func TestLegacyBitIdenticalToShapeFirst(t *testing.T) {
 			if col.All != nil || col.Columnar == nil {
 				t.Fatalf("columnar Run: All=%v Columnar=%v, want nil map + columnar buffer", col.All, col.Columnar)
 			}
-			sameReport(t, "columnar vs core", col, want)
+			sameReport(t, "columnar vs Run", col, want)
 		})
+	}
+}
+
+// TestOneShotRunHonoursDeadline: the one-shot Run arms the fabric's watchdog
+// as the Session verbs do, so a simulation that takes ~0.4 s on its own stops
+// when a 5 ms deadline fires, and the error says so. The program is a chain,
+// which compiles well inside the deadline: what is cut short is the
+// simulation, not the compile.
+func TestOneShotRunHonoursDeadline(t *testing.T) {
+	sh := Shape{Kind: KindReduce, Alg: Chain, P: 512, B: 8192, Op: Sum}
+	inputs := constVectors(sh.P, sh.B)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if rep, err := Run(ctx, sh, inputs); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Run under a 5 ms deadline: report %v, error %v; want context.DeadlineExceeded", rep != nil, err)
 	}
 }
 
@@ -272,6 +274,10 @@ func TestBadInputsTyped(t *testing.T) {
 		},
 		"one-shot bad chunks": func() error {
 			_, err := Run(ctx, Shape{Kind: KindGather, P: 2, B: 6}, [][]float32{{1}, {2, 3, 4, 5, 6}})
+			return err
+		},
+		"one-shot grid vector count": func() error {
+			_, err := Run(ctx, Shape{Kind: KindReduce2D, Alg2D: XYChain, Width: 2, Height: 2, B: 1, Op: Sum}, [][]float32{{1}})
 			return err
 		},
 		"session ragged": func() error { _, err := s.Run(ctx, reduce3, ragged); return err },

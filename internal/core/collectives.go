@@ -7,15 +7,14 @@ package core
 //
 // ReduceScatter and AllGather each have two schedules — a phase of the ring
 // AllReduce (§6.2), or a composition through the leftmost PE, Reduce then
-// Scatter and Gather then Broadcast — and run whichever the model prices
-// lower. A Pattern names the schedule: Ring, or the tree that carries the
+// Scatter and Gather then Broadcast — and deploy whichever the model prices
+// lower (BestReduceScatter, BestAllGather). A Pattern names the schedule: Ring, or the tree that carries the
 // data to the root (any reduce tree for ReduceScatter; Star for AllGather,
 // whose Gather sends every chunk straight to the root).
 //
-// Each collective is split into a Build*Into compile half (program and
-// routing tables only, no initial data) and a Run* convenience that
-// compiles, binds inputs and executes. The plan subsystem caches the
-// output of the compile half and replays it.
+// Each collective is a Build*Into compiler (program and routing tables only,
+// no initial data); the plan subsystem binds inputs into what it compiled,
+// caches it and replays it.
 
 import (
 	"fmt"
@@ -42,17 +41,6 @@ func BuildScatterInto(spec *fabric.Spec, p, b int) error {
 	return comm.BuildScatter(spec, mesh.Row(0, 0, p), b, scatterColor)
 }
 
-// RunScatter delivers chunk j of data to PE j along a row of p PEs
-// (chunk 0 stays at the root). Report.All[pe] holds each PE's chunk.
-func RunScatter(data []float32, p int, opt fabric.Options) (*Report, error) {
-	spec := fabric.NewSpec(p, 1)
-	if err := BuildScatterInto(spec, p, len(data)); err != nil {
-		return nil, err
-	}
-	spec.PE(mesh.Coord{}).Init = data
-	return ExecSpec(spec, opt, Params(opt).Scatter(p, len(data)))
-}
-
 // BuildGatherInto compiles a chunked gather of b total elements over a
 // row of p PEs into spec.
 func BuildGatherInto(spec *fabric.Spec, p, b int) error {
@@ -60,44 +48,6 @@ func BuildGatherInto(spec *fabric.Spec, p, b int) error {
 		return fmt.Errorf("core: gather needs at least 2 PEs")
 	}
 	return comm.BuildGather(spec, mesh.Row(0, 0, p), b, scatterColor)
-}
-
-// CheckChunks validates per-PE chunk lengths against the balanced layout
-// of Chunks and returns the total element count.
-func CheckChunks(chunks [][]float32) (int, error) {
-	p := len(chunks)
-	b := 0
-	for _, c := range chunks {
-		b += len(c)
-	}
-	_, sz := comm.Chunks(p, b)
-	for j, c := range chunks {
-		if len(c) != sz[j] {
-			return 0, fmt.Errorf("core: chunk %d has %d elements, want %d", j, len(c), sz[j])
-		}
-	}
-	return b, nil
-}
-
-// RunGather assembles per-PE chunks into the full vector at the root.
-// chunks[j] is PE j's contribution; sizes must follow Chunks.
-func RunGather(chunks [][]float32, opt fabric.Options) (*Report, error) {
-	p := len(chunks)
-	if p < 2 {
-		return nil, fmt.Errorf("core: gather needs at least 2 PEs")
-	}
-	b, err := CheckChunks(chunks)
-	if err != nil {
-		return nil, err
-	}
-	spec := fabric.NewSpec(p, 1)
-	if err := BuildGatherInto(spec, p, b); err != nil {
-		return nil, err
-	}
-	for j, c := range mesh.Row(0, 0, p) {
-		spec.PE(c).Init = chunks[j]
-	}
-	return ExecSpec(spec, opt, Params(opt).Gather(p, b))
 }
 
 // placeChunks moves the chunk every PE but the root sends or receives in its
@@ -159,27 +109,6 @@ func BuildReduceScatterInto(spec *fabric.Spec, pattern Pattern, p, b int, pr mod
 	return placeChunks(spec, p, b)
 }
 
-// RunReduceScatter combines one vector per PE elementwise and leaves
-// chunk j of the combination on PE j (at its chunk offset within
-// Report.All[pe]).
-func RunReduceScatter(vectors [][]float32, op fabric.ReduceOp, opt fabric.Options) (*Report, error) {
-	b, err := vecLen(vectors)
-	if err != nil {
-		return nil, err
-	}
-	p := len(vectors)
-	pr := Params(opt)
-	spec := fabric.NewSpec(p, 1)
-	pattern, predicted := BestReduceScatter(p, b, pr)
-	if err := BuildReduceScatterInto(spec, pattern, p, b, pr, op); err != nil {
-		return nil, err
-	}
-	for i, c := range mesh.Row(0, 0, p) {
-		spec.PE(c).Init = vectors[i]
-	}
-	return ExecSpec(spec, opt, predicted)
-}
-
 // BestAllGather picks what an AllGather runs: Ring, the second phase of the
 // ring AllReduce, or Star — Gather every chunk straight to the root, then
 // Broadcast the assembled vector. The ring wins ties.
@@ -227,57 +156,10 @@ func AllGatherInit(chunk []float32, off, b int) []float32 {
 	return init
 }
 
-// RunAllGather distributes per-PE chunks so every PE ends with the full
-// vector. chunks[j] is PE j's contribution; sizes must follow Chunks.
-func RunAllGather(chunks [][]float32, opt fabric.Options) (*Report, error) {
-	p := len(chunks)
-	if p < 2 {
-		return nil, fmt.Errorf("core: allgather needs at least 2 PEs")
-	}
-	b, err := CheckChunks(chunks)
-	if err != nil {
-		return nil, err
-	}
-	pr := Params(opt)
-	spec := fabric.NewSpec(p, 1)
-	pattern, predicted := BestAllGather(p, b, pr)
-	if err := BuildAllGatherInto(spec, pattern, p, b, pr); err != nil {
-		return nil, err
-	}
-	off, _ := comm.Chunks(p, b)
-	for j, c := range mesh.Row(0, 0, p) {
-		spec.PE(c).Init = AllGatherInit(chunks[j], off[j], b)
-	}
-	return ExecSpec(spec, opt, predicted)
-}
-
 // BuildAllReduceMidRootInto compiles the middle-root AllReduce for a
 // concrete pattern (resolve Auto with BestAllReduceMidRoot first).
 func BuildAllReduceMidRootInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Params, op fabric.ReduceOp) error {
 	path := mesh.Row(0, 0, p)
 	treeFor := func(n int) (comm.Tree, error) { return TreeFor(pattern, n, b, pr) }
 	return comm.BuildAllReduceMidRoot(spec, path, b, treeFor, op)
-}
-
-// RunAllReduceMidRoot runs the middle-root AllReduce: both row halves
-// reduce into the middle PE concurrently and the result floods out in
-// both directions — the root-placement optimisation of §6.1.
-func RunAllReduceMidRoot(pattern Pattern, vectors [][]float32, op fabric.ReduceOp, opt fabric.Options) (*Report, error) {
-	b, err := vecLen(vectors)
-	if err != nil {
-		return nil, err
-	}
-	p := len(vectors)
-	pr := Params(opt)
-	if pattern == Auto {
-		pattern, _ = BestAllReduceMidRoot(p, b, pr)
-	}
-	spec := fabric.NewSpec(p, 1)
-	if err := BuildAllReduceMidRootInto(spec, pattern, p, b, pr, op); err != nil {
-		return nil, err
-	}
-	for i, c := range mesh.Row(0, 0, p) {
-		spec.PE(c).Init = vectors[i]
-	}
-	return ExecSpec(spec, opt, PredictAllReduceMidRoot(pattern, p, b, pr))
 }

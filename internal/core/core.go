@@ -1,8 +1,11 @@
-// Package core orchestrates the paper's collectives: it maps algorithm
-// names to reduction trees, compiles them to fabric programs via comm,
-// predicts their runtime with the performance model, and runs them on the
-// fabric simulator. The public wse package and the experiment harness are
-// thin layers over this package.
+// Package core compiles and prices the paper's collectives: it maps
+// algorithm names to reduction trees, lowers a concrete schedule to a fabric
+// program via comm (the Build*Into functions), prices it with the
+// performance model (Predict*), and makes the model-driven choice of §5.5
+// (Best*). It runs nothing, and its builders and estimates take concrete
+// schedules only: the kind table of package plan calls Best* once to
+// resolve an Auto request, then compiles and prices what was picked through
+// here and runs the program on the fabric simulator.
 package core
 
 import (
@@ -19,9 +22,10 @@ import (
 // Pattern names a 1D Reduce/AllReduce algorithm.
 type Pattern string
 
-// The 1D patterns of §5. Auto selects the best pattern (including
-// Auto-Gen) for the given P and B using the performance model, which is
-// the paper's model-driven deployment mode.
+// The 1D patterns of §5. Auto asks for the pattern the performance model
+// prices lowest for the given P and B (Auto-Gen included), the paper's
+// model-driven deployment mode; it is a request, which Best* resolves, and
+// never reaches a builder or a Predict function.
 const (
 	Star     Pattern = "star"
 	Chain    Pattern = "chain" // the vendor's pattern
@@ -59,7 +63,7 @@ func Params(opt fabric.Options) model.Params {
 
 // TreeFor returns the reduction tree of a concrete pattern for p PEs and
 // vector length b (b matters only for AutoGen, whose tree is optimised
-// per input size, and Auto).
+// per input size).
 func TreeFor(pattern Pattern, p, b int, pr model.Params) (comm.Tree, error) {
 	if p < 1 {
 		return comm.Tree{}, fmt.Errorf("core: %d PEs", p)
@@ -73,9 +77,6 @@ func TreeFor(pattern Pattern, p, b int, pr model.Params) (comm.Tree, error) {
 	case AutoGen:
 		// The DP prices transfers, and a transfer is b+Ctl wavelets long.
 		return autogen.For(p).Tree(p, b+pr.Ctl, pr.TR), nil
-	case Auto:
-		best, _ := BestReduce1D(p, b, pr)
-		return TreeFor(best, p, b, pr)
 	}
 	return comm.Tree{}, fmt.Errorf("core: unknown pattern %q", pattern)
 }
@@ -93,9 +94,6 @@ func PredictReduce1D(pattern Pattern, p, b int, pr model.Params) float64 {
 	case Tree, TwoPhase, AutoGen:
 		tree, _ := TreeFor(pattern, p, b, pr) // fails for p < 1 only: no tree, no cycles
 		return pr.CriticalPath(tree.Parent, b)
-	case Auto:
-		_, t := BestReduce1D(p, b, pr)
-		return t
 	}
 	return 0
 }
@@ -161,12 +159,8 @@ func MidRootHalves(pattern Pattern, p, b int, pr model.Params) (west, east comm.
 
 // PredictAllReduceMidRoot is the middle root priced as one path
 // (model.MidRootAllReduce) over the trees the builder runs on the halves,
-// for any tree pattern. Auto is priced as the pattern that minimises it.
+// for any tree pattern.
 func PredictAllReduceMidRoot(pattern Pattern, p, b int, pr model.Params) float64 {
-	if pattern == Auto {
-		_, t := BestAllReduceMidRoot(p, b, pr)
-		return t
-	}
 	west, east, _ := MidRootHalves(pattern, p, b, pr) // fails for p < 1 or no tree pattern: no trees, no cycles
 	return pr.MidRootAllReduce(west.Parent, east.Parent, b)
 }
@@ -204,22 +198,6 @@ type Report struct {
 	Stats fabric.Stats
 }
 
-func vecLen(vectors [][]float32) (int, error) {
-	if len(vectors) == 0 {
-		return 0, fmt.Errorf("core: no input vectors")
-	}
-	b := len(vectors[0])
-	if b == 0 {
-		return 0, fmt.Errorf("core: empty vectors")
-	}
-	for i, v := range vectors {
-		if len(v) != b {
-			return 0, fmt.Errorf("core: vector %d has length %d, want %d", i, len(v), b)
-		}
-	}
-	return b, nil
-}
-
 // BuildReduce1DInto compiles a 1D Reduce for p PEs into spec (a p×1
 // region) without initial data; callers set Init per PE afterwards.
 func BuildReduce1DInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Params, op fabric.ReduceOp) error {
@@ -247,51 +225,6 @@ func BuildAllReduce1DInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model
 	return comm.BuildAllReduce1D(spec, mesh.Row(0, 0, p), tree, b, op)
 }
 
-// RunReduce1D reduces one vector per PE along a row of len(vectors) PEs to
-// the leftmost PE on the fabric simulator.
-func RunReduce1D(pattern Pattern, vectors [][]float32, op fabric.ReduceOp, opt fabric.Options) (*Report, error) {
-	b, err := vecLen(vectors)
-	if err != nil {
-		return nil, err
-	}
-	p := len(vectors)
-	pr := Params(opt)
-	spec := fabric.NewSpec(p, 1)
-	if err := BuildReduce1DInto(spec, pattern, p, b, pr, op); err != nil {
-		return nil, err
-	}
-	for i, c := range mesh.Row(0, 0, p) {
-		spec.PE(c).Init = vectors[i]
-	}
-	return ExecSpec(spec, opt, PredictReduce1D(pattern, p, b, pr))
-}
-
-// RunAllReduce1D runs an AllReduce along a row: Reduce-then-Broadcast from
-// the end root, the ring, or under Auto whichever schedule BestAllReduce1D
-// picks — the middle root included.
-func RunAllReduce1D(pattern Pattern, vectors [][]float32, op fabric.ReduceOp, opt fabric.Options) (*Report, error) {
-	b, err := vecLen(vectors)
-	if err != nil {
-		return nil, err
-	}
-	p := len(vectors)
-	pr := Params(opt)
-	if pattern == Auto {
-		var midRoot bool
-		if pattern, midRoot, _ = BestAllReduce1D(p, b, pr); midRoot {
-			return RunAllReduceMidRoot(pattern, vectors, op, opt)
-		}
-	}
-	spec := fabric.NewSpec(p, 1)
-	if err := BuildAllReduce1DInto(spec, pattern, p, b, pr, op); err != nil {
-		return nil, err
-	}
-	for i, c := range mesh.Row(0, 0, p) {
-		spec.PE(c).Init = vectors[i]
-	}
-	return ExecSpec(spec, opt, PredictAllReduce1D(pattern, p, b, pr))
-}
-
 // BuildBroadcast1DInto compiles a 1D flooding broadcast for p PEs into
 // spec; the caller sets Init on the leftmost PE afterwards.
 func BuildBroadcast1DInto(spec *fabric.Spec, p, b int) error {
@@ -313,41 +246,17 @@ func BuildBroadcast1DInto(spec *fabric.Spec, p, b int) error {
 	return nil
 }
 
-// RunBroadcast1D floods data from the leftmost PE of a row of p PEs.
-func RunBroadcast1D(data []float32, p int, opt fabric.Options) (*Report, error) {
-	spec := fabric.NewSpec(p, 1)
-	if err := BuildBroadcast1DInto(spec, p, len(data)); err != nil {
-		return nil, err
-	}
-	spec.PE(mesh.Coord{}).Init = data
-	return ExecSpec(spec, opt, Params(opt).Broadcast1D(p, len(data)))
-}
-
-// ExecSpec instantiates and runs a compiled spec on the fabric simulator
-// and wraps the result in a Report carrying the given model prediction.
-// It is the execute half of the compile/execute split: the plan subsystem
-// replays cached specs through it.
-func ExecSpec(spec *fabric.Spec, opt fabric.Options, predicted float64) (*Report, error) {
-	res, err := runSpec(spec, opt)
-	if err != nil {
-		return nil, err
-	}
-	return report(res, predicted), nil
-}
-
-func runSpec(spec *fabric.Spec, opt fabric.Options) (*fabric.Result, error) {
-	f, err := fabric.New(spec, opt)
-	if err != nil {
-		return nil, err
-	}
-	return f.Run()
-}
-
 // ReportOf wraps a raw fabric result in a Report carrying the given model
 // prediction. The plan subsystem runs the fabric (or walks a replay tape)
 // itself and reports through here.
 func ReportOf(res *fabric.Result, predicted float64) *Report {
-	return report(res, predicted)
+	return &Report{
+		Cycles:    res.Cycles,
+		Predicted: predicted,
+		Root:      res.Acc[mesh.Coord{X: 0, Y: 0}],
+		All:       res.Acc,
+		Stats:     res.Stats,
+	}
 }
 
 // ReportOfColumnar wraps a columnar fabric result: Root comes straight
@@ -359,16 +268,6 @@ func ReportOfColumnar(res *fabric.ColumnarResult, predicted float64) *Report {
 		Predicted: predicted,
 		Root:      res.Root,
 		Columnar:  res,
-		Stats:     res.Stats,
-	}
-}
-
-func report(res *fabric.Result, predicted float64) *Report {
-	return &Report{
-		Cycles:    res.Cycles,
-		Predicted: predicted,
-		Root:      res.Acc[mesh.Coord{X: 0, Y: 0}],
-		All:       res.Acc,
 		Stats:     res.Stats,
 	}
 }

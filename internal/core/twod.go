@@ -25,7 +25,8 @@ const (
 	Auto2D     Pattern2D = "auto"
 )
 
-// Patterns2D lists the concrete (runnable) 2D patterns.
+// Patterns2D lists the concrete (runnable) 2D patterns, in the paper's
+// legend order.
 var Patterns2D = []Pattern2D{XYStar, XYChain, XYTree, XYTwoPhase, XYAutoGen, Snake}
 
 // Base1D returns the 1D pattern underlying an X-Y composition, or false
@@ -55,10 +56,6 @@ func (p Pattern2D) base1D() (Pattern, bool) {
 func PredictReduce2D(pattern Pattern2D, width, height, b int, pr model.Params) float64 {
 	if pattern == Snake {
 		return pr.SnakeReduce(height, width, b)
-	}
-	if pattern == Auto2D {
-		_, t := BestReduce2D(width, height, b, pr)
-		return t
 	}
 	base, ok := pattern.base1D()
 	if !ok {
@@ -133,72 +130,4 @@ func buildReduce2D(spec *fabric.Spec, pattern Pattern2D, width, height, b int, p
 		return err
 	}
 	return comm.BuildReduceXY(spec, width, height, rowTree, colTree, b, op)
-}
-
-func gridInit(spec *fabric.Spec, width, height int, vectors [][]float32) error {
-	if len(vectors) != width*height {
-		return fmt.Errorf("core: %d vectors for a %dx%d grid", len(vectors), width, height)
-	}
-	i := 0
-	for y := 0; y < height; y++ {
-		for x := 0; x < width; x++ {
-			spec.PE(mesh.Coord{X: x, Y: y}).Init = vectors[i]
-			i++
-		}
-	}
-	return nil
-}
-
-// RunReduce2D reduces one vector per PE (row-major) on a width×height
-// grid to PE (0,0) on the fabric simulator.
-func RunReduce2D(pattern Pattern2D, width, height int, vectors [][]float32, op fabric.ReduceOp, opt fabric.Options) (*Report, error) {
-	b, err := vecLen(vectors)
-	if err != nil {
-		return nil, err
-	}
-	pr := Params(opt)
-	if pattern == Auto2D {
-		pattern, _ = BestReduce2D(width, height, b, pr)
-	}
-	spec := fabric.NewSpec(width, height)
-	if err := buildReduce2D(spec, pattern, width, height, b, pr, op); err != nil {
-		return nil, err
-	}
-	if err := gridInit(spec, width, height, vectors); err != nil {
-		return nil, err
-	}
-	return ExecSpec(spec, opt, PredictReduce2D(pattern, width, height, b, pr))
-}
-
-// RunAllReduce2D runs a 2D Reduce followed by the 2D flooding broadcast.
-func RunAllReduce2D(pattern Pattern2D, width, height int, vectors [][]float32, op fabric.ReduceOp, opt fabric.Options) (*Report, error) {
-	b, err := vecLen(vectors)
-	if err != nil {
-		return nil, err
-	}
-	pr := Params(opt)
-	if pattern == Auto2D {
-		pattern, _ = BestReduce2D(width, height, b, pr)
-	}
-	spec := fabric.NewSpec(width, height)
-	if err := buildReduce2D(spec, pattern, width, height, b, pr, op); err != nil {
-		return nil, err
-	}
-	if err := comm.BuildBroadcast2D(spec, width, height, b, comm.ColorBcast2); err != nil {
-		return nil, err
-	}
-	if err := gridInit(spec, width, height, vectors); err != nil {
-		return nil, err
-	}
-	return ExecSpec(spec, opt, PredictAllReduce2D(pattern, width, height, b, pr))
-}
-
-// RunBroadcast2D floods data from (0,0) across a width×height grid.
-func RunBroadcast2D(data []float32, width, height int, opt fabric.Options) (*Report, error) {
-	spec := fabric.NewSpec(width, height)
-	if err := BuildBroadcast2DInto(spec, width, height, len(data)); err != nil {
-		return nil, err
-	}
-	spec.PE(mesh.Coord{}).Init = data
-	return ExecSpec(spec, opt, Params(opt).Broadcast2D(height, width, len(data)))
 }

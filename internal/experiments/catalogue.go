@@ -160,10 +160,6 @@ func evenRow(_ Config, r plan.Request) bool { return r.P%2 == 0 }
 
 func never(Config, plan.Request) bool { return false }
 
-// patterns2D are the measured 2D patterns in the paper's legend order;
-// X-Y Chain is the vendor baseline.
-var patterns2D = []core.Pattern2D{core.XYStar, core.XYChain, core.XYTree, core.XYTwoPhase, core.XYAutoGen, core.Snake}
-
 // Catalogue is the evaluation: every figure of the paper this repository
 // regenerates, the headline claims read off them, and the extensions beyond
 // the paper (the implemented ring, the ablations, the conformance table),
@@ -236,31 +232,31 @@ var Catalogue = []Entry{
 		ID: "fig13a", Paper: "Figure 13a, §8.7",
 		Title: "2D Reduce, {side}x{side} PEs, increasing vector length (measured/predicted cycles)",
 		Notes: []string{"paper measures 512x512 on hardware; measured runs here use {side}x{side}, model covers 512x512 (fig13a-model)"},
-		Sweep: &Sweep{Axis: vectorBytes, Curves: perPattern(plan.Reduce2D, patterns2D, "", lengthOnGrid, starLengthCap)},
+		Sweep: &Sweep{Axis: vectorBytes, Curves: perPattern(plan.Reduce2D, core.Patterns2D, "", lengthOnGrid, starLengthCap)},
 	},
 	{
 		ID: "fig13b", Paper: "Figure 13b, §8.7",
 		Title: "2D AllReduce, {side}x{side} PEs, increasing vector length (measured/predicted cycles)",
 		Notes: []string{"measured at {side}x{side}; the paper's 512x512 shape is covered by the model (fig13b-model)"},
-		Sweep: &Sweep{Axis: vectorBytes, Curves: perPattern(plan.AllReduce2D, patterns2D, "", lengthOnGrid, starLengthCap)},
+		Sweep: &Sweep{Axis: vectorBytes, Curves: perPattern(plan.AllReduce2D, core.Patterns2D, "", lengthOnGrid, starLengthCap)},
 	},
 	{
 		ID: "fig13c", Paper: "Figure 13c, §8.7",
 		Title: "2D Reduce, 1 KB vector, increasing grid side (measured/predicted cycles)",
 		Notes: []string{"measured grids: {sides}; larger sides are model-only"},
-		Sweep: &Sweep{Axis: gridSides, Curves: perPattern(plan.Reduce2D, patterns2D, "", sizeAtFixedB, measuredSides)},
+		Sweep: &Sweep{Axis: gridSides, Curves: perPattern(plan.Reduce2D, core.Patterns2D, "", sizeAtFixedB, measuredSides)},
 	},
 	{
 		// The scale at which the paper quotes its 3.27× (Reduce) and 2.54×
 		// (AllReduce) improvements over X-Y Chain.
 		ID: "fig13a-model", Paper: "Figure 13a at 512x512, §8.7",
 		Title: "2D Reduce, 512x512 PEs (model only), increasing vector length",
-		Sweep: &Sweep{Axis: vectorBytes, Curves: perPattern(plan.Reduce2D, patterns2D, "", lengthOn(512), never)},
+		Sweep: &Sweep{Axis: vectorBytes, Curves: perPattern(plan.Reduce2D, core.Patterns2D, "", lengthOn(512), never)},
 	},
 	{
 		ID: "fig13b-model", Paper: "Figure 13b at 512x512, §8.7",
 		Title: "2D AllReduce, 512x512 PEs (model only), increasing vector length",
-		Sweep: &Sweep{Axis: vectorBytes, Curves: perPattern(plan.AllReduce2D, patterns2D, "", lengthOn(512), never)},
+		Sweep: &Sweep{Axis: vectorBytes, Curves: perPattern(plan.AllReduce2D, core.Patterns2D, "", lengthOn(512), never)},
 	},
 	{
 		// The paper analyses the ring AllReduce with the model, concludes it

@@ -77,7 +77,7 @@ func TestExecuteBatchColumnarArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rep := range reps {
-		single, err := p.ExecuteOpts(batches[i], ExecOptions{Columnar: true})
+		single, err := p.ExecuteCtx(context.Background(), batches[i], ExecOptions{Columnar: true})
 		if err != nil {
 			t.Fatal(err)
 		}

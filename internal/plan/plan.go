@@ -349,20 +349,15 @@ type ExecOptions struct {
 // when a plan stays on the simulator). Every simulator run builds its own
 // fabric, so concurrent runs share nothing but the plan's read-only program.
 func (p *Plan) Execute(inputs [][]float32) (*core.Report, error) {
-	return p.ExecuteOpts(inputs, ExecOptions{})
+	return p.ExecuteCtx(nil, inputs, ExecOptions{})
 }
 
-// ExecuteOpts is Execute with per-replay options.
-func (p *Plan) ExecuteOpts(inputs [][]float32, eo ExecOptions) (*core.Report, error) {
-	return p.ExecuteCtx(nil, inputs, eo)
-}
-
-// ExecuteCtx is ExecuteOpts under a watchdog: while the simulator runs, the
-// fabric polls ctx every few thousand cycles and aborts with a typed
-// deadline/cancellation error (sched.CtxError) instead of simulating to
-// MaxCycles for a caller that already left; a tape replay checks ctx once,
-// before it starts. A nil ctx — or one that can never fire, like
-// context.Background() — runs without the hook.
+// ExecuteCtx is Execute with per-replay options, under a watchdog: while the
+// simulator runs, the fabric polls ctx every few thousand cycles and aborts
+// with a typed deadline/cancellation error (sched.CtxError) instead of
+// simulating to MaxCycles for a caller that already left; a tape replay
+// checks ctx once, before it starts. A nil ctx — or one that can never fire,
+// like context.Background() — runs without the hook.
 func (p *Plan) ExecuteCtx(ctx context.Context, inputs [][]float32, eo ExecOptions) (*core.Report, error) {
 	// The span brackets the whole replay; mode/cycles/steps land as
 	// attributes after the run, so tracing never reaches inside the cycle

@@ -36,11 +36,12 @@ func sameVec(a, b []float32) bool {
 	return true
 }
 
-// TestReplayMatchesOneShot checks that compiling once and replaying
-// produces bit-identical reports to the one-shot core API, for every
-// collective kind.
+// TestReplayMatchesOneShot: for every collective kind — Auto resolved to
+// the middle root, X-Y and a non-sum operator included — a plan a cache
+// holds, recording on its first execution and walking its tape from then
+// on, reports bit for bit what a plan compiled for one execution reports
+// from the engine, and stays pristine over repeated replays.
 func TestReplayMatchesOneShot(t *testing.T) {
-	opt := fabric.Options{}
 	p, b := 16, 24
 	vecs := vectors(p, b, 0.5)
 	chunks := make([][]float32, p)
@@ -54,64 +55,48 @@ func TestReplayMatchesOneShot(t *testing.T) {
 	grid := vectors(6*4, b, 1.125)
 
 	cases := []struct {
-		name    string
-		req     Request
-		inputs  [][]float32
-		oneShot func() (*core.Report, error)
+		name   string
+		req    Request
+		inputs [][]float32
 	}{
-		{"reduce1d-autogen", Request{Kind: Reduce1D, Alg: core.AutoGen, P: p, B: b, Op: fabric.OpSum}, vecs,
-			func() (*core.Report, error) { return core.RunReduce1D(core.AutoGen, vecs, fabric.OpSum, opt) }},
-		{"reduce1d-auto", Request{Kind: Reduce1D, Alg: core.Auto, P: p, B: b, Op: fabric.OpMax}, vecs,
-			func() (*core.Report, error) { return core.RunReduce1D(core.Auto, vecs, fabric.OpMax, opt) }},
-		{"allreduce1d-twophase", Request{Kind: AllReduce1D, Alg: core.TwoPhase, P: p, B: b, Op: fabric.OpSum}, vecs,
-			func() (*core.Report, error) { return core.RunAllReduce1D(core.TwoPhase, vecs, fabric.OpSum, opt) }},
-		{"allreduce1d-ring", Request{Kind: AllReduce1D, Alg: core.Ring, P: p, B: b, Op: fabric.OpSum}, vecs,
-			func() (*core.Report, error) { return core.RunAllReduce1D(core.Ring, vecs, fabric.OpSum, opt) }},
-		{"broadcast1d", Request{Kind: Broadcast1D, P: p, B: b}, [][]float32{vecs[3]},
-			func() (*core.Report, error) { return core.RunBroadcast1D(vecs[3], p, opt) }},
-		{"reduce2d-snake", Request{Kind: Reduce2D, Alg2D: core.Snake, Width: 6, Height: 4, B: b, Op: fabric.OpSum}, grid,
-			func() (*core.Report, error) { return core.RunReduce2D(core.Snake, 6, 4, grid, fabric.OpSum, opt) }},
-		{"allreduce2d-auto", Request{Kind: AllReduce2D, Alg2D: core.Auto2D, Width: 6, Height: 4, B: b, Op: fabric.OpSum}, grid,
-			func() (*core.Report, error) { return core.RunAllReduce2D(core.Auto2D, 6, 4, grid, fabric.OpSum, opt) }},
-		{"broadcast2d", Request{Kind: Broadcast2D, Width: 6, Height: 4, B: b}, [][]float32{vecs[1]},
-			func() (*core.Report, error) { return core.RunBroadcast2D(vecs[1], 6, 4, opt) }},
-		{"scatter", Request{Kind: Scatter, P: p, B: b}, [][]float32{vecs[0]},
-			func() (*core.Report, error) { return core.RunScatter(vecs[0], p, opt) }},
-		{"gather", Request{Kind: Gather, P: p, B: b}, chunks,
-			func() (*core.Report, error) { return core.RunGather(chunks, opt) }},
-		{"reducescatter", Request{Kind: ReduceScatter, P: p, B: b, Op: fabric.OpSum}, vecs,
-			func() (*core.Report, error) { return core.RunReduceScatter(vecs, fabric.OpSum, opt) }},
-		{"allgather", Request{Kind: AllGather, P: p, B: b}, chunks,
-			func() (*core.Report, error) { return core.RunAllGather(chunks, opt) }},
-		{"midroot-auto", Request{Kind: AllReduceMidRoot, Alg: core.Auto, P: p + 1, B: b, Op: fabric.OpSum}, vectors(p+1, b, 0.5),
-			func() (*core.Report, error) {
-				return core.RunAllReduceMidRoot(core.Auto, vectors(p+1, b, 0.5), fabric.OpSum, opt)
-			}},
+		{"reduce1d-autogen", Request{Kind: Reduce1D, Alg: core.AutoGen, P: p, B: b, Op: fabric.OpSum}, vecs},
+		{"reduce1d-auto", Request{Kind: Reduce1D, Alg: core.Auto, P: p, B: b, Op: fabric.OpMax}, vecs},
+		{"allreduce1d-twophase", Request{Kind: AllReduce1D, Alg: core.TwoPhase, P: p, B: b, Op: fabric.OpSum}, vecs},
+		{"allreduce1d-ring", Request{Kind: AllReduce1D, Alg: core.Ring, P: p, B: b, Op: fabric.OpSum}, vecs},
+		{"broadcast1d", Request{Kind: Broadcast1D, P: p, B: b}, [][]float32{vecs[3]}},
+		{"reduce2d-snake", Request{Kind: Reduce2D, Alg2D: core.Snake, Width: 6, Height: 4, B: b, Op: fabric.OpSum}, grid},
+		{"allreduce2d-auto", Request{Kind: AllReduce2D, Alg2D: core.Auto2D, Width: 6, Height: 4, B: b, Op: fabric.OpSum}, grid},
+		{"broadcast2d", Request{Kind: Broadcast2D, Width: 6, Height: 4, B: b}, [][]float32{vecs[1]}},
+		{"scatter", Request{Kind: Scatter, P: p, B: b}, [][]float32{vecs[0]}},
+		{"gather", Request{Kind: Gather, P: p, B: b}, chunks},
+		{"reducescatter", Request{Kind: ReduceScatter, P: p, B: b, Op: fabric.OpSum}, vecs},
+		{"allgather", Request{Kind: AllGather, P: p, B: b}, chunks},
+		{"midroot-auto", Request{Kind: AllReduceMidRoot, Alg: core.Auto, P: p + 1, B: b, Op: fabric.OpSum}, vectors(p+1, b, 0.5)},
 	}
+	c := NewCache(len(cases))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pl, err := Compile(tc.req)
+			oneShot, err := Compile(tc.req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := tc.oneShot()
+			want, err := oneShot.Execute(tc.inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for rep := 0; rep < 2; rep++ { // replay twice: plan must stay pristine
+			if math.IsInf(want.Predicted, 0) || math.IsNaN(want.Predicted) {
+				t.Fatalf("Predicted = %g, want finite", want.Predicted)
+			}
+			pl, err := c.Get(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rep := 0; rep < 3; rep++ { // record, then replay twice: the plan must stay pristine
 				got, err := pl.Execute(tc.inputs)
 				if err != nil {
 					t.Fatalf("replay %d: %v", rep, err)
 				}
-				if !sameVec(got.Root, want.Root) {
-					t.Fatalf("replay %d: Root = %v, one-shot %v", rep, got.Root, want.Root)
-				}
-				if got.Cycles != want.Cycles {
-					t.Fatalf("replay %d: Cycles = %d, one-shot %d", rep, got.Cycles, want.Cycles)
-				}
-				if got.Predicted != want.Predicted || math.IsInf(got.Predicted, 0) {
-					t.Fatalf("replay %d: Predicted = %g, one-shot %g (and finite)", rep, got.Predicted, want.Predicted)
-				}
+				sameReportBits(t, want, got, fmt.Sprintf("replay %d", rep))
 			}
 		})
 	}

@@ -143,7 +143,7 @@ func matchesEngine(t *testing.T, pl *Plan, req Request, label string) {
 		t.Fatalf("%s: replay: %v", label, err)
 	}
 	sameReportBits(t, want2, rep, label+" replay")
-	if rep, err = pl.ExecuteOpts(in3, ExecOptions{Columnar: true}); err != nil {
+	if rep, err = pl.ExecuteCtx(context.Background(), in3, ExecOptions{Columnar: true}); err != nil {
 		t.Fatalf("%s: columnar replay: %v", label, err)
 	}
 	sameReportBits(t, want3, rep, label+" columnar replay")
@@ -291,7 +291,7 @@ func TestTapeOverCapDeclinedOnce(t *testing.T) {
 	in := poolTestInputs(req)
 	var first *core.Report
 	for run := 1; run <= 3; run++ {
-		rep, err := pl.ExecuteOpts(in, ExecOptions{Columnar: true})
+		rep, err := pl.ExecuteCtx(context.Background(), in, ExecOptions{Columnar: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +327,7 @@ func TestTapeLengthMismatchFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, columnar := range []bool{false, true} {
-		rep, err := pl.ExecuteOpts(in, ExecOptions{Columnar: columnar})
+		rep, err := pl.ExecuteCtx(context.Background(), in, ExecOptions{Columnar: columnar})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +459,7 @@ func TestTapeRecordsOnceUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for run := 0; run < runs; run++ {
-				rep, err := pl.ExecuteOpts(in, ExecOptions{Columnar: run%2 == 1})
+				rep, err := pl.ExecuteCtx(context.Background(), in, ExecOptions{Columnar: run%2 == 1})
 				if err != nil {
 					errs[g] = err
 					return

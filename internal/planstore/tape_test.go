@@ -153,7 +153,7 @@ func TestStoredTapeMatchesEngine(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameReport(t, want1, first, "first execution")
-				col, err := p.ExecuteOpts(in2, plan.ExecOptions{Columnar: true})
+				col, err := p.ExecuteCtx(context.Background(), in2, plan.ExecOptions{Columnar: true})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -266,7 +266,9 @@ func WriteSidecar(path, workloadName string, tunings []Tuning) error {
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-// LoadSidecar reads a Sidecar back.
+// LoadSidecar reads a Sidecar back. A tuning whose winner, Tuned(), is not a
+// valid Shape is rejected with an error wrapping wse.ErrBadShape that names
+// its index, so Apply never writes a step that could only fail when it runs.
 func LoadSidecar(path string) (Sidecar, error) {
 	var sc Sidecar
 	buf, err := os.ReadFile(path)
@@ -278,6 +280,11 @@ func LoadSidecar(path string) (Sidecar, error) {
 	}
 	if sc.Version > SidecarVersion {
 		return sc, fmt.Errorf("tunings sidecar %s: version %d newer than supported %d", path, sc.Version, SidecarVersion)
+	}
+	for i, t := range sc.Tunings {
+		if err := t.Tuned().Validate(); err != nil {
+			return sc, fmt.Errorf("tunings sidecar %s: tuning %d: %w", path, i, err)
+		}
 	}
 	return sc, nil
 }

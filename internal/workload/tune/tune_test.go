@@ -3,9 +3,11 @@ package tune
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	wse "repro"
@@ -113,6 +115,68 @@ func TestSidecarRoundTrip(t *testing.T) {
 	if _, err := LoadSidecar(future); err == nil {
 		t.Fatal("want version rejection")
 	}
+
+	// A winner that is not a runnable Shape is rejected at load, by index,
+	// not when the step it was applied to runs.
+	warp := filepath.Join(t.TempDir(), "warp.json")
+	if err := os.WriteFile(warp, []byte(`{"version":1,"tunings":[{"shape":{"Kind":"gather","P":8,"B":64}},{"shape":{"Kind":"allreduce1d","Alg":"auto","P":8,"B":64},"alg":"warp"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSidecar(warp); !errors.Is(err, wse.ErrBadShape) || !strings.Contains(err.Error(), "tuning 1") {
+		t.Fatalf("sidecar with alg=warp: %v, want ErrBadShape naming tuning 1", err)
+	}
+}
+
+// FuzzLoadSidecar: a tunings sidecar is bytes from disk. LoadSidecar must
+// never panic; every tuning it accepts has a winner that validates, so
+// Apply can write it into a step; and what it accepted survives WriteSidecar
+// and a second LoadSidecar unchanged.
+func FuzzLoadSidecar(f *testing.F) {
+	good, err := json.Marshal(Sidecar{Version: SidecarVersion, Workload: "w", Tunings: []Tuning{
+		{Shape: wse.Shape{Kind: wse.KindAllReduce, Alg: wse.Auto, P: 16, B: 32, Op: wse.Sum}, Alg: wse.TwoPhase,
+			Options: wse.Options{QueueCap: 4, ThermalNoopRate: 0.25}, Cycles: 90, DefaultCycles: 100, Bound: 51.5, Predicted: 88, AchievedVsBound: 1.75, TunedVsDefault: 1.1},
+		{Shape: wse.Shape{Kind: wse.KindReduce2D, Alg2D: wse.Auto2D, Width: 4, Height: 3, B: 8}, Alg2D: wse.Snake},
+		{Shape: wse.Shape{Kind: wse.KindGather, P: 8, B: 64}},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add([]byte(`{"version":1,"tunings":[{"shape":{"Kind":"gather","P":8,"B":64},"options":{"QueueCap":4,"Shards":2},"cycles":90,"default_cycles":100,"replay_ns":51234.5}]}`))
+	f.Add([]byte(`{"version":1,"tunings":[{"shape":{"Kind":"allreduce1d","Alg":"auto","P":8,"B":64},"alg":"warp"}]}`))
+	f.Add([]byte(`{"version":2,"tunings":[]}`))
+	f.Add([]byte(`{"tunings":[{}]}`))
+	f.Add([]byte(`{"tunings":null,"workload":"\u00ff"}`))
+	f.Add([]byte(`{"tunings":[{"shape":{"Kind":"broadcast1d","P":1,"B":1},"options":{"Tracer":{"Cap":1,"Events":[]}}}]}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`[`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "tunings.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := LoadSidecar(path)
+		if err != nil {
+			return
+		}
+		for i, tn := range sc.Tunings {
+			if err := tn.Tuned().Validate(); err != nil {
+				t.Fatalf("LoadSidecar(%q) accepted tuning %d with a winner that does not validate: %v", data, i, err)
+			}
+		}
+		back := filepath.Join(dir, "back.json")
+		if err := WriteSidecar(back, sc.Workload, sc.Tunings); err != nil {
+			t.Fatalf("WriteSidecar of what LoadSidecar(%q) accepted: %v", data, err)
+		}
+		again, err := LoadSidecar(back)
+		if err != nil {
+			t.Fatalf("LoadSidecar of the rewrite of %q: %v", data, err)
+		}
+		if again.Workload != sc.Workload || !reflect.DeepEqual(again.Tunings, sc.Tunings) {
+			t.Fatalf("LoadSidecar(%q) did not round-trip:\n got %+v\nwant %+v", data, again, sc)
+		}
+	})
 }
 
 func TestApplyRewritesOnlyOpenSteps(t *testing.T) {

@@ -11,63 +11,187 @@ import (
 	"repro/internal/plan"
 )
 
+// placement is where a run of a kind leaves its result, as the kind's
+// contract states it: at the root alone, on every PE, or chunk j on PE j —
+// at the front of its accumulator, or at the chunk's offset of it.
+type placement int
+
+const (
+	atRoot placement = iota
+	everywhere
+	chunkAtFront
+	chunkAtOffset
+)
+
+// contract is spelled here, not read off the kind table, so that the check
+// below is a reference the table and its builders cannot move with them.
+var contract = map[Collective]placement{
+	KindReduce: atRoot, KindReduce2D: atRoot, KindGather: atRoot,
+	KindAllReduce: everywhere, KindAllReduceMidRoot: everywhere, KindAllReduce2D: everywhere,
+	KindBroadcast: everywhere, KindBroadcast2D: everywhere, KindAllGather: everywhere,
+	KindScatter: chunkAtFront, KindReduceScatter: chunkAtOffset,
+}
+
+// hostResult is what a plain loop over a run's inputs says its result is: the
+// inputs combined elementwise under the shape's operator when there is one
+// vector per PE, the root's vector when there is one vector, and the chunks
+// put together when there is one chunk per PE.
+func hostResult(sh Shape, ki *plan.KindInfo, inputs [][]float32) []float32 {
+	switch ki.Inputs {
+	case plan.RootVector:
+		return inputs[0]
+	case plan.ChunkPerPE:
+		return slices.Concat(inputs...)
+	}
+	out := slices.Clone(inputs[0])
+	for _, v := range inputs[1:] {
+		for i, x := range v {
+			out[i] = sh.Op.Apply(out[i], x)
+		}
+	}
+	return out
+}
+
+// checkResult holds every PE of a run of sh to its kind's contract; want is
+// hostResult's vector.
+func checkResult(t *testing.T, name string, sh Shape, ki *plan.KindInfo, want []float32, rep *Report) {
+	t.Helper()
+	width, height := sh.P, 1
+	if ki.Grid {
+		width, height = sh.Width, sh.Height
+	}
+	if len(rep.All) != width*height {
+		t.Errorf("%s: %d PEs reported, want %d", name, len(rep.All), width*height)
+	}
+	off, sz := Chunks(sh.P, sh.B)
+	for j := 0; j < width*height; j++ {
+		c := Coord{X: j % width, Y: j / width}
+		got, exp := rep.All[c], want
+		switch contract[sh.Kind] {
+		case atRoot:
+			if j > 0 {
+				continue
+			}
+		case chunkAtFront, chunkAtOffset:
+			lo := 0
+			if contract[sh.Kind] == chunkAtOffset {
+				lo = off[j]
+			}
+			if len(got) < lo+sz[j] {
+				t.Errorf("%s: PE %v holds %v, too short for chunk %d", name, c, got, j)
+				continue
+			}
+			got, exp = got[lo:lo+sz[j]], want[off[j]:off[j]+sz[j]]
+		}
+		if !slices.Equal(got, exp) {
+			t.Errorf("%s: PE %v holds %v, want %v", name, c, got, exp)
+		}
+	}
+}
+
 // TestKindTableConformance drives the public verbs off the kind table
-// (internal/plan/kinds.go): every row, under every algorithm it accepts,
-// validates, rejects an algorithm outside its family as ErrBadShape, takes
-// inputs built from the row's layout, and runs with Report.Predicted equal
-// to Predict of the shape as spelled — Auto and the middle root included. The
-// key, layout and compile side of the same walk is the plan package's test
-// of the same name.
+// (internal/plan/kinds.go): every row, under every algorithm it accepts and
+// every operator, validates, rejects an algorithm outside its family as
+// ErrBadShape, takes inputs built from the row's layout, and runs with
+// Report.Predicted equal to Predict of the shape as spelled — Auto and the
+// middle root included — leaving on every PE what the kind's contract says,
+// checked against a plain loop over the inputs. The inputs are small
+// integers, exact in float32 under any order of combination, and differ
+// from PE to PE and element to element, so a builder that drops, repeats,
+// misplaces or miscombines a contribution fails here. It walks two
+// geometries, so that ReduceScatter and AllGather, which take no algorithm,
+// run both their schedules: the ring phase at the first, the composition
+// through the root at the second. The key, layout and compile side of the
+// same walk is the plan package's test of the same name.
 func TestKindTableConformance(t *testing.T) {
-	ctx := context.Background()
-	ones := func(n int) []float32 { return slices.Repeat([]float32{1}, n) }
+	ran := map[string]bool{}
 	for i := range plan.Kinds {
 		ki := &plan.Kinds[i]
-		base := Shape{Kind: ki.Kind, P: 6, Width: 3, Height: 2, B: 14, Op: Min}
-		shapes := []Shape{base}
-		if ki.Algs != nil || ki.Algs2D != nil {
-			base.Alg, base.Alg2D = Auto, Auto2D
-			shapes = []Shape{base}
-			for _, a := range ki.Algs {
-				sh := base
-				sh.Alg = a
-				shapes = append(shapes, sh)
-			}
-			for _, a := range ki.Algs2D {
-				sh := base
-				sh.Alg2D = a
-				shapes = append(shapes, sh)
-			}
-			bad := base
-			bad.Alg, bad.Alg2D = "warp", "diag"
-			if err := bad.Validate(); !errors.Is(err, ErrBadShape) {
-				t.Errorf("%s: Validate of an algorithm outside the family: %v", ki.Kind, err)
-			}
+		if _, ok := contract[ki.Kind]; !ok {
+			t.Fatalf("%s: no result contract for the kind", ki.Kind)
 		}
+		for _, g := range []Shape{{P: 6, Width: 3, Height: 2, B: 14}, {P: 8, Width: 4, Height: 2, B: 8}} {
+			conformRow(t, ki, g, ran)
+		}
+	}
+	for _, schedule := range []string{"reducescatter/ring", "reducescatter/tree", "allgather/ring", "allgather/star"} {
+		if !ran[schedule] {
+			t.Errorf("no shape of the walk ran %s (ran %v)", schedule, ran)
+		}
+	}
+}
+
+// conformRow is TestKindTableConformance for one row at geometry g; ran
+// collects the kind/algorithm pairs the shapes resolved to.
+func conformRow(t *testing.T, ki *plan.KindInfo, g Shape, ran map[string]bool) {
+	t.Helper()
+	ctx := context.Background()
+	base := g
+	base.Kind = ki.Kind
+	shapes := []Shape{base}
+	if ki.Algs != nil || ki.Algs2D != nil {
+		base.Alg, base.Alg2D = Auto, Auto2D
+		shapes = []Shape{base}
+		for _, a := range ki.Algs {
+			sh := base
+			sh.Alg = a
+			shapes = append(shapes, sh)
+		}
+		for _, a := range ki.Algs2D {
+			sh := base
+			sh.Alg2D = a
+			shapes = append(shapes, sh)
+		}
+		bad := base
+		bad.Alg, bad.Alg2D = "warp", "diag"
+		if err := bad.Validate(); !errors.Is(err, ErrBadShape) {
+			t.Errorf("%s: Validate of an algorithm outside the family: %v", ki.Kind, err)
+		}
+	}
+	if ki.HasOp {
+		var ops []Shape
 		for _, sh := range shapes {
-			name := string(sh.Kind) + "/" + string(sh.Alg) + "/" + string(sh.Alg2D)
-			if err := sh.Validate(); err != nil {
-				t.Errorf("%s: Validate: %v", name, err)
-				continue
-			}
-			inputs := sh.Inputs(ones)
-			if err := sh.checkInputs(inputs); err != nil {
-				t.Errorf("%s: inputs of the kind's own layout rejected: %v", name, err)
-			}
-			if _, err := Run(ctx, sh, append(inputs, ones(sh.B))); !errors.Is(err, ErrBadShape) {
-				t.Errorf("%s: Run with one input too many: %v, want ErrBadShape", name, err)
-			}
-			rep, err := Run(ctx, sh, inputs)
-			if err != nil {
-				t.Errorf("%s: Run: %v", name, err)
-				continue
-			}
-			// Predict resolves Auto exactly as Compile does: one path, one
-			// number, bit for bit — and a finite one.
-			if want := Predict(sh); math.Float64bits(rep.Predicted) != math.Float64bits(want) || math.IsInf(want, 0) || math.IsNaN(want) {
-				t.Errorf("%s: Report.Predicted %v, Predict(sh) %v", name, rep.Predicted, want)
+			for _, op := range []ReduceOp{Sum, Max, Min} {
+				sh.Op = op
+				ops = append(ops, sh)
 			}
 		}
+		shapes = ops
+	}
+	for _, sh := range shapes {
+		name := fmt.Sprintf("%s/%s/%s/%v p=%d %dx%d b=%d", sh.Kind, sh.Alg, sh.Alg2D, sh.Op, sh.P, sh.Width, sh.Height, sh.B)
+		if err := sh.Validate(); err != nil {
+			t.Errorf("%s: Validate: %v", name, err)
+			continue
+		}
+		seq := 0
+		inputs := sh.Inputs(func(n int) []float32 {
+			v := make([]float32, n)
+			for i := range v {
+				seq++
+				v[i] = float32(seq * 7 % 13)
+			}
+			return v
+		})
+		if err := sh.checkInputs(inputs); err != nil {
+			t.Errorf("%s: inputs of the kind's own layout rejected: %v", name, err)
+		}
+		if _, err := Run(ctx, sh, append(inputs, inputs[0])); !errors.Is(err, ErrBadShape) {
+			t.Errorf("%s: Run with one input too many: %v, want ErrBadShape", name, err)
+		}
+		rep, err := Run(ctx, sh, inputs)
+		if err != nil {
+			t.Errorf("%s: Run: %v", name, err)
+			continue
+		}
+		// Predict resolves Auto exactly as Compile does: one path, one
+		// number, bit for bit — and a finite one.
+		if want := Predict(sh); math.Float64bits(rep.Predicted) != math.Float64bits(want) || math.IsInf(want, 0) || math.IsNaN(want) {
+			t.Errorf("%s: Report.Predicted %v, Predict(sh) %v", name, rep.Predicted, want)
+		}
+		checkResult(t, name, sh, ki, hostResult(sh, ki, inputs), rep)
+		res := sh.Resolve()
+		ran[string(res.Kind)+"/"+string(res.Alg)] = true
 	}
 }
 
