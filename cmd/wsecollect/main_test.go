@@ -64,8 +64,8 @@ func TestDescribeSaysWhatAutoChose(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-collective allreduce -alg auto -p 64 -bytes 4096", "64x1 PEs, alg=auto (→ autogen)"},
 		// One wavelet per PE: distance is all there is, and the middle root
-		// halves it — 46 cycles under binomial halves, 52 from the end.
-		{"-collective allreduce -p 16 -bytes 4", "16x1 PEs, alg=auto (→ allreduce-midroot/tree)"},
+		// halves it — 38 cycles under the searched pair, 52 from the end.
+		{"-collective allreduce -p 16 -bytes 4", "16x1 PEs, alg=auto (→ allreduce-midroot/autogen)"},
 		{"-collective allreduce -p 512 -bytes 4", "512x1 PEs, alg=auto (→ allreduce-midroot/autogen)"},
 		// 16 PEs, 16 KB: the ring moves 2B(P-1)/P wavelets a PE, the trees 2B.
 		{"-collective allreduce -p 16 -bytes 16384", "16x1 PEs, alg=auto (→ ring)"},

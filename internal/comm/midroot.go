@@ -26,12 +26,13 @@ func reversePath(p mesh.Path) mesh.Path {
 	return out
 }
 
-// BuildAllReduceMidRoot compiles a middle-root AllReduce along a path:
-// treeFor builds the per-half reduction tree given the half's PE count
-// (so any of the §5 patterns, or Auto-Gen, can run on each half).
+// BuildAllReduceMidRoot compiles a middle-root AllReduce along a path of p
+// PEs: westTree reduces the ⌊p/2⌋+1 PEs from the middle back to the start,
+// eastTree the ⌈p/2⌉ from the middle to the end, each indexed by distance
+// from the middle (any of the §5 patterns, or a pair searched together).
 // Colors 0-4 are used: {0,1} for the west half, {2,3} for the east half,
 // 4 for the bidirectional flood.
-func BuildAllReduceMidRoot(spec *fabric.Spec, path mesh.Path, b int, treeFor func(p int) (Tree, error), op fabric.ReduceOp) error {
+func BuildAllReduceMidRoot(spec *fabric.Spec, path mesh.Path, b int, westTree, eastTree Tree, op fabric.ReduceOp) error {
 	p := len(path)
 	if p < 1 {
 		return fmt.Errorf("comm: empty path")
@@ -47,11 +48,7 @@ func BuildAllReduceMidRoot(spec *fabric.Spec, path mesh.Path, b int, treeFor fun
 	// West half: path indices mid..0, reduced to mid.
 	if mid > 0 {
 		west := reversePath(path[:mid+1])
-		tree, err := treeFor(len(west))
-		if err != nil {
-			return err
-		}
-		if err := BuildTreeReduce(spec, west, tree, b, ColorPair{0, 1}, op); err != nil {
+		if err := BuildTreeReduce(spec, west, westTree, b, ColorPair{0, 1}, op); err != nil {
 			return fmt.Errorf("comm: west half: %w", err)
 		}
 	}
@@ -60,11 +57,7 @@ func BuildAllReduceMidRoot(spec *fabric.Spec, path mesh.Path, b int, treeFor fun
 	// once even though it roots both trees.
 	if mid < p-1 {
 		east := path[mid:]
-		tree, err := treeFor(len(east))
-		if err != nil {
-			return err
-		}
-		if err := BuildTreeReduce(spec, east, tree, b, ColorPair{2, 3}, op); err != nil {
+		if err := BuildTreeReduce(spec, east, eastTree, b, ColorPair{2, 3}, op); err != nil {
 			return fmt.Errorf("comm: east half: %w", err)
 		}
 	}

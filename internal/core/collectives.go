@@ -157,9 +157,12 @@ func AllGatherInit(chunk []float32, off, b int) []float32 {
 }
 
 // BuildAllReduceMidRootInto compiles the middle-root AllReduce for a
-// concrete pattern (resolve Auto with BestAllReduceMidRoot first).
+// concrete pattern (resolve Auto with BestAllReduceMidRoot first) over the
+// halves MidRootHalves returns, the trees PredictAllReduceMidRoot prices.
 func BuildAllReduceMidRootInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Params, op fabric.ReduceOp) error {
-	path := mesh.Row(0, 0, p)
-	treeFor := func(n int) (comm.Tree, error) { return TreeFor(pattern, n, b, pr) }
-	return comm.BuildAllReduceMidRoot(spec, path, b, treeFor, op)
+	west, east, err := MidRootHalves(pattern, p, b, pr)
+	if err != nil {
+		return err
+	}
+	return comm.BuildAllReduceMidRoot(spec, mesh.Row(0, 0, p), b, west, east, op)
 }

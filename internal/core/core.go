@@ -148,8 +148,15 @@ func BestAllReduce1D(p, b int, pr model.Params) (best Pattern, midRoot bool, bes
 
 // MidRootHalves returns the reduction trees comm.BuildAllReduceMidRoot runs
 // on the two halves of a row of p PEs, each rooted at the middle PE: the
-// west one over ⌊p/2⌋+1 PEs, the east one over ⌈p/2⌉.
+// west one over ⌊p/2⌋+1 PEs, the east one over ⌈p/2⌉. A fixed pattern runs
+// its own tree on each half; AutoGen runs the pair autogen.MidRoot searches
+// for the middle root's critical path, which moves no more hops than the
+// §5.5 tree of each half would.
 func MidRootHalves(pattern Pattern, p, b int, pr model.Params) (west, east comm.Tree, err error) {
+	if pattern == AutoGen && p >= 2 {
+		west, east = autogen.MidRoot(p, b+pr.Ctl, pr.TR)
+		return west, east, nil
+	}
 	if west, err = TreeFor(pattern, p/2+1, b, pr); err != nil {
 		return west, east, err
 	}
@@ -168,7 +175,8 @@ func PredictAllReduceMidRoot(pattern Pattern, p, b int, pr model.Params) float64
 // BestAllReduceMidRoot picks the tree pattern with the lowest predicted
 // middle-root AllReduce runtime. It is not BestReduce1D of a half: the
 // root queues both halves' transfers, so a wide tree that wins a lone
-// Reduce can lose here.
+// Reduce can lose here — which is why AutoGen's halves are searched as a
+// pair (MidRootHalves).
 func BestAllReduceMidRoot(p, b int, pr model.Params) (Pattern, float64) {
 	return best1D(func(pat Pattern) float64 { return PredictAllReduceMidRoot(pat, p, b, pr) })
 }

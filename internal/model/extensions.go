@@ -45,10 +45,16 @@ func (pr Params) AllGather(p, b int) float64 {
 // over one ramp, each arriving as the critical path of its own half has it,
 // and floods the result over the longer half.
 func (pr Params) MidRootAllReduce(west, east []int, b int) float64 {
-	arrivals := append(pr.rootArrivals(west, b), pr.rootArrivals(east, b)...)
-	if len(arrivals) == 0 {
+	if len(west) <= 1 && len(east) <= 1 {
 		return 0
 	}
-	reduce := pr.queued(arrivals, b) + pr.transfer(b)
+	reduce := pr.MidRootBegin(west, east, b) + pr.transfer(b)
 	return pr.Then(reduce, pr.Broadcast1D(max(len(west), len(east)), b))
+}
+
+// MidRootBegin is begin(mid) of the middle-root AllReduce over west and east:
+// the cycle the middle PE starts on its last transfer, the one term of
+// MidRootAllReduce the choice of trees moves.
+func (pr Params) MidRootBegin(west, east []int, b int) float64 {
+	return pr.queued(append(pr.rootArrivals(west, b), pr.rootArrivals(east, b)...), b)
 }
