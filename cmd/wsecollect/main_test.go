@@ -74,6 +74,8 @@ func TestDescribeSaysWhatAutoChose(t *testing.T) {
 		{"-collective reducescatter -p 256 -bytes 1024", "256x1 PEs (→ autogen)"},
 		{"-collective allgather -p 16 -bytes 64", "16x1 PEs (→ star)"},
 		{"-collective reduce2d -grid 8x8 -bytes 64", "8x8 PEs, alg=auto (→ xy-twophase)"},
+		// One wavelet on a 32×32 grid: rooted in the centre, 103 cycles; 165 in the corner.
+		{"-collective allreduce2d -grid 32x32 -bytes 4", "32x32 PEs, alg=auto (→ centre)"},
 		{"-collective reduce -alg chain -p 8", "8x1 PEs, alg=chain"},
 		{"-collective broadcast -p 8", "8x1 PEs"},
 	} {

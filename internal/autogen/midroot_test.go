@@ -118,7 +118,7 @@ func TestMidRootRunsAtItsEstimate(t *testing.T) {
 			west, east := MidRoot(p, b+ctl.Ctl, ctl.TR)
 			spec := fabric.NewSpec(p, 1)
 			path := mesh.Row(0, 0, p)
-			if err := comm.BuildAllReduceMidRoot(spec, path, b, west, east, fabric.OpSum); err != nil {
+			if err := comm.BuildAllReduceMidRoot(spec, p, b, west, east, fabric.OpSum); err != nil {
 				t.Fatalf("p=%d b=%d: %v", p, b, err)
 			}
 			want := make([]float32, b)

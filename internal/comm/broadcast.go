@@ -49,16 +49,21 @@ func BuildBroadcast(spec *fabric.Spec, path mesh.Path, b int, color mesh.Color) 
 	return nil
 }
 
-// BuildBroadcast2D compiles the 2D flooding broadcast of §7.1: the root at
-// (0,0) streams east along row 0 while every row-0 router multicasts the
-// stream south down its column, reaching all M×N PEs with depth 1 and
-// distance M+N-2 (Lemma 7.1).
-func BuildBroadcast2D(spec *fabric.Spec, width, height, b int, color mesh.Color) error {
+// BuildBroadcast2D compiles the 2D flooding broadcast of §7.1 from root:
+// the root streams both ways along its row while every router of that row
+// multicasts the stream up and down its column, reaching all width×height
+// PEs with depth 1 and distance the Manhattan distance to the farthest corner
+// (Lemma 7.1 from root (0,0), the paper's flood). The middle-root AllReduce
+// floods a P×1 grid from (P/2, 0), the centre root a grid from its centre.
+func BuildBroadcast2D(spec *fabric.Spec, width, height int, root mesh.Coord, b int, color mesh.Color) error {
 	if b <= 0 {
 		return fmt.Errorf("comm: vector length %d", b)
 	}
 	if width < 1 || height < 1 {
 		return fmt.Errorf("comm: broadcast2d on %dx%d grid", width, height)
+	}
+	if root.X < 0 || root.X >= width || root.Y < 0 || root.Y >= height {
+		return fmt.Errorf("comm: broadcast2d root %v outside %dx%d grid", root, width, height)
 	}
 	if width*height == 1 {
 		return nil
@@ -66,36 +71,36 @@ func BuildBroadcast2D(spec *fabric.Spec, width, height, b int, color mesh.Color)
 	for y := 0; y < height; y++ {
 		for x := 0; x < width; x++ {
 			pe := spec.PE(mesh.Coord{X: x, Y: y})
+			op := fabric.Op{Kind: fabric.OpRecvStore, Color: color, N: b}
+			fwd := mesh.Dirs(mesh.Ramp)
 			var accept mesh.Direction
-			var fwd mesh.DirSet
 			switch {
-			case x == 0 && y == 0:
-				pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpSend, Color: color, N: b})
-				accept = mesh.Ramp
-				if width > 1 {
-					fwd = fwd.Set(mesh.East)
-				}
-				if height > 1 {
-					fwd = fwd.Set(mesh.South)
-				}
-			case y == 0: // row 0: flood east and fan south
-				pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: color, N: b})
+			case x == root.X && y == root.Y:
+				op.Kind, accept, fwd = fabric.OpSend, mesh.Ramp, 0
+			case y == root.Y && x > root.X:
 				accept = mesh.West
-				fwd = mesh.Dirs(mesh.Ramp)
-				if x < width-1 {
+			case y == root.Y:
+				accept = mesh.East
+			case y > root.Y:
+				accept = mesh.North
+			default:
+				accept = mesh.South
+			}
+			if y == root.Y { // the root's row: on along the row, and into every column
+				if x >= root.X && x < width-1 {
 					fwd = fwd.Set(mesh.East)
 				}
-				if height > 1 {
-					fwd = fwd.Set(mesh.South)
-				}
-			default: // interior columns: flood south
-				pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: color, N: b})
-				accept = mesh.North
-				fwd = mesh.Dirs(mesh.Ramp)
-				if y < height-1 {
-					fwd = fwd.Set(mesh.South)
+				if x <= root.X && x > 0 {
+					fwd = fwd.Set(mesh.West)
 				}
 			}
+			if y >= root.Y && y < height-1 {
+				fwd = fwd.Set(mesh.South)
+			}
+			if y <= root.Y && y > 0 {
+				fwd = fwd.Set(mesh.North)
+			}
+			pe.Ops = append(pe.Ops, op)
 			pe.AddConfig(color, fabric.RouterConfig{Accept: accept, Forward: fwd})
 		}
 	}

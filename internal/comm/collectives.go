@@ -10,8 +10,11 @@ import (
 // Standard color assignments. 1D collectives use colors 0-1 for the tree
 // and 2 for the broadcast; 2D X-Y collectives use 0-1 for rows, 2-3 for
 // the column phase and 4 for the 2D broadcast, matching the paper's budget
-// of ≤3 colors in 1D and ≤5 in 2D (§8.2). The measurement harness uses
-// TriggerColor on top.
+// of ≤3 colors in 1D and ≤5 in 2D (§8.2). The middle root uses 5: 0-1 and
+// 2-3 for its halves, 4 for the flood. The centre root uses 9 of the
+// fabric's 24: the middle root's 5 in every row, and 5-6 and 7-8 for the
+// halves of the middle column. The measurement harness's trigger rides on
+// TriggerColor, 23, on top.
 const (
 	ColorTreeA  mesh.Color = 0
 	ColorTreeB  mesh.Color = 1
@@ -22,6 +25,13 @@ const (
 	// TriggerColor carries the start trigger of the §8.3 measurement
 	// methodology.
 	TriggerColor mesh.Color = 23
+)
+
+// The color pairs of the two halves of a middle-root reduce: west, then east.
+// A row uses rowHalves; the centre root's middle column, columnHalves.
+var (
+	rowHalves    = [2]ColorPair{{0, 1}, {2, 3}}
+	columnHalves = [2]ColorPair{{5, 6}, {7, 8}}
 )
 
 // TreeOf builds the reduction tree of a named 1D pattern. Auto-Gen trees

@@ -227,7 +227,7 @@ func TestAllReduce2DCorrectness(t *testing.T) {
 	if err := BuildReduceXY(spec, w, h, TwoPhase(w, 0), TwoPhase(h, 0), b, fabric.OpSum); err != nil {
 		t.Fatal(err)
 	}
-	if err := BuildBroadcast2D(spec, w, h, b, ColorBcast2); err != nil {
+	if err := BuildBroadcast2D(spec, w, h, mesh.Coord{}, b, ColorBcast2); err != nil {
 		t.Fatal(err)
 	}
 	vecs, want := inputs(w*h, b, 42)

@@ -7,7 +7,7 @@
 // Star is a star graph, Chain a path, Tree a binomial tree, Two-Phase a
 // two-level chain-of-chains, and Auto-Gen an arbitrary optimised tree. All
 // five therefore share one code path here, and broadcast, AllReduce and the
-// 2D mappings (X-Y, Snake) are built on top of it.
+// 2D mappings (X-Y, Snake, the centre root) are built on top of it.
 package comm
 
 import (

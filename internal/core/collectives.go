@@ -164,5 +164,5 @@ func BuildAllReduceMidRootInto(spec *fabric.Spec, pattern Pattern, p, b int, pr 
 	if err != nil {
 		return err
 	}
-	return comm.BuildAllReduceMidRoot(spec, mesh.Row(0, 0, p), b, west, east, op)
+	return comm.BuildAllReduceMidRoot(spec, p, b, west, east, op)
 }

@@ -94,6 +94,30 @@ func TestPredict2DConsistency(t *testing.T) {
 	}
 }
 
+// TestCentreRootTradesDistanceForContention: the centre root halves the
+// distance of every phase of a 2D AllReduce, and each of its roots takes two
+// streams per phase where the corner's takes one. So Auto deploys it for
+// short vectors — 103 cycles against X-Y's 165 at 32×32 and one wavelet —
+// and not for long ones, where it is the bandwidth-inefficient schedule §7.4
+// warns of: 1512 against 1208 at 1 KB.
+func TestCentreRootTradesDistanceForContention(t *testing.T) {
+	pr := Params(fabric.Options{})
+	for _, tc := range []struct {
+		b          int
+		centre, xy float64
+		centreWins bool
+	}{{1, 103, 165, true}, {256, 1512, 1208, false}} {
+		pat, xy := BestReduce2D(32, 32, tc.b, pr)
+		best, _ := BestAllReduce2D(32, 32, tc.b, pr)
+		if c, x := PredictAllReduce2D(Centre, 32, 32, tc.b, pr), PredictAllReduce2D(pat, 32, 32, tc.b, pr); c != tc.centre || x != tc.xy {
+			t.Errorf("32x32 b=%d: centre %v, %s %v; want %v and %v (reduce alone %v)", tc.b, c, pat, x, tc.centre, tc.xy, xy)
+		}
+		if (best == Centre) != tc.centreWins {
+			t.Errorf("32x32 b=%d: Auto picks %s", tc.b, best)
+		}
+	}
+}
+
 // TestMidRootAutoMinimisesItsOwnLemma: the middle root's Auto is the
 // pattern with the lowest middle-root estimate — not the best lone Reduce of
 // a half, which at one wavelet is a wide tree whose two halves queue at the

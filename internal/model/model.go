@@ -127,6 +127,27 @@
 // differs from a lone Reduce's. The form inherits the critical path's
 // exactness: to the cycle wherever no two transfers share a link, a lower
 // estimate by the shared cycles elsewhere (Two-Phase and binomial halves).
+//
+// # The centre root
+//
+// The centre-rooted 2D AllReduce (comm.BuildAllReduceCentre) places the root
+// of both X-Y phases in the middle: every row reduces into its middle PE
+// (⌊W/2⌋, y) over the halves the middle root would run on a row of W, the
+// middle column into (⌊W/2⌋, ⌊H/2⌋) over the halves for a column of H, on
+// colours of its own, and the result floods out from the centre. The rows are
+// identical and share no link, so every PE of the middle column ends its row
+// in the same cycle and the column phase starts on all of them at once. Each
+// reduce is the middle root's without its flood (MidRootReduce), and the
+// flood is Lemma 7.1 over the largest quadrant:
+//
+//	T_centre = T_row(W)  then  T_col(H)  then  T_bcast2D(⌊H/2⌋+1, ⌊W/2⌋+1, B)
+//
+// It halves the distance of every phase, and every root takes two streams
+// per phase, 2(B+Ctl) wavelets where the corner's takes one. So it wins where
+// distance dominates — 103 cycles against X-Y's 165 at 32×32 and one
+// wavelet — and is the bandwidth-inefficient schedule at 1 KB (1512 against
+// 1208). It runs at this estimate to the cycle on every grid and vector
+// length tried.
 package model
 
 import (

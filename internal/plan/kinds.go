@@ -114,6 +114,18 @@ func auto2D(r *Request, pr model.Params) {
 	}
 }
 
+// patterns2DCentre is the 2D family of the one kind with a centre-rooted
+// program.
+var patterns2DCentre = append(slices.Clone(core.Patterns2D), core.Centre)
+
+// autoAllReduce2D ranges over the reduces into the corner, each with the flood
+// behind it, and the centre root.
+func autoAllReduce2D(r *Request, pr model.Params) {
+	if r.Alg2D == core.Auto2D {
+		r.Alg2D, _ = core.BestAllReduce2D(r.Width, r.Height, r.B, pr)
+	}
+}
+
 // tree1D records the one tree of an end-rooted row: the reduce of a Reduce,
 // of a Reduce-then-Broadcast or of a Reduce-then-Scatter. The ring has none.
 func tree1D(p *Plan, pr model.Params) (err error) {
@@ -123,7 +135,8 @@ func tree1D(p *Plan, pr model.Params) (err error) {
 	return err
 }
 
-// treesXY records the row and column trees of an X-Y plan; Snake has none.
+// treesXY records the row and column trees of an X-Y plan; Snake and the
+// centre root record none.
 func treesXY(p *Plan, pr model.Params) (err error) {
 	if base, ok := p.Alg2D.Base1D(); ok {
 		if p.RowTree, err = core.TreeFor(base, p.Width, p.B, pr); err == nil {
@@ -205,7 +218,7 @@ var Kinds = []KindInfo{
 	{
 		Kind: AllReduce2D, Name: "allreduce2d",
 		Doc:  "2D AllReduce on a grid=WxH mesh (alg=, op=)",
-		Grid: true, Algs2D: core.Patterns2D, HasOp: true, Inputs: VectorPerPE, trees: treesXY, auto: auto2D,
+		Grid: true, Algs2D: patterns2DCentre, HasOp: true, Inputs: VectorPerPE, trees: treesXY, auto: autoAllReduce2D,
 		build: func(s *fabric.Spec, r Request, pr model.Params) error {
 			return core.BuildAllReduce2DInto(s, r.Alg2D, r.Width, r.Height, r.B, pr, r.Op)
 		},

@@ -88,6 +88,12 @@ func TestKindTableConformance(t *testing.T) {
 				t.Errorf("%s with alg=ring: %v", ki.Kind, err)
 			}
 		}
+		if ki.Algs2D != nil { // and the centre root one of the 2D AllReduce alone
+			centre := Request{Kind: ki.Kind, Alg2D: core.Centre, Width: 3, Height: 2, B: 14}
+			if err := centre.Validate(); errors.Is(err, ErrBadShape) != (ki.Kind != AllReduce2D) {
+				t.Errorf("%s with alg2d=centre: %v", ki.Kind, err)
+			}
+		}
 
 		for _, req := range requestsOf(ki, smallRow) {
 			name := string(ki.Kind) + "/" + string(req.Alg) + string(req.Alg2D)

@@ -9,13 +9,16 @@ import "repro/internal/core"
 // triad bound <= predict, bound <= cycles, |cycles - predict| within the
 // kind's tolerance on every cell, the Auto-cycles ratchet records what Auto
 // costs on it, and experiments.Conformance prints the per-kind table the
-// README quotes. (bench/grid.go restates the same cells for the paper-grid
-// workload until the benchmark is re-founded — ROADMAP item 2.)
+// README quotes. (bench/grid.go restates the 1D cells and the square grids
+// for the paper-grid workload until the benchmark is re-founded — ROADMAP
+// item 1.)
 var (
-	latticeP    = []int{16, 64, 256, 512}
-	latticeB    = []int{1, 16, 256, 1024, 4096}
-	latticeSide = []int{8, 16, 32}
-	latticeB2D  = []int{1, 16, 256}
+	latticeP = []int{16, 64, 256, 512}
+	latticeB = []int{1, 16, 256, 1024, 4096}
+	// latticeGrids are width×height: the figures' squares, then odd and
+	// oblong grids, where a centre root's halves differ in length.
+	latticeGrids = [][2]int{{8, 8}, {16, 16}, {32, 32}, {5, 7}, {8, 32}, {32, 8}, {17, 17}}
+	latticeB2D   = []int{1, 16, 256}
 )
 
 const (
@@ -69,10 +72,10 @@ func Lattice() []Request {
 	for i := range Kinds {
 		ki := &Kinds[i]
 		if ki.Grid {
-			for _, side := range latticeSide {
+			for _, g := range latticeGrids {
 				for _, b := range latticeB2D {
-					if side*side*b <= latticeMaxVolume {
-						add(ki, Request{Width: side, Height: side, B: b})
+					if g[0]*g[1]*b <= latticeMaxVolume {
+						add(ki, Request{Width: g[0], Height: g[1], B: b})
 					}
 				}
 			}

@@ -78,6 +78,57 @@ func TestMidRootRunsAtItsEstimate(t *testing.T) {
 	}
 }
 
+// TestCentreRunsAtItsEstimate: the centre-rooted 2D AllReduce leaves on every
+// PE what a plain loop over the inputs combines, in exactly the cycles
+// core.PredictAllReduce2D prices it at — on square and oblong grids, odd and
+// even sides, a single row or column, and vectors from one wavelet to 1 KB
+// (cells moving more than centreMaxVolume PE-wavelets are left out).
+func TestCentreRunsAtItsEstimate(t *testing.T) {
+	const centreMaxVolume = 1 << 16
+	sides := []int{1, 2, 3, 5, 8, 9, 16, 17, 32}
+	for _, w := range sides {
+		for _, h := range sides {
+			for _, b := range []int{1, 4, 16, 64, 256} {
+				if w*h*b > centreMaxVolume {
+					continue
+				}
+				req := Request{Kind: AllReduce2D, Alg2D: core.Centre, Width: w, Height: h, B: b, Op: fabric.ReduceOp((w + h + b) % 3)}
+				pl, err := Compile(req)
+				if err != nil {
+					t.Fatalf("%dx%d b=%d: %v", w, h, b, err)
+				}
+				seq := 0
+				inputs := req.Inputs(func(n int) []float32 {
+					v := make([]float32, n)
+					for i := range v {
+						seq++
+						v[i] = float32(seq * 7 % 13)
+					}
+					return v
+				})
+				rep, err := pl.Execute(inputs)
+				if err != nil {
+					t.Fatalf("%dx%d b=%d: %v", w, h, b, err)
+				}
+				want := slices.Clone(inputs[0])
+				for _, v := range inputs[1:] {
+					for i, x := range v {
+						want[i] = req.Op.Apply(want[i], x)
+					}
+				}
+				for j := range inputs {
+					if c := pl.inputCoord(j); !sameVec(rep.All[c], want) {
+						t.Fatalf("%dx%d b=%d op=%v: PE %v holds %v, want %v", w, h, b, req.Op, c, rep.All[c], want)
+					}
+				}
+				if float64(rep.Cycles) != rep.Predicted {
+					t.Errorf("%dx%d b=%d: %d cycles, predicted %v", w, h, b, rep.Cycles, rep.Predicted)
+				}
+			}
+		}
+	}
+}
+
 // TestRingCrossover measures where the ring AllReduce wins, which is where
 // Auto deploys it: it moves 2B(P-1)/P wavelets through every PE where
 // Reduce-then-Broadcast moves 2B through the root, and pays 2(P-1) dependent

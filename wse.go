@@ -86,7 +86,9 @@ const (
 type Algorithm2D = core.Pattern2D
 
 // The 2D algorithms. XYChain is the vendor baseline of the paper's 2D
-// comparisons; Auto2D selects by model.
+// comparisons; Auto2D selects by model. Centre is valid for AllReduce only:
+// every row reduces into its middle PE, the middle column into the grid's
+// centre, and the result floods out from there.
 const (
 	XYStar     = core.XYStar
 	XYChain    = core.XYChain
@@ -94,6 +96,7 @@ const (
 	XYTwoPhase = core.XYTwoPhase
 	XYAutoGen  = core.XYAutoGen
 	Snake      = core.Snake
+	Centre     = core.Centre
 	Auto2D     = core.Auto2D
 )
 
