@@ -11,12 +11,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
@@ -164,27 +162,8 @@ func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (*
 	}
 }
 
-// PlanBlob fetches the encoded plan blob for a canonical key string
-// from the daemon's GET /v1/plans/{key} endpoint. A daemon that does
-// not hold the plan answers 404, which comes back as ok=false with no
-// error — a miss, not a failure — so resolver chains can distinguish
-// "peer is healthy but cold" from "peer is down". Retryable: a blob
-// read is a pure lookup.
-func (c *Client) PlanBlob(ctx context.Context, key string) ([]byte, bool, error) {
-	var blob []byte
-	err := c.do(ctx, "GET", "/v1/plans/"+url.PathEscape(key), nil, nil, true, &blob)
-	if err != nil {
-		var ae *APIError
-		if errors.As(err, &ae) && ae.Status == http.StatusNotFound {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	return blob, true, nil
-}
-
 // Warm asks the daemon to pre-materialise plans for the given shapes
-// through its resolver chain (POST /v1/warm), so a fleet can be
+// through its resolver chain (POST /v1/warm), so a daemon can be
 // pre-heated over the wire without filesystem access to its plan store.
 // Retryable: warming is idempotent — an already-resident plan is a
 // no-op.
@@ -332,12 +311,6 @@ func (c *Client) attempt(ctx context.Context, method, path string, payload []byt
 		return ae
 	}
 	if out != nil {
-		// A *[]byte sink takes the body verbatim — the plan-blob endpoint
-		// serves a binary codec frame, not JSON.
-		if raw, ok := out.(*[]byte); ok {
-			*raw = data
-			return nil
-		}
 		if err := json.Unmarshal(data, out); err != nil {
 			return fmt.Errorf("client: decode response: %w", err)
 		}

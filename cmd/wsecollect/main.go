@@ -37,8 +37,8 @@
 //	    autotune the plan parameters (algorithm, queue depth) of a
 //	    workload's shapes — or the single flag shape — scoring every winner
 //	    against the paper's lower bound; -tunings writes the winners as a
-//	    sidecar, -store exports their compiled plans so a fleet inherits
-//	    them with zero recompilation.
+//	    sidecar, -store exports their compiled plans so a cold session
+//	    replays them with zero recompilation.
 //	wsecollect workload run -file FILE.wl [-tunings IN.json] [-sequential]
 //	    execute a workload file as a DAG through a session: independent
 //	    steps overlap via Submit futures, dependency results flow into
@@ -393,8 +393,8 @@ func exportCmd(c *config) error {
 // serving process does before taking traffic — and reports the decode
 // throughput and the resulting cache population. With an explicit -url
 // it instead warms a *remote* daemon over the wire (POST /v1/warm): the
-// daemon resolves each shape through its own chain, so fleets are
-// pre-heated without filesystem access to their stores.
+// daemon resolves each shape through its own chain, so it is pre-heated
+// without filesystem access to its store.
 func warmCmd(c *config) error {
 	if c.set["url"] {
 		return remoteWarmCmd(c)
@@ -429,7 +429,7 @@ func warmCmd(c *config) error {
 
 // remoteWarmCmd warms a running daemon's plan cache over the wire. The
 // shape list is the local -store's full key inventory when -store is
-// given (pre-heat a fleet member from a staging store's catalogue,
+// given (pre-heat a daemon from a staging store's catalogue,
 // without the daemon ever reading that store), else the single shape
 // the flags spell.
 func remoteWarmCmd(c *config) error {

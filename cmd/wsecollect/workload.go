@@ -31,8 +31,8 @@ func tuneShapes(c *config) ([]wse.Shape, string, error) {
 // tuneCmd searches each shape's plan parameters (algorithm grid, router
 // queue depth), prints the winners against the paper's
 // lower bound, and persists them: -tunings writes the sidecar workloads
-// apply, -store exports the compiled winning plans so cold sessions and
-// the fleet replay them without compiling.
+// apply, -store exports the compiled winning plans so cold sessions
+// replay them without compiling.
 func tuneCmd(c *config) error {
 	shapes, wlName, err := tuneShapes(c)
 	if err != nil {

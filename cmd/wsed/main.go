@@ -10,17 +10,9 @@
 //	     -tenants "fg:interactive:4:64,bulk:batch:1" \
 //	     -default-tenant batch:1:32
 //
-// Fleet mode: workers given -peers resolve plan-cache misses through a
-// composed chain — shared store, then peer blob fetch (GET
-// /v1/plans/{key} against each peer, raced when there are several),
-// then compile with write-back — so a fleet compiles each distinct
-// shape once, ever. A thin router runs with -mode front -peers ...: it
-// owns no session and consistent-hashes each request's canonical plan
-// key across the workers, keeping every worker's LRU hot on its own
-// key slice, with ring-successor failover when a worker dies.
-//
-//	wsed -addr :8081 -store /srv/plans -peers http://w0:8080   # worker
-//	wsed -addr :8080 -mode front -peers http://w0:8081,http://w1:8082
+// A plan-cache miss takes the session's one miss path: the -store
+// directory, then compile with write-back. Daemons that share a store
+// directory therefore compile each distinct shape once between them.
 //
 // See internal/serve for the endpoint and wire-format reference, and
 // `wsecollect load` for the matching load generator.
@@ -42,10 +34,8 @@ import (
 	"time"
 
 	wse "repro"
-	"repro/client"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/resolve"
 	"repro/internal/serve"
 )
 
@@ -66,8 +56,6 @@ func realMain() int {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "cap on the SIGTERM graceful drain")
 	maxCycles := fs.Int64("maxcycles", 0, "per-run simulated-cycle cap (0 = session default of 2^28)")
 	shards := fs.Int("shards", 0, "row-band shards per fabric simulation (0 = auto-tune from GOMAXPROCS)")
-	mode := fs.String("mode", "serve", "serve (worker daemon) or front (consistent-hash router over -peers)")
-	peers := fs.String("peers", "", "comma-separated peer wsed base URLs (worker: resolve plans from them; front: route across them)")
 	verifyStore := fs.Bool("verify-store", false, "run the plan store corruption sweep at startup: check every blob's hash and re-simulate every stored replay tape, quarantining bad blobs (requires -store)")
 	traceOn := fs.Bool("trace", true, "enable request tracing (spans, GET /debug/traces)")
 	traceSample := fs.Float64("trace-sample", 1, "head-sampling probability in [0,1]; errored and slow traces are kept regardless")
@@ -82,7 +70,6 @@ func realMain() int {
 		return 2
 	}
 	logger := log.New(os.Stderr, "wsed: ", log.LstdFlags)
-	peerList := splitPeers(*peers)
 
 	tracer, closeTracer, err := buildTracer(*traceOn, *traceSample, *traceSlow, *traceFile)
 	if err != nil {
@@ -92,14 +79,6 @@ func realMain() int {
 	defer closeTracer()
 	if *debugAddr != "" {
 		startDebugServer(logger, *debugAddr)
-	}
-
-	if *mode == "front" {
-		return runFront(logger, *addr, peerList, wse.Options{MaxCycles: *maxCycles, Shards: *shards}, *drainTimeout, tracer)
-	}
-	if *mode != "serve" {
-		logger.Printf("bad -mode %q (serve, front)", *mode)
-		return 2
 	}
 
 	defCfg, err := parseTenantConfig(*defTenant)
@@ -141,8 +120,6 @@ func realMain() int {
 		}
 		logger.Printf("verify-store: %d plans intact, %d quarantined", ok, len(quarantined))
 	}
-	chain := buildChain(store, peerList)
-	cfg.Resolver = chain
 	sess := wse.NewSession(cfg)
 	if *warm {
 		if store == nil {
@@ -159,7 +136,6 @@ func realMain() int {
 	srv := serve.New(serve.Config{
 		Session:        sess,
 		Store:          store,
-		Resolver:       chain,
 		DefaultTenant:  defCfg,
 		Tenants:        specs,
 		RetryAfter:     *retryAfter,
@@ -198,80 +174,12 @@ func realMain() int {
 	if armed := faults.Active(); len(armed) > 0 {
 		logger.Printf("FAILPOINTS ARMED (chaos drill): %s", strings.Join(armed, "; "))
 	}
-	logger.Printf("listening on %s (%d pre-registered tenants, store=%q, peers=%d)", *addr, len(specs), *storeDir, len(peerList))
+	logger.Printf("listening on %s (%d pre-registered tenants, store=%q)", *addr, len(specs), *storeDir)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Println(err)
 		return 1
 	}
 	<-done // ListenAndServe returns as soon as Shutdown starts; let it finish
-	return 0
-}
-
-// buildChain composes the miss path of a worker with a store or peers (nil
-// with neither: the session compiles). Store and peers are optional stages
-// — their failures degrade to the next stage, never a 5xx — compile is the
-// mandatory last resort, and write-back pushes fetched and compiled plans
-// into the store so the fleet converges to zero recompiles. With peers left
-// out it is the chain SessionConfig.Store alone would attach, built here so
-// /metrics can read its stages.
-func buildChain(store *wse.PlanStore, peers []string) resolve.Resolver {
-	if store == nil && len(peers) == 0 {
-		return nil
-	}
-	saved := func(r resolve.Resolver) resolve.Resolver {
-		if store == nil {
-			return r
-		}
-		return resolve.WriteBack(r, store)
-	}
-	var stages []resolve.Resolver
-	if store != nil {
-		stages = append(stages, resolve.Optional(resolve.Store(store)))
-	}
-	if len(peers) > 0 {
-		fetch := make([]resolve.Resolver, len(peers))
-		for i, u := range peers {
-			fetch[i] = resolve.Peer(u, client.Config{})
-		}
-		peer := fetch[0]
-		if len(fetch) > 1 {
-			peer = resolve.Parallel(fetch...)
-		}
-		stages = append(stages, resolve.Optional(saved(peer)))
-	}
-	return resolve.Sequential(append(stages, saved(resolve.Compiler()))...)
-}
-
-// runFront serves -mode front: a sessionless consistent-hash router
-// over the worker list. SIGTERM stops the listener after in-flight
-// forwards complete; there is no session to drain.
-func runFront(logger *log.Logger, addr string, workers []string, opt wse.Options, drainTimeout time.Duration, tracer *obs.Tracer) int {
-	if len(workers) == 0 {
-		logger.Println("-mode front requires -peers URL[,URL...]")
-		return 2
-	}
-	front := serve.NewFront(serve.FrontConfig{Workers: workers, Options: opt, Tracer: tracer})
-	httpSrv := &http.Server{Addr: addr, Handler: front.Handler()}
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := <-sigs
-		logger.Printf("%v: stopping front", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			logger.Println("shutdown:", err)
-		}
-	}()
-	logger.Printf("front listening on %s, routing across %d workers: %s", addr, len(workers), strings.Join(workers, ", "))
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Println(err)
-		return 1
-	}
-	<-done
 	return 0
 }
 
@@ -320,19 +228,6 @@ func startDebugServer(logger *log.Logger, addr string) {
 			logger.Println("debug listener:", err)
 		}
 	}()
-}
-
-// splitPeers parses the -peers list, trimming blanks and trailing
-// slashes so ring members and client base URLs compare equal.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimRight(strings.TrimSpace(p), "/")
-		if p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // parseTenantConfig parses class:weight[:maxqueue] — a -tenants entry

@@ -34,9 +34,7 @@
 //	fabric.exec      Plan replay fails (or panics) inside the worker
 //	sched.dispatch   the scheduler worker fails the request at dispatch
 //	serve.<endpoint> the HTTP handler fails before its verb (run,
-//	                 predict, bound, submit, jobs, plans, warm)
-//	resolve.peer     a resolver chain's remote peer fetch fails (or, in
-//	                 delay mode, stalls) before touching the network
+//	                 predict, bound, submit, jobs, warm)
 package faults
 
 import (

@@ -2,8 +2,8 @@
 // the observability counterpart to the failpoint registry: one request
 // becomes one trace, each hot seam (queue wait, resolve stage, compile,
 // store I/O, fabric execution) a span inside it, and a W3C-style
-// traceparent header carries the trace id across HTTP hops so a fleet
-// request reads as a single tree from client → front → worker → peer.
+// traceparent header carries the trace id across the HTTP hop so a
+// request reads as a single tree from client to daemon.
 //
 // The discipline mirrors internal/faults: DISARMED IS ONE ATOMIC LOAD.
 // While no Tracer exists (the default for every library consumer and
@@ -41,7 +41,7 @@ import (
 //
 // Flag bit 0x01 marks the trace head-sampled; a downstream hop adopts
 // the upstream decision instead of re-rolling, so one coin flip at the
-// edge governs the whole fleet path.
+// edge governs the whole path.
 const Header = "traceparent"
 
 // active counts live Tracers process-wide. It is the disarmed fast

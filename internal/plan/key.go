@@ -29,11 +29,9 @@ func (k Key) String() string {
 }
 
 // ParseKey is the inverse of Key.String: it parses the pinned textual
-// form back into a Key. This is what lets a plan be addressed over the
-// wire — a peer daemon receives the key string on its blob endpoint and
-// looks the plan up without ever seeing the originating request. Only
-// the current KeyEncodingVersion parses; a version-mismatched key is an
-// error, exactly as a version-mismatched blob is.
+// form back into a Key. Only the current KeyEncodingVersion parses; a
+// version-mismatched key is an error, exactly as a version-mismatched
+// blob is.
 func ParseKey(s string) (Key, error) {
 	var k Key
 	fields := strings.Split(s, ";")

@@ -118,10 +118,9 @@ func TestKeyRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseKeyRoundTrip checks ParseKey is the inverse of Key.String —
-// the property the fleet's blob endpoint rests on: a peer receiving the
-// key string on the wire must reconstruct the identical Key (and so
-// address the identical plan) without ever seeing the original request.
+// TestParseKeyRoundTrip checks ParseKey is the inverse of Key.String: a
+// key read back from its text must be the identical Key (and so address
+// the identical plan) without the original request.
 func TestParseKeyRoundTrip(t *testing.T) {
 	reqs := []Request{
 		{Kind: Reduce1D, Alg: core.Auto, P: 512, B: 16, Op: fabric.OpSum},
@@ -177,10 +176,9 @@ func replaceOnce(s, old, new string) string {
 	return strings.Replace(s, old, new, 1)
 }
 
-// FuzzParseKey: ParseKey takes its input from the network (the blob
-// endpoint's path) and from store manifests. It must never panic, and every
-// key it accepts must survive its own rendering: ParseKey(k.String()) == k,
-// or a peer would address a different plan than the one it was asked for.
+// FuzzParseKey: ParseKey takes arbitrary text. It must never panic, and
+// every key it accepts must survive its own rendering: ParseKey(k.String())
+// == k, or the text would address a different plan than the one it names.
 func FuzzParseKey(f *testing.F) {
 	for _, req := range []Request{ // the keys TestKeyEncodingPinned pins
 		{Kind: Reduce1D, Alg: core.Auto, P: 512, B: 16, Op: fabric.OpSum},

@@ -198,14 +198,9 @@ func (s *Session) SetStore(ps PlanStore) { s.cache.SetStore(ps) }
 // Cache.SetResolver.
 func (s *Session) SetResolver(r Resolver) { s.cache.SetResolver(r) }
 
-// Resident returns the cached plan for key when resident, refreshing its
-// recency without touching the hit/miss accounting. This is what the
-// blob endpoint serves from: a peer asking for a plan by key should see
-// residency, never trigger a compile.
-func (s *Session) Resident(key Key) (*Plan, bool) { return s.cache.Lookup(key) }
-
-// Plans snapshots the resident plans, most recently used first.
-func (s *Session) Plans() []*Plan { return s.cache.Plans() }
+// Resolver returns the cache's miss path: the chain SetResolver or
+// SetStore attached, or the bare compiler.
+func (s *Session) Resolver() Resolver { return s.cache.resolverHandle() }
 
 // Prefetch materialises the plan for req into the cache ahead of
 // traffic, through the attached resolver chain, so the first real request
@@ -308,7 +303,7 @@ func (s *Session) Warm(ps KeyedStore, reqs []Request) (WarmStats, error) {
 
 // Export saves every resident plan to ps, returning how many were
 // written. Together with Warm this is the deployment cycle: a staging
-// process compiles its workload and Exports, the serving fleet Warms.
+// process compiles its workload and Exports, the serving processes Warm.
 func (s *Session) Export(ps PlanStore) (int, error) {
 	n := 0
 	var errs []error

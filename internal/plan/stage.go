@@ -13,9 +13,8 @@ import (
 )
 
 // The resolver chain: the one way a Cache misses. A Resolver materialises
-// the plan for a key; the stages here consult a plan store or the compiler
-// (internal/resolve adds the one that needs the network, Peer), and
-// Sequential/Parallel/Optional/WriteBack compose stages into a chain with
+// the plan for a key; the stages here consult a plan store or the compiler,
+// and Sequential/Optional/WriteBack compose stages into a chain with
 // per-stage accounting and mandatory-vs-optional failure semantics, modelled
 // on delegated-routing multi-router designs.
 //
@@ -25,10 +24,10 @@ import (
 //   - miss: (nil, ErrNotFound) — the stage is healthy but does not hold
 //     the plan, composition moves on to the next stage;
 //   - failure: (nil, err) for any other err — the stage broke
-//     (unreachable peer, corrupt blob, failed compile). Combinators
+//     (unreadable store, corrupt blob, failed compile). Combinators
 //     treat a failing stage as mandatory and fail the whole lookup with
 //     a *StageError; wrap a stage in Optional to demote its failures to
-//     misses, so "peer down" degrades to the next stage instead of
+//     misses, so "store down" degrades to the next stage instead of
 //     surfacing a 5xx.
 //
 // Every stage tracks StageStats with the invariant
@@ -78,7 +77,7 @@ type StageStats struct {
 // therefore a Session), composed from the stages and combinators below.
 type Resolver interface {
 	// Name identifies the stage in stats and errors ("store",
-	// "peer <url>", "sequential", ...).
+	// "compile", "sequential", ...).
 	Name() string
 	Resolve(ctx context.Context, key Key) (*Plan, error)
 	// Stats returns this stage's accounting followed, for combinators,
@@ -194,7 +193,7 @@ type leafStage struct {
 // a hit, a miss (ErrNotFound) or an error, and traced as a "resolve.<kind>"
 // span — kind being the first word of name — that fn may hang attributes on
 // and that closes with the outcome. It is how every stage that materialises
-// plans itself is built, here and in internal/resolve.
+// plans itself is built, and how tests build the stages they substitute.
 func Leaf(name string, fn func(ctx context.Context, key Key, sp *obs.Span) (*Plan, error)) Resolver {
 	return newLeaf(name, fn)
 }
@@ -268,9 +267,9 @@ type writeBackStage struct {
 }
 
 // WriteBack decorates a stage so its successes are saved to ps — the
-// write-back that makes a fleet converge to zero recompiles: a plan a
-// worker had to compile (or fetched from a peer) lands in the shared
-// store for every other worker to resolve cheaply. A stored frame carries
+// write-back that makes processes sharing a store converge to zero
+// recompiles: a plan one of them had to compile lands in the store for
+// every other to resolve cheaply. A stored frame carries
 // the plan's replay tape, so when the save is made depends on who runs the
 // chain (writeback.go): resolved on its own, the plan is saved before
 // Resolve returns, and once more if a tape lands later; as the miss path of
@@ -318,7 +317,7 @@ type optionalStage struct {
 	inner Resolver
 }
 
-// Optional demotes a stage's failures to misses: an unreachable peer or
+// Optional demotes a stage's failures to misses: an unreadable or
 // corrupt store entry reads as "not found here" and composition moves
 // on, instead of failing the lookup. The inner stage's own stats still
 // record the failure as an error, so degradation stays observable.

@@ -250,11 +250,8 @@ func (s *Store) Load(key plan.Key) (*plan.Plan, bool, error) {
 }
 
 // LoadBlob returns the raw encoded frame for key — header, content hash
-// and key identity verified, but never decoded. This is what the fleet
-// blob endpoint serves: the requesting peer pays the one decode, so a
-// blob served N times costs N disk reads and hash checks rather than N
-// full decode + re-encode round trips. Corrupt blobs quarantine exactly
-// as on the Load path.
+// and key identity verified, but never decoded. Corrupt blobs quarantine
+// exactly as on the Load path.
 func (s *Store) LoadBlob(key plan.Key) ([]byte, bool, error) {
 	if err := faults.Inject("planstore.load"); err != nil {
 		s.note(func(st *Stats) { st.LoadErrors++ })

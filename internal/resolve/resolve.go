@@ -1,15 +1,12 @@
-// Package resolve is the network half of the resolver chain that fills a
-// plan cache: the Peer stage, which fetches plans from another daemon's
-// blob endpoint, and the consistent-hash Ring a front routes by. The chain
-// itself — the Resolver contract, per-stage Stats, the Store and Compiler
-// stages and the Sequential/Parallel/Optional/WriteBack combinators — lives
-// beside the cache it fills (internal/plan, stage.go), because that package
-// and internal/planstore attach stores to a bare Cache and cannot import
-// this one; the names are re-exported here, so a chain reads
+// Package resolve re-exports the resolver chain that fills a plan cache —
+// the Resolver contract, per-stage Stats, the Store and Compiler stages
+// and the Sequential/Optional/WriteBack combinators — for code outside
+// internal/plan. The chain lives beside the cache it fills (internal/plan,
+// stage.go), because that package and internal/planstore attach stores to
+// a bare Cache; so a chain reads
 //
 //	resolve.Sequential(
 //		resolve.Optional(resolve.Store(store)),
-//		resolve.Optional(resolve.WriteBack(resolve.Peer(url, cfg), store)),
 //		resolve.WriteBack(resolve.Compiler(), store))
 //
 // wherever it is built.
@@ -35,5 +32,4 @@ var (
 	WriteBack  = plan.WriteBack
 	Optional   = plan.Optional
 	Sequential = plan.Sequential
-	Parallel   = plan.Parallel
 )

@@ -24,9 +24,7 @@ import (
 
 	wse "repro"
 
-	"repro/client"
 	"repro/internal/faults"
-	"repro/internal/resolve"
 )
 
 // waitGoroutines polls until the live goroutine count drops back to at
@@ -201,48 +199,35 @@ func TestChaosSoak(t *testing.T) {
 	waitGoroutines(t, baseGoroutines)
 }
 
-// TestChaosPeerDegradesToCompile is the fleet-mode chaos posture: a
-// worker whose resolver chain fetches from a peer, with the resolve.peer
-// failpoint failing a third of fetches. Because the peer stage is
-// Optional and compile terminates the chain, every single request must
-// still answer 200 — peer chaos is invisible to clients, visible only in
-// the per-stage error counters.
-func TestChaosPeerDegradesToCompile(t *testing.T) {
+// TestChaosStoreDegradesToCompile is the store-failure chaos posture: a
+// daemon over a plan store whose loads fail a third of the time. Because
+// the store stage is Optional and compile terminates the chain, every
+// single request must still answer 200 — store chaos is invisible to
+// clients, visible only in the per-stage error counters.
+func TestChaosStoreDegradesToCompile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short")
 	}
 	defer faults.Reset()
 
-	// The warm peer: a plain worker pre-heated over every shape the soak
-	// will request, so un-faulted fetches genuinely hit.
-	peerSess := wse.NewSession(wse.SessionConfig{})
-	peerSrv := New(Config{Session: peerSess})
-	peerTS := httptest.NewServer(peerSrv.Handler())
-	defer func() {
-		peerTS.Close()
-		peerSrv.stopSweeper()
-		peerSess.Close()
-	}()
-	var shapes []string
-	for p := 2; p <= 20; p += 2 {
-		shapes = append(shapes, fmt.Sprintf(`{"kind":"reduce1d","p":%d,"b":4,"op":"sum"}`, p))
+	// The store holds every shape the soak will request, so un-faulted
+	// loads genuinely hit.
+	store, err := wse.OpenPlanStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	warmBody := fmt.Sprintf(`{"shapes":[%s]}`, strings.Join(shapes, ","))
-	req, _ := http.NewRequest("POST", peerTS.URL+"/v1/warm", strings.NewReader(warmBody))
-	req.Header.Set("Content-Type", "application/json")
-	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != 200 {
-		t.Fatalf("warming the peer: %v %v", resp, err)
-	} else {
-		resp.Body.Close()
+	var shapes []wse.Shape
+	for p := 2; p <= 20; p += 2 {
+		shapes = append(shapes, wse.Shape{Kind: wse.KindReduce, Alg: wse.Auto, P: p, B: 4, Op: wse.Sum})
+	}
+	if st, err := wse.NewSession(wse.SessionConfig{}).Warm(store, shapes); err != nil || st.Compiled != len(shapes) {
+		t.Fatalf("filling the store: %+v, %v", st, err)
 	}
 
-	// The worker under test: cold cache, chain = optional peer → compile.
-	chain := resolve.Sequential(
-		resolve.Optional(resolve.Peer(peerTS.URL, client.Config{MaxAttempts: 1, BreakerThreshold: 1 << 30})),
-		resolve.Compiler(),
-	)
-	sess := wse.NewSession(wse.SessionConfig{Resolver: chain})
-	srv := New(Config{Session: sess, Resolver: chain})
+	// The daemon under test: a one-plan cache, so most requests miss and
+	// go to the store.
+	sess := wse.NewSession(wse.SessionConfig{Store: store, PlanCacheCapacity: 1})
+	srv := New(Config{Session: sess, Store: store})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()
@@ -251,7 +236,7 @@ func TestChaosPeerDegradesToCompile(t *testing.T) {
 	}()
 
 	faults.SetSeed(11)
-	faults.Set("resolve.peer", faults.Point{P: 0.33})
+	faults.Set("planstore.load", faults.Point{P: 0.33})
 
 	var non200 int64
 	var wg sync.WaitGroup
@@ -274,25 +259,25 @@ func TestChaosPeerDegradesToCompile(t *testing.T) {
 	faults.Reset()
 
 	if non200 != 0 {
-		t.Fatalf("%d requests surfaced peer chaos to the client", non200)
+		t.Fatalf("%d requests surfaced store chaos to the client", non200)
 	}
-	var peerErrors, peerHits, compileHits int64
-	for _, st := range chain.Stats() {
-		if strings.HasPrefix(st.Stage, "peer") {
-			peerErrors, peerHits = st.Errors, st.Hits
-		}
-		if st.Stage == "compile" {
+	var storeErrors, storeHits, compileHits int64
+	for _, st := range sess.Resolver().Stats() {
+		switch st.Stage {
+		case "store":
+			storeErrors, storeHits = st.Errors, st.Hits
+		case "compile":
 			compileHits = st.Hits
 		}
 		if st.Hits+st.Misses+st.Errors != st.Lookups {
 			t.Errorf("stage %s accounting leak under chaos: %+v", st.Stage, st)
 		}
 	}
-	if peerErrors == 0 {
-		t.Error("the resolve.peer failpoint never fired — the soak proved nothing")
+	if storeErrors == 0 {
+		t.Error("the planstore.load failpoint never fired — the soak proved nothing")
 	}
 	if compileHits == 0 {
 		t.Error("no lookup degraded to compile — either chaos never hit or it 5xx'd")
 	}
-	t.Logf("peer chaos: peer hits=%d errors=%d, compiles=%d (all 200)", peerHits, peerErrors, compileHits)
+	t.Logf("store chaos: store hits=%d errors=%d, compiles=%d (all 200)", storeHits, storeErrors, compileHits)
 }

@@ -82,26 +82,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		emit("wse_plan_store_save_seconds_total", "counter", g("wse_plan_store_save_seconds_total", st.SaveLatency.Seconds()))
 	}
 
-	if s.cfg.Resolver != nil {
-		stages := s.cfg.Resolver.Stats()
-		stageCounter := func(field string, pick func(st resolve.Stats) int64) {
-			lines := make([]string, 0, len(stages))
-			for _, st := range stages {
-				lines = append(lines, fmt.Sprintf("wse_resolve_%s_total{stage=%q} %d", field, st.Stage, pick(st)))
-			}
-			emit("wse_resolve_"+field+"_total", "counter", lines...)
-		}
-		stageCounter("lookups", func(st resolve.Stats) int64 { return st.Lookups })
-		stageCounter("hits", func(st resolve.Stats) int64 { return st.Hits })
-		stageCounter("misses", func(st resolve.Stats) int64 { return st.Misses })
-		stageCounter("errors", func(st resolve.Stats) int64 { return st.Errors })
-		stageCounter("save_errors", func(st resolve.Stats) int64 { return st.SaveErrors })
-		lat := make([]string, 0, len(stages))
+	stages := s.cfg.Session.Resolver().Stats()
+	stageCounter := func(field string, pick func(st resolve.Stats) int64) {
+		lines := make([]string, 0, len(stages))
 		for _, st := range stages {
-			lat = append(lat, fmt.Sprintf("wse_resolve_latency_seconds_total{stage=%q} %g", st.Stage, st.Latency.Seconds()))
+			lines = append(lines, fmt.Sprintf("wse_resolve_%s_total{stage=%q} %d", field, st.Stage, pick(st)))
 		}
-		emit("wse_resolve_latency_seconds_total", "counter", lat...)
+		emit("wse_resolve_"+field+"_total", "counter", lines...)
 	}
+	stageCounter("lookups", func(st resolve.Stats) int64 { return st.Lookups })
+	stageCounter("hits", func(st resolve.Stats) int64 { return st.Hits })
+	stageCounter("misses", func(st resolve.Stats) int64 { return st.Misses })
+	stageCounter("errors", func(st resolve.Stats) int64 { return st.Errors })
+	stageCounter("save_errors", func(st resolve.Stats) int64 { return st.SaveErrors })
+	lat := make([]string, 0, len(stages))
+	for _, st := range stages {
+		lat = append(lat, fmt.Sprintf("wse_resolve_latency_seconds_total{stage=%q} %g", st.Stage, st.Latency.Seconds()))
+	}
+	emit("wse_resolve_latency_seconds_total", "counter", lat...)
 
 	sched := s.cfg.Session.SchedStats()
 	names := make([]string, 0, len(sched.Tenants))

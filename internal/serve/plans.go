@@ -1,38 +1,13 @@
 package serve
 
-// The fleet surface: the plan-blob endpoint that lets peers resolve
-// plans from this daemon by canonical key, and the remote-warm endpoint
-// that pre-heats the daemon's cache over the wire.
+// The remote-warm endpoint pre-heats the daemon's plan cache over the wire:
 //
-//	GET  /v1/plans/{key}  -> encoded plan blob (planstore codec frame)
-//	POST /v1/warm         {"shapes": [{...}, ...]} -> per-shape outcome
+//	POST /v1/warm  {"shapes": [{...}, ...]} -> per-shape outcome
 //
-// The blob endpoint serves only what the daemon already holds (cache or
-// attached store) — it never compiles, so a peer cannot spend this
-// daemon's CPU by asking; 404 is the miss a resolver chain's peer stage
-// treats as "healthy but cold". Warm goes the other way: each shape is
-// materialised through the daemon's own resolver chain, so fleets are
-// pre-heated without filesystem access to the plan store.
+// Each shape is materialised through the session's resolver chain, so a
+// daemon is warmed without filesystem access to its plan store.
 
-import (
-	"errors"
-	"net/http"
-
-	wse "repro"
-)
-
-func (s *Server) handlePlanBlob(w http.ResponseWriter, r *http.Request) {
-	blob, err := s.cfg.Session.PlanBlob(r.PathValue("key"))
-	switch {
-	case errors.Is(err, wse.ErrPlanNotFound):
-		s.writeError(w, http.StatusNotFound, err.Error())
-	case err != nil:
-		s.writeVerbError(w, err)
-	default:
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(blob)
-	}
-}
+import "net/http"
 
 // handleWarm materialises each listed shape through the session's
 // resolver chain. Partial failure is the normal case for a long list,

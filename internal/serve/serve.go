@@ -12,6 +12,7 @@
 //	POST /v1/bound    {"shape": {...}}                         -> runtime lower bound
 //	POST /v1/submit   run's async twin                         -> {"id": "..."} (202)
 //	GET  /v1/jobs/{id}                                         -> pending | done | failed
+//	POST /v1/warm     {"shapes": [{...}, ...]}                 -> per-shape outcome
 //	GET  /healthz                                              -> 200, or 503 when draining
 //	GET  /metrics                                              -> Prometheus text format
 //
@@ -42,7 +43,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/resolve"
 	"repro/internal/wire"
 )
 
@@ -55,10 +55,6 @@ type Config struct {
 	// Store, when non-nil, is the session's attached plan store; /metrics
 	// then exposes its counters alongside the cache's.
 	Store *wse.PlanStore
-	// Resolver, when non-nil, is the resolver chain attached to the
-	// session (wired separately via wse.SessionConfig.Resolver); /metrics
-	// then exposes its per-stage hit/miss/latency/error breakdown.
-	Resolver resolve.Resolver
 	// DefaultTenant is the QoS config under which unknown tenant names
 	// are admitted. The zero value is a weight-1 Batch tenant with the
 	// default queue bound.
@@ -155,7 +151,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/bound", s.api("bound", s.handleBound))
 	s.mux.HandleFunc("POST /v1/submit", s.api("submit", s.handleSubmit))
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.api("jobs", s.handleJob))
-	s.mux.HandleFunc("GET /v1/plans/{key}", s.api("plans", s.handlePlanBlob))
 	s.mux.HandleFunc("POST /v1/warm", s.api("warm", s.handleWarm))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)

@@ -23,6 +23,7 @@ import (
 	"repro/client"
 	"repro/internal/fabric"
 	"repro/internal/plan"
+	"repro/internal/resolve"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -509,6 +510,61 @@ func TestMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(text, line) {
 			t.Errorf("metrics output missing %q", line)
+		}
+	}
+}
+
+func TestWarmEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"shapes":[{"kind":"reduce1d","p":4,"b":4,"op":"sum"},{"kind":"allgather","p":8,"b":16},{"kind":"bogus","p":4,"b":4}]}`
+	resp, out := post(t, ts.URL+"/v1/warm", body, nil)
+	if resp.StatusCode != 200 {
+		t.Fatalf("warm: %d %s", resp.StatusCode, out)
+	}
+	var wr warmResponse
+	if err := json.Unmarshal(out, &wr); err != nil {
+		t.Fatal(err)
+	}
+	if wr.Warmed != 2 || wr.Resident != 0 || wr.Failed != 1 || len(wr.Errors) != 1 {
+		t.Fatalf("first warm = %+v, want 2 warmed, 1 failed", wr)
+	}
+	// Idempotent: the same list again is all resident.
+	_, out = post(t, ts.URL+"/v1/warm", body, nil)
+	if err := json.Unmarshal(out, &wr); err != nil {
+		t.Fatal(err)
+	}
+	if wr.Warmed != 0 || wr.Resident != 2 || wr.Failed != 1 {
+		t.Fatalf("second warm = %+v, want 2 resident", wr)
+	}
+}
+
+// TestResolverMetrics: the per-stage counters of the session's chain
+// surface in /metrics after traffic — a chain the session was given, and
+// the bare compiler of a session given none.
+func TestResolverMetrics(t *testing.T) {
+	sess := wse.NewSession(wse.SessionConfig{Resolver: resolve.Sequential(resolve.Compiler())})
+	_, chained := newTestServer(t, Config{Session: sess})
+	_, bare := newTestServer(t, Config{})
+	for url, want := range map[string][]string{
+		chained.URL: {
+			`wse_resolve_lookups_total{stage="sequential"} 1`,
+			`wse_resolve_hits_total{stage="sequential"} 1`,
+			`wse_resolve_lookups_total{stage="compile"} 1`,
+			`wse_resolve_latency_seconds_total{stage="compile"}`,
+		},
+		bare.URL: {
+			`wse_resolve_lookups_total{stage="compile"} 1`,
+			`wse_resolve_hits_total{stage="compile"} 1`,
+		},
+	} {
+		if resp, _ := post(t, url+"/v1/run", runBody("reduce1d", 4, 4), nil); resp.StatusCode != 200 {
+			t.Fatalf("run: %d", resp.StatusCode)
+		}
+		_, body := get(t, url+"/metrics")
+		for _, line := range want {
+			if !strings.Contains(string(body), line) {
+				t.Errorf("metrics missing %q", line)
+			}
 		}
 	}
 }

@@ -2,8 +2,8 @@ package serve
 
 // End-to-end tracing tests: one request produces one committed trace
 // whose span tree crosses the serve → sched → resolve → fabric seams
-// (and, in fleet mode, the front → worker network hop) under a single
-// trace id; failures mark the failing span and ride up to the root.
+// (and the client → daemon network hop) under a single trace id;
+// failures mark the failing span and ride up to the root.
 
 import (
 	"context"
@@ -204,63 +204,17 @@ func TestReplayTapeIsObservable(t *testing.T) {
 	}
 }
 
-// TestTraceFleetSingleID: a request through the front produces traces
-// on both tiers under ONE trace id — the front's root span mints it, the
-// forward injects the traceparent, and the worker's root span joins it.
-func TestTraceFleetSingleID(t *testing.T) {
-	wtr := obs.NewTracer(obs.Config{Sample: 1})
-	defer wtr.Close()
-	ftr := obs.NewTracer(obs.Config{Sample: 1})
-	defer ftr.Close()
-
-	sess := wse.NewSession(wse.SessionConfig{})
-	s := New(Config{Session: sess, Tracer: wtr})
-	wts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		wts.Close()
-		s.stopSweeper()
-		sess.Close()
-	})
-	f := NewFront(FrontConfig{Workers: []string{wts.URL}, Cooldown: time.Minute, Tracer: ftr})
-	fts := httptest.NewServer(f.Handler())
-	t.Cleanup(fts.Close)
-
-	resp, body := post(t, fts.URL+"/v1/run", runBody("reduce1d", 8, 4), nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("run via front: status %d: %s", resp.StatusCode, body)
-	}
-
-	ftrace := waitTraces(t, ftr, 1)[0]
-	wtrace := waitTraces(t, wtr, 1)[0]
-	if ftrace.TraceID != wtrace.TraceID {
-		t.Fatalf("trace id split across tiers: front %s, worker %s", ftrace.TraceID, wtrace.TraceID)
-	}
-	if ftrace.Root != "front run" {
-		t.Errorf("front root = %q, want \"front run\"", ftrace.Root)
-	}
-	if wtrace.Root != "http run" {
-		t.Errorf("worker root = %q, want \"http run\"", wtrace.Root)
-	}
-	fwd := spanByName(t, ftrace, "front.forward")
-	if fwd.Attrs["worker"] != wts.URL {
-		t.Errorf("front.forward worker attr = %v, want %s", fwd.Attrs["worker"], wts.URL)
-	}
-	// The worker's spans carry the shared trace id too — the whole
-	// request is reconstructible by joining the two rings on trace id.
-	spanByName(t, wtrace, "fabric.exec")
-}
-
-// TestTraceClientJoinsFleetID: a request the client sends under a root span
-// of its own is one trace across all three tiers — the client mints the id,
-// its per-attempt span carries it over the wire, and the front and the
-// worker both commit under it.
-func TestTraceClientJoinsFleetID(t *testing.T) {
-	var tracers [3]*obs.Tracer // client, front, worker
+// TestTraceClientJoinsWorkerID: a request the client sends under a root
+// span of its own is one trace across both sides — the client mints the
+// id, its per-attempt span carries it over the wire, and the daemon
+// commits under it.
+func TestTraceClientJoinsWorkerID(t *testing.T) {
+	var tracers [2]*obs.Tracer // client, worker
 	for i := range tracers {
 		tracers[i] = obs.NewTracer(obs.Config{Sample: 1})
 		defer tracers[i].Close()
 	}
-	ctr, ftr, wtr := tracers[0], tracers[1], tracers[2]
+	ctr, wtr := tracers[0], tracers[1]
 
 	sess := wse.NewSession(wse.SessionConfig{})
 	s := New(Config{Session: sess, Tracer: wtr})
@@ -270,19 +224,16 @@ func TestTraceClientJoinsFleetID(t *testing.T) {
 		s.stopSweeper()
 		sess.Close()
 	})
-	fts := httptest.NewServer(NewFront(FrontConfig{Workers: []string{wts.URL}, Cooldown: time.Minute, Tracer: ftr}).Handler())
-	t.Cleanup(fts.Close)
-
 	ctx, root := ctr.Root(context.Background(), "test client", "")
-	_, err := client.New(client.Config{BaseURL: fts.URL}).Run(ctx, client.Shape{Kind: "reduce1d", Alg: "chain", P: 4, B: 2, Op: "sum"},
+	_, err := client.New(client.Config{BaseURL: wts.URL}).Run(ctx, client.Shape{Kind: "reduce1d", Alg: "chain", P: 4, B: 2, Op: "sum"},
 		[][]float32{{1, 1}, {1, 1}, {1, 1}, {1, 1}})
 	root.End()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctrace := waitTraces(t, ctr, 1)[0]
-	if ftrace, wtrace := waitTraces(t, ftr, 1)[0], waitTraces(t, wtr, 1)[0]; ftrace.TraceID != ctrace.TraceID || wtrace.TraceID != ctrace.TraceID {
-		t.Fatalf("trace id split across tiers: client %s, front %s, worker %s", ctrace.TraceID, ftrace.TraceID, wtrace.TraceID)
+	if wtrace := waitTraces(t, wtr, 1)[0]; wtrace.TraceID != ctrace.TraceID {
+		t.Fatalf("trace id split across the hop: client %s, worker %s", ctrace.TraceID, wtrace.TraceID)
 	}
 	attempts := 0
 	for _, sp := range ctrace.Spans {

@@ -26,10 +26,7 @@ import (
 // With tracing disabled the endpoint answers 404, so probes can tell
 // "off" from "no traces yet" (200 with an empty list).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	serveTraces(s.cfg.Tracer, w, r)
-}
-
-func serveTraces(t *obs.Tracer, w http.ResponseWriter, r *http.Request) {
+	t := s.cfg.Tracer
 	if t == nil {
 		http.Error(w, `{"error": "tracing disabled"}`, http.StatusNotFound)
 		return

@@ -182,30 +182,25 @@ func TestVectorsCrossTheWireBitIdentical(t *testing.T) {
 	}
 }
 
-// TestOversizeBody413: a body one byte over MaxBody is 413 on a worker and
-// on a front, not a 400 about a malformed body, and the client does not
-// retry it.
+// TestOversizeBody413: a body one byte over MaxBody is 413, not a 400
+// about a malformed body, and the client does not retry it.
 func TestOversizeBody413(t *testing.T) {
 	body := runBody("reduce1d", 2, 2)
 	limit := int64(len(body) - 1)
 	_, worker := newTestServer(t, Config{MaxBody: limit})
-	front := httptest.NewServer(NewFront(FrontConfig{Workers: []string{worker.URL}, MaxBody: limit}).Handler())
-	t.Cleanup(front.Close)
-	_, roomy := newWorker(t)
-	for name, url := range map[string]string{"worker": worker.URL, "front": front.URL} {
-		for _, ep := range []string{"/v1/run", "/v1/submit", "/v1/predict"} {
-			resp, out := post(t, url+ep, body, nil)
-			var e errorResponse
-			if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(out, &e) != nil || !strings.Contains(e.Error, "request body over") {
-				t.Errorf("%s %s: %d %s, want 413 and a JSON error naming the limit", name, ep, resp.StatusCode, out)
-			}
+	_, roomy := newTestServer(t, Config{})
+	for _, ep := range []string{"/v1/run", "/v1/submit", "/v1/predict"} {
+		resp, out := post(t, worker.URL+ep, body, nil)
+		var e errorResponse
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(out, &e) != nil || !strings.Contains(e.Error, "request body over") {
+			t.Errorf("%s: %d %s, want 413 and a JSON error naming the limit", ep, resp.StatusCode, out)
 		}
-		c := client.New(client.Config{BaseURL: url, MaxAttempts: 4, BaseBackoff: time.Millisecond})
-		_, err := c.Run(context.Background(), client.Shape{Kind: "reduce1d", P: 2, B: 2, Op: "sum"}, onesInputs(2, 2))
-		var ae *client.APIError
-		if !errors.As(err, &ae) || ae.Status != http.StatusRequestEntityTooLarge || c.Metrics().Attempts != 1 {
-			t.Errorf("%s: client.Run = %v after %d attempts, want one attempt and a 413", name, err, c.Metrics().Attempts)
-		}
+	}
+	c := client.New(client.Config{BaseURL: worker.URL, MaxAttempts: 4, BaseBackoff: time.Millisecond})
+	_, err := c.Run(context.Background(), client.Shape{Kind: "reduce1d", P: 2, B: 2, Op: "sum"}, onesInputs(2, 2))
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusRequestEntityTooLarge || c.Metrics().Attempts != 1 {
+		t.Errorf("client.Run = %v after %d attempts, want one attempt and a 413", err, c.Metrics().Attempts)
 	}
 	// One byte fewer fits; the limit is the worker's, not the route's.
 	if resp, out := post(t, worker.URL+"/v1/run", body[:len(body)-1], nil); resp.StatusCode != http.StatusBadRequest {
@@ -221,19 +216,17 @@ func TestOversizeBody413(t *testing.T) {
 // plus at most the 1 MiB the header may pre-size.
 func TestContentLengthIsNotTrusted(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	for _, h := range []http.Handler{s.Handler(), NewFront(FrontConfig{Workers: []string{"http://127.0.0.1:0"}}).Handler()} {
-		req := httptest.NewRequest("POST", "/v1/run", strings.NewReader("0123456789"))
-		req.ContentLength = 64 << 20
-		rec := httptest.NewRecorder()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		h.ServeHTTP(rec, req)
-		runtime.ReadMemStats(&after)
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("ten bytes of digits answered %d: %s", rec.Code, rec.Body)
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
-			t.Errorf("a 10-byte body claiming 64 MiB made the server allocate %d bytes, want under 2 MiB", got)
-		}
+	req := httptest.NewRequest("POST", "/v1/run", strings.NewReader("0123456789"))
+	req.ContentLength = 64 << 20
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Handler().ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("ten bytes of digits answered %d: %s", rec.Code, rec.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Errorf("a 10-byte body claiming 64 MiB made the server allocate %d bytes, want under 2 MiB", got)
 	}
 }

@@ -9,8 +9,8 @@
 //
 // Winners persist two ways: ExportWinners replays them through a fresh
 // session and Session.Exports the compiled plans into a plan store, so
-// every fleet member inherits the tuned plans through the existing
-// resolve chain (store → peer → compile) with zero recompilation; and a
+// every session over that store inherits the tuned plans through its
+// resolve chain (store → compile) with zero recompilation; and a
 // tunings sidecar (JSON) records the winning shape + options so
 // workloads and clients can ask for exactly the tuned spelling.
 package tune
@@ -224,8 +224,8 @@ func tuneShape(ctx context.Context, s *wse.Session, sh wse.Shape, cfg Config) (T
 
 // ExportWinners compiles every tuning's winner — the concrete algorithm
 // under the tuned options — through a fresh session and exports the
-// compiled plans into store with Session.Export. A cold session (or a
-// whole fleet, through the resolve chain) opening that store then
+// compiled plans into store with Session.Export. A cold session opening
+// that store then
 // serves the tuned workload by decoding plans, never compiling; the
 // tuned spelling to ask with is the sidecar's Tuned() + Options.
 func ExportWinners(ctx context.Context, tunings []Tuning, store *wse.PlanStore) (int, error) {

@@ -40,9 +40,9 @@ type SessionConfig struct {
 	Workers int
 	// Store, when non-nil, attaches a plan store in write-through mode:
 	// cache misses first try to decode the stored plan (no compile), and
-	// plans the session does compile are persisted back, so a fleet of
-	// sessions over one store compiles each distinct shape once ever, not
-	// once per process. It is a preset over Resolver — the chain
+	// plans the session does compile are persisted back, so sessions over
+	// one store compile each distinct shape once between them, not once per
+	// process. It is a preset over Resolver — the chain
 	// Sequential(Optional(Store(s)), WriteBack(Compiler(), s)) — so store
 	// failures never fail a request (the session falls back to compiling)
 	// and are counted in PlanStats.StoreErrors, and a compiled plan is
@@ -51,10 +51,9 @@ type SessionConfig struct {
 	Store *PlanStore
 	// Resolver, when non-nil, is the session's plan miss path: a chain
 	// composed from internal/resolve's stages (through the wse.Resolver
-	// alias) — local store, remote fleet peers, compile as last resort, in
-	// whatever composition the caller built. PlanStats' store fields read
-	// its stages. Store may still be set alongside it: the chain owns every
-	// miss, and the session serves its plan-blob surface from the store.
+	// alias), in whatever composition the caller built. PlanStats' store
+	// fields read its stages. It takes precedence over Store: with both
+	// set, the chain owns every miss.
 	Resolver Resolver
 	// Scheduler tunes the multi-tenant QoS layer in front of the worker
 	// pool; the zero value serves everything as one weight-1 Batch tenant
@@ -140,10 +139,9 @@ type PlanStats = plan.CacheStats
 
 // Session executes collectives against cached compiled plans.
 type Session struct {
-	opt   Options
-	s     *plan.Session
-	store *PlanStore // retained from SessionConfig.Store; may be nil
-	def   Tenant     // the default-tenant handle the Session's own methods serve under
+	opt Options
+	s   *plan.Session
+	def Tenant // the default-tenant handle the Session's own methods serve under
 }
 
 // NewSession creates a session. The zero SessionConfig models the WSE-2
@@ -162,7 +160,7 @@ func NewSession(cfg SessionConfig) *Session {
 			DefaultTenant: cfg.Scheduler.DefaultTenant,
 		}),
 	}
-	switch s.store = cfg.Store; {
+	switch {
 	case cfg.Resolver != nil:
 		s.s.SetResolver(cfg.Resolver)
 	case cfg.Store != nil:

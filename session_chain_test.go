@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/plan"
 	"repro/internal/resolve"
 )
 
@@ -110,7 +111,7 @@ func TestOnePlanMissPath(t *testing.T) {
 			ledger("first run", s1, chain, 1, 0, 0)
 			saves("first run", 1)
 			if persists {
-				if p, ok, err := store.Load(planKey(t, s1, sh)); err != nil || !ok {
+				if p, ok, err := store.Load(planKey(s1, sh)); err != nil || !ok {
 					t.Fatalf("first run: stored plan ok=%v err=%v", ok, err)
 				} else if tape, _ := p.Tape(); tape == nil {
 					t.Error("first run: the one save went out without the tape")
@@ -177,7 +178,7 @@ func TestOnePlanMissPath(t *testing.T) {
 			ledger("rejected run", s3, chain, 2, 0, 1)
 			saves("rejected run", 3)
 			if persists {
-				if p, ok, err := store.Load(planKey(t, s3, other)); err != nil || !ok {
+				if p, ok, err := store.Load(planKey(s3, other)); err != nil || !ok {
 					t.Fatalf("rejected run: stored plan ok=%v err=%v", ok, err)
 				} else if tape, _ := p.Tape(); tape != nil {
 					t.Error("rejected run: a plan nothing ran was stored with a tape")
@@ -187,11 +188,4 @@ func TestOnePlanMissPath(t *testing.T) {
 	}
 }
 
-func planKey(t *testing.T, s *Session, sh Shape) Key {
-	t.Helper()
-	key, err := ParseKey(KeyString(sh, s.opt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return key
-}
+func planKey(s *Session, sh Shape) Key { return plan.KeyOf(sh.request(s.opt)) }

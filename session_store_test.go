@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/plan"
 	"repro/internal/planstore"
 )
 
@@ -229,9 +230,9 @@ func TestTapedStoreHitBuildsNoFabric(t *testing.T) {
 
 	// The parts, each measured on its own, so that a failure names the one
 	// that grew.
-	frame, err := s.PlanBlob(s.Keys()[0].String())
-	if err != nil {
-		t.Fatal(err)
+	frame, ok, err := store.LoadBlob(plan.KeyOf(sh.request(s.opt)))
+	if err != nil || !ok {
+		t.Fatalf("stored frame: ok=%v err=%v", ok, err)
 	}
 	p, _, err := planstore.Decode(frame)
 	if err != nil {
