@@ -409,6 +409,47 @@ func TestOneShotRunBatchRecordsOnce(t *testing.T) {
 	}
 }
 
+// TestOneShotRunNeverRecords: a one-shot Run (what paper-grid times) runs
+// its plan once on the engine and records nothing — the one fabric.exec span
+// says engine and names no tape — while a session's first Run of the same
+// shape finds it taped at the miss: a recording span under plan.resolve,
+// then a tape walk.
+func TestOneShotRunNeverRecords(t *testing.T) {
+	sh := Shape{Kind: KindAllReduce, Alg: Auto, P: 16, B: 8, Op: Sum}
+	in := apiVectors(sh.P, sh.B, 1)
+	tracer := obs.NewTracer(obs.Config{Sample: 1})
+	defer tracer.Close()
+	modes := func(run func(ctx context.Context) error) []any {
+		t.Helper()
+		ctx, root := tracer.Root(context.Background(), "test", "")
+		err := run(ctx)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []any
+		for _, sp := range tracer.Traces(0, 1)[0].Spans {
+			if sp.Name == "fabric.exec" {
+				if _, taped := sp.Attrs["tape_runs"]; taped != (sp.Attrs["mode"] != "engine") {
+					t.Errorf("fabric.exec %v: tape_runs %v", sp.Attrs["mode"], sp.Attrs["tape_runs"])
+				}
+				out = append(out, sp.Attrs["mode"])
+			}
+		}
+		return out
+	}
+	oneShot := modes(func(ctx context.Context) error { _, err := Run(ctx, sh, in); return err })
+	if !slices.Equal(oneShot, []any{"engine"}) {
+		t.Fatalf("one-shot Run ran fabric.exec %v, want one engine run", oneShot)
+	}
+	s := NewSession(SessionConfig{})
+	defer s.Close()
+	served := modes(func(ctx context.Context) error { _, err := s.Run(ctx, sh, in); return err })
+	if !slices.Equal(served, []any{"record", "tape"}) { // in the order they ran
+		t.Fatalf("a session's first Run ran fabric.exec %v, want the miss's recording and a tape walk", served)
+	}
+}
+
 // TestSessionRemoveTenant: the lifecycle half of per-user tenancy at the
 // public surface — removal drops the tenant's accounting, frees its
 // name, and the session keeps serving.

@@ -177,18 +177,17 @@ func TestExecuteBatchRecordsOnce(t *testing.T) {
 				sameReportBits(t, want[j], reps[j], fmt.Sprintf("%s entry %d", label, j))
 			}
 			r := &pl.replay
-			if r.state.Load() != tapeReady || r.own.records.Load() != 1 || r.own.replays.Load() != 5 || r.own.declined.Load() != 0 {
-				t.Fatalf("%s: state %d, %d recordings, %d replays, %d declined; want ready, 1, 5, 0",
-					label, r.state.Load(), r.own.records.Load(), r.own.replays.Load(), r.own.declined.Load())
+			if r.tape.Load() == nil || r.own.Load() != 5 {
+				t.Fatalf("%s: tape %v, %d replays; want a tape and 5", label, r.tape.Load() != nil, r.own.Load())
 			}
 		}
 	}
 }
 
 // TestExecuteBatchEngineFallbacks: what keeps a single execution on the
-// engine keeps a batch entry there. A traced plan is declined by its first
-// entry and runs every entry on the engine, events and all; a batch of one
-// is a single execution, so a cold plan does not record for it.
+// engine keeps a batch entry there. A traced plan never records and runs
+// every entry on the engine, events and all; a batch of one is a single
+// execution, so a plan that has never run does not record for it.
 func TestExecuteBatchEngineFallbacks(t *testing.T) {
 	tr := &fabric.Tracer{}
 	req := Request{Kind: AllReduce1D, Alg: core.Tree, P: 7, B: 5, Opt: fabric.Options{Tracer: tr}}
@@ -215,8 +214,8 @@ func TestExecuteBatchEngineFallbacks(t *testing.T) {
 			t.Fatalf("traced batch left %d trace events, want %d", got, len(batches)*perRun)
 		}
 	}
-	if r := &pl.replay; r.tape.Load() != nil || r.state.Load() != tapeDeclined || r.own.declined.Load() != 1 || r.own.replays.Load() != 0 {
-		t.Fatalf("traced plan: tape %v, state %d, declined %d, replays %d", r.tape.Load() != nil, r.state.Load(), r.own.declined.Load(), r.own.replays.Load())
+	if r := &pl.replay; r.tape.Load() != nil || r.own.Load() != 0 {
+		t.Fatalf("traced plan: tape %v, replays %d", r.tape.Load() != nil, r.own.Load())
 	}
 
 	req.Opt.Tracer = nil
@@ -228,8 +227,8 @@ func TestExecuteBatchEngineFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameReportBits(t, want[0], reps[0], "batch of one")
-	if r := &pl.replay; r.state.Load() != tapeWarm || r.own.records.Load() != 0 || r.own.replays.Load() != 0 {
-		t.Fatalf("cold plan after a batch of one: state %d, %d recordings, %d replays; want warm, 0, 0", r.state.Load(), r.own.records.Load(), r.own.replays.Load())
+	if r := &pl.replay; !r.ran.Load() || r.tape.Load() != nil || r.own.Load() != 0 {
+		t.Fatalf("plan after a batch of one: ran %v, tape %v, %d replays; want ran, none, 0", r.ran.Load(), r.tape.Load() != nil, r.own.Load())
 	}
 }
 
@@ -242,7 +241,7 @@ type cancelledAfter struct {
 }
 
 func (c cancelledAfter) Err() error {
-	if c.pl.replay.own.replays.Load() >= c.n {
+	if c.pl.replay.own.Load() >= c.n {
 		return context.Canceled
 	}
 	return nil
@@ -293,8 +292,8 @@ func TestExecuteBatchFailureMarksSpan(t *testing.T) {
 		if span == nil || span.Error != err.Error() || span.Attrs["entries"] != 5 || span.Attrs["mode"] != c.mode {
 			t.Fatalf("%s: fabric.batch span %+v, want error %q, 5 entries, mode %v", c.name, span, err, c.mode)
 		}
-		if c.leave > 0 && pl.replay.own.replays.Load() != c.leave {
-			t.Fatalf("%s: %d entries ran, want %d", c.name, pl.replay.own.replays.Load(), c.leave)
+		if c.leave > 0 && pl.replay.own.Load() != c.leave {
+			t.Fatalf("%s: %d entries ran, want %d", c.name, pl.replay.own.Load(), c.leave)
 		}
 	}
 }

@@ -20,12 +20,13 @@ const DefaultCacheCapacity = 128
 // stored plan instead of compiling, StoreErrors the store operations that
 // failed — loads, and write-back saves — none of which fails a lookup; both
 // start over when a chain is attached. The Tape counters follow the replay
-// tapes of the plans the cache holds or ever held (tape.go): TapeRecords
-// counts the plans that recorded one, TapeReplays the reports produced by
-// walking a tape instead of running the simulator, TapeDeclined the plans
-// found untapeable (a Tracer attached, or a program over the tape cap),
-// TapeLoaded the plans that arrived with a tape in their stored frame and so
-// never ran the simulator here at all.
+// tapes of the plans the cache holds or ever held (tape.go), each plan
+// counted once, when the cache takes it in: TapeRecords the plans the chain
+// recorded a tape for, TapeLoaded the plans that arrived with a tape in their
+// stored frame and so never ran the simulator here at all, TapeDeclined the
+// plans that replay no tape (a Tracer attached, a program over the tape cap or
+// one the engine fails); TapeReplays counts the reports produced by walking a
+// tape instead of running the simulator.
 type CacheStats struct {
 	Hits        int64
 	Misses      int64
@@ -49,9 +50,8 @@ type CacheStats struct {
 // instead of resolving twice. A miss is one call of the attached resolver
 // chain (stage.go): the bare compiler until SetStore or SetResolver attach
 // something longer, so a serving process over a store transparently
-// accumulates and reuses a durable plan warehouse. A plan the cache holds
-// records its tape on its first execution (tape.go), and the chain's
-// write-backs wait for it (writeback.go).
+// accumulates and reuses a durable plan warehouse. The chain hands over
+// plans already taped (tape.go).
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int
@@ -87,12 +87,11 @@ func NewCache(capacity int) *Cache {
 }
 
 // SetResolver attaches r as the cache's miss path (nil: the bare compiler
-// again). The cache owns the chain from here on: its write-back stages leave
-// the save of a plan whose tape is still open to the execution that settles
-// it (writeback.go), every store failure it absorbs is logged once and kept
-// as LastStoreError, and the store fields of Stats read its stages. A chain
-// is owned by one cache at a time. Call before taking traffic, or
-// concurrently — attachment is atomic with respect to lookups.
+// again). The cache owns the chain from here on: every store failure it
+// absorbs is logged once and kept as LastStoreError, and the store fields of
+// Stats read its stages. A chain is owned by one cache at a time. Call
+// before taking traffic, or concurrently — attachment is atomic with respect
+// to lookups.
 func (c *Cache) SetResolver(r Resolver) {
 	if r == nil {
 		r = Compiler()
@@ -113,25 +112,14 @@ func (c *Cache) Get(req Request) (*Plan, error) {
 }
 
 // GetCtx is Get with the caller's context threaded into the miss path,
-// where a resolver chain's remote stages honour its deadline. Lookups
-// that coalesce onto an in-flight miss share the first caller's fill
-// (and its context), exactly as they share its compile. Nothing says the
-// caller executes the plan, so what a miss left pending for a store is
-// saved before GetCtx returns.
+// where it bounds the recording run and a resolver chain's remote stages
+// honour its deadline. Lookups that coalesce onto an in-flight miss share
+// the first caller's fill (and its context), exactly as they share its
+// compile.
 func (c *Cache) GetCtx(ctx context.Context, req Request) (*Plan, error) {
-	p, missed, err := c.lookup(ctx, req)
-	if missed && err == nil {
-		p.settle(ctx)
-	}
-	return p, err
-}
-
-// lookup is a counted lookup; the bool reports that it was the miss that
-// resolved the plan. A caller that executes the plan next leaves pending
-// saves to that execution.
-func (c *Cache) lookup(ctx context.Context, req Request) (*Plan, bool, error) {
 	key := KeyOf(req)
-	return c.acquire(key, true, c.fill(ctx, c.resolverHandle(), key, req))
+	p, _, err := c.acquire(key, true, c.fill(ctx, c.resolverHandle(), key, req))
+	return p, err
 }
 
 // fill is the miss path for key: one Resolve of r. A chain sees the key
@@ -240,11 +228,7 @@ func (c *Cache) noteStoreError(err error) {
 // insert adds a plan under key, evicting from the cold end at capacity.
 // The caller holds c.mu.
 func (c *Cache) insert(key Key, p *Plan) {
-	if p.replay.shared.CompareAndSwap(nil, &c.tape) && p.replay.loaded {
-		c.tape.loaded.Add(1)
-	}
-	// A cached plan is there to be replayed: its first execution records.
-	p.replay.state.CompareAndSwap(tapeCold, tapeWarm)
+	c.tape.count(p)
 	if el, ok := c.entries[key]; ok { // racing insert of the same key
 		c.lru.MoveToFront(el)
 		el.Value = p

@@ -175,9 +175,9 @@ type Plan struct {
 	// Colors lists the routing colors the program occupies.
 	Colors []mesh.Color
 
-	// replay is the plan's record-once replay tape (tape.go): once it is
-	// recorded, or when the plan was stored with it, the plan walks a
-	// recording of its dataflow instead of running the cycle loop.
+	// replay is the plan's replay tape (tape.go): once it is recorded, or
+	// when the plan was stored with it, the plan walks a recording of its
+	// dataflow instead of running the cycle loop.
 	replay replayState
 }
 
@@ -198,7 +198,8 @@ func (r Request) Resolve() Request {
 // Compile lowers a request to a Plan: it resolves Auto selections,
 // derives the reduction trees, generates the fabric program, validates
 // it, and records the model prediction. This is the cold path the cache
-// amortises away.
+// amortises away. The plan comes without its replay tape: the Compiler
+// stage records one (tape.go).
 func Compile(req Request) (*Plan, error) {
 	if err := faults.Inject("plan.compile"); err != nil {
 		return nil, err
@@ -341,13 +342,12 @@ type ExecOptions struct {
 // chunked kinds, the per-PE chunks; otherwise one vector per PE. Execute is
 // safe to call concurrently.
 //
-// The first execution of a plan a Cache holds runs the fabric simulator on
-// symbolic data to record the plan's replay tape (a plan nothing caches runs
-// it plainly first and records on its second execution; a plan stored with
-// its tape never runs it), and every execution from there on walks the tape
-// instead of the cycle loop, with bit-identical results (see tape.go for
-// when a plan stays on the simulator). Every simulator run builds its own
-// fabric, so concurrent runs share nothing but the plan's read-only program.
+// A plan a resolver stage made comes with its replay tape, and every
+// execution walks the tape instead of the cycle loop, with bit-identical
+// results; a plan compiled by hand runs the simulator plainly first and
+// records on its second execution (see tape.go for when a plan stays on the
+// simulator). Every simulator run builds its own fabric, so concurrent runs
+// share nothing but the plan's read-only program.
 func (p *Plan) Execute(inputs [][]float32) (*core.Report, error) {
 	return p.ExecuteCtx(nil, inputs, ExecOptions{})
 }
@@ -384,7 +384,7 @@ func (p *Plan) execute(ctx context.Context, inputs [][]float32, eo ExecOptions) 
 	if err := faults.Inject("fabric.exec"); err != nil {
 		return nil, "", err
 	}
-	bt, f, mode, err := p.acquire(ctx, inputs)
+	bt, f, mode, err := p.acquire(ctx, inputs, false)
 	if err != nil {
 		return nil, mode, err
 	}
@@ -408,12 +408,12 @@ func ctxErr(ctx context.Context) error {
 
 // ExecuteBatch replays the plan once per entry of batches, all in one call.
 // Every entry executes as a single Execute does, and a batch of more than one
-// entry is there to be replayed: like a cached plan's first execution, its
-// first entry records the tape (unless the plan has one, or cannot), so N
-// entries cost one simulator run and N tape walks. The accumulators of the
-// tape-walked reports are carved from one allocation, and with Columnar set
-// they share one offset table and skip every per-run result map — the
-// amortisation that collapses the fixed bind+assembly cost of small plans.
+// entry is there to be replayed: its first entry records the tape (unless the
+// plan has one, or cannot), so N entries cost one simulator run and N tape
+// walks. The accumulators of the tape-walked reports are carved from one
+// allocation, and with Columnar set they share one offset table and skip
+// every per-run result map — the amortisation that collapses the fixed
+// bind+assembly cost of small plans.
 // Reports are returned in batch order; results never alias each other. ctx
 // (nil means none) is observed between entries: cancellation mid-batch stops
 // before the next replay and returns ctx.Err(), so an abandoned batch does
@@ -440,10 +440,6 @@ func (p *Plan) ExecuteBatch(ctx context.Context, batches [][][]float32, eo ExecO
 			return nil, fmt.Errorf("plan: batch entry %d: %w", i, err)
 		}
 	}
-	if len(batches) > 1 {
-		// Like a cache insert: what is replayed records on its first run.
-		p.replay.state.CompareAndSwap(tapeCold, tapeWarm)
-	}
 	reports = make([]*core.Report, len(batches))
 	var (
 		arena []float32 // zeroed images of the tape walks still to come
@@ -453,7 +449,7 @@ func (p *Plan) ExecuteBatch(ctx context.Context, batches [][][]float32, eo ExecO
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		bt, f, mode, err := p.acquire(ctx, inputs)
+		bt, f, mode, err := p.acquire(ctx, inputs, i == 0 && len(batches) > 1)
 		if i == 0 {
 			span.SetAttr("mode", mode)
 		}
@@ -497,7 +493,7 @@ func (p *Plan) arm(ctx context.Context, inputs [][]float32) (*fabric.Fabric, err
 }
 
 // runOn runs an armed fabric and assembles the report in the requested
-// layout. A run that completes is also what makes a cold plan due for
+// layout. A run that completes is also what makes an untaped plan due for
 // recording.
 func (p *Plan) runOn(f *fabric.Fabric, eo ExecOptions) (*core.Report, error) {
 	var rep *core.Report
@@ -514,7 +510,7 @@ func (p *Plan) runOn(f *fabric.Fabric, eo ExecOptions) (*core.Report, error) {
 		}
 		rep = core.ReportOf(res, p.Predicted)
 	}
-	p.replay.state.CompareAndSwap(tapeCold, tapeWarm)
+	p.replay.ran.Store(true)
 	return rep, nil
 }
 

@@ -38,7 +38,7 @@ func sameVec(a, b []float32) bool {
 
 // TestReplayMatchesOneShot: for every collective kind — Auto resolved to
 // the middle root, X-Y and a non-sum operator included — a plan a cache
-// holds, recording on its first execution and walking its tape from then
+// holds, taped at its miss and walking its tape from its first execution
 // on, reports bit for bit what a plan compiled for one execution reports
 // from the engine, and stays pristine over repeated replays.
 func TestReplayMatchesOneShot(t *testing.T) {

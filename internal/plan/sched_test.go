@@ -35,6 +35,15 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 }
 
+// slowRequest is a replay that holds a worker for a while: a plan whose
+// options carry a Tracer runs every execution on the engine, never the tape
+// its compile recorded. One worker runs them one at a time, so they share the
+// Tracer safely.
+func slowRequest() Request {
+	return Request{Kind: Reduce2D, Alg2D: core.Auto2D, Width: 48, Height: 48, B: 64, Op: fabric.OpSum,
+		Opt: fabric.Options{Tracer: &fabric.Tracer{Cap: 1}}}
+}
+
 // TestOverloadedTenantDoesNotCompile: requests rejected by admission
 // control never reach the compiler or churn the shared plan cache.
 func TestOverloadedTenantDoesNotCompile(t *testing.T) {
@@ -43,7 +52,7 @@ func TestOverloadedTenantDoesNotCompile(t *testing.T) {
 	s.SetTenant("blocker", sched.TenantConfig{Priority: sched.Interactive})
 	s.SetTenant("flood", sched.TenantConfig{MaxQueue: 1})
 
-	slow := Request{Kind: Reduce2D, Alg2D: core.Auto2D, Width: 48, Height: 48, B: 64, Op: fabric.OpSum}
+	slow := slowRequest()
 	if _, err := s.Plan(slow); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +117,7 @@ func TestRunContextAbandonsQueuedRequest(t *testing.T) {
 	// cannot be dispatched while any blocker is still queued, however
 	// the goroutines interleave.
 	s.SetTenant("blocker", sched.TenantConfig{Priority: sched.Interactive})
-	slow := Request{Kind: Reduce2D, Alg2D: core.Auto2D, Width: 48, Height: 48, B: 64, Op: fabric.OpSum}
+	slow := slowRequest()
 	slowInputs := poolTestInputs(slow)
 	if _, err := s.Plan(slow); err != nil { // compile before occupying the pool
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package plan
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -102,18 +101,15 @@ func (s *Session) submitAdmitted(ctx context.Context, tenant string, req Request
 		rep = r
 		return e
 	}); err != nil {
-		p.settle(ctx)
 		return nil, err
 	}
 	return rep, nil
 }
 
-// resolve is the plan acquisition of a request that executes next: a miss
-// under it leaves its store write to that execution (writeback.go). A caller
-// whose execution then fails to happen settles the plan itself.
+// resolve is the plan acquisition of a request, under its span.
 func (s *Session) resolve(ctx context.Context, req Request) (*Plan, error) {
 	rctx, rspan := obs.Start(ctx, "plan.resolve")
-	p, _, err := s.cache.lookup(rctx, req)
+	p, err := s.cache.GetCtx(rctx, req)
 	rspan.SetError(err)
 	rspan.End()
 	return p, err
@@ -157,7 +153,6 @@ func (s *Session) SubmitBatch(ctx context.Context, tenant string, req Request, b
 		reps = r
 		return e
 	}); err != nil {
-		p.settle(ctx)
 		return nil, err
 	}
 	return reps, nil
@@ -204,28 +199,20 @@ func (s *Session) Resolver() Resolver { return s.cache.resolverHandle() }
 
 // Prefetch materialises the plan for req into the cache ahead of
 // traffic, through the attached resolver chain, so the first real request
-// pays no compile (and, when the plan arrived with its tape, no simulator
-// run). Like Warm it stays out of the hit/miss accounting, coalesces
-// with in-flight fills and saves what the chain left pending before it
-// returns. The returned bool reports whether a fill actually ran (false:
-// the plan was already resident or being fetched by someone else).
+// pays no compile and no simulator run. Like Warm it stays out of the
+// hit/miss accounting and coalesces with in-flight fills. The returned bool
+// reports whether a fill actually ran (false: the plan was already resident
+// or being fetched by someone else).
 func (s *Session) Prefetch(ctx context.Context, req Request) (bool, error) {
 	_, fetched, err := s.cache.prefetch(ctx, s.cache.resolverHandle(), req)
 	return fetched, err
 }
 
 // prefetch resolves req through r into the cache outside the hit/miss
-// accounting. Nothing executes behind it, so pending saves are made here.
+// accounting.
 func (c *Cache) prefetch(ctx context.Context, r Resolver, req Request) (*Plan, bool, error) {
 	key := KeyOf(req)
-	fill := c.fill(ctx, r, key, req)
-	return c.acquire(key, false, func() (*Plan, error) {
-		p, err := fill()
-		if err == nil {
-			p.settle(ctx)
-		}
-		return p, err
-	})
+	return c.acquire(key, false, c.fill(ctx, r, key, req))
 }
 
 // WarmStats reports what a Warm pass did: how many plans it decoded from
@@ -250,20 +237,15 @@ type WarmStats struct {
 // to run while the session serves: it coalesces with in-flight request
 // compiles for the same key rather than duplicating them, and a shape that
 // fails to warm — or a load or save ps failed — is recorded in the joined
-// error and skipped, never blocking the rest of the list. A plan saved here
-// without a tape is saved once more when a later run records one; a failure
-// of that save is logged and kept as the cache's LastStoreError.
+// error and skipped, never blocking the rest of the list. Every plan it
+// compiles or loads is taped before it is saved or cached, so the frames
+// it writes carry their tapes.
 func (s *Session) Warm(ps KeyedStore, reqs []Request) (WarmStats, error) {
 	var (
 		st   WarmStats
-		mu   sync.Mutex // a plan Warm inserted may run, and fail to save its tape, while Warm goes on
 		errs []error
 	)
-	failed := func(err error) {
-		mu.Lock()
-		errs = append(errs, err)
-		mu.Unlock()
-	}
+	failed := func(err error) { errs = append(errs, err) }
 	chain := Compiler()
 	if ps != nil {
 		chain = storeChain(ps)
@@ -274,9 +256,6 @@ func (s *Session) Warm(ps KeyedStore, reqs []Request) (WarmStats, error) {
 		}
 	}
 	attach(chain, &attachment{storeErr: failed})
-	// A tape one of these plans records later is saved under the claim laid
-	// here; a failure of that save is the cache's to log and remember.
-	defer attach(chain, &attachment{storeErr: s.cache.noteStoreError})
 	for _, req := range reqs {
 		p, fetched, err := s.cache.prefetch(context.Background(), chain, req)
 		switch {
@@ -296,8 +275,6 @@ func (s *Session) Warm(ps KeyedStore, reqs []Request) (WarmStats, error) {
 			st.Compiled = int(stage.Hits)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	return st, errors.Join(errs...)
 }
 

@@ -108,16 +108,16 @@ type KeyedStore interface {
 }
 
 // attachment is what the stages of a chain share while something owns the
-// chain — a Cache it is the miss path of, or a Warm pass. Owned, a
-// write-back leaves the save of a plan whose tape is still open to whoever
-// settles it (the plan's first execution, or the owner's flush); and every
-// store failure the chain absorbs is also handed to the owner.
+// chain — a Cache it is the miss path of, or a Warm pass: every store failure
+// the chain absorbs is handed to the owner. (A stage's StageStats keep one
+// LastError, of a lookup or of a save, so they cannot say which failure was
+// the store's newest, nor list every one a Warm pass met.)
 type attachment struct {
 	storeErr func(error)
 }
 
 // attach hands every stage of r that this package built its owner's
-// attachment; nil detaches, and the chain saves on its own again.
+// attachment; nil detaches.
 func attach(r Resolver, a *attachment) {
 	if at, ok := r.(interface{ attach(*attachment) }); ok {
 		at.attach(a)
@@ -175,7 +175,19 @@ func (m *meter) storeFailed(err error) {
 	}
 }
 
-func (m *meter) noteSaveError(err error) {
+// save writes p to ps under its span. A failure is counted in SaveErrors and
+// handed to the owner; it never fails the lookup.
+func (m *meter) save(ctx context.Context, ps PlanStore, p *Plan) {
+	_, sp := obs.Start(ctx, "planstore.save")
+	defer sp.End()
+	tape, _ := p.Tape()
+	sp.SetAttr("tape_events", tape.Events())
+	sp.SetAttr("tape_runs", tape.Runs())
+	err := ps.Save(p)
+	sp.SetError(err)
+	if err == nil {
+		return
+	}
 	m.mu.Lock()
 	m.st.SaveErrors++
 	m.st.LastError = err.Error()
@@ -191,9 +203,10 @@ type leafStage struct {
 
 // Leaf returns a metered stage around fn: every lookup is timed, counted as
 // a hit, a miss (ErrNotFound) or an error, and traced as a "resolve.<kind>"
-// span — kind being the first word of name — that fn may hang attributes on
-// and that closes with the outcome. It is how every stage that materialises
-// plans itself is built, and how tests build the stages they substitute.
+// span — kind being the first word of name — that fn runs under, may hang
+// attributes on, and that closes with the outcome. It is how every stage
+// that materialises plans itself is built, and how tests build the stages
+// they substitute.
 func Leaf(name string, fn func(ctx context.Context, key Key, sp *obs.Span) (*Plan, error)) Resolver {
 	return newLeaf(name, fn)
 }
@@ -205,7 +218,7 @@ func newLeaf(name string, fn func(ctx context.Context, key Key, sp *obs.Span) (*
 
 func (s *leafStage) Resolve(ctx context.Context, key Key) (*Plan, error) {
 	start := time.Now()
-	_, sp := obs.Start(ctx, s.span)
+	ctx, sp := obs.Start(ctx, s.span)
 	p, err := s.fn(ctx, key, sp)
 	s.observe(start, err)
 	switch {
@@ -227,10 +240,11 @@ func (s *leafStage) Resolve(ctx context.Context, key Key) (*Plan, error) {
 // Store returns a stage resolving from a durable plan store. A store
 // read error (corrupt blob, unreadable dir) is a stage failure, not a
 // miss — wrap in Optional to degrade to the next stage. A frame that came
-// without its replay tape is rewritten once the plan has recorded one.
+// without its replay tape (an earlier build's) is taped here and rewritten
+// once, tape included.
 func Store(ps PlanStore) Resolver {
 	var s *leafStage
-	s = newLeaf("store", func(_ context.Context, key Key, sp *obs.Span) (*Plan, error) {
+	s = newLeaf("store", func(ctx context.Context, key Key, sp *obs.Span) (*Plan, error) {
 		p, ok, err := ps.Load(key)
 		switch {
 		case err != nil:
@@ -242,7 +256,15 @@ func Store(ps PlanStore) Resolver {
 		tape, _ := p.Tape()
 		sp.SetAttr("tape", tape != nil)
 		sp.SetAttr("tape_runs", tape.Runs())
-		p.claim(ps, true, s.noteSaveError)
+		if tape != nil {
+			return p, nil
+		}
+		if err := p.recordTape(ctx); err != nil {
+			return nil, err
+		}
+		if tape, _ := p.Tape(); tape != nil {
+			s.save(ctx, ps, p)
+		}
 		return p, nil
 	})
 	return s
@@ -250,12 +272,19 @@ func Store(ps PlanStore) Resolver {
 
 // Compiler returns the last-resort stage: it reconstructs the compile
 // request from the key (keys are canonical, so KeyOf(key.Request()) ==
-// key) and compiles. It never misses — every outcome is a hit or a
-// compile failure — so it terminates any sequential chain, and alone it is
-// the chain of a cache nothing is attached to.
+// key), compiles and records the plan's tape. It never misses — every
+// outcome is a hit or a failure — so it terminates any sequential chain,
+// and alone it is the chain of a cache nothing is attached to.
 func Compiler() Resolver {
-	return newLeaf("compile", func(_ context.Context, key Key, _ *obs.Span) (*Plan, error) {
-		return Compile(key.Request())
+	return newLeaf("compile", func(ctx context.Context, key Key, _ *obs.Span) (*Plan, error) {
+		p, err := Compile(key.Request())
+		if err != nil {
+			return nil, err
+		}
+		if err := p.recordTape(ctx); err != nil {
+			return nil, err
+		}
+		return p, nil
 	})
 }
 
@@ -269,13 +298,10 @@ type writeBackStage struct {
 // WriteBack decorates a stage so its successes are saved to ps — the
 // write-back that makes processes sharing a store converge to zero
 // recompiles: a plan one of them had to compile lands in the store for
-// every other to resolve cheaply. A stored frame carries
-// the plan's replay tape, so when the save is made depends on who runs the
-// chain (writeback.go): resolved on its own, the plan is saved before
-// Resolve returns, and once more if a tape lands later; as the miss path of
-// a Cache, a plan whose tape is still open is saved once, by the execution
-// that settles it or by the entry point that flushes it. Save failures are
-// counted in the wrapped stage's SaveErrors, never failing the lookup.
+// every other to resolve cheaply. The plan is saved the moment it resolves,
+// with the tape the stage recorded, so each miss writes one frame. Save
+// failures are counted in the wrapped stage's SaveErrors, never failing the
+// lookup.
 func WriteBack(inner Resolver, ps PlanStore) Resolver {
 	s := &writeBackStage{inner: inner, ps: ps}
 	if m, ok := inner.(interface{ ownMeter() *meter }); ok {
@@ -297,10 +323,7 @@ func (s *writeBackStage) attach(a *attachment) {
 func (s *writeBackStage) Resolve(ctx context.Context, key Key) (*Plan, error) {
 	p, err := s.inner.Resolve(ctx, key)
 	if err == nil {
-		p.claim(s.ps, false, s.m.noteSaveError)
-		if s.m.att.Load() == nil || p.replay.settled() {
-			p.settle(ctx)
-		}
+		s.m.save(ctx, s.ps, p)
 	}
 	return p, err
 }

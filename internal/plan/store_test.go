@@ -48,6 +48,14 @@ func (s *memStore) Save(p *Plan) error {
 	return nil
 }
 
+// taped reports whether the plan stored for req carries its tape.
+func (s *memStore) taped(req Request) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.m[KeyOf(req)]
+	return p != nil && p.replay.tape.Load() != nil
+}
+
 func (s *memStore) Keys() []Key {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -253,11 +261,12 @@ func TestWarmRacesRun(t *testing.T) {
 	}
 }
 
-// TestWriteBackSettles: under a session the write-through of a compiled plan
-// waits for the plan's first execution and then happens once, whatever
-// became of the tape — recorded, declined, or the run failed — and a save
-// that fails there is still a counted store error.
-func TestWriteBackSettles(t *testing.T) {
+// TestWriteBackSavesOnceAtTheMiss: under a session the write-through of a
+// compiled plan happens once, at the miss, with the tape the compile stage
+// recorded — or bare, when the engine fails the program — and a save that
+// fails there is still a counted store error. A Tracer on the request does
+// not keep the tape out of the frame: it rides on this process's plan only.
+func TestWriteBackSavesOnceAtTheMiss(t *testing.T) {
 	run := func(ms *memStore, req Request) (CacheStats, error) {
 		s := NewSession(4, 1)
 		defer s.Close()
@@ -265,31 +274,22 @@ func TestWriteBackSettles(t *testing.T) {
 		_, err := s.Run(req, onesVectors(req.P, req.B))
 		return s.Stats(), err
 	}
-	savedTape := func(ms *memStore, req Request) bool {
-		ms.mu.Lock()
-		defer ms.mu.Unlock()
-		p := ms.m[KeyOf(req)]
-		if p == nil {
-			t.Fatalf("%v was not saved", KeyOf(req))
-		}
-		return p.replay.tape.Load() != nil
-	}
 
 	ms := newMemStore()
 	if st, err := run(ms, warmReq(4)); err != nil || st.TapeRecords != 1 || st.StoreErrors != 0 {
-		t.Fatalf("recording run: %+v, %v", st, err)
+		t.Fatalf("first run: %+v, %v", st, err)
 	}
-	if ms.saves != 1 || !savedTape(ms, warmReq(4)) {
-		t.Fatalf("recorded plan: %d saves, tape saved %v; want one save carrying the tape", ms.saves, savedTape(ms, warmReq(4)))
+	if ms.saves != 1 || !ms.taped(warmReq(4)) {
+		t.Fatalf("compiled plan: %d saves, tape saved %v; want one save carrying the tape", ms.saves, ms.taped(warmReq(4)))
 	}
 
 	traced := warmReq(5)
 	traced.Opt.Tracer = &fabric.Tracer{Cap: 1}
-	if st, err := run(ms, traced); err != nil || st.TapeDeclined != 1 {
+	if st, err := run(ms, traced); err != nil || st.TapeDeclined != 1 || st.TapeReplays != 0 {
 		t.Fatalf("traced run: %+v, %v", st, err)
 	}
-	if ms.saves != 2 || savedTape(ms, traced) {
-		t.Fatalf("untapeable plan: %d saves in all, tape saved %v; want it saved once, bare", ms.saves, savedTape(ms, traced))
+	if ms.saves != 2 || !ms.taped(traced) {
+		t.Fatalf("traced plan: %d saves in all, tape saved %v; want it saved once, taped", ms.saves, ms.taped(traced))
 	}
 
 	wedged := warmReq(6)
@@ -297,8 +297,8 @@ func TestWriteBackSettles(t *testing.T) {
 	if _, err := run(ms, wedged); err == nil {
 		t.Fatal("a run capped at 3 cycles completed")
 	}
-	if ms.saves != 3 || savedTape(ms, wedged) {
-		t.Fatalf("plan whose run failed: %d saves in all, tape saved %v; want it saved once, bare", ms.saves, savedTape(ms, wedged))
+	if ms.saves != 3 || ms.taped(wedged) {
+		t.Fatalf("plan the engine fails: %d saves in all, tape saved %v; want it saved once, bare", ms.saves, ms.taped(wedged))
 	}
 
 	failing := newMemStore()

@@ -7,11 +7,11 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/obs"
 )
 
 // The replay tape. A plan's cycles, Stats and the order in which its
@@ -19,20 +19,22 @@ import (
 // alone, never on the data (fabric/tape.go), so a plan needs the cycle loop
 // once per lifetime, not once per replay — and, since that makes the tape a
 // function of exactly what a plan store keys a plan by, once per store, not
-// once per process. A plan a Cache holds is there to be replayed, so its
-// first execution runs the simulator on symbolic data (fabric.Record) and
-// keeps the tape; from then on executions bind their inputs into one flat
-// accumulator image, walk the tape over it and assemble the same report, bit
-// for bit. A plan nothing caches (a one-shot wse.Run) runs the simulator
-// plainly the first time and records on its second execution, so one-shot
-// callers never pay for a recording; a batch of several entries is there to
-// be replayed as well, so its first entry records (Plan.ExecuteBatch). A plan
-// decoded from a frame that carries its tape (planstore) starts ready: it
-// never builds a fabric at all.
+// once per process. The tape is part of the compiled artifact, so it is taped
+// where plans are made: the resolver stages that compile a plan, or load one
+// from a frame written without its tape, run the simulator once on symbolic
+// data (fabric.Record) before they hand the plan on, and a plan store is
+// written once, tape included (stage.go). From then on executions bind their
+// inputs into one flat accumulator image, walk the tape over it and assemble
+// the same report, bit for bit.
+//
+// A plan no stage made (plan.Compile, as a one-shot wse.Run uses it) runs the
+// simulator plainly the first time and records on its second execution, so
+// one-shot callers never pay for a recording; a batch of several entries is
+// there to be replayed, so its first entry records (Plan.ExecuteBatch).
 //
 // The simulator stays the only thing that ever decides a cycle count — a
 // stored tape is one it decided earlier — and it stays the path for:
-//   - the first single execution of a plan no cache holds;
+//   - the first single execution of a plan no stage taped;
 //   - plans that carry a fabric.Tracer (they exist to watch the engine);
 //   - programs whose tape would exceed fabric.MaxTapeEvents;
 //   - inputs whose lengths differ from the ones the tape was recorded under
@@ -41,15 +43,6 @@ import (
 //     overrun or an interrupt records nothing, and recurs from the engine.
 //
 // Nothing selects any of this; there is no option to.
-
-// The record-once states of a plan.
-const (
-	tapeCold      int32 = iota // uncached and never completed a run: executions stay on the engine
-	tapeWarm                   // cached, batched, or completed a run: the next execution records
-	tapeRecording              // one execution is recording, the others stay on the engine
-	tapeReady                  // replayState.tape is set
-	tapeDeclined               // cannot be taped: the engine for good
-)
 
 // The execution modes, as the fabric.exec span names them.
 const (
@@ -60,31 +53,49 @@ const (
 
 // replayState is the tape side of a Plan.
 type replayState struct {
-	state atomic.Int32
-	tape  atomic.Pointer[boundTape]
-	// shared is where this plan's tape events are counted once a cache
-	// holds it (the first to insert it: CacheStats reports the sums over
-	// every plan a cache ever held); until then they land in own.
-	shared atomic.Pointer[tapeCounters]
-	own    tapeCounters
+	tape atomic.Pointer[boundTape]
+	// ran is set once an execution completed on the engine: the next one
+	// records.
+	ran atomic.Bool
 	// loaded marks a tape that came with the plan's stored frame (SetTape)
 	// rather than from a recording of this process.
 	loaded bool
-
-	// pending holds the saves waiting for the tape to settle (writeback.go).
-	wbMu    sync.Mutex
-	pending []writeBack
+	// replays counts the reports walked from the tape: into the counters of
+	// the first cache to take the plan in, until then into own.
+	replays atomic.Pointer[atomic.Int64]
+	own     atomic.Int64
 }
 
+// tapeCounters are a cache's: every plan it takes in is counted once, in
+// records, loaded or declined, by the tape it arrived with.
 type tapeCounters struct {
 	records, replays, declined, loaded atomic.Int64
 }
 
-func (r *replayState) counters() *tapeCounters {
-	if c := r.shared.Load(); c != nil {
-		return c
+// count files p under the tape it arrives with, and has its replays counted
+// here from now on. A plan another cache took in first is not counted again.
+func (tc *tapeCounters) count(p *Plan) {
+	r := &p.replay
+	if !r.replays.CompareAndSwap(nil, &tc.replays) {
+		return
 	}
-	return &r.own
+	switch {
+	case r.loaded:
+		tc.loaded.Add(1)
+	case r.tape.Load() != nil && p.Opt.Tracer == nil:
+		tc.records.Add(1)
+	default:
+		tc.declined.Add(1)
+	}
+}
+
+// replayed counts one report walked from the tape.
+func (r *replayState) replayed() {
+	if c := r.replays.Load(); c != nil {
+		c.Add(1)
+		return
+	}
+	r.own.Add(1)
 }
 
 // boundTape is a plan's tape with the plan's input binding resolved against
@@ -110,51 +121,33 @@ func (bt *boundTape) fits(inputs [][]float32) bool {
 
 // acquire decides how one call executes, and readies it: it returns the
 // plan's tape when the call replays (or has just recorded) it, and otherwise
-// a fabric armed with inputs and watched by ctx, for the caller to run. mode
-// names the choice for the trace.
-func (p *Plan) acquire(ctx context.Context, inputs [][]float32) (bt *boundTape, f *fabric.Fabric, mode string, err error) {
-	if bt := p.replay.tape.Load(); bt != nil && bt.fits(inputs) {
+// a fabric armed with inputs and watched by ctx, for the caller to run. A plan
+// without a tape records once it has completed a run, or at once when eager
+// (the first entry of a batch). mode names the choice for the trace.
+func (p *Plan) acquire(ctx context.Context, inputs [][]float32, eager bool) (bt *boundTape, f *fabric.Fabric, mode string, err error) {
+	bt = p.replay.tape.Load()
+	if bt != nil && p.Opt.Tracer == nil && bt.fits(inputs) {
 		return bt, nil, modeTape, nil
 	}
-	mode = modeEngine
-	record := p.replay.state.CompareAndSwap(tapeWarm, tapeRecording)
-	if record {
-		mode = modeRecord
-		// Whatever becomes of the recording, this execution settles what the
-		// plan's stored frame can say about its tape.
-		defer p.settle(ctx)
-	}
 	if f, err = p.arm(ctx, inputs); err != nil {
-		if record {
-			p.replay.state.Store(tapeWarm)
-		}
-		return nil, nil, mode, err
+		return nil, nil, modeEngine, err
 	}
-	if !record {
-		return nil, f, mode, nil
+	if bt != nil || p.Opt.Tracer != nil || !eager && !p.replay.ran.Load() {
+		return nil, f, modeEngine, nil
 	}
-	bt, err = p.record(f, inputs)
-	switch {
+	switch bt, err = p.record(f, inputs); {
 	case err != nil:
-		p.replay.state.Store(tapeWarm) // nothing recorded: the failure recurs from the engine
-		return nil, nil, mode, err
+		return nil, nil, modeRecord, err // nothing recorded: the failure recurs from the engine
 	case bt == nil:
-		p.replay.state.Store(tapeDeclined)
-		p.replay.counters().declined.Add(1)
-		return nil, f, modeEngine, nil // Record ran nothing: f is still armed
+		return nil, f, modeEngine, nil // over the cap: Record ran nothing, f is still armed
 	}
-	p.replay.tape.Store(bt)
-	p.replay.state.Store(tapeReady)
-	p.replay.counters().records.Add(1)
-	return bt, nil, mode, nil
+	p.replay.tape.CompareAndSwap(nil, bt) // racing recordings made the same tape
+	return bt, nil, modeRecord, nil
 }
 
 // record runs the armed fabric on symbolic data and binds the plan's inputs
-// against the tape. It returns nil, nil for a plan that cannot be taped.
+// against the tape. It returns nil, nil for a program over the tape cap.
 func (p *Plan) record(f *fabric.Fabric, inputs [][]float32) (*boundTape, error) {
-	if p.Opt.Tracer != nil {
-		return nil, nil
-	}
 	tape, err := f.Record()
 	if errors.Is(err, fabric.ErrTapeTooLong) {
 		return nil, nil
@@ -167,6 +160,39 @@ func (p *Plan) record(f *fabric.Fabric, inputs [][]float32) (*boundTape, error) 
 		lens[j] = len(v)
 	}
 	return p.bindTape(tape, lens), nil
+}
+
+// recordTape is how a resolver stage tapes the plan it makes: one recording
+// run on inputs of the lengths the kind takes, under the lookup's ctx. A ctx
+// that fires is the lookup's failure, with the typed ctx error. A program the
+// engine fails (or one over the tape cap) is left untaped, so its executions
+// meet the engine as they would have anyway.
+func (p *Plan) recordTape(ctx context.Context) error {
+	_, sp := obs.Start(ctx, "fabric.exec")
+	defer sp.End()
+	sp.SetAttr("mode", modeRecord)
+	var zero []float32 // the values are symbolic: one read-only buffer serves every input
+	inputs := p.shape().Inputs(func(n int) []float32 {
+		if n > len(zero) {
+			zero = make([]float32, n)
+		}
+		return zero[:n]
+	})
+	f, err := p.arm(ctx, inputs)
+	var bt *boundTape
+	if err == nil {
+		bt, err = p.record(f, inputs)
+	}
+	if cerr := ctxErr(ctx); cerr != nil {
+		sp.SetError(cerr)
+		return cerr
+	}
+	sp.SetError(err)
+	if bt != nil {
+		p.replay.tape.Store(bt)
+		sp.SetAttr("tape_runs", bt.tape.Runs())
+	}
+	return nil
 }
 
 // bindTape resolves where inputs of the given lengths land in the tape's
@@ -245,7 +271,6 @@ func (p *Plan) SetTape(tape *fabric.Tape, lens []int) error {
 	}
 	p.replay.loaded = true
 	p.replay.tape.Store(bt)
-	p.replay.state.Store(tapeReady)
 	return nil
 }
 
@@ -301,7 +326,7 @@ func sameBits(a, b []float32) bool {
 // carves it from one allocation) and off the offset table earlier columnar
 // reports of the batch share.
 func (p *Plan) replayTape(bt *boundTape, inputs [][]float32, columnar bool, acc []float32, off []int) *core.Report {
-	p.replay.counters().replays.Add(1)
+	p.replay.replayed()
 	if acc == nil {
 		acc = make([]float32, bt.tape.AccLen())
 	}

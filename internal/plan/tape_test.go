@@ -108,7 +108,7 @@ func taped(t *testing.T, pl *Plan, inputs [][]float32) *boundTape {
 	}
 	bt := pl.replay.tape.Load()
 	if bt == nil {
-		t.Fatalf("no tape after two executions (state %d)", pl.replay.state.Load())
+		t.Fatalf("no tape after two executions (ran %v)", pl.replay.ran.Load())
 	}
 	return bt
 }
@@ -133,11 +133,11 @@ func matchesEngine(t *testing.T, pl *Plan, req Request, label string) {
 			t.Fatalf("%s: %s run: %v", label, mode, err)
 		}
 		sameReportBits(t, want1, rep, fmt.Sprintf("%s %s run", label, mode))
-		if got := pl.replay.own.records.Load(); got != int64(run) {
-			t.Fatalf("%s: %d tapes recorded after the %s run", label, got, mode)
+		if taped := pl.replay.tape.Load() != nil; taped != (run == 1) {
+			t.Fatalf("%s: tape %v after the %s run", label, taped, mode)
 		}
 	}
-	before := pl.replay.own.replays.Load()
+	before := pl.replay.own.Load()
 	rep, err := pl.Execute(in2)
 	if err != nil {
 		t.Fatalf("%s: replay: %v", label, err)
@@ -156,12 +156,10 @@ func matchesEngine(t *testing.T, pl *Plan, req Request, label string) {
 			sameReportBits(t, want, reps[i], fmt.Sprintf("%s batch[%d] columnar=%v", label, i, columnar))
 		}
 	}
-	if got := pl.replay.own.replays.Load() - before; got != 8 {
+	if got := pl.replay.own.Load() - before; got != 8 {
 		t.Fatalf("%s: %d of the 8 reports came from the tape", label, got)
 	}
-	if pl.replay.own.records.Load() != 1 || pl.replay.own.declined.Load() != 0 {
-		t.Fatalf("%s: recorded %d times, declined %d", label, pl.replay.own.records.Load(), pl.replay.own.declined.Load())
-	}
+
 }
 
 // TestTapeMatchesEngine runs the property over all 11 kinds under the nine
@@ -245,7 +243,8 @@ func TestTapeCarriesClockSamples(t *testing.T) {
 }
 
 // TestTapeTracerStaysOnEngine: a plan carrying a Tracer exists to watch the
-// engine; it is declined once and keeps emitting events.
+// engine; it never records, even when it carries a tape, and keeps emitting
+// events.
 func TestTapeTracerStaysOnEngine(t *testing.T) {
 	tr := &fabric.Tracer{}
 	req := Request{Kind: Reduce1D, Alg: core.Chain, P: 6, B: 4, Opt: fabric.Options{Tracer: tr}}
@@ -272,19 +271,45 @@ func TestTapeTracerStaysOnEngine(t *testing.T) {
 			t.Fatalf("run %d left %d trace events, want %d", run, got, (run+1)*perRun)
 		}
 	}
-	if pl.replay.tape.Load() != nil || pl.replay.own.declined.Load() != 1 || pl.replay.own.replays.Load() != 0 {
-		t.Fatalf("traced plan: tape %v, declined %d, replays %d", pl.replay.tape.Load() != nil, pl.replay.own.declined.Load(), pl.replay.own.replays.Load())
+	if pl.replay.tape.Load() != nil || pl.replay.own.Load() != 0 {
+		t.Fatalf("traced plan: tape %v, replays %d", pl.replay.tape.Load() != nil, pl.replay.own.Load())
+	}
+
+	// A cache's plan is taped at the miss; the Tracer the request carries is
+	// attached after, and keeps every execution on the engine.
+	cache := NewCache(1)
+	if pl, err = cache.Get(req); err != nil {
+		t.Fatal(err)
+	}
+	if pl.replay.tape.Load() == nil || pl.Opt.Tracer != tr {
+		t.Fatalf("cached traced plan: tape %v, tracer attached %v", pl.replay.tape.Load() != nil, pl.Opt.Tracer == tr)
+	}
+	before := len(tr.Events)
+	for run := 1; run <= 2; run++ {
+		rep, err := pl.Execute(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameReportBits(t, want, rep, fmt.Sprintf("cached traced run %d", run))
+	}
+	if got := len(tr.Events) - before; got != 2*perRun {
+		t.Fatalf("two cached traced runs left %d trace events, want %d", got, 2*perRun)
+	}
+	if st := cache.Stats(); st.TapeReplays != 0 || st.TapeDeclined != 1 || st.TapeRecords != 0 {
+		t.Fatalf("cached traced plan: %+v; want it counted declined, never replayed", st)
 	}
 }
 
 // TestTapeOverCapDeclinedOnce: a program whose dataflow exceeds the cap is
-// found out once, without a wasted run, and stays on the engine.
+// found out at the miss, without a wasted run, counted declined once, and
+// stays on the engine.
 func TestTapeOverCapDeclinedOnce(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("three million-cycle runs on one goroutine: not in -short mode or under the race detector")
 	}
 	req := Request{Kind: Broadcast1D, P: 2, B: fabric.MaxTapeEvents/2 + 1} // B loads at the root, B stores at its neighbour
-	pl, err := Compile(req)
+	cache := NewCache(1)
+	pl, err := cache.Get(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +327,8 @@ func TestTapeOverCapDeclinedOnce(t *testing.T) {
 			t.Fatalf("run %d: cycles %d stats %+v, first run %d %+v", run, rep.Cycles, rep.Stats, first.Cycles, first.Stats)
 		}
 	}
-	if pl.replay.tape.Load() != nil || pl.replay.own.declined.Load() != 1 || pl.replay.state.Load() != tapeDeclined {
-		t.Fatalf("over-cap plan: tape %v, declined %d, state %d", pl.replay.tape.Load() != nil, pl.replay.own.declined.Load(), pl.replay.state.Load())
+	if st := cache.Stats(); pl.replay.tape.Load() != nil || st.TapeDeclined != 1 || st.TapeRecords != 0 || st.TapeReplays != 0 {
+		t.Fatalf("over-cap plan: tape %v, %+v", pl.replay.tape.Load() != nil, st)
 	}
 }
 
@@ -338,8 +363,8 @@ func TestTapeLengthMismatchFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameReportBits(t, want, reps[1], "longer vectors batch")
-	if len(want.Root) != longer.B || pl.replay.own.replays.Load() != 1 { // the recording run's own report
-		t.Fatalf("root of %d elements, %d tape replays; want %d and 1", len(want.Root), pl.replay.own.replays.Load(), longer.B)
+	if len(want.Root) != longer.B || pl.replay.own.Load() != 1 { // the recording run's own report
+		t.Fatalf("root of %d elements, %d tape replays; want %d and 1", len(want.Root), pl.replay.own.Load(), longer.B)
 	}
 	pl.B = req.B
 	in = randomInputs(req, 3)
@@ -351,7 +376,7 @@ func TestTapeLengthMismatchFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameReportBits(t, want, rep, "recorded lengths again")
-	if pl.replay.own.replays.Load() != 2 {
+	if pl.replay.own.Load() != 2 {
 		t.Fatal("the recorded lengths no longer replay from the tape")
 	}
 }
@@ -381,8 +406,8 @@ func TestTapeFailingPlanNeverRecords(t *testing.T) {
 			t.Fatalf("run %d failed with %q, run 1 with %q", run, err, first)
 		}
 	}
-	if pl.replay.tape.Load() != nil || pl.replay.state.Load() != tapeCold {
-		t.Fatalf("deadlocking plan: tape %v, state %d", pl.replay.tape.Load() != nil, pl.replay.state.Load())
+	if pl.replay.tape.Load() != nil || pl.replay.ran.Load() {
+		t.Fatalf("deadlocking plan: tape %v, ran %v", pl.replay.tape.Load() != nil, pl.replay.ran.Load())
 	}
 
 	req := Request{Kind: Reduce1D, Alg: core.Chain, P: 5, B: 3}
@@ -399,8 +424,8 @@ func TestTapeFailingPlanNeverRecords(t *testing.T) {
 	if _, err := good.ExecuteCtx(gone, in, ExecOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("recording under a cancelled context returned %v", err)
 	}
-	if good.replay.tape.Load() != nil || good.replay.state.Load() != tapeWarm {
-		t.Fatalf("interrupted recording: tape %v, state %d", good.replay.tape.Load() != nil, good.replay.state.Load())
+	if good.replay.tape.Load() != nil || !good.replay.ran.Load() {
+		t.Fatalf("interrupted recording: tape %v, ran %v", good.replay.tape.Load() != nil, good.replay.ran.Load())
 	}
 	if _, err := good.Execute(in); err != nil || good.replay.tape.Load() == nil {
 		t.Fatalf("the execution after an interrupted recording: %v, tape %v", err, good.replay.tape.Load() != nil)
@@ -417,7 +442,7 @@ func TestTapeHonoursCancelledContext(t *testing.T) {
 	}
 	in := randomInputs(req, 1)
 	taped(t, pl, in)
-	before := pl.replay.own.replays.Load()
+	before := pl.replay.own.Load()
 	gone, cancel := context.WithCancel(context.Background())
 	cancel()
 	if rep, err := pl.ExecuteCtx(gone, in, ExecOptions{}); rep != nil || !errors.Is(err, context.Canceled) {
@@ -426,15 +451,14 @@ func TestTapeHonoursCancelledContext(t *testing.T) {
 	if reps, err := pl.ExecuteBatch(gone, [][][]float32{in, in}, ExecOptions{}); reps != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("ExecuteBatch under a cancelled context returned %v, %v", reps, err)
 	}
-	if got := pl.replay.own.replays.Load(); got != before {
+	if got := pl.replay.own.Load(); got != before {
 		t.Fatalf("%d tape replays ran for a cancelled caller", got-before)
 	}
 }
 
 // TestTapeRecordsOnceUnderConcurrency: 32 goroutines hammering one cached,
-// never-run plan record exactly one tape between them — the others stay on
-// the engine meanwhile — and every report, from whichever path, is the
-// engine's.
+// never-run plan find it taped at the miss: every execution is a tape walk,
+// and every report is the engine's.
 func TestTapeRecordsOnceUnderConcurrency(t *testing.T) {
 	req := Request{Kind: AllReduce2D, Alg2D: core.XYTree, Width: 5, Height: 4, B: 9,
 		Opt: fabric.Options{ThermalNoopRate: 0.05, Seed: 3}}
@@ -479,7 +503,7 @@ func TestTapeRecordsOnceUnderConcurrency(t *testing.T) {
 		}
 	}
 	st := cache.Stats()
-	if st.TapeRecords != 1 || st.TapeDeclined != 0 || st.TapeReplays == 0 || st.TapeReplays > goroutines*runs {
+	if st.TapeRecords != 1 || st.TapeDeclined != 0 || st.TapeReplays != goroutines*runs {
 		t.Fatalf("cache counted %d records, %d declined, %d replays over %d executions", st.TapeRecords, st.TapeDeclined, st.TapeReplays, goroutines*runs)
 	}
 	if pl.replay.tape.Load() == nil {

@@ -35,7 +35,7 @@ func goldenCases() []plan.Request {
 
 // goldenFrames are the committed frames of every kind: the version-1 frame
 // of the freshly compiled plan, the version-3 frame the same plan is stored
-// as once its first execution has recorded its replay tape, and the
+// as once its miss has recorded its replay tape, and the
 // version-2 frame an earlier build stored it as then — a fixture no build
 // writes any more, read for its program alone.
 var goldenFrames = []struct {
@@ -60,17 +60,7 @@ func goldenPlan(t *testing.T, req plan.Request, taped bool) *plan.Plan {
 	if !taped {
 		return mustCompile(t, req)
 	}
-	p, err := plan.NewCache(0).Get(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Execute(inputsFor(p)); err != nil {
-		t.Fatal(err)
-	}
-	if tape, _ := p.Tape(); tape == nil {
-		t.Fatal("a cached plan's first execution recorded no tape")
-	}
-	return p
+	return tapedPlan(t, req)
 }
 
 // TestGoldenPlans is the forward-compatibility guard of the codec: the

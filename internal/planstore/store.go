@@ -249,31 +249,6 @@ func (s *Store) Load(key plan.Key) (*plan.Plan, bool, error) {
 	return p, true, nil
 }
 
-// LoadBlob returns the raw encoded frame for key — header, content hash
-// and key identity verified, but never decoded. Corrupt blobs quarantine
-// exactly as on the Load path.
-func (s *Store) LoadBlob(key plan.Key) ([]byte, bool, error) {
-	if err := faults.Inject("planstore.load"); err != nil {
-		s.note(func(st *Stats) { st.LoadErrors++ })
-		return nil, false, err
-	}
-	data, hash, ok, err := s.readBlob(key)
-	if !ok {
-		return nil, false, err
-	}
-	gotKey, err := DecodeKey(data)
-	if err != nil {
-		s.quarantineEntry(key, hash)
-		return nil, false, fmt.Errorf("planstore: %s quarantined: %w", hash+blobExt, err)
-	}
-	if gotKey != key {
-		s.quarantineEntry(key, hash)
-		return nil, false, fmt.Errorf("planstore: blob %s holds key %v, indexed under %v: quarantined", hash, gotKey, key)
-	}
-	s.note(func(st *Stats) { st.Loads++ })
-	return data, true, nil
-}
-
 // readBlob reads the blob key is indexed under, outside the store's lock.
 // ok=false without an error is a miss: no entry, or an entry whose blob is
 // gone (manual deletion; the entry is dropped). A Put that moves the key to

@@ -1,7 +1,6 @@
 package planstore
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -305,61 +304,5 @@ func TestStoreStats(t *testing.T) {
 	want = Stats{Loads: 1, Misses: 1, Saves: 1, LoadErrors: 1, Quarantined: 1, Plans: 0}
 	if st != want {
 		t.Fatalf("stats after corruption = %+v, want %+v", st, want)
-	}
-}
-
-// TestStoreLoadBlob covers the raw-frame serving path: the returned
-// bytes are the exact stored frame (what Encode produced), misses are
-// clean, and a corrupt blob quarantines instead of being served.
-func TestStoreLoadBlob(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := mustCompile(t, storeReq(8))
-	hash, err := s.Put(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, ok, err := s.LoadBlob(p.Key)
-	if err != nil || !ok {
-		t.Fatalf("LoadBlob: ok=%v err=%v", ok, err)
-	}
-	want, wantHash, err := Encode(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantHash != hash || !bytes.Equal(blob, want) {
-		t.Fatal("LoadBlob bytes differ from the deterministic encoding")
-	}
-	// The frame decodes on the consumer side to the same plan.
-	got, _, err := Decode(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Key != p.Key {
-		t.Fatalf("decoded key %v, want %v", got.Key, p.Key)
-	}
-
-	if _, ok, err := s.LoadBlob(plan.KeyOf(storeReq(16))); ok || err != nil {
-		t.Fatalf("missing key: ok=%v err=%v", ok, err)
-	}
-
-	// Flip a payload byte: LoadBlob must refuse and quarantine.
-	path := filepath.Join(dir, plansDir, hash+blobExt)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := s.LoadBlob(p.Key); ok || err == nil {
-		t.Fatalf("corrupt blob served: ok=%v err=%v", ok, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, quarantineDir, hash+blobExt)); err != nil {
-		t.Errorf("corrupt blob not quarantined: %v", err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -39,19 +40,16 @@ func noisyInputs(p *plan.Plan, seed float32) [][]float32 {
 	return in
 }
 
-// tapedPlan compiles req into a cache and executes it once, which records
-// its replay tape.
+// tapedPlan compiles req through a cache, whose miss records its replay
+// tape.
 func tapedPlan(t *testing.T, req plan.Request) *plan.Plan {
 	t.Helper()
 	p, err := plan.NewCache(0).Get(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Execute(noisyInputs(p, 1)); err != nil {
-		t.Fatal(err)
-	}
 	if tape, _ := p.Tape(); tape == nil {
-		t.Fatal("a cached plan's first execution recorded no tape")
+		t.Fatal("a cache's miss recorded no tape")
 	}
 	return p
 }
@@ -186,15 +184,15 @@ func frameVersion(frame []byte) (version uint16, flags byte) {
 
 // TestOldFrameStillLoads: a store of version-1 frames — the committed
 // goldens, written before frames could carry a tape — loads under this
-// build, serves, and heals: the first execution of each plan records its
-// tape and the store then holds the version-3 frame, which the next process
-// loads ready to replay.
+// build, serves, and heals: the load records each plan's tape and rewrites
+// its frame once, as the version-3 frame the next process loads ready to
+// replay.
 func TestOldFrameStillLoads(t *testing.T) { oldFramesHeal(t, "", tapelessVersion) }
 
 // TestV2FrameLoadsProgramAndHeals: so does a store of version-2 frames, whose
 // tape sections spell events this build no longer reads. Each loads for its
 // program alone, without a tape, and from there on is a version-1 frame in
-// all but name: first run records, the store holds a version-3 frame
+// all but name: the load records, the store holds a version-3 frame
 // afterwards, and a reopened store loads every plan with its tape.
 func TestV2FrameLoadsProgramAndHeals(t *testing.T) { oldFramesHeal(t, ".v2", eventsVersion) }
 
@@ -228,30 +226,26 @@ func oldFramesHeal(t *testing.T, suffix string, version uint16) {
 	cache := plan.NewCache(0)
 	cache.SetStore(store)
 	for _, req := range goldenCases() {
-		p, err := cache.Get(req)
+		p, err := cache.Get(req) // loads the old frame, records the tape and writes it back
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tape, _ := p.Tape(); tape != nil {
-			t.Fatalf("%s: a version-%d frame loaded with a tape", req.Kind, version)
+		if tape, _ := p.Tape(); tape == nil {
+			t.Fatalf("%s: a version-%d frame was served without the tape its load records", req.Kind, version)
 		}
 		inputs := noisyInputs(p, 1)
 		want, err := p.ExecuteUnpooled(inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.Execute(inputs) // records, and writes the tape back
+		got, err := p.Execute(inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameReport(t, want, got, string(req.Kind)+" recording run")
+		sameReport(t, want, got, string(req.Kind)+" first run")
 
-		frame, ok, err := store.LoadBlob(p.Key)
-		if err != nil || !ok {
-			t.Fatalf("%s: healed frame: ok=%v err=%v", req.Kind, ok, err)
-		}
-		if v, flags := frameVersion(frame); v != FormatVersion || flags != flagTape {
-			t.Fatalf("%s: after its first run the store holds version %d flags %#x, want the version-%d frame", req.Kind, v, flags, FormatVersion)
+		if v, flags := frameVersion(storedFrame(t, store, p.Key)); v != FormatVersion || flags != flagTape {
+			t.Fatalf("%s: after its load the store holds version %d flags %#x, want the version-%d frame", req.Kind, v, flags, FormatVersion)
 		}
 		if _, err := os.Stat(filepath.Join(dir, plansDir, oldHash[req.Kind]+blobExt)); !os.IsNotExist(err) {
 			t.Fatalf("%s: the version-%d blob outlived its heal: %v", req.Kind, version, err)
@@ -282,6 +276,23 @@ func oldFramesHeal(t *testing.T, suffix string, version uint16) {
 	if st := next.Stats(); st.StoreHits != n || st.TapeLoaded != n || st.TapeRecords != 0 || st.TapeReplays != n {
 		t.Fatalf("after the heal: %+v; want %d plans loaded with their tape and replayed from it", st, n)
 	}
+	if ss := store.Stats(); ss.Saves != 0 {
+		t.Fatalf("the healed store was written %d more times", ss.Saves)
+	}
+}
+
+// storedFrame reads the raw frame s holds for key, from its blob.
+func storedFrame(t *testing.T, s *Store, key plan.Key) []byte {
+	t.Helper()
+	hash, ok := s.HashOf(key)
+	if !ok {
+		t.Fatalf("the store holds no frame for %v", key)
+	}
+	frame, err := os.ReadFile(s.blobPath(hash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
 }
 
 // reframe rebuilds a frame around payload, sealed with a correct digest.
@@ -622,10 +633,6 @@ func TestLoadBesideHealingPut(t *testing.T) {
 					loaded <- fmt.Errorf("Load beside a Put moving the key: ok=%v err=%v", ok, err)
 					return
 				}
-				if _, ok, err := s.LoadBlob(bare.Key); err != nil || !ok {
-					loaded <- fmt.Errorf("LoadBlob beside a Put moving the key: ok=%v err=%v", ok, err)
-					return
-				}
 			}
 		}()
 	}
@@ -644,5 +651,155 @@ func TestLoadBesideHealingPut(t *testing.T) {
 	}
 	if st := s.Stats(); st.Misses != 0 || st.LoadErrors != 0 || s.Len() != 1 {
 		t.Errorf("store after the race: %+v, %d plans; want no miss, no error, one plan", st, s.Len())
+	}
+}
+
+// zeroInputs is one run's inputs for req, every element zero.
+func zeroInputs(req plan.Request) [][]float32 {
+	return req.Inputs(func(n int) []float32 { return make([]float32, n) })
+}
+
+// TestEveryKindIsWrittenOnceTaped: for every row of plan.Kinds, each way a
+// plan reaches a store — a session's write-through miss, Cache.Get,
+// Prefetch, Warm and Export — writes exactly one frame per plan, the
+// version-3 frame with its tape; and a fresh session over that store serves
+// every kind with no compile and no fabric built: its compile stage is never
+// asked, and every fabric.exec span is a tape walk (a fabric is built only
+// for an engine run or a recording). TestOldFrameStillLoads holds the heal
+// of a version-1 store to one rewrite per plan.
+func TestEveryKindIsWrittenOnceTaped(t *testing.T) {
+	reqs := goldenCases()
+	if len(reqs) != len(plan.Kinds) {
+		t.Fatalf("%d cases for %d kinds", len(reqs), len(plan.Kinds))
+	}
+	n := int64(len(reqs))
+	ctx := context.Background()
+	for _, entry := range []struct {
+		name  string
+		write func(s *Store) error
+	}{
+		{"Session.Run", func(s *Store) error {
+			sess := plan.NewSession(0, 1)
+			defer sess.Close()
+			sess.SetStore(s)
+			for _, req := range reqs {
+				if _, err := sess.Run(req, zeroInputs(req)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"Cache.Get", func(s *Store) error {
+			c := plan.NewCache(0)
+			c.SetStore(s)
+			for _, req := range reqs {
+				if _, err := c.Get(req); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"Session.Prefetch", func(s *Store) error {
+			sess := plan.NewSession(0, 1)
+			sess.SetStore(s)
+			for _, req := range reqs {
+				if _, err := sess.Prefetch(ctx, req); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"Session.Warm", func(s *Store) error {
+			_, err := plan.NewSession(0, 1).Warm(s, reqs)
+			return err
+		}},
+		{"Session.Export", func(s *Store) error {
+			sess := plan.NewSession(0, 1)
+			for _, req := range reqs {
+				if _, err := sess.Plan(req); err != nil {
+					return err
+				}
+			}
+			_, err := sess.Export(s)
+			return err
+		}},
+	} {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := entry.write(s); err != nil {
+			t.Fatalf("%s: %v", entry.name, err)
+		}
+		if saves := s.Stats().Saves; saves != n {
+			t.Fatalf("%s: %d saves for %d plans", entry.name, saves, n)
+		}
+		for _, req := range reqs {
+			if v, flags := frameVersion(storedFrame(t, s, plan.KeyOf(req))); v != FormatVersion || flags != flagTape {
+				t.Fatalf("%s: %s stored as version %d flags %#x, want the version-%d frame", entry.name, req.Kind, v, flags, FormatVersion)
+			}
+		}
+
+		sess := plan.NewSession(0, 1)
+		sess.SetStore(s)
+		tracer := obs.NewTracer(obs.Config{Sample: 1})
+		for _, req := range reqs {
+			rctx, root := tracer.Root(ctx, "run", "")
+			_, err := sess.Submit(rctx, "", req, zeroInputs(req))
+			root.End()
+			if err != nil {
+				t.Fatalf("%s: serving %s: %v", entry.name, req.Kind, err)
+			}
+		}
+		sess.Close()
+		tracer.Close()
+		for _, tr := range tracer.Traces(0, 0) {
+			for _, sp := range tr.Spans {
+				if sp.Name == "resolve.compile" || sp.Name == "fabric.exec" && sp.Attrs["mode"] != "tape" {
+					t.Fatalf("%s: the serving session ran %s %v", entry.name, sp.Name, sp.Attrs)
+				}
+			}
+		}
+		for _, stage := range sess.Resolver().Stats() {
+			if stage.Stage == "compile" && stage.Lookups != 0 {
+				t.Fatalf("%s: the serving session compiled %d plans", entry.name, stage.Lookups)
+			}
+		}
+		st := sess.Stats()
+		if st.StoreHits != n || st.TapeLoaded != n || st.TapeRecords != 0 || st.TapeDeclined != 0 || st.TapeReplays != n || s.Stats().Saves != n {
+			t.Fatalf("%s: serving session %+v, %d saves; want %d plans loaded taped, replayed, nothing written", entry.name, st, s.Stats().Saves, n)
+		}
+	}
+}
+
+// TestCacheCountsEveryPlanOnce: every plan a cache takes in is counted in
+// exactly one of TapeRecords, TapeLoaded and TapeDeclined, by the tape it
+// arrives with — whether the chain compiled it, loaded it taped, healed a
+// bare frame, or handed over a plan that replays no tape.
+func TestCacheCountsEveryPlanOnce(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, bare := storeReq(6), storeReq(7)
+	if _, err := s.Put(tapedPlan(t, loaded)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put(mustCompile(t, bare)); err != nil {
+		t.Fatal(err)
+	}
+	traced, wedged := storeReq(8), storeReq(9)
+	traced.Opt.Tracer = &fabric.Tracer{Cap: 1}
+	wedged.Opt.MaxCycles = 3 // the engine fails it: nothing to record
+	cache := plan.NewCache(0)
+	cache.SetStore(s)
+	for _, req := range []plan.Request{storeReq(5), loaded, bare, traced, wedged} {
+		if _, err := cache.Get(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := cache.Stats()
+	if st.TapeRecords != 2 || st.TapeLoaded != 1 || st.TapeDeclined != 2 || int(st.TapeRecords+st.TapeLoaded+st.TapeDeclined) != st.Size {
+		t.Fatalf("%+v: want 2 recorded (compiled, healed), 1 loaded, 2 declined (traced, wedged) of %d plans", st, st.Size)
 	}
 }

@@ -309,11 +309,11 @@ func TestCacheResolverIntegration(t *testing.T) {
 }
 
 // TestWriteBackCarriesTheTape: under a session a chain's compiled plan is
-// saved once, when the first execution has recorded the tape; the next
+// saved once, at the miss, with the tape the compile stage recorded; the next
 // session's store stage hands the plan over ready to replay and writes
-// nothing; a chain resolved on its own saves before Resolve returns; and a
-// frame stored without a tape (an older store, or a plan nothing has run
-// yet) is rewritten with one after its first run.
+// nothing; a chain resolved on its own writes the same taped frame; and a
+// frame stored without a tape (an earlier build's) is taped at its load and
+// rewritten once.
 func TestWriteBackCarriesTheTape(t *testing.T) {
 	store, err := planstore.Open(t.TempDir())
 	if err != nil {
@@ -362,20 +362,33 @@ func TestWriteBackCarriesTheTape(t *testing.T) {
 		t.Fatalf("a plan loaded with its tape was written again: %d saves", saves)
 	}
 
-	// A chain resolved on its own executes nothing: the bare frame stays.
+	// A chain resolved on its own writes the frame taped as well.
 	other := testKey(7)
-	req = other.Request()
-	inputs = append(inputs, inputs[0])
 	if _, err := chainOver().Resolve(context.Background(), other); err != nil {
 		t.Fatal(err)
 	}
-	if tape, _ := stored().Tape(); tape != nil || store.Stats().Saves != 2 {
-		t.Fatalf("a chain resolved on its own stored a tape: %v, %d saves", tape != nil, store.Stats().Saves)
+	req = other.Request()
+	if tape, _ := stored().Tape(); tape == nil || store.Stats().Saves != 2 {
+		t.Fatalf("a chain resolved on its own stored a tape: %v, %d saves; want one save, taped", tape != nil, store.Stats().Saves)
 	}
-	if st := run(); st.TapeRecords != 1 || st.TapeLoaded != 0 {
+
+	// A bare frame is taped where it loads, and rewritten once.
+	bare, err := plan.Compile(testKey(8).Request())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(bare); err != nil {
+		t.Fatal(err)
+	}
+	req = bare.Key.Request()
+	inputs = append(inputs, inputs[0], inputs[0]) // P = 8
+	if st := run(); st.TapeRecords != 1 || st.TapeLoaded != 0 || st.StoreHits != 1 {
 		t.Fatalf("healing session: %+v; want the bare frame loaded and its tape recorded", st)
 	}
-	if tape, _ := stored().Tape(); tape == nil || store.Stats().Saves != 3 {
-		t.Fatalf("after its first run the bare frame holds a tape: %v, after %d saves; want it rewritten once", tape != nil, store.Stats().Saves)
+	if tape, _ := stored().Tape(); tape == nil || store.Stats().Saves != 4 {
+		t.Fatalf("after its load the bare frame holds a tape: %v, after %d saves; want it rewritten once", tape != nil, store.Stats().Saves)
+	}
+	if st := run(); st.TapeLoaded != 1 || st.TapeReplays != 1 || store.Stats().Saves != 4 {
+		t.Fatalf("after the heal: %+v, %d saves; want the tape loaded and nothing written", st, store.Stats().Saves)
 	}
 }

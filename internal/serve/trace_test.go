@@ -72,6 +72,29 @@ func spanByName(t *testing.T, tr *obs.Trace, name string) obs.SpanRecord {
 	return obs.SpanRecord{}
 }
 
+// spanUnder returns the span called name that descends from a span called
+// ancestor: the fabric.exec of a request's execution (under sched.exec), or
+// of its plan's recording (under plan.resolve).
+func spanUnder(t *testing.T, tr *obs.Trace, name, ancestor string) obs.SpanRecord {
+	t.Helper()
+	byID := make(map[string]obs.SpanRecord, len(tr.Spans))
+	for _, sp := range tr.Spans {
+		byID[sp.ID] = sp
+	}
+	for _, sp := range tr.Spans {
+		if sp.Name != name {
+			continue
+		}
+		for up, ok := byID[sp.Parent]; ok; up, ok = byID[up.Parent] {
+			if up.Name == ancestor {
+				return sp
+			}
+		}
+	}
+	t.Fatalf("trace %s has no span %q under %q (spans: %v)", tr.TraceID, name, ancestor, spanNames(tr))
+	return obs.SpanRecord{}
+}
+
 func spanNames(tr *obs.Trace) []string {
 	names := make([]string, 0, len(tr.Spans))
 	for _, sp := range tr.Spans {
@@ -82,9 +105,10 @@ func spanNames(tr *obs.Trace) []string {
 
 // TestTraceEndToEnd: one /v1/run at 100% sampling commits one trace
 // whose tree crosses every instrumented seam: the http root span parents
-// the scheduler's queue and exec spans and the resolve span, and the
-// fabric execution nests under exec (it runs on the scheduler's worker
-// with the exec span's context).
+// the scheduler's queue and exec spans and the resolve span, the fabric
+// execution nests under exec (it runs on the scheduler's worker with the
+// exec span's context), and the recording run of the plan's miss nests
+// under resolve.
 func TestTraceEndToEnd(t *testing.T) {
 	tracer := obs.NewTracer(obs.Config{Sample: 1})
 	defer tracer.Close()
@@ -114,7 +138,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	queue := spanByName(t, tr, "sched.queue")
 	exec := spanByName(t, tr, "sched.exec")
 	resolve := spanByName(t, tr, "plan.resolve")
-	fabric := spanByName(t, tr, "fabric.exec")
+	fabric := spanUnder(t, tr, "fabric.exec", "sched.exec")
 	for name, sp := range map[string]obs.SpanRecord{"sched.queue": queue, "sched.exec": exec, "plan.resolve": resolve} {
 		if sp.Parent != root.ID {
 			t.Errorf("%s parent = %q, want root %q", name, sp.Parent, root.ID)
@@ -123,8 +147,11 @@ func TestTraceEndToEnd(t *testing.T) {
 	if fabric.Parent != exec.ID {
 		t.Errorf("fabric.exec parent = %q, want sched.exec %q", fabric.Parent, exec.ID)
 	}
-	if fabric.Attrs["cycles"] == nil || fabric.Attrs["steps"] == nil {
-		t.Errorf("fabric.exec span missing cycles/steps attrs: %v", fabric.Attrs)
+	if fabric.Attrs["cycles"] == nil || fabric.Attrs["steps"] == nil || fabric.Attrs["mode"] != "tape" {
+		t.Errorf("fabric.exec span missing cycles/steps attrs, or not a tape walk: %v", fabric.Attrs)
+	}
+	if rec := spanUnder(t, tr, "fabric.exec", "plan.resolve"); rec.Attrs["mode"] != "record" || rec.Error != "" {
+		t.Errorf("the miss's recording span: %+v, want mode record, no error", rec)
 	}
 	if exec.Attrs["tenant"] == nil {
 		t.Errorf("sched.exec span missing tenant attr: %v", exec.Attrs)
@@ -159,10 +186,11 @@ func TestDecodeSpanSaysWhichEnvelope(t *testing.T) {
 }
 
 // TestReplayTapeIsObservable: three runs of one shape through a session are
-// a recording (the plan is cached, so its first execution records) and two
-// tape replays. The fabric.exec spans say which, all three carrying the one
-// cycle count and step count the engine decided and the number of runs the
-// tape keeps the dataflow as, and /metrics counts the tape's life.
+// one recording, under the first request's plan.resolve (the miss tapes the
+// plan), and three tape replays. The fabric.exec spans say which: the
+// replays carry the one cycle count and step count the engine decided, all
+// four the number of runs the tape keeps the dataflow as, and /metrics
+// counts the tape's life.
 func TestReplayTapeIsObservable(t *testing.T) {
 	tracer := obs.NewTracer(obs.Config{Sample: 1})
 	defer tracer.Close()
@@ -173,28 +201,33 @@ func TestReplayTapeIsObservable(t *testing.T) {
 		}
 		waitTraces(t, tracer, run) // commit order is request order
 	}
-	modes := map[any]int{}
-	var first obs.SpanRecord
-	for i, tr := range tracer.Traces(0, 0) {
-		sp := spanByName(t, tr, "fabric.exec")
-		modes[sp.Attrs["mode"]]++
-		if i == 0 {
-			first = sp
+	traces := tracer.Traces(0, 0) // newest first
+	rec := spanUnder(t, traces[len(traces)-1], "fabric.exec", "plan.resolve")
+	if rec.Attrs["mode"] != "record" {
+		t.Errorf("the first request's resolve ran fabric.exec %v, want the recording", rec.Attrs["mode"])
+	}
+	modes, first := map[any]int{}, spanUnder(t, traces[0], "fabric.exec", "sched.exec")
+	for _, tr := range traces {
+		for _, sp := range tr.Spans {
+			if sp.Name == "fabric.exec" {
+				modes[sp.Attrs["mode"]]++
+			}
 		}
+		sp := spanUnder(t, tr, "fabric.exec", "sched.exec")
 		if sp.Attrs["cycles"] != first.Attrs["cycles"] || sp.Attrs["steps"] != first.Attrs["steps"] {
 			t.Errorf("fabric.exec %v reports cycles %v steps %v, another run %v %v", sp.Attrs["mode"], sp.Attrs["cycles"], sp.Attrs["steps"], first.Attrs["cycles"], first.Attrs["steps"])
 		}
-		if runs, ok := sp.Attrs["tape_runs"].(int); !ok || runs < 1 || runs != first.Attrs["tape_runs"] {
-			t.Errorf("fabric.exec %v reports tape_runs %v, the recording run %v", sp.Attrs["mode"], sp.Attrs["tape_runs"], first.Attrs["tape_runs"])
+		if runs, ok := sp.Attrs["tape_runs"].(int); !ok || runs < 1 || runs != rec.Attrs["tape_runs"] {
+			t.Errorf("fabric.exec %v reports tape_runs %v, the recording run %v", sp.Attrs["mode"], sp.Attrs["tape_runs"], rec.Attrs["tape_runs"])
 		}
 	}
-	if len(modes) != 2 || modes["record"] != 1 || modes["tape"] != 2 {
-		t.Errorf("fabric.exec modes over three runs: %v, want record, tape, tape", modes)
+	if len(modes) != 2 || modes["record"] != 1 || modes["tape"] != 3 {
+		t.Errorf("fabric.exec modes over three runs: %v, want one record, three tape", modes)
 	}
 	_, body := get(t, ts.URL+"/metrics")
 	for _, line := range []string{
 		"wse_plan_tape_records_total 1",
-		"wse_plan_tape_replays_total 3", // the recording run's own report, and the two after it
+		"wse_plan_tape_replays_total 3", // every run
 		"wse_plan_tape_declined_total 0",
 		"wse_plan_tape_loaded_total 0", // nothing came from a store
 	} {
@@ -267,7 +300,7 @@ func TestTraceExecFailpointError(t *testing.T) {
 	if tr.Error == "" {
 		t.Fatal("trace of a failed request carries no error")
 	}
-	fabric := spanByName(t, tr, "fabric.exec")
+	fabric := spanUnder(t, tr, "fabric.exec", "sched.exec")
 	if fabric.Error == "" {
 		t.Error("fabric.exec span did not record the injected fault")
 	}

@@ -58,7 +58,7 @@ func TestReplayAllocGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.Execute(inputs); err != nil { // the recording run
+	if _, err := pl.Execute(inputs); err != nil { // the miss taped it: a walk
 		t.Fatal(err)
 	}
 	allocs := func(gc bool, run func() error) float64 {

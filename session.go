@@ -46,8 +46,8 @@ type SessionConfig struct {
 	// Sequential(Optional(Store(s)), WriteBack(Compiler(), s)) — so store
 	// failures never fail a request (the session falls back to compiling)
 	// and are counted in PlanStats.StoreErrors, and a compiled plan is
-	// written once, when its first run has recorded the replay tape the
-	// frame carries (README "Plan persistence").
+	// written once, at its miss, with the replay tape the miss recorded
+	// (README "Plan persistence").
 	Store *PlanStore
 	// Resolver, when non-nil, is the session's plan miss path: a chain
 	// composed from internal/resolve's stages (through the wse.Resolver
@@ -264,7 +264,7 @@ func (t *Tenant) Submit(ctx context.Context, sh Shape, inputs [][]float32, opts 
 
 // RunBatch replays one Shape across every entry of batches (batches[i]
 // is one Run's worth of inputs) as a single scheduled request: one queue
-// slot, one plan acquisition, at most one simulator run (the recording;
+// slot, one plan acquisition, at most one simulator run (the miss's recording;
 // every entry then walks the replay tape) — so the per-run fixed cost of
 // binding inputs and assembling results is amortised batch-wide. Reports
 // come back in batch order. Combine with WithColumnarResult to skip the

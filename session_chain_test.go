@@ -169,7 +169,7 @@ func TestOnePlanMissPath(t *testing.T) {
 			}
 
 			// A run the scheduler fails after the miss never executes the plan;
-			// the save the miss left pending is made all the same.
+			// the miss saved it all the same, taped.
 			faults.Set("sched.dispatch", faults.Point{Count: 1})
 			defer faults.Reset()
 			if err := run(s3, other); !errors.Is(err, faults.ErrInjected) {
@@ -180,8 +180,8 @@ func TestOnePlanMissPath(t *testing.T) {
 			if persists {
 				if p, ok, err := store.Load(planKey(s3, other)); err != nil || !ok {
 					t.Fatalf("rejected run: stored plan ok=%v err=%v", ok, err)
-				} else if tape, _ := p.Tape(); tape != nil {
-					t.Error("rejected run: a plan nothing ran was stored with a tape")
+				} else if tape, _ := p.Tape(); tape == nil {
+					t.Error("rejected run: the miss stored the plan without its tape")
 				}
 			}
 		})

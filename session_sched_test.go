@@ -11,15 +11,26 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/fabric"
 )
 
 // The two shapes the scheduling tests serve: a chain reduce that drains at
-// once, and a grid reduce (over constVectors(48*48, 64)) big enough to
+// once, and a grid reduce (over constVectors(48*48, 64)) big enough, kept on
+// the engine by onEngine, to
 // hold a worker while the test looks at the queues.
 var (
 	smallReduce = Shape{Kind: KindReduce, Alg: Chain, P: 8, B: 4, Op: Sum}
 	bigReduce2D = Shape{Kind: KindReduce2D, Alg2D: Auto2D, Width: 48, Height: 48, B: 64, Op: Sum}
 )
+
+// onEngine keeps every run of a shape on the engine, never the tape its miss
+// recorded, so a bigReduce2D blocker holds the worker for a while: a plan
+// carrying a Tracer exists to watch the engine. The one worker of the tests
+// runs the blockers one at a time, so they share the Tracer safely.
+func onEngine() Option {
+	return WithOptions(Options{MaxCycles: DefaultSessionMaxCycles, Tracer: &fabric.Tracer{Cap: 1}})
+}
 
 // TestTenantServingBitIdentical: the same collective served through two
 // tenant handles and the session's own Run produces bit-identical
@@ -93,13 +104,13 @@ func TestTenantOverloadSurfaces(t *testing.T) {
 	bounded := s.WithTenant("bounded", TenantConfig{MaxQueue: 1})
 	ctx := context.Background()
 
-	big := constVectors(48*48, 64)
+	big, slow := constVectors(48*48, 64), onEngine()
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := blocker.Run(ctx, bigReduce2D, big); err != nil {
+			if _, err := blocker.Run(ctx, bigReduce2D, big, slow); err != nil {
 				t.Errorf("blocker: %v", err)
 			}
 		}()
@@ -159,13 +170,13 @@ func TestTenantCancellation(t *testing.T) {
 	victim := s.WithTenant("victim", TenantConfig{})
 	ctx := context.Background()
 
-	big := constVectors(48*48, 64)
+	big, slow := constVectors(48*48, 64), onEngine()
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := blocker.Run(ctx, bigReduce2D, big); err != nil {
+			if _, err := blocker.Run(ctx, bigReduce2D, big, slow); err != nil {
 				t.Errorf("blocker: %v", err)
 			}
 		}()

@@ -181,8 +181,8 @@ func allocKB(fn func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) >> 10
 }
 
-// TestTapedStoreHitBuildsNoFabric: a plan stored after its first run carries
-// its replay tape, so a fresh session's first Run of it binds inputs and walks:
+// TestTapedStoreHitBuildsNoFabric: a plan stored at its miss carries its
+// replay tape, so a fresh session's first Run of it binds inputs and walks:
 // the ledger shows a tape that was loaded and replayed, nothing recorded and
 // no engine run. What that first run allocates is held at what it measured
 // when the tape became runs, rounded up to the next 16 KB: for reduce1d P=512
@@ -230,9 +230,13 @@ func TestTapedStoreHitBuildsNoFabric(t *testing.T) {
 
 	// The parts, each measured on its own, so that a failure names the one
 	// that grew.
-	frame, ok, err := store.LoadBlob(plan.KeyOf(sh.request(s.opt)))
-	if err != nil || !ok {
-		t.Fatalf("stored frame: ok=%v err=%v", ok, err)
+	hash, ok := store.HashOf(plan.KeyOf(sh.request(s.opt)))
+	if !ok {
+		t.Fatal("the store holds no frame for the shape")
+	}
+	frame, err := os.ReadFile(filepath.Join(store.Dir(), "plans", hash+".plan"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	p, _, err := planstore.Decode(frame)
 	if err != nil {
