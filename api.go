@@ -118,10 +118,12 @@ func Chunks(p, b int) (off, sz []int) { return core.Chunks(p, b) }
 // can move too: an Auto AllReduce the model roots in the middle resolves to
 // KindAllReduceMidRoot with its tree (or stays KindAllReduce with Ring), and
 // the algorithm-free ReduceScatter and AllGather come back with Alg saying
-// which of their two schedules runs — Ring, or the tree that carries the
-// data through the root (a reduce tree before the Scatter; Star for the
-// Gather before the Broadcast). The resolved Shape is valid and runs the
-// same program; a Shape naming a concrete algorithm comes back unchanged.
+// which of their schedules runs. ReduceScatter has two: Ring, or the reduce
+// tree before the Scatter from the leftmost PE. AllGather has three: Ring;
+// Star, a Gather of both halves into the middle PE before its flood; or
+// "gather-flood", every PE flooding its own chunk on its turn. The resolved
+// Shape is valid and runs the same program; a Shape naming a concrete
+// algorithm comes back unchanged.
 func (sh Shape) Resolve(opts ...Option) Shape {
 	r := sh.request(resolveOpts(opts).opt).Resolve()
 	sh.Kind, sh.Alg, sh.Alg2D = r.Kind, r.Alg, r.Alg2D

@@ -163,7 +163,7 @@ func parseFlags(cmd string, args []string) (*config, error) {
 	fs.IntVar(&c.batch, "batch", 1, "replay the collective this many times per request via RunBatch (amortised bind/assembly)")
 	fs.BoolVar(&c.columnar, "columnar", false, "skip per-PE result maps (WithColumnarResult)")
 	fs.IntVar(&c.workers, "workers", 0, "concurrent replays (0 = GOMAXPROCS)")
-	fs.IntVar(&c.shards, "shards", 0, "row-band shards per fabric simulation (0/1 = serial engine; results are bit-identical)")
+	fs.IntVar(&c.shards, "shards", 0, "row-band shards per fabric simulation (0 = auto-tune from GOMAXPROCS, 1 = serial engine; results are bit-identical)")
 	fs.Int64Var(&c.maxCycles, "maxcycles", 0, "per-run simulated-cycle cap (0 = session default of 2^28; raise for very large serialized runs)")
 	fs.StringVar(&c.store, "store", "", "plan store directory (run: read/write-through; export/warm: required)")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile of the runs to this file")

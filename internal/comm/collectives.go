@@ -11,10 +11,11 @@ import (
 // and 2 for the broadcast; 2D X-Y collectives use 0-1 for rows, 2-3 for
 // the column phase and 4 for the 2D broadcast, matching the paper's budget
 // of ≤3 colors in 1D and ≤5 in 2D (§8.2). The middle root uses 5: 0-1 and
-// 2-3 for its halves, 4 for the flood. The centre root uses 9 of the
-// fabric's 24: the middle root's 5 in every row, and 5-6 and 7-8 for the
-// halves of the middle column. The measurement harness's trigger rides on
-// TriggerColor, 23, on top.
+// 2-3 for its halves, 4 for the flood; its AllGather 0 and 1 for the halves'
+// gathers and 4 for the flood, and the gather-flood one, ColorFlood. The
+// centre root uses 9 of the fabric's 24: the middle root's 5 in every row,
+// and 5-6 and 7-8 for the halves of the middle column. The measurement
+// harness's trigger rides on TriggerColor, 23, on top.
 const (
 	ColorTreeA  mesh.Color = 0
 	ColorTreeB  mesh.Color = 1

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/mesh"
@@ -16,7 +17,8 @@ import (
 // in both directions on a single color (the router multicasts Ramp→{E,W}).
 // Distance and depth terms are roughly halved at the cost of 2B root
 // contention. The centre-rooted 2D AllReduce applies the same split twice:
-// to every row, then to the middle column.
+// to every row, then to the middle column; the middle-root AllGather splits
+// a Gather.
 
 // reversePath returns the path walked from its far end back to the start.
 func reversePath(p mesh.Path) mesh.Path {
@@ -66,6 +68,34 @@ func BuildAllReduceMidRoot(spec *fabric.Spec, p, b int, westTree, eastTree Tree,
 		return err
 	}
 	return BuildBroadcast2D(spec, p, 1, mesh.Coord{X: p / 2}, b, ColorBcast2)
+}
+
+// BuildAllGatherMidRoot compiles the middle-root AllGather along row 0 of p
+// PEs, each holding its chunk at its Chunks offset: both halves gather into PE
+// p/2 — the west half on ColorTreeA, the east half on ColorTreeB, the middle
+// PE taking the west half's chunks first — and the assembled vector floods
+// out both ways on ColorBcast2, the way the middle-root AllReduce floods.
+func BuildAllGatherMidRoot(spec *fabric.Spec, p, b int) error {
+	if p < 2 {
+		return fmt.Errorf("comm: allgather needs at least 2 PEs")
+	}
+	if b < p {
+		return fmt.Errorf("comm: allgather needs B >= P for non-empty chunks (B=%d, P=%d)", b, p)
+	}
+	path := mesh.Row(0, 0, p)
+	off, sz := Chunks(p, b)
+	mid := p / 2
+	if mid > 0 {
+		// The west half is indexed by distance from the middle, like the east.
+		wOff, wSz := slices.Clone(off[:mid+1]), slices.Clone(sz[:mid+1])
+		slices.Reverse(wOff)
+		slices.Reverse(wSz)
+		gatherChunks(spec, reversePath(path[:mid+1]), wOff, wSz, true, ColorTreeA)
+	}
+	if mid < p-1 {
+		gatherChunks(spec, path[mid:], off[mid:], sz[mid:], true, ColorTreeB)
+	}
+	return BuildBroadcast2D(spec, p, 1, mesh.Coord{X: mid}, b, ColorBcast2)
 }
 
 // BuildAllReduceCentre compiles the centre-rooted 2D AllReduce on a

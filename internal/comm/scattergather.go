@@ -77,10 +77,8 @@ func BuildScatter(spec *fabric.Spec, path mesh.Path, b int, color mesh.Color) er
 }
 
 // BuildGather compiles a Gather: each path index j sends its sz[j]-element
-// chunk to path index 0, which assembles the full vector in chunk order.
-// The pattern is the star tree with per-chunk payloads: senders inject
-// after their own router turns to pass-through, so the root receives
-// chunks 1, 2, ... in order.
+// chunk, which sits at the start of its buffer, to path index 0, which
+// assembles the full vector in chunk order.
 func BuildGather(spec *fabric.Spec, path mesh.Path, b int, color mesh.Color) error {
 	p := len(path)
 	if p < 2 {
@@ -93,7 +91,17 @@ func BuildGather(spec *fabric.Spec, path mesh.Path, b int, color mesh.Color) err
 		return err
 	}
 	off, sz := Chunks(p, b)
+	gatherChunks(spec, path, off, sz, false, color)
+	return nil
+}
 
+// gatherChunks compiles the star that carries the chunk of every path index
+// v > 0, sz[v] elements, to path index 0, which stores it at off[v]: senders
+// inject after their own router turns to pass-through, so the root receives
+// chunks 1, 2, ... in order. A placed chunk is sent from off[v] of its
+// sender's buffer, any other from the start.
+func gatherChunks(spec *fabric.Spec, path mesh.Path, off, sz []int, placed bool, color mesh.Color) {
+	p := len(path)
 	root := spec.PE(path[0])
 	for v := 1; v < p; v++ {
 		root.Ops = append(root.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: color, Off: off[v], N: sz[v]})
@@ -102,8 +110,11 @@ func BuildGather(spec *fabric.Spec, path mesh.Path, b int, color mesh.Color) err
 
 	for v := 1; v < p; v++ {
 		pe := spec.PE(path[v])
-		// Each PE's chunk sits at the start of its local buffer.
-		pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpSend, Color: color, N: sz[v]})
+		op := fabric.Op{Kind: fabric.OpSend, Color: color, N: sz[v]}
+		if placed {
+			op.Off = off[v]
+		}
+		pe.Ops = append(pe.Ops, op)
 		pe.AddConfig(color, fabric.RouterConfig{
 			Accept:  mesh.Ramp,
 			Forward: mesh.Dirs(path.TowardStart(v)),
@@ -116,7 +127,6 @@ func BuildGather(spec *fabric.Spec, path mesh.Path, b int, color mesh.Color) err
 			})
 		}
 	}
-	return nil
 }
 
 // BuildReduceScatter compiles a ReduceScatter along a path: afterwards

@@ -5,12 +5,14 @@ package core
 // middle-root AllReduce of §6.1's root-placement remark. They complete the
 // MPI-style collective suite on the same fabric substrate.
 //
-// ReduceScatter and AllGather each have two schedules — a phase of the ring
-// AllReduce (§6.2), or a composition through the leftmost PE, Reduce then
-// Scatter and Gather then Broadcast — and deploy whichever the model prices
-// lower (BestReduceScatter, BestAllGather). A Pattern names the schedule: Ring, or the tree that carries the
-// data to the root (any reduce tree for ReduceScatter; Star for AllGather,
-// whose Gather sends every chunk straight to the root).
+// ReduceScatter and AllGather name no algorithm: each deploys whichever of
+// its schedules the model prices lowest (BestReduceScatter, BestAllGather),
+// and a Pattern names the one picked. ReduceScatter has two — Ring, the first
+// phase of the ring AllReduce (§6.2), or a composition through the leftmost
+// PE, Reduce over the tree the pattern names, then Scatter. AllGather has
+// three: Ring, its second phase; Star, the composition through the middle PE
+// — a star Gather of both halves into PE ⌊P/2⌋, then a flood both ways; and
+// GatherFlood, every PE flooding its own chunk on its turn.
 //
 // Each collective is a Build*Into compiler (program and routing tables only,
 // no initial data); the plan subsystem binds inputs into what it compiled,
@@ -18,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/comm"
 	"repro/internal/fabric"
@@ -50,10 +53,10 @@ func BuildGatherInto(spec *fabric.Spec, p, b int) error {
 	return comm.BuildGather(spec, mesh.Row(0, 0, p), b, scatterColor)
 }
 
-// placeChunks moves the chunk every PE but the root sends or receives in its
-// last op — the one comm.BuildScatter or comm.BuildGather just appended —
-// from the front of its accumulator to its Chunks offset: where a
-// composition through the root keeps chunk j of the B-element image.
+// placeChunks moves the chunk every PE but the root receives in its last op
+// — the one comm.BuildScatter just appended — from the front of its
+// accumulator to its Chunks offset: where a ReduceScatter through the root
+// leaves chunk j of the B-element image.
 func placeChunks(spec *fabric.Spec, p, b int) error {
 	off, _ := comm.Chunks(p, b)
 	for v, c := range mesh.Row(0, 0, p)[1:] {
@@ -62,8 +65,8 @@ func placeChunks(spec *fabric.Spec, p, b int) error {
 			return fmt.Errorf("core: PE %v has no chunk op to place", c)
 		}
 		op := &ops[len(ops)-1]
-		if op.Color != scatterColor || op.Kind != fabric.OpSend && op.Kind != fabric.OpRecvStore {
-			return fmt.Errorf("core: PE %v ends in %v on color %d, not its chunk's send or receive", c, op.Kind, op.Color)
+		if op.Color != scatterColor || op.Kind != fabric.OpRecvStore {
+			return fmt.Errorf("core: PE %v ends in %v on color %d, not its chunk's receive", c, op.Kind, op.Color)
 		}
 		op.Off = off[v+1]
 	}
@@ -109,43 +112,55 @@ func BuildReduceScatterInto(spec *fabric.Spec, pattern Pattern, p, b int, pr mod
 	return placeChunks(spec, p, b)
 }
 
-// BestAllGather picks what an AllGather runs: Ring, the second phase of the
-// ring AllReduce, or Star — Gather every chunk straight to the root, then
-// Broadcast the assembled vector. The ring wins ties.
+// AllGatherPatterns lists the schedules of an AllGather: Ring, the second
+// phase of the ring AllReduce; Star, the composition through the middle PE;
+// and GatherFlood.
+var AllGatherPatterns = []Pattern{Ring, Star, GatherFlood}
+
+// BestAllGather picks the schedule an AllGather runs, the one the model
+// prices lowest; the earlier in AllGatherPatterns wins a tie.
 func BestAllGather(p, b int, pr model.Params) (Pattern, float64) {
-	if t := PredictAllGather(Star, p, b, pr); t < pr.AllGather(p, b) {
-		return Star, t
+	best, bestT := Ring, math.Inf(1)
+	for _, pat := range AllGatherPatterns {
+		if t := PredictAllGather(pat, p, b, pr); t < bestT {
+			best, bestT = pat, t
+		}
 	}
-	return Ring, pr.AllGather(p, b)
+	return best, bestT
 }
 
 // PredictAllGather estimates an AllGather under a schedule BestAllGather can
 // pick.
 func PredictAllGather(pattern Pattern, p, b int, pr model.Params) float64 {
-	if pattern == Ring {
+	switch pattern {
+	case Ring:
 		return pr.AllGather(p, b)
+	case Star:
+		return pr.MidRootAllGather(p, b)
+	case GatherFlood:
+		return pr.GatherFlood(p, b)
 	}
-	return pr.Then(pr.Gather(p, b), pr.Broadcast1D(p, b))
+	return 0
 }
 
 // BuildAllGatherInto compiles an allgather of b total elements over a row
-// of p PEs into spec under the given schedule. Either way PE j starts with
-// chunk j at its Chunks offset and every PE ends with the full vector.
-func BuildAllGatherInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Params) error {
+// of p PEs into spec under a schedule BestAllGather can pick. Every way PE j
+// starts with chunk j at its Chunks offset and every PE ends with the full
+// vector.
+func BuildAllGatherInto(spec *fabric.Spec, pattern Pattern, p, b int) error {
 	if p < 2 {
 		return fmt.Errorf("core: allgather needs at least 2 PEs")
 	}
 	path := mesh.Row(0, 0, p)
-	if pattern == Ring {
+	switch pattern {
+	case Ring:
 		return comm.BuildAllGather(spec, path, b, comm.RingSimple)
+	case Star:
+		return comm.BuildAllGatherMidRoot(spec, p, b)
+	case GatherFlood:
+		return comm.BuildGatherFlood(spec, path, b)
 	}
-	if err := comm.BuildGather(spec, path, b, scatterColor); err != nil {
-		return err
-	}
-	if err := placeChunks(spec, p, b); err != nil {
-		return err
-	}
-	return comm.BuildBroadcast(spec, path, b, comm.ColorBcast)
+	return fmt.Errorf("core: allgather has no schedule %q", pattern)
 }
 
 // AllGatherInit returns the b-length initial accumulator of a PE for an

@@ -40,6 +40,9 @@ const (
 	// reproduction implements it, and Auto deploys it where it wins.
 	Ring   Pattern = "ring"
 	RingDP Pattern = "ring-dp"
+	// GatherFlood is an AllGather schedule, and only BestAllGather names
+	// it: every PE floods its own chunk on its turn (comm.BuildGatherFlood).
+	GatherFlood Pattern = "gather-flood"
 )
 
 // Patterns1D lists the concrete (runnable) 1D patterns.

@@ -93,11 +93,12 @@ func (o Options) withDefaults() Options {
 // Canonical resolves every defaulted field to the concrete value the
 // engine would run under, so two Options that execute identically compare
 // equal. The noise parameters are clamped into their effective ranges, the
-// Seed is dropped when nothing draws from the RNG, Shards at or below one
-// collapses to the serial engine's zero, and the Tracer handle (a debug
-// attachment, not an execution parameter) is cleared. Cache keys and
-// persisted plans are derived from canonical options, which is what keeps
-// a plan stored by one release addressable by the next.
+// Seed is dropped when nothing draws from the RNG, a negative Shards becomes
+// the 1 that forces the serial engine just the same (0, auto-tuning, stays
+// 0), and the Tracer handle (a debug attachment, not an execution parameter)
+// is cleared. Cache keys and persisted plans are derived from canonical
+// options, which is what keeps a plan stored by one release addressable by
+// the next.
 func (o Options) Canonical() Options {
 	o = o.withDefaults()
 	if o.ClockSkewMax < 0 {
@@ -112,8 +113,8 @@ func (o Options) Canonical() Options {
 	if o.ClockSkewMax == 0 && o.ThermalNoopRate == 0 {
 		o.Seed = 0
 	}
-	if o.Shards <= 1 {
-		o.Shards = 0
+	if o.Shards < 0 {
+		o.Shards = 1
 	}
 	o.Tracer = nil
 	return o
@@ -580,6 +581,10 @@ func autoShards(n int) int {
 	}
 	return s
 }
+
+// Shards is the number of row-major bands the engine steps: 1 is the serial
+// engine.
+func (f *Fabric) Shards() int { return len(f.shards) }
 
 // initShards partitions the units into contiguous row-major bands.
 func (f *Fabric) initShards() {

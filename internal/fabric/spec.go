@@ -120,7 +120,8 @@ const (
 	// simultaneously receiving N2 wavelets on Color, combining them into
 	// acc[Off2:Off2+N2] (the ramp is bidirectional: one wavelet out and
 	// one in per cycle). The op completes when both directions have
-	// passed their trailing controls.
+	// passed their trailing controls. Color and OutColor may be one color:
+	// a color's outgoing ramp queue and its inbox are separate queues.
 	OpSendRecvReduce
 	// OpSendRecvStore is OpSendRecvReduce with the incoming elements
 	// overwriting the accumulator (the allgather half of a ring).
@@ -348,9 +349,6 @@ func (s *Spec) Validate() error {
 			case OpSendRecvReduce, OpSendRecvStore:
 				if op.N <= 0 || op.N2 <= 0 {
 					return fmt.Errorf("fabric: PE %v op %d (%v) has N=%d N2=%d", c, i, op.Kind, op.N, op.N2)
-				}
-				if op.Color == op.OutColor {
-					return fmt.Errorf("fabric: PE %v op %d (%v) sends and receives on color %d", c, i, op.Kind, op.Color)
 				}
 			case OpBusyWrite:
 				if op.N < 0 {

@@ -1,10 +1,13 @@
 package model
 
 // Model estimates for the extension collectives this reproduction adds on
-// top of the paper's set: Scatter, Gather, ReduceScatter, AllGather and
-// the middle-root AllReduce (the root-placement optimisation §6.1
-// attributes to the stencil implementations of Jacquelin et al. [25]).
-// All follow Eq. 1 with the metrics read off the compiled patterns.
+// top of the paper's set: Scatter, Gather, ReduceScatter, the three
+// AllGather schedules and the middle-root AllReduce (the root-placement
+// optimisation §6.1 attributes to the stencil implementations of Jacquelin
+// et al. [25]). All follow Eq. 1 with the metrics read off the compiled
+// patterns; the gather-flood is priced turn by turn.
+
+import "math"
 
 // Scatter estimates delivering per-PE chunks from the row root: the root
 // serialises B(P-1)/P wavelets (contention), the farthest chunk travels
@@ -35,6 +38,55 @@ func (pr Params) ReduceScatter(p, b int) float64 {
 // AllGather estimates the second ring phase, which has the same shape.
 func (pr Params) AllGather(p, b int) float64 {
 	return pr.ReduceScatter(p, b)
+}
+
+// MidRootAllGather estimates the AllGather through the middle PE
+// (comm.BuildAllGatherMidRoot): both halves gather into PE ⌊P/2⌋, which
+// floods the assembled vector over the longer half, the west one of ⌊P/2⌋+1
+// PEs. The middle PE takes every other chunk over its one ramp, back to back,
+// as the end PE of a Gather does — splitting the row shortens only the way of
+// chunks that queue anyway — so the gather costs a Gather's cycles and the
+// flood half a Broadcast's distance.
+func (pr Params) MidRootAllGather(p, b int) float64 {
+	return pr.Then(pr.Gather(p, b), pr.Broadcast1D(p/2+1, b))
+}
+
+// GatherFlood prices the gather-flood AllGather (comm.BuildGatherFlood) turn
+// by turn. Turn v floods chunk v, s_v of the balanced chunks, from PE v: its
+// w_v = s_v + Ctl wavelets leave PE v's router in consecutive cycles from R_v
+// on, where R_0 = T_R (PE 0's send down its ramp) and
+//
+//	R_{v+1} = max(R_v + w_v + 1, R_{v−1} + w_{v−1} + 1 + 2·T_R + 1)
+//
+// is the later of two events. Turn v's control has crossed PE v+1's router,
+// one hop after it left PE v's at R_v + w_v − 1, and moved its configuration
+// on to the ramp. And PE v+1 has its chunk on the ramp: it posts it the cycle
+// after it consumed chunk v−1, whose control left PE v−1's router at
+// R_{v−1} + w_{v−1} − 1 and came two hops and T_R up, and the chunk takes T_R
+// down (PE 1 posts at once, so turn 1 waits for turn 0 alone). The turns
+// share one color and each router passes them in order, so none waits on
+// another's wire and every PE takes each chunk as it arrives. The last turn is
+// Lemma 4.1's flood of its chunk over the whole row, started R_{P−1} − T_R
+// late. The form is the simulator's count to the cycle wherever the queues
+// keep a stream moving, balanced chunks or not — under the default queue
+// depth, at T_R ≤ 3.
+func (pr Params) GatherFlood(p, b int) float64 {
+	if p <= 1 {
+		return 0
+	}
+	w := func(v int) float64 {
+		if v < b%p {
+			return pr.transfer(b/p + 1)
+		}
+		return pr.transfer(b / p)
+	}
+	before, r := math.Inf(-1), float64(pr.TR) // R_{v−1} + w_{v−1}, R_v
+	for v := 0; v < p-1; v++ {
+		wv := w(v)
+		before, r = r+wv, math.Max(r+wv+1, before+1+pr.ramp())
+	}
+	// The last chunk is never one of the longer ones.
+	return r - float64(pr.TR) + pr.Broadcast1D(p, b/p)
 }
 
 // MidRootAllReduce prices the middle-root AllReduce as the one path it is

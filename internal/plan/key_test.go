@@ -64,7 +64,6 @@ func TestKeyCanonicalisation(t *testing.T) {
 		{"explicit-queue-cap", func(r Request) Request { r.Opt.QueueCap = fabric.DefaultQueueCap; return r }},
 		{"explicit-max-cycles", func(r Request) Request { r.Opt.MaxCycles = fabric.DefaultMaxCycles; return r }},
 		{"seed-without-noise", func(r Request) Request { r.Opt.Seed = 1234; return r }},
-		{"shards-one-is-serial", func(r Request) Request { r.Opt.Shards = 1; return r }},
 		{"irrelevant-2d-alg", func(r Request) Request { r.Alg2D = core.Snake; return r }},
 		{"irrelevant-grid", func(r Request) Request { r.Width, r.Height = 9, 9; return r }},
 	}
@@ -89,6 +88,7 @@ func TestKeyCanonicalisation(t *testing.T) {
 		func(r Request) Request { r.Opt.TR = -1; return r },
 		func(r Request) Request { r.Opt.Seed = 7; r.Opt.ClockSkewMax = 2; return r },
 		func(r Request) Request { r.Opt.Shards = 2; return r },
+		func(r Request) Request { r.Opt.Shards = 1; return r }, // serial, where 0 auto-tunes
 		func(r Request) Request { r.Opt.ThermalNoopRate = 0.5; return r },
 	}
 	for i, mut := range distinct {

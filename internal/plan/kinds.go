@@ -269,8 +269,8 @@ var Kinds = []KindInfo{
 		Doc:     "distribute per-PE chunks so every PE ends with the full vector",
 		Chunked: true, Inputs: ChunkPerPE, placed: true,
 		auto: func(r *Request, pr model.Params) { r.Alg, _ = core.BestAllGather(r.P, r.B, pr) },
-		build: func(s *fabric.Spec, r Request, pr model.Params) error {
-			return core.BuildAllGatherInto(s, r.Alg, r.P, r.B, pr)
+		build: func(s *fabric.Spec, r Request, _ model.Params) error {
+			return core.BuildAllGatherInto(s, r.Alg, r.P, r.B)
 		},
 		predict: func(r Request, pr model.Params) float64 { return core.PredictAllGather(r.Alg, r.P, r.B, pr) },
 		bound:   boundChunked,

@@ -82,7 +82,7 @@ var latticeRuns = sync.OnceValues(func() ([]latticeCell, error) {
 // cycle every X-Y form was over hid one of the seven. A binomial tree on a few
 // PEs more than a power of two shares links too: xy-tree at 17×17, B = 16, is
 // 12 cycles under on a 193-cycle Reduce. The centre root is exact, and so are
-// floods, Scatter, Gather and the ring phases.
+// floods, Scatter, Gather, the ring phases and every AllGather schedule.
 var modelTolerancePct = map[Kind]float64{
 	Reduce1D:         6, // 5.41
 	AllReduce1D:      4, // 3.64
@@ -121,8 +121,8 @@ func tolerancePct(c latticeCell) float64 {
 // kind's tolerance of the measurement; the measurement sits at or above the
 // bound; and Auto is within autoSlack of the best pinned schedule — for an
 // AllReduce along a row that is every tree under either root and both rings,
-// for ReduceScatter and AllGather (conformChunked) the ring phase and the
-// composition through the root.
+// for ReduceScatter and AllGather (conformChunked) every schedule they pick
+// from.
 func conformLattice(t *testing.T) {
 	cells, err := latticeRuns()
 	if err != nil {
@@ -185,41 +185,59 @@ func conformLattice(t *testing.T) {
 	}
 }
 
-// conformChunked holds a ReduceScatter or AllGather cell to both its
-// schedules, each built directly through core and run on the simulator: the
-// run took no longer than the faster of the ring phase and the composition
-// through the root.
+// conformChunked holds a ReduceScatter or AllGather cell to every schedule
+// it picks from, each built directly through core and run on the simulator:
+// the run took no longer than any of them. ReduceScatter picks from the ring
+// phase and the composition through the root, AllGather from
+// core.AllGatherPatterns.
 func conformChunked(t *testing.T, c latticeCell) {
 	t.Helper()
 	req := c.req
-	pr := core.Params(req.Opt)
-	var build func(s *fabric.Spec, alg core.Pattern) error
-	var viaRoot core.Pattern
+	var schedules []core.Pattern
 	switch req.Kind {
 	case ReduceScatter:
-		viaRoot, _ = core.BestReduce1D(req.P, req.B, pr)
-		build = func(s *fabric.Spec, alg core.Pattern) error {
-			return core.BuildReduceScatterInto(s, alg, req.P, req.B, pr, req.Op)
-		}
+		viaRoot, _ := core.BestReduce1D(req.P, req.B, core.Params(req.Opt))
+		schedules = []core.Pattern{core.Ring, viaRoot}
 	case AllGather:
-		viaRoot = core.Star
-		build = func(s *fabric.Spec, alg core.Pattern) error { return core.BuildAllGatherInto(s, alg, req.P, req.B, pr) }
+		schedules = core.AllGatherPatterns
 	default:
 		t.Fatalf("%s chooses a schedule this test does not know", req.Kind)
 	}
-	for _, alg := range []core.Pattern{core.Ring, viaRoot} {
-		p := &Plan{Kind: req.Kind, P: req.P, B: req.B, Opt: req.Opt.Canonical(), Spec: fabric.NewSpec(req.P, 1)}
-		if err := build(p.Spec, alg); err != nil {
-			t.Fatalf("%s p=%d b=%d under %s: %v", req.Kind, req.P, req.B, alg, err)
-		}
-		rep, err := p.ExecuteUnpooled(req.Inputs(ramp))
+	for _, alg := range schedules {
+		rep, err := runSchedule(req, alg, req.Inputs(ramp))
 		if err != nil {
-			t.Fatalf("%s p=%d b=%d under %s: %v", req.Kind, req.P, req.B, alg, err)
+			t.Fatal(err)
 		}
 		if c.cycles > rep.Cycles {
 			t.Errorf("%s p=%d b=%d: ran %s in %d cycles, %s takes %d", req.Kind, req.P, req.B, c.alg, c.cycles, alg, rep.Cycles)
 		}
 	}
+}
+
+// runSchedule runs a ReduceScatter or AllGather request under the schedule
+// alg, built directly through core — not the one Auto would pick — with the
+// schedule's own estimate as the report's Predicted.
+func runSchedule(req Request, alg core.Pattern, inputs [][]float32) (*core.Report, error) {
+	pr := core.Params(req.Opt)
+	p := &Plan{Kind: req.Kind, P: req.P, B: req.B, Opt: req.Opt.Canonical(), Spec: fabric.NewSpec(req.P, 1)}
+	var err error
+	switch req.Kind {
+	case ReduceScatter:
+		err = core.BuildReduceScatterInto(p.Spec, alg, req.P, req.B, pr, req.Op)
+		p.Predicted = core.PredictReduceScatter(alg, req.P, req.B, pr)
+	case AllGather:
+		err = core.BuildAllGatherInto(p.Spec, alg, req.P, req.B)
+		p.Predicted = core.PredictAllGather(alg, req.P, req.B, pr)
+	default:
+		err = fmt.Errorf("%s has no schedules to pin", req.Kind)
+	}
+	if err == nil {
+		var rep *core.Report
+		if rep, err = p.ExecuteUnpooled(inputs); err == nil {
+			return rep, nil
+		}
+	}
+	return nil, fmt.Errorf("%s p=%d b=%d under %s: %w", req.Kind, req.P, req.B, alg, err)
 }
 
 // benchAutoShapes restates the Auto and algorithm-free shapes of the five

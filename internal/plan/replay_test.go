@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -264,4 +265,35 @@ func TestSharded2DGridCompletes(t *testing.T) {
 		t.Fatal("no cycles measured")
 	}
 	t.Logf("512x512 reduce2d: %d cycles, %d hops", rep.Cycles, rep.Stats.Hops)
+}
+
+// TestShardsOneIsSerial compiles a plan large enough for the engine to
+// auto-tune into bands (64×64 PEs) with Shards: 1, and its fabric is the
+// serial engine's one band; a negative Shards asks for the same. The request's
+// key says so: shards=1, where the auto-tuned request keys shards=0.
+func TestShardsOneIsSerial(t *testing.T) {
+	base := Request{Kind: Reduce2D, Alg2D: core.XYTree, Width: 64, Height: 64, B: 1}
+	auto := KeyOf(base).String()
+	for _, shards := range []int{1, -3} {
+		req := base
+		req.Opt.Shards = shards
+		pl, err := Compile(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fabric.New(pl.Spec, pl.Opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := f.Shards(); n != 1 {
+			t.Errorf("Shards: %d compiles a plan whose fabric runs %d bands", shards, n)
+		}
+		key := KeyOf(req).String()
+		if !strings.HasSuffix(key, ";shards=1") || key == auto {
+			t.Errorf("Shards: %d keys as %s (auto-tuned: %s)", shards, key, auto)
+		}
+	}
+	if !strings.HasSuffix(auto, ";shards=0") {
+		t.Errorf("the auto-tuned request keys as %s", auto)
+	}
 }

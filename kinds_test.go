@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/plan"
 )
 
@@ -98,11 +99,11 @@ func checkResult(t *testing.T, name string, sh Shape, ki *plan.KindInfo, want []
 // checked against a plain loop over the inputs. The inputs are small
 // integers, exact in float32 under any order of combination, and differ
 // from PE to PE and element to element, so a builder that drops, repeats,
-// misplaces or miscombines a contribution fails here. It walks two
+// misplaces or miscombines a contribution fails here. It walks three
 // geometries, so that ReduceScatter and AllGather, which take no algorithm,
-// run both their schedules: the ring phase at the first, the composition
-// through the root at the second. The key, layout and compile side of the
-// same walk is the plan package's test of the same name.
+// run every schedule: the ring phase at the first, the composition through
+// the root at the second, the gather-flood at the third. The key, layout and
+// compile side of the same walk is the plan package's test of the same name.
 func TestKindTableConformance(t *testing.T) {
 	ran := map[string]bool{}
 	for i := range plan.Kinds {
@@ -110,11 +111,11 @@ func TestKindTableConformance(t *testing.T) {
 		if _, ok := contract[ki.Kind]; !ok {
 			t.Fatalf("%s: no result contract for the kind", ki.Kind)
 		}
-		for _, g := range []Shape{{P: 6, Width: 3, Height: 2, B: 14}, {P: 8, Width: 4, Height: 2, B: 8}} {
+		for _, g := range []Shape{{P: 6, Width: 3, Height: 2, B: 120}, {P: 8, Width: 4, Height: 2, B: 8}, {P: 6, Width: 3, Height: 2, B: 14}} {
 			conformRow(t, ki, g, ran)
 		}
 	}
-	for _, schedule := range []string{"reducescatter/ring", "reducescatter/tree", "allgather/ring", "allgather/star"} {
+	for _, schedule := range []string{"reducescatter/ring", "reducescatter/tree", "allgather/ring", "allgather/star", "allgather/gather-flood"} {
 		if !ran[schedule] {
 			t.Errorf("no shape of the walk ran %s (ran %v)", schedule, ran)
 		}
@@ -237,8 +238,8 @@ func TestShapeResolve(t *testing.T) {
 							if res.Alg != Ring && !slices.Contains(plan.InfoOf(KindReduce).Algs, res.Alg) {
 								t.Errorf("%s: Resolve names schedule %q", name, res.Alg)
 							}
-						case ki.Kind == KindAllGather: // the ring phase, or the Gather's star and the Broadcast
-							if res.Alg != Ring && res.Alg != Star {
+						case ki.Kind == KindAllGather: // the ring phase, the star through the middle PE, or the gather-flood
+							if !slices.Contains(core.AllGatherPatterns, res.Alg) {
 								t.Errorf("%s: Resolve names schedule %q", name, res.Alg)
 							}
 						case ki.Algs == nil || alg != Auto:

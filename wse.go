@@ -76,7 +76,10 @@ const (
 	// valid for AllReduce only. The paper models the ring and concludes it
 	// rarely wins on this fabric; run, it wins where the model says — few
 	// PEs, long vectors — and Auto deploys it there. A resolved
-	// ReduceScatter or AllGather names Ring for its ring phase.
+	// ReduceScatter or AllGather names Ring for its ring phase; a resolved
+	// AllGather's other schedules are Star (through the middle PE) and
+	// "gather-flood" (every PE floods its own chunk), which has no constant
+	// here because no request names it.
 	Ring   = core.Ring
 	RingDP = core.RingDP
 )
