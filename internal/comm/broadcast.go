@@ -7,44 +7,48 @@ import (
 	"repro/internal/mesh"
 )
 
-// BuildBroadcast compiles the paper's flooding broadcast (§4.2) along a
-// path: the PE at path index 0 streams its accumulator; every router
-// duplicates the stream towards the far end of the path and up its own
+// BuildFlood compiles the paper's flooding broadcast (§4.2) on a lane from
+// path index root, on the lane's Base color: the root streams its window;
+// every router duplicates the stream on away from the root and up its own
 // ramp (hardware multicast at no cost), so the whole broadcast costs the
-// same as sending a single message (Lemma 4.1: T = B + P + 2T_R).
+// same as sending a single message (Lemma 4.1: T = B + P + 2T_R) over the
+// longer side. Root 0 is the paper's broadcast; the middle root floods from
+// the middle, both ways.
 //
 // Ops are appended to whatever program the PEs already have, which is how
 // AllReduce composes Reduce-then-Broadcast.
-func BuildBroadcast(spec *fabric.Spec, path mesh.Path, b int, color mesh.Color) error {
-	if err := path.Validate(); err != nil {
+func BuildFlood(spec *fabric.Spec, lane Lane, root int) error {
+	path, color := lane.Path, lane.Base
+	if err := lane.validate(1); err != nil {
 		return err
 	}
-	if b <= 0 {
-		return fmt.Errorf("comm: vector length %d", b)
-	}
 	p := len(path)
+	if root < 0 || root >= p {
+		return fmt.Errorf("comm: flood root %d outside a path of %d PEs", root, p)
+	}
 	if p == 1 {
 		return nil // nothing to broadcast to
 	}
 	for v := 0; v < p; v++ {
 		pe := spec.PE(path[v])
-		if v == 0 {
-			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpSend, Color: color, N: b})
-			pe.AddConfig(color, fabric.RouterConfig{
-				Accept:  mesh.Ramp,
-				Forward: mesh.Dirs(path.TowardEnd(v)),
-			})
-			continue
+		op := fabric.Op{Kind: fabric.OpRecvStore, Color: color, Off: lane.Off, N: lane.N}
+		cfg := fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.Ramp)}
+		switch {
+		case v == root:
+			op.Kind, cfg.Forward = fabric.OpSend, 0
+		case v > root:
+			cfg.Accept = path.TowardStart(v)
+		default:
+			cfg.Accept = path.TowardEnd(v)
 		}
-		pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: color, N: b})
-		fwd := mesh.Dirs(mesh.Ramp)
-		if v < p-1 {
-			fwd = fwd.Set(path.TowardEnd(v))
+		if v >= root && v < p-1 {
+			cfg.Forward = cfg.Forward.Set(path.TowardEnd(v))
 		}
-		pe.AddConfig(color, fabric.RouterConfig{
-			Accept:  path.TowardStart(v),
-			Forward: fwd,
-		})
+		if v <= root && v > 0 {
+			cfg.Forward = cfg.Forward.Set(path.TowardStart(v))
+		}
+		pe.Ops = append(pe.Ops, op)
+		pe.AddConfig(color, cfg)
 	}
 	return nil
 }
@@ -53,8 +57,8 @@ func BuildBroadcast(spec *fabric.Spec, path mesh.Path, b int, color mesh.Color) 
 // the root streams both ways along its row while every router of that row
 // multicasts the stream up and down its column, reaching all width×height
 // PEs with depth 1 and distance the Manhattan distance to the farthest corner
-// (Lemma 7.1 from root (0,0), the paper's flood). The middle-root AllReduce
-// floods a P×1 grid from (P/2, 0), the centre root a grid from its centre.
+// (Lemma 7.1 from root (0,0), the paper's flood). The centre root floods a
+// grid from its centre.
 func BuildBroadcast2D(spec *fabric.Spec, width, height int, root mesh.Coord, b int, color mesh.Color) error {
 	if b <= 0 {
 		return fmt.Errorf("comm: vector length %d", b)

@@ -7,33 +7,63 @@ import (
 	"repro/internal/mesh"
 )
 
-// Standard color assignments. 1D collectives use colors 0-1 for the tree
-// and 2 for the broadcast; 2D X-Y collectives use 0-1 for rows, 2-3 for
-// the column phase and 4 for the 2D broadcast, matching the paper's budget
-// of ≤3 colors in 1D and ≤5 in 2D (§8.2). The middle root uses 5: 0-1 and
-// 2-3 for its halves, 4 for the flood; its AllGather 0 and 1 for the halves'
-// gathers and 4 for the flood, and the gather-flood one, ColorFlood. The
-// centre root uses 9 of the fabric's 24: the middle root's 5 in every row,
-// and 5-6 and 7-8 for the halves of the middle column. The measurement
-// harness's trigger rides on TriggerColor, 23, on top.
+// The color budget. A 1D schedule runs on a Lane and takes the colors from
+// the lane's Base up: a tree reduce Base and Base+1, and the end-rooted
+// AllReduce floods behind it on Base+2; the ring takes Base to Base+2 (Base+3
+// in its distance-preserving mapping); the middle root reduces its halves on
+// Base to Base+3 and floods on Base+4, and its AllGather gathers the halves on
+// Base and Base+1 and floods on Base+4; the gather-flood takes Base alone. A
+// 1D kind runs row 0 from Base 0, within the paper's budget of ≤3 colors in
+// 1D (§8.2) but for the middle root's 5. The 2D X-Y collectives reduce the rows
+// from 0 and column 0 from ColorColumn, and flood on ColorBcast2, the paper's
+// ≤5 in 2D. The centre root takes 9 of the fabric's 24: the middle root's 5 in
+// every row, and the middle column's halves from 5. The split AllReduce takes
+// 13: the rows' ring reduce-scatter on 0-2, the column AllReduces from 3
+// (3-7), the rows' AllGather from 8 (8-12). The measurement harness's trigger
+// rides on TriggerColor, 23, on top.
 const (
-	ColorTreeA  mesh.Color = 0
-	ColorTreeB  mesh.Color = 1
-	ColorBcast  mesh.Color = 2
-	ColorColA   mesh.Color = 2
-	ColorColB   mesh.Color = 3
+	// ColorBcast is the color of a lone 1D broadcast.
+	ColorBcast mesh.Color = 2
+	// ColorColumn is the base of an X-Y reduce's column phase.
+	ColorColumn mesh.Color = 2
+	// ColorBcast2 is the color of every 2D flood.
 	ColorBcast2 mesh.Color = 4
 	// TriggerColor carries the start trigger of the §8.3 measurement
 	// methodology.
 	TriggerColor mesh.Color = 23
 )
 
-// The color pairs of the two halves of a middle-root reduce: west, then east.
-// A row uses rowHalves; the centre root's middle column, columnHalves.
-var (
-	rowHalves    = [2]ColorPair{{0, 1}, {2, 3}}
-	columnHalves = [2]ColorPair{{5, 6}, {7, 8}}
-)
+// A Lane is where a 1D schedule runs: along Path, on the window
+// acc[Off:Off+N] of every PE's accumulator, on the colors from Base up (the
+// color budget above says how many each schedule takes). A 1D kind runs
+// RowLane; the split AllReduce runs lanes on every row and every column, each
+// column on its own chunk of the vector.
+type Lane struct {
+	Path   mesh.Path
+	Off, N int
+	Base   mesh.Color
+}
+
+// RowLane is row 0 of p PEs over the whole b-element vector, from color 0.
+func RowLane(p, b int) Lane { return Lane{Path: mesh.Row(0, 0, p), N: b} }
+
+// validate checks the path and that the window holds at least min elements.
+func (l Lane) validate(min int) error {
+	if l.N < min || l.Off < 0 {
+		return fmt.Errorf("comm: window of %d elements at offset %d, want at least %d at an offset >= 0", l.N, l.Off, min)
+	}
+	return l.Path.Validate()
+}
+
+// chunks returns the balanced chunks of the lane's window over its PEs, at
+// their offsets in the accumulator.
+func (l Lane) chunks() (off, sz []int) {
+	off, sz = Chunks(len(l.Path), l.N)
+	for j := range off {
+		off[j] += l.Off
+	}
+	return off, sz
+}
 
 // TreeOf builds the reduction tree of a named 1D pattern. Auto-Gen trees
 // come from the autogen package instead and are passed to BuildTreeReduce
@@ -58,26 +88,22 @@ func TreeOf(pattern string, p int) (Tree, error) {
 	return Tree{}, fmt.Errorf("comm: unknown pattern %q", pattern)
 }
 
-// BuildReduce1D compiles a tree Reduce along a path, rooted at path index
-// 0, using the standard 1D colors.
-func BuildReduce1D(spec *fabric.Spec, path mesh.Path, tree Tree, b int, op fabric.ReduceOp) error {
-	return BuildTreeReduce(spec, path, tree, b, ColorPair{ColorTreeA, ColorTreeB}, op)
-}
-
 // BuildAllReduce1D compiles the paper's Reduce-then-Broadcast AllReduce
-// (§6.1) along a path: a tree Reduce to path index 0 followed by a
-// flooding broadcast of the result.
-func BuildAllReduce1D(spec *fabric.Spec, path mesh.Path, tree Tree, b int, op fabric.ReduceOp) error {
-	if err := BuildReduce1D(spec, path, tree, b, op); err != nil {
+// (§6.1) on a lane: a tree Reduce to path index 0 followed by a flooding
+// broadcast of the result on Base+2.
+func BuildAllReduce1D(spec *fabric.Spec, lane Lane, tree Tree, op fabric.ReduceOp) error {
+	if err := BuildTreeReduce(spec, lane, tree, op); err != nil {
 		return err
 	}
-	return BuildBroadcast(spec, path, b, ColorBcast)
+	flood := lane
+	flood.Base += 2
+	return BuildFlood(spec, flood, 0)
 }
 
 // BuildReduceXY compiles the 2D X-Y Reduce of §7.2 on a width×height
 // grid: rowTree reduces every row to column 0 (all rows share colors 0-1;
 // rows are link-disjoint), then colTree reduces column 0 to (0,0) on
-// colors 2-3.
+// the two colors from ColorColumn.
 //
 // rowTree must have width vertices and colTree height vertices.
 func BuildReduceXY(spec *fabric.Spec, width, height int, rowTree, colTree Tree, b int, op fabric.ReduceOp) error {
@@ -88,12 +114,12 @@ func BuildReduceXY(spec *fabric.Spec, width, height int, rowTree, colTree Tree, 
 		return fmt.Errorf("comm: column tree has %d vertices, grid height %d", colTree.Len(), height)
 	}
 	for y := 0; y < height; y++ {
-		if err := BuildTreeReduce(spec, mesh.Row(y, 0, width), rowTree, b, ColorPair{ColorTreeA, ColorTreeB}, op); err != nil {
+		if err := BuildTreeReduce(spec, Lane{Path: mesh.Row(y, 0, width), N: b}, rowTree, op); err != nil {
 			return fmt.Errorf("comm: row %d: %w", y, err)
 		}
 	}
 	if height > 1 {
-		if err := BuildTreeReduce(spec, mesh.Column(0, 0, height), colTree, b, ColorPair{ColorColA, ColorColB}, op); err != nil {
+		if err := BuildTreeReduce(spec, Lane{Path: mesh.Column(0, 0, height), N: b, Base: ColorColumn}, colTree, op); err != nil {
 			return fmt.Errorf("comm: column phase: %w", err)
 		}
 	}
@@ -105,5 +131,5 @@ func BuildReduceXY(spec *fabric.Spec, width, height int, rowTree, colTree Tree, 
 // B >> P where contention dominates.
 func BuildReduceSnake(spec *fabric.Spec, width, height, b int, op fabric.ReduceOp) error {
 	path := mesh.Snake(height, width)
-	return BuildTreeReduce(spec, path, Chain(len(path)), b, ColorPair{ColorTreeA, ColorTreeB}, op)
+	return BuildTreeReduce(spec, Lane{Path: path, N: b}, Chain(len(path)), op)
 }

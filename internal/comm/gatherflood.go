@@ -26,38 +26,35 @@ import (
 // queues with wavelets no PE can take yet — 1404 cycles against 1219 at
 // P = 64, B = 1024.
 
-// ColorFlood is the color of a gather-flood's turns.
-const ColorFlood mesh.Color = 0
-
-// BuildGatherFlood compiles the gather-flood AllGather along a path:
-// beforehand path index j holds chunk j at its Chunks offset; afterwards
-// every PE holds the full vector.
-func BuildGatherFlood(spec *fabric.Spec, path mesh.Path, b int) error {
-	p := len(path)
+// BuildGatherFlood compiles the gather-flood AllGather on a lane, every turn
+// on its Base color: beforehand path index j holds chunk j of the window at
+// its offset; afterwards every PE holds the whole window.
+func BuildGatherFlood(spec *fabric.Spec, lane Lane) error {
+	path, p, color := lane.Path, len(lane.Path), lane.Base
 	if p < 2 {
 		return fmt.Errorf("comm: gather-flood needs at least 2 PEs")
 	}
-	if b < p {
-		return fmt.Errorf("comm: gather-flood needs B >= P for non-empty chunks (B=%d, P=%d)", b, p)
+	if lane.N < p {
+		return fmt.Errorf("comm: gather-flood needs B >= P for non-empty chunks (B=%d, P=%d)", lane.N, p)
 	}
-	if err := path.Validate(); err != nil {
+	if err := lane.validate(p); err != nil {
 		return err
 	}
-	off, sz := Chunks(p, b)
+	off, sz := lane.chunks()
 	for u := 0; u < p; u++ {
 		pe := spec.PE(path[u])
 		if u == 0 {
-			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpSend, Color: ColorFlood, Off: off[0], N: sz[0]})
+			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpSend, Color: color, Off: off[0], N: sz[0]})
 		}
 		for v := 0; v < p; v++ {
 			switch {
 			case v == u-1:
 				pe.Ops = append(pe.Ops, fabric.Op{
-					Kind: fabric.OpSendRecvStore, OutColor: ColorFlood, Off: off[u], N: sz[u],
-					Color: ColorFlood, Off2: off[v], N2: sz[v],
+					Kind: fabric.OpSendRecvStore, OutColor: color, Off: off[u], N: sz[u],
+					Color: color, Off2: off[v], N2: sz[v],
 				})
 			case v != u:
-				pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: ColorFlood, Off: off[v], N: sz[v]})
+				pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: color, Off: off[v], N: sz[v]})
 			}
 		}
 
@@ -73,11 +70,11 @@ func BuildGatherFlood(spec *fabric.Spec, path mesh.Path, b int) error {
 			fromStart = fromStart.Set(path.TowardEnd(u))
 		}
 		if u > 0 {
-			pe.AddConfig(ColorFlood, fabric.RouterConfig{Accept: path.TowardStart(u), Forward: fromStart, Times: u})
+			pe.AddConfig(color, fabric.RouterConfig{Accept: path.TowardStart(u), Forward: fromStart, Times: u})
 		}
-		pe.AddConfig(ColorFlood, fabric.RouterConfig{Accept: mesh.Ramp, Forward: own, Times: 1})
+		pe.AddConfig(color, fabric.RouterConfig{Accept: mesh.Ramp, Forward: own, Times: 1})
 		if u < p-1 {
-			pe.AddConfig(ColorFlood, fabric.RouterConfig{Accept: path.TowardEnd(u), Forward: fromEnd, Times: p - 1 - u})
+			pe.AddConfig(color, fabric.RouterConfig{Accept: path.TowardEnd(u), Forward: fromEnd, Times: p - 1 - u})
 		}
 	}
 	return nil

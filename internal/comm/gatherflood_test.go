@@ -52,7 +52,7 @@ func TestGatherFloodRunsAtItsEstimate(t *testing.T) {
 		pr := model.Params{TR: tr, Ctl: 1}
 		for p := 2; p <= 24; p++ {
 			for b := p; b <= 4*p+5; b++ {
-				build := func(s *fabric.Spec) error { return BuildGatherFlood(s, mesh.Row(0, 0, p), b) }
+				build := func(s *fabric.Spec) error { return BuildGatherFlood(s, RowLane(p, b)) }
 				cycles, err := runAllGather(build, p, b, fabric.Options{TR: tr})
 				if err != nil {
 					t.Fatalf("T_R=%d p=%d b=%d: %v", tr, p, b, err)
@@ -71,12 +71,12 @@ func TestGatherFloodRunsAtItsEstimate(t *testing.T) {
 func TestGatherFloodConfigs(t *testing.T) {
 	for _, p := range []int{2, 3, 7} {
 		spec := fabric.NewSpec(p, 1)
-		if err := BuildGatherFlood(spec, mesh.Row(0, 0, p), 3*p); err != nil {
+		if err := BuildGatherFlood(spec, RowLane(p, 3*p)); err != nil {
 			t.Fatal(err)
 		}
 		for u, c := range mesh.Row(0, 0, p) {
 			pe := spec.PE(c)
-			if len(pe.Configs) != 1 || pe.Configs[0].Color != ColorFlood {
+			if len(pe.Configs) != 1 || pe.Configs[0].Color != 0 {
 				t.Fatalf("p=%d: PE %d routes %d colors", p, u, len(pe.Configs))
 			}
 			cfgs, turns := pe.Configs[0].Cfgs, 0
@@ -97,7 +97,7 @@ func TestMidRootAllGatherRunsAtItsEstimate(t *testing.T) {
 	pr := model.Params{TR: fabric.DefaultTR, Ctl: 1}
 	for p := 2; p <= 24; p++ {
 		for b := p; b <= 8*p; b += p {
-			cycles, err := runAllGather(func(s *fabric.Spec) error { return BuildAllGatherMidRoot(s, p, b) }, p, b, fabric.Options{})
+			cycles, err := runAllGather(func(s *fabric.Spec) error { return BuildAllGatherMidRoot(s, RowLane(p, b)) }, p, b, fabric.Options{})
 			if err != nil {
 				t.Fatalf("p=%d b=%d: %v", p, b, err)
 			}

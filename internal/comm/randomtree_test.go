@@ -49,7 +49,7 @@ func TestRandomTreeCompileAndRun(t *testing.T) {
 		}
 		spec := fabric.NewSpec(p, 1)
 		path := mesh.Row(0, 0, p)
-		if err := BuildTreeReduce(spec, path, tree, b, ColorPair{0, 1}, fabric.OpSum); err != nil {
+		if err := BuildTreeReduce(spec, Lane{Path: path, N: b}, tree, fabric.OpSum); err != nil {
 			t.Logf("compile p=%d b=%d: %v", p, b, err)
 			return false
 		}
@@ -90,7 +90,7 @@ func TestRandomTreeOnSnakePaths(t *testing.T) {
 		p := len(path)
 		tree := randomPreorderTree(rng, p)
 		spec := fabric.NewSpec(w, h)
-		if err := BuildTreeReduce(spec, path, tree, b, ColorPair{0, 1}, fabric.OpSum); err != nil {
+		if err := BuildTreeReduce(spec, Lane{Path: path, N: b}, tree, fabric.OpSum); err != nil {
 			t.Logf("compile %dx%d: %v", w, h, err)
 			return false
 		}
@@ -130,7 +130,7 @@ func TestRandomTreeMeasuredEnergyMatchesTree(t *testing.T) {
 		}
 		spec := fabric.NewSpec(p, 1)
 		path := mesh.Row(0, 0, p)
-		if err := BuildTreeReduce(spec, path, tree, b, ColorPair{0, 1}, fabric.OpSum); err != nil {
+		if err := BuildTreeReduce(spec, Lane{Path: path, N: b}, tree, fabric.OpSum); err != nil {
 			t.Fatal(err)
 		}
 		vecs, _ := inputs(p, b, int64(trial))

@@ -7,43 +7,39 @@ import (
 	"repro/internal/mesh"
 )
 
-// ColorPair is the pair of colors a 1D tree reduction alternates between.
-// A vertex at depth d receives its children's transfers on colors[d%2] and
-// sends to its parent on colors[(d+1)%2], so the pipelined
-// receive-reduce-send of inner vertices never receives and sends on the
-// same color. Two colors per 1D collective matches the paper's budget
-// (§8.2: 1D implementations use up to 3 colors, the third being the start
-// trigger of the measurement harness).
-type ColorPair [2]mesh.Color
-
-// BuildTreeReduce compiles a pre-order tree reduction over the PEs of path
-// into spec. Path index 0 is the reduction root. Each participating PE
-// must already carry its Init vector of length b (set by the caller).
+// BuildTreeReduce compiles a pre-order tree reduction over the PEs of a
+// lane into spec. Path index 0 is the reduction root. Each participating PE
+// must already carry its Init vector (set by the caller); the tree combines
+// the lane's window of it.
+//
+// The tree alternates between the lane's two colors Base and Base+1: a
+// vertex at depth d receives its children's transfers on Base+d%2 and sends
+// to its parent on Base+(d+1)%2, so the pipelined receive-reduce-send of
+// inner vertices never receives and sends on the same color. Two colors per
+// 1D collective matches the paper's budget (§8.2: 1D implementations use up
+// to 3 colors, the third being the start trigger of the measurement
+// harness).
 //
 // Synchronisation follows the hardware discipline of the paper's Figure 3
-// and §8.2: every transfer is b data wavelets plus one trailing control
-// wavelet; a router that routes the control advances its configuration for
-// that color, so routers move from "deliver my children's data up the
-// ramp" through "inject my own send" to "pass through later transfers"
-// without any global coordination. Stalled wavelets wait in bounded queues
-// (loose synchronisation); the pre-order layout guarantees the stall graph
-// is acyclic.
-func BuildTreeReduce(spec *fabric.Spec, path mesh.Path, tree Tree, b int, colors ColorPair, op fabric.ReduceOp) error {
+// and §8.2: every transfer is the window's data wavelets plus one trailing
+// control wavelet; a router that routes the control advances its
+// configuration for that color, so routers move from "deliver my children's
+// data up the ramp" through "inject my own send" to "pass through later
+// transfers" without any global coordination. Stalled wavelets wait in
+// bounded queues (loose synchronisation); the pre-order layout guarantees
+// the stall graph is acyclic.
+func BuildTreeReduce(spec *fabric.Spec, lane Lane, tree Tree, op fabric.ReduceOp) error {
+	path, off, b := lane.Path, lane.Off, lane.N
 	if len(path) != tree.Len() {
 		return fmt.Errorf("comm: path has %d PEs, tree has %d vertices", len(path), tree.Len())
 	}
 	if err := tree.Validate(); err != nil {
 		return err
 	}
-	if err := path.Validate(); err != nil {
+	if err := lane.validate(1); err != nil {
 		return err
 	}
-	if b <= 0 {
-		return fmt.Errorf("comm: vector length %d", b)
-	}
-	if colors[0] == colors[1] {
-		return fmt.Errorf("comm: tree reduce needs two distinct colors, got %v twice", colors[0])
-	}
+	colors := [2]mesh.Color{lane.Base, lane.Base + 1}
 	children := tree.Children()
 	depth := tree.Depths()
 	p := tree.Len()
@@ -59,15 +55,15 @@ func BuildTreeReduce(spec *fabric.Spec, path mesh.Path, tree Tree, b int, colors
 		switch {
 		case v == 0: // root: receive everything, keep the result
 			for range ch {
-				pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvReduce, Color: colorIn, N: b, Reduce: op})
+				pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvReduce, Color: colorIn, Off: off, N: b, Reduce: op})
 			}
 		case len(ch) == 0: // leaf
-			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpSend, Color: colorOut, N: b})
+			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpSend, Color: colorOut, Off: off, N: b})
 		default: // inner vertex
 			for range ch[:len(ch)-1] {
-				pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvReduce, Color: colorIn, N: b, Reduce: op})
+				pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvReduce, Color: colorIn, Off: off, N: b, Reduce: op})
 			}
-			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvReduceSend, Color: colorIn, OutColor: colorOut, N: b, Reduce: op})
+			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvReduceSend, Color: colorIn, OutColor: colorOut, Off: off, N: b, Reduce: op})
 		}
 
 		// Router configuration lists. "West" is towards path index 0.

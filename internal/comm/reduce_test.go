@@ -49,7 +49,7 @@ func runReduce1D(t *testing.T, pattern string, p, b int) (*fabric.Result, [][]fl
 	}
 	spec := fabric.NewSpec(p, 1)
 	path := mesh.Row(0, 0, p)
-	if err := BuildReduce1D(spec, path, tree, b, fabric.OpSum); err != nil {
+	if err := BuildTreeReduce(spec, Lane{Path: path, N: b}, tree, fabric.OpSum); err != nil {
 		t.Fatalf("build: %v", err)
 	}
 	vecs, want := inputs(p, b, int64(p*1000+b))
@@ -115,7 +115,7 @@ func TestBroadcast1D(t *testing.T) {
 		for _, b := range []int{1, 8, 256} {
 			spec := fabric.NewSpec(p, 1)
 			path := mesh.Row(0, 0, p)
-			if err := BuildBroadcast(spec, path, b, ColorBcast); err != nil {
+			if err := BuildFlood(spec, Lane{Path: path, N: b, Base: ColorBcast}, 0); err != nil {
 				t.Fatalf("build: %v", err)
 			}
 			vecs, _ := inputs(1, b, 7)
@@ -152,7 +152,7 @@ func TestAllReduce1DCorrectness(t *testing.T) {
 				}
 				spec := fabric.NewSpec(p, 1)
 				path := mesh.Row(0, 0, p)
-				if err := BuildAllReduce1D(spec, path, tree, b, fabric.OpSum); err != nil {
+				if err := BuildAllReduce1D(spec, Lane{Path: path, N: b}, tree, fabric.OpSum); err != nil {
 					t.Fatalf("build: %v", err)
 				}
 				vecs, want := inputs(p, b, int64(p+b))

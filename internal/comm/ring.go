@@ -53,11 +53,11 @@ func ringOrder(p int, mapping RingMapping) ([]int, error) {
 	return order, nil
 }
 
-// ringEdgeColor assigns a color to logical edge k (from ring position k
-// to k+1). Consecutive edges must differ (a PE receives and sends
-// simultaneously); the simple mapping's closing edge gets a dedicated
-// color because it crosses every router. Four colors suffice for either
-// mapping, within the paper's budget.
+// ringEdgeColor assigns a color, counted from the lane's Base, to logical
+// edge k (from ring position k to k+1). Consecutive edges must differ (a PE
+// receives and sends simultaneously); the simple mapping's closing edge gets
+// a dedicated color because it crosses every router. Four colors suffice for
+// either mapping, within the paper's budget.
 func ringEdgeColor(k, p int, mapping RingMapping) mesh.Color {
 	if mapping == RingSimple || p == 2 {
 		if k == p-1 {
@@ -112,42 +112,43 @@ func addRingEdge(spec *fabric.Spec, path mesh.Path, a, b int, color mesh.Color) 
 	return add(b, fabric.RouterConfig{Accept: backward(b), Forward: mesh.Dirs(mesh.Ramp)})
 }
 
-// BuildRingAllReduce compiles the ring AllReduce of §6.2 along a path:
-// P-1 rounds of reduce-scatter followed by P-1 rounds of allgather, with
-// every PE sending one B/P-element chunk and receiving another each round
-// over the bidirectional ramp. Requires b >= len(path) so every chunk is
-// non-empty.
+// BuildRingAllReduce compiles the ring AllReduce of §6.2 on a lane: P-1
+// rounds of reduce-scatter followed by P-1 rounds of allgather, with every
+// PE sending one chunk of the window and receiving another each round over
+// the bidirectional ramp. The window must hold at least one element per PE,
+// so every chunk is non-empty.
 //
 // The paper analyses this algorithm, finds the model picks it only for few
 // PEs with long vectors (§8.6) and skips the implementation. Built and run,
 // it is what the model says: the best 1D AllReduce at 16 PEs from 4 KB up,
 // never at 64 PEs and beyond — core's TestRingCrossover measures the
 // crossover, and Auto deploys the ring where it wins.
-func BuildRingAllReduce(spec *fabric.Spec, path mesh.Path, b int, mapping RingMapping, op fabric.ReduceOp) error {
-	return buildRingPhases(spec, path, b, mapping, op, true, true)
+func BuildRingAllReduce(spec *fabric.Spec, lane Lane, mapping RingMapping, op fabric.ReduceOp) error {
+	return buildRingPhases(spec, lane, mapping, op, true, true)
 }
 
 // buildRingPhases compiles the reduce-scatter (rs) and/or allgather (ag)
-// phases of the ring. Chunk ownership follows path indices: afterwards a
-// reduce-scatter leaves the combined chunk j on path index j, and a
-// standalone allgather expects path index j to start with chunk j in
-// place (at its chunk offset).
-func buildRingPhases(spec *fabric.Spec, path mesh.Path, b int, mapping RingMapping, op fabric.ReduceOp, rs, ag bool) error {
-	p := len(path)
+// phases of the ring on a lane. Chunk ownership follows path indices:
+// afterwards a reduce-scatter leaves the combined chunk j of the window on
+// path index j, and a standalone allgather expects path index j to start
+// with chunk j in place (at its chunk offset).
+func buildRingPhases(spec *fabric.Spec, lane Lane, mapping RingMapping, op fabric.ReduceOp, rs, ag bool) error {
+	path, p := lane.Path, len(lane.Path)
 	if p < 2 {
 		return fmt.Errorf("comm: ring needs at least 2 PEs")
 	}
-	if b < p {
-		return fmt.Errorf("comm: ring needs B >= P for non-empty chunks (B=%d, P=%d)", b, p)
+	if lane.N < p {
+		return fmt.Errorf("comm: ring needs B >= P for non-empty chunks (B=%d, P=%d)", lane.N, p)
 	}
-	if err := path.Validate(); err != nil {
+	if err := lane.validate(p); err != nil {
 		return err
 	}
 	order, err := ringOrder(p, mapping)
 	if err != nil {
 		return err
 	}
-	off, sz := Chunks(p, b)
+	off, sz := lane.chunks()
+	edge := func(k int) mesh.Color { return lane.Base + ringEdgeColor(k, p, mapping) }
 	// The round schedule works in ring-position space; chunkOf maps a
 	// ring-space chunk index to the absolute chunk it denotes, chosen so
 	// that ring position k finishes the reduce-scatter holding the chunk
@@ -157,7 +158,7 @@ func buildRingPhases(spec *fabric.Spec, path mesh.Path, b int, mapping RingMappi
 	// Static routing per logical edge.
 	for k := 0; k < p; k++ {
 		a, bIdx := order[k], order[(k+1)%p]
-		if err := addRingEdge(spec, path, a, bIdx, ringEdgeColor(k, p, mapping)); err != nil {
+		if err := addRingEdge(spec, path, a, bIdx, edge(k)); err != nil {
 			return err
 		}
 	}
@@ -165,8 +166,7 @@ func buildRingPhases(spec *fabric.Spec, path mesh.Path, b int, mapping RingMappi
 	// Per-PE programs: P-1 full-duplex rounds per phase.
 	for k := 0; k < p; k++ {
 		pe := spec.PE(path[order[k]])
-		out := ringEdgeColor(k, p, mapping)
-		in := ringEdgeColor((k-1+p)%p, p, mapping)
+		out, in := edge(k), edge((k-1+p)%p)
 		if rs {
 			for r := 0; r < p-1; r++ {
 				s := chunkOf(k - r)

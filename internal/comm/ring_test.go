@@ -13,7 +13,7 @@ func runRing(t *testing.T, mapping RingMapping, p, b int) *fabric.Result {
 	t.Helper()
 	spec := fabric.NewSpec(p, 1)
 	path := mesh.Row(0, 0, p)
-	if err := BuildRingAllReduce(spec, path, b, mapping, fabric.OpSum); err != nil {
+	if err := BuildRingAllReduce(spec, Lane{Path: path, N: b}, mapping, fabric.OpSum); err != nil {
 		t.Fatalf("build ring %v p=%d b=%d: %v", mapping, p, b, err)
 	}
 	vecs, _ := inputs(p, b, int64(3*p+b))
@@ -51,6 +51,58 @@ func TestRingAllReduceCorrectness(t *testing.T) {
 	}
 }
 
+// TestChunkedFormsAreExact holds every chunked program — the ring's two
+// phases and both together, Scatter, Gather and the AllGather through the
+// middle PE — on every row of 2 to 12 PEs with B from P to 3P+2, balanced
+// chunks or not, at T_R 1 to 3, to its model form to the cycle. Where P does
+// not divide B the forms count whole chunks: the longer ones pace every ring
+// round, and a root's ramp takes every chunk but its own.
+func TestChunkedFormsAreExact(t *testing.T) {
+	forms := []struct {
+		name  string
+		build func(s *fabric.Spec, p, b int) error
+		price func(pr model.Params, p, b int) float64
+	}{
+		{"reduce-scatter", func(s *fabric.Spec, p, b int) error {
+			return BuildReduceScatter(s, RowLane(p, b), RingSimple, fabric.OpSum)
+		}, model.Params.ReduceScatter},
+		{"allgather", func(s *fabric.Spec, p, b int) error { return BuildAllGather(s, RowLane(p, b), RingSimple) }, model.Params.AllGather},
+		{"ring", func(s *fabric.Spec, p, b int) error {
+			return BuildRingAllReduce(s, RowLane(p, b), RingSimple, fabric.OpSum)
+		}, model.Params.RingAllReduce},
+		{"scatter", func(s *fabric.Spec, p, b int) error { return BuildScatter(s, mesh.Row(0, 0, p), b, 5) }, model.Params.Scatter},
+		{"gather", func(s *fabric.Spec, p, b int) error { return BuildGather(s, mesh.Row(0, 0, p), b, 5) }, model.Params.Gather},
+		{"allgather-midroot", func(s *fabric.Spec, p, b int) error { return BuildAllGatherMidRoot(s, RowLane(p, b)) }, model.Params.MidRootAllGather},
+	}
+	for tr := 1; tr <= 3; tr++ {
+		pr := model.Params{TR: tr, Ctl: 1}
+		for p := 2; p <= 12; p++ {
+			for b := p; b <= 3*p+2; b++ {
+				for _, form := range forms {
+					spec := fabric.NewSpec(p, 1)
+					if err := form.build(spec, p, b); err != nil {
+						t.Fatal(err)
+					}
+					for _, c := range mesh.Row(0, 0, p) {
+						spec.PE(c).Init = make([]float32, b)
+					}
+					f, err := fabric.New(spec, fabric.Options{TR: tr})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := f.Run()
+					if err != nil {
+						t.Fatalf("%s T_R=%d p=%d b=%d: %v", form.name, tr, p, b, err)
+					}
+					if want := form.price(pr, p, b); float64(res.Cycles) != want {
+						t.Errorf("%s T_R=%d p=%d b=%d: %d cycles, estimate %v", form.name, tr, p, b, res.Cycles, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRingSimpleOddPECount(t *testing.T) {
 	// The simple mapping supports odd rings; distance-preserving does not.
 	res := runRing(t, RingSimple, 5, 25)
@@ -58,14 +110,14 @@ func TestRingSimpleOddPECount(t *testing.T) {
 		t.Fatal("no cycles")
 	}
 	spec := fabric.NewSpec(5, 1)
-	if err := BuildRingAllReduce(spec, mesh.Row(0, 0, 5), 25, RingDistancePreserving, fabric.OpSum); err == nil {
+	if err := BuildRingAllReduce(spec, RowLane(5, 25), RingDistancePreserving, fabric.OpSum); err == nil {
 		t.Error("distance-preserving ring accepted odd PE count")
 	}
 }
 
 func TestRingRejectsTinyVectors(t *testing.T) {
 	spec := fabric.NewSpec(8, 1)
-	if err := BuildRingAllReduce(spec, mesh.Row(0, 0, 8), 4, RingSimple, fabric.OpSum); err == nil {
+	if err := BuildRingAllReduce(spec, RowLane(8, 4), RingSimple, fabric.OpSum); err == nil {
 		t.Error("ring accepted B < P")
 	}
 }
@@ -105,7 +157,7 @@ func TestRingModelPredictsWinner(t *testing.T) {
 
 		spec := fabric.NewSpec(tc.p, 1)
 		path := mesh.Row(0, 0, tc.p)
-		if err := BuildAllReduce1D(spec, path, Chain(tc.p), tc.b, fabric.OpSum); err != nil {
+		if err := BuildAllReduce1D(spec, Lane{Path: path, N: tc.b}, Chain(tc.p), fabric.OpSum); err != nil {
 			t.Fatal(err)
 		}
 		vecs, _ := inputs(tc.p, tc.b, 1)

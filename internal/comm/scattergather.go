@@ -129,17 +129,17 @@ func gatherChunks(spec *fabric.Spec, path mesh.Path, off, sz []int, placed bool,
 	}
 }
 
-// BuildReduceScatter compiles a ReduceScatter along a path: afterwards
-// path index j holds chunk j of the elementwise combination. It is the
-// first phase of the ring AllReduce (§6.2), so it reuses the ring's
+// BuildReduceScatter compiles a ReduceScatter on a lane: afterwards path
+// index j holds chunk j of the elementwise combination of the window. It is
+// the first phase of the ring AllReduce (§6.2), so it reuses the ring's
 // mapping, coloring and full-duplex rounds.
-func BuildReduceScatter(spec *fabric.Spec, path mesh.Path, b int, mapping RingMapping, op fabric.ReduceOp) error {
-	return buildRingPhases(spec, path, b, mapping, op, true, false)
+func BuildReduceScatter(spec *fabric.Spec, lane Lane, mapping RingMapping, op fabric.ReduceOp) error {
+	return buildRingPhases(spec, lane, mapping, op, true, false)
 }
 
-// BuildAllGather compiles an AllGather along a path: beforehand path
-// index j holds chunk j (at its chunk offset); afterwards every PE holds
-// the full vector. It is the second phase of the ring AllReduce.
-func BuildAllGather(spec *fabric.Spec, path mesh.Path, b int, mapping RingMapping) error {
-	return buildRingPhases(spec, path, b, mapping, fabric.OpSum, false, true)
+// BuildAllGather compiles an AllGather on a lane: beforehand path index j
+// holds chunk j of the window (at its chunk offset); afterwards every PE
+// holds the whole window. It is the second phase of the ring AllReduce.
+func BuildAllGather(spec *fabric.Spec, lane Lane, mapping RingMapping) error {
+	return buildRingPhases(spec, lane, mapping, fabric.OpSum, false, true)
 }

@@ -101,7 +101,7 @@ func BuildReduceScatterInto(spec *fabric.Spec, pattern Pattern, p, b int, pr mod
 		return fmt.Errorf("core: reduce-scatter needs at least 2 PEs")
 	}
 	if pattern == Ring {
-		return comm.BuildReduceScatter(spec, mesh.Row(0, 0, p), b, comm.RingSimple, op)
+		return comm.BuildReduceScatter(spec, comm.RowLane(p, b), comm.RingSimple, op)
 	}
 	if err := BuildReduce1DInto(spec, pattern, p, b, pr, op); err != nil {
 		return err
@@ -130,7 +130,7 @@ func BestAllGather(p, b int, pr model.Params) (Pattern, float64) {
 }
 
 // PredictAllGather estimates an AllGather under a schedule BestAllGather can
-// pick.
+// pick, and any other pattern at +Inf.
 func PredictAllGather(pattern Pattern, p, b int, pr model.Params) float64 {
 	switch pattern {
 	case Ring:
@@ -140,7 +140,7 @@ func PredictAllGather(pattern Pattern, p, b int, pr model.Params) float64 {
 	case GatherFlood:
 		return pr.GatherFlood(p, b)
 	}
-	return 0
+	return math.Inf(1)
 }
 
 // BuildAllGatherInto compiles an allgather of b total elements over a row
@@ -151,14 +151,19 @@ func BuildAllGatherInto(spec *fabric.Spec, pattern Pattern, p, b int) error {
 	if p < 2 {
 		return fmt.Errorf("core: allgather needs at least 2 PEs")
 	}
-	path := mesh.Row(0, 0, p)
+	return buildAllGather(spec, comm.RowLane(p, b), pattern)
+}
+
+// buildAllGather compiles an AllGather on a lane under a schedule
+// BestAllGather can pick.
+func buildAllGather(spec *fabric.Spec, lane comm.Lane, pattern Pattern) error {
 	switch pattern {
 	case Ring:
-		return comm.BuildAllGather(spec, path, b, comm.RingSimple)
+		return comm.BuildAllGather(spec, lane, comm.RingSimple)
 	case Star:
-		return comm.BuildAllGatherMidRoot(spec, p, b)
+		return comm.BuildAllGatherMidRoot(spec, lane)
 	case GatherFlood:
-		return comm.BuildGatherFlood(spec, path, b)
+		return comm.BuildGatherFlood(spec, lane)
 	}
 	return fmt.Errorf("core: allgather has no schedule %q", pattern)
 }
@@ -175,9 +180,5 @@ func AllGatherInit(chunk []float32, off, b int) []float32 {
 // concrete pattern (resolve Auto with BestAllReduceMidRoot first) over the
 // halves MidRootHalves returns, the trees PredictAllReduceMidRoot prices.
 func BuildAllReduceMidRootInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Params, op fabric.ReduceOp) error {
-	west, east, err := MidRootHalves(pattern, p, b, pr)
-	if err != nil {
-		return err
-	}
-	return comm.BuildAllReduceMidRoot(spec, p, b, west, east, op)
+	return buildAllReduce1D(spec, comm.RowLane(p, b), pattern, true, pr, op)
 }

@@ -216,24 +216,39 @@ func BuildReduce1DInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Pa
 	if err != nil {
 		return err
 	}
-	return comm.BuildReduce1D(spec, mesh.Row(0, 0, p), tree, b, op)
+	return comm.BuildTreeReduce(spec, comm.RowLane(p, b), tree, op)
 }
 
 // BuildAllReduce1DInto compiles a 1D Reduce-then-Broadcast from the end
 // root into spec, or the ring algorithm for the ring patterns (resolve Auto
 // with BestAllReduce1D first: its pick may be the middle root's program).
 func BuildAllReduce1DInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Params, op fabric.ReduceOp) error {
-	switch pattern {
-	case Ring:
-		return comm.BuildRingAllReduce(spec, mesh.Row(0, 0, p), b, comm.RingSimple, op)
-	case RingDP:
-		return comm.BuildRingAllReduce(spec, mesh.Row(0, 0, p), b, comm.RingDistancePreserving, op)
+	return buildAllReduce1D(spec, comm.RowLane(p, b), pattern, false, pr, op)
+}
+
+// buildAllReduce1D compiles a 1D AllReduce on a lane, the schedule
+// BestAllReduce1D names: a ring pattern's ring, or Reduce-then-Broadcast
+// under a tree pattern, from the middle root if midRoot (over the halves
+// MidRootHalves returns) and from the end root otherwise.
+func buildAllReduce1D(spec *fabric.Spec, lane comm.Lane, pattern Pattern, midRoot bool, pr model.Params, op fabric.ReduceOp) error {
+	p, b := len(lane.Path), lane.N
+	switch {
+	case midRoot:
+		west, east, err := MidRootHalves(pattern, p, b, pr)
+		if err != nil {
+			return err
+		}
+		return comm.BuildAllReduceMidRoot(spec, lane, west, east, op)
+	case pattern == Ring:
+		return comm.BuildRingAllReduce(spec, lane, comm.RingSimple, op)
+	case pattern == RingDP:
+		return comm.BuildRingAllReduce(spec, lane, comm.RingDistancePreserving, op)
 	}
 	tree, err := TreeFor(pattern, p, b, pr)
 	if err != nil {
 		return err
 	}
-	return comm.BuildAllReduce1D(spec, mesh.Row(0, 0, p), tree, b, op)
+	return comm.BuildAllReduce1D(spec, lane, tree, op)
 }
 
 // BuildBroadcast1DInto compiles a 1D flooding broadcast for p PEs into
@@ -245,13 +260,12 @@ func BuildBroadcast1DInto(spec *fabric.Spec, p, b int) error {
 	if p < 1 {
 		return fmt.Errorf("core: %d PEs", p)
 	}
-	path := mesh.Row(0, 0, p)
-	if p > 1 {
-		if err := comm.BuildBroadcast(spec, path, b, comm.ColorBcast); err != nil {
-			return err
-		}
+	lane := comm.RowLane(p, b)
+	lane.Base = comm.ColorBcast
+	if err := comm.BuildFlood(spec, lane, 0); err != nil {
+		return err
 	}
-	for _, c := range path {
+	for _, c := range lane.Path {
 		spec.PE(c) // materialise every PE even when p == 1
 	}
 	return nil

@@ -75,7 +75,7 @@ func broadcastCollective(p, b int) Collective {
 		Width:  p,
 		Height: 1,
 		Build: func(spec *fabric.Spec) error {
-			if err := comm.BuildBroadcast(spec, mesh.Row(0, 0, p), b, comm.ColorBcast); err != nil {
+			if err := comm.BuildFlood(spec, comm.Lane{Path: mesh.Row(0, 0, p), N: b, Base: comm.ColorBcast}, 0); err != nil {
 				return err
 			}
 			spec.PE(mesh.Coord{}).Init = make([]float32, b)

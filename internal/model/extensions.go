@@ -10,14 +10,10 @@ package model
 import "math"
 
 // Scatter estimates delivering per-PE chunks from the row root: the root
-// serialises B(P-1)/P wavelets (contention), the farthest chunk travels
-// P-1 hops, and the last chunk ends with its control.
+// serialises every chunk but its own, B(P-1)/P wavelets (contention), the
+// farthest chunk travels P-1 hops, and the last chunk ends with its control.
 func (pr Params) Scatter(p, b int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	cont := float64(b) * float64(p-1) / float64(p)
-	return cont + float64(p-1) + float64(2*pr.TR) + 1 + float64(pr.Ctl)
+	return pr.gatherInto(p, b, 0)
 }
 
 // Gather is Scatter's mirror: root contention B(P-1)/P, distance P-1.
@@ -25,19 +21,59 @@ func (pr Params) Gather(p, b int) float64 {
 	return pr.Scatter(p, b)
 }
 
+// gatherInto is a Gather of the balanced chunks into PE root, or a Scatter
+// from it: the root's ramp takes every chunk but its own — B(P-1)/P where P
+// divides B (or B < P, where no program runs), else B less the root's chunk,
+// ⌈B/P⌉ for the first B mod P PEs and ⌊B/P⌋ for the others.
+func (pr Params) gatherInto(p, b, root int) float64 {
+	if p <= 1 {
+		return 0
+	}
+	cont := float64(b) * float64(p-1) / float64(p)
+	if b > p && b%p != 0 {
+		own := b / p
+		if root < b%p {
+			own++
+		}
+		cont = float64(b - own)
+	}
+	return cont + float64(p-1) + float64(2*pr.TR) + 1 + float64(pr.Ctl)
+}
+
 // ReduceScatter estimates the first ring phase: P-1 rounds, each moving
 // a B/P chunk one logical hop with (2T_R+1)-cycle ramp handling per
-// dependent round, and the last round's control.
+// dependent round, and the last round's control. Where P does not divide B
+// the first B mod P chunks are one element longer, and the partial sum of
+// each travels through all P-1 rounds, so every round takes ⌈B/P⌉.
 func (pr Params) ReduceScatter(p, b int) float64 {
 	if p <= 1 {
 		return 0
 	}
-	return float64(p-1)*float64(b)/float64(p) + 2*float64(p) - 3 + float64(p-1)*pr.ramp() + float64(pr.Ctl)
+	return pr.ringPhase(p, b, b/p+1)
 }
 
-// AllGather estimates the second ring phase, which has the same shape.
+// AllGather estimates the second ring phase, which has the same shape. A
+// lone longer chunk (B mod P = 1) holds each PE up once, one cycle; two or
+// more hold up every round, as in the reduce-scatter.
 func (pr Params) AllGather(p, b int) float64 {
-	return pr.ReduceScatter(p, b)
+	if p <= 1 {
+		return 0
+	}
+	if b > p && b%p == 1 {
+		return pr.ringPhase(p, b, b/p) + 1
+	}
+	return pr.ringPhase(p, b, b/p+1)
+}
+
+// ringPhase is a ring phase of P-1 rounds, each paced by a chunk of `chunk`
+// elements where P does not divide B, and by Lemma 6.1's B/P where it does —
+// or where B < P, where no program runs.
+func (pr Params) ringPhase(p, b, chunk int) float64 {
+	rounds := float64(p-1) * float64(b) / float64(p)
+	if b > p && b%p != 0 {
+		rounds = float64((p - 1) * chunk)
+	}
+	return rounds + 2*float64(p) - 3 + float64(p-1)*pr.ramp() + float64(pr.Ctl)
 }
 
 // MidRootAllGather estimates the AllGather through the middle PE
@@ -48,7 +84,7 @@ func (pr Params) AllGather(p, b int) float64 {
 // chunks that queue anyway — so the gather costs a Gather's cycles and the
 // flood half a Broadcast's distance.
 func (pr Params) MidRootAllGather(p, b int) float64 {
-	return pr.Then(pr.Gather(p, b), pr.Broadcast1D(p/2+1, b))
+	return pr.Then(pr.gatherInto(p, b, p/2), pr.Broadcast1D(p/2+1, b))
 }
 
 // GatherFlood prices the gather-flood AllGather (comm.BuildGatherFlood) turn

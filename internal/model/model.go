@@ -327,9 +327,10 @@ func (pr Params) TwoPhaseReduceS(p, b, s int) float64 {
 // T = 2(P-1)·B/P + 4P - 6 + 2(P-1)(2·T_R+1) + Ctl,
 // its two phases (ReduceScatter, AllGather) one after the other. The paper
 // evaluates ring analytically only and finds it the best choice for few PEs
-// and long vectors (§8.6); comm.BuildRingAllReduce runs it, the form is the
-// simulator's count to the cycle on every cell tried, and Auto deploys it
-// where it wins — 16 PEs from 4 KB up.
+// and long vectors (§8.6); comm.BuildRingAllReduce runs it, the form — with
+// whole chunks where P does not divide B — is the simulator's count to the
+// cycle on every cell tried, and Auto deploys it where it wins — 16 PEs from
+// 4 KB up.
 func (pr Params) RingAllReduce(p, b int) float64 {
 	return pr.Then(pr.ReduceScatter(p, b), pr.AllGather(p, b))
 }

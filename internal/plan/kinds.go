@@ -114,12 +114,12 @@ func auto2D(r *Request, pr model.Params) {
 	}
 }
 
-// patterns2DCentre is the 2D family of the one kind with a centre-rooted
-// program.
-var patterns2DCentre = append(slices.Clone(core.Patterns2D), core.Centre)
+// patterns2DAllReduce is the 2D family of the one kind with a centre-rooted
+// and a split program.
+var patterns2DAllReduce = append(slices.Clone(core.Patterns2D), core.Centre, core.Split)
 
 // autoAllReduce2D ranges over the reduces into the corner, each with the flood
-// behind it, and the centre root.
+// behind it, the centre root and the split.
 func autoAllReduce2D(r *Request, pr model.Params) {
 	if r.Alg2D == core.Auto2D {
 		r.Alg2D, _ = core.BestAllReduce2D(r.Width, r.Height, r.B, pr)
@@ -135,8 +135,8 @@ func tree1D(p *Plan, pr model.Params) (err error) {
 	return err
 }
 
-// treesXY records the row and column trees of an X-Y plan; Snake and the
-// centre root record none.
+// treesXY records the row and column trees of an X-Y plan; Snake, the
+// centre root and the split record none.
 func treesXY(p *Plan, pr model.Params) (err error) {
 	if base, ok := p.Alg2D.Base1D(); ok {
 		if p.RowTree, err = core.TreeFor(base, p.Width, p.B, pr); err == nil {
@@ -218,7 +218,7 @@ var Kinds = []KindInfo{
 	{
 		Kind: AllReduce2D, Name: "allreduce2d",
 		Doc:  "2D AllReduce on a grid=WxH mesh (alg=, op=)",
-		Grid: true, Algs2D: patterns2DCentre, HasOp: true, Inputs: VectorPerPE, trees: treesXY, auto: autoAllReduce2D,
+		Grid: true, Algs2D: patterns2DAllReduce, HasOp: true, Inputs: VectorPerPE, trees: treesXY, auto: autoAllReduce2D,
 		build: func(s *fabric.Spec, r Request, pr model.Params) error {
 			return core.BuildAllReduce2DInto(s, r.Alg2D, r.Width, r.Height, r.B, pr, r.Op)
 		},
@@ -377,6 +377,8 @@ func (r Request) Validate() error {
 		// The ring is a chunked algorithm underneath (reduce-scatter then
 		// allgather): same builder, same need for a real split.
 		return badShape("%s: ring splits B = %d over P = %d PEs, want P >= 2 and B >= P", r.Kind, r.B, r.P)
+	case ki.Algs2D != nil && r.Alg2D == core.Split && r.B < r.Width:
+		return badShape("%s: split gives each of W = %d columns a chunk of B = %d, want B >= W", r.Kind, r.Width, r.B)
 	}
 	return nil
 }

@@ -88,10 +88,17 @@ func TestKindTableConformance(t *testing.T) {
 				t.Errorf("%s with alg=ring: %v", ki.Kind, err)
 			}
 		}
-		if ki.Algs2D != nil { // and the centre root one of the 2D AllReduce alone
-			centre := Request{Kind: ki.Kind, Alg2D: core.Centre, Width: 3, Height: 2, B: 14}
-			if err := centre.Validate(); errors.Is(err, ErrBadShape) != (ki.Kind != AllReduce2D) {
-				t.Errorf("%s with alg2d=centre: %v", ki.Kind, err)
+		if ki.Algs2D != nil { // and the centre root and the split ones of the 2D AllReduce alone
+			for _, alg := range []core.Pattern2D{core.Centre, core.Split} {
+				r := Request{Kind: ki.Kind, Alg2D: alg, Width: 3, Height: 2, B: 14}
+				if err := r.Validate(); errors.Is(err, ErrBadShape) != (ki.Kind != AllReduce2D) {
+					t.Errorf("%s with alg2d=%s: %v", ki.Kind, alg, err)
+				}
+			}
+			// The split needs a chunk for every column.
+			short := Request{Kind: ki.Kind, Alg2D: core.Split, Width: 3, Height: 2, B: 2}
+			if err := short.Validate(); !errors.Is(err, ErrBadShape) {
+				t.Errorf("%s with alg2d=split and B < W: %v, want ErrBadShape", ki.Kind, err)
 			}
 		}
 
@@ -196,6 +203,44 @@ func TestKindTableConformance(t *testing.T) {
 	}
 	if _, err := fabric.ParseReduceOp("xor"); err == nil {
 		t.Error("ParseReduceOp accepts xor")
+	}
+}
+
+// TestEveryScheduleIsPriced: every algorithm a row accepts, and every
+// schedule AllGather picks from, has a finite estimate on every valid shape
+// of a few geometries and ramp latencies — while a pattern a Predict function
+// does not price is +Inf there, not a silent 0 (a 2D Reduce under an
+// AllReduce-only pattern, an AllGather under a reduction tree).
+func TestEveryScheduleIsPriced(t *testing.T) {
+	finite := func(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
+	for _, g := range []Request{{P: 6, Width: 3, Height: 2, B: 14}, {P: 16, Width: 8, Height: 8, B: 256}, {P: 5, Width: 5, Height: 7, B: 5}, {P: 2, Width: 1, Height: 1, B: 1}} {
+		for _, tr := range []int{-1, 0, 3} {
+			g.Opt = fabric.Options{TR: tr}
+			for i := range Kinds {
+				for _, req := range requestsOf(&Kinds[i], g) {
+					if req.Validate() != nil {
+						continue
+					}
+					if v := req.Predict(); !finite(v) {
+						t.Errorf("%s/%s%s p=%d %dx%d b=%d tr=%d: Predict = %v", req.Kind, req.Alg, req.Alg2D, req.P, req.Width, req.Height, req.B, tr, v)
+					}
+				}
+			}
+			pr := core.Params(g.Opt)
+			for _, alg := range core.AllGatherPatterns {
+				if v := core.PredictAllGather(alg, g.P, max(g.B, g.P), pr); !finite(v) {
+					t.Errorf("allgather/%s p=%d b=%d tr=%d: %v", alg, g.P, max(g.B, g.P), tr, v)
+				}
+			}
+			if v := core.PredictAllGather(core.Tree, g.P, max(g.B, g.P), pr); !math.IsInf(v, 1) {
+				t.Errorf("an AllGather under a tree prices %v, want +Inf", v)
+			}
+			for _, alg := range []core.Pattern2D{core.Centre, core.Split} {
+				if v := core.PredictReduce2D(alg, g.Width, g.Height, g.B, pr); !math.IsInf(v, 1) {
+					t.Errorf("a 2D Reduce under %s prices %v, want +Inf", alg, v)
+				}
+			}
+		}
 	}
 }
 

@@ -82,7 +82,8 @@ var latticeRuns = sync.OnceValues(func() ([]latticeCell, error) {
 // cycle every X-Y form was over hid one of the seven. A binomial tree on a few
 // PEs more than a power of two shares links too: xy-tree at 17×17, B = 16, is
 // 12 cycles under on a 193-cycle Reduce. The centre root is exact, and so are
-// floods, Scatter, Gather, the ring phases and every AllGather schedule.
+// floods, Scatter, Gather, the ring phases and every AllGather schedule,
+// balanced chunks or not, and the split but for its columns' own AllReduce.
 var modelTolerancePct = map[Kind]float64{
 	Reduce1D:         6, // 5.41
 	AllReduce1D:      4, // 3.64

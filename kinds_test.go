@@ -102,8 +102,10 @@ func checkResult(t *testing.T, name string, sh Shape, ki *plan.KindInfo, want []
 // misplaces or miscombines a contribution fails here. It walks three
 // geometries, so that ReduceScatter and AllGather, which take no algorithm,
 // run every schedule: the ring phase at the first, the composition through
-// the root at the second, the gather-flood at the third. The key, layout and
-// compile side of the same walk is the plan package's test of the same name.
+// the root at the second, the gather-flood at the third; the split 2D
+// AllReduce runs at all three, W dividing B at the first two and not at the
+// third. The key, layout and compile side of the same walk is the plan
+// package's test of the same name.
 func TestKindTableConformance(t *testing.T) {
 	ran := map[string]bool{}
 	for i := range plan.Kinds {
@@ -115,7 +117,7 @@ func TestKindTableConformance(t *testing.T) {
 			conformRow(t, ki, g, ran)
 		}
 	}
-	for _, schedule := range []string{"reducescatter/ring", "reducescatter/tree", "allgather/ring", "allgather/star", "allgather/gather-flood"} {
+	for _, schedule := range []string{"reducescatter/ring", "reducescatter/tree", "allgather/ring", "allgather/star", "allgather/gather-flood", "allreduce2d/split"} {
 		if !ran[schedule] {
 			t.Errorf("no shape of the walk ran %s (ran %v)", schedule, ran)
 		}
@@ -123,7 +125,8 @@ func TestKindTableConformance(t *testing.T) {
 }
 
 // conformRow is TestKindTableConformance for one row at geometry g; ran
-// collects the kind/algorithm pairs the shapes resolved to.
+// collects the kind/algorithm pairs the shapes resolved to (the 2D algorithm
+// for a grid kind).
 func conformRow(t *testing.T, ki *plan.KindInfo, g Shape, ran map[string]bool) {
 	t.Helper()
 	ctx := context.Background()
@@ -192,7 +195,11 @@ func conformRow(t *testing.T, ki *plan.KindInfo, g Shape, ran map[string]bool) {
 		}
 		checkResult(t, name, sh, ki, hostResult(sh, ki, inputs), rep)
 		res := sh.Resolve()
-		ran[string(res.Kind)+"/"+string(res.Alg)] = true
+		alg := string(res.Alg)
+		if ki.Grid {
+			alg = string(res.Alg2D)
+		}
+		ran[string(res.Kind)+"/"+alg] = true
 	}
 }
 

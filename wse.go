@@ -85,7 +85,11 @@ const (
 )
 
 // Algorithm2D names a 2D collective mapping (§7): X-Y compositions of the
-// 1D patterns, or the Snake chain over the whole grid.
+// 1D patterns, or the Snake chain over the whole grid — and, for AllReduce
+// only, the centre root (Centre) and the split, spelled Algorithm2D("split"):
+// every row reduce-scatters on its ring, every column all-reduces one chunk,
+// every row all-gathers, so the vector crosses each PE about twice where a
+// reduce and a flood move it three times. The split needs B >= Width.
 type Algorithm2D = core.Pattern2D
 
 // The 2D algorithms. XYChain is the vendor baseline of the paper's 2D
