@@ -69,7 +69,10 @@ func TestDescribeSaysWhatAutoChose(t *testing.T) {
 		{"-collective allreduce -p 512 -bytes 4", "512x1 PEs, alg=auto (→ allreduce-midroot/autogen)"},
 		// 16 PEs, 16 KB: the ring moves 2B(P-1)/P wavelets a PE, the trees 2B.
 		{"-collective allreduce -p 16 -bytes 16384", "16x1 PEs, alg=auto (→ ring)"},
-		{"-collective allreduce-midroot -p 64 -bytes 4096", "64x1 PEs, alg=auto (→ autogen)"},
+		// 1 KB on 64 PEs: the fold's middle PE takes one stream, 2495 cycles;
+		// the halves' takes two, 3303. At 16 bytes the halves win.
+		{"-collective allreduce-midroot -p 64 -bytes 4096", "64x1 PEs, alg=auto (→ fold)"},
+		{"-collective allreduce-midroot -p 64 -bytes 16", "64x1 PEs, alg=auto (→ autogen)"},
 		{"-collective reducescatter -p 16 -bytes 1024", "16x1 PEs (→ ring)"},
 		{"-collective reducescatter -p 256 -bytes 1024", "256x1 PEs (→ autogen)"},
 		{"-collective allgather -p 16 -bytes 64", "16x1 PEs (→ star)"},

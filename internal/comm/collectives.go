@@ -11,7 +11,9 @@ import (
 // the lane's Base up: a tree reduce Base and Base+1, and the end-rooted
 // AllReduce floods behind it on Base+2; the ring takes Base to Base+2 (Base+3
 // in its distance-preserving mapping); the middle root reduces its halves on
-// Base to Base+3 and floods on Base+4, and its AllGather gathers the halves on
+// Base to Base+3 and floods on Base+4, its fold chains the west half and
+// the crossing on Base and Base+1 and the east half on Base+2 and Base+3 and
+// floods on Base+4 too, and its AllGather gathers the halves on
 // Base and Base+1 and floods on Base+4; the gather-flood takes Base alone. A
 // 1D kind runs row 0 from Base 0, within the paper's budget of ≤3 colors in
 // 1D (§8.2) but for the middle root's 5. The 2D X-Y collectives reduce the rows

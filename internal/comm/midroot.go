@@ -12,13 +12,16 @@ import (
 // be further optimized by choosing an optimal root to reduce to... This is
 // done in optimized stencil implementations [25], in which they first
 // reduce to the middle PE and broadcast from there". This file implements
-// that optimisation: the row is split at the middle PE, both halves reduce
-// into it concurrently on disjoint color pairs, and the result floods out
-// in both directions on a single color (the router multicasts Ramp→{E,W}).
-// Distance and depth terms are roughly halved at the cost of 2B root
-// contention. The centre-rooted 2D AllReduce applies the same split twice:
-// to every row, then to the middle column; the middle-root AllGather splits
-// a Gather.
+// that optimisation two ways. The halves: the row is split at the middle PE,
+// both halves reduce into it concurrently on disjoint color pairs, and the
+// result floods out in both directions on a single color (the router
+// multicasts Ramp→{E,W}); distance and depth terms are roughly halved at the
+// cost of 2B root contention. The fold: one chain runs from the start to the
+// end of the row and back into the middle PE, so the middle PE takes one
+// stream, and floods from there; the chain's longer hop costs what the flood
+// from the middle saves. The centre-rooted 2D AllReduce applies the halves'
+// split twice: to every row, then to the middle column; the middle-root
+// AllGather splits a Gather.
 
 // reversePath returns the path walked from its far end back to the start.
 func reversePath(p mesh.Path) mesh.Path {
@@ -80,6 +83,83 @@ func BuildAllReduceMidRoot(spec *fabric.Spec, lane Lane, westTree, eastTree Tree
 	flood := lane
 	flood.Base += 4
 	return BuildFlood(spec, flood, len(lane.Path)/2)
+}
+
+// BuildAllReduceFold compiles the fold, the middle-root AllReduce whose
+// middle PE takes one stream, on a lane of p PEs with its middle PE at path
+// index mid = p/2. The west half chains towards the end, 0 → … → mid−1, on
+// colors Base and Base+1; PE mid−1's stream crosses the routers of mid … p−2
+// to PE p−1; the east half chains back, p−1 → … → mid+1 → mid, on Base+2 and
+// Base+3; and the middle PE floods the result both ways on Base+4. It is the
+// end-rooted chain AllReduce folded across the middle: the crossing adds
+// ⌈p/2⌉−1 hops to the chain and the flood from the middle saves as many.
+func BuildAllReduceFold(spec *fabric.Spec, lane Lane, op fabric.ReduceOp) error {
+	p := len(lane.Path)
+	if p < 1 {
+		return fmt.Errorf("comm: empty path")
+	}
+	if err := lane.validate(1); err != nil {
+		return err
+	}
+	if p == 1 {
+		return nil // nothing to reduce or flood
+	}
+	path, mid := lane.Path, p/2
+	// The chain visits order[k] k-th; transfer k leaves order[k] for
+	// order[k+1] on color(k): the west half's pair up to the crossing, the
+	// east half's after it, alternating so that no PE receives and sends on
+	// one color.
+	order := make([]int, 0, p)
+	for v := 0; v < mid; v++ {
+		order = append(order, v)
+	}
+	for v := p - 1; v >= mid; v-- {
+		order = append(order, v)
+	}
+	color := func(k int) mesh.Color {
+		if k < mid {
+			return lane.Base + mesh.Color(k%2)
+		}
+		return lane.Base + 2 + mesh.Color((k-mid)%2)
+	}
+	// toward is the direction from path index i one step along the chain's
+	// sense s: +1 towards the end, -1 towards the start.
+	toward := func(i, s int) mesh.Direction {
+		if s > 0 {
+			return path.TowardEnd(i)
+		}
+		return path.TowardStart(i)
+	}
+	for k, v := range order {
+		o := fabric.Op{Kind: fabric.OpRecvReduceSend, Off: lane.Off, N: lane.N, Reduce: op}
+		switch k {
+		case 0:
+			o = fabric.Op{Kind: fabric.OpSend, Color: color(0), Off: lane.Off, N: lane.N}
+		case p - 1:
+			o.Kind, o.Color = fabric.OpRecvReduce, color(k-1)
+		default:
+			o.Color, o.OutColor = color(k-1), color(k)
+		}
+		pe := spec.PE(path[v])
+		pe.Ops = append(pe.Ops, o)
+		if k == p-1 {
+			continue
+		}
+		// Transfer k leaves v's ramp, crosses the routers strictly between v
+		// and the next PE of the chain, and goes up that PE's ramp.
+		to, c, s := order[k+1], color(k), 1
+		if to < v {
+			s = -1
+		}
+		pe.AddConfig(c, fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(toward(v, s))})
+		for i := v + s; i != to; i += s {
+			spec.PE(path[i]).AddConfig(c, fabric.RouterConfig{Accept: toward(i, -s), Forward: mesh.Dirs(toward(i, s))})
+		}
+		spec.PE(path[to]).AddConfig(c, fabric.RouterConfig{Accept: toward(to, -s), Forward: mesh.Dirs(mesh.Ramp)})
+	}
+	flood := lane
+	flood.Base += 4
+	return BuildFlood(spec, flood, mid)
 }
 
 // BuildAllGatherMidRoot compiles the middle-root AllGather on a lane of p

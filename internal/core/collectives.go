@@ -85,7 +85,7 @@ func BestReduceScatter(p, b int, pr model.Params) (Pattern, float64) {
 }
 
 // PredictReduceScatter estimates a ReduceScatter under a schedule
-// BestReduceScatter can pick.
+// BestReduceScatter can pick, and any other pattern at +Inf.
 func PredictReduceScatter(pattern Pattern, p, b int, pr model.Params) float64 {
 	if pattern == Ring {
 		return pr.ReduceScatter(p, b)
@@ -177,8 +177,9 @@ func AllGatherInit(chunk []float32, off, b int) []float32 {
 }
 
 // BuildAllReduceMidRootInto compiles the middle-root AllReduce for a
-// concrete pattern (resolve Auto with BestAllReduceMidRoot first) over the
-// halves MidRootHalves returns, the trees PredictAllReduceMidRoot prices.
+// concrete pattern (resolve Auto with BestAllReduceMidRoot first): the fold,
+// or the halves MidRootHalves returns for a tree pattern, the trees
+// PredictAllReduceMidRoot prices.
 func BuildAllReduceMidRootInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Params, op fabric.ReduceOp) error {
 	return buildAllReduce1D(spec, comm.RowLane(p, b), pattern, true, pr, op)
 }

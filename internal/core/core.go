@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/autogen"
 	"repro/internal/comm"
@@ -43,6 +44,10 @@ const (
 	// GatherFlood is an AllGather schedule, and only BestAllGather names
 	// it: every PE floods its own chunk on its turn (comm.BuildGatherFlood).
 	GatherFlood Pattern = "gather-flood"
+	// Fold is middle-root-AllReduce-only: one chain from the start of the
+	// row to its end and back into the middle PE, which takes one stream
+	// where the halves give it two, then floods (comm.BuildAllReduceFold).
+	Fold Pattern = "fold"
 )
 
 // Patterns1D lists the concrete (runnable) 1D patterns.
@@ -87,7 +92,8 @@ func TreeFor(pattern Pattern, p, b int, pr model.Params) (comm.Tree, error) {
 // PredictReduce1D returns the model's runtime estimate in cycles of the
 // program BuildReduce1DInto compiles: the closed forms of Star and Chain,
 // and for the other trees — the binomial and Two-Phase ones, and whatever
-// the Auto-Gen search returned — the critical path of the tree itself.
+// the Auto-Gen search returned — the critical path of the tree itself. A
+// pattern that builds no Reduce costs +Inf.
 func PredictReduce1D(pattern Pattern, p, b int, pr model.Params) float64 {
 	switch pattern {
 	case Star:
@@ -98,13 +104,14 @@ func PredictReduce1D(pattern Pattern, p, b int, pr model.Params) float64 {
 		tree, _ := TreeFor(pattern, p, b, pr) // fails for p < 1 only: no tree, no cycles
 		return pr.CriticalPath(tree.Parent, b)
 	}
-	return 0
+	return math.Inf(1)
 }
 
 // PredictAllReduce1D is the Reduce-then-Broadcast estimate of a tree
 // pattern from the end root, or Lemma 6.1's ring estimate for the ring
-// patterns (the model assigns both mappings the same cost). What an Auto
-// AllReduce runs is BestAllReduce1D's to say.
+// patterns (the model assigns both mappings the same cost); any other
+// pattern costs +Inf. What an Auto AllReduce runs is BestAllReduce1D's to
+// say.
 func PredictAllReduce1D(pattern Pattern, p, b int, pr model.Params) float64 {
 	if pattern == Ring || pattern == RingDP {
 		return pr.RingAllReduce(p, b)
@@ -137,10 +144,11 @@ func best1D(predict func(Pattern) float64) (Pattern, float64) {
 // and the ring where it has a program — a real split into non-empty chunks.
 // The model prices both ring mappings alike, so the simple one, which also
 // runs on odd rows, stands for both. The end root wins ties, then the middle
-// root.
+// root. The middle root's fold is left out: it costs what the end-rooted
+// chain does, cycle for cycle, so the end root would win every tie anyway.
 func BestAllReduce1D(p, b int, pr model.Params) (best Pattern, midRoot bool, bestT float64) {
 	best, bestT = best1D(func(pat Pattern) float64 { return PredictAllReduce1D(pat, p, b, pr) })
-	if pat, t := BestAllReduceMidRoot(p, b, pr); t < bestT {
+	if pat, t := bestMidRootHalves(p, b, pr); t < bestT {
 		best, midRoot, bestT = pat, true, t
 	}
 	if t := pr.RingAllReduce(p, b); p >= 2 && b >= p && t < bestT {
@@ -169,18 +177,38 @@ func MidRootHalves(pattern Pattern, p, b int, pr model.Params) (west, east comm.
 
 // PredictAllReduceMidRoot is the middle root priced as one path
 // (model.MidRootAllReduce) over the trees the builder runs on the halves,
-// for any tree pattern.
+// for any tree pattern. The fold is the end-rooted chain AllReduce's form:
+// its crossing of the east half adds ⌈P/2⌉−1 hops to the chain, and its
+// flood from the middle saves as many. Any other pattern costs +Inf.
 func PredictAllReduceMidRoot(pattern Pattern, p, b int, pr model.Params) float64 {
-	west, east, _ := MidRootHalves(pattern, p, b, pr) // fails for p < 1 or no tree pattern: no trees, no cycles
-	return pr.MidRootAllReduce(west.Parent, east.Parent, b)
+	switch pattern {
+	case Fold:
+		return pr.Then(pr.ChainReduce(p, b), pr.Broadcast1D(p, b))
+	case Star, Chain, Tree, TwoPhase, AutoGen:
+		west, east, _ := MidRootHalves(pattern, p, b, pr) // fails for p < 1 only: no trees, no cycles
+		return pr.MidRootAllReduce(west.Parent, east.Parent, b)
+	}
+	return math.Inf(1)
 }
 
-// BestAllReduceMidRoot picks the tree pattern with the lowest predicted
-// middle-root AllReduce runtime. It is not BestReduce1D of a half: the
-// root queues both halves' transfers, so a wide tree that wins a lone
-// Reduce can lose here — which is why AutoGen's halves are searched as a
-// pair (MidRootHalves).
+// BestAllReduceMidRoot picks what an Auto middle-root AllReduce runs: the
+// halves under the tree pattern with the lowest estimate, or the fold where
+// it prices strictly lower — long vectors, where the halves' root takes 2B
+// up one ramp and the fold's takes B.
 func BestAllReduceMidRoot(p, b int, pr model.Params) (Pattern, float64) {
+	best, bestT := bestMidRootHalves(p, b, pr)
+	if t := PredictAllReduceMidRoot(Fold, p, b, pr); t < bestT {
+		return Fold, t
+	}
+	return best, bestT
+}
+
+// bestMidRootHalves picks the tree pattern with the lowest predicted
+// middle-root AllReduce runtime over the halves. It is not BestReduce1D of a
+// half: the root queues both halves' transfers, so a wide tree that wins a
+// lone Reduce can lose here — which is why AutoGen's halves are searched as
+// a pair (MidRootHalves).
+func bestMidRootHalves(p, b int, pr model.Params) (Pattern, float64) {
 	return best1D(func(pat Pattern) float64 { return PredictAllReduceMidRoot(pat, p, b, pr) })
 }
 
@@ -229,10 +257,12 @@ func BuildAllReduce1DInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model
 // buildAllReduce1D compiles a 1D AllReduce on a lane, the schedule
 // BestAllReduce1D names: a ring pattern's ring, or Reduce-then-Broadcast
 // under a tree pattern, from the middle root if midRoot (over the halves
-// MidRootHalves returns) and from the end root otherwise.
+// MidRootHalves returns, or the fold) and from the end root otherwise.
 func buildAllReduce1D(spec *fabric.Spec, lane comm.Lane, pattern Pattern, midRoot bool, pr model.Params, op fabric.ReduceOp) error {
 	p, b := len(lane.Path), lane.N
 	switch {
+	case midRoot && pattern == Fold:
+		return comm.BuildAllReduceFold(spec, lane, op)
 	case midRoot:
 		west, east, err := MidRootHalves(pattern, p, b, pr)
 		if err != nil {

@@ -121,14 +121,16 @@ func TestCentreRootTradesDistanceForContention(t *testing.T) {
 // TestMidRootAutoMinimisesItsOwnLemma: the middle root's Auto is the
 // pattern with the lowest middle-root estimate — not the best lone Reduce of
 // a half, which at one wavelet is a wide tree whose two halves queue at the
-// shared root — and every pattern the builder accepts has a finite estimate.
-// That a run reports the estimate Auto was chosen by is plan's
+// shared root — and every pattern the builder accepts, the fold included,
+// has a finite estimate. On long vectors the fold wins: its middle PE takes B
+// up its ramp where the halves' takes 2B (623 cycles against 831 at 16 PEs
+// and 1 KB). That a run reports the estimate Auto was chosen by is plan's
 // TestMidRootRunsAtItsEstimate.
 func TestMidRootAutoMinimisesItsOwnLemma(t *testing.T) {
 	pr := Params(fabric.Options{})
-	for _, tc := range []struct{ p, b int }{{16, 1}, {64, 16}, {512, 1}, {257, 64}} {
+	for _, tc := range []struct{ p, b int }{{16, 1}, {64, 16}, {512, 1}, {257, 64}, {16, 256}, {64, 1024}} {
 		best, bestT := BestAllReduceMidRoot(tc.p, tc.b, pr)
-		for _, pat := range Patterns1D {
+		for _, pat := range append([]Pattern{Fold}, Patterns1D...) {
 			v := PredictAllReduceMidRoot(pat, tc.p, tc.b, pr)
 			if math.IsInf(v, 0) || math.IsNaN(v) || v < bestT {
 				t.Errorf("p=%d b=%d: %s estimates %v, Auto chose %s at %v", tc.p, tc.b, pat, v, best, bestT)
@@ -139,6 +141,15 @@ func TestMidRootAutoMinimisesItsOwnLemma(t *testing.T) {
 	// control wavelets go unpriced, and loses here by a factor of two.
 	if best, _ := BestAllReduceMidRoot(512, 1, pr); best == Star {
 		t.Error("Auto deploys Star on the 512-PE middle root")
+	}
+	halves, _ := bestMidRootHalves(16, 256, pr)
+	if best, t16 := BestAllReduceMidRoot(16, 256, pr); best != Fold || t16 != 623 || PredictAllReduceMidRoot(halves, 16, 256, pr) != 831 {
+		t.Errorf("16 PEs, 1 KB: Auto deploys %s at %v, the halves (%s) cost %v; want the fold at 623 and 831", best, t16, halves, PredictAllReduceMidRoot(halves, 16, 256, pr))
+	}
+	// The fold ties the end-rooted chain, so an AllReduce's Auto never moves
+	// to it.
+	if pat, midRoot, _ := BestAllReduce1D(16, 256, pr); midRoot && pat == Fold {
+		t.Error("an Auto AllReduce deploys the fold")
 	}
 }
 

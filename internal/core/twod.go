@@ -158,11 +158,11 @@ func predictSplit(width, height, b int, pr model.Params) float64 {
 
 // centreHalves returns the west and east halves the centre root runs on
 // every row and on the middle column: in each dimension the pair the middle
-// root runs on a row of that length under the pattern BestAllReduceMidRoot
-// picks.
+// root runs on a row of that length under the tree pattern whose halves
+// price lowest (the fold has no halves to run).
 func centreHalves(width, height, b int, pr model.Params) (row, col [2]comm.Tree, err error) {
 	halves := func(p int) (h [2]comm.Tree, err error) {
-		pat, _ := BestAllReduceMidRoot(p, b, pr)
+		pat, _ := bestMidRootHalves(p, b, pr)
 		h[0], h[1], err = MidRootHalves(pat, p, b, pr)
 		return h, err
 	}

@@ -158,7 +158,7 @@ type Tape struct {
 	stats  Stats
 	coords []mesh.Coord
 	off    []int   // len(coords)+1 prefix offsets of the PEs' accumulators in the flat image
-	clkOff []int   // likewise for the clock samples
+	clkOff []int   // likewise for the clock samples; nil when no PE samples its clock
 	clocks []int64 // every PE's sampled clock slots, concatenated
 	runs   []tapeRun
 	events int // the elements a walk moves: the sum of the runs' lengths
@@ -219,18 +219,24 @@ func (f *Fabric) tapeOf(rec *recorder) (*Tape, error) {
 		stats:  stats,
 		coords: f.coords,
 		off:    make([]int, 0, len(f.procs)+1),
-		clkOff: make([]int, 0, len(f.procs)+1),
 		runs:   rec.formRuns(),
 		events: len(rec.events),
 		waves:  int(rec.waves),
 	}
 	for i := range f.procs {
 		t.off = append(t.off, int(rec.base[i]))
-		t.clkOff = append(t.clkOff, len(t.clocks))
 		t.clocks = append(t.clocks, f.procs[i].clock...)
 	}
 	t.off = append(t.off, int(rec.base[len(f.procs)]))
-	t.clkOff = append(t.clkOff, len(t.clocks))
+	if len(t.clocks) > 0 {
+		t.clkOff = make([]int, 0, len(f.procs)+1)
+		at := 0
+		for i := range f.procs {
+			t.clkOff = append(t.clkOff, at)
+			at += len(f.procs[i].clock)
+		}
+		t.clkOff = append(t.clkOff, at)
+	}
 	return t, nil
 }
 
@@ -331,8 +337,10 @@ func (t *Tape) Run(acc []float32) *Result {
 	}
 	for i, c := range t.coords {
 		res.Acc[c] = acc[t.off[i]:t.off[i+1]:t.off[i+1]]
+	}
+	for i := 0; i+1 < len(t.clkOff); i++ {
 		if lo, hi := t.clkOff[i], t.clkOff[i+1]; hi > lo {
-			res.Clocks[c] = clocks[lo:hi:hi]
+			res.Clocks[t.coords[i]] = clocks[lo:hi:hi]
 		}
 	}
 	return res

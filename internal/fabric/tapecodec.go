@@ -83,7 +83,6 @@ func DecodeTape(s *Spec, data []byte) (*Tape, error) {
 			MaxQueueLen: int(count()), Noops: count(), Steps: count()},
 		coords: make([]mesh.Coord, 0, n),
 		off:    make([]int, 0, n+1),
-		clkOff: make([]int, 0, n+1),
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("fabric: tape codec: %v", d.err)
@@ -104,7 +103,6 @@ func DecodeTape(s *Spec, data []byte) (*Tape, error) {
 		}
 		t.coords = append(t.coords, c)
 		t.off = append(t.off, total)
-		t.clkOff = append(t.clkOff, clocks)
 		total += int(size)
 		clocks += pe.ClockSlots
 		for k := range pe.Ops {
@@ -112,7 +110,17 @@ func DecodeTape(s *Spec, data []byte) (*Tape, error) {
 		}
 	}
 	t.off = append(t.off, total)
-	t.clkOff = append(t.clkOff, clocks)
+	if clocks > 0 { // the clock offsets, only for a program that samples
+		t.clkOff = make([]int, 0, n+1)
+		at := 0
+		for _, pe := range s.pes {
+			if pe != nil {
+				t.clkOff = append(t.clkOff, at)
+				at += pe.ClockSlots
+			}
+		}
+		t.clkOff = append(t.clkOff, at)
+	}
 
 	if got := d.uvarint(); d.err == nil && got != uint64(clocks) {
 		return nil, fmt.Errorf("fabric: tape codec: %d clock samples, the program has %d slots", got, clocks)

@@ -89,6 +89,10 @@ type KindInfo struct {
 // patterns1DRing is the 1D family of the one kind with a ring program.
 var patterns1DRing = append(slices.Clone(core.Patterns1D), core.Ring, core.RingDP)
 
+// patternsMidRoot is the family of the middle-root AllReduce: the halves
+// under each tree pattern, and the fold.
+var patternsMidRoot = append(slices.Clone(core.Patterns1D), core.Fold)
+
 func auto1D(r *Request, pr model.Params) {
 	if r.Alg == core.Auto {
 		r.Alg, _ = core.BestReduce1D(r.P, r.B, pr)
@@ -278,11 +282,14 @@ var Kinds = []KindInfo{
 	{
 		Kind: AllReduceMidRoot, Name: "allreduce-midroot",
 		Doc:  "AllReduce rooted at the middle PE with a bidirectional flood (alg=, op=)",
-		Algs: core.Patterns1D, HasOp: true, Inputs: VectorPerPE,
+		Algs: patternsMidRoot, HasOp: true, Inputs: VectorPerPE,
 		// The halves reduce in two parts like the rows and column of a grid:
-		// RowTree is the west half's tree, ColTree the east half's.
+		// RowTree is the west half's tree, ColTree the east half's. The fold
+		// records none.
 		trees: func(p *Plan, pr model.Params) (err error) {
-			p.RowTree, p.ColTree, err = core.MidRootHalves(p.Alg, p.P, p.B, pr)
+			if p.Alg != core.Fold {
+				p.RowTree, p.ColTree, err = core.MidRootHalves(p.Alg, p.P, p.B, pr)
+			}
 			return err
 		},
 		auto: func(r *Request, pr model.Params) {

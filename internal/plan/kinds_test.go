@@ -82,10 +82,14 @@ func TestKindTableConformance(t *testing.T) {
 				t.Errorf("%s: Validate(alg=%q, alg2d=%q) = %v", ki.Kind, stray.Alg, stray.Alg2D, err)
 			}
 		}
-		if ki.Algs != nil { // the ring is a program of the end-rooted AllReduce alone
+		if ki.Algs != nil { // the ring is a program of the end-rooted AllReduce alone, the fold of the middle root's
 			ring := Request{Kind: ki.Kind, Alg: core.Ring, P: 6, B: 14}
 			if err := ring.Validate(); errors.Is(err, ErrBadShape) != (ki.Kind != AllReduce1D) {
 				t.Errorf("%s with alg=ring: %v", ki.Kind, err)
+			}
+			fold := Request{Kind: ki.Kind, Alg: core.Fold, P: 6, B: 14}
+			if err := fold.Validate(); errors.Is(err, ErrBadShape) != (ki.Kind != AllReduceMidRoot) {
+				t.Errorf("%s with alg=fold: %v", ki.Kind, err)
 			}
 		}
 		if ki.Algs2D != nil { // and the centre root and the split ones of the 2D AllReduce alone
@@ -209,8 +213,10 @@ func TestKindTableConformance(t *testing.T) {
 // TestEveryScheduleIsPriced: every algorithm a row accepts, and every
 // schedule AllGather picks from, has a finite estimate on every valid shape
 // of a few geometries and ramp latencies — while a pattern a Predict function
-// does not price is +Inf there, not a silent 0 (a 2D Reduce under an
-// AllReduce-only pattern, an AllGather under a reduction tree).
+// does not price is +Inf there, not a silent 0 or a lone phase (a 2D Reduce
+// under an AllReduce-only pattern, an AllGather under a reduction tree, a 1D
+// Reduce under the fold, the middle root under the ring, an AllReduce under
+// no pattern at all, a ReduceScatter under the ring's other mapping).
 func TestEveryScheduleIsPriced(t *testing.T) {
 	finite := func(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 	for _, g := range []Request{{P: 6, Width: 3, Height: 2, B: 14}, {P: 16, Width: 8, Height: 8, B: 256}, {P: 5, Width: 5, Height: 7, B: 5}, {P: 2, Width: 1, Height: 1, B: 1}} {
@@ -234,6 +240,17 @@ func TestEveryScheduleIsPriced(t *testing.T) {
 			}
 			if v := core.PredictAllGather(core.Tree, g.P, max(g.B, g.P), pr); !math.IsInf(v, 1) {
 				t.Errorf("an AllGather under a tree prices %v, want +Inf", v)
+			}
+			for name, v := range map[string]float64{
+				"a 1D Reduce under the fold":             core.PredictReduce1D(core.Fold, g.P, g.B, pr),
+				"the middle root under the ring":         core.PredictAllReduceMidRoot(core.Ring, g.P, g.B, pr),
+				"an AllReduce under a bogus pattern":     core.PredictAllReduce1D("bogus", g.P, g.B, pr),
+				"a ReduceScatter under the ring-dp":      core.PredictReduceScatter(core.RingDP, g.P, max(g.B, g.P), pr),
+				"an end-rooted AllReduce under the fold": core.PredictAllReduce1D(core.Fold, g.P, g.B, pr),
+			} {
+				if !math.IsInf(v, 1) {
+					t.Errorf("%s p=%d b=%d tr=%d prices %v, want +Inf", name, g.P, g.B, tr, v)
+				}
 			}
 			for _, alg := range []core.Pattern2D{core.Centre, core.Split} {
 				if v := core.PredictReduce2D(alg, g.Width, g.Height, g.B, pr); !math.IsInf(v, 1) {

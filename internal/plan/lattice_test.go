@@ -106,11 +106,12 @@ var modelTolerancePct = map[Kind]float64{
 const autoSlack = 0.06
 
 // tolerancePct is the cell's entry of modelTolerancePct — unless it ran the
-// ring, whose phases share no link and are exact under every kind: the
+// ring, whose phases share no link and are exact under every kind, or the
+// middle root's fold, a chain and a flood, exact on every cell: the
 // entries of ReduceScatter and AllReduce1D are for their trees (and ring-dp,
 // the mapping that runs one cycle under the cost the two share).
 func tolerancePct(c latticeCell) float64 {
-	if c.alg == string(core.Ring) {
+	if c.alg == string(core.Ring) || c.alg == string(core.Fold) {
 		return 0
 	}
 	return modelTolerancePct[c.req.Kind]

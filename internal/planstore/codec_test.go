@@ -17,8 +17,8 @@ import (
 var noisyOpt = fabric.Options{ClockSkewMax: 3, ThermalNoopRate: 0.01, Seed: 7}
 
 // kindRequests returns one request per collective kind, parameterised by
-// the fabric options, and last an Auto AllReduce the model roots in the
-// middle: a plan whose key says allreduce1d and whose program is the
+// the fabric options, the middle root's fold beside its halves, and last an
+// Auto AllReduce the model roots in the middle: a plan whose key says allreduce1d and whose program is the
 // allreduce-midroot row's.
 func kindRequests(opt fabric.Options) []plan.Request {
 	return []plan.Request{
@@ -33,6 +33,7 @@ func kindRequests(opt fabric.Options) []plan.Request {
 		{Kind: plan.ReduceScatter, P: 6, B: 13, Op: fabric.OpSum, Opt: opt},
 		{Kind: plan.AllGather, P: 4, B: 10, Opt: opt},
 		{Kind: plan.AllReduceMidRoot, Alg: core.Tree, P: 9, B: 8, Op: fabric.OpMin, Opt: opt},
+		{Kind: plan.AllReduceMidRoot, Alg: core.Fold, P: 7, B: 6, Op: fabric.OpMax, Opt: opt},
 		{Kind: plan.AllReduce1D, Alg: core.Auto, P: 33, B: 1, Op: fabric.OpSum, Opt: opt},
 	}
 }

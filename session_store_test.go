@@ -187,11 +187,12 @@ func allocKB(fn func()) uint64 {
 // no engine run. What that first run allocates is held at what it measured
 // when the tape became runs, rounded up to the next 16 KB: for reduce1d P=512
 // B=4, ~1 MB when it built a fabric, 391 KB with a tape of events, 364 KB
-// now — the spec decode (221 KB), the map-shaped report with its image and
-// wave buffer (64 KB), the tape decode (31 KB: coordinates, offset tables
-// and 14 KB of runs), and the frame read, the key and the session around
-// them (49 KB). The 256 KB first asked of it needs the spec decode to
-// shrink (ROADMAP, engine memory).
+// when the bound was set, 363 KB now — the spec decode (222 KB), the
+// map-shaped report with its image and wave buffer (64 KB), the tape decode
+// (28 KB: coordinates, the accumulator offset table and 14 KB of runs; no
+// clock offset table, since no PE samples its clock), and the frame read,
+// the key and the session around them (49 KB). The 256 KB first asked of it
+// needs the spec decode to shrink (ROADMAP, engine memory).
 func TestTapedStoreHitBuildsNoFabric(t *testing.T) {
 	const boundKB = 368
 	ctx := context.Background()
@@ -257,7 +258,7 @@ func TestTapedStoreHitBuildsNoFabric(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportKB := allocKB(func() { core.ReportOf(tape.Run(make([]float32, tape.AccLen())), 0) })
-	parts := fmt.Sprintf("Spec decode %d KB (221 when the bound was set), tape decode %d KB (31: %d events in %d runs), image, walk and report %d KB (64), the rest %d KB (49)",
+	parts := fmt.Sprintf("Spec decode %d KB (221 when the bound was set), tape decode %d KB (28: %d events in %d runs), image, walk and report %d KB (64), the rest %d KB (49)",
 		specKB, tapeKB, tape.Events(), tape.Runs(), reportKB, int64(grew)-int64(specKB+tapeKB+reportKB))
 	t.Logf("first Run of a taped store hit allocated %d KB: %s", grew, parts)
 	if grew > boundKB {

@@ -79,7 +79,10 @@ const (
 	// ReduceScatter or AllGather names Ring for its ring phase; a resolved
 	// AllGather's other schedules are Star (through the middle PE) and
 	// "gather-flood" (every PE floods its own chunk), which has no constant
-	// here because no request names it.
+	// here because no request names it. KindAllReduceMidRoot also takes
+	// Algorithm("fold"): one chain from the start of the row to its end and
+	// back into the middle PE, which then floods; its Auto deploys it on
+	// long vectors.
 	Ring   = core.Ring
 	RingDP = core.RingDP
 )
