@@ -64,7 +64,7 @@ func TestDescribeSaysWhatAutoChose(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-collective allreduce -alg auto -p 64 -bytes 4096", "64x1 PEs, alg=auto (→ autogen)"},
 		// One wavelet per PE: distance is all there is, and the middle root
-		// halves it — 38 cycles under the searched pair, 52 from the end.
+		// halves it — 38 cycles under the searched pair, 50 from the end.
 		{"-collective allreduce -p 16 -bytes 4", "16x1 PEs, alg=auto (→ allreduce-midroot/autogen)"},
 		{"-collective allreduce -p 512 -bytes 4", "512x1 PEs, alg=auto (→ allreduce-midroot/autogen)"},
 		// 16 PEs, 16 KB: the ring moves 2B(P-1)/P wavelets a PE, the trees 2B.
@@ -76,8 +76,10 @@ func TestDescribeSaysWhatAutoChose(t *testing.T) {
 		{"-collective reducescatter -p 16 -bytes 1024", "16x1 PEs (→ ring)"},
 		{"-collective reducescatter -p 256 -bytes 1024", "256x1 PEs (→ autogen)"},
 		{"-collective allgather -p 16 -bytes 64", "16x1 PEs (→ star)"},
-		{"-collective reduce2d -grid 8x8 -bytes 64", "8x8 PEs, alg=auto (→ xy-twophase)"},
-		// One wavelet on a 32×32 grid: rooted in the centre, 103 cycles; 165 in the corner.
+		// 16 wavelets on 8×8: both phases under the searched end-rooted tree,
+		// 95 cycles; Two-Phase's, 105.
+		{"-collective reduce2d -grid 8x8 -bytes 64", "8x8 PEs, alg=auto (→ xy-autogen)"},
+		// One wavelet on a 32×32 grid: rooted in the centre, 103 cycles; 155 in the corner.
 		{"-collective allreduce2d -grid 32x32 -bytes 4", "32x32 PEs, alg=auto (→ centre)"},
 		{"-collective reduce -alg chain -p 8", "8x1 PEs, alg=chain"},
 		{"-collective broadcast -p 8", "8x1 PEs"},

@@ -18,8 +18,8 @@
 // B is the length of one transfer in wavelets, which is all the objective
 // knows of it. A caller pricing transfers that carry more than the vector —
 // this repository's fabric programs trail each with a control wavelet —
-// passes that length (core.TreeFor does), and the search then builds the
-// tree that is best for the transfers the fabric moves.
+// passes that length (core.TreeFor and core.EndTree do), and the search then
+// builds the tree that is best for the transfers the fabric moves.
 //
 // Building the table. For fixed (D, C) the recursion over P is a min-plus
 // convolution: with a[i] = e(i,D,C−1)+i and b[j] = e(j,D−1,C),

@@ -28,6 +28,11 @@ package autogen
 // the two Eq. 1 halves, so the pair it returns is never slower than they are
 // and never moves more wavelets.
 //
+// End is the same search rooted at the end of the row: F(P, ·) itself, at the
+// smallest t whose energy is at most the Eq. 1 tree's. It is the tree of every
+// Reduce a flood, a scatter or a second phase follows. A lone Reduce keeps the
+// Eq. 1 tree: the searched one can run below T*, which is then no bound on it.
+//
 // F(n, ·) and E(n, ·) are non-increasing step functions of t, each kept as
 // its staircase: the cycles at which it drops, with the energy it drops to.
 // F(n, ·) ends at the chain, n−1 hops from cycle (n−1)(R+1) on. The sum of two
@@ -199,15 +204,16 @@ func (s *stairs) tree(parent []int, base, n int, t int32) {
 }
 
 // The memos: one staircase table per (transfer, ramp latency), one pair per
-// (P, transfer, ramp latency). A sweep over more points than maxPlans starts
-// the pair memo over, and over more transfer lengths than maxStairs the
-// tables.
+// (P, transfer, ramp latency) for the middle root and one tree per point for
+// the end root. A sweep over more points than maxPlans starts a tree memo
+// over, and over more transfer lengths than maxStairs the tables.
 const maxStairs = 1 << 6
 
 var (
 	midMu     sync.Mutex
 	midStairs map[[2]int]*stairs
 	midPairs  map[[3]int][2]comm.Tree
+	endTrees  map[[3]int]comm.Tree
 )
 
 // MidRoot returns the reduction trees of the middle-root AllReduce over p ≥ 2
@@ -216,9 +222,46 @@ var (
 // ramp latency tr: the west half over ⌊p/2⌋+1 PEs and the east half over
 // ⌈p/2⌉, each indexed by distance from the middle.
 func MidRoot(p, w, tr int) (west, east comm.Tree) {
-	key := [3]int{p, w, tr}
+	pair := remember(&midPairs, [3]int{p, w, tr}, func() [2]comm.Tree { return table(w, tr).midRoot(p) })
+	return comm.Tree{Parent: slices.Clone(pair[0].Parent)}, comm.Tree{Parent: slices.Clone(pair[1].Parent)}
+}
+
+// End returns the reduction tree over p PEs, rooted at PE 0, whose critical
+// path (model.CriticalPath) is the least among the trees moving no more hops
+// than the Eq. 1 tree, for transfers of w wavelets and ramp latency tr. It is
+// never slower than the Eq. 1 tree and never moves more wavelets.
+func End(p, w, tr int) comm.Tree {
+	if p <= 1 {
+		return comm.Single()
+	}
+	tree := remember(&endTrees, [3]int{p, w, tr}, func() comm.Tree { return table(w, tr).end(p) })
+	return comm.Tree{Parent: slices.Clone(tree.Parent)}
+}
+
+// remember returns what memo holds at key, or what search returns, which it
+// then holds.
+func remember[T any](memo *map[[3]int]T, key [3]int, search func() T) T {
 	midMu.Lock()
-	pair, ok := midPairs[key]
+	v, ok := (*memo)[key]
+	midMu.Unlock()
+	if ok {
+		return v
+	}
+	v = search()
+	midMu.Lock()
+	if *memo == nil || len(*memo) >= maxPlans {
+		*memo = make(map[[3]int]T)
+	}
+	(*memo)[key] = v
+	midMu.Unlock()
+	return v
+}
+
+// table returns the staircase table of transfers of w wavelets and ramp
+// latency tr, shared by both searches.
+func table(w, tr int) *stairs {
+	midMu.Lock()
+	defer midMu.Unlock()
 	s := midStairs[[2]int{w, tr}]
 	if s == nil {
 		if midStairs == nil || len(midStairs) >= maxStairs {
@@ -227,35 +270,51 @@ func MidRoot(p, w, tr int) (west, east comm.Tree) {
 		s = &stairs{w: int32(w), r: int32(2*tr + 1)}
 		midStairs[[2]int{w, tr}] = s
 	}
-	midMu.Unlock()
-	if !ok {
-		pair = s.midRoot(p)
-		midMu.Lock()
-		if midPairs == nil || len(midPairs) >= maxPlans {
-			midPairs = make(map[[3]int][2]comm.Tree)
-		}
-		midPairs[key] = pair
-		midMu.Unlock()
+	return s
+}
+
+// widen makes the table hold every step either search at p can use, and
+// returns the hops each may move: the Eq. 1 pair of halves' for the middle
+// root, the Eq. 1 tree's for the end root. The table is cut to both searches'
+// needs at once — the cycle by which either Eq. 1 root starts its last
+// transfer, priced control-free (a transfer is the w wavelets the table is
+// for), and the larger excess — so that the two searches at one point build
+// it once between them, and only a point that needs more starts it over.
+// s.mu is held.
+func (s *stairs) widen(p int) (midHops, endHops int32) {
+	w, tr := int(s.w), int(s.r-1)/2
+	pr := model.Params{TR: tr}
+	tb := For(p)
+	west, east, whole := tb.Tree(p/2+1, w, tr), tb.Tree(p-p/2, w, tr), tb.Tree(p, w, tr)
+	midHops, endHops = int32(hops(west.Parent)+hops(east.Parent)), int32(hops(whole.Parent))
+	tmax := int32(max(pr.MidRootBegin(west.Parent, east.Parent, w), pr.CriticalPath(whole.Parent, w)-float64(w)))
+	slack := max(midHops, endHops) - int32(p-1)
+	if tmax > s.tmax || slack > s.slack {
+		s.rows, s.tmax, s.slack = nil, max(tmax, s.tmax), max(slack, s.slack)
 	}
-	return comm.Tree{Parent: slices.Clone(pair[0].Parent)}, comm.Tree{Parent: slices.Clone(pair[1].Parent)}
+	return midHops, endHops
+}
+
+// end runs F(p, ·) over the table and reconstructs its tree.
+func (s *stairs) end(p int) comm.Tree {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, budget := s.widen(p)
+	s.upTo(p)
+	row := s.rows[p]
+	k := slices.IndexFunc(row, func(st step) bool { return st.e <= budget })
+	parent := make([]int, p)
+	parent[0] = -1
+	s.tree(parent, 0, p, row[k].t) // the Eq. 1 tree is in the search, so some step is in budget
+	return comm.Tree{Parent: parent}
 }
 
 // midRoot runs the east pass over the table and reconstructs the pair.
 func (s *stairs) midRoot(p int) [2]comm.Tree {
 	nw, ne := p/2+1, p-p/2
-	tr := int(s.r-1) / 2
-	eq1w, eq1e := For(nw).Tree(nw, int(s.w), tr), For(nw).Tree(ne, int(s.w), tr)
-	// The Eq. 1 pair bounds the search: its cycle and its hops. Priced
-	// control-free, a transfer is the w wavelets it is given.
-	tmax := int32(model.Params{TR: tr}.MidRootBegin(eq1w.Parent, eq1e.Parent, int(s.w)))
-	budget := int32(hops(eq1w.Parent) + hops(eq1e.Parent))
-	slack := budget - int32(p-1)
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if tmax > s.tmax || slack > s.slack {
-		s.rows, s.tmax, s.slack = nil, max(tmax, s.tmax), max(slack, s.slack)
-	}
+	budget, _ := s.widen(p)
 	s.upTo(nw)
 	east := [][]step{nil, s.rows[nw]}
 	eastLeft := func(i int) []step { return east[i] }

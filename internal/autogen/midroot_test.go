@@ -152,22 +152,24 @@ func TestMidRootRunsAtItsEstimate(t *testing.T) {
 	}
 }
 
-// forgetMidRoot empties both memos of the middle root's search.
+// forgetMidRoot empties the memos of both searches: the shared tables, the
+// middle root's pairs and the end root's trees.
 func forgetMidRoot() {
 	midMu.Lock()
-	midStairs, midPairs = nil, nil
+	midStairs, midPairs, endTrees = nil, nil, nil
 	midMu.Unlock()
 }
 
 // TestMidRootMemoIsTheSearch: a remembered pair, and a pair searched over a
 // table grown for other rows, is the pair a fresh table finds — from any
-// goroutine.
+// goroutine; and so is the end root's tree, searched on the same tables.
 func TestMidRootMemoIsTheSearch(t *testing.T) {
 	points := [][2]int{{16, 1}, {512, 16}, {64, 16}, {257, 1}, {100, 256}, {33, 4}}
 	want := map[[2]int][2]comm.Tree{}
+	wantEnd := map[[2]int]comm.Tree{}
 	for _, pt := range points {
-		s := &stairs{w: int32(pt[1] + 1), r: 5}
-		want[pt] = s.midRoot(pt[0])
+		want[pt] = (&stairs{w: int32(pt[1] + 1), r: 5}).midRoot(pt[0])
+		wantEnd[pt] = (&stairs{w: int32(pt[1] + 1), r: 5}).end(pt[0])
 	}
 	forgetMidRoot()
 	var wg sync.WaitGroup
@@ -177,9 +179,15 @@ func TestMidRootMemoIsTheSearch(t *testing.T) {
 			defer wg.Done()
 			for k := range points {
 				pt := points[(k+g)%len(points)]
+				if g == 1 {
+					End(pt[0], pt[1]+1, 2) // the end root's search first on this goroutine
+				}
 				west, east := MidRoot(pt[0], pt[1]+1, 2)
 				if fmt.Sprint(west.Parent, east.Parent) != fmt.Sprint(want[pt][0].Parent, want[pt][1].Parent) {
 					t.Errorf("p=%d b=%d: memo and fresh search disagree", pt[0], pt[1])
+				}
+				if end := End(pt[0], pt[1]+1, 2); fmt.Sprint(end.Parent) != fmt.Sprint(wantEnd[pt].Parent) {
+					t.Errorf("p=%d b=%d: the end root's memo and fresh search disagree", pt[0], pt[1])
 				}
 			}
 		}()

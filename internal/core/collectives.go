@@ -74,10 +74,10 @@ func placeChunks(spec *fabric.Spec, p, b int) error {
 }
 
 // BestReduceScatter picks what a ReduceScatter runs: Ring, the first phase
-// of the ring AllReduce, or a tree pattern — Reduce over that tree, then
+// of the ring AllReduce, or a tree pattern — Reduce over its EndTree, then
 // Scatter the result from the root. The ring wins ties.
 func BestReduceScatter(p, b int, pr model.Params) (Pattern, float64) {
-	pat, reduce := BestReduce1D(p, b, pr)
+	pat, reduce := best1D(func(pat Pattern) float64 { return predictEndReduce(pat, p, b, pr) })
 	if t := pr.Then(reduce, pr.Scatter(p, b)); t < pr.ReduceScatter(p, b) {
 		return pat, t
 	}
@@ -90,7 +90,7 @@ func PredictReduceScatter(pattern Pattern, p, b int, pr model.Params) float64 {
 	if pattern == Ring {
 		return pr.ReduceScatter(p, b)
 	}
-	return pr.Then(PredictReduce1D(pattern, p, b, pr), pr.Scatter(p, b))
+	return pr.Then(predictEndReduce(pattern, p, b, pr), pr.Scatter(p, b))
 }
 
 // BuildReduceScatterInto compiles a reduce-scatter of b elements over a row
@@ -103,7 +103,11 @@ func BuildReduceScatterInto(spec *fabric.Spec, pattern Pattern, p, b int, pr mod
 	if pattern == Ring {
 		return comm.BuildReduceScatter(spec, comm.RowLane(p, b), comm.RingSimple, op)
 	}
-	if err := BuildReduce1DInto(spec, pattern, p, b, pr, op); err != nil {
+	tree, err := EndTree(pattern, p, b, pr)
+	if err != nil {
+		return err
+	}
+	if err := comm.BuildTreeReduce(spec, comm.RowLane(p, b), tree, op); err != nil {
 		return err
 	}
 	if err := comm.BuildScatter(spec, mesh.Row(0, 0, p), b, scatterColor); err != nil {

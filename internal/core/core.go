@@ -71,7 +71,8 @@ func Params(opt fabric.Options) model.Params {
 
 // TreeFor returns the reduction tree of a concrete pattern for p PEs and
 // vector length b (b matters only for AutoGen, whose tree is optimised
-// per input size).
+// per input size) when the Reduce stands alone: AutoGen's is §5.5's Eq. 1
+// tree. EndTree is the tree of a Reduce that something follows.
 func TreeFor(pattern Pattern, p, b int, pr model.Params) (comm.Tree, error) {
 	if p < 1 {
 		return comm.Tree{}, fmt.Errorf("core: %d PEs", p)
@@ -87,6 +88,21 @@ func TreeFor(pattern Pattern, p, b int, pr model.Params) (comm.Tree, error) {
 		return autogen.For(p).Tree(p, b+pr.Ctl, pr.TR), nil
 	}
 	return comm.Tree{}, fmt.Errorf("core: unknown pattern %q", pattern)
+}
+
+// EndTree returns the reduction tree a concrete pattern runs from the end of
+// a row of p PEs when the Reduce is one phase of a composition: the reduce of
+// the end-rooted AllReduce, of the ReduceScatter through the root, and both
+// phases of an X-Y grid (so the split's columns too). AutoGen's is the
+// critical-path search autogen.End, never slower than §5.5's tree and never
+// moving more hops; a fixed pattern runs its own tree. Only a lone Reduce keeps
+// TreeFor's Eq. 1 tree: the search can run it below T*, the Reduce's bound.
+// The builders, the estimates and the trees a plan records all take it here.
+func EndTree(pattern Pattern, p, b int, pr model.Params) (comm.Tree, error) {
+	if pattern == AutoGen && p >= 2 {
+		return autogen.End(p, b+pr.Ctl, pr.TR), nil
+	}
+	return TreeFor(pattern, p, b, pr)
 }
 
 // PredictReduce1D returns the model's runtime estimate in cycles of the
@@ -107,16 +123,26 @@ func PredictReduce1D(pattern Pattern, p, b int, pr model.Params) float64 {
 	return math.Inf(1)
 }
 
+// predictEndReduce is PredictReduce1D of the Reduce a composition runs: the
+// critical path of EndTree's tree where that is not TreeFor's.
+func predictEndReduce(pattern Pattern, p, b int, pr model.Params) float64 {
+	if pattern != AutoGen {
+		return PredictReduce1D(pattern, p, b, pr)
+	}
+	tree, _ := EndTree(pattern, p, b, pr) // fails for p < 1 only: no tree, no cycles
+	return pr.CriticalPath(tree.Parent, b)
+}
+
 // PredictAllReduce1D is the Reduce-then-Broadcast estimate of a tree
-// pattern from the end root, or Lemma 6.1's ring estimate for the ring
-// patterns (the model assigns both mappings the same cost); any other
-// pattern costs +Inf. What an Auto AllReduce runs is BestAllReduce1D's to
+// pattern from the end root, over EndTree's tree, or Lemma 6.1's ring
+// estimate for the ring patterns (the model assigns both mappings the same
+// cost); any other pattern costs +Inf. What an Auto AllReduce runs is BestAllReduce1D's to
 // say.
 func PredictAllReduce1D(pattern Pattern, p, b int, pr model.Params) float64 {
 	if pattern == Ring || pattern == RingDP {
 		return pr.RingAllReduce(p, b)
 	}
-	return pr.Then(PredictReduce1D(pattern, p, b, pr), pr.Broadcast1D(p, b))
+	return pr.Then(predictEndReduce(pattern, p, b, pr), pr.Broadcast1D(p, b))
 }
 
 // BestReduce1D picks the concrete pattern with the lowest predicted
@@ -248,8 +274,9 @@ func BuildReduce1DInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Pa
 }
 
 // BuildAllReduce1DInto compiles a 1D Reduce-then-Broadcast from the end
-// root into spec, or the ring algorithm for the ring patterns (resolve Auto
-// with BestAllReduce1D first: its pick may be the middle root's program).
+// root, over EndTree's tree, into spec, or the ring algorithm for the ring
+// patterns (resolve Auto with BestAllReduce1D first: its pick may be the
+// middle root's program).
 func BuildAllReduce1DInto(spec *fabric.Spec, pattern Pattern, p, b int, pr model.Params, op fabric.ReduceOp) error {
 	return buildAllReduce1D(spec, comm.RowLane(p, b), pattern, false, pr, op)
 }
@@ -274,7 +301,7 @@ func buildAllReduce1D(spec *fabric.Spec, lane comm.Lane, pattern Pattern, midRoo
 	case pattern == RingDP:
 		return comm.BuildRingAllReduce(spec, lane, comm.RingDistancePreserving, op)
 	}
-	tree, err := TreeFor(pattern, p, b, pr)
+	tree, err := EndTree(pattern, p, b, pr)
 	if err != nil {
 		return err
 	}

@@ -97,7 +97,7 @@ func TestPredict2DConsistency(t *testing.T) {
 // TestCentreRootTradesDistanceForContention: the centre root halves the
 // distance of every phase of a 2D AllReduce, and each of its roots takes two
 // streams per phase where the corner's takes one. So Auto deploys it for
-// short vectors — 103 cycles against X-Y's 165 at 32×32 and one wavelet —
+// short vectors — 103 cycles against X-Y's 155 at 32×32 and one wavelet —
 // and not for long ones, where it is the bandwidth-inefficient schedule §7.4
 // warns of: 1512 against 1208 at 1 KB.
 func TestCentreRootTradesDistanceForContention(t *testing.T) {
@@ -106,7 +106,7 @@ func TestCentreRootTradesDistanceForContention(t *testing.T) {
 		b          int
 		centre, xy float64
 		centreWins bool
-	}{{1, 103, 165, true}, {256, 1512, 1208, false}} {
+	}{{1, 103, 155, true}, {256, 1512, 1208, false}} {
 		pat, xy := BestReduce2D(32, 32, tc.b, pr)
 		best, _ := BestAllReduce2D(32, 32, tc.b, pr)
 		if c, x := PredictAllReduce2D(Centre, 32, 32, tc.b, pr), PredictAllReduce2D(pat, 32, 32, tc.b, pr); c != tc.centre || x != tc.xy {
@@ -157,14 +157,16 @@ func TestMidRootAutoMinimisesItsOwnLemma(t *testing.T) {
 // row, all-reduces one chunk per column and all-gathers every row, so the
 // vector crosses each PE's ramp about twice where a reduce into the corner
 // and the flood behind it take three times. Auto deploys it for long vectors
-// — 663 cycles against X-Y's 872 at 8×8 and 1 KB, 746 against 984 at 16×16
-// — and it has no program where B < W leaves a column without a chunk.
+// — 663 cycles against X-Y's 872 at 8×8 and 1 KB, 746 against 984 at 16×16,
+// and from 24 wavelets on at 8×8 (153 against X-Y Auto-Gen's 166; at 16
+// wavelets X-Y wins, 130 against 138) — and it has no program where B < W
+// leaves a column without a chunk.
 func TestSplitMovesTheVectorTwice(t *testing.T) {
 	pr := Params(fabric.Options{})
 	for _, tc := range []struct {
 		side, b   int
 		split, xy float64
-	}{{8, 256, 663, 872}, {16, 256, 746, 984}, {8, 16, 138, 140}} {
+	}{{8, 256, 663, 872}, {16, 256, 746, 984}, {8, 24, 153, 166}} {
 		pat, _ := BestReduce2D(tc.side, tc.side, tc.b, pr)
 		if s, x := PredictAllReduce2D(Split, tc.side, tc.side, tc.b, pr), PredictAllReduce2D(pat, tc.side, tc.side, tc.b, pr); s != tc.split || x != tc.xy {
 			t.Errorf("%dx%d b=%d: split %v, %s %v; want %v and %v", tc.side, tc.side, tc.b, s, pat, x, tc.split, tc.xy)

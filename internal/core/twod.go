@@ -62,9 +62,9 @@ func (p Pattern2D) base1D() (Pattern, bool) {
 }
 
 // PredictReduce2D estimates a 2D Reduce on a width×height grid: X-Y
-// patterns cost a row reduce then a column reduce (§7.2); Snake costs a
-// chain over all PEs (§7.3). A pattern that is no 2D Reduce — the
-// AllReduce-only Centre and Split — costs +Inf.
+// patterns cost a row reduce then a column reduce (§7.2), each over
+// EndTree's tree; Snake costs a chain over all PEs (§7.3). A pattern that is
+// no 2D Reduce — the AllReduce-only Centre and Split — costs +Inf.
 func PredictReduce2D(pattern Pattern2D, width, height, b int, pr model.Params) float64 {
 	if pattern == Snake {
 		return pr.SnakeReduce(height, width, b)
@@ -73,7 +73,7 @@ func PredictReduce2D(pattern Pattern2D, width, height, b int, pr model.Params) f
 	if !ok {
 		return math.Inf(1)
 	}
-	return pr.Then(PredictReduce1D(base, width, b, pr), PredictReduce1D(base, height, b, pr))
+	return pr.Then(predictEndReduce(base, width, b, pr), predictEndReduce(base, height, b, pr))
 }
 
 // PredictAllReduce2D adds the 2D flooding broadcast (§7.4) to the reduce
@@ -267,11 +267,11 @@ func buildReduce2D(spec *fabric.Spec, pattern Pattern2D, width, height, b int, p
 	if !ok {
 		return fmt.Errorf("core: unknown 2D pattern %q", pattern)
 	}
-	rowTree, err := TreeFor(base, width, b, pr)
+	rowTree, err := EndTree(base, width, b, pr)
 	if err != nil {
 		return err
 	}
-	colTree, err := TreeFor(base, height, b, pr)
+	colTree, err := EndTree(base, height, b, pr)
 	if err != nil {
 		return err
 	}

@@ -130,11 +130,18 @@ func autoAllReduce2D(r *Request, pr model.Params) {
 	}
 }
 
-// tree1D records the one tree of an end-rooted row: the reduce of a Reduce,
-// of a Reduce-then-Broadcast or of a Reduce-then-Scatter. The ring has none.
-func tree1D(p *Plan, pr model.Params) (err error) {
+// treeReduce records the tree of a lone Reduce.
+func treeReduce(p *Plan, pr model.Params) (err error) {
+	p.Tree, err = core.TreeFor(p.Alg, p.P, p.B, pr)
+	return err
+}
+
+// treeEnd records the one tree of an end-rooted composition, the one its
+// builder runs: the reduce of a Reduce-then-Broadcast or of a
+// Reduce-then-Scatter. The ring has none.
+func treeEnd(p *Plan, pr model.Params) (err error) {
 	if p.Alg != core.Ring && p.Alg != core.RingDP {
-		p.Tree, err = core.TreeFor(p.Alg, p.P, p.B, pr)
+		p.Tree, err = core.EndTree(p.Alg, p.P, p.B, pr)
 	}
 	return err
 }
@@ -143,8 +150,8 @@ func tree1D(p *Plan, pr model.Params) (err error) {
 // centre root and the split record none.
 func treesXY(p *Plan, pr model.Params) (err error) {
 	if base, ok := p.Alg2D.Base1D(); ok {
-		if p.RowTree, err = core.TreeFor(base, p.Width, p.B, pr); err == nil {
-			p.ColTree, err = core.TreeFor(base, p.Height, p.B, pr)
+		if p.RowTree, err = core.EndTree(base, p.Width, p.B, pr); err == nil {
+			p.ColTree, err = core.EndTree(base, p.Height, p.B, pr)
 		}
 	}
 	return err
@@ -180,7 +187,7 @@ var Kinds = []KindInfo{
 	{
 		Kind: Reduce1D, Name: "reduce",
 		Doc:  "1D Reduce of p vectors of b wavelets into the leftmost PE (alg=, op=)",
-		Algs: core.Patterns1D, HasOp: true, Inputs: VectorPerPE, trees: tree1D, auto: auto1D,
+		Algs: core.Patterns1D, HasOp: true, Inputs: VectorPerPE, trees: treeReduce, auto: auto1D,
 		build: func(s *fabric.Spec, r Request, pr model.Params) error {
 			return core.BuildReduce1DInto(s, r.Alg, r.P, r.B, pr, r.Op)
 		},
@@ -190,7 +197,7 @@ var Kinds = []KindInfo{
 	{
 		Kind: AllReduce1D, Name: "allreduce",
 		Doc:  "1D AllReduce: every PE ends with the combined vector (alg=, op=)",
-		Algs: patterns1DRing, HasOp: true, Inputs: VectorPerPE, trees: tree1D, auto: autoAllReduce1D,
+		Algs: patterns1DRing, HasOp: true, Inputs: VectorPerPE, trees: treeEnd, auto: autoAllReduce1D,
 		build: func(s *fabric.Spec, r Request, pr model.Params) error {
 			return core.BuildAllReduce1DInto(s, r.Alg, r.P, r.B, pr, r.Op)
 		},
@@ -260,7 +267,7 @@ var Kinds = []KindInfo{
 	{
 		Kind: ReduceScatter, Name: "reducescatter",
 		Doc:   "combine p vectors and leave chunk j on PE j (op=)",
-		HasOp: true, Chunked: true, Inputs: VectorPerPE, trees: tree1D,
+		HasOp: true, Chunked: true, Inputs: VectorPerPE, trees: treeEnd,
 		auto: func(r *Request, pr model.Params) { r.Alg, _ = core.BestReduceScatter(r.P, r.B, pr) },
 		build: func(s *fabric.Spec, r Request, pr model.Params) error {
 			return core.BuildReduceScatterInto(s, r.Alg, r.P, r.B, pr, r.Op)

@@ -63,8 +63,8 @@ type Algorithm = core.Pattern
 
 // The 1D algorithms of the paper's §5. Chain is the pattern the vendor's
 // collectives library uses; AutoGen is the paper's automatically generated
-// reduce; Auto picks the best algorithm for the given shape from the
-// performance model.
+// reduce (AutoGenTree says which tree it runs where); Auto picks the best
+// algorithm for the given shape from the performance model.
 const (
 	Star     = core.Star
 	Chain    = core.Chain
@@ -139,7 +139,11 @@ type ReductionTree = comm.Tree
 // AutoGenTree returns the reduction tree the Auto-Gen generator builds
 // for p PEs and b wavelets (§5.5): the tree minimising the model estimate
 // over all pre-order trees, reconstructed from the dynamic program. It is
-// the tree a run of the autogen algorithm deploys under opt.
+// the tree a lone Reduce (KindReduce) under the autogen algorithm deploys
+// under opt. Where the Reduce is one phase of a composition — the end-rooted
+// AllReduce, both phases of xy-autogen, the ReduceScatter through the root —
+// autogen runs the tree a search for its critical path finds instead, never
+// slower than this one and never moving more hops.
 func AutoGenTree(p, b int, opt Options) ReductionTree {
 	if p < 1 {
 		p = 1
