@@ -33,17 +33,12 @@
 //	    fetch a daemon's committed traces (GET /debug/traces) or read a
 //	    -trace-file JSONL, and pretty-print each span tree with per-span
 //	    self-times — the "where did the milliseconds go" view.
-//	wsecollect tune [-file FILE.wl | shape flags] [-tunings OUT.json] [-store DIR]
-//	    autotune the plan parameters (algorithm, queue depth) of a
-//	    workload's shapes — or the single flag shape — scoring every winner
-//	    against the paper's lower bound; -tunings writes the winners as a
-//	    sidecar, -store exports their compiled plans so a cold session
-//	    replays them with zero recompilation.
-//	wsecollect workload run -file FILE.wl [-tunings IN.json] [-sequential]
+//	wsecollect workload run -file FILE.wl [-store DIR] [-sequential]
 //	    execute a workload file as a DAG through a session: independent
 //	    steps overlap via Submit futures, dependency results flow into
 //	    dependent steps' inputs, and the per-step table reports cycles and
-//	    the measured overlap.
+//	    the measured overlap. -store serves the plans through a store
+//	    (write-through): a second run loads every plan and compiles none.
 //	wsecollect workload funcs
 //	    list the registered step functions a workload file can use.
 //
@@ -115,7 +110,6 @@ type config struct {
 	in         string
 	minMS      float64
 	file       string
-	tunings    string
 	sequential bool
 	// set records which flags were passed explicitly, for defaults that
 	// differ per subcommand (serve bursts -repeat 64 unless given).
@@ -165,7 +159,7 @@ func parseFlags(cmd string, args []string) (*config, error) {
 	fs.IntVar(&c.workers, "workers", 0, "concurrent replays (0 = GOMAXPROCS)")
 	fs.IntVar(&c.shards, "shards", 0, "row-band shards per fabric simulation (0 = auto-tune from GOMAXPROCS, 1 = serial engine; results are bit-identical)")
 	fs.Int64Var(&c.maxCycles, "maxcycles", 0, "per-run simulated-cycle cap (0 = session default of 2^28; raise for very large serialized runs)")
-	fs.StringVar(&c.store, "store", "", "plan store directory (run: read/write-through; export/warm: required)")
+	fs.StringVar(&c.store, "store", "", "plan store directory (run, workload run: read/write-through; export/warm: required)")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile of the runs to this file")
 	fs.StringVar(&c.tenants, "tenants", "fg:interactive:1,bulk:batch:3,scavenger:background:1",
 		"serve: comma list of tenant name:class:weight[:maxqueue] (class: interactive, batch, background)")
@@ -176,8 +170,7 @@ func parseFlags(cmd string, args []string) (*config, error) {
 	fs.StringVar(&c.failpoints, "failpoints", "", "chaos: failpoint schedule for the in-process daemon (site=mode[:p=F][:count=N][:delay=D], semicolon list; default: 5% error on every inner seam)")
 	fs.StringVar(&c.in, "in", "", "trace: read traces from this JSONL file (a wsed -trace-file) instead of -url")
 	fs.Float64Var(&c.minMS, "min-ms", 0, "trace: only show traces at least this slow")
-	fs.StringVar(&c.file, "file", "", "workload/tune: workload file to run or tune (step lines, see workload funcs)")
-	fs.StringVar(&c.tunings, "tunings", "", "tune: write the tunings sidecar here; workload run: apply tunings from here")
+	fs.StringVar(&c.file, "file", "", "workload run: workload file to run (step lines, see workload funcs)")
 	fs.BoolVar(&c.sequential, "sequential", false, "workload run: execute steps one at a time instead of overlapping independent steps")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -238,12 +231,10 @@ func realMain() int {
 		err = chaosCmd(c)
 	case "trace":
 		err = traceCmd(c)
-	case "tune":
-		err = tuneCmd(c)
 	case "workload":
 		err = workloadCmd(c, sub)
 	default:
-		err = fmt.Errorf("unknown subcommand %q (run, export, warm, serve, load, chaos, trace, tune, workload)", cmd)
+		err = fmt.Errorf("unknown subcommand %q (run, export, warm, serve, load, chaos, trace, workload)", cmd)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wsecollect:", err)

@@ -8,75 +8,7 @@ import (
 
 	wse "repro"
 	"repro/internal/workload"
-	"repro/internal/workload/tune"
 )
-
-// tuneShapes resolves what the tune subcommand sweeps: every distinct
-// shape of the -file workload, or the single shape the flags spell.
-func tuneShapes(c *config) ([]wse.Shape, string, error) {
-	if c.file != "" {
-		w, err := workload.ParseFile(c.file)
-		if err != nil {
-			return nil, "", err
-		}
-		return w.Shapes(), w.Name, nil
-	}
-	sh, err := c.shape()
-	if err != nil {
-		return nil, "", err
-	}
-	return []wse.Shape{sh}, "", nil
-}
-
-// tuneCmd searches each shape's plan parameters (algorithm grid, router
-// queue depth), prints the winners against the paper's
-// lower bound, and persists them: -tunings writes the sidecar workloads
-// apply, -store exports the compiled winning plans so cold sessions
-// replay them without compiling.
-func tuneCmd(c *config) error {
-	shapes, wlName, err := tuneShapes(c)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	tunings, err := tune.Tune(context.Background(), shapes, tune.Config{Options: c.options()})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("tuned %d shapes in %v\n", len(tunings), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("%-20s %-12s %6s %10s %10s %10s %10s\n",
-		"kind", "alg", "queue", "default", "tuned", "vs bound", "speedup")
-	for _, t := range tunings {
-		alg := string(t.Tuned().Alg)
-		if a2 := string(t.Tuned().Alg2D); a2 != "" {
-			alg = a2
-		}
-		if alg == "" {
-			alg = "-"
-		}
-		fmt.Printf("%-20s %-12s %6d %10d %10d %9.2fx %9.2fx\n",
-			t.Shape.Kind, alg, t.Options.QueueCap,
-			t.DefaultCycles, t.Cycles, t.AchievedVsBound, t.TunedVsDefault)
-	}
-	if c.tunings != "" {
-		if err := tune.WriteSidecar(c.tunings, wlName, tunings); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d tunings to %s\n", len(tunings), c.tunings)
-	}
-	if c.store != "" {
-		store, err := wse.OpenPlanStore(c.store)
-		if err != nil {
-			return err
-		}
-		n, err := tune.ExportWinners(context.Background(), tunings, store)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("exported %d winning plans to %s (store holds %d)\n", n, c.store, store.Len())
-	}
-	return nil
-}
 
 // workloadCmd dispatches the workload sub-verbs: run executes a
 // workload file through a session, funcs lists the step vocabulary.
@@ -100,14 +32,6 @@ func workloadRunCmd(c *config) error {
 	w, err := workload.ParseFile(c.file)
 	if err != nil {
 		return err
-	}
-	if c.tunings != "" {
-		sc, err := tune.LoadSidecar(c.tunings)
-		if err != nil {
-			return err
-		}
-		applied := tune.Apply(w, sc.Tunings)
-		fmt.Printf("applied %d of %d tunings from %s\n", applied, len(sc.Tunings), c.tunings)
 	}
 	cfg := wse.SessionConfig{Options: c.options(), Workers: c.workers}
 	if c.store != "" {

@@ -201,17 +201,6 @@ func (c *Cache) Lookup(key Key) (*Plan, bool) {
 	return el.Value.(*Plan), true
 }
 
-// Plans snapshots the resident plans, most recently used first.
-func (c *Cache) Plans() []*Plan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*Plan, 0, c.lru.Len())
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*Plan))
-	}
-	return out
-}
-
 // noteStoreError is where the attached chain reports a store failure it
 // absorbed.
 func (c *Cache) noteStoreError(err error) {

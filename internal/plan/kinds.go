@@ -7,7 +7,7 @@ package plan
 // and read by every layer. Key canonicalisation, validation, the compiler,
 // the input binding, Predict and Bound in this package; the public Shape
 // verbs, the workload step vocabulary, the CLI's -collective flag, the wire
-// decoder, the autotuner's algorithm grid and the figure harness outside it.
+// decoder and the figure harness outside it.
 // Adding a kind is one row here plus its builder and model function.
 
 import (

@@ -277,19 +277,3 @@ func (s *Session) Warm(ps KeyedStore, reqs []Request) (WarmStats, error) {
 	}
 	return st, errors.Join(errs...)
 }
-
-// Export saves every resident plan to ps, returning how many were
-// written. Together with Warm this is the deployment cycle: a staging
-// process compiles its workload and Exports, the serving processes Warm.
-func (s *Session) Export(ps PlanStore) (int, error) {
-	n := 0
-	var errs []error
-	for _, p := range s.cache.Plans() {
-		if err := ps.Save(p); err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		n++
-	}
-	return n, errors.Join(errs...)
-}

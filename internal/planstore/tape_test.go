@@ -661,7 +661,7 @@ func zeroInputs(req plan.Request) [][]float32 {
 
 // TestEveryKindIsWrittenOnceTaped: for every row of plan.Kinds, each way a
 // plan reaches a store — a session's write-through miss, Cache.Get,
-// Prefetch, Warm and Export — writes exactly one frame per plan, the
+// Prefetch and Warm — writes exactly one frame per plan, the
 // version-3 frame with its tape; and a fresh session over that store serves
 // every kind with no compile and no fabric built: its compile stage is never
 // asked, and every fabric.exec span is a tape walk (a fabric is built only
@@ -711,16 +711,6 @@ func TestEveryKindIsWrittenOnceTaped(t *testing.T) {
 		}},
 		{"Session.Warm", func(s *Store) error {
 			_, err := plan.NewSession(0, 1).Warm(s, reqs)
-			return err
-		}},
-		{"Session.Export", func(s *Store) error {
-			sess := plan.NewSession(0, 1)
-			for _, req := range reqs {
-				if _, err := sess.Plan(req); err != nil {
-					return err
-				}
-			}
-			_, err := sess.Export(s)
 			return err
 		}},
 	} {

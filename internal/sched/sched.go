@@ -286,8 +286,8 @@ type Scheduler struct {
 
 // New creates a scheduler. The worker goroutines are spawned lazily on
 // the first Submit, so a scheduler that never serves (a staging session
-// used only to compile and export plans, say) costs nothing to create
-// and needs no Close.
+// used only to compile a shape list into a plan store, say) costs nothing
+// to create and needs no Close.
 func New(cfg Config) *Scheduler {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)

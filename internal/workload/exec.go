@@ -135,17 +135,13 @@ func exec(ctx context.Context, r Runner, w *Workload, sequential bool) (*Result,
 			span.SetAttr("func", st.Func)
 		}
 		inputs := stepInputs(st, parents)
-		var opts []wse.Option
-		if st.Opt != nil {
-			opts = append(opts, wse.WithOptions(*st.Opt))
-		}
 		stepStart := time.Now()
 		var rep *wse.Report
 		var err error
 		if sequential {
-			rep, err = r.Run(sctx, st.Shape, inputs, opts...)
+			rep, err = r.Run(sctx, st.Shape, inputs)
 		} else {
-			rep, err = r.Submit(sctx, st.Shape, inputs, opts...).Wait()
+			rep, err = r.Submit(sctx, st.Shape, inputs).Wait()
 		}
 		span.SetError(err)
 		span.End()
@@ -191,7 +187,7 @@ func exec(ctx context.Context, r Runner, w *Workload, sequential bool) (*Result,
 // flows along the DAG's edges. Both executors call exactly this, which
 // is what makes overlapped and sequential runs bit-identical.
 func stepInputs(st *Step, parents []*wse.Report) [][]float32 {
-	inputs := BaseInputs(st.Shape, st.Name)
+	inputs := baseInputs(st.Shape, st.Name)
 	for _, rep := range parents {
 		if rep == nil || len(rep.Root) == 0 {
 			continue
@@ -207,11 +203,10 @@ func stepInputs(st *Step, parents []*wse.Report) [][]float32 {
 	return inputs
 }
 
-// BaseInputs builds the deterministic input set for sh seeded by seed:
+// baseInputs builds the deterministic input set for sh seeded by seed:
 // the layout its kind takes (Shape.Inputs), filled from a seeded PRNG in
-// input order. The autotuner
-// uses it too, so tuning measures the same data workloads run.
-func BaseInputs(sh wse.Shape, seed string) [][]float32 {
+// input order.
+func baseInputs(sh wse.Shape, seed string) [][]float32 {
 	h := fnv.New64a()
 	h.Write([]byte(seed))
 	x := h.Sum64()

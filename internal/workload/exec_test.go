@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -105,6 +106,61 @@ func TestExecBitIdenticalToSequential(t *testing.T) {
 	}
 }
 
+// A workload served over a plan store compiles nothing in a fresh process:
+// the training-step DAG runs through a session over an empty store, which
+// writes each plan through at its miss, then again through a fresh session
+// over the same directory. The second run's every miss is a store load, one
+// per distinct step, and it computes what the first did, bit for bit.
+func TestStoreServesTheWorkloadWithoutCompiling(t *testing.T) {
+	w, err := ParseFile("../../examples/workloads/trainstep.wl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[wse.Shape]bool{}
+	for _, st := range w.Steps() {
+		distinct[st.Shape] = true
+	}
+	dir := t.TempDir()
+	run := func() (*Result, wse.PlanStats) {
+		t.Helper()
+		store, err := wse.OpenPlanStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := wse.NewSession(wse.SessionConfig{Store: store})
+		defer s.Close()
+		res, err := Exec(context.Background(), s, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, s.PlanStats()
+	}
+
+	first, st := run()
+	if st.Misses != int64(len(distinct)) || st.StoreHits != 0 {
+		t.Fatalf("first run over an empty store: %d misses, %d store hits; want %d, 0", st.Misses, st.StoreHits, len(distinct))
+	}
+	again, st := run()
+	if st.Misses != int64(len(distinct)) || st.StoreHits != st.Misses {
+		t.Fatalf("fresh session over the filled store: %d misses, %d store hits (%d errors, %q); want %d of each",
+			st.Misses, st.StoreHits, st.StoreErrors, st.LastStoreError, len(distinct))
+	}
+	for i, sr := range first.Steps {
+		a, b := sr.Report, again.Steps[i].Report
+		if a.Cycles != b.Cycles {
+			t.Errorf("step %s: %d cycles compiled, %d loaded", sr.Step.Name, a.Cycles, b.Cycles)
+		}
+		if len(a.Root) != len(b.Root) {
+			t.Fatalf("step %s: root of %d, then %d", sr.Step.Name, len(a.Root), len(b.Root))
+		}
+		for j := range a.Root {
+			if math.Float32bits(a.Root[j]) != math.Float32bits(b.Root[j]) {
+				t.Fatalf("step %s: root[%d] %v compiled, %v loaded", sr.Step.Name, j, a.Root[j], b.Root[j])
+			}
+		}
+	}
+}
+
 // Independent steps must genuinely overlap: with more than one core the
 // whole-run wall-clock sits below the sum of per-step wall-clocks; on
 // one core the DAG path must still be within shouting distance of
@@ -195,13 +251,13 @@ func TestExecOneTraceAcrossSteps(t *testing.T) {
 // PRNG is name-seeded and parent roots fold in declared order.
 func TestStepInputsDeterministic(t *testing.T) {
 	sh := wse.Shape{Kind: wse.KindReduce, P: 4, B: 8}
-	a := BaseInputs(sh, "x")
-	b := BaseInputs(sh, "x")
+	a := baseInputs(sh, "x")
+	b := baseInputs(sh, "x")
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("BaseInputs not deterministic")
+		t.Fatal("baseInputs not deterministic")
 	}
-	if c := BaseInputs(sh, "y"); reflect.DeepEqual(a, c) {
-		t.Fatal("BaseInputs ignores the seed")
+	if c := baseInputs(sh, "y"); reflect.DeepEqual(a, c) {
+		t.Fatal("baseInputs ignores the seed")
 	}
 
 	parent := &wse.Report{Root: []float32{1, 2, 3}}

@@ -32,10 +32,6 @@ type Step struct {
 	// depends on, in declaration order — the order parent results fold
 	// into this step's inputs.
 	After []string
-	// Opt, when non-nil, overrides the executing session's fabric options
-	// for this step (a per-step WithOptions) — how autotuner winners are
-	// applied without retuning the whole session.
-	Opt *wse.Options
 }
 
 // Workload is a validated-on-demand DAG of steps. Build one with the
@@ -146,22 +142,6 @@ func (w *Workload) topo() ([]*Step, error) {
 		}
 	}
 	return order, nil
-}
-
-// Shapes returns the workload's distinct shapes in first-use order,
-// deduplicated by canonical plan key under default options — the shape
-// list an autotuner sweeps.
-func (w *Workload) Shapes() []wse.Shape {
-	seen := map[string]bool{}
-	var out []wse.Shape
-	for _, st := range w.steps {
-		k := wse.KeyString(st.Shape, wse.Options{})
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, st.Shape)
-		}
-	}
-	return out
 }
 
 // Builder accumulates steps into a Workload. Errors are deferred to

@@ -211,20 +211,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestShapesDedup(t *testing.T) {
-	w, err := New("dup").
-		Step("gemv", Params{"p": "4", "b": "8"}).
-		Step("gemv", Params{"p": "4", "b": "8", "name": "again"}).
-		Step("broadcast", Params{"p": "4", "b": "8"}).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(w.Shapes()); got != 2 {
-		t.Fatalf("want 2 distinct shapes, got %d", got)
-	}
-}
-
 // TestKindTableConformance: the step vocabulary is the kind table — every
 // row answers to its short name, its key name and any casing of either, with
 // the row's doc line, and builds a Shape of the row's kind that validates.
@@ -251,10 +237,10 @@ func TestKindTableConformance(t *testing.T) {
 	}
 }
 
-// FuzzParse: workload files come from users and from the tuner's callers.
-// Parse must never panic; every rejection wraps ErrBadWorkload (the
-// scanner's own line-length limit aside); and whatever it accepts is a
-// workload Validate passes, each step a runnable Shape under a unique name.
+// FuzzParse: workload files come from users. Parse must never panic; every
+// rejection wraps ErrBadWorkload (the scanner's own line-length limit
+// aside); and whatever it accepts is a workload Validate passes, each step
+// a runnable Shape under a unique name.
 func FuzzParse(f *testing.F) {
 	example, err := os.ReadFile("../../examples/workloads/trainstep.wl")
 	if err != nil {

@@ -21,16 +21,6 @@ type Resolver = plan.Resolver
 // store address preimage.
 type Key = plan.Key
 
-// KeyString returns the canonical key string for sh under opt, applying
-// the session MaxCycles default exactly as NewSession does — so it names
-// the plan a session serving sh under opt caches and stores.
-func KeyString(sh Shape, opt Options) string {
-	if opt.MaxCycles == 0 {
-		opt.MaxCycles = DefaultSessionMaxCycles
-	}
-	return plan.KeyOf(sh.request(opt)).String()
-}
-
 // Resolver returns the session's plan miss path: the chain
 // SessionConfig.Resolver named, the store-then-compile chain
 // SessionConfig.Store attached, or the bare compiler. Its Stats are the

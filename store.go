@@ -3,9 +3,11 @@ package wse
 // Plan persistence: the compile-once promise made durable. A PlanStore is
 // a content-addressed directory of encoded plans (versioned binary codec,
 // SHA-256 addresses, atomic writes, integrity verification with corrupt-
-// entry quarantine). A staging process compiles its workload and exports
-// it; serving processes warm their plan caches from the store before
-// taking traffic, so no request ever pays a compile on the serving path:
+// entry quarantine). A staging process compiles its shape list into the
+// store with Warm (or serves over it: a store-backed session writes each
+// plan through when it makes it); serving processes warm their plan caches
+// from the store before taking traffic, so no request ever pays a compile
+// on the serving path:
 //
 //	store, _ := wse.OpenPlanStore("/var/lib/wse/plans")
 //	s := wse.NewSession(wse.SessionConfig{Store: store}) // read/write-through
@@ -110,12 +112,4 @@ func (s *Session) Warm(store *PlanStore, shapes []Shape) (WarmStats, error) {
 		ps = store
 	}
 	return s.s.Warm(ps, reqs)
-}
-
-// Export saves every plan resident in the session's cache to the store,
-// returning how many were written. The dual of Warm: compile a workload
-// once (by serving it, or via Warm with a shape list), Export, and every
-// later process skips those compiles.
-func (s *Session) Export(store *PlanStore) (int, error) {
-	return s.s.Export(store)
 }

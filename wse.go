@@ -44,11 +44,11 @@
 //	reps, err := s.RunBatch(ctx, sh, batches, wse.WithColumnarResult())
 //
 // Compiled plans also persist: a PlanStore is a content-addressed on-disk
-// warehouse of encoded plans (see OpenPlanStore), Session.Export writes a
-// session's plans into it, and Session.Warm — or SessionConfig.Store for
-// transparent read/write-through — loads them back, so a freshly started
-// process serves its first request by replaying a decoded plan instead of
-// compiling.
+// warehouse of encoded plans (see OpenPlanStore): SessionConfig.Store
+// writes each plan through when the session makes it and reads it back on
+// a later miss, and Session.Warm compiles a shape list into it or preloads
+// what it holds, so a freshly started process serves its first request by
+// replaying a decoded plan instead of compiling.
 package wse
 
 import (
