@@ -77,9 +77,12 @@ func TestDescribeSaysWhatAutoChose(t *testing.T) {
 		{"-collective reducescatter -p 256 -bytes 1024", "256x1 PEs (→ autogen)"},
 		{"-collective allgather -p 16 -bytes 64", "16x1 PEs (→ star)"},
 		// 16 wavelets on 8×8: both phases under the searched end-rooted tree,
-		// 95 cycles; Two-Phase's, 105.
+		// the column streamed from the rows, 90 cycles; Two-Phase's, 105.
 		{"-collective reduce2d -grid 8x8 -bytes 64", "8x8 PEs, alg=auto (→ xy-autogen)"},
-		// One wavelet on a 32×32 grid: rooted in the centre, 103 cycles; 155 in the corner.
+		// 1 KB on 8×8: the searched tree over the Snake's 64 PEs, 557 cycles;
+		// X-Y's best, the chain, 597.
+		{"-collective reduce2d -grid 8x8 -bytes 1024", "8x8 PEs, alg=auto (→ snake-autogen)"},
+		// One wavelet on a 32×32 grid: rooted in the centre, 102 cycles; 154 in the corner.
 		{"-collective allreduce2d -grid 32x32 -bytes 4", "32x32 PEs, alg=auto (→ centre)"},
 		{"-collective reduce -alg chain -p 8", "8x1 PEs, alg=chain"},
 		{"-collective broadcast -p 8", "8x1 PEs"},

@@ -105,10 +105,13 @@ func BuildAllReduce1D(spec *fabric.Spec, lane Lane, tree Tree, op fabric.ReduceO
 // BuildReduceXY compiles the 2D X-Y Reduce of §7.2 on a width×height
 // grid: rowTree reduces every row to column 0 (all rows share colors 0-1;
 // rows are link-disjoint), then colTree reduces column 0 to (0,0) on
-// the two colors from ColorColumn.
+// the two colors from ColorColumn. Where streamed, every leaf of the column
+// tree streams its row's last transfer straight up the column (streamLeaves)
+// instead of taking it whole before it sends; the paper's X-Y patterns run
+// unstreamed.
 //
 // rowTree must have width vertices and colTree height vertices.
-func BuildReduceXY(spec *fabric.Spec, width, height int, rowTree, colTree Tree, b int, op fabric.ReduceOp) error {
+func BuildReduceXY(spec *fabric.Spec, width, height int, rowTree, colTree Tree, b int, streamed bool, op fabric.ReduceOp) error {
 	if rowTree.Len() != width {
 		return fmt.Errorf("comm: row tree has %d vertices, grid width %d", rowTree.Len(), width)
 	}
@@ -121,17 +124,45 @@ func BuildReduceXY(spec *fabric.Spec, width, height int, rowTree, colTree Tree, 
 		}
 	}
 	if height > 1 {
-		if err := BuildTreeReduce(spec, Lane{Path: mesh.Column(0, 0, height), N: b, Base: ColorColumn}, colTree, op); err != nil {
+		column := mesh.Column(0, 0, height)
+		if err := BuildTreeReduce(spec, Lane{Path: column, N: b, Base: ColorColumn}, colTree, op); err != nil {
 			return fmt.Errorf("comm: column phase: %w", err)
+		}
+		if streamed {
+			streamLeaves(spec, column, colTree)
 		}
 	}
 	return nil
 }
 
-// BuildReduceSnake compiles the Snake Reduce of §7.3: a fully pipelined
-// chain over the boustrophedon path covering the whole grid, optimal for
-// B >> P where contention dominates.
-func BuildReduceSnake(spec *fabric.Spec, width, height, b int, op fabric.ReduceOp) error {
-	path := mesh.Snake(height, width)
-	return BuildTreeReduce(spec, Lane{Path: path, N: b}, Chain(len(path)), op)
+// streamLeaves fuses the hand-off between two phases of a reduce at every
+// leaf of tree below its root, on path: a leaf whose program ends by taking
+// one transfer of the earlier phase (OpRecvReduce) and sending its
+// accumulator on (OpSend) takes that transfer with one OpRecvReduceSend
+// instead, forwarding each element a cycle after it came in — the inner
+// vertex's pipelining, across the phases. Its router is unchanged: the send
+// leaves its ramp on the same color either way.
+func streamLeaves(spec *fabric.Spec, path mesh.Path, tree Tree) {
+	for v, ch := range tree.Children() {
+		if v == 0 || len(ch) > 0 {
+			continue
+		}
+		pe := spec.PE(path[v])
+		n := len(pe.Ops)
+		if n < 2 || pe.Ops[n-2].Kind != fabric.OpRecvReduce || pe.Ops[n-1].Kind != fabric.OpSend {
+			continue // a row of one PE: nothing to stream
+		}
+		fused := pe.Ops[n-2]
+		fused.Kind, fused.OutColor = fabric.OpRecvReduceSend, pe.Ops[n-1].Color
+		pe.Ops = append(pe.Ops[:n-2], fused)
+	}
+}
+
+// BuildReduceSnake compiles a reduce over the boustrophedon path that covers
+// the whole width×height grid, rooted at (0,0), under a tree over its
+// width·height PEs: the Snake Reduce of §7.3 is the chain, fully pipelined
+// and optimal for B >> P where contention dominates; the end-rooted Auto-Gen
+// search returns another.
+func BuildReduceSnake(spec *fabric.Spec, width, height, b int, tree Tree, op fabric.ReduceOp) error {
+	return BuildTreeReduce(spec, Lane{Path: mesh.Snake(height, width), N: b}, tree, op)
 }

@@ -201,15 +201,20 @@ func BuildAllGatherMidRoot(spec *fabric.Spec, lane Lane) error {
 // the pair row, as BuildAllReduceMidRoot's halves do on colors 0 to 3; the
 // middle column reduces into (width/2, height/2) over the pair col, on colors
 // 5 to 8, which the rows do not use; and the result floods the grid from
-// there on ColorBcast2.
+// there on ColorBcast2. Every leaf of either column half streams its row's
+// last transfer up the column (streamLeaves).
 func BuildAllReduceCentre(spec *fabric.Spec, width, height, b int, row, col [2]Tree, op fabric.ReduceOp) error {
 	for y := 0; y < height; y++ {
 		if err := BuildReduceMidRoot(spec, Lane{Path: mesh.Row(y, 0, width), N: b}, row[0], row[1], op); err != nil {
 			return fmt.Errorf("comm: row %d: %w", y, err)
 		}
 	}
-	if err := BuildReduceMidRoot(spec, Lane{Path: mesh.Column(width/2, 0, height), N: b, Base: 5}, col[0], col[1], op); err != nil {
+	column := Lane{Path: mesh.Column(width/2, 0, height), N: b, Base: 5}
+	if err := BuildReduceMidRoot(spec, column, col[0], col[1], op); err != nil {
 		return fmt.Errorf("comm: middle column: %w", err)
 	}
+	north, south := column.halves()
+	streamLeaves(spec, north.Path, col[0])
+	streamLeaves(spec, south.Path, col[1])
 	return BuildBroadcast2D(spec, width, height, mesh.Coord{X: width / 2, Y: height / 2}, b, ColorBcast2)
 }

@@ -182,16 +182,18 @@ func TestReduce2DCorrectness(t *testing.T) {
 	for _, g := range grids {
 		w, h := g[0], g[1]
 		for _, b := range []int{1, 16} {
-			for _, mode := range []string{"xy-chain", "xy-tree", "snake"} {
+			for _, mode := range []string{"xy-chain", "xy-tree", "xy-tree-streamed", "snake"} {
 				spec := fabric.NewSpec(w, h)
 				var err error
 				switch mode {
 				case "xy-chain":
-					err = BuildReduceXY(spec, w, h, Chain(w), Chain(h), b, fabric.OpSum)
+					err = BuildReduceXY(spec, w, h, Chain(w), Chain(h), b, false, fabric.OpSum)
 				case "xy-tree":
-					err = BuildReduceXY(spec, w, h, Binomial(w), Binomial(h), b, fabric.OpSum)
+					err = BuildReduceXY(spec, w, h, Binomial(w), Binomial(h), b, false, fabric.OpSum)
+				case "xy-tree-streamed":
+					err = BuildReduceXY(spec, w, h, Binomial(w), Binomial(h), b, true, fabric.OpSum)
 				case "snake":
-					err = BuildReduceSnake(spec, w, h, b, fabric.OpSum)
+					err = BuildReduceSnake(spec, w, h, b, Chain(w*h), fabric.OpSum)
 				}
 				if err != nil {
 					t.Fatalf("%s %dx%d: %v", mode, w, h, err)
@@ -224,7 +226,7 @@ func TestAllReduce2DCorrectness(t *testing.T) {
 	w, h, b := 6, 4, 8
 	spec := fabric.NewSpec(w, h)
 	// The 2D AllReduce of §7.4: X-Y Reduce to (0,0), then the 2D flood.
-	if err := BuildReduceXY(spec, w, h, TwoPhase(w, 0), TwoPhase(h, 0), b, fabric.OpSum); err != nil {
+	if err := BuildReduceXY(spec, w, h, TwoPhase(w, 0), TwoPhase(h, 0), b, false, fabric.OpSum); err != nil {
 		t.Fatal(err)
 	}
 	if err := BuildBroadcast2D(spec, w, h, mesh.Coord{}, b, ColorBcast2); err != nil {

@@ -97,16 +97,16 @@ func TestPredict2DConsistency(t *testing.T) {
 // TestCentreRootTradesDistanceForContention: the centre root halves the
 // distance of every phase of a 2D AllReduce, and each of its roots takes two
 // streams per phase where the corner's takes one. So Auto deploys it for
-// short vectors — 103 cycles against X-Y's 155 at 32×32 and one wavelet —
+// short vectors — 102 cycles against X-Y's 154 at 32×32 and one wavelet —
 // and not for long ones, where it is the bandwidth-inefficient schedule §7.4
-// warns of: 1512 against 1208 at 1 KB.
+// warns of: 1507 against 1203 at 1 KB.
 func TestCentreRootTradesDistanceForContention(t *testing.T) {
 	pr := Params(fabric.Options{})
 	for _, tc := range []struct {
 		b          int
 		centre, xy float64
 		centreWins bool
-	}{{1, 103, 155, true}, {256, 1512, 1208, false}} {
+	}{{1, 102, 154, true}, {256, 1507, 1203, false}} {
 		pat, xy := BestReduce2D(32, 32, tc.b, pr)
 		best, _ := BestAllReduce2D(32, 32, tc.b, pr)
 		if c, x := PredictAllReduce2D(Centre, 32, 32, tc.b, pr), PredictAllReduce2D(pat, 32, 32, tc.b, pr); c != tc.centre || x != tc.xy {
@@ -157,16 +157,17 @@ func TestMidRootAutoMinimisesItsOwnLemma(t *testing.T) {
 // row, all-reduces one chunk per column and all-gathers every row, so the
 // vector crosses each PE's ramp about twice where a reduce into the corner
 // and the flood behind it take three times. Auto deploys it for long vectors
-// — 663 cycles against X-Y's 872 at 8×8 and 1 KB, 746 against 984 at 16×16,
-// and from 24 wavelets on at 8×8 (153 against X-Y Auto-Gen's 166; at 16
-// wavelets X-Y wins, 130 against 138) — and it has no program where B < W
+// — 663 cycles against the corner's 832 at 8×8 and 1 KB (the reduce there is
+// Auto-Gen's tree over the Snake), 746 against 979 at 16×16, and from 24
+// wavelets on at 8×8 (153 against X-Y Auto-Gen's 161; at 16 wavelets X-Y
+// wins, 125 against 138) — and it has no program where B < W
 // leaves a column without a chunk.
 func TestSplitMovesTheVectorTwice(t *testing.T) {
 	pr := Params(fabric.Options{})
 	for _, tc := range []struct {
 		side, b   int
 		split, xy float64
-	}{{8, 256, 663, 872}, {16, 256, 746, 984}, {8, 24, 153, 166}} {
+	}{{8, 256, 663, 832}, {16, 256, 746, 979}, {8, 24, 153, 161}} {
 		pat, _ := BestReduce2D(tc.side, tc.side, tc.b, pr)
 		if s, x := PredictAllReduce2D(Split, tc.side, tc.side, tc.b, pr), PredictAllReduce2D(pat, tc.side, tc.side, tc.b, pr); s != tc.split || x != tc.xy {
 			t.Errorf("%dx%d b=%d: split %v, %s %v; want %v and %v", tc.side, tc.side, tc.b, s, pat, x, tc.split, tc.xy)
@@ -180,5 +181,26 @@ func TestSplitMovesTheVectorTwice(t *testing.T) {
 	}
 	if best, _ := BestAllReduce2D(32, 32, 16, pr); best == Split {
 		t.Error("32x32 b=16: Auto picks the split with a column short of a chunk")
+	}
+}
+
+// TestSnakeFloorPrunes: resolving a 2D Reduce or AllReduce on a 32×32 grid
+// never searches Auto-Gen's tree over the Snake's 1024 PEs — a second of
+// search cold, which every cold compile of such a shape would pay — because
+// the floor of any tree over that path, 1023 hops, a ramp and a transfer, is
+// above what the X-Y compositions price at every vector length. A small grid,
+// where the Snake can win, is searched.
+func TestSnakeFloorPrunes(t *testing.T) {
+	pr := Params(fabric.Options{})
+	before := snakeSearches.Load()
+	for _, b := range []int{1, 4, 16, 64, 256} {
+		BestReduce2D(32, 32, b, pr)
+		BestAllReduce2D(32, 32, b, pr)
+	}
+	if n := snakeSearches.Load() - before; n != 0 {
+		t.Errorf("resolving 32x32 searched the Snake %d times", n)
+	}
+	if pat, _ := BestReduce2D(8, 8, 256, pr); pat != SnakeAutoGen || snakeSearches.Load() == before {
+		t.Errorf("8x8 b=256: Auto picks %s after %d searches of the Snake, want snake-autogen", pat, snakeSearches.Load()-before)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/comm"
 	"repro/internal/fabric"
@@ -15,33 +16,40 @@ type Pattern2D string
 
 // The 2D patterns: X-Y compositions of each 1D pattern (rows first, then
 // column 0) plus the Snake chain over the whole grid. XYChain is the
-// vendor baseline of Figures 10 and 13. Centre and Split are AllReduces
-// only. Centre: every row reduces into its middle PE, the middle column into
-// the grid's centre, and the result floods out from there — §6.1's root
-// placement in both dimensions. Split: the reduce-scatter/all-gather
-// decomposition (Rabenseifner), which moves the vector about twice per PE
-// where a reduce and a flood move it three times — every row's ring
-// reduce-scatter leaves chunk x of the row's combination on PE (x, y), every
-// column x all-reduces that chunk alone, and every row all-gathers; it needs
-// B >= W.
+// vendor baseline of Figures 10 and 13. XYAutoGen is this repository's
+// searched composition: autogen.End's tree on both phases, and every leaf of
+// the column tree streams its row's last transfer up the column where the
+// paper's compositions take it whole first. SnakeAutoGen runs autogen.End's
+// tree over the Snake's path; Auto weighs it only where its floor undercuts
+// every other 2D Reduce. Centre and Split are AllReduces only. Centre: every
+// row reduces into its middle PE, the middle column into the grid's centre,
+// its leaves streaming as XYAutoGen's do, and the result floods out from
+// there — §6.1's root placement in both dimensions. Split: the
+// reduce-scatter/all-gather decomposition (Rabenseifner), which moves the
+// vector about twice per PE where a reduce and a flood move it three times —
+// every row's ring reduce-scatter leaves chunk x of the row's combination on
+// PE (x, y), every column x all-reduces that chunk alone, and every row
+// all-gathers; it needs B >= W.
 const (
-	XYStar     Pattern2D = "xy-star"
-	XYChain    Pattern2D = "xy-chain"
-	XYTree     Pattern2D = "xy-tree"
-	XYTwoPhase Pattern2D = "xy-twophase"
-	XYAutoGen  Pattern2D = "xy-autogen"
-	Snake      Pattern2D = "snake"
-	Centre     Pattern2D = "centre"
-	Split      Pattern2D = "split"
-	Auto2D     Pattern2D = "auto"
+	XYStar       Pattern2D = "xy-star"
+	XYChain      Pattern2D = "xy-chain"
+	XYTree       Pattern2D = "xy-tree"
+	XYTwoPhase   Pattern2D = "xy-twophase"
+	XYAutoGen    Pattern2D = "xy-autogen"
+	Snake        Pattern2D = "snake"
+	SnakeAutoGen Pattern2D = "snake-autogen"
+	Centre       Pattern2D = "centre"
+	Split        Pattern2D = "split"
+	Auto2D       Pattern2D = "auto"
 )
 
-// Patterns2D lists the concrete (runnable) 2D Reduce patterns, in the
-// paper's legend order.
+// Patterns2D lists the 2D Reduce patterns of the paper's figures, in its
+// legend order. SnakeAutoGen runs too, but only BestReduce2D and a pinned
+// request name it.
 var Patterns2D = []Pattern2D{XYStar, XYChain, XYTree, XYTwoPhase, XYAutoGen, Snake}
 
 // Base1D returns the 1D pattern underlying an X-Y composition, or false
-// for Snake, Centre, Split and Auto2D.
+// for the Snakes, Centre, Split and Auto2D.
 func (p Pattern2D) Base1D() (Pattern, bool) { return p.base1D() }
 
 // base1D returns the 1D pattern underlying an X-Y composition.
@@ -61,13 +69,23 @@ func (p Pattern2D) base1D() (Pattern, bool) {
 	return "", false
 }
 
-// PredictReduce2D estimates a 2D Reduce on a width×height grid: X-Y
-// patterns cost a row reduce then a column reduce (§7.2), each over
-// EndTree's tree; Snake costs a chain over all PEs (§7.3). A pattern that is
-// no 2D Reduce — the AllReduce-only Centre and Split — costs +Inf.
+// PredictReduce2D estimates a 2D Reduce on a width×height grid: the paper's
+// X-Y patterns cost a row reduce then a column reduce (§7.2), each over
+// EndTree's tree; XYAutoGen streams from one into the other and is priced as
+// the one path over both (model.CombReduce); Snake costs a chain over all PEs
+// (§7.3), and SnakeAutoGen the critical path of its searched tree. A pattern
+// that is no 2D Reduce — the AllReduce-only Centre and Split — costs +Inf.
 func PredictReduce2D(pattern Pattern2D, width, height, b int, pr model.Params) float64 {
-	if pattern == Snake {
+	switch pattern {
+	case Snake:
 		return pr.SnakeReduce(height, width, b)
+	case SnakeAutoGen:
+		tree, _ := SnakeTree(width, height, b, pr) // fails for an empty grid only: no tree, no cycles
+		return pr.CriticalPath(tree.Parent, b)
+	case XYAutoGen:
+		row, _ := EndTree(AutoGen, width, b, pr) // these fail for an empty grid only
+		col, _ := EndTree(AutoGen, height, b, pr)
+		return pr.CombReduce([][]int{row.Parent}, [][]int{col.Parent}, b)
 	}
 	base, ok := pattern.base1D()
 	if !ok {
@@ -78,15 +96,16 @@ func PredictReduce2D(pattern Pattern2D, width, height, b int, pr model.Params) f
 
 // PredictAllReduce2D adds the 2D flooding broadcast (§7.4) to the reduce
 // into the corner. The centre root reduces every row, then the middle
-// column, into their middle PEs as the middle root would (model.MidRootReduce
-// over the pairs centreHalves picks), and floods from the centre over its
-// largest quadrant, ⌊H/2⌋+1 by ⌊W/2⌋+1 PEs. Split is its three phases one
-// after the other (predictSplit); +Inf where B < W leaves a chunk empty.
+// column, into their middle PEs over the pairs centreHalves picks, its column
+// streaming from the rows — one path over both (model.CombReduce) — and
+// floods from the centre over its largest quadrant, ⌊H/2⌋+1 by ⌊W/2⌋+1 PEs.
+// Split is its three phases one after the other (predictSplit); +Inf where
+// B < W leaves a chunk empty.
 func PredictAllReduce2D(pattern Pattern2D, width, height, b int, pr model.Params) float64 {
 	switch pattern {
 	case Centre:
 		row, col, _ := centreHalves(width, height, b, pr) // fails for an empty grid only: no trees, no cycles
-		return pr.Then(pr.MidRootReduce(row[0].Parent, row[1].Parent, b), pr.MidRootReduce(col[0].Parent, col[1].Parent, b),
+		return pr.Then(pr.CombReduce([][]int{row[0].Parent, row[1].Parent}, [][]int{col[0].Parent, col[1].Parent}, b),
 			pr.Broadcast2D(height/2+1, width/2+1, b))
 	case Split:
 		return predictSplit(width, height, b, pr)
@@ -95,13 +114,22 @@ func PredictAllReduce2D(pattern Pattern2D, width, height, b int, pr model.Params
 }
 
 // BestReduce2D picks the concrete 2D pattern with the lowest predicted
-// runtime.
+// runtime, SnakeAutoGen included where it prices strictly lowest. Its search
+// runs only where the floor of any tree over the Snake's W·H PEs — the far
+// end's W·H−1 hops, a ramp and one transfer — undercuts the best of the
+// others: on a 32×32 grid the search would take a second, and no vector
+// length there lets the Snake win.
 func BestReduce2D(width, height, b int, pr model.Params) (Pattern2D, float64) {
 	best, bestT := Pattern2D(""), 0.0
 	for _, pat := range Patterns2D {
 		t := PredictReduce2D(pat, width, height, b, pr)
 		if best == "" || t < bestT {
 			best, bestT = pat, t
+		}
+	}
+	if floor := float64(width*height - 1 + 2*pr.TR + 1 + b + pr.Ctl); floor < bestT {
+		if t := PredictReduce2D(SnakeAutoGen, width, height, b, pr); t < bestT {
+			best, bestT = SnakeAutoGen, t
 		}
 	}
 	return best, bestT
@@ -170,6 +198,18 @@ func centreHalves(width, height, b int, pr model.Params) (row, col [2]comm.Tree,
 		col, err = halves(height)
 	}
 	return row, col, err
+}
+
+// snakeSearches counts SnakeTree's calls, so that a test can see that
+// resolving a large grid never searches its Snake.
+var snakeSearches atomic.Int64
+
+// SnakeTree is the reduction tree SnakeAutoGen runs over the Snake's path of
+// a width×height grid: the end-rooted Auto-Gen search over its W·H PEs. The
+// builder, the estimate and the tree a plan records all take it here.
+func SnakeTree(width, height, b int, pr model.Params) (comm.Tree, error) {
+	snakeSearches.Add(1)
+	return EndTree(AutoGen, width*height, b, pr)
 }
 
 // BuildReduce2DInto compiles a 2D Reduce into spec without initial data.
@@ -258,10 +298,18 @@ func buildSplit(spec *fabric.Spec, width, height, b int, pr model.Params, op fab
 	return nil
 }
 
-// buildReduce2D compiles a 2D reduce into spec.
+// buildReduce2D compiles a 2D reduce into spec; of the X-Y compositions,
+// XYAutoGen alone streams its hand-off.
 func buildReduce2D(spec *fabric.Spec, pattern Pattern2D, width, height, b int, pr model.Params, op fabric.ReduceOp) error {
-	if pattern == Snake {
-		return comm.BuildReduceSnake(spec, width, height, b, op)
+	switch pattern {
+	case Snake:
+		return comm.BuildReduceSnake(spec, width, height, b, comm.Chain(width*height), op)
+	case SnakeAutoGen:
+		tree, err := SnakeTree(width, height, b, pr)
+		if err != nil {
+			return err
+		}
+		return comm.BuildReduceSnake(spec, width, height, b, tree, op)
 	}
 	base, ok := pattern.base1D()
 	if !ok {
@@ -275,5 +323,5 @@ func buildReduce2D(spec *fabric.Spec, pattern Pattern2D, width, height, b int, p
 	if err != nil {
 		return err
 	}
-	return comm.BuildReduceXY(spec, width, height, rowTree, colTree, b, op)
+	return comm.BuildReduceXY(spec, width, height, rowTree, colTree, b, pattern == XYAutoGen, op)
 }

@@ -160,6 +160,10 @@ func evenRow(_ Config, r plan.Request) bool { return r.P%2 == 0 }
 
 func never(Config, plan.Request) bool { return false }
 
+// searchedXY says what the xy-autogen series of Figure 13 runs: not the
+// paper's X-Y Auto-Gen but this repository's searched composition.
+const searchedXY = "xy-autogen is this repository's searched composition: autogen.End's trees on rows and column, each column leaf streaming its row's last transfer up the column"
+
 // Catalogue is the evaluation: every figure of the paper this repository
 // regenerates, the headline claims read off them, and the extensions beyond
 // the paper (the implemented ring, the ablations, the conformance table),
@@ -231,19 +235,19 @@ var Catalogue = []Entry{
 		// error is meaningful; fig13a-model covers the paper's scale.
 		ID: "fig13a", Paper: "Figure 13a, §8.7",
 		Title: "2D Reduce, {side}x{side} PEs, increasing vector length (measured/predicted cycles)",
-		Notes: []string{"paper measures 512x512 on hardware; measured runs here use {side}x{side}, model covers 512x512 (fig13a-model)"},
+		Notes: []string{"paper measures 512x512 on hardware; measured runs here use {side}x{side}, model covers 512x512 (fig13a-model)", searchedXY},
 		Sweep: &Sweep{Axis: vectorBytes, Curves: perPattern(plan.Reduce2D, core.Patterns2D, "", lengthOnGrid, starLengthCap)},
 	},
 	{
 		ID: "fig13b", Paper: "Figure 13b, §8.7",
 		Title: "2D AllReduce, {side}x{side} PEs, increasing vector length (measured/predicted cycles)",
-		Notes: []string{"measured at {side}x{side}; the paper's 512x512 shape is covered by the model (fig13b-model)"},
+		Notes: []string{"measured at {side}x{side}; the paper's 512x512 shape is covered by the model (fig13b-model)", searchedXY},
 		Sweep: &Sweep{Axis: vectorBytes, Curves: perPattern(plan.AllReduce2D, core.Patterns2D, "", lengthOnGrid, starLengthCap)},
 	},
 	{
 		ID: "fig13c", Paper: "Figure 13c, §8.7",
 		Title: "2D Reduce, 1 KB vector, increasing grid side (measured/predicted cycles)",
-		Notes: []string{"measured grids: {sides}; larger sides are model-only"},
+		Notes: []string{"measured grids: {sides}; larger sides are model-only", searchedXY},
 		Sweep: &Sweep{Axis: gridSides, Curves: perPattern(plan.Reduce2D, core.Patterns2D, "", sizeAtFixedB, measuredSides)},
 	},
 	{
@@ -251,11 +255,13 @@ var Catalogue = []Entry{
 		// (AllReduce) improvements over X-Y Chain.
 		ID: "fig13a-model", Paper: "Figure 13a at 512x512, §8.7",
 		Title: "2D Reduce, 512x512 PEs (model only), increasing vector length",
+		Notes: []string{searchedXY},
 		Sweep: &Sweep{Axis: vectorBytes, Curves: perPattern(plan.Reduce2D, core.Patterns2D, "", lengthOn(512), never)},
 	},
 	{
 		ID: "fig13b-model", Paper: "Figure 13b at 512x512, §8.7",
 		Title: "2D AllReduce, 512x512 PEs (model only), increasing vector length",
+		Notes: []string{searchedXY},
 		Sweep: &Sweep{Axis: vectorBytes, Curves: perPattern(plan.AllReduce2D, core.Patterns2D, "", lengthOn(512), never)},
 	},
 	{

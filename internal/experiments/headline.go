@@ -60,10 +60,10 @@ var headlineClaims = []struct {
 	paper                    float64
 	row, base, target, basis string
 }{
-	{"1D Reduce: AutoGen vs vendor chain (512 PEs)", 3.16, "fig11b", "chain", "autogen", "measured, Figure 11b sweep"},                       // §8.5
-	{"1D AllReduce: AutoGen vs chain+bcast (512 PEs)", 2.47, "fig11c", "chain+bcast", "autogen+bcast", "measured, Figure 11c sweep"},         // §8.6
-	{"2D Reduce: X-Y AutoGen vs X-Y Chain (512x512)", 3.27, "fig13a-model", "xy-chain", "xy-autogen", "model at paper scale, Figure 13a"},    // §8.7
-	{"2D AllReduce: X-Y AutoGen vs X-Y Chain (512x512)", 2.54, "fig13b-model", "xy-chain", "xy-autogen", "model at paper scale, Figure 13b"}, // §8.7
+	{"1D Reduce: AutoGen vs vendor chain (512 PEs)", 3.16, "fig11b", "chain", "autogen", "measured, Figure 11b sweep"},                                                                                         // §8.5
+	{"1D AllReduce: AutoGen vs chain+bcast (512 PEs)", 2.47, "fig11c", "chain+bcast", "autogen+bcast", "measured, Figure 11c sweep"},                                                                           // §8.6
+	{"2D Reduce: X-Y AutoGen vs X-Y Chain (512x512)", 3.27, "fig13a-model", "xy-chain", "xy-autogen", "model at paper scale, Figure 13a; ours is the searched composition: End's trees, streamed hand-off"},    // §8.7
+	{"2D AllReduce: X-Y AutoGen vs X-Y Chain (512x512)", 2.54, "fig13b-model", "xy-chain", "xy-autogen", "model at paper scale, Figure 13b; ours is the searched composition: End's trees, streamed hand-off"}, // §8.7
 	{"2D Reduce: X-Y TwoPhase vs X-Y Chain (512x512)", 3.32, "fig13a-model", "xy-chain", "xy-twophase", "model at paper scale, §1.3 claim"},
 	{"2D AllReduce: X-Y TwoPhase vs X-Y Chain (512x512)", 2.56, "fig13b-model", "xy-chain", "xy-twophase", "model at paper scale, §1.3 claim"},
 }

@@ -130,21 +130,11 @@ func (pr Params) GatherFlood(p, b int) float64 {
 // of the two halves, each rooted at the middle PE and indexed by distance
 // from it — ⌊P/2⌋+1 and ⌈P/2⌉ vertices, either possibly the single root. The
 // middle PE takes the west tree's root children and then the east tree's
-// over one ramp, each arriving as the critical path of its own half has it,
-// and floods the result over the longer half.
+// over one ramp, each arriving as the critical path of its own half has it —
+// a comb without a column (CombReduce) — and floods the result over the
+// longer half.
 func (pr Params) MidRootAllReduce(west, east []int, b int) float64 {
-	return pr.Then(pr.MidRootReduce(west, east, b), pr.Broadcast1D(max(len(west), len(east)), b))
-}
-
-// MidRootReduce is the reduce of the middle-root AllReduce alone: the middle
-// PE has its last transfer in at begin(mid) + B + Ctl. Zero when neither half
-// holds more than the middle PE. The centre root runs it on every row and then
-// on the middle column.
-func (pr Params) MidRootReduce(west, east []int, b int) float64 {
-	if len(west) <= 1 && len(east) <= 1 {
-		return 0
-	}
-	return pr.MidRootBegin(west, east, b) + pr.transfer(b)
+	return pr.Then(pr.CombReduce([][]int{west, east}, nil, b), pr.Broadcast1D(max(len(west), len(east)), b))
 }
 
 // MidRootBegin is begin(mid) of the middle-root AllReduce over west and east:

@@ -134,20 +134,40 @@
 // of both X-Y phases in the middle: every row reduces into its middle PE
 // (⌊W/2⌋, y) over the halves the middle root would run on a row of W, the
 // middle column into (⌊W/2⌋, ⌊H/2⌋) over the halves for a column of H, on
-// colours of its own, and the result floods out from the centre. The rows are
-// identical and share no link, so every PE of the middle column ends its row
-// in the same cycle and the column phase starts on all of them at once. Each
-// reduce is the middle root's without its flood (MidRootReduce), and the
-// flood is Lemma 7.1 over the largest quadrant:
-//
-//	T_centre = T_row(W)  then  T_col(H)  then  T_bcast2D(⌊H/2⌋+1, ⌊W/2⌋+1, B)
-//
-// It halves the distance of every phase, and every root takes two streams
-// per phase, 2(B+Ctl) wavelets where the corner's takes one. So it wins where
-// distance dominates — 103 cycles against X-Y's 165 at 32×32 and one
-// wavelet — and is the bandwidth-inefficient schedule at 1 KB (1512 against
-// 1208). It runs at this estimate to the cycle on every grid and vector
+// colours of its own, and the result floods out from the centre over the
+// largest quadrant (Lemma 7.1). It halves the distance of every phase, and
+// every root takes two streams per phase, 2(B+Ctl) wavelets where the
+// corner's takes one. So it wins where distance dominates — 103 cycles
+// against X-Y's 154 at 32×32 and one wavelet — and is the
+// bandwidth-inefficient schedule at 1 KB. Its reduce is priced as the comb
+// below, and it runs at its estimate to the cycle on every grid and vector
 // length tried.
+//
+// # The comb: a column streamed from its rows
+//
+// The paper's X-Y compositions run their phases back to back: a PE of the
+// column takes its row's last transfer whole, then sends up the column, and
+// the two phases cost T_row then T_col. The searched compositions —
+// xy-autogen and the centre root — stream instead: a leaf of the column tree
+// takes its row's last transfer with the fused receive-reduce-send, straight
+// onto its column colour, as an inner vertex of any tree does. The rows are
+// identical and share no link, so every column PE has its row's transfers in
+// at the same cycles, rootArrivals of the row's tree (of both halves, for
+// the centre, west first). A column vertex v with k_v column children takes
+// its row's m transfers ahead of them, so with row_begin = queued(row
+// arrivals) the begin() recurrence of the critical path runs on the column
+// tree from
+//
+//	begin(v) ≥ row_begin + k_v·(B+Ctl)
+//
+// instead of 0 — a column leaf begins its streamed transfer at its row root's
+// begin — and the grid's root queues its row's arrivals ahead of its column
+// children's (CombReduce). That is one critical path over the whole comb; the
+// fabric runs it to the cycle on every grid tried (W, H ≤ 12 and the lattice's,
+// B = 1…256, both roots). Against the phases back to back it saves what one
+// ramp allows, min(B + Ctl − 1, 2·T_R + 1) cycles: 1 at B = 1, 4 at B = 4, 5
+// from B = 16 on. The paper's patterns keep their unstreamed programs and
+// their Then: the figures' baselines are the paper's programs.
 package model
 
 import (
@@ -376,8 +396,14 @@ func (pr Params) CriticalPath(parent []int, b int) float64 {
 // and returns, for the root's children in index order, the cycle each one's
 // first wavelet reaches the root's processor.
 func (pr Params) rootArrivals(parent []int, b int) []float64 {
+	return pr.arrivalsFrom(parent, make([]float64, len(parent)), b)
+}
+
+// arrivalsFrom is rootArrivals where vertex v cannot begin its last transfer
+// before begin[v] (which it overwrites): the cycle at which whatever v takes
+// ahead of its children lets it. rootArrivals starts every vertex at 0.
+func (pr Params) arrivalsFrom(parent []int, begin []float64, b int) []float64 {
 	w := pr.transfer(b)
-	begin := make([]float64, len(parent))
 	later := make([]int, len(parent)) // children of v already folded: the later siblings
 	var arrivals []float64
 	for c := len(parent) - 1; c > 0; c-- {

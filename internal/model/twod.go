@@ -1,6 +1,9 @@
 package model
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Broadcast2D is Lemma 7.1: flooding from (0,0) over an M×N grid costs
 // T = B + M + N - 2 + 2·T_R + 1 thanks to row/column multicast, and Ctl
@@ -28,4 +31,38 @@ func (pr Params) LowerBound2D(m, n, b int) float64 {
 	}
 	bw := math.Max(float64(b), float64(b)/8+float64(m)+float64(n)-1)
 	return bw + float64(2*pr.TR) + 1
+}
+
+// CombReduce prices a 2D reduce whose column leaves stream their row's last
+// transfer up the column — xy-autogen's (comm.BuildReduceXY, streamed) and
+// the centre root's — as the one critical path it is over the comb of rows
+// and column (derivation in the package comment). rows are the trees each row
+// reduces into its column PE over, in the order that PE takes them: the
+// corner's one tree, or the centre's west and east halves; cols are the
+// column's trees into the grid's root, likewise. Zero on a single PE.
+func (pr Params) CombReduce(rows, cols [][]int, b int) float64 {
+	var row []float64
+	for _, t := range rows {
+		row = append(row, pr.rootArrivals(t, b)...)
+	}
+	rowBegin, arrivals := pr.queued(row, b), slices.Clone(row)
+	for _, col := range cols {
+		begin := make([]float64, len(col))
+		if len(row) > 0 {
+			// Vertex v takes its row ahead of its k_v column children: it
+			// begins its last transfer no earlier than rowBegin + k_v·(B+Ctl),
+			// and a leaf streams its row's last transfer at rowBegin.
+			for v := range begin {
+				begin[v] = rowBegin
+			}
+			for c := 1; c < len(col); c++ {
+				begin[col[c]] += pr.transfer(b)
+			}
+		}
+		arrivals = append(arrivals, pr.arrivalsFrom(col, begin, b)...)
+	}
+	if len(arrivals) == 0 {
+		return 0
+	}
+	return pr.queued(arrivals, b) + pr.transfer(b)
 }

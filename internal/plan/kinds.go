@@ -118,9 +118,13 @@ func auto2D(r *Request, pr model.Params) {
 	}
 }
 
+// patterns2DReduce is the 2D Reduce family: the paper's patterns, this
+// repository's X-Y composition, and Auto-Gen's tree over the Snake.
+var patterns2DReduce = append(slices.Clone(core.Patterns2D), core.SnakeAutoGen)
+
 // patterns2DAllReduce is the 2D family of the one kind with a centre-rooted
 // and a split program.
-var patterns2DAllReduce = append(slices.Clone(core.Patterns2D), core.Centre, core.Split)
+var patterns2DAllReduce = append(slices.Clone(patterns2DReduce), core.Centre, core.Split)
 
 // autoAllReduce2D ranges over the reduces into the corner, each with the flood
 // behind it, the centre root and the split.
@@ -146,10 +150,12 @@ func treeEnd(p *Plan, pr model.Params) (err error) {
 	return err
 }
 
-// treesXY records the row and column trees of an X-Y plan; Snake, the
-// centre root and the split record none.
-func treesXY(p *Plan, pr model.Params) (err error) {
-	if base, ok := p.Alg2D.Base1D(); ok {
+// trees2D records the row and column trees of an X-Y plan, and the one tree
+// of SnakeAutoGen; Snake, the centre root and the split record none.
+func trees2D(p *Plan, pr model.Params) (err error) {
+	if p.Alg2D == core.SnakeAutoGen {
+		p.Tree, err = core.SnakeTree(p.Width, p.Height, p.B, pr)
+	} else if base, ok := p.Alg2D.Base1D(); ok {
 		if p.RowTree, err = core.EndTree(base, p.Width, p.B, pr); err == nil {
 			p.ColTree, err = core.EndTree(base, p.Height, p.B, pr)
 		}
@@ -217,7 +223,7 @@ var Kinds = []KindInfo{
 	{
 		Kind: Reduce2D, Name: "reduce2d",
 		Doc:  "2D Reduce on a grid=WxH mesh into PE (0,0) (alg=, op=)",
-		Grid: true, Algs2D: core.Patterns2D, HasOp: true, Inputs: VectorPerPE, trees: treesXY, auto: auto2D,
+		Grid: true, Algs2D: patterns2DReduce, HasOp: true, Inputs: VectorPerPE, trees: trees2D, auto: auto2D,
 		build: func(s *fabric.Spec, r Request, pr model.Params) error {
 			return core.BuildReduce2DInto(s, r.Alg2D, r.Width, r.Height, r.B, pr, r.Op)
 		},
@@ -229,7 +235,7 @@ var Kinds = []KindInfo{
 	{
 		Kind: AllReduce2D, Name: "allreduce2d",
 		Doc:  "2D AllReduce on a grid=WxH mesh (alg=, op=)",
-		Grid: true, Algs2D: patterns2DAllReduce, HasOp: true, Inputs: VectorPerPE, trees: treesXY, auto: autoAllReduce2D,
+		Grid: true, Algs2D: patterns2DAllReduce, HasOp: true, Inputs: VectorPerPE, trees: trees2D, auto: autoAllReduce2D,
 		build: func(s *fabric.Spec, r Request, pr model.Params) error {
 			return core.BuildAllReduce2DInto(s, r.Alg2D, r.Width, r.Height, r.B, pr, r.Op)
 		},

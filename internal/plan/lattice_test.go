@@ -15,7 +15,7 @@ import (
 	"repro/internal/fabric"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/auto_cycles.golden")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/auto_cycles.golden and testdata/paper_programs.golden")
 
 // latticeCell is one lattice request with what its one run returned.
 type latticeCell struct {

@@ -167,10 +167,11 @@ type Plan struct {
 	// Spec is the lowered fabric program, without initial data. It must
 	// be treated as read-only; Execute binds inputs into per-run copies.
 	Spec *fabric.Spec
-	// Tree is the reduction tree of an end-rooted row. RowTree and ColTree
-	// are the trees of a plan that reduces in two parts: the rows and then
-	// column 0 of an X-Y grid, the west and then the east half of a
-	// middle-rooted row. All empty for a ring, Snake and the treeless kinds.
+	// Tree is the reduction tree of an end-rooted row, or of the Snake's
+	// path under SnakeAutoGen. RowTree and ColTree are the trees of a plan
+	// that reduces in two parts: the rows and then column 0 of an X-Y grid,
+	// the west and then the east half of a middle-rooted row. All empty for
+	// a ring, the Snake's chain and the treeless kinds.
 	Tree, RowTree, ColTree comm.Tree
 	// Colors lists the routing colors the program occupies.
 	Colors []mesh.Color

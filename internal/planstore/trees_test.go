@@ -45,7 +45,13 @@ func fromTrees(p *plan.Plan) (*fabric.Spec, error) {
 		return spec, nil
 	case plan.Reduce2D, plan.AllReduce2D:
 		spec = fabric.NewSpec(p.Width, p.Height)
-		if err := comm.BuildReduceXY(spec, p.Width, p.Height, p.RowTree, p.ColTree, p.B, p.Op); err != nil {
+		var err error
+		if p.Alg2D == core.SnakeAutoGen {
+			err = comm.BuildReduceSnake(spec, p.Width, p.Height, p.B, p.Tree, p.Op)
+		} else {
+			err = comm.BuildReduceXY(spec, p.Width, p.Height, p.RowTree, p.ColTree, p.B, p.Alg2D == core.XYAutoGen, p.Op)
+		}
+		if err != nil {
 			return nil, err
 		}
 		if p.Kind == plan.AllReduce2D {
@@ -71,10 +77,7 @@ func TestRecordedTreesAreTheProgram(t *testing.T) {
 		}
 	}
 	for _, wh := range [][3]int{{8, 8, 16}, {5, 7, 1}, {17, 17, 16}} {
-		for _, pat := range core.Patterns2D {
-			if _, ok := pat.Base1D(); !ok {
-				continue
-			}
+		for _, pat := range []core.Pattern2D{core.XYStar, core.XYChain, core.XYTree, core.XYTwoPhase, core.XYAutoGen, core.SnakeAutoGen} {
 			for _, kind := range []plan.Kind{plan.Reduce2D, plan.AllReduce2D} {
 				reqs = append(reqs, plan.Request{Kind: kind, Alg2D: pat, Width: wh[0], Height: wh[1], B: wh[2], Op: fabric.OpMax})
 			}

@@ -104,8 +104,9 @@ func checkResult(t *testing.T, name string, sh Shape, ki *plan.KindInfo, want []
 // run every schedule: the ring phase at the first, the composition through
 // the root at the second, the gather-flood at the third; the split 2D
 // AllReduce runs at all three, W dividing B at the first two and not at the
-// third, and so does the middle root's fold. The key, layout and compile side of the same walk is the plan
-// package's test of the same name.
+// third, and so does the middle root's fold; Auto-Gen's tree over the Snake
+// runs pinned on both 2D reduce kinds. The key, layout and compile side of
+// the same walk is the plan package's test of the same name.
 func TestKindTableConformance(t *testing.T) {
 	ran := map[string]bool{}
 	for i := range plan.Kinds {
@@ -117,7 +118,8 @@ func TestKindTableConformance(t *testing.T) {
 			conformRow(t, ki, g, ran)
 		}
 	}
-	for _, schedule := range []string{"reducescatter/ring", "reducescatter/tree", "allgather/ring", "allgather/star", "allgather/gather-flood", "allreduce2d/split", "allreduce-midroot/fold"} {
+	for _, schedule := range []string{"reducescatter/ring", "reducescatter/tree", "allgather/ring", "allgather/star", "allgather/gather-flood", "allreduce2d/split", "allreduce-midroot/fold",
+		"reduce2d/snake-autogen", "allreduce2d/snake-autogen"} {
 		if !ran[schedule] {
 			t.Errorf("no shape of the walk ran %s (ran %v)", schedule, ran)
 		}

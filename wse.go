@@ -88,17 +88,22 @@ const (
 )
 
 // Algorithm2D names a 2D collective mapping (§7): X-Y compositions of the
-// 1D patterns, or the Snake chain over the whole grid — and, for AllReduce
-// only, the centre root (Centre) and the split, spelled Algorithm2D("split"):
-// every row reduce-scatters on its ring, every column all-reduces one chunk,
-// every row all-gathers, so the vector crosses each PE about twice where a
-// reduce and a flood move it three times. The split needs B >= Width.
+// 1D patterns, or the Snake chain over the whole grid; Auto-Gen's searched
+// tree over the Snake's path, spelled Algorithm2D("snake-autogen"), which
+// Auto picks on small grids with long vectors (8×8 at 1 KB: 557 cycles where
+// X-Y runs 597); and, for AllReduce only, the centre root (Centre) and the
+// split, spelled Algorithm2D("split"): every row reduce-scatters on its ring,
+// every column all-reduces one chunk, every row all-gathers, so the vector
+// crosses each PE about twice where a reduce and a flood move it three times.
+// The split needs B >= Width.
 type Algorithm2D = core.Pattern2D
 
 // The 2D algorithms. XYChain is the vendor baseline of the paper's 2D
-// comparisons; Auto2D selects by model. Centre is valid for AllReduce only:
-// every row reduces into its middle PE, the middle column into the grid's
-// centre, and the result floods out from there.
+// comparisons; XYAutoGen is this repository's searched composition, whose
+// column leaves stream their row's last transfer up the column; Auto2D
+// selects by model. Centre is valid for AllReduce only: every row reduces
+// into its middle PE, the middle column into the grid's centre, and the
+// result floods out from there.
 const (
 	XYStar     = core.XYStar
 	XYChain    = core.XYChain
