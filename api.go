@@ -118,10 +118,12 @@ func Chunks(p, b int) (off, sz []int) { return core.Chunks(p, b) }
 // can move too: an Auto AllReduce the model roots in the middle resolves to
 // KindAllReduceMidRoot with its tree (or stays KindAllReduce with Ring), and
 // the algorithm-free ReduceScatter and AllGather come back with Alg saying
-// which of their schedules runs. ReduceScatter has two: Ring, or the reduce
-// tree before the Scatter from the leftmost PE. AllGather has three: Ring;
-// Star, a Gather of both halves into the middle PE before its flood; or
-// "gather-flood", every PE flooding its own chunk on its turn. The resolved
+// which of their schedules runs. ReduceScatter has three: Ring;
+// "ring-stream", the ring forwarding each partial sum as it arrives, where
+// one hop's queues hold a chunk; or the reduce tree before the Scatter from
+// the leftmost PE. AllGather has three: Ring; Star, a Gather of both halves
+// into the middle PE before its flood; or "gather-flood", every PE flooding
+// its own chunk on its turn. The resolved
 // Shape is valid and runs the same program; a Shape naming a concrete
 // algorithm comes back unchanged.
 func (sh Shape) Resolve(opts ...Option) Shape {

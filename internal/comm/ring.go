@@ -124,15 +124,33 @@ func addRingEdge(spec *fabric.Spec, path mesh.Path, a, b int, color mesh.Color) 
 // never at 64 PEs and beyond — core's TestRingCrossover measures the
 // crossover, and Auto deploys the ring where it wins.
 func BuildRingAllReduce(spec *fabric.Spec, lane Lane, mapping RingMapping, op fabric.ReduceOp) error {
-	return buildRingPhases(spec, lane, mapping, op, true, true)
+	return buildRingPhases(spec, lane, mapping, op, rsRounds, true)
 }
 
-// buildRingPhases compiles the reduce-scatter (rs) and/or allgather (ag)
-// phases of the ring on a lane. Chunk ownership follows path indices:
+// ringRS says how buildRingPhases compiles the reduce-scatter phase, if at
+// all.
+type ringRS uint8
+
+const (
+	rsNone ringRS = iota
+	// rsRounds is §6.2's phase: P−1 full-duplex rounds, each PE taking its
+	// neighbour's whole chunk before it sends that chunk on.
+	rsRounds
+	// rsStreamed keeps the rounds' edges, chunks and reduction order but
+	// forwards each partial sum as it arrives, as the chain of Lemma 5.2
+	// does: one send of the PE's first chunk, P−2 fused receive-reduce-sends
+	// and one receive of its own chunk. Every PE sends before it receives, so
+	// each edge's queues must hold a whole chunk and its control, or the ring
+	// deadlocks (the gate of model.Params.RingStream).
+	rsStreamed
+)
+
+// buildRingPhases compiles the reduce-scatter (as rs says) and/or allgather
+// (ag) phases of the ring on a lane. Chunk ownership follows path indices:
 // afterwards a reduce-scatter leaves the combined chunk j of the window on
 // path index j, and a standalone allgather expects path index j to start
 // with chunk j in place (at its chunk offset).
-func buildRingPhases(spec *fabric.Spec, lane Lane, mapping RingMapping, op fabric.ReduceOp, rs, ag bool) error {
+func buildRingPhases(spec *fabric.Spec, lane Lane, mapping RingMapping, op fabric.ReduceOp, rs ringRS, ag bool) error {
 	path, p := lane.Path, len(lane.Path)
 	if p < 2 {
 		return fmt.Errorf("comm: ring needs at least 2 PEs")
@@ -163,11 +181,27 @@ func buildRingPhases(spec *fabric.Spec, lane Lane, mapping RingMapping, op fabri
 		}
 	}
 
-	// Per-PE programs: P-1 full-duplex rounds per phase.
+	// Per-PE programs: P-1 full-duplex rounds per phase, or the streamed
+	// reduce-scatter's send, P-2 forwards and receive.
 	for k := 0; k < p; k++ {
 		pe := spec.PE(path[order[k]])
 		out, in := edge(k), edge((k-1+p)%p)
-		if rs {
+		switch rs {
+		case rsStreamed:
+			// Round r's send is the chunk round r−1 received: forwarding
+			// it as it arrives fuses the two.
+			s := chunkOf(k)
+			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpSend, Color: out, Off: off[s], N: sz[s]})
+			for r := 1; r < p-1; r++ {
+				s = chunkOf(k - r)
+				pe.Ops = append(pe.Ops, fabric.Op{
+					Kind: fabric.OpRecvReduceSend, Color: in, OutColor: out,
+					Off: off[s], N: sz[s], Reduce: op,
+				})
+			}
+			s = chunkOf(k + 1)
+			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvReduce, Color: in, Off: off[s], N: sz[s], Reduce: op})
+		case rsRounds:
 			for r := 0; r < p-1; r++ {
 				s := chunkOf(k - r)
 				rc := chunkOf(k - r - 1)

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/fabric"
@@ -100,6 +101,66 @@ func TestChunkedFormsAreExact(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRingStreamFormIsExact holds the streamed ring reduce-scatter to
+// model.Params.RingStream to the cycle, and the PEs of its longer and its
+// other chunks to RingStreamDone (the cycle after each took its last
+// control, as the run's count is), on every row of 2 to 12 PEs with B from P
+// to 4P, at T_R 1 to 3, queue depths 3, 4 and 8 and task activations 0 and
+// 2, wherever the gate admits it: under the default queue depth, from one to
+// nine elements a chunk.
+func TestRingStreamFormIsExact(t *testing.T) {
+	for tr := 1; tr <= 3; tr++ {
+		for _, qcap := range []int{3, 4, 8} {
+			for _, act := range []int{0, 2} {
+				pr := model.Params{TR: tr, Ctl: 1, QueueCap: qcap, Activation: act}
+				for p := 2; p <= 12; p++ {
+					for b := p; b <= 4*p; b++ {
+						long, short := pr.RingStreamDone(p, b)
+						if math.IsInf(long, 1) {
+							continue
+						}
+						spec := fabric.NewSpec(p, 1)
+						if err := BuildReduceScatterStreamed(spec, RowLane(p, b), fabric.OpSum); err != nil {
+							t.Fatal(err)
+						}
+						for _, c := range mesh.Row(0, 0, p) {
+							spec.PE(c).Init = make([]float32, b)
+						}
+						tracer := &fabric.Tracer{}
+						f, err := fabric.New(spec, fabric.Options{TR: tr, QueueCap: qcap, TaskActivation: act, Tracer: tracer})
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := f.Run()
+						if err != nil {
+							t.Fatalf("T_R=%d qcap=%d act=%d p=%d b=%d: %v", tr, qcap, act, p, b, err)
+						}
+						var gotLong, gotShort int64
+						for _, e := range tracer.Events {
+							if e.Kind != fabric.EvConsume {
+								continue
+							}
+							if e.PE.X < b%p || b%p == 0 {
+								gotLong = max(gotLong, e.Cycle+2)
+							}
+							if e.PE.X >= b%p {
+								gotShort = max(gotShort, e.Cycle+2)
+							}
+						}
+						if float64(res.Cycles) != pr.RingStream(p, b) || float64(gotLong) != long || float64(gotShort) != short {
+							t.Errorf("T_R=%d qcap=%d act=%d p=%d b=%d: %d cycles, the longer chunks' PEs done at %d, the others' at %d; estimates %v, %v, %v",
+								tr, qcap, act, p, b, res.Cycles, gotLong, gotShort, pr.RingStream(p, b), long, short)
+						}
+					}
+				}
+			}
+		}
+	}
+	if pr := (model.Params{TR: 2, Ctl: 1, QueueCap: 4}); !math.IsInf(pr.RingStream(16, 16*10), 1) || math.IsInf(pr.RingStream(16, 16*9), 1) {
+		t.Error("the default gate does not end at nine elements a chunk")
 	}
 }
 

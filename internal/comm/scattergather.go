@@ -134,12 +134,21 @@ func gatherChunks(spec *fabric.Spec, path mesh.Path, off, sz []int, placed bool,
 // the first phase of the ring AllReduce (§6.2), so it reuses the ring's
 // mapping, coloring and full-duplex rounds.
 func BuildReduceScatter(spec *fabric.Spec, lane Lane, mapping RingMapping, op fabric.ReduceOp) error {
-	return buildRingPhases(spec, lane, mapping, op, true, false)
+	return buildRingPhases(spec, lane, mapping, op, rsRounds, false)
+}
+
+// BuildReduceScatterStreamed compiles the ReduceScatter of BuildReduceScatter
+// on the simple ring, streamed: every PE forwards each partial sum the cycle
+// it arrives instead of taking the whole chunk first. It leaves the same
+// chunks on the same PEs, reduced in the same order, so the same bits; it
+// needs every edge's queues to hold a whole chunk and its control.
+func BuildReduceScatterStreamed(spec *fabric.Spec, lane Lane, op fabric.ReduceOp) error {
+	return buildRingPhases(spec, lane, RingSimple, op, rsStreamed, false)
 }
 
 // BuildAllGather compiles an AllGather on a lane: beforehand path index j
 // holds chunk j of the window (at its chunk offset); afterwards every PE
 // holds the whole window. It is the second phase of the ring AllReduce.
 func BuildAllGather(spec *fabric.Spec, lane Lane, mapping RingMapping) error {
-	return buildRingPhases(spec, lane, mapping, fabric.OpSum, false, true)
+	return buildRingPhases(spec, lane, mapping, fabric.OpSum, rsNone, true)
 }

@@ -7,12 +7,14 @@ package core
 //
 // ReduceScatter and AllGather name no algorithm: each deploys whichever of
 // its schedules the model prices lowest (BestReduceScatter, BestAllGather),
-// and a Pattern names the one picked. ReduceScatter has two — Ring, the first
-// phase of the ring AllReduce (§6.2), or a composition through the leftmost
-// PE, Reduce over the tree the pattern names, then Scatter. AllGather has
-// three: Ring, its second phase; Star, the composition through the middle PE
-// — a star Gather of both halves into PE ⌊P/2⌋, then a flood both ways; and
-// GatherFlood, every PE flooding its own chunk on its turn.
+// and a Pattern names the one picked. ReduceScatter has three — Ring, the
+// first phase of the ring AllReduce (§6.2); RingStream, that ring forwarding
+// each partial sum as it arrives, where one hop's queues hold a chunk; or a
+// composition through the leftmost PE, Reduce over the tree the pattern
+// names, then Scatter. AllGather has three: Ring, its second phase; Star, the
+// composition through the middle PE — a star Gather of both halves into PE
+// ⌊P/2⌋, then a flood both ways; and GatherFlood, every PE flooding its own
+// chunk on its turn.
 //
 // Each collective is a Build*Into compiler (program and routing tables only,
 // no initial data); the plan subsystem binds inputs into what it compiled,
@@ -73,13 +75,24 @@ func placeChunks(spec *fabric.Spec, p, b int) error {
 	return nil
 }
 
-// BestReduceScatter picks what a ReduceScatter runs: Ring, the first phase
-// of the ring AllReduce, or a tree pattern — Reduce over its EndTree, then
-// Scatter the result from the root. The ring wins ties.
+// BestReduceScatter picks what a ReduceScatter runs: a ring (bestRing), or a
+// tree pattern — Reduce over its EndTree, then Scatter the result from the
+// root. The ring wins ties.
 func BestReduceScatter(p, b int, pr model.Params) (Pattern, float64) {
+	ring, ringT := bestRing(p, b, pr)
 	pat, reduce := best1D(func(pat Pattern) float64 { return predictEndReduce(pat, p, b, pr) })
-	if t := pr.Then(reduce, pr.Scatter(p, b)); t < pr.ReduceScatter(p, b) {
+	if t := pr.Then(reduce, pr.Scatter(p, b)); t < ringT {
 		return pat, t
+	}
+	return ring, ringT
+}
+
+// bestRing picks the ring a reduce-scatter runs: Ring, round by round, or
+// RingStream where it prices strictly lower — never where one hop's queues
+// cannot hold what it parks on them, where the model prices it at +Inf.
+func bestRing(p, b int, pr model.Params) (Pattern, float64) {
+	if t := pr.RingStream(p, b); t < pr.ReduceScatter(p, b) {
+		return RingStream, t
 	}
 	return Ring, pr.ReduceScatter(p, b)
 }
@@ -87,8 +100,11 @@ func BestReduceScatter(p, b int, pr model.Params) (Pattern, float64) {
 // PredictReduceScatter estimates a ReduceScatter under a schedule
 // BestReduceScatter can pick, and any other pattern at +Inf.
 func PredictReduceScatter(pattern Pattern, p, b int, pr model.Params) float64 {
-	if pattern == Ring {
+	switch pattern {
+	case Ring:
 		return pr.ReduceScatter(p, b)
+	case RingStream:
+		return pr.RingStream(p, b)
 	}
 	return pr.Then(predictEndReduce(pattern, p, b, pr), pr.Scatter(p, b))
 }
@@ -100,8 +116,8 @@ func BuildReduceScatterInto(spec *fabric.Spec, pattern Pattern, p, b int, pr mod
 	if p < 2 {
 		return fmt.Errorf("core: reduce-scatter needs at least 2 PEs")
 	}
-	if pattern == Ring {
-		return comm.BuildReduceScatter(spec, comm.RowLane(p, b), comm.RingSimple, op)
+	if pattern == Ring || pattern == RingStream {
+		return buildRingReduceScatter(spec, comm.RowLane(p, b), pattern, op)
 	}
 	tree, err := EndTree(pattern, p, b, pr)
 	if err != nil {
@@ -114,6 +130,15 @@ func BuildReduceScatterInto(spec *fabric.Spec, pattern Pattern, p, b int, pr mod
 		return err
 	}
 	return placeChunks(spec, p, b)
+}
+
+// buildRingReduceScatter compiles the reduce-scatter of lane on ring, Ring
+// or RingStream.
+func buildRingReduceScatter(spec *fabric.Spec, lane comm.Lane, ring Pattern, op fabric.ReduceOp) error {
+	if ring == RingStream {
+		return comm.BuildReduceScatterStreamed(spec, lane, op)
+	}
+	return comm.BuildReduceScatter(spec, lane, comm.RingSimple, op)
 }
 
 // AllGatherPatterns lists the schedules of an AllGather: Ring, the second

@@ -44,6 +44,10 @@ const (
 	// GatherFlood is an AllGather schedule, and only BestAllGather names
 	// it: every PE floods its own chunk on its turn (comm.BuildGatherFlood).
 	GatherFlood Pattern = "gather-flood"
+	// RingStream is a ReduceScatter schedule, and only BestReduceScatter
+	// names it: the ring's first phase with every partial sum forwarded the
+	// cycle it arrives (comm.BuildReduceScatterStreamed).
+	RingStream Pattern = "ring-stream"
 	// Fold is middle-root-AllReduce-only: one chain from the start of the
 	// row to its end and back into the middle PE, which takes one stream
 	// where the halves give it two, then floods (comm.BuildAllReduceFold).
@@ -54,19 +58,14 @@ const (
 var Patterns1D = []Pattern{Star, Chain, Tree, TwoPhase, AutoGen}
 
 // Params is the model parameterisation of a run under opt: the fabric's
-// ramp latency, and the one control wavelet comm.BuildTreeReduce appends to
-// every transfer. Every prediction of a run, every Auto choice and every
-// generated tree is made under these; model.Default() is the paper's
-// control-free parameterisation, which only the figure harness uses.
+// ramp latency, queue depth and task activation, and the one control wavelet
+// comm.BuildTreeReduce appends to every transfer. Every prediction of a run,
+// every Auto choice and every generated tree is made under these;
+// model.Default() is the paper's control-free parameterisation, which only
+// the figure harness uses.
 func Params(opt fabric.Options) model.Params {
-	tr := opt.TR
-	switch {
-	case tr == 0:
-		tr = fabric.DefaultTR
-	case tr < 0:
-		tr = 0
-	}
-	return model.Params{TR: tr, Ctl: 1}
+	opt = opt.Canonical() // the values the engine runs under; TR -1 is no latency
+	return model.Params{TR: max(opt.TR, 0), Ctl: 1, QueueCap: opt.QueueCap, Activation: opt.TaskActivation}
 }
 
 // TreeFor returns the reduction tree of a concrete pattern for p PEs and

@@ -152,36 +152,56 @@ func BestAllReduce2D(width, height, b int, pr model.Params) (Pattern2D, float64)
 	return best, bestT
 }
 
-// predictSplit prices the split AllReduce: the rows' ring reduce-scatter,
-// every column's AllReduce of its chunk under the schedule BestAllReduce1D
-// picks for it, and the rows' AllGather under the schedule BestAllGather
-// picks, one after the other. Where W does not divide B, the first B mod W
-// chunks are one element longer: their partial sums pace every round of the
-// reduce-scatter (model.ReduceScatter), their columns take longer, and so
-// those PEs are ready for the AllGather at long, the others at short. The
-// AllGather waits for the latest — but through the middle PE less: it takes
-// the west half's chunks nearest first, so the short chunks between it and
-// the longer ones, ⌊B/W⌋ wavelets each, reach it in the gap. A row of one PE
-// has neither row phase, a column of one no column phase. +Inf where B < W.
+// predictSplit prices the split AllReduce: the rows' reduce-scatter on the
+// ring splitRing picks, every column's AllReduce of its chunk under the
+// schedule BestAllReduce1D picks for it, and the rows' AllGather under the
+// schedule BestAllGather picks, one after the other. Where W does not divide
+// B, the first B mod W chunks are one element longer: their columns take
+// longer, and so those PEs are ready for the AllGather at long, the others
+// at short. Round by round, a PE of an n-element chunk is through the
+// reduce-scatter when a balanced one of n·W elements would be (the longer
+// chunks' partial sums pace every round, model.ReduceScatter); streamed, when
+// model.RingStreamDone says. The AllGather waits for the latest — but
+// through the middle PE less: it takes the west half's chunks nearest first,
+// so the short chunks between it and the longer ones, ⌊B/W⌋ wavelets each,
+// reach it in the gap. A row of one PE has neither row phase, a column of
+// one no column phase. +Inf where B < W.
 func predictSplit(width, height, b int, pr model.Params) float64 {
 	if width < 1 || height < 1 || b < width {
 		return math.Inf(1)
 	}
 	c, r := b/width, b%width
-	// A PE whose chunk has n elements is ready to all-gather once it is
-	// through a reduce-scatter as long as a balanced one of n·W elements and
-	// through its column's AllReduce of n elements.
-	ready := func(n int) float64 {
-		_, _, col := BestAllReduce1D(height, n, pr)
-		return pr.Then(pr.ReduceScatter(width, n*width), col)
-	}
-	short, long := ready(c), ready(c+min(r, 1))
 	gather, ag := BestAllGather(width, b, pr)
+	rsShort, rsLong := pr.ReduceScatter(width, c*width), pr.ReduceScatter(width, (c+min(r, 1))*width)
+	if splitRing(width, b, gather, pr) == RingStream {
+		rsLong, rsShort = pr.RingStreamDone(width, b)
+	}
+	// A PE whose chunk has n elements is ready to all-gather once it is
+	// through the reduce-scatter and through its column's AllReduce of n
+	// elements.
+	ready := func(rs float64, n int) float64 {
+		_, _, col := BestAllReduce1D(height, n, pr)
+		return pr.Then(rs, col)
+	}
+	short, long := ready(rsShort, c), ready(rsLong, c+min(r, 1))
 	t := pr.Then(max(short, long), ag)
 	if gather == Star {
 		t -= min(float64(c*max(0, width/2-r)), max(0, long-short))
 	}
 	return t
+}
+
+// splitRing picks the ring the split's rows reduce-scatter on ahead of an
+// AllGather under gather: bestRing's, but round by round before the ring
+// AllGather. The streamed ring leaves PE 0 last through it, and the ring
+// AllGather hides part of that lateness in its wrap-around edge's hops: on
+// TestSplitDense's 3×3 grid at B = 8 under T_R = 1, for one, it runs a cycle
+// under its form, which is priced from the latest PE.
+func splitRing(width, b int, gather Pattern, pr model.Params) Pattern {
+	if ring, _ := bestRing(width, b, pr); ring == RingStream && gather != Ring {
+		return RingStream
+	}
+	return Ring
 }
 
 // centreHalves returns the west and east halves the centre root runs on
@@ -261,18 +281,21 @@ const (
 	splitGatherBase mesh.Color = 8
 )
 
-// buildSplit compiles the split AllReduce: the rows' ring reduce-scatter,
-// then on every column x the AllReduce BestAllReduce1D picks for chunk x,
-// on that chunk's window alone, then the rows' AllGather under the schedule
-// BestAllGather picks. A row of one PE skips the row phases.
+// buildSplit compiles the split AllReduce: the rows' reduce-scatter on the
+// ring splitRing picks, then on every column x the AllReduce BestAllReduce1D
+// picks for chunk x, on that chunk's window alone, then the rows' AllGather
+// under the schedule BestAllGather picks. A row of one PE skips the row
+// phases.
 func buildSplit(spec *fabric.Spec, width, height, b int, pr model.Params, op fabric.ReduceOp) error {
 	if width < 1 || height < 1 || b < width {
 		return fmt.Errorf("core: split AllReduce of B = %d over a %dx%d grid, want B >= W", b, width, height)
 	}
 	row := func(y int) comm.Lane { return comm.Lane{Path: mesh.Row(y, 0, width), N: b} }
+	gather, _ := BestAllGather(width, b, pr)
 	if width > 1 {
+		ring := splitRing(width, b, gather, pr)
 		for y := 0; y < height; y++ {
-			if err := comm.BuildReduceScatter(spec, row(y), comm.RingSimple, op); err != nil {
+			if err := buildRingReduceScatter(spec, row(y), ring, op); err != nil {
 				return fmt.Errorf("core: row %d: %w", y, err)
 			}
 		}
@@ -286,7 +309,6 @@ func buildSplit(spec *fabric.Spec, width, height, b int, pr model.Params, op fab
 		}
 	}
 	if width > 1 {
-		gather, _ := BestAllGather(width, b, pr)
 		for y := 0; y < height; y++ {
 			lane := row(y)
 			lane.Base = splitGatherBase

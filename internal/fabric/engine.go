@@ -74,12 +74,12 @@ const DefaultQueueCap = 4
 // experiment (serving loops cap it far lower, see wse.Session).
 const DefaultMaxCycles = 1 << 34
 
+// withDefaults resolves the zero values that select a default. A negative
+// TR, the literal zero-latency ramp, stays negative, so resolving twice
+// resolves nothing more: the engine reads it through rampLatency.
 func (o Options) withDefaults() Options {
 	if o.TR == 0 {
 		o.TR = DefaultTR
-	}
-	if o.TR < 0 {
-		o.TR = 0
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = DefaultQueueCap
@@ -90,9 +90,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// rampLatency is the ramp latency options resolved by withDefaults run
+// under: TR, or none for a negative TR.
+func (o Options) rampLatency() int64 { return int64(max(o.TR, 0)) }
+
 // Canonical resolves every defaulted field to the concrete value the
 // engine would run under, so two Options that execute identically compare
-// equal. The noise parameters are clamped into their effective ranges, the
+// equal, and execute as the options they came from do. Every negative TR
+// becomes -1, the one spelling of a zero-latency ramp (0 would select the
+// default). The noise parameters are clamped into their effective ranges, the
 // Seed is dropped when nothing draws from the RNG, a negative Shards becomes
 // the 1 that forces the serial engine just the same (0, auto-tuning, stays
 // 0), and the Tracer handle (a debug attachment, not an execution parameter)
@@ -101,6 +107,9 @@ func (o Options) withDefaults() Options {
 // the next.
 func (o Options) Canonical() Options {
 	o = o.withDefaults()
+	if o.TR < 0 {
+		o.TR = -1
+	}
 	if o.ClockSkewMax < 0 {
 		o.ClockSkewMax = 0
 	}
@@ -1169,7 +1178,7 @@ func (sh *shardState) stepColor(csI int32) bool {
 		t := cs.peer[d]
 		if d == mesh.Ramp {
 			iq := &f.inboxes[t]
-			f.push(iq, waveEntry{w: e.w, readyAt: f.cycle + int64(f.opt.TR)})
+			f.push(iq, waveEntry{w: e.w, readyAt: f.cycle + f.opt.rampLatency()})
 			sh.pushedQ = append(sh.pushedQ, iq)
 			f.procs[i].inboxTotal++
 			sh.stats.RampMoves++
@@ -1210,7 +1219,7 @@ func (sh *shardState) pushRamp(i int32, w Wavelet) bool {
 		return false
 	}
 	q := &f.colorStates[csI].queues[mesh.Ramp]
-	if !f.push(q, waveEntry{w: w, readyAt: f.cycle + int64(f.opt.TR)}) {
+	if !f.push(q, waveEntry{w: w, readyAt: f.cycle + f.opt.rampLatency()}) {
 		return false
 	}
 	sh.pushedQ = append(sh.pushedQ, q)

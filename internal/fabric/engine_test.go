@@ -48,6 +48,34 @@ func TestMessageTiming(t *testing.T) {
 	}
 }
 
+// TestCanonicalOptionsRunAsGiven: canonical options are what plans carry and
+// run under, so they must execute as the options they came from, the
+// literal zero-latency ramp (TR -1) included, whose canonical spelling must
+// not read as 0, the default.
+func TestCanonicalOptionsRunAsGiven(t *testing.T) {
+	for _, tr := range []int{-1, 0, 1, 2, 4} {
+		o := Options{TR: tr, QueueCap: 8}
+		var cycles [2]int64
+		for i, opt := range []Options{o, o.Canonical()} {
+			f, err := New(chainLike(24, 20), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := f.Run()
+			if err != nil {
+				t.Fatalf("TR %d: %v", tr, err)
+			}
+			cycles[i] = res.Cycles
+		}
+		if cycles[0] != cycles[1] {
+			t.Errorf("TR %d: %d cycles as given, %d canonically (TR %d)", tr, cycles[0], cycles[1], o.Canonical().TR)
+		}
+		if c := o.Canonical(); c.Canonical() != c {
+			t.Errorf("TR %d: canonicalising twice moved the options: %+v, then %+v", tr, c, c.Canonical())
+		}
+	}
+}
+
 func TestRampLatencyScaling(t *testing.T) {
 	// One-hop message latency must grow by 2 cycles per unit of T_R
 	// (down and up the ramp). Queues must cover the bandwidth-delay

@@ -17,7 +17,8 @@ var updateStats = flag.Bool("update", false, "regenerate testdata/stats.golden f
 
 // statsShapes fixes one shape per collective kind, with concrete (non-Auto)
 // algorithms so the pinned numbers move only when the engine does, never
-// when the performance model's selections improve.
+// when the performance model's selections improve. ReduceScatter takes no
+// algorithm: statsSpec pins it to the ring.
 func statsShapes() []plan.Request {
 	return []plan.Request{
 		{Kind: plan.Reduce1D, Alg: core.TwoPhase, P: 24, B: 32},
@@ -64,6 +65,26 @@ func statsLine(kind plan.Kind, variant string, res *fabric.Result) string {
 		kind, variant, res.Cycles, s.Hops, s.RampMoves, s.MaxReceived, s.MaxQueueLen, s.Noops, s.Steps)
 }
 
+// statsSpec compiles the program of a stats shape. A ReduceScatter is built
+// on the ring, the schedule its numbers were taken of, wherever Auto would
+// send it; its streamed ring would not even run under the shallow queues of
+// the variants.
+func statsSpec(t testing.TB, req plan.Request) *fabric.Spec {
+	t.Helper()
+	if req.Kind == plan.ReduceScatter {
+		s := fabric.NewSpec(req.P, 1)
+		if err := core.BuildReduceScatterInto(s, core.Ring, req.P, req.B, core.Params(req.Opt), req.Op); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	pl, err := plan.Compile(req)
+	if err != nil {
+		t.Fatalf("%s: %v", req.Kind, err)
+	}
+	return stampedSpec(t, pl)
+}
+
 // stampedSpec copies the plan's program into a spec of its own. Inputs stay
 // unbound: every counter pinned here depends on the program alone.
 func stampedSpec(t testing.TB, pl *plan.Plan) *fabric.Spec {
@@ -86,11 +107,7 @@ func TestEngineStatsGolden(t *testing.T) {
 	path := filepath.Join("testdata", "stats.golden")
 	var lines []string
 	for _, req := range statsShapes() {
-		pl, err := plan.Compile(req)
-		if err != nil {
-			t.Fatalf("%s: %v", req.Kind, err)
-		}
-		spec, twin := stampedSpec(t, pl), stampedSpec(t, pl)
+		spec, twin := statsSpec(t, req), statsSpec(t, req)
 		for _, v := range statsVariants() {
 			f, err := fabric.New(spec, v.opt)
 			if err != nil {

@@ -52,6 +52,81 @@ func (pr Params) ReduceScatter(p, b int) float64 {
 	return pr.ringPhase(p, b, b/p+1)
 }
 
+// RingStream prices the streamed ring reduce-scatter
+// (comm.BuildReduceScatterStreamed), or +Inf where it does not run: the
+// simple ring's edges and chunks, each PE sending its first chunk and then
+// forwarding every partial sum the cycle it arrives. Ring position k's op j
+// handles chunk k−j−1 (mod P; s_c elements, the first B mod P one longer).
+// Its first wavelet is consumed at a(k,j), where
+//
+//	a(k,j) = max(a(k,j−1) + s + Ctl + 1, a(k−1,j−1) + 2·T_R + 2 + x_k) + A
+//
+// the later of the PE's own previous op — s data and Ctl controls taken,
+// one cycle to push the last control — and the chunk's first wavelet, one
+// cycle through the upstream PE, one hop and a ramp each way; x_0 = P − 2 is
+// the wrap-around edge's extra hops, and A the task activation every receive
+// waits out. Each term is one cycle shorter from the opening send, and the
+// reduce-scatter ends with the last PE's last chunk, s + Ctl + 1 after it
+// began. So the count is the longest path through the grid of ops: v steps
+// along a PE finish v + 1 consecutive chunks, the P − 1 − v steps from PE to
+// PE cost 2·T_R + 2 each, and, as a diagonal step's chunk is fixed, one of
+// them crosses the wrap-around edge wherever v ≤ P − 2, along a run of
+// chunks that can start at chunk 0 (the longer ones). That is O(P)
+// candidates (RingStreamDone), and the simulator's count to the cycle
+// wherever no PE waits on its queues.
+//
+// None does where a hop's queues hold what the ring parks on them, and
+// nowhere else does it run. A PE sends its next chunk while its neighbour is
+// still taking the last one, so an edge holds up to s + Ctl + 2 wavelets, a
+// round; the three queues of one hop (the sender's ramp, the link, the
+// receiver's inbox) hold 3·QueueCap. And a stream moves a wavelet a cycle
+// only if the ramp's queue outlasts its latency, QueueCap ≥ T_R + 1. Past
+// either limit the ring stalls on its queues and, with long chunks,
+// deadlocks: every PE sends before it receives.
+func (pr Params) RingStream(p, b int) float64 {
+	long, _ := pr.RingStreamDone(p, b)
+	return long
+}
+
+// RingStreamDone returns when the PEs of the streamed ring reduce-scatter are
+// through it: long for those of the B mod P longer chunks, short for the
+// others, and both the whole phase (RingStream) where P divides B. A path
+// through the ops that ends on PE k finishes chunks k, k+1, …, k+v and crosses
+// the wrap-around edge only if k + v ≤ P − 2. PE 0 has the longer chunks
+// first and the crossing, so it is the last to finish. A PE of a short chunk,
+// k ≥ B mod P, crosses if it can (k = B mod P, for v ≤ P − 2 − B mod P) or
+// else, from PE P − 1, finishes the first v chunks after its own, min(v, B mod
+// P) of them longer. Both are +Inf where the ring does not run (RingStream).
+func (pr Params) RingStreamDone(p, b int) (long, short float64) {
+	if p <= 1 {
+		return 0, 0
+	}
+	q, r := b/p, b%p
+	if b < p || pr.QueueCap < pr.TR+1 || q+min(r, 1)+pr.Ctl+2 > 3*pr.QueueCap {
+		return math.Inf(1), math.Inf(1)
+	}
+	hop := float64(2*pr.TR + 2)
+	// path is the longest path that takes v+1 chunks, extra of them longer,
+	// crossing the wrap-around edge or not.
+	path := func(v, extra int, crosses bool) float64 {
+		t := float64((v+1)*(q+pr.Ctl+1)+extra) + float64(p-1-v)*hop - 1
+		if crosses {
+			t += float64(p - 2)
+		}
+		return t
+	}
+	for v := 0; v < p; v++ {
+		long = max(long, path(v, min(v+1, r), v <= p-2))
+		short = max(short, path(v, min(v, r), false), path(v, 0, v <= p-2-r))
+	}
+	if r == 0 {
+		short = long
+	}
+	// Every path waits out the activation of P − 1 receives.
+	act := float64((p - 1) * pr.Activation)
+	return long + act, short + act
+}
+
 // AllGather estimates the second ring phase, which has the same shape. A
 // lone longer chunk (B mod P = 1) holds each PE up once, one cycle; two or
 // more hold up every round, as in the reduce-scatter.

@@ -182,9 +182,17 @@ import (
 // a tree reduction to advance the router configurations behind it (see "The
 // control wavelet" in the package comment): 0 prices the paper's idealised
 // transfer of B wavelets, 1 the transfer comm.BuildTreeReduce emits.
+// QueueCap is the depth of every fabric queue (fabric.Options.QueueCap), 0 in
+// Default(), and Activation the cycles a receive waits on its first wavelet
+// (fabric.Options.TaskActivation), 0 in the paper. Only the streamed ring
+// reduce-scatter reads them: it runs only where one hop's queues hold what
+// the ring parks on them, and its P − 1 receives are on its critical path
+// where the ring's full-duplex rounds wait for no activation (RingStream).
 type Params struct {
-	TR  int
-	Ctl int
+	TR         int
+	Ctl        int
+	QueueCap   int
+	Activation int
 }
 
 // Default returns the WSE-2 parameterisation of the paper's analytical

@@ -90,20 +90,25 @@ func ParseKey(s string) (Key, error) {
 	if k.Opt.Seed, err = strconv.ParseUint(vals["seed"], 10, 64); err != nil {
 		return k, fmt.Errorf("plan: bad key %q: seed=%q", s, vals["seed"])
 	}
-	return k, nil
+	return k, k.CheckTR()
 }
 
-// Request reconstructs a compile request from a canonical key, such that
-// KeyOf(k.Request()) == k. This is how Session.Warm turns the keys listed
+// CheckTR rejects a key no request canonicalises to: one with tr=0.
+// Canonical options spell a zero-latency ramp -1, and 0 selects the default
+// T_R, so a tr=0 key is one an earlier build wrote for a zero-latency plan.
+// Read back as a request it would compile the default ramp's plan, so the
+// plan store refuses it too and the frame is orphaned, not re-warmed wrong.
+func (k Key) CheckTR() error {
+	if k.Opt.TR == 0 {
+		return fmt.Errorf("plan: key %s: tr=0 is no canonical ramp latency (a zero-latency ramp is tr=-1)", k)
+	}
+	return nil
+}
+
+// Request reconstructs a compile request from a canonical key (one CheckTR
+// accepts), such that KeyOf(k.Request()) == k. This is how Session.Warm turns the keys listed
 // by a store back into compilable (and therefore loadable) requests.
 func (k Key) Request() Request {
-	tr := k.Opt.TR
-	if tr == 0 {
-		// Canonical TR 0 means a literal zero-latency ramp, which the
-		// Options field spells as a negative value (0 selects the WSE-2
-		// default).
-		tr = -1
-	}
 	return Request{
 		Kind:   k.Kind,
 		Alg:    k.Alg,
@@ -114,7 +119,7 @@ func (k Key) Request() Request {
 		B:      k.B,
 		Op:     k.Op,
 		Opt: fabric.Options{
-			TR:              tr,
+			TR:              k.Opt.TR,
 			QueueCap:        k.Opt.QueueCap,
 			MaxCycles:       k.Opt.MaxCycles,
 			ClockSkewMax:    k.Opt.ClockSkewMax,

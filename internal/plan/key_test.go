@@ -28,13 +28,13 @@ func TestKeyEncodingPinned(t *testing.T) {
 		},
 		{
 			// Every option explicit, including a literal-zero ramp
-			// (spelled TR=-1 in Options, canonically tr=0) and a thermal
+			// (TR=-1, canonically too: tr=0 would select the default) and a thermal
 			// rate that only hexadecimal float notation renders exactly.
 			"all-options",
 			Request{Kind: AllReduce2D, Alg2D: core.XYTree, Width: 8, Height: 4, B: 32, Op: fabric.OpMax,
 				Opt: fabric.Options{TR: -1, QueueCap: 2, MaxCycles: 1 << 28, ClockSkewMax: 5,
 					ThermalNoopRate: 0.25, TaskActivation: 3, Seed: 9, Shards: 4}},
-			"k1;allreduce2d;alg=;alg2d=xy-tree;p=0;w=8;h=4;b=32;op=max;tr=0;qcap=2;maxcyc=268435456;skew=5;noop=0x1p-02;act=3;seed=9;shards=4",
+			"k1;allreduce2d;alg=;alg2d=xy-tree;p=0;w=8;h=4;b=32;op=max;tr=-1;qcap=2;maxcyc=268435456;skew=5;noop=0x1p-02;act=3;seed=9;shards=4",
 		},
 		{
 			// Algorithm-free chunked kind: Alg and the 2D fields are
@@ -161,6 +161,9 @@ func TestParseKeyRejects(t *testing.T) {
 		{"bad-int", replaceOnce(good, "p=8", "p=eight")},
 		{"bad-float", replaceOnce(good, "noop=0x0p+00", "noop=zero")},
 		{"nan-float", replaceOnce(good, "noop=0x0p+00", "noop=NaN")},
+		// An earlier build's zero-latency key: read back, its request
+		// would compile the default ramp's plan under it.
+		{"zero-tr", replaceOnce(good, "tr=2", "tr=0")},
 	}
 	for _, tc := range bad {
 		if _, err := ParseKey(tc.key); err == nil {
@@ -191,7 +194,7 @@ func FuzzParseKey(f *testing.F) {
 	}
 	f.Add("")
 	f.Add(replaceOnce(KeyOf(Request{Kind: Reduce1D, P: 8, B: 4}).String(), "noop=0x0p+00", "noop=nan")) // must be rejected: NaN != NaN
-	f.Add("k1;reduce1d;alg==;alg2d=;p=+1;w=-0;h=0;b=1;op=min;tr=0;qcap=0;maxcyc=-1;skew=0;noop=-Inf;act=0;seed=18446744073709551615;shards=0")
+	f.Add("k1;reduce1d;alg==;alg2d=;p=+1;w=-0;h=0;b=1;op=min;tr=-1;qcap=0;maxcyc=-1;skew=0;noop=-Inf;act=0;seed=18446744073709551615;shards=0")
 	f.Fuzz(func(t *testing.T, s string) {
 		k, err := ParseKey(s)
 		if err != nil {

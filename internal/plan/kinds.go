@@ -142,9 +142,9 @@ func treeReduce(p *Plan, pr model.Params) (err error) {
 
 // treeEnd records the one tree of an end-rooted composition, the one its
 // builder runs: the reduce of a Reduce-then-Broadcast or of a
-// Reduce-then-Scatter. The ring has none.
+// Reduce-then-Scatter. A ring has none.
 func treeEnd(p *Plan, pr model.Params) (err error) {
-	if p.Alg != core.Ring && p.Alg != core.RingDP {
+	if p.Alg != core.Ring && p.Alg != core.RingDP && p.Alg != core.RingStream {
 		p.Tree, err = core.EndTree(p.Alg, p.P, p.B, pr)
 	}
 	return err

@@ -15,7 +15,7 @@ import (
 	"repro/internal/fabric"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/auto_cycles.golden and testdata/paper_programs.golden")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/auto_cycles.golden, testdata/paper_programs.golden and testdata/paper_rings.golden")
 
 // latticeCell is one lattice request with what its one run returned.
 type latticeCell struct {
@@ -106,12 +106,13 @@ var modelTolerancePct = map[Kind]float64{
 const autoSlack = 0.06
 
 // tolerancePct is the cell's entry of modelTolerancePct — unless it ran the
-// ring, whose phases share no link and are exact under every kind, or the
-// middle root's fold, a chain and a flood, exact on every cell: the
+// ring, whose phases share no link and are exact under every kind, streamed
+// or not, or the middle root's fold, a chain and a flood, exact on every
+// cell: the
 // entries of ReduceScatter and AllReduce1D are for their trees (and ring-dp,
 // the mapping that runs one cycle under the cost the two share).
 func tolerancePct(c latticeCell) float64 {
-	if c.alg == string(core.Ring) || c.alg == string(core.Fold) {
+	if c.alg == string(core.Ring) || c.alg == string(core.RingStream) || c.alg == string(core.Fold) {
 		return 0
 	}
 	return modelTolerancePct[c.req.Kind]
@@ -190,7 +191,8 @@ func conformLattice(t *testing.T) {
 // conformChunked holds a ReduceScatter or AllGather cell to every schedule
 // it picks from, each built directly through core and run on the simulator:
 // the run took no longer than any of them. ReduceScatter picks from the ring
-// phase and the composition through the root, AllGather from
+// phase, the streamed ring where one hop's queues hold it (where the model
+// prices it at all) and the composition through the root, AllGather from
 // core.AllGatherPatterns.
 func conformChunked(t *testing.T, c latticeCell) {
 	t.Helper()
@@ -198,8 +200,12 @@ func conformChunked(t *testing.T, c latticeCell) {
 	var schedules []core.Pattern
 	switch req.Kind {
 	case ReduceScatter:
-		viaRoot, _ := core.BestReduce1D(req.P, req.B, core.Params(req.Opt))
+		pr := core.Params(req.Opt)
+		viaRoot, _ := core.BestReduce1D(req.P, req.B, pr)
 		schedules = []core.Pattern{core.Ring, viaRoot}
+		if !math.IsInf(core.PredictReduceScatter(core.RingStream, req.P, req.B, pr), 1) {
+			schedules = append(schedules, core.RingStream)
+		}
 	case AllGather:
 		schedules = core.AllGatherPatterns
 	default:

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 )
 
 // paperPatterns2D are the paper's own 2D programs (§7.2, §7.3): the X-Y
@@ -43,9 +44,55 @@ func TestPaperProgramsDoNotMove(t *testing.T) {
 			}
 		}
 	}
-	path := filepath.Join("testdata", "paper_programs.golden")
+	matchProgramsGolden(t, "paper_programs.golden", now.String())
+}
+
+// TestPaperRingsDoNotMove pins the paper's ring programs of §6.2 likewise, in
+// testdata/paper_rings.golden: the ring AllReduce in both mappings of
+// Figure 7, and the ReduceScatter pinned to the ring, its first phase, on
+// rows odd and even, at one, four and sixteen elements per PE. What this
+// repository adds to the ReduceScatter's schedules must leave these bytes
+// alone. -update rewrites the file.
+func TestPaperRingsDoNotMove(t *testing.T) {
+	var now strings.Builder
+	pr := core.Params(fabric.Options{})
+	line := func(name string, p, b int, spec *fabric.Spec) {
+		enc, err := spec.MarshalBinary()
+		if err != nil {
+			t.Fatalf("%s p=%d b=%d: %v", name, p, b, err)
+		}
+		fmt.Fprintf(&now, "%s p=%d b=%d %x\n", name, p, b, sha256.Sum256(enc))
+	}
+	for _, p := range []int{2, 3, 16, 17, 64} {
+		for _, b := range []int{p, 4 * p, 16 * p} {
+			for _, pat := range []core.Pattern{core.Ring, core.RingDP} {
+				if pat == core.RingDP && p%2 != 0 {
+					continue // the distance-preserving mapping needs an even row
+				}
+				req := Request{Kind: AllReduce1D, Alg: pat, P: p, B: b}
+				pl, err := Compile(req)
+				if err != nil {
+					t.Fatalf("%v: %v", KeyOf(req), err)
+				}
+				line(fmt.Sprintf("%s %s", AllReduce1D, pat), p, b, pl.Spec)
+			}
+			spec := fabric.NewSpec(p, 1)
+			if err := core.BuildReduceScatterInto(spec, core.Ring, p, b, pr, fabric.OpSum); err != nil {
+				t.Fatalf("reducescatter ring p=%d b=%d: %v", p, b, err)
+			}
+			line(fmt.Sprintf("%s %s", ReduceScatter, core.Ring), p, b, spec)
+		}
+	}
+	matchProgramsGolden(t, "paper_rings.golden", now.String())
+}
+
+// matchProgramsGolden holds the lines of program hashes now to the golden
+// file name under testdata, or rewrites it under -update.
+func matchProgramsGolden(t *testing.T, name, now string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
-		if err := os.WriteFile(path, []byte(now.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(now), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -55,7 +102,7 @@ func TestPaperProgramsDoNotMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSpace(string(data)), "\n")
-	got := strings.Split(strings.TrimSpace(now.String()), "\n")
+	got := strings.Split(strings.TrimSpace(now), "\n")
 	if len(got) != len(want) {
 		t.Fatalf("%d programs, the golden holds %d", len(got), len(want))
 	}

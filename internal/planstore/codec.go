@@ -324,6 +324,9 @@ func getKey(d *dec) (plan.Key, error) {
 	if d.err != nil {
 		return plan.Key{}, fmt.Errorf("planstore: decode key: %v", d.err)
 	}
+	if err := k.CheckTR(); err != nil {
+		return plan.Key{}, fmt.Errorf("planstore: decode key: %w", err)
+	}
 	return k, nil
 }
 

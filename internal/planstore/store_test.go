@@ -141,6 +141,42 @@ func TestStoreReopenRebuildsIndex(t *testing.T) {
 	}
 }
 
+// TestStoreOrphansZeroTRKeys: earlier builds keyed a zero-latency plan
+// tr=0, the T_R that now selects the default. Such a frame is quarantined
+// when the store opens, so Warm over the store neither loads it nor
+// compiles the default ramp's plan in its place.
+func TestStoreOrphansZeroTRKeys(t *testing.T) {
+	dir := t.TempDir()
+	req := storeReq(8)
+	req.Opt.TR = -1
+	p := mustCompile(t, req)
+	p.Key.Opt.TR, p.Opt.TR = 0, 0
+	data, hash, err := Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, plansDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, plansDir, hash+blobExt), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("store indexes %v, want the tr=0 frame orphaned", s.Keys())
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, hash+blobExt)); err != nil {
+		t.Fatalf("tr=0 frame not quarantined: %v", err)
+	}
+	st, err := plan.NewSession(0, 1).Warm(s, nil)
+	if err != nil || st.Loaded != 0 || st.Compiled != 0 || s.Len() != 0 {
+		t.Fatalf("Warm over the store: %+v, %v; store holds %d plans", st, err, s.Len())
+	}
+}
+
 func TestStoreQuarantinesCorruptBlob(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

@@ -99,14 +99,17 @@ func checkResult(t *testing.T, name string, sh Shape, ki *plan.KindInfo, want []
 // checked against a plain loop over the inputs. The inputs are small
 // integers, exact in float32 under any order of combination, and differ
 // from PE to PE and element to element, so a builder that drops, repeats,
-// misplaces or miscombines a contribution fails here. It walks three
+// misplaces or miscombines a contribution fails here. It walks five
 // geometries, so that ReduceScatter and AllGather, which take no algorithm,
-// run every schedule: the ring phase at the first, the composition through
-// the root at the second, the gather-flood at the third; the split 2D
-// AllReduce runs at all three, W dividing B at the first two and not at the
-// third, and so does the middle root's fold; Auto-Gen's tree over the Snake
-// runs pinned on both 2D reduce kinds. The key, layout and compile side of
-// the same walk is the plan package's test of the same name.
+// run every schedule: the ReduceScatter's ring at the first, its streamed
+// ring at the second and third, the composition through the root over
+// Auto-Gen's tree at the fourth and over the binomial tree at the fifth —
+// the second's shape with queues two deep, too shallow for the streamed
+// ring that wins it under default options; the AllGather's gather-flood at
+// the third; the split 2D AllReduce runs at the first four, W dividing B at
+// all but the third, and so does the middle root's fold; Auto-Gen's tree
+// over the Snake runs pinned on both 2D reduce kinds. The key, layout and
+// compile side of the same walk is the plan package's test of the same name.
 func TestKindTableConformance(t *testing.T) {
 	ran := map[string]bool{}
 	for i := range plan.Kinds {
@@ -114,11 +117,13 @@ func TestKindTableConformance(t *testing.T) {
 		if _, ok := contract[ki.Kind]; !ok {
 			t.Fatalf("%s: no result contract for the kind", ki.Kind)
 		}
-		for _, g := range []Shape{{P: 6, Width: 3, Height: 2, B: 120}, {P: 8, Width: 4, Height: 2, B: 8}, {P: 6, Width: 3, Height: 2, B: 14}} {
+		for _, g := range []Shape{{P: 6, Width: 3, Height: 2, B: 120}, {P: 8, Width: 4, Height: 2, B: 8}, {P: 6, Width: 3, Height: 2, B: 14},
+			{P: 256, Width: 4, Height: 4, B: 256}} {
 			conformRow(t, ki, g, ran)
 		}
+		conformRow(t, ki, Shape{P: 8, Width: 4, Height: 2, B: 8}, ran, WithOptions(Options{QueueCap: 2}))
 	}
-	for _, schedule := range []string{"reducescatter/ring", "reducescatter/tree", "allgather/ring", "allgather/star", "allgather/gather-flood", "allreduce2d/split", "allreduce-midroot/fold",
+	for _, schedule := range []string{"reducescatter/ring", "reducescatter/ring-stream", "reducescatter/autogen", "reducescatter/tree", "allgather/ring", "allgather/star", "allgather/gather-flood", "allreduce2d/split", "allreduce-midroot/fold",
 		"reduce2d/snake-autogen", "allreduce2d/snake-autogen"} {
 		if !ran[schedule] {
 			t.Errorf("no shape of the walk ran %s (ran %v)", schedule, ran)
@@ -126,10 +131,10 @@ func TestKindTableConformance(t *testing.T) {
 	}
 }
 
-// conformRow is TestKindTableConformance for one row at geometry g; ran
-// collects the kind/algorithm pairs the shapes resolved to (the 2D algorithm
-// for a grid kind).
-func conformRow(t *testing.T, ki *plan.KindInfo, g Shape, ran map[string]bool) {
+// conformRow is TestKindTableConformance for one row at geometry g, run
+// under opts; ran collects the kind/algorithm pairs the shapes resolved to
+// (the 2D algorithm for a grid kind).
+func conformRow(t *testing.T, ki *plan.KindInfo, g Shape, ran map[string]bool, opts ...Option) {
 	t.Helper()
 	ctx := context.Background()
 	base := g
@@ -182,21 +187,21 @@ func conformRow(t *testing.T, ki *plan.KindInfo, g Shape, ran map[string]bool) {
 		if err := sh.checkInputs(inputs); err != nil {
 			t.Errorf("%s: inputs of the kind's own layout rejected: %v", name, err)
 		}
-		if _, err := Run(ctx, sh, append(inputs, inputs[0])); !errors.Is(err, ErrBadShape) {
+		if _, err := Run(ctx, sh, append(inputs, inputs[0]), opts...); !errors.Is(err, ErrBadShape) {
 			t.Errorf("%s: Run with one input too many: %v, want ErrBadShape", name, err)
 		}
-		rep, err := Run(ctx, sh, inputs)
+		rep, err := Run(ctx, sh, inputs, opts...)
 		if err != nil {
 			t.Errorf("%s: Run: %v", name, err)
 			continue
 		}
 		// Predict resolves Auto exactly as Compile does: one path, one
 		// number, bit for bit — and a finite one.
-		if want := Predict(sh); math.Float64bits(rep.Predicted) != math.Float64bits(want) || math.IsInf(want, 0) || math.IsNaN(want) {
+		if want := Predict(sh, opts...); math.Float64bits(rep.Predicted) != math.Float64bits(want) || math.IsInf(want, 0) || math.IsNaN(want) {
 			t.Errorf("%s: Report.Predicted %v, Predict(sh) %v", name, rep.Predicted, want)
 		}
 		checkResult(t, name, sh, ki, hostResult(sh, ki, inputs), rep)
-		res := sh.Resolve()
+		res := sh.Resolve(opts...)
 		alg := string(res.Alg)
 		if ki.Grid {
 			alg = string(res.Alg2D)
@@ -212,7 +217,7 @@ func conformRow(t *testing.T, ki *plan.KindInfo, g Shape, ran map[string]bool) {
 // on a kind that has algorithms, and leaves a concrete spelling alone. The
 // choice ranges over every schedule of the kind: an Auto AllReduce may move to
 // the middle-root row (nothing else moves), ReduceScatter and AllGather — which
-// take no algorithm — come back saying ring or through the root, and the kinds
+// take no algorithm — come back saying a ring or through the root, and the kinds
 // with one schedule come back untouched. It changes nothing about the
 // estimate: Predict resolves by itself.
 func TestShapeResolve(t *testing.T) {
@@ -243,8 +248,8 @@ func TestShapeResolve(t *testing.T) {
 							t.Errorf("%s: Resolve left Auto in %+v", name, res)
 						}
 						switch {
-						case ki.Chunked && ki.HasOp: // ReduceScatter: the ring phase, or a reduce tree and the Scatter
-							if res.Alg != Ring && !slices.Contains(plan.InfoOf(KindReduce).Algs, res.Alg) {
+						case ki.Chunked && ki.HasOp: // ReduceScatter: the ring phase, streamed or not, or a reduce tree and the Scatter
+							if res.Alg != Ring && res.Alg != core.RingStream && !slices.Contains(plan.InfoOf(KindReduce).Algs, res.Alg) {
 								t.Errorf("%s: Resolve names schedule %q", name, res.Alg)
 							}
 						case ki.Kind == KindAllGather: // the ring phase, the star through the middle PE, or the gather-flood

@@ -77,12 +77,13 @@ const (
 	// rarely wins on this fabric; run, it wins where the model says — few
 	// PEs, long vectors — and Auto deploys it there. A resolved
 	// ReduceScatter or AllGather names Ring for its ring phase; a resolved
-	// AllGather's other schedules are Star (through the middle PE) and
-	// "gather-flood" (every PE floods its own chunk), which has no constant
-	// here because no request names it. KindAllReduceMidRoot also takes
-	// Algorithm("fold"): one chain from the start of the row to its end and
-	// back into the middle PE, which then floods; its Auto deploys it on
-	// long vectors.
+	// ReduceScatter may name "ring-stream" (that phase forwarding each
+	// partial sum as it arrives), and a resolved AllGather's other schedules
+	// are Star (through the middle PE) and "gather-flood" (every PE floods
+	// its own chunk), which have no constants here because no request names
+	// them. KindAllReduceMidRoot also takes Algorithm("fold"): one chain from
+	// the start of the row to its end and back into the middle PE, which
+	// then floods; its Auto deploys it on long vectors.
 	Ring   = core.Ring
 	RingDP = core.RingDP
 )
