@@ -121,11 +121,12 @@ func Chunks(p, b int) (off, sz []int) { return core.Chunks(p, b) }
 // which of their schedules runs. ReduceScatter has three: Ring;
 // "ring-stream", the ring forwarding each partial sum as it arrives, where
 // one hop's queues hold a chunk; or the reduce tree before the Scatter from
-// the leftmost PE. AllGather has three: Ring; Star, a Gather of both halves
-// into the middle PE before its flood; or "gather-flood", every PE flooding
-// its own chunk on its turn. The resolved
-// Shape is valid and runs the same program; a Shape naming a concrete
-// algorithm comes back unchanged.
+// the leftmost PE. AllGather has four: Ring; Star, a Gather of both halves
+// into the middle PE before its flood; "star-stream", that middle PE
+// flooding each chunk as it takes the next, where a sender's queues hold its
+// chunk; or "gather-flood", every PE flooding its own chunk on its turn. The
+// resolved Shape is valid and runs the same program; a Shape naming a
+// concrete algorithm comes back unchanged.
 func (sh Shape) Resolve(opts ...Option) Shape {
 	r := sh.request(resolveOpts(opts).opt).Resolve()
 	sh.Kind, sh.Alg, sh.Alg2D = r.Kind, r.Alg, r.Alg2D

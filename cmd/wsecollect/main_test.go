@@ -75,7 +75,11 @@ func TestDescribeSaysWhatAutoChose(t *testing.T) {
 		{"-collective allreduce-midroot -p 64 -bytes 16", "64x1 PEs, alg=auto (→ autogen)"},
 		{"-collective reducescatter -p 16 -bytes 1024", "16x1 PEs (→ ring)"},
 		{"-collective reducescatter -p 256 -bytes 1024", "256x1 PEs (→ autogen)"},
-		{"-collective allgather -p 16 -bytes 64", "16x1 PEs (→ star)"},
+		// 16 wavelets on 16 PEs: the middle PE floods each chunk as it takes
+		// the next, 50 cycles; gathering all first, 65. Under T_R = 4 the
+		// ramp outlasts the four-deep queues the stream needs.
+		{"-collective allgather -p 16 -bytes 64", "16x1 PEs (→ star-stream)"},
+		{"-collective allgather -p 16 -bytes 64 -tr 4", "16x1 PEs (→ star)"},
 		// 16 wavelets on 8×8: both phases under the searched end-rooted tree,
 		// the column streamed from the rows, 90 cycles; Two-Phase's, 105.
 		{"-collective reduce2d -grid 8x8 -bytes 64", "8x8 PEs, alg=auto (→ xy-autogen)"},

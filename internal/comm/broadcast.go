@@ -30,27 +30,40 @@ func BuildFlood(spec *fabric.Spec, lane Lane, root int) error {
 		return nil // nothing to broadcast to
 	}
 	for v := 0; v < p; v++ {
-		pe := spec.PE(path[v])
 		op := fabric.Op{Kind: fabric.OpRecvStore, Color: color, Off: lane.Off, N: lane.N}
+		if v == root {
+			op.Kind = fabric.OpSend
+		}
+		pe := spec.PE(path[v])
+		pe.Ops = append(pe.Ops, op)
+	}
+	floodRoutes(spec, path, root, color)
+	return nil
+}
+
+// floodRoutes sets the routes of a flood on color from path index root: the
+// root's router takes its ramp and sends both ways, and every other router
+// takes the stream from the root's side, passes it on away from the root and
+// up its own ramp.
+func floodRoutes(spec *fabric.Spec, path mesh.Path, root int, color mesh.Color) {
+	for v := range path {
 		cfg := fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.Ramp)}
 		switch {
 		case v == root:
-			op.Kind, cfg.Forward = fabric.OpSend, 0
+			cfg.Forward = 0
 		case v > root:
 			cfg.Accept = path.TowardStart(v)
 		default:
 			cfg.Accept = path.TowardEnd(v)
 		}
-		if v >= root && v < p-1 {
+		if v >= root && v < len(path)-1 {
 			cfg.Forward = cfg.Forward.Set(path.TowardEnd(v))
 		}
 		if v <= root && v > 0 {
 			cfg.Forward = cfg.Forward.Set(path.TowardStart(v))
 		}
-		pe.Ops = append(pe.Ops, op)
-		pe.AddConfig(color, cfg)
+		spec.PE(path[v]).AddConfig(color, cfg)
 	}
-	return nil
 }
 
 // BuildBroadcast2D compiles the 2D flooding broadcast of §7.1 from root:

@@ -2,6 +2,8 @@ package comm
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/fabric"
@@ -103,6 +105,50 @@ func TestMidRootAllGatherRunsAtItsEstimate(t *testing.T) {
 			}
 			if want := pr.MidRootAllGather(p, b); float64(cycles) != want {
 				t.Errorf("p=%d b=%d: %d cycles, estimate %v", p, b, cycles, want)
+			}
+		}
+	}
+}
+
+// TestStarStreamGate holds the streamed middle-root AllGather to its gate on
+// every row of 2 to 12 PEs at T_R 1 to 3 and queue depths 1, 2, 3, 4 and 8.
+// Where the ramp's queue outlasts its latency, every B whose longest chunk
+// and control fill two queues exactly, ⌈B/P⌉ + Ctl = 2·QueueCap, balanced
+// or not, runs at model.Params.StarStream to the cycle, and one wavelet
+// more a chunk is +Inf and, from six PEs on (a sender three hops out), a
+// deadlock. Where it does not, the form is +Inf.
+func TestStarStreamGate(t *testing.T) {
+	for tr := 1; tr <= 3; tr++ {
+		for _, qcap := range []int{1, 2, 3, 4, 8} {
+			pr := model.Params{TR: tr, Ctl: 1, QueueCap: qcap}
+			opt := fabric.Options{TR: tr, QueueCap: qcap}
+			for p := 2; p <= 12; p++ {
+				build := func(b int) func(*fabric.Spec) error {
+					return func(s *fabric.Spec) error { return BuildAllGatherStreamed(s, RowLane(p, b)) }
+				}
+				full := p * (2*qcap - pr.Ctl) // the balanced B at the gate
+				if qcap < tr+1 {
+					if want := pr.StarStream(p, p); !math.IsInf(want, 1) {
+						t.Errorf("T_R=%d qcap=%d p=%d: priced %v under queues shorter than the ramp", tr, qcap, p, want)
+					}
+					continue
+				}
+				for b := full - p + 1; b <= full; b++ {
+					cycles, err := runAllGather(build(b), p, b, opt)
+					if err != nil {
+						t.Fatalf("T_R=%d qcap=%d p=%d b=%d: %v", tr, qcap, p, b, err)
+					}
+					if want := pr.StarStream(p, b); float64(cycles) != want {
+						t.Errorf("T_R=%d qcap=%d p=%d b=%d: %d cycles, estimate %v", tr, qcap, p, b, cycles, want)
+					}
+				}
+				past := full + p
+				if want := pr.StarStream(p, past); !math.IsInf(want, 1) {
+					t.Errorf("T_R=%d qcap=%d p=%d b=%d: priced %v past the gate", tr, qcap, p, past, want)
+				}
+				if _, err := runAllGather(build(past), p, past, opt); p >= 6 && (err == nil || !strings.Contains(err.Error(), "deadlock")) {
+					t.Errorf("T_R=%d qcap=%d p=%d b=%d: past the gate, got %v, want a deadlock", tr, qcap, p, past, err)
+				}
 			}
 		}
 	}

@@ -21,7 +21,8 @@ import (
 // stream, and floods from there; the chain's longer hop costs what the flood
 // from the middle saves. The centre-rooted 2D AllReduce applies the halves'
 // split twice: to every row, then to the middle column; the middle-root
-// AllGather splits a Gather.
+// AllGather splits a Gather, and its streamed form floods each chunk as the
+// middle PE takes the next.
 
 // reversePath returns the path walked from its far end back to the start.
 func reversePath(p mesh.Path) mesh.Path {
@@ -168,32 +169,108 @@ func BuildAllReduceFold(spec *fabric.Spec, lane Lane, op fabric.ReduceOp) error 
 // taking the west half's chunks first — and the assembled window floods out
 // both ways on Base+4, the way the middle-root AllReduce floods.
 func BuildAllGatherMidRoot(spec *fabric.Spec, lane Lane) error {
-	p := len(lane.Path)
-	if p < 2 {
-		return fmt.Errorf("comm: allgather needs at least 2 PEs")
-	}
-	if lane.N < p {
-		return fmt.Errorf("comm: allgather needs B >= P for non-empty chunks (B=%d, P=%d)", lane.N, p)
-	}
-	if err := lane.validate(p); err != nil {
+	off, sz, order, err := gatherHalves(spec, lane)
+	if err != nil {
 		return err
 	}
-	off, sz := lane.chunks()
-	mid := p / 2
-	west, east := lane.halves()
-	if mid > 0 {
-		// The west half is indexed by distance from the middle, like the east.
-		wOff, wSz := slices.Clone(off[:mid+1]), slices.Clone(sz[:mid+1])
-		slices.Reverse(wOff)
-		slices.Reverse(wSz)
-		gatherChunks(spec, west.Path, wOff, wSz, true, lane.Base)
-	}
-	if mid < p-1 {
-		gatherChunks(spec, east.Path, off[mid:], sz[mid:], true, lane.Base+1)
+	root := spec.PE(lane.Path[order[0]])
+	for _, v := range order[1:] {
+		root.Ops = append(root.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: lane.halfColor(v), Off: off[v], N: sz[v]})
 	}
 	flood := lane
 	flood.Base += 4
-	return BuildFlood(spec, flood, mid)
+	return BuildFlood(spec, flood, order[0])
+}
+
+// gatherHalves compiles the gather of both halves of an AllGather lane of p
+// PEs into PE p/2, all but the middle PE's program: the west half on Base,
+// the east half on Base+1 (halfColor). It returns the lane's chunks and the
+// order the middle PE takes them in after its own, order[0]: the west half's
+// nearest first, then the east half's.
+func gatherHalves(spec *fabric.Spec, lane Lane) (off, sz, order []int, err error) {
+	p := len(lane.Path)
+	if p < 2 {
+		return nil, nil, nil, fmt.Errorf("comm: allgather needs at least 2 PEs")
+	}
+	if lane.N < p {
+		return nil, nil, nil, fmt.Errorf("comm: allgather needs B >= P for non-empty chunks (B=%d, P=%d)", lane.N, p)
+	}
+	if err := lane.validate(p); err != nil {
+		return nil, nil, nil, err
+	}
+	off, sz = lane.chunks()
+	mid := p / 2
+	west, east := lane.halves()
+	// The west half is indexed by distance from the middle, like the east.
+	wOff, wSz := slices.Clone(off[:mid+1]), slices.Clone(sz[:mid+1])
+	slices.Reverse(wOff)
+	slices.Reverse(wSz)
+	gatherChunks(spec, west.Path, wOff, wSz, true, lane.Base)
+	if mid < p-1 {
+		gatherChunks(spec, east.Path, off[mid:], sz[mid:], true, lane.Base+1)
+	}
+	order = []int{mid}
+	for v := mid - 1; v >= 0; v-- {
+		order = append(order, v)
+	}
+	for v := mid + 1; v < p; v++ {
+		order = append(order, v)
+	}
+	return off, sz, order, nil
+}
+
+// halfColor is the color path index v's chunk gathers into the middle PE on:
+// Base from the west half, Base+1 from the east.
+func (l Lane) halfColor(v int) mesh.Color {
+	if v > len(l.Path)/2 {
+		return l.Base + 1
+	}
+	return l.Base
+}
+
+// BuildAllGatherStreamed compiles the streamed middle-root AllGather on a
+// lane of p PEs, on BuildAllGatherMidRoot's colors: both halves gather into
+// PE p/2 as there, but the middle PE floods every chunk the op after it took
+// it, over one full-duplex ramp. It floods its own chunk while it takes the
+// first, chunk i while it takes chunk i+1, and the last alone. Every other PE
+// takes the p floods in the middle PE's order, its own chunk stored again
+// unchanged: the first while it sends its chunk, in one full-duplex op, so
+// that the flood never waits on a sender busy with its own chunk, and the
+// others one receive each. A sender takes no second flood until its send is
+// through, so its chunk and control must fit the queues of its ramp and its
+// router (model.Params.StarStream).
+func BuildAllGatherStreamed(spec *fabric.Spec, lane Lane) error {
+	off, sz, order, err := gatherHalves(spec, lane)
+	if err != nil {
+		return err
+	}
+	mid, flood := order[0], lane.Base+4
+	root := spec.PE(lane.Path[mid])
+	for k, v := range order[1:] {
+		u := order[k]
+		root.Ops = append(root.Ops, fabric.Op{
+			Kind: fabric.OpSendRecvStore, OutColor: flood, Off: off[u], N: sz[u],
+			Color: lane.halfColor(v), Off2: off[v], N2: sz[v],
+		})
+	}
+	last := order[len(order)-1]
+	root.Ops = append(root.Ops, fabric.Op{Kind: fabric.OpSend, Color: flood, Off: off[last], N: sz[last]})
+	for v, c := range lane.Path {
+		if v == mid {
+			continue
+		}
+		pe := spec.PE(c)
+		// gatherHalves left the sender's one send last; it takes the first
+		// flood too.
+		send := &pe.Ops[len(pe.Ops)-1]
+		send.Kind, send.OutColor, send.Color = fabric.OpSendRecvStore, send.Color, flood
+		send.Off2, send.N2 = off[mid], sz[mid]
+		for _, u := range order[1:] {
+			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: flood, Off: off[u], N: sz[u]})
+		}
+	}
+	floodRoutes(spec, lane.Path, mid, flood)
+	return nil
 }
 
 // BuildAllReduceCentre compiles the centre-rooted 2D AllReduce on a

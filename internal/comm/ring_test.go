@@ -54,8 +54,10 @@ func TestRingAllReduceCorrectness(t *testing.T) {
 
 // TestChunkedFormsAreExact holds every chunked program — the ring's two
 // phases and both together, Scatter, Gather and the AllGather through the
-// middle PE — on every row of 2 to 12 PEs with B from P to 3P+2, balanced
-// chunks or not, at T_R 1 to 3, to its model form to the cycle. Where P does
+// middle PE, whole and streamed — on every row of 2 to 12 PEs with B from P
+// to 3P+2, balanced chunks or not, at T_R 1 to 3, to its model form to the
+// cycle. Under the default queue depth every chunk of these is inside the
+// streamed AllGather's gate. Where P does
 // not divide B the forms count whole chunks: the longer ones pace every ring
 // round, and a root's ramp takes every chunk but its own.
 func TestChunkedFormsAreExact(t *testing.T) {
@@ -74,9 +76,10 @@ func TestChunkedFormsAreExact(t *testing.T) {
 		{"scatter", func(s *fabric.Spec, p, b int) error { return BuildScatter(s, mesh.Row(0, 0, p), b, 5) }, model.Params.Scatter},
 		{"gather", func(s *fabric.Spec, p, b int) error { return BuildGather(s, mesh.Row(0, 0, p), b, 5) }, model.Params.Gather},
 		{"allgather-midroot", func(s *fabric.Spec, p, b int) error { return BuildAllGatherMidRoot(s, RowLane(p, b)) }, model.Params.MidRootAllGather},
+		{"star-stream", func(s *fabric.Spec, p, b int) error { return BuildAllGatherStreamed(s, RowLane(p, b)) }, model.Params.StarStream},
 	}
 	for tr := 1; tr <= 3; tr++ {
-		pr := model.Params{TR: tr, Ctl: 1}
+		pr := model.Params{TR: tr, Ctl: 1, QueueCap: fabric.DefaultQueueCap}
 		for p := 2; p <= 12; p++ {
 			for b := p; b <= 3*p+2; b++ {
 				for _, form := range forms {

@@ -91,23 +91,22 @@ func BuildGather(spec *fabric.Spec, path mesh.Path, b int, color mesh.Color) err
 		return err
 	}
 	off, sz := Chunks(p, b)
+	root := spec.PE(path[0])
+	for v := 1; v < p; v++ {
+		root.Ops = append(root.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: color, Off: off[v], N: sz[v]})
+	}
 	gatherChunks(spec, path, off, sz, false, color)
 	return nil
 }
 
 // gatherChunks compiles the star that carries the chunk of every path index
-// v > 0, sz[v] elements, to path index 0, which stores it at off[v]: senders
-// inject after their own router turns to pass-through, so the root receives
-// chunks 1, 2, ... in order. A placed chunk is sent from off[v] of its
-// sender's buffer, any other from the start.
+// v > 0, sz[v] elements, to path index 0, which stores it at off[v] — all
+// but the root's program, which takes chunks 1, 2, ... in order: senders
+// inject after their own router turns to pass-through. A placed chunk is
+// sent from off[v] of its sender's buffer, any other from the start.
 func gatherChunks(spec *fabric.Spec, path mesh.Path, off, sz []int, placed bool, color mesh.Color) {
 	p := len(path)
-	root := spec.PE(path[0])
-	for v := 1; v < p; v++ {
-		root.Ops = append(root.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: color, Off: off[v], N: sz[v]})
-	}
-	root.AddConfig(color, fabric.RouterConfig{Accept: path.TowardEnd(0), Forward: mesh.Dirs(mesh.Ramp)})
-
+	spec.PE(path[0]).AddConfig(color, fabric.RouterConfig{Accept: path.TowardEnd(0), Forward: mesh.Dirs(mesh.Ramp)})
 	for v := 1; v < p; v++ {
 		pe := spec.PE(path[v])
 		op := fabric.Op{Kind: fabric.OpSend, Color: color, N: sz[v]}

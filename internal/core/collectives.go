@@ -11,10 +11,11 @@ package core
 // first phase of the ring AllReduce (§6.2); RingStream, that ring forwarding
 // each partial sum as it arrives, where one hop's queues hold a chunk; or a
 // composition through the leftmost PE, Reduce over the tree the pattern
-// names, then Scatter. AllGather has three: Ring, its second phase; Star, the
+// names, then Scatter. AllGather has four: Ring, its second phase; Star, the
 // composition through the middle PE — a star Gather of both halves into PE
-// ⌊P/2⌋, then a flood both ways; and GatherFlood, every PE flooding its own
-// chunk on its turn.
+// ⌊P/2⌋, then a flood both ways; StarStream, that middle PE flooding each
+// chunk the op after it took it, where a sender's queues hold its chunk; and
+// GatherFlood, every PE flooding its own chunk on its turn.
 //
 // Each collective is a Build*Into compiler (program and routing tables only,
 // no initial data); the plan subsystem binds inputs into what it compiled,
@@ -143,14 +144,24 @@ func buildRingReduceScatter(spec *fabric.Spec, lane comm.Lane, ring Pattern, op 
 
 // AllGatherPatterns lists the schedules of an AllGather: Ring, the second
 // phase of the ring AllReduce; Star, the composition through the middle PE;
-// and GatherFlood.
-var AllGatherPatterns = []Pattern{Ring, Star, GatherFlood}
+// GatherFlood; and StarStream, the middle PE flooding each chunk as it takes
+// the next, last so that it wins no tie.
+var AllGatherPatterns = []Pattern{Ring, Star, GatherFlood, StarStream}
 
 // BestAllGather picks the schedule an AllGather runs, the one the model
 // prices lowest; the earlier in AllGatherPatterns wins a tie.
 func BestAllGather(p, b int, pr model.Params) (Pattern, float64) {
+	return bestAllGather(p, b, pr, true)
+}
+
+// bestAllGather is BestAllGather, over every schedule but StarStream unless
+// stream.
+func bestAllGather(p, b int, pr model.Params, stream bool) (Pattern, float64) {
 	best, bestT := Ring, math.Inf(1)
 	for _, pat := range AllGatherPatterns {
+		if pat == StarStream && !stream {
+			continue
+		}
 		if t := PredictAllGather(pat, p, b, pr); t < bestT {
 			best, bestT = pat, t
 		}
@@ -168,6 +179,8 @@ func PredictAllGather(pattern Pattern, p, b int, pr model.Params) float64 {
 		return pr.MidRootAllGather(p, b)
 	case GatherFlood:
 		return pr.GatherFlood(p, b)
+	case StarStream:
+		return pr.StarStream(p, b)
 	}
 	return math.Inf(1)
 }
@@ -193,6 +206,8 @@ func buildAllGather(spec *fabric.Spec, lane comm.Lane, pattern Pattern) error {
 		return comm.BuildAllGatherMidRoot(spec, lane)
 	case GatherFlood:
 		return comm.BuildGatherFlood(spec, lane)
+	case StarStream:
+		return comm.BuildAllGatherStreamed(spec, lane)
 	}
 	return fmt.Errorf("core: allgather has no schedule %q", pattern)
 }

@@ -48,6 +48,10 @@ const (
 	// names it: the ring's first phase with every partial sum forwarded the
 	// cycle it arrives (comm.BuildReduceScatterStreamed).
 	RingStream Pattern = "ring-stream"
+	// StarStream is an AllGather schedule, and only BestAllGather names it:
+	// the middle root flooding each chunk the op after it took it
+	// (comm.BuildAllGatherStreamed).
+	StarStream Pattern = "star-stream"
 	// Fold is middle-root-AllReduce-only: one chain from the start of the
 	// row to its end and back into the middle PE, which takes one stream
 	// where the halves give it two, then floods (comm.BuildAllReduceFold).
@@ -62,10 +66,12 @@ var Patterns1D = []Pattern{Star, Chain, Tree, TwoPhase, AutoGen}
 // comm.BuildTreeReduce appends to every transfer. Every prediction of a run,
 // every Auto choice and every generated tree is made under these;
 // model.Default() is the paper's control-free parameterisation, which only
-// the figure harness uses.
+// the figure harness uses. A zero-latency ramp (TR -1) is priced as T_R = 1,
+// which is how the engine runs it: a push is visible the next cycle, so a
+// wavelet still takes a cycle down a ramp and a cycle up.
 func Params(opt fabric.Options) model.Params {
-	opt = opt.Canonical() // the values the engine runs under; TR -1 is no latency
-	return model.Params{TR: max(opt.TR, 0), Ctl: 1, QueueCap: opt.QueueCap, Activation: opt.TaskActivation}
+	opt = opt.Canonical() // the values the engine runs under
+	return model.Params{TR: max(opt.TR, 1), Ctl: 1, QueueCap: opt.QueueCap, Activation: opt.TaskActivation}
 }
 
 // TreeFor returns the reduction tree of a concrete pattern for p PEs and

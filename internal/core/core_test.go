@@ -65,8 +65,8 @@ func TestParamsResolution(t *testing.T) {
 	if Params(fabric.Options{}).TR != fabric.DefaultTR {
 		t.Error("zero options should give the WSE-2 ramp latency")
 	}
-	if Params(fabric.Options{TR: -1}).TR != 0 {
-		t.Error("negative TR should resolve to zero")
+	if Params(fabric.Options{TR: -1}).TR != 1 {
+		t.Error("a zero-latency ramp should be priced as the engine runs it, T_R = 1")
 	}
 	if Params(fabric.Options{TR: 5}).TR != 5 {
 		t.Error("explicit TR ignored")

@@ -155,7 +155,7 @@ func BestAllReduce2D(width, height, b int, pr model.Params) (Pattern2D, float64)
 // predictSplit prices the split AllReduce: the rows' reduce-scatter on the
 // ring splitRing picks, every column's AllReduce of its chunk under the
 // schedule BestAllReduce1D picks for it, and the rows' AllGather under the
-// schedule BestAllGather picks, one after the other. Where W does not divide
+// schedule splitGather picks, one after the other. Where W does not divide
 // B, the first B mod W chunks are one element longer: their columns take
 // longer, and so those PEs are ready for the AllGather at long, the others
 // at short. Round by round, a PE of an n-element chunk is through the
@@ -171,7 +171,7 @@ func predictSplit(width, height, b int, pr model.Params) float64 {
 		return math.Inf(1)
 	}
 	c, r := b/width, b%width
-	gather, ag := BestAllGather(width, b, pr)
+	gather, ag := splitGather(width, b, pr)
 	rsShort, rsLong := pr.ReduceScatter(width, c*width), pr.ReduceScatter(width, (c+min(r, 1))*width)
 	if splitRing(width, b, gather, pr) == RingStream {
 		rsLong, rsShort = pr.RingStreamDone(width, b)
@@ -202,6 +202,15 @@ func splitRing(width, b int, gather Pattern, pr model.Params) Pattern {
 		return RingStream
 	}
 	return Ring
+}
+
+// splitGather picks the schedule the split's rows all-gather under:
+// BestAllGather's, but never StarStream. Its form prices PEs that start
+// together, and a row's PEs come out of the reduce-scatter and their columns
+// at different cycles: let in where W divides B, the split runs up to 12
+// cycles under predictSplit on TestSplitDense's grids.
+func splitGather(width, b int, pr model.Params) (Pattern, float64) {
+	return bestAllGather(width, b, pr, false)
 }
 
 // centreHalves returns the west and east halves the centre root runs on
@@ -284,14 +293,14 @@ const (
 // buildSplit compiles the split AllReduce: the rows' reduce-scatter on the
 // ring splitRing picks, then on every column x the AllReduce BestAllReduce1D
 // picks for chunk x, on that chunk's window alone, then the rows' AllGather
-// under the schedule BestAllGather picks. A row of one PE skips the row
+// under the schedule splitGather picks. A row of one PE skips the row
 // phases.
 func buildSplit(spec *fabric.Spec, width, height, b int, pr model.Params, op fabric.ReduceOp) error {
 	if width < 1 || height < 1 || b < width {
 		return fmt.Errorf("core: split AllReduce of B = %d over a %dx%d grid, want B >= W", b, width, height)
 	}
 	row := func(y int) comm.Lane { return comm.Lane{Path: mesh.Row(y, 0, width), N: b} }
-	gather, _ := BestAllGather(width, b, pr)
+	gather, _ := splitGather(width, b, pr)
 	if width > 1 {
 		ring := splitRing(width, b, gather, pr)
 		for y := 0; y < height; y++ {

@@ -66,14 +66,21 @@ func statsLine(kind plan.Kind, variant string, res *fabric.Result) string {
 }
 
 // statsSpec compiles the program of a stats shape. A ReduceScatter is built
-// on the ring, the schedule its numbers were taken of, wherever Auto would
-// send it; its streamed ring would not even run under the shallow queues of
-// the variants.
+// on the ring and an AllGather as the gather-flood, the schedules their
+// numbers were taken of, wherever Auto would send them; their streamed
+// schedules would not even run under the shallow queues of the variants.
 func statsSpec(t testing.TB, req plan.Request) *fabric.Spec {
 	t.Helper()
-	if req.Kind == plan.ReduceScatter {
+	switch req.Kind {
+	case plan.ReduceScatter:
 		s := fabric.NewSpec(req.P, 1)
 		if err := core.BuildReduceScatterInto(s, core.Ring, req.P, req.B, core.Params(req.Opt), req.Op); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	case plan.AllGather:
+		s := fabric.NewSpec(req.P, 1)
+		if err := core.BuildAllGatherInto(s, core.GatherFlood, req.P, req.B); err != nil {
 			t.Fatal(err)
 		}
 		return s

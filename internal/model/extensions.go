@@ -1,11 +1,12 @@
 package model
 
 // Model estimates for the extension collectives this reproduction adds on
-// top of the paper's set: Scatter, Gather, ReduceScatter, the three
+// top of the paper's set: Scatter, Gather, ReduceScatter, the four
 // AllGather schedules and the middle-root AllReduce (the root-placement
 // optimisation §6.1 attributes to the stencil implementations of Jacquelin
 // et al. [25]). All follow Eq. 1 with the metrics read off the compiled
-// patterns; the gather-flood is priced turn by turn.
+// patterns; the gather-flood is priced turn by turn, the streams as the
+// longest path through their ops.
 
 import "math"
 
@@ -160,6 +161,62 @@ func (pr Params) ringPhase(p, b, chunk int) float64 {
 // flood half a Broadcast's distance.
 func (pr Params) MidRootAllGather(p, b int) float64 {
 	return pr.Then(pr.gatherInto(p, b, p/2), pr.Broadcast1D(p/2+1, b))
+}
+
+// StarStream prices the streamed middle-root AllGather
+// (comm.BuildAllGatherStreamed), or +Inf where it does not run. Let w_j =
+// s_j + Ctl be the wavelets of chunk j, and o_0 … o_{P−1} the order the middle
+// PE floods the chunks in: its own, the west half's nearest first, then the
+// east half's. The middle PE's op k floods o_{k−1} while it takes o_k, and
+// the gather keeps o_k waiting from op 2 on, so op k ends with the longer of
+// the two; op 1 waits 2·T_R + 1 cycles for o_1. So the middle PE starts
+// flooding o_j, j ≥ 1, at
+//
+//	M_1 = 2·T_R + 1 + w(o_1),  M_j = M_{j−1} + max(w(o_{j−1}), w(o_j)).
+//
+// Another PE d hops out can take o_j from M_j + 2·T_R + d on. It takes o_0
+// in the op that sends its own chunk, a full-duplex op no activation delays,
+// which is through before o_1 can arrive, and every later chunk in a receive
+// of its own: A + w cycles once o_j is there, where A is the task activation.
+// So it consumes its last control at the latest M_j + 2·T_R + d − 1 + S_j,
+// where S_j = Σ_{k ≥ j} (A + w(o_k)): o_j reaching it, then every chunk from
+// o_j on back to back. The farthest PE, ⌊P/2⌋ hops out, is the last, and the
+// run ends two cycles after, as a receive does. Balanced, that is B + P·Ctl +
+// ⌊P/2⌋ + 2(2·T_R + 1) + (P − 1)·A.
+//
+// It runs only where a sender's chunk and control fit the queues of its ramp
+// and its router, ⌈B/P⌉ + Ctl ≤ 2·QueueCap: a sender takes no flood chunk
+// but the first until its send is through, and past that it can wait on a
+// flood that waits on it (from a sender three hops out, six PEs). And, as
+// for the streamed ring, the ramp's queue must outlast its latency,
+// QueueCap ≥ T_R + 1, or a stream does not move a wavelet a cycle.
+func (pr Params) StarStream(p, b int) float64 {
+	if p < 2 || b < p || pr.QueueCap < pr.TR+1 || (b+p-1)/p+pr.Ctl > 2*pr.QueueCap {
+		return math.Inf(1)
+	}
+	mid := p / 2
+	// w(k) is w(o_k): o_k is mid − k up to k = mid, then k.
+	w := func(k int) int {
+		if k <= mid {
+			k = mid - k
+		}
+		if k < b%p {
+			return b/p + 1 + pr.Ctl
+		}
+		return b/p + pr.Ctl
+	}
+	s := 0 // S_j, from S_1
+	for k := 1; k < p; k++ {
+		s += pr.Activation + w(k)
+	}
+	m := 2*pr.TR + 1 + w(1) // M_j, from M_1
+	reach := m + s          // the latest M_j + S_j
+	for j := 2; j < p; j++ {
+		m += max(w(j-1), w(j))
+		s -= pr.Activation + w(j-1)
+		reach = max(reach, m+s)
+	}
+	return float64(reach + 2*pr.TR + mid + 1)
 }
 
 // GatherFlood prices the gather-flood AllGather (comm.BuildGatherFlood) turn

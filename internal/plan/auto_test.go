@@ -19,7 +19,9 @@ import (
 // (wherever its root went, Report.Root is it too), chunk j at its Chunks
 // offset of PE j for a ReduceScatter, the assembled vector everywhere for an
 // AllGather. The reduction operator rotates with the cell, so sum, max and
-// min each meet every schedule.
+// min each meet every schedule. The AllGather also runs under queues two deep,
+// too shallow for the streamed middle root, where the star through the middle
+// PE still wins.
 func TestAutoSchedulesComputeTheirKind(t *testing.T) {
 	if raceEnabled {
 		t.Skip("thousands of one-shot runs")
@@ -32,6 +34,7 @@ func TestAutoSchedulesComputeTheirKind(t *testing.T) {
 				{Kind: AllReduce1D, Alg: core.Auto, P: p, B: b, Op: op},
 				{Kind: ReduceScatter, P: p, B: b, Op: op},
 				{Kind: AllGather, P: p, B: b},
+				{Kind: AllGather, P: p, B: b, Opt: fabric.Options{QueueCap: 2}},
 			} {
 				if req.Validate() != nil {
 					continue // a chunked kind on one PE, or with B < P
@@ -95,6 +98,7 @@ func TestAutoSchedulesComputeTheirKind(t *testing.T) {
 	for _, schedule := range []string{
 		"allreduce1d/autogen", "allreduce1d/ring", "allreduce-midroot/autogen",
 		"reducescatter/ring", "reducescatter/autogen", "allgather/ring", "allgather/star",
+		"allgather/gather-flood", "allgather/star-stream",
 	} {
 		if ran[schedule] == 0 {
 			t.Errorf("no cell of the walk ran %s (ran %v)", schedule, ran)

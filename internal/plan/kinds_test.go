@@ -212,7 +212,8 @@ func TestKindTableConformance(t *testing.T) {
 
 // TestEveryScheduleIsPriced: every algorithm a row accepts, and every
 // schedule AllGather picks from, has a finite estimate on every valid shape
-// of a few geometries and ramp latencies — while a pattern a Predict function
+// of a few geometries and ramp latencies — the streamed middle root wherever
+// a chunk and its control fit two queues, and +Inf elsewhere — while a pattern a Predict function
 // does not price is +Inf there, not a silent 0 or a lone phase (a 2D Reduce
 // under an AllReduce-only pattern, an AllGather under a reduction tree, a 1D
 // Reduce under the fold, the middle root under the ring, an AllReduce under
@@ -234,8 +235,10 @@ func TestEveryScheduleIsPriced(t *testing.T) {
 			}
 			pr := core.Params(g.Opt)
 			for _, alg := range core.AllGatherPatterns {
-				if v := core.PredictAllGather(alg, g.P, max(g.B, g.P), pr); !finite(v) {
-					t.Errorf("allgather/%s p=%d b=%d tr=%d: %v", alg, g.P, max(g.B, g.P), tr, v)
+				b := max(g.B, g.P)
+				gated := alg == core.StarStream && (b+g.P-1)/g.P+pr.Ctl > 2*pr.QueueCap
+				if v := core.PredictAllGather(alg, g.P, b, pr); finite(v) == gated {
+					t.Errorf("allgather/%s p=%d b=%d tr=%d: %v", alg, g.P, b, tr, v)
 				}
 			}
 			if v := core.PredictAllGather(core.Tree, g.P, max(g.B, g.P), pr); !math.IsInf(v, 1) {

@@ -193,7 +193,7 @@ func conformLattice(t *testing.T) {
 // the run took no longer than any of them. ReduceScatter picks from the ring
 // phase, the streamed ring where one hop's queues hold it (where the model
 // prices it at all) and the composition through the root, AllGather from
-// core.AllGatherPatterns.
+// allGatherSchedules.
 func conformChunked(t *testing.T, c latticeCell) {
 	t.Helper()
 	req := c.req
@@ -207,7 +207,7 @@ func conformChunked(t *testing.T, c latticeCell) {
 			schedules = append(schedules, core.RingStream)
 		}
 	case AllGather:
-		schedules = core.AllGatherPatterns
+		schedules = allGatherSchedules(req)
 	default:
 		t.Fatalf("%s chooses a schedule this test does not know", req.Kind)
 	}

@@ -187,9 +187,9 @@ type Plan struct {
 // executes: its Kind is the row whose program runs (an Auto allreduce1d
 // rooted in the middle resolves to allreduce-midroot) and its Alg the
 // schedule, which for ReduceScatter and AllGather — whose requests name none
-// — is Ring, the tree through the root, core.RingStream (ReduceScatter) or
-// core.GatherFlood (AllGather). Resolving is idempotent, and the key of a
-// request is taken before it. The public Shape.Resolve is this.
+// — is Ring, the tree through the root, core.RingStream (ReduceScatter), or
+// core.Star, core.StarStream or core.GatherFlood (AllGather). Resolving is
+// idempotent, and the key of a request is taken before it. The public Shape.Resolve is this.
 func (r Request) Resolve() Request {
 	if ki := InfoOf(r.Kind); ki != nil && ki.auto != nil {
 		ki.auto(&r, core.Params(r.Opt))

@@ -105,8 +105,11 @@ func checkResult(t *testing.T, name string, sh Shape, ki *plan.KindInfo, want []
 // ring at the second and third, the composition through the root over
 // Auto-Gen's tree at the fourth and over the binomial tree at the fifth —
 // the second's shape with queues two deep, too shallow for the streamed
-// ring that wins it under default options; the AllGather's gather-flood at
-// the third; the split 2D AllReduce runs at the first four, W dividing B at
+// ring that wins it under default options; the AllGather's streamed middle
+// root at the second to fourth, its star through the middle PE at the fifth
+// (the queues too shallow for the stream) and its gather-flood at the third's
+// shape under those queues, a sixth walked for the AllGather alone; the split
+// 2D AllReduce runs at the first four, W dividing B at
 // all but the third, and so does the middle root's fold; Auto-Gen's tree
 // over the Snake runs pinned on both 2D reduce kinds. The key, layout and
 // compile side of the same walk is the plan package's test of the same name.
@@ -122,8 +125,11 @@ func TestKindTableConformance(t *testing.T) {
 			conformRow(t, ki, g, ran)
 		}
 		conformRow(t, ki, Shape{P: 8, Width: 4, Height: 2, B: 8}, ran, WithOptions(Options{QueueCap: 2}))
+		if ki.Kind == KindAllGather {
+			conformRow(t, ki, Shape{P: 6, Width: 3, Height: 2, B: 14}, ran, WithOptions(Options{QueueCap: 2}))
+		}
 	}
-	for _, schedule := range []string{"reducescatter/ring", "reducescatter/ring-stream", "reducescatter/autogen", "reducescatter/tree", "allgather/ring", "allgather/star", "allgather/gather-flood", "allreduce2d/split", "allreduce-midroot/fold",
+	for _, schedule := range []string{"reducescatter/ring", "reducescatter/ring-stream", "reducescatter/autogen", "reducescatter/tree", "allgather/ring", "allgather/star", "allgather/gather-flood", "allgather/star-stream", "allreduce2d/split", "allreduce-midroot/fold",
 		"reduce2d/snake-autogen", "allreduce2d/snake-autogen"} {
 		if !ran[schedule] {
 			t.Errorf("no shape of the walk ran %s (ran %v)", schedule, ran)

@@ -79,9 +79,9 @@ const (
 	// ReduceScatter or AllGather names Ring for its ring phase; a resolved
 	// ReduceScatter may name "ring-stream" (that phase forwarding each
 	// partial sum as it arrives), and a resolved AllGather's other schedules
-	// are Star (through the middle PE) and "gather-flood" (every PE floods
-	// its own chunk), which have no constants here because no request names
-	// them. KindAllReduceMidRoot also takes Algorithm("fold"): one chain from
+	// are Star (through the middle PE), "star-stream" (that PE flooding each
+	// chunk as it takes the next) and "gather-flood" (every PE floods its own
+	// chunk), which have no constants here because no request names them. KindAllReduceMidRoot also takes Algorithm("fold"): one chain from
 	// the start of the row to its end and back into the middle PE, which
 	// then floods; its Auto deploys it on long vectors.
 	Ring   = core.Ring
