@@ -3,6 +3,8 @@ package comm
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +17,12 @@ import (
 // elements, with chunk j of 1, 2, …, b placed on PE j, checks that every PE
 // ends with the whole vector, and returns the cycles.
 func runAllGather(build func(*fabric.Spec) error, p, b int, opt fabric.Options) (int64, error) {
+	return runAllGatherFrom(build, p, b, nil, opt)
+}
+
+// runAllGatherFrom is runAllGather with PE j busy for delay[j] cycles
+// (OpBusyWrite) before its first op of the AllGather; nil delays none.
+func runAllGatherFrom(build func(*fabric.Spec) error, p, b int, delay []int, opt fabric.Options) (int64, error) {
 	spec := fabric.NewSpec(p, 1)
 	if err := build(spec); err != nil {
 		return 0, err
@@ -26,7 +34,11 @@ func runAllGather(build func(*fabric.Spec) error, p, b int, opt fabric.Options) 
 		for i := off[j]; i < off[j]+sz[j]; i++ {
 			init[i] = float32(i + 1)
 		}
-		spec.PE(c).Init = init
+		pe := spec.PE(c)
+		pe.Init = init
+		if delay != nil && delay[j] > 0 {
+			pe.Ops = append([]fabric.Op{{Kind: fabric.OpBusyWrite, N: delay[j]}}, pe.Ops...)
+		}
 	}
 	f, err := fabric.New(spec, opt)
 	if err != nil {
@@ -128,7 +140,7 @@ func TestStarStreamGate(t *testing.T) {
 				}
 				full := p * (2*qcap - pr.Ctl) // the balanced B at the gate
 				if qcap < tr+1 {
-					if want := pr.StarStream(p, p); !math.IsInf(want, 1) {
+					if want := pr.StarStream(p, p, nil); !math.IsInf(want, 1) {
 						t.Errorf("T_R=%d qcap=%d p=%d: priced %v under queues shorter than the ramp", tr, qcap, p, want)
 					}
 					continue
@@ -138,12 +150,12 @@ func TestStarStreamGate(t *testing.T) {
 					if err != nil {
 						t.Fatalf("T_R=%d qcap=%d p=%d b=%d: %v", tr, qcap, p, b, err)
 					}
-					if want := pr.StarStream(p, b); float64(cycles) != want {
+					if want := pr.StarStream(p, b, nil); float64(cycles) != want {
 						t.Errorf("T_R=%d qcap=%d p=%d b=%d: %d cycles, estimate %v", tr, qcap, p, b, cycles, want)
 					}
 				}
 				past := full + p
-				if want := pr.StarStream(p, past); !math.IsInf(want, 1) {
+				if want := pr.StarStream(p, past, nil); !math.IsInf(want, 1) {
 					t.Errorf("T_R=%d qcap=%d p=%d b=%d: priced %v past the gate", tr, qcap, p, past, want)
 				}
 				if _, err := runAllGather(build(past), p, past, opt); p >= 6 && (err == nil || !strings.Contains(err.Error(), "deadlock")) {
@@ -151,5 +163,93 @@ func TestStarStreamGate(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStarStreamFromStaggeredStarts holds the streamed middle-root AllGather
+// to model.Params.StarStream from per-PE starts: PE j is busy for d_j cycles
+// (OpBusyWrite) before the AllGather, and the form is given those releases.
+// On every row of 2 to 17 PEs and on rows of 24, 32 and 64 at T_R 1 to 3,
+// queue depths 2, 4, 8 and 16 (those the gate admits) and task activations
+// 0 and 3, at balanced and unbalanced B inside the gate, it tries every PE
+// at 0, every PE at one random d, random d_j from 0 to 3·(⌈B/P⌉ + Ctl), and
+// starts spread as a split AllReduce's rows spread them: PE j released when
+// the streamed ring reduce-scatter of the same row and vector is through on
+// it (model.RingStreamDone, where PE 0 alone pays the wrap-around), then a
+// random d_j more. Every run leaves the whole vector on every PE, deadlocks
+// nowhere and takes the form's cycles to the cycle. -short walks every third
+// row of up to 17 PEs and no wider one.
+func TestStarStreamFromStaggeredStarts(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	stride := 1
+	if testing.Short() {
+		stride = 3
+	}
+	staggered := 0
+	for tr := 1; tr <= 3; tr++ {
+		for _, qcap := range []int{2, 4, 8, 16} {
+			if qcap < tr+1 {
+				continue
+			}
+			for _, act := range []int{0, 3} {
+				pr := model.Params{TR: tr, Ctl: 1, QueueCap: qcap, Activation: act}
+				opt := fabric.Options{TR: tr, QueueCap: qcap, TaskActivation: act}
+				var ps []int
+				for p := 2 + tr%stride; p <= 17; p += stride {
+					ps = append(ps, p)
+				}
+				if !testing.Short() {
+					ps = append(ps, 24, 32, 64)
+				}
+				for _, p := range ps {
+					top := 2*qcap - pr.Ctl // the longest chunk the gate admits
+					for _, b := range []int{p, p * top, p * (1 + rng.Intn(top)), p*(1+rng.Intn(top-1)) + 1 + rng.Intn(p-1)} {
+						w := (b+p-1)/p + pr.Ctl
+						build := func(s *fabric.Spec) error { return BuildAllGatherStreamed(s, RowLane(p, b)) }
+						same := rng.Intn(3*w + 1)
+						finish := pr.RingStreamDone(p, b)
+						for try := 0; try < 6; try++ {
+							if try == 5 && math.IsInf(finish[0], 1) {
+								continue // the ring does not stream here
+							}
+							delay := make([]int, p)
+							for j := range delay {
+								switch try {
+								case 0:
+								case 1:
+									delay[j] = same
+								case 5:
+									delay[j] = int(finish[j]) + rng.Intn(3*w+1)
+								default:
+									delay[j] = rng.Intn(3*w + 1)
+								}
+							}
+							release := make([]float64, p)
+							for j, d := range delay {
+								release[j] = float64(d)
+							}
+							label := fmt.Sprintf("T_R=%d qcap=%d act=%d p=%d b=%d delays %v", tr, qcap, act, p, b, delay)
+							want := pr.StarStream(p, b, release)
+							if math.IsInf(want, 1) {
+								t.Fatalf("%s: the gate refused B = %d", label, b)
+							}
+							cycles, err := runAllGatherFrom(build, p, b, delay, opt)
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							if float64(cycles) != want {
+								t.Errorf("%s: %d cycles, estimate %v", label, cycles, want)
+							}
+							if try > 1 && slices.Max(delay) > slices.Min(delay) {
+								staggered++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if staggered == 0 {
+		t.Error("no run started staggered")
 	}
 }

@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/fabric"
@@ -76,7 +77,9 @@ func TestChunkedFormsAreExact(t *testing.T) {
 		{"scatter", func(s *fabric.Spec, p, b int) error { return BuildScatter(s, mesh.Row(0, 0, p), b, 5) }, model.Params.Scatter},
 		{"gather", func(s *fabric.Spec, p, b int) error { return BuildGather(s, mesh.Row(0, 0, p), b, 5) }, model.Params.Gather},
 		{"allgather-midroot", func(s *fabric.Spec, p, b int) error { return BuildAllGatherMidRoot(s, RowLane(p, b)) }, model.Params.MidRootAllGather},
-		{"star-stream", func(s *fabric.Spec, p, b int) error { return BuildAllGatherStreamed(s, RowLane(p, b)) }, model.Params.StarStream},
+		{"star-stream", func(s *fabric.Spec, p, b int) error { return BuildAllGatherStreamed(s, RowLane(p, b)) }, func(pr model.Params, p, b int) float64 {
+			return pr.StarStream(p, b, nil)
+		}},
 	}
 	for tr := 1; tr <= 3; tr++ {
 		pr := model.Params{TR: tr, Ctl: 1, QueueCap: fabric.DefaultQueueCap}
@@ -108,12 +111,11 @@ func TestChunkedFormsAreExact(t *testing.T) {
 }
 
 // TestRingStreamFormIsExact holds the streamed ring reduce-scatter to
-// model.Params.RingStream to the cycle, and the PEs of its longer and its
-// other chunks to RingStreamDone (the cycle after each took its last
-// control, as the run's count is), on every row of 2 to 12 PEs with B from P
-// to 4P, at T_R 1 to 3, queue depths 3, 4 and 8 and task activations 0 and
-// 2, wherever the gate admits it: under the default queue depth, from one to
-// nine elements a chunk.
+// model.Params.RingStream to the cycle, and every PE to RingStreamDone (the
+// cycle after it took its last control, as the run's count is), on every row
+// of 2 to 12 PEs with B from P to 4P, at T_R 1 to 3, queue depths 3, 4 and 8
+// and task activations 0 and 2, wherever the gate admits it: under the
+// default queue depth, from one to nine elements a chunk.
 func TestRingStreamFormIsExact(t *testing.T) {
 	for tr := 1; tr <= 3; tr++ {
 		for _, qcap := range []int{3, 4, 8} {
@@ -121,8 +123,8 @@ func TestRingStreamFormIsExact(t *testing.T) {
 				pr := model.Params{TR: tr, Ctl: 1, QueueCap: qcap, Activation: act}
 				for p := 2; p <= 12; p++ {
 					for b := p; b <= 4*p; b++ {
-						long, short := pr.RingStreamDone(p, b)
-						if math.IsInf(long, 1) {
+						want := pr.RingStreamDone(p, b)
+						if math.IsInf(want[0], 1) {
 							continue
 						}
 						spec := fabric.NewSpec(p, 1)
@@ -141,21 +143,15 @@ func TestRingStreamFormIsExact(t *testing.T) {
 						if err != nil {
 							t.Fatalf("T_R=%d qcap=%d act=%d p=%d b=%d: %v", tr, qcap, act, p, b, err)
 						}
-						var gotLong, gotShort int64
+						got := make([]float64, p)
 						for _, e := range tracer.Events {
-							if e.Kind != fabric.EvConsume {
-								continue
-							}
-							if e.PE.X < b%p || b%p == 0 {
-								gotLong = max(gotLong, e.Cycle+2)
-							}
-							if e.PE.X >= b%p {
-								gotShort = max(gotShort, e.Cycle+2)
+							if e.Kind == fabric.EvConsume {
+								got[e.PE.X] = max(got[e.PE.X], float64(e.Cycle+2))
 							}
 						}
-						if float64(res.Cycles) != pr.RingStream(p, b) || float64(gotLong) != long || float64(gotShort) != short {
-							t.Errorf("T_R=%d qcap=%d act=%d p=%d b=%d: %d cycles, the longer chunks' PEs done at %d, the others' at %d; estimates %v, %v, %v",
-								tr, qcap, act, p, b, res.Cycles, gotLong, gotShort, pr.RingStream(p, b), long, short)
+						if float64(res.Cycles) != pr.RingStream(p, b) || !slices.Equal(got, want) {
+							t.Errorf("T_R=%d qcap=%d act=%d p=%d b=%d: %d cycles, the PEs done at %v; estimates %v, %v",
+								tr, qcap, act, p, b, res.Cycles, got, pr.RingStream(p, b), want)
 						}
 					}
 				}

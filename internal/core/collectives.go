@@ -15,7 +15,11 @@ package core
 // composition through the middle PE — a star Gather of both halves into PE
 // ⌊P/2⌋, then a flood both ways; StarStream, that middle PE flooding each
 // chunk the op after it took it, where a sender's queues hold its chunk; and
-// GatherFlood, every PE flooding its own chunk on its turn.
+// GatherFlood, every PE flooding its own chunk on its turn. The split 2D
+// AllReduce's rows all-gather under any of the four, whichever prices the
+// whole split lowest; StarStream is priced there from each PE's own ready
+// cycle, its PEs coming out of the reduce-scatter and their columns at
+// different cycles (model.Params.StarStream).
 //
 // Each collective is a Build*Into compiler (program and routing tables only,
 // no initial data); the plan subsystem binds inputs into what it compiled,
@@ -151,17 +155,8 @@ var AllGatherPatterns = []Pattern{Ring, Star, GatherFlood, StarStream}
 // BestAllGather picks the schedule an AllGather runs, the one the model
 // prices lowest; the earlier in AllGatherPatterns wins a tie.
 func BestAllGather(p, b int, pr model.Params) (Pattern, float64) {
-	return bestAllGather(p, b, pr, true)
-}
-
-// bestAllGather is BestAllGather, over every schedule but StarStream unless
-// stream.
-func bestAllGather(p, b int, pr model.Params, stream bool) (Pattern, float64) {
 	best, bestT := Ring, math.Inf(1)
 	for _, pat := range AllGatherPatterns {
-		if pat == StarStream && !stream {
-			continue
-		}
 		if t := PredictAllGather(pat, p, b, pr); t < bestT {
 			best, bestT = pat, t
 		}
@@ -180,7 +175,7 @@ func PredictAllGather(pattern Pattern, p, b int, pr model.Params) float64 {
 	case GatherFlood:
 		return pr.GatherFlood(p, b)
 	case StarStream:
-		return pr.StarStream(p, b)
+		return pr.StarStream(p, b, nil)
 	}
 	return math.Inf(1)
 }

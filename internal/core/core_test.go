@@ -158,22 +158,27 @@ func TestMidRootAutoMinimisesItsOwnLemma(t *testing.T) {
 // vector crosses each PE's ramp about twice where a reduce into the corner
 // and the flood behind it take three times. Auto deploys it for long vectors
 // — 663 cycles against the corner's 832 at 8×8 and 1 KB (the reduce there is
-// Auto-Gen's tree over the Snake), 746 against 979 at 16×16, and from 18
-// wavelets on at 8×8, its rows' reduce-scatter streamed (135 against X-Y
-// Auto-Gen's 161 at 24; at 16 wavelets X-Y wins, 125 against 126) — and it
-// has no program where B < W leaves a column without a chunk.
+// Auto-Gen's tree over the Snake), 746 against 979 at 16×16 — and from 15
+// wavelets on at 8×8, its rows' reduce-scatter streamed and their AllGather
+// streamed through the middle PE from each PE's own ready cycle (130 against
+// X-Y Auto-Gen's 161 at 24, 118 against 125 at 16); it has no program where
+// B < W leaves a column without a chunk.
 func TestSplitMovesTheVectorTwice(t *testing.T) {
 	pr := Params(fabric.Options{})
 	for _, tc := range []struct {
 		side, b   int
 		split, xy float64
-	}{{8, 256, 663, 832}, {16, 256, 746, 979}, {8, 24, 135, 161}} {
+		stream    bool
+	}{{8, 256, 663, 832, false}, {16, 256, 746, 979, false}, {8, 24, 130, 161, true}, {8, 16, 118, 125, true}} {
 		pat, _ := BestReduce2D(tc.side, tc.side, tc.b, pr)
 		if s, x := PredictAllReduce2D(Split, tc.side, tc.side, tc.b, pr), PredictAllReduce2D(pat, tc.side, tc.side, tc.b, pr); s != tc.split || x != tc.xy {
 			t.Errorf("%dx%d b=%d: split %v, %s %v; want %v and %v", tc.side, tc.side, tc.b, s, pat, x, tc.split, tc.xy)
 		}
 		if best, _ := BestAllReduce2D(tc.side, tc.side, tc.b, pr); best != Split {
 			t.Errorf("%dx%d b=%d: Auto picks %s", tc.side, tc.side, tc.b, best)
+		}
+		if _, gather, _ := predictSplit(tc.side, tc.side, tc.b, pr); (gather == StarStream) != tc.stream {
+			t.Errorf("%dx%d b=%d: the rows all-gather under %s", tc.side, tc.side, tc.b, gather)
 		}
 	}
 	if s := PredictAllReduce2D(Split, 32, 32, 16, pr); !math.IsInf(s, 1) {

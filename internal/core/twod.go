@@ -108,7 +108,8 @@ func PredictAllReduce2D(pattern Pattern2D, width, height, b int, pr model.Params
 		return pr.Then(pr.CombReduce([][]int{row[0].Parent, row[1].Parent}, [][]int{col[0].Parent, col[1].Parent}, b),
 			pr.Broadcast2D(height/2+1, width/2+1, b))
 	case Split:
-		return predictSplit(width, height, b, pr)
+		_, _, t := predictSplit(width, height, b, pr)
+		return t
 	}
 	return pr.Then(PredictReduce2D(pattern, width, height, b, pr), pr.Broadcast2D(height, width, b))
 }
@@ -140,7 +141,10 @@ func BestReduce2D(width, height, b int, pr model.Params) (Pattern2D, float64) {
 // split where it prices strictly lower, in that order. The centre root wins
 // where distance dominates, short vectors on grids from 8×8 up: each of its
 // roots takes two streams per phase. The split wins where the vector is long
-// enough for its chunks to outweigh the rounds of its rings.
+// enough for its chunks to outweigh the rounds of its rings — from 15
+// wavelets on at 8×8, where its rows stream both the reduce-scatter and the
+// AllGather through the middle PE, each PE starting the AllGather as soon as
+// its column is through (118 cycles against X-Y Auto-Gen's 125).
 func BestAllReduce2D(width, height, b int, pr model.Params) (Pattern2D, float64) {
 	best, _ := BestReduce2D(width, height, b, pr)
 	bestT := PredictAllReduce2D(best, width, height, b, pr)
@@ -152,43 +156,84 @@ func BestAllReduce2D(width, height, b int, pr model.Params) (Pattern2D, float64)
 	return best, bestT
 }
 
-// predictSplit prices the split AllReduce: the rows' reduce-scatter on the
-// ring splitRing picks, every column's AllReduce of its chunk under the
-// schedule BestAllReduce1D picks for it, and the rows' AllGather under the
-// schedule splitGather picks, one after the other. Where W does not divide
-// B, the first B mod W chunks are one element longer: their columns take
-// longer, and so those PEs are ready for the AllGather at long, the others
-// at short. Round by round, a PE of an n-element chunk is through the
-// reduce-scatter when a balanced one of n·W elements would be (the longer
-// chunks' partial sums pace every round, model.ReduceScatter); streamed, when
-// model.RingStreamDone says. The AllGather waits for the latest — but
-// through the middle PE less: it takes the west half's chunks nearest first,
-// so the short chunks between it and the longer ones, ⌊B/W⌋ wavelets each,
-// reach it in the gap. A row of one PE has neither row phase, a column of
-// one no column phase. +Inf where B < W.
-func predictSplit(width, height, b int, pr model.Params) float64 {
+// predictSplit prices the split AllReduce and picks the ring its rows
+// reduce-scatter on and the schedule they all-gather under: of
+// AllGatherPatterns, the one under which the whole split prices lowest
+// (splitUnder), the earlier on a tie. The rows' AllGather is thus weighed
+// with what comes before it, and StarStream, priced from every PE's own
+// ready cycle, wherever its queue gate admits it. +Inf where B < W.
+func predictSplit(width, height, b int, pr model.Params) (ring, gather Pattern, t float64) {
+	ring, gather, t = Ring, Ring, math.Inf(1)
 	if width < 1 || height < 1 || b < width {
-		return math.Inf(1)
+		return ring, gather, t
 	}
+	// col[e] is a column's AllReduce of a chunk of ⌊B/W⌋ + e elements.
+	var col [2]float64
+	for e := range min(b%width, 1) + 1 {
+		_, _, col[e] = BestAllReduce1D(height, b/width+e, pr)
+	}
+	for _, pat := range AllGatherPatterns {
+		if r, tp := splitUnder(pat, width, b, col, pr); tp < t {
+			ring, gather, t = r, pat, tp
+		}
+	}
+	return ring, gather, t
+}
+
+// splitUnder prices the split AllReduce whose rows all-gather under gather,
+// its columns' AllReduces taking col: the rows' reduce-scatter on the ring
+// splitRing picks, every column's AllReduce of its chunk, and the rows'
+// AllGather. Where W does not divide B, the first B mod W chunks are one
+// element longer: their columns take longer, and so those PEs are ready for
+// the AllGather later. Round by round, a PE of an n-element chunk is through
+// the reduce-scatter when a balanced one of n·W elements would be (the longer
+// chunks' partial sums pace every round, model.ReduceScatter); streamed,
+// when model.RingStreamDone says. StarStream starts every PE in the cycle it
+// is ready (model.StarStream); the others wait for the latest — but through
+// the middle PE less: Star takes the west half's chunks nearest first, so the
+// short chunks between it and the longer ones, ⌊B/W⌋ wavelets each, reach it
+// in the gap. A row of one PE has neither row phase, a column of one no
+// column phase.
+func splitUnder(gather Pattern, width, b int, col [2]float64, pr model.Params) (ring Pattern, t float64) {
 	c, r := b/width, b%width
-	gather, ag := splitGather(width, b, pr)
-	rsShort, rsLong := pr.ReduceScatter(width, c*width), pr.ReduceScatter(width, (c+min(r, 1))*width)
-	if splitRing(width, b, gather, pr) == RingStream {
-		rsLong, rsShort = pr.RingStreamDone(width, b)
+	// extra is 1 for a PE of a longer chunk.
+	extra := func(x int) int {
+		if x < r {
+			return 1
+		}
+		return 0
 	}
-	// A PE whose chunk has n elements is ready to all-gather once it is
-	// through the reduce-scatter and through its column's AllReduce of n
-	// elements.
-	ready := func(rs float64, n int) float64 {
-		_, _, col := BestAllReduce1D(height, n, pr)
-		return pr.Then(rs, col)
+	ring = splitRing(width, b, gather, pr)
+	rs := make([]float64, width)
+	if ring == RingStream {
+		rs = pr.RingStreamDone(width, b)
+	} else {
+		for x := range rs {
+			rs[x] = pr.ReduceScatter(width, (c+extra(x))*width)
+		}
 	}
-	short, long := ready(rsShort, c), ready(rsLong, c+min(r, 1))
-	t := pr.Then(max(short, long), ag)
+	// A PE is ready to all-gather once it is through the reduce-scatter and
+	// its column's AllReduce.
+	ready := make([]float64, width)
+	var latest [2]float64 // the latest PE of a short chunk, of a longer one
+	for x := range ready {
+		ready[x] = pr.Then(rs[x], col[extra(x)])
+		latest[extra(x)] = max(latest[extra(x)], ready[x])
+	}
+	if gather == StarStream {
+		// Each PE starts in the cycle that retires its column's last
+		// control (Then).
+		for x := range ready {
+			ready[x] -= float64(pr.Ctl)
+		}
+		return ring, pr.StarStream(width, b, ready)
+	}
+	short, long := latest[0], latest[1]
+	t = pr.Then(max(short, long), PredictAllGather(gather, width, b, pr))
 	if gather == Star {
 		t -= min(float64(c*max(0, width/2-r)), max(0, long-short))
 	}
-	return t
+	return ring, t
 }
 
 // splitRing picks the ring the split's rows reduce-scatter on ahead of an
@@ -202,15 +247,6 @@ func splitRing(width, b int, gather Pattern, pr model.Params) Pattern {
 		return RingStream
 	}
 	return Ring
-}
-
-// splitGather picks the schedule the split's rows all-gather under:
-// BestAllGather's, but never StarStream. Its form prices PEs that start
-// together, and a row's PEs come out of the reduce-scatter and their columns
-// at different cycles: let in where W divides B, the split runs up to 12
-// cycles under predictSplit on TestSplitDense's grids.
-func splitGather(width, b int, pr model.Params) (Pattern, float64) {
-	return bestAllGather(width, b, pr, false)
 }
 
 // centreHalves returns the west and east halves the centre root runs on
@@ -291,18 +327,17 @@ const (
 )
 
 // buildSplit compiles the split AllReduce: the rows' reduce-scatter on the
-// ring splitRing picks, then on every column x the AllReduce BestAllReduce1D
-// picks for chunk x, on that chunk's window alone, then the rows' AllGather
-// under the schedule splitGather picks. A row of one PE skips the row
-// phases.
+// ring predictSplit picks, then on every column x the AllReduce
+// BestAllReduce1D picks for chunk x, on that chunk's window alone, then the
+// rows' AllGather under the schedule predictSplit picks. A row of one PE
+// skips the row phases.
 func buildSplit(spec *fabric.Spec, width, height, b int, pr model.Params, op fabric.ReduceOp) error {
 	if width < 1 || height < 1 || b < width {
 		return fmt.Errorf("core: split AllReduce of B = %d over a %dx%d grid, want B >= W", b, width, height)
 	}
 	row := func(y int) comm.Lane { return comm.Lane{Path: mesh.Row(y, 0, width), N: b} }
-	gather, _ := splitGather(width, b, pr)
+	ring, gather, _ := predictSplit(width, height, b, pr)
 	if width > 1 {
-		ring := splitRing(width, b, gather, pr)
 		for y := 0; y < height; y++ {
 			if err := buildRingReduceScatter(spec, row(y), ring, op); err != nil {
 				return fmt.Errorf("core: row %d: %w", y, err)

@@ -73,8 +73,8 @@ func (pr Params) ReduceScatter(p, b int) float64 {
 // PE cost 2·T_R + 2 each, and, as a diagonal step's chunk is fixed, one of
 // them crosses the wrap-around edge wherever v ≤ P − 2, along a run of
 // chunks that can start at chunk 0 (the longer ones). That is O(P)
-// candidates (RingStreamDone), and the simulator's count to the cycle
-// wherever no PE waits on its queues.
+// candidates for each PE (RingStreamDone), and the simulator's count to the
+// cycle wherever no PE waits on its queues.
 //
 // None does where a hop's queues hold what the ring parks on them, and
 // nowhere else does it run. A PE sends its next chunk while its neighbour is
@@ -85,47 +85,46 @@ func (pr Params) ReduceScatter(p, b int) float64 {
 // either limit the ring stalls on its queues and, with long chunks,
 // deadlocks: every PE sends before it receives.
 func (pr Params) RingStream(p, b int) float64 {
-	long, _ := pr.RingStreamDone(p, b)
-	return long
+	return pr.ringStreamDone(p, b, 0)
 }
 
-// RingStreamDone returns when the PEs of the streamed ring reduce-scatter are
-// through it: long for those of the B mod P longer chunks, short for the
-// others, and both the whole phase (RingStream) where P divides B. A path
-// through the ops that ends on PE k finishes chunks k, k+1, …, k+v and crosses
-// the wrap-around edge only if k + v ≤ P − 2. PE 0 has the longer chunks
-// first and the crossing, so it is the last to finish. A PE of a short chunk,
-// k ≥ B mod P, crosses if it can (k = B mod P, for v ≤ P − 2 − B mod P) or
-// else, from PE P − 1, finishes the first v chunks after its own, min(v, B mod
-// P) of them longer. Both are +Inf where the ring does not run (RingStream).
-func (pr Params) RingStreamDone(p, b int) (long, short float64) {
+// RingStreamDone returns when each PE of the streamed ring reduce-scatter is
+// through it, every one +Inf where the ring does not run (RingStream). A path
+// through the ops that ends on PE k finishes chunks k, k+1, …, k+v (mod P),
+// those under B mod P longer, and crosses the wrap-around edge only if
+// k + v ≤ P − 2. PE 0 has the longer chunks first and the crossing, so it is
+// the last to finish.
+func (pr Params) RingStreamDone(p, b int) []float64 {
+	done := make([]float64, p)
+	for k := range done {
+		done[k] = pr.ringStreamDone(p, b, k)
+	}
+	return done
+}
+
+// ringStreamDone is RingStreamDone's PE k: the longest of its P paths.
+func (pr Params) ringStreamDone(p, b, k int) float64 {
 	if p <= 1 {
-		return 0, 0
+		return 0
 	}
 	q, r := b/p, b%p
 	if b < p || pr.QueueCap < pr.TR+1 || q+min(r, 1)+pr.Ctl+2 > 3*pr.QueueCap {
-		return math.Inf(1), math.Inf(1)
+		return math.Inf(1)
 	}
 	hop := float64(2*pr.TR + 2)
-	// path is the longest path that takes v+1 chunks, extra of them longer,
-	// crossing the wrap-around edge or not.
-	path := func(v, extra int, crosses bool) float64 {
+	done, extra := 0.0, 0 // extra counts the longer chunks among k … k+v
+	for v := 0; v < p; v++ {
+		if (k+v)%p < r {
+			extra++
+		}
 		t := float64((v+1)*(q+pr.Ctl+1)+extra) + float64(p-1-v)*hop - 1
-		if crosses {
+		if k+v <= p-2 {
 			t += float64(p - 2)
 		}
-		return t
-	}
-	for v := 0; v < p; v++ {
-		long = max(long, path(v, min(v+1, r), v <= p-2))
-		short = max(short, path(v, min(v, r), false), path(v, 0, v <= p-2-r))
-	}
-	if r == 0 {
-		short = long
+		done = max(done, t)
 	}
 	// Every path waits out the activation of P − 1 receives.
-	act := float64((p - 1) * pr.Activation)
-	return long + act, short + act
+	return done + float64((p-1)*pr.Activation)
 }
 
 // AllGather estimates the second ring phase, which has the same shape. A
@@ -164,25 +163,15 @@ func (pr Params) MidRootAllGather(p, b int) float64 {
 }
 
 // StarStream prices the streamed middle-root AllGather
-// (comm.BuildAllGatherStreamed), or +Inf where it does not run. Let w_j =
-// s_j + Ctl be the wavelets of chunk j, and o_0 … o_{P−1} the order the middle
-// PE floods the chunks in: its own, the west half's nearest first, then the
-// east half's. The middle PE's op k floods o_{k−1} while it takes o_k, and
-// the gather keeps o_k waiting from op 2 on, so op k ends with the longer of
-// the two; op 1 waits 2·T_R + 1 cycles for o_1. So the middle PE starts
-// flooding o_j, j ≥ 1, at
-//
-//	M_1 = 2·T_R + 1 + w(o_1),  M_j = M_{j−1} + max(w(o_{j−1}), w(o_j)).
-//
-// Another PE d hops out can take o_j from M_j + 2·T_R + d on. It takes o_0
-// in the op that sends its own chunk, a full-duplex op no activation delays,
-// which is through before o_1 can arrive, and every later chunk in a receive
-// of its own: A + w cycles once o_j is there, where A is the task activation.
-// So it consumes its last control at the latest M_j + 2·T_R + d − 1 + S_j,
-// where S_j = Σ_{k ≥ j} (A + w(o_k)): o_j reaching it, then every chunk from
-// o_j on back to back. The farthest PE, ⌊P/2⌋ hops out, is the last, and the
-// run ends two cycles after, as a receive does. Balanced, that is B + P·Ctl +
-// ⌊P/2⌋ + 2(2·T_R + 1) + (P − 1)·A.
+// (comm.BuildAllGatherStreamed) whose PE v starts at cycle release[v] — one
+// cycle per PE, or all at 0 where release is nil — or +Inf where it does not
+// run. It is the cycle of every event of the flood's calendar, wavelet by
+// wavelet — the middle PE pushing wavelet n, every router passing it on and
+// every PE taking it — each the latest of the events it waits on ("The
+// streamed middle root" in the package comment), in O(P·(B + P·Ctl)). The
+// queues are rings of the last QueueCap + 1 wavelets' cycles: wavelet n's
+// slot is n mod (QueueCap + 1), and the slot after it holds wavelet n −
+// QueueCap, whose exit frees the queue place wavelet n takes.
 //
 // It runs only where a sender's chunk and control fit the queues of its ramp
 // and its router, ⌈B/P⌉ + Ctl ≤ 2·QueueCap: a sender takes no flood chunk
@@ -190,33 +179,115 @@ func (pr Params) MidRootAllGather(p, b int) float64 {
 // flood that waits on it (from a sender three hops out, six PEs). And, as
 // for the streamed ring, the ramp's queue must outlast its latency,
 // QueueCap ≥ T_R + 1, or a stream does not move a wavelet a cycle.
-func (pr Params) StarStream(p, b int) float64 {
+func (pr Params) StarStream(p, b int, release []float64) float64 {
 	if p < 2 || b < p || pr.QueueCap < pr.TR+1 || (b+p-1)/p+pr.Ctl > 2*pr.QueueCap {
 		return math.Inf(1)
 	}
+	if release == nil {
+		release = make([]float64, p)
+	}
 	mid := p / 2
-	// w(k) is w(o_k): o_k is mid − k up to k = mid, then k.
-	w := func(k int) int {
+	flood, w := pr.starFlood(p, b)
+	tr, act := float64(pr.TR), float64(pr.Activation)
+	slots := pr.QueueCap + 1
+	ring := func() []float64 {
+		r := make([]float64, slots)
+		for i := range r {
+			r[i] = math.Inf(-1)
+		}
+		return r
+	}
+	// Side 0 is the west arm, side 1 the east; PE x hops out on side s is
+	// row PE at(s, x), its router's cycles pass[s][x] and its takes take[s][x].
+	arm := [2]int{mid, p - 1 - mid}
+	at := func(s, x int) int { return mid + (2*s-1)*x }
+	var pass, take [2][][]float64
+	for s := range arm {
+		for x := 0; x <= arm[s]; x++ {
+			pass[s], take[s] = append(pass[s], ring()), append(take[s], ring())
+		}
+	}
+	push, root := ring(), ring() // the middle PE's pushes and its router
+	m := release[mid]            // M_j, when the middle PE starts flooding o_j
+	n := 0
+	for j := range flood {
+		if j > 0 {
+			// The op that floods o_j starts once the one before it has
+			// pushed o_{j−1} and taken o_j, whose first wavelet the gather
+			// brings 2·T_R + d after its PE, d hops out, starts.
+			v := flood[j]
+			m = max(push[(n-1)%slots]+1, max(m, release[v]+2*tr+float64(max(v-mid, mid-v)))+w[j])
+		}
+		for i := 0; i < int(w[j]); i, n = i+1, n+1 {
+			now, prev, freed := n%slots, (n+slots-1)%slots, (n+1)%slots
+			t := max(push[prev]+1, root[freed]+1)
+			if i == 0 {
+				t = max(t, m)
+			}
+			push[now] = t
+			t = max(t+tr, root[prev]+1)
+			for s := range arm {
+				if arm[s] > 0 {
+					t = max(t, pass[s][1][freed]+1)
+				}
+			}
+			root[now] = t
+			for s := range arm {
+				up := root[now]
+				for x := 1; x <= arm[s]; x++ {
+					h := max(up+1, pass[s][x][prev]+1, take[s][x][freed]+1)
+					if x < arm[s] {
+						h = max(h, pass[s][x+1][freed]+1)
+					}
+					pass[s][x][now], up = h, h
+					c := max(take[s][x][prev]+1, h+tr)
+					switch {
+					case n == 0:
+						c = max(release[at(s, x)], h+tr)
+					case i == 0 && j == 1:
+						// The op that sends the PE's own chunk and takes
+						// chunk 0 ends with the later of the two.
+						c = max(c, release[at(s, x)]+pr.starChunk(p, b, at(s, x))) + act
+					case i == 0:
+						c += act
+					}
+					take[s][x][now] = c
+				}
+			}
+		}
+	}
+	last := (n - 1) % slots
+	end := push[last] + 1
+	for s := range arm {
+		for x := 1; x <= arm[s]; x++ {
+			end = max(end, take[s][x][last]+1)
+		}
+	}
+	return end + 1
+}
+
+// starFlood returns the chunks in the order the middle PE floods them, o_0 …
+// o_{P−1}: its own, the west half's nearest first, then the east half's —
+// each chunk's PE on the row and its wavelets, s_j + Ctl.
+func (pr Params) starFlood(p, b int) (pe []int, w []float64) {
+	mid := p / 2
+	pe, w = make([]int, p), make([]float64, p)
+	for k := range pe {
+		v := k
 		if k <= mid {
-			k = mid - k
+			v = mid - k
 		}
-		if k < b%p {
-			return b/p + 1 + pr.Ctl
-		}
-		return b/p + pr.Ctl
+		pe[k], w[k] = v, pr.starChunk(p, b, v)
 	}
-	s := 0 // S_j, from S_1
-	for k := 1; k < p; k++ {
-		s += pr.Activation + w(k)
+	return pe, w
+}
+
+// starChunk is the wavelets of row PE v's chunk and its control.
+func (pr Params) starChunk(p, b, v int) float64 {
+	if v < b%p {
+		return float64(b/p + 1 + pr.Ctl)
 	}
-	m := 2*pr.TR + 1 + w(1) // M_j, from M_1
-	reach := m + s          // the latest M_j + S_j
-	for j := 2; j < p; j++ {
-		m += max(w(j-1), w(j))
-		s -= pr.Activation + w(j-1)
-		reach = max(reach, m+s)
-	}
-	return float64(reach + 2*pr.TR + mid + 1)
+	return float64(b/p + pr.Ctl)
 }
 
 // GatherFlood prices the gather-flood AllGather (comm.BuildGatherFlood) turn

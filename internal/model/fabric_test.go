@@ -91,3 +91,79 @@ func TestMidRootLemma(t *testing.T) {
 		t.Error("a one-PE middle-root AllReduce should be free")
 	}
 }
+
+// TestStarStreamCalendarFromOneStart: where every PE starts in the same
+// cycle, StarStream's calendar is the O(P) recurrence of the package comment
+// (starStreamTogether), shifted by the start — on every row of 2 to 40 PEs,
+// and from a nil release, the start at 0, on rows of up to 300, as long as
+// the 1D AllGather is priced at (queue depths 2, 4 and 16 there) — at
+// balanced and unbalanced vector lengths up to the gate, at T_R 1 to 3,
+// queue depths 2 to 16 and task activations 0 and 3. Under -short it walks
+// the short rows alone.
+func TestStarStreamCalendarFromOneStart(t *testing.T) {
+	var ps []int
+	for p := 2; p <= 40; p++ {
+		ps = append(ps, p)
+	}
+	// The long rows run at queue depths 2, 4 (the engine's default) and 16.
+	long := []int{63, 64, 65, 128, 129, 255, 256, 257, 299, 300}
+	if testing.Short() {
+		long = nil
+	}
+	for tr := 1; tr <= 3; tr++ {
+		for _, qcap := range []int{2, 3, 4, 8, 16} {
+			if qcap < tr+1 {
+				continue
+			}
+			for _, act := range []int{0, 3} {
+				pr := Params{TR: tr, Ctl: 1, QueueCap: qcap, Activation: act}
+				ps := ps
+				if qcap == 2 || qcap == 4 || qcap == 16 {
+					ps = append(ps[:len(ps):len(ps)], long...)
+				}
+				for _, p := range ps {
+					top := 2*qcap - pr.Ctl
+					for _, b := range []int{p, p + 1, p*top/2 + p/2, p*top - 1, p * top} {
+						want := pr.starStreamTogether(p, b)
+						if got := pr.StarStream(p, b, nil); got != want {
+							t.Errorf("T_R=%d qcap=%d act=%d p=%d b=%d from nil: calendar %v, recurrence %v", tr, qcap, act, p, b, got, want)
+						}
+						if p > 40 {
+							continue // the long rows from nil alone
+						}
+						for _, start := range []float64{7, 2.5} {
+							release := make([]float64, p)
+							for v := range release {
+								release[v] = start
+							}
+							if got := pr.StarStream(p, b, release); got != start+want {
+								t.Errorf("T_R=%d qcap=%d act=%d p=%d b=%d from %v: calendar %v, recurrence %v", tr, qcap, act, p, b, start, got, start+want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// starStreamTogether is StarStream where every PE starts at cycle 0, by the
+// package comment's O(P) recurrence: the longest of the paths that reach the
+// farthest PE along the flood of one chunk and then take every later one
+// back to back.
+func (pr Params) starStreamTogether(p, b int) float64 {
+	_, w := pr.starFlood(p, b)
+	act := float64(pr.Activation)
+	s := 0.0 // S_j, from S_1
+	for k := 1; k < p; k++ {
+		s += act + w[k]
+	}
+	m := float64(2*pr.TR+1) + w[1] // M_j, from M_1
+	reach := m + s                 // the latest M_j + S_j
+	for j := 2; j < p; j++ {
+		m += max(w[j-1], w[j])
+		s -= act + w[j-1]
+		reach = max(reach, m+s)
+	}
+	return reach + float64(2*pr.TR+p/2+1)
+}

@@ -168,6 +168,65 @@
 // ramp allows, min(B + Ctl − 1, 2·T_R + 1) cycles: 1 at B = 1, 4 at B = 4, 5
 // from B = 16 on. The paper's patterns keep their unstreamed programs and
 // their Then: the figures' baselines are the paper's programs.
+//
+// # The streamed middle root
+//
+// The streamed middle-root AllGather (comm.BuildAllGatherStreamed) gathers
+// both halves of the row into the middle PE, which floods every chunk the op
+// after it took it. Let o_0 … o_{P−1} be the order it floods the chunks in —
+// its own, the west half's nearest first, then the east half's — and w_j =
+// s_j + Ctl the wavelets of o_j. The middle PE's op j floods o_{j−1} while it
+// takes o_j, and its last op floods o_{P−1} alone. Every other PE takes o_0
+// in the op that sends its own chunk, a full-duplex op no activation delays,
+// and every later chunk in a receive of its own: A + w_j cycles once the
+// chunk is there, where A is the task activation.
+//
+// Where every PE starts at cycle 0, the gather keeps o_j waiting from op 2
+// on, and op 1 waits 2·T_R + 1 cycles for o_1, so the middle PE starts
+// flooding o_j at
+//
+//	M_1 = 2·T_R + 1 + w_1,  M_j = M_{j−1} + max(w_{j−1}, w_j).
+//
+// A PE d hops out can take o_j from M_j + 2·T_R + d on, and it is through
+// the flood's last control at the latest M_j + 2·T_R + d − 1 + S_j, where S_j
+// = Σ_{k ≥ j} (A + w_k): o_j reaching it, then every chunk from o_j on back
+// to back. The farthest PE, ⌊P/2⌋ hops out, is the last, and the run ends
+// two cycles after, as a receive does. Balanced, that is B + P·Ctl + ⌊P/2⌋ +
+// 2(2·T_R + 1) + (P − 1)·A.
+//
+// From staggered starts — PE v able to post its chunk and take the flood
+// from its release r_v on, as the split's rows are when each is through the
+// reduce-scatter and its column — that path is not enough. A PE that starts
+// late leaves the flood in its queues, and full queues hold the flood back
+// from the PEs behind it and, through the middle PE's router, which passes a
+// wavelet both ways or not at all, from the whole row: the recurrence run
+// from per-PE releases undercounts about one run in a hundred of random
+// starts, by a cycle or a few. So the form is the flood's calendar: for every
+// flood wavelet n, the cycle the middle PE pushes it, s(n), the cycle each
+// router passes it on, p_x(n) for the router x hops out on either side (p_0
+// the middle PE's own), and the cycle each other PE takes it, c_x(n) — each
+// the latest of what it waits on. With Q the queue depth,
+//
+//	s(n)   = max(s(n−1) + 1, p_0(n−Q) + 1, [first of o_j] M_j)
+//	p_0(n) = max(s(n) + T_R, p_0(n−1) + 1, p_1(n−Q) + 1 on either side)
+//	p_x(n) = max(p_{x−1}(n) + 1, p_x(n−1) + 1, c_x(n−Q) + 1, p_{x+1}(n−Q) + 1)
+//	c_x(n) = max(c_x(n−1) + 1, p_x(n) + T_R) + [first of o_j, j ≥ 1] A:
+//
+// a router passes wavelet n only once the inbox and the link queues it feeds
+// have let out the wavelet Q before it, and the middle PE pushes only into a
+// ramp queue with room. M_j, when the middle PE starts flooding o_j, is now
+// the later of the cycle after it pushed o_{j−1}'s last wavelet and
+// max(M_{j−1}, g_j) + w_j, where g_j = r + 2·T_R + d is when the gather
+// brings o_j's first wavelet from the PE d hops out that started at r; M_0 =
+// r_mid (from 0, M_1 is the value above). A PE's first take waits for its
+// release, its first take of o_1 for the op that sent its own chunk, r_v +
+// w_v, and the run ends two cycles after the last take. That is O(P) events
+// a wavelet, O(P·(B + P·Ctl)) in all, and the simulator's count to the cycle
+// on every start tried. Where every PE starts in the same cycle no queue
+// holds back a PE that would take a chunk sooner — a PE farther out takes
+// every chunk later — and the calendar's longest path is the recurrence
+// above. StarStream evaluates the calendar from every start, a common one
+// included: one form, the recurrence kept as the tests' reference for it.
 package model
 
 import (

@@ -21,7 +21,9 @@ import (
 // AllGather. The reduction operator rotates with the cell, so sum, max and
 // min each meet every schedule. The AllGather also runs under queues two deep,
 // too shallow for the streamed middle root, where the star through the middle
-// PE still wins.
+// PE still wins. And an Auto AllReduce on an 8×8 grid at 16 wavelets runs the
+// split, its rows all-gathering through the streamed middle root, and leaves
+// the combined vector on every PE.
 func TestAutoSchedulesComputeTheirKind(t *testing.T) {
 	if raceEnabled {
 		t.Skip("thousands of one-shot runs")
@@ -95,8 +97,42 @@ func TestAutoSchedulesComputeTheirKind(t *testing.T) {
 			}
 		}
 	}
+	// An 8×8 grid at 16 wavelets resolves to the split, whose rows all-gather
+	// through the streamed middle root from their staggered ready cycles.
+	req := Request{Kind: AllReduce2D, Alg2D: core.Auto2D, Width: 8, Height: 8, B: 16, Op: fabric.OpSum}
+	pl, err := Compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Alg2D == core.Split && rowsStream(pl.Spec, 8, 8) {
+		ran["allreduce2d/split/star-stream"]++
+	}
+	seq := 0
+	inputs := req.Inputs(func(n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			seq++
+			v[i] = float32(seq * 7 % 13)
+		}
+		return v
+	})
+	rep, err := pl.Execute(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]float32(nil), inputs[0]...)
+	for _, v := range inputs[1:] {
+		for i, x := range v {
+			want[i] += x
+		}
+	}
+	for c, acc := range rep.All {
+		if !sameVec(acc[:16], want) {
+			t.Fatalf("8x8 b=16 (%s): PE %v holds %v, want %v", pl.Alg2D, c, acc, want)
+		}
+	}
 	for _, schedule := range []string{
-		"allreduce1d/autogen", "allreduce1d/ring", "allreduce-midroot/autogen",
+		"allreduce1d/autogen", "allreduce1d/ring", "allreduce-midroot/autogen", "allreduce2d/split/star-stream",
 		"reducescatter/ring", "reducescatter/autogen", "allgather/ring", "allgather/star",
 		"allgather/gather-flood", "allgather/star-stream",
 	} {

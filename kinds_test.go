@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
+	"repro/internal/mesh"
 	"repro/internal/plan"
 )
 
@@ -110,7 +112,9 @@ func checkResult(t *testing.T, name string, sh Shape, ki *plan.KindInfo, want []
 // (the queues too shallow for the stream) and its gather-flood at the third's
 // shape under those queues, a sixth walked for the AllGather alone; the split
 // 2D AllReduce runs at the first four, W dividing B at
-// all but the third, and so does the middle root's fold; Auto-Gen's tree
+// all but the third, and so does the middle root's fold; Auto picks the split
+// on a seventh, 8×8 at 16 wavelets, walked for the 2D AllReduce alone, its
+// rows all-gathering through the streamed middle root; Auto-Gen's tree
 // over the Snake runs pinned on both 2D reduce kinds. The key, layout and
 // compile side of the same walk is the plan package's test of the same name.
 func TestKindTableConformance(t *testing.T) {
@@ -128,13 +132,44 @@ func TestKindTableConformance(t *testing.T) {
 		if ki.Kind == KindAllGather {
 			conformRow(t, ki, Shape{P: 6, Width: 3, Height: 2, B: 14}, ran, WithOptions(Options{QueueCap: 2}))
 		}
+		if ki.Kind == KindAllReduce2D {
+			conformRow(t, ki, Shape{Width: 8, Height: 8, B: 16}, ran)
+			pl, err := plan.Compile(plan.Request{Kind: KindAllReduce2D, Alg2D: Auto2D, Width: 8, Height: 8, B: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl.Alg2D == core.Split && rowsFloodStreamed(pl.Spec, 8, 8) {
+				ran["allreduce2d/split/star-stream"] = true
+			}
+		}
 	}
-	for _, schedule := range []string{"reducescatter/ring", "reducescatter/ring-stream", "reducescatter/autogen", "reducescatter/tree", "allgather/ring", "allgather/star", "allgather/gather-flood", "allgather/star-stream", "allreduce2d/split", "allreduce-midroot/fold",
+	for _, schedule := range []string{"reducescatter/ring", "reducescatter/ring-stream", "reducescatter/autogen", "reducescatter/tree", "allgather/ring", "allgather/star", "allgather/gather-flood", "allgather/star-stream", "allreduce2d/split", "allreduce2d/split/star-stream", "allreduce-midroot/fold",
 		"reduce2d/snake-autogen", "allreduce2d/snake-autogen"} {
 		if !ran[schedule] {
 			t.Errorf("no shape of the walk ran %s (ran %v)", schedule, ran)
 		}
 	}
+}
+
+// rowsFloodStreamed reports whether every row of a compiled grid program
+// ends with the streamed middle root's flood: the row's middle PE's last W
+// ops are W − 1 full-duplex OpSendRecvStore ops, each flooding the chunk the
+// op before took, and one OpSend, all out on one color — no other AllGather
+// ends so (the plan package's rowsStream, which checks the takes too, is
+// tested against all four).
+func rowsFloodStreamed(spec *fabric.Spec, w, h int) bool {
+	for y := 0; y < h; y++ {
+		ops := spec.PE(mesh.Coord{X: w / 2, Y: y}).Ops
+		if w < 2 || len(ops) < w || ops[len(ops)-1].Kind != fabric.OpSend {
+			return false
+		}
+		for _, op := range ops[len(ops)-w : len(ops)-1] {
+			if op.Kind != fabric.OpSendRecvStore || op.OutColor != ops[len(ops)-1].Color {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // conformRow is TestKindTableConformance for one row at geometry g, run
