@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"strings"
 
 	"repro/internal/mesh"
@@ -94,6 +95,25 @@ func (o Options) withDefaults() Options {
 // under: TR, or none for a negative TR.
 func (o Options) rampLatency() int64 { return int64(max(o.TR, 0)) }
 
+// maxStall bounds the options that hold a wavelet or a processor for a
+// number of cycles, TR and TaskActivation, and the queue depth. The engine
+// keeps such counts, and the ready cycle of a queued wavelet relative to
+// the clock, in 32 bits (see waveEntry); New refuses options beyond it.
+const maxStall = 1 << 24
+
+// checkRange refuses options the engine's 32-bit counters cannot hold.
+func (o Options) checkRange() error {
+	switch {
+	case o.TR > maxStall:
+		return fmt.Errorf("fabric: ramp latency %d beyond %d cycles", o.TR, maxStall)
+	case o.TaskActivation > maxStall:
+		return fmt.Errorf("fabric: task activation %d beyond %d cycles", o.TaskActivation, maxStall)
+	case o.QueueCap > maxStall:
+		return fmt.Errorf("fabric: queue depth %d beyond %d", o.QueueCap, maxStall)
+	}
+	return nil
+}
+
 // Canonical resolves every defaulted field to the concrete value the
 // engine would run under, so two Options that execute identically compare
 // equal, and execute as the options they came from do. Every negative TR
@@ -129,8 +149,8 @@ func (o Options) Canonical() Options {
 	return o
 }
 
-// colorState is a router's runtime state for one color: the configuration
-// list with the active index and remaining absorb count, and the input
+// colorState is a router's runtime state for one color: the active entry
+// of its configuration list with the remaining absorb count, and the input
 // queue per arrival direction. Color states live in one flat slice grouped
 // by router and sorted by color. Scheduling is per router: an active router
 // steps its flagged color states in ascending color order, so when two
@@ -139,30 +159,35 @@ func (o Options) Canonical() Options {
 // in (cross-router interactions all defer to the next cycle).
 //
 // Everything stepColor would otherwise look up per hop is resolved here
-// ahead of time. accept and forward mirror configs[idx] and are refreshed
-// whenever idx moves. peer never changes for a program: for a link
-// direction d it is the color state of the same color at the neighbour
-// across d (-1 when there is none) — the downstream target when forwarding
-// towards d and the upstream waker when accepting from d; peer[Ramp] is the
-// index of the local processor's inbox for the color (-1 when no
-// configuration delivers to the ramp).
+// ahead of time. accept and forward mirror the active configuration and
+// are refreshed whenever idx moves. peer never changes for a program: for a
+// link direction d it is the color state of the same color at the
+// neighbour across d (-1 when there is none) — the downstream target when
+// forwarding towards d and the upstream waker when accepting from d. in
+// holds the index in Fabric.queues of the queue wavelets arrive in from
+// each direction, inbox that of the local processor's inbox for the color;
+// a queue nothing in the program can push to is the sealed queue 0. The
+// configuration list itself, read only when a control wavelet advances
+// it, stays in the spec's routing table (row).
 type colorState struct {
 	accept      mesh.Direction
 	forward     mesh.DirSet
 	color       mesh.Color
 	active      bool // flagged to step next cycle
 	wakePending bool
+	fed         mesh.DirSet // the directions whose input queue is not the sealed one
 	router      int32
-	peer        [mesh.NumDirections]int32
-	queues      [mesh.NumDirections]waveQueue
-	idx         int
-	times       int
-	configs     []RouterConfig
+	inbox       int32
+	peer        [mesh.Ramp]int32
+	in          [mesh.NumDirections]int32
+	idx         int32 // active configuration
+	times       int   // control wavelets it still absorbs (0 = final)
+	row         *ColorConfig
 }
 
 // route loads the resolved route of the active configuration.
 func (cs *colorState) route() {
-	cfg := &cs.configs[cs.idx]
+	cfg := &cs.row.Cfgs[cs.idx]
 	cs.accept, cs.forward = cfg.Accept, cfg.Forward
 }
 
@@ -171,54 +196,55 @@ func (cs *colorState) advance() {
 		return
 	}
 	cs.times--
-	if cs.times == 0 && cs.idx < len(cs.configs)-1 {
+	if cs.times == 0 && int(cs.idx) < len(cs.row.Cfgs)-1 {
 		cs.idx++
-		cs.times = cs.configs[cs.idx].Times
+		cs.times = cs.row.Cfgs[cs.idx].Times
 		cs.route()
 	}
 }
 
-// anyVisible reports whether any queue of the color state holds a
+// anyVisible reports whether any input queue of the color state holds a
 // consumer-visible wavelet (on any side, accepted or not).
-func (cs *colorState) anyVisible() bool {
-	for d := range cs.queues {
-		if cs.queues[d].visLen() > 0 {
+func (f *Fabric) anyVisible(cs *colorState) bool {
+	for set := cs.fed; set != 0; set &= set - 1 {
+		if f.queues[cs.in[bits.TrailingZeros8(uint8(set))]].visLen() > 0 {
 			return true
 		}
 	}
 	return false
 }
 
+// router is a router's runtime state: where its color states sit, and
+// which of its outgoing wires have carried a wavelet this cycle.
 type router struct {
-	csBase  int32                     // first colorState of this router in Fabric.colorStates
-	nCS     int32                     // number of color states
-	inList  bool                      // scheduled in a shard's active router list
-	csOff   [mesh.NumColors]int16     // per-color offset+1 into the router's group (0 = color unused)
-	outUsed [mesh.NumDirections]int64 // cycle+1 stamp of the last wire use
+	csBase int32       // first colorState of this router in Fabric.colorStates
+	colors uint32      // bit c set when the router routes color c
+	usedAt int64       // the cycle+1 stamp the wires in used were driven under
+	used   mesh.DirSet // wires driven in cycle usedAt-1
+	nCS    uint8       // number of color states
+	inList bool        // scheduled in a shard's active router list
 }
 
 // proc is a processor's runtime state.
 type proc struct {
-	ops         []Op
-	opIdx       int
+	ops         []Op      // the ops still to run, the current one first
+	acc         []float32 // the accumulator, carved from Fabric.accArena
+	received    int64
+	rng         uint64
+	skew        int64
 	elem        int
+	rElem       int   // inbound progress of full-duplex ops
+	accNeed     int   // accumulator length the ops address (resolved from the program)
+	clockOff    int   // first of the PE's clock slots in Fabric.clockArena
+	actLeft     int32 // remaining task-activation stall cycles (at most maxStall)
+	inboxTotal  int32 // wavelets in the inboxes (at most NumColors·QueueCap)
+	latchVal    float32
 	ctlPhase    bool // data elements sent/consumed; control phase pending
-	rElem       int  // inbound progress of full-duplex ops
 	rDone       bool
 	sDone       bool
-	actLeft     int  // remaining task-activation stall cycles
 	actDone     bool // activation already paid for the current op
-	acc         []float32
-	accNeed     int                   // accumulator length the ops address (resolved from the program)
-	inbox       [mesh.NumColors]int32 // index+1 into Fabric.inboxes (0 = no deliveries on color)
-	inboxTotal  int
-	latchVal    float32
 	latchCtl    bool
 	latchFull   bool
-	clock       []int64
-	skew        int64
-	rng         uint64
-	received    int64
 	done        bool
 	inList      bool
 	wakePending bool
@@ -244,16 +270,19 @@ type Stats struct {
 	Steps int64
 }
 
-// Result reports a completed run. The result owns its data: Acc and Clocks
-// are deep copies of the fabric's final state, so a Result stays valid
-// after the fabric is Reset and re-run (the pooled replay path).
+// Result reports a completed run. The result owns its data: Fabric.Run
+// hands it the accumulator arena the run computed in, and the fabric carves
+// a fresh one when it is next armed, so a Result stays valid after the
+// fabric is Reset and re-run. Reset's only callers are benchmark probes and
+// tests; serving paths build a fabric per engine run.
 type Result struct {
 	// Cycles is the total cycle count until every processor finished and
 	// the network drained.
 	Cycles int64
 	// Acc maps each programmed PE to its final accumulator contents.
 	Acc map[mesh.Coord][]float32
-	// Clocks maps each PE to its sampled local-clock slots.
+	// Clocks maps each PE that samples its clock to its sampled
+	// local-clock slots; nil when no PE does.
 	Clocks map[mesh.Coord][]int64
 	// Stats holds the measured cost metrics.
 	Stats Stats
@@ -266,11 +295,12 @@ type Result struct {
 // wavelet movement (the paper's energy metric) rather than PEs×cycles.
 //
 // All runtime state lives in flat preallocated arrays (routers, procs,
-// color states, inbox queues, one ring slab under every queue, one arena
+// color states, queue cursors, one ring slab under every queue, one arena
 // under every accumulator), which buys three things: the per-cycle hot
 // loop performs no allocation, Reset can re-arm an instance for a fresh
-// run without reallocating anything, and the state partitions cleanly into
-// contiguous row-major bands for the sharded engine (Options.Shards).
+// run without reallocating anything but the accumulator arena a Result
+// took, and the state partitions cleanly into contiguous row-major bands
+// for the sharded engine (Options.Shards).
 //
 // Intra-cycle semantics are order-independent: a queue push becomes
 // visible to its consumer, and a pop frees space for its producer, only at
@@ -283,22 +313,22 @@ type Fabric struct {
 	width       int
 	height      int
 	coords      []mesh.Coord
-	grid        []int32                     // dense width*height coord → unit index (-1 = unprogrammed)
-	nbrs        [][mesh.NumDirections]int32 // precomputed per-unit neighbour units (-1 = none)
+	grid        []int32 // dense width*height coord → unit index (-1 = unprogrammed)
 	routers     []router
 	procs       []proc
 	colorStates []colorState
-	inboxes     []waveQueue
+	queues      []waveQueue // every queue's cursors; queue 0 is sealed
 	ring        []waveEntry // the slab every queue's window lives in
 	ringMask    uint32      // window size - 1 (a power of two ≥ QueueCap)
-	accArena    []float32   // backing store of every proc's accumulator
+	ringShift   uint8       // log2 of the window size
+	accArena    []float32   // backing store of every proc's accumulator; nil once a Result took it
 	clockArena  []int64     // backing store of every proc's clock slots
 	cycle       int64
 
 	// lastSpec is the spec the fabric was last resolved against and peRefs
 	// its programmed PEs in unit order. A Reset with the very same *Spec
-	// (the pooled replay path rebinds Init in place and reuses one spec
-	// object) skips validation and resolve and only re-arms.
+	// (a benchmark probe rebinds Init in place and reuses one spec object)
+	// skips validation and resolve and only re-arms.
 	lastSpec *Spec
 	peRefs   []*PESpec
 
@@ -352,7 +382,7 @@ type shardState struct {
 
 	// Queues this shard pushed/popped this cycle; their seen cursors are
 	// published at the cycle barrier.
-	pushedQ, poppedQ []*waveQueue
+	pushedQ, poppedQ []int32
 
 	// Deferred wakes. Wakes targeting this shard's own units collect in
 	// localCS/localP (deduplicated by the target's wakePending flag);
@@ -374,6 +404,9 @@ func New(s *Spec, opt Options) (*Fabric, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	if err := opt.checkRange(); err != nil {
+		return nil, err
+	}
 	opt = opt.withDefaults()
 	n := s.Len()
 	f := &Fabric{
@@ -382,7 +415,6 @@ func New(s *Spec, opt Options) (*Fabric, error) {
 		height:  s.Height,
 		coords:  make([]mesh.Coord, 0, n),
 		grid:    make([]int32, len(s.pes)),
-		nbrs:    make([][mesh.NumDirections]int32, n),
 		routers: make([]router, n),
 		procs:   make([]proc, n),
 		peRefs:  make([]*PESpec, 0, n),
@@ -397,17 +429,6 @@ func New(s *Spec, opt Options) (*Fabric, error) {
 			totalCS += len(pe.Configs)
 		}
 	}
-	for i, c := range f.coords {
-		for d := mesh.Direction(0); d < mesh.NumDirections; d++ {
-			f.nbrs[i][d] = -1
-			if d == mesh.Ramp {
-				continue
-			}
-			if nb := c.Add(d); nb.X >= 0 && nb.X < f.width && nb.Y >= 0 && nb.Y < f.height {
-				f.nbrs[i][d] = f.grid[nb.Y*f.width+nb.X]
-			}
-		}
-	}
 
 	// Lay out the color states flat, grouped by router, colors ascending —
 	// the order the routing tables are held in.
@@ -417,17 +438,15 @@ func New(s *Spec, opt Options) (*Fabric, error) {
 		r.csBase = int32(len(f.colorStates))
 		for k := range pe.Configs {
 			color := pe.Configs[k].Color
-			r.csOff[color] = int16(k) + 1
+			r.colors |= 1 << color
 			f.colorStates = append(f.colorStates, colorState{color: color, router: int32(i)})
 		}
-		r.nCS = int32(len(pe.Configs))
+		r.nCS = uint8(len(pe.Configs))
 	}
-	f.inboxes = make([]waveQueue, 0, totalCS) // at most one inbox per color state
-	ringSize := uint32(1)
-	for int(ringSize) < opt.QueueCap {
-		ringSize <<= 1
+	for f.ringMask+1 < uint32(opt.QueueCap) {
+		f.ringShift++
+		f.ringMask = 1<<f.ringShift - 1
 	}
-	f.ringMask = ringSize - 1
 
 	f.initShards()
 	f.lastSpec = s
@@ -436,30 +455,38 @@ func New(s *Spec, opt Options) (*Fabric, error) {
 	return f, nil
 }
 
+// unitAt is the unit of the PE at c, or -1 when c is off the grid or
+// unprogrammed.
+func (f *Fabric) unitAt(c mesh.Coord) int32 {
+	if c.X < 0 || c.X >= f.width || c.Y < 0 || c.Y >= f.height {
+		return -1
+	}
+	return f.grid[c.Y*f.width+c.X]
+}
+
 // resolve binds the fabric to the program in f.peRefs: everything that
 // depends on the program but not on a run. It points every color state at
 // its configuration list and at its peers, gives every queue that anything
-// in the program can push to a window in the ring slab, and carves the
-// accumulator and clock arenas. New runs it once; Reset runs it again only
-// when handed a different spec.
+// in the program can push to a place in f.queues and a window in the ring
+// slab, and carves the clock arena. New runs it once; Reset runs it again
+// only when handed a different spec.
 func (f *Fabric) resolve() {
-	accTotal, clockTotal := 0, 0
+	clockTotal := 0
 	for i, pe := range f.peRefs {
 		r := &f.routers[i]
 		for k := range pe.Configs {
 			cs := &f.colorStates[int(r.csBase)+k]
-			cs.configs = pe.Configs[k].Cfgs
+			cs.row = &pe.Configs[k]
 			for d := mesh.Direction(0); d < mesh.Ramp; d++ {
 				cs.peer[d] = -1
-				if nb := f.nbrs[i][d]; nb >= 0 {
+				if nb := f.unitAt(f.coords[i].Add(d)); nb >= 0 {
 					cs.peer[d] = f.csIndex(nb, cs.color)
 				}
 			}
 		}
 		p := &f.procs[i]
-		p.ops = pe.Ops
 		p.accNeed = pe.AccNeed()
-		accTotal += max(p.accNeed, len(pe.Init))
+		p.clockOff = clockTotal
 		clockTotal += pe.ClockSlots
 	}
 
@@ -469,32 +496,25 @@ func (f *Fabric) resolve() {
 	// when the processor sends on the color. What the consuming side
 	// accepts plays no part, so a wavelet nobody will route still queues up
 	// and surfaces as a deadlock.
-	windows := int32(0)
-	window := func() int32 {
-		base := windows * int32(f.ringMask+1)
-		windows++
-		return base
+	queues := int32(1) // queue 0 is the sealed one
+	newQueue := func() int32 {
+		queues++
+		return queues - 1
 	}
-	f.inboxes = f.inboxes[:0]
 	for i, pe := range f.peRefs {
 		r := &f.routers[i]
-		p := &f.procs[i]
-		p.inbox = [mesh.NumColors]int32{}
-		for k := r.csBase; k < r.csBase+r.nCS; k++ {
+		for k := r.csBase; k < r.csBase+int32(r.nCS); k++ {
 			cs := &f.colorStates[k]
-			cs.peer[mesh.Ramp] = -1
-			if forwardsTo(cs.configs, mesh.Ramp) {
-				cs.peer[mesh.Ramp] = int32(len(f.inboxes))
-				f.inboxes = append(f.inboxes, waveQueue{base: window()})
-				p.inbox[cs.color] = int32(len(f.inboxes))
+			cs.inbox = 0
+			if forwardsTo(cs.row.Cfgs, mesh.Ramp) {
+				cs.inbox = newQueue()
 			}
+			cs.in, cs.fed = [mesh.NumDirections]int32{}, 0
 			for d := mesh.Direction(0); d < mesh.Ramp; d++ {
-				cs.queues[d].base = noRing
-				if up := cs.peer[d]; up >= 0 && forwardsTo(f.colorStates[up].configs, d.Opposite()) {
-					cs.queues[d].base = window()
+				if up := cs.peer[d]; up >= 0 && forwardsTo(f.colorStates[up].row.Cfgs, d.Opposite()) {
+					cs.in[d], cs.fed = newQueue(), cs.fed.Set(d)
 				}
 			}
-			cs.queues[mesh.Ramp].base = noRing
 		}
 		for _, op := range pe.Ops {
 			var out mesh.Color
@@ -506,30 +526,29 @@ func (f *Fabric) resolve() {
 			default:
 				continue
 			}
-			if csI := f.csIndex(int32(i), out); csI >= 0 {
-				if q := &f.colorStates[csI].queues[mesh.Ramp]; q.base == noRing {
-					q.base = window()
-				}
+			if csI := f.csIndex(int32(i), out); csI >= 0 && !f.colorStates[csI].fed.Has(mesh.Ramp) {
+				cs := &f.colorStates[csI]
+				cs.in[mesh.Ramp], cs.fed = newQueue(), cs.fed.Set(mesh.Ramp)
 			}
 		}
 	}
-	if need := int(windows) * int(f.ringMask+1); need > len(f.ring) {
-		f.ring = make([]waveEntry, need)
+	if int(queues) > cap(f.queues) {
+		f.queues = make([]waveQueue, queues)
+		f.ring = make([]waveEntry, int(queues)<<f.ringShift)
 	}
+	f.queues = f.queues[:queues]
 
-	if accTotal > len(f.accArena) {
-		f.accArena = make([]float32, accTotal)
-	}
-	if clockTotal > len(f.clockArena) {
+	if clockTotal > cap(f.clockArena) {
 		f.clockArena = make([]int64, clockTotal)
 	}
-	acc, clock := f.accArena, f.clockArena
-	for i, pe := range f.peRefs {
-		p := &f.procs[i]
-		n := max(p.accNeed, len(pe.Init))
-		p.acc, acc = acc[:0:n], acc[n:]
-		p.clock, clock = clock[:pe.ClockSlots:pe.ClockSlots], clock[pe.ClockSlots:]
-	}
+	f.clockArena = f.clockArena[:clockTotal]
+}
+
+// clocks is unit i's clock slots.
+func (f *Fabric) clocks(i int) []int64 {
+	off := f.procs[i].clockOff
+	n := f.peRefs[i].ClockSlots
+	return f.clockArena[off : off+n : off+n]
 }
 
 // AccNeed is the accumulator length the PE's ops address: they touch
@@ -631,12 +650,13 @@ func (f *Fabric) initShards() {
 // arm stamps the per-run state of the resolved program into the
 // preallocated fabric: accumulators from Init, router configs at their
 // first entry, empty queues, the deterministic RNG chain, and the initial
-// processor wake list. It is the shared tail of New and Reset.
+// processor wake list. It is the shared tail of New and Reset. It carves
+// the accumulators out of the arena, and carves a new arena when the last
+// one went to a Result or is too short for the Init vectors now bound.
 func (f *Fabric) arm() {
 	f.cycle = 0
-	for i := range f.inboxes {
-		f.inboxes[i].reset()
-	}
+	clear(f.queues)
+	f.queues[0] = sealed
 	for si := range f.shards {
 		sh := &f.shards[si]
 		sh.curR = sh.curR[:0]
@@ -659,29 +679,31 @@ func (f *Fabric) arm() {
 	for k := range f.colorStates {
 		cs := &f.colorStates[k]
 		cs.idx = 0
-		cs.times = cs.configs[0].Times
+		cs.times = cs.row.Cfgs[0].Times
 		cs.route()
 		cs.active = false
 		cs.wakePending = false
-		for d := range cs.queues {
-			cs.queues[d].reset()
-		}
 	}
 
+	accTotal := 0
+	for i, pe := range f.peRefs {
+		accTotal += max(f.procs[i].accNeed, len(pe.Init))
+	}
+	if accTotal > len(f.accArena) {
+		f.accArena = make([]float32, accTotal)
+	}
+	acc := f.accArena
 	rng := f.opt.Seed | 1
 	for i, pe := range f.peRefs {
 		r := &f.routers[i]
-		r.outUsed = [mesh.NumDirections]int64{}
+		r.usedAt, r.used = 0, 0
 		r.inList = false
 
 		p := &f.procs[i]
-		// Init is rebound between runs; a vector longer than the one the
-		// arena was carved for simply moves this accumulator off the arena.
-		p.acc = append(p.acc[:0], pe.Init...)
-		for len(p.acc) < p.accNeed {
-			p.acc = append(p.acc, 0)
-		}
-		clear(p.clock)
+		n := max(p.accNeed, len(pe.Init))
+		p.acc, acc = acc[:n:n], acc[n:]
+		clear(p.acc[copy(p.acc, pe.Init):])
+		clear(f.clocks(i))
 		rng = splitmix(rng)
 		p.rng = rng
 		p.skew = 0
@@ -689,7 +711,8 @@ func (f *Fabric) arm() {
 			rng = splitmix(rng)
 			p.skew = int64(rng % uint64(f.opt.ClockSkewMax))
 		}
-		p.opIdx, p.elem, p.rElem = 0, 0, 0
+		p.ops = pe.Ops
+		p.elem, p.rElem = 0, 0
 		p.ctlPhase, p.rDone, p.sDone = false, false, false
 		p.actLeft, p.actDone = 0, false
 		p.inboxTotal = 0
@@ -709,15 +732,17 @@ func (f *Fabric) arm() {
 
 // Reset re-arms the fabric for a fresh run of a spec with the same
 // structure (same PE set and the same routing colors per PE) as the one it
-// was built from — typically a per-replay binding of the same compiled
-// plan with new Init vectors. Handed the very spec object it was last
-// resolved against, it assumes only Init vectors were rebound and
-// reallocates nothing: queue windows, accumulators, active lists and
-// routing state are all reused. Any other spec is validated and resolved
-// afresh (programs, routes and queue windows may all differ) on the same
-// flat arrays. Either way the deterministic RNG chain (clock skew, thermal
-// no-ops) is restored exactly, so a Reset fabric reproduces a fresh New bit
-// for bit.
+// was built from — a benchmark probe's or a test's rebinding of the same
+// program with new Init vectors; serving paths build a fabric per engine
+// run, and a ratchet keeps Reset out of internal/plan. Handed the very spec
+// object it was last resolved against, it assumes only Init vectors were
+// rebound: queue windows, active lists and routing state are all reused,
+// and the accumulator arena too unless the last Run handed it to its
+// Result (then, or when the new Init vectors outgrow it, a fresh one is
+// carved). Any other spec is validated and resolved afresh (programs,
+// routes and queue windows may all differ) on the same flat arrays. Either
+// way the deterministic RNG chain (clock skew, thermal no-ops) is restored
+// exactly, so a Reset fabric reproduces a fresh New bit for bit.
 func (f *Fabric) Reset(s *Spec) error {
 	if s != f.lastSpec {
 		if s.Width != f.width || s.Height != f.height {
@@ -762,23 +787,26 @@ func splitmix(x uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// csIndex returns the flat color-state index of (unit, color), or -1.
+// csIndex returns the flat color-state index of (unit, color), or -1. A
+// router's color states are its colors in ascending order, so the offset of
+// c in the group is the number of the router's colors below it.
 func (f *Fabric) csIndex(unit int32, c mesh.Color) int32 {
 	r := &f.routers[unit]
-	off := r.csOff[c]
-	if off == 0 {
+	bit := uint32(1) << c
+	if r.colors&bit == 0 {
 		return -1
 	}
-	return r.csBase + int32(off) - 1
+	return r.csBase + int32(bits.OnesCount32(r.colors&(bit-1)))
 }
 
-// inboxQ returns unit i's inbox queue for a color, or nil.
-func (f *Fabric) inboxQ(i int32, c mesh.Color) *waveQueue {
-	idx := f.procs[i].inbox[c]
-	if idx == 0 {
-		return nil
+// inbox returns unit i's inbox queue for a color: the queue its router
+// delivers the color into, or the sealed queue 0.
+func (f *Fabric) inbox(i int32, c mesh.Color) int32 {
+	csI := f.csIndex(i, c)
+	if csI < 0 {
+		return 0
 	}
-	return &f.inboxes[idx-1]
+	return f.colorStates[csI].inbox
 }
 
 // wakeCS defers a wake of a color state to the next cycle. Wakes cross the
@@ -849,7 +877,7 @@ func (sh *shardState) phaseStep() {
 		r := &f.routers[ri]
 		r.inList = false
 		stay := false
-		for k := r.csBase; k < r.csBase+r.nCS; k++ {
+		for k := r.csBase; k < r.csBase+int32(r.nCS); k++ {
 			cs := &f.colorStates[k]
 			if !cs.active {
 				continue
@@ -883,16 +911,16 @@ func (sh *shardState) phaseStep() {
 // operations, applies wakes addressed to it (from every shard, itself
 // included), and swaps in the next cycle's active lists.
 func (sh *shardState) phaseSync() {
-	for _, q := range sh.pushedQ {
-		q.syncProducer()
+	f := sh.f
+	for _, qi := range sh.pushedQ {
+		f.queues[qi].syncProducer()
 	}
-	for _, q := range sh.poppedQ {
-		q.syncConsumer()
+	for _, qi := range sh.poppedQ {
+		f.queues[qi].syncConsumer()
 	}
 	sh.pushedQ = sh.pushedQ[:0]
 	sh.poppedQ = sh.poppedQ[:0]
 
-	f := sh.f
 	for _, csI := range sh.localCS {
 		f.colorStates[csI].wakePending = false
 		sh.scheduleCS(csI)
@@ -938,9 +966,10 @@ func (f *Fabric) Run() (*Result, error) {
 }
 
 // RunColumnar is Run with map-free result assembly: the final
-// accumulators land concatenated in res (see ColumnarResult), reusing
-// res's buffers across calls, and no per-PE maps or clock samples are
-// built. It exists for the batch-replay path, where result-map
+// accumulators are copied, concatenated, into res (see ColumnarResult),
+// reusing res's buffers across calls, and no per-PE maps or clock samples
+// are built. The fabric keeps its accumulator arena, so a Reset after it
+// allocates nothing. It exists for the batch-replay path, where result-map
 // construction is the dominant per-run fixed cost.
 func (f *Fabric) RunColumnar(res *ColumnarResult) error {
 	if err := f.runToCompletion(); err != nil {
@@ -957,8 +986,8 @@ const interruptStride = 1024
 // SetInterrupt installs (or, with nil, removes) a watchdog polled every
 // interruptStride cycles during runToCompletion; a non-nil return aborts
 // the run with that error wrapped. The hook must be fast and must not
-// touch the fabric. Callers set it per run and clear it afterwards —
-// pooled fabrics are reused and a stale hook would outlive its request.
+// touch the fabric. Callers set it per run and clear it afterwards — a
+// fabric Reset and run again keeps its hook, which would outlive its request.
 func (f *Fabric) SetInterrupt(poll func() error) {
 	f.interrupt = poll
 }
@@ -973,6 +1002,9 @@ func (f *Fabric) runToCompletion() error {
 			if err := f.interrupt(); err != nil {
 				return fmt.Errorf("fabric: interrupted at cycle %d: %w", f.cycle, err)
 			}
+		}
+		if f.cycle&(ageRingStride-1) == 0 && f.cycle != 0 {
+			f.ageRing()
 		}
 		pending, inflight, active := 0, int64(0), 0
 		for si := range f.shards {
@@ -1083,8 +1115,10 @@ func (f *Fabric) finalStats() (Stats, error) {
 	return st, nil
 }
 
-// result builds the Result, deep-copying accumulator and clock state out
-// of the fabric so the caller's data survives a Reset of this instance.
+// result builds the Result. It hands the accumulator arena over instead of
+// copying it: the fabric lets go of it, and the next arm carves another.
+// Clock samples, taken only by the measurement programs, are copied, and
+// the map is built only when some PE samples its clock.
 func (f *Fabric) result() (*Result, error) {
 	stats, err := f.finalStats()
 	if err != nil {
@@ -1093,25 +1127,20 @@ func (f *Fabric) result() (*Result, error) {
 	res := &Result{
 		Cycles: f.cycle,
 		Acc:    make(map[mesh.Coord][]float32, len(f.coords)),
-		Clocks: make(map[mesh.Coord][]int64, len(f.coords)),
 		Stats:  stats,
 	}
-	totalAcc, totalClk := 0, 0
-	for i := range f.procs {
-		totalAcc += len(f.procs[i].acc)
-		totalClk += len(f.procs[i].clock)
-	}
-	accBuf := make([]float32, 0, totalAcc)
-	clkBuf := make([]int64, 0, totalClk)
 	for i, c := range f.coords {
 		p := &f.procs[i]
-		start := len(accBuf)
-		accBuf = append(accBuf, p.acc...)
-		res.Acc[c] = accBuf[start:len(accBuf):len(accBuf)]
-		if len(p.clock) > 0 {
-			start := len(clkBuf)
-			clkBuf = append(clkBuf, p.clock...)
-			res.Clocks[c] = clkBuf[start:len(clkBuf):len(clkBuf)]
+		res.Acc[c], p.acc = p.acc, nil
+	}
+	f.accArena = nil
+	if len(f.clockArena) > 0 {
+		res.Clocks = make(map[mesh.Coord][]int64)
+		clocks := slices.Clone(f.clockArena)
+		for i, c := range f.coords {
+			if off, n := f.procs[i].clockOff, f.peRefs[i].ClockSlots; n > 0 {
+				res.Clocks[c] = clocks[off : off+n : off+n]
+			}
 		}
 	}
 	return res, nil
@@ -1126,12 +1155,12 @@ func (sh *shardState) stepColor(csI int32) bool {
 	f := sh.f
 	cs := &f.colorStates[csI]
 	accept, forward := cs.accept, cs.forward
-	q := &cs.queues[accept]
-	e, ok := f.peek(q)
+	qi := cs.in[accept]
+	e, ok := f.peek(qi)
 	if !ok {
 		return false // nothing visible on the accepted side; a push or config advance will wake us
 	}
-	if e.readyAt > f.cycle {
+	if e.inTransit(f.cycle) {
 		return true // in ramp/link transit: retry next cycle
 	}
 	i := cs.router
@@ -1145,26 +1174,31 @@ func (sh *shardState) stepColor(csI int32) bool {
 	// commit pass below.
 	for set := forward; set != 0; set &= set - 1 {
 		d := mesh.Direction(bits.TrailingZeros8(uint8(set)))
-		if r.outUsed[d] == stamp {
+		if r.usedAt == stamp && r.used.Has(d) {
 			return true // wire contention: retry next cycle
+		}
+		if d == mesh.Ramp {
+			if cs.inbox == 0 {
+				return false // no inbox for the color: surfaces as deadlock
+			}
+			if f.queues[cs.inbox].prodLen() >= qcap {
+				return false // sleep until the processor drains its inbox
+			}
+			continue
 		}
 		t := cs.peer[d]
 		if t < 0 {
 			return false // off-grid or unroutable color downstream: surfaces as deadlock
 		}
-		if d == mesh.Ramp {
-			if f.inboxes[t].prodLen() >= qcap {
-				return false // sleep until the processor drains its inbox
-			}
-		} else if !f.colorStates[t].queues[d.Opposite()].hasSpace(qcap) {
+		if !f.queues[f.colorStates[t].in[d.Opposite()]].hasSpace(qcap) {
 			return false // sleep until downstream pops
 		}
 	}
-	f.pop(q)
-	sh.poppedQ = append(sh.poppedQ, q)
+	f.queues[qi].pop()
+	sh.poppedQ = append(sh.poppedQ, qi)
 	sh.qPops++
 	if f.opt.Tracer != nil {
-		f.opt.Tracer.record(TraceEvent{Cycle: f.cycle, PE: f.coords[i], Kind: EvRoute, Color: cs.color, Forward: forward, Ctl: e.w.Ctl})
+		f.opt.Tracer.record(TraceEvent{Cycle: f.cycle, PE: f.coords[i], Kind: EvRoute, Color: cs.color, Forward: forward, Ctl: e.ctl()})
 	}
 	// Popping frees space: wake whoever fills this queue.
 	if accept == mesh.Ramp {
@@ -1172,42 +1206,44 @@ func (sh *shardState) stepColor(csI int32) bool {
 	} else {
 		sh.wakeCS(cs.peer[accept])
 	}
+	if r.usedAt != stamp {
+		r.usedAt, r.used = stamp, 0
+	}
+	r.used |= forward
 	for set := forward; set != 0; set &= set - 1 {
 		d := mesh.Direction(bits.TrailingZeros8(uint8(set)))
-		r.outUsed[d] = stamp
-		t := cs.peer[d]
 		if d == mesh.Ramp {
-			iq := &f.inboxes[t]
-			f.push(iq, waveEntry{w: e.w, readyAt: f.cycle + f.opt.rampLatency()})
-			sh.pushedQ = append(sh.pushedQ, iq)
+			f.push(cs.inbox, e.readyFrom(f.cycle+f.opt.rampLatency()))
+			sh.pushedQ = append(sh.pushedQ, cs.inbox)
 			f.procs[i].inboxTotal++
 			sh.stats.RampMoves++
 			sh.wakeProc(i)
 			if f.opt.Tracer != nil {
-				f.opt.Tracer.record(TraceEvent{Cycle: f.cycle, PE: f.coords[i], Kind: EvDeliver, Color: cs.color, Ctl: e.w.Ctl})
+				f.opt.Tracer.record(TraceEvent{Cycle: f.cycle, PE: f.coords[i], Kind: EvDeliver, Color: cs.color, Ctl: e.ctl()})
 			}
 			continue
 		}
-		nq := &f.colorStates[t].queues[d.Opposite()]
-		f.push(nq, waveEntry{w: e.w, readyAt: stamp})
+		t := cs.peer[d]
+		nq := f.colorStates[t].in[d.Opposite()]
+		f.push(nq, e.readyFrom(stamp))
 		sh.pushedQ = append(sh.pushedQ, nq)
 		sh.qPushes++
 		sh.stats.Hops++
-		if l := nq.prodLen(); l > sh.stats.MaxQueueLen {
+		if l := f.queues[nq].prodLen(); l > sh.stats.MaxQueueLen {
 			sh.stats.MaxQueueLen = l
 		}
 		sh.wakeCS(t)
 	}
-	if e.w.Ctl {
+	if e.ctl() {
 		cs.advance()
 		if f.opt.Tracer != nil {
 			f.opt.Tracer.record(TraceEvent{Cycle: f.cycle, PE: f.coords[i], Kind: EvAdvance, Color: cs.color, Ctl: true})
 		}
 	}
-	if q.visLen() > 0 { // streaming fast path: more work behind the head
+	if f.queues[qi].visLen() > 0 { // streaming fast path: more work behind the head
 		return true
 	}
-	return cs.anyVisible()
+	return f.anyVisible(cs)
 }
 
 // pushRamp injects a wavelet from processor i into its router; the wavelet
@@ -1218,11 +1254,11 @@ func (sh *shardState) pushRamp(i int32, w Wavelet) bool {
 	if csI < 0 {
 		return false
 	}
-	q := &f.colorStates[csI].queues[mesh.Ramp]
-	if !f.push(q, waveEntry{w: w, readyAt: f.cycle + f.opt.rampLatency()}) {
+	qi := f.colorStates[csI].in[mesh.Ramp]
+	if !f.push(qi, queued(w, f.cycle+f.opt.rampLatency())) {
 		return false
 	}
-	sh.pushedQ = append(sh.pushedQ, q)
+	sh.pushedQ = append(sh.pushedQ, qi)
 	sh.qPushes++
 	sh.stats.RampMoves++
 	sh.wakeCS(csI)
@@ -1242,23 +1278,27 @@ const (
 
 func (sh *shardState) popInbox(i int32, c mesh.Color) (Wavelet, popState) {
 	f := sh.f
-	q := f.inboxQ(i, c)
-	if q == nil || q.visLen() == 0 {
+	csI := f.csIndex(i, c)
+	if csI < 0 {
 		return Wavelet{}, popEmpty
 	}
-	e, _ := f.peek(q)
-	if e.readyAt > f.cycle {
+	qi := f.colorStates[csI].inbox
+	e, ok := f.peek(qi)
+	if !ok {
+		return Wavelet{}, popEmpty
+	}
+	if e.inTransit(f.cycle) {
 		return Wavelet{}, popNotReady
 	}
-	f.pop(q)
-	sh.poppedQ = append(sh.poppedQ, q)
+	f.queues[qi].pop()
+	sh.poppedQ = append(sh.poppedQ, qi)
 	f.procs[i].inboxTotal--
 	// Draining the inbox may unblock the router's ramp delivery.
-	sh.wakeCS(f.csIndex(i, c))
+	sh.wakeCS(csI)
 	if f.opt.Tracer != nil {
-		f.opt.Tracer.record(TraceEvent{Cycle: f.cycle, PE: f.coords[i], Kind: EvConsume, Color: c, Ctl: e.w.Ctl})
+		f.opt.Tracer.record(TraceEvent{Cycle: f.cycle, PE: f.coords[i], Kind: EvConsume, Color: c, Ctl: e.ctl()})
 	}
-	return e.w, popOK
+	return e.wavelet(c), popOK
 }
 
 // stepProc advances one processor by one cycle. It returns whether the
@@ -1270,12 +1310,11 @@ func (sh *shardState) stepProc(i int32) (bool, error) {
 		return false, nil
 	}
 	// Zero-cost ops (clock samples) execute immediately in program order.
-	for p.opIdx < len(p.ops) && p.ops[p.opIdx].Kind == OpSampleClock {
-		op := p.ops[p.opIdx]
-		p.clock[op.Slot] = f.cycle + p.skew
-		p.opIdx++
+	for len(p.ops) > 0 && p.ops[0].Kind == OpSampleClock {
+		f.clockArena[p.clockOff+p.ops[0].Slot] = f.cycle + p.skew
+		p.ops = p.ops[1:]
 	}
-	if p.opIdx >= len(p.ops) {
+	if len(p.ops) == 0 {
 		if p.inboxTotal > 0 {
 			return false, f.failf(i, "program finished with %d undelivered inbox wavelets", p.inboxTotal)
 		}
@@ -1290,7 +1329,7 @@ func (sh *shardState) stepProc(i int32) (bool, error) {
 			return true, nil
 		}
 	}
-	op := &p.ops[p.opIdx]
+	op := &p.ops[0]
 	switch op.Kind {
 	case OpSend:
 		if !p.ctlPhase {
@@ -1513,7 +1552,7 @@ func (sh *shardState) stepSendRecv(i int32, op *Op) (bool, error) {
 }
 
 func (p *proc) finishOp() {
-	p.opIdx++
+	p.ops = p.ops[1:]
 	p.elem = 0
 	p.ctlPhase = false
 	p.rElem = 0
@@ -1533,15 +1572,15 @@ func (sh *shardState) activationStall(i int32, color mesh.Color) (bool, bool) {
 	if f.opt.TaskActivation <= 0 || p.actDone {
 		return false, false
 	}
-	q := f.inboxQ(i, color)
-	if q == nil || q.visLen() == 0 {
+	e, ok := f.peek(f.inbox(i, color))
+	if !ok {
 		return false, true // nothing arrived yet: sleep until a push
 	}
-	if e, _ := f.peek(q); e.readyAt > f.cycle {
+	if e.inTransit(f.cycle) {
 		return true, true // in ramp transit: retry next cycle
 	}
 	if p.actLeft == 0 {
-		p.actLeft = f.opt.TaskActivation
+		p.actLeft = int32(f.opt.TaskActivation)
 	}
 	p.actLeft--
 	if p.actLeft == 0 {
@@ -1569,10 +1608,10 @@ func (f *Fabric) describeStall() string {
 			continue
 		}
 		if blocked < 8 {
-			if p.opIdx < len(p.ops) {
-				op := p.ops[p.opIdx]
+			if len(p.ops) > 0 {
+				op := p.ops[0]
 				fmt.Fprintf(&b, "PE %v blocked on op %d %v color=%d elem=%d/%d inbox=%d; ",
-					f.coords[i], p.opIdx, op.Kind, op.Color, p.elem, op.N, p.inboxTotal)
+					f.coords[i], len(f.peRefs[i].Ops)-len(p.ops), op.Kind, op.Color, p.elem, op.N, p.inboxTotal)
 			} else {
 				fmt.Fprintf(&b, "PE %v drained ops, inbox=%d; ", f.coords[i], p.inboxTotal)
 			}

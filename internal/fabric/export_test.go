@@ -44,3 +44,11 @@ func (t *Tape) RunLens() []int {
 // SameWalk is the differential check of tape_test.go, for the tests that
 // take their programs from the plan compiler.
 var SameWalk = sameWalk
+
+// SetAgeRingStride makes the engine sweep its ring every n cycles (a power
+// of two) until the returned func restores the stride.
+func SetAgeRingStride(n int64) (restore func()) {
+	old := ageRingStride
+	ageRingStride = n
+	return func() { ageRingStride = old }
+}

@@ -75,7 +75,7 @@ func TestResetReproducesFreshRun(t *testing.T) {
 }
 
 // TestResetRebindsInputs: resetting with a spec holding different Init
-// vectors must compute with the new data (the pooled-replay contract).
+// vectors must compute with the new data.
 func TestResetRebindsInputs(t *testing.T) {
 	spec := twoPE(8)
 	f, err := New(spec, Options{})

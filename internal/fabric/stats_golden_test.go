@@ -3,8 +3,10 @@ package fabric_test
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -163,6 +165,41 @@ func TestEngineStatsGolden(t *testing.T) {
 	for i := range lines {
 		if lines[i] != wantLines[i] {
 			t.Errorf("engine stats moved:\n got %s\nwant %s", lines[i], wantLines[i])
+		}
+	}
+}
+
+// TestAgedRingRunsAlike: the engine sweeps its ring every ageRingStride
+// cycles (2^28) so that a wavelet's 31-bit ready cycle never falls behind
+// the clock by 2^30. No golden program runs that long, so here the sweep
+// runs every 4 cycles instead, and every program under every variant must
+// compute what it does unswept: the same stats line and the same
+// accumulators.
+func TestAgedRingRunsAlike(t *testing.T) {
+	run := func(spec *fabric.Spec, opt fabric.Options) *fabric.Result {
+		f, err := fabric.New(spec, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, req := range statsShapes() {
+		spec := statsSpec(t, req)
+		for _, v := range statsVariants() {
+			want := run(spec, v.opt)
+			restore := fabric.SetAgeRingStride(4)
+			got := run(spec, v.opt)
+			restore()
+			if g, w := statsLine(req.Kind, v.name, got), statsLine(req.Kind, v.name, want); g != w {
+				t.Errorf("swept every 4 cycles:\n got %s\nwant %s", g, w)
+			}
+			if !maps.EqualFunc(got.Acc, want.Acc, slices.Equal[[]float32]) {
+				t.Errorf("%s %s: accumulators differ when swept every 4 cycles", req.Kind, v.name)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package fabric
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/mesh"
@@ -225,7 +226,7 @@ func (f *Fabric) tapeOf(rec *recorder) (*Tape, error) {
 	}
 	for i := range f.procs {
 		t.off = append(t.off, int(rec.base[i]))
-		t.clocks = append(t.clocks, f.procs[i].clock...)
+		t.clocks = append(t.clocks, f.clocks(i)...)
 	}
 	t.off = append(t.off, int(rec.base[len(f.procs)]))
 	if len(t.clocks) > 0 {
@@ -233,7 +234,7 @@ func (f *Fabric) tapeOf(rec *recorder) (*Tape, error) {
 		at := 0
 		for i := range f.procs {
 			t.clkOff = append(t.clkOff, at)
-			at += len(f.procs[i].clock)
+			at += len(f.clocks(i))
 		}
 		t.clkOff = append(t.clkOff, at)
 	}
@@ -328,19 +329,18 @@ func (t *Tape) Run(acc []float32) *Result {
 	res := &Result{
 		Cycles: t.cycles,
 		Acc:    make(map[mesh.Coord][]float32, len(t.coords)),
-		Clocks: make(map[mesh.Coord][]int64),
 		Stats:  t.stats,
-	}
-	var clocks []int64
-	if len(t.clocks) > 0 {
-		clocks = append(clocks, t.clocks...)
 	}
 	for i, c := range t.coords {
 		res.Acc[c] = acc[t.off[i]:t.off[i+1]:t.off[i+1]]
 	}
-	for i := 0; i+1 < len(t.clkOff); i++ {
-		if lo, hi := t.clkOff[i], t.clkOff[i+1]; hi > lo {
-			res.Clocks[t.coords[i]] = clocks[lo:hi:hi]
+	if len(t.clocks) > 0 {
+		res.Clocks = make(map[mesh.Coord][]int64)
+		clocks := slices.Clone(t.clocks)
+		for i := 0; i+1 < len(t.clkOff); i++ {
+			if lo, hi := t.clkOff[i], t.clkOff[i+1]; hi > lo {
+				res.Clocks[t.coords[i]] = clocks[lo:hi:hi]
+			}
 		}
 	}
 	return res

@@ -12,11 +12,7 @@
 // from the architectural description in §2.2 of the paper.
 package fabric
 
-import (
-	"math"
-
-	"repro/internal/mesh"
-)
+import "repro/internal/mesh"
 
 // Wavelet is a single 32-bit fabric packet. Reduction payloads are float32
 // values (the paper's experiments use 32-bit floats). A control wavelet
@@ -30,13 +26,40 @@ type Wavelet struct {
 	Ctl   bool
 }
 
-// waveEntry is a wavelet in flight together with the first cycle at which
-// it may be acted upon (used to model the one-cycle link traversal and the
-// T_R ramp latency).
+// waveEntry is a queued wavelet: its payload and, in tag, the control flag
+// under the first cycle at which it may be acted upon (which models the
+// one-cycle link traversal and the T_R ramp latency). Its color is the
+// color of the queue it sits in. The ready cycle is kept modulo 2^31:
+// inTransit compares it with the current cycle in that arithmetic, which is
+// exact while the two lie less than 2^30 cycles apart. A queued entry is
+// never more than maxStall cycles ahead of the clock, and Fabric.ageRing
+// keeps every entry left waiting from falling 2^30 cycles behind it.
 type waveEntry struct {
-	w       Wavelet
-	readyAt int64
+	val float32
+	tag uint32 // readyAt<<1 | ctl, modulo 2^32
 }
+
+// queued is w as an entry of its color's queue, ready from cycle readyAt.
+func queued(w Wavelet, readyAt int64) waveEntry {
+	tag := uint32(readyAt) << 1
+	if w.Ctl {
+		tag |= 1
+	}
+	return waveEntry{val: w.Val, tag: tag}
+}
+
+// readyFrom is the entry queued anew, ready from cycle readyAt.
+func (e waveEntry) readyFrom(readyAt int64) waveEntry {
+	return waveEntry{val: e.val, tag: uint32(readyAt)<<1 | e.tag&1}
+}
+
+func (e waveEntry) ctl() bool { return e.tag&1 != 0 }
+
+// wavelet is the entry as the wavelet of color c it carries.
+func (e waveEntry) wavelet(c mesh.Color) Wavelet { return Wavelet{Val: e.val, Color: c, Ctl: e.ctl()} }
+
+// inTransit reports whether the entry is not ready yet at cycle.
+func (e waveEntry) inTransit(cycle int64) bool { return int32(e.tag&^1-uint32(cycle)<<1) > 0 }
 
 // waveQueue is a bounded single-producer single-consumer ring of in-flight
 // wavelets. Every fabric queue has exactly one producer (the upstream
@@ -58,24 +81,23 @@ type waveEntry struct {
 // Cursors are uint32 and wrap; every derived quantity is a difference
 // bounded by the queue capacity, which wraparound arithmetic preserves.
 //
-// A queue owns no storage: its entries live in the fabric's ring slab
-// (Fabric.ring), every queue a power-of-two window of ringMask+1 slots
-// starting at base. New lays the windows out once for the queues the
-// program can ever push to; a queue nothing pushes to keeps base noRing and
-// is only ever found empty.
+// A queue owns no storage and does not know its place: queues live in one
+// flat slice (Fabric.queues) and are addressed by index, and queue k's
+// entries live in window k of the fabric's ring slab (Fabric.ring), a
+// power-of-two run of ringMask+1 slots. New lays queues out only for what
+// the program can ever push to. Everything else shares queue 0, the sealed
+// queue, whose window is never written: consumers always find it empty and
+// producers always find it full.
 type waveQueue struct {
-	base     int32  // first slot of this queue's window in the ring slab
 	head     uint32 // consumer cursor (monotonic mod 2^32)
 	tail     uint32 // producer cursor (monotonic mod 2^32)
 	headSeen uint32 // head as seen by the producer (synced at cycle barrier)
 	tailSeen uint32 // tail as seen by the consumer (synced at cycle barrier)
 }
 
-// noRing is the base of a queue without a window. It is far enough below
-// zero that base+offset stays negative for any offset, so a push the layout
-// did not foresee fails the slab's bounds check instead of landing in a
-// neighbour's window.
-const noRing = math.MinInt32
+// sealed is queue 0, the stand-in for every queue nothing can push to. Its
+// tail sits so far ahead of its head that no push ever fits.
+var sealed = waveQueue{tail: 1 << 31}
 
 // visLen is the consumer-visible occupancy.
 func (q *waveQueue) visLen() int { return int(q.tailSeen - q.head) }
@@ -87,35 +109,35 @@ func (q *waveQueue) prodLen() int { return int(q.tail - q.headSeen) }
 // hasSpace reports whether the producer may push another entry.
 func (q *waveQueue) hasSpace(capacity int) bool { return int(q.tail-q.headSeen) < capacity }
 
-// slot addresses the ring entry under a cursor of q.
-func (f *Fabric) slot(q *waveQueue, cursor uint32) *waveEntry {
-	return &f.ring[int(q.base)+int(cursor&f.ringMask)]
+// slot addresses the ring entry under a cursor of queue qi.
+func (f *Fabric) slot(qi int32, cursor uint32) *waveEntry {
+	return &f.ring[int(qi)<<f.ringShift|int(cursor&f.ringMask)]
 }
 
-// push appends e to q unless the producer sees it at capacity. The ring
-// window is a power of two so the index is a mask, not a divide; the
+// push appends e to queue qi unless the producer sees it at capacity. The
+// ring window is a power of two so the index is a mask, not a divide; the
 // capacity bound keeps occupancy at the configured depth.
-func (f *Fabric) push(q *waveQueue, e waveEntry) bool {
-	if int(q.tail-q.headSeen) >= f.opt.QueueCap {
+func (f *Fabric) push(qi int32, e waveEntry) bool {
+	q := &f.queues[qi]
+	if !q.hasSpace(f.opt.QueueCap) {
 		return false
 	}
-	*f.slot(q, q.tail) = e
+	*f.slot(qi, q.tail) = e
 	q.tail++
 	return true
 }
 
-func (f *Fabric) peek(q *waveQueue) (waveEntry, bool) {
+// peek returns the head entry of queue qi, if the consumer sees one.
+func (f *Fabric) peek(qi int32) (waveEntry, bool) {
+	q := &f.queues[qi]
 	if q.tailSeen == q.head {
 		return waveEntry{}, false
 	}
-	return *f.slot(q, q.head), true
+	return *f.slot(qi, q.head), true
 }
 
-func (f *Fabric) pop(q *waveQueue) waveEntry {
-	e := *f.slot(q, q.head)
-	q.head++
-	return e
-}
+// pop drops the head entry the consumer has peeked.
+func (q *waveQueue) pop() { q.head++ }
 
 // syncProducer publishes this cycle's push to the consumer; syncConsumer
 // publishes this cycle's pop to the producer. Each is called at the cycle
@@ -123,7 +145,21 @@ func (f *Fabric) pop(q *waveQueue) waveEntry {
 func (q *waveQueue) syncProducer() { q.tailSeen = q.tail }
 func (q *waveQueue) syncConsumer() { q.headSeen = q.head }
 
-// reset re-arms the queue for a fresh run, keeping its window.
-func (q *waveQueue) reset() {
-	q.head, q.tail, q.headSeen, q.tailSeen = 0, 0, 0, 0
+// ageRingStride is how many cycles pass between two ageRing sweeps: a
+// power of two well inside the 2^30 cycles an entry's ready cycle may lag
+// the clock by. It is a variable so tests can sweep every few cycles.
+var ageRingStride int64 = 1 << 28
+
+// ageRing moves the ready cycle of every entry that is ready up to the
+// current cycle, so that no entry, however long it waits in its queue,
+// falls 2^30 cycles behind the clock (see waveEntry). Entries still in
+// transit are left alone, and so are the slots no queue holds: whatever a
+// free slot says is overwritten before it is read. It runs between cycles.
+func (f *Fabric) ageRing() {
+	now := uint32(f.cycle) << 1
+	for k := range f.ring {
+		if e := &f.ring[k]; !e.inTransit(f.cycle) {
+			e.tag = now | e.tag&1
+		}
+	}
 }
