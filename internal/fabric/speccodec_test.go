@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/mesh"
@@ -103,29 +104,25 @@ func TestSpecCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
-// framePE is one PE of a hand-built frame: a coordinate and the colors of
-// its routing table, each with a single pass-to-ramp configuration.
-type framePE struct {
-	x, y   int
-	colors []mesh.Color
-}
+// framePE is one PE record of a hand-built frame: a coordinate and the
+// index of the program it runs.
+type framePE struct{ x, y, prog int }
 
-// handFrame encodes the PEs exactly as listed, in the frame layout of
-// MarshalBinary but without its guarantees, so tests can build the frames
-// the encoder never emits.
-func handFrame(width, height int, pes ...framePE) []byte {
+// handFrame encodes the programs and PEs exactly as listed, in the frame
+// layout of MarshalBinary but without its guarantees, so tests can build the
+// frames the encoder never emits. A program is the colors of its routing
+// table, each with a single pass-to-ramp configuration, and no ops.
+func handFrame(width, height int, progs [][]mesh.Color, pes ...framePE) []byte {
 	e := &wireEnc{}
 	e.byte(SpecCodecVersion)
 	e.uvarint(uint64(width))
 	e.uvarint(uint64(height))
 	e.uvarint(uint64(len(pes)))
-	for _, pe := range pes {
-		e.varint(int64(pe.x))
-		e.varint(int64(pe.y))
-		e.uvarint(0) // init
+	e.uvarint(uint64(len(progs)))
+	for _, colors := range progs {
 		e.uvarint(0) // ops
-		e.uvarint(uint64(len(pe.colors)))
-		for _, c := range pe.colors {
+		e.uvarint(uint64(len(colors)))
+		for _, c := range colors {
 			e.byte(byte(c))
 			e.uvarint(1)
 			e.byte(byte(mesh.West))
@@ -134,16 +131,25 @@ func handFrame(width, height int, pes ...framePE) []byte {
 		}
 		e.varint(0) // clock slots
 	}
+	for _, pe := range pes {
+		e.varint(int64(pe.x))
+		e.varint(int64(pe.y))
+		e.uvarint(uint64(pe.prog))
+		e.uvarint(0) // init
+	}
 	return e.buf
 }
 
 // TestSpecCodecRejectsNonCanonicalFrames: the decoder accepts exactly the
 // frames the encoder emits. A repeated or out-of-order PE coordinate, a
 // repeated or descending color and a padded integer all used to decode
-// (merged, overwritten or normalised); each is now a decode error.
+// (merged, overwritten or normalised); each is a decode error. So is every
+// way of listing programs the encoder does not: one program twice, a program
+// used before the one listed ahead of it, a program no PE runs, and a program
+// count the PEs or the bytes cannot hold.
 func TestSpecCodecRejectsNonCanonicalFrames(t *testing.T) {
-	canonical := handFrame(2, 2,
-		framePE{0, 0, []mesh.Color{1, 4}}, framePE{1, 0, nil}, framePE{0, 1, []mesh.Color{0}})
+	canonical := handFrame(2, 2, [][]mesh.Color{{1, 4}, nil, {0}},
+		framePE{0, 0, 0}, framePE{1, 0, 1}, framePE{0, 1, 2})
 	var s Spec
 	if err := s.UnmarshalBinary(canonical); err != nil {
 		t.Fatalf("canonical hand-built frame refused: %v", err)
@@ -157,17 +163,66 @@ func TestSpecCodecRejectsNonCanonicalFrames(t *testing.T) {
 
 	padded := append([]byte(nil), canonical...)
 	padded = append(padded[:1], append([]byte{0x82, 0x00}, padded[2:]...)...) // width 2 as a two-byte varint
-	for name, frame := range map[string][]byte{
-		"repeated PE":         handFrame(2, 2, framePE{0, 0, nil}, framePE{0, 0, nil}),
-		"PEs in column order": handFrame(2, 2, framePE{0, 0, nil}, framePE{0, 1, nil}, framePE{1, 0, nil}),
-		"PEs descending":      handFrame(2, 1, framePE{1, 0, nil}, framePE{0, 0, nil}),
-		"repeated color":      handFrame(1, 1, framePE{0, 0, []mesh.Color{3, 3}}),
-		"colors descending":   handFrame(1, 1, framePE{0, 0, []mesh.Color{5, 2}}),
-		"padded varint":       padded,
+	// 512 PEs of 512 programs, with the bytes for the PE records alone.
+	overBytes := append([]byte{SpecCodecVersion, 0x80, 0x04, 1, 0x80, 0x04, 0x80, 0x04}, make([]byte, 512*minPEBytes)...)
+	one := [][]mesh.Color{nil}
+	for _, c := range []struct {
+		name, want string
+		frame      []byte
+	}{
+		{"repeated PE", "out of row-major order", handFrame(2, 2, one, framePE{0, 0, 0}, framePE{0, 0, 0})},
+		{"PEs in column order", "out of row-major order", handFrame(2, 2, one, framePE{0, 0, 0}, framePE{0, 1, 0}, framePE{1, 0, 0})},
+		{"PEs descending", "out of row-major order", handFrame(2, 1, one, framePE{1, 0, 0}, framePE{0, 0, 0})},
+		{"repeated color", "out of ascending order", handFrame(1, 1, [][]mesh.Color{{3, 3}}, framePE{0, 0, 0})},
+		{"colors descending", "out of ascending order", handFrame(1, 1, [][]mesh.Color{{5, 2}}, framePE{0, 0, 0})},
+		{"padded varint", "truncated", padded},
+		{"repeated program", "program 1 repeats program 0", handFrame(2, 1, [][]mesh.Color{{1}, {1}}, framePE{0, 0, 0}, framePE{1, 0, 1})},
+		{"program out of first-use order", "runs program 1, the next unused is 0", handFrame(2, 1, [][]mesh.Color{{1}, {2}}, framePE{0, 0, 1}, framePE{1, 0, 0})},
+		{"unused program", "1 of 2 programs run on no PE", handFrame(2, 1, [][]mesh.Color{{1}, {2}}, framePE{0, 0, 0}, framePE{1, 0, 0})},
+		{"program index past the count", "runs program 1, the next unused is 1 of 1", handFrame(2, 1, [][]mesh.Color{{1}}, framePE{0, 0, 0}, framePE{1, 0, 1})},
+		{"more programs than PEs", "1 PEs of 2 programs", handFrame(2, 1, [][]mesh.Color{{1}, {2}}, framePE{0, 0, 0})},
+		{"program count over the bytes", "512 PEs of 512 programs", overBytes},
 	} {
 		var s Spec
-		if err := s.UnmarshalBinary(frame); err == nil {
-			t.Errorf("%s: frame accepted", name)
+		if err := s.UnmarshalBinary(c.frame); err == nil {
+			t.Errorf("%s: frame accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: refused with %q, want it to say %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestValidateChecksEveryPEOfASharedProgram: the PEs of a decoded program
+// share its routing table, but where each PE's routes lead is its own — a PE
+// whose link leads off the grid or to an unprogrammed PE is refused though
+// another PE of its program is sound.
+func TestValidateChecksEveryPEOfASharedProgram(t *testing.T) {
+	for _, c := range []struct {
+		width int
+		want  string
+	}{
+		{2, "PE (1,0) color 1 config 0 forwards east off-grid"},
+		{3, "PE (1,0) color 1 config 0 forwards east to unprogrammed PE (2,0)"},
+	} {
+		s := NewSpec(c.width, 1)
+		for x := 0; x < 2; x++ {
+			s.PE(mesh.Coord{X: x}).AddConfig(1, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East)})
+		}
+		data, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Spec
+		if err := got.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := got.At(mesh.Coord{X: 0}), got.At(mesh.Coord{X: 1}); &a.Configs[0] != &b.Configs[0] {
+			t.Fatal("the two PEs of one program do not share it")
+		}
+		for _, spec := range []*Spec{s, &got} {
+			if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%dx1 grid: Validate says %v, want %q", c.width, err, c.want)
+			}
 		}
 	}
 }

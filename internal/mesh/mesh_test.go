@@ -1,6 +1,8 @@
 package mesh
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +93,81 @@ func TestPathValidateRejectsBadPaths(t *testing.T) {
 	}
 	if err := (Path{{0, 0}, {1, 0}, {0, 0}}).Validate(); err == nil {
 		t.Error("repeat accepted")
+	}
+	// A snake that turns back into the row it left: (1,0) again at step 5.
+	reenter := Path{{0, 0}, {1, 0}, {2, 0}, {2, 1}, {1, 1}, {1, 0}, {0, 0}}
+	if err := reenter.Validate(); err == nil || err.Error() != "mesh: path visits (1,0) twice" {
+		t.Errorf("a snake re-entering its row: %v", err)
+	}
+}
+
+// referenceValidate is Path.Validate as a walk in order with a set of the
+// coordinates seen so far.
+func referenceValidate(p Path) error {
+	seen := make(map[Coord]struct{}, len(p))
+	for i, c := range p {
+		if _, dup := seen[c]; dup {
+			return fmt.Errorf("mesh: path visits %v twice", c)
+		}
+		seen[c] = struct{}{}
+		if i > 0 && p[i-1].Manhattan(c) != 1 {
+			return fmt.Errorf("mesh: path step %d: %v not adjacent to %v", i, c, p[i-1])
+		}
+	}
+	return nil
+}
+
+// TestPathValidateMatchesReference: Validate reports the error the walk in
+// order does, for valid paths, revisits, gaps, a revisit at the gap's step,
+// a step from far off the path, and staircases whose box is too large for a
+// bit per cell.
+func TestPathValidateMatchesReference(t *testing.T) {
+	stair := func(n int) Path {
+		p := Path{{0, 0}}
+		for i := 1; i < n; i++ {
+			c := p[i-1]
+			if i%2 == 1 {
+				c.X++
+			} else {
+				c.Y++
+			}
+			p = append(p, c)
+		}
+		return p
+	}
+	long := stair(600)
+	paths := []Path{
+		nil,
+		{{3, 4}},
+		Snake(7, 9),
+		Row(2, 5, 40),
+		{{0, 0}, {0, 0}},
+		{{0, 0}, {1, 0}, {5, 5}, {0, 0}},
+		{{0, 0}, {1, 0}, {1, 1}, {0, 0}},
+		{{0, 0}, {1, 0}, {1, 1}, {0, 1}, {0, 0}, {9, 9}},
+		{{0, 0}, {1, 0}, {-1 << 30, 1 << 30}},
+		long,
+		append(append(Path(nil), long...), long[300]),
+		append(append(Path(nil), long...), Coord{-5, 0}),
+		append(append(Path(nil), long...), long[len(long)-2]),
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 400 {
+		p := Path{{rng.IntN(3), rng.IntN(3)}}
+		for len(p) < 2+rng.IntN(30) {
+			c := p[len(p)-1].Add(Direction(rng.IntN(4)))
+			if rng.IntN(40) == 0 {
+				c = Coord{rng.IntN(9) - 4, rng.IntN(9) - 4}
+			}
+			p = append(p, c)
+		}
+		paths = append(paths, p)
+	}
+	for _, p := range paths {
+		want, got := referenceValidate(p), p.Validate()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%v: Validate says %v, the walk in order %v", p, got, want)
+		}
 	}
 }
 

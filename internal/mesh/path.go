@@ -10,19 +10,55 @@ type Path []Coord
 // Validate checks that consecutive path entries are mesh neighbours and
 // that no coordinate repeats.
 func (p Path) Validate() error {
-	seen := make(map[Coord]struct{}, len(p))
+	seen := newVisits(p)
 	for i, c := range p {
-		if _, dup := seen[c]; dup {
+		if seen.add(c) {
 			return fmt.Errorf("mesh: path visits %v twice", c)
 		}
-		seen[c] = struct{}{}
-		if i > 0 {
-			if p[i-1].Manhattan(c) != 1 {
-				return fmt.Errorf("mesh: path step %d: %v not adjacent to %v", i, c, p[i-1])
-			}
+		if i > 0 && p[i-1].Manhattan(c) != 1 {
+			return fmt.Errorf("mesh: path step %d: %v not adjacent to %v", i, c, p[i-1])
 		}
 	}
 	return nil
+}
+
+// visits is the set of coordinates a path has entered: a bit per cell of the
+// path's bounding box, or a map where the box holds more than 64 cells an
+// entry (a path that winds diagonally, or one with a gap far off it).
+type visits struct {
+	lo   Coord
+	w    int
+	bits []uint64
+	m    map[Coord]struct{}
+}
+
+func newVisits(p Path) visits {
+	if len(p) == 0 {
+		return visits{}
+	}
+	lo, hi := p[0], p[0]
+	for _, c := range p[1:] {
+		lo = Coord{min(lo.X, c.X), min(lo.Y, c.Y)}
+		hi = Coord{max(hi.X, c.X), max(hi.Y, c.Y)}
+	}
+	w, h, cells := hi.X-lo.X+1, hi.Y-lo.Y+1, 64*len(p)
+	if w < 1 || h < 1 || w > cells || h > cells/w { // too large, or overflowed
+		return visits{m: make(map[Coord]struct{}, len(p))}
+	}
+	return visits{lo: lo, w: w, bits: make([]uint64, (w*h+63)/64)}
+}
+
+// add marks c visited and reports whether it was already.
+func (v *visits) add(c Coord) bool {
+	if v.m != nil {
+		_, dup := v.m[c]
+		v.m[c] = struct{}{}
+		return dup
+	}
+	b := (c.Y-v.lo.Y)*v.w + c.X - v.lo.X
+	dup := v.bits[b/64]&(1<<(b%64)) != 0
+	v.bits[b/64] |= 1 << (b % 64)
+	return dup
 }
 
 // TowardStart returns the direction from p[i] to p[i-1], i.e. the

@@ -31,24 +31,18 @@ import (
 	"repro/internal/plan"
 )
 
-// FormatVersion is the newest plan blob layout version this build reads
-// and writes; decoders reject blobs from future versions.
-// A frame whose plan holds a replay tape (plan/tape.go) sets flagTape in the
-// header's flags byte and appends, after the version-1 payload, the lengths
-// of the inputs the tape was recorded under and the tape itself
-// (fabric/tapecodec.go). Nothing else differs, so a plan without a tape is
-// still written as the version-1 frame it always was, byte for byte, and the
-// versions are told apart by exactly that flag: one encoding per plan.
-// Version 2 spelled the tape one event per wavelet, version 3 spells it as
-// runs. This build writes no version-2 frame and reads one for its program
-// alone: the plan loads without a tape and heals like a version-1 frame.
-const FormatVersion = 3
+// FormatVersion is the plan blob layout version this build reads and
+// writes; a blob of any other version is refused, so a store of an earlier
+// build's blobs quarantines them at Open and recompiles on a miss. A frame
+// whose plan holds a replay tape (plan/tape.go) sets flagTape in the
+// header's flags byte and appends, after the plan, the lengths of the inputs
+// the tape was recorded under and the tape itself (fabric/tapecodec.go); a
+// frame without the flag ends after the plan. One encoding per plan.
+// Version 4 is the first whose spec lists each distinct PE program once
+// (fabric.SpecCodecVersion 2); versions 1 to 3 spelled out every PE's.
+const FormatVersion = 4
 
-const (
-	tapelessVersion = 1    // the layout of a frame without a tape section
-	eventsVersion   = 2    // a tape section of events: skipped, never written
-	flagTape        = 0x01 // header flags: a tape section follows the plan
-)
+const flagTape = 0x01 // header flags: a tape section follows the plan
 
 // magic opens every encoded plan. The trailing newline and NUL catch
 // text-mode corruption the way PNG's magic does.
@@ -109,18 +103,18 @@ func Encode(p *plan.Plan) ([]byte, string, error) {
 }
 
 // seal completes a frame whose payload follows headerLen reserved bytes: it
-// fills in the fixed header carrying the version (set by whether a tape
+// fills in the fixed header carrying the flags (set by whether a tape
 // section ends the payload), the payload's length and its SHA-256, and
 // returns the hex digest.
 func seal(frame []byte, tape bool) string {
-	version, flags := uint16(tapelessVersion), byte(0)
+	flags := byte(0)
 	if tape {
-		version, flags = FormatVersion, flagTape
+		flags = flagTape
 	}
 	payload := frame[headerLen:]
 	sum := sha256.Sum256(payload)
 	hdr := append(frame[:0], magic[:]...)
-	hdr = binary.LittleEndian.AppendUint16(hdr, version)
+	hdr = binary.LittleEndian.AppendUint16(hdr, FormatVersion)
 	hdr = append(hdr, endianLittle, flags)
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(payload)))
 	copy(hdr[len(hdr):headerLen], sum[:])
@@ -137,7 +131,6 @@ func Decode(data []byte) (*plan.Plan, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	version := binary.LittleEndian.Uint16(data[8:10])
 	d := &dec{buf: payload}
 	key, err := getKey(d)
 	if err != nil {
@@ -184,13 +177,14 @@ func Decode(data []byte) (*plan.Plan, string, error) {
 	if d.err != nil {
 		return nil, "", fmt.Errorf("planstore: decode: %v", d.err)
 	}
-	if version == tapelessVersion && d.remaining() != 0 {
+	taped := data[11] == flagTape
+	if !taped && d.remaining() != 0 {
 		return nil, "", fmt.Errorf("planstore: decode: %d trailing payload bytes", d.remaining())
 	}
 	if err := p.Spec.Validate(); err != nil {
 		return nil, "", fmt.Errorf("planstore: decoded spec invalid: %w", err)
 	}
-	if version == FormatVersion { // the rest of the payload, held to the spec just validated
+	if taped { // the rest of the payload, held to the spec just validated
 		if err := getTape(d, p); err != nil {
 			return nil, "", err
 		}
@@ -253,21 +247,14 @@ func checkHeader(data []byte) (payload, sum []byte, err error) {
 	if !bytes.Equal(data[:8], magic[:]) {
 		return nil, nil, fmt.Errorf("planstore: bad magic %q", data[:8])
 	}
-	// A version-1 frame sets no flag, a later one exactly flagTape (a plan
-	// without a tape is a version-1 frame): one encoding per plan.
-	wantFlags := byte(0)
-	switch v := binary.LittleEndian.Uint16(data[8:10]); v {
-	case tapelessVersion:
-	case eventsVersion, FormatVersion:
-		wantFlags = flagTape
-	default:
-		return nil, nil, fmt.Errorf("planstore: format version %d, this build reads up to %d", v, FormatVersion)
+	if v := binary.LittleEndian.Uint16(data[8:10]); v != FormatVersion {
+		return nil, nil, fmt.Errorf("planstore: format version %d, this build reads %d", v, FormatVersion)
 	}
 	if data[10] != endianLittle {
 		return nil, nil, fmt.Errorf("planstore: unknown endianness marker %#x", data[10])
 	}
-	if data[11] != wantFlags {
-		return nil, nil, fmt.Errorf("planstore: flags byte %#x on a version-%d frame, want %#x", data[11], binary.LittleEndian.Uint16(data[8:10]), wantFlags)
+	if data[11]&^flagTape != 0 {
+		return nil, nil, fmt.Errorf("planstore: flags byte %#x, this build knows %#x", data[11], flagTape)
 	}
 	plen := binary.LittleEndian.Uint64(data[12:20])
 	if plen != uint64(len(data)-headerLen) {

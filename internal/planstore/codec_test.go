@@ -2,12 +2,14 @@ package planstore
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/mesh"
 	"repro/internal/plan"
 )
 
@@ -226,5 +228,108 @@ func TestContentAddressIsShapeSensitive(t *testing.T) {
 			t.Fatalf("%s and %s share address %s", mreq.Kind, prev, h)
 		}
 		seen[h] = mreq.Kind
+	}
+}
+
+// TestDecodedPEsShareProgramStorage: the PEs of one program decode onto one
+// copy of its ops and routing table, each PE keeping a header of its own, so
+// assigning one PE's fields (Spec.PE) reaches no other PE; and a spec stamped
+// from the decoded plan (Plan.Stamp) owns its copy of every program, so
+// rewriting a stamped PE's ops and routes leaves the decoded plan as it was.
+func TestDecodedPEsShareProgramStorage(t *testing.T) {
+	frame, _, err := Encode(mustCompile(t, plan.Request{Kind: plan.Reduce1D, Alg: core.Auto, P: 64, B: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b *fabric.PESpec
+	var at mesh.Coord
+	seen := make(map[*fabric.Op]*fabric.PESpec)
+	p.Spec.Each(func(c mesh.Coord, pe *fabric.PESpec) {
+		if a != nil || len(pe.Ops) == 0 || len(pe.Configs) == 0 {
+			return
+		}
+		if first, ok := seen[&pe.Ops[0]]; ok {
+			a, b, at = pe, first, c
+		}
+		seen[&pe.Ops[0]] = pe
+	})
+	if a == nil {
+		t.Fatalf("no two PEs of %d share an op list: %d distinct", p.Spec.Len(), len(seen))
+	}
+	if a == b {
+		t.Fatal("two PEs decode to one PESpec")
+	}
+	if &a.Configs[0] != &b.Configs[0] || !reflect.DeepEqual(a.Ops, b.Ops) {
+		t.Fatal("two PEs of one op list hold different routing tables")
+	}
+	if cap(a.Ops) != len(a.Ops) || cap(a.Configs) != len(a.Configs) || cap(a.Configs[0].Cfgs) != len(a.Configs[0].Cfgs) {
+		t.Fatal("a shared program can be appended to in place")
+	}
+
+	before, err := p.Spec.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := fabric.NewSpec(p.Spec.Width, p.Spec.Height)
+	if err := p.Stamp(dst); err != nil {
+		t.Fatal(err)
+	}
+	d := dst.PE(at)
+	d.Ops[0].N++
+	d.Configs[0].Cfgs[0].Times++
+	d.Ops = append(d.Ops, fabric.Op{Kind: fabric.OpBusyWrite, N: 1})
+	d.AddConfig(d.Configs[0].Color, fabric.RouterConfig{Accept: mesh.Ramp})
+	if after, _ := p.Spec.MarshalBinary(); !bytes.Equal(after, before) {
+		t.Fatal("rewriting a stamped PE changed the decoded plan")
+	}
+	ops := b.Ops
+	p.Spec.PE(at).Ops = nil
+	if len(b.Ops) != len(ops) || &b.Ops[0] != &ops[0] {
+		t.Fatal("assigning one PE's ops reached another PE")
+	}
+}
+
+// specSizes are the spec sections of the benchmark's cold-store shapes, and
+// of one large grid, held at what they measured when each distinct program
+// came to be listed once (rounded up); was is the section when every PE's
+// program was spelled out.
+var specSizes = []struct {
+	req      plan.Request
+	was, max int
+}{
+	{plan.Request{Kind: plan.Reduce1D, Alg: core.Auto, P: 512, B: 4}, 17834, 3600},
+	{plan.Request{Kind: plan.Reduce1D, Alg: core.TwoPhase, P: 512, B: 4}, 16436, 2800},
+	{plan.Request{Kind: plan.AllReduce1D, Alg: core.Auto, P: 256, B: 4}, 12071, 2400},
+	{plan.Request{Kind: plan.AllReduceMidRoot, Alg: core.TwoPhase, P: 257, B: 4}, 11865, 1900},
+	{plan.Request{Kind: plan.Broadcast1D, P: 512, B: 4}, 10694, 2600},
+	{plan.Request{Kind: plan.Reduce2D, Alg2D: core.Auto2D, Width: 32, Height: 32, B: 4}, 34460, 5200},
+	{plan.Request{Kind: plan.AllReduce2D, Alg2D: core.Auto2D, Width: 32, Height: 32, B: 4}, 48697, 9100},
+	{plan.Request{Kind: plan.Broadcast2D, Width: 32, Height: 32, B: 4}, 20485, 4200},
+	{plan.Request{Kind: plan.Gather, P: 64, B: 64}, 2028, 900},
+	{plan.Request{Kind: plan.Reduce2D, Alg2D: core.Auto2D, Width: 128, Height: 128, B: 4}, 549129, 83200},
+}
+
+// TestSpecFrameSizeRatchet holds the spec section of each specSizes shape to
+// its ceiling: a program spelled out per PE again, or a field that grew, shows
+// as bytes.
+func TestSpecFrameSizeRatchet(t *testing.T) {
+	for _, c := range specSizes {
+		p := mustCompile(t, c.req)
+		spec, err := p.Spec.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &dec{buf: spec, off: 1}
+		_, _, pes, progs := d.uvarint(), d.uvarint(), d.uvarint(), d.uvarint()
+		r := c.req
+		name := fmt.Sprintf("%s %s%s P=%d %dx%d B=%d", r.Kind, r.Alg, r.Alg2D, r.P, r.Width, r.Height, r.B)
+		t.Logf("%s: %d PEs, %d distinct programs: spec section %d B (%d B spelled out)", name, pes, progs, len(spec), c.was)
+		if len(spec) > c.max {
+			t.Errorf("%v: spec section %d B, held to %d B (%d B when every PE's program was spelled out)", name, len(spec), c.max, c.was)
+		}
 	}
 }

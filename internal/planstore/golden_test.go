@@ -2,9 +2,11 @@ package planstore
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -33,24 +35,38 @@ func goldenCases() []plan.Request {
 	}
 }
 
-// goldenFrames are the committed frames of every kind: the version-1 frame
-// of the freshly compiled plan, the version-3 frame the same plan is stored
-// as once its miss has recorded its replay tape, and the
-// version-2 frame an earlier build stored it as then — a fixture no build
-// writes any more, read for its program alone.
+// goldenFrames are the committed frames of every kind this build writes: the
+// frame of the freshly compiled plan, and the frame the same plan is stored
+// as once its miss has recorded its replay tape.
 var goldenFrames = []struct {
-	suffix  string
-	version uint16
-	taped   bool // decodes with a tape
+	suffix string
+	taped  bool // carries a tape section
 }{
-	{"", 1, false},
-	{".v2", 2, false},
-	{".v3", 3, true},
+	{"", false},
+	{".taped", true},
+}
+
+// legacyFrames are the frames an earlier build wrote of every kind, kept
+// under testdata/legacy: versions 1 to 3, every PE's program spelled out.
+// This build refuses each at its header, which is what quarantines them in a
+// store (TestLegacyStoreRecompiles).
+var legacyFrames = []struct {
+	suffix  string // of the file under testdata/legacy
+	version uint16
+}{
+	{"", 1},
+	{".v2", 2},
+	{".v3", 3},
 }
 
 // goldenPath names the committed frame of a kind, by its suffix.
 func goldenPath(kind plan.Kind, suffix string) string {
 	return filepath.Join("testdata", string(kind)+suffix+blobExt)
+}
+
+// legacyPath names the frame an earlier build wrote of a kind, by its suffix.
+func legacyPath(kind plan.Kind, suffix string) string {
+	return filepath.Join("testdata", "legacy", string(kind)+suffix+blobExt)
 }
 
 // goldenPlan compiles a golden case the way its frame was made: taped plans
@@ -70,18 +86,17 @@ func goldenPlan(t *testing.T, req plan.Request, taped bool) *plan.Plan {
 // tape must also still be what the simulator decides (Plan.CheckTape): it
 // fails together with internal/fabric's stats.golden when engine semantics
 // are retuned. Run with -update after a deliberate format-version bump or
-// engine change to regenerate the files this build can write.
+// engine change to regenerate the files this build can write. The frames of
+// an earlier build (legacyFrames) must be refused at the header, by version,
+// before any field of theirs is read.
 func TestGoldenPlans(t *testing.T) {
 	for _, req := range goldenCases() {
 		for _, gf := range goldenFrames {
 			t.Run(string(req.Kind)+gf.suffix, func(t *testing.T) {
 				path := goldenPath(req.Kind, gf.suffix)
-				if *updateGolden && gf.version != eventsVersion {
+				if *updateGolden {
 					data, _, err := Encode(goldenPlan(t, req, gf.taped))
 					if err != nil {
-						t.Fatal(err)
-					}
-					if err := os.MkdirAll("testdata", 0o755); err != nil {
 						t.Fatal(err)
 					}
 					if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -92,8 +107,8 @@ func TestGoldenPlans(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v (run `go test ./internal/planstore -run TestGoldenPlans -update` to generate)", err)
 				}
-				if v, _ := frameVersion(data); v != gf.version {
-					t.Fatalf("committed frame is version %d, want %d", v, gf.version)
+				if v, _ := frameVersion(data); v != FormatVersion {
+					t.Fatalf("committed frame is version %d, want %d", v, FormatVersion)
 				}
 				decoded, _, err := Decode(data)
 				if err != nil {
@@ -126,6 +141,24 @@ func TestGoldenPlans(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got.Root, want.Root) || !reflect.DeepEqual(got.All, want.All) {
 					t.Fatalf("golden plan results diverged:\n got %v\nwant %v", got.Root, want.Root)
+				}
+			})
+		}
+		for _, lf := range legacyFrames {
+			t.Run(fmt.Sprintf("%s.v%d", req.Kind, lf.version), func(t *testing.T) {
+				data, err := os.ReadFile(legacyPath(req.Kind, lf.suffix))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v, _ := frameVersion(data); v != lf.version {
+					t.Fatalf("legacy frame is version %d, want %d", v, lf.version)
+				}
+				want := fmt.Sprintf("format version %d, this build reads %d", lf.version, FormatVersion)
+				if _, err := DecodeKey(data); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("DecodeKey of a version-%d frame: %v, want %q", lf.version, err, want)
+				}
+				if _, _, err := Decode(data); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("Decode of a version-%d frame: %v, want %q", lf.version, err, want)
 				}
 			})
 		}

@@ -3,7 +3,9 @@ package planstore
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"os"
@@ -182,37 +184,29 @@ func frameVersion(frame []byte) (version uint16, flags byte) {
 	return binary.LittleEndian.Uint16(frame[8:10]), frame[11]
 }
 
-// TestOldFrameStillLoads: a store of version-1 frames — the committed
-// goldens, written before frames could carry a tape — loads under this
-// build, serves, and heals: the load records each plan's tape and rewrites
-// its frame once, as the version-3 frame the next process loads ready to
-// replay.
-func TestOldFrameStillLoads(t *testing.T) { oldFramesHeal(t, "", tapelessVersion) }
-
-// TestV2FrameLoadsProgramAndHeals: so does a store of version-2 frames, whose
-// tape sections spell events this build no longer reads. Each loads for its
-// program alone, without a tape, and from there on is a version-1 frame in
-// all but name: the load records, the store holds a version-3 frame
-// afterwards, and a reopened store loads every plan with its tape.
-func TestV2FrameLoadsProgramAndHeals(t *testing.T) { oldFramesHeal(t, ".v2", eventsVersion) }
-
-func oldFramesHeal(t *testing.T, suffix string, version uint16) {
+// TestUntapedFrameHeals: a store of frames without a tape section — the
+// committed untaped goldens, as a plan saved before any run of it is stored —
+// loads under this build, serves, and heals: the load records each plan's
+// tape and rewrites its frame once, as the taped frame the next process loads
+// ready to replay.
+func TestUntapedFrameHeals(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, plansDir), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	oldHash := make(map[plan.Kind]string)
 	for _, req := range goldenCases() {
-		frame, err := os.ReadFile(goldenPath(req.Kind, suffix))
+		frame, err := os.ReadFile(goldenPath(req.Kind, ""))
+
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v, _ := frameVersion(frame); v != version {
-			t.Fatalf("%s: committed golden is version %d, want the version-%d frame", req.Kind, v, version)
+		if v, flags := frameVersion(frame); v != FormatVersion || flags != 0 {
+			t.Fatalf("%s: committed golden is version %d flags %#x, want the untaped version-%d frame", req.Kind, v, flags, FormatVersion)
 		}
 		_, hash, err := Decode(frame)
 		if err != nil {
-			t.Fatalf("%s: version-%d frame refused: %v", req.Kind, version, err)
+			t.Fatalf("%s: untaped frame refused: %v", req.Kind, err)
 		}
 		oldHash[req.Kind] = hash
 		if err := os.WriteFile(filepath.Join(dir, plansDir, hash+blobExt), frame, 0o644); err != nil {
@@ -226,12 +220,12 @@ func oldFramesHeal(t *testing.T, suffix string, version uint16) {
 	cache := plan.NewCache(0)
 	cache.SetStore(store)
 	for _, req := range goldenCases() {
-		p, err := cache.Get(req) // loads the old frame, records the tape and writes it back
+		p, err := cache.Get(req) // loads the untaped frame, records the tape and writes it back
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tape, _ := p.Tape(); tape == nil {
-			t.Fatalf("%s: a version-%d frame was served without the tape its load records", req.Kind, version)
+			t.Fatalf("%s: an untaped frame was served without the tape its load records", req.Kind)
 		}
 		inputs := noisyInputs(p, 1)
 		want, err := p.ExecuteUnpooled(inputs)
@@ -245,10 +239,10 @@ func oldFramesHeal(t *testing.T, suffix string, version uint16) {
 		sameReport(t, want, got, string(req.Kind)+" first run")
 
 		if v, flags := frameVersion(storedFrame(t, store, p.Key)); v != FormatVersion || flags != flagTape {
-			t.Fatalf("%s: after its load the store holds version %d flags %#x, want the version-%d frame", req.Kind, v, flags, FormatVersion)
+			t.Fatalf("%s: after its load the store holds version %d flags %#x, want the taped version-%d frame", req.Kind, v, flags, FormatVersion)
 		}
 		if _, err := os.Stat(filepath.Join(dir, plansDir, oldHash[req.Kind]+blobExt)); !os.IsNotExist(err) {
-			t.Fatalf("%s: the version-%d blob outlived its heal: %v", req.Kind, version, err)
+			t.Fatalf("%s: the untaped blob outlived its heal: %v", req.Kind, err)
 		}
 	}
 	n := int64(len(goldenCases()))
@@ -278,6 +272,73 @@ func oldFramesHeal(t *testing.T, suffix string, version uint16) {
 	}
 	if ss := store.Stats(); ss.Saves != 0 {
 		t.Fatalf("the healed store was written %d more times", ss.Saves)
+	}
+}
+
+// TestLegacyStoreRecompiles: a store of the frames an earlier build wrote
+// (versions 1 to 3, every PE's program spelled out) opens with every one of
+// them quarantined and none indexed. Each request then misses, compiles,
+// records and saves exactly one frame of this version, whose reports are the
+// engine's bit for bit, and the cache counts no store error.
+func TestLegacyStoreRecompiles(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, plansDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var legacy []string
+	for _, req := range goldenCases() {
+		for _, lf := range legacyFrames {
+			frame, err := os.ReadFile(legacyPath(req.Kind, lf.suffix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(frame[headerLen:])
+			name := hex.EncodeToString(sum[:]) + blobExt
+			if err := os.WriteFile(filepath.Join(dir, plansDir, name), frame, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			legacy = append(legacy, name)
+		}
+	}
+	store, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Len() != 0 {
+		t.Fatalf("the store indexed %d legacy frames", store.Len())
+	}
+	for _, name := range legacy {
+		if _, err := os.Stat(filepath.Join(dir, quarantineDir, name)); err != nil {
+			t.Fatalf("legacy blob %s is not in quarantine: %v", name, err)
+		}
+	}
+	cache := plan.NewCache(0)
+	cache.SetStore(store)
+	for _, req := range goldenCases() {
+		p, err := cache.Get(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := noisyInputs(p, 1)
+		want, err := p.ExecuteUnpooled(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Execute(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameReport(t, want, got, string(req.Kind)+" first run")
+		if v, flags := frameVersion(storedFrame(t, store, p.Key)); v != FormatVersion || flags != flagTape {
+			t.Fatalf("%s: the store holds version %d flags %#x, want the taped version-%d frame", req.Kind, v, flags, FormatVersion)
+		}
+	}
+	n := int64(len(goldenCases()))
+	if st := cache.Stats(); st.Misses != n || st.StoreHits != 0 || st.StoreErrors != 0 || st.TapeRecords != n {
+		t.Fatalf("over a legacy store: %+v; want %d misses compiled and recorded, no store hit or error", st, n)
+	}
+	if ss := store.Stats(); ss.Saves != n || store.Len() != int(n) {
+		t.Fatalf("store counts %d saves, %d plans, for %d plans compiled", ss.Saves, store.Len(), n)
 	}
 }
 
@@ -474,9 +535,9 @@ func TestDecodeRejectsHostileTapeFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := tapeSectionOf(t, p, taped)
-	lensAt := len(bare) // the tape part starts where the version-1 payload ends
+	lensAt := len(bare) // the tape part starts where the untaped payload ends
 	if !bytes.Equal(taped[headerLen:lensAt], bare[headerLen:]) {
-		t.Fatal("a version-3 payload does not start with the version-1 payload")
+		t.Fatal("a taped payload does not start with the untaped payload")
 	}
 	if want := []byte{3, 3, 2, 2}; !bytes.Equal(taped[lensAt:at], want) { // 3 inputs: chunks of 3, 2, 2
 		t.Fatalf("input lengths are spelled % x, want % x", taped[lensAt:at], want)
@@ -519,16 +580,12 @@ func TestDecodeRejectsHostileTapeFrames(t *testing.T) {
 	padded := joinSection(head, same, runs)
 	padded = append(padded[:len(padded)-1], padded[len(padded)-1]|0x80, 0x00) // the last varint, one byte longer
 
-	v1WithFlag := append([]byte(nil), bare...)
-	v1WithFlag[11] = flagTape
-	v3WithoutFlag := append([]byte(nil), taped...)
-	v3WithoutFlag[11] = 0
 	unknownFlag := append([]byte(nil), taped...)
 	unknownFlag[11] = flagTape | 0x02
-	v4 := append([]byte(nil), taped...)
-	binary.LittleEndian.PutUint16(v4[8:10], FormatVersion+1)
-	v2WithoutFlag := append([]byte(nil), bare...)
-	binary.LittleEndian.PutUint16(v2WithoutFlag[8:10], eventsVersion)
+	future := append([]byte(nil), taped...)
+	binary.LittleEndian.PutUint16(future[8:10], FormatVersion+1)
+	earlier := append([]byte(nil), taped...)
+	binary.LittleEndian.PutUint16(earlier[8:10], FormatVersion-1)
 
 	if _, _, err := Decode(withRuns(same, func(r []spelledRun) []spelledRun { return r })); err != nil {
 		t.Fatalf("the frame reassembled from its own parts is refused: %v", err)
@@ -537,13 +594,11 @@ func TestDecodeRejectsHostileTapeFrames(t *testing.T) {
 		name, want string
 		frame      []byte
 	}{
-		{"flags bit set on a version-1 frame", "flags byte 0x1 on a version-1 frame", v1WithFlag},
-		{"version-2 frame without the tape flag", "flags byte 0x0 on a version-2 frame", v2WithoutFlag},
-		{"version-3 frame without the tape flag", "flags byte 0x0 on a version-3 frame", v3WithoutFlag},
 		{"unknown flags bit", "flags byte 0x3", unknownFlag},
-		{"future version", "format version 4", v4},
-		{"version-1 frame with a tape appended", "trailing payload bytes", reframe(taped[headerLen:], false)},
-		{"version-3 frame with no tape section", "decode tape", reframe(bare[headerLen:], true)},
+		{"future version", fmt.Sprintf("format version %d", FormatVersion+1), future},
+		{"earlier version", fmt.Sprintf("format version %d", FormatVersion-1), earlier},
+		{"tape section without the tape flag", "trailing payload bytes", reframe(taped[headerLen:], false)},
+		{"tape flag without a tape section", "decode tape", reframe(bare[headerLen:], true)},
 		{"trailing bytes after the tape", "trailing bytes", reframe(append(append([]byte(nil), taped[headerLen:]...), 0), true)},
 		{"one input length too many", "wants 3 input vector(s), got 4", reframe(splice([]byte{4, 3, 2, 2, 0}, section), true)},
 		{"input lengths not the kind's chunks", "input 1 has 3 elements, want 2", reframe(splice([]byte{3, 3, 3, 1}, section), true)},
@@ -588,17 +643,6 @@ func TestDecodeRejectsHostileTapeFrames(t *testing.T) {
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: refused with %q, want it to say %q", c.name, err, c.want)
 		}
-	}
-
-	// A version-2 frame is read for its program alone, whatever follows it.
-	v2 := reframe(append(append([]byte(nil), bare[headerLen:]...), 0xde, 0xad), true)
-	binary.LittleEndian.PutUint16(v2[8:10], eventsVersion)
-	old, _, err := Decode(v2)
-	if err != nil {
-		t.Fatalf("version-2 frame refused: %v", err)
-	}
-	if tape, _ := old.Tape(); tape != nil {
-		t.Fatal("a version-2 frame decoded with a tape")
 	}
 }
 
@@ -662,11 +706,11 @@ func zeroInputs(req plan.Request) [][]float32 {
 // TestEveryKindIsWrittenOnceTaped: for every row of plan.Kinds, each way a
 // plan reaches a store — a session's write-through miss, Cache.Get,
 // Prefetch and Warm — writes exactly one frame per plan, the
-// version-3 frame with its tape; and a fresh session over that store serves
+// taped frame; and a fresh session over that store serves
 // every kind with no compile and no fabric built: its compile stage is never
 // asked, and every fabric.exec span is a tape walk (a fabric is built only
-// for an engine run or a recording). TestOldFrameStillLoads holds the heal
-// of a version-1 store to one rewrite per plan.
+// for an engine run or a recording). TestUntapedFrameHeals holds the heal
+// of a store of untaped frames to one rewrite per plan.
 func TestEveryKindIsWrittenOnceTaped(t *testing.T) {
 	reqs := goldenCases()
 	if len(reqs) != len(plan.Kinds) {
@@ -726,7 +770,7 @@ func TestEveryKindIsWrittenOnceTaped(t *testing.T) {
 		}
 		for _, req := range reqs {
 			if v, flags := frameVersion(storedFrame(t, s, plan.KeyOf(req))); v != FormatVersion || flags != flagTape {
-				t.Fatalf("%s: %s stored as version %d flags %#x, want the version-%d frame", entry.name, req.Kind, v, flags, FormatVersion)
+				t.Fatalf("%s: %s stored as version %d flags %#x, want the taped version-%d frame", entry.name, req.Kind, v, flags, FormatVersion)
 			}
 		}
 

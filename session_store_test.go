@@ -185,16 +185,16 @@ func allocKB(fn func()) uint64 {
 // replay tape, so a fresh session's first Run of it binds inputs and walks:
 // the ledger shows a tape that was loaded and replayed, nothing recorded and
 // no engine run. What that first run allocates is held at what it measured
-// when the tape became runs, rounded up to the next 16 KB: for reduce1d P=512
-// B=4, ~1 MB when it built a fabric, 391 KB with a tape of events, 364 KB
-// when the bound was set, 363 KB now — the spec decode (222 KB), the
-// map-shaped report with its image and wave buffer (64 KB), the tape decode
-// (28 KB: coordinates, the accumulator offset table and 14 KB of runs; no
-// clock offset table, since no PE samples its clock), and the frame read,
-// the key and the session around them (49 KB). The 256 KB first asked of it
-// needs the spec decode to shrink (ROADMAP, engine memory).
+// when the spec frame came to list each distinct program once, rounded up to
+// the next 16 KB: for reduce1d P=512 B=4, ~1 MB when it built a fabric, 391 KB
+// with a tape of events, 363 KB with every PE's program spelled out, 184 KB
+// now — the spec decode (58 KB: a PESpec and a table entry a PE, 19 programs),
+// the map-shaped report with its image and wave buffer (64 KB), the tape
+// decode (28 KB: coordinates, the accumulator offset table and 14 KB of runs;
+// no clock offset table, since no PE samples its clock), and the frame read,
+// the key and the session around them (34 KB).
 func TestTapedStoreHitBuildsNoFabric(t *testing.T) {
-	const boundKB = 368
+	const boundKB = 192
 	ctx := context.Background()
 	sh := Shape{Kind: KindReduce, Alg: Auto, P: 512, B: 4}
 	inputs := sh.Inputs(func(n int) []float32 { return []float32{1, 0.5, 0.25, 0.125}[:n] })
@@ -258,7 +258,7 @@ func TestTapedStoreHitBuildsNoFabric(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportKB := allocKB(func() { core.ReportOf(tape.Run(make([]float32, tape.AccLen())), 0) })
-	parts := fmt.Sprintf("Spec decode %d KB (221 when the bound was set), tape decode %d KB (28: %d events in %d runs), image, walk and report %d KB (64), the rest %d KB (49)",
+	parts := fmt.Sprintf("Spec decode %d KB (58 when the bound was set), tape decode %d KB (28: %d events in %d runs), image, walk and report %d KB (64), the rest %d KB (34)",
 		specKB, tapeKB, tape.Events(), tape.Runs(), reportKB, int64(grew)-int64(specKB+tapeKB+reportKB))
 	t.Logf("first Run of a taped store hit allocated %d KB: %s", grew, parts)
 	if grew > boundKB {
