@@ -240,8 +240,9 @@ func splitUnder(gather Pattern, width, b int, col [2]float64, pr model.Params) (
 // AllGather under gather: bestRing's, but round by round before the ring
 // AllGather. The streamed ring leaves PE 0 last through it, and the ring
 // AllGather hides part of that lateness in its wrap-around edge's hops: on
-// TestSplitDense's 3×3 grid at B = 8 under T_R = 1, for one, it runs a cycle
-// under its form, which is priced from the latest PE.
+// the 3×3 grid at B = 8 under T_R = 1 of the dense walk's split row
+// (internal/plan/dense_test.go, run as TestSplitDense), for one, it runs a
+// cycle under its form, which is priced from the latest PE.
 func splitRing(width, b int, gather Pattern, pr model.Params) Pattern {
 	if ring, _ := bestRing(width, b, pr); ring == RingStream && gather != Ring {
 		return RingStream

@@ -23,8 +23,8 @@ import (
 //	each program: its ops, its routing table (colors ascending), its clock slots
 //	each PE in row-major order: x, y, its program's index, its init vector
 //
-// Programs are numbered in order of first use in row-major PE order, so
-// encoding is one walk with no sorting, and encoding the same program twice
+// Programs are numbered in order of first use in row-major PE order, so one
+// walk numbers them with no sorting, and encoding the same program twice
 // (or in two processes) yields identical bytes. That determinism is what lets
 // the plan store address blobs by content hash. The decoder holds frames to
 // the same canon: it accepts exactly the byte strings the encoder can emit,
@@ -50,11 +50,22 @@ const (
 
 // MarshalBinary encodes the spec deterministically.
 func (s *Spec) MarshalBinary() ([]byte, error) {
-	var (
-		progs = wireEnc{buf: make([]byte, 0, 1024)}
-		pes   = wireEnc{buf: make([]byte, 0, 6*s.n)} // an estimate: append grows past it
-		table programTable
-	)
+	return s.AppendBinary(make([]byte, 0, 1024+6*s.n)) // an estimate: append grows past it
+}
+
+// maxSpecHeader is the longest header: the version byte and four uvarints.
+const maxSpecHeader = 1 + 4*binary.MaxVarintLen64
+
+// AppendBinary appends MarshalBinary's bytes to dst, building them in place:
+// the programs are written past room for the longest header, as the walk
+// meets them, and moved up against the header once the walk has counted
+// them; then each PE's record follows.
+func (s *Spec) AppendBinary(dst []byte) ([]byte, error) {
+	start := len(dst)
+	e := wireEnc{buf: append(dst, make([]byte, maxSpecHeader)...)}
+	progs := len(e.buf)
+	ks := make([]int32, 0, s.n) // each programmed PE's program, in row-major order
+	var table programTable
 	// Neighbouring PEs mostly run one of a few programs: a PE running one of
 	// the programs met last takes its number without encoding it again.
 	type seen struct {
@@ -62,7 +73,7 @@ func (s *Spec) MarshalBinary() ([]byte, error) {
 		k  int
 	}
 	var recent [8]seen // most recently met first
-	for i, pe := range s.pes {
+	for _, pe := range s.pes {
 		if pe == nil {
 			continue
 		}
@@ -71,11 +82,11 @@ func (s *Spec) MarshalBinary() ([]byte, error) {
 			j++
 		}
 		if j == len(recent) || recent[j].pe == nil {
-			off := len(progs.buf)
-			progs.program(pe)
-			k := table.intern(progs.buf, off, len(progs.buf))
+			off := len(e.buf)
+			e.program(pe)
+			k := table.intern(e.buf, off, len(e.buf))
 			if table.spans[k].off != off {
-				progs.buf = progs.buf[:off] // listed before: drop this copy
+				e.buf = e.buf[:off] // listed before: drop this copy
 			}
 			j = min(j, len(recent)-1)
 			recent[j] = seen{pe, k}
@@ -83,23 +94,30 @@ func (s *Spec) MarshalBinary() ([]byte, error) {
 		hit := recent[j]
 		copy(recent[1:j+1], recent[:j])
 		recent[0] = hit
-		k := hit.k
-		c := s.coord(i)
-		pes.varint(int64(c.X))
-		pes.varint(int64(c.Y))
-		pes.uvarint(uint64(k))
-		pes.uvarint(uint64(len(pe.Init)))
-		for _, v := range pe.Init {
-			pes.f32(v)
-		}
+		ks = append(ks, int32(hit.k))
 	}
-	e := &wireEnc{buf: make([]byte, 0, 1+4*binary.MaxVarintLen64+len(progs.buf)+len(pes.buf))}
-	e.byte(SpecCodecVersion)
-	e.uvarint(uint64(s.Width))
-	e.uvarint(uint64(s.Height))
-	e.uvarint(uint64(s.n))
-	e.uvarint(uint64(len(table.spans)))
-	e.buf = append(append(e.buf, progs.buf...), pes.buf...)
+	hdr := wireEnc{buf: e.buf[start:start:progs]} // the room's front
+	hdr.byte(SpecCodecVersion)
+	hdr.uvarint(uint64(s.Width))
+	hdr.uvarint(uint64(s.Height))
+	hdr.uvarint(uint64(s.n))
+	hdr.uvarint(uint64(len(table.spans)))
+	end := start + len(hdr.buf)
+	e.buf = e.buf[:end+copy(e.buf[end:], e.buf[progs:])]
+	for i, pe := range s.pes {
+		if pe == nil {
+			continue
+		}
+		c := s.coord(i)
+		e.varint(int64(c.X))
+		e.varint(int64(c.Y))
+		e.uvarint(uint64(ks[0]))
+		e.uvarint(uint64(len(pe.Init)))
+		for _, v := range pe.Init {
+			e.f32(v)
+		}
+		ks = ks[1:]
+	}
 	return e.buf, nil
 }
 

@@ -223,9 +223,22 @@ func conformChunked(t *testing.T, c latticeCell) {
 }
 
 // runSchedule runs a ReduceScatter or AllGather request under the schedule
-// alg, built directly through core — not the one Auto would pick — with the
-// schedule's own estimate as the report's Predicted.
+// alg (schedulePlan).
 func runSchedule(req Request, alg core.Pattern, inputs [][]float32) (*core.Report, error) {
+	p, err := schedulePlan(req, alg)
+	if err == nil {
+		var rep *core.Report
+		if rep, err = p.ExecuteUnpooled(inputs); err == nil {
+			return rep, nil
+		}
+	}
+	return nil, fmt.Errorf("%s p=%d b=%d under %s: %w", req.Kind, req.P, req.B, alg, err)
+}
+
+// schedulePlan builds a ReduceScatter or AllGather request under the schedule
+// alg directly through core — not the one Auto would pick — with the
+// schedule's own estimate as the plan's Predicted.
+func schedulePlan(req Request, alg core.Pattern) (*Plan, error) {
 	pr := core.Params(req.Opt)
 	p := &Plan{Kind: req.Kind, P: req.P, B: req.B, Opt: req.Opt.Canonical(), Spec: fabric.NewSpec(req.P, 1)}
 	var err error
@@ -239,13 +252,7 @@ func runSchedule(req Request, alg core.Pattern, inputs [][]float32) (*core.Repor
 	default:
 		err = fmt.Errorf("%s has no schedules to pin", req.Kind)
 	}
-	if err == nil {
-		var rep *core.Report
-		if rep, err = p.ExecuteUnpooled(inputs); err == nil {
-			return rep, nil
-		}
-	}
-	return nil, fmt.Errorf("%s p=%d b=%d under %s: %w", req.Kind, req.P, req.B, alg, err)
+	return p, err
 }
 
 // benchAutoShapes restates the Auto and algorithm-free shapes of the five

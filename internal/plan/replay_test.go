@@ -11,36 +11,18 @@ import (
 	"repro/internal/mesh"
 )
 
+// poolTestInputs are inputs of req's layout, vector i of them i%7 plus half
+// of each element's index mod 3.
 func poolTestInputs(req Request) [][]float32 {
-	fill := func(v []float32, i int) {
+	i := -1
+	return req.Inputs(func(n int) []float32 {
+		i++
+		v := make([]float32, n)
 		for j := range v {
 			v[j] = float32(i%7) + float32(j%3)*0.5
 		}
-	}
-	switch req.Kind {
-	case Gather, AllGather:
-		// Chunked kinds take per-PE chunks totalling B elements.
-		_, sz := core.Chunks(req.P, req.B)
-		out := make([][]float32, req.P)
-		for i := range out {
-			out[i] = make([]float32, sz[i])
-			fill(out[i], i)
-		}
-		return out
-	}
-	n := req.P
-	switch req.Kind {
-	case Broadcast1D, Broadcast2D, Scatter:
-		n = 1
-	case Reduce2D, AllReduce2D:
-		n = req.Width * req.Height
-	}
-	out := make([][]float32, n)
-	for i := range out {
-		out[i] = make([]float32, req.B)
-		fill(out[i], i)
-	}
-	return out
+		return v
+	})
 }
 
 func sameReport(t *testing.T, want, got *core.Report, label string) {

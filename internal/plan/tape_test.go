@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -48,17 +47,10 @@ func tapeVariants() []fabric.Options {
 	}
 }
 
-// randomInputs is poolTestInputs with non-integer values, so a reduction
-// applied in another order, or landing on another element, shows in the bits.
+// randomInputs are inputs of req's layout whose combination depends on the
+// order (denseInputs' normals).
 func randomInputs(req Request, seed int64) [][]float32 {
-	rng := rand.New(rand.NewSource(seed))
-	in := poolTestInputs(req)
-	for _, v := range in {
-		for i := range v {
-			v[i] = float32(rng.NormFloat64()) * 3.7
-		}
-	}
-	return in
+	return denseInputs(req, seed, normals)[0]
 }
 
 func sameBitsVec(t *testing.T, want, got []float32, label string) {

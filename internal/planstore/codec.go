@@ -23,6 +23,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -64,15 +65,12 @@ const (
 // the plan's content address. Encoding is deterministic: the same plan
 // always yields the same bytes and therefore the same address.
 func Encode(p *plan.Plan) ([]byte, string, error) {
-	specBytes, err := p.Spec.MarshalBinary()
-	if err != nil {
-		return nil, "", fmt.Errorf("planstore: encode spec: %w", err)
-	}
 	tape, lens := p.Tape()
 	// One buffer holds the frame: the header's room first, then the payload —
-	// the spec, a few bytes a PE for the trees and the tape's accumulator
-	// lengths, and two or three short varints a run of the tape.
-	e := &enc{buf: make([]byte, headerLen, headerLen+len(specBytes)+512+4*p.Spec.Len()+8*tape.Runs())}
+	// the spec, some six bytes a PE and its few programs, a few bytes a PE for
+	// the trees and the tape's accumulator lengths, and two or three short
+	// varints a run of the tape.
+	e := &enc{buf: make([]byte, headerLen, headerLen+1536+10*p.Spec.Len()+8*tape.Runs())}
 	putKey(e, p.Key)
 	e.str(string(p.Kind))
 	e.str(string(p.Alg))
@@ -84,7 +82,14 @@ func Encode(p *plan.Plan) ([]byte, string, error) {
 	e.byte(byte(p.Op))
 	putOptions(e, p.Opt)
 	e.f64(p.Predicted)
-	e.bytes(specBytes)
+	// The spec section is built in place, then its length is put before it.
+	at := len(e.buf)
+	var err error
+	if e.buf, err = p.Spec.AppendBinary(e.buf); err != nil {
+		return nil, "", fmt.Errorf("planstore: encode spec: %w", err)
+	}
+	var n [binary.MaxVarintLen64]byte
+	e.buf = slices.Insert(e.buf, at, n[:binary.PutUvarint(n[:], uint64(len(e.buf)-at))]...)
 	putTree(e, p.Tree)
 	putTree(e, p.RowTree)
 	putTree(e, p.ColTree)
@@ -388,10 +393,6 @@ func (e *enc) f64(v float64)    { e.u64(math.Float64bits(v)) }
 func (e *enc) str(s string) {
 	e.uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
-}
-func (e *enc) bytes(b []byte) {
-	e.uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
 }
 
 // dec reads primitive values, latching the first error.
