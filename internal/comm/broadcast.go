@@ -34,8 +34,7 @@ func BuildFlood(spec *fabric.Spec, lane Lane, root int) error {
 		if v == root {
 			op.Kind = fabric.OpSend
 		}
-		pe := spec.PE(path[v])
-		pe.Ops = append(pe.Ops, op)
+		spec.Append(path[v], op)
 	}
 	floodRoutes(spec, path, root, color)
 	return nil
@@ -62,7 +61,7 @@ func floodRoutes(spec *fabric.Spec, path mesh.Path, root int, color mesh.Color) 
 		if v <= root && v > 0 {
 			cfg.Forward = cfg.Forward.Set(path.TowardStart(v))
 		}
-		spec.PE(path[v]).AddConfig(color, cfg)
+		spec.AddConfig(path[v], color, cfg)
 	}
 }
 
@@ -87,7 +86,7 @@ func BuildBroadcast2D(spec *fabric.Spec, width, height int, root mesh.Coord, b i
 	}
 	for y := 0; y < height; y++ {
 		for x := 0; x < width; x++ {
-			pe := spec.PE(mesh.Coord{X: x, Y: y})
+			c := mesh.Coord{X: x, Y: y}
 			op := fabric.Op{Kind: fabric.OpRecvStore, Color: color, N: b}
 			fwd := mesh.Dirs(mesh.Ramp)
 			var accept mesh.Direction
@@ -117,8 +116,8 @@ func BuildBroadcast2D(spec *fabric.Spec, width, height int, root mesh.Coord, b i
 			if y <= root.Y && y > 0 {
 				fwd = fwd.Set(mesh.North)
 			}
-			pe.Ops = append(pe.Ops, op)
-			pe.AddConfig(color, fabric.RouterConfig{Accept: accept, Forward: fwd})
+			spec.Append(c, op)
+			spec.AddConfig(c, color, fabric.RouterConfig{Accept: accept, Forward: fwd})
 		}
 	}
 	return nil

@@ -118,10 +118,17 @@ func BuildReduceXY(spec *fabric.Spec, width, height int, rowTree, colTree Tree, 
 	if colTree.Len() != height {
 		return fmt.Errorf("comm: column tree has %d vertices, grid height %d", colTree.Len(), height)
 	}
+	// Every row runs rowTree: one shape, and one path moved down the grid.
+	row := Lane{Path: mesh.Row(0, 0, width), N: b}
+	ts, err := shapeOf(row, rowTree)
+	if err != nil {
+		return fmt.Errorf("comm: rows: %w", err)
+	}
 	for y := 0; y < height; y++ {
-		if err := BuildTreeReduce(spec, Lane{Path: mesh.Row(y, 0, width), N: b}, rowTree, op); err != nil {
-			return fmt.Errorf("comm: row %d: %w", y, err)
+		for x := range row.Path {
+			row.Path[x].Y = y
 		}
+		ts.build(spec, row, op)
 	}
 	if height > 1 {
 		column := mesh.Column(0, 0, height)
@@ -143,18 +150,20 @@ func BuildReduceXY(spec *fabric.Spec, width, height int, rowTree, colTree Tree, 
 // vertex's pipelining, across the phases. Its router is unchanged: the send
 // leaves its ramp on the same color either way.
 func streamLeaves(spec *fabric.Spec, path mesh.Path, tree Tree) {
+	var ops []fabric.Op
 	for v, ch := range tree.Children() {
 		if v == 0 || len(ch) > 0 {
 			continue
 		}
-		pe := spec.PE(path[v])
-		n := len(pe.Ops)
-		if n < 2 || pe.Ops[n-2].Kind != fabric.OpRecvReduce || pe.Ops[n-1].Kind != fabric.OpSend {
+		prog := spec.PE(path[v]).Program().Ops
+		n := len(prog)
+		if n < 2 || prog[n-2].Kind != fabric.OpRecvReduce || prog[n-1].Kind != fabric.OpSend {
 			continue // a row of one PE: nothing to stream
 		}
-		fused := pe.Ops[n-2]
-		fused.Kind, fused.OutColor = fabric.OpRecvReduceSend, pe.Ops[n-1].Color
-		pe.Ops = append(pe.Ops[:n-2], fused)
+		fused := prog[n-2]
+		fused.Kind, fused.OutColor = fabric.OpRecvReduceSend, prog[n-1].Color
+		ops = append(append(ops[:0], prog[:n-2]...), fused)
+		spec.SetOps(path[v], ops)
 	}
 }
 

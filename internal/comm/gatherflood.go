@@ -41,22 +41,25 @@ func BuildGatherFlood(spec *fabric.Spec, lane Lane) error {
 		return err
 	}
 	off, sz := lane.chunks()
+	ops := make([]fabric.Op, 0, p) // one PE's program, while it is built
 	for u := 0; u < p; u++ {
-		pe := spec.PE(path[u])
+		c := path[u]
+		ops = ops[:0]
 		if u == 0 {
-			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpSend, Color: color, Off: off[0], N: sz[0]})
+			ops = append(ops, fabric.Op{Kind: fabric.OpSend, Color: color, Off: off[0], N: sz[0]})
 		}
 		for v := 0; v < p; v++ {
 			switch {
 			case v == u-1:
-				pe.Ops = append(pe.Ops, fabric.Op{
+				ops = append(ops, fabric.Op{
 					Kind: fabric.OpSendRecvStore, OutColor: color, Off: off[u], N: sz[u],
 					Color: color, Off2: off[v], N2: sz[v],
 				})
 			case v != u:
-				pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: color, Off: off[v], N: sz[v]})
+				ops = append(ops, fabric.Op{Kind: fabric.OpRecvStore, Color: color, Off: off[v], N: sz[v]})
 			}
 		}
+		spec.Append(c, ops...)
 
 		// A turn from the start's side goes on towards the end, one from the
 		// end's side towards the start; this PE's own goes both ways.
@@ -70,11 +73,11 @@ func BuildGatherFlood(spec *fabric.Spec, lane Lane) error {
 			fromStart = fromStart.Set(path.TowardEnd(u))
 		}
 		if u > 0 {
-			pe.AddConfig(color, fabric.RouterConfig{Accept: path.TowardStart(u), Forward: fromStart, Times: u})
+			spec.AddConfig(c, color, fabric.RouterConfig{Accept: path.TowardStart(u), Forward: fromStart, Times: u})
 		}
-		pe.AddConfig(color, fabric.RouterConfig{Accept: mesh.Ramp, Forward: own, Times: 1})
+		spec.AddConfig(c, color, fabric.RouterConfig{Accept: mesh.Ramp, Forward: own, Times: 1})
 		if u < p-1 {
-			pe.AddConfig(color, fabric.RouterConfig{Accept: path.TowardEnd(u), Forward: fromEnd, Times: p - 1 - u})
+			spec.AddConfig(c, color, fabric.RouterConfig{Accept: path.TowardEnd(u), Forward: fromEnd, Times: p - 1 - u})
 		}
 	}
 	return nil

@@ -40,28 +40,65 @@ func reversePath(p mesh.Path) mesh.Path {
 // indexed by distance from the middle (any of the §5 patterns, or a pair
 // searched together). The middle PE takes the west half's transfers first.
 func BuildReduceMidRoot(spec *fabric.Spec, lane Lane, westTree, eastTree Tree, op fabric.ReduceOp) error {
-	p := len(lane.Path)
-	if p < 1 {
-		return fmt.Errorf("comm: empty path")
-	}
-	if err := lane.validate(1); err != nil {
+	m, err := midRootOf(lane, westTree, eastTree)
+	if err != nil {
 		return err
 	}
-	west, east := lane.halves()
-	if len(west.Path) > 1 {
-		if err := BuildTreeReduce(spec, west, westTree, op); err != nil {
-			return fmt.Errorf("comm: west half: %w", err)
-		}
-	}
-	// The middle PE's accumulator is shared, so its own contribution is
-	// counted exactly once even though it roots both trees.
-	if len(east.Path) > 1 {
-		east.Base += 2
-		if err := BuildTreeReduce(spec, east, eastTree, op); err != nil {
-			return fmt.Errorf("comm: east half: %w", err)
-		}
-	}
+	m.build(spec, op)
 	return nil
+}
+
+// midRoot is a middle-root reduce's two half lanes and their trees' shapes,
+// worked out once for every row of a grid.
+type midRoot struct {
+	west, east   Lane
+	wTree, eTree *treeShape // nil for a half of one PE: the middle PE alone
+}
+
+func midRootOf(lane Lane, westTree, eastTree Tree) (*midRoot, error) {
+	if len(lane.Path) < 1 {
+		return nil, fmt.Errorf("comm: empty path")
+	}
+	if err := lane.validate(1); err != nil {
+		return nil, err
+	}
+	m := &midRoot{}
+	m.west, m.east = lane.halves()
+	m.east.Base += 2
+	var err error
+	if len(m.west.Path) > 1 {
+		if m.wTree, err = shapeOf(m.west, westTree); err != nil {
+			return nil, fmt.Errorf("comm: west half: %w", err)
+		}
+	}
+	if len(m.east.Path) > 1 {
+		if m.eTree, err = shapeOf(m.east, eastTree); err != nil {
+			return nil, fmt.Errorf("comm: east half: %w", err)
+		}
+	}
+	return m, nil
+}
+
+// build compiles the two half-reduces. The middle PE's accumulator is
+// shared, so its own contribution is counted exactly once even though it
+// roots both trees.
+func (m *midRoot) build(spec *fabric.Spec, op fabric.ReduceOp) {
+	if m.wTree != nil {
+		m.wTree.build(spec, m.west, op)
+	}
+	if m.eTree != nil {
+		m.eTree.build(spec, m.east, op)
+	}
+}
+
+// toRow moves the halves of a row lane to row y.
+func (m *midRoot) toRow(y int) {
+	for i := range m.west.Path {
+		m.west.Path[i].Y = y
+	}
+	for i := range m.east.Path {
+		m.east.Path[i].Y = y
+	}
 }
 
 // halves splits a lane at its middle PE, path index p/2: the west half walks
@@ -141,8 +178,7 @@ func BuildAllReduceFold(spec *fabric.Spec, lane Lane, op fabric.ReduceOp) error 
 		default:
 			o.Color, o.OutColor = color(k-1), color(k)
 		}
-		pe := spec.PE(path[v])
-		pe.Ops = append(pe.Ops, o)
+		spec.Append(path[v], o)
 		if k == p-1 {
 			continue
 		}
@@ -152,11 +188,11 @@ func BuildAllReduceFold(spec *fabric.Spec, lane Lane, op fabric.ReduceOp) error 
 		if to < v {
 			s = -1
 		}
-		pe.AddConfig(c, fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(toward(v, s))})
+		spec.AddConfig(path[v], c, fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(toward(v, s))})
 		for i := v + s; i != to; i += s {
-			spec.PE(path[i]).AddConfig(c, fabric.RouterConfig{Accept: toward(i, -s), Forward: mesh.Dirs(toward(i, s))})
+			spec.AddConfig(path[i], c, fabric.RouterConfig{Accept: toward(i, -s), Forward: mesh.Dirs(toward(i, s))})
 		}
-		spec.PE(path[to]).AddConfig(c, fabric.RouterConfig{Accept: toward(to, -s), Forward: mesh.Dirs(mesh.Ramp)})
+		spec.AddConfig(path[to], c, fabric.RouterConfig{Accept: toward(to, -s), Forward: mesh.Dirs(mesh.Ramp)})
 	}
 	flood := lane
 	flood.Base += 4
@@ -173,10 +209,11 @@ func BuildAllGatherMidRoot(spec *fabric.Spec, lane Lane) error {
 	if err != nil {
 		return err
 	}
-	root := spec.PE(lane.Path[order[0]])
+	ops := make([]fabric.Op, 0, len(order)-1)
 	for _, v := range order[1:] {
-		root.Ops = append(root.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: lane.halfColor(v), Off: off[v], N: sz[v]})
+		ops = append(ops, fabric.Op{Kind: fabric.OpRecvStore, Color: lane.halfColor(v), Off: off[v], N: sz[v]})
 	}
+	spec.Append(lane.Path[order[0]], ops...)
 	flood := lane
 	flood.Base += 4
 	return BuildFlood(spec, flood, order[0])
@@ -245,29 +282,30 @@ func BuildAllGatherStreamed(spec *fabric.Spec, lane Lane) error {
 		return err
 	}
 	mid, flood := order[0], lane.Base+4
-	root := spec.PE(lane.Path[mid])
+	ops := make([]fabric.Op, 0, len(order)+len(lane.Path)) // one PE's program, while it is built
 	for k, v := range order[1:] {
 		u := order[k]
-		root.Ops = append(root.Ops, fabric.Op{
+		ops = append(ops, fabric.Op{
 			Kind: fabric.OpSendRecvStore, OutColor: flood, Off: off[u], N: sz[u],
 			Color: lane.halfColor(v), Off2: off[v], N2: sz[v],
 		})
 	}
 	last := order[len(order)-1]
-	root.Ops = append(root.Ops, fabric.Op{Kind: fabric.OpSend, Color: flood, Off: off[last], N: sz[last]})
+	spec.Append(lane.Path[mid], append(ops, fabric.Op{Kind: fabric.OpSend, Color: flood, Off: off[last], N: sz[last]})...)
 	for v, c := range lane.Path {
 		if v == mid {
 			continue
 		}
-		pe := spec.PE(c)
 		// gatherHalves left the sender's one send last; it takes the first
 		// flood too.
-		send := &pe.Ops[len(pe.Ops)-1]
+		ops = append(ops[:0], spec.PE(c).Program().Ops...)
+		send := &ops[len(ops)-1]
 		send.Kind, send.OutColor, send.Color = fabric.OpSendRecvStore, send.Color, flood
 		send.Off2, send.N2 = off[mid], sz[mid]
 		for _, u := range order[1:] {
-			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: flood, Off: off[u], N: sz[u]})
+			ops = append(ops, fabric.Op{Kind: fabric.OpRecvStore, Color: flood, Off: off[u], N: sz[u]})
 		}
+		spec.SetOps(c, ops)
 	}
 	floodRoutes(spec, lane.Path, mid, flood)
 	return nil
@@ -281,10 +319,14 @@ func BuildAllGatherStreamed(spec *fabric.Spec, lane Lane) error {
 // there on ColorBcast2. Every leaf of either column half streams its row's
 // last transfer up the column (streamLeaves).
 func BuildAllReduceCentre(spec *fabric.Spec, width, height, b int, row, col [2]Tree, op fabric.ReduceOp) error {
+	// Every row runs the same halves: one shape, moved down the grid.
+	rows, err := midRootOf(Lane{Path: mesh.Row(0, 0, width), N: b}, row[0], row[1])
+	if err != nil {
+		return fmt.Errorf("comm: rows: %w", err)
+	}
 	for y := 0; y < height; y++ {
-		if err := BuildReduceMidRoot(spec, Lane{Path: mesh.Row(y, 0, width), N: b}, row[0], row[1], op); err != nil {
-			return fmt.Errorf("comm: row %d: %w", y, err)
-		}
+		rows.toRow(y)
+		rows.build(spec, op)
 	}
 	column := Lane{Path: mesh.Column(width/2, 0, height), N: b, Base: 5}
 	if err := BuildReduceMidRoot(spec, column, col[0], col[1], op); err != nil {

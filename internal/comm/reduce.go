@@ -29,78 +29,103 @@ import (
 // bounded queues (loose synchronisation); the pre-order layout guarantees
 // the stall graph is acyclic.
 func BuildTreeReduce(spec *fabric.Spec, lane Lane, tree Tree, op fabric.ReduceOp) error {
-	path, off, b := lane.Path, lane.Off, lane.N
-	if len(path) != tree.Len() {
-		return fmt.Errorf("comm: path has %d PEs, tree has %d vertices", len(path), tree.Len())
+	ts, err := shapeOf(lane, tree)
+	if err != nil {
+		return err
+	}
+	ts.build(spec, lane, op)
+	return nil
+}
+
+// treeShape is what a tree reduce reads of its tree, worked out once for
+// every lane that runs the tree (the rows of a grid, say).
+type treeShape struct {
+	children [][]int
+	depth    []int
+	// One vertex's ops and its two colors' configurations, while they are
+	// built.
+	ops     []fabric.Op
+	in, out [2]fabric.RouterConfig
+}
+
+// shapeOf checks a lane and a tree against each other and works out the
+// tree's shape.
+func shapeOf(lane Lane, tree Tree) (*treeShape, error) {
+	if len(lane.Path) != tree.Len() {
+		return nil, fmt.Errorf("comm: path has %d PEs, tree has %d vertices", len(lane.Path), tree.Len())
 	}
 	if err := tree.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := lane.validate(1); err != nil {
-		return err
+		return nil, err
 	}
+	return &treeShape{children: tree.Children(), depth: tree.Depths()}, nil
+}
+
+// build compiles the tree reduce on a lane of the shape's length.
+func (ts *treeShape) build(spec *fabric.Spec, lane Lane, op fabric.ReduceOp) {
+	path, off, b := lane.Path, lane.Off, lane.N
 	colors := [2]mesh.Color{lane.Base, lane.Base + 1}
-	children := tree.Children()
-	depth := tree.Depths()
-	p := tree.Len()
+	p := len(path)
 	for v := 0; v < p; v++ {
-		pe := spec.PE(path[v])
-		colorIn := colors[depth[v]%2]
-		colorOut := colors[(depth[v]+1)%2]
-		ch := children[v]
+		c := path[v]
+		colorIn := colors[ts.depth[v]%2]
+		colorOut := colors[(ts.depth[v]+1)%2]
+		ch := ts.children[v]
 
 		// Processor program: receive children in order, streaming the last
 		// one through to the parent (the pipelining that gives Chain its
 		// B + (2T_R+2)(P-1) runtime); leaves just send.
+		recv := fabric.Op{Kind: fabric.OpRecvReduce, Color: colorIn, Off: off, N: b, Reduce: op}
+		ops := ts.ops[:0]
 		switch {
 		case v == 0: // root: receive everything, keep the result
 			for range ch {
-				pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvReduce, Color: colorIn, Off: off, N: b, Reduce: op})
+				ops = append(ops, recv)
 			}
 		case len(ch) == 0: // leaf
-			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpSend, Color: colorOut, Off: off, N: b})
+			ops = append(ops, fabric.Op{Kind: fabric.OpSend, Color: colorOut, Off: off, N: b})
 		default: // inner vertex
 			for range ch[:len(ch)-1] {
-				pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvReduce, Color: colorIn, Off: off, N: b, Reduce: op})
+				ops = append(ops, recv)
 			}
-			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvReduceSend, Color: colorIn, OutColor: colorOut, Off: off, N: b, Reduce: op})
+			ops = append(ops, fabric.Op{Kind: fabric.OpRecvReduceSend, Color: colorIn, OutColor: colorOut, Off: off, N: b, Reduce: op})
 		}
+		spec.Append(c, ops...)
+		ts.ops = ops
 
-		// Router configuration lists. "West" is towards path index 0.
+		// Router configuration lists, each color's in one write. "West" is
+		// towards path index 0.
+		in, out := ts.in[:0], ts.out[:0]
 		if len(ch) > 0 {
-			pe.AddConfig(colorIn, fabric.RouterConfig{
+			in = append(in, fabric.RouterConfig{
 				Accept:  path.TowardEnd(v), // children are east of v
 				Forward: mesh.Dirs(mesh.Ramp),
 				Times:   len(ch),
 			})
-			if v > 0 && v < p-1 {
-				pe.AddConfig(colorIn, fabric.RouterConfig{
-					Accept:  path.TowardEnd(v),
-					Forward: mesh.Dirs(path.TowardStart(v)),
-				})
-			}
 		}
 		if v > 0 {
-			pe.AddConfig(colorOut, fabric.RouterConfig{
+			out = append(out, fabric.RouterConfig{
 				Accept:  mesh.Ramp,
 				Forward: mesh.Dirs(path.TowardStart(v)),
 				Times:   1,
 			})
-			if v < p-1 {
-				pe.AddConfig(colorOut, fabric.RouterConfig{
-					Accept:  path.TowardEnd(v),
-					Forward: mesh.Dirs(path.TowardStart(v)),
-				})
-			}
 		}
-		// Pure pass-through on the inbound color a leaf never uses itself:
-		// transfers of the same parity cross it on that color.
-		if len(ch) == 0 && v > 0 && v < p-1 {
-			pe.AddConfig(colorIn, fabric.RouterConfig{
-				Accept:  path.TowardEnd(v),
-				Forward: mesh.Dirs(path.TowardStart(v)),
-			})
+		if v > 0 && v < p-1 {
+			// Pass-through towards the root once the vertex is done: on the
+			// inbound color after its children (a leaf never uses that
+			// color itself, but transfers of the same parity cross it on
+			// it), on the outbound one after its own send.
+			pass := fabric.RouterConfig{Accept: path.TowardEnd(v), Forward: mesh.Dirs(path.TowardStart(v))}
+			in = append(in, pass)
+			out = append(out, pass)
+		}
+		if len(in) > 0 {
+			spec.AddConfig(c, colorIn, in...)
+		}
+		if len(out) > 0 {
+			spec.AddConfig(c, colorOut, out...)
 		}
 	}
-	return nil
 }

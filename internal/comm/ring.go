@@ -94,11 +94,10 @@ func addRingEdge(spec *fabric.Spec, path mesh.Path, a, b int, color mesh.Color) 
 		return path.TowardEnd(i)
 	}
 	add := func(i int, cfg fabric.RouterConfig) error {
-		pe := spec.PE(path[i])
-		if pe.ConfigsFor(color) != nil {
+		if spec.PE(path[i]).ConfigsFor(color) != nil {
 			return fmt.Errorf("comm: ring color %d collides at path index %d", color, i)
 		}
-		pe.AddConfig(color, cfg)
+		spec.AddConfig(path[i], color, cfg)
 		return nil
 	}
 	if err := add(a, fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(toward(a))}); err != nil {
@@ -183,29 +182,30 @@ func buildRingPhases(spec *fabric.Spec, lane Lane, mapping RingMapping, op fabri
 
 	// Per-PE programs: P-1 full-duplex rounds per phase, or the streamed
 	// reduce-scatter's send, P-2 forwards and receive.
+	var ops []fabric.Op // one PE's program, while it is built
 	for k := 0; k < p; k++ {
-		pe := spec.PE(path[order[k]])
+		ops = ops[:0]
 		out, in := edge(k), edge((k-1+p)%p)
 		switch rs {
 		case rsStreamed:
 			// Round r's send is the chunk round r−1 received: forwarding
 			// it as it arrives fuses the two.
 			s := chunkOf(k)
-			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpSend, Color: out, Off: off[s], N: sz[s]})
+			ops = append(ops, fabric.Op{Kind: fabric.OpSend, Color: out, Off: off[s], N: sz[s]})
 			for r := 1; r < p-1; r++ {
 				s = chunkOf(k - r)
-				pe.Ops = append(pe.Ops, fabric.Op{
+				ops = append(ops, fabric.Op{
 					Kind: fabric.OpRecvReduceSend, Color: in, OutColor: out,
 					Off: off[s], N: sz[s], Reduce: op,
 				})
 			}
 			s = chunkOf(k + 1)
-			pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvReduce, Color: in, Off: off[s], N: sz[s], Reduce: op})
+			ops = append(ops, fabric.Op{Kind: fabric.OpRecvReduce, Color: in, Off: off[s], N: sz[s], Reduce: op})
 		case rsRounds:
 			for r := 0; r < p-1; r++ {
 				s := chunkOf(k - r)
 				rc := chunkOf(k - r - 1)
-				pe.Ops = append(pe.Ops, fabric.Op{
+				ops = append(ops, fabric.Op{
 					Kind: fabric.OpSendRecvReduce, OutColor: out, Color: in,
 					Off: off[s], N: sz[s], Off2: off[rc], N2: sz[rc],
 					Reduce: op,
@@ -216,12 +216,13 @@ func buildRingPhases(spec *fabric.Spec, lane Lane, mapping RingMapping, op fabri
 			for r := 0; r < p-1; r++ {
 				s := chunkOf(k + 1 - r)
 				rc := chunkOf(k - r)
-				pe.Ops = append(pe.Ops, fabric.Op{
+				ops = append(ops, fabric.Op{
 					Kind: fabric.OpSendRecvStore, OutColor: out, Color: in,
 					Off: off[s], N: sz[s], Off2: off[rc], N2: sz[rc],
 				})
 			}
 		}
+		spec.Append(path[order[k]], ops...)
 	}
 	return nil
 }

@@ -49,25 +49,26 @@ func BuildScatter(spec *fabric.Spec, path mesh.Path, b int, color mesh.Color) er
 	}
 	off, sz := Chunks(p, b)
 
-	root := spec.PE(path[0])
 	// Root sends chunks for PEs P-1 down to 1; chunk 0 stays local.
+	ops := make([]fabric.Op, 0, p-1)
 	for v := p - 1; v >= 1; v-- {
-		root.Ops = append(root.Ops, fabric.Op{Kind: fabric.OpSend, Color: color, Off: off[v], N: sz[v]})
+		ops = append(ops, fabric.Op{Kind: fabric.OpSend, Color: color, Off: off[v], N: sz[v]})
 	}
-	root.AddConfig(color, fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(path.TowardEnd(0))})
+	spec.Append(path[0], ops...)
+	spec.AddConfig(path[0], color, fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(path.TowardEnd(0))})
 
 	for v := 1; v < p; v++ {
-		pe := spec.PE(path[v])
-		pe.Ops = append(pe.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: color, N: sz[v]})
+		c := path[v]
+		spec.Append(c, fabric.Op{Kind: fabric.OpRecvStore, Color: color, N: sz[v]})
 		// Pass the p-1-v transfers headed beyond v, then take ours.
 		if v < p-1 {
-			pe.AddConfig(color, fabric.RouterConfig{
+			spec.AddConfig(c, color, fabric.RouterConfig{
 				Accept:  path.TowardStart(v),
 				Forward: mesh.Dirs(path.TowardEnd(v)),
 				Times:   p - 1 - v,
 			})
 		}
-		pe.AddConfig(color, fabric.RouterConfig{
+		spec.AddConfig(c, color, fabric.RouterConfig{
 			Accept:  path.TowardStart(v),
 			Forward: mesh.Dirs(mesh.Ramp),
 			Times:   1,
@@ -91,10 +92,11 @@ func BuildGather(spec *fabric.Spec, path mesh.Path, b int, color mesh.Color) err
 		return err
 	}
 	off, sz := Chunks(p, b)
-	root := spec.PE(path[0])
+	ops := make([]fabric.Op, 0, p-1)
 	for v := 1; v < p; v++ {
-		root.Ops = append(root.Ops, fabric.Op{Kind: fabric.OpRecvStore, Color: color, Off: off[v], N: sz[v]})
+		ops = append(ops, fabric.Op{Kind: fabric.OpRecvStore, Color: color, Off: off[v], N: sz[v]})
 	}
+	spec.Append(path[0], ops...)
 	gatherChunks(spec, path, off, sz, false, color)
 	return nil
 }
@@ -106,21 +108,21 @@ func BuildGather(spec *fabric.Spec, path mesh.Path, b int, color mesh.Color) err
 // sent from off[v] of its sender's buffer, any other from the start.
 func gatherChunks(spec *fabric.Spec, path mesh.Path, off, sz []int, placed bool, color mesh.Color) {
 	p := len(path)
-	spec.PE(path[0]).AddConfig(color, fabric.RouterConfig{Accept: path.TowardEnd(0), Forward: mesh.Dirs(mesh.Ramp)})
+	spec.AddConfig(path[0], color, fabric.RouterConfig{Accept: path.TowardEnd(0), Forward: mesh.Dirs(mesh.Ramp)})
 	for v := 1; v < p; v++ {
-		pe := spec.PE(path[v])
+		c := path[v]
 		op := fabric.Op{Kind: fabric.OpSend, Color: color, N: sz[v]}
 		if placed {
 			op.Off = off[v]
 		}
-		pe.Ops = append(pe.Ops, op)
-		pe.AddConfig(color, fabric.RouterConfig{
+		spec.Append(c, op)
+		spec.AddConfig(c, color, fabric.RouterConfig{
 			Accept:  mesh.Ramp,
 			Forward: mesh.Dirs(path.TowardStart(v)),
 			Times:   1,
 		})
 		if v < p-1 {
-			pe.AddConfig(color, fabric.RouterConfig{
+			spec.AddConfig(c, color, fabric.RouterConfig{
 				Accept:  path.TowardEnd(v),
 				Forward: mesh.Dirs(path.TowardStart(v)),
 			})

@@ -66,8 +66,9 @@ func BuildGatherInto(spec *fabric.Spec, p, b int) error {
 // leaves chunk j of the B-element image.
 func placeChunks(spec *fabric.Spec, p, b int) error {
 	off, _ := comm.Chunks(p, b)
+	var ops []fabric.Op
 	for v, c := range mesh.Row(0, 0, p)[1:] {
-		ops := spec.PE(c).Ops
+		ops = append(ops[:0], spec.PE(c).Program().Ops...)
 		if len(ops) == 0 {
 			return fmt.Errorf("core: PE %v has no chunk op to place", c)
 		}
@@ -76,6 +77,7 @@ func placeChunks(spec *fabric.Spec, p, b int) error {
 			return fmt.Errorf("core: PE %v ends in %v on color %d, not its chunk's receive", c, op.Kind, op.Color)
 		}
 		op.Off = off[v+1]
+		spec.SetOps(c, ops)
 	}
 	return nil
 }

@@ -13,20 +13,20 @@ func starLike(p, b int) *Spec {
 	s := NewSpec(p, 1)
 	root := s.PE(mesh.Coord{})
 	for v := 1; v < p; v++ {
-		root.Ops = append(root.Ops, Op{Kind: OpRecvReduce, Color: 0, N: b})
+		s.Append(mesh.Coord{}, Op{Kind: OpRecvReduce, Color: 0, N: b})
 	}
 	root.Init = make([]float32, b)
-	root.AddConfig(0, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp), Times: p - 1})
+	s.AddConfig(mesh.Coord{}, 0, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp), Times: p - 1})
 	for v := 1; v < p; v++ {
 		pe := s.PE(mesh.Coord{X: v, Y: 0})
 		pe.Init = make([]float32, b)
 		for i := range pe.Init {
 			pe.Init[i] = 1
 		}
-		pe.Ops = []Op{{Kind: OpSend, Color: 0, N: b}}
-		pe.AddConfig(0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West), Times: 1})
+		s.SetOps(mesh.Coord{X: v, Y: 0}, []Op{{Kind: OpSend, Color: 0, N: b}})
+		s.AddConfig(mesh.Coord{X: v, Y: 0}, 0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West), Times: 1})
 		if v < p-1 {
-			pe.AddConfig(0, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.West)})
+			s.AddConfig(mesh.Coord{X: v, Y: 0}, 0, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.West)})
 		}
 	}
 	return s

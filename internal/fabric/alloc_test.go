@@ -67,6 +67,34 @@ func TestUnmarshalAllocsIndependentOfPECount(t *testing.T) {
 	}
 }
 
+// TestRunAllocsIndependentOfCycles: a run sizes its per-cycle lists before
+// its first cycle, so how often it allocates does not grow with how long it
+// runs: a chain of 64 PEs allocates as often at B = 1,024 as at B = 16.
+func TestRunAllocsIndependentOfCycles(t *testing.T) {
+	allocs := func(b int) float64 {
+		pl, err := plan.Compile(plan.Request{Kind: plan.Reduce1D, Alg: core.Chain, P: 64, B: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := stampedSpec(t, pl)
+		s.Each(func(_ mesh.Coord, pe *fabric.PESpec) { pe.Init = make([]float32, b) })
+		return testing.AllocsPerRun(5, func() {
+			f, err := fabric.New(s, pl.Opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(16), allocs(1024)
+	t.Logf("New and Run: %.0f allocs at B=16, %.0f at B=1024", short, long)
+	if long != short {
+		t.Fatalf("a chain allocates %.0f times at B=1024 and %.0f at B=16: the run grows something as it goes", long, short)
+	}
+}
+
 // statePrograms are the programs TestNewBytesPerPE weighs. was is the
 // state, in bytes per PE, that fabric.New allocated for each before the
 // per-PE state was cut down: a 280-byte proc (96 of them a per-color inbox

@@ -331,6 +331,9 @@ type Fabric struct {
 	// skips validation and resolve and only re-arms.
 	lastSpec *Spec
 	peRefs   []*PESpec
+	// init, when non-nil, holds the PEs' initial vectors by row-major index
+	// in place of their Init (NewBound).
+	init [][]float32
 
 	shards    []shardState
 	unitShard []uint16
@@ -391,6 +394,11 @@ type shardState struct {
 	localCS, localP []int32
 	outCS, outP     [][]int32
 
+	// The most entries each list above can take in one cycle: a queue is
+	// pushed and popped at most once a cycle, a unit or color state woken
+	// once. resolve counts them; a run sizes the lists to them up front.
+	maxPushed, maxPopped, maxCS, maxP int
+
 	qPushes, qPops int64 // lifetime router-queue traffic (drain detection)
 	pending        int   // unfinished procs owned by this shard
 	stats          Stats
@@ -400,7 +408,14 @@ type shardState struct {
 // New instantiates a fabric for the given program. The spec is validated
 // first; routing tables and processor state are laid out densely over the
 // programmed PEs, in the spec's own row-major order.
-func New(s *Spec, opt Options) (*Fabric, error) {
+func New(s *Spec, opt Options) (*Fabric, error) { return NewBound(s, nil, opt) }
+
+// NewBound is New for one run of a program many runs share: the PE at
+// row-major index i of the region starts from init[i] in place of its Init,
+// and from nothing past the end of init. The spec is only read, so runs of
+// one spec may each bind their own vectors at once. A Reset with another
+// spec drops the binding.
+func NewBound(s *Spec, init [][]float32, opt Options) (*Fabric, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -418,15 +433,16 @@ func New(s *Spec, opt Options) (*Fabric, error) {
 		routers: make([]router, n),
 		procs:   make([]proc, n),
 		peRefs:  make([]*PESpec, 0, n),
+		init:    init,
 	}
 	totalCS := 0
-	for idx, pe := range s.pes {
+	for idx := range s.pes {
 		f.grid[idx] = -1
-		if pe != nil {
+		if pe := &s.pes[idx]; pe.prog != nil {
 			f.grid[idx] = int32(len(f.coords))
 			f.coords = append(f.coords, s.coord(idx))
 			f.peRefs = append(f.peRefs, pe)
-			totalCS += len(pe.Configs)
+			totalCS += len(pe.prog.Configs)
 		}
 	}
 
@@ -436,12 +452,12 @@ func New(s *Spec, opt Options) (*Fabric, error) {
 	for i, pe := range f.peRefs {
 		r := &f.routers[i]
 		r.csBase = int32(len(f.colorStates))
-		for k := range pe.Configs {
-			color := pe.Configs[k].Color
+		for k := range pe.prog.Configs {
+			color := pe.prog.Configs[k].Color
 			r.colors |= 1 << color
 			f.colorStates = append(f.colorStates, colorState{color: color, router: int32(i)})
 		}
-		r.nCS = uint8(len(pe.Configs))
+		r.nCS = uint8(len(pe.prog.Configs))
 	}
 	for f.ringMask+1 < uint32(opt.QueueCap) {
 		f.ringShift++
@@ -474,9 +490,9 @@ func (f *Fabric) resolve() {
 	clockTotal := 0
 	for i, pe := range f.peRefs {
 		r := &f.routers[i]
-		for k := range pe.Configs {
+		for k := range pe.prog.Configs {
 			cs := &f.colorStates[int(r.csBase)+k]
-			cs.row = &pe.Configs[k]
+			cs.row = &pe.prog.Configs[k]
 			for d := mesh.Direction(0); d < mesh.Ramp; d++ {
 				cs.peer[d] = -1
 				if nb := f.unitAt(f.coords[i].Add(d)); nb >= 0 {
@@ -487,7 +503,7 @@ func (f *Fabric) resolve() {
 		p := &f.procs[i]
 		p.accNeed = pe.AccNeed()
 		p.clockOff = clockTotal
-		clockTotal += pe.ClockSlots
+		clockTotal += pe.prog.ClockSlots
 	}
 
 	// A queue gets a window when something can push to it: an inbox when a
@@ -496,27 +512,41 @@ func (f *Fabric) resolve() {
 	// when the processor sends on the color. What the consuming side
 	// accepts plays no part, so a wavelet nobody will route still queues up
 	// and surfaces as a deadlock.
+	//
+	// The shards' list bounds are counted on the way: a queue is popped by
+	// the shard of the unit it belongs to, and pushed by that shard too but
+	// for a link queue, which its upstream router's shard pushes.
+	for si := range f.shards {
+		sh := &f.shards[si]
+		sh.maxPushed, sh.maxPopped, sh.maxCS, sh.maxP = 0, 0, 0, 0
+	}
 	queues := int32(1) // queue 0 is the sealed one
-	newQueue := func() int32 {
+	var sh *shardState
+	newQueue := func(pusher *shardState) int32 {
+		pusher.maxPushed++
+		sh.maxPopped++
 		queues++
 		return queues - 1
 	}
 	for i, pe := range f.peRefs {
 		r := &f.routers[i]
+		sh = &f.shards[f.unitShard[i]]
+		sh.maxCS += int(r.nCS)
+		sh.maxP++
 		for k := r.csBase; k < r.csBase+int32(r.nCS); k++ {
 			cs := &f.colorStates[k]
 			cs.inbox = 0
 			if forwardsTo(cs.row.Cfgs, mesh.Ramp) {
-				cs.inbox = newQueue()
+				cs.inbox = newQueue(sh)
 			}
 			cs.in, cs.fed = [mesh.NumDirections]int32{}, 0
 			for d := mesh.Direction(0); d < mesh.Ramp; d++ {
 				if up := cs.peer[d]; up >= 0 && forwardsTo(f.colorStates[up].row.Cfgs, d.Opposite()) {
-					cs.in[d], cs.fed = newQueue(), cs.fed.Set(d)
+					cs.in[d], cs.fed = newQueue(&f.shards[f.unitShard[f.colorStates[up].router]]), cs.fed.Set(d)
 				}
 			}
 		}
-		for _, op := range pe.Ops {
+		for _, op := range pe.prog.Ops {
 			var out mesh.Color
 			switch op.Kind {
 			case OpSend, OpSendTrigger:
@@ -528,7 +558,7 @@ func (f *Fabric) resolve() {
 			}
 			if csI := f.csIndex(int32(i), out); csI >= 0 && !f.colorStates[csI].fed.Has(mesh.Ramp) {
 				cs := &f.colorStates[csI]
-				cs.in[mesh.Ramp], cs.fed = newQueue(), cs.fed.Set(mesh.Ramp)
+				cs.in[mesh.Ramp], cs.fed = newQueue(sh), cs.fed.Set(mesh.Ramp)
 			}
 		}
 	}
@@ -547,7 +577,7 @@ func (f *Fabric) resolve() {
 // clocks is unit i's clock slots.
 func (f *Fabric) clocks(i int) []int64 {
 	off := f.procs[i].clockOff
-	n := f.peRefs[i].ClockSlots
+	n := f.peRefs[i].prog.ClockSlots
 	return f.clockArena[off : off+n : off+n]
 }
 
@@ -556,7 +586,7 @@ func (f *Fabric) clocks(i int) []int64 {
 // contributes no input of its own.
 func (pe *PESpec) AccNeed() int {
 	need := 0
-	for _, op := range pe.Ops {
+	for _, op := range pe.prog.Ops {
 		switch op.Kind {
 		case OpSend, OpRecvReduce, OpRecvReduceSend, OpRecvStore:
 			need = max(need, op.Off+op.N)
@@ -686,8 +716,8 @@ func (f *Fabric) arm() {
 	}
 
 	accTotal := 0
-	for i, pe := range f.peRefs {
-		accTotal += max(f.procs[i].accNeed, len(pe.Init))
+	for i := range f.peRefs {
+		accTotal += max(f.procs[i].accNeed, len(f.initOf(i)))
 	}
 	if accTotal > len(f.accArena) {
 		f.accArena = make([]float32, accTotal)
@@ -700,9 +730,10 @@ func (f *Fabric) arm() {
 		r.inList = false
 
 		p := &f.procs[i]
-		n := max(p.accNeed, len(pe.Init))
+		init := f.initOf(i)
+		n := max(p.accNeed, len(init))
 		p.acc, acc = acc[:n:n], acc[n:]
-		clear(p.acc[copy(p.acc, pe.Init):])
+		clear(p.acc[copy(p.acc, init):])
 		clear(f.clocks(i))
 		rng = splitmix(rng)
 		p.rng = rng
@@ -711,7 +742,7 @@ func (f *Fabric) arm() {
 			rng = splitmix(rng)
 			p.skew = int64(rng % uint64(f.opt.ClockSkewMax))
 		}
-		p.ops = pe.Ops
+		p.ops = pe.prog.Ops
 		p.elem, p.rElem = 0, 0
 		p.ctlPhase, p.rDone, p.sDone = false, false, false
 		p.actLeft, p.actDone = 0, false
@@ -728,6 +759,18 @@ func (f *Fabric) arm() {
 			sh.curP = append(sh.curP, int32(i))
 		}
 	}
+}
+
+// initOf is unit i's initial vector: its binding when the fabric has one,
+// else its PE's Init.
+func (f *Fabric) initOf(i int) []float32 {
+	if f.init == nil {
+		return f.peRefs[i].Init
+	}
+	if k := f.coords[i].Y*f.width + f.coords[i].X; k < len(f.init) {
+		return f.init[k]
+	}
+	return nil
 }
 
 // Reset re-arms the fabric for a fresh run of a spec with the same
@@ -760,11 +803,11 @@ func (f *Fabric) Reset(s *Spec) error {
 				return fmt.Errorf("fabric: reset spec lacks PE %v", c)
 			}
 			r := &f.routers[i]
-			if len(pe.Configs) != int(r.nCS) {
-				return fmt.Errorf("fabric: reset PE %v has %d colors, fabric has %d", c, len(pe.Configs), r.nCS)
+			if len(pe.prog.Configs) != int(r.nCS) {
+				return fmt.Errorf("fabric: reset PE %v has %d colors, fabric has %d", c, len(pe.prog.Configs), r.nCS)
 			}
-			for k := range pe.Configs {
-				if want := f.colorStates[int(r.csBase)+k].color; pe.Configs[k].Color != want {
+			for k := range pe.prog.Configs {
+				if want := f.colorStates[int(r.csBase)+k].color; pe.prog.Configs[k].Color != want {
 					return fmt.Errorf("fabric: reset PE %v lacks color %d", c, want)
 				}
 			}
@@ -772,7 +815,7 @@ func (f *Fabric) Reset(s *Spec) error {
 		for i, c := range f.coords {
 			f.peRefs[i] = s.At(c)
 		}
-		f.lastSpec = s
+		f.lastSpec, f.init = s, nil
 		f.resolve()
 	}
 	f.arm()
@@ -997,6 +1040,9 @@ func (f *Fabric) SetInterrupt(poll func() error) {
 // result, flat via resultColumnar).
 func (f *Fabric) runToCompletion() error {
 	defer f.stopWorkers()
+	for si := range f.shards {
+		f.shards[si].presize()
+	}
 	for {
 		if f.interrupt != nil && f.cycle&(interruptStride-1) == 0 {
 			if err := f.interrupt(); err != nil {
@@ -1041,6 +1087,22 @@ func (f *Fabric) runToCompletion() error {
 		f.cycle++
 	}
 	return nil
+}
+
+// presize gives the shard's per-cycle lists room for the most they can take
+// in one cycle, so that a run allocates nothing however long it runs. New
+// leaves them to the first run, which is where they are used.
+func (sh *shardState) presize() {
+	grow := func(l []int32, n int) []int32 {
+		if cap(l) < n {
+			return make([]int32, 0, n)
+		}
+		return l
+	}
+	sh.pushedQ = grow(sh.pushedQ, sh.maxPushed)
+	sh.poppedQ = grow(sh.poppedQ, sh.maxPopped)
+	sh.localCS = grow(sh.localCS, sh.maxCS)
+	sh.localP = grow(sh.localP, sh.maxP)
 }
 
 // dispatch fans one phase out to the worker goroutines and waits for all
@@ -1138,7 +1200,7 @@ func (f *Fabric) result() (*Result, error) {
 		res.Clocks = make(map[mesh.Coord][]int64)
 		clocks := slices.Clone(f.clockArena)
 		for i, c := range f.coords {
-			if off, n := f.procs[i].clockOff, f.peRefs[i].ClockSlots; n > 0 {
+			if off, n := f.procs[i].clockOff, f.peRefs[i].prog.ClockSlots; n > 0 {
 				res.Clocks[c] = clocks[off : off+n : off+n]
 			}
 		}
@@ -1611,7 +1673,7 @@ func (f *Fabric) describeStall() string {
 			if len(p.ops) > 0 {
 				op := p.ops[0]
 				fmt.Fprintf(&b, "PE %v blocked on op %d %v color=%d elem=%d/%d inbox=%d; ",
-					f.coords[i], len(f.peRefs[i].Ops)-len(p.ops), op.Kind, op.Color, p.elem, op.N, p.inboxTotal)
+					f.coords[i], len(f.peRefs[i].prog.Ops)-len(p.ops), op.Kind, op.Color, p.elem, op.N, p.inboxTotal)
 			} else {
 				fmt.Fprintf(&b, "PE %v drained ops, inbox=%d; ", f.coords[i], p.inboxTotal)
 			}

@@ -11,16 +11,16 @@ import (
 // wavelets west on color 0; PE (0,0) receives and stores them.
 func twoPE(b int) *Spec {
 	s := NewSpec(2, 1)
-	recv := s.PE(mesh.Coord{X: 0, Y: 0})
-	recv.Ops = []Op{{Kind: OpRecvStore, Color: 0, N: b}}
-	recv.AddConfig(0, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
+	s.PE(mesh.Coord{X: 0, Y: 0})
+	s.SetOps(mesh.Coord{X: 0, Y: 0}, []Op{{Kind: OpRecvStore, Color: 0, N: b}})
+	s.AddConfig(mesh.Coord{X: 0, Y: 0}, 0, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
 	send := s.PE(mesh.Coord{X: 1, Y: 0})
 	send.Init = make([]float32, b)
 	for i := range send.Init {
 		send.Init[i] = float32(i)
 	}
-	send.Ops = []Op{{Kind: OpSend, Color: 0, N: b}}
-	send.AddConfig(0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
+	s.SetOps(mesh.Coord{X: 1, Y: 0}, []Op{{Kind: OpSend, Color: 0, N: b}})
+	s.AddConfig(mesh.Coord{X: 1, Y: 0}, 0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
 	return s
 }
 
@@ -129,10 +129,10 @@ func TestQueueMustCoverRampLatency(t *testing.T) {
 // starved builds a receiver waiting on a color nobody sends.
 func starved() *Spec {
 	s := NewSpec(2, 1)
-	recv := s.PE(mesh.Coord{X: 0, Y: 0})
-	recv.Ops = []Op{{Kind: OpRecvStore, Color: 3, N: 4}}
-	recv.AddConfig(3, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
-	s.PE(mesh.Coord{X: 1, Y: 0}).AddConfig(3, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
+	s.PE(mesh.Coord{X: 0, Y: 0})
+	s.SetOps(mesh.Coord{X: 0, Y: 0}, []Op{{Kind: OpRecvStore, Color: 3, N: 4}})
+	s.AddConfig(mesh.Coord{X: 0, Y: 0}, 3, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
+	s.AddConfig(mesh.Coord{X: 1, Y: 0}, 3, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
 	return s
 }
 
@@ -166,7 +166,7 @@ func TestSendOnColorRouterNeverAccepts(t *testing.T) {
 		s := twoPE(8)
 		lost := s.PE(mesh.Coord{})
 		lost.Init = make([]float32, 8)
-		lost.Ops = []Op{{Kind: OpSend, Color: tc.color, N: 8}}
+		s.SetOps(mesh.Coord{}, []Op{{Kind: OpSend, Color: tc.color, N: 8}})
 		for _, opt := range []Options{{}, {QueueCap: 1}, {Shards: 2}} {
 			f, err := New(s, opt)
 			if err != nil {
@@ -184,7 +184,7 @@ func TestProtocolViolationDetected(t *testing.T) {
 	// Receiver expects fewer elements than the sender ships: the excess
 	// data wavelet must fail the run with a protocol error.
 	s := twoPE(8)
-	s.PE(mesh.Coord{}).Ops = []Op{{Kind: OpRecvStore, Color: 0, N: 4}}
+	s.SetOps(mesh.Coord{}, []Op{{Kind: OpRecvStore, Color: 0, N: 4}})
 	f, err := New(s, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -197,29 +197,29 @@ func TestProtocolViolationDetected(t *testing.T) {
 func TestValidateRejectsBadSpecs(t *testing.T) {
 	// Forwarding off-grid.
 	s := NewSpec(1, 1)
-	pe := s.PE(mesh.Coord{})
-	pe.AddConfig(0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
+	s.PE(mesh.Coord{})
+	s.AddConfig(mesh.Coord{}, 0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
 	if _, err := New(s, Options{}); err == nil {
 		t.Error("want error for off-grid forward")
 	}
 	// Forwarding to an unprogrammed PE.
 	s2 := NewSpec(2, 1)
-	s2.PE(mesh.Coord{}).AddConfig(0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East)})
+	s2.AddConfig(mesh.Coord{}, 0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East)})
 	if _, err := New(s2, Options{}); err == nil {
 		t.Error("want error for unprogrammed destination")
 	}
 	// Non-final config that absorbs forever.
 	s3 := NewSpec(2, 1)
-	pe3 := s3.PE(mesh.Coord{})
-	pe3.AddConfig(0, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp), Times: 0})
-	pe3.AddConfig(0, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp), Times: 1})
+	s3.PE(mesh.Coord{})
+	s3.AddConfig(mesh.Coord{}, 0, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp), Times: 0})
+	s3.AddConfig(mesh.Coord{}, 0, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp), Times: 1})
 	s3.PE(mesh.Coord{X: 1, Y: 0})
 	if _, err := New(s3, Options{}); err == nil {
 		t.Error("want error for unreachable config")
 	}
 	// Bad busy-write count.
 	s4 := NewSpec(1, 1)
-	s4.PE(mesh.Coord{}).Ops = []Op{{Kind: OpBusyWrite, N: -1}}
+	s4.SetOps(mesh.Coord{}, []Op{{Kind: OpBusyWrite, N: -1}})
 	if _, err := New(s4, Options{}); err == nil {
 		t.Error("want error for negative busy-write")
 	}
@@ -231,23 +231,23 @@ func TestControlWaveletAdvancesConfig(t *testing.T) {
 	b := 4
 	s := NewSpec(3, 1)
 	mid := s.PE(mesh.Coord{X: 1, Y: 0})
-	mid.Ops = []Op{
+	s.SetOps(mesh.Coord{X: 1, Y: 0}, []Op{
 		{Kind: OpRecvReduce, Color: 0, N: b},
 		{Kind: OpRecvReduce, Color: 0, N: b},
-	}
-	mid.AddConfig(0, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp), Times: 1})
-	mid.AddConfig(0, RouterConfig{Accept: mesh.West, Forward: mesh.Dirs(mesh.Ramp), Times: 1})
+	})
+	s.AddConfig(mesh.Coord{X: 1, Y: 0}, 0, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp), Times: 1})
+	s.AddConfig(mesh.Coord{X: 1, Y: 0}, 0, RouterConfig{Accept: mesh.West, Forward: mesh.Dirs(mesh.Ramp), Times: 1})
 	mid.Init = make([]float32, b)
 
 	east := s.PE(mesh.Coord{X: 2, Y: 0})
 	east.Init = []float32{1, 2, 3, 4}
-	east.Ops = []Op{{Kind: OpSend, Color: 0, N: b}}
-	east.AddConfig(0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
+	s.SetOps(mesh.Coord{X: 2, Y: 0}, []Op{{Kind: OpSend, Color: 0, N: b}})
+	s.AddConfig(mesh.Coord{X: 2, Y: 0}, 0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
 
 	west := s.PE(mesh.Coord{X: 0, Y: 0})
 	west.Init = []float32{10, 20, 30, 40}
-	west.Ops = []Op{{Kind: OpSend, Color: 0, N: b}}
-	west.AddConfig(0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East)})
+	s.SetOps(mesh.Coord{X: 0, Y: 0}, []Op{{Kind: OpSend, Color: 0, N: b}})
+	s.AddConfig(mesh.Coord{X: 0, Y: 0}, 0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East)})
 
 	f, err := New(s, Options{})
 	if err != nil {
@@ -328,9 +328,9 @@ func TestThermalNoopsSlowRun(t *testing.T) {
 
 func TestClockSkewSampling(t *testing.T) {
 	s := twoPE(4)
-	s.Each(func(_ mesh.Coord, pe *PESpec) {
-		pe.ClockSlots = 1
-		pe.Ops = append([]Op{{Kind: OpSampleClock, Slot: 0}}, pe.Ops...)
+	s.Each(func(c mesh.Coord, pe *PESpec) {
+		s.SetClockSlots(c, 1)
+		s.SetOps(c, append([]Op{{Kind: OpSampleClock, Slot: 0}}, pe.prog.Ops...))
 	})
 	f, err := New(s, Options{ClockSkewMax: 1 << 20, Seed: 99})
 	if err != nil {

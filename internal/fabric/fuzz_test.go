@@ -56,11 +56,11 @@ func FuzzSpecUnmarshalBinary(f *testing.F) {
 	s := fabric.NewSpec(2, 2)
 	pe := s.PE(mesh.Coord{X: 1, Y: 1})
 	pe.Init = []float32{1.5, -2}
-	pe.ClockSlots = 1
-	pe.Ops = []fabric.Op{{Kind: fabric.OpSampleClock}, {Kind: fabric.OpSendRecvStore, Color: 3, OutColor: 4, N: 2, N2: 1, Off2: 1}}
-	pe.AddConfig(4, fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West), Times: 2})
-	pe.AddConfig(4, fabric.RouterConfig{Accept: mesh.North, Forward: mesh.Dirs(mesh.Ramp)})
-	s.PE(mesh.Coord{X: 0, Y: 1}).AddConfig(4, fabric.RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
+	s.SetClockSlots(mesh.Coord{X: 1, Y: 1}, 1)
+	s.SetOps(mesh.Coord{X: 1, Y: 1}, []fabric.Op{{Kind: fabric.OpSampleClock}, {Kind: fabric.OpSendRecvStore, Color: 3, OutColor: 4, N: 2, N2: 1, Off2: 1}})
+	s.AddConfig(mesh.Coord{X: 1, Y: 1}, 4, fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West), Times: 2})
+	s.AddConfig(mesh.Coord{X: 1, Y: 1}, 4, fabric.RouterConfig{Accept: mesh.North, Forward: mesh.Dirs(mesh.Ramp)})
+	s.AddConfig(mesh.Coord{X: 0, Y: 1}, 4, fabric.RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
 	frame, err := s.MarshalBinary()
 	if err != nil {
 		f.Fatal(err)

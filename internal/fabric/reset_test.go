@@ -106,7 +106,7 @@ func TestResetRebindsInputs(t *testing.T) {
 // violation) must be fully re-armable.
 func TestResetSurvivesFailedRun(t *testing.T) {
 	bad := twoPE(8)
-	bad.PE(mesh.Coord{}).Ops = []Op{{Kind: OpRecvStore, Color: 0, N: 4}}
+	bad.SetOps(mesh.Coord{}, []Op{{Kind: OpRecvStore, Color: 0, N: 4}})
 	f, err := New(bad, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestResetRejectsStructuralMismatch(t *testing.T) {
 	}
 	moved := NewSpec(2, 1)
 	moved.PE(mesh.Coord{X: 0, Y: 0})
-	moved.PE(mesh.Coord{X: 1, Y: 0}).AddConfig(3, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
+	moved.AddConfig(mesh.Coord{X: 1, Y: 0}, 3, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
 	if err := f.Reset(moved); err == nil {
 		t.Error("accepted spec with different routing colors")
 	}
@@ -167,19 +167,19 @@ func rowStream(b int, eastward bool) *Spec {
 	if eastward {
 		src, dst, toward, from = 0, 2, mesh.East, mesh.West
 		mid = RouterConfig{Accept: from, Forward: mesh.Dirs(toward, mesh.Ramp)}
-		s.PE(mesh.Coord{X: 1}).Ops = []Op{{Kind: OpRecvStore, Color: 0, N: b}}
+		s.SetOps(mesh.Coord{X: 1}, []Op{{Kind: OpRecvStore, Color: 0, N: b}})
 	}
-	s.PE(mesh.Coord{X: 1}).AddConfig(0, mid)
+	s.AddConfig(mesh.Coord{X: 1}, 0, mid)
 	send := s.PE(mesh.Coord{X: src})
 	send.Init = make([]float32, b)
 	for i := range send.Init {
 		send.Init[i] = float32(i + src)
 	}
-	send.Ops = []Op{{Kind: OpSend, Color: 0, N: b}}
-	send.AddConfig(0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(toward)})
-	recv := s.PE(mesh.Coord{X: dst})
-	recv.Ops = []Op{{Kind: OpRecvStore, Color: 0, N: b}}
-	recv.AddConfig(0, RouterConfig{Accept: from, Forward: mesh.Dirs(mesh.Ramp)})
+	s.SetOps(mesh.Coord{X: src}, []Op{{Kind: OpSend, Color: 0, N: b}})
+	s.AddConfig(mesh.Coord{X: src}, 0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(toward)})
+	s.PE(mesh.Coord{X: dst})
+	s.SetOps(mesh.Coord{X: dst}, []Op{{Kind: OpRecvStore, Color: 0, N: b}})
+	s.AddConfig(mesh.Coord{X: dst}, 0, RouterConfig{Accept: from, Forward: mesh.Dirs(mesh.Ramp)})
 	return s
 }
 

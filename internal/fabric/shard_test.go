@@ -24,15 +24,15 @@ func chainLike(p, b int) *Spec {
 		in := mesh.Color((v + 1) % 2)
 		switch {
 		case v == p-1:
-			pe.Ops = []Op{{Kind: OpSend, Color: out, N: b}}
-			pe.AddConfig(out, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
+			s.SetOps(mesh.Coord{X: v, Y: 0}, []Op{{Kind: OpSend, Color: out, N: b}})
+			s.AddConfig(mesh.Coord{X: v, Y: 0}, out, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
 		case v > 0:
-			pe.Ops = []Op{{Kind: OpRecvReduceSend, Color: in, OutColor: out, N: b}}
-			pe.AddConfig(in, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
-			pe.AddConfig(out, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
+			s.SetOps(mesh.Coord{X: v, Y: 0}, []Op{{Kind: OpRecvReduceSend, Color: in, OutColor: out, N: b}})
+			s.AddConfig(mesh.Coord{X: v, Y: 0}, in, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
+			s.AddConfig(mesh.Coord{X: v, Y: 0}, out, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
 		default:
-			pe.Ops = []Op{{Kind: OpRecvReduce, Color: in, N: b}}
-			pe.AddConfig(in, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
+			s.SetOps(mesh.Coord{X: v, Y: 0}, []Op{{Kind: OpRecvReduce, Color: in, N: b}})
+			s.AddConfig(mesh.Coord{X: v, Y: 0}, in, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
 		}
 	}
 	return s
@@ -49,17 +49,17 @@ func gridBounce(w, h, b int) *Spec {
 		for i := range top.Init {
 			top.Init[i] = float32(x + 1)
 		}
-		top.Ops = []Op{{Kind: OpSend, Color: 0, N: b}}
-		top.AddConfig(0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.South)})
+		s.SetOps(mesh.Coord{X: x, Y: 0}, []Op{{Kind: OpSend, Color: 0, N: b}})
+		s.AddConfig(mesh.Coord{X: x, Y: 0}, 0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.South)})
 		for y := 1; y < h-1; y++ {
-			mid := s.PE(mesh.Coord{X: x, Y: y})
-			mid.AddConfig(0, RouterConfig{Accept: mesh.North, Forward: mesh.Dirs(mesh.South)})
-			mid.Ops = nil
+			s.PE(mesh.Coord{X: x, Y: y})
+			s.AddConfig(mesh.Coord{X: x, Y: y}, 0, RouterConfig{Accept: mesh.North, Forward: mesh.Dirs(mesh.South)})
+			s.SetOps(mesh.Coord{X: x, Y: y}, nil)
 		}
 		bot := s.PE(mesh.Coord{X: x, Y: h - 1})
 		bot.Init = make([]float32, b)
-		bot.Ops = []Op{{Kind: OpRecvReduce, Color: 0, N: b}}
-		bot.AddConfig(0, RouterConfig{Accept: mesh.North, Forward: mesh.Dirs(mesh.Ramp)})
+		s.SetOps(mesh.Coord{X: x, Y: h - 1}, []Op{{Kind: OpRecvReduce, Color: 0, N: b}})
+		s.AddConfig(mesh.Coord{X: x, Y: h - 1}, 0, RouterConfig{Accept: mesh.North, Forward: mesh.Dirs(mesh.Ramp)})
 	}
 	return s
 }
@@ -178,7 +178,7 @@ func TestShardedWorkerPathBitIdentical(t *testing.T) {
 // must surface as ordinary run errors.
 func TestShardedErrorPropagates(t *testing.T) {
 	spec := twoPE(8)
-	spec.PE(mesh.Coord{}).Ops = []Op{{Kind: OpRecvStore, Color: 0, N: 4}}
+	spec.SetOps(mesh.Coord{}, []Op{{Kind: OpRecvStore, Color: 0, N: 4}})
 	f, err := New(spec, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -154,13 +154,14 @@ type ColorConfig struct {
 	Cfgs  []RouterConfig
 }
 
-// PESpec describes one processing element of a program: its initial local
-// vector, its processor program, and its router's per-color configuration
-// lists.
-type PESpec struct {
-	// Init is the PE's initial accumulator (its contribution to the
-	// collective). It may be nil for pure pass-through PEs.
-	Init []float32
+// Program is what a PE runs: its processor program, its routing table and
+// its clock slots — a PE without where it sits or its initial vector. PEs
+// that play one role in a collective run one program, and a Spec holds each
+// distinct program once, shared by every PE that runs it: a Program is
+// read-only. Writes go through the Spec (Append, AddConfig, SetOps,
+// SetClockSlots), which hands the written PE another program and never
+// touches one a PE runs.
+type Program struct {
 	// Ops is the processor program.
 	Ops []Op
 	// Configs is the routing table: one configuration list for each color
@@ -173,25 +174,37 @@ type PESpec struct {
 	// ClockSlots is the number of local-clock sample slots the program
 	// uses (indexed by Op.Slot).
 	ClockSlots int
+
+	tab *table // the table that holds it
+	id  int32  // its index in tab.progs
+	// links are the link directions any configuration forwards to, what
+	// Validate checks each PE's neighbours against.
+	links      mesh.DirSet
+	hOps, hCfg uint64 // the content hash, in two parts that writes update
+	next       []edge // the writes already seen from it, while it is built on
 }
 
-// AddConfig appends a configuration to the PE's list for a color.
-func (p *PESpec) AddConfig(c mesh.Color, cfg RouterConfig) {
-	i := 0
-	for i < len(p.Configs) && p.Configs[i].Color < c {
-		i++
-	}
-	if i == len(p.Configs) || p.Configs[i].Color != c {
-		p.Configs = append(p.Configs, ColorConfig{})
-		copy(p.Configs[i+1:], p.Configs[i:])
-		p.Configs[i] = ColorConfig{Color: c}
-	}
-	p.Configs[i].Cfgs = append(p.Configs[i].Cfgs, cfg)
+// PESpec is one processing element of a Spec: its initial local vector and
+// the program it runs. Init is the PE's alone; the program is shared, and a
+// PE changes program only through its Spec.
+type PESpec struct {
+	// Init is the PE's initial accumulator (its contribution to the
+	// collective). It may be nil for pure pass-through PEs.
+	Init []float32
+	prog *Program
 }
+
+// Program returns the program the PE runs, which other PEs may share: a
+// reader's to read, never to write.
+func (pe *PESpec) Program() *Program { return pe.prog }
 
 // ConfigsFor returns the PE's configuration list for a color, nil when its
 // router does not participate in the color.
-func (p *PESpec) ConfigsFor(c mesh.Color) []RouterConfig {
+func (pe *PESpec) ConfigsFor(c mesh.Color) []RouterConfig { return pe.prog.ConfigsFor(c) }
+
+// ConfigsFor returns the program's configuration list for a color, nil when
+// its router does not participate in the color.
+func (p *Program) ConfigsFor(c mesh.Color) []RouterConfig {
 	for i := range p.Configs {
 		if p.Configs[i].Color >= c {
 			if p.Configs[i].Color == c {
@@ -203,60 +216,55 @@ func (p *PESpec) ConfigsFor(c mesh.Color) []RouterConfig {
 	return nil
 }
 
-// Spec is a complete fabric program: a rectangular region of PEs, each
-// with a program and routing tables — one dense image, the shape the
-// hardware holds it in. The PEs sit in a row-major table with a nil entry
-// for every unprogrammed PE; those are idle pass-nothing PEs, and routing
-// a wavelet towards one is a compile bug that Validate reports. Every
-// layer that reads a program (codec, Validate, plan binding, New) walks the
-// table in order, so row-major is also the order of the encoded frame and
-// of the fabric's units.
+// Spec is a complete fabric program over a rectangular region of PEs — one
+// dense image, the shape the hardware holds it in: a table of the distinct
+// PE programs, and for every PE of the region the program it runs and its
+// Init. The PEs sit in a row-major table whose unprogrammed entries are
+// idle pass-nothing PEs; routing a wavelet towards one is a compile bug that
+// Validate reports. Every layer that reads a program (codec, Validate, New)
+// walks the table in order, so row-major is also the order of the encoded
+// frame and of the fabric's units.
+//
+// A Spec is built by one goroutine. Once built — a Validate, an encode or a
+// Programs call has seen it — it may be read by many.
 type Spec struct {
 	Width, Height int
 
-	pes []*PESpec // row-major, len Width*Height; nil = unprogrammed
-	n   int       // programmed PEs
-	// free is the backing store PE carves fresh entries from, a row's worth
-	// at a time (the decoder sizes it to the frame's PE count instead), so
-	// building a program costs one allocation per row rather than per PE.
-	free []PESpec
+	pes []PESpec // row-major, len Width*Height; a nil program = unprogrammed
+	n   int      // programmed PEs
+	tab *table
 }
 
 // NewSpec allocates an empty program for a Width×Height PE region.
 func NewSpec(width, height int) *Spec {
-	return &Spec{Width: width, Height: height, pes: make([]*PESpec, width*height)}
+	return &Spec{Width: width, Height: height, pes: make([]PESpec, width*height), tab: &table{}}
 }
 
-// PE returns the spec for the PE at c, allocating it on first use.
+// PE returns the PE at c, programming it with the empty program on first
+// use. Its Init is the caller's to set.
 func (s *Spec) PE(c mesh.Coord) *PESpec {
 	if c.X < 0 || c.X >= s.Width || c.Y < 0 || c.Y >= s.Height {
 		panic(fmt.Sprintf("fabric: PE %v outside %dx%d region", c, s.Width, s.Height))
 	}
-	i := c.Y*s.Width + c.X
-	if s.pes[i] == nil {
-		s.pes[i] = s.alloc()
+	pe := &s.pes[c.Y*s.Width+c.X]
+	if pe.prog == nil {
+		pe.prog = s.tab.empty()
+		s.n++
+		s.tab.stale = true // the program may come first in row-major order now
 	}
-	return s.pes[i]
-}
-
-// alloc carves one zeroed PESpec out of the backing store.
-func (s *Spec) alloc() *PESpec {
-	if len(s.free) == 0 {
-		s.free = make([]PESpec, s.Width)
-	}
-	pe := &s.free[0]
-	s.free = s.free[1:]
-	s.n++
 	return pe
 }
 
-// At returns the spec of the PE at c, or nil when c is unprogrammed or
-// outside the region.
+// At returns the PE at c, or nil when c is unprogrammed or outside the
+// region.
 func (s *Spec) At(c mesh.Coord) *PESpec {
 	if c.X < 0 || c.X >= s.Width || c.Y < 0 || c.Y >= s.Height {
 		return nil
 	}
-	return s.pes[c.Y*s.Width+c.X]
+	if pe := &s.pes[c.Y*s.Width+c.X]; pe.prog != nil {
+		return pe
+	}
+	return nil
 }
 
 // Len returns the number of programmed PEs.
@@ -264,9 +272,9 @@ func (s *Spec) Len() int { return s.n }
 
 // Each calls fn for every programmed PE in row-major order.
 func (s *Spec) Each(fn func(c mesh.Coord, pe *PESpec)) {
-	for i, pe := range s.pes {
-		if pe != nil {
-			fn(s.coord(i), pe)
+	for i := range s.pes {
+		if s.pes[i].prog != nil {
+			fn(s.coord(i), &s.pes[i])
 		}
 	}
 }
@@ -274,94 +282,171 @@ func (s *Spec) Each(fn func(c mesh.Coord, pe *PESpec)) {
 // coord is the coordinate of table index i.
 func (s *Spec) coord(i int) mesh.Coord { return mesh.Coord{X: i % s.Width, Y: i / s.Width} }
 
+// Append appends ops to the program of the PE at c.
+func (s *Spec) Append(c mesh.Coord, ops ...Op) {
+	s.write(c, &edit{kind: editAppend, ops: ops})
+}
+
+// SetOps replaces the processor program of the PE at c with ops.
+func (s *Spec) SetOps(c mesh.Coord, ops []Op) {
+	s.write(c, &edit{kind: editOps, ops: ops})
+}
+
+// AddConfig appends configurations to the list of the PE at c for a color.
+func (s *Spec) AddConfig(c mesh.Coord, color mesh.Color, cfgs ...RouterConfig) {
+	s.write(c, &edit{kind: editConfig, color: color, cfgs: cfgs})
+}
+
+// SetClockSlots sets the number of clock slots of the PE's program.
+func (s *Spec) SetClockSlots(c mesh.Coord, n int) {
+	s.write(c, &edit{kind: editSlots, n: n})
+}
+
+// Stamp programs every PE of src into s, which must span the same region:
+// each PE of src runs its program in s too, its Init aside. s takes src's
+// programs into its own table without copying their ops or routing
+// tables, which no write reaches, so s's programs may be rewritten freely.
+func (s *Spec) Stamp(src *Spec) error {
+	if s.Width != src.Width || s.Height != src.Height {
+		return fmt.Errorf("fabric: stamp a %dx%d spec into a %dx%d one", src.Width, src.Height, s.Width, s.Height)
+	}
+	mine := make([]*Program, len(src.tab.progs)) // src's program k as s holds it
+	for i := range src.pes {
+		p := src.pes[i].prog
+		if p == nil {
+			continue
+		}
+		if mine[p.id] == nil {
+			mine[p.id] = s.tab.adopt(p)
+		}
+		if s.pes[i].prog == nil {
+			s.n++
+		}
+		s.pes[i].prog = mine[p.id]
+	}
+	s.tab.stale = true
+	return nil
+}
+
 // Validate checks structural properties of the program: routing tables are
 // in strictly ascending color order, configurations never forward off-grid
 // or to an unprogrammed PE, every non-final configuration has a positive
-// Times, and op element counts are sane.
+// Times, and op element counts are sane. Each distinct program is checked
+// once, at the first PE that runs it; each PE's links are checked on their
+// own.
 func (s *Spec) Validate() error {
 	if len(s.pes) != s.Width*s.Height {
 		return fmt.Errorf("fabric: %dx%d spec holds a %d-entry PE table", s.Width, s.Height, len(s.pes))
 	}
+	s.Programs()
 	// Table offset of the neighbour in each link direction.
 	step := [mesh.NumDirections]int{mesh.East: 1, mesh.West: -1, mesh.North: -s.Width, mesh.South: s.Width}
-	for idx, pe := range s.pes {
-		if pe == nil {
+	checked := int32(0) // programs are numbered in order of first use
+	for idx := range s.pes {
+		pe := &s.pes[idx]
+		if pe.prog == nil {
 			continue
 		}
 		c := s.coord(idx)
+		if pe.prog.tab != s.tab {
+			return fmt.Errorf("fabric: PE %v runs a program another spec holds", c)
+		}
+		if pe.prog.id == checked {
+			if err := pe.prog.check(c); err != nil {
+				return err
+			}
+			checked++
+		}
 		// Link directions that stay on the grid from c.
 		onGrid := [mesh.NumDirections]bool{
 			mesh.East: c.X+1 < s.Width, mesh.West: c.X > 0,
 			mesh.North: c.Y > 0, mesh.South: c.Y+1 < s.Height,
 		}
-		for k := range pe.Configs {
-			color, cfgs := pe.Configs[k].Color, pe.Configs[k].Cfgs
-			if int(color) >= mesh.NumColors {
-				return fmt.Errorf("fabric: PE %v uses color %d ≥ %d", c, color, mesh.NumColors)
-			}
-			if k > 0 && color <= pe.Configs[k-1].Color {
-				return fmt.Errorf("fabric: PE %v lists color %d after color %d; routing tables are color-ascending", c, color, pe.Configs[k-1].Color)
-			}
-			if len(cfgs) == 0 {
-				return fmt.Errorf("fabric: PE %v has empty config list for color %d", c, color)
-			}
-			for i, cfg := range cfgs {
-				if cfg.Accept >= mesh.NumDirections {
-					return fmt.Errorf("fabric: PE %v color %d config %d accepts from %v", c, color, i, cfg.Accept)
-				}
-				if cfg.Forward>>mesh.NumDirections != 0 {
-					return fmt.Errorf("fabric: PE %v color %d config %d forwards to %v", c, color, i, cfg.Forward)
-				}
-				for d := mesh.Direction(0); d < mesh.Ramp; d++ {
-					if !cfg.Forward.Has(d) {
-						continue
-					}
-					if !onGrid[d] {
-						return fmt.Errorf("fabric: PE %v color %d config %d forwards %v off-grid", c, color, i, d)
-					}
-					if s.pes[idx+step[d]] == nil {
-						return fmt.Errorf("fabric: PE %v color %d config %d forwards %v to unprogrammed PE %v", c, color, i, d, c.Add(d))
-					}
-				}
-				if cfg.Times < 0 {
-					return fmt.Errorf("fabric: PE %v color %d config %d has negative Times", c, color, i)
-				}
-				if i < len(cfgs)-1 && cfg.Times == 0 {
-					return fmt.Errorf("fabric: PE %v color %d config %d is non-final but absorbs forever", c, color, i)
-				}
-			}
-		}
-		if pe.ClockSlots < 0 {
-			return fmt.Errorf("fabric: PE %v has %d clock slots", c, pe.ClockSlots)
-		}
-		for i, op := range pe.Ops {
-			if op.Off < 0 || op.Off2 < 0 {
-				return fmt.Errorf("fabric: PE %v op %d (%v) has negative offset", c, i, op.Kind)
-			}
-			if int(op.Color) >= mesh.NumColors || int(op.OutColor) >= mesh.NumColors {
-				return fmt.Errorf("fabric: PE %v op %d (%v) uses color %d/%d ≥ %d", c, i, op.Kind, op.Color, op.OutColor, mesh.NumColors)
-			}
-			switch op.Kind {
-			case OpSend, OpRecvReduce, OpRecvReduceSend, OpRecvStore:
-				if op.N <= 0 {
-					return fmt.Errorf("fabric: PE %v op %d (%v) has N=%d", c, i, op.Kind, op.N)
-				}
-			case OpSendRecvReduce, OpSendRecvStore:
-				if op.N <= 0 || op.N2 <= 0 {
-					return fmt.Errorf("fabric: PE %v op %d (%v) has N=%d N2=%d", c, i, op.Kind, op.N, op.N2)
-				}
-			case OpBusyWrite:
-				if op.N < 0 {
-					return fmt.Errorf("fabric: PE %v op %d busy-write has N=%d", c, i, op.N)
-				}
-			case OpSampleClock:
-				if op.Slot < 0 || op.Slot >= pe.ClockSlots {
-					return fmt.Errorf("fabric: PE %v op %d samples slot %d outside [0,%d)", c, i, op.Slot, pe.ClockSlots)
-				}
+		for d := mesh.Direction(0); d < mesh.Ramp; d++ {
+			if pe.prog.links.Has(d) && (!onGrid[d] || s.pes[idx+step[d]].prog == nil) {
+				return pe.prog.linkError(c, d, onGrid[d])
 			}
 		}
 	}
 	return nil
+}
+
+// check validates the program itself, reporting it at c.
+func (p *Program) check(c mesh.Coord) error {
+	for k := range p.Configs {
+		color, cfgs := p.Configs[k].Color, p.Configs[k].Cfgs
+		if int(color) >= mesh.NumColors {
+			return fmt.Errorf("fabric: PE %v uses color %d ≥ %d", c, color, mesh.NumColors)
+		}
+		if k > 0 && color <= p.Configs[k-1].Color {
+			return fmt.Errorf("fabric: PE %v lists color %d after color %d; routing tables are color-ascending", c, color, p.Configs[k-1].Color)
+		}
+		if len(cfgs) == 0 {
+			return fmt.Errorf("fabric: PE %v has empty config list for color %d", c, color)
+		}
+		for i, cfg := range cfgs {
+			if cfg.Accept >= mesh.NumDirections {
+				return fmt.Errorf("fabric: PE %v color %d config %d accepts from %v", c, color, i, cfg.Accept)
+			}
+			if cfg.Forward>>mesh.NumDirections != 0 {
+				return fmt.Errorf("fabric: PE %v color %d config %d forwards to %v", c, color, i, cfg.Forward)
+			}
+			if cfg.Times < 0 {
+				return fmt.Errorf("fabric: PE %v color %d config %d has negative Times", c, color, i)
+			}
+			if i < len(cfgs)-1 && cfg.Times == 0 {
+				return fmt.Errorf("fabric: PE %v color %d config %d is non-final but absorbs forever", c, color, i)
+			}
+		}
+	}
+	if p.ClockSlots < 0 {
+		return fmt.Errorf("fabric: PE %v has %d clock slots", c, p.ClockSlots)
+	}
+	for i, op := range p.Ops {
+		if op.Off < 0 || op.Off2 < 0 {
+			return fmt.Errorf("fabric: PE %v op %d (%v) has negative offset", c, i, op.Kind)
+		}
+		if int(op.Color) >= mesh.NumColors || int(op.OutColor) >= mesh.NumColors {
+			return fmt.Errorf("fabric: PE %v op %d (%v) uses color %d/%d ≥ %d", c, i, op.Kind, op.Color, op.OutColor, mesh.NumColors)
+		}
+		switch op.Kind {
+		case OpSend, OpRecvReduce, OpRecvReduceSend, OpRecvStore:
+			if op.N <= 0 {
+				return fmt.Errorf("fabric: PE %v op %d (%v) has N=%d", c, i, op.Kind, op.N)
+			}
+		case OpSendRecvReduce, OpSendRecvStore:
+			if op.N <= 0 || op.N2 <= 0 {
+				return fmt.Errorf("fabric: PE %v op %d (%v) has N=%d N2=%d", c, i, op.Kind, op.N, op.N2)
+			}
+		case OpBusyWrite:
+			if op.N < 0 {
+				return fmt.Errorf("fabric: PE %v op %d busy-write has N=%d", c, i, op.N)
+			}
+		case OpSampleClock:
+			if op.Slot < 0 || op.Slot >= p.ClockSlots {
+				return fmt.Errorf("fabric: PE %v op %d samples slot %d outside [0,%d)", c, i, op.Slot, p.ClockSlots)
+			}
+		}
+	}
+	return nil
+}
+
+// linkError names the first configuration of the program at c that
+// forwards towards d, which leaves the grid (or, on the grid, reaches an
+// unprogrammed PE).
+func (p *Program) linkError(c mesh.Coord, d mesh.Direction, onGrid bool) error {
+	for _, row := range p.Configs {
+		for i, cfg := range row.Cfgs {
+			if !cfg.Forward.Has(d) {
+				continue
+			}
+			if !onGrid {
+				return fmt.Errorf("fabric: PE %v color %d config %d forwards %v off-grid", c, row.Color, i, d)
+			}
+			return fmt.Errorf("fabric: PE %v color %d config %d forwards %v to unprogrammed PE %v", c, row.Color, i, d, c.Add(d))
+		}
+	}
+	return fmt.Errorf("fabric: PE %v forwards %v", c, d)
 }
 
 // String names the op kind.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"slices"
 
 	"repro/internal/mesh"
 )
@@ -50,94 +49,71 @@ const (
 
 // MarshalBinary encodes the spec deterministically.
 func (s *Spec) MarshalBinary() ([]byte, error) {
-	return s.AppendBinary(make([]byte, 0, 1024+6*s.n)) // an estimate: append grows past it
+	return s.AppendBinary(make([]byte, 0, s.SizeHint()))
 }
 
-// maxSpecHeader is the longest header: the version byte and four uvarints.
-const maxSpecHeader = 1 + 4*binary.MaxVarintLen64
-
-// AppendBinary appends MarshalBinary's bytes to dst, building them in place:
-// the programs are written past room for the longest header, as the walk
-// meets them, and moved up against the header once the walk has counted
-// them; then each PE's record follows.
+// AppendBinary appends MarshalBinary's bytes to dst: the header, the
+// spec's programs in row-major order of first use, then each PE's record.
 func (s *Spec) AppendBinary(dst []byte) ([]byte, error) {
-	start := len(dst)
-	e := wireEnc{buf: append(dst, make([]byte, maxSpecHeader)...)}
-	progs := len(e.buf)
-	ks := make([]int32, 0, s.n) // each programmed PE's program, in row-major order
-	var table programTable
-	// Neighbouring PEs mostly run one of a few programs: a PE running one of
-	// the programs met last takes its number without encoding it again.
-	type seen struct {
-		pe *PESpec // a PE that runs program k
-		k  int
+	progs := s.Programs()
+	e := wireEnc{buf: dst}
+	e.byte(SpecCodecVersion)
+	e.uvarint(uint64(s.Width))
+	e.uvarint(uint64(s.Height))
+	e.uvarint(uint64(s.n))
+	e.uvarint(uint64(len(progs)))
+	for _, p := range progs {
+		e.program(p)
 	}
-	var recent [8]seen // most recently met first
-	for _, pe := range s.pes {
-		if pe == nil {
-			continue
-		}
-		j := 0
-		for j < len(recent) && recent[j].pe != nil && !sameProgram(pe, recent[j].pe) {
-			j++
-		}
-		if j == len(recent) || recent[j].pe == nil {
-			off := len(e.buf)
-			e.program(pe)
-			k := table.intern(e.buf, off, len(e.buf))
-			if table.spans[k].off != off {
-				e.buf = e.buf[:off] // listed before: drop this copy
-			}
-			j = min(j, len(recent)-1)
-			recent[j] = seen{pe, k}
-		}
-		hit := recent[j]
-		copy(recent[1:j+1], recent[:j])
-		recent[0] = hit
-		ks = append(ks, int32(hit.k))
-	}
-	hdr := wireEnc{buf: e.buf[start:start:progs]} // the room's front
-	hdr.byte(SpecCodecVersion)
-	hdr.uvarint(uint64(s.Width))
-	hdr.uvarint(uint64(s.Height))
-	hdr.uvarint(uint64(s.n))
-	hdr.uvarint(uint64(len(table.spans)))
-	end := start + len(hdr.buf)
-	e.buf = e.buf[:end+copy(e.buf[end:], e.buf[progs:])]
-	for i, pe := range s.pes {
-		if pe == nil {
+	for i := range s.pes {
+		pe := &s.pes[i]
+		if pe.prog == nil {
 			continue
 		}
 		c := s.coord(i)
 		e.varint(int64(c.X))
 		e.varint(int64(c.Y))
-		e.uvarint(uint64(ks[0]))
+		e.uvarint(uint64(pe.prog.id))
 		e.uvarint(uint64(len(pe.Init)))
 		for _, v := range pe.Init {
 			e.f32(v)
 		}
-		ks = ks[1:]
 	}
 	return e.buf, nil
 }
 
-// sameProgram reports whether two PEs run one program: the same ops, routing
-// table and clock slots.
-func sameProgram(a, b *PESpec) bool {
-	if a.ClockSlots != b.ClockSlots || !slices.Equal(a.Ops, b.Ops) || len(a.Configs) != len(b.Configs) {
-		return false
-	}
-	for k := range a.Configs {
-		if a.Configs[k].Color != b.Configs[k].Color || !slices.Equal(a.Configs[k].Cfgs, b.Configs[k].Cfgs) {
-			return false
+// SizeHint is room for MarshalBinary's bytes, estimated from the spec's
+// counts so that a caller can size a buffer once: opBytes an op, and a PE
+// record at the length its coordinates and program index take at most. It
+// leaves out the PEs' Init vectors, which a compiled plan's spec does not
+// carry.
+func (s *Spec) SizeHint() int {
+	progs := s.Programs()
+	size := 1 + 4*binary.MaxVarintLen32
+	for _, p := range progs {
+		size += minProgramBytes + opBytes*len(p.Ops) + minColorBytes*len(p.Configs)
+		for _, row := range p.Configs {
+			size += minConfigBytes * len(row.Cfgs)
 		}
 	}
-	return true
+	peBytes := varintLen(s.Width) + varintLen(s.Height) + varintLen(len(progs)) + 1
+	return size + s.n*peBytes
+}
+
+// opBytes is what an op takes in a frame when one of its five counts and
+// offsets takes two bytes and the rest one: a frame of longer ones grows its
+// buffer once.
+const opBytes = 10
+
+// varintLen is the length of the varint encoding of any of 0..n.
+func varintLen(n int) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutVarint(b[:], int64(n))
 }
 
 // program appends one program: what a PE runs, without where it sits or its
 // init vector.
-func (e *wireEnc) program(pe *PESpec) {
+func (e *wireEnc) program(pe *Program) {
 	e.uvarint(uint64(len(pe.Ops)))
 	for _, op := range pe.Ops {
 		e.byte(byte(op.Kind))
@@ -169,14 +145,10 @@ func (e *wireEnc) program(pe *PESpec) {
 // pairwise distinct, each used, and numbered in order of first use; PEs in
 // strictly ascending row-major order; colors strictly ascending per program;
 // every integer in its shortest encoding. The decoded program lives in a
-// handful of arenas (one PESpec array, one program array, chunked op,
-// config and color-table arrays) whose sizes are bounded by the bytes
-// actually present, never by a count the frame merely claims.
-//
-// Each decoded PE has its own PESpec, but the PEs of one program share that
-// program's Ops and Configs storage: the program is read-only, as a plan's
-// Spec already is. Assigning a PE's fields (Init, Ops, Configs, ClockSlots)
-// reaches no other PE; writing into the elements of its Ops or Configs does.
+// handful of arenas (the PE table, one program array, chunked op, config
+// and color-table arrays) whose sizes are bounded by the bytes actually
+// present, never by a count the frame merely claims. The frame's programs
+// become the spec's table as they stand: the PEs that run one share it.
 func (s *Spec) UnmarshalBinary(data []byte) error {
 	d := &wireDec{buf: data}
 	if v := d.byte(); v != SpecCodecVersion {
@@ -191,7 +163,8 @@ func (s *Spec) UnmarshalBinary(data []byte) error {
 	}
 	// The PE table is sized by the grid, so the grid may not outgrow the
 	// frame: a fully programmed region always passes (minPEBytes a PE), a
-	// sparse one as long as its table stays within a word per frame byte.
+	// sparse one as long as its table has no more entries than the frame
+	// has bytes.
 	// Every program is some PE's, and the PEs and programs claimed must fit
 	// in the bytes left.
 	size, left := uint64(len(data)), uint64(d.remaining())
@@ -200,8 +173,9 @@ func (s *Spec) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("fabric: spec codec: %d PEs of %d programs on %dx%d grid in a %d-byte frame", un, um, uw, uh, len(data))
 	}
 	width, height, n, m := int(uw), int(uh), int(un), int(um)
-	out := &Spec{Width: width, Height: height, pes: make([]*PESpec, width*height), free: make([]PESpec, n)}
-	progs := make([]PESpec, m) // Ops, Configs and ClockSlots; no Init
+	out := &Spec{Width: width, Height: height, pes: make([]PESpec, width*height), n: n,
+		tab: &table{progs: make([]*Program, m)}}
+	progs := make([]Program, m)
 	table := newProgramTable(m)
 	var (
 		ops  arena[Op]
@@ -210,6 +184,7 @@ func (s *Spec) UnmarshalBinary(data []byte) error {
 	)
 	for j := range progs {
 		off, prog := d.off, &progs[j]
+		prog.tab, prog.id, out.tab.progs[j] = out.tab, int32(j), prog
 		nops := d.uvarint()
 		if nops > uint64(d.remaining())/minOpBytes {
 			return fmt.Errorf("fabric: spec codec: program %d ops truncated", j)
@@ -253,6 +228,7 @@ func (s *Spec) UnmarshalBinary(data []byte) error {
 			prog.Configs[k] = ColorConfig{Color: col, Cfgs: list}
 		}
 		prog.ClockSlots = int(d.varint())
+		prog.links = linksOf(prog.Configs)
 		if d.err != nil {
 			return fmt.Errorf("fabric: spec codec: program %d: %v", j, d.err)
 		}
@@ -281,9 +257,8 @@ func (s *Spec) UnmarshalBinary(data []byte) error {
 		if k == uint64(used) {
 			used++
 		}
-		pe := out.alloc()
-		out.pes[idx] = pe
-		*pe = progs[k]
+		pe := &out.pes[idx]
+		pe.prog = &progs[k]
 		if ni := d.uvarint(); ni > 0 {
 			if ni > uint64(d.remaining())/4 {
 				return fmt.Errorf("fabric: spec codec: PE %v init truncated", c)
@@ -310,8 +285,8 @@ func (s *Spec) UnmarshalBinary(data []byte) error {
 // programTable numbers the encoded programs of a frame in order of first use
 // and finds a program's number by its bytes: a hash of the bytes picks a
 // slot, and the bytes are compared on a hash hit. The encoding of a program
-// is canonical, so equal bytes are equal programs. Encoder and decoder share
-// the table, so both hold programs to one notion of "the same".
+// is canonical, so equal bytes are equal programs: the decoder holds a frame
+// to programs pairwise distinct with it.
 type programTable struct {
 	spans []progSpan // by number: where each program's bytes lie
 	slots []int32    // open addressing over the hashes: number+1, 0 when free

@@ -16,23 +16,23 @@ func codecSpec() *Spec {
 	s := NewSpec(3, 2)
 	a := s.PE(mesh.Coord{X: 0, Y: 0})
 	a.Init = []float32{1.5, -2.25, 3.125}
-	a.Ops = []Op{
+	s.SetOps(mesh.Coord{X: 0, Y: 0}, []Op{
 		{Kind: OpSend, Color: 2, N: 3},
 		{Kind: OpSendRecvReduce, Color: 1, OutColor: 2, N: 2, Off: 1, N2: 2, Off2: 0, Reduce: OpMax},
 		{Kind: OpSampleClock, Slot: 1},
-	}
-	a.ClockSlots = 2
-	a.AddConfig(2, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East), Times: 1})
-	a.AddConfig(2, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
-	a.AddConfig(1, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
+	})
+	s.SetClockSlots(mesh.Coord{X: 0, Y: 0}, 2)
+	s.AddConfig(mesh.Coord{X: 0, Y: 0}, 2, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East), Times: 1})
+	s.AddConfig(mesh.Coord{X: 0, Y: 0}, 2, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
+	s.AddConfig(mesh.Coord{X: 0, Y: 0}, 1, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
 
-	b := s.PE(mesh.Coord{X: 1, Y: 0})
-	b.Ops = []Op{{Kind: OpRecvReduce, Color: 2, N: 3, Reduce: OpSum}}
-	b.AddConfig(2, RouterConfig{Accept: mesh.West, Forward: mesh.Dirs(mesh.Ramp, mesh.East)})
-	b.AddConfig(1, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
+	s.PE(mesh.Coord{X: 1, Y: 0})
+	s.SetOps(mesh.Coord{X: 1, Y: 0}, []Op{{Kind: OpRecvReduce, Color: 2, N: 3, Reduce: OpSum}})
+	s.AddConfig(mesh.Coord{X: 1, Y: 0}, 2, RouterConfig{Accept: mesh.West, Forward: mesh.Dirs(mesh.Ramp, mesh.East)})
+	s.AddConfig(mesh.Coord{X: 1, Y: 0}, 1, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
 
-	c := s.PE(mesh.Coord{X: 2, Y: 1})
-	c.Ops = []Op{{Kind: OpBusyWrite, N: 7}}
+	s.PE(mesh.Coord{X: 2, Y: 1})
+	s.SetOps(mesh.Coord{X: 2, Y: 1}, []Op{{Kind: OpBusyWrite, N: 7}})
 	return s
 }
 
@@ -62,8 +62,8 @@ func TestSpecCodecRoundTrip(t *testing.T) {
 		if d == nil {
 			t.Fatalf("PE %v missing after decode", coord)
 		}
-		if !reflect.DeepEqual(pe.Init, d.Init) || !reflect.DeepEqual(pe.Ops, d.Ops) ||
-			pe.ClockSlots != d.ClockSlots || !reflect.DeepEqual(pe.Configs, d.Configs) {
+		if !reflect.DeepEqual(pe.Init, d.Init) || !reflect.DeepEqual(pe.prog.Ops, d.prog.Ops) ||
+			pe.prog.ClockSlots != d.prog.ClockSlots || !reflect.DeepEqual(pe.prog.Configs, d.prog.Configs) {
 			t.Fatalf("PE %v decoded differently:\n got %+v\nwant %+v", coord, d, pe)
 		}
 	})
@@ -206,7 +206,7 @@ func TestValidateChecksEveryPEOfASharedProgram(t *testing.T) {
 	} {
 		s := NewSpec(c.width, 1)
 		for x := 0; x < 2; x++ {
-			s.PE(mesh.Coord{X: x}).AddConfig(1, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East)})
+			s.AddConfig(mesh.Coord{X: x}, 1, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East)})
 		}
 		data, err := s.MarshalBinary()
 		if err != nil {
@@ -216,7 +216,7 @@ func TestValidateChecksEveryPEOfASharedProgram(t *testing.T) {
 		if err := got.UnmarshalBinary(data); err != nil {
 			t.Fatal(err)
 		}
-		if a, b := got.At(mesh.Coord{X: 0}), got.At(mesh.Coord{X: 1}); &a.Configs[0] != &b.Configs[0] {
+		if a, b := got.At(mesh.Coord{X: 0}), got.At(mesh.Coord{X: 1}); &a.prog.Configs[0] != &b.prog.Configs[0] {
 			t.Fatal("the two PEs of one program do not share it")
 		}
 		for _, spec := range []*Spec{s, &got} {

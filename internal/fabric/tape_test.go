@@ -117,12 +117,12 @@ func sameBits(t *testing.T, want, got *Result, label string) {
 // sampled prepends a clock sample to every program of the spec and appends
 // another, so the tape has clock slots to carry.
 func sampled(s *Spec) *Spec {
-	s.Each(func(_ mesh.Coord, pe *PESpec) {
-		if len(pe.Ops) == 0 {
+	s.Each(func(c mesh.Coord, pe *PESpec) {
+		if len(pe.prog.Ops) == 0 {
 			return
 		}
-		pe.ClockSlots = 2
-		pe.Ops = append(append([]Op{{Kind: OpSampleClock, Slot: 0}}, pe.Ops...), Op{Kind: OpSampleClock, Slot: 1})
+		s.SetClockSlots(c, 2)
+		s.SetOps(c, append(append([]Op{{Kind: OpSampleClock, Slot: 0}}, pe.prog.Ops...), Op{Kind: OpSampleClock, Slot: 1}))
 	})
 	return s
 }
@@ -133,12 +133,12 @@ func duplex(b int) *Spec {
 	s := NewSpec(2, 1)
 	l, r := s.PE(mesh.Coord{}), s.PE(mesh.Coord{X: 1})
 	l.Init, r.Init = make([]float32, b), make([]float32, b)
-	l.Ops = []Op{{Kind: OpSendRecvReduce, Color: 1, OutColor: 0, N: b, N2: b, Reduce: OpMax}}
-	l.AddConfig(0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East)})
-	l.AddConfig(1, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
-	r.Ops = []Op{{Kind: OpSendRecvStore, Color: 0, OutColor: 1, N: b, Off2: b, N2: b}}
-	r.AddConfig(0, RouterConfig{Accept: mesh.West, Forward: mesh.Dirs(mesh.Ramp)})
-	r.AddConfig(1, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
+	s.SetOps(mesh.Coord{}, []Op{{Kind: OpSendRecvReduce, Color: 1, OutColor: 0, N: b, N2: b, Reduce: OpMax}})
+	s.AddConfig(mesh.Coord{}, 0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East)})
+	s.AddConfig(mesh.Coord{}, 1, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
+	s.SetOps(mesh.Coord{X: 1}, []Op{{Kind: OpSendRecvStore, Color: 0, OutColor: 1, N: b, Off2: b, N2: b}})
+	s.AddConfig(mesh.Coord{X: 1}, 0, RouterConfig{Accept: mesh.West, Forward: mesh.Dirs(mesh.Ramp)})
+	s.AddConfig(mesh.Coord{X: 1}, 1, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
 	return s
 }
 
@@ -226,7 +226,7 @@ func TestTapeReproducesRun(t *testing.T) {
 // with the very same diagnostic, and leaves no tape.
 func TestRecordFailsLikeRun(t *testing.T) {
 	excess := twoPE(8)
-	excess.PE(mesh.Coord{}).Ops = []Op{{Kind: OpRecvStore, Color: 0, N: 4}}
+	excess.SetOps(mesh.Coord{}, []Op{{Kind: OpRecvStore, Color: 0, N: 4}})
 
 	for name, tc := range map[string]struct {
 		spec *Spec
@@ -287,13 +287,13 @@ func pingPong(b int) *Spec {
 	l, r := s.PE(mesh.Coord{}), s.PE(mesh.Coord{X: 1})
 	l.Init, r.Init = make([]float32, b+1), make([]float32, b)
 	for k := 0; k < b; k++ {
-		l.Ops = append(l.Ops, Op{Kind: OpSend, Color: 0, Off: k, N: 1}, Op{Kind: OpRecvStore, Color: 1, Off: k + 1, N: 1})
-		r.Ops = append(r.Ops, Op{Kind: OpRecvReduce, Color: 0, Off: k, N: 1}, Op{Kind: OpSend, Color: 1, Off: k, N: 1})
+		s.Append(mesh.Coord{}, Op{Kind: OpSend, Color: 0, Off: k, N: 1}, Op{Kind: OpRecvStore, Color: 1, Off: k + 1, N: 1})
+		s.Append(mesh.Coord{X: 1}, Op{Kind: OpRecvReduce, Color: 0, Off: k, N: 1}, Op{Kind: OpSend, Color: 1, Off: k, N: 1})
 	}
-	l.AddConfig(0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East)})
-	l.AddConfig(1, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
-	r.AddConfig(0, RouterConfig{Accept: mesh.West, Forward: mesh.Dirs(mesh.Ramp)})
-	r.AddConfig(1, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
+	s.AddConfig(mesh.Coord{}, 0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East)})
+	s.AddConfig(mesh.Coord{}, 1, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
+	s.AddConfig(mesh.Coord{X: 1}, 0, RouterConfig{Accept: mesh.West, Forward: mesh.Dirs(mesh.Ramp)})
+	s.AddConfig(mesh.Coord{X: 1}, 1, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
 	return s
 }
 

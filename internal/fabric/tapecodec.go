@@ -63,6 +63,15 @@ func (t *Tape) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
+// SizeHint is room for the section AppendBinary writes, estimated from the
+// tape's counts: a counter or count at up to five bytes, an accumulator
+// length at two, a clock sample at three, and a run at three and a half
+// (its head, its element and, for a consume, its wave, a byte or two each;
+// the runs of the nine cold-store tapes take 2.5 to 4).
+func (t *Tape) SizeHint() int {
+	return 9*binary.MaxVarintLen32 + 2*len(t.coords) + 3*len(t.clocks) + 7*len(t.runs)/2
+}
+
 // DecodeTape decodes the section AppendBinary wrote for a tape recorded from
 // program s, which must be valid (Spec.Validate). data must hold the section
 // and nothing else.
@@ -89,8 +98,9 @@ func DecodeTape(s *Spec, data []byte) (*Tape, error) {
 	}
 
 	total, clocks := 0, 0
-	for idx, pe := range s.pes {
-		if pe == nil {
+	for idx := range s.pes {
+		pe := &s.pes[idx]
+		if pe.prog == nil {
 			continue
 		}
 		c := s.coord(idx)
@@ -104,19 +114,19 @@ func DecodeTape(s *Spec, data []byte) (*Tape, error) {
 		t.coords = append(t.coords, c)
 		t.off = append(t.off, total)
 		total += int(size)
-		clocks += pe.ClockSlots
-		for k := range pe.Ops {
-			t.events += pe.Ops[k].tapeEvents()
+		clocks += pe.prog.ClockSlots
+		for k := range pe.prog.Ops {
+			t.events += pe.prog.Ops[k].tapeEvents()
 		}
 	}
 	t.off = append(t.off, total)
 	if clocks > 0 { // the clock offsets, only for a program that samples
 		t.clkOff = make([]int, 0, n+1)
 		at := 0
-		for _, pe := range s.pes {
-			if pe != nil {
+		for i := range s.pes {
+			if pe := &s.pes[i]; pe.prog != nil {
 				t.clkOff = append(t.clkOff, at)
-				at += pe.ClockSlots
+				at += pe.prog.ClockSlots
 			}
 		}
 		t.clkOff = append(t.clkOff, at)

@@ -16,13 +16,13 @@ func tapeCodecSpec(t *testing.T) *Spec {
 	s := NewSpec(2, 1)
 	a := s.PE(mesh.Coord{X: 0, Y: 0})
 	a.Init = []float32{1.5, -2.25}
-	a.Ops = []Op{{Kind: OpRecvReduce, Color: 0, N: 2, Reduce: OpMax}, {Kind: OpSampleClock, Slot: 0}}
-	a.ClockSlots = 1
-	a.AddConfig(0, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
+	s.SetOps(mesh.Coord{X: 0, Y: 0}, []Op{{Kind: OpRecvReduce, Color: 0, N: 2, Reduce: OpMax}, {Kind: OpSampleClock, Slot: 0}})
+	s.SetClockSlots(mesh.Coord{X: 0, Y: 0}, 1)
+	s.AddConfig(mesh.Coord{X: 0, Y: 0}, 0, RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
 	b := s.PE(mesh.Coord{X: 1, Y: 0})
 	b.Init = []float32{3.125, -4}
-	b.Ops = []Op{{Kind: OpSend, Color: 0, N: 2}}
-	b.AddConfig(0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
+	s.SetOps(mesh.Coord{X: 1, Y: 0}, []Op{{Kind: OpSend, Color: 0, N: 2}})
+	s.AddConfig(mesh.Coord{X: 1, Y: 0}, 0, RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}

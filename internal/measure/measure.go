@@ -135,27 +135,29 @@ func Instrument(spec *fabric.Spec, width, height, alpha int) error {
 	if alpha < 1 {
 		return fmt.Errorf("measure: alpha %d", alpha)
 	}
+	var ops []fabric.Op // one PE's instrumented program, while it is built
 	for y := 0; y < height; y++ {
 		for x := 0; x < width; x++ {
-			pe := spec.PE(mesh.Coord{X: x, Y: y})
+			c := mesh.Coord{X: x, Y: y}
 			// The root's router hands the trigger back down its own ramp, so
 			// the root samples its reference on arrival like every other PE
 			// and i+j+2 calibrates all of them onto one timebase. A root that
 			// sampled on sending would sit two ramp latencies ahead of the
 			// rest: every root-to-leaves collective measured 2·T_R short,
 			// every leaves-to-root one 2·T_R long.
-			var prologue []fabric.Op
+			ops = ops[:0]
 			if x == 0 && y == 0 {
-				prologue = append(prologue, fabric.Op{Kind: fabric.OpSendTrigger, Color: comm.TriggerColor})
+				ops = append(ops, fabric.Op{Kind: fabric.OpSendTrigger, Color: comm.TriggerColor})
 			}
-			prologue = append(prologue,
+			ops = append(ops,
 				fabric.Op{Kind: fabric.OpRecvTrigger, Color: comm.TriggerColor},
 				fabric.Op{Kind: fabric.OpSampleClock, Slot: slotRef},
 				fabric.Op{Kind: fabric.OpBusyWrite, N: alpha * (width + height - x - y)},
 				fabric.Op{Kind: fabric.OpSampleClock, Slot: slotStart},
 			)
-			pe.Ops = append(prologue, append(pe.Ops, fabric.Op{Kind: fabric.OpSampleClock, Slot: slotEnd})...)
-			pe.ClockSlots = numSlots
+			ops = append(append(ops, spec.PE(c).Program().Ops...), fabric.Op{Kind: fabric.OpSampleClock, Slot: slotEnd})
+			spec.SetClockSlots(c, numSlots)
+			spec.SetOps(c, ops)
 
 			// Trigger flood routing (same shape as the 2D broadcast).
 			var accept mesh.Direction
@@ -187,7 +189,7 @@ func Instrument(spec *fabric.Spec, width, height, alpha int) error {
 				}
 			}
 			if fwd != 0 {
-				pe.AddConfig(comm.TriggerColor, fabric.RouterConfig{Accept: accept, Forward: fwd})
+				spec.AddConfig(c, comm.TriggerColor, fabric.RouterConfig{Accept: accept, Forward: fwd})
 			}
 		}
 	}

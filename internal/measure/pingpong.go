@@ -43,54 +43,55 @@ func PingPongBroadcast(p, b, k int, opt fabric.Options) (*PingPongResult, error)
 	spec := fabric.NewSpec(p, 1)
 	path := mesh.Row(0, 0, p)
 
+	ops := make([]fabric.Op, 0, 2*k+2) // one PE's program, while it is built
 	for v, c := range path {
-		pe := spec.PE(c)
-		pe.Init = make([]float32, b)
+		spec.PE(c).Init = make([]float32, b)
 		// Eastward flood on pingColor.
 		switch {
 		case v == 0:
-			pe.AddConfig(pingColor, fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East)})
+			spec.AddConfig(c, pingColor, fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.East)})
 		case v == p-1:
-			pe.AddConfig(pingColor, fabric.RouterConfig{Accept: mesh.West, Forward: mesh.Dirs(mesh.Ramp)})
+			spec.AddConfig(c, pingColor, fabric.RouterConfig{Accept: mesh.West, Forward: mesh.Dirs(mesh.Ramp)})
 		default:
-			pe.AddConfig(pingColor, fabric.RouterConfig{Accept: mesh.West, Forward: mesh.Dirs(mesh.East, mesh.Ramp)})
+			spec.AddConfig(c, pingColor, fabric.RouterConfig{Accept: mesh.West, Forward: mesh.Dirs(mesh.East, mesh.Ramp)})
 		}
 		// Westward flood on pongColor.
 		switch {
 		case v == p-1:
-			pe.AddConfig(pongColor, fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
+			spec.AddConfig(c, pongColor, fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
 		case v == 0:
-			pe.AddConfig(pongColor, fabric.RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
+			spec.AddConfig(c, pongColor, fabric.RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
 		default:
-			pe.AddConfig(pongColor, fabric.RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.West, mesh.Ramp)})
+			spec.AddConfig(c, pongColor, fabric.RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.West, mesh.Ramp)})
 		}
-	}
 
-	left := spec.PE(path[0])
-	right := spec.PE(path[p-1])
-	left.ClockSlots = 2
-	left.Ops = append(left.Ops, fabric.Op{Kind: fabric.OpSampleClock, Slot: 0})
-	for it := 0; it < k; it++ {
-		for v, c := range path {
-			pe := spec.PE(c)
+		// k bounces, the left end's bracketed by its two clock samples.
+		ops = ops[:0]
+		if v == 0 {
+			ops = append(ops, fabric.Op{Kind: fabric.OpSampleClock, Slot: 0})
+		}
+		for it := 0; it < k; it++ {
 			switch v {
 			case 0:
-				pe.Ops = append(pe.Ops,
+				ops = append(ops,
 					fabric.Op{Kind: fabric.OpSend, Color: pingColor, N: b},
 					fabric.Op{Kind: fabric.OpRecvStore, Color: pongColor, N: b})
 			case p - 1:
-				pe.Ops = append(pe.Ops,
+				ops = append(ops,
 					fabric.Op{Kind: fabric.OpRecvStore, Color: pingColor, N: b},
 					fabric.Op{Kind: fabric.OpSend, Color: pongColor, N: b})
 			default:
-				pe.Ops = append(pe.Ops,
+				ops = append(ops,
 					fabric.Op{Kind: fabric.OpRecvStore, Color: pingColor, N: b},
 					fabric.Op{Kind: fabric.OpRecvStore, Color: pongColor, N: b})
 			}
 		}
+		if v == 0 {
+			ops = append(ops, fabric.Op{Kind: fabric.OpSampleClock, Slot: 1})
+			spec.SetClockSlots(c, 2)
+		}
+		spec.Append(c, ops...)
 	}
-	left.Ops = append(left.Ops, fabric.Op{Kind: fabric.OpSampleClock, Slot: 1})
-	_ = right
 
 	f, err := fabric.New(spec, opt)
 	if err != nil {

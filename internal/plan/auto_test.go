@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -139,5 +140,41 @@ func TestAutoSchedulesComputeTheirKind(t *testing.T) {
 		if ran[schedule] == 0 {
 			t.Errorf("no cell of the walk ran %s (ran %v)", schedule, ran)
 		}
+	}
+}
+
+// TestAutoPriceIsPredict: an Auto choice hands Compile and Predict the price
+// it picked its schedule by, so that neither prices the schedule again. That
+// price is, to the bit, the kind's estimate of the resolved request, on
+// every cell of the lattice and under Auto for every kind that has it.
+func TestAutoPriceIsPredict(t *testing.T) {
+	reqs := Lattice()
+	for p := 2; p <= 64; p += 7 {
+		for _, b := range []int{1, 4, 16, 64, 256} {
+			reqs = append(reqs,
+				Request{Kind: Reduce1D, Alg: core.Auto, P: p, B: b},
+				Request{Kind: AllReduce1D, Alg: core.Auto, P: p, B: b},
+				Request{Kind: AllReduceMidRoot, Alg: core.Auto, P: p, B: b},
+				Request{Kind: ReduceScatter, P: p, B: b},
+				Request{Kind: AllGather, P: p, B: b, Opt: fabric.Options{QueueCap: 2}},
+				Request{Kind: Reduce2D, Alg2D: core.Auto2D, Width: p/4 + 1, Height: p/7 + 1, B: b},
+				Request{Kind: AllReduce2D, Alg2D: core.Auto2D, Width: p/4 + 1, Height: p/7 + 1, B: b},
+			)
+		}
+	}
+	priced := 0
+	for _, req := range reqs {
+		res, got, ok := req.resolve()
+		if !ok {
+			continue
+		}
+		priced++
+		want := InfoOf(res.Kind).predict(res, core.Params(res.Opt))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%v resolves to %s%s priced %v; its estimate is %v", KeyOf(req), res.Alg, res.Alg2D, got, want)
+		}
+	}
+	if priced < len(reqs)/4 {
+		t.Fatalf("only %d of %d requests were priced by a choice", priced, len(reqs))
 	}
 }

@@ -40,7 +40,7 @@ func TestCentreRunsAtItsEstimate(t *testing.T)     { dense(t, "centre") }
 // TestDenseCellCounts pins the number of cells in every row's domain, so an
 // edit of the table cannot drop a cell unseen.
 func TestDenseCellCounts(t *testing.T) {
-	want := map[string]int{"ring-stream": 804, "star-stream": 840, "allgather": 80, "split": 352, "fold": 157, "grid-search": 900, "centre": 395}
+	want := map[string]int{"ring-stream": 816, "star-stream": 852, "allgather": 80, "split": 352, "fold": 157, "grid-search": 900, "centre": 395}
 	if len(denseRows) != len(want) {
 		t.Errorf("%d rows, %d pinned", len(denseRows), len(want))
 	}
@@ -344,10 +344,10 @@ var denseRows = []denseRow{{
 
 // streamB gives the streamed schedules' B = P·m + r for m up to 12 elements
 // a PE and r of 0, 1 and P/2: balanced chunks, one longer chunk, and half of
-// them longer (on 2 PEs balanced chunks alone).
+// them longer (on 2 PEs, where 1 is P/2, one longer chunk once).
 func streamB(p int) []int {
 	if p == 2 {
-		return wTimes(p, span(1, 12), 0) // r = 1 = P/2 is left out
+		return wTimes(p, span(1, 12), 0, 1)
 	}
 	return wTimes(p, span(1, 12), 0, 1, p/2)
 }
@@ -690,7 +690,7 @@ func rowsStream(spec *fabric.Spec, w, h int) bool {
 		return false
 	}
 	for y := 0; y < h; y++ {
-		ops := spec.PE(mesh.Coord{X: w / 2, Y: y}).Ops
+		ops := spec.PE(mesh.Coord{X: w / 2, Y: y}).Program().Ops
 		if len(ops) < w || ops[len(ops)-1].Kind != fabric.OpSend {
 			return false
 		}
@@ -704,7 +704,7 @@ func rowsStream(spec *fabric.Spec, w, h int) bool {
 			if x == w/2 {
 				continue
 			}
-			ops := spec.PE(mesh.Coord{X: x, Y: y}).Ops
+			ops := spec.PE(mesh.Coord{X: x, Y: y}).Program().Ops
 			if len(ops) < w-1 {
 				return false
 			}

@@ -77,8 +77,9 @@ type KindInfo struct {
 	// auto replaces an Auto algorithm — for the algorithm-free kinds, none —
 	// by the model's choice over every schedule that computes the kind, and
 	// may move the request to the row whose program that is; nil when the
-	// kind has nothing to choose.
-	auto func(r *Request, pr model.Params)
+	// kind has nothing to choose. It returns the choice's price, which is
+	// predict's of the resolved request, and false when it chose nothing.
+	auto func(r *Request, pr model.Params) (float64, bool)
 	// build lowers a resolved request into spec.
 	build func(spec *fabric.Spec, r Request, pr model.Params) error
 	// predict is the kind's model lemma and bound its runtime lower bound,
@@ -93,29 +94,34 @@ var patterns1DRing = append(slices.Clone(core.Patterns1D), core.Ring, core.RingD
 // under each tree pattern, and the fold.
 var patternsMidRoot = append(slices.Clone(core.Patterns1D), core.Fold)
 
-func auto1D(r *Request, pr model.Params) {
+func auto1D(r *Request, pr model.Params) (t float64, ok bool) {
 	if r.Alg == core.Auto {
-		r.Alg, _ = core.BestReduce1D(r.P, r.B, pr)
+		r.Alg, t = core.BestReduce1D(r.P, r.B, pr)
+		ok = true
 	}
+	return t, ok
 }
 
 // autoAllReduce1D ranges over the end root, the middle root — which is the
 // allreduce-midroot row's program, so the request moves there — and the ring.
-func autoAllReduce1D(r *Request, pr model.Params) {
+func autoAllReduce1D(r *Request, pr model.Params) (float64, bool) {
 	if r.Alg != core.Auto {
-		return
+		return 0, false
 	}
-	alg, midRoot, _ := core.BestAllReduce1D(r.P, r.B, pr)
+	alg, midRoot, t := core.BestAllReduce1D(r.P, r.B, pr)
 	if midRoot {
 		r.Kind = AllReduceMidRoot
 	}
 	r.Alg = alg
+	return t, true
 }
 
-func auto2D(r *Request, pr model.Params) {
+func auto2D(r *Request, pr model.Params) (t float64, ok bool) {
 	if r.Alg2D == core.Auto2D {
-		r.Alg2D, _ = core.BestReduce2D(r.Width, r.Height, r.B, pr)
+		r.Alg2D, t = core.BestReduce2D(r.Width, r.Height, r.B, pr)
+		ok = true
 	}
+	return t, ok
 }
 
 // patterns2DReduce is the 2D Reduce family: the paper's patterns, this
@@ -128,10 +134,12 @@ var patterns2DAllReduce = append(slices.Clone(patterns2DReduce), core.Centre, co
 
 // autoAllReduce2D ranges over the reduces into the corner, each with the flood
 // behind it, the centre root and the split.
-func autoAllReduce2D(r *Request, pr model.Params) {
+func autoAllReduce2D(r *Request, pr model.Params) (t float64, ok bool) {
 	if r.Alg2D == core.Auto2D {
-		r.Alg2D, _ = core.BestAllReduce2D(r.Width, r.Height, r.B, pr)
+		r.Alg2D, t = core.BestAllReduce2D(r.Width, r.Height, r.B, pr)
+		ok = true
 	}
+	return t, ok
 }
 
 // treeReduce records the tree of a lone Reduce.
@@ -274,7 +282,10 @@ var Kinds = []KindInfo{
 		Kind: ReduceScatter, Name: "reducescatter",
 		Doc:   "combine p vectors and leave chunk j on PE j (op=)",
 		HasOp: true, Chunked: true, Inputs: VectorPerPE, trees: treeEnd,
-		auto: func(r *Request, pr model.Params) { r.Alg, _ = core.BestReduceScatter(r.P, r.B, pr) },
+		auto: func(r *Request, pr model.Params) (t float64, ok bool) {
+			r.Alg, t = core.BestReduceScatter(r.P, r.B, pr)
+			return t, true
+		},
 		build: func(s *fabric.Spec, r Request, pr model.Params) error {
 			return core.BuildReduceScatterInto(s, r.Alg, r.P, r.B, pr, r.Op)
 		},
@@ -285,7 +296,10 @@ var Kinds = []KindInfo{
 		Kind: AllGather, Name: "allgather",
 		Doc:     "distribute per-PE chunks so every PE ends with the full vector",
 		Chunked: true, Inputs: ChunkPerPE, placed: true,
-		auto: func(r *Request, pr model.Params) { r.Alg, _ = core.BestAllGather(r.P, r.B, pr) },
+		auto: func(r *Request, pr model.Params) (t float64, ok bool) {
+			r.Alg, t = core.BestAllGather(r.P, r.B, pr)
+			return t, true
+		},
 		build: func(s *fabric.Spec, r Request, _ model.Params) error {
 			return core.BuildAllGatherInto(s, r.Alg, r.P, r.B)
 		},
@@ -305,10 +319,12 @@ var Kinds = []KindInfo{
 			}
 			return err
 		},
-		auto: func(r *Request, pr model.Params) {
+		auto: func(r *Request, pr model.Params) (t float64, ok bool) {
 			if r.Alg == core.Auto {
-				r.Alg, _ = core.BestAllReduceMidRoot(r.P, r.B, pr)
+				r.Alg, t = core.BestAllReduceMidRoot(r.P, r.B, pr)
+				ok = true
 			}
+			return t, ok
 		},
 		build: func(s *fabric.Spec, r Request, pr model.Params) error {
 			return core.BuildAllReduceMidRootInto(s, r.Alg, r.P, r.B, pr, r.Op)
@@ -460,7 +476,10 @@ func (r Request) Inputs(fill func(n int) []float32) [][]float32 {
 // Compile lowers it to and Predict is a plan's Predicted by construction.
 // Like the model it is total — NaN for an unknown kind.
 func (r Request) Predict() float64 {
-	r = r.Resolve()
+	r, t, priced := r.resolve()
+	if priced {
+		return t
+	}
 	if ki := InfoOf(r.Kind); ki != nil {
 		return ki.predict(r, core.Params(r.Opt))
 	}

@@ -87,7 +87,7 @@ func programHash(spec *fabric.Spec) []byte {
 	h := sha256.New()
 	fmt.Fprintf(h, "%dx%d\n", spec.Width, spec.Height)
 	spec.Each(func(c mesh.Coord, pe *fabric.PESpec) {
-		fmt.Fprintf(h, "%v %v %v %d %v\n", c, pe.Ops, pe.Configs, pe.ClockSlots, pe.Init)
+		fmt.Fprintf(h, "%v %v %v %d %v\n", c, pe.Program().Ops, pe.Program().Configs, pe.Program().ClockSlots, pe.Init)
 	})
 	return h.Sum(nil)
 }

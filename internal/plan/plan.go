@@ -191,10 +191,18 @@ type Plan struct {
 // core.Star, core.StarStream or core.GatherFlood (AllGather). Resolving is
 // idempotent, and the key of a request is taken before it. The public Shape.Resolve is this.
 func (r Request) Resolve() Request {
-	if ki := InfoOf(r.Kind); ki != nil && ki.auto != nil {
-		ki.auto(&r, core.Params(r.Opt))
-	}
+	r, _, _ = r.resolve()
 	return r
+}
+
+// resolve is Resolve with the price of what an Auto choice picked, the
+// kind's predict of the resolved request, which the choice has already
+// computed; priced is false when nothing was chosen.
+func (r Request) resolve() (_ Request, t float64, priced bool) {
+	if ki := InfoOf(r.Kind); ki != nil && ki.auto != nil {
+		t, priced = ki.auto(&r, core.Params(r.Opt))
+	}
+	return r, t, priced
 }
 
 // Compile lowers a request to a Plan: it resolves Auto selections,
@@ -210,9 +218,12 @@ func Compile(req Request) (*Plan, error) {
 		return nil, err
 	}
 	key := KeyOf(req)
-	req = req.Resolve()
+	req, predicted, priced := req.resolve()
 	ki := InfoOf(req.Kind)
 	pr := core.Params(req.Opt)
+	if !priced {
+		predicted = ki.predict(req, pr)
+	}
 	// Plans carry canonical options (defaults resolved) so compiling the
 	// same logical request in two processes yields byte-identical encoded
 	// plans; the Tracer is a debug attachment, not part of the canonical
@@ -239,7 +250,7 @@ func Compile(req Request) (*Plan, error) {
 	if err := ki.build(p.Spec, req, pr); err != nil {
 		return nil, err
 	}
-	p.Predicted = ki.predict(req, pr)
+	p.Predicted = predicted
 	if err := p.Spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -256,11 +267,11 @@ func Compile(req Request) (*Plan, error) {
 // ascending order.
 func specColors(s *fabric.Spec) []mesh.Color {
 	var seen [mesh.NumColors]bool
-	s.Each(func(_ mesh.Coord, pe *fabric.PESpec) {
-		for i := range pe.Configs {
-			seen[pe.Configs[i].Color] = true
+	for _, prog := range s.Programs() {
+		for i := range prog.Configs {
+			seen[prog.Configs[i].Color] = true
 		}
-	})
+	}
 	var out []mesh.Color
 	for c, ok := range seen {
 		if ok {
@@ -270,32 +281,37 @@ func specColors(s *fabric.Spec) []mesh.Color {
 	return out
 }
 
-// bind produces a per-run spec: fresh PESpec headers (carved a row at a
-// time, so an engine run stays at a handful of allocations) sharing the
-// plan's immutable programs and routing tables, with Init set from inputs
-// after their arity is validated. The fabric engine copies Init and never
-// writes through Ops or Configs, so concurrent runs of one plan are
-// race-free.
-func (p *Plan) bind(inputs [][]float32) (*fabric.Spec, error) {
+// bind returns the spec and the initial vectors, by row-major PE index, of
+// one run, after the inputs' arity is validated. Inputs go to the PEs in
+// row-major order, so the vectors are the inputs as they stand but for the
+// placed kind's chunks, and the spec is the plan's: it is only read, so
+// concurrent runs of one plan are race-free. Only where the program leaves
+// an input's PE idle (a collective of one PE) does a run get a spec of its
+// own, with that PE programmed to hold its input.
+func (p *Plan) bind(inputs [][]float32) (*fabric.Spec, [][]float32, error) {
 	if err := p.checkInputs(inputs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	s := fabric.NewSpec(p.Spec.Width, p.Spec.Height)
-	p.Spec.Each(func(c mesh.Coord, pe *fabric.PESpec) {
-		d := s.PE(c)
-		*d = *pe
-		d.Init = nil
-	})
-	chunkOff := p.chunkOffsets()
-	for j, v := range inputs {
-		pe := s.PE(p.inputCoord(j))
-		if chunkOff != nil {
-			pe.Init = core.AllGatherInit(v, chunkOff[j], p.B)
-		} else {
-			pe.Init = v
+	init := inputs
+	if chunkOff := p.chunkOffsets(); chunkOff != nil {
+		init = make([][]float32, len(inputs))
+		for j, v := range inputs {
+			init[j] = core.AllGatherInit(v, chunkOff[j], p.B)
 		}
 	}
-	return s, nil
+	s := p.Spec
+	for j := range init {
+		if c := p.inputCoord(j); s.At(c) == nil {
+			if s == p.Spec {
+				s = fabric.NewSpec(p.Spec.Width, p.Spec.Height)
+				if err := s.Stamp(p.Spec); err != nil {
+					return nil, nil, err
+				}
+			}
+			s.PE(c)
+		}
+	}
+	return s, init, nil
 }
 
 // inputCoord is the PE input j of a run belongs to: inputs go to the PEs in
@@ -480,11 +496,11 @@ func (p *Plan) ExecuteBatch(ctx context.Context, batches [][][]float32, eo ExecO
 // arm builds the fabric of one simulator run: inputs bound into a per-run
 // spec, watched by ctx when it can fire.
 func (p *Plan) arm(ctx context.Context, inputs [][]float32) (*fabric.Fabric, error) {
-	s, err := p.bind(inputs)
+	s, init, err := p.bind(inputs)
 	if err != nil {
 		return nil, err
 	}
-	f, err := fabric.New(s, p.Opt)
+	f, err := fabric.NewBound(s, init, p.Opt)
 	if err != nil {
 		return nil, err
 	}
@@ -537,26 +553,9 @@ func (p *Plan) simulate(inputs [][]float32) (*fabric.Result, error) {
 	return f.Run()
 }
 
-// Stamp deep-copies the plan's program into dst, which must span the same
-// region. Unlike the replay path, the copy owns its Ops and Configs
-// storage, so callers (e.g. the §8.3 measurement instrumenter) may rewrite
-// programs freely without corrupting the cached plan.
-func (p *Plan) Stamp(dst *fabric.Spec) error {
-	if dst.Width != p.Spec.Width || dst.Height != p.Spec.Height {
-		return fmt.Errorf("plan: stamp into %dx%d region, plan is %dx%d",
-			dst.Width, dst.Height, p.Spec.Width, p.Spec.Height)
-	}
-	p.Spec.Each(func(c mesh.Coord, pe *fabric.PESpec) {
-		d := dst.PE(c)
-		d.Ops = append([]fabric.Op(nil), pe.Ops...)
-		d.ClockSlots = pe.ClockSlots
-		d.Configs = nil
-		if len(pe.Configs) > 0 {
-			d.Configs = make([]fabric.ColorConfig, len(pe.Configs))
-			for i, row := range pe.Configs {
-				d.Configs[i] = fabric.ColorConfig{Color: row.Color, Cfgs: append([]fabric.RouterConfig(nil), row.Cfgs...)}
-			}
-		}
-	})
-	return nil
-}
+// Stamp copies the plan's program into dst, which must span the same
+// region, its Init vectors aside (fabric.Spec.Stamp). dst shares the plan's
+// ops and routing tables, which no write reaches, so callers (e.g. the §8.3
+// measurement instrumenter) may rewrite dst's programs freely without
+// touching the cached plan.
+func (p *Plan) Stamp(dst *fabric.Spec) error { return dst.Stamp(p.Spec) }

@@ -199,18 +199,18 @@ func TestTapeCarriesClockSamples(t *testing.T) {
 	if err := compiled.Stamp(pl.Spec); err != nil {
 		t.Fatal(err)
 	}
-	pl.Spec.Each(func(_ mesh.Coord, pe *fabric.PESpec) {
-		pe.ClockSlots = 2
-		pe.Ops = append(append([]fabric.Op{{Kind: fabric.OpSampleClock, Slot: 0}}, pe.Ops...), fabric.Op{Kind: fabric.OpSampleClock, Slot: 1})
+	pl.Spec.Each(func(c mesh.Coord, pe *fabric.PESpec) {
+		pl.Spec.SetClockSlots(c, 2)
+		pl.Spec.SetOps(c, append(append([]fabric.Op{{Kind: fabric.OpSampleClock, Slot: 0}}, pe.Program().Ops...), fabric.Op{Kind: fabric.OpSampleClock, Slot: 1}))
 	})
 	matchesEngine(t, pl, req, "instrumented reduce")
 
 	in := randomInputs(req, 9)
-	bound, err := pl.bind(in)
+	s, bound, err := pl.bind(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := fabric.New(bound, pl.Opt)
+	f, err := fabric.NewBound(s, bound, pl.Opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,10 +379,10 @@ func TestTapeLengthMismatchFallsBack(t *testing.T) {
 // next execution records).
 func TestTapeFailingPlanNeverRecords(t *testing.T) {
 	stuck := fabric.NewSpec(2, 1)
-	recv := stuck.PE(mesh.Coord{})
-	recv.Ops = []fabric.Op{{Kind: fabric.OpRecvStore, Color: 3, N: 4}}
-	recv.AddConfig(3, fabric.RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
-	stuck.PE(mesh.Coord{X: 1}).AddConfig(3, fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
+	stuck.PE(mesh.Coord{})
+	stuck.SetOps(mesh.Coord{}, []fabric.Op{{Kind: fabric.OpRecvStore, Color: 3, N: 4}})
+	stuck.AddConfig(mesh.Coord{}, 3, fabric.RouterConfig{Accept: mesh.East, Forward: mesh.Dirs(mesh.Ramp)})
+	stuck.AddConfig(mesh.Coord{X: 1}, 3, fabric.RouterConfig{Accept: mesh.Ramp, Forward: mesh.Dirs(mesh.West)})
 	pl := &Plan{Kind: Reduce1D, P: 2, B: 4, Spec: stuck, Opt: fabric.Options{}.Canonical()}
 	in := vectors(2, 4, 0.5)
 	var first string

@@ -66,11 +66,7 @@ const (
 // always yields the same bytes and therefore the same address.
 func Encode(p *plan.Plan) ([]byte, string, error) {
 	tape, lens := p.Tape()
-	// One buffer holds the frame: the header's room first, then the payload —
-	// the spec, some six bytes a PE and its few programs, a few bytes a PE for
-	// the trees and the tape's accumulator lengths, and two or three short
-	// varints a run of the tape.
-	e := &enc{buf: make([]byte, headerLen, headerLen+1536+10*p.Spec.Len()+8*tape.Runs())}
+	e := &enc{buf: make([]byte, headerLen, headerLen+frameRoom(p, tape, lens))}
 	putKey(e, p.Key)
 	e.str(string(p.Kind))
 	e.str(string(p.Alg))
@@ -106,6 +102,31 @@ func Encode(p *plan.Plan) ([]byte, string, error) {
 	}
 	return e.buf, seal(e.buf, tape != nil), nil
 }
+
+// frameRoom is room for the payload Encode writes: the spec and tape
+// sections as their SizeHints estimate them, the trees at the length of
+// their largest index, an accumulator length at two bytes, and the key and
+// the echo of the request, which spell the three names twice, at
+// fixedBytes besides the names. A frame that runs longer grows its buffer
+// once; TestEncodeSizesItsFrame holds the estimate to the benchmark's cold
+// frames.
+func frameRoom(p *plan.Plan, tape *fabric.Tape, lens []int) int {
+	room := fixedBytes + 2*(len(p.Kind)+len(p.Alg)+len(p.Alg2D)) +
+		binary.MaxVarintLen64 + p.Spec.SizeHint() + 1 + len(p.Colors)
+	for _, t := range []comm.Tree{p.Tree, p.RowTree, p.ColTree} {
+		var b [binary.MaxVarintLen64]byte
+		room += (1 + len(t.Parent)) * binary.PutVarint(b[:], int64(len(t.Parent)))
+	}
+	if tape != nil {
+		room += binary.MaxVarintLen64 + 2*len(lens) + tape.SizeHint()
+	}
+	return room
+}
+
+// fixedBytes is room for the fields of a frame's payload that do not grow
+// with the fabric, its names aside: four 8-byte floats and seeds, six name
+// lengths and some two dozen varints, which take 60 to 80 bytes.
+const fixedBytes = 96
 
 // seal completes a frame whose payload follows headerLen reserved bytes: it
 // fills in the fixed header carrying the flags (set by whether a tape

@@ -3,6 +3,7 @@ package planstore
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -232,9 +233,9 @@ func TestContentAddressIsShapeSensitive(t *testing.T) {
 }
 
 // TestDecodedPEsShareProgramStorage: the PEs of one program decode onto one
-// copy of its ops and routing table, each PE keeping a header of its own, so
-// assigning one PE's fields (Spec.PE) reaches no other PE; and a spec stamped
-// from the decoded plan (Plan.Stamp) owns its copy of every program, so
+// copy of its ops and routing table, each PE keeping a record of its own, so
+// rewriting one PE's program (Spec.SetOps) reaches no other PE; and a spec
+// stamped from the decoded plan (Plan.Stamp) shares its programs, so
 // rewriting a stamped PE's ops and routes leaves the decoded plan as it was.
 func TestDecodedPEsShareProgramStorage(t *testing.T) {
 	frame, _, err := Encode(mustCompile(t, plan.Request{Kind: plan.Reduce1D, Alg: core.Auto, P: 64, B: 4}))
@@ -249,13 +250,13 @@ func TestDecodedPEsShareProgramStorage(t *testing.T) {
 	var at mesh.Coord
 	seen := make(map[*fabric.Op]*fabric.PESpec)
 	p.Spec.Each(func(c mesh.Coord, pe *fabric.PESpec) {
-		if a != nil || len(pe.Ops) == 0 || len(pe.Configs) == 0 {
+		if a != nil || len(pe.Program().Ops) == 0 || len(pe.Program().Configs) == 0 {
 			return
 		}
-		if first, ok := seen[&pe.Ops[0]]; ok {
+		if first, ok := seen[&pe.Program().Ops[0]]; ok {
 			a, b, at = pe, first, c
 		}
-		seen[&pe.Ops[0]] = pe
+		seen[&pe.Program().Ops[0]] = pe
 	})
 	if a == nil {
 		t.Fatalf("no two PEs of %d share an op list: %d distinct", p.Spec.Len(), len(seen))
@@ -263,10 +264,10 @@ func TestDecodedPEsShareProgramStorage(t *testing.T) {
 	if a == b {
 		t.Fatal("two PEs decode to one PESpec")
 	}
-	if &a.Configs[0] != &b.Configs[0] || !reflect.DeepEqual(a.Ops, b.Ops) {
+	if &a.Program().Configs[0] != &b.Program().Configs[0] || !reflect.DeepEqual(a.Program().Ops, b.Program().Ops) {
 		t.Fatal("two PEs of one op list hold different routing tables")
 	}
-	if cap(a.Ops) != len(a.Ops) || cap(a.Configs) != len(a.Configs) || cap(a.Configs[0].Cfgs) != len(a.Configs[0].Cfgs) {
+	if cap(a.Program().Ops) != len(a.Program().Ops) || cap(a.Program().Configs) != len(a.Program().Configs) || cap(a.Program().Configs[0].Cfgs) != len(a.Program().Configs[0].Cfgs) {
 		t.Fatal("a shared program can be appended to in place")
 	}
 
@@ -279,16 +280,20 @@ func TestDecodedPEsShareProgramStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dst.PE(at)
-	d.Ops[0].N++
-	d.Configs[0].Cfgs[0].Times++
-	d.Ops = append(d.Ops, fabric.Op{Kind: fabric.OpBusyWrite, N: 1})
-	d.AddConfig(d.Configs[0].Color, fabric.RouterConfig{Accept: mesh.Ramp})
+	if &d.Program().Ops[0] != &a.Program().Ops[0] {
+		t.Fatal("a stamped PE holds a copy of its program's ops")
+	}
+	ops := append([]fabric.Op(nil), d.Program().Ops...)
+	ops[0].N++
+	dst.SetOps(at, ops)
+	dst.Append(at, fabric.Op{Kind: fabric.OpBusyWrite, N: 1})
+	dst.AddConfig(at, d.Program().Configs[0].Color, fabric.RouterConfig{Accept: mesh.Ramp})
 	if after, _ := p.Spec.MarshalBinary(); !bytes.Equal(after, before) {
 		t.Fatal("rewriting a stamped PE changed the decoded plan")
 	}
-	ops := b.Ops
-	p.Spec.PE(at).Ops = nil
-	if len(b.Ops) != len(ops) || &b.Ops[0] != &ops[0] {
+	ops = b.Program().Ops
+	p.Spec.SetOps(at, nil)
+	if len(b.Program().Ops) != len(ops) || &b.Program().Ops[0] != &ops[0] {
 		t.Fatal("assigning one PE's ops reached another PE")
 	}
 }
@@ -330,6 +335,34 @@ func TestSpecFrameSizeRatchet(t *testing.T) {
 		t.Logf("%s: %d PEs, %d distinct programs: spec section %d B (%d B spelled out)", name, pes, progs, len(spec), c.was)
 		if len(spec) > c.max {
 			t.Errorf("%v: spec section %d B, held to %d B (%d B when every PE's program was spelled out)", name, len(spec), c.max, c.was)
+		}
+	}
+}
+
+// TestEncodeSizesItsFrame: Encode sizes its buffer from what the plan holds
+// (the spec's programs and PEs, the trees, the tape's runs), so encoding each
+// cold-store shape's plan, tape included, allocates under 1.5 times the
+// frame it returns. Each plan is encoded three times and the least counted:
+// what other goroutines allocate meanwhile only adds.
+func TestEncodeSizesItsFrame(t *testing.T) {
+	for _, c := range specSizes[:9] {
+		p := tapedPlan(t, c.req)
+		if tape, _ := p.Tape(); tape == nil {
+			t.Fatalf("%v: no tape after two runs", c.req.Kind)
+		}
+		var frame []byte
+		grew := uint64(math.MaxUint64)
+		for range 3 {
+			grew = min(grew, allocBytes(func() {
+				var err error
+				if frame, _, err = Encode(p); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		t.Logf("%s: %d B frame, %d B allocated", c.req.Kind, len(frame), grew)
+		if float64(grew) > 1.5*float64(len(frame)) {
+			t.Errorf("%s %s%s: encoding a %d B frame allocates %d B", c.req.Kind, c.req.Alg, c.req.Alg2D, len(frame), grew)
 		}
 	}
 }

@@ -185,16 +185,17 @@ func allocKB(fn func()) uint64 {
 // replay tape, so a fresh session's first Run of it binds inputs and walks:
 // the ledger shows a tape that was loaded and replayed, nothing recorded and
 // no engine run. What that first run allocates is held at what it measured
-// when the spec frame came to list each distinct program once, rounded up to
-// the next 16 KB: for reduce1d P=512 B=4, ~1 MB when it built a fabric, 391 KB
-// with a tape of events, 363 KB with every PE's program spelled out, 184 KB
-// now — the spec decode (58 KB: a PESpec and a table entry a PE, 19 programs),
+// when the decoded spec came to hold each distinct program once, rounded up
+// to the next 16 KB: for reduce1d P=512 B=4, ~1 MB when it built a fabric,
+// 391 KB with a tape of events, 363 KB with every PE's program spelled out,
+// 184 KB when only the frame listed each program once, 159 KB now — the spec
+// decode (33 KB: a 32-byte record a PE and the table of 19 programs),
 // the map-shaped report with its image and wave buffer (64 KB), the tape
 // decode (28 KB: coordinates, the accumulator offset table and 14 KB of runs;
 // no clock offset table, since no PE samples its clock), and the frame read,
 // the key and the session around them (34 KB).
 func TestTapedStoreHitBuildsNoFabric(t *testing.T) {
-	const boundKB = 192
+	const boundKB = 160
 	ctx := context.Background()
 	sh := Shape{Kind: KindReduce, Alg: Auto, P: 512, B: 4}
 	inputs := sh.Inputs(func(n int) []float32 { return []float32{1, 0.5, 0.25, 0.125}[:n] })
@@ -258,7 +259,7 @@ func TestTapedStoreHitBuildsNoFabric(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportKB := allocKB(func() { core.ReportOf(tape.Run(make([]float32, tape.AccLen())), 0) })
-	parts := fmt.Sprintf("Spec decode %d KB (58 when the bound was set), tape decode %d KB (28: %d events in %d runs), image, walk and report %d KB (64), the rest %d KB (34)",
+	parts := fmt.Sprintf("Spec decode %d KB (33 when the bound was set), tape decode %d KB (28: %d events in %d runs), image, walk and report %d KB (64), the rest %d KB (34)",
 		specKB, tapeKB, tape.Events(), tape.Runs(), reportKB, int64(grew)-int64(specKB+tapeKB+reportKB))
 	t.Logf("first Run of a taped store hit allocated %d KB: %s", grew, parts)
 	if grew > boundKB {
