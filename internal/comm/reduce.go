@@ -54,13 +54,14 @@ func shapeOf(lane Lane, tree Tree) (*treeShape, error) {
 	if len(lane.Path) != tree.Len() {
 		return nil, fmt.Errorf("comm: path has %d PEs, tree has %d vertices", len(lane.Path), tree.Len())
 	}
-	if err := tree.Validate(); err != nil {
+	children, err := tree.validate()
+	if err != nil {
 		return nil, err
 	}
 	if err := lane.validate(1); err != nil {
 		return nil, err
 	}
-	return &treeShape{children: tree.Children(), depth: tree.Depths()}, nil
+	return &treeShape{children: children, depth: tree.Depths()}, nil
 }
 
 // build compiles the tree reduce on a lane of the shape's length.

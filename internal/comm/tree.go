@@ -10,10 +10,7 @@
 // 2D mappings (X-Y, Snake, the centre root) are built on top of it.
 package comm
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Tree is a reduction tree over path indices 0..P-1 in pre-order layout:
 // the root is index 0 and every subtree occupies a contiguous index range.
@@ -27,15 +24,13 @@ type Tree struct {
 // Len returns the number of vertices.
 func (t Tree) Len() int { return len(t.Parent) }
 
-// Children returns, for each vertex, its children in increasing order.
+// Children returns, for each vertex, its children in increasing order:
+// they are appended in vertex order.
 func (t Tree) Children() [][]int {
 	ch := make([][]int, len(t.Parent))
 	for v := 1; v < len(t.Parent); v++ {
 		p := t.Parent[v]
 		ch[p] = append(ch[p], v)
-	}
-	for _, c := range ch {
-		sort.Ints(c)
 	}
 	return ch
 }
@@ -77,31 +72,37 @@ func (t Tree) subtreeSizes() []int {
 // starts exactly where child k's subtree ends. Parents must precede
 // children (Parent[v] < v) and Parent[0] must be -1.
 func (t Tree) Validate() error {
+	_, err := t.validate()
+	return err
+}
+
+// validate is Validate, returning the children it checked.
+func (t Tree) validate() ([][]int, error) {
 	if len(t.Parent) == 0 {
-		return fmt.Errorf("comm: empty tree")
+		return nil, fmt.Errorf("comm: empty tree")
 	}
 	if t.Parent[0] != -1 {
-		return fmt.Errorf("comm: root parent is %d, want -1", t.Parent[0])
+		return nil, fmt.Errorf("comm: root parent is %d, want -1", t.Parent[0])
 	}
 	for v := 1; v < len(t.Parent); v++ {
 		if t.Parent[v] < 0 || t.Parent[v] >= v {
-			return fmt.Errorf("comm: vertex %d has parent %d (want 0..%d)", v, t.Parent[v], v-1)
+			return nil, fmt.Errorf("comm: vertex %d has parent %d (want 0..%d)", v, t.Parent[v], v-1)
 		}
 	}
-	size := t.subtreeSizes()
-	for v, ch := range t.Children() {
+	size, children := t.subtreeSizes(), t.Children()
+	for v, ch := range children {
 		next := v + 1
 		for _, c := range ch {
 			if c != next {
-				return fmt.Errorf("comm: vertex %d: child %d breaks pre-order (expected %d)", v, c, next)
+				return nil, fmt.Errorf("comm: vertex %d: child %d breaks pre-order (expected %d)", v, c, next)
 			}
 			next += size[c]
 		}
 		if next != v+size[v] {
-			return fmt.Errorf("comm: vertex %d: children cover %d vertices, subtree has %d", v, next-v-1, size[v]-1)
+			return nil, fmt.Errorf("comm: vertex %d: children cover %d vertices, subtree has %d", v, next-v-1, size[v]-1)
 		}
 	}
-	return nil
+	return children, nil
 }
 
 // Star returns the tree in which every PE sends directly to the root

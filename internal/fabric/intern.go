@@ -38,17 +38,14 @@ type table struct {
 	// rest may be out of first-use order.
 	stale bool
 	// slots index progs by content hash (open addressing, id+1; 0 is
-	// free), nil until a write needs them.
+	// free), nil until a write or a lookup needs them.
 	slots []int32
-	// hashed reports that every program's hOps and hCfg are set; a decoded
-	// table leaves them for its first write.
-	hashed bool
-	blank  *Program // the empty program once made
+	blank *Program // the empty program once made
 
-	pool bump[Program]
-	ops  bump[Op]
-	rows bump[ColorConfig]
-	cfgs bump[RouterConfig]
+	pool arena[Program]
+	ops  arena[Op]
+	rows arena[ColorConfig]
+	cfgs arena[RouterConfig]
 
 	// scratch is the program a write describes, built in the buffers below
 	// before the table is searched for it.
@@ -130,29 +127,26 @@ func (s *Spec) write(c mesh.Coord, e *edit) {
 // empty is the program with no ops, no routes and no clock slots.
 func (t *table) empty() *Program {
 	if t.blank == nil {
-		t.index()
 		t.scratch = Program{}
-		t.blank = t.intern(0, 0, false, -1)
+		t.blank = t.intern(false, -1)
 	}
 	return t.blank
 }
 
 // derive returns the program p becomes under e.
 func (t *table) derive(p *Program, e *edit) *Program {
-	t.index()
 	sc := &t.scratch
-	*sc = Program{Ops: p.Ops, Configs: p.Configs, ClockSlots: p.ClockSlots, links: p.links}
-	hOps, hCfg := p.hOps, p.hCfg
+	*sc = Program{Ops: p.Ops, Configs: p.Configs, ClockSlots: p.ClockSlots, links: p.links, hOps: p.hOps, hCfg: p.hCfg}
 	newOps, editedRow := false, -1
 	switch e.kind {
 	case editAppend:
 		t.opsBuf = append(append(t.opsBuf[:0], p.Ops...), e.ops...)
 		sc.Ops, newOps = t.opsBuf, true
-		hOps = hashOps(hOps, e.ops)
+		sc.hOps = hashOps(p.hOps, e.ops)
 	case editOps:
 		t.opsBuf = append(t.opsBuf[:0], e.ops...)
 		sc.Ops, newOps = t.opsBuf, true
-		hOps = hashOps(0, e.ops)
+		sc.hOps = hashOps(0, e.ops)
 	case editConfig:
 		k := 0
 		for k < len(p.Configs) && p.Configs[k].Color < e.color {
@@ -170,41 +164,34 @@ func (t *table) derive(p *Program, e *edit) *Program {
 		sc.Configs, editedRow = t.rowsBuf, k
 		for j, cfg := range e.cfgs {
 			sc.links |= cfg.Forward &^ mesh.Dirs(mesh.Ramp)
-			hCfg += hashConfig(e.color, len(old)+j, cfg)
+			sc.hCfg += hashConfig(e.color, len(old)+j, cfg)
 		}
 	case editSlots:
 		sc.ClockSlots = e.n
 	}
-	return t.intern(hOps, hCfg, newOps, editedRow)
+	return t.intern(newOps, editedRow)
 }
 
 // adopt returns this table's program equal to p, a program of another
 // table, sharing p's ops and routing rows if it has to make one.
 func (t *table) adopt(p *Program) *Program {
-	t.index()
-	t.scratch = Program{Ops: p.Ops, Configs: p.Configs, ClockSlots: p.ClockSlots, links: linksOf(p.Configs)}
-	hOps, hCfg := programHash(&t.scratch)
-	return t.intern(hOps, hCfg, false, -1)
+	t.scratch = Program{Ops: p.Ops, Configs: p.Configs, ClockSlots: p.ClockSlots, links: p.links, hOps: p.hOps, hCfg: p.hCfg}
+	return t.intern(false, -1)
 }
 
-// intern returns the table's program equal to the scratch program, whose
-// hash parts are hOps and hCfg, making it when there is none. The scratch
-// program's ops are in the scratch buffer when newOps, and so is its
-// routing table, with row editedRow's list, when editedRow ≥ 0; the rest it
-// shares with a program of a table.
-func (t *table) intern(hOps, hCfg uint64, newOps bool, editedRow int) *Program {
+// intern returns the table's program equal to the scratch program, its hash
+// parts set, making it when there is none. The scratch program's ops are in
+// the scratch buffer when newOps, and so is its routing table, with row
+// editedRow's list, when editedRow ≥ 0; the rest it shares with a program of
+// a table.
+func (t *table) intern(newOps bool, editedRow int) *Program {
 	sc := &t.scratch
-	h := combineHash(hOps, hCfg, sc.ClockSlots)
-	mask := len(t.slots) - 1
-	i := int(h) & mask
-	for ; t.slots[i] != 0; i = (i + 1) & mask {
-		if q := t.progs[t.slots[i]-1]; q.hOps == hOps && q.hCfg == hCfg && sameProgram(q, sc) {
-			return q
-		}
+	q, slot := t.find(sc)
+	if q != nil {
+		return q
 	}
-	p := &t.pool.take(1)[0]
-	*p = Program{Ops: sc.Ops, Configs: sc.Configs, ClockSlots: sc.ClockSlots,
-		tab: t, id: int32(len(t.progs)), links: sc.links, hOps: hOps, hCfg: hCfg}
+	p := &t.pool.take(1, arenaChunk)[0]
+	*p = *sc
 	if newOps {
 		p.Ops = t.ops.clone(sc.Ops)
 	}
@@ -218,34 +205,44 @@ func (t *table) intern(hOps, hCfg uint64, newOps bool, editedRow int) *Program {
 	if len(p.Configs) == 0 {
 		p.Configs = nil
 	}
-	t.progs = append(t.progs, p)
-	t.slots[i] = int32(len(t.progs))
-	if 2*len(t.progs) > len(t.slots) {
-		t.rehash(2 * len(t.slots))
-	}
+	t.add(p, slot)
 	return p
 }
 
-// index makes sure the hash index covers every program.
-func (t *table) index() {
-	if !t.hashed {
-		for _, p := range t.progs {
-			p.hOps, p.hCfg = programHash(p)
-		}
-		t.hashed = true
-		t.slots = nil
-	}
+// find returns the table's program equal to p, whose hash parts are set, or
+// nil and the free slot p's hash leads to. It first indexes the table if
+// Programs dropped the index.
+func (t *table) find(p *Program) (*Program, int) {
 	if t.slots == nil {
-		size := 16
-		for size < 2*len(t.progs)+2 {
-			size <<= 1
+		t.rehash(len(t.progs))
+	}
+	mask := len(t.slots) - 1
+	i := int(combineHash(p.hOps, p.hCfg, p.ClockSlots)) & mask
+	for ; t.slots[i] != 0; i = (i + 1) & mask {
+		if q := t.progs[t.slots[i]-1]; q.hOps == p.hOps && q.hCfg == p.hCfg && sameProgram(q, p) {
+			return q, i
 		}
-		t.rehash(size)
+	}
+	return nil, i
+}
+
+// add numbers p next and files it at slot, the free slot find returned.
+func (t *table) add(p *Program, slot int) {
+	p.tab, p.id = t, int32(len(t.progs))
+	t.progs = append(t.progs, p)
+	t.slots[slot] = int32(len(t.progs))
+	if 2*len(t.progs) > len(t.slots) {
+		t.rehash(len(t.progs))
 	}
 }
 
-// rehash rebuilds the hash index with size slots.
-func (t *table) rehash(size int) {
+// rehash rebuilds the hash index at a size that keeps n programs at most
+// half of it.
+func (t *table) rehash(n int) {
+	size := 16
+	for size < 2*n+2 {
+		size <<= 1
+	}
 	t.slots = make([]int32, size)
 	mask := size - 1
 	for k, p := range t.progs {
@@ -346,30 +343,31 @@ func combineHash(hOps, hCfg uint64, slots int) uint64 {
 	return mix(hOps ^ mix(hCfg^uint64(slots)))
 }
 
-// bump hands out fresh elements from arrays of bumpChunk elements (or of
-// one request, when it is longer), so a table's programs cost an allocation
-// or two each kind, not a few each.
-type bump[T any] struct{ free []T }
+// arena hands out fresh elements from a few large arrays, so a table's
+// programs, built or decoded, cost an allocation or two each kind, not a
+// few each.
+type arena[T any] struct{ free []T }
 
-// bumpChunk sizes the arrays: most tables hold a few dozen programs.
-const bumpChunk = 32
+// arenaChunk sizes a building table's arrays: most hold a few dozen programs.
+const arenaChunk = 32
 
-// take returns n zeroed elements no one else holds, capped at n.
-func (b *bump[T]) take(n int) []T {
-	if n > len(b.free) {
-		b.free = make([]T, max(n, bumpChunk))
+// take returns n zeroed elements no one else holds, capped at n, nil when n
+// is 0. When the current array is used up, the next holds max(n, size).
+func (a *arena[T]) take(n, size int) []T {
+	if n == 0 {
+		return nil
 	}
-	out := b.free[:n:n]
-	b.free = b.free[n:]
+	if n > len(a.free) {
+		a.free = make([]T, max(n, size))
+	}
+	out := a.free[:n:n]
+	a.free = a.free[n:]
 	return out
 }
 
 // clone copies src into fresh elements, nil when it is empty.
-func (b *bump[T]) clone(src []T) []T {
-	if len(src) == 0 {
-		return nil
-	}
-	out := b.take(len(src))
+func (a *arena[T]) clone(src []T) []T {
+	out := a.take(len(src), arenaChunk)
 	copy(out, src)
 	return out
 }

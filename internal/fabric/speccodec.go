@@ -1,12 +1,10 @@
 package fabric
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
-	"math"
 
+	"repro/internal/bincodec"
 	"repro/internal/mesh"
 )
 
@@ -29,9 +27,9 @@ import (
 // the same canon: it accepts exactly the byte strings the encoder can emit,
 // so decode-then-encode is the identity.
 //
-// Integers use varint/uvarint encoding; floats are IEEE-754 bit patterns
-// in little-endian order. The first byte is the layout version; a frame of
-// any other layout is refused.
+// Integers use canonical varints and floats IEEE-754 bit patterns in
+// little-endian order (internal/bincodec). The first byte is the layout
+// version; a frame of any other layout is refused.
 
 // SpecCodecVersion is the current version byte of the Spec binary layout.
 // Layout 1 spelled out every PE's program; layout 2 lists each once.
@@ -56,14 +54,14 @@ func (s *Spec) MarshalBinary() ([]byte, error) {
 // spec's programs in row-major order of first use, then each PE's record.
 func (s *Spec) AppendBinary(dst []byte) ([]byte, error) {
 	progs := s.Programs()
-	e := wireEnc{buf: dst}
-	e.byte(SpecCodecVersion)
-	e.uvarint(uint64(s.Width))
-	e.uvarint(uint64(s.Height))
-	e.uvarint(uint64(s.n))
-	e.uvarint(uint64(len(progs)))
+	e := &bincodec.Encoder{Buf: dst}
+	e.Byte(SpecCodecVersion)
+	e.Uvarint(uint64(s.Width))
+	e.Uvarint(uint64(s.Height))
+	e.Uvarint(uint64(s.n))
+	e.Uvarint(uint64(len(progs)))
 	for _, p := range progs {
-		e.program(p)
+		appendProgram(e, p)
 	}
 	for i := range s.pes {
 		pe := &s.pes[i]
@@ -71,15 +69,15 @@ func (s *Spec) AppendBinary(dst []byte) ([]byte, error) {
 			continue
 		}
 		c := s.coord(i)
-		e.varint(int64(c.X))
-		e.varint(int64(c.Y))
-		e.uvarint(uint64(pe.prog.id))
-		e.uvarint(uint64(len(pe.Init)))
+		e.Varint(int64(c.X))
+		e.Varint(int64(c.Y))
+		e.Uvarint(uint64(pe.prog.id))
+		e.Uvarint(uint64(len(pe.Init)))
 		for _, v := range pe.Init {
-			e.f32(v)
+			e.F32(v)
 		}
 	}
-	return e.buf, nil
+	return e.Buf, nil
 }
 
 // SizeHint is room for MarshalBinary's bytes, estimated from the spec's
@@ -96,7 +94,7 @@ func (s *Spec) SizeHint() int {
 			size += minConfigBytes * len(row.Cfgs)
 		}
 	}
-	peBytes := varintLen(s.Width) + varintLen(s.Height) + varintLen(len(progs)) + 1
+	peBytes := bincodec.VarintLen(int64(s.Width)) + bincodec.VarintLen(int64(s.Height)) + bincodec.UvarintLen(uint64(len(progs))) + 1
 	return size + s.n*peBytes
 }
 
@@ -105,39 +103,33 @@ func (s *Spec) SizeHint() int {
 // buffer once.
 const opBytes = 10
 
-// varintLen is the length of the varint encoding of any of 0..n.
-func varintLen(n int) int {
-	var b [binary.MaxVarintLen64]byte
-	return binary.PutVarint(b[:], int64(n))
-}
-
-// program appends one program: what a PE runs, without where it sits or its
-// init vector.
-func (e *wireEnc) program(pe *Program) {
-	e.uvarint(uint64(len(pe.Ops)))
+// appendProgram appends one program: what a PE runs, without where it sits
+// or its init vector.
+func appendProgram(e *bincodec.Encoder, pe *Program) {
+	e.Uvarint(uint64(len(pe.Ops)))
 	for _, op := range pe.Ops {
-		e.byte(byte(op.Kind))
-		e.byte(byte(op.Color))
-		e.byte(byte(op.OutColor))
-		e.varint(int64(op.N))
-		e.varint(int64(op.Off))
-		e.varint(int64(op.N2))
-		e.varint(int64(op.Off2))
-		e.varint(int64(op.Slot))
-		e.byte(byte(op.Reduce))
+		e.Byte(byte(op.Kind))
+		e.Byte(byte(op.Color))
+		e.Byte(byte(op.OutColor))
+		e.Varint(int64(op.N))
+		e.Varint(int64(op.Off))
+		e.Varint(int64(op.N2))
+		e.Varint(int64(op.Off2))
+		e.Varint(int64(op.Slot))
+		e.Byte(byte(op.Reduce))
 	}
-	e.uvarint(uint64(len(pe.Configs)))
+	e.Uvarint(uint64(len(pe.Configs)))
 	for k := range pe.Configs {
 		cfgs := pe.Configs[k].Cfgs
-		e.byte(byte(pe.Configs[k].Color))
-		e.uvarint(uint64(len(cfgs)))
+		e.Byte(byte(pe.Configs[k].Color))
+		e.Uvarint(uint64(len(cfgs)))
 		for _, cfg := range cfgs {
-			e.byte(byte(cfg.Accept))
-			e.byte(byte(cfg.Forward))
-			e.varint(int64(cfg.Times))
+			e.Byte(byte(cfg.Accept))
+			e.Byte(byte(cfg.Forward))
+			e.Varint(int64(cfg.Times))
 		}
 	}
-	e.varint(int64(pe.ClockSlots))
+	e.Varint(int64(pe.ClockSlots))
 }
 
 // UnmarshalBinary decodes a spec previously produced by MarshalBinary,
@@ -148,18 +140,19 @@ func (e *wireEnc) program(pe *Program) {
 // handful of arenas (the PE table, one program array, chunked op, config
 // and color-table arrays) whose sizes are bounded by the bytes actually
 // present, never by a count the frame merely claims. The frame's programs
-// become the spec's table as they stand: the PEs that run one share it.
+// become the spec's table as they stand, each looked up there by content as
+// it is decoded; the PEs that run one share it.
 func (s *Spec) UnmarshalBinary(data []byte) error {
-	d := &wireDec{buf: data}
-	if v := d.byte(); v != SpecCodecVersion {
-		if d.err != nil {
-			return fmt.Errorf("fabric: spec codec: %v", d.err)
+	d := bincodec.NewDecoder(data)
+	if v := d.Byte(); v != SpecCodecVersion {
+		if d.Err() != nil {
+			return fmt.Errorf("fabric: spec codec: %v", d.Err())
 		}
 		return fmt.Errorf("fabric: spec codec version %d, this build reads %d", v, SpecCodecVersion)
 	}
-	uw, uh, un, um := d.uvarint(), d.uvarint(), d.uvarint(), d.uvarint()
-	if d.err != nil {
-		return fmt.Errorf("fabric: spec codec: %v", d.err)
+	uw, uh, un, um := d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
+	if d.Err() != nil {
+		return fmt.Errorf("fabric: spec codec: %v", d.Err())
 	}
 	// The PE table is sized by the grid, so the grid may not outgrow the
 	// frame: a fully programmed region always passes (minPEBytes a PE), a
@@ -167,80 +160,82 @@ func (s *Spec) UnmarshalBinary(data []byte) error {
 	// has bytes.
 	// Every program is some PE's, and the PEs and programs claimed must fit
 	// in the bytes left.
-	size, left := uint64(len(data)), uint64(d.remaining())
+	size, left := uint64(len(data)), uint64(d.Remaining())
 	if uw < 1 || uh < 1 || uw > size || uh > size/uw || un > uw*uh || um > un ||
 		un > left/minPEBytes || um > (left-un*minPEBytes)/minProgramBytes {
 		return fmt.Errorf("fabric: spec codec: %d PEs of %d programs on %dx%d grid in a %d-byte frame", un, um, uw, uh, len(data))
 	}
 	width, height, n, m := int(uw), int(uh), int(un), int(um)
-	out := &Spec{Width: width, Height: height, pes: make([]PESpec, width*height), n: n,
-		tab: &table{progs: make([]*Program, m)}}
+	tab := &table{progs: make([]*Program, 0, m)}
+	tab.rehash(m)
+	out := &Spec{Width: width, Height: height, pes: make([]PESpec, width*height), n: n, tab: tab}
 	progs := make([]Program, m)
-	table := newProgramTable(m)
 	var (
 		ops  arena[Op]
 		cfgs arena[RouterConfig]
 		rows arena[ColorConfig]
 	)
 	for j := range progs {
-		off, prog := d.off, &progs[j]
-		prog.tab, prog.id, out.tab.progs[j] = out.tab, int32(j), prog
-		nops := d.uvarint()
-		if nops > uint64(d.remaining())/minOpBytes {
+		prog := &progs[j]
+		nops := d.Uvarint()
+		if nops > uint64(d.Remaining())/minOpBytes {
 			return fmt.Errorf("fabric: spec codec: program %d ops truncated", j)
 		}
-		prog.Ops = ops.take(int(nops), m-j, d.remaining()/minOpBytes)
+		prog.Ops = ops.take(int(nops), room(int(nops), m-j, d.Remaining()/minOpBytes))
 		for k := range prog.Ops {
 			prog.Ops[k] = Op{
-				Kind:     OpKind(d.byte()),
-				Color:    mesh.Color(d.byte()),
-				OutColor: mesh.Color(d.byte()),
-				N:        int(d.varint()),
-				Off:      int(d.varint()),
-				N2:       int(d.varint()),
-				Off2:     int(d.varint()),
-				Slot:     int(d.varint()),
-				Reduce:   ReduceOp(d.byte()),
+				Kind:     OpKind(d.Byte()),
+				Color:    mesh.Color(d.Byte()),
+				OutColor: mesh.Color(d.Byte()),
+				N:        int(d.Varint()),
+				Off:      int(d.Varint()),
+				N2:       int(d.Varint()),
+				Off2:     int(d.Varint()),
+				Slot:     int(d.Varint()),
+				Reduce:   ReduceOp(d.Byte()),
 			}
 		}
-		ncolors := d.uvarint()
-		if ncolors > uint64(d.remaining())/minColorBytes {
+		ncolors := d.Uvarint()
+		if ncolors > uint64(d.Remaining())/minColorBytes {
 			return fmt.Errorf("fabric: spec codec: program %d configs truncated", j)
 		}
-		prog.Configs = rows.take(int(ncolors), m-j, d.remaining()/minColorBytes)
+		prog.Configs = rows.take(int(ncolors), room(int(ncolors), m-j, d.Remaining()/minColorBytes))
 		for k := range prog.Configs {
-			col := mesh.Color(d.byte())
+			col := mesh.Color(d.Byte())
 			if k > 0 && col <= prog.Configs[k-1].Color {
 				return fmt.Errorf("fabric: spec codec: program %d color %d out of ascending order", j, col)
 			}
-			ncfgs := d.uvarint()
-			if ncfgs > uint64(d.remaining())/minConfigBytes {
+			ncfgs := d.Uvarint()
+			if ncfgs > uint64(d.Remaining())/minConfigBytes {
 				return fmt.Errorf("fabric: spec codec: program %d configs truncated", j)
 			}
-			list := cfgs.take(int(ncfgs), m-j, d.remaining()/minConfigBytes)
+			list := cfgs.take(int(ncfgs), room(int(ncfgs), m-j, d.Remaining()/minConfigBytes))
 			for l := range list {
 				list[l] = RouterConfig{
-					Accept:  mesh.Direction(d.byte()),
-					Forward: mesh.DirSet(d.byte()),
-					Times:   int(d.varint()),
+					Accept:  mesh.Direction(d.Byte()),
+					Forward: mesh.DirSet(d.Byte()),
+					Times:   int(d.Varint()),
 				}
 			}
 			prog.Configs[k] = ColorConfig{Color: col, Cfgs: list}
 		}
-		prog.ClockSlots = int(d.varint())
+		prog.ClockSlots = int(d.Varint())
 		prog.links = linksOf(prog.Configs)
-		if d.err != nil {
-			return fmt.Errorf("fabric: spec codec: program %d: %v", j, d.err)
+		if d.Err() != nil {
+			return fmt.Errorf("fabric: spec codec: program %d: %v", j, d.Err())
 		}
-		if first := table.intern(data, off, d.off); first != j {
-			return fmt.Errorf("fabric: spec codec: program %d repeats program %d", j, first)
+		prog.hOps, prog.hCfg = programHash(prog)
+		first, slot := tab.find(prog)
+		if first != nil {
+			return fmt.Errorf("fabric: spec codec: program %d repeats program %d", j, first.id)
 		}
+		tab.add(prog, slot)
 	}
 	last, used := -1, 0
 	for i := 0; i < n; i++ {
-		x, y, k := d.varint(), d.varint(), d.uvarint()
-		if d.err != nil {
-			return fmt.Errorf("fabric: spec codec: PE %d: %v", i, d.err)
+		x, y, k := d.Varint(), d.Varint(), d.Uvarint()
+		if d.Err() != nil {
+			return fmt.Errorf("fabric: spec codec: PE %d: %v", i, d.Err())
 		}
 		if x < 0 || x >= int64(width) || y < 0 || y >= int64(height) {
 			return fmt.Errorf("fabric: spec codec: PE (%d,%d) outside %dx%d grid", x, y, width, height)
@@ -259,189 +254,37 @@ func (s *Spec) UnmarshalBinary(data []byte) error {
 		}
 		pe := &out.pes[idx]
 		pe.prog = &progs[k]
-		if ni := d.uvarint(); ni > 0 {
-			if ni > uint64(d.remaining())/4 {
+		if ni := d.Uvarint(); ni > 0 {
+			if ni > uint64(d.Remaining())/4 {
 				return fmt.Errorf("fabric: spec codec: PE %v init truncated", c)
 			}
 			pe.Init = make([]float32, ni)
 			for j := range pe.Init {
-				pe.Init[j] = d.f32()
+				pe.Init[j] = d.F32()
 			}
 		}
-		if d.err != nil {
-			return fmt.Errorf("fabric: spec codec: PE %v: %v", c, d.err)
+		if d.Err() != nil {
+			return fmt.Errorf("fabric: spec codec: PE %v: %v", c, d.Err())
 		}
 	}
 	if used != m {
 		return fmt.Errorf("fabric: spec codec: %d of %d programs run on no PE", m-used, m)
 	}
-	if d.remaining() != 0 {
-		return fmt.Errorf("fabric: spec codec: %d trailing bytes", d.remaining())
+	if d.Remaining() != 0 {
+		return fmt.Errorf("fabric: spec codec: %d trailing bytes", d.Remaining())
 	}
 	*s = *out
 	return nil
 }
 
-// programTable numbers the encoded programs of a frame in order of first use
-// and finds a program's number by its bytes: a hash of the bytes picks a
-// slot, and the bytes are compared on a hash hit. The encoding of a program
-// is canonical, so equal bytes are equal programs: the decoder holds a frame
-// to programs pairwise distinct with it.
-type programTable struct {
-	spans []progSpan // by number: where each program's bytes lie
-	slots []int32    // open addressing over the hashes: number+1, 0 when free
-}
-
-type progSpan struct {
-	hash     uint64
-	off, end int
-}
-
-var programSeed = maphash.MakeSeed()
-
-// newProgramTable sizes a table for n programs: two allocations, whatever n.
-func newProgramTable(n int) programTable {
-	return programTable{spans: make([]progSpan, 0, n), slots: make([]int32, slotsFor(n))}
-}
-
-// slotsFor is the slot count that keeps n programs at most half the table.
-func slotsFor(n int) int {
-	size := 16
-	for size < 2*n {
-		size <<= 1
+// room is the array an arena takes for a decoded record of n elements when
+// its last is used up: n for each of the more records still to come
+// (programs are near-uniform across PEs, so this is usually the last
+// array), but never past limit, the most elements the unread bytes can
+// still encode, which n has been checked against.
+func room(n, more, limit int) int {
+	if n > 0 && more < limit/n {
+		return n * more
 	}
-	return size
-}
-
-// intern returns the number of the program buf[off:end] holds, numbering it
-// next when the table has not seen it.
-func (t *programTable) intern(buf []byte, off, end int) int {
-	if 2*(len(t.spans)+1) > len(t.slots) {
-		t.slots = make([]int32, slotsFor(2*len(t.spans)+1))
-		for k, sp := range t.spans {
-			t.slots[t.free(sp.hash)] = int32(k + 1)
-		}
-	}
-	h := maphash.Bytes(programSeed, buf[off:end])
-	mask := len(t.slots) - 1
-	i := int(h) & mask
-	for ; t.slots[i] != 0; i = (i + 1) & mask {
-		if sp := t.spans[t.slots[i]-1]; sp.hash == h && bytes.Equal(buf[sp.off:sp.end], buf[off:end]) {
-			return int(t.slots[i] - 1)
-		}
-	}
-	t.spans = append(t.spans, progSpan{hash: h, off: off, end: end})
-	t.slots[i] = int32(len(t.spans))
-	return len(t.spans) - 1
-}
-
-// free is the first free slot on the probe sequence of hash h.
-func (t *programTable) free(h uint64) int {
-	mask := len(t.slots) - 1
-	i := int(h) & mask
-	for t.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// arena hands out consecutive sub-slices of a few large arrays, so a
-// decoded program costs a handful of allocations instead of one per PE.
-type arena[T any] struct{ free []T }
-
-// take returns n zeroed elements, capped so an append by the caller cannot
-// run into its neighbour. When the current array is used up, the next one
-// is sized by assuming each of the `more` records still to come needs n as
-// well (programs are near-uniform across PEs, so this is usually the last
-// array), but never beyond limit — the most elements the unread bytes could
-// still encode, which the caller has already checked n against.
-func (a *arena[T]) take(n, more, limit int) []T {
-	if n == 0 {
-		return nil
-	}
-	if n > len(a.free) {
-		size := limit
-		if more < limit/n {
-			size = n * more
-		}
-		a.free = make([]T, size)
-	}
-	out := a.free[:n:n]
-	a.free = a.free[n:]
-	return out
-}
-
-// wireEnc appends primitive values to a growing buffer.
-type wireEnc struct {
-	buf []byte
-}
-
-func (e *wireEnc) byte(b byte)      { e.buf = append(e.buf, b) }
-func (e *wireEnc) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *wireEnc) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *wireEnc) f32(v float32) {
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(v))
-}
-
-// wireDec reads primitive values, latching the first error so callers can
-// decode a run of fields and check once.
-type wireDec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *wireDec) remaining() int { return len(d.buf) - d.off }
-
-func (d *wireDec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated at offset %d", d.off)
-	}
-}
-
-func (d *wireDec) byte() byte {
-	if d.off >= len(d.buf) {
-		d.fail()
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-// uvarint reads an unsigned varint in its shortest encoding; a padded one
-// (final byte zero) is a decode error, so every value has one byte form.
-func (d *wireDec) uvarint() uint64 {
-	if d.off < len(d.buf) && d.buf[d.off] < 0x80 { // one byte: most counts, offsets and coordinates
-		d.off++
-		return uint64(d.buf[d.off-1])
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// varint reads a zig-zag signed varint, as binary.Varint does, on top of
-// the canonical uvarint.
-func (d *wireDec) varint() int64 {
-	u := d.uvarint()
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v
-}
-
-func (d *wireDec) f32() float32 {
-	if d.off+4 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := math.Float32frombits(binary.LittleEndian.Uint32(d.buf[d.off:]))
-	d.off += 4
-	return v
+	return limit
 }

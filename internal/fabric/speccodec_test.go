@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bincodec"
 	"repro/internal/mesh"
 )
 
@@ -113,31 +114,31 @@ type framePE struct{ x, y, prog int }
 // frames the encoder never emits. A program is the colors of its routing
 // table, each with a single pass-to-ramp configuration, and no ops.
 func handFrame(width, height int, progs [][]mesh.Color, pes ...framePE) []byte {
-	e := &wireEnc{}
-	e.byte(SpecCodecVersion)
-	e.uvarint(uint64(width))
-	e.uvarint(uint64(height))
-	e.uvarint(uint64(len(pes)))
-	e.uvarint(uint64(len(progs)))
+	e := &bincodec.Encoder{}
+	e.Byte(SpecCodecVersion)
+	e.Uvarint(uint64(width))
+	e.Uvarint(uint64(height))
+	e.Uvarint(uint64(len(pes)))
+	e.Uvarint(uint64(len(progs)))
 	for _, colors := range progs {
-		e.uvarint(0) // ops
-		e.uvarint(uint64(len(colors)))
+		e.Uvarint(0) // ops
+		e.Uvarint(uint64(len(colors)))
 		for _, c := range colors {
-			e.byte(byte(c))
-			e.uvarint(1)
-			e.byte(byte(mesh.West))
-			e.byte(byte(mesh.Dirs(mesh.Ramp)))
-			e.varint(0)
+			e.Byte(byte(c))
+			e.Uvarint(1)
+			e.Byte(byte(mesh.West))
+			e.Byte(byte(mesh.Dirs(mesh.Ramp)))
+			e.Varint(0)
 		}
-		e.varint(0) // clock slots
+		e.Varint(0) // clock slots
 	}
 	for _, pe := range pes {
-		e.varint(int64(pe.x))
-		e.varint(int64(pe.y))
-		e.uvarint(uint64(pe.prog))
-		e.uvarint(0) // init
+		e.Varint(int64(pe.x))
+		e.Varint(int64(pe.y))
+		e.Uvarint(uint64(pe.prog))
+		e.Uvarint(0) // init
 	}
-	return e.buf
+	return e.Buf
 }
 
 // TestSpecCodecRejectsNonCanonicalFrames: the decoder accepts exactly the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bincodec"
 	"repro/internal/mesh"
 )
 
@@ -38,29 +39,30 @@ const tapeKindBits = 3 // head: the run's kind below its length
 
 // AppendBinary appends the tape's binary section to buf.
 func (t *Tape) AppendBinary(buf []byte) []byte {
+	e := &bincodec.Encoder{Buf: buf}
 	st := &t.stats
 	for _, v := range [...]int64{t.cycles, st.Hops, st.RampMoves, st.MaxReceived, int64(st.MaxQueueLen), st.Noops, st.Steps} {
-		buf = binary.AppendUvarint(buf, uint64(v))
+		e.Uvarint(uint64(v))
 	}
 	for i := range t.coords {
-		buf = binary.AppendUvarint(buf, uint64(t.off[i+1]-t.off[i]))
+		e.Uvarint(uint64(t.off[i+1] - t.off[i]))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(t.clocks)))
+	e.Uvarint(uint64(len(t.clocks)))
 	for _, v := range t.clocks {
-		buf = binary.AppendVarint(buf, v)
+		e.Varint(v)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(t.runs)))
+	e.Uvarint(uint64(len(t.runs)))
 	acc, wave := int64(0), int64(0) // where the previous run, and the previous consume, ended
 	for _, r := range t.runs {
-		buf = binary.AppendUvarint(buf, uint64(r.n)<<tapeKindBits|uint64(r.kind))
-		buf = binary.AppendVarint(buf, int64(r.acc)-acc)
+		e.Uvarint(uint64(r.n)<<tapeKindBits | uint64(r.kind))
+		e.Varint(int64(r.acc) - acc)
 		acc = int64(r.acc) + int64(r.n)
 		if r.kind != tapeLoad {
-			buf = binary.AppendVarint(buf, int64(r.wave)-wave)
+			e.Varint(int64(r.wave) - wave)
 			wave = int64(r.wave) + int64(r.n)
 		}
 	}
-	return buf
+	return e.Buf
 }
 
 // SizeHint is room for the section AppendBinary writes, estimated from the
@@ -76,11 +78,11 @@ func (t *Tape) SizeHint() int {
 // program s, which must be valid (Spec.Validate). data must hold the section
 // and nothing else.
 func DecodeTape(s *Spec, data []byte) (*Tape, error) {
-	d := &wireDec{buf: data}
+	d := bincodec.NewDecoder(data)
 	count := func() int64 { // a counter or a length: non-negative in an int64
-		v := d.uvarint()
+		v := d.Uvarint()
 		if v > math.MaxInt64 {
-			d.fail()
+			d.Fail()
 			return 0
 		}
 		return int64(v)
@@ -93,8 +95,8 @@ func DecodeTape(s *Spec, data []byte) (*Tape, error) {
 		coords: make([]mesh.Coord, 0, n),
 		off:    make([]int, 0, n+1),
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("fabric: tape codec: %v", d.err)
+	if d.Err() != nil {
+		return nil, fmt.Errorf("fabric: tape codec: %v", d.Err())
 	}
 
 	total, clocks := 0, 0
@@ -104,9 +106,9 @@ func DecodeTape(s *Spec, data []byte) (*Tape, error) {
 			continue
 		}
 		c := s.coord(idx)
-		size := d.uvarint()
-		if d.err != nil {
-			return nil, fmt.Errorf("fabric: tape codec: PE %v: %v", c, d.err)
+		size := d.Uvarint()
+		if d.Err() != nil {
+			return nil, fmt.Errorf("fabric: tape codec: PE %v: %v", c, d.Err())
 		}
 		if need := pe.AccNeed(); size < uint64(need) || size > math.MaxUint32 || uint64(total)+size > math.MaxUint32 {
 			return nil, fmt.Errorf("fabric: tape codec: PE %v accumulator of %d elements, its program addresses %d", c, size, need)
@@ -132,30 +134,30 @@ func DecodeTape(s *Spec, data []byte) (*Tape, error) {
 		t.clkOff = append(t.clkOff, at)
 	}
 
-	if got := d.uvarint(); d.err == nil && got != uint64(clocks) {
+	if got := d.Uvarint(); d.Err() == nil && got != uint64(clocks) {
 		return nil, fmt.Errorf("fabric: tape codec: %d clock samples, the program has %d slots", got, clocks)
 	}
-	if clocks > d.remaining() {
+	if clocks > d.Remaining() {
 		return nil, fmt.Errorf("fabric: tape codec: clock samples truncated")
 	}
 	if clocks > 0 {
 		t.clocks = make([]int64, clocks)
 		for i := range t.clocks {
-			t.clocks[i] = d.varint()
+			t.clocks[i] = d.Varint()
 		}
 	}
-	nr := d.uvarint()
-	if d.err != nil {
-		return nil, fmt.Errorf("fabric: tape codec: %v", d.err)
+	nr := d.Uvarint()
+	if d.Err() != nil {
+		return nil, fmt.Errorf("fabric: tape codec: %v", d.Err())
 	}
-	if t.events > MaxTapeEvents || nr > uint64(t.events) || nr > uint64(d.remaining())/2 { // a run moves an element and takes two bytes at least
-		return nil, fmt.Errorf("fabric: tape codec: %d runs in %d bytes, the program leaves %d events (cap %d)", nr, d.remaining(), t.events, MaxTapeEvents)
+	if t.events > MaxTapeEvents || nr > uint64(t.events) || nr > uint64(d.Remaining())/2 { // a run moves an element and takes two bytes at least
+		return nil, fmt.Errorf("fabric: tape codec: %d runs in %d bytes, the program leaves %d events (cap %d)", nr, d.Remaining(), t.events, MaxTapeEvents)
 	}
 	if err := t.decodeRuns(d, int(nr)); err != nil {
 		return nil, err
 	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("fabric: tape codec: %d trailing bytes", d.remaining())
+	if d.Remaining() != 0 {
+		return nil, fmt.Errorf("fabric: tape codec: %d trailing bytes", d.Remaining())
 	}
 	return t, nil
 }
@@ -163,20 +165,20 @@ func DecodeTape(s *Spec, data []byte) (*Tape, error) {
 // decodeRuns reads n runs, holding each to the image t.off describes and to
 // the waves loaded before it, and all of them to the t.events elements the
 // program moves.
-func (t *Tape) decodeRuns(d *wireDec, n int) error {
+func (t *Tape) decodeRuns(d *bincodec.Decoder, n int) error {
 	total, left := int64(t.AccLen()), int64(t.events)
 	t.runs = make([]tapeRun, n)
 	acc, wave, loads := int64(0), int64(0), int64(0) // the previous run's end, the previous consume's, the waves defined
 	for i := range t.runs {
-		head, da, dw := d.uvarint(), d.varint(), int64(0)
+		head, da, dw := d.Uvarint(), d.Varint(), int64(0)
 		kind, length := uint32(head&(1<<tapeKindBits-1)), int64(head>>tapeKindBits)
 		if kind != tapeLoad {
-			dw = d.varint()
+			dw = d.Varint()
 		}
 		acc, wave = acc+da, wave+dw
 		switch {
-		case d.err != nil:
-			return fmt.Errorf("fabric: tape codec: run %d: %v", i, d.err)
+		case d.Err() != nil:
+			return fmt.Errorf("fabric: tape codec: run %d: %v", i, d.Err())
 		case kind >= tapeKinds || length == 0 || length > left:
 			return fmt.Errorf("fabric: tape codec: run %d: kind %d, %d elements of the %d left", i, kind, length, left)
 		case da < -total || da > total || acc < 0 || acc+length > total: // a delta wider than the image: its sum may have wrapped

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bincodec"
 	"repro/internal/mesh"
 )
 
@@ -52,35 +53,35 @@ type handTape struct {
 }
 
 func (h handTape) bytes() []byte {
-	e := &wireEnc{}
-	e.uvarint(h.cycles)
+	e := &bincodec.Encoder{}
+	e.Uvarint(h.cycles)
 	for _, v := range h.stats {
-		e.uvarint(v)
+		e.Uvarint(v)
 	}
 	for _, n := range h.accLens {
-		e.uvarint(n)
+		e.Uvarint(n)
 	}
 	if h.nClocks != nil {
-		e.uvarint(*h.nClocks)
+		e.Uvarint(*h.nClocks)
 	} else {
-		e.uvarint(uint64(len(h.clocks)))
+		e.Uvarint(uint64(len(h.clocks)))
 	}
 	for _, v := range h.clocks {
-		e.varint(v)
+		e.Varint(v)
 	}
 	if h.nRuns != nil {
-		e.uvarint(*h.nRuns)
+		e.Uvarint(*h.nRuns)
 	} else {
-		e.uvarint(uint64(len(h.runs)))
+		e.Uvarint(uint64(len(h.runs)))
 	}
 	for _, r := range h.runs {
-		e.uvarint(r.n<<tapeKindBits | r.kind)
-		e.varint(r.acc)
+		e.Uvarint(r.n<<tapeKindBits | r.kind)
+		e.Varint(r.acc)
 		if r.kind != uint64(tapeLoad) {
-			e.varint(r.wave)
+			e.Varint(r.wave)
 		}
 	}
-	return append(e.buf, h.trailing...)
+	return append(e.Buf, h.trailing...)
 }
 
 var maxKind = uint64(tapeReduce) + uint64(OpMax)

@@ -23,8 +23,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"slices"
 
+	"repro/internal/bincodec"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -66,41 +66,40 @@ const (
 // always yields the same bytes and therefore the same address.
 func Encode(p *plan.Plan) ([]byte, string, error) {
 	tape, lens := p.Tape()
-	e := &enc{buf: make([]byte, headerLen, headerLen+frameRoom(p, tape, lens))}
+	e := &bincodec.Encoder{Buf: make([]byte, headerLen, headerLen+frameRoom(p, tape, lens))}
 	putKey(e, p.Key)
-	e.str(string(p.Kind))
-	e.str(string(p.Alg))
-	e.str(string(p.Alg2D))
-	e.varint(int64(p.P))
-	e.varint(int64(p.Width))
-	e.varint(int64(p.Height))
-	e.varint(int64(p.B))
-	e.byte(byte(p.Op))
+	e.Str(string(p.Kind))
+	e.Str(string(p.Alg))
+	e.Str(string(p.Alg2D))
+	e.Varint(int64(p.P))
+	e.Varint(int64(p.Width))
+	e.Varint(int64(p.Height))
+	e.Varint(int64(p.B))
+	e.Byte(byte(p.Op))
 	putOptions(e, p.Opt)
-	e.f64(p.Predicted)
+	e.F64(p.Predicted)
 	// The spec section is built in place, then its length is put before it.
-	at := len(e.buf)
+	at := len(e.Buf)
 	var err error
-	if e.buf, err = p.Spec.AppendBinary(e.buf); err != nil {
+	if e.Buf, err = p.Spec.AppendBinary(e.Buf); err != nil {
 		return nil, "", fmt.Errorf("planstore: encode spec: %w", err)
 	}
-	var n [binary.MaxVarintLen64]byte
-	e.buf = slices.Insert(e.buf, at, n[:binary.PutUvarint(n[:], uint64(len(e.buf)-at))]...)
+	e.Prefix(at)
 	putTree(e, p.Tree)
 	putTree(e, p.RowTree)
 	putTree(e, p.ColTree)
-	e.uvarint(uint64(len(p.Colors)))
+	e.Uvarint(uint64(len(p.Colors)))
 	for _, c := range p.Colors {
-		e.byte(byte(c))
+		e.Byte(byte(c))
 	}
 	if tape != nil {
-		e.uvarint(uint64(len(lens)))
+		e.Uvarint(uint64(len(lens)))
 		for _, n := range lens {
-			e.uvarint(uint64(n))
+			e.Uvarint(uint64(n))
 		}
-		e.buf = tape.AppendBinary(e.buf)
+		e.Buf = tape.AppendBinary(e.Buf)
 	}
-	return e.buf, seal(e.buf, tape != nil), nil
+	return e.Buf, seal(e.Buf, tape != nil), nil
 }
 
 // frameRoom is room for the payload Encode writes: the spec and tape
@@ -114,8 +113,7 @@ func frameRoom(p *plan.Plan, tape *fabric.Tape, lens []int) int {
 	room := fixedBytes + 2*(len(p.Kind)+len(p.Alg)+len(p.Alg2D)) +
 		binary.MaxVarintLen64 + p.Spec.SizeHint() + 1 + len(p.Colors)
 	for _, t := range []comm.Tree{p.Tree, p.RowTree, p.ColTree} {
-		var b [binary.MaxVarintLen64]byte
-		room += (1 + len(t.Parent)) * binary.PutVarint(b[:], int64(len(t.Parent)))
+		room += (1 + len(t.Parent)) * bincodec.VarintLen(int64(len(t.Parent)))
 	}
 	if tape != nil {
 		room += binary.MaxVarintLen64 + 2*len(lens) + tape.SizeHint()
@@ -157,25 +155,25 @@ func Decode(data []byte) (*plan.Plan, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	d := &dec{buf: payload}
+	d := bincodec.NewDecoder(payload)
 	key, err := getKey(d)
 	if err != nil {
 		return nil, "", err
 	}
 	p := &plan.Plan{Key: key}
-	p.Kind = plan.Kind(d.str())
-	p.Alg = core.Pattern(d.str())
-	p.Alg2D = core.Pattern2D(d.str())
-	p.P = int(d.varint())
-	p.Width = int(d.varint())
-	p.Height = int(d.varint())
-	p.B = int(d.varint())
-	p.Op = fabric.ReduceOp(d.byte())
+	p.Kind = plan.Kind(d.Str())
+	p.Alg = core.Pattern(d.Str())
+	p.Alg2D = core.Pattern2D(d.Str())
+	p.P = int(d.Varint())
+	p.Width = int(d.Varint())
+	p.Height = int(d.Varint())
+	p.B = int(d.Varint())
+	p.Op = fabric.ReduceOp(d.Byte())
 	p.Opt = getOptions(d)
-	p.Predicted = d.f64()
-	specBytes := d.bytes()
-	if d.err != nil {
-		return nil, "", fmt.Errorf("planstore: decode: %v", d.err)
+	p.Predicted = d.F64()
+	specBytes := d.Bytes()
+	if d.Err() != nil {
+		return nil, "", fmt.Errorf("planstore: decode: %v", d.Err())
 	}
 	p.Spec = fabric.NewSpec(1, 1)
 	if err := p.Spec.UnmarshalBinary(specBytes); err != nil {
@@ -190,22 +188,21 @@ func Decode(data []byte) (*plan.Plan, string, error) {
 	if p.ColTree, err = getTree(d); err != nil {
 		return nil, "", err
 	}
-	nc := int(d.uvarint())
-	if d.err == nil && nc > 0 {
-		if nc > d.remaining() || nc > mesh.NumColors {
+	if nc := d.Uvarint(); nc > 0 { // zero when the count is unreadable
+		if nc > uint64(d.Remaining()) || nc > mesh.NumColors {
 			return nil, "", fmt.Errorf("planstore: decode: %d colors", nc)
 		}
 		p.Colors = make([]mesh.Color, nc)
 		for i := range p.Colors {
-			p.Colors[i] = mesh.Color(d.byte())
+			p.Colors[i] = mesh.Color(d.Byte())
 		}
 	}
-	if d.err != nil {
-		return nil, "", fmt.Errorf("planstore: decode: %v", d.err)
+	if d.Err() != nil {
+		return nil, "", fmt.Errorf("planstore: decode: %v", d.Err())
 	}
 	taped := data[11] == flagTape
-	if !taped && d.remaining() != 0 {
-		return nil, "", fmt.Errorf("planstore: decode: %d trailing payload bytes", d.remaining())
+	if !taped && d.Remaining() != 0 {
+		return nil, "", fmt.Errorf("planstore: decode: %d trailing payload bytes", d.Remaining())
 	}
 	if err := p.Spec.Validate(); err != nil {
 		return nil, "", fmt.Errorf("planstore: decoded spec invalid: %w", err)
@@ -224,23 +221,23 @@ func Decode(data []byte) (*plan.Plan, string, error) {
 // from the spec and range-checks every run against it, Plan.SetTape
 // requires the lengths to be the plan's own input layout and the image to be
 // what the program lays out for them.
-func getTape(d *dec, p *plan.Plan) error {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(d.remaining()) {
+func getTape(d *bincodec.Decoder, p *plan.Plan) error {
+	n := d.Uvarint()
+	if d.Err() != nil || n > uint64(d.Remaining()) {
 		return fmt.Errorf("planstore: decode tape: input lengths truncated")
 	}
 	lens := make([]int, n)
 	for j := range lens {
-		v := d.uvarint()
+		v := d.Uvarint()
 		if v > math.MaxInt32 {
 			return fmt.Errorf("planstore: decode tape: input %d of %d elements", j, v)
 		}
 		lens[j] = int(v)
 	}
-	if d.err != nil {
-		return fmt.Errorf("planstore: decode tape: %v", d.err)
+	if d.Err() != nil {
+		return fmt.Errorf("planstore: decode tape: %v", d.Err())
 	}
-	tape, err := fabric.DecodeTape(p.Spec, d.buf[d.off:])
+	tape, err := fabric.DecodeTape(p.Spec, d.Rest())
 	if err != nil {
 		return fmt.Errorf("planstore: decode tape: %w", err)
 	}
@@ -261,7 +258,7 @@ func DecodeKey(data []byte) (plan.Key, error) {
 	if err != nil {
 		return plan.Key{}, err
 	}
-	return getKey(&dec{buf: payload})
+	return getKey(bincodec.NewDecoder(payload))
 }
 
 // checkHeader validates the fixed header and returns the payload slice
@@ -294,48 +291,48 @@ func checkHeader(data []byte) (payload, sum []byte, err error) {
 	return payload, sum, nil
 }
 
-func putKey(e *enc, k plan.Key) {
-	e.str(string(k.Kind))
-	e.str(string(k.Alg))
-	e.str(string(k.Alg2D))
-	e.varint(int64(k.P))
-	e.varint(int64(k.Width))
-	e.varint(int64(k.Height))
-	e.varint(int64(k.B))
-	e.byte(byte(k.Op))
-	e.varint(int64(k.Opt.TR))
-	e.varint(int64(k.Opt.QueueCap))
-	e.varint(k.Opt.MaxCycles)
-	e.varint(k.Opt.ClockSkewMax)
-	e.f64(k.Opt.ThermalNoopRate)
-	e.varint(int64(k.Opt.TaskActivation))
-	e.u64(k.Opt.Seed)
-	e.varint(int64(k.Opt.Shards))
+func putKey(e *bincodec.Encoder, k plan.Key) {
+	e.Str(string(k.Kind))
+	e.Str(string(k.Alg))
+	e.Str(string(k.Alg2D))
+	e.Varint(int64(k.P))
+	e.Varint(int64(k.Width))
+	e.Varint(int64(k.Height))
+	e.Varint(int64(k.B))
+	e.Byte(byte(k.Op))
+	e.Varint(int64(k.Opt.TR))
+	e.Varint(int64(k.Opt.QueueCap))
+	e.Varint(k.Opt.MaxCycles)
+	e.Varint(k.Opt.ClockSkewMax)
+	e.F64(k.Opt.ThermalNoopRate)
+	e.Varint(int64(k.Opt.TaskActivation))
+	e.U64(k.Opt.Seed)
+	e.Varint(int64(k.Opt.Shards))
 }
 
-func getKey(d *dec) (plan.Key, error) {
+func getKey(d *bincodec.Decoder) (plan.Key, error) {
 	k := plan.Key{
-		Kind:   plan.Kind(d.str()),
-		Alg:    core.Pattern(d.str()),
-		Alg2D:  core.Pattern2D(d.str()),
-		P:      int(d.varint()),
-		Width:  int(d.varint()),
-		Height: int(d.varint()),
-		B:      int(d.varint()),
-		Op:     fabric.ReduceOp(d.byte()),
+		Kind:   plan.Kind(d.Str()),
+		Alg:    core.Pattern(d.Str()),
+		Alg2D:  core.Pattern2D(d.Str()),
+		P:      int(d.Varint()),
+		Width:  int(d.Varint()),
+		Height: int(d.Varint()),
+		B:      int(d.Varint()),
+		Op:     fabric.ReduceOp(d.Byte()),
 	}
 	k.Opt = plan.OptKey{
-		TR:              int(d.varint()),
-		QueueCap:        int(d.varint()),
-		MaxCycles:       d.varint(),
-		ClockSkewMax:    d.varint(),
-		ThermalNoopRate: d.f64(),
-		TaskActivation:  int(d.varint()),
-		Seed:            d.u64(),
-		Shards:          int(d.varint()),
+		TR:              int(d.Varint()),
+		QueueCap:        int(d.Varint()),
+		MaxCycles:       d.Varint(),
+		ClockSkewMax:    d.Varint(),
+		ThermalNoopRate: d.F64(),
+		TaskActivation:  int(d.Varint()),
+		Seed:            d.U64(),
+		Shards:          int(d.Varint()),
 	}
-	if d.err != nil {
-		return plan.Key{}, fmt.Errorf("planstore: decode key: %v", d.err)
+	if d.Err() != nil {
+		return plan.Key{}, fmt.Errorf("planstore: decode key: %v", d.Err())
 	}
 	if err := k.CheckTR(); err != nil {
 		return plan.Key{}, fmt.Errorf("planstore: decode key: %w", err)
@@ -343,41 +340,41 @@ func getKey(d *dec) (plan.Key, error) {
 	return k, nil
 }
 
-func putOptions(e *enc, o fabric.Options) {
-	e.varint(int64(o.TR))
-	e.varint(int64(o.QueueCap))
-	e.varint(o.MaxCycles)
-	e.varint(o.ClockSkewMax)
-	e.f64(o.ThermalNoopRate)
-	e.varint(int64(o.TaskActivation))
-	e.u64(o.Seed)
-	e.varint(int64(o.Shards))
+func putOptions(e *bincodec.Encoder, o fabric.Options) {
+	e.Varint(int64(o.TR))
+	e.Varint(int64(o.QueueCap))
+	e.Varint(o.MaxCycles)
+	e.Varint(o.ClockSkewMax)
+	e.F64(o.ThermalNoopRate)
+	e.Varint(int64(o.TaskActivation))
+	e.U64(o.Seed)
+	e.Varint(int64(o.Shards))
 	// The Tracer is a process-local debug attachment; it does not persist.
 }
 
-func getOptions(d *dec) fabric.Options {
+func getOptions(d *bincodec.Decoder) fabric.Options {
 	return fabric.Options{
-		TR:              int(d.varint()),
-		QueueCap:        int(d.varint()),
-		MaxCycles:       d.varint(),
-		ClockSkewMax:    d.varint(),
-		ThermalNoopRate: d.f64(),
-		TaskActivation:  int(d.varint()),
-		Seed:            d.u64(),
-		Shards:          int(d.varint()),
+		TR:              int(d.Varint()),
+		QueueCap:        int(d.Varint()),
+		MaxCycles:       d.Varint(),
+		ClockSkewMax:    d.Varint(),
+		ThermalNoopRate: d.F64(),
+		TaskActivation:  int(d.Varint()),
+		Seed:            d.U64(),
+		Shards:          int(d.Varint()),
 	}
 }
 
-func putTree(e *enc, t comm.Tree) {
-	e.uvarint(uint64(len(t.Parent)))
+func putTree(e *bincodec.Encoder, t comm.Tree) {
+	e.Uvarint(uint64(len(t.Parent)))
 	for _, v := range t.Parent {
-		e.varint(int64(v))
+		e.Varint(int64(v))
 	}
 }
 
-func getTree(d *dec) (comm.Tree, error) {
-	n := int(d.uvarint())
-	if d.err != nil || n < 0 || n > d.remaining() {
+func getTree(d *bincodec.Decoder) (comm.Tree, error) {
+	n := d.Uvarint()
+	if d.Err() != nil || n > uint64(d.Remaining()) {
 		return comm.Tree{}, fmt.Errorf("planstore: decode tree: truncated")
 	}
 	if n == 0 {
@@ -385,116 +382,18 @@ func getTree(d *dec) (comm.Tree, error) {
 	}
 	t := comm.Tree{Parent: make([]int, n)}
 	for i := range t.Parent {
-		t.Parent[i] = int(d.varint())
+		t.Parent[i] = int(d.Varint())
 	}
-	if d.err != nil {
-		return comm.Tree{}, fmt.Errorf("planstore: decode tree: %v", d.err)
+	if d.Err() != nil {
+		return comm.Tree{}, fmt.Errorf("planstore: decode tree: %v", d.Err())
 	}
 	if t.Parent[0] != -1 {
 		return comm.Tree{}, fmt.Errorf("planstore: decode tree: root parent %d", t.Parent[0])
 	}
-	for v := 1; v < n; v++ {
-		if t.Parent[v] < 0 || t.Parent[v] >= n {
+	for v := 1; v < len(t.Parent); v++ {
+		if t.Parent[v] < 0 || t.Parent[v] >= len(t.Parent) {
 			return comm.Tree{}, fmt.Errorf("planstore: decode tree: vertex %d has parent %d", v, t.Parent[v])
 		}
 	}
 	return t, nil
-}
-
-// enc appends primitive values to a growing payload buffer.
-type enc struct {
-	buf []byte
-}
-
-func (e *enc) byte(b byte)      { e.buf = append(e.buf, b) }
-func (e *enc) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *enc) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *enc) u64(v uint64)     { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *enc) f64(v float64)    { e.u64(math.Float64bits(v)) }
-func (e *enc) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// dec reads primitive values, latching the first error.
-type dec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *dec) remaining() int { return len(d.buf) - d.off }
-
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated at offset %d", d.off)
-	}
-}
-
-func (d *dec) byte() byte {
-	if d.off >= len(d.buf) {
-		d.fail()
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-// uvarint reads an unsigned varint in its shortest encoding; a padded one
-// (final byte zero) is a decode error, so every value has one byte form
-// and a decoded plan re-encodes to the bytes it came from.
-func (d *dec) uvarint() uint64 {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// varint reads a zig-zag signed varint, as binary.Varint does, on top of
-// the canonical uvarint.
-func (d *dec) varint() int64 {
-	u := d.uvarint()
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.off+8 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *dec) str() string {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(d.remaining()) {
-		d.fail()
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *dec) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(d.remaining()) {
-		d.fail()
-		return nil
-	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
-	return b
 }

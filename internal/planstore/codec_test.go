@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/bincodec"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -191,6 +193,56 @@ func TestTamperedBlobRejected(t *testing.T) {
 	}
 }
 
+// colorFrame is a reduce1d P = 4 frame without a tape, sealed under a
+// correct digest, whose color section is the count given followed by the
+// colors given in place of the plan's own.
+func colorFrame(tb testing.TB, count uint64, colors ...byte) []byte {
+	tb.Helper()
+	p, err := plan.Compile(plan.Request{Kind: plan.Reduce1D, Alg: core.Auto, P: 4, B: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, _, err := Encode(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(p.Colors) > 127 {
+		tb.Fatalf("%d colors take a two-byte count", len(p.Colors))
+	}
+	e := &bincodec.Encoder{Buf: append([]byte(nil), data[headerLen:len(data)-1-len(p.Colors)]...)}
+	e.Uvarint(count)
+	return reframe(append(e.Buf, colors...), false)
+}
+
+// forgedColorCount is a frame whose color count is 2^64-1, with no color
+// bytes after it. Read as an int the count once wrapped negative, the color
+// loop was skipped, and the frame decoded with its colors dropped.
+func forgedColorCount(tb testing.TB) []byte { return colorFrame(tb, math.MaxUint64) }
+
+// TestDecodeRejectsNonCanonicalFrames: a frame under a correct digest whose
+// color count is more than the fabric has or the payload holds is one decode
+// error, never a plan decoded without its colors.
+func TestDecodeRejectsNonCanonicalFrames(t *testing.T) {
+	if _, _, err := Decode(colorFrame(t, 2, 0, 1)); err != nil {
+		t.Fatalf("a frame of two colors is refused: %v", err)
+	}
+	for _, c := range []struct {
+		name, want string
+		frame      []byte
+	}{
+		{"color count of 2^64-1", "18446744073709551615 colors", forgedColorCount(t)},
+		{"color count over the fabric's", fmt.Sprintf("%d colors", mesh.NumColors+1), colorFrame(t, mesh.NumColors+1, make([]byte, mesh.NumColors+1)...)},
+		{"color count over the bytes left", "3 colors", colorFrame(t, 3, 0, 1)},
+	} {
+		_, _, err := Decode(c.frame)
+		if err == nil {
+			t.Errorf("%s: frame accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: refused with %q, want it to say %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestContentAddressIsShapeSensitive spot-checks that distinct plans get
 // distinct addresses while identical logical plans (compiled separately)
 // share one — the property the store's deduplication rests on.
@@ -328,8 +380,8 @@ func TestSpecFrameSizeRatchet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := &dec{buf: spec, off: 1}
-		_, _, pes, progs := d.uvarint(), d.uvarint(), d.uvarint(), d.uvarint()
+		d := bincodec.NewDecoder(spec[1:])
+		_, _, pes, progs := d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
 		r := c.req
 		name := fmt.Sprintf("%s %s%s P=%d %dx%d B=%d", r.Kind, r.Alg, r.Alg2D, r.P, r.Width, r.Height, r.B)
 		t.Logf("%s: %d PEs, %d distinct programs: spec section %d B (%d B spelled out)", name, pes, progs, len(spec), c.was)

@@ -26,8 +26,8 @@ func allocBytes(fn func()) uint64 {
 // matching header, with and without the tape flag — the blob an attacker who
 // can write the store, or a bit flip that happens before hashing, would
 // produce. Seeds are the per-kind golden plans, without a replay tape and
-// with one, and the taped frames of every kind under clock skew and thermal
-// noise.
+// with one, the taped frames of every kind under clock skew and thermal
+// noise, and a frame whose color count wraps as an int.
 func FuzzDecode(f *testing.F) {
 	for _, req := range goldenCases() {
 		for _, gf := range goldenFrames {
@@ -49,6 +49,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	f.Add(forgedColorCount(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data)
 		payload := data

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bincodec"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/obs"
@@ -387,51 +388,43 @@ type spelledRun struct {
 // before its run count and the runs themselves.
 func splitSection(t *testing.T, section []byte, pes int) (head []byte, runs []spelledRun) {
 	t.Helper()
-	at := 0
-	uvarint := func() uint64 {
-		v, n := binary.Uvarint(section[at:])
-		if n <= 0 {
-			t.Fatalf("tape section unreadable at byte %d", at)
-		}
-		at += n
-		return v
-	}
-	varint := func() int64 {
-		u := uvarint()
-		return int64(u>>1) ^ -int64(u&1)
-	}
+	d := bincodec.NewDecoder(section)
 	for i := 0; i < 7+pes; i++ { // cycles, six Stats counters, one accumulator length per PE
-		uvarint()
+		d.Uvarint()
 	}
-	for clocks := uvarint(); clocks > 0; clocks-- {
-		varint()
+	for clocks := d.Uvarint(); clocks > 0 && d.Err() == nil; clocks-- {
+		d.Varint()
 	}
-	head = section[:at]
-	runs = make([]spelledRun, uvarint())
+	head = section[:len(section)-d.Remaining()]
+	runs = make([]spelledRun, d.Uvarint())
 	for i := range runs {
-		h := uvarint()
-		runs[i] = spelledRun{kind: h & 7, n: h >> 3, acc: varint()}
+		h := d.Uvarint()
+		runs[i] = spelledRun{kind: h & 7, n: h >> 3, acc: d.Varint()}
 		if runs[i].kind != 0 {
-			runs[i].wave = varint()
+			runs[i].wave = d.Varint()
 		}
 	}
-	if at != len(section) {
-		t.Fatalf("tape section has %d bytes after its runs", len(section)-at)
+	if d.Err() != nil {
+		t.Fatalf("tape section unreadable: %v", d.Err())
+	}
+	if d.Remaining() != 0 {
+		t.Fatalf("tape section has %d bytes after its runs", d.Remaining())
 	}
 	return head, runs
 }
 
 // joinSection is the section of head and runs, under the run count given.
 func joinSection(head []byte, count int, runs []spelledRun) []byte {
-	out := binary.AppendUvarint(append([]byte(nil), head...), uint64(count))
+	e := &bincodec.Encoder{Buf: append([]byte(nil), head...)}
+	e.Uvarint(uint64(count))
 	for _, r := range runs {
-		out = binary.AppendUvarint(out, r.n<<3|r.kind)
-		out = binary.AppendVarint(out, r.acc)
+		e.Uvarint(r.n<<3 | r.kind)
+		e.Varint(r.acc)
 		if r.kind != 0 {
-			out = binary.AppendVarint(out, r.wave)
+			e.Varint(r.wave)
 		}
 	}
-	return out
+	return e.Buf
 }
 
 // TestVerifyCatchesLyingTape: a frame whose tape stores where the program
@@ -549,11 +542,11 @@ func TestDecodeRejectsHostileTapeFrames(t *testing.T) {
 	section := taped[at:]
 	// The section opens with cycles and six Stats counters, then one
 	// accumulator length per PE: every PE of an allgather holds B elements.
-	accAt := 0
+	d := bincodec.NewDecoder(section)
 	for i := 0; i < 7; i++ {
-		_, n := binary.Uvarint(section[accAt:])
-		accAt += n
+		d.Uvarint()
 	}
+	accAt := len(section) - d.Remaining()
 	if !bytes.Equal(section[accAt:accAt+3], []byte{7, 7, 7}) {
 		t.Fatalf("accumulator lengths are spelled % x, want 07 07 07", section[accAt:accAt+3])
 	}
