@@ -163,7 +163,7 @@ func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (*
 }
 
 // Warm asks the daemon to pre-materialise plans for the given shapes
-// through its resolver chain (POST /v1/warm), so a daemon can be
+// through its plan cache's miss (POST /v1/warm), so a daemon can be
 // pre-heated over the wire without filesystem access to its plan store.
 // Retryable: warming is idempotent — an already-resident plan is a
 // no-op.

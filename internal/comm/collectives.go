@@ -148,11 +148,13 @@ func BuildReduceXY(spec *fabric.Spec, width, height int, rowTree, colTree Tree, 
 // accumulator on (OpSend) takes that transfer with one OpRecvReduceSend
 // instead, forwarding each element a cycle after it came in — the inner
 // vertex's pipelining, across the phases. Its router is unchanged: the send
-// leaves its ramp on the same color either way.
+// leaves its ramp on the same color either way. tree is in pre-order (every
+// caller has built it through BuildTreeReduce or BuildReduceMidRoot, which
+// check that), so v is a leaf exactly when the next vertex is not its child.
 func streamLeaves(spec *fabric.Spec, path mesh.Path, tree Tree) {
 	var ops []fabric.Op
-	for v, ch := range tree.Children() {
-		if v == 0 || len(ch) > 0 {
+	for v := 1; v < len(tree.Parent); v++ {
+		if v+1 < len(tree.Parent) && tree.Parent[v+1] == v {
 			continue
 		}
 		prog := spec.PE(path[v]).Program().Ops

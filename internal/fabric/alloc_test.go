@@ -128,14 +128,19 @@ func TestNewBytesPerPE(t *testing.T) {
 		s := stampedSpec(t, pl)
 		arena := 0
 		s.Each(func(_ mesh.Coord, pe *fabric.PESpec) { arena += 4 * max(pe.AccNeed(), len(pe.Init)) })
+		// The least of three passes: anything else the process allocates
+		// meanwhile only adds.
 		const runs = 4
-		grew := allocBytes(func() {
-			for range runs {
-				if _, err := fabric.New(s, pl.Opt); err != nil {
-					t.Fatal(err)
+		grew := uint64(math.MaxUint64)
+		for range 3 {
+			grew = min(grew, allocBytes(func() {
+				for range runs {
+					if _, err := fabric.New(s, pl.Opt); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-		})
+			}))
+		}
 		perPE := (float64(grew)/runs - float64(arena)) / float64(s.Len())
 		name := fmt.Sprintf("%s %s%s P=%d B=%d", sp.req.Kind, sp.req.Alg, sp.req.Alg2D, s.Len(), sp.req.B)
 		t.Logf("%s: %.0f state bytes per PE (was %.0f, ceiling %.0f)", name, perPE, sp.was, sp.max)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"log"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultCacheCapacity bounds a Cache when the caller passes no capacity.
@@ -12,57 +13,52 @@ const DefaultCacheCapacity = 128
 
 // CacheStats reports a cache's accounting: Hits counts lookups served
 // from a resident or in-flight plan, Misses the lookups that went to the
-// resolver chain, Evictions the plans dropped at capacity, and Size the
-// resident plan count. The store fields are a view over the attached
-// chain's per-stage stats (Resolver.Stats), not counters of the cache's own,
-// so they read the same under SetStore, under a hand-built chain and on
-// /metrics: StoreHits is the misses a store stage satisfied by decoding a
-// stored plan instead of compiling, StoreErrors the store operations that
-// failed — loads, and write-back saves — none of which fails a lookup; both
-// start over when a chain is attached. The Tape counters follow the replay
-// tapes of the plans the cache holds or ever held (tape.go), each plan
-// counted once, when the cache takes it in: TapeRecords the plans the chain
-// recorded a tape for, TapeLoaded the plans that arrived with a tape in their
-// stored frame and so never ran the simulator here at all, TapeDeclined the
-// plans that replay no tape (a Tracer attached, a program over the tape cap or
-// one the engine fails); TapeReplays counts the reports produced by walking a
-// tape instead of running the simulator.
+// miss path (miss.go), Evictions the plans dropped at capacity, and Size the
+// resident plan count. Miss is the miss path's ledger, and the store fields
+// are read from it, so they start over when a store is attached: StoreHits
+// is the misses the store satisfied by decoding a stored plan instead of
+// compiling, StoreErrors the store operations that failed — loads and saves
+// — none of which fails a lookup, and LastStoreError the newest of those
+// failures ("" while none). The Tape counters follow the replay tapes of the
+// plans the cache holds or ever held (tape.go), each plan counted once, when
+// the cache takes it in: TapeRecords the plans the miss recorded a tape for,
+// TapeLoaded the plans that arrived with a tape in their stored frame and so
+// never ran the simulator here at all, TapeDeclined the plans that replay no
+// tape (a Tracer attached, a program over the tape cap or one the engine
+// fails); TapeReplays counts the reports produced by walking a tape instead
+// of running the simulator.
 type CacheStats struct {
-	Hits        int64
-	Misses      int64
-	Evictions   int64
-	StoreHits   int64
-	StoreErrors int64
-	// LastStoreError is the message of the most recent failed store
-	// operation under the attached chain ("" while none has failed). Store
-	// failures are absorbed — lookups fall back to the compiler — so
-	// without this field a dying store is visible only as a bare counter.
+	Hits           int64
+	Misses         int64
+	Evictions      int64
+	StoreHits      int64
+	StoreErrors    int64
 	LastStoreError string
 	Size           int
 	TapeRecords    int64
 	TapeReplays    int64
 	TapeDeclined   int64
 	TapeLoaded     int64
+	Miss           MissStats
 }
 
 // Cache is a content-keyed LRU of compiled plans. Lookups for the same
 // key that race an in-flight miss coalesce onto it (and count as hits)
-// instead of resolving twice. A miss is one call of the attached resolver
-// chain (stage.go): the bare compiler until SetStore or SetResolver attach
-// something longer, so a serving process over a store transparently
-// accumulates and reuses a durable plan warehouse. The chain hands over
-// plans already taped (tape.go).
+// instead of resolving twice. A miss is one call of the miss path
+// (miss.go): compile only until SetStore attaches a store, so a serving
+// process over a store transparently accumulates and reuses a durable plan
+// warehouse. The miss hands over plans already taped (tape.go).
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int
 	entries   map[Key]*list.Element
 	lru       list.List // front = most recently used; values are *Plan
 	compiling map[Key]*inflight
-	resolver  Resolver
-	stats     CacheStats   // Hits, Misses, Evictions, LastStoreError
+	miss      atomic.Pointer[missPath]
+	stats     CacheStats   // Hits, Misses, Evictions
 	tape      tapeCounters // of every plan inserted here first
 	// storeErrLogged dedupes the store-failure log line: one warning per
-	// attached chain, not one per degraded request.
+	// attached store, not one per degraded request.
 	storeErrLogged bool
 }
 
@@ -78,64 +74,49 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return &Cache{
+	c := &Cache{
 		capacity:  capacity,
 		entries:   make(map[Key]*list.Element),
 		compiling: make(map[Key]*inflight),
-		resolver:  Compiler(),
 	}
+	c.SetStore(nil)
+	return c
 }
 
-// SetResolver attaches r as the cache's miss path (nil: the bare compiler
-// again). The cache owns the chain from here on: every store failure it
-// absorbs is logged once and kept as LastStoreError, and the store fields of
-// Stats read its stages. A chain is owned by one cache at a time. Call
-// before taking traffic, or concurrently — attachment is atomic with respect
-// to lookups.
-func (c *Cache) SetResolver(r Resolver) {
-	if r == nil {
-		r = Compiler()
-	}
-	attach(c.resolverHandle(), nil)
-	attach(r, &attachment{storeErr: c.noteStoreError})
-	c.mu.Lock()
-	c.resolver = r
-	c.stats.LastStoreError = ""
-	c.storeErrLogged = false
-	c.mu.Unlock()
-}
-
-// Get returns the plan for req, resolving it through the attached chain on
-// a miss.
+// Get returns the plan for req, making it on a miss.
 func (c *Cache) Get(req Request) (*Plan, error) {
 	return c.GetCtx(context.Background(), req)
 }
 
-// GetCtx is Get with the caller's context threaded into the miss path,
-// where it bounds the recording run and a resolver chain's remote stages
-// honour its deadline. Lookups that coalesce onto an in-flight miss share
-// the first caller's fill (and its context), exactly as they share its
-// compile.
+// GetCtx is Get with the caller's context threaded into the miss, where it
+// bounds the recording run. Lookups that coalesce onto an in-flight miss
+// share the first caller's fill (and its context), exactly as they share
+// its compile.
 func (c *Cache) GetCtx(ctx context.Context, req Request) (*Plan, error) {
-	key := KeyOf(req)
-	p, _, err := c.acquire(key, true, c.fill(ctx, c.resolverHandle(), key, req))
+	p, _, _, err := c.fill(ctx, c.miss.Load(), req, true)
 	return p, err
 }
 
-// fill is the miss path for key: one Resolve of r. A chain sees the key
-// alone, so the request is validated here and its Tracer — a debug
-// attachment no key carries — rides along onto the plan.
-func (c *Cache) fill(ctx context.Context, r Resolver, key Key, req Request) func() (*Plan, error) {
-	return func() (*Plan, error) {
+// fill returns the plan for req, made by one resolve of m on a miss; count
+// selects whether the lookup takes part in the hit/miss accounting. It
+// reports whether the miss ran here, and whether its plan came from the
+// store. The miss sees the key alone, so the request is validated here and
+// its Tracer — a debug attachment no key carries — rides along onto the
+// plan.
+func (c *Cache) fill(ctx context.Context, m *missPath, req Request, count bool) (p *Plan, fetched, loaded bool, err error) {
+	key := KeyOf(req)
+	p, fetched, err = c.acquire(key, count, func() (*Plan, error) {
 		if err := req.Validate(); err != nil {
 			return nil, err
 		}
-		p, err := r.Resolve(ctx, key)
+		p, fromStore, err := m.resolve(ctx, key)
 		if err == nil && req.Opt.Tracer != nil {
 			p.Opt.Tracer = req.Opt.Tracer
 		}
+		loaded = fromStore
 		return p, err
-	}
+	})
+	return p, fetched, loaded, err
 }
 
 // acquire returns the plan for key: residents are served directly,
@@ -182,12 +163,6 @@ func (c *Cache) acquire(key Key, count bool, fetch func() (*Plan, error)) (*Plan
 	return fl.plan, true, fl.err
 }
 
-func (c *Cache) resolverHandle() Resolver {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resolver
-}
-
 // Lookup returns the resident plan for key, refreshing its recency,
 // without counting a hit or miss and without triggering any fill.
 func (c *Cache) Lookup(key Key) (*Plan, bool) {
@@ -201,16 +176,14 @@ func (c *Cache) Lookup(key Key) (*Plan, bool) {
 	return el.Value.(*Plan), true
 }
 
-// noteStoreError is where the attached chain reports a store failure it
-// absorbed.
+// noteStoreError is where the miss reports a store failure it absorbed.
 func (c *Cache) noteStoreError(err error) {
 	c.mu.Lock()
-	c.stats.LastStoreError = err.Error()
 	logIt := !c.storeErrLogged
 	c.storeErrLogged = true
 	c.mu.Unlock()
 	if logIt {
-		log.Printf("plan: store degraded (falling back to compile; logged once per attached chain): %v", err)
+		log.Printf("plan: store degraded (falling back to compile; logged once per attached store): %v", err)
 	}
 }
 
@@ -235,10 +208,13 @@ func (c *Cache) insert(key Key, p *Plan) {
 // Stats returns a snapshot of the cache accounting.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
-	st, r := c.stats, c.resolver
+	st := c.stats
 	st.Size = c.lru.Len()
 	c.mu.Unlock()
-	st.StoreHits, st.StoreErrors = storeView(r.Stats())
+	st.Miss = c.miss.Load().stats()
+	st.StoreHits = st.Miss.Store.Hits
+	st.StoreErrors = st.Miss.Store.Errors + st.Miss.SaveErrors
+	st.LastStoreError = st.Miss.LastStoreError
 	st.TapeRecords = c.tape.records.Load()
 	st.TapeReplays = c.tape.replays.Load()
 	st.TapeDeclined = c.tape.declined.Load()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -11,38 +12,28 @@ import (
 	"repro/internal/faults"
 )
 
-func stageNamed(t *testing.T, r Resolver, name string) StageStats {
-	t.Helper()
-	for _, st := range r.Stats() {
-		if st.Stage == name {
-			return st
-		}
-	}
-	t.Fatalf("chain has no stage %q: %+v", name, r.Stats())
-	return StageStats{}
-}
-
-// TestWriteBackSharesItsStagesMeter: a write-back counts into the entry of
-// the stage it wraps — one LastError, the newest failure wins — so a save
-// that fails after an older compile failure is what the stage and the cache
-// both report.
+// TestWriteBackSharesItsStagesMeter: the write-back of a compiled plan
+// counts into the one ledger of the miss. A compile failure is the same error
+// with a store attached as without one, and not a store failure; a save that
+// fails after it is one, and is what LastStoreError names.
 func TestWriteBackSharesItsStagesMeter(t *testing.T) {
-	ms := newMemStore()
-	chain := storeChain(ms)
-	c := NewCache(4)
-	c.SetResolver(chain)
-
-	faults.Set("plan.compile", faults.Point{Count: 1})
 	defer faults.Reset()
-	_, err := c.Get(warmReq(4))
-	var se *StageError
-	if !errors.As(err, &se) || se.Stage != "compile" || !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("injected compile failure = %v; want *StageError{compile} wrapping it", err)
+	failedGet := func(c *Cache) error {
+		t.Helper()
+		faults.Set("plan.compile", faults.Point{Count: 1})
+		_, err := c.Get(warmReq(4))
+		if !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("injected compile failure = %v; want it wrapped", err)
+		}
+		return err
 	}
-	if st := stageNamed(t, chain, "compile"); st.Errors != 1 || !strings.Contains(st.LastError, "injected") {
-		t.Fatalf("after the compile failure: %+v", st)
+	ms := newMemStore()
+	c := NewCache(4)
+	c.SetStore(ms)
+	if err, bare := failedGet(c), failedGet(NewCache(4)); err.Error() != bare.Error() {
+		t.Fatalf("a compile failure over a store reads %q, without one %q", err, bare)
 	}
-	if cs := c.Stats(); cs.StoreErrors != 0 || cs.LastStoreError != "" {
+	if cs := c.Stats(); cs.Miss.Compile.Errors != 1 || cs.Miss.Store.Misses != 1 || cs.StoreErrors != 0 || cs.LastStoreError != "" {
 		t.Fatalf("a compile failure is not a store failure: %+v", cs)
 	}
 
@@ -50,39 +41,101 @@ func TestWriteBackSharesItsStagesMeter(t *testing.T) {
 	if _, err := c.Get(warmReq(4)); err != nil {
 		t.Fatalf("a failing save failed the lookup: %v", err)
 	}
-	st := stageNamed(t, chain, "compile")
-	if st.Lookups != 2 || st.Hits != 1 || st.Errors != 1 || st.SaveErrors != 1 || !strings.Contains(st.LastError, "save failure") {
-		t.Fatalf("compile stage after the failing save: %+v; want its LastError to name the save", st)
+	cs := c.Stats()
+	if m := cs.Miss; m.Compile.Lookups != 2 || m.Compile.Hits != 1 || m.Compile.Errors != 1 || m.SaveErrors != 1 {
+		t.Fatalf("ledger after the failing save: %+v", m)
 	}
-	if cs := c.Stats(); cs.StoreErrors != 1 || !strings.Contains(cs.LastStoreError, "save failure") {
-		t.Fatalf("cache after the failing save: %+v", cs)
-	}
-	if n := len(chain.Stats()); n != 3 {
-		t.Fatalf("the write-back added an entry of its own: %d stages, want sequential, store, compile", n)
+	if cs.StoreErrors != 1 || !strings.Contains(cs.LastStoreError, "save failure") {
+		t.Fatalf("cache after the failing save: %+v; want its LastStoreError to name the save", cs)
 	}
 }
 
-// TestStandaloneChainSavesAtOnce: a chain saves before Resolve returns,
-// whether it stands alone or a cache owns it, and the frame it writes carries
-// the tape the compile stage recorded.
+// TestStandaloneChainSavesAtOnce: the miss saves before it returns, whether
+// it runs on its own (as a Warm pass runs it) or a cache owns it, and the
+// frame it writes carries the tape the compile recorded. A cache whose store
+// was detached compiles and saves nothing.
 func TestStandaloneChainSavesAtOnce(t *testing.T) {
 	ms := newMemStore()
-	chain := storeChain(ms)
 	ctx := context.Background()
-	if _, err := chain.Resolve(ctx, KeyOf(warmReq(4))); err != nil || ms.saves != 1 || !ms.taped(warmReq(4)) {
-		t.Fatalf("standalone: %v, %d saves; want the plan saved, taped, before Resolve returned", err, ms.saves)
+	m := &missPath{store: ms, storeErr: func(err error) { t.Errorf("store failure: %v", err) }}
+	if _, loaded, err := m.resolve(ctx, KeyOf(warmReq(4))); err != nil || loaded || ms.saves != 1 || !ms.taped(warmReq(4)) {
+		t.Fatalf("standalone: %v, loaded %v, %d saves; want the plan compiled and saved, taped, before the miss returned", err, loaded, ms.saves)
+	}
+	if _, loaded, err := m.resolve(ctx, KeyOf(warmReq(4))); err != nil || !loaded || ms.saves != 1 {
+		t.Fatalf("standalone again: %v, loaded %v, %d saves; want the stored plan and no save", err, loaded, ms.saves)
 	}
 	c := NewCache(4)
-	c.SetResolver(chain)
+	c.SetStore(ms)
 	if _, err := c.GetCtx(ctx, warmReq(5)); err != nil || ms.saves != 2 || !ms.taped(warmReq(5)) {
 		t.Fatalf("owned: %v, %d saves; want the plan saved, taped, before the lookup returned", err, ms.saves)
 	}
-	c.SetResolver(nil)
-	if _, err := chain.Resolve(ctx, KeyOf(warmReq(7))); err != nil || ms.saves != 3 {
-		t.Fatalf("detached: %v, %d saves; want the plan saved before Resolve returned", err, ms.saves)
-	}
-	if _, err := c.Get(warmReq(8)); err != nil || ms.saves != 3 || c.Stats().Misses != 2 {
+	c.SetStore(nil)
+	if _, err := c.Get(warmReq(8)); err != nil || ms.saves != 2 || c.Stats().Misses != 2 {
 		t.Fatalf("bare cache: %v, %d saves, %+v; want a compile and no save", err, ms.saves, c.Stats())
+	}
+}
+
+// TestStatsInvariantUnderConcurrency: 32 goroutines look up shared and
+// distinct keys through one cache over a store that fails one load in
+// three. The ledger balances — store hits + misses + errors == lookups, one
+// store lookup per cache miss, and every load that did not hit compiles —
+// and every plan is saved once, at most.
+func TestStatsInvariantUnderConcurrency(t *testing.T) {
+	ms := newMemStore()
+	ms.failLoadEvery = 3
+	shared := []Request{warmReq(2), warmReq(3), warmReq(4), warmReq(5)}
+	for _, req := range shared[:2] {
+		p, err := Compile(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.recordTape(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		ms.m[KeyOf(req)] = p
+	}
+	c := NewCache(64)
+	c.SetStore(ms)
+	const workers = 32
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 8; j++ {
+				req := shared[(i+j)%len(shared)]
+				if j%2 == 1 {
+					req = warmReq(6 + i)
+				}
+				if _, err := c.Get(req); err != nil {
+					t.Errorf("lookup: %v", err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	cs := c.Stats()
+	m := cs.Miss
+	if keys := int64(len(shared) + workers); cs.Misses != keys || m.Store.Lookups != keys {
+		t.Fatalf("%d cache misses, %d store lookups; want one of each per key, %d", cs.Misses, m.Store.Lookups, keys)
+	}
+	if m.Store.Hits+m.Store.Misses+m.Store.Errors != m.Store.Lookups {
+		t.Errorf("store: %d hits + %d misses + %d errors != %d lookups", m.Store.Hits, m.Store.Misses, m.Store.Errors, m.Store.Lookups)
+	}
+	if m.Store.Errors == 0 || m.Compile.Errors != 0 || m.Compile.Lookups != m.Store.Misses+m.Store.Errors || m.Compile.Hits != m.Compile.Lookups {
+		t.Errorf("ledger %+v: want some failed loads, each one and each store miss compiled", m)
+	}
+	if cs.StoreHits != m.Store.Hits || cs.StoreErrors != m.Store.Errors+m.SaveErrors {
+		t.Errorf("PlanStats store fields %+v disagree with the ledger %+v", cs, m)
+	}
+	if int64(ms.saves) != m.Compile.Hits {
+		t.Errorf("%d saves for %d compiled plans", ms.saves, m.Compile.Hits)
+	}
+	for key, n := range ms.savedKeys {
+		if n != 1 {
+			t.Errorf("%v saved %d times", key, n)
+		}
 	}
 }
 

@@ -208,8 +208,8 @@ func (r Request) resolve() (_ Request, t float64, priced bool) {
 // Compile lowers a request to a Plan: it resolves Auto selections,
 // derives the reduction trees, generates the fabric program, validates
 // it, and records the model prediction. This is the cold path the cache
-// amortises away. The plan comes without its replay tape: the Compiler
-// stage records one (tape.go).
+// amortises away. The plan comes without its replay tape: a cache's miss
+// records one (tape.go).
 func Compile(req Request) (*Plan, error) {
 	if err := faults.Inject("plan.compile"); err != nil {
 		return nil, err
@@ -360,7 +360,7 @@ type ExecOptions struct {
 // chunked kinds, the per-PE chunks; otherwise one vector per PE. Execute is
 // safe to call concurrently.
 //
-// A plan a resolver stage made comes with its replay tape, and every
+// A plan a cache's miss made comes with its replay tape, and every
 // execution walks the tape instead of the cycle loop, with bit-identical
 // results; a plan compiled by hand runs the simulator plainly first and
 // records on its second execution (see tape.go for when a plan stays on the

@@ -189,30 +189,15 @@ func (s *Session) Close() error { return s.sch.Close() }
 // lookups.
 func (s *Session) SetStore(ps PlanStore) { s.cache.SetStore(ps) }
 
-// SetResolver attaches a resolver chain as the cache's miss path. See
-// Cache.SetResolver.
-func (s *Session) SetResolver(r Resolver) { s.cache.SetResolver(r) }
-
-// Resolver returns the cache's miss path: the chain SetResolver or
-// SetStore attached, or the bare compiler.
-func (s *Session) Resolver() Resolver { return s.cache.resolverHandle() }
-
 // Prefetch materialises the plan for req into the cache ahead of
-// traffic, through the attached resolver chain, so the first real request
-// pays no compile and no simulator run. Like Warm it stays out of the
-// hit/miss accounting and coalesces with in-flight fills. The returned bool
+// traffic, through the cache's miss, so the first real request pays no
+// compile and no simulator run. Like Warm it stays out of the hit/miss
+// accounting and coalesces with in-flight fills. The returned bool
 // reports whether a fill actually ran (false: the plan was already resident
 // or being fetched by someone else).
 func (s *Session) Prefetch(ctx context.Context, req Request) (bool, error) {
-	_, fetched, err := s.cache.prefetch(ctx, s.cache.resolverHandle(), req)
+	_, fetched, _, err := s.cache.fill(ctx, s.cache.miss.Load(), req, false)
 	return fetched, err
-}
-
-// prefetch resolves req through r into the cache outside the hit/miss
-// accounting.
-func (c *Cache) prefetch(ctx context.Context, r Resolver, req Request) (*Plan, bool, error) {
-	key := KeyOf(req)
-	return c.acquire(key, false, c.fill(ctx, r, key, req))
 }
 
 // WarmStats reports what a Warm pass did: how many plans it decoded from
@@ -228,51 +213,43 @@ type WarmStats struct {
 
 // Warm pre-populates the session's plan cache before it takes traffic,
 // so no request pays a compile on the serving path. Every requested shape
-// is resolved through the chain attaching ps would give the cache
-// (Cache.SetStore; the bare compiler when ps is nil): loaded from ps when
-// stored there, compiled and saved back otherwise, which is also how a
-// shape list is compiled into a store ahead of deployment. A nil reqs warms
-// every plan ps holds. Warm does not disturb the hit/miss accounting (its
-// loads and compiles are reported in WarmStats, not CacheStats) and is safe
-// to run while the session serves: it coalesces with in-flight request
-// compiles for the same key rather than duplicating them, and a shape that
-// fails to warm — or a load or save ps failed — is recorded in the joined
-// error and skipped, never blocking the rest of the list. Every plan it
-// compiles or loads is taped before it is saved or cached, so the frames
-// it writes carry their tapes.
+// is made by the miss attaching ps would give the cache (Cache.SetStore;
+// compile only when ps is nil): loaded from ps when stored there, compiled
+// and saved back otherwise, which is also how a shape list is compiled into
+// a store ahead of deployment. A nil reqs warms every plan ps holds. Warm
+// does not disturb the hit/miss accounting (its loads and compiles are
+// reported in WarmStats, not CacheStats) and is safe to run while the
+// session serves: it coalesces with in-flight request compiles for the
+// same key rather than duplicating them, and a shape that fails to warm —
+// or a load or save ps failed — is recorded in the joined error and
+// skipped, never blocking the rest of the list. Every plan it compiles or
+// loads is taped before it is saved or cached, so the frames it writes
+// carry their tapes.
 func (s *Session) Warm(ps KeyedStore, reqs []Request) (WarmStats, error) {
 	var (
 		st   WarmStats
 		errs []error
 	)
-	failed := func(err error) { errs = append(errs, err) }
-	chain := Compiler()
-	if ps != nil {
-		chain = storeChain(ps)
-		if reqs == nil {
-			for _, k := range ps.Keys() {
-				reqs = append(reqs, k.Request())
-			}
+	m := &missPath{store: ps, storeErr: func(err error) { errs = append(errs, err) }}
+	if ps != nil && reqs == nil {
+		for _, k := range ps.Keys() {
+			reqs = append(reqs, k.Request())
 		}
 	}
-	attach(chain, &attachment{storeErr: failed})
 	for _, req := range reqs {
-		p, fetched, err := s.cache.prefetch(context.Background(), chain, req)
+		p, fetched, loaded, err := s.cache.fill(context.Background(), m, req, false)
 		switch {
 		case err != nil:
-			failed(err)
+			errs = append(errs, err)
 		case !fetched:
 			st.Resident++
-		case p.replay.loaded:
-			st.Taped++
-		}
-	}
-	for _, stage := range chain.Stats() {
-		switch stage.Stage {
-		case "store":
-			st.Loaded = int(stage.Hits)
-		case "compile":
-			st.Compiled = int(stage.Hits)
+		case !loaded:
+			st.Compiled++
+		default:
+			st.Loaded++
+			if p.replay.loaded {
+				st.Taped++
+			}
 		}
 	}
 	return st, errors.Join(errs...)

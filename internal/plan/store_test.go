@@ -15,22 +15,24 @@ import (
 // cycle) into this package. Plans are shared by pointer, which is safe:
 // plans are immutable under Execute.
 type memStore struct {
-	mu    sync.Mutex
-	m     map[Key]*Plan
-	loads int
-	saves int
+	mu        sync.Mutex
+	m         map[Key]*Plan
+	loads     int
+	saves     int
+	savedKeys map[Key]int
 
-	failLoad bool
-	failSave bool
+	failLoad      bool
+	failLoadEvery int // fail every n-th load (0: none)
+	failSave      bool
 }
 
-func newMemStore() *memStore { return &memStore{m: make(map[Key]*Plan)} }
+func newMemStore() *memStore { return &memStore{m: make(map[Key]*Plan), savedKeys: make(map[Key]int)} }
 
 func (s *memStore) Load(key Key) (*Plan, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.loads++
-	if s.failLoad {
+	if s.failLoad || s.failLoadEvery > 0 && s.loads%s.failLoadEvery == 0 {
 		return nil, false, errors.New("memstore: load failure")
 	}
 	p, ok := s.m[key]
@@ -41,6 +43,7 @@ func (s *memStore) Save(p *Plan) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.saves++
+	s.savedKeys[p.Key]++
 	if s.failSave {
 		return errors.New("memstore: save failure")
 	}

@@ -20,21 +20,21 @@ import (
 // once per lifetime, not once per replay — and, since that makes the tape a
 // function of exactly what a plan store keys a plan by, once per store, not
 // once per process. The tape is part of the compiled artifact, so it is taped
-// where plans are made: the resolver stages that compile a plan, or load one
-// from a frame written without its tape, run the simulator once on symbolic
-// data (fabric.Record) before they hand the plan on, and a plan store is
-// written once, tape included (stage.go). From then on executions bind their
+// where plans are made: the miss that compiles a plan, or loads one from a
+// frame written without its tape, runs the simulator once on symbolic data
+// (fabric.Record) before it hands the plan on, and a plan store is written
+// once, tape included (miss.go). From then on executions bind their
 // inputs into one flat accumulator image, walk the tape over it and assemble
 // the same report, bit for bit.
 //
-// A plan no stage made (plan.Compile, as a one-shot wse.Run uses it) runs the
+// A plan no miss made (plan.Compile, as a one-shot wse.Run uses it) runs the
 // simulator plainly the first time and records on its second execution, so
 // one-shot callers never pay for a recording; a batch of several entries is
 // there to be replayed, so its first entry records (Plan.ExecuteBatch).
 //
 // The simulator stays the only thing that ever decides a cycle count — a
 // stored tape is one it decided earlier — and it stays the path for:
-//   - the first single execution of a plan no stage taped;
+//   - the first single execution of a plan no miss taped;
 //   - plans that carry a fabric.Tracer (they exist to watch the engine);
 //   - programs whose tape would exceed fabric.MaxTapeEvents;
 //   - inputs whose lengths differ from the ones the tape was recorded under
@@ -162,7 +162,7 @@ func (p *Plan) record(f *fabric.Fabric, inputs [][]float32) (*boundTape, error) 
 	return p.bindTape(tape, lens), nil
 }
 
-// recordTape is how a resolver stage tapes the plan it makes: one recording
+// recordTape is how the miss tapes the plan it makes: one recording
 // run on inputs of the lengths the kind takes, under the lookup's ctx. A ctx
 // that fires is the lookup's failure, with the typed ctx error. A program the
 // engine fails (or one over the tape cap) is left untaped, so its executions

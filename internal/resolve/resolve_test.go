@@ -1,21 +1,19 @@
 package resolve
 
-// The resolver-chain contract under -race: sequential fallthrough and
-// mandatory/optional semantics, the per-stage stats invariant
-// (hits+misses+errors = lookups), and bit-identical plans regardless of
-// which stage resolved.
+// The bench harness's spelling of the miss path: its chain falls through
+// from the store to the compiler, a failing store degrades to a compile,
+// compiled plans are written back once with their tapes, and a plan encodes
+// the same bytes whichever step made it.
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/planstore"
 )
@@ -58,25 +56,6 @@ func (s *memStore) Save(p *plan.Plan) error {
 	return nil
 }
 
-// fakeStage is a scriptable Resolver for combinator tests.
-type fakeStage struct {
-	Resolver
-	plan  *plan.Plan
-	err   error
-	calls atomic.Int64
-}
-
-func fake(name string, p *plan.Plan, err error) *fakeStage {
-	s := &fakeStage{plan: p, err: err}
-	s.Resolver = plan.Leaf(name, s.resolve)
-	return s
-}
-
-func (s *fakeStage) resolve(context.Context, plan.Key, *obs.Span) (*plan.Plan, error) {
-	s.calls.Add(1)
-	return s.plan, s.err
-}
-
 func mustCompile(t testing.TB, key plan.Key) *plan.Plan {
 	t.Helper()
 	p, err := plan.Compile(key.Request())
@@ -86,11 +65,18 @@ func mustCompile(t testing.TB, key plan.Key) *plan.Plan {
 	return p
 }
 
-// checkInvariant asserts hits+misses+errors == lookups on every stage of
-// a chain's stats.
+// chain is the one composition the bench harness builds.
+func chain(ps plan.PlanStore) Resolver { return Sequential(Store(ps), WriteBack(Compiler(), ps)) }
+
+// checkInvariant asserts hits+misses+errors == lookups on both steps, and
+// that the chain reports the store step and the compile step.
 func checkInvariant(t *testing.T, r Resolver) {
 	t.Helper()
-	for _, st := range r.Stats() {
+	st := r.Stats()
+	if len(st) != 2 || st[0].Stage != "store" || st[1].Stage != "compile" {
+		t.Fatalf("stats %+v; want a store and a compile entry", st)
+	}
+	for _, st := range st {
 		if st.Hits+st.Misses+st.Errors != st.Lookups {
 			t.Errorf("stage %s: hits %d + misses %d + errors %d != lookups %d",
 				st.Stage, st.Hits, st.Misses, st.Errors, st.Lookups)
@@ -98,102 +84,47 @@ func checkInvariant(t *testing.T, r Resolver) {
 	}
 }
 
+// TestSequentialFallthrough: a store that lacks the plan falls through to
+// the compiler; one that holds it answers alone.
 func TestSequentialFallthrough(t *testing.T) {
 	key := testKey(4)
-	p := mustCompile(t, key)
-	miss := fake("a", nil, ErrNotFound)
-	hit := fake("b", p, nil)
-	never := fake("c", nil, errors.New("must not run"))
-	chain := Sequential(miss, hit, never)
-
-	got, err := chain.Resolve(context.Background(), key)
-	if err != nil || got != p {
-		t.Fatalf("Resolve = %v, %v; want the plan from stage b", got, err)
-	}
-	if never.calls.Load() != 0 {
-		t.Error("stage after the hit was consulted")
-	}
-	st := chain.Stats()
-	if st[0].Stage != "sequential" || st[0].Hits != 1 {
-		t.Errorf("sequential stats = %+v, want 1 hit", st[0])
-	}
-	checkInvariant(t, chain)
-}
-
-func TestSequentialMandatoryFailure(t *testing.T) {
-	key := testKey(4)
-	boom := errors.New("store exploded")
-	chain := Sequential(fake("broken", nil, boom), fake("after", mustCompile(t, key), nil))
-	_, err := chain.Resolve(context.Background(), key)
-	var se *StageError
-	if !errors.As(err, &se) || se.Stage != "broken" || !errors.Is(err, boom) {
-		t.Fatalf("mandatory failure = %v, want *StageError{broken} wrapping the cause", err)
-	}
-	checkInvariant(t, chain)
-}
-
-func TestOptionalDegrades(t *testing.T) {
-	key := testKey(4)
-	p := mustCompile(t, key)
-	broken := fake("broken", nil, errors.New("store down"))
-	chain := Sequential(Optional(broken), fake("compile", p, nil))
-	got, err := chain.Resolve(context.Background(), key)
-	if err != nil || got != p {
-		t.Fatalf("optional failure did not degrade: %v, %v", got, err)
-	}
-	// The optional wrapper hides the failure from composition but the
-	// stage's own stats must still record it — degradation stays
-	// observable.
-	if st := broken.Stats()[0]; st.Errors != 1 {
-		t.Errorf("broken stage stats = %+v, want the failure counted as an error", st)
-	}
-	checkInvariant(t, chain)
-}
-
-func TestSequentialAllMiss(t *testing.T) {
-	chain := Sequential(fake("a", nil, ErrNotFound), fake("b", nil, ErrNotFound))
-	if _, err := chain.Resolve(context.Background(), testKey(4)); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("all-miss chain = %v, want ErrNotFound", err)
-	}
-	checkInvariant(t, chain)
-}
-
-// TestStatsInvariantUnderConcurrency hammers a mixed-outcome chain from
-// many goroutines and checks the accounting still balances per stage.
-func TestStatsInvariantUnderConcurrency(t *testing.T) {
-	key := testKey(4)
 	ms := newMemStore()
-	ms.m[key] = mustCompile(t, key)
-	missKey := testKey(8)
-	chain := Sequential(Optional(Store(ms)), WriteBack(Compiler(), ms))
-
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 20; j++ {
-				k := key
-				if (i+j)%2 == 0 {
-					k = missKey
-				}
-				if _, err := chain.Resolve(context.Background(), k); err != nil {
-					t.Errorf("resolve: %v", err)
-					return
-				}
-			}
-		}(i)
+	r := chain(ms)
+	if _, err := r.Resolve(context.Background(), key); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	checkInvariant(t, chain)
-	if st := chain.Stats()[0]; st.Lookups != 160 || st.Hits != 160 {
-		t.Errorf("chain stats = %+v, want 160 lookups all hits", st)
+	if st := r.Stats(); st[0].Misses != 1 || st[1].Hits != 1 {
+		t.Fatalf("empty store: %+v; want a store miss and a compile", st)
 	}
+	if _, err := r.Resolve(context.Background(), key); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st[0].Hits != 1 || st[1].Lookups != 1 {
+		t.Fatalf("stored plan: %+v; want a store hit and no second compile", st)
+	}
+	checkInvariant(t, r)
 }
 
-// TestBitIdenticalAcrossStages resolves one key through every stage kind
-// — compiler, store, a cache's residency — and asserts the encoded plan
-// bytes are identical: it must not matter where a plan came from.
+// TestOptionalDegrades: a store that fails its load degrades to the
+// compiler; the failure is counted as the store step's error.
+func TestOptionalDegrades(t *testing.T) {
+	ms := newMemStore()
+	ms.failLoad = true
+	r := chain(ms)
+	p, err := r.Resolve(context.Background(), testKey(4))
+	if err != nil || p == nil {
+		t.Fatalf("a failing store did not degrade: %v, %v", p, err)
+	}
+	if st := r.Stats(); st[0].Errors != 1 || st[1].Hits != 1 {
+		t.Errorf("stats = %+v, want the failure counted and the plan compiled", st)
+	}
+	checkInvariant(t, r)
+}
+
+// TestBitIdenticalAcrossStages resolves one key through every step — the
+// compiler, the store, a compile a failing store degraded to, a cache's
+// residency — and asserts the encoded plan bytes are identical: it must not
+// matter where a plan came from.
 func TestBitIdenticalAcrossStages(t *testing.T) {
 	key := testKey(6)
 
@@ -206,6 +137,12 @@ func TestBitIdenticalAcrossStages(t *testing.T) {
 	stored, err := Store(ms).Resolve(context.Background(), key)
 	if err != nil {
 		t.Fatalf("store stage: %v", err)
+	}
+	failing := newMemStore()
+	failing.failLoad = true
+	degraded, err := chain(failing).Resolve(context.Background(), key)
+	if err != nil {
+		t.Fatalf("degraded chain: %v", err)
 	}
 	cache := plan.NewCache(4)
 	if _, err := cache.Get(key.Request()); err != nil {
@@ -227,100 +164,53 @@ func TestBitIdenticalAcrossStages(t *testing.T) {
 	if !bytes.Equal(enc(stored), want) {
 		t.Error("store-resolved plan encodes differently from compiled")
 	}
+	if !bytes.Equal(enc(degraded), want) {
+		t.Error("plan compiled past a failing store encodes differently from compiled")
+	}
 	if !bytes.Equal(enc(cached), want) {
 		t.Error("memory-resolved plan encodes differently from compiled")
 	}
 }
 
-// TestWriteBack checks the convergence mechanic: a compile behind
-// WriteBack lands in the store, and a second chain over the same store
-// resolves without compiling. Save failures are absorbed and counted.
+// TestWriteBack checks the convergence mechanic: a compile lands in the
+// store, and a second chain over the same store resolves without compiling.
+// A failing save does not fail the lookup.
 func TestWriteBack(t *testing.T) {
 	key := testKey(4)
 	ms := newMemStore()
-	first := Sequential(Optional(Store(ms)), WriteBack(Compiler(), ms))
-	if _, err := first.Resolve(context.Background(), key); err != nil {
+	if _, err := chain(ms).Resolve(context.Background(), key); err != nil {
 		t.Fatalf("first resolve: %v", err)
 	}
 	if ms.saves != 1 {
 		t.Fatalf("saves = %d, want 1 write-back", ms.saves)
 	}
-	second := Sequential(Optional(Store(ms)), WriteBack(Compiler(), ms))
+	second := chain(ms)
 	if _, err := second.Resolve(context.Background(), key); err != nil {
 		t.Fatalf("second resolve: %v", err)
 	}
-	for _, st := range second.Stats() {
-		if st.Stage == "compile" && st.Lookups != 0 {
-			t.Errorf("second chain compiled despite the write-back: %+v", st)
-		}
-		if st.Stage == "store" && st.Hits != 1 {
-			t.Errorf("second chain store stats = %+v, want 1 hit", st)
-		}
+	if st := second.Stats(); st[0].Hits != 1 || st[1].Lookups != 0 {
+		t.Errorf("second chain: %+v; want a store hit and no compile", st)
 	}
 
-	ms.mu.Lock()
 	ms.failSave = true
-	ms.mu.Unlock()
-	wb := WriteBack(Compiler(), ms)
-	if _, err := wb.Resolve(context.Background(), testKey(8)); err != nil {
+	if _, err := chain(ms).Resolve(context.Background(), testKey(8)); err != nil {
 		t.Fatalf("save failure leaked into the lookup: %v", err)
 	}
-	if st := wb.Stats()[0]; st.SaveErrors != 1 {
-		t.Errorf("stats = %+v, want the failed write-back counted", st)
+	if ms.saves != 2 {
+		t.Errorf("saves = %d, want the failed write-back attempted once", ms.saves)
 	}
 }
 
-// TestCacheResolverIntegration wires a chain into a plan.Cache via
-// SetResolver and checks the miss path goes through the chain (store
-// hit: no compile) and the cache's store counters read the chain's.
-func TestCacheResolverIntegration(t *testing.T) {
-	key := testKey(4)
-	ms := newMemStore()
-	ms.m[key] = mustCompile(t, key)
-	chain := Sequential(Optional(Store(ms)), WriteBack(Compiler(), ms))
-	cache := plan.NewCache(4)
-	cache.SetResolver(chain)
-
-	if _, err := cache.Get(key.Request()); err != nil {
-		t.Fatalf("get through resolver: %v", err)
-	}
-	for _, st := range chain.Stats() {
-		switch st.Stage {
-		case "store":
-			if st.Hits != 1 {
-				t.Errorf("store stats = %+v, want the fill's hit", st)
-			}
-		case "compile":
-			if st.Lookups != 0 {
-				t.Errorf("compile ran despite the store hit: %+v", st)
-			}
-		}
-	}
-	if st := cache.Stats(); st.StoreHits != 1 || st.StoreErrors != 0 {
-		t.Errorf("cache store counters = %+v, want the chain's one store hit", st)
-	}
-	// Second lookup: resident, chain not consulted again.
-	if _, err := cache.Get(key.Request()); err != nil {
-		t.Fatal(err)
-	}
-	if st := chain.Stats()[0]; st.Lookups != 1 {
-		t.Errorf("chain consulted %d times, want 1 (second lookup was resident)", st.Lookups)
-	}
-}
-
-// TestWriteBackCarriesTheTape: under a session a chain's compiled plan is
-// saved once, at the miss, with the tape the compile stage recorded; the next
-// session's store stage hands the plan over ready to replay and writes
-// nothing; a chain resolved on its own writes the same taped frame; and a
-// frame stored without a tape (an earlier build's) is taped at its load and
-// rewritten once.
+// TestWriteBackCarriesTheTape: under a store-backed session a compiled plan
+// is saved once, at the miss, with the tape the compile recorded; the next
+// session's load hands the plan over ready to replay and writes nothing; a
+// chain resolved on its own writes the same taped frame; and a frame stored
+// without a tape (an earlier build's) is taped at its load and rewritten
+// once.
 func TestWriteBackCarriesTheTape(t *testing.T) {
 	store, err := planstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
-	}
-	chainOver := func() Resolver {
-		return Sequential(Optional(Store(store)), WriteBack(Compiler(), store))
 	}
 	req := testKey(6).Request()
 	inputs := req.Inputs(func(n int) []float32 {
@@ -334,7 +224,7 @@ func TestWriteBackCarriesTheTape(t *testing.T) {
 		t.Helper()
 		s := plan.NewSession(4, 1)
 		defer s.Close()
-		s.SetResolver(chainOver())
+		s.SetStore(store)
 		if _, err := s.Run(req, inputs); err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +254,7 @@ func TestWriteBackCarriesTheTape(t *testing.T) {
 
 	// A chain resolved on its own writes the frame taped as well.
 	other := testKey(7)
-	if _, err := chainOver().Resolve(context.Background(), other); err != nil {
+	if _, err := chain(store).Resolve(context.Background(), other); err != nil {
 		t.Fatal(err)
 	}
 	req = other.Request()

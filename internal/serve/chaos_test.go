@@ -201,9 +201,9 @@ func TestChaosSoak(t *testing.T) {
 
 // TestChaosStoreDegradesToCompile is the store-failure chaos posture: a
 // daemon over a plan store whose loads fail a third of the time. Because
-// the store stage is Optional and compile terminates the chain, every
-// single request must still answer 200 — store chaos is invisible to
-// clients, visible only in the per-stage error counters.
+// the miss absorbs a store failure and compiles, every single request must
+// still answer 200 — store chaos is invisible to clients, visible only in
+// the miss ledger's error counters.
 func TestChaosStoreDegradesToCompile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short")
@@ -261,17 +261,10 @@ func TestChaosStoreDegradesToCompile(t *testing.T) {
 	if non200 != 0 {
 		t.Fatalf("%d requests surfaced store chaos to the client", non200)
 	}
-	var storeErrors, storeHits, compileHits int64
-	for _, st := range sess.Resolver().Stats() {
-		switch st.Stage {
-		case "store":
-			storeErrors, storeHits = st.Errors, st.Hits
-		case "compile":
-			compileHits = st.Hits
-		}
-		if st.Hits+st.Misses+st.Errors != st.Lookups {
-			t.Errorf("stage %s accounting leak under chaos: %+v", st.Stage, st)
-		}
+	m := sess.PlanStats().Miss
+	storeErrors, storeHits, compileHits := m.Store.Errors, m.Store.Hits, m.Compile.Hits
+	if m.Store.Hits+m.Store.Misses+m.Store.Errors != m.Store.Lookups || m.Compile.Hits+m.Compile.Errors != m.Compile.Lookups {
+		t.Errorf("miss ledger leaks under chaos: %+v", m)
 	}
 	if storeErrors == 0 {
 		t.Error("the planstore.load failpoint never fired — the soak proved nothing")

@@ -17,7 +17,6 @@ import (
 	wse "repro"
 
 	"repro/internal/obs"
-	"repro/internal/resolve"
 )
 
 // httpStats counts requests per endpoint and status code.
@@ -82,24 +81,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		emit("wse_plan_store_save_seconds_total", "counter", g("wse_plan_store_save_seconds_total", st.SaveLatency.Seconds()))
 	}
 
-	stages := s.cfg.Session.Resolver().Stats()
-	stageCounter := func(field string, pick func(st resolve.Stats) int64) {
-		lines := make([]string, 0, len(stages))
-		for _, st := range stages {
-			lines = append(lines, fmt.Sprintf("wse_resolve_%s_total{stage=%q} %d", field, st.Stage, pick(st)))
-		}
-		emit("wse_resolve_"+field+"_total", "counter", lines...)
+	// The miss path's two steps, one row each: the store's loads (with every
+	// failed save) and the compiles.
+	ms := ps.Miss
+	for _, f := range []struct {
+		field          string
+		store, compile int64
+	}{
+		{"lookups", ms.Store.Lookups, ms.Compile.Lookups},
+		{"hits", ms.Store.Hits, ms.Compile.Hits},
+		{"misses", ms.Store.Misses, ms.Compile.Misses},
+		{"errors", ms.Store.Errors, ms.Compile.Errors},
+		{"save_errors", ms.SaveErrors, 0},
+	} {
+		name := "wse_resolve_" + f.field + "_total"
+		emit(name, "counter", c(name+`{stage="store"}`, f.store), c(name+`{stage="compile"}`, f.compile))
 	}
-	stageCounter("lookups", func(st resolve.Stats) int64 { return st.Lookups })
-	stageCounter("hits", func(st resolve.Stats) int64 { return st.Hits })
-	stageCounter("misses", func(st resolve.Stats) int64 { return st.Misses })
-	stageCounter("errors", func(st resolve.Stats) int64 { return st.Errors })
-	stageCounter("save_errors", func(st resolve.Stats) int64 { return st.SaveErrors })
-	lat := make([]string, 0, len(stages))
-	for _, st := range stages {
-		lat = append(lat, fmt.Sprintf("wse_resolve_latency_seconds_total{stage=%q} %g", st.Stage, st.Latency.Seconds()))
-	}
-	emit("wse_resolve_latency_seconds_total", "counter", lat...)
+	emit("wse_resolve_latency_seconds_total", "counter",
+		g(`wse_resolve_latency_seconds_total{stage="store"}`, ms.Store.Latency.Seconds()),
+		g(`wse_resolve_latency_seconds_total{stage="compile"}`, ms.Compile.Latency.Seconds()))
 
 	sched := s.cfg.Session.SchedStats()
 	names := make([]string, 0, len(sched.Tenants))

@@ -4,13 +4,14 @@ package serve
 //
 //	POST /v1/warm  {"shapes": [{...}, ...]} -> per-shape outcome
 //
-// Each shape is materialised through the session's resolver chain, so a
-// daemon is warmed without filesystem access to its plan store.
+// Each shape is materialised through the session's plan miss (the store,
+// else the compiler), so a daemon is warmed without filesystem access to
+// its plan store.
 
 import "net/http"
 
-// handleWarm materialises each listed shape through the session's
-// resolver chain. Partial failure is the normal case for a long list,
+// handleWarm materialises each listed shape through the session's plan
+// miss. Partial failure is the normal case for a long list,
 // so the response is always 200 with per-shape accounting; a shape that
 // fails to warm is reported and skipped, never aborting the rest.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {

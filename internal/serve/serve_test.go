@@ -23,7 +23,6 @@ import (
 	"repro/client"
 	"repro/internal/fabric"
 	"repro/internal/plan"
-	"repro/internal/resolve"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -538,21 +537,28 @@ func TestWarmEndpoint(t *testing.T) {
 	}
 }
 
-// TestResolverMetrics: the per-stage counters of the session's chain
-// surface in /metrics after traffic — a chain the session was given, and
-// the bare compiler of a session given none.
+// TestResolverMetrics: the miss ledger's store and compile rows surface in
+// /metrics after traffic — of a store-backed session, and of a bare one,
+// whose store row stays zero.
 func TestResolverMetrics(t *testing.T) {
-	sess := wse.NewSession(wse.SessionConfig{Resolver: resolve.Sequential(resolve.Compiler())})
-	_, chained := newTestServer(t, Config{Session: sess})
+	store, err := wse.OpenPlanStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := wse.NewSession(wse.SessionConfig{Store: store})
+	_, stored := newTestServer(t, Config{Session: sess, Store: store})
 	_, bare := newTestServer(t, Config{})
 	for url, want := range map[string][]string{
-		chained.URL: {
-			`wse_resolve_lookups_total{stage="sequential"} 1`,
-			`wse_resolve_hits_total{stage="sequential"} 1`,
+		stored.URL: {
+			`wse_resolve_lookups_total{stage="store"} 1`,
+			`wse_resolve_misses_total{stage="store"} 1`,
+			`wse_resolve_save_errors_total{stage="store"} 0`,
 			`wse_resolve_lookups_total{stage="compile"} 1`,
+			`wse_resolve_hits_total{stage="compile"} 1`,
 			`wse_resolve_latency_seconds_total{stage="compile"}`,
 		},
 		bare.URL: {
+			`wse_resolve_lookups_total{stage="store"} 0`,
 			`wse_resolve_lookups_total{stage="compile"} 1`,
 			`wse_resolve_hits_total{stage="compile"} 1`,
 		},
@@ -565,6 +571,9 @@ func TestResolverMetrics(t *testing.T) {
 			if !strings.Contains(string(body), line) {
 				t.Errorf("metrics missing %q", line)
 			}
+		}
+		if strings.Contains(string(body), `stage="sequential"`) {
+			t.Error("metrics still carry a sequential row")
 		}
 	}
 }

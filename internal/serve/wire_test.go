@@ -216,17 +216,23 @@ func TestOversizeBody413(t *testing.T) {
 // plus at most the 1 MiB the header may pre-size.
 func TestContentLengthIsNotTrusted(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	req := httptest.NewRequest("POST", "/v1/run", strings.NewReader("0123456789"))
-	req.ContentLength = 64 << 20
-	rec := httptest.NewRecorder()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	s.Handler().ServeHTTP(rec, req)
-	runtime.ReadMemStats(&after)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("ten bytes of digits answered %d: %s", rec.Code, rec.Body)
+	// The least of three passes: anything else the process allocates
+	// meanwhile only adds.
+	got := uint64(math.MaxUint64)
+	for range 3 {
+		req := httptest.NewRequest("POST", "/v1/run", strings.NewReader("0123456789"))
+		req.ContentLength = 64 << 20
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Handler().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("ten bytes of digits answered %d: %s", rec.Code, rec.Body)
+		}
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+	if got >= 2<<20 {
 		t.Errorf("a 10-byte body claiming 64 MiB made the server allocate %d bytes, want under 2 MiB", got)
 	}
 }

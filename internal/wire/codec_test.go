@@ -363,14 +363,20 @@ func TestRunRequestDecodeAllocs(t *testing.T) {
 	if allocs > p+4 {
 		t.Errorf("decoding %d rows took %.0f allocations, want at most %d", p, allocs, p+4)
 	}
+	// The least of three passes: anything else the process allocates
+	// meanwhile only adds.
 	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		DecodeRunRequest(body, &RunRequest{})
+	got := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			DecodeRunRequest(body, &RunRequest{})
+		}
+		runtime.ReadMemStats(&after)
+		got = min(got, (after.TotalAlloc-before.TotalAlloc)/runs)
 	}
-	runtime.ReadMemStats(&after)
-	if got, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(11*4*p*b/10); got > limit {
+	if limit := uint64(11 * 4 * p * b / 10); got > limit {
 		t.Errorf("decoding %d×%d float32 allocated %d bytes, want at most %d", p, b, got, limit)
 	}
 }

@@ -42,19 +42,11 @@ type SessionConfig struct {
 	// cache misses first try to decode the stored plan (no compile), and
 	// plans the session does compile are persisted back, so sessions over
 	// one store compile each distinct shape once between them, not once per
-	// process. It is a preset over Resolver — the chain
-	// Sequential(Optional(Store(s)), WriteBack(Compiler(), s)) — so store
-	// failures never fail a request (the session falls back to compiling)
-	// and are counted in PlanStats.StoreErrors, and a compiled plan is
-	// written once, at its miss, with the replay tape the miss recorded
-	// (README "Plan persistence").
+	// process. Store failures never fail a request (the session falls
+	// back to compiling) and are counted in PlanStats.StoreErrors, and a
+	// compiled plan is written once, at its miss, with the replay tape the
+	// miss recorded (README "One miss path").
 	Store *PlanStore
-	// Resolver, when non-nil, is the session's plan miss path: a chain
-	// composed from internal/resolve's stages (through the wse.Resolver
-	// alias), in whatever composition the caller built. PlanStats' store
-	// fields read its stages. It takes precedence over Store: with both
-	// set, the chain owns every miss.
-	Resolver Resolver
 	// Scheduler tunes the multi-tenant QoS layer in front of the worker
 	// pool; the zero value serves everything as one weight-1 Batch tenant
 	// with the default queue bound.
@@ -132,9 +124,10 @@ var ErrDeadline = sched.ErrDeadline
 const DefaultSessionMaxCycles = 1 << 28
 
 // PlanStats is the plan cache accounting: hits, misses, evictions and
-// resident plan count, and what the cached plans did with their replay
-// tapes (TapeRecords, TapeLoaded, TapeReplays, TapeDeclined; README "Replay
-// tape").
+// resident plan count, the miss ledger (Miss: store loads and compiles,
+// with the store fields read from it; README "One miss path"), and what the
+// cached plans did with their replay tapes (TapeRecords, TapeLoaded,
+// TapeReplays, TapeDeclined; README "Replay tape").
 type PlanStats = plan.CacheStats
 
 // Session executes collectives against cached compiled plans.
@@ -160,10 +153,7 @@ func NewSession(cfg SessionConfig) *Session {
 			DefaultTenant: cfg.Scheduler.DefaultTenant,
 		}),
 	}
-	switch {
-	case cfg.Resolver != nil:
-		s.s.SetResolver(cfg.Resolver)
-	case cfg.Store != nil:
+	if cfg.Store != nil {
 		s.s.SetStore(cfg.Store)
 	}
 	s.def = Tenant{s: s} // empty name: the scheduler's default tenant
@@ -172,6 +162,20 @@ func NewSession(cfg SessionConfig) *Session {
 
 // PlanStats snapshots the session's plan-cache accounting.
 func (s *Session) PlanStats() PlanStats { return s.s.Stats() }
+
+// Prefetch materialises the plan for sh into the session's cache — from
+// the store when one is attached — so the shape's first real request pays
+// no compile, and no simulator run either when the plan arrived with its
+// replay tape. It reports whether a fetch actually ran (false: already
+// resident or coalesced onto an in-flight fill). This is what the daemon's
+// /v1/warm endpoint calls per shape: remote warming without filesystem
+// access.
+func (s *Session) Prefetch(ctx context.Context, sh Shape) (bool, error) {
+	if err := sh.Validate(); err != nil {
+		return false, err
+	}
+	return s.s.Prefetch(ctx, sh.request(s.opt))
+}
 
 // SchedStats snapshots the session's scheduler accounting: per-tenant
 // counts and latency quantiles, and pool backpressure.

@@ -1,9 +1,8 @@
 package wse
 
-// The one plan miss path through the public surface: whatever a session has
-// attached — nothing, a Store, a Resolver chain, both — a miss is one call of
-// a resolver chain, PlanStats' store fields read that chain's stages, and a
-// plan reaches the store once.
+// The one plan miss path through the public surface: with a store attached
+// or without, a miss is one call of the miss function, PlanStats' store
+// fields read its ledger, and a plan reaches the store once.
 
 import (
 	"bytes"
@@ -17,7 +16,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/plan"
-	"repro/internal/resolve"
 )
 
 func TestOnePlanMissPath(t *testing.T) {
@@ -27,13 +25,11 @@ func TestOnePlanMissPath(t *testing.T) {
 	ones := func(n int) []float32 { return []float32{1, 1, 1, 1}[:n] }
 
 	for _, c := range []struct {
-		name            string
-		store, resolver bool
+		name  string
+		store bool
 	}{
-		{"nothing attached", false, false},
-		{"Store", true, false},
-		{"Resolver", false, true},
-		{"Store and Resolver", true, true},
+		{"nothing attached", false},
+		{"Store", true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -41,52 +37,35 @@ func TestOnePlanMissPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			persists := c.store || c.resolver
-			// session builds a fresh session in the configuration under test,
-			// and hands back its chain where the test holds one.
-			session := func() (*Session, resolve.Resolver) {
+			persists := c.store
+			// session builds a fresh session in the configuration under test.
+			session := func() *Session {
 				var cfg SessionConfig
-				var chain resolve.Resolver
 				if c.store {
 					cfg.Store = store
 				}
-				if c.resolver {
-					chain = resolve.Sequential(resolve.Optional(resolve.Store(store)), resolve.WriteBack(resolve.Compiler(), store))
-					cfg.Resolver = chain
-				}
 				s := NewSession(cfg)
 				t.Cleanup(func() { s.Close() })
-				return s, chain
+				return s
 			}
-			// ledger checks the session's view and the chain's against each
-			// other and against what the step expects.
-			ledger := func(step string, s *Session, chain resolve.Resolver, misses, storeHits, storeErrs int64) {
+			// ledger checks PlanStats against the miss ledger it is read from
+			// and against what the step expects.
+			ledger := func(step string, s *Session, misses, storeHits, storeErrs int64) {
 				t.Helper()
 				st := s.PlanStats()
+				storeLookups := misses
 				if !persists {
-					storeHits, storeErrs = 0, 0
+					storeLookups, storeHits, storeErrs = 0, 0, 0
 				}
 				if st.Misses != misses || st.StoreHits != storeHits || st.StoreErrors != storeErrs {
 					t.Errorf("%s: PlanStats %+v; want %d misses, %d store hits, %d store errors", step, st, misses, storeHits, storeErrs)
 				}
-				if chain == nil {
-					return
+				m := st.Miss
+				if m.Store.Hits+m.Store.Misses+m.Store.Errors != m.Store.Lookups || m.Compile.Hits+m.Compile.Errors != m.Compile.Lookups {
+					t.Errorf("%s: the miss ledger does not balance: %+v", step, m)
 				}
-				var hits, errs int64
-				for _, sg := range chain.Stats() {
-					if sg.Hits+sg.Misses+sg.Errors != sg.Lookups {
-						t.Errorf("%s: stage %s: %d hits + %d misses + %d errors != %d lookups", step, sg.Stage, sg.Hits, sg.Misses, sg.Errors, sg.Lookups)
-					}
-					if sg.Stage == "store" {
-						hits, errs = sg.Hits, sg.Errors
-						if sg.Lookups != misses {
-							t.Errorf("%s: store stage saw %d lookups for %d cache misses", step, sg.Lookups, misses)
-						}
-					}
-					errs += sg.SaveErrors
-				}
-				if hits != st.StoreHits || errs != st.StoreErrors {
-					t.Errorf("%s: the chain counts %d store hits, %d store errors; PlanStats %d, %d", step, hits, errs, st.StoreHits, st.StoreErrors)
+				if m.Store.Lookups != storeLookups || m.Store.Hits != st.StoreHits || m.Store.Errors+m.SaveErrors != st.StoreErrors {
+					t.Errorf("%s: the miss ledger %+v; want %d store lookups, and PlanStats' store fields read from it", step, m, storeLookups)
 				}
 			}
 			saves := func(step string, want int64) {
@@ -104,11 +83,11 @@ func TestOnePlanMissPath(t *testing.T) {
 			}
 
 			// A first run compiles, and writes the plan once, tape included.
-			s1, chain := session()
+			s1 := session()
 			if err := run(s1, sh); err != nil {
 				t.Fatal(err)
 			}
-			ledger("first run", s1, chain, 1, 0, 0)
+			ledger("first run", s1, 1, 0, 0)
 			saves("first run", 1)
 			if persists {
 				if p, ok, err := store.Load(planKey(s1, sh)); err != nil || !ok {
@@ -119,18 +98,18 @@ func TestOnePlanMissPath(t *testing.T) {
 			}
 
 			// A second session over the same store loads it and writes nothing.
-			s2, chain := session()
+			s2 := session()
 			if err := run(s2, sh); err != nil {
 				t.Fatal(err)
 			}
-			ledger("second session", s2, chain, 1, 1, 0)
+			ledger("second session", s2, 1, 1, 0)
 			saves("second session", 1)
 			if st := s2.PlanStats(); persists && (st.TapeLoaded != 1 || st.TapeRecords != 0) {
 				t.Errorf("second session: %+v; want the tape loaded, nothing recorded", st)
 			}
 
-			// A corrupt blob is a store failure Optional demotes to a miss: the
-			// plan is recompiled and rewritten, and the failure is counted once
+			// A corrupt blob is a store failure the miss absorbs: the plan is
+			// recompiled and rewritten, and the failure is counted once
 			// in each ledger and logged once.
 			var logged bytes.Buffer
 			prev := log.Writer()
@@ -150,11 +129,11 @@ func TestOnePlanMissPath(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			s3, chain := session()
+			s3 := session()
 			if err := run(s3, sh); err != nil {
 				t.Fatalf("corrupt blob failed the run: %v", err)
 			}
-			ledger("corrupt blob", s3, chain, 1, 0, 1)
+			ledger("corrupt blob", s3, 1, 0, 1)
 			saves("corrupt blob", 2)
 			if persists {
 				if st := store.Stats(); st.LoadErrors != 1 {
@@ -175,7 +154,7 @@ func TestOnePlanMissPath(t *testing.T) {
 			if err := run(s3, other); !errors.Is(err, faults.ErrInjected) {
 				t.Fatalf("dispatch failpoint: %v", err)
 			}
-			ledger("rejected run", s3, chain, 2, 0, 1)
+			ledger("rejected run", s3, 2, 0, 1)
 			saves("rejected run", 3)
 			if persists {
 				if p, ok, err := store.Load(planKey(s3, other)); err != nil || !ok {
@@ -188,4 +167,4 @@ func TestOnePlanMissPath(t *testing.T) {
 	}
 }
 
-func planKey(s *Session, sh Shape) Key { return plan.KeyOf(sh.request(s.opt)) }
+func planKey(s *Session, sh Shape) plan.Key { return plan.KeyOf(sh.request(s.opt)) }
