@@ -48,7 +48,7 @@ func TestWorkerChainWritesEachPlanOnce(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("%v: stored ok=%v err=%v", key, ok, err)
 			}
-			if tape, _ := p.Tape(); tape != nil {
+			if tape := p.Tape(); tape != nil {
 				n++
 			}
 		}

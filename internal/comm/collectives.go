@@ -157,7 +157,7 @@ func streamLeaves(spec *fabric.Spec, path mesh.Path, tree Tree) {
 		if v+1 < len(tree.Parent) && tree.Parent[v+1] == v {
 			continue
 		}
-		prog := spec.PE(path[v]).Program().Ops
+		prog := spec.Program(path[v]).Ops
 		n := len(prog)
 		if n < 2 || prog[n-2].Kind != fabric.OpRecvReduce || prog[n-1].Kind != fabric.OpSend {
 			continue // a row of one PE: nothing to stream

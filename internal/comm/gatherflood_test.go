@@ -37,7 +37,7 @@ func runAllGatherFrom(build func(*fabric.Spec) error, p, b int, delay []int, opt
 		pe := spec.PE(c)
 		pe.Init = init
 		if delay != nil && delay[j] > 0 {
-			spec.SetOps(c, append([]fabric.Op{{Kind: fabric.OpBusyWrite, N: delay[j]}}, pe.Program().Ops...))
+			spec.SetOps(c, append([]fabric.Op{{Kind: fabric.OpBusyWrite, N: delay[j]}}, spec.Program(c).Ops...))
 		}
 	}
 	f, err := fabric.New(spec, opt)
@@ -89,11 +89,11 @@ func TestGatherFloodConfigs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for u, c := range mesh.Row(0, 0, p) {
-			pe := spec.PE(c)
-			if len(pe.Program().Configs) != 1 || pe.Program().Configs[0].Color != 0 {
-				t.Fatalf("p=%d: PE %d routes %d colors", p, u, len(pe.Program().Configs))
+			prog := spec.Program(c)
+			if len(prog.Configs) != 1 || prog.Configs[0].Color != 0 {
+				t.Fatalf("p=%d: PE %d routes %d colors", p, u, len(prog.Configs))
 			}
-			cfgs, turns := pe.Program().Configs[0].Cfgs, 0
+			cfgs, turns := prog.Configs[0].Cfgs, 0
 			for _, cfg := range cfgs {
 				turns += cfg.Times
 			}

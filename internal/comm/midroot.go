@@ -298,7 +298,7 @@ func BuildAllGatherStreamed(spec *fabric.Spec, lane Lane) error {
 		}
 		// gatherHalves left the sender's one send last; it takes the first
 		// flood too.
-		ops = append(ops[:0], spec.PE(c).Program().Ops...)
+		ops = append(ops[:0], spec.Program(c).Ops...)
 		send := &ops[len(ops)-1]
 		send.Kind, send.OutColor, send.Color = fabric.OpSendRecvStore, send.Color, flood
 		send.Off2, send.N2 = off[mid], sz[mid]

@@ -9,8 +9,8 @@ import (
 
 // BuildTreeReduce compiles a pre-order tree reduction over the PEs of a
 // lane into spec. Path index 0 is the reduction root. Each participating PE
-// must already carry its Init vector (set by the caller); the tree combines
-// the lane's window of it.
+// starts from the vector its run binds to it (fabric.NewBound); the tree
+// combines the lane's window of it.
 //
 // The tree alternates between the lane's two colors Base and Base+1: a
 // vertex at depth d receives its children's transfers on Base+d%2 and sends

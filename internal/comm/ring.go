@@ -94,7 +94,7 @@ func addRingEdge(spec *fabric.Spec, path mesh.Path, a, b int, color mesh.Color) 
 		return path.TowardEnd(i)
 	}
 	add := func(i int, cfg fabric.RouterConfig) error {
-		if spec.PE(path[i]).ConfigsFor(color) != nil {
+		if spec.Program(path[i]).ConfigsFor(color) != nil {
 			return fmt.Errorf("comm: ring color %d collides at path index %d", color, i)
 		}
 		spec.AddConfig(path[i], color, cfg)

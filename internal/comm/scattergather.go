@@ -19,15 +19,20 @@ func Chunks(p, b int) (off, sz []int) {
 	off = make([]int, p)
 	sz = make([]int, p)
 	for j := 0; j < p; j++ {
-		sz[j] = b / p
-		if j < b%p {
-			sz[j]++
-		}
-		if j > 0 {
-			off[j] = off[j-1] + sz[j-1]
-		}
+		off[j], sz[j] = Chunk(p, b, j)
 	}
 	return off, sz
+}
+
+// Chunk is chunk j of Chunks(p, b), without the tables: its offset and its
+// size.
+func Chunk(p, b, j int) (off, n int) {
+	q, r := b/p, b%p
+	off, n = j*q+min(j, r), q
+	if j < r {
+		n++
+	}
+	return off, n
 }
 
 // BuildScatter compiles a Scatter: path index 0 holds a full B-element

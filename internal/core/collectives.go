@@ -68,7 +68,7 @@ func placeChunks(spec *fabric.Spec, p, b int) error {
 	off, _ := comm.Chunks(p, b)
 	var ops []fabric.Op
 	for v, c := range mesh.Row(0, 0, p)[1:] {
-		ops = append(ops[:0], spec.PE(c).Program().Ops...)
+		ops = append(ops[:0], spec.Program(c).Ops...)
 		if len(ops) == 0 {
 			return fmt.Errorf("core: PE %v has no chunk op to place", c)
 		}

@@ -328,7 +328,7 @@ func BuildBroadcast1DInto(spec *fabric.Spec, p, b int) error {
 		return err
 	}
 	for _, c := range lane.Path {
-		spec.PE(c) // materialise every PE even when p == 1
+		spec.Program(c) // materialise every PE even when p == 1
 	}
 	return nil
 }

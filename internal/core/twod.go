@@ -313,7 +313,7 @@ func BuildBroadcast2DInto(spec *fabric.Spec, width, height, b int) error {
 	}
 	for y := 0; y < height; y++ {
 		for x := 0; x < width; x++ {
-			spec.PE(mesh.Coord{X: x, Y: y})
+			spec.Program(mesh.Coord{X: x, Y: y})
 		}
 	}
 	return nil

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/measure"
-	"repro/internal/mesh"
 	"repro/internal/model"
 	"repro/internal/plan"
 )
@@ -99,35 +98,18 @@ func measured(req plan.Request) (float64, error) {
 	if err != nil {
 		return math.NaN(), err
 	}
+	ones := slices.Repeat([]float32{1}, req.B) // the engine copies it into every PE
 	col := measure.Collective{
 		Width:  pl.Spec.Width,
 		Height: pl.Spec.Height,
-		Build: func(spec *fabric.Spec) error {
-			if err := pl.Stamp(spec); err != nil {
-				return err
-			}
-			onesInit(spec, req.B)
-			return nil
-		},
+		Build:  pl.Stamp,
+		Inputs: slices.Repeat([][]float32{ones}, pl.Spec.Width*pl.Spec.Height),
 	}
 	res, err := measure.Measure(col, req.Opt, measure.Config{})
 	if err != nil {
 		return math.NaN(), err
 	}
 	return float64(res.Cycles), nil
-}
-
-// onesInit fills every programmed PE with a constant vector so measured
-// runs also validate the reduction result.
-func onesInit(spec *fabric.Spec, b int) {
-	spec.Each(func(_ mesh.Coord, pe *fabric.PESpec) {
-		if pe.Init == nil {
-			pe.Init = make([]float32, b)
-			for i := range pe.Init {
-				pe.Init[i] = 1
-			}
-		}
-	})
 }
 
 // onesInputs builds the all-ones inputs of a request, in its kind's layout.

@@ -77,7 +77,7 @@ func TestRunAllocsIndependentOfCycles(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := stampedSpec(t, pl)
-		s.Each(func(_ mesh.Coord, pe *fabric.PESpec) { pe.Init = make([]float32, b) })
+		s.Each(func(c mesh.Coord, _ *fabric.Program) { s.PE(c).Init = make([]float32, b) })
 		return testing.AllocsPerRun(5, func() {
 			f, err := fabric.New(s, pl.Opt)
 			if err != nil {
@@ -127,7 +127,7 @@ func TestNewBytesPerPE(t *testing.T) {
 		}
 		s := stampedSpec(t, pl)
 		arena := 0
-		s.Each(func(_ mesh.Coord, pe *fabric.PESpec) { arena += 4 * max(pe.AccNeed(), len(pe.Init)) })
+		s.Each(func(_ mesh.Coord, p *fabric.Program) { arena += 4 * p.AccNeed() }) // nothing bound
 		// The least of three passes: anything else the process allocates
 		// meanwhile only adds.
 		const runs = 4
@@ -160,7 +160,8 @@ func TestResultOutlivesReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	bind := func(s *fabric.Spec, scale float32) {
-		s.Each(func(c mesh.Coord, pe *fabric.PESpec) {
+		s.Each(func(c mesh.Coord, _ *fabric.Program) {
+			pe := s.PE(c)
 			pe.Init = make([]float32, pl.B)
 			for i := range pe.Init {
 				pe.Init[i] = scale * float32(c.X*pl.B+i+1)

@@ -325,14 +325,14 @@ type Fabric struct {
 	clockArena  []int64     // backing store of every proc's clock slots
 	cycle       int64
 
-	// lastSpec is the spec the fabric was last resolved against and peRefs
-	// its programmed PEs in unit order. A Reset with the very same *Spec
-	// (a benchmark probe rebinds Init in place and reuses one spec object)
-	// skips validation and resolve and only re-arms.
+	// lastSpec is the spec the fabric was last resolved against and progs
+	// the programs of its programmed PEs in unit order. A Reset with the
+	// very same *Spec (a benchmark probe rebinds Init in place and reuses one
+	// spec object) skips validation and resolve and only re-arms.
 	lastSpec *Spec
-	peRefs   []*PESpec
+	progs    []*Program
 	// init, when non-nil, holds the PEs' initial vectors by row-major index
-	// in place of their Init (NewBound).
+	// in place of the spec's bindings (NewBound).
 	init [][]float32
 
 	shards    []shardState
@@ -411,10 +411,10 @@ type shardState struct {
 func New(s *Spec, opt Options) (*Fabric, error) { return NewBound(s, nil, opt) }
 
 // NewBound is New for one run of a program many runs share: the PE at
-// row-major index i of the region starts from init[i] in place of its Init,
-// and from nothing past the end of init. The spec is only read, so runs of
-// one spec may each bind their own vectors at once. A Reset with another
-// spec drops the binding.
+// row-major index i of the region starts from init[i] in place of its Init
+// binding (Spec.PE), and from nothing past the end of init. The spec is only
+// read, so runs of one spec may each bind their own vectors at once. A Reset
+// with another spec drops the binding.
 func NewBound(s *Spec, init [][]float32, opt Options) (*Fabric, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -429,35 +429,35 @@ func NewBound(s *Spec, init [][]float32, opt Options) (*Fabric, error) {
 		width:   s.Width,
 		height:  s.Height,
 		coords:  make([]mesh.Coord, 0, n),
-		grid:    make([]int32, len(s.pes)),
+		grid:    make([]int32, len(s.place)),
 		routers: make([]router, n),
 		procs:   make([]proc, n),
-		peRefs:  make([]*PESpec, 0, n),
+		progs:   make([]*Program, 0, n),
 		init:    init,
 	}
 	totalCS := 0
-	for idx := range s.pes {
+	for idx := range s.place {
 		f.grid[idx] = -1
-		if pe := &s.pes[idx]; pe.prog != nil {
+		if p := s.at(idx); p != nil {
 			f.grid[idx] = int32(len(f.coords))
 			f.coords = append(f.coords, s.coord(idx))
-			f.peRefs = append(f.peRefs, pe)
-			totalCS += len(pe.prog.Configs)
+			f.progs = append(f.progs, p)
+			totalCS += len(p.Configs)
 		}
 	}
 
 	// Lay out the color states flat, grouped by router, colors ascending —
 	// the order the routing tables are held in.
 	f.colorStates = make([]colorState, 0, totalCS)
-	for i, pe := range f.peRefs {
+	for i, prog := range f.progs {
 		r := &f.routers[i]
 		r.csBase = int32(len(f.colorStates))
-		for k := range pe.prog.Configs {
-			color := pe.prog.Configs[k].Color
+		for k := range prog.Configs {
+			color := prog.Configs[k].Color
 			r.colors |= 1 << color
 			f.colorStates = append(f.colorStates, colorState{color: color, router: int32(i)})
 		}
-		r.nCS = uint8(len(pe.prog.Configs))
+		r.nCS = uint8(len(prog.Configs))
 	}
 	for f.ringMask+1 < uint32(opt.QueueCap) {
 		f.ringShift++
@@ -480,7 +480,7 @@ func (f *Fabric) unitAt(c mesh.Coord) int32 {
 	return f.grid[c.Y*f.width+c.X]
 }
 
-// resolve binds the fabric to the program in f.peRefs: everything that
+// resolve binds the fabric to the program in f.progs: everything that
 // depends on the program but not on a run. It points every color state at
 // its configuration list and at its peers, gives every queue that anything
 // in the program can push to a place in f.queues and a window in the ring
@@ -488,11 +488,11 @@ func (f *Fabric) unitAt(c mesh.Coord) int32 {
 // only when handed a different spec.
 func (f *Fabric) resolve() {
 	clockTotal := 0
-	for i, pe := range f.peRefs {
+	for i, prog := range f.progs {
 		r := &f.routers[i]
-		for k := range pe.prog.Configs {
+		for k := range prog.Configs {
 			cs := &f.colorStates[int(r.csBase)+k]
-			cs.row = &pe.prog.Configs[k]
+			cs.row = &prog.Configs[k]
 			for d := mesh.Direction(0); d < mesh.Ramp; d++ {
 				cs.peer[d] = -1
 				if nb := f.unitAt(f.coords[i].Add(d)); nb >= 0 {
@@ -501,9 +501,9 @@ func (f *Fabric) resolve() {
 			}
 		}
 		p := &f.procs[i]
-		p.accNeed = pe.AccNeed()
+		p.accNeed = prog.AccNeed()
 		p.clockOff = clockTotal
-		clockTotal += pe.prog.ClockSlots
+		clockTotal += prog.ClockSlots
 	}
 
 	// A queue gets a window when something can push to it: an inbox when a
@@ -528,7 +528,7 @@ func (f *Fabric) resolve() {
 		queues++
 		return queues - 1
 	}
-	for i, pe := range f.peRefs {
+	for i, prog := range f.progs {
 		r := &f.routers[i]
 		sh = &f.shards[f.unitShard[i]]
 		sh.maxCS += int(r.nCS)
@@ -546,7 +546,7 @@ func (f *Fabric) resolve() {
 				}
 			}
 		}
-		for _, op := range pe.prog.Ops {
+		for _, op := range prog.Ops {
 			var out mesh.Color
 			switch op.Kind {
 			case OpSend, OpSendTrigger:
@@ -577,16 +577,16 @@ func (f *Fabric) resolve() {
 // clocks is unit i's clock slots.
 func (f *Fabric) clocks(i int) []int64 {
 	off := f.procs[i].clockOff
-	n := f.peRefs[i].prog.ClockSlots
+	n := f.progs[i].ClockSlots
 	return f.clockArena[off : off+n : off+n]
 }
 
-// AccNeed is the accumulator length the PE's ops address: they touch
-// acc[Off..Off+N), and the buffer must span that even when the PE
+// AccNeed is the accumulator length the program's ops address: they touch
+// acc[Off..Off+N), and a PE's buffer must span that even when the PE
 // contributes no input of its own.
-func (pe *PESpec) AccNeed() int {
+func (p *Program) AccNeed() int {
 	need := 0
-	for _, op := range pe.prog.Ops {
+	for _, op := range p.Ops {
 		switch op.Kind {
 		case OpSend, OpRecvReduce, OpRecvReduceSend, OpRecvStore:
 			need = max(need, op.Off+op.N)
@@ -716,7 +716,7 @@ func (f *Fabric) arm() {
 	}
 
 	accTotal := 0
-	for i := range f.peRefs {
+	for i := range f.progs {
 		accTotal += max(f.procs[i].accNeed, len(f.initOf(i)))
 	}
 	if accTotal > len(f.accArena) {
@@ -724,7 +724,7 @@ func (f *Fabric) arm() {
 	}
 	acc := f.accArena
 	rng := f.opt.Seed | 1
-	for i, pe := range f.peRefs {
+	for i, prog := range f.progs {
 		r := &f.routers[i]
 		r.usedAt, r.used = 0, 0
 		r.inList = false
@@ -742,7 +742,7 @@ func (f *Fabric) arm() {
 			rng = splitmix(rng)
 			p.skew = int64(rng % uint64(f.opt.ClockSkewMax))
 		}
-		p.ops = pe.prog.Ops
+		p.ops = prog.Ops
 		p.elem, p.rElem = 0, 0
 		p.ctlPhase, p.rDone, p.sDone = false, false, false
 		p.actLeft, p.actDone = 0, false
@@ -762,12 +762,13 @@ func (f *Fabric) arm() {
 }
 
 // initOf is unit i's initial vector: its binding when the fabric has one,
-// else its PE's Init.
+// else its PE's Init binding in the spec.
 func (f *Fabric) initOf(i int) []float32 {
+	k := f.coords[i].Y*f.width + f.coords[i].X
 	if f.init == nil {
-		return f.peRefs[i].Init
+		return f.lastSpec.initOf(k)
 	}
-	if k := f.coords[i].Y*f.width + f.coords[i].X; k < len(f.init) {
+	if k < len(f.init) {
 		return f.init[k]
 	}
 	return nil
@@ -798,22 +799,22 @@ func (f *Fabric) Reset(s *Spec) error {
 			return err
 		}
 		for i, c := range f.coords {
-			pe := s.At(c)
-			if pe == nil {
+			prog := s.At(c)
+			if prog == nil {
 				return fmt.Errorf("fabric: reset spec lacks PE %v", c)
 			}
 			r := &f.routers[i]
-			if len(pe.prog.Configs) != int(r.nCS) {
-				return fmt.Errorf("fabric: reset PE %v has %d colors, fabric has %d", c, len(pe.prog.Configs), r.nCS)
+			if len(prog.Configs) != int(r.nCS) {
+				return fmt.Errorf("fabric: reset PE %v has %d colors, fabric has %d", c, len(prog.Configs), r.nCS)
 			}
-			for k := range pe.prog.Configs {
-				if want := f.colorStates[int(r.csBase)+k].color; pe.prog.Configs[k].Color != want {
+			for k := range prog.Configs {
+				if want := f.colorStates[int(r.csBase)+k].color; prog.Configs[k].Color != want {
 					return fmt.Errorf("fabric: reset PE %v lacks color %d", c, want)
 				}
 			}
 		}
 		for i, c := range f.coords {
-			f.peRefs[i] = s.At(c)
+			f.progs[i] = s.At(c)
 		}
 		f.lastSpec, f.init = s, nil
 		f.resolve()
@@ -1200,7 +1201,7 @@ func (f *Fabric) result() (*Result, error) {
 		res.Clocks = make(map[mesh.Coord][]int64)
 		clocks := slices.Clone(f.clockArena)
 		for i, c := range f.coords {
-			if off, n := f.procs[i].clockOff, f.peRefs[i].prog.ClockSlots; n > 0 {
+			if off, n := f.procs[i].clockOff, f.progs[i].ClockSlots; n > 0 {
 				res.Clocks[c] = clocks[off : off+n : off+n]
 			}
 		}
@@ -1673,7 +1674,7 @@ func (f *Fabric) describeStall() string {
 			if len(p.ops) > 0 {
 				op := p.ops[0]
 				fmt.Fprintf(&b, "PE %v blocked on op %d %v color=%d elem=%d/%d inbox=%d; ",
-					f.coords[i], len(f.peRefs[i].prog.Ops)-len(p.ops), op.Kind, op.Color, p.elem, op.N, p.inboxTotal)
+					f.coords[i], len(f.progs[i].Ops)-len(p.ops), op.Kind, op.Color, p.elem, op.N, p.inboxTotal)
 			} else {
 				fmt.Fprintf(&b, "PE %v drained ops, inbox=%d; ", f.coords[i], p.inboxTotal)
 			}

@@ -328,9 +328,9 @@ func TestThermalNoopsSlowRun(t *testing.T) {
 
 func TestClockSkewSampling(t *testing.T) {
 	s := twoPE(4)
-	s.Each(func(c mesh.Coord, pe *PESpec) {
+	s.Each(func(c mesh.Coord, p *Program) {
 		s.SetClockSlots(c, 1)
-		s.SetOps(c, append([]Op{{Kind: OpSampleClock, Slot: 0}}, pe.prog.Ops...))
+		s.SetOps(c, append([]Op{{Kind: OpSampleClock, Slot: 0}}, p.Ops...))
 	})
 	f, err := New(s, Options{ClockSkewMax: 1 << 20, Seed: 99})
 	if err != nil {

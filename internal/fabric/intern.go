@@ -108,11 +108,11 @@ func (ed *edge) leadsTo(e *edit) bool {
 
 // write applies e to the program of the PE at c.
 func (s *Spec) write(c mesh.Coord, e *edit) {
-	pe := s.PE(c)
-	p := pe.prog
-	for i := range p.next {
-		if p.next[i].leadsTo(e) {
-			pe.prog = p.next[i].to
+	i := s.cell(c)
+	p := s.program(i)
+	for k := range p.next {
+		if p.next[k].leadsTo(e) {
+			s.place[i] = p.next[k].to.id + 1
 			return
 		}
 	}
@@ -120,7 +120,7 @@ func (s *Spec) write(c mesh.Coord, e *edit) {
 	if len(p.next) < maxEdges {
 		p.next = append(p.next, edge{kind: e.kind, color: e.color, n: int32(len(e.ops) + len(e.cfgs)), to: q})
 	}
-	pe.prog = q
+	s.place[i] = q.id + 1
 	s.tab.stale = true
 }
 
@@ -228,7 +228,7 @@ func (t *table) find(p *Program) (*Program, int) {
 
 // add numbers p next and files it at slot, the free slot find returned.
 func (t *table) add(p *Program, slot int) {
-	p.tab, p.id = t, int32(len(t.progs))
+	p.id = int32(len(t.progs))
 	t.progs = append(t.progs, p)
 	t.slots[slot] = int32(len(t.progs))
 	if 2*len(t.progs) > len(t.slots) {
@@ -256,7 +256,8 @@ func (t *table) rehash(n int) {
 
 // Programs returns the distinct programs the PEs run, in row-major order of
 // first use: program k is the k-th the row-major walk meets. After writes,
-// it first drops the programs the build passed through that no PE runs.
+// it first drops the programs the build passed through that no PE runs, and
+// renumbers the placement to match.
 func (s *Spec) Programs() []*Program {
 	t := s.tab
 	if !t.stale {
@@ -267,11 +268,16 @@ func (s *Spec) Programs() []*Program {
 		p.next = nil
 	}
 	kept := t.progs[:0:0]
-	for i := range s.pes {
-		if p := s.pes[i].prog; p != nil && p.tab == t && p.id < 0 {
+	for i, k := range s.place {
+		if k == 0 {
+			continue
+		}
+		p := t.progs[k-1]
+		if p.id < 0 {
 			p.id = int32(len(kept))
 			kept = append(kept, p)
 		}
+		s.place[i] = p.id + 1
 	}
 	clear(t.progs)
 	t.progs, t.slots, t.blank, t.stale = kept, nil, nil, false

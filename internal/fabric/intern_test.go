@@ -33,10 +33,10 @@ func TestInternIsCanonical(t *testing.T) {
 	s.AddConfig(c, 2, west)
 	s.PE(mesh.Coord{X: 3})
 
-	if s.At(a).prog != s.At(b).prog {
-		t.Fatalf("two PEs that run one program hold two entries:\n%+v\n%+v", s.At(a).prog, s.At(b).prog)
+	if s.At(a) != s.At(b) {
+		t.Fatalf("two PEs that run one program hold two entries:\n%+v\n%+v", s.At(a), s.At(b))
 	}
-	if s.At(a).prog == s.At(c).prog {
+	if s.At(a) == s.At(c) {
 		t.Fatal("two different programs share an entry")
 	}
 	progs := s.Programs()
@@ -48,7 +48,7 @@ func TestInternIsCanonical(t *testing.T) {
 			t.Fatalf("program %d numbered %d", k, p.id)
 		}
 	}
-	if progs[0] != s.At(a).prog || progs[1] != s.At(c).prog || len(progs[2].Ops) != 0 {
+	if progs[0] != s.At(a) || progs[1] != s.At(c) || len(progs[2].Ops) != 0 {
 		t.Fatal("the table is not in row-major order of first use")
 	}
 }
@@ -65,7 +65,7 @@ func TestWritesNeverReachSharedPrograms(t *testing.T) {
 		s.Append(c, op)
 		s.AddConfig(c, 0, cfg)
 	}
-	shared := s.At(mesh.Coord{X: 0}).prog
+	shared := s.At(mesh.Coord{X: 0})
 	opsBefore := slices.Clone(shared.Ops)
 	cfgsBefore := slices.Clone(shared.Configs[0].Cfgs)
 
@@ -76,7 +76,7 @@ func TestWritesNeverReachSharedPrograms(t *testing.T) {
 	s.SetClockSlots(mid, 2)
 
 	for _, x := range []int{0, 2} {
-		if s.At(mesh.Coord{X: x}).prog != shared {
+		if s.At(mesh.Coord{X: x}) != shared {
 			t.Fatalf("PE %d moved with PE 1", x)
 		}
 	}
@@ -87,8 +87,8 @@ func TestWritesNeverReachSharedPrograms(t *testing.T) {
 		t.Fatal("a shared program can be appended to in place")
 	}
 	got := s.At(mid)
-	if len(got.prog.Ops) != 1 || got.prog.Ops[0].Kind != OpBusyWrite || got.prog.ClockSlots != 2 || len(got.ConfigsFor(0)) != 2 {
-		t.Fatalf("PE 1 runs %+v", got.prog)
+	if len(got.Ops) != 1 || got.Ops[0].Kind != OpBusyWrite || got.ClockSlots != 2 || len(got.ConfigsFor(0)) != 2 {
+		t.Fatalf("PE 1 runs %+v", got)
 	}
 }
 
@@ -105,12 +105,11 @@ func TestStampSharesPrograms(t *testing.T) {
 	if err := dst.Stamp(src); err != nil {
 		t.Fatal(err)
 	}
-	src.Each(func(c mesh.Coord, pe *PESpec) {
+	src.Each(func(c mesh.Coord, p *Program) {
 		d := dst.At(c)
-		if d == nil || d.prog == pe.prog || d.prog.tab != dst.tab || (len(pe.prog.Ops) > 0 && &d.prog.Ops[0] != &pe.prog.Ops[0]) {
-			t.Fatalf("PE %v: stamped as %+v from %+v", c, d, pe)
+		if d == nil || d == p || !slices.Contains(dst.tab.progs, d) || (len(p.Ops) > 0 && &d.Ops[0] != &p.Ops[0]) {
+			t.Fatalf("PE %v: stamped as %+v from %+v", c, d, p)
 		}
-		d.Init = pe.Init
 	})
 	got, err := dst.MarshalBinary()
 	if err != nil {

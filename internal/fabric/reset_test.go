@@ -85,8 +85,8 @@ func TestResetRebindsInputs(t *testing.T) {
 	if _, err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range spec.At(mesh.Coord{X: 1, Y: 0}).Init {
-		spec.At(mesh.Coord{X: 1, Y: 0}).Init[i] = float32(10 * i)
+	for i := range spec.PE(mesh.Coord{X: 1, Y: 0}).Init {
+		spec.PE(mesh.Coord{X: 1, Y: 0}).Init[i] = float32(10 * i)
 	}
 	if err := f.Reset(spec); err != nil {
 		t.Fatal(err)

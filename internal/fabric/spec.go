@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/mesh"
 )
@@ -175,8 +176,7 @@ type Program struct {
 	// uses (indexed by Op.Slot).
 	ClockSlots int
 
-	tab *table // the table that holds it
-	id  int32  // its index in tab.progs
+	id int32 // its index in the table that holds it
 	// links are the link directions any configuration forwards to, what
 	// Validate checks each PE's neighbours against.
 	links      mesh.DirSet
@@ -184,23 +184,15 @@ type Program struct {
 	next       []edge // the writes already seen from it, while it is built on
 }
 
-// PESpec is one processing element of a Spec: its initial local vector and
-// the program it runs. Init is the PE's alone; the program is shared, and a
-// PE changes program only through its Spec.
+// PESpec is the binding of one PE of a hand-built spec: the initial vector
+// fabric.New starts it from. A compiled plan's spec binds nothing (runs bind
+// their inputs with NewBound), so a spec holds its bindings beside the
+// placement, in a table PE makes on first use.
 type PESpec struct {
 	// Init is the PE's initial accumulator (its contribution to the
 	// collective). It may be nil for pure pass-through PEs.
 	Init []float32
-	prog *Program
 }
-
-// Program returns the program the PE runs, which other PEs may share: a
-// reader's to read, never to write.
-func (pe *PESpec) Program() *Program { return pe.prog }
-
-// ConfigsFor returns the PE's configuration list for a color, nil when its
-// router does not participate in the color.
-func (pe *PESpec) ConfigsFor(c mesh.Color) []RouterConfig { return pe.prog.ConfigsFor(c) }
 
 // ConfigsFor returns the program's configuration list for a color, nil when
 // its router does not participate in the color.
@@ -218,65 +210,126 @@ func (p *Program) ConfigsFor(c mesh.Color) []RouterConfig {
 
 // Spec is a complete fabric program over a rectangular region of PEs — one
 // dense image, the shape the hardware holds it in: a table of the distinct
-// PE programs, and for every PE of the region the program it runs and its
-// Init. The PEs sit in a row-major table whose unprogrammed entries are
-// idle pass-nothing PEs; routing a wavelet towards one is a compile bug that
-// Validate reports. Every layer that reads a program (codec, Validate, New)
-// walks the table in order, so row-major is also the order of the encoded
-// frame and of the fabric's units.
+// PE programs, and a placement that names for every cell of the region the
+// program its PE runs, four bytes a PE. An unprogrammed cell is an idle
+// pass-nothing PE; routing a wavelet towards one is a compile bug that
+// Validate reports. Every layer that reads a program (codec, Validate, New,
+// the tape) walks the placement in order, so row-major is also the order of
+// the encoded frame and of the fabric's units.
 //
 // A Spec is built by one goroutine. Once built — a Validate, an encode or a
 // Programs call has seen it — it may be read by many.
 type Spec struct {
 	Width, Height int
 
-	pes []PESpec // row-major, len Width*Height; a nil program = unprogrammed
-	n   int      // programmed PEs
-	tab *table
+	// place is the placement, row-major, len Width*Height: 0 for an
+	// unprogrammed cell, k+1 for the cell whose PE runs tab.progs[k] — the
+	// index a frame's runs carry.
+	place []int32
+	n     int // programmed PEs
+	tab   *table
+	// binds are the PEs' initial vectors by row-major index, nil until PE
+	// is first called: only hand-built specs bind.
+	binds []PESpec
+
+	// coords lists the programmed PEs in row-major order, built on first
+	// demand (Coords).
+	coordsOnce sync.Once
+	coords     []mesh.Coord
 }
 
 // NewSpec allocates an empty program for a Width×Height PE region.
 func NewSpec(width, height int) *Spec {
-	return &Spec{Width: width, Height: height, pes: make([]PESpec, width*height), tab: &table{}}
+	return &Spec{Width: width, Height: height, place: make([]int32, width*height), tab: &table{}}
 }
 
-// PE returns the PE at c, programming it with the empty program on first
-// use. Its Init is the caller's to set.
-func (s *Spec) PE(c mesh.Coord) *PESpec {
+// cell is the row-major index of c, which must lie in the region.
+func (s *Spec) cell(c mesh.Coord) int {
 	if c.X < 0 || c.X >= s.Width || c.Y < 0 || c.Y >= s.Height {
 		panic(fmt.Sprintf("fabric: PE %v outside %dx%d region", c, s.Width, s.Height))
 	}
-	pe := &s.pes[c.Y*s.Width+c.X]
-	if pe.prog == nil {
-		pe.prog = s.tab.empty()
-		s.n++
-		s.tab.stale = true // the program may come first in row-major order now
-	}
-	return pe
+	return c.Y*s.Width + c.X
 }
 
-// At returns the PE at c, or nil when c is unprogrammed or outside the
-// region.
-func (s *Spec) At(c mesh.Coord) *PESpec {
+// Program returns the program of the PE at c, programming it with the empty
+// program on first use: what a builder reads before it writes, never to be
+// written through.
+func (s *Spec) Program(c mesh.Coord) *Program {
+	return s.program(s.cell(c))
+}
+
+// program is Program by row-major index.
+func (s *Spec) program(i int) *Program {
+	if k := s.place[i]; k > 0 {
+		return s.tab.progs[k-1]
+	}
+	p := s.tab.empty()
+	s.place[i] = p.id + 1
+	s.n++
+	s.tab.stale = true // the program may come first in row-major order now
+	s.coordsOnce, s.coords = sync.Once{}, nil
+	return p
+}
+
+// at is the program at row-major index i, nil when the cell is unprogrammed.
+func (s *Spec) at(i int) *Program {
+	if k := s.place[i]; k > 0 {
+		return s.tab.progs[k-1]
+	}
+	return nil
+}
+
+// PE returns the binding of the PE at c, programming it with the empty
+// program on first use. Its Init is the caller's to set; fabric.New starts
+// the PE from it. It is for hand-built specs: a compiled plan binds its
+// runs' inputs with NewBound, and builders program PEs through Program.
+func (s *Spec) PE(c mesh.Coord) *PESpec {
+	i := s.cell(c)
+	s.program(i)
+	if s.binds == nil {
+		s.binds = make([]PESpec, len(s.place))
+	}
+	return &s.binds[i]
+}
+
+// At returns the program of the PE at c, or nil when c is unprogrammed or
+// outside the region.
+func (s *Spec) At(c mesh.Coord) *Program {
 	if c.X < 0 || c.X >= s.Width || c.Y < 0 || c.Y >= s.Height {
 		return nil
 	}
-	if pe := &s.pes[c.Y*s.Width+c.X]; pe.prog != nil {
-		return pe
-	}
-	return nil
+	return s.at(c.Y*s.Width + c.X)
 }
 
 // Len returns the number of programmed PEs.
 func (s *Spec) Len() int { return s.n }
 
-// Each calls fn for every programmed PE in row-major order.
-func (s *Spec) Each(fn func(c mesh.Coord, pe *PESpec)) {
-	for i := range s.pes {
-		if s.pes[i].prog != nil {
-			fn(s.coord(i), &s.pes[i])
+// Each calls fn for every programmed PE in row-major order, with the
+// program it runs.
+func (s *Spec) Each(fn func(c mesh.Coord, p *Program)) {
+	for i, k := range s.place {
+		if k > 0 {
+			fn(s.coord(i), s.tab.progs[k-1])
 		}
 	}
+}
+
+// Coords lists the programmed PEs in row-major order. The spec builds the
+// list once, on first demand, and every caller shares it: it is read-only.
+func (s *Spec) Coords() []mesh.Coord {
+	s.coordsOnce.Do(func() {
+		s.coords = make([]mesh.Coord, 0, s.n)
+		s.Each(func(c mesh.Coord, _ *Program) { s.coords = append(s.coords, c) })
+	})
+	return s.coords
+}
+
+// initOf is the vector bound to row-major index i, nil when none is.
+func (s *Spec) initOf(i int) []float32 {
+	if s.binds == nil {
+		return nil
+	}
+	return s.binds[i].Init
 }
 
 // coord is the coordinate of table index i.
@@ -303,28 +356,28 @@ func (s *Spec) SetClockSlots(c mesh.Coord, n int) {
 }
 
 // Stamp programs every PE of src into s, which must span the same region:
-// each PE of src runs its program in s too, its Init aside. s takes src's
+// each PE of src runs its program in s too, its binding aside. s takes src's
 // programs into its own table without copying their ops or routing
 // tables, which no write reaches, so s's programs may be rewritten freely.
 func (s *Spec) Stamp(src *Spec) error {
 	if s.Width != src.Width || s.Height != src.Height {
 		return fmt.Errorf("fabric: stamp a %dx%d spec into a %dx%d one", src.Width, src.Height, s.Width, s.Height)
 	}
-	mine := make([]*Program, len(src.tab.progs)) // src's program k as s holds it
-	for i := range src.pes {
-		p := src.pes[i].prog
-		if p == nil {
+	mine := make([]int32, len(src.tab.progs)) // src's program k as s places it, 0 until met
+	for i, k := range src.place {
+		if k == 0 {
 			continue
 		}
-		if mine[p.id] == nil {
-			mine[p.id] = s.tab.adopt(p)
+		if mine[k-1] == 0 {
+			mine[k-1] = s.tab.adopt(src.tab.progs[k-1]).id + 1
 		}
-		if s.pes[i].prog == nil {
+		if s.place[i] == 0 {
 			s.n++
 		}
-		s.pes[i].prog = mine[p.id]
+		s.place[i] = mine[k-1]
 	}
 	s.tab.stale = true
+	s.coordsOnce, s.coords = sync.Once{}, nil
 	return nil
 }
 
@@ -335,24 +388,20 @@ func (s *Spec) Stamp(src *Spec) error {
 // once, at the first PE that runs it; each PE's links are checked on their
 // own.
 func (s *Spec) Validate() error {
-	if len(s.pes) != s.Width*s.Height {
-		return fmt.Errorf("fabric: %dx%d spec holds a %d-entry PE table", s.Width, s.Height, len(s.pes))
+	if len(s.place) != s.Width*s.Height {
+		return fmt.Errorf("fabric: %dx%d spec holds a %d-cell placement", s.Width, s.Height, len(s.place))
 	}
 	s.Programs()
-	// Table offset of the neighbour in each link direction.
+	// Placement offset of the neighbour in each link direction.
 	step := [mesh.NumDirections]int{mesh.East: 1, mesh.West: -1, mesh.North: -s.Width, mesh.South: s.Width}
 	checked := int32(0) // programs are numbered in order of first use
-	for idx := range s.pes {
-		pe := &s.pes[idx]
-		if pe.prog == nil {
+	for idx, k := range s.place {
+		if k == 0 {
 			continue
 		}
-		c := s.coord(idx)
-		if pe.prog.tab != s.tab {
-			return fmt.Errorf("fabric: PE %v runs a program another spec holds", c)
-		}
-		if pe.prog.id == checked {
-			if err := pe.prog.check(c); err != nil {
+		p, c := s.tab.progs[k-1], s.coord(idx)
+		if p.id == checked {
+			if err := p.check(c); err != nil {
 				return err
 			}
 			checked++
@@ -363,8 +412,8 @@ func (s *Spec) Validate() error {
 			mesh.North: c.Y > 0, mesh.South: c.Y+1 < s.Height,
 		}
 		for d := mesh.Direction(0); d < mesh.Ramp; d++ {
-			if pe.prog.links.Has(d) && (!onGrid[d] || s.pes[idx+step[d]].prog == nil) {
-				return pe.prog.linkError(c, d, onGrid[d])
+			if p.links.Has(d) && (!onGrid[d] || s.place[idx+step[d]] == 0) {
+				return p.linkError(c, d, onGrid[d])
 			}
 		}
 	}

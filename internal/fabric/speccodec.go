@@ -3,42 +3,56 @@ package fabric
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/bincodec"
 	"repro/internal/mesh"
 )
 
 // Binary codec for Spec: the persistence hook the plan store builds on.
-// A Spec is plain data — programs, routing tables, optional init vectors —
-// so it serialises without reflection into a compact, versioned, fully
+// A Spec is plain data — programs, routing tables and where each runs — so
+// it serialises without reflection into a compact, versioned, fully
 // deterministic byte form. The collectives give most PEs one of a few
 // programs (the root, the leaves, the relays of each tree level), so a frame
-// lists each distinct program once and then every PE by reference:
+// lists each distinct program once and then the placement as runs of cells
+// that run one program:
 //
 //	version byte
-//	uvarint width, height, programmed PEs, programs
+//	uvarint width, height, programs
 //	each program: its ops, its routing table (colors ascending), its clock slots
-//	each PE in row-major order: x, y, its program's index, its init vector
+//	uvarint run count
+//	each run, in row-major order: uvarint index, uvarint cells
 //
-// Programs are numbered in order of first use in row-major PE order, so one
+// A run's index is 0 for unprogrammed cells and k+1 for program k; two
+// adjacent runs never share an index, and the runs cover the region exactly.
+// Programs are numbered in order of first use in row-major order, so one
 // walk numbers them with no sorting, and encoding the same program twice
 // (or in two processes) yields identical bytes. That determinism is what lets
 // the plan store address blobs by content hash. The decoder holds frames to
 // the same canon: it accepts exactly the byte strings the encoder can emit,
-// so decode-then-encode is the identity.
+// so decode-then-encode is the identity. A frame carries no initial
+// vectors: a spec's bindings (PE) are its builder's, and plans bind their
+// runs' inputs with NewBound.
 //
 // Integers use canonical varints and floats IEEE-754 bit patterns in
 // little-endian order (internal/bincodec). The first byte is the layout
 // version; a frame of any other layout is refused.
 
 // SpecCodecVersion is the current version byte of the Spec binary layout.
-// Layout 1 spelled out every PE's program; layout 2 lists each once.
-const SpecCodecVersion = 2
+// Layout 1 spelled out every PE's program; layout 2 listed each once, then a
+// record per PE (coordinate, program index, initial vector); layout 3 writes
+// the placement as runs.
+const SpecCodecVersion = 3
+
+// maxCells bounds the region a frame may describe: the placement is sized by
+// it, and a run of cells takes two bytes however many it covers, so the
+// bytes alone bound nothing. A million cells are more than a wafer's PEs.
+const maxCells = 1 << 20
 
 // Smallest encodings of the frame's repeated records: what a count read
 // from the frame is checked against before it sizes anything.
 const (
-	minPEBytes      = 4 // x, y, program index, init length
+	minRunBytes     = 2 // index, cells
 	minProgramBytes = 3 // three counts: ops, colors, clock slots
 	minOpBytes      = 9 // kind, two colors, five varints, reduce op
 	minColorBytes   = 2 // color, config count
@@ -51,40 +65,52 @@ func (s *Spec) MarshalBinary() ([]byte, error) {
 }
 
 // AppendBinary appends MarshalBinary's bytes to dst: the header, the
-// spec's programs in row-major order of first use, then each PE's record.
+// spec's programs in row-major order of first use, then the placement's
+// runs.
 func (s *Spec) AppendBinary(dst []byte) ([]byte, error) {
+	if len(s.place) > maxCells {
+		return dst, fmt.Errorf("fabric: spec codec: a %dx%d region is over the %d cells a frame holds", s.Width, s.Height, maxCells)
+	}
 	progs := s.Programs()
 	e := &bincodec.Encoder{Buf: dst}
 	e.Byte(SpecCodecVersion)
 	e.Uvarint(uint64(s.Width))
 	e.Uvarint(uint64(s.Height))
-	e.Uvarint(uint64(s.n))
 	e.Uvarint(uint64(len(progs)))
 	for _, p := range progs {
 		appendProgram(e, p)
 	}
-	for i := range s.pes {
-		pe := &s.pes[i]
-		if pe.prog == nil {
-			continue
-		}
-		c := s.coord(i)
-		e.Varint(int64(c.X))
-		e.Varint(int64(c.Y))
-		e.Uvarint(uint64(pe.prog.id))
-		e.Uvarint(uint64(len(pe.Init)))
-		for _, v := range pe.Init {
-			e.F32(v)
-		}
+	e.Uvarint(uint64(s.runs()))
+	for i := 0; i < len(s.place); {
+		j := s.runEnd(i)
+		e.Uvarint(uint64(s.place[i]))
+		e.Uvarint(uint64(j - i))
+		i = j
 	}
 	return e.Buf, nil
 }
 
+// runEnd is the end of the run of cells that starts at i.
+func (s *Spec) runEnd(i int) int {
+	j := i + 1
+	for j < len(s.place) && s.place[j] == s.place[i] {
+		j++
+	}
+	return j
+}
+
+// runs is the number of runs the placement comes in.
+func (s *Spec) runs() int {
+	n := 0
+	for i := 0; i < len(s.place); i = s.runEnd(i) {
+		n++
+	}
+	return n
+}
+
 // SizeHint is room for MarshalBinary's bytes, estimated from the spec's
-// counts so that a caller can size a buffer once: opBytes an op, and a PE
-// record at the length its coordinates and program index take at most. It
-// leaves out the PEs' Init vectors, which a compiled plan's spec does not
-// carry.
+// counts so that a caller can size a buffer once: opBytes an op, and a run
+// at the length its index and cell count take at most.
 func (s *Spec) SizeHint() int {
 	progs := s.Programs()
 	size := 1 + 4*binary.MaxVarintLen32
@@ -94,8 +120,8 @@ func (s *Spec) SizeHint() int {
 			size += minConfigBytes * len(row.Cfgs)
 		}
 	}
-	peBytes := bincodec.VarintLen(int64(s.Width)) + bincodec.VarintLen(int64(s.Height)) + bincodec.UvarintLen(uint64(len(progs))) + 1
-	return size + s.n*peBytes
+	runBytes := bincodec.UvarintLen(uint64(len(progs))) + bincodec.UvarintLen(uint64(len(s.place)))
+	return size + s.runs()*runBytes
 }
 
 // opBytes is what an op takes in a frame when one of its five counts and
@@ -103,8 +129,8 @@ func (s *Spec) SizeHint() int {
 // buffer once.
 const opBytes = 10
 
-// appendProgram appends one program: what a PE runs, without where it sits
-// or its init vector.
+// appendProgram appends one program: what a PE runs, without where it
+// sits.
 func appendProgram(e *bincodec.Encoder, pe *Program) {
 	e.Uvarint(uint64(len(pe.Ops)))
 	for _, op := range pe.Ops {
@@ -134,14 +160,16 @@ func appendProgram(e *bincodec.Encoder, pe *Program) {
 
 // UnmarshalBinary decodes a spec previously produced by MarshalBinary,
 // replacing the receiver's contents. The frame must be canonical: programs
-// pairwise distinct, each used, and numbered in order of first use; PEs in
-// strictly ascending row-major order; colors strictly ascending per program;
-// every integer in its shortest encoding. The decoded program lives in a
-// handful of arenas (the PE table, one program array, chunked op, config
-// and color-table arrays) whose sizes are bounded by the bytes actually
-// present, never by a count the frame merely claims. The frame's programs
-// become the spec's table as they stand, each looked up there by content as
-// it is decoded; the PEs that run one share it.
+// pairwise distinct, each used, and numbered in order of first use; runs
+// that cover the region exactly, each of at least one cell, no two adjacent
+// ones of one index; colors strictly ascending per program; every integer in
+// its shortest encoding. The decoded program lives in a handful of arenas
+// (the placement, one program array, chunked op, config and color-table
+// arrays) whose sizes are bounded by the bytes actually present, never by a
+// count the frame merely claims, but for the placement of an accepted frame,
+// which its region sizes (at most maxCells). The frame's programs become the spec's table as they
+// stand, each looked up there by content as it is decoded; the PEs that run
+// one share it.
 func (s *Spec) UnmarshalBinary(data []byte) error {
 	d := bincodec.NewDecoder(data)
 	if v := d.Byte(); v != SpecCodecVersion {
@@ -150,25 +178,20 @@ func (s *Spec) UnmarshalBinary(data []byte) error {
 		}
 		return fmt.Errorf("fabric: spec codec version %d, this build reads %d", v, SpecCodecVersion)
 	}
-	uw, uh, un, um := d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
+	uw, uh, um := d.Uvarint(), d.Uvarint(), d.Uvarint()
 	if d.Err() != nil {
 		return fmt.Errorf("fabric: spec codec: %v", d.Err())
 	}
-	// The PE table is sized by the grid, so the grid may not outgrow the
-	// frame: a fully programmed region always passes (minPEBytes a PE), a
-	// sparse one as long as its table has no more entries than the frame
-	// has bytes.
-	// Every program is some PE's, and the PEs and programs claimed must fit
-	// in the bytes left.
-	size, left := uint64(len(data)), uint64(d.Remaining())
-	if uw < 1 || uh < 1 || uw > size || uh > size/uw || un > uw*uh || um > un ||
-		un > left/minPEBytes || um > (left-un*minPEBytes)/minProgramBytes {
-		return fmt.Errorf("fabric: spec codec: %d PEs of %d programs on %dx%d grid in a %d-byte frame", un, um, uw, uh, len(data))
+	// Every program is some PE's, so there are no more programs than cells,
+	// and the programs and one run claimed must fit in the bytes left.
+	left := uint64(d.Remaining())
+	if uw < 1 || uh < 1 || uw > maxCells || uh > maxCells/uw || um > uw*uh ||
+		left < minRunBytes || um > (left-minRunBytes)/minProgramBytes {
+		return fmt.Errorf("fabric: spec codec: %d programs on %dx%d grid in a %d-byte frame (at most %d cells)", um, uw, uh, len(data), maxCells)
 	}
-	width, height, n, m := int(uw), int(uh), int(un), int(um)
+	width, height, m := int(uw), int(uh), int(um)
 	tab := &table{progs: make([]*Program, 0, m)}
 	tab.rehash(m)
-	out := &Spec{Width: width, Height: height, pes: make([]PESpec, width*height), n: n, tab: tab}
 	progs := make([]Program, m)
 	var (
 		ops  arena[Op]
@@ -231,50 +254,68 @@ func (s *Spec) UnmarshalBinary(data []byte) error {
 		}
 		tab.add(prog, slot)
 	}
-	last, used := -1, 0
-	for i := 0; i < n; i++ {
-		x, y, k := d.Varint(), d.Varint(), d.Uvarint()
-		if d.Err() != nil {
-			return fmt.Errorf("fabric: spec codec: PE %d: %v", i, d.Err())
+	place, n, err := decodePlacement(d, m, width*height)
+	if err != nil {
+		return err
+	}
+	s.Width, s.Height, s.place, s.n, s.tab, s.binds = width, height, place, n, tab, nil
+	s.coordsOnce, s.coords = sync.Once{}, nil
+	return nil
+}
+
+// decodePlacement reads the placement's runs of m programs over a region of
+// cells cells, the rest of the frame, and returns it with the number of
+// programmed cells. It reads the runs twice: once to hold them to the canon,
+// and only then, for a frame that is accepted, again to fill the placement,
+// which is the one table the region rather than the bytes sizes. A frame's
+// index is the placement's entry as it stands.
+func decodePlacement(d *bincodec.Decoder, m, cells int) ([]int32, int, error) {
+	again := bincodec.NewDecoder(d.Rest())
+	nr := d.Uvarint()
+	if d.Err() != nil || nr == 0 || nr > uint64(d.Remaining())/minRunBytes || nr > uint64(cells) {
+		return nil, 0, fmt.Errorf("fabric: spec codec: %d runs in %d bytes over %d cells", nr, d.Remaining(), cells)
+	}
+	at, n, used, prev := 0, 0, 0, uint64(m+1) // prev: no index yet
+	for r := uint64(0); r < nr; r++ {
+		k, length := d.Uvarint(), d.Uvarint()
+		switch {
+		case d.Err() != nil:
+			return nil, 0, fmt.Errorf("fabric: spec codec: run %d: %v", r, d.Err())
+		case k == prev:
+			return nil, 0, fmt.Errorf("fabric: spec codec: run %d repeats index %d", r, k)
+		case k > uint64(used)+1 || k > uint64(m):
+			return nil, 0, fmt.Errorf("fabric: spec codec: run %d runs program %d, the next unused is %d of %d", r, int64(k)-1, used, m)
+		case length == 0 || length > uint64(cells-at):
+			return nil, 0, fmt.Errorf("fabric: spec codec: run %d of %d cells at cell %d of %d", r, length, at, cells)
 		}
-		if x < 0 || x >= int64(width) || y < 0 || y >= int64(height) {
-			return fmt.Errorf("fabric: spec codec: PE (%d,%d) outside %dx%d grid", x, y, width, height)
-		}
-		c := mesh.Coord{X: int(x), Y: int(y)}
-		idx := c.Y*width + c.X
-		if idx <= last {
-			return fmt.Errorf("fabric: spec codec: PE %v out of row-major order", c)
-		}
-		last = idx
-		if k > uint64(used) || k >= uint64(m) {
-			return fmt.Errorf("fabric: spec codec: PE %v runs program %d, the next unused is %d of %d", c, k, used, m)
-		}
-		if k == uint64(used) {
+		if k == uint64(used)+1 {
 			used++
 		}
-		pe := &out.pes[idx]
-		pe.prog = &progs[k]
-		if ni := d.Uvarint(); ni > 0 {
-			if ni > uint64(d.Remaining())/4 {
-				return fmt.Errorf("fabric: spec codec: PE %v init truncated", c)
-			}
-			pe.Init = make([]float32, ni)
-			for j := range pe.Init {
-				pe.Init[j] = d.F32()
+		if k > 0 {
+			n += int(length)
+		}
+		prev, at = k, at+int(length)
+	}
+	switch {
+	case at != cells:
+		return nil, 0, fmt.Errorf("fabric: spec codec: the runs cover %d of %d cells", at, cells)
+	case used != m:
+		return nil, 0, fmt.Errorf("fabric: spec codec: %d of %d programs run on no PE", m-used, m)
+	case d.Remaining() != 0:
+		return nil, 0, fmt.Errorf("fabric: spec codec: %d trailing bytes", d.Remaining())
+	}
+	place := make([]int32, cells)
+	at = 0
+	for r := again.Uvarint(); r > 0; r-- {
+		k, length := int32(again.Uvarint()), int(again.Uvarint())
+		if k > 0 {
+			for i := at; i < at+length; i++ {
+				place[i] = k
 			}
 		}
-		if d.Err() != nil {
-			return fmt.Errorf("fabric: spec codec: PE %v: %v", c, d.Err())
-		}
+		at += length
 	}
-	if used != m {
-		return fmt.Errorf("fabric: spec codec: %d of %d programs run on no PE", m-used, m)
-	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("fabric: spec codec: %d trailing bytes", d.Remaining())
-	}
-	*s = *out
-	return nil
+	return place, n, nil
 }
 
 // room is the array an arena takes for a decoded record of n elements when

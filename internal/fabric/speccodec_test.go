@@ -10,9 +10,10 @@ import (
 	"repro/internal/mesh"
 )
 
-// codecSpec builds a small spec exercising every encoded field: init
-// vectors, all op scalar fields, multi-color multi-config routers, and
-// clock slots.
+// codecSpec builds a small spec exercising every encoded field: all op
+// scalar fields, multi-color multi-config routers, clock slots, and an
+// unprogrammed cell between programmed ones. Its binding on PE (0,0) is the
+// builder's, which a frame does not carry.
 func codecSpec() *Spec {
 	s := NewSpec(3, 2)
 	a := s.PE(mesh.Coord{X: 0, Y: 0})
@@ -58,16 +59,18 @@ func TestSpecCodecRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %dx%d with %d PEs, want %dx%d with %d",
 			got.Width, got.Height, got.Len(), s.Width, s.Height, s.Len())
 	}
-	s.Each(func(coord mesh.Coord, pe *PESpec) {
+	s.Each(func(coord mesh.Coord, p *Program) {
 		d := got.At(coord)
 		if d == nil {
 			t.Fatalf("PE %v missing after decode", coord)
 		}
-		if !reflect.DeepEqual(pe.Init, d.Init) || !reflect.DeepEqual(pe.prog.Ops, d.prog.Ops) ||
-			pe.prog.ClockSlots != d.prog.ClockSlots || !reflect.DeepEqual(pe.prog.Configs, d.prog.Configs) {
-			t.Fatalf("PE %v decoded differently:\n got %+v\nwant %+v", coord, d, pe)
+		if !reflect.DeepEqual(p.Ops, d.Ops) || p.ClockSlots != d.ClockSlots || !reflect.DeepEqual(p.Configs, d.Configs) {
+			t.Fatalf("PE %v decoded differently:\n got %+v\nwant %+v", coord, d, p)
 		}
 	})
+	if got.binds != nil {
+		t.Fatal("a decoded spec binds initial vectors")
+	}
 	// The canonical form is a fixed point: re-encoding the decoded spec
 	// reproduces the bytes.
 	redata, err := got.MarshalBinary()
@@ -105,20 +108,19 @@ func TestSpecCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
-// framePE is one PE record of a hand-built frame: a coordinate and the
-// index of the program it runs.
-type framePE struct{ x, y, prog int }
+// frameRun is one run of a hand-built frame's placement: an index (0
+// unprogrammed, k+1 program k) and the cells it covers.
+type frameRun struct{ index, cells int }
 
-// handFrame encodes the programs and PEs exactly as listed, in the frame
+// handFrame encodes the programs and runs exactly as listed, in the frame
 // layout of MarshalBinary but without its guarantees, so tests can build the
 // frames the encoder never emits. A program is the colors of its routing
 // table, each with a single pass-to-ramp configuration, and no ops.
-func handFrame(width, height int, progs [][]mesh.Color, pes ...framePE) []byte {
+func handFrame(width, height int, progs [][]mesh.Color, runs ...frameRun) []byte {
 	e := &bincodec.Encoder{}
 	e.Byte(SpecCodecVersion)
 	e.Uvarint(uint64(width))
 	e.Uvarint(uint64(height))
-	e.Uvarint(uint64(len(pes)))
 	e.Uvarint(uint64(len(progs)))
 	for _, colors := range progs {
 		e.Uvarint(0) // ops
@@ -132,25 +134,27 @@ func handFrame(width, height int, progs [][]mesh.Color, pes ...framePE) []byte {
 		}
 		e.Varint(0) // clock slots
 	}
-	for _, pe := range pes {
-		e.Varint(int64(pe.x))
-		e.Varint(int64(pe.y))
-		e.Uvarint(uint64(pe.prog))
-		e.Uvarint(0) // init
+	e.Uvarint(uint64(len(runs)))
+	for _, r := range runs {
+		e.Uvarint(uint64(r.index))
+		e.Uvarint(uint64(r.cells))
 	}
 	return e.Buf
 }
 
 // TestSpecCodecRejectsNonCanonicalFrames: the decoder accepts exactly the
-// frames the encoder emits. A repeated or out-of-order PE coordinate, a
-// repeated or descending color and a padded integer all used to decode
-// (merged, overwritten or normalised); each is a decode error. So is every
-// way of listing programs the encoder does not: one program twice, a program
-// used before the one listed ahead of it, a program no PE runs, and a program
-// count the PEs or the bytes cannot hold.
+// frames the encoder emits. A repeated or descending color and a padded
+// integer used to decode (merged, overwritten or normalised); each is a
+// decode error. So is every way of listing programs the encoder does not:
+// one program twice, a program used before the one listed ahead of it, a
+// program no PE runs, a program index past the count, and a program count
+// the cells or the bytes cannot hold; and every placement it does not write:
+// runs that overrun or fall short of the region, an empty run, two adjacent
+// runs of one index, a run count the bytes cannot hold, and a region over
+// the cells a frame may describe.
 func TestSpecCodecRejectsNonCanonicalFrames(t *testing.T) {
 	canonical := handFrame(2, 2, [][]mesh.Color{{1, 4}, nil, {0}},
-		framePE{0, 0, 0}, framePE{1, 0, 1}, framePE{0, 1, 2})
+		frameRun{1, 1}, frameRun{2, 1}, frameRun{3, 1}, frameRun{0, 1})
 	var s Spec
 	if err := s.UnmarshalBinary(canonical); err != nil {
 		t.Fatalf("canonical hand-built frame refused: %v", err)
@@ -164,25 +168,34 @@ func TestSpecCodecRejectsNonCanonicalFrames(t *testing.T) {
 
 	padded := append([]byte(nil), canonical...)
 	padded = append(padded[:1], append([]byte{0x82, 0x00}, padded[2:]...)...) // width 2 as a two-byte varint
-	// 512 PEs of 512 programs, with the bytes for the PE records alone.
-	overBytes := append([]byte{SpecCodecVersion, 0x80, 0x04, 1, 0x80, 0x04, 0x80, 0x04}, make([]byte, 512*minPEBytes)...)
+	// 512 programs on a 512-cell row, with the bytes for one run alone.
+	overBytes := append([]byte{SpecCodecVersion, 0x80, 0x04, 1, 0x80, 0x04}, make([]byte, minRunBytes)...)
+	// A 2048x1024 region, over the cells a frame may describe, in one run.
+	overCells := handFrame(2048, 1024, nil, frameRun{0, 2048 * 1024})
+	// A run count the bytes cannot hold.
+	overRuns := []byte{SpecCodecVersion, 2, 1, 0, 0x80, 0x04}
 	one := [][]mesh.Color{nil}
 	for _, c := range []struct {
 		name, want string
 		frame      []byte
 	}{
-		{"repeated PE", "out of row-major order", handFrame(2, 2, one, framePE{0, 0, 0}, framePE{0, 0, 0})},
-		{"PEs in column order", "out of row-major order", handFrame(2, 2, one, framePE{0, 0, 0}, framePE{0, 1, 0}, framePE{1, 0, 0})},
-		{"PEs descending", "out of row-major order", handFrame(2, 1, one, framePE{1, 0, 0}, framePE{0, 0, 0})},
-		{"repeated color", "out of ascending order", handFrame(1, 1, [][]mesh.Color{{3, 3}}, framePE{0, 0, 0})},
-		{"colors descending", "out of ascending order", handFrame(1, 1, [][]mesh.Color{{5, 2}}, framePE{0, 0, 0})},
+		{"repeated color", "out of ascending order", handFrame(1, 1, [][]mesh.Color{{3, 3}}, frameRun{1, 1})},
+		{"colors descending", "out of ascending order", handFrame(1, 1, [][]mesh.Color{{5, 2}}, frameRun{1, 1})},
 		{"padded varint", "truncated", padded},
-		{"repeated program", "program 1 repeats program 0", handFrame(2, 1, [][]mesh.Color{{1}, {1}}, framePE{0, 0, 0}, framePE{1, 0, 1})},
-		{"program out of first-use order", "runs program 1, the next unused is 0", handFrame(2, 1, [][]mesh.Color{{1}, {2}}, framePE{0, 0, 1}, framePE{1, 0, 0})},
-		{"unused program", "1 of 2 programs run on no PE", handFrame(2, 1, [][]mesh.Color{{1}, {2}}, framePE{0, 0, 0}, framePE{1, 0, 0})},
-		{"program index past the count", "runs program 1, the next unused is 1 of 1", handFrame(2, 1, [][]mesh.Color{{1}}, framePE{0, 0, 0}, framePE{1, 0, 1})},
-		{"more programs than PEs", "1 PEs of 2 programs", handFrame(2, 1, [][]mesh.Color{{1}, {2}}, framePE{0, 0, 0})},
-		{"program count over the bytes", "512 PEs of 512 programs", overBytes},
+		{"repeated program", "program 1 repeats program 0", handFrame(2, 1, [][]mesh.Color{{1}, {1}}, frameRun{1, 1}, frameRun{2, 1})},
+		{"program out of first-use order", "run 0 runs program 1, the next unused is 0", handFrame(2, 1, [][]mesh.Color{{1}, {2}}, frameRun{2, 1}, frameRun{1, 1})},
+		{"unused program", "1 of 2 programs run on no PE", handFrame(2, 1, [][]mesh.Color{{1}, {2}}, frameRun{1, 2})},
+		{"program index past the count", "run 1 runs program 1, the next unused is 1 of 1", handFrame(2, 1, one, frameRun{1, 1}, frameRun{2, 1})},
+		{"more programs than cells", "2 programs on 1x1 grid", handFrame(1, 1, [][]mesh.Color{{1}, {2}}, frameRun{1, 1})},
+		{"program count over the bytes", "512 programs on 512x1 grid", overBytes},
+		{"runs overrun the region", "run 1 of 2 cells at cell 1 of 2", handFrame(2, 1, one, frameRun{1, 1}, frameRun{0, 2})},
+		{"runs fall short of the region", "the runs cover 3 of 4 cells", handFrame(2, 2, one, frameRun{1, 2}, frameRun{0, 1})},
+		{"empty run", "run 1 of 0 cells", handFrame(2, 1, one, frameRun{1, 2}, frameRun{0, 0})},
+		{"adjacent runs of one index", "run 1 repeats index 1", handFrame(2, 1, one, frameRun{1, 1}, frameRun{1, 1})},
+		{"adjacent unprogrammed runs", "run 2 repeats index 0", handFrame(3, 1, one, frameRun{1, 1}, frameRun{0, 1}, frameRun{0, 1})},
+		{"no runs", "0 runs", append(handFrame(2, 1, nil), 0, 0)},
+		{"run count over the bytes", "512 runs in 0 bytes", overRuns},
+		{"region over the cells a frame holds", "at most 1048576 cells", overCells},
 	} {
 		var s Spec
 		if err := s.UnmarshalBinary(c.frame); err == nil {
@@ -217,7 +230,7 @@ func TestValidateChecksEveryPEOfASharedProgram(t *testing.T) {
 		if err := got.UnmarshalBinary(data); err != nil {
 			t.Fatal(err)
 		}
-		if a, b := got.At(mesh.Coord{X: 0}), got.At(mesh.Coord{X: 1}); &a.prog.Configs[0] != &b.prog.Configs[0] {
+		if a, b := got.At(mesh.Coord{X: 0}), got.At(mesh.Coord{X: 1}); &a.Configs[0] != &b.Configs[0] {
 			t.Fatal("the two PEs of one program do not share it")
 		}
 		for _, spec := range []*Spec{s, &got} {

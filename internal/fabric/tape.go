@@ -152,14 +152,16 @@ func (rec *recorder) formRuns() []tapeRun {
 }
 
 // Tape is the recorded dataflow of one completed run, with the run's timing.
-// It is immutable and safe for concurrent use; it holds no reference to the
-// fabric it was recorded on beyond the coordinate list.
+// It is immutable and safe for concurrent use. Its units are the programmed
+// PEs of the spec it was recorded from, in the placement's row-major order;
+// it keeps a reference to that spec, which must not be written after, and
+// nothing of the fabric.
 type Tape struct {
 	cycles int64
 	stats  Stats
-	coords []mesh.Coord
-	off    []int   // len(coords)+1 prefix offsets of the PEs' accumulators in the flat image
-	clkOff []int   // likewise for the clock samples; nil when no PE samples its clock
+	spec   *Spec
+	off    []int32 // units+1 prefix offsets of the PEs' accumulators in the flat image
+	clkOff []int32 // likewise for the clock samples; nil when no PE samples its clock
 	clocks []int64 // every PE's sampled clock slots, concatenated
 	runs   []tapeRun
 	events int // the elements a walk moves: the sum of the runs' lengths
@@ -198,7 +200,7 @@ func (f *Fabric) record() (*recorder, error) {
 			events += p.ops[k].tapeEvents()
 		}
 	}
-	if events > MaxTapeEvents || total > math.MaxUint32 {
+	if events > MaxTapeEvents || total > math.MaxInt32 {
 		return nil, ErrTapeTooLong
 	}
 	base[len(f.procs)] = uint32(total)
@@ -218,25 +220,27 @@ func (f *Fabric) tapeOf(rec *recorder) (*Tape, error) {
 	t := &Tape{
 		cycles: f.cycle,
 		stats:  stats,
-		coords: f.coords,
-		off:    make([]int, 0, len(f.procs)+1),
+		spec:   f.lastSpec,
+		off:    make([]int32, len(rec.base)),
 		runs:   rec.formRuns(),
 		events: len(rec.events),
 		waves:  int(rec.waves),
 	}
-	for i := range f.procs {
-		t.off = append(t.off, int(rec.base[i]))
-		t.clocks = append(t.clocks, f.clocks(i)...)
+	for i, b := range rec.base {
+		t.off[i] = int32(b)
 	}
-	t.off = append(t.off, int(rec.base[len(f.procs)]))
-	if len(t.clocks) > 0 {
-		t.clkOff = make([]int, 0, len(f.procs)+1)
-		at := 0
+	clocks := 0
+	for i := range f.procs {
+		clocks += len(f.clocks(i))
+	}
+	if clocks > 0 {
+		t.clocks = make([]int64, 0, clocks)
+		t.clkOff = make([]int32, 0, len(f.procs)+1)
 		for i := range f.procs {
-			t.clkOff = append(t.clkOff, at)
-			at += len(f.clocks(i))
+			t.clkOff = append(t.clkOff, int32(len(t.clocks)))
+			t.clocks = append(t.clocks, f.clocks(i)...)
 		}
-		t.clkOff = append(t.clkOff, at)
+		t.clkOff = append(t.clkOff, int32(len(t.clocks)))
 	}
 	return t, nil
 }
@@ -273,15 +277,15 @@ func (t *Tape) Runs() int {
 }
 
 // AccLen is the length of the flat accumulator image Run expects.
-func (t *Tape) AccLen() int { return t.off[len(t.coords)] }
+func (t *Tape) AccLen() int { return int(t.off[len(t.off)-1]) }
 
-// Units is the number of programmed PEs; Unit returns the i-th of them, in
-// row-major order, with where its accumulator starts in the flat image and
-// how long it is.
-func (t *Tape) Units() int { return len(t.coords) }
+// Units is the number of programmed PEs; Unit returns where the i-th of
+// them, in row-major order, starts its accumulator in the flat image and how
+// long it is.
+func (t *Tape) Units() int { return len(t.off) - 1 }
 
-func (t *Tape) Unit(i int) (c mesh.Coord, base, n int) {
-	return t.coords[i], t.off[i], t.off[i+1] - t.off[i]
+func (t *Tape) Unit(i int) (base, n int) {
+	return int(t.off[i]), int(t.off[i+1] - t.off[i])
 }
 
 // apply walks the tape over the image. Each element sees the operations the
@@ -320,43 +324,62 @@ func (t *Tape) apply(acc []float32) {
 }
 
 // Run reproduces the recorded run on new data. acc is the flat image of the
-// PEs' initial accumulators (AccLen elements: PE c's at Base(c), zero where
-// the PE binds none); Run transforms it in place and returns a Result whose
-// accumulators alias it, so the caller hands acc over. The Result equals, bit
-// for bit, what Fabric.Run returns for the same program, options and data.
+// PEs' initial accumulators (AccLen elements: unit u's at Unit(u), zero
+// where the PE binds none); Run transforms it in place and returns a Result
+// whose accumulators alias it, so the caller hands acc over. The Result
+// equals, bit for bit, what Fabric.Run returns for the same program, options
+// and data.
 func (t *Tape) Run(acc []float32) *Result {
 	t.apply(acc)
 	res := &Result{
 		Cycles: t.cycles,
-		Acc:    make(map[mesh.Coord][]float32, len(t.coords)),
+		Acc:    make(map[mesh.Coord][]float32, t.Units()),
 		Stats:  t.stats,
 	}
-	for i, c := range t.coords {
-		res.Acc[c] = acc[t.off[i]:t.off[i+1]:t.off[i+1]]
-	}
+	var clocks []int64
 	if len(t.clocks) > 0 {
 		res.Clocks = make(map[mesh.Coord][]int64)
-		clocks := slices.Clone(t.clocks)
-		for i := 0; i+1 < len(t.clkOff); i++ {
-			if lo, hi := t.clkOff[i], t.clkOff[i+1]; hi > lo {
-				res.Clocks[t.coords[i]] = clocks[lo:hi:hi]
+		clocks = slices.Clone(t.clocks)
+	}
+	// The units are the placement's programmed cells, row by row.
+	s, u := t.spec, 0
+	for y := 0; y < s.Height; y++ {
+		for x, k := range s.place[y*s.Width : (y+1)*s.Width] {
+			if k == 0 {
+				continue
 			}
+			c := mesh.Coord{X: x, Y: y}
+			res.Acc[c] = acc[t.off[u]:t.off[u+1]:t.off[u+1]]
+			if clocks != nil {
+				if lo, hi := t.clkOff[u], t.clkOff[u+1]; hi > lo {
+					res.Clocks[c] = clocks[lo:hi:hi]
+				}
+			}
+			u++
 		}
 	}
 	return res
 }
 
 // RunColumnar is Run with the map-free layout of Fabric.RunColumnar: res.Acc
-// becomes acc, res.Off is refilled (its storage reused when large enough).
+// becomes acc, res.Coords the spec's coordinate list, and res.Off is
+// refilled (its storage reused when large enough).
 func (t *Tape) RunColumnar(res *ColumnarResult, acc []float32) {
 	t.apply(acc)
 	res.Cycles = t.cycles
 	res.Stats = t.stats
-	res.Coords = t.coords
-	res.Off = append(res.Off[:0], t.off...)
+	res.Coords = t.spec.Coords()
+	res.Off = res.Off[:0]
+	for _, o := range t.off {
+		res.Off = append(res.Off, int(o))
+	}
 	res.Acc = acc
 	res.Root = nil
-	if len(t.coords) > 0 && t.coords[0] == (mesh.Coord{}) { // row-major: the root sorts first
+	if len(t.spec.place) > 0 && t.spec.place[0] > 0 { // row-major: the root is unit 0
 		res.Root = acc[:t.off[1]:t.off[1]]
 	}
 }
+
+// Spec is the program the tape was recorded from, whose placement orders
+// its units.
+func (t *Tape) Spec() *Spec { return t.spec }

@@ -105,7 +105,7 @@ func TestTapeRunsAreVectors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := fabric.DecodeTape(spec, recorded.AppendBinary(nil))
+		decoded, err := fabric.DecodeTape(spec, nil, recorded.AppendBinary(nil))
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

@@ -66,11 +66,11 @@ func sameWalk(t *testing.T, r *Recording, label string) *Tape {
 // applied in another order, or to another element, shows in the low bits.
 func scramble(s *Spec, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	s.Each(func(_ mesh.Coord, pe *PESpec) {
+	for _, pe := range s.binds {
 		for i := range pe.Init {
 			pe.Init[i] = float32(rng.NormFloat64()) * 3.7
 		}
-	})
+	}
 }
 
 // tapeImage lays the spec's Init vectors out as the flat image Tape.Run
@@ -82,13 +82,14 @@ func tapeImage(t *testing.T, tape *Tape, s *Spec) []float32 {
 		t.Fatalf("the tape lays out %d PEs, the program has %d", tape.Units(), s.Len())
 	}
 	u := 0 // both walk the programmed PEs in row-major order
-	s.Each(func(c mesh.Coord, pe *PESpec) {
-		at, base, n := tape.Unit(u)
+	s.Each(func(c mesh.Coord, _ *Program) {
+		init := s.initOf(s.cell(c))
+		base, n := tape.Unit(u)
 		u++
-		if at != c || len(pe.Init) > n {
-			t.Fatalf("PE %v: no room for %d initial elements in the image (unit at %v, base %d, %d)", c, len(pe.Init), at, base, n)
+		if len(init) > n {
+			t.Fatalf("PE %v: no room for %d initial elements in the image (base %d, %d)", c, len(init), base, n)
 		}
-		copy(acc[base:], pe.Init)
+		copy(acc[base:], init)
 	})
 	return acc
 }
@@ -117,12 +118,12 @@ func sameBits(t *testing.T, want, got *Result, label string) {
 // sampled prepends a clock sample to every program of the spec and appends
 // another, so the tape has clock slots to carry.
 func sampled(s *Spec) *Spec {
-	s.Each(func(c mesh.Coord, pe *PESpec) {
-		if len(pe.prog.Ops) == 0 {
+	s.Each(func(c mesh.Coord, p *Program) {
+		if len(p.Ops) == 0 {
 			return
 		}
 		s.SetClockSlots(c, 2)
-		s.SetOps(c, append(append([]Op{{Kind: OpSampleClock, Slot: 0}}, pe.prog.Ops...), Op{Kind: OpSampleClock, Slot: 1}))
+		s.SetOps(c, append(append([]Op{{Kind: OpSampleClock, Slot: 0}}, p.Ops...), Op{Kind: OpSampleClock, Slot: 1}))
 	})
 	return s
 }

@@ -1,27 +1,25 @@
 package fabric
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
 	"repro/internal/bincodec"
-	"repro/internal/mesh"
 )
 
 // Binary codec for Tape: what lets a plan store hand a restarted process the
 // answer of a simulation instead of the program to simulate again. A tape
-// is only ever decoded next to the Spec it was recorded from, and the
-// decoder takes from that Spec everything the Spec determines — the PE
-// set and its order, the clock slots of every PE, the shortest accumulator
-// the ops address, how many elements the program moves — so the section
-// carries, and a hostile one can lie about, only what the run decided:
+// is only ever decoded next to the Spec it was recorded from and the lengths
+// of the vectors the recording bound, and the decoder takes from those
+// everything they determine — the PE set and its order, each PE's
+// accumulator (the longer of its bound vector and the span its ops
+// address), the clock slots of every PE, how many elements the program
+// moves — so the section carries, and a hostile one can lie about, only
+// what the run decided:
 //
 //	uvarint  cycles
 //	uvarint  hops, ramp moves, max received, max queue length, no-ops, steps
-//	uvarint  accumulator length          per PE, in the Spec's row-major order
-//	uvarint  clock sample count          the sum of the PEs' ClockSlots
-//	varint   clock sample                per slot, PE by PE
+//	varint   clock sample                per slot, PE by PE, as many as the PEs' ClockSlots
 //	uvarint  run count
 //	head     n<<3 | kind                 per run, then:
 //	varint   its first element, from where the previous run ended
@@ -44,10 +42,6 @@ func (t *Tape) AppendBinary(buf []byte) []byte {
 	for _, v := range [...]int64{t.cycles, st.Hops, st.RampMoves, st.MaxReceived, int64(st.MaxQueueLen), st.Noops, st.Steps} {
 		e.Uvarint(uint64(v))
 	}
-	for i := range t.coords {
-		e.Uvarint(uint64(t.off[i+1] - t.off[i]))
-	}
-	e.Uvarint(uint64(len(t.clocks)))
 	for _, v := range t.clocks {
 		e.Varint(v)
 	}
@@ -65,19 +59,38 @@ func (t *Tape) AppendBinary(buf []byte) []byte {
 	return e.Buf
 }
 
-// SizeHint is room for the section AppendBinary writes, estimated from the
-// tape's counts: a counter or count at up to five bytes, an accumulator
-// length at two, a clock sample at three, and a run at three and a half
-// (its head, its element and, for a consume, its wave, a byte or two each;
-// the runs of the nine cold-store tapes take 2.5 to 4).
+// SizeHint is the length of the section AppendBinary writes, counted field
+// by field, so that a caller can size a buffer once.
 func (t *Tape) SizeHint() int {
-	return 9*binary.MaxVarintLen32 + 2*len(t.coords) + 3*len(t.clocks) + 7*len(t.runs)/2
+	st := &t.stats
+	n := 0
+	for _, v := range [...]int64{t.cycles, st.Hops, st.RampMoves, st.MaxReceived, int64(st.MaxQueueLen), st.Noops, st.Steps, int64(len(t.runs))} {
+		n += bincodec.UvarintLen(uint64(v))
+	}
+	for _, v := range t.clocks {
+		n += bincodec.VarintLen(v)
+	}
+	acc, wave := int64(0), int64(0)
+	for _, r := range t.runs {
+		n += bincodec.UvarintLen(uint64(r.n)<<tapeKindBits|uint64(r.kind)) + bincodec.VarintLen(int64(r.acc)-acc)
+		acc = int64(r.acc) + int64(r.n)
+		if r.kind != tapeLoad {
+			n += bincodec.VarintLen(int64(r.wave) - wave)
+			wave = int64(r.wave) + int64(r.n)
+		}
+	}
+	return n
 }
 
 // DecodeTape decodes the section AppendBinary wrote for a tape recorded from
-// program s, which must be valid (Spec.Validate). data must hold the section
-// and nothing else.
-func DecodeTape(s *Spec, data []byte) (*Tape, error) {
+// program s, which must be valid (Spec.Validate), with bound(i) elements
+// bound to the PE at row-major index i; a nil bound takes the lengths of
+// the spec's own bindings (Spec.PE). data must hold the section and nothing
+// else.
+func DecodeTape(s *Spec, bound func(i int) int, data []byte) (*Tape, error) {
+	if bound == nil {
+		bound = func(i int) int { return len(s.initOf(i)) }
+	}
 	d := bincodec.NewDecoder(data)
 	count := func() int64 { // a counter or a length: non-negative in an int64
 		v := d.Uvarint()
@@ -87,58 +100,21 @@ func DecodeTape(s *Spec, data []byte) (*Tape, error) {
 		}
 		return int64(v)
 	}
-	n := s.Len()
 	t := &Tape{
 		cycles: count(),
 		stats: Stats{Hops: count(), RampMoves: count(), MaxReceived: count(),
 			MaxQueueLen: int(count()), Noops: count(), Steps: count()},
-		coords: make([]mesh.Coord, 0, n),
-		off:    make([]int, 0, n+1),
+		spec: s,
 	}
 	if d.Err() != nil {
 		return nil, fmt.Errorf("fabric: tape codec: %v", d.Err())
 	}
-
-	total, clocks := 0, 0
-	for idx := range s.pes {
-		pe := &s.pes[idx]
-		if pe.prog == nil {
-			continue
-		}
-		c := s.coord(idx)
-		size := d.Uvarint()
-		if d.Err() != nil {
-			return nil, fmt.Errorf("fabric: tape codec: PE %v: %v", c, d.Err())
-		}
-		if need := pe.AccNeed(); size < uint64(need) || size > math.MaxUint32 || uint64(total)+size > math.MaxUint32 {
-			return nil, fmt.Errorf("fabric: tape codec: PE %v accumulator of %d elements, its program addresses %d", c, size, need)
-		}
-		t.coords = append(t.coords, c)
-		t.off = append(t.off, total)
-		total += int(size)
-		clocks += pe.prog.ClockSlots
-		for k := range pe.prog.Ops {
-			t.events += pe.prog.Ops[k].tapeEvents()
-		}
-	}
-	t.off = append(t.off, total)
-	if clocks > 0 { // the clock offsets, only for a program that samples
-		t.clkOff = make([]int, 0, n+1)
-		at := 0
-		for i := range s.pes {
-			if pe := &s.pes[i]; pe.prog != nil {
-				t.clkOff = append(t.clkOff, at)
-				at += pe.prog.ClockSlots
-			}
-		}
-		t.clkOff = append(t.clkOff, at)
-	}
-
-	if got := d.Uvarint(); d.Err() == nil && got != uint64(clocks) {
-		return nil, fmt.Errorf("fabric: tape codec: %d clock samples, the program has %d slots", got, clocks)
+	clocks, err := t.layOut(s, bound)
+	if err != nil {
+		return nil, err
 	}
 	if clocks > d.Remaining() {
-		return nil, fmt.Errorf("fabric: tape codec: clock samples truncated")
+		return nil, fmt.Errorf("fabric: tape codec: %d clock samples truncated", clocks)
 	}
 	if clocks > 0 {
 		t.clocks = make([]int64, clocks)
@@ -160,6 +136,52 @@ func DecodeTape(s *Spec, data []byte) (*Tape, error) {
 		return nil, fmt.Errorf("fabric: tape codec: %d trailing bytes", d.Remaining())
 	}
 	return t, nil
+}
+
+// layOut derives the tape's image from its program and the bound lengths,
+// as the engine lays one out: per PE the longer of its bound vector and the
+// span its ops address, and the clock slots of its program. It counts the
+// events the program leaves, and returns the clock samples it holds.
+func (t *Tape) layOut(s *Spec, bound func(i int) int) (clocks int, err error) {
+	type derived struct{ need, events, clocks int }
+	progs := s.Programs()
+	per := make([]derived, len(progs))
+	for k, p := range progs {
+		per[k].need, per[k].clocks = p.AccNeed(), p.ClockSlots
+		for j := range p.Ops {
+			// Capped past the tape's, so that no sum below wraps.
+			per[k].events = min(per[k].events+p.Ops[j].tapeEvents(), MaxTapeEvents+1)
+		}
+	}
+	t.off = make([]int32, 0, s.Len()+1)
+	total := 0
+	for i, k := range s.place {
+		if k == 0 {
+			continue
+		}
+		t.off = append(t.off, int32(total))
+		p := &per[k-1]
+		n := max(p.need, bound(i))
+		if n > math.MaxInt32-total || p.clocks > math.MaxInt32-clocks {
+			return 0, fmt.Errorf("fabric: tape codec: an image of over %d elements or clock slots", math.MaxInt32)
+		}
+		total += n
+		t.events = min(t.events+p.events, MaxTapeEvents+1)
+		clocks += p.clocks
+	}
+	t.off = append(t.off, int32(total))
+	if clocks > 0 { // the clock offsets, only for a program that samples
+		t.clkOff = make([]int32, 0, s.Len()+1)
+		at := 0
+		for _, k := range s.place {
+			if k > 0 {
+				t.clkOff = append(t.clkOff, int32(at))
+				at += per[k-1].clocks
+			}
+		}
+		t.clkOff = append(t.clkOff, int32(at))
+	}
+	return clocks, nil
 }
 
 // decodeRuns reads n runs, holding each to the image t.off describes and to

@@ -42,12 +42,14 @@ type handRun struct {
 // Tape.AppendBinary but without its guarantees, so tests can build the
 // sections the encoder never emits.
 type handTape struct {
-	cycles   uint64
-	stats    [6]uint64
+	cycles uint64
+	stats  [6]uint64
+	// legacy, when set, writes what a version-4 section spelled out after
+	// the stats: every PE's accumulator length, then the clock count.
+	legacy   bool
 	accLens  []uint64
 	clocks   []int64
 	runs     []handRun
-	nClocks  *uint64 // written in place of len(clocks)
 	nRuns    *uint64 // written in place of len(runs)
 	trailing []byte
 }
@@ -58,12 +60,10 @@ func (h handTape) bytes() []byte {
 	for _, v := range h.stats {
 		e.Uvarint(v)
 	}
-	for _, n := range h.accLens {
-		e.Uvarint(n)
-	}
-	if h.nClocks != nil {
-		e.Uvarint(*h.nClocks)
-	} else {
+	if h.legacy {
+		for _, n := range h.accLens {
+			e.Uvarint(n)
+		}
 		e.Uvarint(uint64(len(h.clocks)))
 	}
 	for _, v := range h.clocks {
@@ -93,7 +93,7 @@ func goodHandTape() handTape {
 	return handTape{
 		cycles:  9,
 		stats:   [6]uint64{3, 6, 2, 2, 0, 22},
-		accLens: []uint64{2, 2},
+		accLens: []uint64{2, 2}, // written only when legacy
 		clocks:  []int64{8},
 		runs: []handRun{
 			{kind: uint64(tapeLoad), n: 2, acc: 2},
@@ -119,7 +119,7 @@ func TestTapeCodecRoundTrip(t *testing.T) {
 	if want := goodHandTape().bytes(); !bytes.Equal(section, want) {
 		t.Fatalf("recorded tape encodes to\n  % x\nthe hand-built section is\n  % x", section, want)
 	}
-	decoded, err := DecodeTape(s, section)
+	decoded, err := DecodeTape(s, nil, section)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestTapeCodecRoundTrip(t *testing.T) {
 // differs from the good one in one respect and is one decode error.
 func TestTapeCodecRejectsHostileSections(t *testing.T) {
 	s := tapeCodecSpec(t)
-	if _, err := DecodeTape(s, goodHandTape().bytes()); err != nil {
+	if _, err := DecodeTape(s, nil, goodHandTape().bytes()); err != nil {
 		t.Fatalf("good hand-built section refused: %v", err)
 	}
 	u := func(v uint64) *uint64 { return &v }
@@ -168,7 +168,7 @@ func TestTapeCodecRejectsHostileSections(t *testing.T) {
 			{kind: maxKind, n: 1, acc: -4}, {kind: maxKind, n: 1},
 		}
 	})
-	if tape, err := DecodeTape(s, split); err != nil || tape.Runs() != 4 || !bytes.Equal(tape.AppendBinary(nil), split) {
+	if tape, err := DecodeTape(s, nil, split); err != nil || tape.Runs() != 4 || !bytes.Equal(tape.AppendBinary(nil), split) {
 		t.Fatalf("the good section split into runs of one: %v", err)
 	}
 	for _, c := range []struct {
@@ -208,12 +208,10 @@ func TestTapeCodecRejectsHostileSections(t *testing.T) {
 			edit(func(h *handTape) { h.runs = append(h.runs, handRun{kind: maxKind, n: 2, acc: -2, wave: -2}) })},
 		{"runs moving less than the program", "the runs move 3 elements, the program leaves 4",
 			edit(func(h *handTape) { h.runs[1].n = 1 })},
-		{"accumulator shorter than the ops address", "accumulator of 1 elements, its program addresses 2",
-			edit(func(h *handTape) { h.accLens[0] = 1 })},
-		{"clock count not the program's slots", "2 clock samples, the program has 1",
-			edit(func(h *handTape) { h.clocks = []int64{8, 8} })},
+		{"per-PE lengths still in the section", "run 0: kind 1, 0 elements",
+			edit(func(h *handTape) { h.legacy = true })},
 		{"clock samples truncated", "truncated",
-			edit(func(h *handTape) { h.clocks, h.nClocks, h.runs = nil, u(1), nil })},
+			edit(func(h *handTape) { h.clocks, h.runs, h.nRuns = nil, nil, nil })},
 		{"non-shortest varint", "truncated", padded},
 		{"non-shortest element delta", "truncated",
 			append(append([]byte(nil), good[:len(good)-2]...), 0x87, 0x00, 0x00)},
@@ -221,7 +219,7 @@ func TestTapeCodecRejectsHostileSections(t *testing.T) {
 			edit(func(h *handTape) { h.trailing = []byte{0} })},
 		{"empty section", "truncated", nil},
 	} {
-		_, err := DecodeTape(s, c.section)
+		_, err := DecodeTape(s, nil, c.section)
 		if err == nil {
 			t.Errorf("%s: section accepted", c.name)
 		} else if !strings.Contains(err.Error(), c.want) {
@@ -230,7 +228,7 @@ func TestTapeCodecRejectsHostileSections(t *testing.T) {
 	}
 	// Truncation at every prefix length is an error, never a panic.
 	for n := 0; n < len(good); n++ {
-		if _, err := DecodeTape(s, good[:n]); err == nil {
+		if _, err := DecodeTape(s, nil, good[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
 	}

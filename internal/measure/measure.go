@@ -34,12 +34,14 @@ const (
 	numSlots  = 3
 )
 
-// Collective describes a measurable fabric program: a PE region and a
-// builder that adds the collective's ops, configs and initial vectors to
-// a fresh spec.
+// Collective describes a measurable fabric program: a PE region, a builder
+// that adds the collective's ops and configs to a fresh spec, and the
+// initial vectors of a run by row-major PE index (fabric.NewBound; nil
+// starts the PEs from the builder's bindings, if any).
 type Collective struct {
 	Width, Height int
 	Build         func(spec *fabric.Spec) error
+	Inputs        [][]float32
 }
 
 // Config tunes the calibration loop.
@@ -116,7 +118,7 @@ func runOnce(c Collective, opt fabric.Options, alpha int) (*Result, error) {
 	if err := Instrument(spec, c.Width, c.Height, alpha); err != nil {
 		return nil, err
 	}
-	f, err := fabric.New(spec, opt)
+	f, err := fabric.NewBound(spec, c.Inputs, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +157,7 @@ func Instrument(spec *fabric.Spec, width, height, alpha int) error {
 				fabric.Op{Kind: fabric.OpBusyWrite, N: alpha * (width + height - x - y)},
 				fabric.Op{Kind: fabric.OpSampleClock, Slot: slotStart},
 			)
-			ops = append(append(ops, spec.PE(c).Program().Ops...), fabric.Op{Kind: fabric.OpSampleClock, Slot: slotEnd})
+			ops = append(append(ops, spec.Program(c).Ops...), fabric.Op{Kind: fabric.OpSampleClock, Slot: slotEnd})
 			spec.SetClockSlots(c, numSlots)
 			spec.SetOps(c, ops)
 

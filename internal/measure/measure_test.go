@@ -17,7 +17,8 @@ func reduceCollective(p, b int) Collective {
 			if err := core.BuildReduce1DInto(spec, core.TwoPhase, p, b, core.Params(fabric.Options{}), fabric.OpSum); err != nil {
 				return err
 			}
-			spec.Each(func(_ mesh.Coord, pe *fabric.PESpec) {
+			spec.Each(func(c mesh.Coord, _ *fabric.Program) {
+				pe := spec.PE(c)
 				pe.Init = make([]float32, b)
 				for i := range pe.Init {
 					pe.Init[i] = 1
@@ -36,7 +37,8 @@ func reduce2DCollective(side, b int) Collective {
 			if err := core.BuildReduce2DInto(spec, core.XYTwoPhase, side, side, b, core.Params(fabric.Options{}), fabric.OpSum); err != nil {
 				return err
 			}
-			spec.Each(func(_ mesh.Coord, pe *fabric.PESpec) {
+			spec.Each(func(c mesh.Coord, _ *fabric.Program) {
+				pe := spec.PE(c)
 				pe.Init = make([]float32, b)
 			})
 			return nil

@@ -44,8 +44,9 @@ func PingPongBroadcast(p, b, k int, opt fabric.Options) (*PingPongResult, error)
 	path := mesh.Row(0, 0, p)
 
 	ops := make([]fabric.Op, 0, 2*k+2) // one PE's program, while it is built
+	// Every PE's ops address acc[0:b), so the engine gives each the
+	// zeroed b-element vector a bounce starts from: nothing to bind.
 	for v, c := range path {
-		spec.PE(c).Init = make([]float32, b)
 		// Eastward flood on pingColor.
 		switch {
 		case v == 0:

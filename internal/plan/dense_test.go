@@ -690,7 +690,7 @@ func rowsStream(spec *fabric.Spec, w, h int) bool {
 		return false
 	}
 	for y := 0; y < h; y++ {
-		ops := spec.PE(mesh.Coord{X: w / 2, Y: y}).Program().Ops
+		ops := spec.Program(mesh.Coord{X: w / 2, Y: y}).Ops
 		if len(ops) < w || ops[len(ops)-1].Kind != fabric.OpSend {
 			return false
 		}
@@ -704,7 +704,7 @@ func rowsStream(spec *fabric.Spec, w, h int) bool {
 			if x == w/2 {
 				continue
 			}
-			ops := spec.PE(mesh.Coord{X: x, Y: y}).Program().Ops
+			ops := spec.Program(mesh.Coord{X: x, Y: y}).Ops
 			if len(ops) < w-1 {
 				return false
 			}

@@ -360,22 +360,31 @@ func LookupKind(name string) (*KindInfo, bool) {
 	return nil, false
 }
 
-// inputs is the one place a kind's input layout is decided: a run of r takes
-// n vectors, vector j of sizes[j] elements — or of B each when sizes is nil.
-func (ki *KindInfo) inputs(r Request) (n int, sizes []int) {
-	switch ki.Inputs {
-	case RootVector:
-		return 1, nil
-	case ChunkPerPE:
-		if r.P > 0 {
-			_, sizes = core.Chunks(r.P, r.B)
-		}
-		return r.P, sizes
+// layout is one run's input layout: n vectors, vector j of q elements and
+// one more for j < rem (the chunked kinds' Chunks sizes; rem is 0 for the
+// rest).
+type layout struct{ n, q, rem int }
+
+// len is the length of vector j.
+func (l layout) len(j int) int {
+	if j < l.rem {
+		return l.q + 1
 	}
-	if ki.Grid {
-		return r.Width * r.Height, nil
+	return l.q
+}
+
+// inputs is the one place a kind's input layout is decided. It does not
+// allocate, so a replay checks its inputs for free.
+func (ki *KindInfo) inputs(r Request) layout {
+	switch {
+	case ki.Inputs == RootVector:
+		return layout{n: 1, q: r.B}
+	case ki.Inputs == ChunkPerPE && r.P > 0:
+		return layout{n: r.P, q: r.B / r.P, rem: r.B % r.P}
+	case ki.Inputs == VectorPerPE && ki.Grid:
+		return layout{n: r.Width * r.Height, q: r.B}
 	}
-	return r.P, nil
+	return layout{n: r.P, q: r.B}
 }
 
 // Validate reports whether r names a runnable collective: a known kind,
@@ -420,33 +429,24 @@ func (r Request) Validate() error {
 }
 
 // CheckInputs validates one run's inputs against the kind's layout.
-// Failures wrap ErrBadShape.
+// Failures wrap ErrBadShape; success allocates nothing.
 func (r Request) CheckInputs(inputs [][]float32) error {
-	return checkInputs(r, inputs, func(v []float32) int { return len(v) })
-}
-
-// CheckInputLens is CheckInputs on the vectors' lengths alone: what a stored
-// replay tape says it was recorded under.
-func (r Request) CheckInputLens(lens []int) error {
-	return checkInputs(r, lens, func(n int) int { return n })
-}
-
-func checkInputs[T any](r Request, inputs []T, size func(T) int) error {
 	ki := InfoOf(r.Kind)
 	if ki == nil {
 		return badShape("unknown kind %q", r.Kind)
 	}
-	n, sizes := ki.inputs(r)
-	if len(inputs) != n {
-		return badShape("%s wants %d input vector(s), got %d", r.Kind, n, len(inputs))
+	return ki.checkInputs(r, inputs)
+}
+
+// checkInputs is CheckInputs on r's kind row.
+func (ki *KindInfo) checkInputs(r Request, inputs [][]float32) error {
+	l := ki.inputs(r)
+	if len(inputs) != l.n {
+		return badShape("%s wants %d input vector(s), got %d", r.Kind, l.n, len(inputs))
 	}
 	for j, v := range inputs {
-		want := r.B
-		if sizes != nil {
-			want = sizes[j]
-		}
-		if size(v) != want {
-			return badShape("%s: input %d has %d elements, want %d", r.Kind, j, size(v), want)
+		if want := l.len(j); len(v) != want {
+			return badShape("%s: input %d has %d elements, want %d", r.Kind, j, len(v), want)
 		}
 	}
 	return nil
@@ -459,14 +459,10 @@ func (r Request) Inputs(fill func(n int) []float32) [][]float32 {
 	if ki == nil {
 		return nil
 	}
-	n, sizes := ki.inputs(r)
-	out := make([][]float32, n)
+	l := ki.inputs(r)
+	out := make([][]float32, l.n)
 	for j := range out {
-		if sizes != nil {
-			out[j] = fill(sizes[j])
-		} else {
-			out[j] = fill(r.B)
-		}
+		out[j] = fill(l.len(j))
 	}
 	return out
 }

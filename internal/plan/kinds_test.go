@@ -266,18 +266,25 @@ func TestEveryScheduleIsPriced(t *testing.T) {
 
 // TestKindLookupDoesNotAllocate: the row lookup sits on the Run and KeyOf
 // paths of a 50 µs replay, so validating, keying and checking the inputs of
-// a request must stay allocation-free.
+// a request must stay allocation-free — also for the chunked kinds, whose
+// layout is computed chunk by chunk, since the check is what decides that a
+// call replays its plan's tape.
 func TestKindLookupDoesNotAllocate(t *testing.T) {
-	req := Request{Kind: AllReduceMidRoot, Alg: core.TwoPhase, P: 16, B: 8, Op: fabric.OpSum}
-	inputs := req.Inputs(ramp)
-	var sink Key
-	if n := testing.AllocsPerRun(100, func() {
-		if req.Validate() != nil || req.CheckInputs(inputs) != nil {
-			t.Fatal("valid request rejected")
+	for _, req := range []Request{
+		{Kind: AllReduceMidRoot, Alg: core.TwoPhase, P: 16, B: 8, Op: fabric.OpSum},
+		{Kind: Gather, P: 5, B: 13},
+		{Kind: AllGather, P: 5, B: 13},
+	} {
+		inputs := req.Inputs(ramp)
+		var sink Key
+		if n := testing.AllocsPerRun(100, func() {
+			if req.Validate() != nil || req.CheckInputs(inputs) != nil {
+				t.Fatal("valid request rejected")
+			}
+			sink = KeyOf(req)
+		}); n != 0 {
+			t.Errorf("%s: Validate + CheckInputs + KeyOf allocate %v times per call", req.Kind, n)
 		}
-		sink = KeyOf(req)
-	}); n != 0 {
-		t.Errorf("Validate + CheckInputs + KeyOf allocate %v times per call", n)
+		_ = sink
 	}
-	_ = sink
 }

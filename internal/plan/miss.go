@@ -112,18 +112,24 @@ func (m *missPath) load(ctx context.Context, key Key) (*Plan, error) {
 		return nil, nil
 	}
 	if ok {
-		tape, _ := p.Tape()
+		tape := p.Tape()
 		sp.SetAttr("tape", tape != nil)
 		sp.SetAttr("tape_runs", tape.Runs())
 		if tape == nil {
-			if err = p.recordTape(ctx); err == nil && p.replay.tape.Load() != nil {
+			if err = p.recordTape(ctx); err == nil && p.Tape() != nil {
 				m.save(ctx, p)
 			}
 		}
 	}
-	m.count(&m.st.Store, sp, start, ok, err)
-	if !ok || err != nil {
+	// The store handed over a usable frame, so it is the store's hit even
+	// when ctx cut its re-tape: that fails the lookup, not the store.
+	m.count(&m.st.Store, sp, start, ok, nil)
+	if err != nil {
+		sp.SetError(err)
 		return nil, err
+	}
+	if !ok {
+		return nil, nil
 	}
 	return p, nil
 }
@@ -172,7 +178,7 @@ func (m *missPath) count(step *MissStep, sp *obs.Span, start time.Time, hit bool
 func (m *missPath) save(ctx context.Context, p *Plan) {
 	_, sp := obs.Start(ctx, "planstore.save")
 	defer sp.End()
-	tape, _ := p.Tape()
+	tape := p.Tape()
 	sp.SetAttr("tape_events", tape.Events())
 	sp.SetAttr("tape_runs", tape.Runs())
 	err := m.store.Save(p)

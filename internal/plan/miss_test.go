@@ -238,3 +238,32 @@ func TestCancelledRecordingCachesNothing(t *testing.T) {
 		t.Fatalf("serving it: %v, root %v, %+v; want a tape walk", err, rep, c.Stats())
 	}
 }
+
+// TestCancelledRetapeIsNoStoreError: a stored frame without its tape is
+// taped on its load, under the lookup's ctx. A ctx that has fired fails the
+// lookup with its typed error, but the store handed over a usable frame: the
+// step is the store's hit, and neither StoreErrors nor LastStoreError moves.
+func TestCancelledRetapeIsNoStoreError(t *testing.T) {
+	req := Request{Kind: Reduce1D, Alg: core.Chain, P: 4, B: 16}
+	untaped, err := Compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := newMemStore()
+	ms.m[untaped.Key] = untaped
+	c := NewCache(4)
+	c.SetStore(ms)
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	if p, err := c.GetCtx(gone, req); p != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("lookup under a cancelled ctx: %v, %v; want context.Canceled", p != nil, err)
+	}
+	st := c.Stats()
+	s := st.Miss.Store
+	if st.StoreErrors != 0 || st.LastStoreError != "" || s.Lookups != 1 || s.Hits != 1 || s.Hits+s.Misses+s.Errors != s.Lookups {
+		t.Fatalf("after the cancelled re-tape: %+v; want one store hit and no store error", st)
+	}
+	if st.Miss.Compile.Lookups != 0 || ms.saves != 0 {
+		t.Fatalf("the cancelled re-tape went on: %+v, %d saves", st.Miss, ms.saves)
+	}
+}

@@ -293,10 +293,11 @@ func (p *Plan) bind(inputs [][]float32) (*fabric.Spec, [][]float32, error) {
 		return nil, nil, err
 	}
 	init := inputs
-	if chunkOff := p.chunkOffsets(); chunkOff != nil {
+	if ki := InfoOf(p.Kind); ki.placed {
 		init = make([][]float32, len(inputs))
 		for j, v := range inputs {
-			init[j] = core.AllGatherInit(v, chunkOff[j], p.B)
+			off, _ := comm.Chunk(p.P, p.B, j)
+			init[j] = core.AllGatherInit(v, off, p.B)
 		}
 	}
 	s := p.Spec
@@ -308,7 +309,7 @@ func (p *Plan) bind(inputs [][]float32) (*fabric.Spec, [][]float32, error) {
 					return nil, nil, err
 				}
 			}
-			s.PE(c)
+			s.Program(c)
 		}
 	}
 	return s, init, nil
@@ -318,17 +319,6 @@ func (p *Plan) bind(inputs [][]float32) (*fabric.Spec, [][]float32, error) {
 // row-major order, which for the one-vector kinds is the root alone.
 func (p *Plan) inputCoord(j int) mesh.Coord {
 	return mesh.Coord{X: j % p.Spec.Width, Y: j / p.Spec.Width}
-}
-
-// chunkOffsets is non-nil for the one kind whose inputs do not start their
-// PE's accumulator: allgather chunk j sits at its Chunks offset of the
-// B-length image every PE ends up holding.
-func (p *Plan) chunkOffsets() []int {
-	if ki := InfoOf(p.Kind); ki == nil || !ki.placed {
-		return nil
-	}
-	off, _ := core.Chunks(p.P, p.B)
-	return off
 }
 
 // checkInputs validates one run's input arity without binding it, also for
@@ -392,8 +382,7 @@ func (p *Plan) ExecuteCtx(ctx context.Context, inputs [][]float32, eo ExecOption
 	span.SetAttr("cycles", rep.Cycles)
 	span.SetAttr("steps", rep.Stats.Steps)
 	if span != nil && mode != modeEngine {
-		tape, _ := p.Tape()
-		span.SetAttr("tape_runs", tape.Runs())
+		span.SetAttr("tape_runs", p.Tape().Runs())
 	}
 	return rep, nil
 }
@@ -402,15 +391,15 @@ func (p *Plan) execute(ctx context.Context, inputs [][]float32, eo ExecOptions) 
 	if err := faults.Inject("fabric.exec"); err != nil {
 		return nil, "", err
 	}
-	bt, f, mode, err := p.acquire(ctx, inputs, false)
+	st, f, mode, err := p.acquire(ctx, inputs, false)
 	if err != nil {
 		return nil, mode, err
 	}
-	if bt != nil {
+	if st != nil {
 		if err := ctxErr(ctx); err != nil {
 			return nil, mode, err
 		}
-		return p.replayTape(bt, inputs, eo.Columnar, nil, nil), mode, nil
+		return p.replayTape(st, inputs, eo.Columnar, nil, nil), mode, nil
 	}
 	rep, err := p.runOn(f, eo)
 	return rep, mode, err
@@ -467,20 +456,20 @@ func (p *Plan) ExecuteBatch(ctx context.Context, batches [][][]float32, eo ExecO
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		bt, f, mode, err := p.acquire(ctx, inputs, i == 0 && len(batches) > 1)
+		st, f, mode, err := p.acquire(ctx, inputs, i == 0 && len(batches) > 1)
 		if i == 0 {
 			span.SetAttr("mode", mode)
 		}
 		switch {
 		case err != nil:
-		case bt == nil:
+		case st == nil:
 			reports[i], err = p.runOn(f, eo)
 		default:
-			n := bt.tape.AccLen()
+			n := st.tape.AccLen()
 			if len(arena) < n {
 				arena = make([]float32, (len(batches)-i)*n)
 			}
-			reports[i] = p.replayTape(bt, inputs, eo.Columnar, arena[:n:n], off)
+			reports[i] = p.replayTape(st, inputs, eo.Columnar, arena[:n:n], off)
 			arena = arena[n:]
 			if eo.Columnar {
 				off = reports[i].Columnar.Off
@@ -554,7 +543,7 @@ func (p *Plan) simulate(inputs [][]float32) (*fabric.Result, error) {
 }
 
 // Stamp copies the plan's program into dst, which must span the same
-// region, its Init vectors aside (fabric.Spec.Stamp). dst shares the plan's
+// region, its bindings aside (fabric.Spec.Stamp). dst shares the plan's
 // ops and routing tables, which no write reaches, so callers (e.g. the §8.3
 // measurement instrumenter) may rewrite dst's programs freely without
 // touching the cached plan.

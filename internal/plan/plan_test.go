@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/measure"
-	"repro/internal/mesh"
 )
 
 func vectors(p, b int, seed float32) [][]float32 {
@@ -303,12 +302,7 @@ func TestStampIsolation(t *testing.T) {
 	if err := measure.Instrument(dst, 16, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	dst.Each(func(_ mesh.Coord, pe *fabric.PESpec) {
-		if pe.Init == nil {
-			pe.Init = make([]float32, 8)
-		}
-	})
-	f, err := fabric.New(dst, fabric.Options{})
+	f, err := fabric.NewBound(dst, in, fabric.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/obs"
@@ -53,7 +54,9 @@ const (
 
 // replayState is the tape side of a Plan.
 type replayState struct {
-	tape atomic.Pointer[boundTape]
+	// tape, once set, is the plan's tape, laid out for inputs of the kind's
+	// layout bound where the plan binds them (placeable).
+	tape atomic.Pointer[shapedTape]
 	// ran is set once an execution completed on the engine: the next one
 	// records.
 	ran atomic.Bool
@@ -98,68 +101,74 @@ func (r *replayState) replayed() {
 	r.own.Add(1)
 }
 
-// boundTape is a plan's tape with the plan's input binding resolved against
-// it: input j of a run is copied to image[dst[j]:], and had n[j] elements
-// when the tape was recorded.
-type boundTape struct {
-	tape   *fabric.Tape
-	dst, n []int
+// shapedTape is a plan's tape with the shape whose input layout its image
+// holds, the plan's shape when it was recorded or decoded, and that shape's
+// kind row. A plan whose exported fields have been rebound since runs on
+// the engine.
+type shapedTape struct {
+	tape  *fabric.Tape
+	shape Request
+	ki    *KindInfo
 }
 
-// fits reports whether inputs have the lengths the tape was recorded under.
-func (bt *boundTape) fits(inputs [][]float32) bool {
-	if len(inputs) != len(bt.n) {
-		return false
+// tapeFor is the plan's tape when inputs replay from it: they fit the kind's
+// layout for the shape the tape was laid out for. It allocates nothing.
+func (p *Plan) tapeFor(inputs [][]float32) *shapedTape {
+	st := p.replay.tape.Load()
+	if st == nil || p.Opt.Tracer != nil || st.shape != p.shape() || st.ki.checkInputs(st.shape, inputs) != nil {
+		return nil
 	}
-	for j, v := range inputs {
-		if len(v) != bt.n[j] {
-			return false
-		}
-	}
-	return true
+	return st
+}
+
+// setTape installs tape, laid out for the plan's current shape, unless the
+// plan has one already (racing recordings make the same tape), and returns
+// it as the plan replays it.
+func (p *Plan) setTape(tape *fabric.Tape) *shapedTape {
+	st := &shapedTape{tape: tape, shape: p.shape(), ki: InfoOf(p.Kind)}
+	p.replay.tape.CompareAndSwap(nil, st)
+	return st
 }
 
 // acquire decides how one call executes, and readies it: it returns the
 // plan's tape when the call replays (or has just recorded) it, and otherwise
 // a fabric armed with inputs and watched by ctx, for the caller to run. A plan
 // without a tape records once it has completed a run, or at once when eager
-// (the first entry of a batch). mode names the choice for the trace.
-func (p *Plan) acquire(ctx context.Context, inputs [][]float32, eager bool) (bt *boundTape, f *fabric.Fabric, mode string, err error) {
-	bt = p.replay.tape.Load()
-	if bt != nil && p.Opt.Tracer == nil && bt.fits(inputs) {
-		return bt, nil, modeTape, nil
+// (the first entry of a batch). mode names the choice for the trace. Inputs
+// that do not fit the kind's layout go to the engine's binding, which says
+// why.
+func (p *Plan) acquire(ctx context.Context, inputs [][]float32, eager bool) (st *shapedTape, f *fabric.Fabric, mode string, err error) {
+	if st = p.tapeFor(inputs); st != nil {
+		return st, nil, modeTape, nil
 	}
 	if f, err = p.arm(ctx, inputs); err != nil {
 		return nil, nil, modeEngine, err
 	}
-	if bt != nil || p.Opt.Tracer != nil || !eager && !p.replay.ran.Load() {
+	if p.replay.tape.Load() != nil || p.Opt.Tracer != nil || !eager && !p.replay.ran.Load() {
 		return nil, f, modeEngine, nil
 	}
-	switch bt, err = p.record(f, inputs); {
+	switch tape, err := p.record(f); {
 	case err != nil:
 		return nil, nil, modeRecord, err // nothing recorded: the failure recurs from the engine
-	case bt == nil:
+	case tape == nil:
 		return nil, f, modeEngine, nil // over the cap: Record ran nothing, f is still armed
+	default:
+		return p.setTape(tape), nil, modeRecord, nil
 	}
-	p.replay.tape.CompareAndSwap(nil, bt) // racing recordings made the same tape
-	return bt, nil, modeRecord, nil
 }
 
-// record runs the armed fabric on symbolic data and binds the plan's inputs
-// against the tape. It returns nil, nil for a program over the tape cap.
-func (p *Plan) record(f *fabric.Fabric, inputs [][]float32) (*boundTape, error) {
+// record runs the fabric, armed with inputs of the kind's layout, on
+// symbolic data. It returns nil, nil for a program over the tape cap, or one
+// whose image has no place for an input.
+func (p *Plan) record(f *fabric.Fabric) (*fabric.Tape, error) {
 	tape, err := f.Record()
 	if errors.Is(err, fabric.ErrTapeTooLong) {
 		return nil, nil
 	}
-	if err != nil {
+	if err != nil || !p.placeable(tape) {
 		return nil, err
 	}
-	lens := make([]int, len(inputs))
-	for j, v := range inputs {
-		lens[j] = len(v)
-	}
-	return p.bindTape(tape, lens), nil
+	return tape, nil
 }
 
 // recordTape is how the miss tapes the plan it makes: one recording
@@ -179,98 +188,89 @@ func (p *Plan) recordTape(ctx context.Context) error {
 		return zero[:n]
 	})
 	f, err := p.arm(ctx, inputs)
-	var bt *boundTape
+	var tape *fabric.Tape
 	if err == nil {
-		bt, err = p.record(f, inputs)
+		tape, err = p.record(f)
 	}
 	if cerr := ctxErr(ctx); cerr != nil {
 		sp.SetError(cerr)
 		return cerr
 	}
 	sp.SetError(err)
-	if bt != nil {
-		p.replay.tape.Store(bt)
-		sp.SetAttr("tape_runs", bt.tape.Runs())
+	if tape != nil {
+		p.setTape(tape)
+		sp.SetAttr("tape_runs", tape.Runs())
 	}
 	return nil
 }
 
-// bindTape resolves where inputs of the given lengths land in the tape's
-// image. It returns nil when one of them has no place there, which leaves
-// the plan to the engine.
-func (p *Plan) bindTape(tape *fabric.Tape, lens []int) *boundTape {
-	bt := &boundTape{tape: tape, dst: make([]int, len(lens)), n: lens}
-	chunkOff := p.chunkOffsets()
-	// Inputs and the tape's PEs both come in row-major order: one walk.
-	u, units := 0, tape.Units()
-	for j, n := range lens {
-		want := p.inputCoord(j)
-		for u < units {
-			if c, _, _ := tape.Unit(u); c.Y > want.Y || c.Y == want.Y && c.X >= want.X {
-				break
-			}
-			u++
-		}
-		if u == units {
-			return nil
-		}
-		c, base, size := tape.Unit(u)
+// placeable reports whether the tape's image has a place for every input of
+// the kind's layout: input j is unit j, the PE at row-major index j, and
+// lands at its chunk offset for the placed kind, at the start otherwise.
+func (p *Plan) placeable(tape *fabric.Tape) bool {
+	ki := InfoOf(p.Kind)
+	l, s := ki.inputs(p.shape()), tape.Spec()
+	if l.n > tape.Units() {
+		return false
+	}
+	for j := range l.n {
 		off := 0
-		if chunkOff != nil {
-			off = chunkOff[j]
+		if ki.placed {
+			off, _ = comm.Chunk(p.P, p.B, j)
 		}
-		if c != want || n < 0 || off+n > size {
-			return nil
+		if _, room := tape.Unit(j); s.At(p.inputCoord(j)) == nil || off+l.len(j) > room {
+			return false
 		}
-		bt.dst[j] = base + off
 	}
-	return bt
+	return true
 }
 
-// Tape returns the plan's replay tape and the input lengths it is bound to,
-// or nil while the plan has none. It is what a plan store persists beside the
-// program.
-func (p *Plan) Tape() (*fabric.Tape, []int) {
-	bt := p.replay.tape.Load()
-	if bt == nil {
-		return nil, nil
+// boundLen is the length of the vector a run binds to the PE at row-major
+// index i: the kind's input there, or the B-element image the placed kind's
+// chunk sits in; 0 past the inputs.
+func (p *Plan) boundLen() func(i int) int {
+	ki := InfoOf(p.Kind)
+	l := ki.inputs(p.shape())
+	return func(i int) int {
+		switch {
+		case i >= l.n:
+			return 0
+		case ki.placed:
+			return p.B
+		}
+		return l.len(i)
 	}
-	return bt.tape, bt.n
 }
 
-// SetTape installs a tape that was stored with the plan, recorded from this
-// very program under inputs of the given lengths: the plan replays from it
-// from its first execution on and never builds a fabric. It is for the
-// decoder of a stored frame, on a plan nothing else has seen yet. The tape's
-// image must be the one this program lays out for such inputs, element for
-// element; anything else is an error and leaves the plan as it was.
-func (p *Plan) SetTape(tape *fabric.Tape, lens []int) error {
-	if err := p.shape().CheckInputLens(lens); err != nil {
-		return fmt.Errorf("plan: stored tape: %w", err)
+// Tape returns the plan's replay tape, or nil while the plan has none. It is
+// what a plan store persists beside the program.
+func (p *Plan) Tape() *fabric.Tape {
+	if st := p.replay.tape.Load(); st != nil {
+		return st.tape
 	}
-	bt := p.bindTape(tape, lens)
-	if bt == nil {
+	return nil
+}
+
+// SetTape installs the tape section stored with the plan, recorded from this
+// very program: the plan replays from it from its first execution on and
+// never builds a fabric. It is for the decoder of a stored frame, on a plan
+// nothing else has seen yet. The tape's image is the one this program lays
+// out for inputs of the kind's layout (fabric.DecodeTape derives it from the
+// program and boundLen), and the section is held to it; a section that does
+// not decode is an error and leaves the plan as it was.
+func (p *Plan) SetTape(section []byte) error {
+	if InfoOf(p.Kind) == nil {
+		return fmt.Errorf("plan: stored tape: unknown kind %q", p.Kind)
+	}
+	tape, err := fabric.DecodeTape(p.Spec, p.boundLen(), section)
+	if err != nil {
+		return err
+	}
+	if !p.placeable(tape) {
 		return fmt.Errorf("plan: stored tape: an input has no place in its image")
 	}
-	// The image holds, per PE, what the engine would have allocated: the
-	// bound input or the span its ops address, whichever is longer.
-	width, placed := p.Spec.Width, p.chunkOffsets() != nil
-	for u := 0; u < tape.Units(); u++ {
-		c, _, n := tape.Unit(u)
-		want := p.Spec.At(c).AccNeed()
-		if j := c.Y*width + c.X; j < len(lens) {
-			if placed {
-				want = max(want, p.B)
-			} else {
-				want = max(want, lens[j])
-			}
-		}
-		if n != want {
-			return fmt.Errorf("plan: stored tape: PE %v accumulator of %d elements, the program lays out %d", c, n, want)
-		}
-	}
 	p.replay.loaded = true
-	p.replay.tape.Store(bt)
+	p.setTape(tape)
 	return nil
 }
 
@@ -280,8 +280,8 @@ func (p *Plan) SetTape(tape *fabric.Tape, lens []int) error {
 // samples and accumulators, bit for bit. A plan without a tape passes. It is
 // what re-earns the trust a stored tape is loaded on (planstore.Store.Verify).
 func (p *Plan) CheckTape() error {
-	bt := p.replay.tape.Load()
-	if bt == nil {
+	st := p.replay.tape.Load()
+	if st == nil {
 		return nil
 	}
 	k := 0
@@ -297,11 +297,9 @@ func (p *Plan) CheckTape() error {
 	if err != nil {
 		return fmt.Errorf("plan: tape check: the simulator fails where the tape reports a run: %w", err)
 	}
-	acc := make([]float32, bt.tape.AccLen())
-	for j, v := range inputs {
-		copy(acc[bt.dst[j]:], v)
-	}
-	got := bt.tape.Run(acc)
+	acc := make([]float32, st.tape.AccLen())
+	st.bind(inputs, acc)
+	got := st.tape.Run(acc)
 	switch {
 	case got.Cycles != want.Cycles:
 		return fmt.Errorf("plan: tape check: tape says %d cycles, the simulator %d", got.Cycles, want.Cycles)
@@ -321,22 +319,33 @@ func sameBits(a, b []float32) bool {
 	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
+// bind copies inputs, which fit the kind's layout, to their places in the
+// tape's image.
+func (st *shapedTape) bind(inputs [][]float32, acc []float32) {
+	for j, v := range inputs {
+		base, _ := st.tape.Unit(j)
+		if st.ki.placed {
+			off, _ := comm.Chunk(st.shape.P, st.shape.B, j)
+			base += off
+		}
+		copy(acc[base:], v)
+	}
+}
+
 // replayTape produces the report of one run from the tape. inputs must fit
 // it. acc, when non-nil, is the zeroed image to build the run in (a batch
 // carves it from one allocation) and off the offset table earlier columnar
 // reports of the batch share.
-func (p *Plan) replayTape(bt *boundTape, inputs [][]float32, columnar bool, acc []float32, off []int) *core.Report {
+func (p *Plan) replayTape(st *shapedTape, inputs [][]float32, columnar bool, acc []float32, off []int) *core.Report {
 	p.replay.replayed()
 	if acc == nil {
-		acc = make([]float32, bt.tape.AccLen())
+		acc = make([]float32, st.tape.AccLen())
 	}
-	for j, v := range inputs {
-		copy(acc[bt.dst[j]:], v)
-	}
+	st.bind(inputs, acc)
 	if columnar {
 		res := &fabric.ColumnarResult{Off: off}
-		bt.tape.RunColumnar(res, acc)
+		st.tape.RunColumnar(res, acc)
 		return core.ReportOfColumnar(res, p.Predicted)
 	}
-	return core.ReportOf(bt.tape.Run(acc), p.Predicted)
+	return core.ReportOf(st.tape.Run(acc), p.Predicted)
 }

@@ -91,18 +91,18 @@ func sameReportBits(t *testing.T, want, got *core.Report, label string) {
 }
 
 // taped executes the plan until its tape is recorded and returns it.
-func taped(t *testing.T, pl *Plan, inputs [][]float32) *boundTape {
+func taped(t *testing.T, pl *Plan, inputs [][]float32) *fabric.Tape {
 	t.Helper()
 	for run := 0; run < 2; run++ {
 		if _, err := pl.Execute(inputs); err != nil {
 			t.Fatalf("run %d: %v", run+1, err)
 		}
 	}
-	bt := pl.replay.tape.Load()
-	if bt == nil {
+	tape := pl.Tape()
+	if tape == nil {
 		t.Fatalf("no tape after two executions (ran %v)", pl.replay.ran.Load())
 	}
-	return bt
+	return tape
 }
 
 // matchesEngine is the differential property on one plan: its first run, its
@@ -199,9 +199,9 @@ func TestTapeCarriesClockSamples(t *testing.T) {
 	if err := compiled.Stamp(pl.Spec); err != nil {
 		t.Fatal(err)
 	}
-	pl.Spec.Each(func(c mesh.Coord, pe *fabric.PESpec) {
+	pl.Spec.Each(func(c mesh.Coord, prog *fabric.Program) {
 		pl.Spec.SetClockSlots(c, 2)
-		pl.Spec.SetOps(c, append(append([]fabric.Op{{Kind: fabric.OpSampleClock, Slot: 0}}, pe.Program().Ops...), fabric.Op{Kind: fabric.OpSampleClock, Slot: 1}))
+		pl.Spec.SetOps(c, append(append([]fabric.Op{{Kind: fabric.OpSampleClock, Slot: 0}}, prog.Ops...), fabric.Op{Kind: fabric.OpSampleClock, Slot: 1}))
 	})
 	matchesEngine(t, pl, req, "instrumented reduce")
 
@@ -218,12 +218,10 @@ func TestTapeCarriesClockSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt := pl.replay.tape.Load()
-	acc := make([]float32, bt.tape.AccLen())
-	for j, v := range in {
-		copy(acc[bt.dst[j]:], v)
-	}
-	got := bt.tape.Run(acc)
+	tape := pl.Tape()
+	acc := make([]float32, tape.AccLen())
+	pl.replay.tape.Load().bind(in, acc)
+	got := tape.Run(acc)
 	if len(got.Clocks) != req.P || len(want.Clocks) != req.P {
 		t.Fatalf("clock samples of %d PEs on the tape, %d on the engine, want %d", len(got.Clocks), len(want.Clocks), req.P)
 	}

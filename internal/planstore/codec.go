@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math"
 
 	"repro/internal/bincodec"
 	"repro/internal/comm"
@@ -36,12 +35,15 @@ import (
 // writes; a blob of any other version is refused, so a store of an earlier
 // build's blobs quarantines them at Open and recompiles on a miss. A frame
 // whose plan holds a replay tape (plan/tape.go) sets flagTape in the
-// header's flags byte and appends, after the plan, the lengths of the inputs
-// the tape was recorded under and the tape itself (fabric/tapecodec.go); a
-// frame without the flag ends after the plan. One encoding per plan.
-// Version 4 is the first whose spec lists each distinct PE program once
-// (fabric.SpecCodecVersion 2); versions 1 to 3 spelled out every PE's.
-const FormatVersion = 4
+// header's flags byte and appends the tape section (fabric/tapecodec.go)
+// after the plan; a frame without the flag ends after the plan. One encoding
+// per plan. Version 5 writes the spec's placement as runs
+// (fabric.SpecCodecVersion 3) and a tape section that leaves out what the
+// program and the kind's input layout determine: the input lengths and every
+// PE's accumulator length. Version 4 listed each distinct PE program once
+// (spec layout 2), then a record per PE; versions 1 to 3 spelled out every
+// PE's program.
+const FormatVersion = 5
 
 const flagTape = 0x01 // header flags: a tape section follows the plan
 
@@ -65,8 +67,8 @@ const (
 // the plan's content address. Encoding is deterministic: the same plan
 // always yields the same bytes and therefore the same address.
 func Encode(p *plan.Plan) ([]byte, string, error) {
-	tape, lens := p.Tape()
-	e := &bincodec.Encoder{Buf: make([]byte, headerLen, headerLen+frameRoom(p, tape, lens))}
+	tape := p.Tape()
+	e := &bincodec.Encoder{Buf: make([]byte, headerLen, headerLen+frameRoom(p, tape))}
 	putKey(e, p.Key)
 	e.Str(string(p.Kind))
 	e.Str(string(p.Alg))
@@ -93,10 +95,6 @@ func Encode(p *plan.Plan) ([]byte, string, error) {
 		e.Byte(byte(c))
 	}
 	if tape != nil {
-		e.Uvarint(uint64(len(lens)))
-		for _, n := range lens {
-			e.Uvarint(uint64(n))
-		}
 		e.Buf = tape.AppendBinary(e.Buf)
 	}
 	return e.Buf, seal(e.Buf, tape != nil), nil
@@ -104,19 +102,19 @@ func Encode(p *plan.Plan) ([]byte, string, error) {
 
 // frameRoom is room for the payload Encode writes: the spec and tape
 // sections as their SizeHints estimate them, the trees at the length of
-// their largest index, an accumulator length at two bytes, and the key and
+// their largest index, and the key and
 // the echo of the request, which spell the three names twice, at
 // fixedBytes besides the names. A frame that runs longer grows its buffer
 // once; TestEncodeSizesItsFrame holds the estimate to the benchmark's cold
 // frames.
-func frameRoom(p *plan.Plan, tape *fabric.Tape, lens []int) int {
+func frameRoom(p *plan.Plan, tape *fabric.Tape) int {
 	room := fixedBytes + 2*(len(p.Kind)+len(p.Alg)+len(p.Alg2D)) +
 		binary.MaxVarintLen64 + p.Spec.SizeHint() + 1 + len(p.Colors)
 	for _, t := range []comm.Tree{p.Tree, p.RowTree, p.ColTree} {
 		room += (1 + len(t.Parent)) * bincodec.VarintLen(int64(len(t.Parent)))
 	}
 	if tape != nil {
-		room += binary.MaxVarintLen64 + 2*len(lens) + tape.SizeHint()
+		room += tape.SizeHint()
 	}
 	return room
 }
@@ -215,33 +213,12 @@ func Decode(data []byte) (*plan.Plan, string, error) {
 	return p, hex.EncodeToString(sum), nil
 }
 
-// getTape reads the tape section — the input lengths, then the tape, to the
-// end of the payload — and hands the plan its tape. The section is held to
-// the decoded program throughout: fabric.DecodeTape takes the image layout
-// from the spec and range-checks every run against it, Plan.SetTape
-// requires the lengths to be the plan's own input layout and the image to be
-// what the program lays out for them.
+// getTape hands the plan the tape section, the rest of the payload. The
+// section is held to the decoded program: Plan.SetTape lays the image out
+// from the program and the kind's input layout, and fabric.DecodeTape
+// range-checks every run against it.
 func getTape(d *bincodec.Decoder, p *plan.Plan) error {
-	n := d.Uvarint()
-	if d.Err() != nil || n > uint64(d.Remaining()) {
-		return fmt.Errorf("planstore: decode tape: input lengths truncated")
-	}
-	lens := make([]int, n)
-	for j := range lens {
-		v := d.Uvarint()
-		if v > math.MaxInt32 {
-			return fmt.Errorf("planstore: decode tape: input %d of %d elements", j, v)
-		}
-		lens[j] = int(v)
-	}
-	if d.Err() != nil {
-		return fmt.Errorf("planstore: decode tape: %v", d.Err())
-	}
-	tape, err := fabric.DecodeTape(p.Spec, d.Rest())
-	if err != nil {
-		return fmt.Errorf("planstore: decode tape: %w", err)
-	}
-	if err := p.SetTape(tape, lens); err != nil {
+	if err := p.SetTape(d.Rest()); err != nil {
 		return fmt.Errorf("planstore: decode tape: %w", err)
 	}
 	return nil

@@ -219,12 +219,73 @@ func colorFrame(tb testing.TB, count uint64, colors ...byte) []byte {
 // loop was skipped, and the frame decoded with its colors dropped.
 func forgedColorCount(tb testing.TB) []byte { return colorFrame(tb, math.MaxUint64) }
 
+// placementFrame is a reduce1d P = 4 frame without a tape, sealed under a
+// correct digest, whose spec section ends in the placement runs given, as
+// index and cell-count pairs, in place of its own. The plan runs four
+// programs, one a PE: its own runs are {1, 1}, {2, 1}, {3, 1}, {4, 1}.
+func placementFrame(tb testing.TB, runs ...[2]uint64) []byte {
+	tb.Helper()
+	p, err := plan.Compile(plan.Request{Kind: plan.Reduce1D, Alg: core.Auto, P: 4, B: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, _, err := Encode(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec, err := p.Spec.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	own := []byte{4, 1, 1, 2, 1, 3, 1, 4, 1}
+	at := bytes.Index(data, spec)
+	if at < 0 || !bytes.HasSuffix(spec, own) {
+		tb.Fatalf("the frame's spec section does not end in the runs %v", own)
+	}
+	placement := &bincodec.Encoder{}
+	placement.Uvarint(uint64(len(runs)))
+	for _, r := range runs {
+		placement.Uvarint(r[0])
+		placement.Uvarint(r[1])
+	}
+	e := &bincodec.Encoder{Buf: append([]byte(nil), data[headerLen:at-bincodec.UvarintLen(uint64(len(spec)))]...)}
+	e.Str(string(spec[:len(spec)-len(own)]) + string(placement.Buf))
+	return reframe(append(e.Buf, data[at+len(spec):]...), false)
+}
+
+// perPEFrame is a taped reduce1d P = 4 frame, sealed under a correct digest,
+// whose tape section spells out what a version-4 section did after its
+// counters: each PE's accumulator length (B = 4 each) and the clock count.
+func perPEFrame(t *testing.T) []byte {
+	t.Helper()
+	p := tapedPlan(t, plan.Request{Kind: plan.Reduce1D, Alg: core.Auto, P: 4, B: 4})
+	data, _, err := Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := tapeSectionOf(t, p, data)
+	d := bincodec.NewDecoder(data[at:])
+	for range 7 { // cycles, six Stats counters
+		d.Uvarint()
+	}
+	counters := at + len(data[at:]) - d.Remaining()
+	payload := append(append([]byte(nil), data[headerLen:counters]...), 4, 4, 4, 4, 0)
+	return reframe(append(payload, data[counters:]...), true)
+}
+
 // TestDecodeRejectsNonCanonicalFrames: a frame under a correct digest whose
 // color count is more than the fabric has or the payload holds is one decode
-// error, never a plan decoded without its colors.
+// error, never a plan decoded without its colors; so is one whose placement
+// the spec encoder never writes (fabric's TestSpecCodecRejectsNonCanonicalFrames
+// holds the spec section alone to every rule), and one whose tape section
+// still spells out the per-PE lengths that the program now determines
+// (TestDecodeRejectsHostileTapeFrames holds the section to the rest).
 func TestDecodeRejectsNonCanonicalFrames(t *testing.T) {
 	if _, _, err := Decode(colorFrame(t, 2, 0, 1)); err != nil {
 		t.Fatalf("a frame of two colors is refused: %v", err)
+	}
+	if _, _, err := Decode(placementFrame(t, [2]uint64{1, 1}, [2]uint64{2, 1}, [2]uint64{3, 1}, [2]uint64{4, 1})); err != nil {
+		t.Fatalf("a frame of its own placement is refused: %v", err)
 	}
 	for _, c := range []struct {
 		name, want string
@@ -233,6 +294,12 @@ func TestDecodeRejectsNonCanonicalFrames(t *testing.T) {
 		{"color count of 2^64-1", "18446744073709551615 colors", forgedColorCount(t)},
 		{"color count over the fabric's", fmt.Sprintf("%d colors", mesh.NumColors+1), colorFrame(t, mesh.NumColors+1, make([]byte, mesh.NumColors+1)...)},
 		{"color count over the bytes left", "3 colors", colorFrame(t, 3, 0, 1)},
+		{"runs that overrun the region", "run 3 of 2 cells at cell 3 of 4", placementFrame(t, [2]uint64{1, 1}, [2]uint64{2, 1}, [2]uint64{3, 1}, [2]uint64{4, 2})},
+		{"runs that fall short of the region", "the runs cover 3 of 4 cells", placementFrame(t, [2]uint64{1, 1}, [2]uint64{2, 1}, [2]uint64{3, 1})},
+		{"adjacent runs of one index", "run 2 repeats index 2", placementFrame(t, [2]uint64{1, 1}, [2]uint64{2, 1}, [2]uint64{2, 1}, [2]uint64{3, 1})},
+		{"an index past the program count", "run 3 runs program 4, the next unused is 3 of 4", placementFrame(t, [2]uint64{1, 1}, [2]uint64{2, 1}, [2]uint64{3, 1}, [2]uint64{5, 1})},
+		{"a program no run uses", "1 of 4 programs run on no PE", placementFrame(t, [2]uint64{1, 1}, [2]uint64{2, 1}, [2]uint64{3, 2})},
+		{"a tape section that still carries per-PE lengths", "run 0: kind 4, 0 elements", perPEFrame(t)},
 	} {
 		_, _, err := Decode(c.frame)
 		if err == nil {
@@ -285,7 +352,7 @@ func TestContentAddressIsShapeSensitive(t *testing.T) {
 }
 
 // TestDecodedPEsShareProgramStorage: the PEs of one program decode onto one
-// copy of its ops and routing table, each PE keeping a record of its own, so
+// copy of it, ops and routing table, each PE a placement entry naming it, so
 // rewriting one PE's program (Spec.SetOps) reaches no other PE; and a spec
 // stamped from the decoded plan (Plan.Stamp) shares its programs, so
 // rewriting a stamped PE's ops and routes leaves the decoded plan as it was.
@@ -298,28 +365,22 @@ func TestDecodedPEsShareProgramStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b *fabric.PESpec
-	var at mesh.Coord
-	seen := make(map[*fabric.Op]*fabric.PESpec)
-	p.Spec.Each(func(c mesh.Coord, pe *fabric.PESpec) {
-		if a != nil || len(pe.Program().Ops) == 0 || len(pe.Program().Configs) == 0 {
+	var a *fabric.Program
+	var at, other mesh.Coord
+	seen := make(map[*fabric.Program]mesh.Coord)
+	p.Spec.Each(func(c mesh.Coord, prog *fabric.Program) {
+		if a != nil || len(prog.Ops) == 0 || len(prog.Configs) == 0 {
 			return
 		}
-		if first, ok := seen[&pe.Program().Ops[0]]; ok {
-			a, b, at = pe, first, c
+		if first, ok := seen[prog]; ok {
+			a, at, other = prog, c, first
 		}
-		seen[&pe.Program().Ops[0]] = pe
+		seen[prog] = c
 	})
 	if a == nil {
-		t.Fatalf("no two PEs of %d share an op list: %d distinct", p.Spec.Len(), len(seen))
+		t.Fatalf("no two PEs of %d share a program: %d distinct", p.Spec.Len(), len(seen))
 	}
-	if a == b {
-		t.Fatal("two PEs decode to one PESpec")
-	}
-	if &a.Program().Configs[0] != &b.Program().Configs[0] || !reflect.DeepEqual(a.Program().Ops, b.Program().Ops) {
-		t.Fatal("two PEs of one op list hold different routing tables")
-	}
-	if cap(a.Program().Ops) != len(a.Program().Ops) || cap(a.Program().Configs) != len(a.Program().Configs) || cap(a.Program().Configs[0].Cfgs) != len(a.Program().Configs[0].Cfgs) {
+	if cap(a.Ops) != len(a.Ops) || cap(a.Configs) != len(a.Configs) || cap(a.Configs[0].Cfgs) != len(a.Configs[0].Cfgs) {
 		t.Fatal("a shared program can be appended to in place")
 	}
 
@@ -331,43 +392,43 @@ func TestDecodedPEsShareProgramStorage(t *testing.T) {
 	if err := p.Stamp(dst); err != nil {
 		t.Fatal(err)
 	}
-	d := dst.PE(at)
-	if &d.Program().Ops[0] != &a.Program().Ops[0] {
+	d := dst.At(at)
+	if &d.Ops[0] != &a.Ops[0] {
 		t.Fatal("a stamped PE holds a copy of its program's ops")
 	}
-	ops := append([]fabric.Op(nil), d.Program().Ops...)
+	ops := append([]fabric.Op(nil), d.Ops...)
 	ops[0].N++
 	dst.SetOps(at, ops)
 	dst.Append(at, fabric.Op{Kind: fabric.OpBusyWrite, N: 1})
-	dst.AddConfig(at, d.Program().Configs[0].Color, fabric.RouterConfig{Accept: mesh.Ramp})
+	dst.AddConfig(at, d.Configs[0].Color, fabric.RouterConfig{Accept: mesh.Ramp})
 	if after, _ := p.Spec.MarshalBinary(); !bytes.Equal(after, before) {
 		t.Fatal("rewriting a stamped PE changed the decoded plan")
 	}
-	ops = b.Program().Ops
+	ops = a.Ops
 	p.Spec.SetOps(at, nil)
-	if len(b.Program().Ops) != len(ops) || &b.Program().Ops[0] != &ops[0] {
+	if b := p.Spec.At(other); b != a || len(b.Ops) != len(ops) || &b.Ops[0] != &ops[0] {
 		t.Fatal("assigning one PE's ops reached another PE")
 	}
 }
 
 // specSizes are the spec sections of the benchmark's cold-store shapes, and
-// of one large grid, held at what they measured when each distinct program
-// came to be listed once (rounded up); was is the section when every PE's
+// of one large grid, held at what they measure since the placement is
+// written as runs (spec layout 3); was is the section when every PE's
 // program was spelled out.
 var specSizes = []struct {
 	req      plan.Request
 	was, max int
 }{
-	{plan.Request{Kind: plan.Reduce1D, Alg: core.Auto, P: 512, B: 4}, 17834, 3600},
-	{plan.Request{Kind: plan.Reduce1D, Alg: core.TwoPhase, P: 512, B: 4}, 16436, 2800},
-	{plan.Request{Kind: plan.AllReduce1D, Alg: core.Auto, P: 256, B: 4}, 12071, 2400},
-	{plan.Request{Kind: plan.AllReduceMidRoot, Alg: core.TwoPhase, P: 257, B: 4}, 11865, 1900},
-	{plan.Request{Kind: plan.Broadcast1D, P: 512, B: 4}, 10694, 2600},
-	{plan.Request{Kind: plan.Reduce2D, Alg2D: core.Auto2D, Width: 32, Height: 32, B: 4}, 34460, 5200},
-	{plan.Request{Kind: plan.AllReduce2D, Alg2D: core.Auto2D, Width: 32, Height: 32, B: 4}, 48697, 9100},
-	{plan.Request{Kind: plan.Broadcast2D, Width: 32, Height: 32, B: 4}, 20485, 4200},
-	{plan.Request{Kind: plan.Gather, P: 64, B: 64}, 2028, 900},
-	{plan.Request{Kind: plan.Reduce2D, Alg2D: core.Auto2D, Width: 128, Height: 128, B: 4}, 549129, 83200},
+	{plan.Request{Kind: plan.Reduce1D, Alg: core.Auto, P: 512, B: 4}, 17834, 2048},
+	{plan.Request{Kind: plan.Reduce1D, Alg: core.TwoPhase, P: 512, B: 4}, 16436, 1254},
+	{plan.Request{Kind: plan.AllReduce1D, Alg: core.Auto, P: 256, B: 4}, 12071, 1644},
+	{plan.Request{Kind: plan.AllReduceMidRoot, Alg: core.TwoPhase, P: 257, B: 4}, 11865, 1174},
+	{plan.Request{Kind: plan.Broadcast1D, P: 512, B: 4}, 10694, 64},
+	{plan.Request{Kind: plan.Reduce2D, Alg2D: core.Auto2D, Width: 32, Height: 32, B: 4}, 34460, 2974},
+	{plan.Request{Kind: plan.AllReduce2D, Alg2D: core.Auto2D, Width: 32, Height: 32, B: 4}, 48697, 6832},
+	{plan.Request{Kind: plan.Broadcast2D, Width: 32, Height: 32, B: 4}, 20485, 101},
+	{plan.Request{Kind: plan.Gather, P: 64, B: 64}, 2028, 623},
+	{plan.Request{Kind: plan.Reduce2D, Alg2D: core.Auto2D, Width: 128, Height: 128, B: 4}, 549129, 32450},
 }
 
 // TestSpecFrameSizeRatchet holds the spec section of each specSizes shape to
@@ -381,7 +442,8 @@ func TestSpecFrameSizeRatchet(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := bincodec.NewDecoder(spec[1:])
-		_, _, pes, progs := d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
+		_, _, progs := d.Uvarint(), d.Uvarint(), d.Uvarint()
+		pes := p.Spec.Len()
 		r := c.req
 		name := fmt.Sprintf("%s %s%s P=%d %dx%d B=%d", r.Kind, r.Alg, r.Alg2D, r.P, r.Width, r.Height, r.B)
 		t.Logf("%s: %d PEs, %d distinct programs: spec section %d B (%d B spelled out)", name, pes, progs, len(spec), c.was)
@@ -399,7 +461,7 @@ func TestSpecFrameSizeRatchet(t *testing.T) {
 func TestEncodeSizesItsFrame(t *testing.T) {
 	for _, c := range specSizes[:9] {
 		p := tapedPlan(t, c.req)
-		if tape, _ := p.Tape(); tape == nil {
+		if tape := p.Tape(); tape == nil {
 			t.Fatalf("%v: no tape after two runs", c.req.Kind)
 		}
 		var frame []byte

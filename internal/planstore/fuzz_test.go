@@ -25,9 +25,9 @@ func allocBytes(fn func()) uint64 {
 // is tried twice: as it stands, and with its payload sealed afresh under a
 // matching header, with and without the tape flag — the blob an attacker who
 // can write the store, or a bit flip that happens before hashing, would
-// produce. Seeds are the per-kind golden plans, without a replay tape and
-// with one, the taped frames of every kind under clock skew and thermal
-// noise, and a frame whose color count wraps as an int.
+// produce. Seeds are the per-kind golden plans (version-5 frames), without a
+// replay tape and with one, the taped frames of every kind under clock skew
+// and thermal noise, and a frame whose color count wraps as an int.
 func FuzzDecode(f *testing.F) {
 	for _, req := range goldenCases() {
 		for _, gf := range goldenFrames {

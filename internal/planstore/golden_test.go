@@ -47,9 +47,10 @@ var goldenFrames = []struct {
 }
 
 // legacyFrames are the frames an earlier build wrote of every kind, kept
-// under testdata/legacy: versions 1 to 3, every PE's program spelled out.
-// This build refuses each at its header, which is what quarantines them in a
-// store (TestLegacyStoreRecompiles).
+// under testdata/legacy: versions 1 to 3, every PE's program spelled out,
+// and version 4, each program listed once and then a record per PE, with
+// and without its tape. This build refuses each at its header, which is what
+// quarantines them in a store (TestLegacyStoreRecompiles).
 var legacyFrames = []struct {
 	suffix  string // of the file under testdata/legacy
 	version uint16
@@ -57,6 +58,8 @@ var legacyFrames = []struct {
 	{"", 1},
 	{".v2", 2},
 	{".v3", 3},
+	{".v4", 4},
+	{".v4.taped", 4},
 }
 
 // goldenPath names the committed frame of a kind, by its suffix.
@@ -119,7 +122,7 @@ func TestGoldenPlans(t *testing.T) {
 				if want := plan.KeyOf(req); decoded.Key != want {
 					t.Fatalf("key derivation drifted:\n stored %v\n derived %v", decoded.Key, want)
 				}
-				if tape, _ := decoded.Tape(); (tape != nil) != gf.taped {
+				if tape := decoded.Tape(); (tape != nil) != gf.taped {
 					t.Fatalf("golden frame decodes with a tape: %v, want %v", tape != nil, gf.taped)
 				}
 				if err := decoded.CheckTape(); err != nil {
@@ -145,7 +148,8 @@ func TestGoldenPlans(t *testing.T) {
 			})
 		}
 		for _, lf := range legacyFrames {
-			t.Run(fmt.Sprintf("%s.v%d", req.Kind, lf.version), func(t *testing.T) {
+			v := fmt.Sprintf(".v%d", lf.version)
+			t.Run(string(req.Kind)+v+strings.TrimPrefix(lf.suffix, v), func(t *testing.T) {
 				data, err := os.ReadFile(legacyPath(req.Kind, lf.suffix))
 				if err != nil {
 					t.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/bincodec"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
@@ -45,13 +46,13 @@ func noisyInputs(p *plan.Plan, seed float32) [][]float32 {
 
 // tapedPlan compiles req through a cache, whose miss records its replay
 // tape.
-func tapedPlan(t *testing.T, req plan.Request) *plan.Plan {
+func tapedPlan(t testing.TB, req plan.Request) *plan.Plan {
 	t.Helper()
 	p, err := plan.NewCache(0).Get(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tape, _ := p.Tape(); tape == nil {
+	if tape := p.Tape(); tape == nil {
 		t.Fatal("a cache's miss recorded no tape")
 	}
 	return p
@@ -225,7 +226,7 @@ func TestUntapedFrameHeals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tape, _ := p.Tape(); tape == nil {
+		if tape := p.Tape(); tape == nil {
 			t.Fatalf("%s: an untaped frame was served without the tape its load records", req.Kind)
 		}
 		inputs := noisyInputs(p, 1)
@@ -277,8 +278,8 @@ func TestUntapedFrameHeals(t *testing.T) {
 }
 
 // TestLegacyStoreRecompiles: a store of the frames an earlier build wrote
-// (versions 1 to 3, every PE's program spelled out) opens with every one of
-// them quarantined and none indexed. Each request then misses, compiles,
+// (versions 1 to 4, from every PE's program spelled out to a record a PE)
+// opens with every one of them quarantined and none indexed. Each request then misses, compiles,
 // records and saves exactly one frame of this version, whose reports are the
 // engine's bit for bit, and the cache counts no store error.
 func TestLegacyStoreRecompiles(t *testing.T) {
@@ -367,7 +368,7 @@ func reframe(payload []byte, tape bool) []byte {
 // tapeSectionOf returns where the tape's own section starts in a frame of p.
 func tapeSectionOf(t *testing.T, p *plan.Plan, frame []byte) int {
 	t.Helper()
-	tape, _ := p.Tape()
+	tape := p.Tape()
 	section := tape.AppendBinary(nil)
 	if !bytes.HasSuffix(frame, section) {
 		t.Fatal("the frame does not end in the tape's section")
@@ -384,17 +385,19 @@ type spelledRun struct {
 	acc, wave int64
 }
 
-// splitSection cuts the tape section of a plan of pes PEs into everything
-// before its run count and the runs themselves.
-func splitSection(t *testing.T, section []byte, pes int) (head []byte, runs []spelledRun) {
+// splitSection cuts the tape section of plan p into everything before its
+// run count and the runs themselves.
+func splitSection(t *testing.T, section []byte, p *plan.Plan) (head []byte, runs []spelledRun) {
 	t.Helper()
 	d := bincodec.NewDecoder(section)
-	for i := 0; i < 7+pes; i++ { // cycles, six Stats counters, one accumulator length per PE
+	for i := 0; i < 7; i++ { // cycles, six Stats counters
 		d.Uvarint()
 	}
-	for clocks := d.Uvarint(); clocks > 0 && d.Err() == nil; clocks-- {
-		d.Varint()
-	}
+	p.Spec.Each(func(_ mesh.Coord, prog *fabric.Program) { // the clock samples, PE by PE
+		for range prog.ClockSlots {
+			d.Varint()
+		}
+	})
 	head = section[:len(section)-d.Remaining()]
 	runs = make([]spelledRun, d.Uvarint())
 	for i := range runs {
@@ -449,7 +452,7 @@ func TestVerifyCatchesLyingTape(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := tapeSectionOf(t, honest, frame)
-	head, runs := splitSection(t, frame[at:], honest.Spec.Len())
+	head, runs := splitSection(t, frame[at:], honest)
 	lie := -1
 	for i, r := range runs {
 		if r.kind == 2 { // a sum run into the root: told as a store
@@ -528,34 +531,28 @@ func TestDecodeRejectsHostileTapeFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := tapeSectionOf(t, p, taped)
-	lensAt := len(bare) // the tape part starts where the untaped payload ends
-	if !bytes.Equal(taped[headerLen:lensAt], bare[headerLen:]) {
-		t.Fatal("a taped payload does not start with the untaped payload")
+	if at != len(bare) || !bytes.Equal(taped[headerLen:at], bare[headerLen:]) {
+		t.Fatal("a taped payload is not the untaped payload and then the tape section")
 	}
-	if want := []byte{3, 3, 2, 2}; !bytes.Equal(taped[lensAt:at], want) { // 3 inputs: chunks of 3, 2, 2
-		t.Fatalf("input lengths are spelled % x, want % x", taped[lensAt:at], want)
-	}
-	splice := func(lens, section []byte) []byte {
-		payload := append([]byte(nil), taped[headerLen:lensAt]...)
-		return append(append(payload, lens...), section...)
+	splice := func(section ...[]byte) []byte {
+		return append(append([]byte(nil), taped[headerLen:at]...), bytes.Join(section, nil)...)
 	}
 	section := taped[at:]
-	// The section opens with cycles and six Stats counters, then one
-	// accumulator length per PE: every PE of an allgather holds B elements.
+	// The section opens with cycles and six Stats counters; a version-4
+	// section went on with one accumulator length per PE (every PE of an
+	// allgather holds B elements) and the clock count, and its frame spelled
+	// out the input lengths (3 inputs: chunks of 3, 2 and 2) before it.
 	d := bincodec.NewDecoder(section)
 	for i := 0; i < 7; i++ {
 		d.Uvarint()
 	}
-	accAt := len(section) - d.Remaining()
-	if !bytes.Equal(section[accAt:accAt+3], []byte{7, 7, 7}) {
-		t.Fatalf("accumulator lengths are spelled % x, want 07 07 07", section[accAt:accAt+3])
-	}
-	longerAcc := append([]byte(nil), section...)
-	longerAcc[accAt+2] = 8
+	statsAt := len(section) - d.Remaining()
+	perPE := splice(section[:statsAt], []byte{7, 7, 7, 0}, section[statsAt:])
+	inputLens := splice([]byte{3, 3, 2, 2}, section)
 	// The runs: the PEs pass their chunks (3, 2 and 2 elements of the
 	// 21-element image) along the row, a load run a send and a store run a
 	// receive.
-	head, runs := splitSection(t, section, 3)
+	head, runs := splitSection(t, section, p)
 	events, firstStore := uint64(0), -1
 	for i, r := range runs {
 		events += r.n
@@ -563,11 +560,11 @@ func TestDecodeRejectsHostileTapeFrames(t *testing.T) {
 			firstStore = i
 		}
 	}
-	if tape, _ := p.Tape(); events != uint64(tape.Events()) || len(runs) != tape.Runs() || firstStore < 1 || runs[0].kind != 0 {
+	if tape := p.Tape(); events != uint64(tape.Events()) || len(runs) != tape.Runs() || firstStore < 1 || runs[0].kind != 0 {
 		t.Fatalf("the tape's %d events in %d runs are spelled %+v; want a load run first and a store run after it", tape.Events(), tape.Runs(), runs)
 	}
 	withRuns := func(count int, edit func(r []spelledRun) []spelledRun) []byte {
-		return reframe(splice([]byte{3, 3, 2, 2}, joinSection(head, count, edit(append([]spelledRun(nil), runs...)))), true)
+		return reframe(splice(joinSection(head, count, edit(append([]spelledRun(nil), runs...)))), true)
 	}
 	same := len(runs)
 	padded := joinSection(head, same, runs)
@@ -593,11 +590,8 @@ func TestDecodeRejectsHostileTapeFrames(t *testing.T) {
 		{"tape section without the tape flag", "trailing payload bytes", reframe(taped[headerLen:], false)},
 		{"tape flag without a tape section", "decode tape", reframe(bare[headerLen:], true)},
 		{"trailing bytes after the tape", "trailing bytes", reframe(append(append([]byte(nil), taped[headerLen:]...), 0), true)},
-		{"one input length too many", "wants 3 input vector(s), got 4", reframe(splice([]byte{4, 3, 2, 2, 0}, section), true)},
-		{"input lengths not the kind's chunks", "input 1 has 3 elements, want 2", reframe(splice([]byte{3, 3, 3, 1}, section), true)},
-		{"input count over the bytes left", "input lengths truncated", reframe(splice([]byte{0xff, 0x7f}, nil), true)},
-		{"non-shortest input length", "decode tape", reframe(splice([]byte{3, 0x83, 0x00, 2, 2}, section), true)},
-		{"accumulator longer than the program lays out", "accumulator of 8 elements, the program lays out 7", reframe(splice([]byte{3, 3, 2, 2}, longerAcc), true)},
+		{"per-PE lengths still in the section", "run 0: kind 7, 0 elements", reframe(perPE, true)},
+		{"input lengths still before the section", "run 0: kind 2, 0 elements", reframe(inputLens, true)},
 
 		{"run of no elements", "0 elements", withRuns(same, func(r []spelledRun) []spelledRun {
 			r[0].n = 0
@@ -628,7 +622,7 @@ func TestDecodeRejectsHostileTapeFrames(t *testing.T) {
 			r[len(r)-2].n += last.n // Σn right, one run left over
 			return r
 		})},
-		{"non-shortest varint in a run", "truncated", reframe(splice([]byte{3, 3, 2, 2}, padded), true)},
+		{"non-shortest varint in a run", "truncated", reframe(splice(padded), true)},
 	} {
 		_, _, err := Decode(c.frame)
 		if err == nil {

@@ -39,7 +39,7 @@ func fromTrees(p *plan.Plan) (*fabric.Spec, error) {
 		// Each chunk lands at its offset of the B-element image.
 		off, _ := core.Chunks(p.P, p.B)
 		for v, c := range row[1:] {
-			ops := append([]fabric.Op(nil), spec.PE(c).Program().Ops...)
+			ops := append([]fabric.Op(nil), spec.Program(c).Ops...)
 			ops[len(ops)-1].Off = off[v+1]
 			spec.SetOps(c, ops)
 		}

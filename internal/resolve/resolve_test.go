@@ -242,7 +242,7 @@ func TestWriteBackCarriesTheTape(t *testing.T) {
 	if st := run(); st.TapeRecords != 1 || st.TapeLoaded != 0 {
 		t.Fatalf("compiling session: %+v; want one tape recorded", st)
 	}
-	if tape, _ := stored().Tape(); tape == nil || store.Stats().Saves != 1 {
+	if tape := stored().Tape(); tape == nil || store.Stats().Saves != 1 {
 		t.Fatalf("after the compiling session the store holds a tape: %v, after %d saves; want it saved once, with the tape", tape != nil, store.Stats().Saves)
 	}
 	if st := run(); st.TapeRecords != 0 || st.TapeLoaded != 1 || st.TapeReplays != 1 {
@@ -258,7 +258,7 @@ func TestWriteBackCarriesTheTape(t *testing.T) {
 		t.Fatal(err)
 	}
 	req = other.Request()
-	if tape, _ := stored().Tape(); tape == nil || store.Stats().Saves != 2 {
+	if tape := stored().Tape(); tape == nil || store.Stats().Saves != 2 {
 		t.Fatalf("a chain resolved on its own stored a tape: %v, %d saves; want one save, taped", tape != nil, store.Stats().Saves)
 	}
 
@@ -275,7 +275,7 @@ func TestWriteBackCarriesTheTape(t *testing.T) {
 	if st := run(); st.TapeRecords != 1 || st.TapeLoaded != 0 || st.StoreHits != 1 {
 		t.Fatalf("healing session: %+v; want the bare frame loaded and its tape recorded", st)
 	}
-	if tape, _ := stored().Tape(); tape == nil || store.Stats().Saves != 4 {
+	if tape := stored().Tape(); tape == nil || store.Stats().Saves != 4 {
 		t.Fatalf("after its load the bare frame holds a tape: %v, after %d saves; want it rewritten once", tape != nil, store.Stats().Saves)
 	}
 	if st := run(); st.TapeLoaded != 1 || st.TapeReplays != 1 || store.Stats().Saves != 4 {

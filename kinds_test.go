@@ -159,7 +159,7 @@ func TestKindTableConformance(t *testing.T) {
 // tested against all four).
 func rowsFloodStreamed(spec *fabric.Spec, w, h int) bool {
 	for y := 0; y < h; y++ {
-		ops := spec.PE(mesh.Coord{X: w / 2, Y: y}).Program().Ops
+		ops := spec.Program(mesh.Coord{X: w / 2, Y: y}).Ops
 		if w < 2 || len(ops) < w || ops[len(ops)-1].Kind != fabric.OpSend {
 			return false
 		}

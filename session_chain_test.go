@@ -92,7 +92,7 @@ func TestOnePlanMissPath(t *testing.T) {
 			if persists {
 				if p, ok, err := store.Load(planKey(s1, sh)); err != nil || !ok {
 					t.Fatalf("first run: stored plan ok=%v err=%v", ok, err)
-				} else if tape, _ := p.Tape(); tape == nil {
+				} else if tape := p.Tape(); tape == nil {
 					t.Error("first run: the one save went out without the tape")
 				}
 			}
@@ -159,7 +159,7 @@ func TestOnePlanMissPath(t *testing.T) {
 			if persists {
 				if p, ok, err := store.Load(planKey(s3, other)); err != nil || !ok {
 					t.Fatalf("rejected run: stored plan ok=%v err=%v", ok, err)
-				} else if tape, _ := p.Tape(); tape == nil {
+				} else if tape := p.Tape(); tape == nil {
 					t.Error("rejected run: the miss stored the plan without its tape")
 				}
 			}

@@ -195,17 +195,18 @@ func allocKB(prep, fn func()) uint64 {
 // replay tape, so a fresh session's first Run of it binds inputs and walks:
 // the ledger shows a tape that was loaded and replayed, nothing recorded and
 // no engine run. What that first run allocates is held at what it measured
-// when the decoded spec came to hold each distinct program once, rounded up
-// to the next 16 KB: for reduce1d P=512 B=4, ~1 MB when it built a fabric,
+// when a decoded plan came to keep one placement entry a PE, rounded up to
+// the next 16 KB: for reduce1d P=512 B=4, ~1 MB when it built a fabric,
 // 391 KB with a tape of events, 363 KB with every PE's program spelled out,
-// 184 KB when only the frame listed each program once, 159 KB now — the spec
-// decode (33 KB: a 32-byte record a PE and the table of 19 programs),
-// the map-shaped report with its image and wave buffer (64 KB), the tape
-// decode (28 KB: coordinates, the accumulator offset table and 14 KB of runs;
-// no clock offset table, since no PE samples its clock), and the frame read,
-// the key and the session around them (34 KB).
+// 184 KB when only the frame listed each program once, 159 KB with a 32-byte
+// record a PE, 121 KB now — the spec decode (16 KB: a 4-byte placement entry
+// a PE and the table of 19 programs), the map-shaped report with its image
+// and wave buffer (56 KB), the tape decode (19 KB: a 4-byte accumulator
+// offset a PE and 14 KB of runs; no clock offset table, since no PE samples
+// its clock), and the frame read, the key and the session around them
+// (30 KB).
 func TestTapedStoreHitBuildsNoFabric(t *testing.T) {
-	const boundKB = 160
+	const boundKB = 128
 	ctx := context.Background()
 	sh := Shape{Kind: KindReduce, Alg: Auto, P: 512, B: 4}
 	inputs := sh.Inputs(func(n int) []float32 { return []float32{1, 0.5, 0.25, 0.125}[:n] })
@@ -266,18 +267,19 @@ func TestTapedStoreHitBuildsNoFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tape, _ := p.Tape()
+	tape := p.Tape()
 	section := tape.AppendBinary(nil)
 	specKB := allocKB(nil, func() { err = fabric.NewSpec(1, 1).UnmarshalBinary(specBytes) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	tapeKB := allocKB(nil, func() { tape, err = fabric.DecodeTape(p.Spec, section) })
+	tapeKB := allocKB(nil, func() { err = p.SetTape(section) })
 	if err != nil {
 		t.Fatal(err)
 	}
+	tape = p.Tape()
 	reportKB := allocKB(nil, func() { core.ReportOf(tape.Run(make([]float32, tape.AccLen())), 0) })
-	parts := fmt.Sprintf("Spec decode %d KB (33 when the bound was set), tape decode %d KB (28: %d events in %d runs), image, walk and report %d KB (64), the rest %d KB (34)",
+	parts := fmt.Sprintf("Spec decode %d KB (16 when the bound was set), tape decode %d KB (19: %d events in %d runs), image, walk and report %d KB (56), the rest %d KB (30)",
 		specKB, tapeKB, tape.Events(), tape.Runs(), reportKB, int64(grew)-int64(specKB+tapeKB+reportKB))
 	t.Logf("first Run of a taped store hit allocated %d KB: %s", grew, parts)
 	if grew > boundKB {
